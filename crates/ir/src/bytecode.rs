@@ -17,11 +17,15 @@
 //!   jumps whose absolute targets are patched in a single pass; there is no
 //!   label table left at runtime.
 //! * **Stats parity.**  The instruction stream reproduces the tree-walker's
-//!   [`crate::interp::ExecStats`] exactly: a [`Instr::BumpStmt`] is emitted
-//!   per source statement, loop heads count `loop_iters`, loads/stores are
-//!   counted by the memory instructions, and the looplet `seek` lowers to
-//!   the dedicated [`Instr::Seek`] instruction which counts one search plus
-//!   one load per probe, exactly like the interpreter's binary search.
+//!   [`crate::interp::ExecStats`] exactly: every source statement is
+//!   accounted once, either by an explicit [`Instr::BumpStmt`] (what
+//!   [`Program::compile`] emits, one per statement) or by a count the
+//!   `finalize` pass folded into [`Program::stmt_bump`] for the
+//!   instruction that follows it; loop heads count `loop_iters`,
+//!   loads/stores are counted by the memory instructions, and the looplet
+//!   `seek` lowers to the dedicated [`Instr::Seek`] instruction which
+//!   counts one search plus one load per probe, exactly like the
+//!   interpreter's search.
 //!
 //! Evaluation-order subtleties that the compiler preserves bit-for-bit:
 //! `&&`/`||` only evaluate their right operand when the left is `true`
@@ -70,7 +74,9 @@ const PENDING: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// Count one executed statement and enforce the step budget.  Emitted
-    /// once per source [`Stmt`], before the statement's own code.
+    /// once per source [`Stmt`], before the statement's own code; the
+    /// `finalize` pass folds most of them into [`Program::stmt_bump`] and
+    /// keeps only those a join point needs (loop heads).
     BumpStmt,
     /// `dst = consts[cidx]`.
     Const {
@@ -352,7 +358,8 @@ pub enum Instr {
     // [`Program::pretags`] so generic instructions can still read it.
     // -----------------------------------------------------------------
     /// No operation (a statically-discharged [`Instr::CoerceInt`], kept
-    /// so jump targets stay stable — the typing pass rewrites 1:1).
+    /// so jump targets stay stable — the typing pass rewrites 1:1; the
+    /// `finalize` pass deletes them).
     Nop,
     /// `ints[dst] = imm` — a typed [`Instr::Const`] with the integer
     /// inlined (no constant-pool read).
@@ -945,7 +952,102 @@ pub(crate) fn is_arith_reduce(reduce: Option<BinOp>) -> bool {
     }
 }
 
+/// Which pcs any instruction can transfer control to, indexed by pc
+/// (`code.len() + 1` entries: a loop may exit to one past the end).
+/// Targets beyond that are ignored here; [`Program::validate`] rejects them.
+pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
+    let mut targets = vec![false; code.len() + 1];
+    for instr in code {
+        if let Some(slot) = instr.target().and_then(|t| targets.get_mut(t as usize)) {
+            *slot = true;
+        }
+    }
+    targets
+}
+
+/// Point every jump at `map[old target]` — the one step every pass that
+/// inserts, fuses or deletes instructions ends with (`map` has one entry per
+/// old pc plus one for the past-the-end target).
+pub(crate) fn remap_targets(code: &mut [Instr], map: &[u32]) {
+    for target in code.iter_mut().filter_map(Instr::target_mut) {
+        *target = map[*target as usize];
+    }
+}
+
+/// The dispatch loop strides over `[Instr]`, so the instruction's size is
+/// its cache footprint.  It is 112 bytes because the vectorized kernel ops
+/// carry their payloads inline; boxing those belongs to the opcode-table
+/// redesign, and until then the size must not grow unnoticed.
+const _: () = assert!(std::mem::size_of::<Instr>() == 112);
+
 impl Instr {
+    /// The control-transfer target of this instruction, if it has one:
+    /// the single authoritative enumeration of branch opcodes, shared by
+    /// every pass that moves instructions (peephole, vectorize, finalize)
+    /// or reasons about join points (shard).
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Jump { target }
+            | Instr::JumpIfFalse { target, .. }
+            | Instr::JumpIfTrue { target, .. }
+            | Instr::JumpIfMissing { target, .. }
+            | Instr::JumpIfNotMissing { target, .. }
+            | Instr::CmpBranch { target, .. }
+            | Instr::CmpBranchImm { target, .. }
+            | Instr::ICmpBranch { target, .. }
+            | Instr::ICmpBranchImm { target, .. }
+            | Instr::FCmpBranch { target, .. }
+            | Instr::FCmpBranchImm { target, .. } => Some(target),
+            Instr::WhileTest { end, .. }
+            | Instr::ForTest { end, .. }
+            | Instr::WhileCmp { end, .. }
+            | Instr::WhileCmpImm { end, .. }
+            | Instr::IWhileCmp { end, .. }
+            | Instr::IWhileCmpImm { end, .. }
+            | Instr::FWhileCmp { end, .. }
+            | Instr::IForTest { end, .. } => Some(end),
+            Instr::ForStep { test, .. } => Some(test),
+            _ => None,
+        }
+    }
+
+    /// Read-only view of [`Instr::target_mut`].
+    pub(crate) fn target(mut self) -> Option<u32> {
+        self.target_mut().copied()
+    }
+
+    /// Whether the instruction starts or closes a loop: a `for`/`while`
+    /// head (whose target is the loop's exit, one past its back edge) or
+    /// a `for` back edge.
+    pub(crate) fn is_loop_edge(&self) -> bool {
+        matches!(
+            self,
+            Instr::ForTest { .. }
+                | Instr::IForTest { .. }
+                | Instr::ForStep { .. }
+                | Instr::WhileTest { .. }
+                | Instr::WhileCmp { .. }
+                | Instr::WhileCmpImm { .. }
+                | Instr::IWhileCmp { .. }
+                | Instr::IWhileCmpImm { .. }
+                | Instr::FWhileCmp { .. }
+        )
+    }
+
+    /// The `(counter, hi)` loop registers of a vectorized kernel op
+    /// (`None` for every other instruction).
+    pub(crate) fn vop_loop_regs(&self) -> Option<(Reg, Reg)> {
+        match *self {
+            Instr::VFillStoreF64 { counter, hi, .. }
+            | Instr::VMapF64 { counter, hi, .. }
+            | Instr::VMulAddF64 { counter, hi, .. }
+            | Instr::VReduceF64 { counter, hi, .. }
+            | Instr::VAppendRangeF64 { counter, hi, .. }
+            | Instr::VCmpSelectU8 { counter, hi, .. } => Some((counter, hi)),
+            _ => None,
+        }
+    }
+
     /// Whether executing this instruction touches the VM's tag array at
     /// all — `true` for the monomorphic typed forms *and* for the
     /// tag-neutral control instructions (`BumpStmt`, `Jump`, `ForStep`,
@@ -1171,6 +1273,19 @@ pub struct Program {
     /// Shardable top-level loops (set by the shard-analysis pass in
     /// `crate::opt::shard`; empty until it runs).
     pub(crate) shard_plan: ShardPlan,
+    /// `stmt_bump[pc]` = source statements the VM accounts immediately
+    /// before `code[pc]` executes — [`Instr::BumpStmt`]s the `finalize`
+    /// pass (`crate::opt::finalize`) took off the instruction stream.
+    /// Always `code.len()` entries, all zero until that pass runs; never
+    /// nonzero on the target of a back edge (a loop head would account
+    /// the statements once per iteration) or on a vectorized kernel op (a
+    /// shard region may start there, and every shard re-runs it).  The
+    /// target of a forward branch may carry a count (the statement after
+    /// an `if`): every edge into it accounts the statements, so a rewrite
+    /// must never point a branch past such an instruction.  No static
+    /// check can see a count lost that way; the pass manager's exact
+    /// `ExecStats` witness is the gate.
+    pub(crate) stmt_bump: Vec<u32>,
 }
 
 impl Program {
@@ -1198,12 +1313,29 @@ impl Program {
         }
         debug_assert_eq!(c.next_temp, 0, "temp registers must be freed LIFO");
         Program {
-            code: c.code,
             consts: c.consts,
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: c.num_vars + c.max_temps as usize,
             pretags: Vec::new(),
             shard_plan: ShardPlan::default(),
+            stmt_bump: vec![0; c.code.len()],
+            code: c.code,
+        }
+    }
+
+    /// This program with its instruction stream replaced by `code` (whose
+    /// jump targets the caller has already remapped) and every statement
+    /// still explicit in it — for the passes that run before `finalize`.
+    pub(crate) fn with_code(&self, code: Vec<Instr>) -> Program {
+        debug_assert!(self.stmt_bump.iter().all(|&n| n == 0), "rewriting a finalized program");
+        Program {
+            stmt_bump: vec![0; code.len()],
+            code,
+            consts: self.consts.clone(),
+            var_names: self.var_names.clone(),
+            num_regs: self.num_regs,
+            pretags: self.pretags.clone(),
+            shard_plan: self.shard_plan.clone(),
         }
     }
 
@@ -1233,6 +1365,13 @@ impl Program {
         &self.pretags
     }
 
+    /// Per-pc folded statement counts: `stmt_bump()[pc]` source statements
+    /// are accounted (work counter, step budget, watch) immediately before
+    /// `code()[pc]` executes.  All zero unless the `finalize` pass ran.
+    pub fn stmt_bump(&self) -> &[u32] {
+        &self.stmt_bump
+    }
+
     /// The shard plan recorded by the shard-analysis pass: the top-level
     /// counted loops proven safe for contiguous row-range parallel
     /// execution (empty for programs the pass has not run over, or when
@@ -1253,7 +1392,9 @@ impl Program {
     /// Check structural invariants: every jump target is resolved and in
     /// range, every `for` back-edge lands on its loop head, every register
     /// index fits the register file (which itself fits
-    /// [`Program::REG_LIMIT`]), and every constant index is in the pool.
+    /// [`Program::REG_LIMIT`]), every constant index is in the pool, and
+    /// the folded statement table has one entry per instruction with none
+    /// on a loop head or a vectorized kernel op.
     ///
     /// # Errors
     ///
@@ -1620,6 +1761,28 @@ impl Program {
                 ));
             }
         }
+        if self.stmt_bump.len() != self.code.len() {
+            return Err(format!(
+                "statement table has {} entries for {} instructions",
+                self.stmt_bump.len(),
+                self.code.len()
+            ));
+        }
+        for (pc, instr) in self.code.iter().enumerate() {
+            let folded = |at: usize| self.stmt_bump.get(at).is_some_and(|&n| n > 0);
+            if folded(pc) && instr.vop_loop_regs().is_some() {
+                return Err(format!("folded statement count at pc {pc} sits on a vector op"));
+            }
+            match instr.target() {
+                Some(t) if t as usize <= pc && folded(t as usize) => {
+                    return Err(format!(
+                        "folded statement count at pc {t} sits on a loop head \
+                         (the back edge at pc {pc} would account it again)"
+                    ));
+                }
+                _ => {}
+            }
+        }
         let mut prev_end = 0u32;
         for region in &self.shard_plan.regions {
             let (start, head, end) = (region.start, region.head, region.end);
@@ -1677,12 +1840,20 @@ impl Program {
     /// A one-instruction-per-line disassembly with full operand detail:
     /// registers render under their variable (or `tN` temporary) names,
     /// constant-pool operands show the resolved literal, buffers render as
-    /// `bK`, and every jump shows its absolute target.
+    /// `bK`, and every jump shows its absolute target.  A line whose
+    /// instruction carries folded statements ([`Program::stmt_bump`]) ends
+    /// in `; +N stmt`.
     pub fn disasm(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (pc, instr) in self.code.iter().enumerate() {
-            let _ = writeln!(out, "{pc:4}: {}", self.disasm_instr(*instr));
+            let _ = write!(out, "{pc:4}: {}", self.disasm_instr(*instr));
+            match self.stmt_bump.get(pc) {
+                Some(&n) if n > 0 => {
+                    let _ = writeln!(out, "  ; +{n} stmt");
+                }
+                _ => out.push('\n'),
+            }
         }
         out
     }
@@ -2008,14 +2179,9 @@ impl Compiler {
 
     /// Resolve the pending jump target of the instruction at `at`.
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Instr::Jump { target: t }
-            | Instr::JumpIfFalse { target: t, .. }
-            | Instr::JumpIfTrue { target: t, .. }
-            | Instr::JumpIfMissing { target: t, .. }
-            | Instr::JumpIfNotMissing { target: t, .. } => *t = target,
-            Instr::WhileTest { end, .. } | Instr::ForTest { end, .. } => *end = target,
-            other => unreachable!("patching non-jump instruction {other:?}"),
+        match self.code[at].target_mut() {
+            Some(t) => *t = target,
+            None => unreachable!("patching non-jump instruction {:?}", self.code[at]),
         }
     }
 
@@ -2655,6 +2821,7 @@ mod tests {
             num_regs: 2,
             pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Float)],
             shard_plan: ShardPlan::default(),
+            stmt_bump: vec![0; 28],
         };
         let _ = (p, x);
         program.validate().expect("typed forms validate");
@@ -2693,6 +2860,7 @@ mod tests {
     #[test]
     fn typed_validate_rejects_bad_ops_and_pretags() {
         let base = |code: Vec<Instr>, pretags: Vec<(Reg, LaneTag)>| Program {
+            stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
             var_names: vec!["a".into()],
@@ -2736,6 +2904,7 @@ mod tests {
     #[test]
     fn validate_rejects_each_malformed_encoding() {
         let base = |code: Vec<Instr>| Program {
+            stmt_bump: vec![0; code.len()],
             code,
             consts: vec![Value::Int(1)],
             var_names: vec!["a".into()],
@@ -2785,6 +2954,33 @@ mod tests {
         let mut p = base(vec![Instr::Nop]);
         p.num_regs = Program::REG_LIMIT + 1;
         assert!(p.validate().unwrap_err().contains("exceeds the limit"));
+
+        // The folded statement table: one entry per instruction, and no
+        // count where a back edge or a shard would account it again.
+        let looping =
+            || base(vec![Instr::Mov { dst: Reg(0), src: Reg(0) }, Instr::Jump { target: 0 }]);
+        let mut p = looping();
+        p.stmt_bump[1] = 2;
+        p.validate().expect("a count off the loop head is fine");
+        assert!(p.disasm().ends_with("   1: jump -> 0  ; +2 stmt\n"), "{}", p.disasm());
+        p.stmt_bump[0] = 1;
+        assert!(p.validate().unwrap_err().contains("sits on a loop head"));
+        let mut p = looping();
+        p.stmt_bump.pop();
+        assert!(p.validate().unwrap_err().contains("statement table has 1 entries"));
+        let fill = Instr::VFillStoreF64 {
+            buf: crate::buffer::BufId(0),
+            base: VBase::Var,
+            imm: 0.0,
+            counter: Reg(0),
+            hi: Reg(0),
+            cost: VCost { stmts: 1, loads: 0, stores: 1 },
+            lanes: 4,
+        };
+        let mut p = base(vec![fill]);
+        p.validate().expect("the kernel op itself is well formed");
+        p.stmt_bump[0] = 1;
+        assert!(p.validate().unwrap_err().contains("sits on a vector op"));
     }
 
     /// One hand-built instance of every vectorized kernel-op encoding,
@@ -2899,6 +3095,7 @@ mod tests {
             num_regs: 3,
             pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Int), (Reg(2), LaneTag::Int)],
             shard_plan: ShardPlan::default(),
+            stmt_bump: vec![0; 7],
         };
         program.validate().expect("vector kernel ops validate");
         let expected = "   0: vfill.f64 b0[v] = 0.0 for v in [i, n) (x8)
@@ -2917,6 +3114,7 @@ mod tests {
     #[test]
     fn vector_validate_rejects_each_malformed_encoding() {
         let base = |code: Vec<Instr>| Program {
+            stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
             var_names: vec!["a".into()],

@@ -26,7 +26,12 @@
 //!   innermost typed counted loop whose body matches a canonical dense
 //!   shape gains one vectorized superinstruction executing all but the
 //!   final iteration over whole buffer slices, with the untouched scalar
-//!   loop as both remainder handler and runtime fallback.
+//!   loop as both remainder handler and runtime fallback,
+//! * [`finalize`] — the last rewrite, at every level above
+//!   [`OptLevel::None`]: statement accounting moves from one dispatched
+//!   `BumpStmt` per statement into a per-pc side table, no-ops are
+//!   deleted and jump chains threaded, so the VM dispatches only
+//!   instructions that compute something.
 //!
 //! All IR-level passes are *value-exact* for programs that complete: an
 //! optimised program stores bit-identical results into every buffer.  The
@@ -45,6 +50,7 @@
 //! guarded), so this is only observable on hand-built IR.
 
 mod dce;
+pub mod finalize;
 mod fold;
 mod licm;
 #[cfg(test)]
@@ -56,6 +62,7 @@ pub mod typing;
 pub mod vectorize;
 pub mod verify;
 
+pub use finalize::finalize;
 pub use licm::hoist_invariant_loads;
 pub use pass::{
     Pass, PassCtx, PassError, PassManager, PassReport, Repr, StatsContract, ValidationLevel,
@@ -279,6 +286,21 @@ impl Pass for VectorizePass {
     }
 }
 
+/// Dispatch-stream clean-up ([`finalize`]) as a [`Pass`]: statement
+/// accounting folded into the per-pc side table, no-ops deleted, jump
+/// chains threaded.  Work counters and faults are untouched, so the
+/// default [`StatsContract::Exact`] applies.
+pub struct FinalizePass;
+
+impl Pass for FinalizePass {
+    fn name(&self) -> &'static str {
+        "finalize"
+    }
+    fn run(&self, repr: Repr, _ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(finalize::finalize(&repr.into_bytecode()))
+    }
+}
+
 /// The artifacts of one full [`optimize_and_lower`] pipeline run.
 #[derive(Debug, Clone)]
 pub struct Lowered {
@@ -348,21 +370,14 @@ pub fn optimize_and_lower(
     let program = match level {
         OptLevel::None => program,
         _ => {
-            let fused =
-                manager.run_pass(&PeepholePass, Repr::Bytecode(program), &mut ctx)?.into_bytecode();
+            let mut program = manager.run_pass(&PeepholePass, Repr::Bytecode(program), &mut ctx)?;
             if typed {
-                let typed_prog =
-                    manager.run_pass(&TypingPass, Repr::Bytecode(fused), &mut ctx)?.into_bytecode();
+                program = manager.run_pass(&TypingPass, program, &mut ctx)?;
                 if simd {
-                    manager
-                        .run_pass(&VectorizePass, Repr::Bytecode(typed_prog), &mut ctx)?
-                        .into_bytecode()
-                } else {
-                    typed_prog
+                    program = manager.run_pass(&VectorizePass, program, &mut ctx)?;
                 }
-            } else {
-                fused
             }
+            manager.run_pass(&FinalizePass, program, &mut ctx)?.into_bytecode()
         }
     };
     // Shardability analysis runs last, at every level (it only attaches

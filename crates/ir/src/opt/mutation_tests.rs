@@ -31,7 +31,7 @@ impl Pass for SeededMutation {
 /// coordinates and doubled values into a sparse fiber, accumulate a dense
 /// sum, then close both fibers.  Exercises every effect the verifier and
 /// the witness comparison reason about (Store, Append, FiberEnd).
-fn known_good_kernel() -> (Vec<Stmt>, Names, BufferSet) {
+pub(super) fn known_good_kernel() -> (Vec<Stmt>, Names, BufferSet) {
     let mut names = Names::new();
     let mut bufs = BufferSet::new();
     let x = bufs.add("x", Buffer::F64(vec![1.0, 0.5, 2.0, 0.25].into()));
@@ -99,7 +99,7 @@ fn run_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
 /// A known-good *typed* dense kernel whose counted inner loop the real
 /// vectorize pass fuses into a kernel op: `y[i] = x[i] * 2.0` over the
 /// whole input.  Used by the bad-vectorization mutation tests below.
-fn known_good_typed_kernel() -> (Program, Names, BufferSet) {
+pub(super) fn known_good_typed_kernel() -> (Program, Names, BufferSet) {
     let mut names = Names::new();
     let mut bufs = BufferSet::new();
     // Twelve elements so the kernel op's bulk path actually executes on
@@ -395,6 +395,36 @@ fn a_bad_vectorization_is_caught_and_attributed() {
         },
     };
     assert_caught(run_typed_bytecode_mutation(&m), "vectorize", "diverge");
+}
+
+#[test]
+fn a_count_folded_across_a_loop_head_is_caught_and_attributed() {
+    // Control: the real pass folds the typed kernel's statements and
+    // survives full witness validation.
+    let real = SeededMutation {
+        name: "finalize",
+        mutate: |r| Repr::Bytecode(finalize(&r.into_bytecode())),
+    };
+    let out = run_typed_bytecode_mutation(&real).expect("the real pass is stats-exact");
+    assert!(out.into_bytecode().stmt_bump().iter().any(|&n| n > 0));
+    // Simulates a finalize bug: the `for` statement's count is carried
+    // past the pre-header onto the loop head, a join point the back edge
+    // re-enters, so every iteration would account the statement again.
+    let m = SeededMutation {
+        name: "finalize",
+        mutate: |r| {
+            let mut p = finalize(&r.into_bytecode());
+            let head = p
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::IForTest { .. }))
+                .expect("the typed kernel has a counted loop");
+            let carrier = p.stmt_bump[..head].iter().position(|&n| n > 0).expect("a folded count");
+            p.stmt_bump[head] = std::mem::take(&mut p.stmt_bump[carrier]);
+            Repr::Bytecode(p)
+        },
+    };
+    assert_caught(run_typed_bytecode_mutation(&m), "finalize", "sits on a loop head");
 }
 
 #[test]

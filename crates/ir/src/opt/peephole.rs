@@ -34,9 +34,9 @@
 //!    straight-line region, so a linearly-earlier read reached through a
 //!    back edge is always re-dominated by its own write).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-use crate::bytecode::{Instr, Program, Reg, VBase, VRhs};
+use crate::bytecode::{jump_targets, remap_targets, Instr, Program, Reg, VBase, VRhs};
 use crate::expr::BinOp;
 
 use super::OptStats;
@@ -60,45 +60,6 @@ pub fn peephole(program: &Program, stats: &mut OptStats) -> Program {
 
 fn is_cmp(op: BinOp) -> bool {
     matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-}
-
-/// Absolute indices any instruction can transfer control to.
-fn jump_targets(code: &[Instr]) -> HashSet<u32> {
-    let mut targets = HashSet::new();
-    for instr in code {
-        match *instr {
-            Instr::Jump { target }
-            | Instr::JumpIfFalse { target, .. }
-            | Instr::JumpIfTrue { target, .. }
-            | Instr::JumpIfMissing { target, .. }
-            | Instr::JumpIfNotMissing { target, .. }
-            | Instr::CmpBranch { target, .. }
-            | Instr::CmpBranchImm { target, .. } => {
-                targets.insert(target);
-            }
-            Instr::WhileTest { end, .. }
-            | Instr::ForTest { end, .. }
-            | Instr::WhileCmp { end, .. }
-            | Instr::WhileCmpImm { end, .. }
-            | Instr::IWhileCmp { end, .. }
-            | Instr::IWhileCmpImm { end, .. }
-            | Instr::FWhileCmp { end, .. }
-            | Instr::IForTest { end, .. } => {
-                targets.insert(end);
-            }
-            Instr::ICmpBranch { target, .. }
-            | Instr::ICmpBranchImm { target, .. }
-            | Instr::FCmpBranch { target, .. }
-            | Instr::FCmpBranchImm { target, .. } => {
-                targets.insert(target);
-            }
-            Instr::ForStep { test, .. } => {
-                targets.insert(test);
-            }
-            _ => {}
-        }
-    }
-    targets
 }
 
 /// Visit every register operand of an instruction — reads *and* writes —
@@ -559,7 +520,7 @@ fn fuse_round(p: &Program, stats: &mut OptStats) -> (Program, bool) {
             .get(i + 1)
             // Never fuse into a jump target: entering between the halves
             // must stay possible.
-            .filter(|_| !targets.contains(&((i + 1) as u32)))
+            .filter(|_| !targets[i + 1])
             .and_then(|&b| try_fuse(code[i], b, code, i + 2, num_vars));
         match fused {
             Some(kind) => {
@@ -588,44 +549,8 @@ fn fuse_round(p: &Program, stats: &mut OptStats) -> (Program, bool) {
     }
     // A target may be one past the last instruction (loop ends).
     map.push(new_code.len() as u32);
-    for instr in &mut new_code {
-        retarget(instr, &map);
-    }
-    let new_program = Program {
-        code: new_code,
-        consts: p.consts.clone(),
-        var_names: p.var_names.clone(),
-        num_regs: p.num_regs,
-        pretags: p.pretags.clone(),
-        shard_plan: p.shard_plan.clone(),
-    };
-    (new_program, changed)
-}
-
-fn retarget(instr: &mut Instr, map: &[u32]) {
-    match instr {
-        Instr::Jump { target }
-        | Instr::JumpIfFalse { target, .. }
-        | Instr::JumpIfTrue { target, .. }
-        | Instr::JumpIfMissing { target, .. }
-        | Instr::JumpIfNotMissing { target, .. }
-        | Instr::CmpBranch { target, .. }
-        | Instr::CmpBranchImm { target, .. }
-        | Instr::ICmpBranch { target, .. }
-        | Instr::ICmpBranchImm { target, .. }
-        | Instr::FCmpBranch { target, .. }
-        | Instr::FCmpBranchImm { target, .. } => *target = map[*target as usize],
-        Instr::WhileTest { end, .. }
-        | Instr::ForTest { end, .. }
-        | Instr::WhileCmp { end, .. }
-        | Instr::WhileCmpImm { end, .. }
-        | Instr::IWhileCmp { end, .. }
-        | Instr::IWhileCmpImm { end, .. }
-        | Instr::FWhileCmp { end, .. }
-        | Instr::IForTest { end, .. } => *end = map[*end as usize],
-        Instr::ForStep { test, .. } => *test = map[*test as usize],
-        _ => {}
-    }
+    remap_targets(&mut new_code, &map);
+    (p.with_code(new_code), changed)
 }
 
 /// Renumber surviving temp registers into a dense range just above the

@@ -644,7 +644,7 @@ fn check_region(
     // (B) A vectorized kernel op driving the same loop registers sits
     // immediately before the head and belongs to the region: each shard
     // must re-run it over its own sub-range.
-    let start = if head > 0 && vop_loop_regs(&code[head - 1]) == Some((counter, hi)) {
+    let start = if head > 0 && code[head - 1].vop_loop_regs() == Some((counter, hi)) {
         head - 1
     } else {
         head
@@ -668,17 +668,12 @@ fn check_region(
     // from outside the region may target its interior.
     for (pc, instr) in code.iter().enumerate() {
         let inside_body = pc > head && pc < end - 1;
-        let mut bad = false;
-        for_each_target(instr, &mut |t| {
-            let t = t as usize;
-            if inside_body {
-                if t <= head || t > end {
-                    bad = true;
-                }
-            } else if (pc < start || pc >= end) && t > start && t < end {
-                bad = true;
-            }
-        });
+        let Some(t) = instr.target().map(|t| t as usize) else { continue };
+        let bad = if inside_body {
+            t <= head || t > end
+        } else {
+            (pc < start || pc >= end) && t > start && t < end
+        };
         if bad {
             return None;
         }
@@ -714,19 +709,6 @@ fn check_region(
         var,
         roles: spec.roles.clone(),
     })
-}
-
-/// The `(counter, hi)` loop registers of a vectorized kernel op.
-fn vop_loop_regs(instr: &Instr) -> Option<(Reg, Reg)> {
-    match *instr {
-        Instr::VFillStoreF64 { counter, hi, .. }
-        | Instr::VMapF64 { counter, hi, .. }
-        | Instr::VMulAddF64 { counter, hi, .. }
-        | Instr::VReduceF64 { counter, hi, .. }
-        | Instr::VAppendRangeF64 { counter, hi, .. }
-        | Instr::VCmpSelectU8 { counter, hi, .. } => Some((counter, hi)),
-        _ => None,
-    }
 }
 
 /// A dense register bit-set.
@@ -797,7 +779,9 @@ fn must_defined_check(
             if falls_through(&code[pc]) {
                 push(pc + 1);
             }
-            for_each_target(&code[pc], &mut |t| push(t as usize));
+            if let Some(t) = code[pc].target() {
+                push(t as usize);
+            }
         }
         if !changed {
             break;
@@ -859,7 +843,9 @@ fn post_region_check(
             if falls_through(&code[pc]) {
                 push(pc + 1);
             }
-            for_each_target(&code[pc], &mut |t| push(t as usize));
+            if let Some(t) = code[pc].target() {
+                push(t as usize);
+            }
         }
         if !changed {
             break;
@@ -887,33 +873,6 @@ fn post_region_check(
 /// Whether control can fall through to the next instruction.
 fn falls_through(instr: &Instr) -> bool {
     !matches!(instr, Instr::Jump { .. } | Instr::ForStep { .. })
-}
-
-/// Call `f` for every jump target of the instruction.
-fn for_each_target(instr: &Instr, f: &mut dyn FnMut(u32)) {
-    match *instr {
-        Instr::Jump { target }
-        | Instr::JumpIfFalse { target, .. }
-        | Instr::JumpIfTrue { target, .. }
-        | Instr::JumpIfMissing { target, .. }
-        | Instr::JumpIfNotMissing { target, .. }
-        | Instr::CmpBranch { target, .. }
-        | Instr::CmpBranchImm { target, .. }
-        | Instr::ICmpBranch { target, .. }
-        | Instr::ICmpBranchImm { target, .. }
-        | Instr::FCmpBranch { target, .. }
-        | Instr::FCmpBranchImm { target, .. } => f(target),
-        Instr::WhileTest { end, .. }
-        | Instr::ForTest { end, .. }
-        | Instr::IForTest { end, .. }
-        | Instr::WhileCmp { end, .. }
-        | Instr::WhileCmpImm { end, .. }
-        | Instr::IWhileCmp { end, .. }
-        | Instr::IWhileCmpImm { end, .. }
-        | Instr::FWhileCmp { end, .. } => f(end),
-        Instr::ForStep { test, .. } => f(test),
-        _ => {}
-    }
 }
 
 fn vbase_read(base: &VBase, f: &mut dyn FnMut(Reg)) {

@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::BufId;
 use crate::bytecode::{is_arith_reduce, is_cmp_op, is_float_arith};
-use crate::bytecode::{Instr, Program, Reg, VBase, VCost, VRhs, VScale};
+use crate::bytecode::{remap_targets, Instr, Program, Reg, VBase, VCost, VRhs, VScale};
 use crate::expr::BinOp;
 
 use super::OptStats;
@@ -72,7 +72,7 @@ pub fn vectorize(p: &Program, stats: &mut OptStats) -> Program {
             continue;
         }
         let body = &code[head + 1..end - 1];
-        if body.iter().any(is_loop_head) {
+        if body.iter().any(Instr::is_loop_edge) {
             continue; // not innermost
         }
         stats.instrs_vectorizable += body.len() as u64;
@@ -98,60 +98,8 @@ pub fn vectorize(p: &Program, stats: &mut OptStats) -> Program {
     }
     // A target may be one past the last instruction (loop ends).
     map.push(new_code.len() as u32);
-    for instr in &mut new_code {
-        retarget(instr, &map);
-    }
-    Program {
-        code: new_code,
-        consts: p.consts.clone(),
-        var_names: p.var_names.clone(),
-        num_regs: p.num_regs,
-        pretags: p.pretags.clone(),
-        shard_plan: p.shard_plan.clone(),
-    }
-}
-
-/// Whether the instruction starts or closes a loop (anything that makes
-/// the surrounding counted loop non-innermost).
-fn is_loop_head(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::ForTest { .. }
-            | Instr::IForTest { .. }
-            | Instr::ForStep { .. }
-            | Instr::WhileTest { .. }
-            | Instr::WhileCmp { .. }
-            | Instr::WhileCmpImm { .. }
-            | Instr::IWhileCmp { .. }
-            | Instr::IWhileCmpImm { .. }
-            | Instr::FWhileCmp { .. }
-    )
-}
-
-fn retarget(instr: &mut Instr, map: &[u32]) {
-    match instr {
-        Instr::Jump { target }
-        | Instr::JumpIfFalse { target, .. }
-        | Instr::JumpIfTrue { target, .. }
-        | Instr::JumpIfMissing { target, .. }
-        | Instr::JumpIfNotMissing { target, .. }
-        | Instr::CmpBranch { target, .. }
-        | Instr::CmpBranchImm { target, .. }
-        | Instr::ICmpBranch { target, .. }
-        | Instr::ICmpBranchImm { target, .. }
-        | Instr::FCmpBranch { target, .. }
-        | Instr::FCmpBranchImm { target, .. } => *target = map[*target as usize],
-        Instr::WhileTest { end, .. }
-        | Instr::ForTest { end, .. }
-        | Instr::WhileCmp { end, .. }
-        | Instr::WhileCmpImm { end, .. }
-        | Instr::IWhileCmp { end, .. }
-        | Instr::IWhileCmpImm { end, .. }
-        | Instr::FWhileCmp { end, .. }
-        | Instr::IForTest { end, .. } => *end = map[*end as usize],
-        Instr::ForStep { test, .. } => *test = map[*test as usize],
-        _ => {}
-    }
+    remap_targets(&mut new_code, &map);
+    p.with_code(new_code)
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,8 @@
 //!   assembly, and — when the buffer set is available — buffer-id range
 //!   and schema consistency.
 //! * [`verify_bytecode`] extends [`Program::validate`] (jump alignment,
-//!   const-pool bounds, register limits) with buffer-aware checks: every
+//!   const-pool bounds, register limits, the folded statement table) with
+//!   the kernel-op placement rule and buffer-aware checks: every
 //!   buffer id is in range and every monomorphic typed opcode agrees with
 //!   the element type of the buffer it touches, reusing the same
 //!   buffer-schema seeding the typing pass inferred from.
@@ -332,6 +333,19 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
         VRhs::None | VRhs::Imm { .. } => None,
     };
     for (pc, instr) in program.code().iter().enumerate() {
+        // A kernel op runs the bulk of the counted loop that follows it:
+        // anything in between (or a different loop) would run in the
+        // wrong place or not at all.
+        if let Some((counter, hi)) = instr.vop_loop_regs() {
+            match program.code().get(pc + 1) {
+                Some(&Instr::IForTest { counter: c, hi: h, .. }) if c == counter && h == hi => {}
+                _ => {
+                    return Err(format!(
+                        "vector op at pc {pc} does not immediately precede its loop head"
+                    ));
+                }
+            }
+        }
         match *instr {
             Instr::BufLen { buf, .. }
             | Instr::Load { buf, .. }
@@ -652,6 +666,23 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_op_away_from_its_loop_head_is_flagged() {
+        let (program, _names, bufs) = crate::opt::mutation_tests::known_good_typed_kernel();
+        let fused = crate::opt::vectorize(&program, &mut crate::opt::OptStats::default());
+        verify_bytecode(&fused, &bufs).expect("the vectorized program verifies");
+        let vop =
+            fused.code().iter().position(|i| i.vop_loop_regs().is_some()).expect("a kernel op");
+        // Something slipped in between the op and the loop it drives.
+        let mut code = fused.code().to_vec();
+        code.insert(vop + 1, Instr::Nop);
+        for target in code.iter_mut().filter_map(Instr::target_mut) {
+            *target += u32::from(*target as usize > vop);
+        }
+        let err = verify_bytecode(&fused.with_code(code), &bufs).unwrap_err();
+        assert!(err.contains("does not immediately precede its loop head"), "{err}");
+    }
+
+    #[test]
     fn bytecode_buffer_out_of_range_is_flagged() {
         let names = Names::new();
         let bufs = BufferSet::new();
@@ -662,6 +693,7 @@ mod tests {
             num_regs: 0,
             pretags: Vec::new(),
             shard_plan: crate::bytecode::ShardPlan::default(),
+            stmt_bump: vec![0],
         };
         let _ = names;
         let err = verify_bytecode(&program, &bufs).unwrap_err();

@@ -12,13 +12,95 @@
 //!
 //! Both the tree-walking interpreter and the bytecode VM call this one
 //! function, so the two engines perform the *same probe sequence* — each
-//! probe is bounds-checked and counted as one load, keeping `ExecStats`
-//! bit-identical across engines (and across typed/generic dispatch).  The
-//! `searches` counter semantics are unchanged: callers count one search
-//! per seek, as before.
+//! probe is counted as one load, keeping `ExecStats` bit-identical across
+//! engines (and across typed/generic dispatch).  The `searches` counter
+//! semantics are unchanged: callers count one search per seek, as before.
+//!
+//! The probe sequence itself ([`gallop_bisect`]) is written once, over an
+//! abstract `probe`.  Coordinate buffers are `i64` lanes, so the common
+//! case runs it directly over the `&[i64]` window ([`lower_bound_i64`]: no
+//! per-probe buffer lookup, kind match or boxed [`crate::value::Value`]);
+//! a window that leaves the buffer, or a buffer of another kind, takes the
+//! boxed per-probe path, which raises the errors.
 
-use crate::buffer::{BufId, VmBufs};
+use std::convert::Infallible;
+
+use crate::buffer::{BufId, Buffer, VmBufs};
 use crate::error::RuntimeError;
+
+/// The gallop-then-bisect lower bound over the inclusive window
+/// `[lo, hi]`: returns the first position whose probed value is `>= key`
+/// (or `hi + 1`) together with the number of probes made.  Every probed
+/// position lies inside the window.
+#[inline]
+fn gallop_bisect<E>(
+    lo: i64,
+    hi: i64,
+    key: i64,
+    mut probe: impl FnMut(i64) -> Result<i64, E>,
+) -> Result<(i64, u64), E> {
+    let mut probes = 0u64;
+    let start = lo;
+    let mut lo = lo;
+    // From here on `hi` is exclusive.
+    let mut hi = hi + 1;
+    // Gallop: probe start, start+1, start+3, start+7, ... (clamped to the
+    // window) until one meets the key or the window is exhausted.
+    let mut step = 1i64;
+    while lo < hi {
+        let p = start.checked_add(step - 1).map_or(hi - 1, |x| x.min(hi - 1));
+        probes += 1;
+        if probe(p)? < key {
+            lo = p + 1;
+            if p == hi - 1 {
+                break;
+            }
+            step = step.saturating_mul(2);
+        } else {
+            hi = p;
+            break;
+        }
+    }
+    // Plain binary search inside the bracketed window.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        probes += 1;
+        if probe(mid)? < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok((lo, probes))
+}
+
+/// [`lower_bound`] over a raw `i64` lane, or `None` when the non-empty
+/// window `[lo, hi]` is not wholly inside `data` (the caller then takes
+/// the bounds-checked path, which reports the out-of-bounds probe).
+#[inline]
+pub(crate) fn lower_bound_i64(
+    data: &[i64],
+    lo: i64,
+    hi: i64,
+    key: i64,
+    on_abs: bool,
+) -> Option<(i64, u64)> {
+    if lo > hi {
+        return Some((lo, 0));
+    }
+    if lo < 0 || hi as u64 >= data.len() as u64 {
+        return None;
+    }
+    let found = if on_abs {
+        gallop_bisect(lo, hi, key, |p| Ok::<_, Infallible>(data[p as usize].abs()))
+    } else {
+        gallop_bisect(lo, hi, key, |p| Ok::<_, Infallible>(data[p as usize]))
+    };
+    match found {
+        Ok(found) => Some(found),
+        Err(never) => match never {},
+    }
+}
 
 /// Lower-bound search over `buf[lo..=hi]` for `key`: the first position
 /// `p` with `buf[p] >= key` (comparing `abs(buf[p])` when `on_abs` is
@@ -40,8 +122,25 @@ pub(crate) fn lower_bound<B: VmBufs>(
     key: i64,
     on_abs: bool,
 ) -> Result<(i64, u64), RuntimeError> {
-    let mut probes = 0u64;
-    let mut probe = |p: i64| -> Result<i64, RuntimeError> {
+    if let Buffer::I64(data) = bufs.get(buf) {
+        if let Some(found) = lower_bound_i64(data, lo, hi, key, on_abs) {
+            return Ok(found);
+        }
+    }
+    lower_bound_boxed(bufs, buf, lo, hi, key, on_abs)
+}
+
+/// [`lower_bound`] with every probe bounds-checked and loaded through the
+/// boxed [`Buffer::load`] — any buffer kind, any window.
+fn lower_bound_boxed<B: VmBufs>(
+    bufs: &B,
+    buf: BufId,
+    lo: i64,
+    hi: i64,
+    key: i64,
+    on_abs: bool,
+) -> Result<(i64, u64), RuntimeError> {
+    gallop_bisect(lo, hi, key, |p| {
         let len = bufs.get(buf).len();
         if p < 0 || p as usize >= len {
             return Err(RuntimeError::OutOfBounds {
@@ -50,43 +149,9 @@ pub(crate) fn lower_bound<B: VmBufs>(
                 len,
             });
         }
-        probes += 1;
-        let mut v = bufs.get(buf).load(p as usize).as_int()?;
-        if on_abs {
-            v = v.abs();
-        }
-        Ok(v)
-    };
-
-    let start = lo;
-    let mut lo = lo;
-    let mut hi = hi + 1; // exclusive
-                         // Gallop: probe start, start+1, start+3, start+7, ... (clamped to the
-                         // window) until one meets the key or the window is exhausted.
-    let mut step = 1i64;
-    while lo < hi {
-        let p = start.checked_add(step - 1).map_or(hi - 1, |x| x.min(hi - 1));
-        if probe(p)? < key {
-            lo = p + 1;
-            if p == hi - 1 {
-                break;
-            }
-            step = step.saturating_mul(2);
-        } else {
-            hi = p;
-            break;
-        }
-    }
-    // Plain binary search inside the bracketed window.
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if probe(mid)? < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok((lo, probes))
+        let v = bufs.get(buf).load(p as usize).as_int()?;
+        Ok(if on_abs { v.abs() } else { v })
+    })
 }
 
 #[cfg(test)]
@@ -112,6 +177,22 @@ mod tests {
             }
         }
         lo
+    }
+
+    /// The raw-lane search and the boxed per-probe search agree on the
+    /// position *and* the probe count (each probe is a counted load).
+    fn assert_slice_matches_boxed(
+        bufs: &BufferSet,
+        id: BufId,
+        lo: i64,
+        hi: i64,
+        key: i64,
+        on_abs: bool,
+    ) {
+        let Buffer::I64(data) = bufs.get(id) else { panic!("an i64 lane") };
+        let slice = lower_bound_i64(data, lo, hi, key, on_abs).expect("the window is in bounds");
+        let boxed = lower_bound_boxed(bufs, id, lo, hi, key, on_abs).unwrap();
+        assert_eq!(slice, boxed, "seek({lo}, {hi}, {key}, abs {on_abs}) over {data:?}");
     }
 
     /// A tiny deterministic LCG so the test needs no external crates.
@@ -140,6 +221,7 @@ mod tests {
                 let (got, probes) = lower_bound(&bufs, id, lo, hi, key, false).unwrap();
                 assert_eq!(got, expect, "case {case}: seek({lo}, {hi}, {key}) over {data:?}");
                 assert!(probes <= (hi - lo + 2) as u64 * 2, "probe count stays bounded");
+                assert_slice_matches_boxed(&bufs, id, lo, hi, key, false);
             }
         }
     }
@@ -161,6 +243,7 @@ mod tests {
             let expect = plain_binary_search(&data, 0, n as i64 - 1, key, true);
             let (got, _) = lower_bound(&bufs, id, 0, n as i64 - 1, key, true).unwrap();
             assert_eq!(got, expect, "seek_abs({key}) over {data:?}");
+            assert_slice_matches_boxed(&bufs, id, 0, n as i64 - 1, key, true);
         }
     }
 
@@ -183,6 +266,29 @@ mod tests {
         let (pos, probes) = lower_bound(&bufs, id, 100, 999, 102, false).unwrap();
         assert_eq!(pos, 102);
         assert!(probes <= 4, "short seek probed {probes} times");
+    }
+
+    #[test]
+    fn a_window_past_the_buffer_takes_the_boxed_path_and_its_error() {
+        let mut bufs = BufferSet::new();
+        let id = bufs.add("coords", Buffer::I64(vec![1, 2, 5].into()));
+        let Buffer::I64(data) = bufs.get(id) else { panic!("an i64 lane") };
+        // Past the end, and before the start: the raw lane declines.
+        for (lo, hi, key) in [(0, 7, 9), (1, 3, 9), (-2, 1, 0)] {
+            assert_eq!(lower_bound_i64(data, lo, hi, key, false), None);
+            let entry = lower_bound(&bufs, id, lo, hi, key, false);
+            let boxed = lower_bound_boxed(&bufs, id, lo, hi, key, false);
+            assert!(matches!(entry, Err(RuntimeError::OutOfBounds { .. })), "{entry:?}");
+            assert_eq!(entry, boxed, "seek({lo}, {hi}, {key})");
+        }
+        // A window that only *reaches* past the end still succeeds when no
+        // probe lands there, exactly as the boxed search does.
+        let entry = lower_bound(&bufs, id, 0, 7, 1, false);
+        assert_eq!(entry, Ok((0, 1)));
+        assert_eq!(entry, lower_bound_boxed(&bufs, id, 0, 7, 1, false));
+        // An empty window probes nothing, wherever it lies.
+        assert_eq!(lower_bound_i64(data, 9, 8, 0, false), Some((9, 0)));
+        assert_eq!(lower_bound_boxed(&bufs, id, 9, 8, 0, false), Ok((9, 0)));
     }
 
     #[test]

@@ -75,6 +75,24 @@ impl Watch {
         self
     }
 
+    /// The largest statement count, at or past `stmts`, through which
+    /// [`Watch::check`] is known to do nothing *unless the cancellation
+    /// flag is raised* — the flag can flip at any moment, so the VM polls
+    /// it on every statement and skips `check` until the count passes
+    /// this.
+    fn quiet_until(&self, stmts: u64) -> u64 {
+        let mut quiet = u64::MAX;
+        if let Some(at) = self.fault_stmt {
+            quiet = quiet.min(at.saturating_sub(1).max(stmts));
+        }
+        if self.deadline.is_some() {
+            let next_check =
+                (stmts / Self::TIME_CHECK_PERIOD + 1).saturating_mul(Self::TIME_CHECK_PERIOD);
+            quiet = quiet.min(next_check - 1);
+        }
+        quiet
+    }
+
     /// The statement-path check both engines call: panics at an armed
     /// injection point, otherwise trips [`RuntimeError::Deadline`] on
     /// cancellation (every statement) or deadline expiry (every
@@ -142,6 +160,16 @@ pub struct Vm {
     pub(crate) step_budget: Option<u64>,
     pub(crate) watch: Option<Watch>,
     pub(crate) alloc: AllocMeter,
+    /// The largest `stats.stmts` at which nothing needs looking at: the
+    /// dispatch loop compares against this one number and leaves
+    /// everything else to [`Vm::poll`].  It is [`Vm::check_limit`], or
+    /// the current count while a cancellation flag is armed (every
+    /// statement polls the flag).  Derived state, like `check_limit`:
+    /// recomputed on every dispatch entry and after every check.
+    stmt_limit: u64,
+    /// The largest `stats.stmts` that needs no step-budget, injected-fault
+    /// or deadline check.
+    check_limit: u64,
 }
 
 impl Vm {
@@ -157,6 +185,8 @@ impl Vm {
             step_budget: None,
             watch: None,
             alloc: AllocMeter::default(),
+            stmt_limit: u64::MAX,
+            check_limit: u64::MAX,
         }
     }
 
@@ -375,23 +405,20 @@ impl Vm {
         stop: usize,
     ) -> Result<usize, RuntimeError> {
         let code = program.code();
+        let folded = program.stmt_bump();
+        assert_eq!(folded.len(), code.len(), "one folded statement count per instruction");
+        self.rearm_limits();
         let mut pc = start;
         while pc < stop {
             let instr = &code[pc];
             if PROFILE {
                 counts[pc] += 1;
             }
+            // The statements `finalize` folded onto this instruction.
+            self.bump_stmts(folded[pc] as u64)?;
             match *instr {
                 Instr::BumpStmt => {
-                    self.stats.stmts += 1;
-                    if let Some(budget) = self.step_budget {
-                        if self.stats.stmts > budget {
-                            return Err(RuntimeError::StepBudgetExceeded { budget });
-                        }
-                    }
-                    if let Some(watch) = &self.watch {
-                        watch.check(self.stats.stmts)?;
-                    }
+                    self.bump_stmts(1)?;
                     pc += 1;
                 }
                 Instr::Const { dst, cidx } => {
@@ -1011,6 +1038,78 @@ impl Vm {
             }
         }
         Ok(pc)
+    }
+
+    /// Count `n` executed statements.  The one accounting routine behind
+    /// both encodings of a statement — an explicit [`Instr::BumpStmt`]
+    /// and a count folded into [`Program::stmt_bump`]: one add and one
+    /// compare here, everything a statement can trip behind [`Vm::poll`].
+    #[inline(always)]
+    fn bump_stmts(&mut self, n: u64) -> Result<(), RuntimeError> {
+        self.stats.stmts += n;
+        if self.stats.stmts > self.stmt_limit {
+            self.poll(n)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Past [`Vm::stmt_limit`].  While a cancellation flag is armed (every
+    /// service request arms one) that is every statement, so this is kept
+    /// to a look at the flag — a dozen instructions, no frame; anything
+    /// else is [`Vm::account`]'s.  `#[cold]` is for the run *without* a
+    /// watch: it keeps the call off the dispatch loop's straight line
+    /// (measured: inlining this costs the unwatched merge kernels 3 %,
+    /// while an armed run is as fast through the call as without a watch).
+    #[cold]
+    #[inline(never)]
+    fn poll(&mut self, n: u64) -> Result<(), RuntimeError> {
+        if self.stats.stmts <= self.check_limit {
+            if let Some(cancel) = self.watch.as_ref().and_then(|watch| watch.cancel.as_ref()) {
+                if !cancel.load(Ordering::Relaxed) {
+                    self.stmt_limit = self.stats.stmts;
+                    return Ok(());
+                }
+            }
+        }
+        self.account(n)
+    }
+
+    /// Re-run the `n` statements just counted one at a time against the
+    /// step budget, then the [`Watch`] (injected fault, cancellation,
+    /// deadline) — the order and the per-statement counts of the
+    /// tree-walker, so a trip leaves `stats.stmts` at exactly the
+    /// statement that tripped.
+    #[cold]
+    #[inline(never)]
+    fn account(&mut self, n: u64) -> Result<(), RuntimeError> {
+        let counted = self.stats.stmts;
+        for stmts in counted - n + 1..=counted {
+            self.stats.stmts = stmts;
+            if let Some(budget) = self.step_budget {
+                if stmts > budget {
+                    return Err(RuntimeError::StepBudgetExceeded { budget });
+                }
+            }
+            if let Some(watch) = &self.watch {
+                watch.check(stmts)?;
+            }
+        }
+        self.rearm_limits();
+        Ok(())
+    }
+
+    /// Derive [`Vm::check_limit`] and [`Vm::stmt_limit`] from the step
+    /// budget, the watch and the current statement count.
+    fn rearm_limits(&mut self) {
+        let budget = self.step_budget.unwrap_or(u64::MAX);
+        let (quiet, polled) = match &self.watch {
+            Some(watch) => (watch.quiet_until(self.stats.stmts), watch.cancel.is_some()),
+            None => (u64::MAX, false),
+        };
+        self.check_limit = budget.min(quiet);
+        self.stmt_limit =
+            if polled { self.check_limit.min(self.stats.stmts) } else { self.check_limit };
     }
 
     /// The infallible integer arithmetic subset the typed [`Instr::IArith`]
