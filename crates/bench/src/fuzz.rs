@@ -270,6 +270,18 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
         let mut scalar_stats: Option<finch::ExecStats> = None;
         for (typed, simd) in [(false, false), (true, false), (true, true)] {
             let mut k = compiled.reoptimized_simd(level, typed, simd);
+            // The compile-cost contract: register typing settles within
+            // three visits per basic block on every generated program.
+            let opt = k.opt_stats();
+            if opt.typing_block_visits > 3 * opt.typing_blocks {
+                return Some(Divergence {
+                    combo: format!("{level}/typed={typed}/simd={simd}"),
+                    detail: format!(
+                        "typing visited {} blocks {} times",
+                        opt.typing_blocks, opt.typing_block_visits
+                    ),
+                });
+            }
             let mut engine_stats = Vec::new();
             for engine in [Engine::TreeWalk, Engine::Bytecode] {
                 let combo = format!("{engine:?}/{level}/typed={typed}/simd={simd}");

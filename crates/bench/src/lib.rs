@@ -639,6 +639,16 @@ mod tests {
     /// are bit-identical (the bench harness relies on this when printing
     /// one shared work column).
     fn assert_engine_parity(v: &mut Variant, what: &str) {
+        // Compiling it was linear: register typing inferred the program
+        // once and settled within three visits per basic block.
+        let opt = v.kernel.opt_stats();
+        assert!(
+            opt.typing_blocks > 0 && opt.typing_block_visits <= 3 * opt.typing_blocks,
+            "{what} `{}`: typing visited {} blocks {} times",
+            v.label,
+            opt.typing_blocks,
+            opt.typing_block_visits
+        );
         let tw = v.kernel.run_with(Engine::TreeWalk).expect("tree-walk runs");
         let tw_outs: Vec<(String, Vec<f64>)> = v
             .kernel

@@ -2,6 +2,7 @@
 //! the generated code.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use finch_cin::CinStmt;
 use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Tensor};
@@ -423,7 +424,6 @@ impl Kernel {
             simd,
             validation,
         )?;
-        let source = Printer::new(&ctx.names, &ctx.bufs).program(&code);
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             code,
@@ -435,7 +435,7 @@ impl Kernel {
             bufs: ctx.bufs,
             outputs,
             inputs,
-            source,
+            source: OnceLock::new(),
             program: format!("{program}"),
             engine: Engine::default(),
             step_budget: None,
@@ -525,7 +525,10 @@ pub struct CompiledKernel {
     /// of the same structure without recompiling (and so the rebind can be
     /// validated against the structure the code was generated for).
     inputs: HashMap<String, BoundTensor>,
-    source: String,
+    /// The generated code as text, rendered on the first
+    /// [`CompiledKernel::code`] call: the service compiles in-request and
+    /// never reads it.
+    source: OnceLock<String>,
     program: String,
     engine: Engine,
     step_budget: Option<u64>,
@@ -555,7 +558,9 @@ impl CompiledKernel {
     /// The generated code, rendered as pseudo-Rust (the reproduction of the
     /// paper's Figure 1b listings).
     pub fn code(&self) -> &str {
-        &self.source
+        // Buffer names and the name table are fixed at compile time, so the
+        // text does not depend on when it is first asked for.
+        self.source.get_or_init(|| Printer::new(&self.names, &self.bufs).program(&self.code))
     }
 
     /// The CIN program this kernel was compiled from.
@@ -641,7 +646,6 @@ impl CompiledKernel {
             simd,
             validation,
         )?;
-        let source = Printer::new(&names, &self.bufs).program(&code);
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             code,
@@ -653,7 +657,7 @@ impl CompiledKernel {
             bufs: self.bufs.clone(),
             outputs: self.outputs.clone(),
             inputs: self.inputs.clone(),
-            source,
+            source: OnceLock::new(),
             program: self.program.clone(),
             engine: self.engine,
             step_budget: self.step_budget,
@@ -1805,16 +1809,33 @@ mod tests {
     }
 
     #[test]
-    fn threads_clamp_to_one_and_carry_through_reoptimize() {
+    fn zero_threads_resolve_to_the_host_parallelism_and_counts_carry_through_reoptimize() {
+        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
         let a = Tensor::dense_vector("A", &[1.0, 2.0]);
         let b = Tensor::dense_vector("B", &[3.0, 4.0]);
         let mut k = dot_product(&a, &b);
         k.set_threads(0);
-        assert_eq!(k.threads(), 1);
+        assert_eq!(k.threads(), auto);
         k.set_threads(4);
         let re = k.reoptimized(OptLevel::None);
         assert_eq!(re.threads(), 4, "reoptimize must carry the thread count");
-        assert_eq!(Kernel::new().with_threads(0).threads(), 1);
+        assert_eq!(Kernel::new().with_threads(0).threads(), auto);
+    }
+
+    #[test]
+    fn generated_code_renders_on_demand_and_identically_for_clones_and_rederivations() {
+        let a = Tensor::sparse_list_vector("A", &[0.0, 1.0, 0.0, 2.0]);
+        let b = Tensor::dense_vector("B", &[1.0; 4]);
+        let mut k = dot_product(&a, &b);
+        // Cloned before the text exists, read after a run, cloned after.
+        let early = k.clone();
+        k.run().unwrap();
+        let text = k.code().to_string();
+        assert_eq!(text, Printer::new(&k.names, &k.bufs).program(k.stmts()));
+        assert_eq!(early.code(), text);
+        assert_eq!(k.clone().code(), text);
+        assert_eq!(k.reoptimized(k.opt_level()).code(), text);
+        assert_ne!(k.reoptimized(OptLevel::None).code(), text, "the text follows the code");
     }
 
     #[test]

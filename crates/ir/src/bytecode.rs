@@ -36,6 +36,7 @@
 //! value is evaluated.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::buffer::BufId;
 use crate::expr::{BinOp, Expr, UnOp};
@@ -965,6 +966,62 @@ pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
     targets
 }
 
+/// The basic blocks of an instruction stream: maximal runs of instructions
+/// entered only at their first and left only after their last.  A block
+/// starts at pc 0, at every jump target, and after every control transfer
+/// (any instruction with a [`Instr::target`]), so a control transfer is
+/// always the last instruction of its block.  The compiler emits structured
+/// code — every forward edge goes to a higher pc, only loop back edges go
+/// down — so visiting blocks in index order is a reverse post-order.
+pub(crate) struct Blocks {
+    /// First pc of each block, ascending, plus `code.len()` at the end.
+    starts: Vec<u32>,
+    /// The block each pc belongs to.
+    block_of: Vec<u32>,
+}
+
+impl Blocks {
+    /// Partition `code` into its basic blocks.
+    pub(crate) fn of(code: &[Instr]) -> Blocks {
+        let mut leaders = jump_targets(code);
+        leaders[0] = true;
+        for (pc, instr) in code.iter().enumerate() {
+            if instr.target().is_some() {
+                leaders[pc + 1] = true;
+            }
+        }
+        let mut starts = Vec::new();
+        let mut block_of = Vec::with_capacity(code.len());
+        for (pc, &leads) in leaders[..code.len()].iter().enumerate() {
+            if leads {
+                starts.push(pc as u32);
+            }
+            block_of.push(starts.len() as u32 - 1);
+        }
+        starts.push(code.len() as u32);
+        Blocks { starts, block_of }
+    }
+
+    /// How many blocks there are (none for an empty stream).
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The pcs of block `b`.
+    pub(crate) fn range(&self, b: usize) -> std::ops::Range<usize> {
+        self.starts[b] as usize..self.starts[b + 1] as usize
+    }
+
+    /// The block that starts at `pc`: `None` for the past-the-end pc a
+    /// loop may exit to (and for anything beyond, which
+    /// [`Program::validate`] rejects).
+    pub(crate) fn starting_at(&self, pc: usize) -> Option<usize> {
+        let b = *self.block_of.get(pc)? as usize;
+        debug_assert_eq!(self.starts[b] as usize, pc, "control only enters a block at its start");
+        Some(b)
+    }
+}
+
 /// Point every jump at `map[old target]` — the one step every pass that
 /// inserts, fuses or deletes instructions ends with (`map` has one entry per
 /// old pc plus one for the past-the-end target).
@@ -980,13 +1037,12 @@ pub(crate) fn remap_targets(code: &mut [Instr], map: &[u32]) {
 /// redesign, and until then the size must not grow unnoticed.
 const _: () = assert!(std::mem::size_of::<Instr>() == 112);
 
-impl Instr {
-    /// The control-transfer target of this instruction, if it has one:
-    /// the single authoritative enumeration of branch opcodes, shared by
-    /// every pass that moves instructions (peephole, vectorize, finalize)
-    /// or reasons about join points (shard).
-    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
-        match self {
+/// The control-transfer target field of an instruction, by whatever kind of
+/// reference `$instr` is: the single authoritative enumeration of branch
+/// opcodes behind [`Instr::target_mut`] and [`Instr::target`].
+macro_rules! target_field {
+    ($instr:expr) => {
+        match $instr {
             Instr::Jump { target }
             | Instr::JumpIfFalse { target, .. }
             | Instr::JumpIfTrue { target, .. }
@@ -1009,11 +1065,20 @@ impl Instr {
             Instr::ForStep { test, .. } => Some(test),
             _ => None,
         }
+    };
+}
+
+impl Instr {
+    /// The control-transfer target of this instruction, if it has one —
+    /// shared by every pass that moves instructions (peephole, vectorize,
+    /// finalize) or reasons about join points (shard, typing).
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        target_field!(self)
     }
 
     /// Read-only view of [`Instr::target_mut`].
-    pub(crate) fn target(mut self) -> Option<u32> {
-        self.target_mut().copied()
+    pub(crate) fn target(&self) -> Option<u32> {
+        target_field!(self).copied()
     }
 
     /// Whether the instruction starts or closes a loop: a `for`/`while`
@@ -1263,7 +1328,10 @@ impl ShardPlan {
 pub struct Program {
     pub(crate) code: Vec<Instr>,
     pub(crate) consts: Vec<Value>,
-    pub(crate) var_names: Vec<String>,
+    /// The IR variables' names, one per variable register.  Shared: every
+    /// pass derives its output from a clone of its input program, and the
+    /// table never changes after [`Program::compile`].
+    pub(crate) var_names: Arc<[String]>,
     pub(crate) num_regs: usize,
     /// Registers whose runtime tag is statically known (set by the
     /// typing pass in `crate::opt::typing`; empty until it runs).  The
@@ -1332,7 +1400,7 @@ impl Program {
             stmt_bump: vec![0; code.len()],
             code,
             consts: self.consts.clone(),
-            var_names: self.var_names.clone(),
+            var_names: Arc::clone(&self.var_names),
             num_regs: self.num_regs,
             pretags: self.pretags.clone(),
             shard_plan: self.shard_plan.clone(),
@@ -2863,7 +2931,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
-            var_names: vec!["a".into()],
+            var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags,
             shard_plan: ShardPlan::default(),
@@ -2907,7 +2975,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: vec![Value::Int(1)],
-            var_names: vec!["a".into()],
+            var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),
             shard_plan: ShardPlan::default(),
@@ -3117,7 +3185,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
-            var_names: vec!["a".into()],
+            var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),
             shard_plan: ShardPlan::default(),

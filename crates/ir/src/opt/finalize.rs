@@ -384,7 +384,7 @@ mod tests {
         }];
         let raw = Program::compile(&stmts, &names);
         let fused = peephole(&raw, &mut OptStats::default());
-        let typed = typing::specialize(&fused, &bufs, &mut OptStats::default());
+        let typed = typing::specialize_checked(&fused, &bufs).0;
         let finalized = finalize(&typed);
         crate::opt::verify_bytecode(&finalized, &bufs).expect("the finalized program verifies");
         let expected = "   0: t0 = const.i 0  ; +1 stmt

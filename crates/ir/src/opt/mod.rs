@@ -156,6 +156,12 @@ pub struct OptStats {
     /// Registers whose runtime tag the typing pass proved static and
     /// pinned ([`crate::bytecode::Program::pretags`]).
     pub regs_pretagged: u64,
+    /// Basic blocks of the programs the typing pass inferred.  It infers
+    /// each program once, so this is their plain block count.
+    pub typing_blocks: u64,
+    /// Block visits the typing pass's dataflow solver made to reach its
+    /// fixpoint: about two per block on structured code.
+    pub typing_block_visits: u64,
     /// Scalar body instructions of innermost typed counted loops that the
     /// vectorize pass replaced with kernel ops ([`vectorize`]).
     pub instrs_vectorized: u64,
@@ -266,7 +272,12 @@ impl Pass for TypingPass {
     }
     fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
         let bufs = ctx.bufs.expect("the typing pass needs the kernel's buffer set");
-        Repr::Bytecode(typing::specialize(&repr.into_bytecode(), bufs, ctx.stats))
+        let program = repr.into_bytecode();
+        // Every pipeline run of this crate's unit tests doubles as a
+        // differential check against the reference inference.
+        #[cfg(test)]
+        typing::specialize_checked(&program, bufs);
+        Repr::Bytecode(typing::specialize(&program, bufs, ctx.stats))
     }
 }
 

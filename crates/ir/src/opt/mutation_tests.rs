@@ -122,7 +122,7 @@ pub(super) fn known_good_typed_kernel() -> (Program, Names, BufferSet) {
     }];
     let raw = Program::compile(&stmts, &names);
     let fused = peephole(&raw, &mut OptStats::default());
-    let typed = typing::specialize(&fused, &bufs, &mut OptStats::default());
+    let typed = typing::specialize_checked(&fused, &bufs).0;
     (typed, names, bufs)
 }
 
@@ -455,7 +455,7 @@ fn an_overlapping_shard_partition_is_caught_and_attributed() {
     assert!(!specs.is_empty(), "the partitioned map is shardable at the IR stage");
     let raw = Program::compile(&stmts, &names);
     let fused = peephole(&raw, &mut OptStats::default());
-    let typed = typing::specialize(&fused, &bufs, &mut OptStats::default());
+    let typed = typing::specialize_checked(&fused, &bufs).0;
     let pass = shard::ShardPass { specs };
     let run = |program: Program, names: &mut Names, bufs: &BufferSet| {
         let mut stats = OptStats::default();

@@ -623,6 +623,9 @@ mod tests {
         let (raw_bufs, raw_stats) = run(&raw);
         let (opt_bufs, opt_stats) = run(&opt);
         assert_eq!(raw_stats, opt_stats, "work counters diverge");
+        // Both shapes are what the typing pass sees: keep it honest on them.
+        crate::opt::typing::specialize_checked(&raw, bufs);
+        crate::opt::typing::specialize_checked(&opt, bufs);
         for (id, name, buf) in raw_bufs.iter() {
             assert_eq!(buf, opt_bufs.get(id), "buffer {name} diverges");
         }

@@ -28,7 +28,34 @@
 //! post-`coalesce` registers of the convolution kernels become statically
 //! `Float` again).
 //!
-//! Two facts license each rewrite:
+//! # How the fixpoint is computed
+//!
+//! Every cache miss of the kernel service pays this pass in-request, so it
+//! is a basic-block dataflow that allocates nothing per visit.  The program
+//! is partitioned into [`Blocks`]; the solver keeps one entry state per
+//! *block*, all of them rows of one flat `blocks × registers` byte arena.
+//! Visiting a block copies its row into a scratch state, applies each
+//! instruction's transfer rule to the scratch **in place**, and at the
+//! block's end joins the scratch (refined per edge on a second scratch)
+//! into the successors' rows.  The worklist is a bitmap over blocks, and the
+//! lowest queued block always goes next.  The compiler emits structured
+//! code, so index order is a reverse post-order — the order that bounds the
+//! rounds of an iterative dataflow by the loop depth (Kam & Ullman 1976):
+//! a loop settles before anything behind it is looked at, and the code after
+//! it sees its final exit state the first time.
+//! [`OptStats::typing_block_visits`] against [`OptStats::typing_blocks`] is
+//! the measure: about two visits per block on generated kernels.  The
+//! transfer rules are monotone, so the fixpoint does not depend on the
+//! visiting order.  The states *inside* a block are not stored: the two
+//! consumers below re-walk each block from its entry state.
+//!
+//! The program is inferred **once**.  Expression temporaries whose LIFO
+//! slot is reused at conflicting types are split into one register per
+//! type afterwards (see [`SplitPlan`]), and the facts about the split
+//! registers follow from the first inference — every access to a split
+//! register is a singleton of its kind by construction.
+//!
+//! # What licenses a rewrite
 //!
 //! 1. **Point typing** — every register the instruction *reads* has a
 //!    singleton abstract state at that program point, so reading the lane
@@ -49,11 +76,9 @@
 //! instruction counts and [`crate::interp::ExecStats`] are bit-identical
 //! to generic dispatch.
 
-use std::collections::VecDeque;
-
 use crate::buffer::{Buffer, BufferSet};
 use crate::bytecode::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
-use crate::bytecode::{Instr, LaneTag, Program, Reg, VBase, VRhs};
+use crate::bytecode::{Blocks, Instr, LaneTag, Program, Reg, VBase, VRhs};
 use crate::expr::{BinOp, UnOp};
 use crate::value::Value;
 
@@ -66,10 +91,9 @@ const FLOAT: u8 = 1 << 2;
 const BOOL: u8 = 1 << 3;
 const MISSING: u8 = 1 << 4;
 const VALUE: u8 = INT | FLOAT | BOOL;
-const ANY: u8 = UNSET | VALUE | MISSING;
-
-/// One abstract state: a bitset per register.
-type State = Vec<u8>;
+/// What is left of a register's state once an instruction has read it as a
+/// real value: neither unset nor missing.
+const REAL: u8 = !(UNSET | MISSING);
 
 fn const_bits(v: Value) -> u8 {
     match v {
@@ -90,6 +114,11 @@ fn buf_bits(buf: &Buffer) -> u8 {
     }
 }
 
+// The value rules below are monotone in their operand sets: an operand with
+// no value kind at all (only unset, only missing, or nothing) contributes no
+// value kind to the result — the instruction faults or yields `Missing`
+// there, so nothing else can flow on.
+
 /// Abstract result of `Value::binop` given operand bitsets.
 fn binop_bits(op: BinOp, a: u8, b: u8) -> u8 {
     let missing = ((a | b) & MISSING != 0) as u8 * MISSING;
@@ -105,10 +134,6 @@ fn binop_bits(op: BinOp, a: u8, b: u8) -> u8 {
     }
     if ak & (FLOAT | BOOL) != 0 || bk & (FLOAT | BOOL) != 0 {
         r |= FLOAT;
-    }
-    if r == 0 {
-        // Operands with no known value kind (over-approximate).
-        r = INT | FLOAT;
     }
     r | missing
 }
@@ -128,9 +153,6 @@ fn unop_bits(op: UnOp, a: u8) -> u8 {
             if k & (FLOAT | BOOL) != 0 {
                 r |= FLOAT;
             }
-            if r == 0 {
-                r = INT | FLOAT;
-            }
             r
         }
     };
@@ -141,25 +163,21 @@ fn unop_bits(op: UnOp, a: u8) -> u8 {
 /// writes, under the given in-state.  `None` for instructions without a
 /// register destination.  This is the single source of truth shared by
 /// the dataflow transfer and the global write-kind accumulation.
-fn write_effect(instr: Instr, s: &State, consts: &[Value], bufs: &BufferSet) -> Option<(Reg, u8)> {
+fn write_effect(instr: &Instr, s: &[u8], consts: &[Value], bufs: &BufferSet) -> Option<(Reg, u8)> {
     let load_bits = |buf, idx: Reg| -> u8 {
-        let kind = buf_bits(bufs.get(buf));
         let i = s[idx.index()];
         let mut r = 0u8;
-        if i & VALUE != 0 || i & MISSING == 0 {
-            r |= kind;
+        if i & VALUE != 0 {
+            r |= buf_bits(bufs.get(buf));
         }
         if i & MISSING != 0 {
             r |= MISSING;
         }
         r
     };
-    Some(match instr {
+    Some(match *instr {
         Instr::Const { dst, cidx } => (dst, const_bits(consts[cidx as usize])),
-        Instr::Mov { dst, src } => {
-            let b = s[src.index()] & !UNSET;
-            (dst, if b == 0 { ANY & !UNSET } else { b })
-        }
+        Instr::Mov { dst, src } => (dst, s[src.index()] & !UNSET),
         Instr::BufLen { dst, .. } => (dst, INT),
         Instr::Load { dst, buf, idx } => (dst, load_bits(buf, idx)),
         Instr::CoerceInt { reg } => (reg, INT),
@@ -176,7 +194,7 @@ fn write_effect(instr: Instr, s: &State, consts: &[Value], bufs: &BufferSet) -> 
         Instr::ForTest { var, .. } | Instr::IForTest { var, .. } => (var, INT),
         Instr::ForStep { counter, .. } => (counter, INT),
         Instr::Seek { dst, .. } | Instr::ISeek { dst, .. } => (dst, INT),
-        // Typed forms (inputs to a re-run of the pass).
+        // Typed forms: what a rewritten instruction pins.
         Instr::ConstI { dst, .. } | Instr::ILen { dst, .. } | Instr::LoadI64 { dst, .. } => {
             (dst, INT)
         }
@@ -195,298 +213,6 @@ fn write_effect(instr: Instr, s: &State, consts: &[Value], bufs: &BufferSet) -> 
     })
 }
 
-/// Every register an instruction reads, in no particular order.
-fn for_each_read(instr: Instr, f: &mut dyn FnMut(Reg)) {
-    match instr {
-        Instr::Mov { src, .. } | Instr::Unary { src, .. } => f(src),
-        Instr::Load { idx, .. } => f(idx),
-        Instr::CoerceInt { reg } => f(reg),
-        Instr::Store { idx, val, .. }
-        | Instr::StoreF64 { idx, val, .. }
-        | Instr::StoreU8 { idx, val, .. } => {
-            f(idx);
-            f(val);
-        }
-        Instr::Binary { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        Instr::JumpIfFalse { src, .. }
-        | Instr::JumpIfTrue { src, .. }
-        | Instr::JumpIfMissing { src, .. }
-        | Instr::JumpIfNotMissing { src, .. } => f(src),
-        Instr::WhileTest { cond, .. } => f(cond),
-        Instr::ForTest { counter, hi, .. } | Instr::IForTest { counter, hi, .. } => {
-            f(counter);
-            f(hi);
-        }
-        Instr::ForStep { counter, .. } => f(counter),
-        Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
-            f(val)
-        }
-        Instr::Seek { lo, hi, key, .. } | Instr::ISeek { lo, hi, key, .. } => {
-            f(lo);
-            f(hi);
-            f(key);
-        }
-        Instr::BinaryImm { lhs, .. } => f(lhs),
-        Instr::LoadBinary { lhs, idx, .. } => {
-            f(lhs);
-            f(idx);
-        }
-        Instr::CmpBranch { lhs, rhs, .. }
-        | Instr::WhileCmp { lhs, rhs, .. }
-        | Instr::ICmpBranch { lhs, rhs, .. }
-        | Instr::FCmpBranch { lhs, rhs, .. }
-        | Instr::IWhileCmp { lhs, rhs, .. }
-        | Instr::FWhileCmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        Instr::CmpBranchImm { lhs, .. }
-        | Instr::WhileCmpImm { lhs, .. }
-        | Instr::ICmpBranchImm { lhs, .. }
-        | Instr::FCmpBranchImm { lhs, .. }
-        | Instr::IWhileCmpImm { lhs, .. } => f(lhs),
-        Instr::IMov { src, .. } | Instr::FMov { src, .. } | Instr::FRound { src, .. } => f(src),
-        Instr::LoadI64 { idx, .. } | Instr::LoadF64 { idx, .. } | Instr::LoadU8 { idx, .. } => {
-            f(idx)
-        }
-        Instr::FMulLoad { lhs, idx, .. } => {
-            f(lhs);
-            f(idx);
-        }
-        Instr::IArith { lhs, rhs, .. } | Instr::FArith { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        Instr::IArithImm { lhs, .. } | Instr::FArithImm { lhs, .. } => f(lhs),
-        Instr::BumpStmt
-        | Instr::Const { .. }
-        | Instr::BufLen { .. }
-        | Instr::Jump { .. }
-        | Instr::FiberEnd { .. }
-        | Instr::Nop
-        | Instr::ConstI { .. }
-        | Instr::ConstF { .. }
-        | Instr::ILen { .. } => {}
-        // Vectorized kernel ops (inserted after this pass runs): the
-        // loop counter and bound registers, plus any row-base register.
-        Instr::VFillStoreF64 { base, counter, hi, .. }
-        | Instr::VReduceF64 { base, counter, hi, .. }
-        | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-            vbase_read(base, f);
-            f(counter);
-            f(hi);
-        }
-        Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-            vbase_read(dst_base, f);
-            vbase_read(a_base, f);
-            if let VRhs::Buf { base, .. } = rhs {
-                vbase_read(base, f);
-            }
-            f(counter);
-            f(hi);
-        }
-        Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-            vbase_read(a_base, f);
-            vbase_read(b_base, f);
-            f(counter);
-            f(hi);
-        }
-        Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-            vbase_read(dst_base, f);
-            vbase_read(src_base, f);
-            f(counter);
-            f(hi);
-        }
-    }
-}
-
-/// Visit the register a [`VBase::Scaled`] index shape reads, if any.
-fn vbase_read(base: VBase, f: &mut dyn FnMut(Reg)) {
-    if let VBase::Scaled { reg, .. } = base {
-        f(reg);
-    }
-}
-
-/// Compute the successor states of one instruction: `(succ_pc, state)`
-/// pairs, with per-edge refinement for the branch forms.  Edges whose
-/// refinement empties a register's state are provably never taken and
-/// are dropped.
-fn transfer(
-    pc: usize,
-    instr: Instr,
-    s: &State,
-    consts: &[Value],
-    bufs: &BufferSet,
-    out: &mut Vec<(usize, State)>,
-) {
-    let next = pc + 1;
-    // A branch edge: apply `mask` to `reg`, drop the edge if impossible.
-    let mut edge = |succ: usize, refine: &[(Reg, u8)]| {
-        let mut t = s.clone();
-        for &(r, mask) in refine {
-            t[r.index()] &= mask;
-            if t[r.index()] == 0 {
-                return; // this edge is provably never taken
-            }
-        }
-        out.push((succ, t));
-    };
-    match instr {
-        Instr::Jump { target } => edge(target as usize, &[]),
-        Instr::JumpIfFalse { src, target, strict } => {
-            // Fall-through: the condition was truthy (not missing, not
-            // unset).  Target: falsy — missing only allowed when lenient.
-            edge(next, &[(src, !(UNSET | MISSING))]);
-            let target_mask = if strict { !(UNSET | MISSING) } else { !UNSET };
-            edge(target as usize, &[(src, target_mask)]);
-        }
-        Instr::JumpIfTrue { src, target } => {
-            edge(target as usize, &[(src, !(UNSET | MISSING))]);
-            edge(next, &[(src, !UNSET)]);
-        }
-        Instr::JumpIfMissing { src, target } => {
-            // Reads the tag directly: unset falls through, only a true
-            // missing jumps.
-            edge(target as usize, &[(src, MISSING)]);
-            edge(next, &[(src, !MISSING)]);
-        }
-        Instr::JumpIfNotMissing { src, target } => {
-            edge(target as usize, &[(src, !MISSING)]);
-            edge(next, &[(src, MISSING)]);
-        }
-        Instr::WhileTest { cond, end } => {
-            // A missing condition is a type error on either path.
-            edge(next, &[(cond, !(UNSET | MISSING))]);
-            edge(end as usize, &[(cond, !(UNSET | MISSING))]);
-        }
-        Instr::CmpBranch { lhs, rhs, target, .. }
-        | Instr::ICmpBranch { lhs, rhs, target, .. }
-        | Instr::FCmpBranch { lhs, rhs, target, .. } => {
-            let strict = match instr {
-                Instr::CmpBranch { strict, .. } => strict,
-                _ => true, // typed operands cannot be missing anyway
-            };
-            edge(next, &[(lhs, !(UNSET | MISSING)), (rhs, !(UNSET | MISSING))]);
-            let m = if strict { !(UNSET | MISSING) } else { !UNSET };
-            edge(target as usize, &[(lhs, m), (rhs, m)]);
-        }
-        Instr::CmpBranchImm { lhs, target, strict, .. } => {
-            edge(next, &[(lhs, !(UNSET | MISSING))]);
-            let m = if strict { !(UNSET | MISSING) } else { !UNSET };
-            edge(target as usize, &[(lhs, m)]);
-        }
-        Instr::ICmpBranchImm { lhs, target, .. } | Instr::FCmpBranchImm { lhs, target, .. } => {
-            edge(next, &[(lhs, !(UNSET | MISSING))]);
-            edge(target as usize, &[(lhs, !(UNSET | MISSING))]);
-        }
-        Instr::WhileCmp { lhs, rhs, end, .. }
-        | Instr::IWhileCmp { lhs, rhs, end, .. }
-        | Instr::FWhileCmp { lhs, rhs, end, .. } => {
-            edge(next, &[(lhs, !(UNSET | MISSING)), (rhs, !(UNSET | MISSING))]);
-            edge(end as usize, &[(lhs, !(UNSET | MISSING)), (rhs, !(UNSET | MISSING))]);
-        }
-        Instr::WhileCmpImm { lhs, end, .. } | Instr::IWhileCmpImm { lhs, end, .. } => {
-            edge(next, &[(lhs, !(UNSET | MISSING))]);
-            edge(end as usize, &[(lhs, !(UNSET | MISSING))]);
-        }
-        Instr::ForTest { var, end, .. } | Instr::IForTest { var, end, .. } => {
-            // The loop variable is published only on the fall-through
-            // (loop-entered) edge.
-            let mut entered = s.clone();
-            entered[var.index()] = INT;
-            out.push((next, entered));
-            out.push((end as usize, s.clone()));
-        }
-        Instr::ForStep { counter, test } => {
-            let mut t = s.clone();
-            t[counter.index()] = INT;
-            out.push((test as usize, t));
-        }
-        _ => {
-            // Straight-line instructions: apply operand refinements that
-            // hold on the (only) success continuation, then the write.
-            let mut t = s.clone();
-            match instr {
-                Instr::Mov { src, .. } | Instr::Unary { src, .. } => {
-                    t[src.index()] &= !UNSET;
-                }
-                Instr::Load { idx, .. } | Instr::LoadBinary { idx, .. } => {
-                    t[idx.index()] &= !UNSET;
-                }
-                Instr::Binary { lhs, rhs, .. } => {
-                    t[lhs.index()] &= !UNSET;
-                    t[rhs.index()] &= !UNSET;
-                }
-                Instr::BinaryImm { lhs, .. } => {
-                    t[lhs.index()] &= !UNSET;
-                }
-                Instr::Store { val, .. } | Instr::Append { val, .. } => {
-                    // A successful store/append proves the value was a
-                    // real (non-missing) value.
-                    t[val.index()] &= !(UNSET | MISSING);
-                }
-                _ => {}
-            }
-            if let Some((dst, bits)) = write_effect(instr, s, consts, bufs) {
-                t[dst.index()] = bits;
-            }
-            out.push((next, t));
-        }
-    }
-}
-
-fn join(a: &mut State, b: &State) -> bool {
-    let mut changed = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let j = *x | y;
-        if j != *x {
-            *x = j;
-            changed = true;
-        }
-    }
-    changed
-}
-
-/// Run the forward dataflow to a fixpoint, returning the abstract state
-/// *before* each instruction (`None` for unreachable instructions).
-fn infer(program: &Program, bufs: &BufferSet) -> Vec<Option<State>> {
-    let code = program.code();
-    let consts = program.consts();
-    let n = code.len();
-    let mut states: Vec<Option<State>> = vec![None; n];
-    if n == 0 {
-        return states;
-    }
-    states[0] = Some(vec![UNSET; program.num_regs()]);
-    let mut worklist: VecDeque<usize> = VecDeque::from([0]);
-    let mut succs = Vec::with_capacity(2);
-    while let Some(pc) = worklist.pop_front() {
-        let s = states[pc].clone().expect("worklist entries are reached");
-        succs.clear();
-        transfer(pc, code[pc], &s, consts, bufs, &mut succs);
-        for (succ, out) in succs.drain(..) {
-            if succ >= n {
-                continue;
-            }
-            match &mut states[succ] {
-                None => {
-                    states[succ] = Some(out);
-                    worklist.push_back(succ);
-                }
-                Some(cur) => {
-                    if join(cur, &out) {
-                        worklist.push_back(succ);
-                    }
-                }
-            }
-        }
-    }
-    states
-}
-
 /// How an instruction operand uses its register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -499,488 +225,959 @@ enum Role {
     ReadWrite,
 }
 
-/// Visit every register operand mutably together with its [`Role`].
-/// Shared by the temp-splitting prepass, which must rename reads and
-/// writes of a register independently.
-fn for_each_reg_role(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg, Role)) {
-    use Role::*;
-    match instr {
-        Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } | Instr::Nop => {}
-        Instr::Const { dst, .. }
-        | Instr::ConstI { dst, .. }
-        | Instr::ConstF { dst, .. }
-        | Instr::BufLen { dst, .. }
-        | Instr::ILen { dst, .. } => f(dst, Write),
-        Instr::Mov { dst, src }
-        | Instr::IMov { dst, src }
-        | Instr::FMov { dst, src }
-        | Instr::Unary { dst, src, .. }
-        | Instr::FRound { dst, src } => {
-            f(src, Read);
-            f(dst, Write);
-        }
-        Instr::Load { dst, idx, .. }
-        | Instr::LoadI64 { dst, idx, .. }
-        | Instr::LoadF64 { dst, idx, .. }
-        | Instr::LoadU8 { dst, idx, .. } => {
-            f(idx, Read);
-            f(dst, Write);
-        }
-        Instr::CoerceInt { reg } => f(reg, ReadWrite),
-        Instr::Store { idx, val, .. }
-        | Instr::StoreF64 { idx, val, .. }
-        | Instr::StoreU8 { idx, val, .. } => {
-            f(idx, Read);
-            f(val, Read);
-        }
-        Instr::Binary { dst, lhs, rhs, .. }
-        | Instr::IArith { dst, lhs, rhs, .. }
-        | Instr::FArith { dst, lhs, rhs, .. } => {
-            f(lhs, Read);
-            f(rhs, Read);
-            f(dst, Write);
-        }
-        Instr::BinaryImm { dst, lhs, .. }
-        | Instr::IArithImm { dst, lhs, .. }
-        | Instr::FArithImm { dst, lhs, .. } => {
-            f(lhs, Read);
-            f(dst, Write);
-        }
-        Instr::LoadBinary { dst, lhs, idx, .. } | Instr::FMulLoad { dst, lhs, idx, .. } => {
-            f(lhs, Read);
-            f(idx, Read);
-            f(dst, Write);
-        }
-        Instr::JumpIfFalse { src, .. }
-        | Instr::JumpIfTrue { src, .. }
-        | Instr::JumpIfMissing { src, .. }
-        | Instr::JumpIfNotMissing { src, .. } => f(src, Read),
-        Instr::WhileTest { cond, .. } => f(cond, Read),
-        Instr::ForTest { counter, hi, var, .. } | Instr::IForTest { counter, hi, var, .. } => {
-            f(counter, Read);
-            f(hi, Read);
-            f(var, Write);
-        }
-        Instr::ForStep { counter, .. } => f(counter, ReadWrite),
-        Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
-            f(val, Read)
-        }
-        Instr::Seek { dst, lo, hi, key, .. } | Instr::ISeek { dst, lo, hi, key, .. } => {
-            f(lo, Read);
-            f(hi, Read);
-            f(key, Read);
-            f(dst, Write);
-        }
-        Instr::CmpBranch { lhs, rhs, .. }
-        | Instr::ICmpBranch { lhs, rhs, .. }
-        | Instr::FCmpBranch { lhs, rhs, .. }
-        | Instr::WhileCmp { lhs, rhs, .. }
-        | Instr::IWhileCmp { lhs, rhs, .. }
-        | Instr::FWhileCmp { lhs, rhs, .. } => {
-            f(lhs, Read);
-            f(rhs, Read);
-        }
-        Instr::CmpBranchImm { lhs, .. }
-        | Instr::ICmpBranchImm { lhs, .. }
-        | Instr::FCmpBranchImm { lhs, .. }
-        | Instr::WhileCmpImm { lhs, .. }
-        | Instr::IWhileCmpImm { lhs, .. } => f(lhs, Read),
-        // Vectorized kernel ops (inserted after this pass runs): read
-        // the bound and any row bases, read-write the loop counter.
-        Instr::VFillStoreF64 { base, counter, hi, .. }
-        | Instr::VReduceF64 { base, counter, hi, .. }
-        | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-            vbase_role(base, f);
-            f(hi, Read);
-            f(counter, ReadWrite);
-        }
-        Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-            vbase_role(dst_base, f);
-            vbase_role(a_base, f);
-            if let VRhs::Buf { base, .. } = rhs {
-                vbase_role(base, f);
-            }
-            f(hi, Read);
-            f(counter, ReadWrite);
-        }
-        Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-            vbase_role(a_base, f);
-            vbase_role(b_base, f);
-            f(hi, Read);
-            f(counter, ReadWrite);
-        }
-        Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-            vbase_role(dst_base, f);
-            vbase_role(src_base, f);
-            f(hi, Read);
-            f(counter, ReadWrite);
-        }
-    }
-}
-
-/// Visit the register of a [`VBase::Scaled`] index shape as a read.
-fn vbase_role(base: &mut VBase, f: &mut dyn FnMut(&mut Reg, Role)) {
-    if let VBase::Scaled { reg, .. } = base {
-        f(reg, Role::Read);
-    }
-}
-
 /// The in-place write kind of a [`Role::ReadWrite`] field (`CoerceInt`
 /// coerces to Int, `ForStep` increments an Int counter).
 const READWRITE_KIND: u8 = INT;
 
-/// Split expression-temp registers whose LIFO slot is reused with
-/// conflicting types (an `i64` index in one statement, an `f64` value in
-/// the next) into one register per type, so each half can be statically
-/// typed.  A temp is split only when *every* reachable access resolves to
-/// a single value kind — each read's reaching writes then all wrote that
-/// kind, so renaming reads and writes by kind preserves dataflow exactly.
-/// Returns `None` when nothing qualifies.
-fn split_conflicting_temps(
-    program: &Program,
-    bufs: &BufferSet,
-    states: &[Option<State>],
-) -> Option<Program> {
-    let num_vars = program.num_vars();
-    let n_regs = program.num_regs();
-    let singleton = |b: u8| matches!(b, INT | FLOAT | BOOL);
-    // Per-register: the set of access kinds seen, and disqualification.
-    let mut kinds: Vec<u8> = vec![0; n_regs];
-    let mut ok: Vec<bool> = vec![true; n_regs];
-    for (pc, instr) in program.code().iter().enumerate() {
-        let Some(s) = &states[pc] else { continue };
-        let we = write_effect(*instr, s, program.consts(), bufs);
-        let mut probe = *instr;
-        for_each_reg_role(&mut probe, &mut |r, role| {
-            let i = r.index();
-            if i < num_vars {
-                return;
+/// Visit the register of a [`VBase::Scaled`] index shape as a read.
+macro_rules! vbase_role {
+    ($base:expr, $f:ident) => {
+        if let VBase::Scaled { reg, .. } = $base {
+            $f(reg, Role::Read);
+        }
+    };
+}
+
+/// Call `$f(field, role)` on every register operand of `$instr` — a `&Instr`
+/// or a `&mut Instr`, the fields borrowed alike — in the order reads, then
+/// the write.  The one enumeration of operand roles behind
+/// [`for_each_reg_role`] and [`for_each_reg_role_mut`].
+macro_rules! reg_roles {
+    ($instr:expr, $f:ident) => {{
+        use Role::*;
+        match $instr {
+            Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } | Instr::Nop => {}
+            Instr::Const { dst, .. }
+            | Instr::ConstI { dst, .. }
+            | Instr::ConstF { dst, .. }
+            | Instr::BufLen { dst, .. }
+            | Instr::ILen { dst, .. } => $f(dst, Write),
+            Instr::Mov { dst, src }
+            | Instr::IMov { dst, src }
+            | Instr::FMov { dst, src }
+            | Instr::Unary { dst, src, .. }
+            | Instr::FRound { dst, src } => {
+                $f(src, Read);
+                $f(dst, Write);
             }
-            let kind = match role {
-                Role::Read => s[i],
-                Role::Write => match we {
-                    Some((d, b)) if d.index() == i => b,
-                    _ => 0,
-                },
-                Role::ReadWrite => {
-                    if s[i] != READWRITE_KIND {
-                        ok[i] = false;
-                    }
-                    READWRITE_KIND
+            Instr::Load { dst, idx, .. }
+            | Instr::LoadI64 { dst, idx, .. }
+            | Instr::LoadF64 { dst, idx, .. }
+            | Instr::LoadU8 { dst, idx, .. } => {
+                $f(idx, Read);
+                $f(dst, Write);
+            }
+            Instr::CoerceInt { reg } => $f(reg, ReadWrite),
+            Instr::Store { idx, val, .. }
+            | Instr::StoreF64 { idx, val, .. }
+            | Instr::StoreU8 { idx, val, .. } => {
+                $f(idx, Read);
+                $f(val, Read);
+            }
+            Instr::Binary { dst, lhs, rhs, .. }
+            | Instr::IArith { dst, lhs, rhs, .. }
+            | Instr::FArith { dst, lhs, rhs, .. } => {
+                $f(lhs, Read);
+                $f(rhs, Read);
+                $f(dst, Write);
+            }
+            Instr::BinaryImm { dst, lhs, .. }
+            | Instr::IArithImm { dst, lhs, .. }
+            | Instr::FArithImm { dst, lhs, .. } => {
+                $f(lhs, Read);
+                $f(dst, Write);
+            }
+            Instr::LoadBinary { dst, lhs, idx, .. } | Instr::FMulLoad { dst, lhs, idx, .. } => {
+                $f(lhs, Read);
+                $f(idx, Read);
+                $f(dst, Write);
+            }
+            Instr::JumpIfFalse { src, .. }
+            | Instr::JumpIfTrue { src, .. }
+            | Instr::JumpIfMissing { src, .. }
+            | Instr::JumpIfNotMissing { src, .. } => $f(src, Read),
+            Instr::WhileTest { cond, .. } => $f(cond, Read),
+            Instr::ForTest { counter, hi, var, .. } | Instr::IForTest { counter, hi, var, .. } => {
+                $f(counter, Read);
+                $f(hi, Read);
+                $f(var, Write);
+            }
+            Instr::ForStep { counter, .. } => $f(counter, ReadWrite),
+            Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
+                $f(val, Read)
+            }
+            Instr::Seek { dst, lo, hi, key, .. } | Instr::ISeek { dst, lo, hi, key, .. } => {
+                $f(lo, Read);
+                $f(hi, Read);
+                $f(key, Read);
+                $f(dst, Write);
+            }
+            Instr::CmpBranch { lhs, rhs, .. }
+            | Instr::ICmpBranch { lhs, rhs, .. }
+            | Instr::FCmpBranch { lhs, rhs, .. }
+            | Instr::WhileCmp { lhs, rhs, .. }
+            | Instr::IWhileCmp { lhs, rhs, .. }
+            | Instr::FWhileCmp { lhs, rhs, .. } => {
+                $f(lhs, Read);
+                $f(rhs, Read);
+            }
+            Instr::CmpBranchImm { lhs, .. }
+            | Instr::ICmpBranchImm { lhs, .. }
+            | Instr::FCmpBranchImm { lhs, .. }
+            | Instr::WhileCmpImm { lhs, .. }
+            | Instr::IWhileCmpImm { lhs, .. } => $f(lhs, Read),
+            // Vectorized kernel ops (inserted after this pass runs): read
+            // the bound and any row bases, read-write the loop counter.
+            Instr::VFillStoreF64 { base, counter, hi, .. }
+            | Instr::VReduceF64 { base, counter, hi, .. }
+            | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
+                vbase_role!(base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
+                vbase_role!(dst_base, $f);
+                vbase_role!(a_base, $f);
+                if let VRhs::Buf { base: VBase::Scaled { reg, .. }, .. } = rhs {
+                    $f(reg, Read);
+                }
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
+                vbase_role!(a_base, $f);
+                vbase_role!(b_base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
+                vbase_role!(dst_base, $f);
+                vbase_role!(src_base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+        }
+    }};
+}
+
+/// Visit every register operand together with its [`Role`].
+fn for_each_reg_role(instr: &Instr, f: &mut dyn FnMut(Reg, Role)) {
+    let mut by_value = |r: &Reg, role| f(*r, role);
+    reg_roles!(instr, by_value)
+}
+
+/// Visit every register operand mutably together with its [`Role`]: the
+/// temp split renames reads and writes of a register independently.
+fn for_each_reg_role_mut(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg, Role)) {
+    reg_roles!(instr, f)
+}
+
+/// Apply a straight-line instruction (one without a control-transfer
+/// target) to `s` in place: the operand refinements that hold on its only
+/// success continuation, then its write.
+fn step(instr: &Instr, s: &mut [u8], consts: &[Value], bufs: &BufferSet) {
+    // The write's kind depends on the operands as they were on entry.
+    let write = write_effect(instr, s, consts, bufs);
+    match *instr {
+        Instr::Mov { src, .. } | Instr::Unary { src, .. } => s[src.index()] &= !UNSET,
+        Instr::Load { idx, .. } | Instr::LoadBinary { idx, .. } => s[idx.index()] &= !UNSET,
+        Instr::Binary { lhs, rhs, .. } => {
+            s[lhs.index()] &= !UNSET;
+            s[rhs.index()] &= !UNSET;
+        }
+        Instr::BinaryImm { lhs, .. } => s[lhs.index()] &= !UNSET,
+        // A successful store/append proves the value was a real
+        // (non-missing) value.
+        Instr::Store { val, .. } | Instr::Append { val, .. } => s[val.index()] &= REAL,
+        _ => {}
+    }
+    if let Some((dst, bits)) = write {
+        s[dst.index()] = bits;
+    }
+}
+
+/// One register update along a control edge: `state = (state & and) | or`.
+/// With `or == 0` it is a refinement, and an edge whose refinement empties
+/// a register's state is provably never taken.
+type EdgeFx = (Reg, u8, u8);
+
+/// Apply an edge's updates in order; `false` if the edge is never taken.
+fn apply_edge(s: &mut [u8], fx: &[EdgeFx]) -> bool {
+    for &(r, and, or) in fx {
+        let bits = (s[r.index()] & and) | or;
+        if bits == 0 {
+            return false;
+        }
+        s[r.index()] = bits;
+    }
+    true
+}
+
+/// Enumerate the out-edges of a control transfer (an instruction with a
+/// [`Instr::target`]) at `pc`: the successor pc and the per-edge updates.
+fn for_each_edge(pc: usize, instr: &Instr, f: &mut dyn FnMut(usize, &[EdgeFx])) {
+    let next = pc + 1;
+    let keep = |r: Reg, mask: u8| (r, mask, 0);
+    // A lenient branch lets a missing condition take the falsy edge.
+    let falsy = |strict: bool| if strict { REAL } else { !UNSET };
+    match *instr {
+        Instr::Jump { target } => f(target as usize, &[]),
+        Instr::JumpIfFalse { src, target, strict } => {
+            f(next, &[keep(src, REAL)]);
+            f(target as usize, &[keep(src, falsy(strict))]);
+        }
+        Instr::JumpIfTrue { src, target } => {
+            f(target as usize, &[keep(src, REAL)]);
+            f(next, &[keep(src, !UNSET)]);
+        }
+        // The missing tests read the tag directly: an unset register
+        // counts as not missing.
+        Instr::JumpIfMissing { src, target } => {
+            f(target as usize, &[keep(src, MISSING)]);
+            f(next, &[keep(src, !MISSING)]);
+        }
+        Instr::JumpIfNotMissing { src, target } => {
+            f(target as usize, &[keep(src, !MISSING)]);
+            f(next, &[keep(src, MISSING)]);
+        }
+        // A missing loop condition is a type error on either path.
+        Instr::WhileTest { cond, end } => {
+            f(next, &[keep(cond, REAL)]);
+            f(end as usize, &[keep(cond, REAL)]);
+        }
+        Instr::CmpBranch { lhs, rhs, target, strict, .. } => {
+            f(next, &[keep(lhs, REAL), keep(rhs, REAL)]);
+            f(target as usize, &[keep(lhs, falsy(strict)), keep(rhs, falsy(strict))]);
+        }
+        Instr::CmpBranchImm { lhs, target, strict, .. } => {
+            f(next, &[keep(lhs, REAL)]);
+            f(target as usize, &[keep(lhs, falsy(strict))]);
+        }
+        // Typed operands cannot be missing on either edge.
+        Instr::ICmpBranch { lhs, rhs, target, .. } | Instr::FCmpBranch { lhs, rhs, target, .. } => {
+            f(next, &[keep(lhs, REAL), keep(rhs, REAL)]);
+            f(target as usize, &[keep(lhs, REAL), keep(rhs, REAL)]);
+        }
+        Instr::ICmpBranchImm { lhs, target, .. } | Instr::FCmpBranchImm { lhs, target, .. } => {
+            f(next, &[keep(lhs, REAL)]);
+            f(target as usize, &[keep(lhs, REAL)]);
+        }
+        Instr::WhileCmp { lhs, rhs, end, .. }
+        | Instr::IWhileCmp { lhs, rhs, end, .. }
+        | Instr::FWhileCmp { lhs, rhs, end, .. } => {
+            f(next, &[keep(lhs, REAL), keep(rhs, REAL)]);
+            f(end as usize, &[keep(lhs, REAL), keep(rhs, REAL)]);
+        }
+        Instr::WhileCmpImm { lhs, end, .. } | Instr::IWhileCmpImm { lhs, end, .. } => {
+            f(next, &[keep(lhs, REAL)]);
+            f(end as usize, &[keep(lhs, REAL)]);
+        }
+        // The loop variable is published only on the loop-entered edge.
+        Instr::ForTest { var, end, .. } | Instr::IForTest { var, end, .. } => {
+            f(next, &[(var, 0, INT)]);
+            f(end as usize, &[]);
+        }
+        Instr::ForStep { counter, test } => f(test as usize, &[(counter, 0, INT)]),
+        _ => unreachable!("{} has a target but no edge rule", instr.opcode()),
+    }
+}
+
+fn join(a: &mut [u8], b: &[u8]) -> bool {
+    let mut changed = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let j = *x | y;
+        changed |= j != *x;
+        *x = j;
+    }
+    changed
+}
+
+/// The fixpoint of the forward dataflow: the abstract state on entry to
+/// every reached basic block.
+struct Inference {
+    blocks: Blocks,
+    num_regs: usize,
+    /// `blocks.len() × num_regs` bytes; row `b` is block `b`'s entry state.
+    entry: Vec<u8>,
+    /// Whether any path reaches the block (unreached rows are all zero).
+    reached: Vec<bool>,
+}
+
+impl Inference {
+    /// Run the dataflow over `program` to its fixpoint.
+    fn run(program: &Program, bufs: &BufferSet, stats: &mut OptStats) -> Inference {
+        let (code, consts) = (program.code(), program.consts());
+        let blocks = Blocks::of(code);
+        let (num_blocks, num_regs) = (blocks.len(), program.num_regs());
+        let mut entry = vec![0u8; num_blocks * num_regs];
+        let mut reached = vec![false; num_blocks];
+        let mut queued = vec![false; num_blocks];
+        let mut state = vec![0u8; num_regs];
+        let mut edge_state = vec![0u8; num_regs];
+        stats.typing_blocks += num_blocks as u64;
+        if num_blocks > 0 {
+            entry[..num_regs].fill(UNSET);
+            reached[0] = true;
+            queued[0] = true;
+        }
+        // The lowest queued block goes next: a loop whose head a back edge
+        // changed is settled before the code behind it is visited.
+        let mut b = 0;
+        while b < num_blocks {
+            if !std::mem::take(&mut queued[b]) {
+                b += 1;
+                continue;
+            }
+            stats.typing_block_visits += 1;
+            let range = blocks.range(b);
+            let last = range.end - 1;
+            let control = code[last].target().is_some();
+            state.copy_from_slice(&entry[b * num_regs..(b + 1) * num_regs]);
+            // Only the last instruction of a block can transfer control.
+            let straight = if control { last } else { range.end };
+            for instr in &code[range.start..straight] {
+                step(instr, &mut state, consts, bufs);
+            }
+            let mut resume = b + 1;
+            let mut flow = |succ_pc: usize, fx: &[EdgeFx]| {
+                let Some(succ) = blocks.starting_at(succ_pc) else { return };
+                edge_state.copy_from_slice(&state);
+                if !apply_edge(&mut edge_state, fx) {
+                    return;
+                }
+                let row = &mut entry[succ * num_regs..(succ + 1) * num_regs];
+                let changed = if reached[succ] {
+                    join(row, &edge_state)
+                } else {
+                    reached[succ] = true;
+                    row.copy_from_slice(&edge_state);
+                    true
+                };
+                if changed {
+                    queued[succ] = true;
+                    resume = resume.min(succ);
                 }
             };
-            if singleton(kind) {
-                kinds[i] |= kind;
+            if control {
+                for_each_edge(last, &code[last], &mut flow);
             } else {
-                ok[i] = false;
+                flow(range.end, &[]);
             }
-        });
+            b = resume;
+        }
+        Inference { blocks, num_regs, entry, reached }
     }
-    // A register qualifies when every access was a singleton and at least
-    // two distinct kinds collide in the slot.
-    let mut remap: Vec<Option<[Option<Reg>; 3]>> = vec![None; n_regs];
-    let mut next = n_regs as u32;
-    let slot = |kind: u8| match kind {
+
+    /// Re-walk every reached block from its entry state, calling
+    /// `visit(pc, instr, state before instr)` in pc order.  `state` is the
+    /// caller's scratch (one byte per register).
+    fn walk(
+        &self,
+        program: &Program,
+        bufs: &BufferSet,
+        state: &mut [u8],
+        mut visit: impl FnMut(usize, &Instr, &[u8]),
+    ) {
+        let (code, consts) = (program.code(), program.consts());
+        for b in (0..self.blocks.len()).filter(|&b| self.reached[b]) {
+            state.copy_from_slice(&self.entry[b * self.num_regs..(b + 1) * self.num_regs]);
+            for pc in self.blocks.range(b) {
+                let instr = &code[pc];
+                visit(pc, instr, state);
+                if instr.target().is_none() {
+                    step(instr, state, consts, bufs);
+                }
+            }
+        }
+    }
+}
+
+fn is_singleton(kind: u8) -> bool {
+    matches!(kind, INT | FLOAT | BOOL)
+}
+
+/// Which of a split register's per-kind copies an access of `kind` uses.
+fn kind_slot(kind: u8) -> usize {
+    match kind {
         INT => 0,
         FLOAT => 1,
         _ => 2,
-    };
-    let mut any = false;
-    for i in num_vars..n_regs {
-        if !ok[i] || kinds[i].count_ones() < 2 {
-            continue;
-        }
-        let mut m: [Option<Reg>; 3] = [None; 3];
-        let mut first = true;
-        for kind in [INT, FLOAT, BOOL] {
-            if kinds[i] & kind != 0 {
-                if first {
-                    // The first kind keeps the original slot.
-                    m[slot(kind)] = Some(Reg(i as u32));
-                    first = false;
+    }
+}
+
+/// The kind an operand in `role` accesses its register at: what a read
+/// finds there, what the write (`write`, the instruction's
+/// [`write_effect`]) leaves there.
+fn access_kind(role: Role, in_state: u8, write: Option<(Reg, u8)>) -> u8 {
+    match role {
+        Role::Read => in_state,
+        // An instruction has at most one written operand: the effect's.
+        Role::Write => write.map_or(0, |(_, bits)| bits),
+        Role::ReadWrite => READWRITE_KIND,
+    }
+}
+
+/// What the program-wide facts say about each register, and the temp split
+/// they license.
+///
+/// Expression temps are allocated LIFO, so one slot is typically an `i64`
+/// index in one statement and an `f64` value in the next.  Such a temp is
+/// split into one register per kind, so each half can be statically typed,
+/// when *every* reachable access resolves to a single value kind — each
+/// read's reaching writes then all wrote that kind, so renaming reads and
+/// writes by kind preserves dataflow exactly.  It also means nothing needs
+/// re-inferring: at each access a split register's state is the singleton
+/// of its kind, every register that was not split keeps its states, and a
+/// split register is by construction written at one kind and never read
+/// unset.
+struct SplitPlan {
+    /// Per original register, the register an access of each kind (see
+    /// [`kind_slot`]) is renamed to: the register itself unless it is split.
+    remap: Vec<[Reg; 3]>,
+    /// Per register of the split program: its kind if it is one of the
+    /// per-kind copies of a split temp, 0 otherwise.
+    split_kind: Vec<u8>,
+    /// Per register of the split program: the tag it can be pinned to —
+    /// every write gives it this one value kind and no read can observe it
+    /// unset.
+    global: Vec<Option<LaneTag>>,
+}
+
+impl SplitPlan {
+    fn new(program: &Program, bufs: &BufferSet, inference: &Inference, state: &mut [u8]) -> Self {
+        let (num_vars, num_regs) = (program.num_vars(), program.num_regs());
+        // Per register: the kinds written, whether a read may find it
+        // unset; per temp: the access kinds seen, whether all were singletons.
+        let mut written = vec![0u8; num_regs];
+        let mut unset_read = vec![false; num_regs];
+        let mut kinds = vec![0u8; num_regs];
+        let mut splittable = vec![true; num_regs];
+        inference.walk(program, bufs, state, |_, instr, s| {
+            let write = write_effect(instr, s, program.consts(), bufs);
+            if let Some((dst, bits)) = write {
+                written[dst.index()] |= bits;
+            }
+            for_each_reg_role(instr, &mut |r, role| {
+                let i = r.index();
+                if role != Role::Write && s[i] & UNSET != 0 {
+                    unset_read[i] = true;
+                }
+                if i < num_vars {
+                    return;
+                }
+                let kind = access_kind(role, s[i], write);
+                // The one field of a read-write operand cannot be renamed
+                // to two registers.
+                let in_place_ok = role != Role::ReadWrite || s[i] == READWRITE_KIND;
+                if is_singleton(kind) && in_place_ok {
+                    kinds[i] |= kind;
                 } else {
-                    m[slot(kind)] = Some(Reg(next));
-                    next += 1;
+                    splittable[i] = false;
+                }
+            });
+        });
+
+        let tag = |bits: u8| match bits {
+            INT => Some(LaneTag::Int),
+            FLOAT => Some(LaneTag::Float),
+            BOOL => Some(LaneTag::Bool),
+            _ => None,
+        };
+        let mut plan = SplitPlan {
+            remap: (0..num_regs as u32).map(|r| [Reg(r); 3]).collect(),
+            split_kind: vec![0; num_regs],
+            global: (0..num_regs)
+                .map(|i| if unset_read[i] { None } else { tag(written[i]) })
+                .collect(),
+        };
+        // A temp is split when at least two distinct kinds collide in its
+        // slot; the first kind keeps the slot, the others get new registers.
+        for i in (num_vars..num_regs).filter(|&i| splittable[i] && kinds[i].count_ones() >= 2) {
+            let mut first = true;
+            for kind in [INT, FLOAT, BOOL].into_iter().filter(|k| kinds[i] & k != 0) {
+                if first {
+                    first = false;
+                    plan.split_kind[i] = kind;
+                    plan.global[i] = tag(kind);
+                } else {
+                    plan.remap[i][kind_slot(kind)] = Reg(plan.split_kind.len() as u32);
+                    plan.split_kind.push(kind);
+                    plan.global.push(tag(kind));
                 }
             }
         }
-        remap[i] = Some(m);
-        any = true;
+        plan
     }
-    if !any {
-        return None;
+
+    /// Registers of the split program.
+    fn num_regs(&self) -> usize {
+        self.split_kind.len()
     }
-    let mut p = program.clone();
-    for (pc, instr) in p.code.iter_mut().enumerate() {
-        let Some(s) = &states[pc] else { continue };
-        let we = write_effect(*instr, s, program.consts(), bufs);
-        for_each_reg_role(instr, &mut |r, role| {
-            let i = r.index();
-            let Some(m) = remap.get(i).and_then(|m| m.as_ref()) else { return };
-            let kind = match role {
-                Role::Read => s[i],
-                Role::Write => match we {
-                    Some((d, b)) if d.index() == i => b,
-                    _ => unreachable!("write position without a write effect"),
-                },
-                Role::ReadWrite => READWRITE_KIND,
-            };
-            *r = m[slot(kind)].expect("every access kind was mapped");
-        });
+}
+
+/// The typed form of `instr`, if its operands allow one: `exact(r, kind)`
+/// says whether register `r` holds exactly `kind` where the instruction
+/// reads it, `global[r]` the tag `r` can be pinned to.
+fn typed_form(
+    instr: &Instr,
+    consts: &[Value],
+    bufs: &BufferSet,
+    exact: impl Fn(Reg, u8) -> bool,
+    global: &[Option<LaneTag>],
+) -> Option<Instr> {
+    let dst_ok = |r: Reg, t: LaneTag| global[r.index()] == Some(t);
+    let kind = |b| buf_bits(bufs.get(b));
+    match *instr {
+        Instr::Const { dst, cidx } => match consts[cidx as usize] {
+            Value::Int(imm) if dst_ok(dst, LaneTag::Int) => Some(Instr::ConstI { dst, imm }),
+            Value::Float(imm) if dst_ok(dst, LaneTag::Float) => Some(Instr::ConstF { dst, imm }),
+            _ => None,
+        },
+        Instr::Mov { dst, src } if exact(src, INT) && dst_ok(dst, LaneTag::Int) => {
+            Some(Instr::IMov { dst, src })
+        }
+        Instr::Mov { dst, src } if exact(src, FLOAT) && dst_ok(dst, LaneTag::Float) => {
+            Some(Instr::FMov { dst, src })
+        }
+        Instr::BufLen { dst, buf } if dst_ok(dst, LaneTag::Int) => Some(Instr::ILen { dst, buf }),
+        Instr::CoerceInt { reg } if exact(reg, INT) => Some(Instr::Nop),
+        Instr::Load { dst, buf, idx } if exact(idx, INT) => match bufs.get(buf) {
+            Buffer::I64(_) if dst_ok(dst, LaneTag::Int) => Some(Instr::LoadI64 { dst, buf, idx }),
+            Buffer::F64(_) if dst_ok(dst, LaneTag::Float) => Some(Instr::LoadF64 { dst, buf, idx }),
+            Buffer::U8(_) if dst_ok(dst, LaneTag::Float) => Some(Instr::LoadU8 { dst, buf, idx }),
+            _ => None,
+        },
+        Instr::Store { buf, idx, val, reduce }
+            if exact(idx, INT) && exact(val, FLOAT) && is_arith_reduce(reduce) =>
+        {
+            match bufs.get(buf) {
+                Buffer::F64(_) => Some(Instr::StoreF64 { buf, idx, val, reduce }),
+                Buffer::U8(_) => Some(Instr::StoreU8 { buf, idx, val, reduce }),
+                _ => None,
+            }
+        }
+        Instr::Append { buf, val } if exact(val, INT) && kind(buf) == INT => {
+            Some(Instr::IAppend { buf, val })
+        }
+        Instr::Append { buf, val } if exact(val, FLOAT) && kind(buf) == FLOAT => {
+            Some(Instr::FAppend { buf, val })
+        }
+        Instr::Unary { op: UnOp::Round, dst, src }
+            if exact(src, FLOAT) && dst_ok(dst, LaneTag::Float) =>
+        {
+            Some(Instr::FRound { dst, src })
+        }
+        Instr::Binary { op, dst, lhs, rhs }
+            if exact(lhs, INT)
+                && exact(rhs, INT)
+                && is_int_arith(op)
+                && dst_ok(dst, LaneTag::Int) =>
+        {
+            Some(Instr::IArith { op, dst, lhs, rhs })
+        }
+        Instr::Binary { op, dst, lhs, rhs }
+            if exact(lhs, FLOAT)
+                && exact(rhs, FLOAT)
+                && is_float_arith(op)
+                && dst_ok(dst, LaneTag::Float) =>
+        {
+            Some(Instr::FArith { op, dst, lhs, rhs })
+        }
+        Instr::BinaryImm { op, dst, lhs, cidx } => match consts[cidx as usize] {
+            Value::Int(imm) if exact(lhs, INT) && is_int_arith(op) && dst_ok(dst, LaneTag::Int) => {
+                Some(Instr::IArithImm { op, dst, lhs, imm })
+            }
+            Value::Float(imm)
+                if exact(lhs, FLOAT) && is_float_arith(op) && dst_ok(dst, LaneTag::Float) =>
+            {
+                Some(Instr::FArithImm { op, dst, lhs, imm })
+            }
+            _ => None,
+        },
+        Instr::LoadBinary { op: BinOp::Mul, dst, lhs, buf, idx }
+            if exact(lhs, FLOAT)
+                && exact(idx, INT)
+                && matches!(bufs.get(buf), Buffer::F64(_))
+                && dst_ok(dst, LaneTag::Float) =>
+        {
+            Some(Instr::FMulLoad { dst, lhs, buf, idx })
+        }
+        Instr::CmpBranch { op, lhs, rhs, target, .. } if exact(lhs, INT) && exact(rhs, INT) => {
+            Some(Instr::ICmpBranch { op, lhs, rhs, target })
+        }
+        Instr::CmpBranch { op, lhs, rhs, target, .. } if exact(lhs, FLOAT) && exact(rhs, FLOAT) => {
+            Some(Instr::FCmpBranch { op, lhs, rhs, target })
+        }
+        Instr::CmpBranchImm { op, lhs, cidx, target, .. } => match consts[cidx as usize] {
+            Value::Int(imm) if exact(lhs, INT) => {
+                Some(Instr::ICmpBranchImm { op, lhs, imm, target })
+            }
+            Value::Float(imm) if exact(lhs, FLOAT) => {
+                Some(Instr::FCmpBranchImm { op, lhs, imm, target })
+            }
+            _ => None,
+        },
+        Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, INT) && exact(rhs, INT) => {
+            Some(Instr::IWhileCmp { op, lhs, rhs, end })
+        }
+        Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, FLOAT) && exact(rhs, FLOAT) => {
+            Some(Instr::FWhileCmp { op, lhs, rhs, end })
+        }
+        Instr::WhileCmpImm { op, lhs, cidx, end } => match consts[cidx as usize] {
+            Value::Int(imm) if exact(lhs, INT) => Some(Instr::IWhileCmpImm { op, lhs, imm, end }),
+            _ => None,
+        },
+        Instr::ForTest { counter, hi, var, end }
+            if exact(counter, INT) && exact(hi, INT) && dst_ok(var, LaneTag::Int) =>
+        {
+            Some(Instr::IForTest { counter, hi, var, end })
+        }
+        Instr::Seek { dst, buf, lo, hi, key, on_abs }
+            if exact(lo, INT)
+                && exact(hi, INT)
+                && exact(key, INT)
+                && matches!(bufs.get(buf), Buffer::I64(_))
+                && dst_ok(dst, LaneTag::Int) =>
+        {
+            Some(Instr::ISeek { dst, buf, lo, hi, key, on_abs })
+        }
+        _ => None,
     }
-    p.num_regs = next as usize;
-    Some(p)
 }
 
 /// Rewrite proven-monomorphic instructions of a compiled (and typically
 /// already peephole-fused) program into their typed forms, recording the
 /// statically-typed destination registers in [`Program::pretags`].
 ///
-/// Temps whose LIFO slot mixes types are first split per type (see
-/// [`split_conflicting_temps`]); the rewrite itself is 1:1 — same
-/// instruction count, same jump targets, same
-/// [`crate::interp::ExecStats`] — so typed and generic dispatch are
-/// differential-testable bit for bit.  `bufs` must be the buffer set the
-/// program was compiled against (it seeds the load/store element types).
+/// Temps whose LIFO slot mixes types are split per type (see
+/// [`SplitPlan`]); the rewrite itself is 1:1 — same instruction count,
+/// same jump targets, same [`crate::interp::ExecStats`] — so typed and
+/// generic dispatch are differential-testable bit for bit.  `bufs` must be
+/// the buffer set the program was compiled against (it seeds the
+/// load/store element types).
 pub fn specialize(program: &Program, bufs: &BufferSet, stats: &mut OptStats) -> Program {
-    let states = infer(program, bufs);
-    let (split, states) = match split_conflicting_temps(program, bufs, &states) {
-        Some(p) => {
-            let st = infer(&p, bufs);
-            (p, st)
-        }
-        None => (program.clone(), states),
-    };
-    let program = &split;
-    let code = program.code();
     let consts = program.consts();
+    let inference = Inference::run(program, bufs, stats);
+    let mut state = vec![0u8; program.num_regs()];
+    let plan = SplitPlan::new(program, bufs, &inference, &mut state);
 
-    // Global write kinds and possibly-unset reads, over reachable code.
-    let mut written: Vec<u8> = vec![0; program.num_regs()];
-    let mut unset_read: Vec<bool> = vec![false; program.num_regs()];
-    for (pc, instr) in code.iter().enumerate() {
-        let Some(s) = &states[pc] else { continue };
-        if let Some((dst, bits)) = write_effect(*instr, s, consts, bufs) {
-            written[dst.index()] |= bits;
-        }
-        for_each_read(*instr, &mut |r| {
-            if s[r.index()] & UNSET != 0 {
-                unset_read[r.index()] = true;
-            }
-        });
-    }
-    // A register is statically typed when every write gives it the same
-    // single value kind and no read can observe it unset.
-    let global: Vec<Option<LaneTag>> = written
-        .iter()
-        .zip(&unset_read)
-        .map(|(&bits, &unset)| match (bits, unset) {
-            (b, false) if b == INT => Some(LaneTag::Int),
-            (b, false) if b == FLOAT => Some(LaneTag::Float),
-            (b, false) if b == BOOL => Some(LaneTag::Bool),
-            _ => None,
-        })
-        .collect();
-    let dst_ok = |r: Reg, t: LaneTag| global[r.index()] == Some(t);
-
-    let mut new_code = Vec::with_capacity(code.len());
-    let mut typed_dsts: Vec<(Reg, LaneTag)> = Vec::new();
+    // Unreached instructions stay as they are.
+    let mut code = program.code().to_vec();
+    let mut pretags: Vec<(Reg, LaneTag)> = Vec::new();
+    let mut pinned = vec![false; plan.num_regs()];
     let mut typed = 0u64;
-    for (pc, &instr) in code.iter().enumerate() {
-        let Some(s) = &states[pc] else {
-            new_code.push(instr);
-            continue;
+    inference.walk(program, bufs, &mut state, |pc, instr, s| {
+        let out = &mut code[pc];
+        let write = write_effect(instr, s, consts, bufs);
+        for_each_reg_role_mut(out, &mut |r, role| {
+            *r = plan.remap[r.index()][kind_slot(access_kind(role, s[r.index()], write))];
+        });
+        // Every access to a copy of a split temp is at that copy's kind;
+        // any other register is where the inference saw it.
+        let exact = |r: Reg, kind: u8| match plan.split_kind[r.index()] {
+            0 => s[r.index()] == kind,
+            split => split == kind,
         };
-        let exact = |r: Reg, bit: u8| s[r.index()] == bit;
-        let kind = |b| buf_bits(bufs.get(b));
-        let mut pin = |r: Reg, t: LaneTag| {
-            if !typed_dsts.contains(&(r, t)) {
-                typed_dsts.push((r, t));
+        let Some(typed_instr) = typed_form(out, consts, bufs, exact, &plan.global) else { return };
+        typed += 1;
+        // A typed form's write does not depend on the state.
+        if let Some((dst, _)) = write_effect(&typed_instr, s, consts, bufs) {
+            if !std::mem::replace(&mut pinned[dst.index()], true) {
+                let tag = plan.global[dst.index()].expect("typed forms write pinned registers");
+                pretags.push((dst, tag));
             }
-        };
-        let rewritten = match instr {
-            Instr::Const { dst, cidx } => match consts[cidx as usize] {
-                Value::Int(imm) if dst_ok(dst, LaneTag::Int) => {
-                    pin(dst, LaneTag::Int);
-                    Some(Instr::ConstI { dst, imm })
-                }
-                Value::Float(imm) if dst_ok(dst, LaneTag::Float) => {
-                    pin(dst, LaneTag::Float);
-                    Some(Instr::ConstF { dst, imm })
-                }
-                _ => None,
-            },
-            Instr::Mov { dst, src } if exact(src, INT) && dst_ok(dst, LaneTag::Int) => {
-                pin(dst, LaneTag::Int);
-                Some(Instr::IMov { dst, src })
-            }
-            Instr::Mov { dst, src } if exact(src, FLOAT) && dst_ok(dst, LaneTag::Float) => {
-                pin(dst, LaneTag::Float);
-                Some(Instr::FMov { dst, src })
-            }
-            Instr::BufLen { dst, buf } if dst_ok(dst, LaneTag::Int) => {
-                pin(dst, LaneTag::Int);
-                Some(Instr::ILen { dst, buf })
-            }
-            Instr::CoerceInt { reg } if exact(reg, INT) => Some(Instr::Nop),
-            Instr::Load { dst, buf, idx } if exact(idx, INT) => match bufs.get(buf) {
-                Buffer::I64(_) if dst_ok(dst, LaneTag::Int) => {
-                    pin(dst, LaneTag::Int);
-                    Some(Instr::LoadI64 { dst, buf, idx })
-                }
-                Buffer::F64(_) if dst_ok(dst, LaneTag::Float) => {
-                    pin(dst, LaneTag::Float);
-                    Some(Instr::LoadF64 { dst, buf, idx })
-                }
-                Buffer::U8(_) if dst_ok(dst, LaneTag::Float) => {
-                    pin(dst, LaneTag::Float);
-                    Some(Instr::LoadU8 { dst, buf, idx })
-                }
-                _ => None,
-            },
-            Instr::Store { buf, idx, val, reduce }
-                if exact(idx, INT) && exact(val, FLOAT) && is_arith_reduce(reduce) =>
-            {
-                match bufs.get(buf) {
-                    Buffer::F64(_) => Some(Instr::StoreF64 { buf, idx, val, reduce }),
-                    Buffer::U8(_) => Some(Instr::StoreU8 { buf, idx, val, reduce }),
-                    _ => None,
-                }
-            }
-            Instr::Append { buf, val } if exact(val, INT) && kind(buf) == INT => {
-                Some(Instr::IAppend { buf, val })
-            }
-            Instr::Append { buf, val } if exact(val, FLOAT) && kind(buf) == FLOAT => {
-                Some(Instr::FAppend { buf, val })
-            }
-            Instr::Unary { op: UnOp::Round, dst, src }
-                if exact(src, FLOAT) && dst_ok(dst, LaneTag::Float) =>
-            {
-                pin(dst, LaneTag::Float);
-                Some(Instr::FRound { dst, src })
-            }
-            Instr::Binary { op, dst, lhs, rhs }
-                if exact(lhs, INT)
-                    && exact(rhs, INT)
-                    && is_int_arith(op)
-                    && dst_ok(dst, LaneTag::Int) =>
-            {
-                pin(dst, LaneTag::Int);
-                Some(Instr::IArith { op, dst, lhs, rhs })
-            }
-            Instr::Binary { op, dst, lhs, rhs }
-                if exact(lhs, FLOAT)
-                    && exact(rhs, FLOAT)
-                    && is_float_arith(op)
-                    && dst_ok(dst, LaneTag::Float) =>
-            {
-                pin(dst, LaneTag::Float);
-                Some(Instr::FArith { op, dst, lhs, rhs })
-            }
-            Instr::BinaryImm { op, dst, lhs, cidx } => match consts[cidx as usize] {
-                Value::Int(imm)
-                    if exact(lhs, INT) && is_int_arith(op) && dst_ok(dst, LaneTag::Int) =>
-                {
-                    pin(dst, LaneTag::Int);
-                    Some(Instr::IArithImm { op, dst, lhs, imm })
-                }
-                Value::Float(imm)
-                    if exact(lhs, FLOAT) && is_float_arith(op) && dst_ok(dst, LaneTag::Float) =>
-                {
-                    pin(dst, LaneTag::Float);
-                    Some(Instr::FArithImm { op, dst, lhs, imm })
-                }
-                _ => None,
-            },
-            Instr::LoadBinary { op: BinOp::Mul, dst, lhs, buf, idx }
-                if exact(lhs, FLOAT)
-                    && exact(idx, INT)
-                    && matches!(bufs.get(buf), Buffer::F64(_))
-                    && dst_ok(dst, LaneTag::Float) =>
-            {
-                pin(dst, LaneTag::Float);
-                Some(Instr::FMulLoad { dst, lhs, buf, idx })
-            }
-            Instr::CmpBranch { op, lhs, rhs, target, .. } if exact(lhs, INT) && exact(rhs, INT) => {
-                Some(Instr::ICmpBranch { op, lhs, rhs, target })
-            }
-            Instr::CmpBranch { op, lhs, rhs, target, .. }
-                if exact(lhs, FLOAT) && exact(rhs, FLOAT) =>
-            {
-                Some(Instr::FCmpBranch { op, lhs, rhs, target })
-            }
-            Instr::CmpBranchImm { op, lhs, cidx, target, .. } => match consts[cidx as usize] {
-                Value::Int(imm) if exact(lhs, INT) => {
-                    Some(Instr::ICmpBranchImm { op, lhs, imm, target })
-                }
-                Value::Float(imm) if exact(lhs, FLOAT) => {
-                    Some(Instr::FCmpBranchImm { op, lhs, imm, target })
-                }
-                _ => None,
-            },
-            Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, INT) && exact(rhs, INT) => {
-                Some(Instr::IWhileCmp { op, lhs, rhs, end })
-            }
-            Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, FLOAT) && exact(rhs, FLOAT) => {
-                Some(Instr::FWhileCmp { op, lhs, rhs, end })
-            }
-            Instr::WhileCmpImm { op, lhs, cidx, end } => match consts[cidx as usize] {
-                Value::Int(imm) if exact(lhs, INT) => {
-                    Some(Instr::IWhileCmpImm { op, lhs, imm, end })
-                }
-                _ => None,
-            },
-            Instr::ForTest { counter, hi, var, end }
-                if exact(counter, INT) && exact(hi, INT) && dst_ok(var, LaneTag::Int) =>
-            {
-                pin(var, LaneTag::Int);
-                Some(Instr::IForTest { counter, hi, var, end })
-            }
-            Instr::Seek { dst, buf, lo, hi, key, on_abs }
-                if exact(lo, INT)
-                    && exact(hi, INT)
-                    && exact(key, INT)
-                    && matches!(bufs.get(buf), Buffer::I64(_))
-                    && dst_ok(dst, LaneTag::Int) =>
-            {
-                pin(dst, LaneTag::Int);
-                Some(Instr::ISeek { dst, buf, lo, hi, key, on_abs })
-            }
-            _ => None,
-        };
-        match rewritten {
-            Some(t) => {
-                typed += 1;
-                new_code.push(t);
-            }
-            None => new_code.push(instr),
         }
-    }
+        *out = typed_instr;
+    });
 
     stats.instrs_typed += typed;
-    stats.regs_pretagged += typed_dsts.len() as u64;
-    let mut p = program.clone();
-    p.code = new_code;
-    p.pretags = typed_dsts;
+    stats.regs_pretagged += pretags.len() as u64;
+    let mut p = program.with_code(code);
+    p.num_regs = plan.num_regs();
+    p.pretags = pretags;
     p
+}
+
+/// [`specialize`] differentially checked against [`reference::specialize`]:
+/// equal programs, equal counters, exactly one inference, and at most three
+/// visits per block.  Every program this crate's tests type — hand-built,
+/// random, or on its way through the pipeline — is typed through here.
+#[cfg(test)]
+pub(crate) fn specialize_checked(program: &Program, bufs: &BufferSet) -> (Program, OptStats) {
+    let mut stats = OptStats::default();
+    let typed = specialize(program, bufs, &mut stats);
+    typed.validate().expect("typed program validates");
+    assert_eq!(typed.code().len(), program.code().len(), "rewrite is 1:1");
+
+    let mut reference_stats = OptStats::default();
+    let expected = reference::specialize(program, bufs, &mut reference_stats);
+    assert!(
+        typed == expected,
+        "block-level typing diverges from the per-instruction reference\ninput:\n{}\ngot:\n{}\nexpected:\n{}",
+        program.disasm(),
+        typed.disasm(),
+        expected.disasm()
+    );
+    assert_eq!(
+        (stats.instrs_typed, stats.regs_pretagged),
+        (reference_stats.instrs_typed, reference_stats.regs_pretagged)
+    );
+    let blocks = Blocks::of(program.code()).len() as u64;
+    assert_eq!(stats.typing_blocks, blocks, "the program is inferred exactly once");
+    assert!(
+        stats.typing_block_visits <= 3 * blocks,
+        "{} visits of {blocks} blocks:\n{}",
+        stats.typing_block_visits,
+        program.disasm()
+    );
+    (typed, stats)
+}
+
+/// The per-instruction design this pass had before it went block-level,
+/// kept as the differential oracle: one heap-allocated state per
+/// instruction, cloned on every FIFO worklist pop and per out-edge, and a
+/// second whole-program inference over the renamed program after the temp
+/// split.  It shares the transfer rules ([`step`], [`for_each_edge`],
+/// [`write_effect`]) and the instruction selection ([`typed_form`]) with the
+/// block-level code; what it checks is the solver, the re-walks and the
+/// split derived from a single inference.
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    use super::*;
+
+    type State = Vec<u8>;
+
+    /// The successor states of one instruction: `(succ_pc, state)` pairs.
+    fn transfer(
+        pc: usize,
+        instr: &Instr,
+        s: &State,
+        consts: &[Value],
+        bufs: &BufferSet,
+        out: &mut Vec<(usize, State)>,
+    ) {
+        if instr.target().is_none() {
+            let mut t = s.clone();
+            step(instr, &mut t, consts, bufs);
+            out.push((pc + 1, t));
+        } else {
+            for_each_edge(pc, instr, &mut |succ, fx| {
+                let mut t = s.clone();
+                if apply_edge(&mut t, fx) {
+                    out.push((succ, t));
+                }
+            });
+        }
+    }
+
+    /// Run the forward dataflow to a fixpoint, returning the abstract state
+    /// *before* each instruction (`None` for unreachable instructions).
+    fn infer(program: &Program, bufs: &BufferSet) -> Vec<Option<State>> {
+        let code = program.code();
+        let consts = program.consts();
+        let n = code.len();
+        let mut states: Vec<Option<State>> = vec![None; n];
+        if n == 0 {
+            return states;
+        }
+        states[0] = Some(vec![UNSET; program.num_regs()]);
+        let mut worklist: VecDeque<usize> = VecDeque::from([0]);
+        let mut succs = Vec::with_capacity(2);
+        while let Some(pc) = worklist.pop_front() {
+            let s = states[pc].clone().expect("worklist entries are reached");
+            succs.clear();
+            transfer(pc, &code[pc], &s, consts, bufs, &mut succs);
+            for (succ, out) in succs.drain(..) {
+                if succ >= n {
+                    continue;
+                }
+                match &mut states[succ] {
+                    None => {
+                        states[succ] = Some(out);
+                        worklist.push_back(succ);
+                    }
+                    Some(cur) => {
+                        if join(cur, &out) {
+                            worklist.push_back(succ);
+                        }
+                    }
+                }
+            }
+        }
+        states
+    }
+
+    /// Rename the temps whose slot mixes kinds, one register per kind;
+    /// `None` when nothing qualifies.
+    fn split_conflicting_temps(
+        program: &Program,
+        bufs: &BufferSet,
+        states: &[Option<State>],
+    ) -> Option<Program> {
+        let num_vars = program.num_vars();
+        let n_regs = program.num_regs();
+        // Per-register: the set of access kinds seen, and disqualification.
+        let mut kinds: Vec<u8> = vec![0; n_regs];
+        let mut ok: Vec<bool> = vec![true; n_regs];
+        for (pc, instr) in program.code().iter().enumerate() {
+            let Some(s) = &states[pc] else { continue };
+            let we = write_effect(instr, s, program.consts(), bufs);
+            for_each_reg_role(instr, &mut |r, role| {
+                let i = r.index();
+                if i < num_vars {
+                    return;
+                }
+                let kind = match role {
+                    Role::Read => s[i],
+                    Role::Write => match we {
+                        Some((d, b)) if d.index() == i => b,
+                        _ => 0,
+                    },
+                    Role::ReadWrite => {
+                        if s[i] != READWRITE_KIND {
+                            ok[i] = false;
+                        }
+                        READWRITE_KIND
+                    }
+                };
+                if is_singleton(kind) {
+                    kinds[i] |= kind;
+                } else {
+                    ok[i] = false;
+                }
+            });
+        }
+        // A register qualifies when every access was a singleton and at
+        // least two distinct kinds collide in the slot.
+        let mut remap: Vec<Option<[Option<Reg>; 3]>> = vec![None; n_regs];
+        let mut next = n_regs as u32;
+        let mut any = false;
+        for i in num_vars..n_regs {
+            if !ok[i] || kinds[i].count_ones() < 2 {
+                continue;
+            }
+            let mut m: [Option<Reg>; 3] = [None; 3];
+            let mut first = true;
+            for kind in [INT, FLOAT, BOOL] {
+                if kinds[i] & kind != 0 {
+                    if first {
+                        // The first kind keeps the original slot.
+                        m[kind_slot(kind)] = Some(Reg(i as u32));
+                        first = false;
+                    } else {
+                        m[kind_slot(kind)] = Some(Reg(next));
+                        next += 1;
+                    }
+                }
+            }
+            remap[i] = Some(m);
+            any = true;
+        }
+        if !any {
+            return None;
+        }
+        let mut p = program.clone();
+        for (pc, instr) in p.code.iter_mut().enumerate() {
+            let Some(s) = &states[pc] else { continue };
+            let we = write_effect(instr, s, program.consts(), bufs);
+            for_each_reg_role_mut(instr, &mut |r, role| {
+                let i = r.index();
+                let Some(m) = remap.get(i).and_then(|m| m.as_ref()) else { return };
+                let kind = match role {
+                    Role::Read => s[i],
+                    Role::Write => match we {
+                        Some((d, b)) if d.index() == i => b,
+                        _ => unreachable!("write position without a write effect"),
+                    },
+                    Role::ReadWrite => READWRITE_KIND,
+                };
+                *r = m[kind_slot(kind)].expect("every access kind was mapped");
+            });
+        }
+        p.num_regs = next as usize;
+        Some(p)
+    }
+
+    pub(super) fn specialize(program: &Program, bufs: &BufferSet, stats: &mut OptStats) -> Program {
+        let states = infer(program, bufs);
+        let (split, states) = match split_conflicting_temps(program, bufs, &states) {
+            Some(p) => {
+                let st = infer(&p, bufs);
+                (p, st)
+            }
+            None => (program.clone(), states),
+        };
+        let program = &split;
+        let code = program.code();
+        let consts = program.consts();
+
+        // Global write kinds and possibly-unset reads, over reachable code.
+        let mut written: Vec<u8> = vec![0; program.num_regs()];
+        let mut unset_read: Vec<bool> = vec![false; program.num_regs()];
+        for (pc, instr) in code.iter().enumerate() {
+            let Some(s) = &states[pc] else { continue };
+            if let Some((dst, bits)) = write_effect(instr, s, consts, bufs) {
+                written[dst.index()] |= bits;
+            }
+            for_each_reg_role(instr, &mut |r, role| {
+                if role != Role::Write && s[r.index()] & UNSET != 0 {
+                    unset_read[r.index()] = true;
+                }
+            });
+        }
+        // A register is statically typed when every write gives it the
+        // same single value kind and no read can observe it unset.
+        let global: Vec<Option<LaneTag>> = written
+            .iter()
+            .zip(&unset_read)
+            .map(|(&bits, &unset)| match (bits, unset) {
+                (INT, false) => Some(LaneTag::Int),
+                (FLOAT, false) => Some(LaneTag::Float),
+                (BOOL, false) => Some(LaneTag::Bool),
+                _ => None,
+            })
+            .collect();
+
+        let mut new_code = Vec::with_capacity(code.len());
+        let mut typed_dsts: Vec<(Reg, LaneTag)> = Vec::new();
+        let mut typed = 0u64;
+        for (pc, instr) in code.iter().enumerate() {
+            let rewritten = states[pc].as_ref().and_then(|s| {
+                let exact = |r: Reg, bit: u8| s[r.index()] == bit;
+                let t = typed_form(instr, consts, bufs, exact, &global)?;
+                if let Some((dst, _)) = write_effect(&t, s, consts, bufs) {
+                    let pin =
+                        (dst, global[dst.index()].expect("typed forms write pinned registers"));
+                    if !typed_dsts.contains(&pin) {
+                        typed_dsts.push(pin);
+                    }
+                }
+                Some(t)
+            });
+            typed += rewritten.is_some() as u64;
+            new_code.push(rewritten.unwrap_or(*instr));
+        }
+
+        stats.instrs_typed += typed;
+        stats.regs_pretagged += typed_dsts.len() as u64;
+        let mut p = program.clone();
+        p.code = new_code;
+        p.pretags = typed_dsts;
+        p
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufId;
     use crate::expr::Expr;
     use crate::interp::ExecStats;
     use crate::stmt::Stmt;
-    use crate::var::Names;
+    use crate::var::{Names, Var};
     use crate::vm::Vm;
-
-    fn specialize_checked(program: &Program, bufs: &BufferSet) -> (Program, OptStats) {
-        let mut stats = OptStats::default();
-        let typed = specialize(program, bufs, &mut stats);
-        typed.validate().expect("typed program validates");
-        assert_eq!(typed.code().len(), program.code().len(), "rewrite is 1:1");
-        (typed, stats)
-    }
 
     /// Compile, peephole-fuse, specialize, then run generic and typed and
     /// assert bit-identical buffers and work counters.
@@ -1285,5 +1482,449 @@ mod tests {
   11: step t0 -> 5
 ";
         assert_eq!(typed.disasm(), expected, "\ngeneric was:\n{}", fused.disasm());
+    }
+
+    /// Seeded generator of structured random IR for the differential test:
+    /// nested `for` / `while` / `if`, `coalesce` and missing paths,
+    /// consecutive statements that reuse the LIFO temps at conflicting
+    /// types, and reads of variables no path (or only some path) has bound.
+    /// Most draws are well typed, so that programs resemble generated
+    /// kernels (typed forms, pretags and the temp split all fire); the rest
+    /// ignore types altogether.
+    struct IrGen {
+        rng: u64,
+        /// One draw in this many ignores types.
+        wild_one_in: usize,
+        /// `ints`/`floats` are mostly assigned their kind; `wild` anything.
+        ints: [Var; 3],
+        floats: [Var; 3],
+        wild: [Var; 2],
+        loop_vars: [Var; 4],
+        /// How many `for` loops enclose the statement being drawn: their
+        /// variables, `loop_vars[..open_loops]`, are bound.
+        open_loops: usize,
+        f64s: [BufId; 2],
+        i64s: [BufId; 2],
+        u8s: BufId,
+        flags: BufId,
+    }
+
+    impl IrGen {
+        fn new(seed: u64) -> (IrGen, Names, BufferSet) {
+            let mut names = Names::new();
+            let mut bufs = BufferSet::new();
+            let gen = IrGen {
+                rng: seed,
+                // Every fourth program is a wild one.
+                wild_one_in: if seed.is_multiple_of(4) { 3 } else { 48 },
+                ints: std::array::from_fn(|k| names.fresh(&format!("i{k}"))),
+                floats: std::array::from_fn(|k| names.fresh(&format!("x{k}"))),
+                wild: std::array::from_fn(|k| names.fresh(&format!("w{k}"))),
+                loop_vars: std::array::from_fn(|k| names.fresh(&format!("k{k}"))),
+                open_loops: 0,
+                f64s: [
+                    bufs.add("val", Buffer::F64(vec![1.5, -2.0, 0.0, 4.25, 3.0, 0.5].into())),
+                    bufs.add("out", Buffer::F64(vec![0.0; 6].into())),
+                ],
+                i64s: [
+                    bufs.add("idx", Buffer::I64(vec![0, 1, 3, 4, 5, 9].into())),
+                    bufs.add("pos", Buffer::I64(vec![0].into())),
+                ],
+                u8s: bufs.add("img", Buffer::U8(vec![0, 7, 255, 3, 9, 1])),
+                flags: bufs.add("mask", Buffer::Bool(vec![true, false, true, true, false, true])),
+            };
+            (gen, names, bufs)
+        }
+
+        /// splitmix64.
+        fn next(&mut self) -> u64 {
+            self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy, const N: usize>(&mut self, from: [T; N]) -> T {
+            from[self.below(N)]
+        }
+
+        fn any_var(&mut self) -> Var {
+            match self.below(4) {
+                0 => self.pick(self.ints),
+                1 => self.pick(self.floats),
+                2 => self.pick(self.wild),
+                _ => self.pick(self.loop_vars),
+            }
+        }
+
+        fn any_buf(&mut self) -> BufId {
+            self.pick([
+                self.f64s[0],
+                self.f64s[1],
+                self.i64s[0],
+                self.i64s[1],
+                self.u8s,
+                self.flags,
+            ])
+        }
+
+        fn int_expr(&mut self, depth: u32) -> Expr {
+            match self.below(if depth == 0 { 3 } else { 8 }) {
+                0 => Expr::int(self.below(6) as i64),
+                1 => Expr::Var(self.pick(self.ints)),
+                // A loop variable: usually one in scope.
+                2 if self.open_loops > 0 && !self.wild() => {
+                    Expr::Var(self.loop_vars[self.below(self.open_loops)])
+                }
+                2 if self.wild() => Expr::Var(self.pick(self.loop_vars)),
+                2 => Expr::int(1),
+                3 => Expr::load(self.pick(self.i64s), self.int_expr(depth - 1)),
+                4 => Expr::BufLen(self.any_buf()),
+                5 => {
+                    let op =
+                        self.pick([BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max]);
+                    Expr::binary(op, self.int_expr(depth - 1), self.int_expr(depth - 1))
+                }
+                6 => Expr::Search {
+                    buf: self.i64s[0],
+                    lo: Box::new(self.int_expr(depth - 1)),
+                    hi: Box::new(self.int_expr(depth - 1)),
+                    key: Box::new(self.int_expr(depth - 1)),
+                    on_abs: self.below(2) == 0,
+                },
+                _ => Expr::select(
+                    self.cond(depth - 1),
+                    self.int_expr(depth - 1),
+                    self.int_expr(depth - 1),
+                ),
+            }
+        }
+
+        fn float_expr(&mut self, depth: u32) -> Expr {
+            match self.below(if depth == 0 { 2 } else { 8 }) {
+                0 => Expr::float(self.below(8) as f64 * 0.5 - 1.0),
+                1 => Expr::Var(self.pick(self.floats)),
+                2 => Expr::load(self.pick(self.f64s), self.int_expr(depth - 1)),
+                3 => Expr::load(self.u8s, self.int_expr(depth - 1)),
+                4 => {
+                    let op =
+                        self.pick([BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Max]);
+                    Expr::binary(op, self.float_expr(depth - 1), self.float_expr(depth - 1))
+                }
+                5 => {
+                    let op = self.pick([UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Round]);
+                    Expr::unary(op, self.float_expr(depth - 1))
+                }
+                // The `permit` shape: a load at a possibly-missing index,
+                // with a fill value behind it.
+                6 => Expr::Coalesce(vec![
+                    Expr::load(self.f64s[0], self.maybe_missing_index(depth - 1)),
+                    self.float_expr(depth - 1),
+                ]),
+                _ => {
+                    Expr::mul(Expr::load(self.f64s[0], self.int_expr(depth - 1)), Expr::float(2.0))
+                }
+            }
+        }
+
+        fn maybe_missing_index(&mut self, depth: u32) -> Expr {
+            match self.below(3) {
+                0 => Expr::missing(),
+                1 => Expr::select(self.cond(depth), self.int_expr(depth), Expr::missing()),
+                _ => self.int_expr(depth),
+            }
+        }
+
+        fn cond(&mut self, depth: u32) -> Expr {
+            let cmp = self.pick([BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge]);
+            match self.below(if depth == 0 { 3 } else { 6 }) {
+                0 => Expr::binary(cmp, self.int_expr(depth), Expr::int(self.below(5) as i64)),
+                1 => Expr::binary(cmp, self.int_expr(depth), self.int_expr(depth)),
+                2 => Expr::binary(cmp, self.float_expr(depth), self.float_expr(depth)),
+                3 => Expr::load(self.flags, self.int_expr(depth - 1)),
+                4 => {
+                    let op = self.pick([BinOp::And, BinOp::Or]);
+                    Expr::binary(op, self.cond(depth - 1), self.cond(depth - 1))
+                }
+                _ => Expr::unary(UnOp::Not, self.cond(depth - 1)),
+            }
+        }
+
+        /// An expression drawn without regard to type.
+        fn wild_expr(&mut self, depth: u32) -> Expr {
+            match self.below(if depth == 0 { 5 } else { 12 }) {
+                0 => Expr::int(self.below(6) as i64),
+                1 => Expr::float(0.5),
+                2 => Expr::bool(self.below(2) == 0),
+                3 => Expr::missing(),
+                4 => Expr::Var(self.any_var()),
+                5 => Expr::load(self.any_buf(), self.wild_expr(depth - 1)),
+                6 => {
+                    let op = self.pick([
+                        BinOp::Add,
+                        BinOp::Mul,
+                        BinOp::Div,
+                        BinOp::Min,
+                        BinOp::And,
+                        BinOp::Or,
+                        BinOp::Eq,
+                        BinOp::Lt,
+                    ]);
+                    Expr::binary(op, self.wild_expr(depth - 1), self.wild_expr(depth - 1))
+                }
+                7 => {
+                    let op = self.pick([UnOp::Neg, UnOp::Not, UnOp::Abs, UnOp::Sqrt, UnOp::Sign]);
+                    Expr::unary(op, self.wild_expr(depth - 1))
+                }
+                8 => Expr::select(
+                    self.wild_expr(depth - 1),
+                    self.wild_expr(depth - 1),
+                    self.wild_expr(depth - 1),
+                ),
+                9 => Expr::Coalesce(
+                    (0..2 + self.below(2)).map(|_| self.wild_expr(depth - 1)).collect(),
+                ),
+                10 => self.int_expr(depth),
+                _ => self.float_expr(depth),
+            }
+        }
+
+        /// Whether to draw the next piece without regard to type.
+        fn wild(&mut self) -> bool {
+            self.below(self.wild_one_in) == 0
+        }
+
+        /// A variable to assign and a value for it, usually of its kind.
+        fn assignment(&mut self, depth: u32) -> (Var, Expr) {
+            if self.wild() {
+                return (self.any_var(), self.wild_expr(depth));
+            }
+            match self.below(5) {
+                0 | 1 => (self.pick(self.ints), self.int_expr(depth)),
+                2 | 3 => (self.pick(self.floats), self.float_expr(depth)),
+                _ => (self.pick(self.wild), self.wild_expr(depth)),
+            }
+        }
+
+        fn block(&mut self, depth: u32) -> Vec<Stmt> {
+            (0..1 + self.below(4)).map(|_| self.stmt(depth)).collect()
+        }
+
+        /// A whole program: the typed variables bound to their kind up front
+        /// — now and then on one path only, so that later reads may find
+        /// them unset — then a few nests.
+        fn program(&mut self) -> Vec<Stmt> {
+            let mut prog = Vec::new();
+            let typed =
+                self.ints.map(|v| (v, true)).into_iter().chain(self.floats.map(|v| (v, false)));
+            for (var, int) in typed {
+                // Nothing is bound yet: initialise from literals and loads.
+                let at = Expr::int(self.below(6) as i64);
+                let init = match (int, self.below(2) == 0) {
+                    (true, true) => at,
+                    (true, false) => Expr::load(self.i64s[0], at),
+                    (false, true) => Expr::float(self.below(8) as f64 * 0.5),
+                    (false, false) => Expr::load(self.f64s[0], at),
+                };
+                let bind = Stmt::Let { var, init };
+                prog.push(if self.below(8) == 0 {
+                    Stmt::if_then(
+                        Expr::load(self.flags, Expr::int(self.below(6) as i64)),
+                        vec![bind],
+                    )
+                } else {
+                    bind
+                });
+            }
+            prog.extend((0..2 + self.below(3)).flat_map(|_| self.block(3)));
+            prog
+        }
+
+        fn stmt(&mut self, depth: u32) -> Stmt {
+            match self.below(if depth == 0 { 5 } else { 9 }) {
+                0 => {
+                    let (var, init) = self.assignment(2);
+                    Stmt::Let { var, init }
+                }
+                1 => {
+                    let (var, value) = self.assignment(2);
+                    Stmt::Assign { var, value }
+                }
+                2 if self.wild() => Stmt::Store {
+                    buf: self.any_buf(),
+                    index: self.wild_expr(1),
+                    value: self.wild_expr(2),
+                    reduce: self.pick([None, Some(BinOp::Add), Some(BinOp::And)]),
+                },
+                2 => Stmt::Store {
+                    buf: self.f64s[1],
+                    index: self.int_expr(1),
+                    value: self.float_expr(2),
+                    reduce: self.pick([None, Some(BinOp::Add), Some(BinOp::Max)]),
+                },
+                3 if self.wild() => Stmt::Append { buf: self.any_buf(), value: self.wild_expr(1) },
+                3 => match self.below(2) {
+                    0 => Stmt::Append { buf: self.i64s[1], value: self.int_expr(1) },
+                    _ => Stmt::Append { buf: self.f64s[1], value: self.float_expr(1) },
+                },
+                4 => match self.below(2) {
+                    0 => Stmt::FiberEnd { pos: self.i64s[1], data: self.f64s[1] },
+                    _ => Stmt::Comment("note".into()),
+                },
+                5 | 6 => Stmt::If {
+                    cond: if self.wild() { self.wild_expr(1) } else { self.cond(1) },
+                    then_branch: self.block(depth - 1),
+                    else_branch: if self.below(2) == 0 {
+                        self.block(depth - 1)
+                    } else {
+                        Vec::new()
+                    },
+                },
+                7 => Stmt::While { cond: self.cond(1), body: self.block(depth - 1) },
+                _ => {
+                    // Nests are at most three deep: there is a variable left.
+                    let (lo, hi) = (self.int_expr(1), self.int_expr(1));
+                    let var = self.loop_vars[self.open_loops];
+                    self.open_loops += 1;
+                    let body = self.block(depth - 1);
+                    self.open_loops -= 1;
+                    Stmt::For { var, lo, hi, body }
+                }
+            }
+        }
+    }
+
+    /// Run `p` under a statement budget (random `while` loops need not
+    /// terminate): the outcome, the buffers it left, the work it counted.
+    fn run_bounded(p: &Program, bufs: &BufferSet) -> (String, BufferSet, ExecStats) {
+        let mut bufs = bufs.clone();
+        let mut vm = Vm::new(p).with_step_budget(300);
+        let outcome = format!("{:?}", vm.run(p, &mut bufs));
+        (outcome, bufs, vm.stats())
+    }
+
+    /// The block-level inference against the per-instruction reference on
+    /// seeded random structured IR (raw and peephole-fused), and the typed
+    /// program against the generic one on the VM: same outcome — value or
+    /// error —, same buffers, same work counters.
+    #[test]
+    fn random_structured_ir_types_like_the_reference_and_runs_like_the_generic_program() {
+        let (mut typed_instrs, mut pretagged, mut grown) = (0u64, 0u64, 0usize);
+        let (mut blocks, mut visits) = (0u64, 0u64);
+        for seed in 0..400u64 {
+            let (mut gen, names, bufs) = IrGen::new(seed);
+            let prog = gen.program();
+            let raw = Program::compile(&prog, &names);
+            let fused = crate::opt::peephole(&raw, &mut OptStats::default());
+            for generic in [&raw, &fused] {
+                let (typed, stats) = specialize_checked(generic, &bufs);
+                blocks += stats.typing_blocks;
+                visits += stats.typing_block_visits;
+                typed_instrs += stats.instrs_typed;
+                pretagged += stats.regs_pretagged;
+                grown += typed.num_regs() - generic.num_regs();
+                let (expected, expected_bufs, expected_stats) = run_bounded(generic, &bufs);
+                let (outcome, typed_bufs, typed_stats) = run_bounded(&typed, &bufs);
+                let context =
+                    || format!("seed {seed}\n{}\ntyped:\n{}", generic.disasm(), typed.disasm());
+                assert_eq!(outcome, expected, "{}", context());
+                assert_eq!(typed_stats, expected_stats, "{}", context());
+                for (id, name, buf) in expected_bufs.iter() {
+                    // By rendering: a NaN must compare equal to itself.
+                    let (want, got) = (format!("{buf:?}"), format!("{:?}", typed_bufs.get(id)));
+                    assert_eq!(got, want, "buffer {name}: {}", context());
+                }
+            }
+        }
+        // The generator must exercise what it is there to check.
+        assert!(typed_instrs > 30_000, "only {typed_instrs} instructions typed");
+        assert!(pretagged > 4000, "only {pretagged} registers pinned");
+        assert!(grown > 1000, "only {grown} registers added by the temp split");
+        assert!(visits <= 2 * blocks, "{visits} visits of {blocks} blocks over all seeds");
+    }
+
+    /// A read that only some path has bound: the block-level solver sees the
+    /// joined state the first time it reaches the read, the reference sees
+    /// the unbound path alone first — the monotone rules make both settle
+    /// on the same answer.
+    #[test]
+    fn a_possibly_unbound_read_types_its_consumers_whatever_the_visiting_order() {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let flag = bufs.add("flag", Buffer::I64(vec![1].into()));
+        let out = bufs.add("out", Buffer::I64(vec![0].into()));
+        let v = names.fresh("v");
+        let w = names.fresh("w");
+        let prog = vec![
+            Stmt::If {
+                cond: Expr::eq(Expr::load(flag, Expr::int(0)), Expr::int(1)),
+                then_branch: vec![Stmt::Let { var: v, init: Expr::int(7) }],
+                else_branch: vec![],
+            },
+            Stmt::Let { var: w, init: Expr::Var(v) },
+            Stmt::Store {
+                buf: out,
+                index: Expr::int(0),
+                value: Expr::add(Expr::Var(w), Expr::int(1)),
+                reduce: None,
+            },
+        ];
+        let (typed, _) = assert_typed_parity(&prog, &names, &bufs);
+        // `w` is an Int wherever the copy succeeded, so its consumer types;
+        // `v` itself may be unset and stays untagged.
+        assert!(
+            typed.code().iter().any(|i| matches!(i, Instr::IArithImm { op: BinOp::Add, .. })),
+            "{}",
+            typed.disasm()
+        );
+        assert!(typed.pretags().iter().all(|&(r, _)| r != Reg(0)), "{:?}", typed.pretags());
+    }
+
+    #[test]
+    fn blocks_partition_at_targets_and_after_control_transfers() {
+        let mut names = Names::new();
+        let i = names.fresh("i");
+        let p = names.fresh("p");
+        let prog = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::For {
+                var: i,
+                lo: Expr::int(0),
+                hi: Expr::int(3),
+                body: vec![Stmt::if_then(
+                    Expr::lt(Expr::Var(i), Expr::int(2)),
+                    vec![Stmt::Assign { var: p, value: Expr::add(Expr::Var(p), Expr::int(1)) }],
+                )],
+            },
+        ];
+        let program = Program::compile(&prog, &names);
+        let code = program.code();
+        let blocks = Blocks::of(code);
+        let targets = crate::bytecode::jump_targets(code);
+        let mut covered = 0;
+        for b in 0..blocks.len() {
+            let range = blocks.range(b);
+            assert_eq!(range.start, covered, "blocks tile the stream in order");
+            assert!(!range.is_empty());
+            covered = range.end;
+            assert_eq!(blocks.starting_at(range.start), Some(b));
+            for pc in range.clone() {
+                assert!(pc == range.start || !targets[pc], "pc {pc} is entered mid-block");
+                assert!(
+                    pc + 1 == range.end || code[pc].target().is_none(),
+                    "pc {pc} leaves mid-block"
+                );
+            }
+        }
+        assert_eq!(covered, code.len());
+        // Head, body, then-branch, step, and the straight-line prologue.
+        assert!(blocks.len() >= 5, "{} blocks:\n{}", blocks.len(), program.disasm());
+        assert_eq!(blocks.starting_at(code.len()), None, "the exit pc starts no block");
+        assert_eq!(Blocks::of(&[]).len(), 0);
     }
 }

@@ -664,7 +664,7 @@ mod tests {
     fn lower_typed(prog: &[Stmt], names: &Names, bufs: &BufferSet) -> Program {
         let raw = Program::compile(prog, names);
         let fused = crate::opt::peephole(&raw, &mut OptStats::default());
-        crate::opt::typing::specialize(&fused, bufs, &mut OptStats::default())
+        crate::opt::typing::specialize_checked(&fused, bufs).0
     }
 
     /// Vectorize the typed program and assert the scalar and vectorized

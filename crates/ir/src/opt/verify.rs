@@ -689,7 +689,7 @@ mod tests {
         let program = Program {
             code: vec![Instr::FiberEnd { pos: BufId(7), data: BufId(8) }],
             consts: Vec::new(),
-            var_names: Vec::new(),
+            var_names: Vec::new().into(),
             num_regs: 0,
             pretags: Vec::new(),
             shard_plan: crate::bytecode::ShardPlan::default(),
