@@ -168,18 +168,25 @@ impl CinExpr {
         }
     }
 
-    /// Rewrite the expression bottom-up: `f` is applied to every node after
-    /// its children; returning `Some` replaces the node.
-    pub fn map(&self, f: &mut dyn FnMut(&CinExpr) -> Option<CinExpr>) -> CinExpr {
-        let rebuilt = match self {
-            CinExpr::Literal(_) | CinExpr::Index(_) | CinExpr::Dyn(_) | CinExpr::Access(_) => {
-                self.clone()
+    /// Rewrite the expression bottom-up, in place: `f` is applied to every
+    /// node after its children, and a node for which it returns a different
+    /// node is replaced.  Returns whether any node was replaced (an equal
+    /// replacement does not count, so a rule that fires without changing
+    /// anything cannot keep a fixpoint loop going).
+    pub fn rewrite(&mut self, f: &mut dyn FnMut(&CinExpr) -> Option<CinExpr>) -> bool {
+        let mut changed = false;
+        if let CinExpr::Call { args, .. } = self {
+            for a in args {
+                changed |= a.rewrite(f);
             }
-            CinExpr::Call { op, args } => {
-                CinExpr::Call { op: *op, args: args.iter().map(|a| a.map(f)).collect() }
+        }
+        match f(self) {
+            Some(new) if new != *self => {
+                *self = new;
+                true
             }
-        };
-        f(&rebuilt).unwrap_or(rebuilt)
+            _ => changed,
+        }
     }
 
     /// Visit every node (pre-order).
@@ -278,16 +285,21 @@ mod tests {
     }
 
     #[test]
-    fn map_rewrites_bottom_up() {
-        let e = CinExpr::call(CinOp::Add, vec![CinExpr::int(1), CinExpr::int(2)]);
-        let folded = e.map(&mut |node| match node {
+    fn rewrite_works_bottom_up_and_reports_replacements() {
+        let mut e = CinExpr::call(CinOp::Add, vec![CinExpr::int(1), CinExpr::int(2)]);
+        let fold = &mut |node: &CinExpr| match node {
             CinExpr::Call { op: CinOp::Add, args } => {
                 let sum: i64 = args.iter().filter_map(|a| a.as_literal()?.as_int().ok()).sum();
                 Some(CinExpr::int(sum))
             }
             _ => None,
-        });
-        assert_eq!(folded.as_literal(), Some(Value::Int(3)));
+        };
+        assert!(e.rewrite(fold));
+        assert_eq!(e.as_literal(), Some(Value::Int(3)));
+        // Nothing left to fold; and a replacement by an equal node is none.
+        assert!(!e.rewrite(fold));
+        assert!(!e.rewrite(&mut |node| Some(node.clone())));
+        assert_eq!(e.as_literal(), Some(Value::Int(3)));
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Index variables, tensor references, protocols and index modifiers.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::CinExpr;
 
 /// A surface-level index variable (`i`, `j`, ...).
 ///
 /// Index variables are identified by name; the compiler maps them to
-/// target-IR loop variables during lowering.
+/// target-IR loop variables during lowering.  The name is shared: a clone
+/// is a reference bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IndexVar(String);
+pub struct IndexVar(Arc<str>);
 
 impl IndexVar {
     /// Create an index variable with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         IndexVar(name.into())
     }
 
@@ -45,13 +48,14 @@ impl fmt::Display for IndexVar {
 }
 
 /// A reference to a tensor by name.  The compiler resolves names to bound
-/// formats at compile time.
+/// formats at compile time.  The name is shared: a clone is a reference
+/// bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TensorRef(String);
+pub struct TensorRef(Arc<str>);
 
 impl TensorRef {
     /// Create a tensor reference with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         TensorRef(name.into())
     }
 
@@ -64,6 +68,14 @@ impl TensorRef {
 impl fmt::Display for TensorRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// A map keyed by tensor references can be queried with a plain name
+/// (equality, order and hash are the name's).
+impl Borrow<str> for TensorRef {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 

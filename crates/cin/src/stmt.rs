@@ -110,50 +110,48 @@ impl CinStmt {
         }
     }
 
-    /// Rewrite every expression in the statement tree with `f` (applied via
-    /// [`CinExpr::map`], i.e. bottom-up within each expression).
-    pub fn map_exprs(&self, f: &mut dyn FnMut(&CinExpr) -> Option<CinExpr>) -> CinStmt {
+    /// Rewrite every expression in the statement tree in place with `f`
+    /// (applied via [`CinExpr::rewrite`], i.e. bottom-up within each
+    /// expression).  Returns whether any expression node was replaced.
+    pub fn rewrite_exprs(&mut self, f: &mut dyn FnMut(&CinExpr) -> Option<CinExpr>) -> bool {
         match self {
-            CinStmt::Assign { lhs, reduction, rhs } => {
-                CinStmt::Assign { lhs: lhs.clone(), reduction: *reduction, rhs: rhs.map(f) }
+            CinStmt::Assign { rhs, .. } => rhs.rewrite(f),
+            CinStmt::Forall { extent, body, .. } => {
+                let mut changed = false;
+                if let Some((lo, hi)) = extent {
+                    changed |= lo.rewrite(f);
+                    changed |= hi.rewrite(f);
+                }
+                changed | body.rewrite_exprs(f)
             }
-            CinStmt::Forall { index, extent, body } => CinStmt::Forall {
-                index: index.clone(),
-                extent: extent.as_ref().map(|(lo, hi)| (lo.map(f), hi.map(f))),
-                body: Box::new(body.map_exprs(f)),
-            },
-            CinStmt::Where { consumer, producer } => CinStmt::Where {
-                consumer: Box::new(consumer.map_exprs(f)),
-                producer: Box::new(producer.map_exprs(f)),
-            },
-            CinStmt::Multi(stmts) => CinStmt::Multi(stmts.iter().map(|s| s.map_exprs(f)).collect()),
-            CinStmt::Sieve { cond, body } => {
-                CinStmt::Sieve { cond: cond.map(f), body: Box::new(body.map_exprs(f)) }
+            CinStmt::Where { consumer, producer } => {
+                consumer.rewrite_exprs(f) | producer.rewrite_exprs(f)
             }
-            CinStmt::Pass(ts) => CinStmt::Pass(ts.clone()),
+            CinStmt::Multi(stmts) => stmts.iter_mut().fold(false, |c, s| c | s.rewrite_exprs(f)),
+            CinStmt::Sieve { cond, body } => cond.rewrite(f) | body.rewrite_exprs(f),
+            CinStmt::Pass(_) => false,
         }
     }
 
-    /// Rewrite statement nodes bottom-up: children are rewritten first, then
-    /// `f` may replace the rebuilt node.
-    pub fn map_stmts(&self, f: &mut dyn FnMut(&CinStmt) -> Option<CinStmt>) -> CinStmt {
-        let rebuilt = match self {
-            CinStmt::Assign { .. } | CinStmt::Pass(_) => self.clone(),
-            CinStmt::Forall { index, extent, body } => CinStmt::Forall {
-                index: index.clone(),
-                extent: extent.clone(),
-                body: Box::new(body.map_stmts(f)),
-            },
-            CinStmt::Where { consumer, producer } => CinStmt::Where {
-                consumer: Box::new(consumer.map_stmts(f)),
-                producer: Box::new(producer.map_stmts(f)),
-            },
-            CinStmt::Multi(stmts) => CinStmt::Multi(stmts.iter().map(|s| s.map_stmts(f)).collect()),
-            CinStmt::Sieve { cond, body } => {
-                CinStmt::Sieve { cond: cond.clone(), body: Box::new(body.map_stmts(f)) }
+    /// Rewrite statement nodes bottom-up, in place: children first, then a
+    /// node for which `f` returns a different node is replaced.  Returns
+    /// whether any node was replaced.
+    pub fn rewrite_stmts(&mut self, f: &mut dyn FnMut(&CinStmt) -> Option<CinStmt>) -> bool {
+        let changed = match self {
+            CinStmt::Assign { .. } | CinStmt::Pass(_) => false,
+            CinStmt::Forall { body, .. } | CinStmt::Sieve { body, .. } => body.rewrite_stmts(f),
+            CinStmt::Where { consumer, producer } => {
+                consumer.rewrite_stmts(f) | producer.rewrite_stmts(f)
             }
+            CinStmt::Multi(stmts) => stmts.iter_mut().fold(false, |c, s| c | s.rewrite_stmts(f)),
         };
-        f(&rebuilt).unwrap_or(rebuilt)
+        match f(self) {
+            Some(new) if new != *self => {
+                *self = new;
+                true
+            }
+            _ => changed,
+        }
     }
 
     /// All read accesses appearing in right-hand sides and conditions.
@@ -232,11 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn map_stmts_can_replace_nested_nodes() {
+    fn rewrite_stmts_can_replace_nested_nodes() {
         let i = idx("i");
-        let s = forall(i.clone(), add_assign(scalar("C"), lit(0.0)));
+        let mut out = forall(i.clone(), add_assign(scalar("C"), lit(0.0)));
         // Replace any assignment adding literal zero with a pass.
-        let out = s.map_stmts(&mut |node| match node {
+        let changed = out.rewrite_stmts(&mut |node| match node {
             CinStmt::Assign { lhs, rhs, .. }
                 if rhs.as_literal().map(|v| v.is_zero()) == Some(true) =>
             {
@@ -244,6 +242,7 @@ mod tests {
             }
             _ => None,
         });
+        assert!(changed);
         match out {
             CinStmt::Forall { body, .. } => assert!(body.is_pass()),
             other => panic!("unexpected {other:?}"),

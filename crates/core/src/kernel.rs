@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use finch_cin::CinStmt;
 use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Tensor};
-use finch_ir::opt::{PassReport, ValidationLevel};
+use finch_ir::opt::{Lowered, PassReport, ValidationLevel};
 use finch_ir::pretty::Printer;
 use finch_ir::{
     run_sharded, Buffer, BufferSet, ExecStats, Interpreter, Names, OptLevel, OptStats, Program,
@@ -415,15 +415,16 @@ impl Kernel {
         // here as an explicit staged pipeline, gated by the opt level.
         let raw_code = code;
         let raw_names = ctx.names.clone();
-        let (code, bytecode, opt_stats, pass_reports) = optimize_kernel(
-            &raw_code,
-            &mut ctx.names,
-            &ctx.bufs,
-            opt_level,
-            typed_dispatch,
-            simd,
-            validation,
-        )?;
+        let Lowered { code, program: bytecode, stats: opt_stats, reports: pass_reports } =
+            optimize_kernel(
+                &raw_code,
+                &mut ctx.names,
+                &ctx.bufs,
+                opt_level,
+                typed_dispatch,
+                simd,
+                validation,
+            )?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             code,
@@ -468,14 +469,9 @@ fn optimize_kernel(
     typed: bool,
     simd: bool,
     validation: ValidationLevel,
-) -> Result<(Vec<Stmt>, Program, OptStats, Vec<PassReport>), CompileError> {
-    let lowered =
-        finch_ir::opt::optimize_and_lower(raw_code, names, bufs, level, typed, simd, validation)
-            .map_err(|e| CompileError::ValidationFailed {
-                pass: e.pass.to_string(),
-                detail: e.detail,
-            })?;
-    Ok((lowered.code, lowered.program, lowered.stats, lowered.reports))
+) -> Result<Lowered, CompileError> {
+    finch_ir::opt::optimize_and_lower(raw_code, names, bufs, level, typed, simd, validation)
+        .map_err(|e| CompileError::ValidationFailed { pass: e.pass.to_string(), detail: e.detail })
 }
 
 /// A compiled kernel: generated code (both the IR tree and its bytecode)
@@ -506,7 +502,9 @@ fn optimize_kernel(
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
-    code: Vec<Stmt>,
+    /// The optimised IR; `None` at [`OptLevel::None`], where `raw_code` is
+    /// what executes (read both through [`CompiledKernel::stmts`]).
+    code: Option<Vec<Stmt>>,
     /// The lowered IR before any optimisation pass ran, kept so the same
     /// kernel can be re-derived at any [`OptLevel`] (see
     /// [`CompiledKernel::reoptimized`]).
@@ -560,7 +558,7 @@ impl CompiledKernel {
     pub fn code(&self) -> &str {
         // Buffer names and the name table are fixed at compile time, so the
         // text does not depend on when it is first asked for.
-        self.source.get_or_init(|| Printer::new(&self.names, &self.bufs).program(&self.code))
+        self.source.get_or_init(|| Printer::new(&self.names, &self.bufs).program(self.stmts()))
     }
 
     /// The CIN program this kernel was compiled from.
@@ -570,7 +568,7 @@ impl CompiledKernel {
 
     /// The generated statements (for structural assertions in tests).
     pub fn stmts(&self) -> &[Stmt] {
-        &self.code
+        self.code.as_deref().unwrap_or(&self.raw_code)
     }
 
     /// The compiled bytecode (for structural assertions and debugging).
@@ -637,15 +635,16 @@ impl CompiledKernel {
         validation: ValidationLevel,
     ) -> Result<CompiledKernel, CompileError> {
         let mut names = self.raw_names.clone();
-        let (code, bytecode, opt_stats, pass_reports) = optimize_kernel(
-            &self.raw_code,
-            &mut names,
-            &self.bufs,
-            level,
-            typed,
-            simd,
-            validation,
-        )?;
+        let Lowered { code, program: bytecode, stats: opt_stats, reports: pass_reports } =
+            optimize_kernel(
+                &self.raw_code,
+                &mut names,
+                &self.bufs,
+                level,
+                typed,
+                simd,
+                validation,
+            )?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             code,
@@ -1018,7 +1017,8 @@ impl CompiledKernel {
                 }
                 interp.set_watch(self.watch.clone());
                 interp.set_alloc_budget(self.alloc_budget);
-                interp.run(&self.code, &mut self.bufs)?;
+                let code = self.code.as_deref().unwrap_or(&self.raw_code);
+                interp.run(code, &mut self.bufs)?;
                 Ok(interp.stats())
             }
         }
@@ -1784,6 +1784,48 @@ mod tests {
             assert_eq!(s_stats, p_stats, "{threads} threads: work counters diverge");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s_out), bits(&p_out), "{threads} threads: outputs diverge");
+        }
+    }
+
+    #[test]
+    fn an_index_named_like_a_gensym_still_gets_a_loop_name_of_its_own() {
+        // The shard pass finds a bytecode loop's IR facts by the loop
+        // variable's printed name.  An index called `x_2` used to make the
+        // next loop over `x` print `x_2` too, and the pass drops ambiguous
+        // names: neither loop sharded.
+        let a = Tensor::dense_vector("A", &[1.5, 2.5, 3.5, 4.5]);
+        let compile = |threads: usize| {
+            let mut kernel = Kernel::new().with_threads(threads);
+            kernel.bind_input(&a).bind_output("y", &[4], 0.0).bind_output("z", &[4], 0.0);
+            let copy = |index: &str, out: &str| {
+                forall(idx(index), assign(access(out, [idx(index)]), access("A", [idx(index)])))
+            };
+            kernel.compile(&multi(vec![copy("x_2", "y"), copy("x", "z")])).expect("compiles")
+        };
+        let mut serial = compile(1);
+        let code = serial.code().to_string();
+        assert!(code.contains("for x_2 in 0..=3") && code.contains("for x_3 in 0..=3"), "{code}");
+        assert_eq!(code.matches("for x_2 in").count(), 1, "{code}");
+        let copies = |k: &CompiledKernel| {
+            let named = |r: &finch_ir::bytecode::ShardRegion| {
+                let name = k.bytecode().reg_name(r.var);
+                name == "x_2" || name == "x_3"
+            };
+            k.shard_plan().regions.iter().filter(|r| named(r)).count()
+        };
+        assert_eq!(copies(&serial), 2, "both copy loops shard:\n{code}");
+
+        let s_stats = serial.run().unwrap();
+        let mut par = compile(2);
+        assert!(par.sharded());
+        assert_eq!(par.code(), code);
+        assert_eq!(s_stats, par.run().unwrap());
+        for out in ["y", "z"] {
+            let bits = |k: &CompiledKernel| {
+                k.output(out).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&serial), bits(&par), "{out}");
+            assert_eq!(serial.output(out).unwrap(), [1.5, 2.5, 3.5, 4.5]);
         }
     }
 

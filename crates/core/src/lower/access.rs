@@ -3,19 +3,19 @@
 
 use finch_cin::{Access, IndexExpr, IndexVar, TensorRef};
 use finch_formats::UnfurlLeaf;
-use finch_ir::Expr;
+use finch_ir::{Expr, Value};
 use finch_looplets::{Looplet, Phase};
 
 use crate::error::CompileError;
-use crate::lower::{Binding, LowerCtx};
+use crate::lower::{input_in, Binding, LowerCtx};
 
 /// The lowering state of one access within the current loop.
 #[derive(Debug, Clone)]
 pub(crate) struct AccessState {
-    /// The placeholder key identifying this access inside the loop body.
-    pub key: String,
-    /// The original tensor's name.
-    pub tensor: String,
+    /// The placeholder tensor standing for this access inside the loop body.
+    pub key: TensorRef,
+    /// The original tensor.
+    pub tensor: TensorRef,
     /// The level currently being iterated.
     pub level: usize,
     /// Accumulated coordinate shift: `loop coordinate = array coordinate +
@@ -28,19 +28,40 @@ pub(crate) struct AccessState {
 }
 
 impl AccessState {
+    /// `-shift`, the translation from loop to array coordinates; `None`
+    /// when the shift is the literal 0 and coordinates coincide.
+    fn unshift(&self) -> Option<Expr> {
+        (!self.shift.is_lit(Value::Int(0)))
+            .then(|| Expr::sub(Expr::int(0), self.shift.clone()).simplified())
+    }
+
+    /// A loop coordinate translated into this access's array coordinates.
+    pub fn coord_to_array(&self, e: &Expr) -> Expr {
+        translated(e, self.unshift().as_ref())
+    }
+
     /// The current loop region translated into this access's array
     /// coordinates.
     pub fn to_array(&self, ext: &finch_ir::Extent) -> finch_ir::Extent {
-        let neg = Expr::sub(Expr::int(0), self.shift.clone()).simplified();
+        let by = self.unshift();
         finch_ir::Extent {
-            lo: Expr::add(ext.lo.clone(), neg.clone()).simplified(),
-            hi: Expr::add(ext.hi.clone(), neg).simplified(),
+            lo: translated(&ext.lo, by.as_ref()),
+            hi: translated(&ext.hi, by.as_ref()),
         }
     }
 
     /// Translate an array-coordinate expression into loop coordinates.
     pub fn to_loop(&self, e: &Expr) -> Expr {
-        Expr::add(e.clone(), self.shift.clone()).simplified()
+        translated(e, (!self.shift.is_lit(Value::Int(0))).then_some(&self.shift))
+    }
+}
+
+/// `e + by`, simplified.  Without a translation it is `e` simplified — what
+/// `e + 0` simplifies to, without building the sum.
+fn translated(e: &Expr, by: Option<&Expr>) -> Expr {
+    match by {
+        Some(by) => Expr::add(e.clone(), by.clone()).simplified(),
+        None => e.clone().simplified(),
     }
 }
 
@@ -73,30 +94,30 @@ pub(crate) fn unfurl_access(
     access: &Access,
     ctx: &mut LowerCtx,
 ) -> Result<AccessState, CompileError> {
-    let name = access.tensor.name().to_string();
+    let name = access.tensor.name();
     // Identify the tensor, the level to unfurl, and the fiber position.
-    let (tensor_name, level, pos) = if LowerCtx::is_placeholder(&name) {
+    let (tensor, level, pos) = if LowerCtx::is_placeholder(name) {
         let handle = ctx
             .fibers
-            .get(&name)
+            .get(name)
             .cloned()
-            .ok_or_else(|| CompileError::UnknownTensor { name: name.clone() })?;
+            .ok_or_else(|| CompileError::UnknownTensor { name: name.to_string() })?;
         (handle.tensor, handle.level, handle.pos)
     } else {
-        let bound = ctx.input(&name)?;
+        let bound = ctx.input(name)?;
         if access.indices.len() != bound.ndim() {
             return Err(CompileError::RankMismatch {
-                name: name.clone(),
+                name: name.to_string(),
                 rank: bound.ndim(),
                 indices: access.indices.len(),
             });
         }
-        (name.clone(), 0, Expr::int(0))
+        (access.tensor.clone(), 0, Expr::int(0))
     };
     let first = access.indices.first().expect("driven access has an index");
-    let (nest, shift) = apply_index_expr(&tensor_name, level, &pos, first, ctx)?;
+    let (nest, shift) = apply_index_expr(tensor.name(), level, &pos, first, ctx)?;
     let key = ctx.fresh_access_key();
-    Ok(AccessState { key, tensor: tensor_name, level, shift, nest })
+    Ok(AccessState { key, tensor, level, shift, nest })
 }
 
 /// Apply an index expression (protocol annotation plus modifiers) to obtain
@@ -110,7 +131,7 @@ fn apply_index_expr(
 ) -> Result<(Looplet<UnfurlLeaf>, Expr), CompileError> {
     match index_expr {
         IndexExpr::Var { protocol, .. } => {
-            let bound = ctx.input(tensor)?.clone();
+            let bound = input_in(&ctx.bindings, tensor)?;
             let nest = bound.unfurl(level, pos, *protocol, &mut ctx.names);
             Ok((nest, Expr::int(0)))
         }
@@ -130,18 +151,14 @@ fn apply_index_expr(
         IndexExpr::Permit { base } => {
             let (nest, shift) = apply_index_expr(tensor, level, pos, base, ctx)?;
             let dim = ctx.input(tensor)?.dim(level);
-            let missing = || Looplet::Run {
-                body: Box::new(Looplet::Leaf(UnfurlLeaf::Value(Expr::missing()))),
-            };
+            let missing = || Looplet::run(UnfurlLeaf::Value(Expr::missing()));
             // The paper's permit protocol: missing before 0, the array's own
             // nest over its dimension, missing after the end.
-            let wrapped = Looplet::Pipeline {
-                phases: vec![
-                    Phase { stride: Some(Expr::int(-1)), body: missing() },
-                    Phase { stride: Some(Expr::int(dim as i64 - 1)), body: nest },
-                    Phase { stride: None, body: missing() },
-                ],
-            };
+            let wrapped = Looplet::pipeline(vec![
+                Phase { stride: Some(Expr::int(-1)), body: missing() },
+                Phase { stride: Some(Expr::int(dim as i64 - 1)), body: nest },
+                Phase { stride: None, body: missing() },
+            ]);
             Ok((wrapped, shift))
         }
     }
@@ -149,38 +166,38 @@ fn apply_index_expr(
 
 /// Replace each matched access in the loop body with its placeholder.
 pub(crate) fn substitute_placeholders(
-    body: &finch_cin::CinStmt,
-    table: &[(Access, String)],
-) -> finch_cin::CinStmt {
-    body.map_exprs(&mut |e| match e {
+    body: &mut finch_cin::CinStmt,
+    table: &[(Access, TensorRef)],
+) {
+    body.rewrite_exprs(&mut |e| match e {
         finch_cin::CinExpr::Access(a) => {
             table.iter().find(|(orig, _)| orig == a).map(|(_, key)| {
                 finch_cin::CinExpr::Access(Access {
-                    tensor: TensorRef::new(key.clone()),
+                    tensor: key.clone(),
                     indices: a.indices[1..].to_vec(),
                 })
             })
         }
         _ => None,
-    })
+    });
 }
 
 /// Replace placeholder accesses by their resolved expressions.
 pub(crate) fn substitute_resolved(
-    body: &finch_cin::CinStmt,
-    table: &[(String, finch_cin::CinExpr)],
-) -> finch_cin::CinStmt {
-    body.map_exprs(&mut |e| match e {
+    body: &mut finch_cin::CinStmt,
+    table: &[(TensorRef, finch_cin::CinExpr)],
+) {
+    body.rewrite_exprs(&mut |e| match e {
         finch_cin::CinExpr::Access(a) => {
-            table.iter().find(|(key, _)| a.tensor.name() == key).map(|(_, repl)| repl.clone())
+            table.iter().find(|(key, _)| a.tensor == *key).map(|(_, repl)| repl.clone())
         }
         _ => None,
-    })
+    });
 }
 
 /// Does the statement still mention an access with the given placeholder
 /// key?  Used to drop iteration machinery for accesses that simplification
 /// deleted (e.g. everything multiplied by a zero run).
-pub(crate) fn mentions_key(body: &finch_cin::CinStmt, key: &str) -> bool {
-    body.read_accesses().iter().any(|a| a.tensor.name() == key)
+pub(crate) fn mentions_key(body: &finch_cin::CinStmt, key: &TensorRef) -> bool {
+    body.read_accesses().iter().any(|a| a.tensor == *key)
 }

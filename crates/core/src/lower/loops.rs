@@ -1,8 +1,10 @@
 //! The forall lowerer: unfurling, style resolution and the looplet
 //! lowerers (paper §6).
 
-use finch_cin::{CinExpr, CinStmt, IndexExpr, IndexVar};
+use finch_cin::{CinExpr, CinStmt, IndexExpr, IndexVar, TensorRef};
 use finch_formats::UnfurlLeaf;
+use std::sync::Arc;
+
 use finch_ir::{Expr, Extent, Stmt, Value};
 use finch_looplets::{Looplet, Stepped, Style};
 
@@ -21,7 +23,9 @@ use crate::lower::{Binding, FiberHandle, LowerCtx, OutputSink};
 pub(crate) struct LoopState {
     pub index: IndexVar,
     pub ext: Extent,
-    pub body: CinStmt,
+    /// Shared between the regions a lowerer splits the loop into; the
+    /// lowerers that rewrite it (runs, lookups) take it out by move.
+    pub body: Arc<CinStmt>,
     pub accesses: Vec<AccessState>,
 }
 
@@ -65,9 +69,10 @@ pub(crate) fn lower_forall(
         table.push((a.clone(), state.key.clone()));
         accesses.push(state);
     }
-    let body = substitute_placeholders(body, &table);
+    let mut body = body.clone();
+    substitute_placeholders(&mut body, &table);
 
-    let state = LoopState { index: index.clone(), ext, body, accesses };
+    let state = LoopState { index: index.clone(), ext, body: Arc::new(body), accesses };
     let mut out = lower_loop(state, ctx)?;
     out.extend(fiber_ends);
     Ok(out)
@@ -108,11 +113,11 @@ fn infer_extent(
                     .fibers
                     .get(name)
                     .ok_or_else(|| CompileError::UnknownTensor { name: name.to_string() })?;
-                (h.tensor.clone(), h.level)
+                (h.tensor.name(), h.level)
             } else {
-                (name.to_string(), 0)
+                (name, 0)
             };
-            let dim = ctx.input(&tensor)?.dim(level);
+            let dim = ctx.input(tensor)?.dim(level);
             return Ok(Extent::literal(0, dim as i64 - 1));
         }
     }
@@ -158,14 +163,24 @@ pub(crate) fn lower_loop(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stm
 // Wrapper lowerers
 // ---------------------------------------------------------------------------
 
+/// Rebuild every access from itself.  `peel` gets the access by value, so a
+/// wrapper lowerer moves the wrapped nest out of its slot instead of copying
+/// the whole nest to drop one layer.
+fn peel_accesses(state: &mut LoopState, peel: impl FnMut(AccessState) -> AccessState) {
+    state.accesses = std::mem::take(&mut state.accesses).into_iter().map(peel).collect();
+}
+
 fn lower_thunk(mut state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
     let mut out = Vec::new();
-    for a in &mut state.accesses {
-        while let Looplet::Thunk { preamble, body } = a.nest.clone() {
-            out.extend(preamble);
-            a.nest = *body;
+    peel_accesses(&mut state, |mut a| loop {
+        match a.nest {
+            Looplet::Thunk { preamble, body } => {
+                out.extend(preamble.iter().cloned());
+                a.nest = Arc::unwrap_or_clone(body);
+            }
+            nest => break AccessState { nest, ..a },
         }
-    }
+    });
     out.extend(lower_loop(state, ctx)?);
     Ok(out)
 }
@@ -173,29 +188,35 @@ fn lower_thunk(mut state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, Co
 fn lower_bind_extent(mut state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
     let mut out = Vec::new();
     let ext = state.ext.clone();
-    for a in &mut state.accesses {
-        while let Looplet::BindExtent { lo, hi, body } = a.nest.clone() {
-            let array_ext = a.to_array(&ext);
-            if let Some(v) = lo {
-                out.push(Stmt::Let { var: v, init: array_ext.lo.clone() });
+    peel_accesses(&mut state, |mut a| loop {
+        match a.nest {
+            Looplet::BindExtent { lo, hi, body } => {
+                a.nest = Arc::unwrap_or_clone(body);
+                let array_ext = a.to_array(&ext);
+                if let Some(v) = lo {
+                    out.push(Stmt::Let { var: v, init: array_ext.lo });
+                }
+                if let Some(v) = hi {
+                    out.push(Stmt::Let { var: v, init: array_ext.hi });
+                }
             }
-            if let Some(v) = hi {
-                out.push(Stmt::Let { var: v, init: array_ext.hi.clone() });
-            }
-            a.nest = *body;
+            nest => break AccessState { nest, ..a },
         }
-    }
+    });
     out.extend(lower_loop(state, ctx)?);
     Ok(out)
 }
 
 fn lower_shift(mut state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
-    for a in &mut state.accesses {
-        while let Looplet::Shift { delta, body } = a.nest.clone() {
-            a.shift = Expr::add(a.shift.clone(), delta).simplified();
-            a.nest = *body;
+    peel_accesses(&mut state, |mut a| loop {
+        match a.nest {
+            Looplet::Shift { delta, body } => {
+                a.shift = Expr::add(a.shift, delta).simplified();
+                a.nest = Arc::unwrap_or_clone(body);
+            }
+            nest => break AccessState { nest, ..a },
         }
-    }
+    });
     lower_loop(state, ctx)
 }
 
@@ -209,12 +230,12 @@ fn lower_switch(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, Compi
         .iter()
         .position(|a| a.nest.style() == Style::Switch)
         .expect("switch style implies a switch access");
-    let cases = match &state.accesses[k].nest {
-        Looplet::Switch { cases } => cases.clone(),
-        _ => unreachable!("style was switch"),
+    let Looplet::Switch { cases } = &state.accesses[k].nest else {
+        unreachable!("style was switch")
     };
+    let cases = Arc::clone(cases);
     let mut lowered = Vec::new();
-    for case in &cases {
+    for case in cases.iter() {
         let mut branch = state.clone();
         branch.accesses[k].nest = case.body.clone();
         lowered.push((case.cond.clone(), lower_loop(branch, ctx)?));
@@ -237,8 +258,9 @@ fn lower_switch(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, Compi
 
 fn lower_run(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
     let LoopState { index, ext, body, accesses } = state;
+    let mut body = Arc::unwrap_or_clone(body);
     let mut remaining = Vec::new();
-    let mut substitutions: Vec<(String, CinExpr)> = Vec::new();
+    let mut substitutions: Vec<(TensorRef, CinExpr)> = Vec::new();
     for a in accesses {
         if a.nest.style() != Style::Run {
             remaining.push(a);
@@ -270,25 +292,26 @@ fn lower_run(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileE
             }
         }
     }
-    let body = substitute_resolved(&body, &substitutions);
+    substitute_resolved(&mut body, &substitutions);
     if remaining.is_empty() {
         // Everything structured is resolved: hand the loop to the rewrite
         // engine, which may collapse it entirely (zero regions, invariant
         // additions over runs).
-        let forall = CinStmt::Forall {
+        let mut forall = CinStmt::Forall {
             index: index.clone(),
             extent: Some((CinExpr::Dyn(ext.lo.clone()), CinExpr::Dyn(ext.hi.clone()))),
             body: Box::new(body),
         };
-        let simplified = ctx.rewriter.simplify_stmt(&forall);
-        match simplified {
+        ctx.rewriter.simplify_stmt_in_place(&mut forall);
+        match forall {
             CinStmt::Forall { body, .. } => {
-                finalize(LoopState { index, ext, body: *body, accesses: Vec::new() }, ctx)
+                let body = Arc::new(*body);
+                finalize(LoopState { index, ext, body, accesses: Vec::new() }, ctx)
             }
             other => lower_stmt(&other, ctx),
         }
     } else {
-        let body = ctx.rewriter.simplify_stmt(&body);
+        ctx.rewriter.simplify_stmt_in_place(&mut body);
         if body.is_pass() {
             return Ok(Vec::new());
         }
@@ -296,7 +319,7 @@ fn lower_run(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileE
         // (e.g. everything multiplied by a zero run).
         let remaining: Vec<AccessState> =
             remaining.into_iter().filter(|a| mentions_key(&body, &a.key)).collect();
-        lower_loop(LoopState { index, ext, body, accesses: remaining }, ctx)
+        lower_loop(LoopState { index, ext, body: Arc::new(body), accesses: remaining }, ctx)
     }
 }
 
@@ -305,26 +328,44 @@ fn lower_run(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileE
 // ---------------------------------------------------------------------------
 
 fn lower_spike(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
-    let ext = state.ext.clone();
+    let LoopState { index, ext, body, accesses } = state;
     let body_ext =
         Extent::new(ext.lo.clone(), Expr::sub(ext.hi.clone(), Expr::int(1)).simplified());
     let tail_ext = Extent::point(ext.hi.clone());
 
-    let mut body_state = state.clone();
-    body_state.ext = body_ext.clone();
-    let mut tail_state = state.clone();
-    tail_state.ext = tail_ext.clone();
-
-    for (a_body, a_tail) in body_state.accesses.iter_mut().zip(tail_state.accesses.iter_mut()) {
-        if let Looplet::Spike { body, tail } = a_body.nest.clone() {
-            a_body.nest = *body;
-            a_tail.nest = *tail;
-        } else {
-            let old = a_body.to_array(&ext);
-            a_body.nest = a_body.nest.truncate(&old, &a_body.to_array(&body_ext));
-            a_tail.nest = a_tail.nest.truncate(&old, &a_tail.to_array(&tail_ext));
-        }
+    // A spike's body and tail move into their regions; every other looplet
+    // is truncated to each.
+    let mut body_accesses = Vec::with_capacity(accesses.len());
+    let mut tail_accesses = Vec::with_capacity(accesses.len());
+    for a in accesses {
+        let (in_body, in_tail) = match a.nest {
+            Looplet::Spike { body, tail } => {
+                (Arc::unwrap_or_clone(body), Arc::unwrap_or_clone(tail))
+            }
+            ref nest => {
+                let old = a.to_array(&ext);
+                (
+                    nest.truncate(&old, &a.to_array(&body_ext)),
+                    nest.truncate(&old, &a.to_array(&tail_ext)),
+                )
+            }
+        };
+        tail_accesses.push(AccessState {
+            key: a.key.clone(),
+            tensor: a.tensor.clone(),
+            level: a.level,
+            shift: a.shift.clone(),
+            nest: in_tail,
+        });
+        body_accesses.push(AccessState { nest: in_body, ..a });
     }
+    let body_state = LoopState {
+        index: index.clone(),
+        ext: body_ext.clone(),
+        body: body.clone(),
+        accesses: body_accesses,
+    };
+    let tail_state = LoopState { index, ext: tail_ext, body, accesses: tail_accesses };
 
     let body_stmts = lower_loop(body_state, ctx)?;
     let tail_stmts = lower_loop(tail_state, ctx)?;
@@ -353,10 +394,10 @@ fn lower_pipeline(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, Com
         .iter()
         .position(|a| a.nest.style() == Style::Pipeline)
         .expect("pipeline style implies a pipeline access");
-    let phases = match &state.accesses[k].nest {
-        Looplet::Pipeline { phases } => phases.clone(),
-        _ => unreachable!("style was pipeline"),
+    let Looplet::Pipeline { phases } = &state.accesses[k].nest else {
+        unreachable!("style was pipeline")
     };
+    let phases = Arc::clone(phases);
     let ext = state.ext.clone();
     let shift_k = state.accesses[k].shift.clone();
 
@@ -386,8 +427,9 @@ fn lower_pipeline(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, Com
                     Some(stride) => stride.clone(),
                     None => a.to_array(&ext).hi,
                 };
-                let old = Extent::new(a.to_array(&region).lo, old_hi);
-                a.nest = phase.body.truncate(&old, &a.to_array(&region));
+                let new = a.to_array(&region);
+                let old = Extent::new(new.lo.clone(), old_hi);
+                a.nest = phase.body.truncate(&old, &new);
             } else {
                 a.nest = a.nest.truncate(&a.to_array(&ext), &a.to_array(&region));
             }
@@ -423,21 +465,20 @@ fn lower_stepped(
     debug_assert!(!participants.is_empty(), "stepped style implies a participant");
     let ext = state.ext.clone();
 
-    let payload = |a: &AccessState| -> Stepped<UnfurlLeaf> {
+    fn payload(a: &AccessState) -> &Stepped<UnfurlLeaf> {
         match &a.nest {
-            Looplet::Stepper(s) | Looplet::Jumper(s) => s.clone(),
+            Looplet::Stepper(s) | Looplet::Jumper(s) => s,
             _ => unreachable!("participant is a stepper or jumper"),
         }
-    };
+    }
 
     let mut out = Vec::new();
     // Position every participant's state at the start of the region.
     for &i in &participants {
         let a = &state.accesses[i];
-        let s = payload(a);
-        if let Some(seek) = &s.seek {
+        if let Some(seek) = &payload(a).seek {
             out.push(Stmt::Let { var: seek.var, init: a.to_array(&ext).lo });
-            out.extend(seek.body.clone());
+            out.extend(seek.body.iter().cloned());
         }
     }
 
@@ -450,9 +491,8 @@ fn lower_stepped(
     let mut stride_vars = Vec::new();
     for &i in &participants {
         let a = &state.accesses[i];
-        let s = payload(a);
         let v = ctx.names.fresh("stride");
-        wbody.push(Stmt::Let { var: v, init: a.to_loop(&s.stride) });
+        wbody.push(Stmt::Let { var: v, init: a.to_loop(&payload(a).stride) });
         stride_vars.push(v);
     }
     // The step covers as much as possible without crossing a child
@@ -474,13 +514,9 @@ fn lower_stepped(
     branch.ext = region.clone();
     for (i, a) in branch.accesses.iter_mut().enumerate() {
         if let Some(pk) = participants.iter().position(|&p| p == i) {
-            let s = payload(a);
-            let neg = Expr::sub(Expr::int(0), a.shift.clone()).simplified();
-            let old = Extent::new(
-                a.to_array(&region).lo,
-                Expr::add(Expr::Var(stride_vars[pk]), neg).simplified(),
-            );
-            a.nest = s.body.truncate(&old, &a.to_array(&region));
+            let new = a.to_array(&region);
+            let old = Extent::new(new.lo.clone(), a.coord_to_array(&Expr::Var(stride_vars[pk])));
+            a.nest = payload(a).body.truncate(&old, &new);
         } else {
             a.nest = a.nest.truncate(&a.to_array(&ext), &a.to_array(&region));
         }
@@ -490,11 +526,11 @@ fn lower_stepped(
     // Advance whichever participants' current child ends exactly at the
     // chosen boundary.
     for (pk, &i) in participants.iter().enumerate() {
-        let s = payload(&state.accesses[i]);
-        if !s.next.is_empty() {
+        let next = &payload(&state.accesses[i]).next;
+        if !next.is_empty() {
             wbody.push(Stmt::if_then(
                 Expr::eq(Expr::Var(stride_vars[pk]), Expr::Var(chosen)),
-                s.next.clone(),
+                next.clone(),
             ));
         }
     }
@@ -510,18 +546,19 @@ fn lower_stepped(
 
 fn finalize(state: LoopState, ctx: &mut LowerCtx) -> Result<Vec<Stmt>, CompileError> {
     let LoopState { index, ext, body, accesses } = state;
+    let mut body = Arc::unwrap_or_clone(body);
     let loop_var = ctx.names.fresh(index.name());
     let index_expr = Expr::Var(loop_var);
 
-    let mut substitutions: Vec<(String, CinExpr)> = Vec::new();
+    let mut substitutions: Vec<(TensorRef, CinExpr)> = Vec::new();
     for a in &accesses {
         let coord = Expr::sub(index_expr.clone(), a.shift.clone()).simplified();
         if let Some(resolved) = resolve_nest(&a.nest, a, &coord, ctx)? {
             substitutions.push((a.key.clone(), resolved));
         }
     }
-    let body = substitute_resolved(&body, &substitutions);
-    let body = ctx.rewriter.simplify_stmt(&body);
+    substitute_resolved(&mut body, &substitutions);
+    ctx.rewriter.simplify_stmt_in_place(&mut body);
     if body.is_pass() {
         return Ok(Vec::new());
     }

@@ -13,7 +13,7 @@ pub(crate) mod statements;
 
 use std::collections::HashMap;
 
-use finch_cin::{Access, CinExpr, CinOp, IndexVar};
+use finch_cin::{Access, CinExpr, CinOp, IndexVar, TensorRef};
 use finch_formats::{BoundTensor, LevelSpec};
 use finch_ir::{BinOp, BufId, BufferSet, Expr, Names, UnOp};
 use finch_rewrite::Rewriter;
@@ -82,9 +82,24 @@ impl OutputBinding {
 /// the position of the fiber within it.
 #[derive(Debug, Clone)]
 pub(crate) struct FiberHandle {
-    pub tensor: String,
+    pub tensor: TensorRef,
     pub level: usize,
     pub pos: Expr,
+}
+
+/// Look up a bound input tensor in `bindings` (borrowing only the map, so
+/// the caller can unfurl it against the context's name table).
+pub(crate) fn input_in<'a>(
+    bindings: &'a HashMap<String, Binding>,
+    name: &str,
+) -> Result<&'a BoundTensor, CompileError> {
+    match bindings.get(name) {
+        Some(Binding::Input(t)) => Ok(t),
+        Some(Binding::Output(_)) => Err(CompileError::Unsupported {
+            detail: format!("tensor `{name}` is an output, expected an input"),
+        }),
+        None => Err(CompileError::UnknownTensor { name: name.to_string() }),
+    }
 }
 
 /// The state threaded through lowering.
@@ -97,7 +112,7 @@ pub(crate) struct LowerCtx {
     /// outermost first (used to check that a sparse output's innermost
     /// dimension is driven by the innermost enclosing loop).
     pub loop_stack: Vec<IndexVar>,
-    pub fibers: HashMap<String, FiberHandle>,
+    pub fibers: HashMap<TensorRef, FiberHandle>,
     pub rewriter: Rewriter,
     next_acc: usize,
 }
@@ -123,10 +138,10 @@ impl LowerCtx {
     }
 
     /// A fresh placeholder name for a partially-resolved access.
-    pub fn fresh_access_key(&mut self) -> String {
+    pub fn fresh_access_key(&mut self) -> TensorRef {
         let key = format!("__acc{}", self.next_acc);
         self.next_acc += 1;
-        key
+        TensorRef::new(key)
     }
 
     /// Is this tensor name a compiler-internal placeholder?
@@ -136,13 +151,7 @@ impl LowerCtx {
 
     /// Look up a bound input tensor.
     pub fn input(&self, name: &str) -> Result<&BoundTensor, CompileError> {
-        match self.bindings.get(name) {
-            Some(Binding::Input(t)) => Ok(t),
-            Some(Binding::Output(_)) => Err(CompileError::Unsupported {
-                detail: format!("tensor `{name}` is an output, expected an input"),
-            }),
-            None => Err(CompileError::UnknownTensor { name: name.to_string() }),
-        }
+        input_in(&self.bindings, name)
     }
 
     /// Look up a bound output tensor.
@@ -186,9 +195,8 @@ impl LowerCtx {
         if Self::is_placeholder(name) {
             // A placeholder that survived to expression resolution still has
             // unconsumed indices: the loop order cannot drive it.
-            let original =
-                self.fibers.get(name).map(|h| h.tensor.clone()).unwrap_or_else(|| name.to_string());
-            return Err(CompileError::NonConcordantAccess { name: original });
+            let original = self.fibers.get(name).map_or(name, |h| h.tensor.name());
+            return Err(CompileError::NonConcordantAccess { name: original.to_string() });
         }
         match self.bindings.get(name) {
             None => Err(CompileError::UnknownTensor { name: name.to_string() }),
@@ -283,7 +291,7 @@ impl LowerCtx {
             CinOp::Le => exactly2(BinOp::Le, args),
             CinOp::Gt => exactly2(BinOp::Gt, args),
             CinOp::Ge => exactly2(BinOp::Ge, args),
-            CinOp::Coalesce => Ok(Expr::Coalesce(args)),
+            CinOp::Coalesce => Ok(Expr::coalesce(args)),
             CinOp::Sqrt => exactly1(UnOp::Sqrt, args),
             CinOp::Abs => exactly1(UnOp::Abs, args),
             CinOp::Round => exactly1(UnOp::Round, args),

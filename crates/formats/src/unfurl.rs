@@ -32,8 +32,7 @@ impl BoundTensor {
         names: &mut Names,
     ) -> Nest {
         assert!(level < self.ndim(), "level {level} out of range");
-        let fill =
-            || Looplet::Run { body: Box::new(Looplet::Leaf(UnfurlLeaf::Value(self.fill_expr()))) };
+        let fill = || Looplet::run(UnfurlLeaf::Value(self.fill_expr()));
         match self.levels()[level].clone() {
             BoundLevel::Dense { size } => self.unfurl_dense(level, parent_pos, size, names),
             BoundLevel::Bitmap { size, tbl } => {
@@ -81,7 +80,7 @@ impl BoundTensor {
         let j = names.fresh(&format!("{}_j{}", self.name(), level));
         let pos = Expr::add(Expr::mul(parent_pos.clone(), Expr::int(size as i64)), Expr::Var(j))
             .simplified();
-        Looplet::Lookup { var: j, body: Box::new(Looplet::Leaf(self.child_leaf(level, pos))) }
+        Looplet::lookup(j, self.child_leaf(level, pos))
     }
 
     /// Figure 6c: a locate protocol for a bitmap level, with a runtime
@@ -103,7 +102,7 @@ impl BoundTensor {
             }
             sub => sub,
         };
-        Looplet::Lookup { var: j, body: Box::new(Looplet::Leaf(leaf)) }
+        Looplet::lookup(j, leaf)
     }
 
     /// Figure 3d: the walking (follower) protocol for a sparse list.
@@ -118,24 +117,22 @@ impl BoundTensor {
     ) -> Nest {
         let p = names.fresh(&format!("{}_p{}", self.name(), level));
         let (begin, end) = fiber_bounds(pos, parent_pos);
-        let stepper = Looplet::Stepper(Stepped {
+        let stepper = Looplet::stepper(Stepped {
             seek: Some(seek_sorted(idx, p, &end, names)),
             stride: Expr::load(idx, Expr::Var(p)),
-            body: Box::new(Looplet::Spike {
-                body: Box::new(fill.clone()),
-                tail: Box::new(Looplet::Leaf(self.child_leaf(level, Expr::Var(p)))),
-            }),
+            body: Looplet::spike_of(
+                fill.clone(),
+                Looplet::Leaf(self.child_leaf(level, Expr::Var(p))),
+            ),
             next: vec![advance(p)],
         });
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(last_stored_coordinate(idx, &begin, &end)),
-                    body: stepper.with_preamble(vec![Stmt::Let { var: p, init: begin }]),
-                },
-                Phase { stride: None, body: fill },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(last_stored_coordinate(idx, &begin, &end)),
+                body: stepper.with_preamble(vec![Stmt::Let { var: p, init: begin }]),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 
     /// Figure 6a: the galloping (leader) protocol for a sparse list.  The
@@ -153,43 +150,35 @@ impl BoundTensor {
         let p = names.fresh(&format!("{}_p{}", self.name(), level));
         let (begin, end) = fiber_bounds(pos, parent_pos);
         let region_hi = names.fresh(&format!("{}_hi{}", self.name(), level));
-        let spike = |tensor: &Self| Looplet::Spike {
-            body: Box::new(fill.clone()),
-            tail: Box::new(Looplet::Leaf(tensor.child_leaf(level, Expr::Var(p)))),
+        let spike = |tensor: &Self| {
+            Looplet::spike_of(fill.clone(), Looplet::Leaf(tensor.child_leaf(level, Expr::Var(p))))
         };
-        let follower = Looplet::Stepper(Stepped {
+        let follower = Looplet::stepper(Stepped {
             seek: Some(seek_sorted(idx, p, &end, names)),
             stride: Expr::load(idx, Expr::Var(p)),
-            body: Box::new(spike(self)),
+            body: spike(self),
             next: vec![advance(p)],
         });
-        let jumper = Looplet::Jumper(Stepped {
+        let jumper = Looplet::jumper(Stepped {
             seek: Some(seek_sorted(idx, p, &end, names)),
             stride: Expr::load(idx, Expr::Var(p)),
-            body: Box::new(Looplet::BindExtent {
-                lo: None,
-                hi: Some(region_hi),
-                body: Box::new(Looplet::Switch {
-                    cases: vec![
-                        Case {
-                            cond: Expr::eq(Expr::load(idx, Expr::Var(p)), Expr::Var(region_hi)),
-                            body: spike(self),
-                        },
-                        Case { cond: Expr::bool(true), body: follower },
-                    ],
-                }),
-            }),
-            next: vec![advance(p)],
-        });
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(last_stored_coordinate(idx, &begin, &end)),
-                    body: jumper.with_preamble(vec![Stmt::Let { var: p, init: begin }]),
+            body: Looplet::switch(vec![
+                Case {
+                    cond: Expr::eq(Expr::load(idx, Expr::Var(p)), Expr::Var(region_hi)),
+                    body: spike(self),
                 },
-                Phase { stride: None, body: fill },
-            ],
-        }
+                Case { cond: Expr::bool(true), body: follower },
+            ])
+            .binding_extent(None, Some(region_hi)),
+            next: vec![advance(p)],
+        });
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(last_stored_coordinate(idx, &begin, &end)),
+                body: jumper.with_preamble(vec![Stmt::Let { var: p, init: begin }]),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 
     /// A locate (random access) protocol for a sparse list: every read
@@ -204,13 +193,7 @@ impl BoundTensor {
     ) -> Nest {
         let j = names.fresh(&format!("{}_j{}", self.name(), level));
         let (begin, end) = fiber_bounds(pos, parent_pos);
-        let q = Expr::Search {
-            buf: idx,
-            lo: Box::new(begin),
-            hi: Box::new(Expr::sub(end.clone(), Expr::int(1))),
-            key: Box::new(Expr::Var(j)),
-            on_abs: false,
-        };
+        let q = Expr::search(idx, begin, Expr::sub(end.clone(), Expr::int(1)), Expr::Var(j), false);
         let found = Expr::binary(
             finch_ir::BinOp::And,
             Expr::lt(q.clone(), end),
@@ -221,7 +204,7 @@ impl BoundTensor {
             UnfurlLeaf::Subfiber(_) => unreachable!("locate restricted to the innermost level"),
         };
         let leaf = UnfurlLeaf::Value(Expr::select(found, value, self.fill_expr()));
-        Looplet::Lookup { var: j, body: Box::new(Looplet::Leaf(leaf)) }
+        Looplet::lookup(j, leaf)
     }
 
     /// Figure 3f: the banded format — zeros, one dense block, zeros.
@@ -240,19 +223,14 @@ impl BoundTensor {
         let s = Expr::load(start, parent_pos.clone());
         // Child position for coordinate j: pos[P] + (j - start[P]).
         let child = Expr::add(begin, Expr::sub(Expr::Var(j), s.clone()));
-        Looplet::Pipeline {
-            phases: vec![
-                Phase { stride: Some(Expr::sub(s.clone(), Expr::int(1))), body: fill.clone() },
-                Phase {
-                    stride: Some(Expr::sub(Expr::add(s, width), Expr::int(1))),
-                    body: Looplet::Lookup {
-                        var: j,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, child))),
-                    },
-                },
-                Phase { stride: None, body: fill },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase { stride: Some(Expr::sub(s.clone(), Expr::int(1))), body: fill.clone() },
+            Phase {
+                stride: Some(Expr::sub(Expr::add(s, width), Expr::int(1))),
+                body: Looplet::lookup(j, self.child_leaf(level, child)),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 
     /// Figure 3b: the VBL (variable block list) format — a stepper over
@@ -282,36 +260,23 @@ impl BoundTensor {
             Expr::sub(Expr::load(ofs, Expr::add(Expr::Var(q), Expr::int(1))), Expr::int(1)),
             Expr::sub(block_end.clone(), Expr::Var(j)),
         );
-        let block = Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(Expr::sub(block_end.clone(), block_width)),
-                    body: fill.clone(),
-                },
-                Phase {
-                    stride: None,
-                    body: Looplet::Lookup {
-                        var: j,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, value_pos))),
-                    },
-                },
-            ],
-        };
-        let stepper = Looplet::Stepper(Stepped {
+        let block = Looplet::pipeline(vec![
+            Phase { stride: Some(Expr::sub(block_end.clone(), block_width)), body: fill.clone() },
+            Phase { stride: None, body: Looplet::lookup(j, self.child_leaf(level, value_pos)) },
+        ]);
+        let stepper = Looplet::stepper(Stepped {
             seek: Some(seek_sorted(idx, q, &end, names)),
             stride: block_end,
-            body: Box::new(block),
+            body: block,
             next: vec![advance(q)],
         });
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(last_stored_coordinate(idx, &begin, &end)),
-                    body: stepper.with_preamble(vec![Stmt::Let { var: q, init: begin }]),
-                },
-                Phase { stride: None, body: fill },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(last_stored_coordinate(idx, &begin, &end)),
+                body: stepper.with_preamble(vec![Stmt::Let { var: q, init: begin }]),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 
     /// Figure 3g: run-length encoding — a stepper whose children are runs.
@@ -325,12 +290,10 @@ impl BoundTensor {
     ) -> Nest {
         let p = names.fresh(&format!("{}_p{}", self.name(), level));
         let (begin, end) = fiber_bounds(pos, parent_pos);
-        let stepper = Looplet::Stepper(Stepped {
+        let stepper = Looplet::stepper(Stepped {
             seek: Some(seek_sorted(idx, p, &end, names)),
             stride: Expr::load(idx, Expr::Var(p)),
-            body: Box::new(Looplet::Run {
-                body: Box::new(Looplet::Leaf(self.child_leaf(level, Expr::Var(p)))),
-            }),
+            body: Looplet::run(self.child_leaf(level, Expr::Var(p))),
             next: vec![advance(p)],
         });
         stepper.with_preamble(vec![Stmt::Let { var: p, init: begin }])
@@ -366,37 +329,32 @@ impl BoundTensor {
         let run_value = self.child_leaf(level, Expr::load(ofs, Expr::Var(p)));
         let literal_pos =
             Expr::add(Expr::load(ofs, Expr::Var(p)), Expr::sub(Expr::Var(j), seg_start));
-        let switch = Looplet::Switch {
-            cases: vec![
-                Case {
-                    cond: Expr::binary(finch_ir::BinOp::Gt, marker, Expr::int(0)),
-                    body: Looplet::Run { body: Box::new(Looplet::Leaf(run_value)) },
-                },
-                Case {
-                    cond: Expr::bool(true),
-                    body: Looplet::Lookup {
-                        var: j,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, literal_pos))),
-                    },
-                },
-            ],
-        };
-        let stepper = Looplet::Stepper(Stepped {
+        let switch = Looplet::switch(vec![
+            Case {
+                cond: Expr::binary(finch_ir::BinOp::Gt, marker, Expr::int(0)),
+                body: Looplet::run(run_value),
+            },
+            Case {
+                cond: Expr::bool(true),
+                body: Looplet::lookup(j, self.child_leaf(level, literal_pos)),
+            },
+        ]);
+        let stepper = Looplet::stepper(Stepped {
             seek: Some(Seek {
                 var: seek_j,
                 body: vec![Stmt::Assign {
                     var: p,
-                    value: Expr::Search {
-                        buf: idx,
-                        lo: Box::new(Expr::Var(p)),
-                        hi: Box::new(Expr::sub(end, Expr::int(1))),
-                        key: Box::new(Expr::add(Expr::Var(seek_j), Expr::int(1))),
-                        on_abs: true,
-                    },
+                    value: Expr::search(
+                        idx,
+                        Expr::Var(p),
+                        Expr::sub(end, Expr::int(1)),
+                        Expr::add(Expr::Var(seek_j), Expr::int(1)),
+                        true,
+                    ),
                 }],
             }),
             stride: seg_end,
-            body: Box::new(switch),
+            body: switch,
             next: vec![advance(p)],
         });
         stepper.with_preamble(vec![Stmt::Let { var: p, init: begin }])
@@ -413,18 +371,13 @@ impl BoundTensor {
         let j = names.fresh(&format!("{}_j{}", self.name(), level));
         let offset = triangle_offset(parent_pos);
         let pos = Expr::add(offset, Expr::Var(j));
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(parent_pos.clone()),
-                    body: Looplet::Lookup {
-                        var: j,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, pos))),
-                    },
-                },
-                Phase { stride: None, body: fill },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(parent_pos.clone()),
+                body: Looplet::lookup(j, self.child_leaf(level, pos)),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 
     /// Figure 3c: packed symmetric storage — the upper triangle reads from
@@ -434,24 +387,13 @@ impl BoundTensor {
         let j_high = names.fresh(&format!("{}_j{}", self.name(), level));
         let low_pos = Expr::add(triangle_offset(parent_pos), Expr::Var(j_low));
         let high_pos = Expr::add(triangle_offset(&Expr::Var(j_high)), parent_pos.clone());
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(parent_pos.clone()),
-                    body: Looplet::Lookup {
-                        var: j_low,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, low_pos))),
-                    },
-                },
-                Phase {
-                    stride: None,
-                    body: Looplet::Lookup {
-                        var: j_high,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, high_pos))),
-                    },
-                },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(parent_pos.clone()),
+                body: Looplet::lookup(j_low, self.child_leaf(level, low_pos)),
+            },
+            Phase { stride: None, body: Looplet::lookup(j_high, self.child_leaf(level, high_pos)) },
+        ])
     }
 
     /// Figure 3e: ragged rows — a dense prefix followed by fill.
@@ -467,18 +409,13 @@ impl BoundTensor {
         let (begin, end) = fiber_bounds(pos, parent_pos);
         let len = Expr::sub(end, begin.clone());
         let child = Expr::add(begin, Expr::Var(j));
-        Looplet::Pipeline {
-            phases: vec![
-                Phase {
-                    stride: Some(Expr::sub(len, Expr::int(1))),
-                    body: Looplet::Lookup {
-                        var: j,
-                        body: Box::new(Looplet::Leaf(self.child_leaf(level, child))),
-                    },
-                },
-                Phase { stride: None, body: fill },
-            ],
-        }
+        Looplet::pipeline(vec![
+            Phase {
+                stride: Some(Expr::sub(len, Expr::int(1))),
+                body: Looplet::lookup(j, self.child_leaf(level, child)),
+            },
+            Phase { stride: None, body: fill },
+        ])
     }
 }
 
@@ -508,13 +445,13 @@ fn seek_sorted(idx: finch_ir::BufId, state: Var, end: &Expr, names: &mut Names) 
         var: target,
         body: vec![Stmt::Assign {
             var: state,
-            value: Expr::Search {
-                buf: idx,
-                lo: Box::new(Expr::Var(state)),
-                hi: Box::new(Expr::sub(end.clone(), Expr::int(1))),
-                key: Box::new(Expr::Var(target)),
-                on_abs: false,
-            },
+            value: Expr::search(
+                idx,
+                Expr::Var(state),
+                Expr::sub(end.clone(), Expr::int(1)),
+                Expr::Var(target),
+                false,
+            ),
         }],
     }
 }
@@ -659,7 +596,7 @@ mod tests {
         let b = BoundTensor::bind(&t, &mut bufs);
         let nest = b.unfurl(0, &Expr::int(0), Protocol::Default, &mut names);
         match nest {
-            Looplet::Lookup { body, .. } => match *body {
+            Looplet::Lookup { body, .. } => match &*body {
                 Looplet::Leaf(UnfurlLeaf::Subfiber(_)) => {}
                 other => panic!("expected a subfiber leaf, got {other}"),
             },

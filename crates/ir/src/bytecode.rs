@@ -1068,6 +1068,165 @@ macro_rules! target_field {
     };
 }
 
+/// How an instruction operand uses its register.  Every analysis that asks
+/// "which registers does this instruction read or write" — register typing,
+/// the shard pass's must-defined dataflow — reads the one enumeration
+/// behind [`for_each_reg_role`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// The operand is read.
+    Read,
+    /// The operand is (unconditionally, on the relevant edge) written.
+    Write,
+    /// One field that is both read and written in place
+    /// ([`Instr::CoerceInt`]'s register, the counter of [`Instr::ForStep`]
+    /// and of the vectorized kernel ops).
+    ReadWrite,
+}
+
+/// Visit the register of a [`VBase::Scaled`] index shape as a read.
+macro_rules! vbase_role {
+    ($base:expr, $f:ident) => {
+        if let VBase::Scaled { reg, .. } = $base {
+            $f(reg, Role::Read);
+        }
+    };
+}
+
+/// Call `$f(field, role)` on every register operand of `$instr` — a `&Instr`
+/// or a `&mut Instr`, the fields borrowed alike — in the order reads, then
+/// the write.  The one enumeration of operand roles behind
+/// [`for_each_reg_role`] and [`for_each_reg_role_mut`].
+macro_rules! reg_roles {
+    ($instr:expr, $f:ident) => {{
+        use Role::*;
+        match $instr {
+            Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } | Instr::Nop => {}
+            Instr::Const { dst, .. }
+            | Instr::ConstI { dst, .. }
+            | Instr::ConstF { dst, .. }
+            | Instr::BufLen { dst, .. }
+            | Instr::ILen { dst, .. } => $f(dst, Write),
+            Instr::Mov { dst, src }
+            | Instr::IMov { dst, src }
+            | Instr::FMov { dst, src }
+            | Instr::Unary { dst, src, .. }
+            | Instr::FRound { dst, src } => {
+                $f(src, Read);
+                $f(dst, Write);
+            }
+            Instr::Load { dst, idx, .. }
+            | Instr::LoadI64 { dst, idx, .. }
+            | Instr::LoadF64 { dst, idx, .. }
+            | Instr::LoadU8 { dst, idx, .. } => {
+                $f(idx, Read);
+                $f(dst, Write);
+            }
+            Instr::CoerceInt { reg } => $f(reg, ReadWrite),
+            Instr::Store { idx, val, .. }
+            | Instr::StoreF64 { idx, val, .. }
+            | Instr::StoreU8 { idx, val, .. } => {
+                $f(idx, Read);
+                $f(val, Read);
+            }
+            Instr::Binary { dst, lhs, rhs, .. }
+            | Instr::IArith { dst, lhs, rhs, .. }
+            | Instr::FArith { dst, lhs, rhs, .. } => {
+                $f(lhs, Read);
+                $f(rhs, Read);
+                $f(dst, Write);
+            }
+            Instr::BinaryImm { dst, lhs, .. }
+            | Instr::IArithImm { dst, lhs, .. }
+            | Instr::FArithImm { dst, lhs, .. } => {
+                $f(lhs, Read);
+                $f(dst, Write);
+            }
+            Instr::LoadBinary { dst, lhs, idx, .. } | Instr::FMulLoad { dst, lhs, idx, .. } => {
+                $f(lhs, Read);
+                $f(idx, Read);
+                $f(dst, Write);
+            }
+            Instr::JumpIfFalse { src, .. }
+            | Instr::JumpIfTrue { src, .. }
+            | Instr::JumpIfMissing { src, .. }
+            | Instr::JumpIfNotMissing { src, .. } => $f(src, Read),
+            Instr::WhileTest { cond, .. } => $f(cond, Read),
+            Instr::ForTest { counter, hi, var, .. } | Instr::IForTest { counter, hi, var, .. } => {
+                $f(counter, Read);
+                $f(hi, Read);
+                $f(var, Write);
+            }
+            Instr::ForStep { counter, .. } => $f(counter, ReadWrite),
+            Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
+                $f(val, Read)
+            }
+            Instr::Seek { dst, lo, hi, key, .. } | Instr::ISeek { dst, lo, hi, key, .. } => {
+                $f(lo, Read);
+                $f(hi, Read);
+                $f(key, Read);
+                $f(dst, Write);
+            }
+            Instr::CmpBranch { lhs, rhs, .. }
+            | Instr::ICmpBranch { lhs, rhs, .. }
+            | Instr::FCmpBranch { lhs, rhs, .. }
+            | Instr::WhileCmp { lhs, rhs, .. }
+            | Instr::IWhileCmp { lhs, rhs, .. }
+            | Instr::FWhileCmp { lhs, rhs, .. } => {
+                $f(lhs, Read);
+                $f(rhs, Read);
+            }
+            Instr::CmpBranchImm { lhs, .. }
+            | Instr::ICmpBranchImm { lhs, .. }
+            | Instr::FCmpBranchImm { lhs, .. }
+            | Instr::WhileCmpImm { lhs, .. }
+            | Instr::IWhileCmpImm { lhs, .. } => $f(lhs, Read),
+            // Vectorized kernel ops: read the bound and any row bases,
+            // read-write the loop counter.
+            Instr::VFillStoreF64 { base, counter, hi, .. }
+            | Instr::VReduceF64 { base, counter, hi, .. }
+            | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
+                vbase_role!(base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
+                vbase_role!(dst_base, $f);
+                vbase_role!(a_base, $f);
+                if let VRhs::Buf { base: VBase::Scaled { reg, .. }, .. } = rhs {
+                    $f(reg, Read);
+                }
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
+                vbase_role!(a_base, $f);
+                vbase_role!(b_base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
+                vbase_role!(dst_base, $f);
+                vbase_role!(src_base, $f);
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+        }
+    }};
+}
+
+/// Visit every register operand together with its [`Role`].
+pub(crate) fn for_each_reg_role(instr: &Instr, f: &mut dyn FnMut(Reg, Role)) {
+    let mut by_value = |r: &Reg, role| f(*r, role);
+    reg_roles!(instr, by_value)
+}
+
+/// Visit every register operand mutably together with its [`Role`]: the
+/// temp split renames reads and writes of a register independently.
+pub(crate) fn for_each_reg_role_mut(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg, Role)) {
+    reg_roles!(instr, f)
+}
+
 impl Instr {
     /// The control-transfer target of this instruction, if it has one —
     /// shared by every pass that moves instructions (peephole, vectorize,
@@ -2655,13 +2814,7 @@ mod tests {
         let a = names.fresh("a");
         let prog = vec![Stmt::Let {
             var: a,
-            init: Expr::Search {
-                buf: idx,
-                lo: Box::new(Expr::int(0)),
-                hi: Box::new(Expr::int(2)),
-                key: Box::new(Expr::int(4)),
-                on_abs: false,
-            },
+            init: Expr::search(idx, Expr::int(0), Expr::int(2), Expr::int(4), false),
         }];
         let program = compile(&prog, &names);
         let seeks = program.code().iter().filter(|i| matches!(i, Instr::Seek { .. })).count();

@@ -270,7 +270,7 @@ impl Interpreter {
                 }
             }
             Expr::Coalesce(args) => {
-                for a in args {
+                for a in args.iter() {
                     let v = self.eval(a, bufs)?;
                     if !v.is_missing() {
                         return Ok(v);
@@ -486,16 +486,7 @@ mod tests {
         let mut interp = Interpreter::new(&names);
         let search = |interp: &mut Interpreter, bufs: &BufferSet, key: i64| {
             interp
-                .eval(
-                    &Expr::Search {
-                        buf: idx,
-                        lo: Box::new(Expr::int(0)),
-                        hi: Box::new(Expr::int(4)),
-                        key: Box::new(Expr::int(key)),
-                        on_abs: false,
-                    },
-                    bufs,
-                )
+                .eval(&Expr::search(idx, Expr::int(0), Expr::int(4), Expr::int(key), false), bufs)
                 .unwrap()
                 .as_int()
                 .unwrap()
@@ -516,16 +507,7 @@ mod tests {
         let idx = bufs.add("idx", Buffer::I64(vec![3, -6, 8, -11].into()));
         let mut interp = Interpreter::new(&names);
         let v = interp
-            .eval(
-                &Expr::Search {
-                    buf: idx,
-                    lo: Box::new(Expr::int(0)),
-                    hi: Box::new(Expr::int(3)),
-                    key: Box::new(Expr::int(7)),
-                    on_abs: true,
-                },
-                &bufs,
-            )
+            .eval(&Expr::search(idx, Expr::int(0), Expr::int(3), Expr::int(7), true), &bufs)
             .unwrap();
         assert_eq!(v, Value::Int(2));
     }
@@ -534,9 +516,9 @@ mod tests {
     fn coalesce_returns_first_non_missing() {
         let (names, bufs) = setup();
         let mut interp = Interpreter::new(&names);
-        let e = Expr::Coalesce(vec![Expr::missing(), Expr::float(5.0), Expr::float(7.0)]);
+        let e = Expr::coalesce(vec![Expr::missing(), Expr::float(5.0), Expr::float(7.0)]);
         assert_eq!(interp.eval(&e, &bufs).unwrap(), Value::Float(5.0));
-        let e = Expr::Coalesce(vec![Expr::missing(), Expr::missing()]);
+        let e = Expr::coalesce(vec![Expr::missing(), Expr::missing()]);
         assert!(interp.eval(&e, &bufs).unwrap().is_missing());
     }
 

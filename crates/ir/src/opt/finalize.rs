@@ -195,13 +195,13 @@ mod tests {
                     Stmt::Let { var: ia, init: Expr::load(b[0], Expr::Var(p)) },
                     Stmt::Assign {
                         var: q,
-                        value: Expr::Search {
-                            buf: b[2],
-                            lo: Box::new(Expr::Var(q)),
-                            hi: Box::new(last_b.clone()),
-                            key: Box::new(Expr::Var(ia)),
-                            on_abs: false,
-                        },
+                        value: Expr::search(
+                            b[2],
+                            Expr::Var(q),
+                            last_b.clone(),
+                            Expr::Var(ia),
+                            false,
+                        ),
                     },
                     Stmt::If {
                         cond: Expr::lt(Expr::Var(q), Expr::BufLen(b[2])),
@@ -283,10 +283,11 @@ mod tests {
         )
         .expect("the kernel compiles under full validation");
         assert_eq!(out.reports[out.reports.len() - 2].name, "finalize", "{:?}", out.reports);
-        let explicit = Program::compile(&out.code, &names);
+        let code = out.code.expect("the IR passes ran");
+        let explicit = Program::compile(&code, &names);
         assert!(out.program.code().len() < explicit.code().len());
         assert!(out.program.stmt_bump().iter().any(|&n| n > 0), "{}", out.program.disasm());
-        (out.code, names, explicit, out.program)
+        (code, names, explicit, out.program)
     }
 
     fn kind(r: &Result<(), RuntimeError>) -> String {

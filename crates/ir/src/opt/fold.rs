@@ -142,7 +142,7 @@ fn fold_node(e: &Expr) -> Option<Expr> {
                 Some(first) => match first.as_lit() {
                     Some(v) if !v.is_missing() => Some(Expr::Lit(v)),
                     _ if keep.len() == 1 => Some(keep.into_iter().next().expect("one arg")),
-                    _ if keep.len() < args.len() => Some(Expr::Coalesce(keep)),
+                    _ if keep.len() < args.len() => Some(Expr::coalesce(keep)),
                     _ => None,
                 },
             }
@@ -393,13 +393,13 @@ mod tests {
 
     #[test]
     fn coalesce_folds_prune_leading_missing() {
-        let e = Expr::Coalesce(vec![Expr::missing(), Expr::int(3), Expr::int(4)]);
+        let e = Expr::coalesce(vec![Expr::missing(), Expr::int(3), Expr::int(4)]);
         assert_eq!(fold_node(&e), Some(Expr::int(3)));
-        let e = Expr::Coalesce(vec![Expr::missing(), Expr::Var(Var(0)), Expr::int(4)]);
-        assert_eq!(fold_node(&e), Some(Expr::Coalesce(vec![Expr::Var(Var(0)), Expr::int(4)])));
-        let e = Expr::Coalesce(vec![Expr::Var(Var(0))]);
+        let e = Expr::coalesce(vec![Expr::missing(), Expr::Var(Var(0)), Expr::int(4)]);
+        assert_eq!(fold_node(&e), Some(Expr::coalesce(vec![Expr::Var(Var(0)), Expr::int(4)])));
+        let e = Expr::coalesce(vec![Expr::Var(Var(0))]);
         assert_eq!(fold_node(&e), Some(Expr::Var(Var(0))));
-        let e = Expr::Coalesce(vec![Expr::missing(), Expr::missing()]);
+        let e = Expr::coalesce(vec![Expr::missing(), Expr::missing()]);
         assert_eq!(fold_node(&e), Some(Expr::missing()));
     }
 

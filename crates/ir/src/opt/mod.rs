@@ -65,7 +65,8 @@ pub mod verify;
 pub use finalize::finalize;
 pub use licm::hoist_invariant_loads;
 pub use pass::{
-    Pass, PassCtx, PassError, PassManager, PassReport, Repr, StatsContract, ValidationLevel,
+    Pass, PassCtx, PassError, PassManager, PassReport, Repr, ReprRef, StatsContract,
+    ValidationLevel,
 };
 pub use peephole::peephole;
 pub use typing::specialize;
@@ -194,8 +195,8 @@ impl Pass for FoldPass {
     fn name(&self) -> &'static str {
         "fold"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Ir(fold::fold_stmts(&repr.into_ir(), ctx.unroll_point_loops, ctx.stats))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Ir(fold::fold_stmts(repr.ir(), ctx.unroll_point_loops, ctx.stats))
     }
     fn stats_contract(&self) -> StatsContract {
         StatsContract::Shrinks
@@ -210,8 +211,8 @@ impl Pass for LicmPass {
     fn name(&self) -> &'static str {
         "licm"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Ir(licm::hoist_with_stats(&repr.into_ir(), ctx.names, ctx.stats))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Ir(licm::hoist_with_stats(repr.ir(), ctx.names, ctx.stats))
     }
     fn stats_contract(&self) -> StatsContract {
         StatsContract::Hoisting
@@ -225,8 +226,8 @@ impl Pass for DcePass {
     fn name(&self) -> &'static str {
         "dce"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Ir(dce::eliminate_dead(&repr.into_ir(), ctx.stats))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Ir(dce::eliminate_dead(repr.ir(), ctx.stats))
     }
     fn stats_contract(&self) -> StatsContract {
         StatsContract::Shrinks
@@ -243,8 +244,8 @@ impl Pass for LowerPass {
     fn name(&self) -> &'static str {
         "lower"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Bytecode(Program::compile(&repr.into_ir(), ctx.names))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(Program::compile(repr.ir(), ctx.names))
     }
 }
 
@@ -256,8 +257,8 @@ impl Pass for PeepholePass {
     fn name(&self) -> &'static str {
         "peephole"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Bytecode(peephole::peephole(&repr.into_bytecode(), ctx.stats))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(peephole::peephole(repr.bytecode(), ctx.stats))
     }
 }
 
@@ -270,14 +271,14 @@ impl Pass for TypingPass {
     fn name(&self) -> &'static str {
         "typing"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
         let bufs = ctx.bufs.expect("the typing pass needs the kernel's buffer set");
-        let program = repr.into_bytecode();
+        let program = repr.bytecode();
         // Every pipeline run of this crate's unit tests doubles as a
         // differential check against the reference inference.
         #[cfg(test)]
-        typing::specialize_checked(&program, bufs);
-        Repr::Bytecode(typing::specialize(&program, bufs, ctx.stats))
+        typing::specialize_checked(program, bufs);
+        Repr::Bytecode(typing::specialize(program, bufs, ctx.stats))
     }
 }
 
@@ -292,8 +293,8 @@ impl Pass for VectorizePass {
     fn name(&self) -> &'static str {
         "vectorize"
     }
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Bytecode(vectorize::vectorize(&repr.into_bytecode(), ctx.stats))
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(vectorize::vectorize(repr.bytecode(), ctx.stats))
     }
 }
 
@@ -307,16 +308,18 @@ impl Pass for FinalizePass {
     fn name(&self) -> &'static str {
         "finalize"
     }
-    fn run(&self, repr: Repr, _ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Bytecode(finalize::finalize(&repr.into_bytecode()))
+    fn run(&self, repr: ReprRef<'_>, _ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(finalize::finalize(repr.bytecode()))
     }
 }
 
 /// The artifacts of one full [`optimize_and_lower`] pipeline run.
 #[derive(Debug, Clone)]
 pub struct Lowered {
-    /// The optimised IR — what the tree-walking engine executes.
-    pub code: Vec<Stmt>,
+    /// The optimised IR — what the tree-walking engine executes — or `None`
+    /// at [`OptLevel::None`], where no IR pass runs and the input executes
+    /// as it is (the caller holds it; no copy is made).
+    pub code: Option<Vec<Stmt>>,
     /// The compiled (fused and, when enabled, typed) bytecode — what the
     /// register VM executes.
     pub program: Program,
@@ -357,48 +360,31 @@ pub fn optimize_and_lower(
         stats: &mut stats,
         unroll_point_loops: level == OptLevel::Aggressive,
     };
-    let code = match level {
-        OptLevel::None => stmts.to_vec(),
-        OptLevel::Default => run_ir_round(&mut manager, stmts.to_vec(), &mut ctx)?,
-        OptLevel::Aggressive => {
-            let mut code = stmts.to_vec();
-            // Iterate to a fixpoint: folding can expose new invariant
-            // loads, hoisting can expose new dead code, and so on.  The
-            // bound is a safety net; real kernels settle in 2-3 rounds.
-            for _ in 0..4 {
-                let next = run_ir_round(&mut manager, code.clone(), &mut ctx)?;
-                let settled = next == code;
-                code = next;
-                if settled {
-                    break;
-                }
+    let optimized = run_ir_passes(&mut manager, stmts, level, &mut ctx)?;
+    let code = optimized.as_deref().unwrap_or(stmts);
+    ctx.stats.ir_stmts_after = count_stmts(code);
+    let mut program = manager.run_pass(&LowerPass, ReprRef::Ir(code), &mut ctx)?.into_bytecode();
+    if level != OptLevel::None {
+        let mut bytecode_pass = |pass: &dyn Pass, program: &Program| {
+            manager.run_pass(pass, ReprRef::Bytecode(program), &mut ctx).map(Repr::into_bytecode)
+        };
+        program = bytecode_pass(&PeepholePass, &program)?;
+        if typed {
+            program = bytecode_pass(&TypingPass, &program)?;
+            if simd {
+                program = bytecode_pass(&VectorizePass, &program)?;
             }
-            code
         }
-    };
-    ctx.stats.ir_stmts_after = count_stmts(&code);
-    let program = manager.run_pass(&LowerPass, Repr::Ir(code.clone()), &mut ctx)?.into_bytecode();
-    let program = match level {
-        OptLevel::None => program,
-        _ => {
-            let mut program = manager.run_pass(&PeepholePass, Repr::Bytecode(program), &mut ctx)?;
-            if typed {
-                program = manager.run_pass(&TypingPass, program, &mut ctx)?;
-                if simd {
-                    program = manager.run_pass(&VectorizePass, program, &mut ctx)?;
-                }
-            }
-            manager.run_pass(&FinalizePass, program, &mut ctx)?.into_bytecode()
-        }
-    };
+        program = bytecode_pass(&FinalizePass, &program)?;
+    }
     // Shardability analysis runs last, at every level (it only attaches
     // metadata — serial semantics are untouched), so the plan always
     // describes the final instruction stream.
-    let specs = shard::analyze_ir(&code, ctx.names, bufs);
+    let specs = shard::analyze_ir(code, ctx.names, bufs);
     let program = manager
-        .run_pass(&shard::ShardPass { specs }, Repr::Bytecode(program), &mut ctx)?
+        .run_pass(&shard::ShardPass { specs }, ReprRef::Bytecode(&program), &mut ctx)?
         .into_bytecode();
-    Ok(Lowered { code, program, stats, reports: manager.into_reports() })
+    Ok(Lowered { code: optimized, program, stats, reports: manager.into_reports() })
 }
 
 /// Run the IR-level optimisation pipeline at the given level.
@@ -424,38 +410,51 @@ pub fn optimize(stmts: &[Stmt], names: &mut Names, level: OptLevel) -> (Vec<Stmt
         stats: &mut stats,
         unroll_point_loops: level == OptLevel::Aggressive,
     };
-    let run = |manager: &mut PassManager, code: Vec<Stmt>, ctx: &mut PassCtx<'_>| {
-        run_ir_round(manager, code, ctx).expect("IR pipeline produced invalid code")
-    };
-    let code = match level {
-        OptLevel::None => stmts.to_vec(),
-        OptLevel::Default => run(&mut manager, stmts.to_vec(), &mut ctx),
-        OptLevel::Aggressive => {
-            let mut code = stmts.to_vec();
-            for _ in 0..4 {
-                let next = run(&mut manager, code.clone(), &mut ctx);
-                let settled = next == code;
-                code = next;
-                if settled {
-                    break;
-                }
-            }
-            code
-        }
-    };
+    let code = run_ir_passes(&mut manager, stmts, level, &mut ctx)
+        .expect("IR pipeline produced invalid code")
+        .unwrap_or_else(|| stmts.to_vec());
     stats.ir_stmts_after = count_stmts(&code);
     (code, stats)
+}
+
+/// The IR passes `level` asks for, over `stmts`: none, one fold → licm →
+/// dce round, or rounds to a fixpoint.  `None` when no pass ran.
+fn run_ir_passes(
+    manager: &mut PassManager,
+    stmts: &[Stmt],
+    level: OptLevel,
+    ctx: &mut PassCtx<'_>,
+) -> Result<Option<Vec<Stmt>>, PassError> {
+    let mut code: Option<Vec<Stmt>> = None;
+    let rounds = match level {
+        OptLevel::None => 0,
+        OptLevel::Default => 1,
+        // Iterate to a fixpoint: folding can expose new invariant loads,
+        // hoisting can expose new dead code, and so on.  The bound is a
+        // safety net; real kernels settle in 2-3 rounds.
+        OptLevel::Aggressive => 4,
+    };
+    for _ in 0..rounds {
+        let current = code.as_deref().unwrap_or(stmts);
+        let next = run_ir_round(manager, current, ctx)?;
+        let settled = next == current;
+        code = Some(next);
+        if settled {
+            break;
+        }
+    }
+    Ok(code)
 }
 
 /// One fold → licm → dce round through the pass manager.
 fn run_ir_round(
     manager: &mut PassManager,
-    code: Vec<Stmt>,
+    code: &[Stmt],
     ctx: &mut PassCtx<'_>,
 ) -> Result<Vec<Stmt>, PassError> {
-    let code = manager.run_pass(&FoldPass, Repr::Ir(code), ctx)?.into_ir();
-    let code = manager.run_pass(&LicmPass, Repr::Ir(code), ctx)?.into_ir();
-    Ok(manager.run_pass(&DcePass, Repr::Ir(code), ctx)?.into_ir())
+    let code = manager.run_pass(&FoldPass, ReprRef::Ir(code), ctx)?.into_ir();
+    let code = manager.run_pass(&LicmPass, ReprRef::Ir(&code), ctx)?.into_ir();
+    Ok(manager.run_pass(&DcePass, ReprRef::Ir(&code), ctx)?.into_ir())
 }
 
 #[cfg(test)]

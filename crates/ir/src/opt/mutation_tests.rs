@@ -22,8 +22,12 @@ impl Pass for SeededMutation {
     fn name(&self) -> &'static str {
         self.name
     }
-    fn run(&self, repr: Repr, _ctx: &mut PassCtx<'_>) -> Repr {
-        (self.mutate)(repr)
+    fn run(&self, repr: ReprRef<'_>, _ctx: &mut PassCtx<'_>) -> Repr {
+        // A mutation edits a copy of the known-good input.
+        (self.mutate)(match repr {
+            ReprRef::Ir(stmts) => Repr::Ir(stmts.to_vec()),
+            ReprRef::Bytecode(program) => Repr::Bytecode(program.clone()),
+        })
     }
 }
 
@@ -78,7 +82,7 @@ fn run_ir_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
         unroll_point_loops: false,
     };
     let mut manager = PassManager::new(ValidationLevel::Full);
-    manager.run_pass(mutation, Repr::Ir(stmts), &mut ctx)
+    manager.run_pass(mutation, ReprRef::Ir(&stmts), &mut ctx)
 }
 
 /// Run one seeded mutation over the known-good kernel's compiled bytecode.
@@ -93,7 +97,7 @@ fn run_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
         unroll_point_loops: false,
     };
     let mut manager = PassManager::new(ValidationLevel::Full);
-    manager.run_pass(mutation, Repr::Bytecode(program), &mut ctx)
+    manager.run_pass(mutation, ReprRef::Bytecode(&program), &mut ctx)
 }
 
 /// A known-good *typed* dense kernel whose counted inner loop the real
@@ -137,7 +141,7 @@ fn run_typed_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassEr
         unroll_point_loops: false,
     };
     let mut manager = PassManager::new(ValidationLevel::Full);
-    manager.run_pass(mutation, Repr::Bytecode(program), &mut ctx)
+    manager.run_pass(mutation, ReprRef::Bytecode(&program), &mut ctx)
 }
 
 /// Assert that the mutation is caught and the error names it.
@@ -462,7 +466,7 @@ fn an_overlapping_shard_partition_is_caught_and_attributed() {
         let mut ctx =
             PassCtx { names, bufs: Some(bufs), stats: &mut stats, unroll_point_loops: false };
         let mut manager = PassManager::new(ValidationLevel::Full);
-        manager.run_pass(&pass, Repr::Bytecode(program), &mut ctx)
+        manager.run_pass(&pass, ReprRef::Bytecode(&program), &mut ctx)
     };
     // Control: with an honest partitioner the real pass validates cleanly
     // and records a non-empty plan.

@@ -99,7 +99,7 @@ impl std::fmt::Display for ValidationLevel {
     }
 }
 
-/// The program representation a [`Pass`] transforms.
+/// The program representation a [`Pass`] produces.
 #[derive(Debug, Clone)]
 pub enum Repr {
     /// The statement-tree target IR.
@@ -109,6 +109,14 @@ pub enum Repr {
 }
 
 impl Repr {
+    /// A borrowed view of the representation.
+    pub fn as_ref(&self) -> ReprRef<'_> {
+        match self {
+            Repr::Ir(stmts) => ReprRef::Ir(stmts),
+            Repr::Bytecode(program) => ReprRef::Bytecode(program),
+        }
+    }
+
     /// The contained IR statements.
     ///
     /// # Panics
@@ -130,6 +138,43 @@ impl Repr {
         match self {
             Repr::Ir(_) => panic!("expected a bytecode representation"),
             Repr::Bytecode(p) => p,
+        }
+    }
+}
+
+/// The program representation a [`Pass`] reads: a borrowed view of a
+/// [`Repr`].  Every pass builds its output from scratch, so none needs to
+/// own its input — and the caller keeps it without a copy.
+#[derive(Debug, Clone, Copy)]
+pub enum ReprRef<'a> {
+    /// The statement-tree target IR.
+    Ir(&'a [Stmt]),
+    /// The flat register bytecode.
+    Bytecode(&'a Program),
+}
+
+impl<'a> ReprRef<'a> {
+    /// The viewed IR statements.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the representation is bytecode.
+    pub fn ir(self) -> &'a [Stmt] {
+        match self {
+            ReprRef::Ir(stmts) => stmts,
+            ReprRef::Bytecode(_) => panic!("expected an IR representation"),
+        }
+    }
+
+    /// The viewed bytecode program.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the representation is IR.
+    pub fn bytecode(self) -> &'a Program {
+        match self {
+            ReprRef::Ir(_) => panic!("expected a bytecode representation"),
+            ReprRef::Bytecode(p) => p,
         }
     }
 }
@@ -186,7 +231,7 @@ pub trait Pass {
     /// timing report.
     fn name(&self) -> &'static str;
     /// Transform the representation.
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr;
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr;
     /// The [`ExecStats`] contract enforced on this pass's witness runs.
     /// Defaults to the strictest level, [`StatsContract::Exact`].
     fn stats_contract(&self) -> StatsContract {
@@ -277,7 +322,7 @@ impl PassManager {
     pub fn run_pass(
         &mut self,
         pass: &dyn Pass,
-        repr: Repr,
+        repr: ReprRef<'_>,
         ctx: &mut PassCtx<'_>,
     ) -> Result<Repr, PassError> {
         // Establish the pre-pass witness baseline lazily, before the
@@ -291,7 +336,7 @@ impl PassManager {
                     witnesses
                         .into_iter()
                         .map(|w| {
-                            let outcome = execute_witness(&repr, ctx.names, &w);
+                            let outcome = execute_witness(repr, ctx.names, &w);
                             (w, outcome)
                         })
                         .collect(),
@@ -322,7 +367,7 @@ impl PassManager {
             let t = Instant::now();
             let contract = pass.stats_contract();
             for (witness, cached) in state.iter_mut() {
-                let outcome = execute_witness(&post, ctx.names, witness);
+                let outcome = execute_witness(post.as_ref(), ctx.names, witness);
                 compare_outcomes(cached, &outcome, contract)
                     .map_err(|detail| PassError { pass: pass.name(), detail })?;
                 *cached = outcome;
@@ -391,17 +436,17 @@ fn synthesize_witnesses(bufs: &BufferSet) -> Vec<BufferSet> {
 }
 
 /// Execute the representation against a copy of the witness buffers.
-fn execute_witness(repr: &Repr, names: &Names, witness: &BufferSet) -> WitnessOutcome {
+fn execute_witness(repr: ReprRef<'_>, names: &Names, witness: &BufferSet) -> WitnessOutcome {
     let mut bufs = witness.clone();
     match repr {
-        Repr::Ir(stmts) => {
+        ReprRef::Ir(stmts) => {
             let mut interp = Interpreter::new(names).with_step_budget(WITNESS_STEP_BUDGET);
             match interp.run(stmts, &mut bufs) {
                 Ok(()) => WitnessOutcome::Ran(bufs, interp.stats()),
                 Err(_) => WitnessOutcome::Faulted,
             }
         }
-        Repr::Bytecode(program) => {
+        ReprRef::Bytecode(program) => {
             let mut vm = Vm::new(program).with_step_budget(WITNESS_STEP_BUDGET);
             match vm.run(program, &mut bufs) {
                 Ok(()) => WitnessOutcome::Ran(bufs, vm.stats()),

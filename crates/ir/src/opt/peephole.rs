@@ -227,8 +227,8 @@ fn vbase_reads(base: VBase, r: Reg) -> bool {
 }
 
 /// The register an instruction writes, if any.
-fn writes(instr: Instr) -> Option<Reg> {
-    match instr {
+fn writes(instr: &Instr) -> Option<Reg> {
+    match *instr {
         Instr::Const { dst, .. }
         | Instr::Mov { dst, .. }
         | Instr::BufLen { dst, .. }
@@ -270,8 +270,8 @@ fn writes(instr: Instr) -> Option<Reg> {
 
 /// Allocation-free variant of [`reads`]`.contains(&r)` for the hot
 /// liveness scan.
-fn reads_reg(instr: Instr, r: Reg) -> bool {
-    match instr {
+fn reads_reg(instr: &Instr, r: Reg) -> bool {
+    match *instr {
         Instr::Mov { src, .. } => src == r,
         Instr::Load { idx, .. } => idx == r,
         Instr::CoerceInt { reg } => reg == r,
@@ -350,10 +350,10 @@ fn reads_reg(instr: Instr, r: Reg) -> bool {
 /// that both reads and writes `t` keeps it alive).
 fn dead_after(code: &[Instr], from: usize, t: Reg) -> bool {
     for instr in &code[from..] {
-        if reads_reg(*instr, t) {
+        if reads_reg(instr, t) {
             return false;
         }
-        if writes(*instr) == Some(t) {
+        if writes(instr) == Some(t) {
             return true;
         }
     }
@@ -442,7 +442,7 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     let is_temp = |r: Reg| r.index() >= num_vars;
     // The forwarded/fused temp must not be observable afterwards, unless
     // the consumer itself redefines it.
-    let consumed = |t: Reg| is_temp(t) && (writes(b) == Some(t) || dead_after(code, after, t));
+    let consumed = |t: Reg| is_temp(t) && (writes(&b) == Some(t) || dead_after(code, after, t));
 
     // Operand forwarding: `Mov t, src ; I(reads t)` → `I(reads src)`.
     if let Instr::Mov { dst: t, src } = a {
@@ -456,9 +456,9 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     // — collapses the temp chain every self-referential assignment emits.
     if let Instr::Mov { dst, src: t } = b {
         if dst != t
-            && writes(a) == Some(t)
+            && writes(&a) == Some(t)
             && is_temp(t)
-            && !reads_reg(a, t)
+            && !reads_reg(&a, t)
             && dead_after(code, after, t)
         {
             if let Some(instr) = retarget_dst(a, dst) {
@@ -740,13 +740,7 @@ mod tests {
         let prog = vec![
             Stmt::Let {
                 var: v,
-                init: Expr::Search {
-                    buf: idx,
-                    lo: Box::new(Expr::int(0)),
-                    hi: Box::new(Expr::int(4)),
-                    key: Box::new(Expr::int(10)),
-                    on_abs: false,
-                },
+                init: Expr::search(idx, Expr::int(0), Expr::int(4), Expr::int(10), false),
             },
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(v), reduce: None },
         ];
@@ -772,7 +766,7 @@ mod tests {
                         Expr::eq(Expr::load(x, Expr::Var(q)), Expr::int(3)),
                     ),
                     Expr::int(1),
-                    Expr::Coalesce(vec![Expr::missing(), Expr::Var(q)]),
+                    Expr::coalesce(vec![Expr::missing(), Expr::Var(q)]),
                 ),
                 reduce: None,
             },

@@ -32,13 +32,15 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{Instr, Program, Reg, ShardPlan, ShardRegion, ShardRole, VBase, VRhs};
+use crate::bytecode::{
+    for_each_reg_role, Instr, Program, Reg, Role, ShardPlan, ShardRegion, ShardRole,
+};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::stmt::Stmt;
 use crate::value::Value;
 use crate::var::{Names, Var};
 
-use super::pass::{Pass, PassCtx, Repr};
+use super::pass::{Pass, PassCtx, Repr, ReprRef};
 use super::OptStats;
 
 // ---------------------------------------------------------------------
@@ -46,8 +48,9 @@ use super::OptStats;
 // ---------------------------------------------------------------------
 
 /// The IR-derived shardability facts for one candidate loop, keyed by
-/// the loop variable's name (names are globally unique, so the bytecode
-/// stage can re-find the loop after lowering).
+/// the loop variable's name ([`Names::fresh`] never hands out the same
+/// printed name twice, so the bytecode stage can re-find the loop after
+/// lowering).
 #[derive(Debug, Clone)]
 pub(crate) struct LoopSpec {
     /// The loop variable's source name.
@@ -61,14 +64,16 @@ pub(crate) struct LoopSpec {
 pub(crate) fn analyze_ir(code: &[Stmt], names: &Names, bufs: &BufferSet) -> Vec<LoopSpec> {
     let mut specs: Vec<LoopSpec> = Vec::new();
     collect_candidates(code, names, bufs, &mut specs);
-    // A duplicated loop-variable name would make the bytecode-side match
-    // ambiguous; drop all specs sharing a name (never happens with
-    // `Names::fresh`, but cheap to guard).
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for s in &specs {
-        *counts.entry(s.var_name.clone()).or_insert(0) += 1;
-    }
-    specs.retain(|s| counts[&s.var_name] == 1);
+    // One variable driving two loops (`Names::fresh` rules out two
+    // variables with one name, but hand-built IR may reuse a variable)
+    // would make the bytecode-side match ambiguous: drop every spec whose
+    // name is not its own.
+    let unique: Vec<bool> = specs
+        .iter()
+        .map(|s| specs.iter().filter(|t| t.var_name == s.var_name).count() == 1)
+        .collect();
+    let mut unique = unique.into_iter();
+    specs.retain(|_| unique.next().expect("one flag per spec"));
     specs
 }
 
@@ -577,10 +582,10 @@ impl Pass for ShardPass {
         "shard"
     }
 
-    fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        let mut p = repr.into_bytecode();
-        p.shard_plan = plan_regions(&p, &self.specs, ctx.stats);
-        Repr::Bytecode(p)
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        let p = repr.bytecode();
+        let shard_plan = plan_regions(p, &self.specs, ctx.stats);
+        Repr::Bytecode(Program { shard_plan, ..p.clone() })
     }
 }
 
@@ -651,14 +656,15 @@ fn check_region(
     };
     // (C) The body must not write the loop registers, and we collect the
     // set `w` of registers it does write.
-    let mut w = RegSet::new(p.num_regs());
+    let is_loop_reg = |r: Reg| r == counter || r == hi || r == var;
+    let mut w = regset::empty(p.num_regs());
     for instr in &code[head + 1..end - 1] {
         let mut bad = false;
-        for_each_write(instr, &mut |r| {
-            if r == counter || r == hi || r == var {
-                bad = true;
+        for_each_reg_role(instr, &mut |r, role| {
+            if role != Role::Read {
+                bad |= is_loop_reg(r);
+                regset::insert(&mut w, r);
             }
-            w.insert(r);
         });
         if bad {
             return None;
@@ -681,13 +687,31 @@ fn check_region(
     // (E) Must-defined dataflow over one iteration: any body-written
     // register read by the body must be re-defined earlier in the same
     // iteration — otherwise its value carries across iterations and the
-    // shard boundaries would change it.
-    let defined_at_end = must_defined_check(p, head, end, counter, hi, var, &w)?;
+    // shard boundaries would change it.  Only the loop registers are
+    // defined on entry.
+    let mut seed = regset::empty(p.num_regs());
+    for r in [counter, hi, var] {
+        regset::insert(&mut seed, r);
+    }
+    let body = MustDefined::solve(code, head..end, &seed);
+    if !body.reads_defined(code, |r| regset::contains(&w, r) && !is_loop_reg(r)) {
+        return None;
+    }
     // (F) Registers read after the region must not expose a stale shard
     // value: every body-written register read downstream must be proven
     // either re-defined after the region or re-defined by *every*
-    // iteration (the adopted last shard ran the final iteration).
-    post_region_check(p, end, counter, hi, var, &w, &defined_at_end)?;
+    // iteration (the adopted last shard ran the final iteration, so what
+    // is defined entering the back edge is defined after the region), or
+    // be a loop register.
+    if end < code.len() {
+        for (s, at_back_edge) in seed.iter_mut().zip(body.row(end - 1 - head)) {
+            *s |= at_back_edge;
+        }
+        let rest = MustDefined::solve(code, end..code.len(), &seed);
+        if !rest.reads_defined(code, |r| regset::contains(&w, r)) {
+            return None;
+        }
+    }
     // (G) Every buffer the region writes must carry an IR-derived role.
     for instr in &code[start..end - 1] {
         let mut bad = false;
@@ -711,320 +735,100 @@ fn check_region(
     })
 }
 
-/// A dense register bit-set.
-#[derive(Clone, PartialEq, Eq)]
-struct RegSet {
-    words: Vec<u64>,
-}
+/// Dense register bit-sets as rows of words, so that a dataflow can keep
+/// one per instruction in a single flat allocation.
+mod regset {
+    use crate::bytecode::Reg;
 
-impl RegSet {
-    fn new(num_regs: usize) -> RegSet {
-        RegSet { words: vec![0; num_regs.div_ceil(64)] }
+    pub(super) fn empty(num_regs: usize) -> Vec<u64> {
+        vec![0; num_regs.div_ceil(64)]
     }
-    fn full(num_regs: usize) -> RegSet {
-        RegSet { words: vec![!0u64; num_regs.div_ceil(64)] }
+    pub(super) fn insert(row: &mut [u64], r: Reg) {
+        row[r.index() / 64] |= 1 << (r.index() % 64);
     }
-    fn insert(&mut self, r: Reg) {
-        self.words[r.index() / 64] |= 1 << (r.index() % 64);
-    }
-    fn contains(&self, r: Reg) -> bool {
-        self.words[r.index() / 64] & (1 << (r.index() % 64)) != 0
-    }
-    fn intersect_with(&mut self, o: &RegSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&o.words) {
-            let next = *a & *b;
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        changed
+    pub(super) fn contains(row: &[u64], r: Reg) -> bool {
+        row[r.index() / 64] & (1 << (r.index() % 64)) != 0
     }
 }
 
-/// Forward must-defined dataflow over the loop span `[head, end)`.
-/// Returns the defined set entering the back-edge (`IN[end-1]`) on
-/// success, `None` when some body read may observe a carried value.
-fn must_defined_check(
-    p: &Program,
-    head: usize,
-    end: usize,
-    counter: Reg,
-    hi: Reg,
-    var: Reg,
-    w: &RegSet,
-) -> Option<RegSet> {
-    let code = p.code();
-    let n = end - head;
-    let num_regs = p.num_regs();
-    let mut seed = RegSet::new(num_regs);
-    seed.insert(counter);
-    seed.insert(hi);
-    seed.insert(var);
-    let mut ins: Vec<RegSet> = (0..n).map(|_| RegSet::full(num_regs)).collect();
-    ins[0] = seed;
-    // Iterate to a fixpoint (sets only shrink, so this terminates).
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            let pc = head + i;
-            let mut out = ins[i].clone();
-            for_each_write(&code[pc], &mut |r| out.insert(r));
-            let mut push = |succ: usize| {
-                if succ >= head && succ < end && ins[succ - head].intersect_with(&out) {
-                    changed = true;
+/// The solution of a forward must-defined dataflow over one instruction
+/// span: per instruction, the registers written on every path from the
+/// span's entry to it.  Both register checks of [`check_region`] — over the
+/// loop body and over the code after the region — are this one solver with
+/// a different span and entry set.
+struct MustDefined {
+    span: std::ops::Range<usize>,
+    /// Words per row (the entry set's length).
+    words: usize,
+    /// `span.len()` rows: the defined-on-entry set of each instruction.
+    ins: Vec<u64>,
+}
+
+impl MustDefined {
+    /// Solve over `code[span]`, entered at `span.start` with exactly `seed`
+    /// defined.  Edges leaving the span are ignored.
+    fn solve(code: &[Instr], span: std::ops::Range<usize>, seed: &[u64]) -> MustDefined {
+        let words = seed.len();
+        let mut ins = vec![!0u64; span.len() * words];
+        ins[..words].copy_from_slice(seed);
+        let mut out = vec![0u64; words];
+        // Iterate to a fixpoint (sets only shrink, so this terminates).
+        loop {
+            let mut changed = false;
+            for pc in span.clone() {
+                let instr = &code[pc];
+                out.copy_from_slice(&ins[(pc - span.start) * words..][..words]);
+                for_each_reg_role(instr, &mut |r, role| {
+                    if role != Role::Read {
+                        regset::insert(&mut out, r);
+                    }
+                });
+                let mut push = |succ: usize| {
+                    if span.contains(&succ) {
+                        for (a, b) in ins[(succ - span.start) * words..].iter_mut().zip(&out) {
+                            let next = *a & *b;
+                            changed |= next != *a;
+                            *a = next;
+                        }
+                    }
+                };
+                if falls_through(instr) {
+                    push(pc + 1);
                 }
-            };
-            if falls_through(&code[pc]) {
-                push(pc + 1);
-            }
-            if let Some(t) = code[pc].target() {
-                push(t as usize);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Check every read.
-    for (i, live_in) in ins.iter().enumerate() {
-        let pc = head + i;
-        let mut bad = false;
-        for_each_read(&code[pc], &mut |r| {
-            if w.contains(r) && r != counter && r != hi && r != var && !live_in.contains(r) {
-                bad = true;
-            }
-        });
-        if bad {
-            return None;
-        }
-    }
-    Some(ins[n - 1].clone())
-}
-
-/// Must-defined dataflow over the code after the region: a body-written
-/// register read downstream must be defined on every path from the
-/// region exit — either re-written after the region, guaranteed by the
-/// final iteration (`defined_at_end`), or a loop register.
-fn post_region_check(
-    p: &Program,
-    end: usize,
-    counter: Reg,
-    hi: Reg,
-    var: Reg,
-    w: &RegSet,
-    defined_at_end: &RegSet,
-) -> Option<()> {
-    let code = p.code();
-    let len = code.len();
-    if end >= len {
-        return Some(());
-    }
-    let n = len - end;
-    let num_regs = p.num_regs();
-    let mut seed = defined_at_end.clone();
-    seed.insert(counter);
-    seed.insert(hi);
-    seed.insert(var);
-    let mut ins: Vec<RegSet> = (0..n).map(|_| RegSet::full(num_regs)).collect();
-    ins[0] = seed;
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            let pc = end + i;
-            let mut out = ins[i].clone();
-            for_each_write(&code[pc], &mut |r| out.insert(r));
-            let mut push = |succ: usize| {
-                if succ >= end && succ < len && ins[succ - end].intersect_with(&out) {
-                    changed = true;
+                if let Some(t) = instr.target() {
+                    push(t as usize);
                 }
-            };
-            if falls_through(&code[pc]) {
-                push(pc + 1);
             }
-            if let Some(t) = code[pc].target() {
-                push(t as usize);
+            if !changed {
+                return MustDefined { span, words, ins };
             }
-        }
-        if !changed {
-            break;
         }
     }
-    for (i, live_in) in ins.iter().enumerate() {
-        let pc = end + i;
-        let mut bad = false;
-        for_each_read(&code[pc], &mut |r| {
-            if w.contains(r) && !live_in.contains(r) {
-                bad = true;
-            }
-        });
-        if bad {
-            return None;
-        }
-    }
-    Some(())
-}
 
-// ---------------------------------------------------------------------
-// Instruction effect tables
-// ---------------------------------------------------------------------
+    /// The defined-on-entry set of the span's `i`-th instruction.
+    fn row(&self, i: usize) -> &[u64] {
+        &self.ins[i * self.words..][..self.words]
+    }
+
+    /// Whether every register an instruction of the span reads, and that
+    /// `tracked` selects, is defined on entry to that instruction.
+    fn reads_defined(&self, code: &[Instr], tracked: impl Fn(Reg) -> bool) -> bool {
+        let mut ok = true;
+        for pc in self.span.clone() {
+            let defined = self.row(pc - self.span.start);
+            for_each_reg_role(&code[pc], &mut |r, role| {
+                if role != Role::Write && tracked(r) && !regset::contains(defined, r) {
+                    ok = false;
+                }
+            });
+        }
+        ok
+    }
+}
 
 /// Whether control can fall through to the next instruction.
 fn falls_through(instr: &Instr) -> bool {
     !matches!(instr, Instr::Jump { .. } | Instr::ForStep { .. })
-}
-
-fn vbase_read(base: &VBase, f: &mut dyn FnMut(Reg)) {
-    if let VBase::Scaled { reg, .. } = *base {
-        f(reg);
-    }
-}
-
-/// Call `f` for every register the instruction reads.
-fn for_each_read(instr: &Instr, f: &mut dyn FnMut(Reg)) {
-    match instr {
-        Instr::BumpStmt
-        | Instr::Const { .. }
-        | Instr::ConstI { .. }
-        | Instr::ConstF { .. }
-        | Instr::BufLen { .. }
-        | Instr::ILen { .. }
-        | Instr::Jump { .. }
-        | Instr::FiberEnd { .. }
-        | Instr::Nop => {}
-        Instr::Mov { src, .. } | Instr::IMov { src, .. } | Instr::FMov { src, .. } => f(*src),
-        Instr::Load { idx, .. }
-        | Instr::LoadI64 { idx, .. }
-        | Instr::LoadF64 { idx, .. }
-        | Instr::LoadU8 { idx, .. } => f(*idx),
-        Instr::CoerceInt { reg } => f(*reg),
-        Instr::Store { idx, val, .. }
-        | Instr::StoreF64 { idx, val, .. }
-        | Instr::StoreU8 { idx, val, .. } => {
-            f(*idx);
-            f(*val);
-        }
-        Instr::Unary { src, .. } | Instr::FRound { src, .. } => f(*src),
-        Instr::Binary { lhs, rhs, .. }
-        | Instr::IArith { lhs, rhs, .. }
-        | Instr::FArith { lhs, rhs, .. }
-        | Instr::CmpBranch { lhs, rhs, .. }
-        | Instr::ICmpBranch { lhs, rhs, .. }
-        | Instr::FCmpBranch { lhs, rhs, .. }
-        | Instr::WhileCmp { lhs, rhs, .. }
-        | Instr::IWhileCmp { lhs, rhs, .. }
-        | Instr::FWhileCmp { lhs, rhs, .. } => {
-            f(*lhs);
-            f(*rhs);
-        }
-        Instr::JumpIfFalse { src, .. }
-        | Instr::JumpIfTrue { src, .. }
-        | Instr::JumpIfMissing { src, .. }
-        | Instr::JumpIfNotMissing { src, .. } => f(*src),
-        Instr::WhileTest { cond, .. } => f(*cond),
-        Instr::ForTest { counter, hi, .. } | Instr::IForTest { counter, hi, .. } => {
-            f(*counter);
-            f(*hi);
-        }
-        Instr::ForStep { counter, .. } => f(*counter),
-        Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
-            f(*val)
-        }
-        Instr::Seek { lo, hi, key, .. } | Instr::ISeek { lo, hi, key, .. } => {
-            f(*lo);
-            f(*hi);
-            f(*key);
-        }
-        Instr::BinaryImm { lhs, .. }
-        | Instr::IArithImm { lhs, .. }
-        | Instr::FArithImm { lhs, .. }
-        | Instr::CmpBranchImm { lhs, .. }
-        | Instr::ICmpBranchImm { lhs, .. }
-        | Instr::FCmpBranchImm { lhs, .. }
-        | Instr::WhileCmpImm { lhs, .. }
-        | Instr::IWhileCmpImm { lhs, .. } => f(*lhs),
-        Instr::LoadBinary { lhs, idx, .. } | Instr::FMulLoad { lhs, idx, .. } => {
-            f(*lhs);
-            f(*idx);
-        }
-        Instr::VFillStoreF64 { base, counter, hi, .. } => {
-            vbase_read(base, f);
-            f(*counter);
-            f(*hi);
-        }
-        Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-            vbase_read(dst_base, f);
-            vbase_read(a_base, f);
-            if let VRhs::Buf { base, .. } = rhs {
-                vbase_read(base, f);
-            }
-            f(*counter);
-            f(*hi);
-        }
-        Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-            vbase_read(a_base, f);
-            vbase_read(b_base, f);
-            f(*counter);
-            f(*hi);
-        }
-        Instr::VReduceF64 { base, counter, hi, .. } => {
-            vbase_read(base, f);
-            f(*counter);
-            f(*hi);
-        }
-        Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-            vbase_read(base, f);
-            f(*counter);
-            f(*hi);
-        }
-        Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-            vbase_read(dst_base, f);
-            vbase_read(src_base, f);
-            f(*counter);
-            f(*hi);
-        }
-    }
-}
-
-/// Call `f` for every register the instruction writes.
-fn for_each_write(instr: &Instr, f: &mut dyn FnMut(Reg)) {
-    match *instr {
-        Instr::Const { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::BufLen { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::Unary { dst, .. }
-        | Instr::Binary { dst, .. }
-        | Instr::Seek { dst, .. }
-        | Instr::BinaryImm { dst, .. }
-        | Instr::LoadBinary { dst, .. }
-        | Instr::ConstI { dst, .. }
-        | Instr::ConstF { dst, .. }
-        | Instr::IMov { dst, .. }
-        | Instr::FMov { dst, .. }
-        | Instr::ILen { dst, .. }
-        | Instr::LoadI64 { dst, .. }
-        | Instr::LoadF64 { dst, .. }
-        | Instr::LoadU8 { dst, .. }
-        | Instr::FMulLoad { dst, .. }
-        | Instr::IArith { dst, .. }
-        | Instr::FArith { dst, .. }
-        | Instr::IArithImm { dst, .. }
-        | Instr::FArithImm { dst, .. }
-        | Instr::FRound { dst, .. }
-        | Instr::ISeek { dst, .. } => f(dst),
-        Instr::CoerceInt { reg } => f(reg),
-        Instr::ForTest { var, .. } | Instr::IForTest { var, .. } => f(var),
-        Instr::ForStep { counter, .. } => f(counter),
-        Instr::VFillStoreF64 { counter, .. }
-        | Instr::VMapF64 { counter, .. }
-        | Instr::VMulAddF64 { counter, .. }
-        | Instr::VReduceF64 { counter, .. }
-        | Instr::VAppendRangeF64 { counter, .. }
-        | Instr::VCmpSelectU8 { counter, .. } => f(counter),
-        _ => {}
-    }
 }
 
 /// Call `f` for every buffer the instruction writes (stores or appends).
@@ -1143,11 +947,10 @@ mod tests {
                 body: vec![Stmt::Store {
                     buf: acc,
                     index: Expr::int(0),
-                    value: Expr::Binary {
-                        op: BinOp::Mul,
-                        lhs: Box::new(Expr::Var(i)),
-                        rhs: Box::new(Expr::int(if op == BinOp::Min { -3 } else { 3 })),
-                    },
+                    value: Expr::mul(
+                        Expr::Var(i),
+                        Expr::int(if op == BinOp::Min { -3 } else { 3 }),
+                    ),
                     reduce: Some(op),
                 }],
             }];
@@ -1197,18 +1000,10 @@ mod tests {
             body: vec![Stmt::Store {
                 buf: y,
                 index: Expr::Var(i),
-                value: Expr::Binary {
-                    op: BinOp::Add,
-                    lhs: Box::new(Expr::load(
-                        y,
-                        Expr::Binary {
-                            op: BinOp::Sub,
-                            lhs: Box::new(Expr::Var(i)),
-                            rhs: Box::new(Expr::int(1)),
-                        },
-                    )),
-                    rhs: Box::new(Expr::load(x, Expr::Var(i))),
-                },
+                value: Expr::add(
+                    Expr::load(y, Expr::sub(Expr::Var(i), Expr::int(1))),
+                    Expr::load(x, Expr::Var(i)),
+                ),
                 reduce: None,
             }],
         }];
@@ -1233,11 +1028,7 @@ mod tests {
             body: vec![Stmt::Store {
                 buf: y,
                 index: Expr::Var(i),
-                value: Expr::Binary {
-                    op: BinOp::Mul,
-                    lhs: Box::new(Expr::load(x, Expr::Var(i))),
-                    rhs: Box::new(Expr::Lit(crate::value::Value::Float(2.0))),
-                },
+                value: Expr::mul(Expr::load(x, Expr::Var(i)), Expr::float(2.0)),
                 reduce: None,
             }],
         }];

@@ -77,8 +77,9 @@
 //! to generic dispatch.
 
 use crate::buffer::{Buffer, BufferSet};
+use crate::bytecode::{for_each_reg_role, for_each_reg_role_mut, Role};
 use crate::bytecode::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
-use crate::bytecode::{Blocks, Instr, LaneTag, Program, Reg, VBase, VRhs};
+use crate::bytecode::{Blocks, Instr, LaneTag, Program, Reg};
 use crate::expr::{BinOp, UnOp};
 use crate::value::Value;
 
@@ -213,164 +214,9 @@ fn write_effect(instr: &Instr, s: &[u8], consts: &[Value], bufs: &BufferSet) -> 
     })
 }
 
-/// How an instruction operand uses its register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// The operand is read.
-    Read,
-    /// The operand is (unconditionally, on the relevant edge) written.
-    Write,
-    /// One field that is both read and written in place
-    /// ([`Instr::CoerceInt`]'s register, [`Instr::ForStep`]'s counter).
-    ReadWrite,
-}
-
 /// The in-place write kind of a [`Role::ReadWrite`] field (`CoerceInt`
 /// coerces to Int, `ForStep` increments an Int counter).
 const READWRITE_KIND: u8 = INT;
-
-/// Visit the register of a [`VBase::Scaled`] index shape as a read.
-macro_rules! vbase_role {
-    ($base:expr, $f:ident) => {
-        if let VBase::Scaled { reg, .. } = $base {
-            $f(reg, Role::Read);
-        }
-    };
-}
-
-/// Call `$f(field, role)` on every register operand of `$instr` — a `&Instr`
-/// or a `&mut Instr`, the fields borrowed alike — in the order reads, then
-/// the write.  The one enumeration of operand roles behind
-/// [`for_each_reg_role`] and [`for_each_reg_role_mut`].
-macro_rules! reg_roles {
-    ($instr:expr, $f:ident) => {{
-        use Role::*;
-        match $instr {
-            Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } | Instr::Nop => {}
-            Instr::Const { dst, .. }
-            | Instr::ConstI { dst, .. }
-            | Instr::ConstF { dst, .. }
-            | Instr::BufLen { dst, .. }
-            | Instr::ILen { dst, .. } => $f(dst, Write),
-            Instr::Mov { dst, src }
-            | Instr::IMov { dst, src }
-            | Instr::FMov { dst, src }
-            | Instr::Unary { dst, src, .. }
-            | Instr::FRound { dst, src } => {
-                $f(src, Read);
-                $f(dst, Write);
-            }
-            Instr::Load { dst, idx, .. }
-            | Instr::LoadI64 { dst, idx, .. }
-            | Instr::LoadF64 { dst, idx, .. }
-            | Instr::LoadU8 { dst, idx, .. } => {
-                $f(idx, Read);
-                $f(dst, Write);
-            }
-            Instr::CoerceInt { reg } => $f(reg, ReadWrite),
-            Instr::Store { idx, val, .. }
-            | Instr::StoreF64 { idx, val, .. }
-            | Instr::StoreU8 { idx, val, .. } => {
-                $f(idx, Read);
-                $f(val, Read);
-            }
-            Instr::Binary { dst, lhs, rhs, .. }
-            | Instr::IArith { dst, lhs, rhs, .. }
-            | Instr::FArith { dst, lhs, rhs, .. } => {
-                $f(lhs, Read);
-                $f(rhs, Read);
-                $f(dst, Write);
-            }
-            Instr::BinaryImm { dst, lhs, .. }
-            | Instr::IArithImm { dst, lhs, .. }
-            | Instr::FArithImm { dst, lhs, .. } => {
-                $f(lhs, Read);
-                $f(dst, Write);
-            }
-            Instr::LoadBinary { dst, lhs, idx, .. } | Instr::FMulLoad { dst, lhs, idx, .. } => {
-                $f(lhs, Read);
-                $f(idx, Read);
-                $f(dst, Write);
-            }
-            Instr::JumpIfFalse { src, .. }
-            | Instr::JumpIfTrue { src, .. }
-            | Instr::JumpIfMissing { src, .. }
-            | Instr::JumpIfNotMissing { src, .. } => $f(src, Read),
-            Instr::WhileTest { cond, .. } => $f(cond, Read),
-            Instr::ForTest { counter, hi, var, .. } | Instr::IForTest { counter, hi, var, .. } => {
-                $f(counter, Read);
-                $f(hi, Read);
-                $f(var, Write);
-            }
-            Instr::ForStep { counter, .. } => $f(counter, ReadWrite),
-            Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
-                $f(val, Read)
-            }
-            Instr::Seek { dst, lo, hi, key, .. } | Instr::ISeek { dst, lo, hi, key, .. } => {
-                $f(lo, Read);
-                $f(hi, Read);
-                $f(key, Read);
-                $f(dst, Write);
-            }
-            Instr::CmpBranch { lhs, rhs, .. }
-            | Instr::ICmpBranch { lhs, rhs, .. }
-            | Instr::FCmpBranch { lhs, rhs, .. }
-            | Instr::WhileCmp { lhs, rhs, .. }
-            | Instr::IWhileCmp { lhs, rhs, .. }
-            | Instr::FWhileCmp { lhs, rhs, .. } => {
-                $f(lhs, Read);
-                $f(rhs, Read);
-            }
-            Instr::CmpBranchImm { lhs, .. }
-            | Instr::ICmpBranchImm { lhs, .. }
-            | Instr::FCmpBranchImm { lhs, .. }
-            | Instr::WhileCmpImm { lhs, .. }
-            | Instr::IWhileCmpImm { lhs, .. } => $f(lhs, Read),
-            // Vectorized kernel ops (inserted after this pass runs): read
-            // the bound and any row bases, read-write the loop counter.
-            Instr::VFillStoreF64 { base, counter, hi, .. }
-            | Instr::VReduceF64 { base, counter, hi, .. }
-            | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-                vbase_role!(base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-                vbase_role!(dst_base, $f);
-                vbase_role!(a_base, $f);
-                if let VRhs::Buf { base: VBase::Scaled { reg, .. }, .. } = rhs {
-                    $f(reg, Read);
-                }
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-                vbase_role!(a_base, $f);
-                vbase_role!(b_base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-                vbase_role!(dst_base, $f);
-                vbase_role!(src_base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-        }
-    }};
-}
-
-/// Visit every register operand together with its [`Role`].
-fn for_each_reg_role(instr: &Instr, f: &mut dyn FnMut(Reg, Role)) {
-    let mut by_value = |r: &Reg, role| f(*r, role);
-    reg_roles!(instr, by_value)
-}
-
-/// Visit every register operand mutably together with its [`Role`]: the
-/// temp split renames reads and writes of a register independently.
-fn for_each_reg_role_mut(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg, Role)) {
-    reg_roles!(instr, f)
-}
 
 /// Apply a straight-line instruction (one without a control-transfer
 /// target) to `s` in place: the operand refinements that hold on its only
@@ -1286,7 +1132,7 @@ mod tests {
         let prog = vec![
             Stmt::Let {
                 var: v,
-                init: Expr::Coalesce(vec![Expr::load(x, Expr::missing()), Expr::float(0.0)]),
+                init: Expr::coalesce(vec![Expr::load(x, Expr::missing()), Expr::float(0.0)]),
             },
             Stmt::Store {
                 buf: out,
@@ -1427,13 +1273,7 @@ mod tests {
         let prog = vec![
             Stmt::Let {
                 var: p,
-                init: Expr::Search {
-                    buf: coords,
-                    lo: Box::new(Expr::int(0)),
-                    hi: Box::new(Expr::int(3)),
-                    key: Box::new(Expr::int(8)),
-                    on_abs: false,
-                },
+                init: Expr::search(coords, Expr::int(0), Expr::int(3), Expr::int(8), false),
             },
             Stmt::Append { buf: idx, value: Expr::Var(p) },
             Stmt::Append { buf: val, value: Expr::float(1.5) },
@@ -1590,13 +1430,13 @@ mod tests {
                         self.pick([BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max]);
                     Expr::binary(op, self.int_expr(depth - 1), self.int_expr(depth - 1))
                 }
-                6 => Expr::Search {
-                    buf: self.i64s[0],
-                    lo: Box::new(self.int_expr(depth - 1)),
-                    hi: Box::new(self.int_expr(depth - 1)),
-                    key: Box::new(self.int_expr(depth - 1)),
-                    on_abs: self.below(2) == 0,
-                },
+                6 => Expr::search(
+                    self.i64s[0],
+                    self.int_expr(depth - 1),
+                    self.int_expr(depth - 1),
+                    self.int_expr(depth - 1),
+                    self.below(2) == 0,
+                ),
                 _ => Expr::select(
                     self.cond(depth - 1),
                     self.int_expr(depth - 1),
@@ -1622,7 +1462,7 @@ mod tests {
                 }
                 // The `permit` shape: a load at a possibly-missing index,
                 // with a fill value behind it.
-                6 => Expr::Coalesce(vec![
+                6 => Expr::coalesce(vec![
                     Expr::load(self.f64s[0], self.maybe_missing_index(depth - 1)),
                     self.float_expr(depth - 1),
                 ]),

@@ -252,13 +252,7 @@ mod tests {
         let prog = vec![
             Stmt::Let {
                 var: p,
-                init: Expr::Search {
-                    buf: idx,
-                    lo: Box::new(Expr::int(0)),
-                    hi: Box::new(Expr::int(2)),
-                    key: Box::new(Expr::int(2)),
-                    on_abs: false,
-                },
+                init: Expr::search(idx, Expr::int(0), Expr::int(2), Expr::int(2), false),
             },
             Stmt::While {
                 cond: Expr::lt(Expr::Var(p), Expr::int(3)),
@@ -290,7 +284,7 @@ mod tests {
         assert_eq!(p.expr(&Expr::unary(crate::expr::UnOp::Sqrt, Expr::Var(x))), "sqrt(x)");
         assert_eq!(p.expr(&Expr::BufLen(b)), "v.len()");
         assert_eq!(
-            p.expr(&Expr::Coalesce(vec![Expr::missing(), Expr::int(0)])),
+            p.expr(&Expr::coalesce(vec![Expr::missing(), Expr::int(0)])),
             "coalesce(missing, 0)"
         );
         assert!(p.expr(&Expr::select(Expr::bool(true), Expr::int(1), Expr::int(2))).contains("if"));

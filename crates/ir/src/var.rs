@@ -56,14 +56,28 @@ impl Names {
     ///
     /// The first variable with a given prefix is printed as the prefix
     /// itself; later ones get a `_k` suffix so that generated code remains
-    /// readable (matching the paper's `i_1`, `phase_stop`, ... style).
+    /// readable (matching the paper's `i_1`, `phase_stop`, ... style).  `k`
+    /// is one more than the number of existing names that are the prefix or
+    /// start with `prefix_`, bumped past any name already taken (a variable
+    /// created from the prefix `x_2` is such a name for the prefix `x`), so
+    /// printed names are unique: the shard pass matches loops by them.
     pub fn fresh(&mut self, prefix: &str) -> Var {
-        let count = self
-            .names
-            .iter()
-            .filter(|n| n.as_str() == prefix || n.starts_with(&format!("{prefix}_")))
-            .count();
-        let name = if count == 0 { prefix.to_string() } else { format!("{prefix}_{}", count + 1) };
+        let in_family = |n: &str| {
+            n.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+        };
+        let count = self.names.iter().filter(|n| in_family(n)).count();
+        let name = if count == 0 {
+            prefix.to_string()
+        } else {
+            let mut k = count + 1;
+            loop {
+                let candidate = format!("{prefix}_{k}");
+                if !self.names.contains(&candidate) {
+                    break candidate;
+                }
+                k += 1;
+            }
+        };
         let id = self.names.len() as u32;
         self.names.push(name);
         Var(id)
@@ -119,6 +133,37 @@ mod tests {
         assert_eq!(names.name(a), "i");
         assert_eq!(names.name(b), "i_2");
         assert_eq!(names.name(c), "i_3");
+    }
+
+    #[test]
+    fn a_prefix_that_looks_like_a_suffixed_name_cannot_collide() {
+        // `x_2` is counted as a member of the family of `x`, so the second
+        // variable of that family used to print `x_2` as well.
+        let mut names = Names::new();
+        let first = names.fresh("x_2");
+        let x = names.fresh("x");
+        let x2 = names.fresh("x");
+        assert_eq!(names.name(first), "x_2");
+        assert_eq!(names.name(x), "x_3", "one family member exists, `x_2` is taken");
+        assert_eq!(names.name(x2), "x_4");
+        let mut printed: Vec<&str> = names.iter().map(|v| names.name(v)).collect();
+        printed.sort_unstable();
+        printed.dedup();
+        assert_eq!(printed.len(), names.len());
+    }
+
+    #[test]
+    fn the_counting_rule_is_unchanged_where_nothing_collides() {
+        let mut names = Names::new();
+        let printed: Vec<String> = ["A_p0", "A_p0", "A_p", "A_p01", "stride", "A_p", "A_p0"]
+            .iter()
+            .map(|p| {
+                let v = names.fresh(p);
+                names.name(v).to_string()
+            })
+            .collect();
+        // `A_p` counts `A_p` and `A_p_…` only: `A_p0` is another family.
+        assert_eq!(printed, ["A_p0", "A_p0_2", "A_p", "A_p01", "stride", "A_p_2", "A_p0_3"]);
     }
 
     #[test]

@@ -2130,13 +2130,7 @@ mod tests {
         let v = names.fresh("v");
         let prog = vec![Stmt::Let {
             var: v,
-            init: Expr::Search {
-                buf: idx,
-                lo: Box::new(Expr::int(0)),
-                hi: Box::new(Expr::int(4)),
-                key: Box::new(Expr::int(10)),
-                on_abs: false,
-            },
+            init: Expr::search(idx, Expr::int(0), Expr::int(4), Expr::int(10), false),
         }];
         let (ri, si, rv, sv, _, _) = run_both(&prog, &names, &bufs);
         ri.unwrap();
@@ -2157,13 +2151,7 @@ mod tests {
         let v = names.fresh("v");
         let prog = vec![Stmt::Let {
             var: v,
-            init: Expr::Search {
-                buf: idx,
-                lo: Box::new(Expr::int(0)),
-                hi: Box::new(Expr::int(3)),
-                key: Box::new(Expr::int(7)),
-                on_abs: true,
-            },
+            init: Expr::search(idx, Expr::int(0), Expr::int(3), Expr::int(7), true),
         }];
         let program = Program::compile(&prog, &names);
         let mut vm = Vm::new(&program);
@@ -2178,7 +2166,7 @@ mod tests {
         let v = names.fresh("v");
         let prog = vec![Stmt::Let {
             var: v,
-            init: Expr::Coalesce(vec![Expr::missing(), Expr::float(5.0), Expr::float(7.0)]),
+            init: Expr::coalesce(vec![Expr::missing(), Expr::float(5.0), Expr::float(7.0)]),
         }];
         let program = Program::compile(&prog, &names);
         let mut vm = Vm::new(&program);
@@ -2272,7 +2260,7 @@ mod tests {
             Stmt::Let { var: v, init: Expr::int(41) },
             Stmt::Assign {
                 var: v,
-                value: Expr::Coalesce(vec![Expr::missing(), Expr::add(Expr::Var(v), Expr::int(1))]),
+                value: Expr::coalesce(vec![Expr::missing(), Expr::add(Expr::Var(v), Expr::int(1))]),
             },
         ];
         let program = Program::compile(&prog, &names);

@@ -103,10 +103,10 @@ mod tests {
         let nest: Looplet<Expr> = Looplet::pipeline(vec![
             Phase {
                 stride: Some(Expr::int(8)),
-                body: Looplet::Stepper(Stepped {
+                body: Looplet::stepper(Stepped {
                     seek: None,
                     stride: Expr::Var(p),
-                    body: Box::new(Looplet::spike(Expr::float(0.0), Expr::Var(p))),
+                    body: Looplet::spike(Expr::float(0.0), Expr::Var(p)),
                     next: vec![],
                 }),
             },

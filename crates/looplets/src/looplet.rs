@@ -1,4 +1,19 @@
 //! The Looplet ADT and its construction/traversal helpers.
+//!
+//! **Nests are immutable once built, and shared.**  Every child of a node —
+//! a body, a tail, the phase list of a pipeline, the case list of a switch,
+//! the payload of a stepper or jumper — sits behind an [`Arc`], so cloning a
+//! nest is a handful of reference bumps whatever its depth, and the
+//! lowerers, which re-emit the *other* accesses' nests once per subregion
+//! they carve out of a loop, share them instead of copying them.  A rewrite
+//! ([`Looplet::truncate`]) shares every subtree it does not touch.  Code on
+//! the compile path takes a nest apart by moving out of it
+//! ([`Arc::unwrap_or_clone`]: free when the nest is not shared, one node's
+//! worth of reference bumps when it is), never by copying it to drop one
+//! layer.  The pointer type is named in this file only: build nests with the
+//! constructors below.
+
+use std::sync::Arc;
 
 use finch_ir::{Expr, Stmt, Var};
 
@@ -50,7 +65,7 @@ pub struct Stepped<L> {
     /// (e.g. `idx[p]` for a sparse list).
     pub stride: Expr,
     /// The current child looplet.
-    pub body: Box<Looplet<L>>,
+    pub body: Looplet<L>,
     /// Statements advancing the runtime state to the next child
     /// (e.g. `p += 1`).
     pub next: Vec<Stmt>,
@@ -69,14 +84,14 @@ pub enum Looplet<L> {
     /// The same value repeated across the whole target region.
     Run {
         /// The repeated value.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
     },
     /// A repeated value followed by a single scalar at the region's end.
     Spike {
         /// The repeated value covering all but the last index.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
         /// The value at the final index of the region.
-        tail: Box<Looplet<L>>,
+        tail: Arc<Looplet<L>>,
     },
     /// An arbitrary sequence of scalars where the element at index `i` is
     /// `body` with `var` bound to `i`.
@@ -84,25 +99,25 @@ pub enum Looplet<L> {
         /// The coordinate variable bound by this looplet.
         var: Var,
         /// The leaf computed from the coordinate.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
     },
     /// The concatenation of a few child looplets, one after the other.
     Pipeline {
         /// The phases, in ascending coordinate order.
-        phases: Vec<Phase<L>>,
+        phases: Arc<[Phase<L>]>,
     },
     /// The repeated application of the same child looplet, evaluated
     /// iteratively (the "walking" / follower protocol).
-    Stepper(Stepped<L>),
+    Stepper(Arc<Stepped<L>>),
     /// Like a stepper, but the child may be asked to cover a region wider
     /// than its declared stride, enabling accelerated iteration such as
     /// galloping intersections (the leader protocol).
-    Jumper(Stepped<L>),
+    Jumper(Arc<Stepped<L>>),
     /// A runtime choice between child looplets.
     Switch {
         /// The cases, tried in order; the first whose condition holds is
         /// used.
-        cases: Vec<Case<L>>,
+        cases: Arc<[Case<L>]>,
     },
     /// A wrapper that shifts all declared extents of `body` by `delta`:
     /// the value of `Shift { delta, body }` at coordinate `i` is the value
@@ -111,15 +126,15 @@ pub enum Looplet<L> {
         /// The coordinate shift.
         delta: Expr,
         /// The shifted looplet.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
     },
     /// Preamble statements hoisted before the body is examined (Finch.jl's
     /// `Thunk`), e.g. `p = pos[i]` in the sparse-list unfurl of Figure 3d.
     Thunk {
         /// The statements to emit before lowering `body`.
-        preamble: Vec<Stmt>,
+        preamble: Arc<[Stmt]>,
         /// The wrapped looplet.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
     },
     /// Binds the bounds of the current target region to IR variables before
     /// `body` is examined.  Used by protocols whose nests refer to "the end
@@ -131,57 +146,76 @@ pub enum Looplet<L> {
         /// Variable bound to the region's inclusive upper bound, if wanted.
         hi: Option<Var>,
         /// The wrapped looplet.
-        body: Box<Looplet<L>>,
+        body: Arc<Looplet<L>>,
     },
 }
 
 impl<L> Looplet<L> {
     /// A [`Looplet::Run`] of a leaf value.
     pub fn run(value: L) -> Self {
-        Looplet::Run { body: Box::new(Looplet::Leaf(value)) }
+        Looplet::Run { body: Arc::new(Looplet::Leaf(value)) }
     }
 
     /// A [`Looplet::Spike`] with leaf body and tail.
     pub fn spike(body: L, tail: L) -> Self {
-        Looplet::Spike { body: Box::new(Looplet::Leaf(body)), tail: Box::new(Looplet::Leaf(tail)) }
+        Looplet::spike_of(Looplet::Leaf(body), Looplet::Leaf(tail))
+    }
+
+    /// A [`Looplet::Spike`] of a repeated nest followed by a final nest.
+    pub fn spike_of(body: Looplet<L>, tail: Looplet<L>) -> Self {
+        Looplet::Spike { body: Arc::new(body), tail: Arc::new(tail) }
     }
 
     /// A [`Looplet::Lookup`] whose leaf is computed from `var`.
     pub fn lookup(var: Var, body: L) -> Self {
-        Looplet::Lookup { var, body: Box::new(Looplet::Leaf(body)) }
+        Looplet::Lookup { var, body: Arc::new(Looplet::Leaf(body)) }
     }
 
     /// A [`Looplet::Pipeline`] over the given phases.
     pub fn pipeline(phases: Vec<Phase<L>>) -> Self {
-        Looplet::Pipeline { phases }
+        Looplet::Pipeline { phases: phases.into() }
+    }
+
+    /// A [`Looplet::Stepper`] with the given payload.
+    pub fn stepper(stepped: Stepped<L>) -> Self {
+        Looplet::Stepper(Arc::new(stepped))
+    }
+
+    /// A [`Looplet::Jumper`] with the given payload.
+    pub fn jumper(stepped: Stepped<L>) -> Self {
+        Looplet::Jumper(Arc::new(stepped))
     }
 
     /// A [`Looplet::Switch`] over the given cases.
     pub fn switch(cases: Vec<Case<L>>) -> Self {
-        Looplet::Switch { cases }
+        Looplet::Switch { cases: cases.into() }
     }
 
     /// Wrap in a [`Looplet::Thunk`] with the given preamble.
-    pub fn with_preamble(self, preamble: Vec<Stmt>) -> Self {
-        Looplet::Thunk { preamble, body: Box::new(self) }
+    pub fn with_preamble(self, preamble: impl Into<Arc<[Stmt]>>) -> Self {
+        Looplet::Thunk { preamble: preamble.into(), body: Arc::new(self) }
     }
 
     /// Wrap in a [`Looplet::Shift`] by `delta`.
     pub fn shifted(self, delta: Expr) -> Self {
-        Looplet::Shift { delta, body: Box::new(self) }
+        Looplet::Shift { delta, body: Arc::new(self) }
+    }
+
+    /// Wrap in a [`Looplet::BindExtent`] binding the region's bounds.
+    pub fn binding_extent(self, lo: Option<Var>, hi: Option<Var>) -> Self {
+        Looplet::BindExtent { lo, hi, body: Arc::new(self) }
     }
 
     /// Transform the leaves of the nest, preserving its structure.
     pub fn map_leaves<M>(&self, f: &mut dyn FnMut(&L) -> M) -> Looplet<M> {
         match self {
             Looplet::Leaf(l) => Looplet::Leaf(f(l)),
-            Looplet::Run { body } => Looplet::Run { body: Box::new(body.map_leaves(f)) },
-            Looplet::Spike { body, tail } => Looplet::Spike {
-                body: Box::new(body.map_leaves(f)),
-                tail: Box::new(tail.map_leaves(f)),
-            },
+            Looplet::Run { body } => Looplet::Run { body: Arc::new(body.map_leaves(f)) },
+            Looplet::Spike { body, tail } => {
+                Looplet::spike_of(body.map_leaves(f), tail.map_leaves(f))
+            }
             Looplet::Lookup { var, body } => {
-                Looplet::Lookup { var: *var, body: Box::new(body.map_leaves(f)) }
+                Looplet::Lookup { var: *var, body: Arc::new(body.map_leaves(f)) }
             }
             Looplet::Pipeline { phases } => Looplet::Pipeline {
                 phases: phases
@@ -189,23 +223,19 @@ impl<L> Looplet<L> {
                     .map(|p| Phase { stride: p.stride.clone(), body: p.body.map_leaves(f) })
                     .collect(),
             },
-            Looplet::Stepper(s) => Looplet::Stepper(s.map_leaves(f)),
-            Looplet::Jumper(s) => Looplet::Jumper(s.map_leaves(f)),
+            Looplet::Stepper(s) => Looplet::stepper(s.map_leaves(f)),
+            Looplet::Jumper(s) => Looplet::jumper(s.map_leaves(f)),
             Looplet::Switch { cases } => Looplet::Switch {
                 cases: cases
                     .iter()
                     .map(|c| Case { cond: c.cond.clone(), body: c.body.map_leaves(f) })
                     .collect(),
             },
-            Looplet::Shift { delta, body } => {
-                Looplet::Shift { delta: delta.clone(), body: Box::new(body.map_leaves(f)) }
-            }
+            Looplet::Shift { delta, body } => body.map_leaves(f).shifted(delta.clone()),
             Looplet::Thunk { preamble, body } => {
-                Looplet::Thunk { preamble: preamble.clone(), body: Box::new(body.map_leaves(f)) }
+                body.map_leaves(f).with_preamble(Arc::clone(preamble))
             }
-            Looplet::BindExtent { lo, hi, body } => {
-                Looplet::BindExtent { lo: *lo, hi: *hi, body: Box::new(body.map_leaves(f)) }
-            }
+            Looplet::BindExtent { lo, hi, body } => body.map_leaves(f).binding_extent(*lo, *hi),
         }
     }
 
@@ -236,30 +266,29 @@ impl<L: Leaf> Looplet<L> {
     /// capture can occur even though `Lookup`/`Seek` own binder variables.
     pub fn substitute_var(&self, var: Var, replacement: &Expr) -> Looplet<L> {
         let sub_expr = |e: &Expr| e.substitute(var, replacement);
-        let sub_stmts = |ss: &[Stmt]| Stmt::substitute_all(ss, var, replacement);
         match self {
             Looplet::Leaf(l) => Looplet::Leaf(l.substitute_var(var, replacement)),
             Looplet::Run { body } => {
-                Looplet::Run { body: Box::new(body.substitute_var(var, replacement)) }
+                Looplet::Run { body: Arc::new(body.substitute_var(var, replacement)) }
             }
-            Looplet::Spike { body, tail } => Looplet::Spike {
-                body: Box::new(body.substitute_var(var, replacement)),
-                tail: Box::new(tail.substitute_var(var, replacement)),
-            },
+            Looplet::Spike { body, tail } => Looplet::spike_of(
+                body.substitute_var(var, replacement),
+                tail.substitute_var(var, replacement),
+            ),
             Looplet::Lookup { var: v, body } => {
-                Looplet::Lookup { var: *v, body: Box::new(body.substitute_var(var, replacement)) }
+                Looplet::Lookup { var: *v, body: Arc::new(body.substitute_var(var, replacement)) }
             }
             Looplet::Pipeline { phases } => Looplet::Pipeline {
                 phases: phases
                     .iter()
                     .map(|p| Phase {
-                        stride: p.stride.as_ref().map(&sub_expr),
+                        stride: p.stride.as_ref().map(sub_expr),
                         body: p.body.substitute_var(var, replacement),
                     })
                     .collect(),
             },
-            Looplet::Stepper(s) => Looplet::Stepper(s.substitute_var(var, replacement)),
-            Looplet::Jumper(s) => Looplet::Jumper(s.substitute_var(var, replacement)),
+            Looplet::Stepper(s) => Looplet::stepper(s.substitute_var(var, replacement)),
+            Looplet::Jumper(s) => Looplet::jumper(s.substitute_var(var, replacement)),
             Looplet::Switch { cases } => Looplet::Switch {
                 cases: cases
                     .iter()
@@ -269,19 +298,15 @@ impl<L: Leaf> Looplet<L> {
                     })
                     .collect(),
             },
-            Looplet::Shift { delta, body } => Looplet::Shift {
-                delta: sub_expr(delta),
-                body: Box::new(body.substitute_var(var, replacement)),
-            },
-            Looplet::Thunk { preamble, body } => Looplet::Thunk {
-                preamble: sub_stmts(preamble),
-                body: Box::new(body.substitute_var(var, replacement)),
-            },
-            Looplet::BindExtent { lo, hi, body } => Looplet::BindExtent {
-                lo: *lo,
-                hi: *hi,
-                body: Box::new(body.substitute_var(var, replacement)),
-            },
+            Looplet::Shift { delta, body } => {
+                body.substitute_var(var, replacement).shifted(sub_expr(delta))
+            }
+            Looplet::Thunk { preamble, body } => body
+                .substitute_var(var, replacement)
+                .with_preamble(Stmt::substitute_all(preamble, var, replacement)),
+            Looplet::BindExtent { lo, hi, body } => {
+                body.substitute_var(var, replacement).binding_extent(*lo, *hi)
+            }
         }
     }
 }
@@ -292,7 +317,7 @@ impl<L> Stepped<L> {
         Stepped {
             seek: self.seek.clone(),
             stride: self.stride.clone(),
-            body: Box::new(self.body.map_leaves(f)),
+            body: self.body.map_leaves(f),
             next: self.next.clone(),
         }
     }
@@ -307,7 +332,7 @@ impl<L: Leaf> Stepped<L> {
                 body: Stmt::substitute_all(&s.body, var, replacement),
             }),
             stride: self.stride.substitute(var, replacement),
-            body: Box::new(self.body.substitute_var(var, replacement)),
+            body: self.body.substitute_var(var, replacement),
             next: Stmt::substitute_all(&self.next, var, replacement),
         }
     }
@@ -324,10 +349,10 @@ mod tests {
         let nest = Looplet::pipeline(vec![
             Phase {
                 stride: Some(Expr::int(5)),
-                body: Looplet::Stepper(Stepped {
+                body: Looplet::stepper(Stepped {
                     seek: None,
                     stride: Expr::Var(p),
-                    body: Box::new(Looplet::spike(Expr::float(0.0), Expr::Var(p))),
+                    body: Looplet::spike(Expr::float(0.0), Expr::Var(p)),
                     next: vec![Stmt::Assign {
                         var: p,
                         value: Expr::add(Expr::Var(p), Expr::int(1)),

@@ -13,6 +13,8 @@
 //! run of its body", exactly as described in the paper.  It is this rule
 //! that makes the stepper lowerer reproduce TACO's two-finger merge.
 
+use std::sync::Arc;
+
 use finch_ir::{Expr, Extent};
 
 use crate::looplet::{Case, Looplet};
@@ -25,6 +27,9 @@ impl<L: Clone> Looplet<L> {
     /// bound's position in iteration order (lowerers only ever shrink the
     /// upper bound of the region they hand to children, or restart from a
     /// later lower bound which self-similar looplets don't care about).
+    ///
+    /// The result shares every subtree truncation leaves alone — for a
+    /// self-similar looplet, the whole nest.
     pub fn truncate(&self, old: &Extent, new: &Extent) -> Looplet<L> {
         match self {
             // Self-similar looplets: any subregion looks the same.
@@ -42,47 +47,38 @@ impl<L: Clone> Looplet<L> {
                 if new.hi == old.hi {
                     self.clone()
                 } else {
-                    Looplet::Switch {
-                        cases: vec![
-                            Case {
-                                cond: Expr::eq(new.hi.clone(), old.hi.clone()),
-                                body: self.clone(),
-                            },
-                            // Without its tail the spike is just its repeated
-                            // body (itself usually a run).
-                            Case { cond: Expr::bool(true), body: (**body).clone() },
-                        ],
-                    }
+                    Looplet::switch(vec![
+                        Case { cond: Expr::eq(new.hi.clone(), old.hi.clone()), body: self.clone() },
+                        // Without its tail the spike is just its repeated
+                        // body (itself usually a run).
+                        Case { cond: Expr::bool(true), body: Looplet::clone(body) },
+                    ])
                 }
             }
 
-            Looplet::Switch { cases } => Looplet::Switch {
-                cases: cases
+            Looplet::Switch { cases } => Looplet::switch(
+                cases
                     .iter()
                     .map(|c| Case { cond: c.cond.clone(), body: c.body.truncate(old, new) })
                     .collect(),
-            },
+            ),
 
             // A shift presents its body in shifted coordinates: translate the
             // regions back into the body's frame before truncating.
             Looplet::Shift { delta, body } => {
                 let neg = Expr::sub(Expr::int(0), delta.clone());
-                Looplet::Shift {
-                    delta: delta.clone(),
-                    body: Box::new(body.truncate(&old.shifted(&neg), &new.shifted(&neg))),
-                }
+                body.truncate(&old.shifted(&neg), &new.shifted(&neg)).shifted(delta.clone())
             }
 
-            Looplet::Thunk { preamble, body } => Looplet::Thunk {
-                preamble: preamble.clone(),
-                body: Box::new(body.truncate(old, new)),
-            },
+            Looplet::Thunk { preamble, body } => {
+                body.truncate(old, new).with_preamble(Arc::clone(preamble))
+            }
 
             // BindExtent keeps binding whatever region it is eventually
             // examined in, so it survives truncation unchanged apart from
             // its body.
             Looplet::BindExtent { lo, hi, body } => {
-                Looplet::BindExtent { lo: *lo, hi: *hi, body: Box::new(body.truncate(old, new)) }
+                body.truncate(old, new).binding_extent(*lo, *hi)
             }
         }
     }
@@ -104,6 +100,61 @@ mod tests {
         assert_eq!(run.truncate(&old, &new), run);
         let lk: Looplet<Expr> = Looplet::lookup(j, Expr::Var(j));
         assert_eq!(lk.truncate(&old, &new), lk);
+    }
+
+    #[test]
+    fn truncating_a_self_similar_looplet_shares_its_body() {
+        use crate::looplet::{Phase, Stepped};
+        let mut names = Names::new();
+        let (j, p) = (names.fresh("j"), names.fresh("p"));
+        let old = Extent::literal(0, 10);
+        let new = Extent::new(Expr::int(0), Expr::Var(p));
+
+        let stepper: Looplet<Expr> = Looplet::stepper(Stepped {
+            seek: None,
+            stride: Expr::Var(p),
+            body: Looplet::spike(Expr::float(0.0), Expr::Var(p)),
+            next: vec![],
+        });
+        match (&stepper, &stepper.truncate(&old, &new)) {
+            (Looplet::Stepper(a), Looplet::Stepper(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("expected steppers, got {other:?}"),
+        }
+
+        let pipeline = Looplet::pipeline(vec![
+            Phase { stride: Some(Expr::int(4)), body: stepper },
+            Phase { stride: None, body: Looplet::run(Expr::float(0.0)) },
+        ]);
+        match (&pipeline, &pipeline.truncate(&old, &new)) {
+            (Looplet::Pipeline { phases: a }, Looplet::Pipeline { phases: b }) => {
+                assert!(Arc::ptr_eq(a, b));
+            }
+            other => panic!("expected pipelines, got {other:?}"),
+        }
+
+        let lookup: Looplet<Expr> = Looplet::lookup(j, Expr::Var(j));
+        match (&lookup, &lookup.truncate(&old, &new)) {
+            (Looplet::Lookup { body: a, .. }, Looplet::Lookup { body: b, .. }) => {
+                assert!(Arc::ptr_eq(a, b));
+            }
+            other => panic!("expected lookups, got {other:?}"),
+        }
+
+        // A spike that becomes a switch keeps itself as the first case and
+        // its own body as the second: nothing below the switch is copied.
+        let spike: Looplet<Expr> = Looplet::spike(Expr::float(0.0), Expr::float(7.0));
+        let (Looplet::Spike { body, tail }, Looplet::Switch { cases }) =
+            (&spike, &spike.truncate(&old, &new))
+        else {
+            panic!("expected a spike and its switch");
+        };
+        match &cases[0].body {
+            Looplet::Spike { body: b, tail: t } => {
+                assert!(Arc::ptr_eq(body, b) && Arc::ptr_eq(tail, t));
+            }
+            other => panic!("expected the spike, got {other:?}"),
+        }
+        assert_eq!(cases[1].body, **body);
     }
 
     #[test]
@@ -163,7 +214,7 @@ mod tests {
         // In the body's frame the old region was 0..=10 and the new one 0..=7,
         // so the inner spike must have turned into a switch comparing 7 and 10.
         match t {
-            Looplet::Shift { body, .. } => match *body {
+            Looplet::Shift { body, .. } => match &*body {
                 Looplet::Switch { cases } => {
                     assert_eq!(cases[0].cond, Expr::eq(Expr::int(7), Expr::int(10)));
                 }

@@ -132,11 +132,9 @@ impl Rewriter {
     pub fn simplify_expr(&self, expr: &CinExpr) -> CinExpr {
         let mut current = expr.clone();
         for _ in 0..self.max_iterations {
-            let next = current.map(&mut |node| self.apply_expr_rules(node));
-            if next == current {
-                return next;
+            if !current.rewrite(&mut |node| self.apply_expr_rules(node)) {
+                break;
             }
-            current = next;
         }
         current
     }
@@ -145,15 +143,21 @@ impl Rewriter {
     /// to a fixpoint.
     pub fn simplify_stmt(&self, stmt: &CinStmt) -> CinStmt {
         let mut current = stmt.clone();
-        for _ in 0..self.max_iterations {
-            let exprs_done = current.map_exprs(&mut |node| self.apply_expr_rules(node));
-            let next = exprs_done.map_stmts(&mut |node| self.apply_stmt_rules(node));
-            if next == current {
-                return next;
-            }
-            current = next;
-        }
+        self.simplify_stmt_in_place(&mut current);
         current
+    }
+
+    /// [`Rewriter::simplify_stmt`] on a statement the caller owns: every
+    /// round rewrites the tree where it stands, and the fixpoint is the
+    /// round in which no rule replaced a node by a different one.
+    pub fn simplify_stmt_in_place(&self, stmt: &mut CinStmt) {
+        for _ in 0..self.max_iterations {
+            let exprs = stmt.rewrite_exprs(&mut |node| self.apply_expr_rules(node));
+            let stmts = stmt.rewrite_stmts(&mut |node| self.apply_stmt_rules(node));
+            if !(exprs || stmts) {
+                break;
+            }
+        }
     }
 
     fn apply_expr_rules(&self, node: &CinExpr) -> Option<CinExpr> {
@@ -285,6 +289,27 @@ mod tests {
         let e = CinExpr::call(CinOp::Min, vec![a.clone().into(), a.clone().into()]);
         assert_eq!(rw.simplify_expr(&e), CinExpr::Access(a));
         assert!(rw.rule_names().contains(&"min_idempotent"));
+    }
+
+    #[test]
+    fn a_rule_that_fires_without_changing_anything_terminates_with_the_input() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let fired = Arc::new(AtomicUsize::new(0));
+        let mut rw = Rewriter::with_default_rules();
+        let count = fired.clone();
+        rw.add_expr_rule("echo", move |e| {
+            count.fetch_add(1, Ordering::Relaxed);
+            Some(e.clone())
+        });
+        rw.add_stmt_rule("echo_stmt", |s| Some(s.clone()));
+        let s = add_assign(scalar("C"), mul(access("A", [idx("i")]), access("B", [idx("i")])));
+        assert_eq!(rw.simplify_stmt(&s), s);
+        // One round over the three expression nodes: the fixpoint is seen at
+        // once, not at the iteration cap.
+        assert_eq!(fired.load(Ordering::Relaxed), 3);
+        let e = mul(access("A", [idx("i")]), lit(2.0));
+        assert_eq!(rw.simplify_expr(&e), e);
     }
 
     #[test]
