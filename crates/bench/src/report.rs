@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 6,
+//!   "schema_version": 7,
 //!   "opt_speedup": { "engine": "bytecode", "baseline": "none",
 //!                    "optimized": "default", "median": 1.62, "samples": 35 },
 //!   "typed_speedup": { "engine": "bytecode", "opt_level": "default",
@@ -232,7 +232,7 @@ impl Report {
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\n  \"schema_version\": 6,");
+        out.push_str("\n  \"schema_version\": 7,");
         if let Some(s) = &self.opt_speedup {
             out.push_str(&format!(
                 "\n  \"opt_speedup\": {{\"engine\": {}, \"baseline\": {}, \
@@ -290,7 +290,8 @@ impl Report {
                         "\n       \"opt\": {{\"compile_seconds\": {}, \"folds\": {}, \
                          \"copies_propagated\": {}, \"branches_pruned\": {}, \
                          \"loops_removed\": {}, \"stmts_removed\": {}, \
-                         \"loads_hoisted\": {}, \"instrs_fused\": {}, \
+                         \"loads_hoisted\": {}, \"exprs_hoisted\": {}, \
+                         \"instrs_fused\": {}, \
                          \"movs_eliminated\": {}, \"regs_saved\": {}, \
                          \"instrs_typed\": {}, \"regs_pretagged\": {}, \
                          \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \
@@ -302,6 +303,7 @@ impl Report {
                         s.loops_removed,
                         s.stmts_removed,
                         s.loads_hoisted,
+                        s.exprs_hoisted,
                         s.instrs_fused,
                         s.movs_eliminated,
                         s.regs_saved,
@@ -608,6 +610,7 @@ mod tests {
                         stats: OptStats {
                             folds: 3,
                             loads_hoisted: 2,
+                            exprs_hoisted: 5,
                             instrs_typed: 17,
                             regs_pretagged: 5,
                             instrs_vectorized: 12,
@@ -680,7 +683,7 @@ mod tests {
     #[test]
     fn json_has_engines_opt_levels_and_escaped_strings() {
         let j = sample().to_json();
-        assert!(j.contains("\"schema_version\": 6"));
+        assert!(j.contains("\"schema_version\": 7"));
         assert!(j.contains("\"tree_walk\""));
         assert!(j.contains("\"bytecode\""));
         assert!(j.contains("\"opt_level\": \"default\""));
@@ -704,6 +707,7 @@ mod tests {
         assert!(j.contains("\"parallel_speedup\": 2.125"));
         assert!(j.contains("\"threads\": 1"));
         assert!(j.contains("\"loads_hoisted\": 2"));
+        assert!(j.contains("\"exprs_hoisted\": 5"));
         assert!(j.contains("\"instrs_typed\": 17"));
         assert!(j.contains("\"regs_pretagged\": 5"));
         assert!(j.contains("\"instrs_vectorized\": 12"));

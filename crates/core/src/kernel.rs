@@ -582,7 +582,7 @@ impl CompiledKernel {
     }
 
     /// Per-pass optimisation counters from this kernel's compilation (IR
-    /// folds, hoisted loads, fused bytecode pairs, ...).
+    /// folds, hoisted loads and expressions, fused bytecode pairs, ...).
     pub fn opt_stats(&self) -> OptStats {
         self.opt_stats
     }

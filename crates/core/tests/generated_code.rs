@@ -4,7 +4,7 @@
 //! exist to deliver.
 
 use finch::build::*;
-use finch::{CompiledKernel, Kernel, Protocol, Tensor};
+use finch::{CinExpr, CompiledKernel, IndexVar, Kernel, OptLevel, Protocol, Tensor};
 
 fn dot(a: &Tensor, b: &Tensor, pa: Protocol, pb: Protocol) -> CompiledKernel {
     let mut kernel = Kernel::new();
@@ -178,4 +178,204 @@ fn compiled_kernels_can_be_rerun_and_are_deterministic() {
     let v2 = k.output_scalar("C");
     assert_eq!(v1, v2, "outputs must be reset between runs");
     assert_eq!(s1, s2, "work counters are deterministic");
+}
+
+// ---------------------------------------------------------------------------
+// The finalized bytecode of the figure kernels' hot loops: what loop-invariant
+// code motion and the register-valued fill leave per innermost iteration.
+// ---------------------------------------------------------------------------
+
+/// Fig. 9's dense convolution `C[i,k] += coalesce(A[i+j-h, k+l-h], 0) * F[j,l]`.
+fn dense_convolution(size: usize, ksize: usize) -> CompiledKernel {
+    let grid: Vec<f64> =
+        (0..size * size).map(|v| if v % 7 == 3 { 1.0 + (v % 4) as f64 } else { 0.0 }).collect();
+    let filter: Vec<f64> = (0..ksize * ksize).map(|v| 0.5 + (v % 5) as f64 * 0.1).collect();
+    let mut kernel = Kernel::new();
+    kernel
+        .bind_input(&Tensor::dense_matrix("A", size, size, &grid))
+        .bind_input(&Tensor::dense_matrix("F", ksize, ksize, &filter))
+        .bind_output("C", &[size, size], 0.0);
+    let (i, k, j, l) = (idx("i"), idx("k"), idx("j"), idx("l"));
+    let half = (ksize / 2) as i64;
+    let shifted = |tap: &IndexVar, centre: &IndexVar| {
+        tap.walk().offset(sub(lit_int(half), CinExpr::Index(centre.clone()))).permit()
+    };
+    let window: CinExpr =
+        coalesce(vec![access("A", [shifted(&j, &i), shifted(&l, &k)]).into(), lit(0.0)]);
+    let last = lit_int(ksize as i64 - 1);
+    let taps = forall_in(
+        l.clone(),
+        lit_int(0),
+        last.clone(),
+        add_assign(access("C", [i.clone(), k.clone()]), mul(window, access("F", [j.clone(), l]))),
+    );
+    let program = forall(i, forall(k, forall_in(j, lit_int(0), last, taps)));
+    kernel.compile(&program).expect("convolution compiles")
+}
+
+/// Two images of flat regions: bands of `band` rows, `b` in blocks of 32
+/// columns and `c` constant along each row.
+fn flat_images(size: usize, band: usize) -> (Vec<f64>, Vec<f64>) {
+    let at = |f: &dyn Fn(usize, usize) -> bool| -> Vec<f64> {
+        (0..size * size).map(|v| if f(v / size, v % size) { 200.0 } else { 40.0 }).collect()
+    };
+    (at(&|r, c| (r / band + c / 32).is_multiple_of(2)), at(&|r, _| (r / band) % 2 == 1))
+}
+
+/// Fig. 10's alpha blend `A[i,j] = round_u8(0.6 * B[i,j] + 0.4 * Cimg[i,j])`.
+fn blend(b: &Tensor, c: &Tensor) -> CompiledKernel {
+    let mut kernel = Kernel::new();
+    kernel.bind_input(b).bind_input(c).bind_output("A", &b.shape(), 0.0);
+    let (i, j) = (idx("i"), idx("j"));
+    let value = round_u8(add(
+        mul(lit(0.6), access("B", [i.clone(), j.clone()])),
+        mul(lit(0.4), access("Cimg", [i.clone(), j.clone()])),
+    ));
+    let program = forall(i.clone(), forall(j.clone(), assign(access("A", [i, j]), value)));
+    kernel.compile(&program).expect("blend compiles")
+}
+
+/// The disassembly lines of the loop over `var`, head to back edge.
+fn loop_lines<'a>(disasm: &'a str, var: &str) -> Vec<&'a str> {
+    let lines: Vec<&str> = disasm.lines().collect();
+    let head = lines
+        .iter()
+        .position(|l| l.contains(&format!(": for {var} = ")))
+        .unwrap_or_else(|| panic!("no loop over `{var}`:\n{disasm}"));
+    let head_pc = lines[head].trim().split(':').next().unwrap().to_string();
+    let back = lines[head..]
+        .iter()
+        .position(|l| l.contains(": step ") && l.contains(&format!("-> {head_pc}")))
+        .unwrap_or_else(|| panic!("no back edge to {head_pc}:\n{disasm}"));
+    lines[head..=head + back].to_vec()
+}
+
+/// A disassembly line without its pc and its statement count.
+fn op(line: &str) -> &str {
+    let line = line.split("  ;").next().unwrap();
+    line.split_once(": ").unwrap().1
+}
+
+#[test]
+fn dense_convolution_inner_loop_keeps_only_what_changes_per_tap() {
+    let kernel = dense_convolution(12, 3);
+    let disasm = kernel.bytecode().disasm();
+    let inner = loop_lines(&disasm, "l");
+    // Head, two operand moves, the window index (`l - inv`, `inv + ..`),
+    // its load and `coalesce` (a test and the skipped fill value), the tap
+    // index, multiply-load, accumulate, back edge: the row and tap bases
+    // (`i * 12 + k`, `(j - (1 - i)) * 12`, `1 - k`, `j * 3`) are evaluated
+    // where they change, not per tap.
+    assert!(inner.len() <= 12, "{} instructions:\n{}", inner.len(), inner.join("\n"));
+    for line in &inner {
+        assert!(!line.contains("const.i"), "an integer literal per tap:\n{}", inner.join("\n"));
+        assert!(
+            !(line.contains(" * ") && line.contains("(i64)")),
+            "an integer multiply per tap:\n{}",
+            inner.join("\n")
+        );
+    }
+    let code = kernel.code();
+    assert!(code.contains(" = (i * 12);\n"), "the output row base leaves `k`, `j`, `l`:\n{code}");
+    assert!(code.contains(") * 12);\n"), "the window row base leaves `l`:\n{code}");
+}
+
+#[test]
+fn rle_blend_fills_each_run_from_a_register() {
+    let (size, band) = (64, 8);
+    let (b, c) = flat_images(size, band);
+    let mut kernel = blend(
+        &Tensor::rle_matrix("B", size, size, &b),
+        &Tensor::rle_matrix("Cimg", size, size, &c),
+    );
+    let disasm = kernel.bytecode().disasm();
+    let lines: Vec<&str> = disasm.lines().collect();
+    let fill = lines
+        .iter()
+        .position(|l| l.contains("vfill.f64") && l.contains("= hoisted for v in"))
+        .unwrap_or_else(|| panic!("no register-valued fill:\n{disasm}"));
+    // The blend is computed once per run, in front of a slice fill; the
+    // scalar remainder is an index add and a store.
+    let golden = [
+        "hoisted = round_u8(t7) (f64)",
+        "t2 = step_start (i64)",
+        "t3 = step_stop (i64)",
+        "vfill.f64 b6[inv*1+v] = hoisted for v in [t2, t3) (x8)",
+        "for j = t2 while <= t3 (i64) else -> 47",
+        "t4 = inv + j (i64)",
+        "b6[t4] = hoisted (f64)",
+        "step t2 -> 43",
+    ];
+    let got: Vec<&str> = lines[fill - 3..fill + 5].iter().map(|l| op(l)).collect();
+    assert_eq!(got, golden, "\n{disasm}");
+    assert_eq!(loop_lines(&disasm, "j").len(), 4);
+
+    // Work per run, not per pixel: with `runs` entries of the per-run loop
+    // and one row set-up per row, far fewer dispatches than pixels.
+    let (_, counts) = kernel.profile().expect("runs");
+    let (runs, rows) = (counts[fill], size as u64);
+    assert_eq!(runs, rows * 2, "two runs per row");
+    let dispatched: u64 =
+        counts[fill - 3..].iter().sum::<u64>() + counts[..fill - 3].iter().sum::<u64>();
+    let pixels = (size * size) as u64;
+    assert!(
+        dispatched < 40 * runs + 40 * rows && dispatched < 3 * pixels,
+        "{dispatched} dispatches for {runs} runs in {rows} rows ({pixels} pixels)\n{disasm}"
+    );
+    let want: Vec<f64> = b.iter().zip(&c).map(|(b, c)| (0.6 * b + 0.4 * c).round()).collect();
+    assert_eq!(kernel.output("A").unwrap(), want);
+}
+
+#[test]
+fn dense_blend_still_maps_each_row_in_one_instruction() {
+    let (size, band) = (64, 8);
+    let (b, c) = flat_images(size, band);
+    let mut kernel = blend(
+        &Tensor::dense_matrix("B", size, size, &b),
+        &Tensor::dense_matrix("Cimg", size, size, &c),
+    );
+    let disasm = kernel.bytecode().disasm();
+    // Hoisting `i * 64` leaves `inv + j`, which the vectorizer reads as a
+    // unit-stride row base.
+    let maps: Vec<usize> = disasm
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("vmap.f64"))
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(maps.len(), 1, "\n{disasm}");
+    let map = disasm.lines().nth(maps[0]).unwrap();
+    assert!(map.contains("b2[inv*1+v] = round_u8(0.6 * b0[inv*1+v] + 0.4 * b1[inv*1+v])"), "{map}");
+    let (_, counts) = kernel.profile().expect("runs");
+    assert_eq!(counts[maps[0]], size as u64, "one map per row");
+    let (vectorized, vectorizable) = kernel.instrs_vectorized();
+    assert_eq!(vectorized, vectorizable);
+}
+
+#[test]
+fn a_register_fill_never_changes_what_a_run_computes_or_counts() {
+    // The kernel-level view of the fill's fallbacks: with the kernel ops on
+    // and off the RLE blend produces the same output and the same work
+    // counters, and under every step budget the same error at the same
+    // point — short runs, budget-limited runs and whole-row runs alike.
+    let size = 32;
+    let (b, c) = flat_images(size, 4);
+    // Column blocks of 5 on top: runs below the op's minimum trip too.
+    let b: Vec<f64> = b.iter().enumerate().map(|(v, x)| x + ((v % size) / 5 % 2) as f64).collect();
+    let kernel = blend(
+        &Tensor::rle_matrix("B", size, size, &b),
+        &Tensor::rle_matrix("Cimg", size, size, &c),
+    );
+    let with = kernel.reoptimized_simd(OptLevel::Default, true, true);
+    let without = kernel.reoptimized_simd(OptLevel::Default, true, false);
+    assert!(with.bytecode().disasm().contains("vfill.f64 b6[inv*1+v] = hoisted"));
+    assert!(!without.bytecode().disasm().contains("= hoisted for v in"));
+    let full = without.clone().run().expect("runs").stmts;
+    for budget in (0..full + 50).step_by(37) {
+        let (mut with, mut without) =
+            (with.clone().with_step_budget(budget), without.clone().with_step_budget(budget));
+        let (a, b) = (with.run(), without.run());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "budget {budget}");
+        assert_eq!(with.output("A").unwrap(), without.output("A").unwrap(), "budget {budget}");
+    }
 }

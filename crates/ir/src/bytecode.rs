@@ -673,15 +673,16 @@ pub enum Instr {
     // scalar-equivalent `cost` per bulk iteration, so work counters are
     // identical with and without vectorization.
     // -----------------------------------------------------------------
-    /// Fill: `f64buf[base + v] = imm` for each bulk iteration `v` (the
-    /// dense-output initialisation loop).
+    /// Fill: `f64buf[base + v] = val` for each bulk iteration `v` (the
+    /// dense-output initialisation loop, and a run-length region's
+    /// broadcast of its run value).
     VFillStoreF64 {
         /// The F64 destination buffer.
         buf: BufId,
         /// Per-iteration element index shape.
         base: VBase,
-        /// The fill value, inlined bit-exactly.
-        imm: f64,
+        /// The fill value: an immediate or a loop-invariant float register.
+        val: VFill,
         /// Register holding the loop counter (read, then set to the hi
         /// bound, leaving one iteration for the scalar loop).
         counter: Reg,
@@ -846,6 +847,18 @@ pub enum VBase {
         /// The row stride (elements per row), at least 1.
         stride: i64,
     },
+}
+
+/// The value a [`Instr::VFillStoreF64`] stores into every element.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VFill {
+    /// A literal, inlined bit-exactly (the dense-output initialisation).
+    Imm(f64),
+    /// A loop-invariant float register, read from the float lane once per
+    /// fill (a run value broadcast over its region).  The loop body must
+    /// not write the register, and must store it through a typed
+    /// [`Instr::StoreF64`] — which is what proves the lane holds it.
+    Reg(Reg),
 }
 
 /// Pre-scale applied to a loaded operand of a vectorized kernel op,
@@ -1181,10 +1194,17 @@ macro_rules! reg_roles {
             | Instr::FCmpBranchImm { lhs, .. }
             | Instr::WhileCmpImm { lhs, .. }
             | Instr::IWhileCmpImm { lhs, .. } => $f(lhs, Read),
-            // Vectorized kernel ops: read the bound and any row bases,
-            // read-write the loop counter.
-            Instr::VFillStoreF64 { base, counter, hi, .. }
-            | Instr::VReduceF64 { base, counter, hi, .. }
+            // Vectorized kernel ops: read the bound, any row bases and a
+            // register-valued fill, read-write the loop counter.
+            Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
+                vbase_role!(base, $f);
+                if let VFill::Reg(reg) = val {
+                    $f(reg, Read);
+                }
+                $f(hi, Read);
+                $f(counter, ReadWrite);
+            }
+            Instr::VReduceF64 { base, counter, hi, .. }
             | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
                 vbase_role!(base, $f);
                 $f(hi, Read);
@@ -1910,9 +1930,15 @@ impl Program {
                     check_reg(pc, hi)?;
                     check_reg(pc, key)?;
                 }
-                Instr::VFillStoreF64 { base, counter, hi, cost, lanes, .. } => {
+                Instr::VFillStoreF64 { base, val, counter, hi, cost, lanes, .. } => {
                     check_vloop(pc, counter, hi, lanes)?;
                     check_vbase(pc, base)?;
+                    if let VFill::Reg(reg) = val {
+                        check_reg(pc, reg)?;
+                        if reg == counter || reg == hi {
+                            return Err(format!("vector fill at pc {pc} stores a loop register"));
+                        }
+                    }
                     let _ = cost;
                 }
                 Instr::VMapF64 {
@@ -2248,12 +2274,15 @@ impl Program {
                 let f = if on_abs { "seek_abs.i" } else { "seek.i" };
                 format!("{} = {f}(b{}, {}, {}, {})", r(dst), buf.index(), r(lo), r(hi), r(key))
             }
-            Instr::VFillStoreF64 { buf, base, imm, counter, hi, lanes, .. } => {
+            Instr::VFillStoreF64 { buf, base, val, counter, hi, lanes, .. } => {
+                let val = match val {
+                    VFill::Imm(imm) => format!("{}", Value::Float(imm)),
+                    VFill::Reg(reg) => r(reg),
+                };
                 format!(
-                    "vfill.f64 b{}[{}] = {} for v in [{}, {}) (x{lanes})",
+                    "vfill.f64 b{}[{}] = {val} for v in [{}, {}) (x{lanes})",
                     buf.index(),
                     vbase(base),
-                    Value::Float(imm),
                     r(counter),
                     r(hi)
                 )
@@ -3192,7 +3221,7 @@ mod tests {
         let fill = Instr::VFillStoreF64 {
             buf: crate::buffer::BufId(0),
             base: VBase::Var,
-            imm: 0.0,
+            val: VFill::Imm(0.0),
             counter: Reg(0),
             hi: Reg(0),
             cost: VCost { stmts: 1, loads: 0, stores: 1 },
@@ -3212,7 +3241,8 @@ mod tests {
         let i = names.fresh("i");
         let n = names.fresh("n");
         let k = names.fresh("k");
-        let _ = (i, n, k);
+        let x = names.fresh("x");
+        let _ = (i, n, k, x);
         let b = crate::buffer::BufId;
         let cost = VCost { stmts: 1, loads: 1, stores: 1 };
         let program = Program {
@@ -3220,7 +3250,17 @@ mod tests {
                 Instr::VFillStoreF64 {
                     buf: b(0),
                     base: VBase::Var,
-                    imm: 0.0,
+                    val: VFill::Imm(0.0),
+                    counter: Reg(0),
+                    hi: Reg(1),
+                    cost,
+                    lanes: 8,
+                },
+                // The register form: a run value broadcast over its region.
+                Instr::VFillStoreF64 {
+                    buf: b(0),
+                    base: VBase::Scaled { reg: Reg(2), stride: 1 },
+                    val: VFill::Reg(Reg(3)),
                     counter: Reg(0),
                     hi: Reg(1),
                     cost,
@@ -3313,19 +3353,25 @@ mod tests {
             ],
             consts: Vec::new(),
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
-            num_regs: 3,
-            pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Int), (Reg(2), LaneTag::Int)],
+            num_regs: 4,
+            pretags: vec![
+                (Reg(0), LaneTag::Int),
+                (Reg(1), LaneTag::Int),
+                (Reg(2), LaneTag::Int),
+                (Reg(3), LaneTag::Float),
+            ],
             shard_plan: ShardPlan::default(),
-            stmt_bump: vec![0; 7],
+            stmt_bump: vec![0; 8],
         };
         program.validate().expect("vector kernel ops validate");
         let expected = "   0: vfill.f64 b0[v] = 0.0 for v in [i, n) (x8)
-   1: vmap.f64 b2[v] += b0[v] * 0.75 for v in [i, n) (x8)
-   2: vmap.f64 b2[k*4+v] = round_u8(0.6 * b0[k*4+v] + 0.4 * b1[k*4+v]) for v in [i, n) (x8)
-   3: vmuladd.f64 b2[0] += b0[v] * b1[v] for v in [i, n) (x8)
-   4: vreduce.f64 b2[0] max= b0[v] for v in [i, n) (x8)
-   5: vappend.f64 b3.push(v), b4.push(b0[v]) where b0[v] > 0.3 for v in [i, n) (x4)
-   6: vselect.u8 b5[v] = 255.0 where b0[v] > 0.5 for v in [i, n) (x4)
+   1: vfill.f64 b0[k*1+v] = x for v in [i, n) (x8)
+   2: vmap.f64 b2[v] += b0[v] * 0.75 for v in [i, n) (x8)
+   3: vmap.f64 b2[k*4+v] = round_u8(0.6 * b0[k*4+v] + 0.4 * b1[k*4+v]) for v in [i, n) (x8)
+   4: vmuladd.f64 b2[0] += b0[v] * b1[v] for v in [i, n) (x8)
+   5: vreduce.f64 b2[0] max= b0[v] for v in [i, n) (x8)
+   6: vappend.f64 b3.push(v), b4.push(b0[v]) where b0[v] > 0.3 for v in [i, n) (x4)
+   7: vselect.u8 b5[v] = 255.0 where b0[v] > 0.5 for v in [i, n) (x4)
 ";
         assert_eq!(program.disasm(), expected);
     }
@@ -3353,7 +3399,7 @@ mod tests {
             Box::new(move |r, base, lanes| Instr::VFillStoreF64 {
                 buf: b(0),
                 base,
-                imm: 0.0,
+                val: VFill::Imm(0.0),
                 counter: r,
                 hi: r,
                 cost,
@@ -3443,6 +3489,26 @@ mod tests {
             let p = base(vec![mk(Reg(0), VBase::Scaled { reg: Reg(9), stride: 1 }, 8)]);
             assert!(p.validate().unwrap_err().contains("outside the file"));
         }
+
+        // A register-valued fill: the register must be in the file, and can
+        // be neither of the loop's own registers.
+        let fill = |val: Reg| Instr::VFillStoreF64 {
+            buf: b(0),
+            base: VBase::Var,
+            val: VFill::Reg(val),
+            counter: Reg(0),
+            hi: Reg(0),
+            cost,
+            lanes: 8,
+        };
+        let mut p = base(vec![fill(Reg(1))]);
+        p.num_regs = 2;
+        assert_eq!(p.validate(), Ok(()));
+        assert!(base(vec![fill(Reg(9))]).validate().unwrap_err().contains("outside the file"));
+        assert!(base(vec![fill(Reg(0))])
+            .validate()
+            .unwrap_err()
+            .contains("stores a loop register"));
 
         // A negative accumulator element index is a bad slice range.
         let p = base(vec![Instr::VMulAddF64 {

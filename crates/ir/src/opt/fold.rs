@@ -297,6 +297,7 @@ fn record_fact(env: &mut HashMap<Var, Expr>, var: Var, value: &Expr) {
 mod tests {
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
+    use crate::expr::UnOp;
     use crate::interp::Interpreter;
     use crate::var::Names;
 
@@ -412,6 +413,16 @@ mod tests {
         assert_eq!(fold_node(&e), None);
         let e = Expr::add(x, Expr::int(0));
         assert_eq!(fold_node(&e), None);
+    }
+
+    #[test]
+    fn negating_the_smallest_integer_folds_to_the_wrapped_literal() {
+        // Compile-time evaluation is `Value::unop`, which wraps like the
+        // engines do at run time (and must not panic in a debug build).
+        for op in [UnOp::Neg, UnOp::Abs] {
+            let e = Expr::unary(op, Expr::int(i64::MIN));
+            assert_eq!(fold_node(&e), Some(Expr::int(i64::MIN)), "{op:?}");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * `fold` — constant folding, constant/copy propagation, and pruning of
 //!   statically-decidable `if`/`while`/`for` statements,
-//! * `licm` — loop-invariant load hoisting (the original pass of this
-//!   module, still exported as [`hoist_invariant_loads`]),
+//! * `licm` — loop-invariant code motion over expressions: every maximal
+//!   invariant subexpression is evaluated once in the pre-header of the
+//!   outermost loop it is invariant in (exported as [`hoist_invariants`]),
 //! * `dce` — dead-code and dead-store elimination for variables that are
 //!   never read, plus removal of emptied control flow,
 //! * [`peephole`] — a pass over compiled [`crate::bytecode::Program`]s that
@@ -52,6 +53,8 @@
 mod dce;
 pub mod finalize;
 mod fold;
+#[cfg(test)]
+mod irgen;
 mod licm;
 #[cfg(test)]
 mod mutation_tests;
@@ -63,7 +66,7 @@ pub mod vectorize;
 pub mod verify;
 
 pub use finalize::finalize;
-pub use licm::hoist_invariant_loads;
+pub use licm::hoist_invariants;
 pub use pass::{
     Pass, PassCtx, PassError, PassManager, PassReport, Repr, ReprRef, StatsContract,
     ValidationLevel,
@@ -86,7 +89,8 @@ pub enum OptLevel {
     /// against.
     None,
     /// The standard pipeline: constant folding/propagation, loop-invariant
-    /// load hoisting, dead-code elimination, and the bytecode peephole.
+    /// code motion (index arithmetic and run values leave the inner loops),
+    /// dead-code elimination, and the bytecode peephole.
     #[default]
     Default,
     /// The [`OptLevel::Default`] pipeline iterated to a fixpoint, plus
@@ -143,8 +147,14 @@ pub struct OptStats {
     /// Dead statements removed by DCE (never-read `let`/`assign` targets
     /// and emptied control flow).
     pub stmts_removed: u64,
-    /// Loop-invariant loads hoisted out of loops by LICM.
+    /// Temporaries LICM created for loop-invariant expressions that read a
+    /// buffer (`let hoisted = 0.6 * B_val[p]`), each evaluated under its
+    /// loop's entry test.
     pub loads_hoisted: u64,
+    /// Temporaries LICM created for loop-invariant pure arithmetic
+    /// (`let inv = i * 48`), evaluated in the pre-header of the outermost
+    /// loop they are invariant in.
+    pub exprs_hoisted: u64,
     /// Bytecode instruction pairs fused into superinstructions.
     pub instrs_fused: u64,
     /// Register-to-register moves eliminated by operand forwarding.
@@ -203,8 +213,8 @@ impl Pass for FoldPass {
     }
 }
 
-/// Loop-invariant load hoisting (`licm`) as a [`Pass`].  Creates fresh
-/// variables in [`PassCtx::names`].
+/// Loop-invariant code motion over expressions (`licm`) as a [`Pass`].
+/// Creates fresh variables in [`PassCtx::names`].
 pub struct LicmPass;
 
 impl Pass for LicmPass {
@@ -390,7 +400,7 @@ pub fn optimize_and_lower(
 /// Run the IR-level optimisation pipeline at the given level.
 ///
 /// `names` must be the table the program's variables were created from;
-/// LICM creates fresh variables for hoisted loads.  Returns the optimised
+/// LICM creates fresh variables for what it hoists.  Returns the optimised
 /// program together with the per-pass [`OptStats`].  The bytecode-level
 /// passes are part of [`optimize_and_lower`], which also runs witness
 /// validation; this IR-only entry point verifies statically (no buffer
@@ -429,9 +439,9 @@ fn run_ir_passes(
     let rounds = match level {
         OptLevel::None => 0,
         OptLevel::Default => 1,
-        // Iterate to a fixpoint: folding can expose new invariant loads,
-        // hoisting can expose new dead code, and so on.  The bound is a
-        // safety net; real kernels settle in 2-3 rounds.
+        // Iterate to a fixpoint: folding can expose new invariants,
+        // hoisting can expose new copies and dead code, and so on.  The
+        // bound is a safety net; real kernels settle in 2-3 rounds.
         OptLevel::Aggressive => 4,
     };
     for _ in 0..rounds {

@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Instr, VRhs, VScale};
+use crate::bytecode::{Instr, VFill, VRhs, VScale};
 use crate::expr::Expr;
 use crate::value::Value;
 
@@ -73,7 +73,14 @@ pub(super) fn known_good_kernel() -> (Vec<Stmt>, Names, BufferSet) {
 /// Run one seeded mutation over the known-good kernel IR at
 /// [`ValidationLevel::Full`] and return the manager's verdict.
 fn run_ir_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
-    let (stmts, mut names, bufs) = known_good_kernel();
+    run_ir_pass(known_good_kernel(), mutation)
+}
+
+/// Run one pass over a kernel's IR at [`ValidationLevel::Full`].
+fn run_ir_pass(
+    (stmts, mut names, bufs): (Vec<Stmt>, Names, BufferSet),
+    pass: &dyn Pass,
+) -> Result<Repr, PassError> {
     let mut stats = OptStats::default();
     let mut ctx = PassCtx {
         names: &mut names,
@@ -82,7 +89,7 @@ fn run_ir_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
         unroll_point_loops: false,
     };
     let mut manager = PassManager::new(ValidationLevel::Full);
-    manager.run_pass(mutation, ReprRef::Ir(&stmts), &mut ctx)
+    manager.run_pass(pass, ReprRef::Ir(&stmts), &mut ctx)
 }
 
 /// Run one seeded mutation over the known-good kernel's compiled bytecode.
@@ -132,7 +139,14 @@ pub(super) fn known_good_typed_kernel() -> (Program, Names, BufferSet) {
 
 /// Run one seeded mutation over the typed dense kernel's bytecode.
 fn run_typed_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
-    let (program, mut names, bufs) = known_good_typed_kernel();
+    run_typed_bytecode_pass(known_good_typed_kernel(), mutation)
+}
+
+/// Run one pass over a typed kernel's bytecode at [`ValidationLevel::Full`].
+fn run_typed_bytecode_pass(
+    (program, mut names, bufs): (Program, Names, BufferSet),
+    pass: &dyn Pass,
+) -> Result<Repr, PassError> {
     let mut stats = OptStats::default();
     let mut ctx = PassCtx {
         names: &mut names,
@@ -141,7 +155,7 @@ fn run_typed_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassEr
         unroll_point_loops: false,
     };
     let mut manager = PassManager::new(ValidationLevel::Full);
-    manager.run_pass(mutation, ReprRef::Bytecode(&program), &mut ctx)
+    manager.run_pass(pass, ReprRef::Bytecode(&program), &mut ctx)
 }
 
 /// Assert that the mutation is caught and the error names it.
@@ -211,6 +225,56 @@ fn hoisting_a_loop_variant_load_is_caught() {
         },
     };
     assert_caught(run_ir_mutation(&m), "bad-hoist", "dominating definition");
+}
+
+/// `let p = 1; for i in 0..=3 { out[i] = p * 2; p = p + 1 }`, with a spare
+/// variable for a temporary.
+fn kernel_assigning_after_the_use() -> (Vec<Stmt>, Names, BufferSet) {
+    let mut names = Names::new();
+    let mut bufs = BufferSet::new();
+    let out = bufs.add("out", Buffer::I64(vec![0; 4].into()));
+    let (p, i, _spare) = (names.fresh("p"), names.fresh("i"), names.fresh("inv"));
+    let stmts = vec![
+        Stmt::Let { var: p, init: Expr::int(1) },
+        Stmt::For {
+            var: i,
+            lo: Expr::int(0),
+            hi: Expr::int(3),
+            body: vec![
+                Stmt::Store {
+                    buf: out,
+                    index: Expr::Var(i),
+                    value: Expr::mul(Expr::Var(p), Expr::int(2)),
+                    reduce: None,
+                },
+                Stmt::Assign { var: p, value: Expr::add(Expr::Var(p), Expr::int(1)) },
+            ],
+        },
+    ];
+    (stmts, names, bufs)
+}
+
+#[test]
+fn hoisting_what_the_loop_assigns_later_in_the_body_is_caught_and_attributed() {
+    // Control: the real pass sees the assignment after the use and leaves
+    // `p * 2` where it is.
+    let kept = run_ir_pass(kernel_assigning_after_the_use(), &LicmPass).expect("validates");
+    assert_eq!(kept.into_ir(), kernel_assigning_after_the_use().0);
+    // Simulates a LICM that collects the loop's assignments only up to the
+    // use: `p * 2` is evaluated once, in front of the loop.
+    let m = SeededMutation {
+        name: "licm",
+        mutate: |r| {
+            let mut stmts = r.into_ir();
+            let inv = crate::var::Var(2);
+            let Stmt::For { body, .. } = &mut stmts[1] else { panic!("the loop") };
+            let Stmt::Store { value, .. } = &mut body[0] else { panic!("the store") };
+            let init = std::mem::replace(value, Expr::Var(inv));
+            stmts.insert(1, Stmt::Let { var: inv, init });
+            Repr::Ir(stmts)
+        },
+    };
+    assert_caught(run_ir_pass(kernel_assigning_after_the_use(), &m), "licm", "diverge");
 }
 
 #[test]
@@ -399,6 +463,66 @@ fn a_bad_vectorization_is_caught_and_attributed() {
         },
     };
     assert_caught(run_typed_bytecode_mutation(&m), "vectorize", "diverge");
+}
+
+/// A typed run broadcast whose body also advances the value:
+/// `let x = 1.5; for j in 0..=11 { out[j] = x; x = x + 0.25 }`.
+fn typed_kernel_changing_what_it_fills_with() -> (Program, Names, BufferSet) {
+    let mut names = Names::new();
+    let mut bufs = BufferSet::new();
+    let out = bufs.add("out", Buffer::F64(vec![0.0; 12].into()));
+    let (x, j) = (names.fresh("x"), names.fresh("j"));
+    let stmts = vec![
+        Stmt::Let { var: x, init: Expr::float(1.5) },
+        Stmt::For {
+            var: j,
+            lo: Expr::int(0),
+            hi: Expr::int(11),
+            body: vec![
+                Stmt::Store { buf: out, index: Expr::Var(j), value: Expr::Var(x), reduce: None },
+                Stmt::Assign { var: x, value: Expr::add(Expr::Var(x), Expr::float(0.25)) },
+            ],
+        },
+    ];
+    let raw = Program::compile(&stmts, &names);
+    let fused = peephole(&raw, &mut OptStats::default());
+    let typed = typing::specialize_checked(&fused, &bufs).0;
+    (typed, names, bufs)
+}
+
+#[test]
+fn a_register_fill_whose_register_the_loop_writes_is_caught_and_attributed() {
+    let is_fill = |i: &Instr| matches!(i, Instr::VFillStoreF64 { val: VFill::Reg(_), .. });
+    // Control: the real pass sees the write and leaves the loop scalar.
+    let real = SeededMutation {
+        name: "vectorize",
+        mutate: |r| Repr::Bytecode(vectorize(&r.into_bytecode(), &mut OptStats::default())),
+    };
+    let out = run_typed_bytecode_pass(typed_kernel_changing_what_it_fills_with(), &real)
+        .expect("the real pass validates")
+        .into_bytecode();
+    assert!(!out.code().iter().any(is_fill), "{}", out.disasm());
+    // Simulates a matcher that does not see the body's write: the loop is
+    // matched with `x = x + 0.25` blanked out, then runs as it was.
+    let m = SeededMutation {
+        name: "vectorize",
+        mutate: |r| {
+            let mut p = r.into_bytecode();
+            let write = p
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::FArithImm { .. }))
+                .expect("the body advances x");
+            let advance = std::mem::replace(&mut p.code[write], Instr::Nop);
+            let mut p = vectorize(&p, &mut OptStats::default());
+            // One op was inserted, in front of the loop head.
+            assert_eq!(p.code[write + 1], Instr::Nop);
+            p.code[write + 1] = advance;
+            Repr::Bytecode(p)
+        },
+    };
+    let verdict = run_typed_bytecode_pass(typed_kernel_changing_what_it_fills_with(), &m);
+    assert_caught(verdict, "vectorize", "its loop body writes");
 }
 
 #[test]

@@ -410,7 +410,7 @@ impl PassManager {
 /// every format invariant still holds, while value-path miscompiles that
 /// happen to be invisible on the original data get a second chance to
 /// surface.
-fn synthesize_witnesses(bufs: &BufferSet) -> Vec<BufferSet> {
+pub(super) fn synthesize_witnesses(bufs: &BufferSet) -> Vec<BufferSet> {
     let original = bufs.clone();
     let mut perturbed = bufs.clone();
     // Deterministic splitmix64 stream; no external RNG dependency.

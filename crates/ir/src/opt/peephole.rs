@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::bytecode::{jump_targets, remap_targets, Instr, Program, Reg, VBase, VRhs};
+use crate::bytecode::{jump_targets, remap_targets, Instr, Program, Reg, VBase, VFill, VRhs};
 use crate::expr::BinOp;
 
 use super::OptStats;
@@ -175,8 +175,11 @@ fn for_each_reg(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg)) {
         // Vectorized kernel ops (inserted after this pass runs, but the
         // operand enumeration stays authoritative): the loop counter and
         // bound registers, plus every row-base register.
-        Instr::VFillStoreF64 { base, counter, hi, .. } => {
+        Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
             vbase_reg(base, f);
+            if let VFill::Reg(reg) = val {
+                f(reg);
+            }
             f(counter);
             f(hi);
         }
@@ -319,8 +322,8 @@ fn reads_reg(instr: &Instr, r: Reg) -> bool {
         Instr::IForTest { counter, hi, .. } => counter == r || hi == r,
         Instr::ISeek { lo, hi, key, .. } => lo == r || hi == r || key == r,
         Instr::Nop | Instr::ConstI { .. } | Instr::ConstF { .. } | Instr::ILen { .. } => false,
-        Instr::VFillStoreF64 { base, counter, hi, .. } => {
-            vbase_reads(base, r) || counter == r || hi == r
+        Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
+            vbase_reads(base, r) || val == VFill::Reg(r) || counter == r || hi == r
         }
         Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
             let rhs_reads = matches!(rhs, VRhs::Buf { base, .. } if vbase_reads(base, r));

@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::BufId;
 use crate::bytecode::{is_arith_reduce, is_cmp_op, is_float_arith};
-use crate::bytecode::{remap_targets, Instr, Program, Reg, VBase, VCost, VRhs, VScale};
+use crate::bytecode::{remap_targets, Instr, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
 use crate::expr::BinOp;
 
 use super::OptStats;
@@ -140,10 +140,14 @@ struct MapSym {
     round: bool,
 }
 
-/// A float value: a literal or a map shape.
+/// A float value: a literal, a loop-invariant register, or a map shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FSym {
     Const(f64),
+    /// A float register the body never writes, read as-is.  Only a fill
+    /// encodes it ([`VFill::Reg`]); as an operand of anything else it
+    /// makes the value inexpressible.
+    Inv(Reg),
     Map(MapSym),
 }
 
@@ -252,11 +256,16 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
             None => Some(ISym::Inv(r)),
         }
     };
-    let read_float = |defs: &HashMap<Reg, Option<Sym>>, r: Reg| match defs.get(&r) {
-        Some(Some(Sym::F(s))) => Some(*s),
-        // Loop-invariant and loop-carried floats alike: no kernel op
-        // encodes a register-valued float operand.
-        _ => None,
+    // Every caller is a typed float read, which is what proves that an
+    // invariant register holds its value on the float lane.
+    let read_float = |defs: &HashMap<Reg, Option<Sym>>, writes: &HashSet<Reg>, r: Reg| {
+        match defs.get(&r) {
+            Some(Some(Sym::F(s))) => Some(*s),
+            Some(_) => None, // poisoned or int-typed
+            // Written later in the body: a loop-carried value.
+            None if writes.contains(&r) => None,
+            None => Some(FSym::Inv(r)),
+        }
     };
     let vbase_of = |s: ISym| match s {
         ISym::Counter => Some(VBase::Var),
@@ -282,7 +291,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 defs.insert(dst, s);
             }
             Instr::FMov { dst, src } => {
-                let s = read_float(&defs, src).map(Sym::F);
+                let s = read_float(&defs, &writes, src).map(Sym::F);
                 defs.insert(dst, s);
             }
             Instr::IArithImm { op, dst, lhs, imm } => {
@@ -327,7 +336,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
             Instr::FMulLoad { dst, lhs, buf, idx } => {
                 cost.loads += 1;
                 let base = read_int(&defs, &writes, idx).and_then(vbase_of);
-                let sym = match (read_float(&defs, lhs), base) {
+                let sym = match (read_float(&defs, &writes, lhs), base) {
                     // `const * load`: the load with a left pre-scale.
                     (Some(FSym::Const(c)), Some(base)) => Some(FSym::Map(MapSym {
                         a: LoadSym { buf, base, pre: VScale::Left { op: BinOp::Mul, imm: c } },
@@ -348,8 +357,8 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 defs.insert(dst, sym.map(Sym::F));
             }
             Instr::FArith { op, dst, lhs, rhs } => {
-                let l = read_float(&defs, lhs);
-                let r = read_float(&defs, rhs);
+                let l = read_float(&defs, &writes, lhs);
+                let r = read_float(&defs, &writes, rhs);
                 let sym = match (l, r) {
                     // `pre_a(a[..]) op pre_b(b[..])` — the two-load map
                     // (the alpha blend's weighted sum).
@@ -387,7 +396,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 defs.insert(dst, sym.map(Sym::F));
             }
             Instr::FArithImm { op, dst, lhs, imm } => {
-                let sym = match read_float(&defs, lhs) {
+                let sym = match read_float(&defs, &writes, lhs) {
                     // `load op imm` folds into the pre-scale when the
                     // load is still raw, otherwise rides as `rhs`.
                     Some(FSym::Map(m)) if m.rhs == VRhs::None && !m.round => {
@@ -406,7 +415,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 defs.insert(dst, sym.map(Sym::F));
             }
             Instr::FRound { dst, src } => {
-                let sym = match read_float(&defs, src) {
+                let sym = match read_float(&defs, &writes, src) {
                     Some(FSym::Map(m)) if !m.round => Some(FSym::Map(MapSym { round: true, ..m })),
                     _ => None,
                 };
@@ -415,13 +424,13 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
             Instr::StoreF64 { buf, idx, val, reduce } => {
                 cost.stores += 1;
                 let idx = read_int(&defs, &writes, idx)?;
-                let val = read_float(&defs, val)?;
+                let val = read_float(&defs, &writes, val)?;
                 effects.push(Effect::StoreF { buf, idx, val, reduce });
             }
             Instr::StoreU8 { buf, idx, val, reduce } => {
                 cost.stores += 1;
                 let idx = read_int(&defs, &writes, idx)?;
-                let val = read_float(&defs, val)?;
+                let val = read_float(&defs, &writes, val)?;
                 effects.push(Effect::StoreU { buf, idx, val, reduce });
             }
             Instr::IAppend { buf, val } => {
@@ -431,7 +440,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
             }
             Instr::FAppend { buf, val } => {
                 cost.stores += 1;
-                let val = read_float(&defs, val)?;
+                let val = read_float(&defs, &writes, val)?;
                 effects.push(Effect::AppendF { buf, val });
             }
             Instr::FCmpBranchImm { op, lhs, imm, target } => {
@@ -445,7 +454,7 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 {
                     return None;
                 }
-                match read_float(&defs, lhs) {
+                match read_float(&defs, &writes, lhs) {
                     Some(FSym::Map(m))
                         if m.rhs == VRhs::None && !m.round && m.a.pre == VScale::None =>
                     {
@@ -488,13 +497,25 @@ fn dispatch(
             }
             let cost = base_cost.to_vcost()?;
             match *base_effects {
-                // One store of a literal: the dense-output fill loop.
-                [Effect::StoreF { buf, idx, val: FSym::Const(imm), reduce: Option::None }] => {
+                // One store of a literal or of an invariant register: the
+                // dense-output fill loop, and a run value broadcast over
+                // its region.
+                [Effect::StoreF {
+                    buf,
+                    idx,
+                    val: val @ (FSym::Const(_) | FSym::Inv(_)),
+                    reduce: Option::None,
+                }] => {
                     if base_cost.loads != 0 {
                         return None;
                     }
                     let base = vbase_of(idx)?;
-                    Some(Instr::VFillStoreF64 { buf, base, imm, counter, hi, cost, lanes: 8 })
+                    let val = match val {
+                        FSym::Inv(reg) => VFill::Reg(reg),
+                        FSym::Const(imm) => VFill::Imm(imm),
+                        FSym::Map(_) => return None,
+                    };
+                    Some(Instr::VFillStoreF64 { buf, base, val, counter, hi, cost, lanes: 8 })
                 }
                 // One store of a map value: elementwise kernels when the
                 // index walks with the loop, reductions when it is fixed.
@@ -674,23 +695,42 @@ mod tests {
         let mut stats = OptStats::default();
         let vectorized = vectorize(&typed, &mut stats);
         vectorized.validate().expect("vectorized program validates");
-        let run = |p: &Program| {
-            let mut bufs = bufs.clone();
-            let mut vm = Vm::new(p);
-            vm.run(p, &mut bufs).expect("program runs");
-            (bufs, vm.stats())
-        };
-        let (scalar_bufs, scalar_stats) = run(&typed);
-        let (vec_bufs, vec_stats) = run(&vectorized);
-        assert_eq!(scalar_stats, vec_stats, "work counters diverge:\n{}", vectorized.disasm());
-        for (id, name, buf) in scalar_bufs.iter() {
-            assert_eq!(buf, vec_bufs.get(id), "buffer {name} diverges:\n{}", vectorized.disasm());
-        }
+        let outcome = assert_same_run(&typed, &vectorized, bufs, None, &vectorized.disasm());
+        assert_eq!(outcome, Ok(()), "program runs");
         (vectorized, stats)
     }
 
     fn has(p: &Program, pred: impl Fn(&Instr) -> bool) -> bool {
         p.code().iter().any(pred)
+    }
+
+    /// Run the scalar and the vectorized program against the same buffers
+    /// (under a step budget, if any) and assert the same outcome — value or
+    /// error —, buffers and work counters.
+    fn assert_same_run(
+        typed: &Program,
+        vectorized: &Program,
+        bufs: &BufferSet,
+        budget: Option<u64>,
+        what: &str,
+    ) -> Result<(), String> {
+        let run = |p: &Program| {
+            let mut bufs = bufs.clone();
+            let mut vm = Vm::new(p);
+            if let Some(budget) = budget {
+                vm = vm.with_step_budget(budget);
+            }
+            let outcome = vm.run(p, &mut bufs).map_err(|e| format!("{e:?}"));
+            (outcome, bufs, vm.stats())
+        };
+        let (scalar, scalar_bufs, scalar_stats) = run(typed);
+        let (outcome, vec_bufs, vec_stats) = run(vectorized);
+        assert_eq!(scalar, outcome, "{what}: outcome");
+        assert_eq!(scalar_stats, vec_stats, "{what}: work counters");
+        for (id, name, buf) in scalar_bufs.iter() {
+            assert_eq!(buf, vec_bufs.get(id), "{what}: buffer {name}");
+        }
+        outcome
     }
 
     #[test]
@@ -712,12 +752,94 @@ mod tests {
         }];
         let (p, stats) = vectorize_checked(&prog, &names, &bufs);
         assert!(
-            has(&p, |i| matches!(i, Instr::VFillStoreF64 { imm, .. } if *imm == 0.25)),
+            has(
+                &p,
+                |i| matches!(i, Instr::VFillStoreF64 { val: VFill::Imm(imm), .. } if *imm == 0.25)
+            ),
             "\n{}",
             p.disasm()
         );
         assert!(stats.instrs_vectorized > 0, "{stats:?}");
         assert_eq!(stats.instrs_vectorized, stats.instrs_vectorizable, "{stats:?}");
+    }
+
+    /// A run value broadcast over its region, as run-length lowering leaves
+    /// it once the value and the row offset are hoisted:
+    /// `let x = vals[1]; let row = rows[0]; for j in lo..=hi { out[row + j] = x }`.
+    fn run_broadcast(lo: i64, hi: i64) -> (Vec<Stmt>, Names, BufferSet) {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let vals = bufs.add("vals", Buffer::F64(vec![0.5, 7.0].into()));
+        let rows = bufs.add("rows", Buffer::I64(vec![16].into()));
+        let out = bufs.add("out", Buffer::F64(vec![9.0; 32].into()));
+        let (x, row, j) = (names.fresh("x"), names.fresh("row"), names.fresh("j"));
+        let prog = vec![
+            Stmt::Let { var: x, init: Expr::load(vals, Expr::int(1)) },
+            Stmt::Let { var: row, init: Expr::load(rows, Expr::int(0)) },
+            Stmt::For {
+                var: j,
+                lo: Expr::int(lo),
+                hi: Expr::int(hi),
+                body: vec![Stmt::Store {
+                    buf: out,
+                    index: Expr::add(Expr::Var(row), Expr::Var(j)),
+                    value: Expr::Var(x),
+                    reduce: None,
+                }],
+            },
+        ];
+        (prog, names, bufs)
+    }
+
+    fn is_register_fill(i: &Instr) -> bool {
+        matches!(
+            i,
+            Instr::VFillStoreF64 { val: VFill::Reg(_), base: VBase::Scaled { stride: 1, .. }, .. }
+        )
+    }
+
+    #[test]
+    fn run_broadcast_becomes_a_register_fill() {
+        let (prog, names, bufs) = run_broadcast(2, 13);
+        let (p, stats) = vectorize_checked(&prog, &names, &bufs);
+        assert!(has(&p, is_register_fill), "\n{}", p.disasm());
+        assert_eq!(stats.instrs_vectorized, stats.instrs_vectorizable, "{stats:?}");
+        // The fill took the bulk: the scalar loop ran one iteration.
+        let mut vm = Vm::new(&p);
+        let counts = vm.run_profiled(&p, &mut bufs.clone()).expect("runs");
+        let head = p.code().iter().position(|i| matches!(i, Instr::IForTest { .. })).unwrap();
+        assert_eq!(counts[head], 2, "one iteration and the exit test\n{}", p.disasm());
+    }
+
+    #[test]
+    fn a_register_fill_declines_where_the_scalar_loop_must_run() {
+        // Every precondition the op re-checks at run time, failing in turn:
+        // each time the untouched scalar loop does all the work, or faults
+        // where it always did — same outcome, buffers and work counters.
+        let (prog, names, bufs) = run_broadcast(2, 13);
+        let typed = lower_typed(&prog, &names, &bufs);
+        let vectorized = vectorize(&typed, &mut OptStats::default());
+        assert!(has(&vectorized, is_register_fill), "\n{}", vectorized.disasm());
+
+        // Kind drift: the destination is rebound to another element type.
+        let mut drifted = bufs.clone();
+        let out = drifted.iter().find(|(_, name, _)| *name == "out").map(|(id, _, _)| id).unwrap();
+        *drifted.get_mut(out) = Buffer::I64(vec![0; 32].into());
+        assert_eq!(assert_same_run(&typed, &vectorized, &drifted, None, "kind drift"), Ok(()));
+
+        // The region runs past the end of the buffer: the fill takes none
+        // of it, and the scalar loop faults at the first bad element.
+        let mut short = bufs.clone();
+        *short.get_mut(out) = Buffer::F64(vec![9.0; 24].into());
+        let outcome = assert_same_run(&typed, &vectorized, &short, None, "out of range");
+        assert!(outcome.unwrap_err().contains("OutOfBounds"));
+
+        // A trip below the op's minimum.
+        let (prog, names, bufs) = run_broadcast(2, 5);
+        let typed = lower_typed(&prog, &names, &bufs);
+        let vectorized = vectorize(&typed, &mut OptStats::default());
+        assert!(has(&vectorized, is_register_fill));
+        assert_eq!(assert_same_run(&typed, &vectorized, &bufs, None, "short trip"), Ok(()));
     }
 
     #[test]
@@ -1028,7 +1150,7 @@ mod tests {
         let x = bufs.add("x", Buffer::F64((1..=12).map(f64::from).collect()));
         let y = bufs.add("y", Buffer::F64(vec![0.0; 12].into()));
         let i = names.fresh("i");
-        let prog = vec![Stmt::For {
+        let map = vec![Stmt::For {
             var: i,
             lo: Expr::int(0),
             hi: Expr::int(11),
@@ -1039,22 +1161,15 @@ mod tests {
                 reduce: None,
             }],
         }];
-        let typed = lower_typed(&prog, &names, &bufs);
-        let vectorized = vectorize(&typed, &mut OptStats::default());
-        assert!(has(&vectorized, |i| matches!(i, Instr::VMapF64 { .. })));
-        for budget in 0..40u64 {
-            let run = |p: &Program| {
-                let mut bufs = bufs.clone();
-                let mut vm = Vm::new(p).with_step_budget(budget);
-                let outcome = vm.run(p, &mut bufs).map_err(|e| format!("{e:?}"));
-                (outcome, bufs, vm.stats())
-            };
-            let (sr, sb, ss) = run(&typed);
-            let (vr, vb, vs) = run(&vectorized);
-            assert_eq!(sr, vr, "outcome diverges at budget {budget}");
-            assert_eq!(ss, vs, "stats diverge at budget {budget}");
-            for (id, name, buf) in sb.iter() {
-                assert_eq!(buf, vb.get(id), "buffer {name} diverges at budget {budget}");
+        let is_map: fn(&Instr) -> bool = |i| matches!(i, Instr::VMapF64 { .. });
+        let cases = [((map, names, bufs), is_map), (run_broadcast(2, 13), is_register_fill)];
+        for ((prog, names, bufs), kernel_op) in cases {
+            let typed = lower_typed(&prog, &names, &bufs);
+            let vectorized = vectorize(&typed, &mut OptStats::default());
+            assert!(has(&vectorized, kernel_op), "\n{}", vectorized.disasm());
+            for budget in 0..40u64 {
+                let what = format!("budget {budget}");
+                let _ = assert_same_run(&typed, &vectorized, &bufs, Some(budget), &what);
             }
         }
     }

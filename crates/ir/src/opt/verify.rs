@@ -23,7 +23,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{Instr, LaneTag, Program, VRhs};
+use crate::bytecode::{for_each_reg_role, Instr, LaneTag, Program, Role, VFill, VRhs};
 use crate::expr::Expr;
 use crate::stmt::Stmt;
 use crate::var::{Names, Var};
@@ -337,11 +337,42 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
         if let Some((counter, hi)) = instr.vop_loop_regs() {
-            match program.code().get(pc + 1) {
-                Some(&Instr::IForTest { counter: c, hi: h, .. }) if c == counter && h == hi => {}
+            let end = match program.code().get(pc + 1) {
+                Some(&Instr::IForTest { counter: c, hi: h, end, .. })
+                    if c == counter && h == hi =>
+                {
+                    end as usize
+                }
                 _ => {
                     return Err(format!(
                         "vector op at pc {pc} does not immediately precede its loop head"
+                    ));
+                }
+            };
+            // A register-valued fill stands for the loop's own typed store
+            // of that register — the proof that the float lane holds the
+            // value — and reads it once: the body may not change it.
+            if let Instr::VFillStoreF64 { buf, val: VFill::Reg(reg), .. } = *instr {
+                let body = program.code().get(pc + 2..end).unwrap_or_default();
+                let mut written = false;
+                for instr in body {
+                    for_each_reg_role(instr, &mut |r, role| {
+                        written |= r == reg && role != Role::Read;
+                    });
+                }
+                if written {
+                    return Err(format!(
+                        "vector fill at pc {pc} reads register {reg}, which its loop body writes"
+                    ));
+                }
+                let stores_it = body.iter().any(|i| match *i {
+                    Instr::StoreF64 { buf: b, val, .. } => b == buf && val == reg,
+                    _ => false,
+                });
+                if !stores_it {
+                    return Err(format!(
+                        "vector fill at pc {pc} reads register {reg}, which its loop never \
+                         stores as an f64"
                     ));
                 }
             }

@@ -207,7 +207,9 @@ impl Value {
         Ok(Value::Float(r))
     }
 
-    /// Apply a unary operator to a value, propagating `Missing`.
+    /// Apply a unary operator to a value, propagating `Missing`.  Integer
+    /// negation and absolute value wrap on `i64::MIN`, like the integer
+    /// arithmetic of [`Value::binop`].
     ///
     /// # Errors
     ///
@@ -218,12 +220,12 @@ impl Value {
         }
         Ok(match op {
             UnOp::Neg => match a {
-                Value::Int(x) => Value::Int(-x),
+                Value::Int(x) => Value::Int(x.wrapping_neg()),
                 other => Value::Float(-other.as_float()?),
             },
             UnOp::Not => Value::Bool(!a.as_bool()?),
             UnOp::Abs => match a {
-                Value::Int(x) => Value::Int(x.abs()),
+                Value::Int(x) => Value::Int(x.wrapping_abs()),
                 other => Value::Float(other.as_float()?.abs()),
             },
             UnOp::Sqrt => Value::Float(a.as_float()?.sqrt()),
@@ -319,6 +321,20 @@ mod tests {
         for op in [UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Round] {
             assert!(Value::unop(op, Value::Missing).unwrap().is_missing());
         }
+    }
+
+    #[test]
+    fn integer_negation_and_abs_wrap_like_binop_in_both_profiles() {
+        // `-x` and `abs(x)` overflow on `i64::MIN` only; like `binop`'s
+        // `wrapping_add` / `_sub` / `_mul` they wrap — the same answer with
+        // and without debug assertions, never a panic.
+        for op in [UnOp::Neg, UnOp::Abs] {
+            assert_eq!(Value::unop(op, Value::Int(i64::MIN)).unwrap(), Value::Int(i64::MIN));
+        }
+        assert_eq!(Value::unop(UnOp::Neg, Value::Int(i64::MAX)).unwrap(), Value::Int(-i64::MAX));
+        assert_eq!(Value::unop(UnOp::Abs, Value::Int(-7)).unwrap(), Value::Int(7));
+        let wrapped = Value::binop(BinOp::Sub, Value::Int(0), Value::Int(i64::MIN)).unwrap();
+        assert_eq!(wrapped, Value::unop(UnOp::Neg, Value::Int(i64::MIN)).unwrap());
     }
 
     #[test]

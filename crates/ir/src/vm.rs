@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet, VmBufs};
-use crate::bytecode::{Instr, LaneTag, Program, Reg, VBase, VCost, VRhs, VScale};
+use crate::bytecode::{Instr, LaneTag, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
 use crate::interp::ExecStats;
@@ -930,8 +930,8 @@ impl Vm {
                 // ---- advances the counter.  On any failed precondition
                 // ---- the op does *nothing* and the scalar loop runs every
                 // ---- iteration, so none of these can fault.
-                Instr::VFillStoreF64 { buf, base, imm, counter, hi, cost, lanes } => {
-                    self.v_fill(bufs, buf, base, imm, counter, hi, cost, lanes);
+                Instr::VFillStoreF64 { buf, base, val, counter, hi, cost, lanes } => {
+                    self.v_fill(bufs, buf, base, val, counter, hi, cost, lanes);
                     pc += 1;
                 }
                 Instr::VMapF64 {
@@ -1494,14 +1494,16 @@ impl Vm {
         }
     }
 
-    /// [`Instr::VFillStoreF64`]: `buf[base + v] = imm` for the bulk.
+    /// [`Instr::VFillStoreF64`]: `buf[base + v] = val` for the bulk.  A
+    /// register value is read from the float lane, like the typed
+    /// `StoreF64` of the scalar body that proves the lane holds it.
     #[allow(clippy::too_many_arguments)]
     fn v_fill<B: VmBufs>(
         &mut self,
         bufs: &mut B,
         buf: BufId,
         base: VBase,
-        imm: f64,
+        val: VFill,
         counter: Reg,
         hi: Reg,
         cost: VCost,
@@ -1513,9 +1515,13 @@ impl Vm {
             return;
         }
         let off = self.vbase_off(base);
+        let val = match val {
+            VFill::Imm(imm) => imm,
+            VFill::Reg(reg) => self.floats[reg.index()],
+        };
         let Buffer::F64(data) = bufs.get_mut(buf) else { return };
         let Some(span) = vspan(off, lo, hiv, data.len()) else { return };
-        vfill_f64(&mut data[span], imm, lanes);
+        vfill_f64(&mut data[span], val, lanes);
         self.stats.loop_iters += n;
         self.vbump(n, cost);
         self.ints[counter.index()] = hiv;

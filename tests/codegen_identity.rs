@@ -114,12 +114,16 @@ fn corpus() -> Vec<(String, CompiledKernel)> {
 /// everything else the compiler decided (one fact per line).
 fn texts(kernel: &CompiledKernel) -> [(&'static str, String); 3] {
     let program = kernel.bytecode();
+    // `exprs_hoisted` was added to `OptStats` after the golden file was first
+    // recorded: it is listed only where it counts something, so that the
+    // records it does not concern (every `none` record among them) stay
+    // byte for byte what they were.
+    let opt_stats = format!("{:?}", kernel.opt_stats()).replace(" exprs_hoisted: 0,", "");
     let meta = format!(
-        "num_regs {}\npretags {:?}\nshard_plan {:?}\nopt_stats {:?}\n",
+        "num_regs {}\npretags {:?}\nshard_plan {:?}\nopt_stats {opt_stats}\n",
         program.num_regs(),
         program.pretags(),
         program.shard_plan(),
-        kernel.opt_stats()
     );
     [("code", kernel.code().to_string()), ("disasm", program.disasm()), ("meta", meta)]
 }
