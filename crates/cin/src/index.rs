@@ -102,7 +102,7 @@ pub enum Protocol {
     #[default]
     Default,
     /// Iterate over stored entries in ascending order, following other
-    /// iterators (lowered through a [`Stepper`](finch_looplets) nest).
+    /// iterators (lowered through a `Stepper` nest of `finch-looplets`).
     Walk,
     /// Iterate over stored entries but lead the coiteration, skipping ahead
     /// with binary search (lowered through a `Jumper` nest; merging two

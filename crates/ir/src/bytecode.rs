@@ -39,10 +39,17 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::buffer::BufId;
-use crate::expr::{BinOp, Expr, UnOp};
+use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
 use crate::value::Value;
 use crate::var::{Names, Var};
+
+// The instruction set is one table, in `isa.rs`: the enum, its operand walk
+// and everything derived from the two.
+pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
+pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
+pub(crate) use crate::isa::{Access, Edge, Elem, Operand, Role, Shared};
+pub use crate::isa::{Instr, VBase, VCost, VFill, VRhs, VScale};
 
 /// A register of the bytecode VM, identified by a dense index.
 ///
@@ -68,862 +75,6 @@ impl fmt::Display for Reg {
 /// [`Program`] is returned.  [`Program::validate`] checks none survive.
 const PENDING: u32 = u32::MAX;
 
-/// One bytecode instruction.
-///
-/// Jump targets are absolute instruction indices.  Every instruction either
-/// falls through to the next instruction or transfers control to its target.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instr {
-    /// Count one executed statement and enforce the step budget.  Emitted
-    /// once per source [`Stmt`], before the statement's own code; the
-    /// `finalize` pass folds most of them into [`Program::stmt_bump`] and
-    /// keeps only those a join point needs (loop heads).
-    BumpStmt,
-    /// `dst = consts[cidx]`.
-    Const {
-        /// Destination register.
-        dst: Reg,
-        /// Index into the program's constant pool.
-        cidx: u32,
-    },
-    /// `dst = src`.  Reading an unset register is an error (this is how an
-    /// unbound variable read surfaces).
-    Mov {
-        /// Destination register.
-        dst: Reg,
-        /// Source register.
-        src: Reg,
-    },
-    /// `dst = len(buf)` as an integer.
-    BufLen {
-        /// Destination register.
-        dst: Reg,
-        /// The buffer whose length is taken.
-        buf: BufId,
-    },
-    /// `dst = buf[idx]`.  A missing index yields missing (the `permit`
-    /// semantics); otherwise the index is coerced to an integer, bounds are
-    /// checked, and one load is counted.
-    Load {
-        /// Destination register.
-        dst: Reg,
-        /// The buffer read from.
-        buf: BufId,
-        /// Register holding the element index.
-        idx: Reg,
-    },
-    /// Coerce the register to an integer in place (the interpreter's
-    /// `Value::as_int`): booleans widen, integral floats convert, anything
-    /// else (including missing) is a type error.
-    CoerceInt {
-        /// The register coerced.
-        reg: Reg,
-    },
-    /// `buf[idx] reduce= val` (plain store when `reduce` is `None`).  The
-    /// index register must already hold an integer (the compiler emits
-    /// [`Instr::CoerceInt`] first); bounds are checked and one store is
-    /// counted.
-    Store {
-        /// The destination buffer.
-        buf: BufId,
-        /// Register holding the (already integer) element index.
-        idx: Reg,
-        /// Register holding the stored value.
-        val: Reg,
-        /// Reduction operator (`Some(Add)` means `+=`).
-        reduce: Option<BinOp>,
-    },
-    /// `dst = op src`.
-    Unary {
-        /// The operator.
-        op: UnOp,
-        /// Destination register.
-        dst: Reg,
-        /// Operand register.
-        src: Reg,
-    },
-    /// `dst = lhs op rhs`.  `&&`/`||` appearing here are the *non*
-    /// short-circuit completion of the branchy lowering (both operands are
-    /// already evaluated).
-    Binary {
-        /// The operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-    },
-    /// Unconditional jump.
-    Jump {
-        /// Absolute target instruction index.
-        target: u32,
-    },
-    /// Jump when the register is falsy.  A missing value jumps when
-    /// `strict` is false (`if`/`select` semantics) and raises a type error
-    /// when `strict` is true.
-    JumpIfFalse {
-        /// The register tested.
-        src: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-        /// Whether a missing condition is a type error instead of false.
-        strict: bool,
-    },
-    /// Jump when the register is truthy; a missing value falls through.
-    /// Used by the short-circuit lowering of `||`.
-    JumpIfTrue {
-        /// The register tested.
-        src: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-    },
-    /// Jump when the register holds missing (short-circuit `&&`/`||`).
-    JumpIfMissing {
-        /// The register tested.
-        src: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-    },
-    /// Jump when the register holds a non-missing value (`coalesce`).
-    JumpIfNotMissing {
-        /// The register tested.
-        src: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-    },
-    /// `while` loop head: test the (strictly boolean-coercible) condition;
-    /// when true count one loop iteration and fall through into the body,
-    /// otherwise jump to `end`.
-    WhileTest {
-        /// Register holding the just-evaluated condition.
-        cond: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// `for` loop head: when `counter <= hi` (both already integers) count
-    /// one loop iteration, publish the counter into the loop variable's
-    /// register, and fall through; otherwise jump to `end`.
-    ForTest {
-        /// Register holding the hidden loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// The loop variable's register, set to the counter each iteration.
-        var: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// `for` loop back-edge: increment the counter and jump to `test`.
-    ForStep {
-        /// Register holding the hidden loop counter.
-        counter: Reg,
-        /// Absolute index of the loop's [`Instr::ForTest`].
-        test: u32,
-    },
-    /// `buf.push(val)`: append one element at the end of a growable buffer
-    /// (sparse output assembly).  Counts one store, like [`Instr::Store`].
-    Append {
-        /// The buffer appended to.
-        buf: BufId,
-        /// Register holding the appended value.
-        val: Reg,
-    },
-    /// `pos.push(len(data))`: close one fiber of a sparse output level by
-    /// recording the current length of its entry array.  Counts one store.
-    FiberEnd {
-        /// The `pos` (fiber boundary) buffer appended to.
-        pos: BufId,
-        /// The entry array whose current length is recorded.
-        data: BufId,
-    },
-    /// The looplet `seek`: lower-bound binary search for `key` over
-    /// `buf[lo..=hi]` (bounds and key already integers), writing the first
-    /// position with `buf[p] >= key` (or `hi + 1`) into `dst`.  Counts one
-    /// search plus one load per probe, exactly like the tree-walker.
-    Seek {
-        /// Destination register for the found position.
-        dst: Reg,
-        /// The sorted coordinate buffer searched.
-        buf: BufId,
-        /// Register holding the inclusive lower candidate position.
-        lo: Reg,
-        /// Register holding the inclusive upper candidate position.
-        hi: Reg,
-        /// Register holding the key searched for.
-        key: Reg,
-        /// Compare against `abs(buf[p])` (PackBits stores negated markers).
-        on_abs: bool,
-    },
-    /// Superinstruction: `dst = lhs op consts[cidx]` — the peephole fusion
-    /// of a [`Instr::Const`] feeding the right operand of a
-    /// [`Instr::Binary`].  Semantics (promotion, missing propagation,
-    /// errors) and [`crate::interp::ExecStats`] are exactly those of the
-    /// unfused pair.
-    BinaryImm {
-        /// The operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        lhs: Reg,
-        /// Constant-pool index of the right operand.
-        cidx: u32,
-    },
-    /// Superinstruction: `dst = lhs op buf[idx]` — the peephole fusion of a
-    /// [`Instr::Load`] feeding the right operand of a [`Instr::Binary`].
-    /// The load half keeps its exact semantics (missing index yields a
-    /// missing operand, bounds are checked, one load is counted) before the
-    /// operator is applied.
-    LoadBinary {
-        /// The operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        lhs: Reg,
-        /// The buffer the right operand is loaded from.
-        buf: BufId,
-        /// Register holding the element index of the load.
-        idx: Reg,
-    },
-    /// Superinstruction: fused compare-and-branch — a comparison
-    /// [`Instr::Binary`] feeding a [`Instr::JumpIfFalse`].  Jumps when the
-    /// comparison is false; a missing comparison (a missing operand) jumps
-    /// when `strict` is false and raises a type error when `strict` is
-    /// true, exactly like the unfused pair.
-    CmpBranch {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-        /// Whether a missing comparison is a type error instead of false.
-        strict: bool,
-    },
-    /// Superinstruction: fused compare-immediate-and-branch — a
-    /// [`Instr::BinaryImm`] comparison feeding a [`Instr::JumpIfFalse`].
-    CmpBranchImm {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Constant-pool index of the right operand.
-        cidx: u32,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-        /// Whether a missing comparison is a type error instead of false.
-        strict: bool,
-    },
-    /// Superinstruction: fused `while` head — a comparison
-    /// [`Instr::Binary`] feeding a [`Instr::WhileTest`].  When the
-    /// comparison holds, counts one loop iteration and falls through;
-    /// otherwise jumps to `end`.  A missing comparison is a type error,
-    /// like [`Instr::WhileTest`] on a missing condition.
-    WhileCmp {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// Superinstruction: fused `while` head with an immediate right
-    /// operand — a [`Instr::BinaryImm`] comparison feeding a
-    /// [`Instr::WhileTest`].
-    WhileCmpImm {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Constant-pool index of the right operand.
-        cidx: u32,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-
-    // -----------------------------------------------------------------
-    // Monomorphic typed instructions, produced by the register-type
-    // inference pass in `crate::opt::typing`.  Each is the exact
-    // semantics of its generic counterpart restricted to operands whose
-    // runtime tag is statically proven, so the VM executes it directly
-    // on the unboxed `ints`/`floats` lanes with no tag reads or writes.
-    // They maintain `crate::interp::ExecStats` identically to their
-    // generic forms, and every register written by one is listed in
-    // [`Program::pretags`] so generic instructions can still read it.
-    // -----------------------------------------------------------------
-    /// No operation (a statically-discharged [`Instr::CoerceInt`], kept
-    /// so jump targets stay stable — the typing pass rewrites 1:1; the
-    /// `finalize` pass deletes them).
-    Nop,
-    /// `ints[dst] = imm` — a typed [`Instr::Const`] with the integer
-    /// inlined (no constant-pool read).
-    ConstI {
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// The inlined integer literal.
-        imm: i64,
-    },
-    /// `floats[dst] = imm` — a typed [`Instr::Const`] with the float
-    /// inlined bit-exactly.
-    ConstF {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// The inlined float literal.
-        imm: f64,
-    },
-    /// `ints[dst] = ints[src]` — a typed [`Instr::Mov`].
-    IMov {
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// Source register (proven `Int` and assigned here).
-        src: Reg,
-    },
-    /// `floats[dst] = floats[src]` — a typed [`Instr::Mov`].
-    FMov {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// Source register (proven `Float` and assigned here).
-        src: Reg,
-    },
-    /// `ints[dst] = len(buf)` — a typed [`Instr::BufLen`].
-    ILen {
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// The buffer whose length is taken.
-        buf: BufId,
-    },
-    /// `ints[dst] = i64buf[ints[idx]]` — a typed [`Instr::Load`] from an
-    /// I64 buffer.  Bounds are checked and one load is counted, exactly
-    /// like the generic form on an integer index.
-    LoadI64 {
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// The I64 buffer read from.
-        buf: BufId,
-        /// Register holding the element index (proven `Int`).
-        idx: Reg,
-    },
-    /// `floats[dst] = f64buf[ints[idx]]` — a typed [`Instr::Load`] from
-    /// an F64 buffer.
-    LoadF64 {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// The F64 buffer read from.
-        buf: BufId,
-        /// Register holding the element index (proven `Int`).
-        idx: Reg,
-    },
-    /// `floats[dst] = u8buf[ints[idx]] as f64` — a typed [`Instr::Load`]
-    /// from a U8 buffer (which loads as a float, like the generic form).
-    LoadU8 {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// The U8 buffer read from.
-        buf: BufId,
-        /// Register holding the element index (proven `Int`).
-        idx: Reg,
-    },
-    /// `floats[dst] = floats[lhs] * f64buf[ints[idx]]` — a typed
-    /// [`Instr::LoadBinary`] with a multiply (the inner-product hot
-    /// path).  One load is counted.
-    FMulLoad {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// The F64 buffer the right operand is loaded from.
-        buf: BufId,
-        /// Register holding the element index (proven `Int`).
-        idx: Reg,
-    },
-    /// `f64buf[ints[idx]] reduce= floats[val]` — a typed [`Instr::Store`]
-    /// into an F64 buffer under an arithmetic (infallible) reduction.
-    StoreF64 {
-        /// The F64 destination buffer.
-        buf: BufId,
-        /// Register holding the (already integer) element index.
-        idx: Reg,
-        /// Register holding the stored value (proven `Float`).
-        val: Reg,
-        /// Reduction operator (restricted to `Add`/`Sub`/`Mul`/`Div`/
-        /// `Min`/`Max` or plain assignment).
-        reduce: Option<BinOp>,
-    },
-    /// `u8buf[ints[idx]] reduce= clamp(round(x))` — a typed
-    /// [`Instr::Store`] into a U8 buffer: the reduction (if any) is
-    /// computed in f64 against the loaded element, then clamped to
-    /// `0..=255` and rounded exactly like [`crate::buffer::Buffer::store`].
-    StoreU8 {
-        /// The U8 destination buffer.
-        buf: BufId,
-        /// Register holding the (already integer) element index.
-        idx: Reg,
-        /// Register holding the stored value (proven `Float`).
-        val: Reg,
-        /// Reduction operator (restricted to the arithmetic set).
-        reduce: Option<BinOp>,
-    },
-    /// `i64buf.push(ints[val])` — a typed [`Instr::Append`] (sparse
-    /// coordinate assembly).  Counts one store.
-    IAppend {
-        /// The I64 buffer appended to.
-        buf: BufId,
-        /// Register holding the appended value (proven `Int`).
-        val: Reg,
-    },
-    /// `f64buf.push(floats[val])` — a typed [`Instr::Append`] (sparse
-    /// value assembly).  Counts one store.
-    FAppend {
-        /// The F64 buffer appended to.
-        buf: BufId,
-        /// Register holding the appended value (proven `Float`).
-        val: Reg,
-    },
-    /// `ints[dst] = ints[lhs] op ints[rhs]` for an infallible integer
-    /// arithmetic operator (wrapping `Add`/`Sub`/`Mul`, `Min`, `Max`) —
-    /// a typed [`Instr::Binary`].
-    IArith {
-        /// The operator (`Add`/`Sub`/`Mul`/`Min`/`Max`).
-        op: BinOp,
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// Right operand register (proven `Int`).
-        rhs: Reg,
-    },
-    /// `floats[dst] = floats[lhs] op floats[rhs]` for a float arithmetic
-    /// operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`) — a typed
-    /// [`Instr::Binary`].
-    FArith {
-        /// The operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`).
-        op: BinOp,
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// Right operand register (proven `Float`).
-        rhs: Reg,
-    },
-    /// `ints[dst] = ints[lhs] op imm` — a typed [`Instr::BinaryImm`]
-    /// with the integer immediate inlined.
-    IArithImm {
-        /// The operator (`Add`/`Sub`/`Mul`/`Min`/`Max`).
-        op: BinOp,
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// The inlined integer immediate.
-        imm: i64,
-    },
-    /// `floats[dst] = floats[lhs] op imm` — a typed [`Instr::BinaryImm`]
-    /// with the float immediate inlined bit-exactly.
-    FArithImm {
-        /// The operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`).
-        op: BinOp,
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// The inlined float immediate.
-        imm: f64,
-    },
-    /// `floats[dst] = round(floats[src]).clamp(0, 255)` — a typed
-    /// [`Instr::Unary`] for `round_u8` (the alpha-blend hot path).
-    FRound {
-        /// Destination register (statically `Float`).
-        dst: Reg,
-        /// Operand register (proven `Float`).
-        src: Reg,
-    },
-    /// Typed [`Instr::CmpBranch`] on two integer registers: equality on
-    /// the integers, ordering through f64 (exactly the generic int/int
-    /// fast path).  The comparison cannot be missing, so there is no
-    /// strictness flag.
-    ICmpBranch {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// Right operand register (proven `Int`).
-        rhs: Reg,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-    },
-    /// Typed [`Instr::CmpBranchImm`] with an inlined integer immediate.
-    ICmpBranchImm {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// The inlined integer immediate.
-        imm: i64,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-    },
-    /// Typed [`Instr::CmpBranch`] on two float registers.
-    FCmpBranch {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// Right operand register (proven `Float`).
-        rhs: Reg,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-    },
-    /// Typed [`Instr::CmpBranchImm`] with an inlined float immediate.
-    FCmpBranchImm {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// The inlined float immediate.
-        imm: f64,
-        /// Absolute target instruction index when the comparison fails.
-        target: u32,
-    },
-    /// Typed [`Instr::WhileCmp`] on two integer registers: when the
-    /// comparison holds, count one loop iteration and fall through;
-    /// otherwise jump to `end`.
-    IWhileCmp {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// Right operand register (proven `Int`).
-        rhs: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// Typed [`Instr::WhileCmpImm`] with an inlined integer immediate.
-    IWhileCmpImm {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Int`).
-        lhs: Reg,
-        /// The inlined integer immediate.
-        imm: i64,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// Typed [`Instr::WhileCmp`] on two float registers.
-    FWhileCmp {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp,
-        /// Left operand register (proven `Float`).
-        lhs: Reg,
-        /// Right operand register (proven `Float`).
-        rhs: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// Typed [`Instr::ForTest`]: the loop variable is statically `Int`,
-    /// so publishing the counter writes only the int lane (no tag).
-    IForTest {
-        /// Register holding the hidden loop counter (proven `Int`).
-        counter: Reg,
-        /// Register holding the inclusive upper bound (proven `Int`).
-        hi: Reg,
-        /// The loop variable's register (statically `Int`).
-        var: Reg,
-        /// Absolute index of the first instruction after the loop.
-        end: u32,
-    },
-    /// Typed [`Instr::Seek`] over an I64 coordinate buffer, writing the
-    /// found position to the int lane only.  Counts one search plus one
-    /// load per probe, exactly like the generic form.
-    ISeek {
-        /// Destination register (statically `Int`).
-        dst: Reg,
-        /// The sorted I64 coordinate buffer searched.
-        buf: BufId,
-        /// Register holding the inclusive lower candidate position.
-        lo: Reg,
-        /// Register holding the inclusive upper candidate position.
-        hi: Reg,
-        /// Register holding the key searched for.
-        key: Reg,
-        /// Compare against `abs(buf[p])` (PackBits stores negated markers).
-        on_abs: bool,
-    },
-
-    // -----------------------------------------------------------------
-    // Vectorized kernel ops, produced by the vectorize pass in
-    // `crate::opt::vectorize`.  Each one sits immediately *before* a
-    // typed counted loop (an [`Instr::IForTest`] head) and executes all
-    // but the last of the loop's iterations over whole buffer slices —
-    // unrolled, with no per-element dispatch — then advances the loop
-    // counter so the untouched scalar loop runs exactly the final
-    // iteration (which doubles as the remainder handler and restores
-    // every temporary register bit-for-bit).  When any precondition
-    // fails at runtime (rebound buffer kind, an out-of-range access
-    // anywhere in the slice, aliasing between source and destination,
-    // or a step budget that the bulk could overrun), the kernel op does
-    // *nothing* and the scalar loop runs all iterations — the fallback
-    // is the original code.  Each op bumps `ExecStats` by its
-    // scalar-equivalent `cost` per bulk iteration, so work counters are
-    // identical with and without vectorization.
-    // -----------------------------------------------------------------
-    /// Fill: `f64buf[base + v] = val` for each bulk iteration `v` (the
-    /// dense-output initialisation loop, and a run-length region's
-    /// broadcast of its run value).
-    VFillStoreF64 {
-        /// The F64 destination buffer.
-        buf: BufId,
-        /// Per-iteration element index shape.
-        base: VBase,
-        /// The fill value: an immediate or a loop-invariant float register.
-        val: VFill,
-        /// Register holding the loop counter (read, then set to the hi
-        /// bound, leaving one iteration for the scalar loop).
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration.
-        cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-    /// Elementwise map: `f64dst[..] reduce= post(pre(a[..]) rhs)` for
-    /// each bulk iteration (the axpy / elementwise-multiply / alpha-blend
-    /// hot paths).  Evaluation order and operand orientation reproduce
-    /// the scalar body bit-for-bit.
-    VMapF64 {
-        /// The F64 destination buffer (must not alias the sources).
-        dst: BufId,
-        /// Destination index shape.
-        dst_base: VBase,
-        /// Store reduction (`Some(Add)` is `+=`).
-        reduce: Option<BinOp>,
-        /// Apply `round_u8` clamping to the value before the store.
-        round: bool,
-        /// The first F64 source buffer.
-        a: BufId,
-        /// First source index shape.
-        a_base: VBase,
-        /// Pre-scale applied to the first loaded operand.
-        a_pre: VScale,
-        /// The second operand (absent, immediate, or a second load).
-        rhs: VRhs,
-        /// Register holding the loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration.
-        cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-    /// Inner product: `f64acc[acc_idx] op= a[..] * b[..]` for each bulk
-    /// iteration, folded strictly in order (FP reassociation would break
-    /// bit-exactness with the scalar loop).  `a` and `b` may be the same
-    /// buffer; neither may alias `acc`.
-    VMulAddF64 {
-        /// The F64 accumulator buffer.
-        acc: BufId,
-        /// The accumulator's constant element index (non-negative).
-        acc_idx: i64,
-        /// The first F64 source buffer.
-        a: BufId,
-        /// First source index shape.
-        a_base: VBase,
-        /// The second F64 source buffer.
-        b: BufId,
-        /// Second source index shape.
-        b_base: VBase,
-        /// The reduction operator combining into the accumulator.
-        op: BinOp,
-        /// Register holding the loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration.
-        cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-    /// Reduction: `f64acc[acc_idx] op= pre(src[..])` for each bulk
-    /// iteration, folded strictly in order.
-    VReduceF64 {
-        /// The F64 accumulator buffer.
-        acc: BufId,
-        /// The accumulator's constant element index (non-negative).
-        acc_idx: i64,
-        /// The F64 source buffer (must not alias `acc`).
-        src: BufId,
-        /// Source index shape.
-        base: VBase,
-        /// Pre-scale applied to the loaded operand.
-        pre: VScale,
-        /// The reduction operator (`Add`/`Max`/`Min`/...).
-        op: BinOp,
-        /// Register holding the loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration.
-        cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-    /// Sparse-output assembly stream: `i64idx_out.push(v)` and
-    /// `f64val_out.push(src[..v])` for each bulk iteration, optionally
-    /// only where `src[..v] cmp guard_imm` holds (the threshold sieve).
-    VAppendRangeF64 {
-        /// The I64 coordinate output buffer.
-        idx_out: BufId,
-        /// The F64 value output buffer.
-        val_out: BufId,
-        /// The F64 source buffer.
-        src: BufId,
-        /// Source index shape.
-        base: VBase,
-        /// Optional filter: append only where `src[..] op imm`.
-        guard: Option<(BinOp, f64)>,
-        /// Register holding the loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration (always incurred).
-        cost: VCost,
-        /// Additional scalar-equivalent work per *passing* iteration.
-        pass_cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-    /// Masked constant store into a U8 buffer: `u8dst[..v] = set` where
-    /// `src[..v] cmp imm` holds (image binarization), with the stored
-    /// value rounded and clamped to `0..=255` exactly like
-    /// [`Instr::StoreU8`].
-    VCmpSelectU8 {
-        /// The U8 destination buffer.
-        dst: BufId,
-        /// Destination index shape.
-        dst_base: VBase,
-        /// The F64 source buffer tested.
-        src: BufId,
-        /// Source index shape.
-        src_base: VBase,
-        /// The comparison operator of the mask.
-        cmp: BinOp,
-        /// The comparison immediate.
-        cmp_imm: f64,
-        /// The value stored where the mask holds.
-        set: f64,
-        /// Register holding the loop counter.
-        counter: Reg,
-        /// Register holding the inclusive upper bound.
-        hi: Reg,
-        /// Scalar-equivalent work per bulk iteration (always incurred).
-        cost: VCost,
-        /// Additional scalar-equivalent work per *passing* iteration.
-        pass_cost: VCost,
-        /// Unroll width (4 or 8).
-        lanes: u8,
-    },
-}
-
-/// Per-iteration element index shape of a vectorized kernel op: either
-/// the loop counter itself (a dense 1-D walk) or `ints[reg] * stride + v`
-/// (a row-major inner loop whose row base is loop-invariant; the base
-/// register must never be written inside the loop body).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VBase {
-    /// The element index is the bulk iteration counter `v` itself.
-    Var,
-    /// The element index is `ints[reg] * stride + v` with `stride >= 1`.
-    Scaled {
-        /// Register holding the loop-invariant row coordinate.
-        reg: Reg,
-        /// The row stride (elements per row), at least 1.
-        stride: i64,
-    },
-}
-
-/// The value a [`Instr::VFillStoreF64`] stores into every element.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VFill {
-    /// A literal, inlined bit-exactly (the dense-output initialisation).
-    Imm(f64),
-    /// A loop-invariant float register, read from the float lane once per
-    /// fill (a run value broadcast over its region).  The loop body must
-    /// not write the register, and must store it through a typed
-    /// [`Instr::StoreF64`] — which is what proves the lane holds it.
-    Reg(Reg),
-}
-
-/// Pre-scale applied to a loaded operand of a vectorized kernel op,
-/// preserving the scalar body's operand orientation bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VScale {
-    /// The operand is used as loaded.
-    None,
-    /// `imm op x` — the [`Instr::FMulLoad`]-shaped `const * load`.
-    Left {
-        /// The operator.
-        op: BinOp,
-        /// The left immediate, inlined bit-exactly.
-        imm: f64,
-    },
-    /// `x op imm` — the [`Instr::FArithImm`]-shaped `load * const`.
-    Right {
-        /// The operator.
-        op: BinOp,
-        /// The right immediate, inlined bit-exactly.
-        imm: f64,
-    },
-}
-
-/// The second operand of a [`Instr::VMapF64`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VRhs {
-    /// No second operand: the map stores the (pre-scaled) first load.
-    None,
-    /// `x op imm` with an inlined immediate.
-    Imm {
-        /// The operator.
-        op: BinOp,
-        /// The immediate, inlined bit-exactly.
-        imm: f64,
-    },
-    /// `x op pre(b[..])` — a second load, with its own index shape and
-    /// pre-scale.
-    Buf {
-        /// The operator combining the two operands.
-        op: BinOp,
-        /// The second F64 source buffer.
-        buf: BufId,
-        /// Second source index shape.
-        base: VBase,
-        /// Pre-scale applied to the second loaded operand.
-        pre: VScale,
-    },
-}
-
-/// Scalar-equivalent [`crate::interp::ExecStats`] deltas one bulk
-/// iteration of a vectorized kernel op accounts for — exactly what the
-/// replaced scalar loop body would have counted, so work counters stay
-/// bit-identical with vectorization on or off.  (`loop_iters` is always
-/// one per bulk iteration and is not encoded.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VCost {
-    /// Executed statements ([`Instr::BumpStmt`]s) per iteration.
-    pub stmts: u8,
-    /// Counted loads per iteration.
-    pub loads: u8,
-    /// Counted stores per iteration.
-    pub stores: u8,
-}
-
 /// The statically-inferred lane of a register, recorded in
 /// [`Program::pretags`] by the typing pass so the VM can pin the
 /// register's runtime tag before dispatch (typed instructions then skip
@@ -937,33 +88,6 @@ pub enum LaneTag {
     Float,
     /// The register always holds a `bool` (bool lane).
     Bool,
-}
-
-/// Comparison operators eligible for the typed compare-branch forms.
-pub(crate) fn is_cmp_op(op: BinOp) -> bool {
-    matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-}
-
-/// Integer operators the typed [`Instr::IArith`] forms support: the
-/// infallible subset (wrapping arithmetic; no `Div`, which can fault).
-pub(crate) fn is_int_arith(op: BinOp) -> bool {
-    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max)
-}
-
-/// Float operators the typed [`Instr::FArith`] forms support (all total
-/// on f64, including `Div`).
-pub(crate) fn is_float_arith(op: BinOp) -> bool {
-    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max)
-}
-
-/// Reductions the typed store forms support: plain assignment or an
-/// arithmetic combine (the same set the VM's unboxed store fast path
-/// accepts).
-pub(crate) fn is_arith_reduce(reduce: Option<BinOp>) -> bool {
-    match reduce {
-        None => true,
-        Some(op) => is_float_arith(op),
-    }
 }
 
 /// Which pcs any instruction can transfer control to, indexed by pc
@@ -1041,375 +165,6 @@ impl Blocks {
 pub(crate) fn remap_targets(code: &mut [Instr], map: &[u32]) {
     for target in code.iter_mut().filter_map(Instr::target_mut) {
         *target = map[*target as usize];
-    }
-}
-
-/// The dispatch loop strides over `[Instr]`, so the instruction's size is
-/// its cache footprint.  It is 112 bytes because the vectorized kernel ops
-/// carry their payloads inline; boxing those belongs to the opcode-table
-/// redesign, and until then the size must not grow unnoticed.
-const _: () = assert!(std::mem::size_of::<Instr>() == 112);
-
-/// The control-transfer target field of an instruction, by whatever kind of
-/// reference `$instr` is: the single authoritative enumeration of branch
-/// opcodes behind [`Instr::target_mut`] and [`Instr::target`].
-macro_rules! target_field {
-    ($instr:expr) => {
-        match $instr {
-            Instr::Jump { target }
-            | Instr::JumpIfFalse { target, .. }
-            | Instr::JumpIfTrue { target, .. }
-            | Instr::JumpIfMissing { target, .. }
-            | Instr::JumpIfNotMissing { target, .. }
-            | Instr::CmpBranch { target, .. }
-            | Instr::CmpBranchImm { target, .. }
-            | Instr::ICmpBranch { target, .. }
-            | Instr::ICmpBranchImm { target, .. }
-            | Instr::FCmpBranch { target, .. }
-            | Instr::FCmpBranchImm { target, .. } => Some(target),
-            Instr::WhileTest { end, .. }
-            | Instr::ForTest { end, .. }
-            | Instr::WhileCmp { end, .. }
-            | Instr::WhileCmpImm { end, .. }
-            | Instr::IWhileCmp { end, .. }
-            | Instr::IWhileCmpImm { end, .. }
-            | Instr::FWhileCmp { end, .. }
-            | Instr::IForTest { end, .. } => Some(end),
-            Instr::ForStep { test, .. } => Some(test),
-            _ => None,
-        }
-    };
-}
-
-/// How an instruction operand uses its register.  Every analysis that asks
-/// "which registers does this instruction read or write" — register typing,
-/// the shard pass's must-defined dataflow — reads the one enumeration
-/// behind [`for_each_reg_role`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
-    /// The operand is read.
-    Read,
-    /// The operand is (unconditionally, on the relevant edge) written.
-    Write,
-    /// One field that is both read and written in place
-    /// ([`Instr::CoerceInt`]'s register, the counter of [`Instr::ForStep`]
-    /// and of the vectorized kernel ops).
-    ReadWrite,
-}
-
-/// Visit the register of a [`VBase::Scaled`] index shape as a read.
-macro_rules! vbase_role {
-    ($base:expr, $f:ident) => {
-        if let VBase::Scaled { reg, .. } = $base {
-            $f(reg, Role::Read);
-        }
-    };
-}
-
-/// Call `$f(field, role)` on every register operand of `$instr` — a `&Instr`
-/// or a `&mut Instr`, the fields borrowed alike — in the order reads, then
-/// the write.  The one enumeration of operand roles behind
-/// [`for_each_reg_role`] and [`for_each_reg_role_mut`].
-macro_rules! reg_roles {
-    ($instr:expr, $f:ident) => {{
-        use Role::*;
-        match $instr {
-            Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } | Instr::Nop => {}
-            Instr::Const { dst, .. }
-            | Instr::ConstI { dst, .. }
-            | Instr::ConstF { dst, .. }
-            | Instr::BufLen { dst, .. }
-            | Instr::ILen { dst, .. } => $f(dst, Write),
-            Instr::Mov { dst, src }
-            | Instr::IMov { dst, src }
-            | Instr::FMov { dst, src }
-            | Instr::Unary { dst, src, .. }
-            | Instr::FRound { dst, src } => {
-                $f(src, Read);
-                $f(dst, Write);
-            }
-            Instr::Load { dst, idx, .. }
-            | Instr::LoadI64 { dst, idx, .. }
-            | Instr::LoadF64 { dst, idx, .. }
-            | Instr::LoadU8 { dst, idx, .. } => {
-                $f(idx, Read);
-                $f(dst, Write);
-            }
-            Instr::CoerceInt { reg } => $f(reg, ReadWrite),
-            Instr::Store { idx, val, .. }
-            | Instr::StoreF64 { idx, val, .. }
-            | Instr::StoreU8 { idx, val, .. } => {
-                $f(idx, Read);
-                $f(val, Read);
-            }
-            Instr::Binary { dst, lhs, rhs, .. }
-            | Instr::IArith { dst, lhs, rhs, .. }
-            | Instr::FArith { dst, lhs, rhs, .. } => {
-                $f(lhs, Read);
-                $f(rhs, Read);
-                $f(dst, Write);
-            }
-            Instr::BinaryImm { dst, lhs, .. }
-            | Instr::IArithImm { dst, lhs, .. }
-            | Instr::FArithImm { dst, lhs, .. } => {
-                $f(lhs, Read);
-                $f(dst, Write);
-            }
-            Instr::LoadBinary { dst, lhs, idx, .. } | Instr::FMulLoad { dst, lhs, idx, .. } => {
-                $f(lhs, Read);
-                $f(idx, Read);
-                $f(dst, Write);
-            }
-            Instr::JumpIfFalse { src, .. }
-            | Instr::JumpIfTrue { src, .. }
-            | Instr::JumpIfMissing { src, .. }
-            | Instr::JumpIfNotMissing { src, .. } => $f(src, Read),
-            Instr::WhileTest { cond, .. } => $f(cond, Read),
-            Instr::ForTest { counter, hi, var, .. } | Instr::IForTest { counter, hi, var, .. } => {
-                $f(counter, Read);
-                $f(hi, Read);
-                $f(var, Write);
-            }
-            Instr::ForStep { counter, .. } => $f(counter, ReadWrite),
-            Instr::Append { val, .. } | Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => {
-                $f(val, Read)
-            }
-            Instr::Seek { dst, lo, hi, key, .. } | Instr::ISeek { dst, lo, hi, key, .. } => {
-                $f(lo, Read);
-                $f(hi, Read);
-                $f(key, Read);
-                $f(dst, Write);
-            }
-            Instr::CmpBranch { lhs, rhs, .. }
-            | Instr::ICmpBranch { lhs, rhs, .. }
-            | Instr::FCmpBranch { lhs, rhs, .. }
-            | Instr::WhileCmp { lhs, rhs, .. }
-            | Instr::IWhileCmp { lhs, rhs, .. }
-            | Instr::FWhileCmp { lhs, rhs, .. } => {
-                $f(lhs, Read);
-                $f(rhs, Read);
-            }
-            Instr::CmpBranchImm { lhs, .. }
-            | Instr::ICmpBranchImm { lhs, .. }
-            | Instr::FCmpBranchImm { lhs, .. }
-            | Instr::WhileCmpImm { lhs, .. }
-            | Instr::IWhileCmpImm { lhs, .. } => $f(lhs, Read),
-            // Vectorized kernel ops: read the bound, any row bases and a
-            // register-valued fill, read-write the loop counter.
-            Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
-                vbase_role!(base, $f);
-                if let VFill::Reg(reg) = val {
-                    $f(reg, Read);
-                }
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VReduceF64 { base, counter, hi, .. }
-            | Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-                vbase_role!(base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-                vbase_role!(dst_base, $f);
-                vbase_role!(a_base, $f);
-                if let VRhs::Buf { base: VBase::Scaled { reg, .. }, .. } = rhs {
-                    $f(reg, Read);
-                }
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-                vbase_role!(a_base, $f);
-                vbase_role!(b_base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-            Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-                vbase_role!(dst_base, $f);
-                vbase_role!(src_base, $f);
-                $f(hi, Read);
-                $f(counter, ReadWrite);
-            }
-        }
-    }};
-}
-
-/// Visit every register operand together with its [`Role`].
-pub(crate) fn for_each_reg_role(instr: &Instr, f: &mut dyn FnMut(Reg, Role)) {
-    let mut by_value = |r: &Reg, role| f(*r, role);
-    reg_roles!(instr, by_value)
-}
-
-/// Visit every register operand mutably together with its [`Role`]: the
-/// temp split renames reads and writes of a register independently.
-pub(crate) fn for_each_reg_role_mut(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg, Role)) {
-    reg_roles!(instr, f)
-}
-
-impl Instr {
-    /// The control-transfer target of this instruction, if it has one —
-    /// shared by every pass that moves instructions (peephole, vectorize,
-    /// finalize) or reasons about join points (shard, typing).
-    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
-        target_field!(self)
-    }
-
-    /// Read-only view of [`Instr::target_mut`].
-    pub(crate) fn target(&self) -> Option<u32> {
-        target_field!(self).copied()
-    }
-
-    /// Whether the instruction starts or closes a loop: a `for`/`while`
-    /// head (whose target is the loop's exit, one past its back edge) or
-    /// a `for` back edge.
-    pub(crate) fn is_loop_edge(&self) -> bool {
-        matches!(
-            self,
-            Instr::ForTest { .. }
-                | Instr::IForTest { .. }
-                | Instr::ForStep { .. }
-                | Instr::WhileTest { .. }
-                | Instr::WhileCmp { .. }
-                | Instr::WhileCmpImm { .. }
-                | Instr::IWhileCmp { .. }
-                | Instr::IWhileCmpImm { .. }
-                | Instr::FWhileCmp { .. }
-        )
-    }
-
-    /// The `(counter, hi)` loop registers of a vectorized kernel op
-    /// (`None` for every other instruction).
-    pub(crate) fn vop_loop_regs(&self) -> Option<(Reg, Reg)> {
-        match *self {
-            Instr::VFillStoreF64 { counter, hi, .. }
-            | Instr::VMapF64 { counter, hi, .. }
-            | Instr::VMulAddF64 { counter, hi, .. }
-            | Instr::VReduceF64 { counter, hi, .. }
-            | Instr::VAppendRangeF64 { counter, hi, .. }
-            | Instr::VCmpSelectU8 { counter, hi, .. } => Some((counter, hi)),
-            _ => None,
-        }
-    }
-
-    /// Whether executing this instruction touches the VM's tag array at
-    /// all — `true` for the monomorphic typed forms *and* for the
-    /// tag-neutral control instructions (`BumpStmt`, `Jump`, `ForStep`,
-    /// `FiberEnd`, `Nop`), `false` for every generic instruction that
-    /// reads or writes a runtime tag.  The benchmark harness uses this to
-    /// compute the executed-typed-instruction fraction.
-    pub fn is_tag_free(&self) -> bool {
-        match self {
-            // Tag-neutral control flow: no register tags involved.
-            Instr::BumpStmt
-            | Instr::Jump { .. }
-            | Instr::ForStep { .. }
-            | Instr::FiberEnd { .. } => true,
-            // The typed forms.
-            Instr::Nop
-            | Instr::ConstI { .. }
-            | Instr::ConstF { .. }
-            | Instr::IMov { .. }
-            | Instr::FMov { .. }
-            | Instr::ILen { .. }
-            | Instr::LoadI64 { .. }
-            | Instr::LoadF64 { .. }
-            | Instr::LoadU8 { .. }
-            | Instr::FMulLoad { .. }
-            | Instr::StoreF64 { .. }
-            | Instr::StoreU8 { .. }
-            | Instr::IAppend { .. }
-            | Instr::FAppend { .. }
-            | Instr::IArith { .. }
-            | Instr::FArith { .. }
-            | Instr::IArithImm { .. }
-            | Instr::FArithImm { .. }
-            | Instr::FRound { .. }
-            | Instr::ICmpBranch { .. }
-            | Instr::ICmpBranchImm { .. }
-            | Instr::FCmpBranch { .. }
-            | Instr::FCmpBranchImm { .. }
-            | Instr::IWhileCmp { .. }
-            | Instr::IWhileCmpImm { .. }
-            | Instr::FWhileCmp { .. }
-            | Instr::IForTest { .. }
-            | Instr::ISeek { .. } => true,
-            // The vectorized kernel ops: whole typed loops, no tags.
-            Instr::VFillStoreF64 { .. }
-            | Instr::VMapF64 { .. }
-            | Instr::VMulAddF64 { .. }
-            | Instr::VReduceF64 { .. }
-            | Instr::VAppendRangeF64 { .. }
-            | Instr::VCmpSelectU8 { .. } => true,
-            _ => false,
-        }
-    }
-
-    /// A short stable mnemonic for this instruction's opcode, used by the
-    /// benchmark harness's per-opcode execution histogram.
-    pub fn opcode(&self) -> &'static str {
-        match self {
-            Instr::BumpStmt => "bump_stmt",
-            Instr::Const { .. } => "const",
-            Instr::Mov { .. } => "mov",
-            Instr::BufLen { .. } => "buf_len",
-            Instr::Load { .. } => "load",
-            Instr::CoerceInt { .. } => "coerce_int",
-            Instr::Store { .. } => "store",
-            Instr::Unary { .. } => "unary",
-            Instr::Binary { .. } => "binary",
-            Instr::Jump { .. } => "jump",
-            Instr::JumpIfFalse { .. } => "jump_if_false",
-            Instr::JumpIfTrue { .. } => "jump_if_true",
-            Instr::JumpIfMissing { .. } => "jump_if_missing",
-            Instr::JumpIfNotMissing { .. } => "jump_if_not_missing",
-            Instr::WhileTest { .. } => "while_test",
-            Instr::ForTest { .. } => "for_test",
-            Instr::ForStep { .. } => "for_step",
-            Instr::Append { .. } => "append",
-            Instr::FiberEnd { .. } => "fiber_end",
-            Instr::Seek { .. } => "seek",
-            Instr::BinaryImm { .. } => "binary_imm",
-            Instr::LoadBinary { .. } => "load_binary",
-            Instr::CmpBranch { .. } => "cmp_branch",
-            Instr::CmpBranchImm { .. } => "cmp_branch_imm",
-            Instr::WhileCmp { .. } => "while_cmp",
-            Instr::WhileCmpImm { .. } => "while_cmp_imm",
-            Instr::Nop => "nop",
-            Instr::ConstI { .. } => "const_i",
-            Instr::ConstF { .. } => "const_f",
-            Instr::IMov { .. } => "i_mov",
-            Instr::FMov { .. } => "f_mov",
-            Instr::ILen { .. } => "i_len",
-            Instr::LoadI64 { .. } => "load_i64",
-            Instr::LoadF64 { .. } => "load_f64",
-            Instr::LoadU8 { .. } => "load_u8",
-            Instr::FMulLoad { .. } => "f_mul_load",
-            Instr::StoreF64 { .. } => "store_f64",
-            Instr::StoreU8 { .. } => "store_u8",
-            Instr::IAppend { .. } => "i_append",
-            Instr::FAppend { .. } => "f_append",
-            Instr::IArith { .. } => "i_arith",
-            Instr::FArith { .. } => "f_arith",
-            Instr::IArithImm { .. } => "i_arith_imm",
-            Instr::FArithImm { .. } => "f_arith_imm",
-            Instr::FRound { .. } => "f_round",
-            Instr::ICmpBranch { .. } => "i_cmp_branch",
-            Instr::ICmpBranchImm { .. } => "i_cmp_branch_imm",
-            Instr::FCmpBranch { .. } => "f_cmp_branch",
-            Instr::FCmpBranchImm { .. } => "f_cmp_branch_imm",
-            Instr::IWhileCmp { .. } => "i_while_cmp",
-            Instr::IWhileCmpImm { .. } => "i_while_cmp_imm",
-            Instr::FWhileCmp { .. } => "f_while_cmp",
-            Instr::IForTest { .. } => "i_for_test",
-            Instr::ISeek { .. } => "i_seek",
-            Instr::VFillStoreF64 { .. } => "v_fill_store_f64",
-            Instr::VMapF64 { .. } => "v_map_f64",
-            Instr::VMulAddF64 { .. } => "v_mul_add_f64",
-            Instr::VReduceF64 { .. } => "v_reduce_f64",
-            Instr::VAppendRangeF64 { .. } => "v_append_range_f64",
-            Instr::VCmpSelectU8 { .. } => "v_cmp_select_u8",
-        }
     }
 }
 
@@ -1639,9 +394,12 @@ impl Program {
     /// Check structural invariants: every jump target is resolved and in
     /// range, every `for` back-edge lands on its loop head, every register
     /// index fits the register file (which itself fits
-    /// [`Program::REG_LIMIT`]), every constant index is in the pool, and
-    /// the folded statement table has one entry per instruction with none
-    /// on a loop head or a vectorized kernel op.
+    /// [`Program::REG_LIMIT`]), every constant index is in the pool, every
+    /// operator belongs to the class its opcode executes (the VM's typed
+    /// and fused arms are `unreachable!` outside it), every kernel op has a
+    /// lane count of 4 or 8, strides of at least 1 and a non-negative
+    /// accumulator index, and the folded statement table has one entry per
+    /// instruction with none on a loop head or a vectorized kernel op.
     ///
     /// # Errors
     ///
@@ -1655,15 +413,6 @@ impl Program {
             ));
         }
         let len = self.code.len() as u32;
-        let check_target = |pc: usize, t: u32| -> Result<(), String> {
-            if t == PENDING {
-                return Err(format!("unresolved jump at pc {pc}"));
-            }
-            if t > len {
-                return Err(format!("jump at pc {pc} targets {t}, past the end ({len})"));
-            }
-            Ok(())
-        };
         let check_reg = |pc: usize, r: Reg| -> Result<(), String> {
             if r.index() >= self.num_regs {
                 return Err(format!(
@@ -1673,336 +422,69 @@ impl Program {
             }
             Ok(())
         };
-        // Shared checks for the vectorized kernel ops.
-        let check_vloop = |pc: usize, counter: Reg, hi: Reg, lanes: u8| -> Result<(), String> {
-            check_reg(pc, counter)?;
-            check_reg(pc, hi)?;
-            if lanes != 4 && lanes != 8 {
-                return Err(format!(
-                    "vector op at pc {pc} has a misaligned lane count {lanes} (must be 4 or 8)"
-                ));
-            }
-            Ok(())
-        };
-        let check_vbase = |pc: usize, base: VBase| -> Result<(), String> {
-            match base {
-                VBase::Var => Ok(()),
-                VBase::Scaled { reg, stride } => {
-                    check_reg(pc, reg)?;
+        // What each kind of operand must satisfy, whichever opcode carries it.
+        let check_operand = |pc: usize, operand: Operand<'_, Shared>| -> Result<(), String> {
+            match operand {
+                Operand::Reg(&r, _) => check_reg(pc, r)?,
+                Operand::Buf(..) => {} // needs the buffer set: `opt::verify_bytecode`
+                Operand::Target(&t, edge) => {
+                    if t == PENDING {
+                        return Err(format!("unresolved jump at pc {pc}"));
+                    }
+                    if t > len {
+                        return Err(format!("jump at pc {pc} targets {t}, past the end ({len})"));
+                    }
+                    // The back-edge must land on a loop head, never in the
+                    // middle of nowhere (jump-target alignment).
+                    let on_head = matches!(
+                        self.code.get(t as usize),
+                        Some(Instr::ForTest { .. } | Instr::IForTest { .. })
+                    );
+                    if edge == Edge::LoopBack && !on_head {
+                        return Err(format!(
+                            "for back-edge at pc {pc} targets {t}, which is not a loop head"
+                        ));
+                    }
+                }
+                Operand::Const(&cidx) => {
+                    if cidx as usize >= self.consts.len() {
+                        return Err(format!("constant {cidx} at pc {pc} outside the pool"));
+                    }
+                }
+                Operand::Op(op, in_class, what) => {
+                    if !in_class(op) {
+                        return Err(format!("{what} {op:?} at pc {pc}"));
+                    }
+                }
+                Operand::Lanes(lanes) => {
+                    if lanes != 4 && lanes != 8 {
+                        return Err(format!(
+                            "vector op at pc {pc} has a misaligned lane count {lanes} (must be 4 or 8)"
+                        ));
+                    }
+                }
+                Operand::Stride(stride) => {
                     if stride < 1 {
                         return Err(format!(
                             "vector op at pc {pc} has a bad slice range (stride {stride})"
                         ));
                     }
-                    Ok(())
                 }
-            }
-        };
-        let check_vidx = |pc: usize, idx: i64| -> Result<(), String> {
-            if idx < 0 {
-                return Err(format!(
-                    "vector op at pc {pc} has a bad slice range (accumulator index {idx})"
-                ));
+                Operand::AccIdx(idx) => {
+                    if idx < 0 {
+                        return Err(format!(
+                            "vector op at pc {pc} has a bad slice range (accumulator index {idx})"
+                        ));
+                    }
+                }
             }
             Ok(())
         };
-        let check_vscale = |pc: usize, pre: VScale| -> Result<(), String> {
-            match pre {
-                VScale::None => Ok(()),
-                VScale::Left { op, .. } | VScale::Right { op, .. } => {
-                    if !is_float_arith(op) {
-                        return Err(format!("unsupported vector pre-scale op {op:?} at pc {pc}"));
-                    }
-                    Ok(())
-                }
-            }
-        };
         for (pc, instr) in self.code.iter().enumerate() {
-            match *instr {
-                Instr::BumpStmt => {}
-                Instr::Const { dst, cidx } => {
-                    check_reg(pc, dst)?;
-                    if cidx as usize >= self.consts.len() {
-                        return Err(format!("constant {cidx} at pc {pc} outside the pool"));
-                    }
-                }
-                Instr::Mov { dst, src } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, src)?;
-                }
-                Instr::BufLen { dst, .. } => check_reg(pc, dst)?,
-                Instr::Load { dst, idx, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, idx)?;
-                }
-                Instr::CoerceInt { reg } => check_reg(pc, reg)?,
-                Instr::Store { idx, val, .. } => {
-                    check_reg(pc, idx)?;
-                    check_reg(pc, val)?;
-                }
-                Instr::Unary { dst, src, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, src)?;
-                }
-                Instr::Binary { dst, lhs, rhs, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                }
-                Instr::Jump { target } => check_target(pc, target)?,
-                Instr::JumpIfFalse { src, target, .. }
-                | Instr::JumpIfTrue { src, target }
-                | Instr::JumpIfMissing { src, target }
-                | Instr::JumpIfNotMissing { src, target } => {
-                    check_reg(pc, src)?;
-                    check_target(pc, target)?;
-                }
-                Instr::WhileTest { cond, end } => {
-                    check_reg(pc, cond)?;
-                    check_target(pc, end)?;
-                }
-                Instr::ForTest { counter, hi, var, end } => {
-                    check_reg(pc, counter)?;
-                    check_reg(pc, hi)?;
-                    check_reg(pc, var)?;
-                    check_target(pc, end)?;
-                }
-                Instr::ForStep { counter, test } => {
-                    check_reg(pc, counter)?;
-                    check_target(pc, test)?;
-                    // The back-edge must land on a loop head, never in the
-                    // middle of nowhere (jump-target alignment).
-                    match self.code.get(test as usize) {
-                        Some(Instr::ForTest { .. }) | Some(Instr::IForTest { .. }) => {}
-                        _ => {
-                            return Err(format!(
-                                "for back-edge at pc {pc} targets {test}, which is not a loop head"
-                            ));
-                        }
-                    }
-                }
-                Instr::Append { val, .. } => check_reg(pc, val)?,
-                Instr::FiberEnd { .. } => {}
-                Instr::Seek { dst, lo, hi, key, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lo)?;
-                    check_reg(pc, hi)?;
-                    check_reg(pc, key)?;
-                }
-                Instr::BinaryImm { dst, lhs, cidx, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    if cidx as usize >= self.consts.len() {
-                        return Err(format!("constant {cidx} at pc {pc} outside the pool"));
-                    }
-                }
-                Instr::LoadBinary { dst, lhs, idx, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, idx)?;
-                }
-                Instr::CmpBranch { lhs, rhs, target, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    check_target(pc, target)?;
-                }
-                Instr::CmpBranchImm { lhs, cidx, target, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_target(pc, target)?;
-                    if cidx as usize >= self.consts.len() {
-                        return Err(format!("constant {cidx} at pc {pc} outside the pool"));
-                    }
-                }
-                Instr::WhileCmp { lhs, rhs, end, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    check_target(pc, end)?;
-                }
-                Instr::WhileCmpImm { lhs, cidx, end, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_target(pc, end)?;
-                    if cidx as usize >= self.consts.len() {
-                        return Err(format!("constant {cidx} at pc {pc} outside the pool"));
-                    }
-                }
-                Instr::Nop => {}
-                Instr::ConstI { dst, .. } | Instr::ConstF { dst, .. } => check_reg(pc, dst)?,
-                Instr::IMov { dst, src } | Instr::FMov { dst, src } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, src)?;
-                }
-                Instr::ILen { dst, .. } => check_reg(pc, dst)?,
-                Instr::LoadI64 { dst, idx, .. }
-                | Instr::LoadF64 { dst, idx, .. }
-                | Instr::LoadU8 { dst, idx, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, idx)?;
-                }
-                Instr::FMulLoad { dst, lhs, idx, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, idx)?;
-                }
-                Instr::StoreF64 { idx, val, reduce, .. }
-                | Instr::StoreU8 { idx, val, reduce, .. } => {
-                    check_reg(pc, idx)?;
-                    check_reg(pc, val)?;
-                    if !is_arith_reduce(reduce) {
-                        return Err(format!("non-arithmetic typed store reduce at pc {pc}"));
-                    }
-                }
-                Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => check_reg(pc, val)?,
-                Instr::IArith { op, dst, lhs, rhs } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    if !is_int_arith(op) {
-                        return Err(format!("unsupported IArith op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::FArith { op, dst, lhs, rhs } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    if !is_float_arith(op) {
-                        return Err(format!("unsupported FArith op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::IArithImm { op, dst, lhs, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    if !is_int_arith(op) {
-                        return Err(format!("unsupported IArithImm op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::FArithImm { op, dst, lhs, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lhs)?;
-                    if !is_float_arith(op) {
-                        return Err(format!("unsupported FArithImm op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::FRound { dst, src } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, src)?;
-                }
-                Instr::ICmpBranch { op, lhs, rhs, target }
-                | Instr::FCmpBranch { op, lhs, rhs, target } => {
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    check_target(pc, target)?;
-                    if !is_cmp_op(op) {
-                        return Err(format!("non-comparison typed branch op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::ICmpBranchImm { op, lhs, target, .. }
-                | Instr::FCmpBranchImm { op, lhs, target, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_target(pc, target)?;
-                    if !is_cmp_op(op) {
-                        return Err(format!("non-comparison typed branch op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::IWhileCmp { op, lhs, rhs, end } | Instr::FWhileCmp { op, lhs, rhs, end } => {
-                    check_reg(pc, lhs)?;
-                    check_reg(pc, rhs)?;
-                    check_target(pc, end)?;
-                    if !is_cmp_op(op) {
-                        return Err(format!("non-comparison typed while op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::IWhileCmpImm { op, lhs, end, .. } => {
-                    check_reg(pc, lhs)?;
-                    check_target(pc, end)?;
-                    if !is_cmp_op(op) {
-                        return Err(format!("non-comparison typed while op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::IForTest { counter, hi, var, end } => {
-                    check_reg(pc, counter)?;
-                    check_reg(pc, hi)?;
-                    check_reg(pc, var)?;
-                    check_target(pc, end)?;
-                }
-                Instr::ISeek { dst, lo, hi, key, .. } => {
-                    check_reg(pc, dst)?;
-                    check_reg(pc, lo)?;
-                    check_reg(pc, hi)?;
-                    check_reg(pc, key)?;
-                }
-                Instr::VFillStoreF64 { base, val, counter, hi, cost, lanes, .. } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vbase(pc, base)?;
-                    if let VFill::Reg(reg) = val {
-                        check_reg(pc, reg)?;
-                        if reg == counter || reg == hi {
-                            return Err(format!("vector fill at pc {pc} stores a loop register"));
-                        }
-                    }
-                    let _ = cost;
-                }
-                Instr::VMapF64 {
-                    dst_base, reduce, a_base, a_pre, rhs, counter, hi, lanes, ..
-                } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vbase(pc, dst_base)?;
-                    check_vbase(pc, a_base)?;
-                    check_vscale(pc, a_pre)?;
-                    if !is_arith_reduce(reduce) {
-                        return Err(format!("non-arithmetic vector store reduce at pc {pc}"));
-                    }
-                    match rhs {
-                        VRhs::None => {}
-                        VRhs::Imm { op, .. } => {
-                            if !is_float_arith(op) {
-                                return Err(format!("unsupported vector map op {op:?} at pc {pc}"));
-                            }
-                        }
-                        VRhs::Buf { op, base, pre, .. } => {
-                            if !is_float_arith(op) {
-                                return Err(format!("unsupported vector map op {op:?} at pc {pc}"));
-                            }
-                            check_vbase(pc, base)?;
-                            check_vscale(pc, pre)?;
-                        }
-                    }
-                }
-                Instr::VMulAddF64 { acc_idx, a_base, b_base, op, counter, hi, lanes, .. } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vidx(pc, acc_idx)?;
-                    check_vbase(pc, a_base)?;
-                    check_vbase(pc, b_base)?;
-                    if !is_float_arith(op) {
-                        return Err(format!("unsupported vector reduce op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::VReduceF64 { acc_idx, base, pre, op, counter, hi, lanes, .. } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vidx(pc, acc_idx)?;
-                    check_vbase(pc, base)?;
-                    check_vscale(pc, pre)?;
-                    if !is_float_arith(op) {
-                        return Err(format!("unsupported vector reduce op {op:?} at pc {pc}"));
-                    }
-                }
-                Instr::VAppendRangeF64 { base, guard, counter, hi, lanes, .. } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vbase(pc, base)?;
-                    if let Some((op, _)) = guard {
-                        if !is_cmp_op(op) {
-                            return Err(format!(
-                                "non-comparison vector guard op {op:?} at pc {pc}"
-                            ));
-                        }
-                    }
-                }
-                Instr::VCmpSelectU8 { dst_base, src_base, cmp, counter, hi, lanes, .. } => {
-                    check_vloop(pc, counter, hi, lanes)?;
-                    check_vbase(pc, dst_base)?;
-                    check_vbase(pc, src_base)?;
-                    if !is_cmp_op(cmp) {
-                        return Err(format!("non-comparison vector guard op {cmp:?} at pc {pc}"));
-                    }
+            instr.try_operands(|operand| check_operand(pc, operand))?;
+            if let Instr::VFillStoreF64 { val: VFill::Reg(reg), counter, hi, .. } = *instr {
+                if reg == counter || reg == hi {
+                    return Err(format!("vector fill at pc {pc} stores a loop register"));
                 }
             }
         }
@@ -3124,6 +1606,13 @@ mod tests {
             Vec::new(),
         );
         assert!(p.validate().is_err());
+        // So is one in a fused generic compare, which the VM's `compare`
+        // would otherwise meet as an `unreachable!`.
+        let p = base(
+            vec![Instr::WhileCmp { op: BinOp::Add, lhs: Reg(0), rhs: Reg(0), end: 1 }],
+            Vec::new(),
+        );
+        assert!(p.validate().unwrap_err().contains("non-comparison while op Add at pc 0"));
         // Div is not an infallible integer arithmetic op.
         let p = base(
             vec![Instr::IArith { op: BinOp::Div, dst: Reg(0), lhs: Reg(0), rhs: Reg(0) }],

@@ -60,6 +60,7 @@ pub mod bytecode;
 pub mod error;
 pub mod expr;
 pub mod interp;
+mod isa;
 pub mod opt;
 pub mod par;
 pub mod pretty;

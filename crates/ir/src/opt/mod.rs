@@ -23,12 +23,12 @@
 //!   (seeded from the buffer schema and the constant pool) followed by a
 //!   1:1 rewrite of proven-monomorphic instructions into typed forms the
 //!   VM dispatches without any tag reads or writes,
-//! * [`vectorize`] — kernel-op selection over the typed bytecode: each
+//! * [`mod@vectorize`] — kernel-op selection over the typed bytecode: each
 //!   innermost typed counted loop whose body matches a canonical dense
 //!   shape gains one vectorized superinstruction executing all but the
 //!   final iteration over whole buffer slices, with the untouched scalar
 //!   loop as both remainder handler and runtime fallback,
-//! * [`finalize`] — the last rewrite, at every level above
+//! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are
 //!   deleted and jump chains threaded, so the VM dispatches only
@@ -174,7 +174,7 @@ pub struct OptStats {
     /// fixpoint: about two per block on structured code.
     pub typing_block_visits: u64,
     /// Scalar body instructions of innermost typed counted loops that the
-    /// vectorize pass replaced with kernel ops ([`vectorize`]).
+    /// vectorize pass replaced with kernel ops ([`vectorize()`]).
     pub instrs_vectorized: u64,
     /// Scalar body instructions of all innermost typed counted loops the
     /// vectorize pass examined (the denominator of the vectorized
@@ -185,7 +185,7 @@ pub struct OptStats {
     /// IR statement count after the pipeline ran.
     pub ir_stmts_after: u64,
     /// Top-level counted loops the shard pass proved safe to split
-    /// across worker threads ([`shard`]).
+    /// across worker threads (the `shard` pass).
     pub loops_sharded: u64,
     /// Candidate loops the shard pass examined at the bytecode level and
     /// rejected (carried dependence, uncovered buffer write, ...).
@@ -292,7 +292,7 @@ impl Pass for TypingPass {
     }
 }
 
-/// Vectorized kernel-op selection over typed bytecode ([`vectorize`])
+/// Vectorized kernel-op selection over typed bytecode ([`vectorize()`])
 /// as a [`Pass`].  Runs after [`TypingPass`] — only typed counted loops
 /// match — and keeps [`crate::interp::ExecStats`] bit-identical (each
 /// kernel op carries its scalar-equivalent per-iteration cost), so the
@@ -308,7 +308,7 @@ impl Pass for VectorizePass {
     }
 }
 
-/// Dispatch-stream clean-up ([`finalize`]) as a [`Pass`]: statement
+/// Dispatch-stream clean-up ([`finalize()`]) as a [`Pass`]: statement
 /// accounting folded into the per-pc side table, no-ops deleted, jump
 /// chains threaded.  Work counters and faults are untouched, so the
 /// default [`StatsContract::Exact`] applies.

@@ -8,8 +8,8 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Instr, VFill, VRhs, VScale};
-use crate::expr::Expr;
+use crate::bytecode::{Instr, Reg, VBase, VFill, VRhs, VScale};
+use crate::expr::{BinOp, Expr};
 use crate::value::Value;
 
 /// A seeded miscompile: a named pass applying a fixed mutation.
@@ -465,6 +465,19 @@ fn a_bad_vectorization_is_caught_and_attributed() {
     assert_caught(run_typed_bytecode_mutation(&m), "vectorize", "diverge");
 }
 
+/// Simulates a matcher that does not see one of the body's writes: the
+/// loop is matched with the first instruction `is_write` selects blanked
+/// out, then runs as it was.
+fn vectorize_blind_to(mut p: Program, is_write: fn(&Instr) -> bool) -> Program {
+    let write = p.code.iter().position(is_write).expect("the body's write");
+    let hidden = std::mem::replace(&mut p.code[write], Instr::Nop);
+    let mut p = vectorize(&p, &mut OptStats::default());
+    // One op was inserted, in front of the loop head.
+    assert_eq!(p.code[write + 1], Instr::Nop);
+    p.code[write + 1] = hidden;
+    p
+}
+
 /// A typed run broadcast whose body also advances the value:
 /// `let x = 1.5; for j in 0..=11 { out[j] = x; x = x + 0.25 }`.
 fn typed_kernel_changing_what_it_fills_with() -> (Program, Names, BufferSet) {
@@ -502,26 +515,81 @@ fn a_register_fill_whose_register_the_loop_writes_is_caught_and_attributed() {
         .expect("the real pass validates")
         .into_bytecode();
     assert!(!out.code().iter().any(is_fill), "{}", out.disasm());
-    // Simulates a matcher that does not see the body's write: the loop is
-    // matched with `x = x + 0.25` blanked out, then runs as it was.
+    // The matcher does not see `x = x + 0.25`.
     let m = SeededMutation {
         name: "vectorize",
         mutate: |r| {
-            let mut p = r.into_bytecode();
-            let write = p
-                .code
-                .iter()
-                .position(|i| matches!(i, Instr::FArithImm { .. }))
-                .expect("the body advances x");
-            let advance = std::mem::replace(&mut p.code[write], Instr::Nop);
-            let mut p = vectorize(&p, &mut OptStats::default());
-            // One op was inserted, in front of the loop head.
-            assert_eq!(p.code[write + 1], Instr::Nop);
-            p.code[write + 1] = advance;
-            Repr::Bytecode(p)
+            let advance = |i: &Instr| matches!(i, Instr::FArithImm { .. });
+            Repr::Bytecode(vectorize_blind_to(r.into_bytecode(), advance))
         },
     };
     let verdict = run_typed_bytecode_pass(typed_kernel_changing_what_it_fills_with(), &m);
+    assert_caught(verdict, "vectorize", "its loop body writes");
+}
+
+/// A typed row-major map whose body also moves on to the next row:
+/// `let k = 0; for j in 0..=11 { y[k*12 + j] = x[k*12 + j] * 2.0; k = k + 1 }`.
+fn typed_kernel_changing_its_row_base() -> (Program, Names, BufferSet) {
+    let mut names = Names::new();
+    let mut bufs = BufferSet::new();
+    let x = bufs.add("x", Buffer::F64((0..144).map(|v| v as f64 * 0.5).collect::<Vec<_>>().into()));
+    let y = bufs.add("y", Buffer::F64(vec![0.0; 144].into()));
+    let (k, j) = (names.fresh("k"), names.fresh("j"));
+    let at = || Expr::add(Expr::mul(Expr::Var(k), Expr::int(12)), Expr::Var(j));
+    let stmts = vec![
+        Stmt::Let { var: k, init: Expr::int(0) },
+        Stmt::For {
+            var: j,
+            lo: Expr::int(0),
+            hi: Expr::int(11),
+            body: vec![
+                Stmt::Store {
+                    buf: y,
+                    index: at(),
+                    value: Expr::mul(Expr::load(x, at()), Expr::float(2.0)),
+                    reduce: None,
+                },
+                Stmt::Assign { var: k, value: Expr::add(Expr::Var(k), Expr::int(1)) },
+            ],
+        },
+    ];
+    let raw = Program::compile(&stmts, &names);
+    let fused = peephole(&raw, &mut OptStats::default());
+    let typed = typing::specialize_checked(&fused, &bufs).0;
+    (typed, names, bufs)
+}
+
+#[test]
+fn a_kernel_op_whose_row_base_the_loop_writes_is_caught_and_attributed() {
+    let is_map = |i: &Instr| matches!(i, Instr::VMapF64 { .. });
+    // Control: the real pass sees the write and leaves the loop scalar.
+    let real = SeededMutation {
+        name: "vectorize",
+        mutate: |r| Repr::Bytecode(vectorize(&r.into_bytecode(), &mut OptStats::default())),
+    };
+    let out = run_typed_bytecode_pass(typed_kernel_changing_its_row_base(), &real)
+        .expect("the real pass validates")
+        .into_bytecode();
+    assert!(!out.code().iter().any(is_map), "{}", out.disasm());
+    // The matcher does not see `k = k + 1`, and fuses a map over row `k`.
+    let m = SeededMutation {
+        name: "vectorize",
+        mutate: |r| {
+            let advance = |i: &Instr| match i {
+                Instr::IArithImm { op: BinOp::Add, dst, lhs, .. } => dst == lhs,
+                _ => false,
+            };
+            let p = vectorize_blind_to(r.into_bytecode(), advance);
+            let row_k = VBase::Scaled { reg: Reg(0), stride: 12 };
+            let over_row_k = |i: &Instr| match i {
+                Instr::VMapF64 { dst_base, a_base, .. } => (*dst_base, *a_base) == (row_k, row_k),
+                _ => false,
+            };
+            assert!(p.code.iter().any(over_row_k), "{}", p.disasm());
+            Repr::Bytecode(p)
+        },
+    };
+    let verdict = run_typed_bytecode_pass(typed_kernel_changing_its_row_base(), &m);
     assert_caught(verdict, "vectorize", "its loop body writes");
 }
 

@@ -34,318 +34,37 @@
 //!    straight-line region, so a linearly-earlier read reached through a
 //!    back edge is always re-dominated by its own write).
 
-use std::collections::{BTreeSet, HashMap};
-
-use crate::bytecode::{jump_targets, remap_targets, Instr, Program, Reg, VBase, VFill, VRhs};
-use crate::expr::BinOp;
+use crate::bytecode::{for_each_reg_role, for_each_reg_role_mut, is_cmp_op, jump_targets};
+use crate::bytecode::{remap_targets, Instr, Program, Reg, Role};
 
 use super::OptStats;
 
 /// Run peephole fusion (to a bounded fixpoint) and register coalescing
 /// over a compiled program, returning the optimised copy.
 pub fn peephole(program: &Program, stats: &mut OptStats) -> Program {
+    debug_assert!(program.stmt_bump.iter().all(|&n| n == 0), "rewriting a finalized program");
     let mut p = program.clone();
+    // One spare instruction buffer and one pc map serve every round.
+    let mut fused = Vec::with_capacity(p.code.len());
+    let mut map = Vec::with_capacity(p.code.len() + 1);
     // Each round can expose new pairs (e.g. `Mov` forwarding makes a
     // compare adjacent to its branch); kernels settle within a few rounds.
     for _ in 0..8 {
-        let (next, changed) = fuse_round(&p, stats);
-        p = next;
-        if !changed {
+        if !fuse_round(&p.code, p.num_vars(), &mut fused, &mut map, stats) {
             break;
         }
+        std::mem::swap(&mut p.code, &mut fused);
     }
+    p.stmt_bump.truncate(p.code.len());
     compact_registers(&mut p, stats);
     p
 }
 
-fn is_cmp(op: BinOp) -> bool {
-    matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-}
-
-/// Visit every register operand of an instruction — reads *and* writes —
-/// mutably.  This is the single authoritative operand enumeration used by
-/// register compaction: an operand missed here would keep a stale index
-/// after renumbering, so there is deliberately exactly one such list.
-fn for_each_reg(instr: &mut Instr, f: &mut dyn FnMut(&mut Reg)) {
-    match instr {
-        Instr::BumpStmt | Instr::Jump { .. } | Instr::FiberEnd { .. } => {}
-        Instr::Const { dst, .. } | Instr::BufLen { dst, .. } => f(dst),
-        Instr::Mov { dst, src } | Instr::Unary { dst, src, .. } => {
-            f(dst);
-            f(src);
-        }
-        Instr::Load { dst, idx, .. } => {
-            f(dst);
-            f(idx);
-        }
-        Instr::CoerceInt { reg } => f(reg),
-        Instr::Store { idx, val, .. } => {
-            f(idx);
-            f(val);
-        }
-        Instr::Binary { dst, lhs, rhs, .. } => {
-            f(dst);
-            f(lhs);
-            f(rhs);
-        }
-        Instr::JumpIfFalse { src, .. }
-        | Instr::JumpIfTrue { src, .. }
-        | Instr::JumpIfMissing { src, .. }
-        | Instr::JumpIfNotMissing { src, .. } => f(src),
-        Instr::WhileTest { cond, .. } => f(cond),
-        Instr::ForTest { counter, hi, var, .. } => {
-            f(counter);
-            f(hi);
-            f(var);
-        }
-        Instr::ForStep { counter, .. } => f(counter),
-        Instr::Append { val, .. } => f(val),
-        Instr::Seek { dst, lo, hi, key, .. } => {
-            f(dst);
-            f(lo);
-            f(hi);
-            f(key);
-        }
-        Instr::BinaryImm { dst, lhs, .. } => {
-            f(dst);
-            f(lhs);
-        }
-        Instr::LoadBinary { dst, lhs, idx, .. } => {
-            f(dst);
-            f(lhs);
-            f(idx);
-        }
-        Instr::CmpBranch { lhs, rhs, .. } | Instr::WhileCmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        Instr::CmpBranchImm { lhs, .. } | Instr::WhileCmpImm { lhs, .. } => f(lhs),
-        Instr::Nop => {}
-        Instr::ConstI { dst, .. } | Instr::ConstF { dst, .. } | Instr::ILen { dst, .. } => f(dst),
-        Instr::IMov { dst, src } | Instr::FMov { dst, src } | Instr::FRound { dst, src } => {
-            f(dst);
-            f(src);
-        }
-        Instr::LoadI64 { dst, idx, .. }
-        | Instr::LoadF64 { dst, idx, .. }
-        | Instr::LoadU8 { dst, idx, .. } => {
-            f(dst);
-            f(idx);
-        }
-        Instr::FMulLoad { dst, lhs, idx, .. } => {
-            f(dst);
-            f(lhs);
-            f(idx);
-        }
-        Instr::StoreF64 { idx, val, .. } | Instr::StoreU8 { idx, val, .. } => {
-            f(idx);
-            f(val);
-        }
-        Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => f(val),
-        Instr::IArith { dst, lhs, rhs, .. } | Instr::FArith { dst, lhs, rhs, .. } => {
-            f(dst);
-            f(lhs);
-            f(rhs);
-        }
-        Instr::IArithImm { dst, lhs, .. } | Instr::FArithImm { dst, lhs, .. } => {
-            f(dst);
-            f(lhs);
-        }
-        Instr::ICmpBranch { lhs, rhs, .. }
-        | Instr::FCmpBranch { lhs, rhs, .. }
-        | Instr::IWhileCmp { lhs, rhs, .. }
-        | Instr::FWhileCmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        Instr::ICmpBranchImm { lhs, .. }
-        | Instr::FCmpBranchImm { lhs, .. }
-        | Instr::IWhileCmpImm { lhs, .. } => f(lhs),
-        Instr::IForTest { counter, hi, var, .. } => {
-            f(counter);
-            f(hi);
-            f(var);
-        }
-        Instr::ISeek { dst, lo, hi, key, .. } => {
-            f(dst);
-            f(lo);
-            f(hi);
-            f(key);
-        }
-        // Vectorized kernel ops (inserted after this pass runs, but the
-        // operand enumeration stays authoritative): the loop counter and
-        // bound registers, plus every row-base register.
-        Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
-            vbase_reg(base, f);
-            if let VFill::Reg(reg) = val {
-                f(reg);
-            }
-            f(counter);
-            f(hi);
-        }
-        Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-            vbase_reg(dst_base, f);
-            vbase_reg(a_base, f);
-            if let VRhs::Buf { base, .. } = rhs {
-                vbase_reg(base, f);
-            }
-            f(counter);
-            f(hi);
-        }
-        Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-            vbase_reg(a_base, f);
-            vbase_reg(b_base, f);
-            f(counter);
-            f(hi);
-        }
-        Instr::VReduceF64 { base, counter, hi, .. } => {
-            vbase_reg(base, f);
-            f(counter);
-            f(hi);
-        }
-        Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-            vbase_reg(base, f);
-            f(counter);
-            f(hi);
-        }
-        Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-            vbase_reg(dst_base, f);
-            vbase_reg(src_base, f);
-            f(counter);
-            f(hi);
-        }
-    }
-}
-
-/// Visit the register of a [`VBase::Scaled`] index shape, if any.
-fn vbase_reg(base: &mut VBase, f: &mut dyn FnMut(&mut Reg)) {
-    if let VBase::Scaled { reg, .. } = base {
-        f(reg);
-    }
-}
-
-/// Whether a [`VBase`] reads the given register.
-fn vbase_reads(base: VBase, r: Reg) -> bool {
-    matches!(base, VBase::Scaled { reg, .. } if reg == r)
-}
-
-/// The register an instruction writes, if any.
-fn writes(instr: &Instr) -> Option<Reg> {
-    match *instr {
-        Instr::Const { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::BufLen { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::Unary { dst, .. }
-        | Instr::Binary { dst, .. }
-        | Instr::Seek { dst, .. }
-        | Instr::BinaryImm { dst, .. }
-        | Instr::LoadBinary { dst, .. } => Some(dst),
-        Instr::CoerceInt { reg } => Some(reg),
-        Instr::ForTest { var, .. } => Some(var),
-        Instr::ForStep { counter, .. } => Some(counter),
-        Instr::ConstI { dst, .. }
-        | Instr::ConstF { dst, .. }
-        | Instr::IMov { dst, .. }
-        | Instr::FMov { dst, .. }
-        | Instr::ILen { dst, .. }
-        | Instr::LoadI64 { dst, .. }
-        | Instr::LoadF64 { dst, .. }
-        | Instr::LoadU8 { dst, .. }
-        | Instr::FMulLoad { dst, .. }
-        | Instr::IArith { dst, .. }
-        | Instr::FArith { dst, .. }
-        | Instr::IArithImm { dst, .. }
-        | Instr::FArithImm { dst, .. }
-        | Instr::FRound { dst, .. }
-        | Instr::ISeek { dst, .. } => Some(dst),
-        Instr::IForTest { var, .. } => Some(var),
-        // The vectorized kernel ops advance the loop counter.
-        Instr::VFillStoreF64 { counter, .. }
-        | Instr::VMapF64 { counter, .. }
-        | Instr::VMulAddF64 { counter, .. }
-        | Instr::VReduceF64 { counter, .. }
-        | Instr::VAppendRangeF64 { counter, .. }
-        | Instr::VCmpSelectU8 { counter, .. } => Some(counter),
-        _ => None,
-    }
-}
-
-/// Allocation-free variant of [`reads`]`.contains(&r)` for the hot
-/// liveness scan.
+/// Whether the instruction reads `r`.
 fn reads_reg(instr: &Instr, r: Reg) -> bool {
-    match *instr {
-        Instr::Mov { src, .. } => src == r,
-        Instr::Load { idx, .. } => idx == r,
-        Instr::CoerceInt { reg } => reg == r,
-        Instr::Store { idx, val, .. } => idx == r || val == r,
-        Instr::Unary { src, .. } => src == r,
-        Instr::Binary { lhs, rhs, .. } => lhs == r || rhs == r,
-        Instr::JumpIfFalse { src, .. }
-        | Instr::JumpIfTrue { src, .. }
-        | Instr::JumpIfMissing { src, .. }
-        | Instr::JumpIfNotMissing { src, .. } => src == r,
-        Instr::WhileTest { cond, .. } => cond == r,
-        Instr::ForTest { counter, hi, .. } => counter == r || hi == r,
-        Instr::ForStep { counter, .. } => counter == r,
-        Instr::Append { val, .. } => val == r,
-        Instr::Seek { lo, hi, key, .. } => lo == r || hi == r || key == r,
-        Instr::BinaryImm { lhs, .. } => lhs == r,
-        Instr::LoadBinary { lhs, idx, .. } => lhs == r || idx == r,
-        Instr::CmpBranch { lhs, rhs, .. } => lhs == r || rhs == r,
-        Instr::CmpBranchImm { lhs, .. } => lhs == r,
-        Instr::WhileCmp { lhs, rhs, .. } => lhs == r || rhs == r,
-        Instr::WhileCmpImm { lhs, .. } => lhs == r,
-        Instr::BumpStmt
-        | Instr::Const { .. }
-        | Instr::BufLen { .. }
-        | Instr::Jump { .. }
-        | Instr::FiberEnd { .. } => false,
-        Instr::IMov { src, .. } | Instr::FMov { src, .. } | Instr::FRound { src, .. } => src == r,
-        Instr::LoadI64 { idx, .. } | Instr::LoadF64 { idx, .. } | Instr::LoadU8 { idx, .. } => {
-            idx == r
-        }
-        Instr::FMulLoad { lhs, idx, .. } => lhs == r || idx == r,
-        Instr::StoreF64 { idx, val, .. } | Instr::StoreU8 { idx, val, .. } => idx == r || val == r,
-        Instr::IAppend { val, .. } | Instr::FAppend { val, .. } => val == r,
-        Instr::IArith { lhs, rhs, .. }
-        | Instr::FArith { lhs, rhs, .. }
-        | Instr::ICmpBranch { lhs, rhs, .. }
-        | Instr::FCmpBranch { lhs, rhs, .. }
-        | Instr::IWhileCmp { lhs, rhs, .. }
-        | Instr::FWhileCmp { lhs, rhs, .. } => lhs == r || rhs == r,
-        Instr::IArithImm { lhs, .. }
-        | Instr::FArithImm { lhs, .. }
-        | Instr::ICmpBranchImm { lhs, .. }
-        | Instr::FCmpBranchImm { lhs, .. }
-        | Instr::IWhileCmpImm { lhs, .. } => lhs == r,
-        Instr::IForTest { counter, hi, .. } => counter == r || hi == r,
-        Instr::ISeek { lo, hi, key, .. } => lo == r || hi == r || key == r,
-        Instr::Nop | Instr::ConstI { .. } | Instr::ConstF { .. } | Instr::ILen { .. } => false,
-        Instr::VFillStoreF64 { base, val, counter, hi, .. } => {
-            vbase_reads(base, r) || val == VFill::Reg(r) || counter == r || hi == r
-        }
-        Instr::VMapF64 { dst_base, a_base, rhs, counter, hi, .. } => {
-            let rhs_reads = matches!(rhs, VRhs::Buf { base, .. } if vbase_reads(base, r));
-            vbase_reads(dst_base, r)
-                || vbase_reads(a_base, r)
-                || rhs_reads
-                || counter == r
-                || hi == r
-        }
-        Instr::VMulAddF64 { a_base, b_base, counter, hi, .. } => {
-            vbase_reads(a_base, r) || vbase_reads(b_base, r) || counter == r || hi == r
-        }
-        Instr::VReduceF64 { base, counter, hi, .. } => {
-            vbase_reads(base, r) || counter == r || hi == r
-        }
-        Instr::VAppendRangeF64 { base, counter, hi, .. } => {
-            vbase_reads(base, r) || counter == r || hi == r
-        }
-        Instr::VCmpSelectU8 { dst_base, src_base, counter, hi, .. } => {
-            vbase_reads(dst_base, r) || vbase_reads(src_base, r) || counter == r || hi == r
-        }
-    }
+    let mut reads = false;
+    for_each_reg_role(instr, |x, role| reads |= x == r && role != Role::Write);
+    reads
 }
 
 /// Whether `t` is dead after position `from`: no instruction reads it
@@ -356,7 +75,7 @@ fn dead_after(code: &[Instr], from: usize, t: Reg) -> bool {
         if reads_reg(instr, t) {
             return false;
         }
-        if writes(instr) == Some(t) {
+        if instr.written_reg() == Some(t) {
             return true;
         }
     }
@@ -445,7 +164,8 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     let is_temp = |r: Reg| r.index() >= num_vars;
     // The forwarded/fused temp must not be observable afterwards, unless
     // the consumer itself redefines it.
-    let consumed = |t: Reg| is_temp(t) && (writes(&b) == Some(t) || dead_after(code, after, t));
+    let consumed =
+        |t: Reg| is_temp(t) && (b.written_reg() == Some(t) || dead_after(code, after, t));
 
     // Operand forwarding: `Mov t, src ; I(reads t)` → `I(reads src)`.
     if let Instr::Mov { dst: t, src } = a {
@@ -459,7 +179,7 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     // — collapses the temp chain every self-referential assignment emits.
     if let Instr::Mov { dst, src: t } = b {
         if dst != t
-            && writes(&a) == Some(t)
+            && a.written_reg() == Some(t)
             && is_temp(t)
             && !reads_reg(&a, t)
             && dead_after(code, after, t)
@@ -481,23 +201,23 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
             Instr::LoadBinary { op, dst, lhs, buf, idx }
         }
         (Instr::Binary { op, dst: t, lhs, rhs }, Instr::JumpIfFalse { src, target, strict })
-            if src == t && is_cmp(op) && is_temp(t) && dead_after(code, after, t) =>
+            if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
         {
             Instr::CmpBranch { op, lhs, rhs, target, strict }
         }
         (
             Instr::BinaryImm { op, dst: t, lhs, cidx },
             Instr::JumpIfFalse { src, target, strict },
-        ) if src == t && is_cmp(op) && is_temp(t) && dead_after(code, after, t) => {
+        ) if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) => {
             Instr::CmpBranchImm { op, lhs, cidx, target, strict }
         }
         (Instr::Binary { op, dst: t, lhs, rhs }, Instr::WhileTest { cond, end })
-            if cond == t && is_cmp(op) && is_temp(t) && dead_after(code, after, t) =>
+            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
         {
             Instr::WhileCmp { op, lhs, rhs, end }
         }
         (Instr::BinaryImm { op, dst: t, lhs, cidx }, Instr::WhileTest { cond, end })
-            if cond == t && is_cmp(op) && is_temp(t) && dead_after(code, after, t) =>
+            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
         {
             Instr::WhileCmpImm { op, lhs, cidx, end }
         }
@@ -506,26 +226,31 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     Some(Fused::Super(fused))
 }
 
-/// One fusion round over the whole program.  Returns the rewritten program
-/// and whether anything changed.
-fn fuse_round(p: &Program, stats: &mut OptStats) -> (Program, bool) {
-    let code = &p.code;
+/// One fusion round over `code`, written to `fused` (jumps remapped through
+/// `map`; both are cleared first).  Returns whether anything changed: when
+/// nothing did, `fused` is a copy of `code` the caller can ignore.
+fn fuse_round(
+    code: &[Instr],
+    num_vars: usize,
+    fused: &mut Vec<Instr>,
+    map: &mut Vec<u32>,
+    stats: &mut OptStats,
+) -> bool {
     let targets = jump_targets(code);
-    let num_vars = p.num_vars();
-    let mut new_code: Vec<Instr> = Vec::with_capacity(code.len());
+    fused.clear();
     // `map[old_pc]` = new pc of the instruction that carries old_pc's
     // semantics (for a fused pair, both halves map to the fused position).
-    let mut map: Vec<u32> = Vec::with_capacity(code.len() + 1);
+    map.clear();
     let mut changed = false;
     let mut i = 0usize;
     while i < code.len() {
-        let fused = code
+        let pair = code
             .get(i + 1)
             // Never fuse into a jump target: entering between the halves
             // must stay possible.
             .filter(|_| !targets[i + 1])
             .and_then(|&b| try_fuse(code[i], b, code, i + 2, num_vars));
-        match fused {
+        match pair {
             Some(kind) => {
                 let instr = match kind {
                     Fused::Forward(instr) => {
@@ -537,67 +262,59 @@ fn fuse_round(p: &Program, stats: &mut OptStats) -> (Program, bool) {
                         instr
                     }
                 };
-                map.push(new_code.len() as u32);
-                map.push(new_code.len() as u32);
-                new_code.push(instr);
+                map.push(fused.len() as u32);
+                map.push(fused.len() as u32);
+                fused.push(instr);
                 changed = true;
                 i += 2;
             }
             None => {
-                map.push(new_code.len() as u32);
-                new_code.push(code[i]);
+                map.push(fused.len() as u32);
+                fused.push(code[i]);
                 i += 1;
             }
         }
     }
     // A target may be one past the last instruction (loop ends).
-    map.push(new_code.len() as u32);
-    remap_targets(&mut new_code, &map);
-    (p.with_code(new_code), changed)
+    map.push(fused.len() as u32);
+    remap_targets(fused, map);
+    changed
 }
 
 /// Renumber surviving temp registers into a dense range just above the
 /// variable registers (which keep their [`crate::var::Var`]-indexed slots).
 fn compact_registers(p: &mut Program, stats: &mut OptStats) {
+    const UNUSED: u32 = u32::MAX;
     let num_vars = p.num_vars();
-    let mut used: BTreeSet<usize> = BTreeSet::new();
+    // Per register: its new index, `UNUSED` for a temp no instruction names.
+    let mut remap: Vec<u32> = (0..p.num_regs as u32).collect();
+    remap[num_vars..].fill(UNUSED);
     for instr in &p.code {
-        let mut probe = *instr;
-        for_each_reg(&mut probe, &mut |r| {
-            if r.index() >= num_vars {
-                used.insert(r.index());
-            }
-        });
+        for_each_reg_role(instr, |r, _| remap[r.index()] = r.0);
     }
-    let remap: HashMap<usize, u32> =
-        used.iter().enumerate().map(|(rank, &old)| (old, (num_vars + rank) as u32)).collect();
-    let new_num_regs = num_vars + used.len();
-    if new_num_regs < p.num_regs {
-        stats.regs_saved += (p.num_regs - new_num_regs) as u64;
+    let mut next = num_vars as u32;
+    for slot in remap[num_vars..].iter_mut().filter(|slot| **slot != UNUSED) {
+        *slot = next;
+        next += 1;
     }
+    stats.regs_saved += (p.num_regs - next as usize) as u64;
     for instr in &mut p.code {
-        for_each_reg(instr, &mut |r| {
-            if r.index() >= num_vars {
-                *r = Reg(remap[&r.index()]);
-            }
-        });
+        for_each_reg_role_mut(instr, |r, _| *r = Reg(remap[r.index()]));
     }
     // Pretags (if the typing pass ever ran before compaction) follow the
     // same renumbering; pretags of dropped temps are dropped with them.
-    p.pretags.retain(|(r, _)| r.index() < num_vars || remap.contains_key(&r.index()));
-    for (r, _) in &mut p.pretags {
-        if r.index() >= num_vars {
-            *r = Reg(remap[&r.index()]);
-        }
-    }
-    p.num_regs = new_num_regs;
+    p.pretags.retain_mut(|(r, _)| {
+        *r = Reg(remap[r.index()]);
+        r.0 != UNUSED
+    });
+    p.num_regs = next as usize;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
-    use crate::expr::Expr;
+    use crate::expr::{BinOp, Expr};
     use crate::interp::ExecStats;
     use crate::stmt::Stmt;
     use crate::var::Names;

@@ -32,9 +32,8 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{
-    for_each_reg_role, Instr, Program, Reg, Role, ShardPlan, ShardRegion, ShardRole,
-};
+use crate::bytecode::{for_each_reg_role, Access, Edge, Instr, Operand, Program, Reg, Role};
+use crate::bytecode::{ShardPlan, ShardRegion, ShardRole};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::stmt::Stmt;
 use crate::value::Value;
@@ -596,26 +595,22 @@ fn plan_regions(p: &Program, specs: &[LoopSpec], stats: &mut OptStats) -> ShardP
     let mut regions = Vec::new();
     let mut pc = 0usize;
     while pc < code.len() {
-        let skip_to = match code[pc] {
-            Instr::ForTest { counter, hi, var, end }
-            | Instr::IForTest { counter, hi, var, end } => {
-                if let Some(spec) = specs.iter().find(|s| p.reg_name(var) == s.var_name) {
-                    match check_region(p, pc, end as usize, counter, hi, var, spec) {
-                        Some(region) => {
-                            regions.push(region);
-                            stats.loops_sharded += 1;
-                        }
-                        None => stats.loops_shard_rejected += 1,
+        if let Instr::ForTest { counter, hi, var, end }
+        | Instr::IForTest { counter, hi, var, end } = code[pc]
+        {
+            if let Some(spec) = specs.iter().find(|s| p.reg_name(var) == s.var_name) {
+                match check_region(p, pc, end as usize, counter, hi, var, spec) {
+                    Some(region) => {
+                        regions.push(region);
+                        stats.loops_sharded += 1;
                     }
+                    None => stats.loops_shard_rejected += 1,
                 }
-                end as usize
             }
-            Instr::WhileTest { end, .. }
-            | Instr::WhileCmp { end, .. }
-            | Instr::WhileCmpImm { end, .. }
-            | Instr::IWhileCmp { end, .. }
-            | Instr::IWhileCmpImm { end, .. }
-            | Instr::FWhileCmp { end, .. } => end as usize,
+        }
+        // Only top-level loops are candidates: skip the body of any loop.
+        let skip_to = match code[pc].edge() {
+            Some((end, Edge::LoopExit)) => end as usize,
             _ => pc + 1,
         };
         if skip_to <= pc {
@@ -660,7 +655,7 @@ fn check_region(
     let mut w = regset::empty(p.num_regs());
     for instr in &code[head + 1..end - 1] {
         let mut bad = false;
-        for_each_reg_role(instr, &mut |r, role| {
+        for_each_reg_role(instr, |r, role| {
             if role != Role::Read {
                 bad |= is_loop_reg(r);
                 regset::insert(&mut w, r);
@@ -715,9 +710,9 @@ fn check_region(
     // (G) Every buffer the region writes must carry an IR-derived role.
     for instr in &code[start..end - 1] {
         let mut bad = false;
-        for_each_written_buf(instr, &mut |b| {
-            if !spec.roles.iter().any(|(rb, _)| *rb == b) {
-                bad = true;
+        instr.operands(|operand| {
+            if let Operand::Buf(b, Access::Write | Access::Append, _) = operand {
+                bad |= !spec.roles.iter().any(|(rb, _)| rb == b);
             }
         });
         if bad {
@@ -778,7 +773,7 @@ impl MustDefined {
             for pc in span.clone() {
                 let instr = &code[pc];
                 out.copy_from_slice(&ins[(pc - span.start) * words..][..words]);
-                for_each_reg_role(instr, &mut |r, role| {
+                for_each_reg_role(instr, |r, role| {
                     if role != Role::Read {
                         regset::insert(&mut out, r);
                     }
@@ -816,7 +811,7 @@ impl MustDefined {
         let mut ok = true;
         for pc in self.span.clone() {
             let defined = self.row(pc - self.span.start);
-            for_each_reg_role(&code[pc], &mut |r, role| {
+            for_each_reg_role(&code[pc], |r, role| {
                 if role != Role::Write && tracked(r) && !regset::contains(defined, r) {
                     ok = false;
                 }
@@ -829,27 +824,6 @@ impl MustDefined {
 /// Whether control can fall through to the next instruction.
 fn falls_through(instr: &Instr) -> bool {
     !matches!(instr, Instr::Jump { .. } | Instr::ForStep { .. })
-}
-
-/// Call `f` for every buffer the instruction writes (stores or appends).
-fn for_each_written_buf(instr: &Instr, f: &mut dyn FnMut(BufId)) {
-    match *instr {
-        Instr::Store { buf, .. }
-        | Instr::Append { buf, .. }
-        | Instr::StoreF64 { buf, .. }
-        | Instr::StoreU8 { buf, .. }
-        | Instr::IAppend { buf, .. }
-        | Instr::FAppend { buf, .. }
-        | Instr::VFillStoreF64 { buf, .. } => f(buf),
-        Instr::FiberEnd { pos, .. } => f(pos),
-        Instr::VMapF64 { dst, .. } | Instr::VCmpSelectU8 { dst, .. } => f(dst),
-        Instr::VMulAddF64 { acc, .. } | Instr::VReduceF64 { acc, .. } => f(acc),
-        Instr::VAppendRangeF64 { idx_out, val_out, .. } => {
-            f(idx_out);
-            f(val_out);
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

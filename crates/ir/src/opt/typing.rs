@@ -32,7 +32,7 @@
 //!
 //! Every cache miss of the kernel service pays this pass in-request, so it
 //! is a basic-block dataflow that allocates nothing per visit.  The program
-//! is partitioned into [`Blocks`]; the solver keeps one entry state per
+//! is partitioned into basic blocks; the solver keeps one entry state per
 //! *block*, all of them rows of one flat `blocks × registers` byte arena.
 //! Visiting a block copies its row into a scratch state, applies each
 //! instruction's transfer rule to the scratch **in place**, and at the
@@ -51,7 +51,7 @@
 //!
 //! The program is inferred **once**.  Expression temporaries whose LIFO
 //! slot is reused at conflicting types are split into one register per
-//! type afterwards (see [`SplitPlan`]), and the facts about the split
+//! type afterwards (see `SplitPlan`), and the facts about the split
 //! registers follow from the first inference — every access to a split
 //! register is a singleton of its kind by construction.
 //!
@@ -503,7 +503,7 @@ impl SplitPlan {
             if let Some((dst, bits)) = write {
                 written[dst.index()] |= bits;
             }
-            for_each_reg_role(instr, &mut |r, role| {
+            for_each_reg_role(instr, |r, role| {
                 let i = r.index();
                 if role != Role::Write && s[i] & UNSET != 0 {
                     unset_read[i] = true;
@@ -696,7 +696,7 @@ fn typed_form(
 /// statically-typed destination registers in [`Program::pretags`].
 ///
 /// Temps whose LIFO slot mixes types are split per type (see
-/// [`SplitPlan`]); the rewrite itself is 1:1 — same instruction count,
+/// `SplitPlan`); the rewrite itself is 1:1 — same instruction count,
 /// same jump targets, same [`crate::interp::ExecStats`] — so typed and
 /// generic dispatch are differential-testable bit for bit.  `bufs` must be
 /// the buffer set the program was compiled against (it seeds the
@@ -715,7 +715,7 @@ pub fn specialize(program: &Program, bufs: &BufferSet, stats: &mut OptStats) -> 
     inference.walk(program, bufs, &mut state, |pc, instr, s| {
         let out = &mut code[pc];
         let write = write_effect(instr, s, consts, bufs);
-        for_each_reg_role_mut(out, &mut |r, role| {
+        for_each_reg_role_mut(out, |r, role| {
             *r = plan.remap[r.index()][kind_slot(access_kind(role, s[r.index()], write))];
         });
         // Every access to a copy of a split temp is at that copy's kind;
@@ -870,7 +870,7 @@ mod reference {
         for (pc, instr) in program.code().iter().enumerate() {
             let Some(s) = &states[pc] else { continue };
             let we = write_effect(instr, s, program.consts(), bufs);
-            for_each_reg_role(instr, &mut |r, role| {
+            for_each_reg_role(instr, |r, role| {
                 let i = r.index();
                 if i < num_vars {
                     return;
@@ -928,7 +928,7 @@ mod reference {
         for (pc, instr) in p.code.iter_mut().enumerate() {
             let Some(s) = &states[pc] else { continue };
             let we = write_effect(instr, s, program.consts(), bufs);
-            for_each_reg_role_mut(instr, &mut |r, role| {
+            for_each_reg_role_mut(instr, |r, role| {
                 let i = r.index();
                 let Some(m) = remap.get(i).and_then(|m| m.as_ref()) else { return };
                 let kind = match role {
@@ -967,7 +967,7 @@ mod reference {
             if let Some((dst, bits)) = write_effect(instr, s, consts, bufs) {
                 written[dst.index()] |= bits;
             }
-            for_each_reg_role(instr, &mut |r, role| {
+            for_each_reg_role(instr, |r, role| {
                 if role != Role::Write && s[r.index()] & UNSET != 0 {
                     unset_read[r.index()] = true;
                 }
@@ -1408,6 +1408,18 @@ mod tests {
             typed.disasm()
         );
         assert!(typed.pretags().iter().all(|&(r, _)| r != Reg(0)), "{:?}", typed.pretags());
+    }
+
+    /// [`for_each_edge`] ends in an `unreachable!` that a new branching
+    /// opcode without a rule would otherwise hit inside a release compile.
+    #[test]
+    fn every_opcode_with_a_target_has_an_edge_rule() {
+        for instr in crate::isa::samples() {
+            let Some(target) = instr.target() else { continue };
+            let mut succs = Vec::new();
+            for_each_edge(1, &instr, &mut |succ, _| succs.push(succ));
+            assert!(succs.contains(&(target as usize)), "{}: {succs:?}", instr.opcode());
+        }
     }
 
     #[test]

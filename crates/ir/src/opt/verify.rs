@@ -23,7 +23,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{for_each_reg_role, Instr, LaneTag, Program, Role, VFill, VRhs};
+use crate::bytecode::{for_each_reg_role, Elem, Instr, LaneTag, Operand, Program, Role, VFill};
 use crate::expr::Expr;
 use crate::stmt::Stmt;
 use crate::var::{Names, Var};
@@ -309,139 +309,74 @@ impl IrVerifier<'_> {
 /// Returns a description of the first violated invariant.
 pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String> {
     program.validate()?;
-    let check_buf = |pc: usize, buf: BufId| -> Result<(), String> {
-        if buf.index() >= bufs.len() {
-            return Err(format!(
-                "instruction at pc {pc} references buffer #{} outside the set of {}",
-                buf.index(),
-                bufs.len()
-            ));
-        }
-        Ok(())
-    };
-    let expect = |pc: usize, buf: BufId, want: &str, ok: bool| -> Result<(), String> {
-        if !ok {
-            return Err(format!(
-                "typed opcode at pc {pc} expects buffer `{}` to be {want}",
-                bufs.name(buf)
-            ));
-        }
-        Ok(())
-    };
-    let rhs_buf = |rhs: VRhs| match rhs {
-        VRhs::Buf { buf, .. } => Some(buf),
-        VRhs::None | VRhs::Imm { .. } => None,
-    };
-    for (pc, instr) in program.code().iter().enumerate() {
+    let code = program.code();
+    for (pc, instr) in code.iter().enumerate() {
+        // Every buffer operand is in range and has the element kind its
+        // opcode's table row requires.
+        instr.try_operands(|operand| {
+            let Operand::Buf(&buf, _, elem) = operand else { return Ok(()) };
+            if buf.index() >= bufs.len() {
+                return Err(format!(
+                    "instruction at pc {pc} references buffer #{} outside the set of {}",
+                    buf.index(),
+                    bufs.len()
+                ));
+            }
+            let (want, ok) = match (elem, bufs.get(buf)) {
+                (Elem::Any, _) => return Ok(()),
+                (Elem::I64, kind) => ("i64", matches!(kind, Buffer::I64(_))),
+                (Elem::F64, kind) => ("f64", matches!(kind, Buffer::F64(_))),
+                (Elem::U8, kind) => ("u8", matches!(kind, Buffer::U8(_))),
+            };
+            if !ok {
+                return Err(format!(
+                    "typed opcode at pc {pc} expects buffer `{}` to be {want}",
+                    bufs.name(buf)
+                ));
+            }
+            Ok(())
+        })?;
         // A kernel op runs the bulk of the counted loop that follows it:
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
-        if let Some((counter, hi)) = instr.vop_loop_regs() {
-            let end = match program.code().get(pc + 1) {
-                Some(&Instr::IForTest { counter: c, hi: h, end, .. })
-                    if c == counter && h == hi =>
-                {
-                    end as usize
-                }
-                _ => {
-                    return Err(format!(
-                        "vector op at pc {pc} does not immediately precede its loop head"
-                    ));
-                }
-            };
-            // A register-valued fill stands for the loop's own typed store
-            // of that register — the proof that the float lane holds the
-            // value — and reads it once: the body may not change it.
-            if let Instr::VFillStoreF64 { buf, val: VFill::Reg(reg), .. } = *instr {
-                let body = program.code().get(pc + 2..end).unwrap_or_default();
-                let mut written = false;
-                for instr in body {
-                    for_each_reg_role(instr, &mut |r, role| {
-                        written |= r == reg && role != Role::Read;
-                    });
-                }
-                if written {
-                    return Err(format!(
-                        "vector fill at pc {pc} reads register {reg}, which its loop body writes"
-                    ));
-                }
-                let stores_it = body.iter().any(|i| match *i {
-                    Instr::StoreF64 { buf: b, val, .. } => b == buf && val == reg,
-                    _ => false,
-                });
-                if !stores_it {
-                    return Err(format!(
-                        "vector fill at pc {pc} reads register {reg}, which its loop never \
-                         stores as an f64"
-                    ));
-                }
+        let Some((counter, hi)) = instr.vop_loop_regs() else { continue };
+        let end = match code.get(pc + 1) {
+            Some(&Instr::IForTest { counter: c, hi: h, end, .. }) if c == counter && h == hi => {
+                end as usize
             }
+            _ => {
+                return Err(format!(
+                    "vector op at pc {pc} does not immediately precede its loop head"
+                ));
+            }
+        };
+        // The op reads its bound, its row bases and a register-valued fill
+        // once, for all the iterations it runs: the body may not change them.
+        let body = code.get(pc + 2..end).unwrap_or_default();
+        let mut clobbered = None;
+        for_each_reg_role(instr, |reg, role| {
+            if role == Role::Read && body.iter().any(|i| i.written_reg() == Some(reg)) {
+                clobbered = Some(reg);
+            }
+        });
+        if let Some(reg) = clobbered {
+            return Err(format!(
+                "vector op at pc {pc} reads register {reg}, which its loop body writes"
+            ));
         }
-        match *instr {
-            Instr::BufLen { buf, .. }
-            | Instr::Load { buf, .. }
-            | Instr::Store { buf, .. }
-            | Instr::Append { buf, .. }
-            | Instr::Seek { buf, .. }
-            | Instr::LoadBinary { buf, .. }
-            | Instr::ILen { buf, .. } => check_buf(pc, buf)?,
-            Instr::FiberEnd { pos, data } => {
-                check_buf(pc, pos)?;
-                check_buf(pc, data)?;
-                expect(pc, pos, "i64", matches!(bufs.get(pos), Buffer::I64(_)))?;
+        // A register-valued fill stands for the loop's own typed store of
+        // that register — the proof that the float lane holds the value.
+        if let Instr::VFillStoreF64 { buf, val: VFill::Reg(reg), .. } = *instr {
+            let stores_it = body.iter().any(|i| match *i {
+                Instr::StoreF64 { buf: b, val, .. } => b == buf && val == reg,
+                _ => false,
+            });
+            if !stores_it {
+                return Err(format!(
+                    "vector fill at pc {pc} reads register {reg}, which its loop never \
+                     stores as an f64"
+                ));
             }
-            Instr::LoadI64 { buf, .. } | Instr::IAppend { buf, .. } | Instr::ISeek { buf, .. } => {
-                check_buf(pc, buf)?;
-                expect(pc, buf, "i64", matches!(bufs.get(buf), Buffer::I64(_)))?;
-            }
-            Instr::LoadF64 { buf, .. }
-            | Instr::FMulLoad { buf, .. }
-            | Instr::StoreF64 { buf, .. }
-            | Instr::FAppend { buf, .. } => {
-                check_buf(pc, buf)?;
-                expect(pc, buf, "f64", matches!(bufs.get(buf), Buffer::F64(_)))?;
-            }
-            Instr::LoadU8 { buf, .. } | Instr::StoreU8 { buf, .. } => {
-                check_buf(pc, buf)?;
-                expect(pc, buf, "u8", matches!(bufs.get(buf), Buffer::U8(_)))?;
-            }
-            Instr::VFillStoreF64 { buf, .. } => {
-                check_buf(pc, buf)?;
-                expect(pc, buf, "f64", matches!(bufs.get(buf), Buffer::F64(_)))?;
-            }
-            Instr::VMapF64 { dst, a, rhs, .. } => {
-                for buf in [Some(dst), Some(a), rhs_buf(rhs)].into_iter().flatten() {
-                    check_buf(pc, buf)?;
-                    expect(pc, buf, "f64", matches!(bufs.get(buf), Buffer::F64(_)))?;
-                }
-            }
-            Instr::VMulAddF64 { acc, a, b, .. } => {
-                for buf in [acc, a, b] {
-                    check_buf(pc, buf)?;
-                    expect(pc, buf, "f64", matches!(bufs.get(buf), Buffer::F64(_)))?;
-                }
-            }
-            Instr::VReduceF64 { acc, src, .. } => {
-                for buf in [acc, src] {
-                    check_buf(pc, buf)?;
-                    expect(pc, buf, "f64", matches!(bufs.get(buf), Buffer::F64(_)))?;
-                }
-            }
-            Instr::VAppendRangeF64 { idx_out, val_out, src, .. } => {
-                for buf in [idx_out, val_out, src] {
-                    check_buf(pc, buf)?;
-                }
-                expect(pc, idx_out, "i64", matches!(bufs.get(idx_out), Buffer::I64(_)))?;
-                expect(pc, val_out, "f64", matches!(bufs.get(val_out), Buffer::F64(_)))?;
-                expect(pc, src, "f64", matches!(bufs.get(src), Buffer::F64(_)))?;
-            }
-            Instr::VCmpSelectU8 { dst, src, .. } => {
-                check_buf(pc, dst)?;
-                check_buf(pc, src)?;
-                expect(pc, dst, "u8", matches!(bufs.get(dst), Buffer::U8(_)))?;
-                expect(pc, src, "f64", matches!(bufs.get(src), Buffer::F64(_)))?;
-            }
-            _ => {}
         }
     }
     let mut tags: HashMap<crate::bytecode::Reg, LaneTag> = HashMap::new();

@@ -1,6 +1,6 @@
 //! Parallel sharded execution of a compiled bytecode program.
 //!
-//! [`run_sharded`] drives a program whose [`ShardPlan`]
+//! [`run_sharded`] drives a program whose [`ShardPlan`](crate::bytecode::ShardPlan)
 //! (attached by the `shard` optimization pass) marks top-level counted
 //! loops safe to split across worker threads.  Execution walks the
 //! instruction stream serially between planned regions; at each region
@@ -374,7 +374,7 @@ fn partition(lo: i64, hi: i64, shards: usize) -> Vec<(i64, i64)> {
 /// Run `program` to completion, executing planned shard regions across
 /// up to `threads` threads and everything else serially on the calling
 /// thread.  With `threads <= 1`, or for a program with an empty
-/// [`ShardPlan`], this is exactly [`Vm::run`].
+/// [`ShardPlan`](crate::bytecode::ShardPlan), this is exactly [`Vm::run`].
 ///
 /// Outputs, registers, and [`crate::interp::ExecStats`] are
 /// bit-identical to the serial run; any runtime surprise inside a shard

@@ -16,9 +16,9 @@
 //! engines (and across typed/generic dispatch).  The `searches` counter
 //! semantics are unchanged: callers count one search per seek, as before.
 //!
-//! The probe sequence itself ([`gallop_bisect`]) is written once, over an
+//! The probe sequence itself (`gallop_bisect`) is written once, over an
 //! abstract `probe`.  Coordinate buffers are `i64` lanes, so the common
-//! case runs it directly over the `&[i64]` window ([`lower_bound_i64`]: no
+//! case runs it directly over the `&[i64]` window (`lower_bound_i64`: no
 //! per-probe buffer lookup, kind match or boxed [`crate::value::Value`]);
 //! a window that leaves the buffer, or a buffer of another kind, takes the
 //! boxed per-probe path, which raises the errors.
