@@ -9,6 +9,7 @@
 //! cargo run --release -p finch-bench --bin serve -- --tiny
 //! cargo run --release -p finch-bench --bin serve -- --tiny --faults 250 --verify
 //! cargo run --release -p finch-bench --bin serve -- --soak --tiny --faults 250 --verify
+//! cargo run --release -p finch-bench --bin serve -- --replay
 //! ```
 //!
 //! With `--faults N`, a seeded [`FaultPlan`] injects panics, budget
@@ -25,12 +26,21 @@
 //! accounted for — served bit-identically (under `--verify`) or resolved
 //! with a typed error — and both drains settle.  `--batch N` submits in
 //! N-request batches through [`KernelService::submit_batch`].
+//!
+//! `--replay` is a one-off measurement, not a trace run: it asks where the
+//! part of a large warm hit goes that rebind + run + read-back, replayed on a
+//! kernel of one's own, do not explain (see [`replay`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use finch::{FaultPlan, KernelService, ServiceConfig, ServiceError, ServiceState, Tier};
+use finch::{
+    CompiledKernel, FaultPlan, KernelService, Request, ServiceConfig, ServiceError, ServiceState,
+    Tensor, Tier, Watch,
+};
 use finch_bench::report::ServeReport;
 use finch_bench::trace::{self, TraceConfig, TraceRequest};
 
@@ -55,6 +65,115 @@ struct ClientTally {
     typed_errors: u64,
     verified: u64,
     divergences: u64,
+}
+
+/// `--replay`: is the unexplained rest of a large hit a cold cache?
+///
+/// The repo benchmark explains a warm hit by replaying the same request's
+/// rebind + run + read-back on a shadow [`CompiledKernel`] and calls what is
+/// left over the service's.  At n = 4096 that rest is 6–30 µs, and no code
+/// in `submit` is O(n).  The shadow cycles the instances of *one* structure
+/// (a few hundred KB, cache-resident), while the service's client cycles
+/// every structure and every tensor set; and every service run carries a
+/// [`Watch`] on the drain-cancel flag, which the VM polls once a statement,
+/// while the shadow runs unwatched.  This replays three ways — each
+/// structure's shadow over its own instances only, then all shadows in the
+/// service's order, then the same under a never-raised watch — beside
+/// single-client hits in that same order.  Where the rest over the last
+/// replay is small and flat in n, the remainder is the memory system's and
+/// the watch's, not `submit`'s.
+fn replay(tcfg: &TraceConfig, reps: usize) {
+    let (kernels, instances) = (tcfg.kernels, tcfg.instances);
+    // One row per data instance, one column per structure: walking a row
+    // after the other is the order the client below submits in.
+    let tensors: Vec<Vec<(Tensor, Tensor)>> = (0..instances)
+        .map(|i| (0..kernels).map(|k| trace::tensors_for(tcfg, k, i)).collect())
+        .collect();
+    let requests: Vec<Vec<Request>> = (0..instances)
+        .map(|i| (0..kernels).map(|k| trace::build_request(tcfg, k, i)).collect())
+        .collect();
+    let median_us = |xs: &mut Vec<u64>| {
+        xs.sort_unstable();
+        xs[xs.len() / 2] as f64 / 1e3
+    };
+    let replay_one = |shadow: &mut CompiledKernel, k: usize, (a, b): &(Tensor, Tensor)| {
+        let t0 = Instant::now();
+        shadow.rebind_input(a).expect("same structure");
+        shadow.rebind_input(b).expect("same structure");
+        shadow.run().expect("trace kernel runs");
+        if trace::reads_scalar(k) {
+            black_box(shadow.output_scalar("C").expect("scalar readback"));
+        } else {
+            black_box(shadow.output_tensor("C").expect("tensor readback"));
+        }
+        t0.elapsed().as_nanos() as u64
+    };
+
+    // Single-client hits, cycling every structure and every tensor set.
+    let svc = KernelService::new(ServiceConfig { capacity: kernels, ..ServiceConfig::default() });
+    for request in requests.iter().flatten() {
+        svc.submit(request).expect("trace request is served");
+    }
+    let mut hit = vec![Vec::new(); kernels];
+    for _ in 0..reps {
+        for (k, request) in requests.iter().flat_map(|row| row.iter().enumerate()) {
+            let t0 = Instant::now();
+            let resp = svc.submit(request).expect("trace request is served");
+            hit[k].push(t0.elapsed().as_nanos() as u64);
+            assert!(resp.cache_hit);
+            black_box(resp);
+        }
+    }
+
+    // The benchmark's shadow: one structure at a time, its instances only.
+    let mut shadows: Vec<CompiledKernel> =
+        (0..kernels).map(|k| trace::compile_kernel(tcfg, k, 0)).collect();
+    let mut own = vec![Vec::new(); kernels];
+    for (k, (shadow, own)) in shadows.iter_mut().zip(&mut own).enumerate() {
+        for r in 0..reps * instances {
+            own.push(replay_one(shadow, k, &tensors[r % instances][k]));
+        }
+    }
+    // The same replay in the service's order — all shadows, all tensor
+    // sets —, unwatched and then watched the way a service run is.
+    let in_order = |shadows: &mut [CompiledKernel]| {
+        let mut samples = vec![Vec::new(); kernels];
+        for _ in 0..reps {
+            for (k, set) in tensors.iter().flat_map(|row| row.iter().enumerate()) {
+                samples[k].push(replay_one(&mut shadows[k], k, set));
+            }
+        }
+        samples
+    };
+    let mut all = in_order(&mut shadows);
+    let never = Arc::new(AtomicBool::new(false));
+    for shadow in &mut shadows {
+        shadow.set_watch(Some(Watch::cancelled_by(Arc::clone(&never), 0)));
+    }
+    let mut watched = in_order(&mut shadows);
+
+    println!(
+        "replay: {kernels} structures x {instances} instances, {reps} reps, single client; \
+         medians in us; slot_waits {}",
+        svc.stats().slot_waits
+    );
+    println!(
+        "  {:<18} {:>5} {:>8} | {:>8} {:>7} | {:>8} {:>7} | {:>8} {:>7}",
+        "structure", "n", "hit", "own inst", "rest", "all sets", "rest", "+ watch", "rest"
+    );
+    for k in 0..kernels {
+        let name = ["dot sparse*dense", "ewise dense", "ewise sparse out"][k % 3];
+        let hit = median_us(&mut hit[k]);
+        let [own, all, watched] = [&mut own[k], &mut all[k], &mut watched[k]].map(median_us);
+        println!(
+            "  {name:<18} {:>5} {hit:>8.2} | {own:>8.2} {:>7.2} | {all:>8.2} {:>7.2} | \
+             {watched:>8.2} {:>7.2}",
+            tensors[0][k].0.shape()[0],
+            hit - own,
+            hit - all,
+            hit - watched
+        );
+    }
 }
 
 fn main() {
@@ -89,8 +208,23 @@ fn main() {
     let verify = flag("--verify");
     let json_path = arg_after("--json").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
-    let tcfg =
-        TraceConfig { kernels, instances, requests, skew, seed, scale: if tiny { 2 } else { 4 } };
+    // `--replay` defaults to the repo benchmark's largest size class (the
+    // vector lengths run from 8 to 23 times the scale).
+    let scale: usize = num(
+        "--scale",
+        if flag("--replay") {
+            178
+        } else if tiny {
+            2
+        } else {
+            4
+        },
+    );
+    let tcfg = TraceConfig { kernels, instances, requests, skew, seed, scale };
+    if flag("--replay") {
+        replay(&tcfg, num("--reps", 200));
+        return;
+    }
     let schedule = trace::generate(&tcfg);
 
     let svc = KernelService::new(ServiceConfig {
@@ -355,9 +489,10 @@ fn main() {
         stats.served_by_tier, stats.faults_by_tier
     );
     println!(
-        "  front-end: {} queued (max depth {max_queue_depth}), {} queue timeouts, {} shed, \
-         breaker opens {}, short-circuits {}, batch groups {}",
+        "  front-end: {} queued (max depth {max_queue_depth}), {} slot waits, {} queue timeouts, \
+         {} shed, breaker opens {}, short-circuits {}, batch groups {}",
         stats.queued,
+        stats.slot_waits,
         stats.queue_timeouts,
         stats.shed,
         stats.breaker_opens,

@@ -490,7 +490,7 @@ impl ServeReport {
              \"drain_latency_ms\": {},\n  \"drain_cancelled\": {},\n  \"service\": {{\n    \
              \"hits\": {},\n    \"misses\": {},\n    \"compiles\": {},\n    \
              \"recompiles\": {},\n    \"quarantined\": {},\n    \"evictions\": {},\n    \
-             \"shed\": {},\n    \"queued\": {},\n    \"queue_timeouts\": {},\n    \
+             \"shed\": {},\n    \"queued\": {},\n    \"slot_waits\": {},\n    \"queue_timeouts\": {},\n    \
              \"breaker_opens\": {},\n    \"breaker_short_circuits\": {},\n    \
              \"batch_groups\": {},\n    \"panics\": {},\n    \"deadline_errors\": {},\n    \
              \"budget_errors\": {},\n    \"alloc_errors\": {},\n    \
@@ -530,6 +530,7 @@ impl ServeReport {
             s.evictions,
             s.shed,
             s.queued,
+            s.slot_waits,
             s.queue_timeouts,
             s.breaker_opens,
             s.breaker_short_circuits,

@@ -13,7 +13,7 @@
 //! verified against independently computed reference results.
 
 use finch::build::*;
-use finch::{Engine, Kernel, LevelSpec, Request, Response, Tensor};
+use finch::{CinStmt, CompiledKernel, Engine, Kernel, LevelSpec, Request, Response, Tensor};
 
 /// Parameters of a generated trace.
 #[derive(Debug, Clone)]
@@ -134,36 +134,39 @@ pub fn tensors_for(cfg: &TraceConfig, kernel: usize, instance: usize) -> (Tensor
     }
 }
 
+/// The program of kernel structure `kernel` and the storage format of its
+/// tensor output `C` (`None`: `C` is a scalar).
+fn template(cfg: &TraceConfig, kernel: usize) -> (CinStmt, Option<LevelSpec>) {
+    let n = len_of(cfg, kernel);
+    let i = idx("i");
+    let product = mul(access("A", [i.clone()]), access("B", [i.clone()]));
+    match kernel % 3 {
+        0 => (forall(i, add_assign(scalar("C"), product)), None),
+        1 => (
+            forall(i.clone(), assign(access("C", [i]), product)),
+            Some(LevelSpec::Dense { size: n }),
+        ),
+        _ => (
+            forall(i.clone(), assign(access("C", [i]), product)),
+            Some(LevelSpec::SparseList { size: n }),
+        ),
+    }
+}
+
+/// Whether kernel structure `kernel` reads the scalar `C` back (otherwise the
+/// tensor `C`).
+pub fn reads_scalar(kernel: usize) -> bool {
+    kernel.is_multiple_of(3)
+}
+
 /// Build the service [`Request`] for `(kernel, instance)`.
 pub fn build_request(cfg: &TraceConfig, kernel: usize, instance: usize) -> Request {
     let (a, b) = tensors_for(cfg, kernel, instance);
-    let n = len_of(cfg, kernel);
-    let i = idx("i");
-    match kernel % 3 {
-        0 => {
-            let program = forall(
-                i.clone(),
-                add_assign(scalar("C"), mul(access("A", [i.clone()]), access("B", [i]))),
-            );
-            Request::new(program).input(&a).input(&b).output_scalar("C")
-        }
-        1 => {
-            let program = forall(
-                i.clone(),
-                assign(access("C", [i.clone()]), mul(access("A", [i.clone()]), access("B", [i]))),
-            );
-            Request::new(program).input(&a).input(&b).output("C", &[LevelSpec::Dense { size: n }])
-        }
-        _ => {
-            let program = forall(
-                i.clone(),
-                assign(access("C", [i.clone()]), mul(access("A", [i.clone()]), access("B", [i]))),
-            );
-            Request::new(program)
-                .input(&a)
-                .input(&b)
-                .output("C", &[LevelSpec::SparseList { size: n }])
-        }
+    let (program, output) = template(cfg, kernel);
+    let request = Request::new(program).input(&a).input(&b);
+    match output {
+        None => request.output_scalar("C"),
+        Some(spec) => request.output("C", &[spec]),
     }
 }
 
@@ -182,61 +185,40 @@ pub fn response_values(resp: &Response) -> Vec<f64> {
     resp.tensor.as_ref().map(|t| t.values().to_vec()).unwrap_or_default()
 }
 
-/// Independently compile and run `(kernel, instance)` on the tree-walk
-/// oracle and return its readback values — the reference a served (possibly
-/// degraded) response must match bit-for-bit.
-pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Vec<f64> {
+/// Compile `(kernel, instance)` directly, outside any service: the kernel
+/// the service would cache for this structure, bound to this instance's
+/// data.
+pub fn compile_kernel(cfg: &TraceConfig, kernel: usize, instance: usize) -> CompiledKernel {
     let (a, b) = tensors_for(cfg, kernel, instance);
-    let n = len_of(cfg, kernel);
+    let (program, output) = template(cfg, kernel);
     let mut k = Kernel::new();
     k.bind_input(&a).bind_input(&b);
-    let i = idx("i");
-    let (program, scalar_out) = match kernel % 3 {
-        0 => {
-            k.bind_output_scalar("C");
-            (
-                forall(
-                    i.clone(),
-                    add_assign(scalar("C"), mul(access("A", [i.clone()]), access("B", [i]))),
-                ),
-                true,
-            )
-        }
-        1 => {
-            k.bind_output_format("C", &[LevelSpec::Dense { size: n }]);
-            (
-                forall(
-                    i.clone(),
-                    assign(
-                        access("C", [i.clone()]),
-                        mul(access("A", [i.clone()]), access("B", [i])),
-                    ),
-                ),
-                false,
-            )
-        }
-        _ => {
-            k.bind_output_format("C", &[LevelSpec::SparseList { size: n }]);
-            (
-                forall(
-                    i.clone(),
-                    assign(
-                        access("C", [i.clone()]),
-                        mul(access("A", [i.clone()]), access("B", [i])),
-                    ),
-                ),
-                false,
-            )
-        }
+    match output {
+        None => k.bind_output_scalar("C"),
+        Some(spec) => k.bind_output_format("C", &[spec]),
     };
-    let mut compiled = k.compile(&program).expect("trace template compiles");
-    compiled.set_engine(Engine::TreeWalk);
-    compiled.run().expect("trace template runs");
-    if scalar_out {
+    k.compile(&program).expect("trace template compiles")
+}
+
+/// The readback values of `compiled` after a run, read the way the service
+/// reads them for kernel structure `kernel`: the scalar, or the finalized
+/// output tensor's stored values.
+pub fn kernel_values(compiled: &CompiledKernel, kernel: usize) -> Vec<f64> {
+    if reads_scalar(kernel) {
         vec![compiled.output_scalar("C").expect("scalar readback")]
     } else {
         compiled.output_tensor("C").expect("tensor readback").values().to_vec()
     }
+}
+
+/// Independently compile and run `(kernel, instance)` on the tree-walk
+/// oracle and return its readback values — the reference a served (possibly
+/// degraded) response must match bit-for-bit.
+pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Vec<f64> {
+    let mut compiled = compile_kernel(cfg, kernel, instance);
+    compiled.set_engine(Engine::TreeWalk);
+    compiled.run().expect("trace template runs");
+    kernel_values(&compiled, kernel)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! the generated code.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use finch_cin::CinStmt;
 use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Tensor};
@@ -278,7 +278,11 @@ impl Kernel {
         let specs = shape.iter().map(|&size| LevelSpec::Dense { size }).collect();
         self.bindings.insert(
             name.to_string(),
-            Binding::Output(OutputBinding { specs, init, sink: OutputSink::Dense { buf } }),
+            Binding::Output(OutputBinding {
+                builder: OutputBuilder::new(name, specs),
+                init,
+                sink: OutputSink::Dense { buf },
+            }),
         );
         self
     }
@@ -321,7 +325,7 @@ impl Kernel {
                 self.bindings.insert(
                     name.to_string(),
                     Binding::Output(OutputBinding {
-                        specs: specs.to_vec(),
+                        builder: OutputBuilder::new(name, specs.to_vec()),
                         init: 0.0,
                         sink: OutputSink::SparseList { pos, idx, val },
                     }),
@@ -427,28 +431,31 @@ impl Kernel {
             )?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
-            code,
-            raw_code,
-            raw_names,
-            bytecode,
+            image: Arc::new(KernelImage {
+                code,
+                raw_code,
+                raw_names,
+                bytecode,
+                names: ctx.names,
+                blank: ctx.bufs.blank(),
+                outputs,
+                inputs,
+                source: OnceLock::new(),
+                program: format!("{program}"),
+                opt_level,
+                opt_stats,
+                typed_dispatch,
+                simd,
+                validation,
+                pass_reports,
+            }),
             vm,
-            names: ctx.names,
             bufs: ctx.bufs,
-            outputs,
-            inputs,
-            source: OnceLock::new(),
-            program: format!("{program}"),
             engine: Engine::default(),
             step_budget: None,
             watch: None,
             alloc_budget: None,
-            opt_level,
-            opt_stats,
-            typed_dispatch,
-            simd,
-            validation,
             threads,
-            pass_reports,
         })
     }
 }
@@ -500,8 +507,43 @@ fn optimize_kernel(
 /// assert_eq!(fast, oracle);                             // identical work counters
 /// # Ok(()) }
 /// ```
+///
+/// # Image and run state
+///
+/// A compiled kernel is two things.  The **image** is everything
+/// compilation produced and nothing ever changes afterwards: the IR, the
+/// name tables, the bytecode [`Program`], the input and output bindings,
+/// the pass reports and the configuration it was compiled under.  It sits
+/// behind an `Arc` and is shared by every kernel derived from this one by
+/// [`Clone`].  The **run state** is what a run writes: the persistent
+/// [`Vm`], the [`BufferSet`], the budgets and the watch.  `clone()` copies
+/// the run state only, so two clones can run at the same time on two
+/// threads over one image — which is how `KernelService` serves
+/// concurrent hits on one cached structure.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
+    image: Arc<KernelImage>,
+    /// The persistent register VM: re-runs reset it in place instead of
+    /// allocating a fresh register file per execution.
+    vm: Vm,
+    bufs: BufferSet,
+    engine: Engine,
+    step_budget: Option<u64>,
+    /// Cooperative deadline / cancellation applied to every run on either
+    /// engine.
+    watch: Option<Watch>,
+    /// Output-allocation element budget applied to every run on either
+    /// engine, alongside the step budget.
+    alloc_budget: Option<u64>,
+    /// Worker threads [`CompiledKernel::run`] uses on the bytecode engine
+    /// when the compiled program carries a non-empty shard plan (1 = the
+    /// serial path).
+    threads: usize,
+}
+
+/// The immutable half of a [`CompiledKernel`]: what compilation produced.
+#[derive(Debug)]
+struct KernelImage {
     /// The optimised IR; `None` at [`OptLevel::None`], where `raw_code` is
     /// what executes (read both through [`CompiledKernel::stmts`]).
     code: Option<Vec<Stmt>>,
@@ -513,11 +555,11 @@ pub struct CompiledKernel {
     /// variables, so re-optimising must start from the pristine table).
     raw_names: Names,
     bytecode: Program,
-    /// The persistent register VM: re-runs reset it in place instead of
-    /// allocating a fresh register file per execution.
-    vm: Vm,
     names: Names,
-    bufs: BufferSet,
+    /// The buffer set's schema: every buffer under its name and element
+    /// kind, with no elements.  A new run state starts from it
+    /// ([`CompiledKernel::fork`]), and the code printer reads the names.
+    blank: BufferSet,
     outputs: HashMap<String, OutputBinding>,
     /// The bound input tensors, kept so later runs can swap in fresh data
     /// of the same structure without recompiling (and so the rebind can be
@@ -528,14 +570,6 @@ pub struct CompiledKernel {
     /// never reads it.
     source: OnceLock<String>,
     program: String,
-    engine: Engine,
-    step_budget: Option<u64>,
-    /// Cooperative deadline / cancellation applied to every run on either
-    /// engine (the service arms this per request).
-    watch: Option<Watch>,
-    /// Output-allocation element budget applied to every run on either
-    /// engine, alongside the step budget.
-    alloc_budget: Option<u64>,
     opt_level: OptLevel,
     opt_stats: OptStats,
     typed_dispatch: bool,
@@ -543,10 +577,6 @@ pub struct CompiledKernel {
     /// The validation level the pass manager ran at when this kernel was
     /// compiled (re-optimisations run at the same level).
     validation: ValidationLevel,
-    /// Worker threads [`CompiledKernel::run`] uses on the bytecode engine
-    /// when the compiled program carries a non-empty shard plan (1 = the
-    /// serial path).
-    threads: usize,
     /// One report per optimisation pass that ran: transform, verifier and
     /// translation-validation wall-clock in nanoseconds.
     pass_reports: Vec<PassReport>,
@@ -557,34 +587,36 @@ impl CompiledKernel {
     /// paper's Figure 1b listings).
     pub fn code(&self) -> &str {
         // Buffer names and the name table are fixed at compile time, so the
-        // text does not depend on when it is first asked for.
-        self.source.get_or_init(|| Printer::new(&self.names, &self.bufs).program(self.stmts()))
+        // text does not depend on when — or through which run state — it
+        // is first asked for.
+        let image = &*self.image;
+        image.source.get_or_init(|| Printer::new(&image.names, &image.blank).program(self.stmts()))
     }
 
     /// The CIN program this kernel was compiled from.
     pub fn program(&self) -> &str {
-        &self.program
+        &self.image.program
     }
 
     /// The generated statements (for structural assertions in tests).
     pub fn stmts(&self) -> &[Stmt] {
-        self.code.as_deref().unwrap_or(&self.raw_code)
+        self.image.code.as_deref().unwrap_or(&self.image.raw_code)
     }
 
     /// The compiled bytecode (for structural assertions and debugging).
     pub fn bytecode(&self) -> &Program {
-        &self.bytecode
+        &self.image.bytecode
     }
 
     /// The optimisation level this kernel was compiled at.
     pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
+        self.image.opt_level
     }
 
     /// Per-pass optimisation counters from this kernel's compilation (IR
     /// folds, hoisted loads and expressions, fused bytecode pairs, ...).
     pub fn opt_stats(&self) -> OptStats {
-        self.opt_stats
+        self.image.opt_stats
     }
 
     /// Re-derive this kernel at a different [`OptLevel`] from the kept
@@ -594,21 +626,21 @@ impl CompiledKernel {
     /// time `OptLevel::None` against `OptLevel::Default` on identical
     /// kernels.
     pub fn reoptimized(&self, level: OptLevel) -> CompiledKernel {
-        self.reoptimized_typed(level, self.typed_dispatch)
+        self.reoptimized_typed(level, self.image.typed_dispatch)
     }
 
     /// [`CompiledKernel::reoptimized`] with explicit control over the
     /// typed-dispatch stage, so the benchmark harness can time the same
     /// kernel with typed dispatch on and off at the same [`OptLevel`].
     pub fn reoptimized_typed(&self, level: OptLevel, typed: bool) -> CompiledKernel {
-        self.reoptimized_simd(level, typed, self.simd)
+        self.reoptimized_simd(level, typed, self.image.simd)
     }
 
     /// [`CompiledKernel::reoptimized_typed`] with explicit control over
     /// the vectorize stage as well, so the benchmark harness can time the
     /// same kernel with the SIMD kernel-op tier on and off.
     pub fn reoptimized_simd(&self, level: OptLevel, typed: bool, simd: bool) -> CompiledKernel {
-        self.rederive(level, typed, simd, self.validation)
+        self.rederive(level, typed, simd, self.image.validation)
             .expect("re-optimisation of already-validated code must validate")
     }
 
@@ -624,7 +656,7 @@ impl CompiledKernel {
     /// fails the requested checks — which would be a compiler bug, not a
     /// user error.
     pub fn revalidated(&self, validation: ValidationLevel) -> Result<CompiledKernel, CompileError> {
-        self.rederive(self.opt_level, self.typed_dispatch, self.simd, validation)
+        self.rederive(self.image.opt_level, self.image.typed_dispatch, self.image.simd, validation)
     }
 
     fn rederive(
@@ -634,10 +666,11 @@ impl CompiledKernel {
         simd: bool,
         validation: ValidationLevel,
     ) -> Result<CompiledKernel, CompileError> {
-        let mut names = self.raw_names.clone();
+        let image = &*self.image;
+        let mut names = image.raw_names.clone();
         let Lowered { code, program: bytecode, stats: opt_stats, reports: pass_reports } =
             optimize_kernel(
-                &self.raw_code,
+                &image.raw_code,
                 &mut names,
                 &self.bufs,
                 level,
@@ -647,54 +680,103 @@ impl CompiledKernel {
             )?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
-            code,
-            raw_code: self.raw_code.clone(),
-            raw_names: self.raw_names.clone(),
-            bytecode,
+            image: Arc::new(KernelImage {
+                code,
+                raw_code: image.raw_code.clone(),
+                raw_names: image.raw_names.clone(),
+                bytecode,
+                names,
+                blank: image.blank.clone(),
+                outputs: image.outputs.clone(),
+                inputs: image.inputs.clone(),
+                source: OnceLock::new(),
+                program: image.program.clone(),
+                opt_level: level,
+                opt_stats,
+                typed_dispatch: typed,
+                simd,
+                validation,
+                pass_reports,
+            }),
             vm,
-            names,
             bufs: self.bufs.clone(),
-            outputs: self.outputs.clone(),
-            inputs: self.inputs.clone(),
-            source: OnceLock::new(),
-            program: self.program.clone(),
             engine: self.engine,
             step_budget: self.step_budget,
             watch: self.watch.clone(),
             alloc_budget: self.alloc_budget,
-            opt_level: level,
-            opt_stats,
-            typed_dispatch: typed,
-            simd,
-            validation,
             threads: self.threads,
-            pass_reports,
         })
+    }
+
+    /// A new run state over this kernel's image, built from the image
+    /// alone: its own [`Vm`] and its own buffers — outputs as a fresh
+    /// compile leaves them, input buffers empty until
+    /// [`CompiledKernel::rebind_input`] fills them — with this kernel's
+    /// engine and thread count and no budgets or watch.  Unlike `clone()`
+    /// it reads none of `self`'s buffers, so it also works on a kernel
+    /// whose run state is out on loan ([`CompiledKernel::stand_in`]).
+    pub(crate) fn fork(&self) -> CompiledKernel {
+        let image = &*self.image;
+        let mut bufs = image.blank.clone();
+        for out in image.outputs.values() {
+            match out.sink {
+                OutputSink::Dense { buf } => {
+                    bufs.replace(buf, Buffer::F64(vec![out.init; out.len()].into()));
+                }
+                OutputSink::SparseList { pos, .. } => {
+                    bufs.replace(pos, Buffer::I64(vec![0].into()));
+                }
+            }
+        }
+        CompiledKernel { bufs, ..self.stand_in() }
+    }
+
+    /// A kernel over this image with an empty buffer set: the placeholder
+    /// the service leaves in a cache entry while the entry's run state is
+    /// lent to a request.  It can be forked, re-derived and asked about its
+    /// image; it must not be run.
+    pub(crate) fn stand_in(&self) -> CompiledKernel {
+        CompiledKernel {
+            image: Arc::clone(&self.image),
+            vm: Vm::new(&self.image.bytecode),
+            bufs: BufferSet::new(),
+            engine: self.engine,
+            step_budget: None,
+            watch: None,
+            alloc_budget: None,
+            threads: self.threads,
+        }
+    }
+
+    /// Whether `other` runs the same compiled image as `self` (it is a
+    /// clone, fork or stand-in of it).
+    pub(crate) fn shares_image(&self, other: &CompiledKernel) -> bool {
+        Arc::ptr_eq(&self.image, &other.image)
     }
 
     /// The [`ValidationLevel`] the pass manager ran at when this kernel was
     /// compiled.
     pub fn validation(&self) -> ValidationLevel {
-        self.validation
+        self.image.validation
     }
 
     /// Per-pass timing and validation reports from this kernel's
     /// compilation, in the order the passes ran.
     pub fn pass_reports(&self) -> &[PassReport] {
-        &self.pass_reports
+        &self.image.pass_reports
     }
 
     /// Whether this kernel's bytecode went through the typed-dispatch
     /// (register-type inference) stage.
     pub fn typed_dispatch(&self) -> bool {
-        self.typed_dispatch
+        self.image.typed_dispatch
     }
 
     /// Whether this kernel's bytecode went through the vectorize stage
     /// (which only has an effect on typed bytecode above
     /// [`OptLevel::None`]).
     pub fn simd(&self) -> bool {
-        self.simd
+        self.image.simd
     }
 
     /// How many scalar inner-loop body instructions the vectorize stage
@@ -702,7 +784,7 @@ impl CompiledKernel {
     /// innermost typed counted loops — the vectorized fraction reported
     /// by the benchmark harness.
     pub fn instrs_vectorized(&self) -> (u64, u64) {
-        (self.opt_stats.instrs_vectorized, self.opt_stats.instrs_vectorizable)
+        (self.image.opt_stats.instrs_vectorized, self.image.opt_stats.instrs_vectorizable)
     }
 
     /// The worker-thread count [`CompiledKernel::run`] uses on the
@@ -733,14 +815,14 @@ impl CompiledKernel {
     /// loop of this kernel splittable across worker threads.  When this is
     /// `false`, [`CompiledKernel::set_threads`] has no effect on execution.
     pub fn sharded(&self) -> bool {
-        !self.bytecode.shard_plan().is_empty()
+        !self.image.bytecode.shard_plan().is_empty()
     }
 
     /// The shard plan the compiler recorded on the bytecode: the loop
     /// regions the parallel driver may split, with per-buffer roles.
     /// Empty when nothing was proved shardable.
     pub fn shard_plan(&self) -> &ShardPlan {
-        self.bytecode.shard_plan()
+        self.image.bytecode.shard_plan()
     }
 
     /// The engine [`CompiledKernel::run`] dispatches to.
@@ -848,7 +930,9 @@ impl CompiledKernel {
             name: tensor.name().to_string(),
             detail,
         };
-        let bound = self.inputs.get(tensor.name()).ok_or_else(|| {
+        // Resolve the binding once: the image is shared and immutable, so
+        // the borrow lives beside the buffer writes below.
+        let bound = self.image.inputs.get(tensor.name()).ok_or_else(|| {
             mismatch("no input tensor was bound under this name at compile time".into())
         })?;
         if tensor.fill().to_bits() != bound.fill().to_bits() {
@@ -895,14 +979,9 @@ impl CompiledKernel {
                 )));
             }
         }
-        // Copy the arrays into the existing buffers in place.  Levels are
-        // re-fetched by index (a `BoundLevel` clone is heap-free) so the
+        // Copy the arrays into the existing buffers in place, so the
         // cache-hit rebind path performs no allocation of its own.
-        let values_id = bound.values();
-        let nlevels = bound.ndim();
-        for k in 0..nlevels {
-            let blevel = self.inputs[tensor.name()].levels()[k].clone();
-            let level = &tensor.levels()[k];
+        for (level, blevel) in tensor.levels().iter().zip(bound.levels()) {
             match (level, blevel) {
                 (
                     Level::SparseList { pos, idx, .. },
@@ -912,15 +991,15 @@ impl CompiledKernel {
                     Level::RunLength { pos, idx, .. },
                     BoundLevel::RunLength { pos: bp, idx: bi, .. },
                 ) => {
-                    copy_i64(&mut self.bufs, bp, pos);
-                    copy_i64(&mut self.bufs, bi, idx);
+                    copy_i64(&mut self.bufs, *bp, pos);
+                    copy_i64(&mut self.bufs, *bi, idx);
                 }
                 (
                     Level::SparseBand { pos, start, .. },
                     BoundLevel::SparseBand { pos: bp, start: bs, .. },
                 ) => {
-                    copy_i64(&mut self.bufs, bp, pos);
-                    copy_i64(&mut self.bufs, bs, start);
+                    copy_i64(&mut self.bufs, *bp, pos);
+                    copy_i64(&mut self.bufs, *bs, start);
                 }
                 (
                     Level::SparseVbl { pos, idx, ofs, .. },
@@ -930,12 +1009,12 @@ impl CompiledKernel {
                     Level::PackBits { pos, idx, ofs, .. },
                     BoundLevel::PackBits { pos: bp, idx: bi, ofs: bo, .. },
                 ) => {
-                    copy_i64(&mut self.bufs, bp, pos);
-                    copy_i64(&mut self.bufs, bi, idx);
-                    copy_i64(&mut self.bufs, bo, ofs);
+                    copy_i64(&mut self.bufs, *bp, pos);
+                    copy_i64(&mut self.bufs, *bi, idx);
+                    copy_i64(&mut self.bufs, *bo, ofs);
                 }
                 (Level::Bitmap { tbl, .. }, BoundLevel::Bitmap { tbl: bt, .. }) => {
-                    match self.bufs.get_mut(bt) {
+                    match self.bufs.get_mut(*bt) {
                         Buffer::Bool(d) => {
                             d.clear();
                             d.extend_from_slice(tbl);
@@ -944,13 +1023,13 @@ impl CompiledKernel {
                     }
                 }
                 (Level::Ragged { pos, .. }, BoundLevel::Ragged { pos: bp, .. }) => {
-                    copy_i64(&mut self.bufs, bp, pos);
+                    copy_i64(&mut self.bufs, *bp, pos);
                 }
                 // Dense / Triangular / Symmetric levels carry no arrays.
                 _ => {}
             }
         }
-        match self.bufs.get_mut(values_id) {
+        match self.bufs.get_mut(bound.values()) {
             Buffer::F64(d) => {
                 d.clear();
                 d.extend_from_slice(tensor.values());
@@ -962,7 +1041,7 @@ impl CompiledKernel {
 
     /// The names of the bound input tensors (rebind targets), sorted.
     pub fn input_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inputs.keys().cloned().collect();
+        let mut names: Vec<String> = self.image.inputs.keys().cloned().collect();
         names.sort();
         names
     }
@@ -994,30 +1073,45 @@ impl CompiledKernel {
     /// Returns a [`RuntimeError`] under the same conditions as
     /// [`CompiledKernel::run`].
     pub fn run_with(&mut self, engine: Engine) -> Result<ExecStats, RuntimeError> {
+        let watch = self.watch.clone();
+        self.execute(engine, watch)
+    }
+
+    /// [`CompiledKernel::run`] under a one-off `watch` that is *moved* into
+    /// the engine instead of cloned from the configured one (which this run
+    /// ignores).  The service arms a fresh watch per request; moving it
+    /// saves two reference-count round trips on the cancellation flag every
+    /// client shares.
+    pub(crate) fn run_watched(&mut self, watch: Watch) -> Result<ExecStats, RuntimeError> {
+        self.execute(self.engine, Some(watch))
+    }
+
+    fn execute(&mut self, engine: Engine, watch: Option<Watch>) -> Result<ExecStats, RuntimeError> {
         self.reset_outputs();
+        let image = &*self.image;
         match engine {
             Engine::Bytecode => {
                 // The persistent VM resets in place: re-runs allocate
                 // nothing (no register file, no stats, no output vecs).
                 self.vm.reset();
                 self.vm.set_step_budget(self.step_budget);
-                self.vm.set_watch(self.watch.clone());
+                self.vm.set_watch(watch);
                 self.vm.set_alloc_budget(self.alloc_budget);
                 if self.threads > 1 {
-                    run_sharded(&mut self.vm, &self.bytecode, &mut self.bufs, self.threads)?;
+                    run_sharded(&mut self.vm, &image.bytecode, &mut self.bufs, self.threads)?;
                 } else {
-                    self.vm.run(&self.bytecode, &mut self.bufs)?;
+                    self.vm.run(&image.bytecode, &mut self.bufs)?;
                 }
                 Ok(self.vm.stats())
             }
             Engine::TreeWalk => {
-                let mut interp = Interpreter::new(&self.names);
+                let mut interp = Interpreter::new(&image.names);
                 if let Some(budget) = self.step_budget {
                     interp = interp.with_step_budget(budget);
                 }
-                interp.set_watch(self.watch.clone());
+                interp.set_watch(watch);
                 interp.set_alloc_budget(self.alloc_budget);
-                let code = self.code.as_deref().unwrap_or(&self.raw_code);
+                let code = image.code.as_deref().unwrap_or(&image.raw_code);
                 interp.run(code, &mut self.bufs)?;
                 Ok(interp.stats())
             }
@@ -1040,7 +1134,7 @@ impl CompiledKernel {
         self.vm.set_step_budget(self.step_budget);
         self.vm.set_watch(self.watch.clone());
         self.vm.set_alloc_budget(self.alloc_budget);
-        let counts = self.vm.run_profiled(&self.bytecode, &mut self.bufs)?;
+        let counts = self.vm.run_profiled(&self.image.bytecode, &mut self.bufs)?;
         Ok((self.vm.stats(), counts))
     }
 
@@ -1050,7 +1144,7 @@ impl CompiledKernel {
     /// capacity (grown by earlier runs) is reused, so steady-state reruns
     /// perform no output allocation.
     fn reset_outputs(&mut self) {
-        for out in self.outputs.values() {
+        for out in self.image.outputs.values() {
             if let OutputSink::SparseList { pos, idx, val } = out.sink {
                 match self.bufs.get_mut(pos) {
                     Buffer::I64(v) => {
@@ -1066,7 +1160,7 @@ impl CompiledKernel {
     }
 
     fn output_binding(&self, name: &str) -> Result<&OutputBinding, RuntimeError> {
-        self.outputs.get(name).ok_or_else(|| RuntimeError::BadOutputQuery {
+        self.image.outputs.get(name).ok_or_else(|| RuntimeError::BadOutputQuery {
             name: name.to_string(),
             detail: "no output was bound under this name".into(),
         })
@@ -1101,7 +1195,7 @@ impl CompiledKernel {
         match ob.sink {
             // Read the scalar lane directly — no intermediate vec, so the
             // cache-hit request path performs no read-back allocation.
-            OutputSink::Dense { buf } if ob.specs.is_empty() => match self.bufs.get(buf) {
+            OutputSink::Dense { buf } if ob.specs().is_empty() => match self.bufs.get(buf) {
                 Buffer::F64(v) => Ok(v[0]),
                 other => Ok(other.to_f64_vec()[0]),
             },
@@ -1110,8 +1204,8 @@ impl CompiledKernel {
                 detail: format!(
                     "bound as a rank-{} {} output, not a scalar; read it with `output` \
                      or `output_tensor`",
-                    ob.specs.len(),
-                    ob.specs.last().map_or("dense", |s| s.format_name()),
+                    ob.specs().len(),
+                    ob.specs().last().map_or("dense", |s| s.format_name()),
                 ),
             }),
         }
@@ -1131,7 +1225,7 @@ impl CompiledKernel {
     /// invalid — in particular before the kernel has run.
     pub fn output_tensor(&self, name: &str) -> Result<Tensor, RuntimeError> {
         let ob = self.output_binding(name)?;
-        let builder = OutputBuilder::new(name, ob.specs.clone());
+        let builder = &ob.builder;
         let bad = |e: finch_formats::TensorError| RuntimeError::BadOutputQuery {
             name: name.to_string(),
             detail: format!("assembled output is not a valid tensor: {e}"),
@@ -1151,7 +1245,7 @@ impl CompiledKernel {
 
     /// Names of all outputs.
     pub fn output_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.outputs.keys().cloned().collect();
+        let mut names: Vec<String> = self.image.outputs.keys().cloned().collect();
         names.sort();
         names
     }
@@ -1627,6 +1721,51 @@ mod tests {
     }
 
     #[test]
+    fn a_fork_is_a_run_state_of_its_own_built_from_the_image_alone() {
+        // Sparse inputs, a dense and a sparse output: every kind of buffer.
+        let compile = |av: &[f64], bv: &[f64]| {
+            let a = Tensor::sparse_list_vector("A", av);
+            let b = Tensor::sparse_list_vector("B", bv);
+            let mut kernel = Kernel::new();
+            kernel
+                .bind_input(&a)
+                .bind_input(&b)
+                .bind_output("D", &[6], 0.0)
+                .bind_output_format("S", &[LevelSpec::SparseList { size: 6 }]);
+            let i = idx("i");
+            let product = || mul(access("A", [i.clone()]), access("B", [i.clone()]));
+            let program = multi(vec![
+                forall(i.clone(), assign(access("D", [i.clone()]), product())),
+                forall(i.clone(), assign(access("S", [i.clone()]), product())),
+            ]);
+            (kernel.compile(&program).expect("products compile"), a, b)
+        };
+        let read = |k: &CompiledKernel| {
+            (k.output("D").unwrap(), format!("{:?}", k.output_tensor("S").unwrap()))
+        };
+        let (mut original, _, _) = compile(&[0.0, 1.5, 0.0, 2.0, 3.0, 0.0], &[1.0; 6]);
+        let original_stats = original.run().unwrap();
+        let before = read(&original);
+
+        // Forked off a stand-in: nothing of the original's buffers is read.
+        let mut fork = original.stand_in().fork();
+        assert!(fork.shares_image(&original));
+        assert_eq!(fork.bufs.len(), original.bufs.len());
+        assert!(fork.bufs.get(fork.bufs.lookup("A_val").unwrap()).is_empty());
+
+        // Bound to other data, it runs like a fresh compile on that data ...
+        let (mut fresh, a2, b2) = compile(&[4.0, 0.0, 0.0, 0.5, 0.0, 7.0], &[2.0; 6]);
+        fork.rebind_input(&a2).unwrap();
+        fork.rebind_input(&b2).unwrap();
+        assert_eq!(fork.run().unwrap(), fresh.run().unwrap());
+        assert_eq!(read(&fork), read(&fresh));
+        // ... and leaves the original's run state alone.
+        assert_eq!(read(&original), before);
+        assert_eq!(original.run().unwrap(), original_stats);
+        assert_eq!(read(&original), before);
+    }
+
+    #[test]
     fn reductions_into_sparse_outputs_are_rejected() {
         let a = Tensor::sparse_list_vector("A", &[0.0, 1.0]);
         let mut kernel = Kernel::new();
@@ -1873,7 +2012,7 @@ mod tests {
         let early = k.clone();
         k.run().unwrap();
         let text = k.code().to_string();
-        assert_eq!(text, Printer::new(&k.names, &k.bufs).program(k.stmts()));
+        assert_eq!(text, Printer::new(&k.image.names, &k.bufs).program(k.stmts()));
         assert_eq!(early.code(), text);
         assert_eq!(k.clone().code(), text);
         assert_eq!(k.reoptimized(k.opt_level()).code(), text);

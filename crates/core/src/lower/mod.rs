@@ -14,7 +14,7 @@ pub(crate) mod statements;
 use std::collections::HashMap;
 
 use finch_cin::{Access, CinExpr, CinOp, IndexVar, TensorRef};
-use finch_formats::{BoundTensor, LevelSpec};
+use finch_formats::{BoundTensor, LevelSpec, OutputBuilder};
 use finch_ir::{BinOp, BufId, BufferSet, Expr, Names, UnOp};
 use finch_rewrite::Rewriter;
 
@@ -57,24 +57,31 @@ pub(crate) enum OutputSink {
     },
 }
 
-/// An output tensor under assembly: its requested level stack, fill/init
-/// value, and the sink the generated code writes through.
+/// An output tensor under assembly: its name and requested level stack
+/// (held as the [`OutputBuilder`] that finalizes every read-back, so a
+/// read-back borrows them instead of copying), fill/init value, and the
+/// sink the generated code writes through.
 #[derive(Debug, Clone)]
 pub(crate) struct OutputBinding {
-    pub specs: Vec<LevelSpec>,
+    pub builder: OutputBuilder,
     pub init: f64,
     pub sink: OutputSink,
 }
 
 impl OutputBinding {
+    /// The requested level stack, outermost first.
+    pub fn specs(&self) -> &[LevelSpec] {
+        self.builder.specs()
+    }
+
     /// The dimension sizes, outermost first.
     pub fn shape(&self) -> Vec<usize> {
-        self.specs.iter().map(|s| s.size()).collect()
+        self.builder.shape()
     }
 
     /// Total number of elements of the dense materialisation.
     pub fn len(&self) -> usize {
-        self.specs.iter().map(|s| s.size()).product::<usize>().max(1)
+        self.specs().iter().map(|s| s.size()).product::<usize>().max(1)
     }
 }
 

@@ -70,7 +70,7 @@ pub(crate) fn lower_stmt(stmt: &CinStmt, ctx: &mut LowerCtx) -> Result<Vec<Stmt>
             let out = ctx.output(lhs.tensor.name())?.clone();
             match out.sink {
                 OutputSink::Dense { buf } => {
-                    let pos = if out.specs.is_empty() {
+                    let pos = if out.specs().is_empty() {
                         Expr::int(0)
                     } else {
                         ctx.linearize(lhs.tensor.name(), &out.shape(), lhs)?
@@ -114,10 +114,10 @@ fn lower_sparse_assign(
     }
     let out = ctx.output(name)?;
     let fill = out.init;
-    if lhs.indices.len() != out.specs.len() {
+    if lhs.indices.len() != out.specs().len() {
         return Err(CompileError::RankMismatch {
             name: name.to_string(),
-            rank: out.specs.len(),
+            rank: out.specs().len(),
             indices: lhs.indices.len(),
         });
     }

@@ -22,6 +22,9 @@
 //!
 //! Admission is tracked by an RAII [`Permit`]: dropping it releases the
 //! in-flight slot and wakes both the next waiter and any pending drain.
+//!
+//! Waking goes through a [`QuietCondvar`], which signals only when somebody
+//! sleeps: an uncontended acquire / release pair makes no syscall at all.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -71,12 +74,69 @@ pub(crate) enum AdmitError {
     ShuttingDown { state: ServiceState },
 }
 
+/// A condvar that knows whether anybody is asleep on it.
+///
+/// `Condvar::notify_all` is a `futex_wake` syscall on std's condvar whether
+/// or not anybody sleeps.  Here every sleeper counts itself in the locked
+/// state first (under the lock it is about to release), and a state change
+/// signals only when that count is nonzero.  No wake-up is lost: a sleeper
+/// that locks first is counted before the waker reads the count, and one
+/// that locks second sees the changed state and does not sleep.
+pub(crate) struct QuietCondvar(Condvar);
+
+/// Locked state that counts the threads asleep on its [`QuietCondvar`].
+pub(crate) trait Sleepers {
+    fn sleepers(&mut self) -> &mut usize;
+}
+
+impl QuietCondvar {
+    pub(crate) fn new() -> Self {
+        QuietCondvar(Condvar::new())
+    }
+
+    /// Sleep until woken (or for at most `timeout`, when given).
+    pub(crate) fn sleep<'a, T: Sleepers>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, T> {
+        *guard.sleepers() += 1;
+        let mut guard = match timeout {
+            Some(timeout) => {
+                self.0.wait_timeout(guard, timeout).unwrap_or_else(|e| e.into_inner()).0
+            }
+            None => self.0.wait(guard).unwrap_or_else(|e| e.into_inner()),
+        };
+        *guard.sleepers() -= 1;
+        guard
+    }
+
+    /// Release the lock after a state change and wake the sleepers, if
+    /// there are any.
+    pub(crate) fn wake<T: Sleepers>(&self, mut guard: MutexGuard<'_, T>) {
+        let sleepers = *guard.sleepers();
+        drop(guard);
+        if sleepers > 0 {
+            self.0.notify_all();
+        }
+    }
+}
+
 struct QueueInner {
     state: ServiceState,
     in_flight: usize,
     /// Tickets of queued waiters, in arrival order (front is next to admit).
     waiting: VecDeque<u64>,
     next_ticket: u64,
+    /// Threads asleep on the condvar right now: queued waiters and a
+    /// pending drain.
+    sleepers: usize,
+}
+
+impl Sleepers for QueueInner {
+    fn sleepers(&mut self) -> &mut usize {
+        &mut self.sleepers
+    }
 }
 
 /// The admission gate: a bounded in-flight counter plus a bounded FIFO wait
@@ -85,7 +145,7 @@ pub(crate) struct AdmissionQueue {
     max_in_flight: usize,
     queue_depth: usize,
     inner: Mutex<QueueInner>,
-    cond: Condvar,
+    cond: QuietCondvar,
 }
 
 /// An admitted request's RAII slot: dropping it releases the in-flight
@@ -111,8 +171,7 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut inner = self.queue.lock();
         inner.in_flight = inner.in_flight.saturating_sub(1);
-        drop(inner);
-        self.queue.cond.notify_all();
+        self.queue.cond.wake(inner);
     }
 }
 
@@ -126,8 +185,9 @@ impl AdmissionQueue {
                 in_flight: 0,
                 waiting: VecDeque::new(),
                 next_ticket: 0,
+                sleepers: 0,
             }),
-            cond: Condvar::new(),
+            cond: QuietCondvar::new(),
         }
     }
 
@@ -138,7 +198,6 @@ impl AdmissionQueue {
     /// Admit a request, queueing up to `deadline` when the in-flight limit
     /// is saturated.  FIFO fair: a new arrival never barges past waiters.
     pub(crate) fn acquire(&self, deadline: Option<Instant>) -> Result<Permit<'_>, AdmitError> {
-        let start = Instant::now();
         let mut inner = self.lock();
         if inner.state != ServiceState::Running {
             return Err(AdmitError::ShuttingDown { state: inner.state });
@@ -152,8 +211,10 @@ impl AdmissionQueue {
             });
         }
         if inner.in_flight < self.max_in_flight && inner.waiting.is_empty() {
+            // Admitted without waiting: the wait is zero by definition, so
+            // the clock is not read.
             inner.in_flight += 1;
-            return Ok(Permit { queue: self, waited: start.elapsed(), was_queued: false });
+            return Ok(Permit { queue: self, waited: Duration::ZERO, was_queued: false });
         }
         if inner.waiting.len() >= self.queue_depth {
             return Err(AdmitError::Overloaded {
@@ -162,6 +223,7 @@ impl AdmissionQueue {
                 queued: inner.waiting.len(),
             });
         }
+        let start = Instant::now();
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
         inner.waiting.push_back(ticket);
@@ -169,17 +231,15 @@ impl AdmissionQueue {
             if inner.state != ServiceState::Running {
                 let state = inner.state;
                 Self::unqueue(&mut inner, ticket);
-                drop(inner);
-                self.cond.notify_all();
+                self.cond.wake(inner);
                 return Err(AdmitError::ShuttingDown { state });
             }
             if inner.waiting.front() == Some(&ticket) && inner.in_flight < self.max_in_flight {
                 inner.waiting.pop_front();
                 inner.in_flight += 1;
-                drop(inner);
                 // More than one slot may have freed at once: wake the next
                 // waiter so admission cascades.
-                self.cond.notify_all();
+                self.cond.wake(inner);
                 return Ok(Permit { queue: self, waited: start.elapsed(), was_queued: true });
             }
             match deadline {
@@ -188,20 +248,15 @@ impl AdmissionQueue {
                     if now >= dl {
                         Self::unqueue(&mut inner, ticket);
                         let depth = inner.waiting.len();
-                        drop(inner);
-                        self.cond.notify_all();
+                        self.cond.wake(inner);
                         return Err(AdmitError::QueueTimeout {
                             waited_ms: start.elapsed().as_millis() as u64,
                             depth,
                         });
                     }
-                    inner = self
-                        .cond
-                        .wait_timeout(inner, dl - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
+                    inner = self.cond.sleep(inner, Some(dl - now));
                 }
-                None => inner = self.cond.wait(inner).unwrap_or_else(|e| e.into_inner()),
+                None => inner = self.cond.sleep(inner, None),
             }
         }
     }
@@ -222,8 +277,7 @@ impl AdmissionQueue {
         let start = Instant::now();
         let mut inner = self.lock();
         inner.state = ServiceState::Draining;
-        drop(inner);
-        self.cond.notify_all();
+        self.cond.wake(inner);
 
         let mut cancelled = false;
         let mut inner = self.lock();
@@ -243,14 +297,9 @@ impl AdmissionQueue {
             } else {
                 deadline.saturating_sub(start.elapsed()).min(Duration::from_millis(5))
             };
-            inner = self
-                .cond
-                .wait_timeout(inner, tick.max(Duration::from_millis(1)))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            inner = self.cond.sleep(inner, Some(tick.max(Duration::from_millis(1))));
         }
-        drop(inner);
-        self.cond.notify_all();
+        self.cond.wake(inner);
         (start.elapsed(), cancelled)
     }
 
@@ -258,8 +307,7 @@ impl AdmissionQueue {
     pub(crate) fn resume(&self) {
         let mut inner = self.lock();
         inner.state = ServiceState::Running;
-        drop(inner);
-        self.cond.notify_all();
+        self.cond.wake(inner);
     }
 
     /// `(state, queued waiters, in flight)` — one consistent snapshot.

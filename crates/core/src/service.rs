@@ -8,6 +8,46 @@
 //! ([`CompiledKernel::rebind_input`]) and the persistent VM re-runs without
 //! allocating.
 //!
+//! # The warm hit path
+//!
+//! A kernel is compiled once to be run many times, so the path that counts
+//! is the healthy cache hit.  Its contract: **no program rendering, no
+//! syscall, no allocation of its own, and no waiting for another hit** —
+//! `submit` costs what rebinding, running and reading back the kernel cost,
+//! plus two short critical sections.  Three things keep it:
+//!
+//! * **Prepared requests.**  The first submit of a [`Request`] renders its
+//!   program to text once and hashes text, input signatures and output
+//!   specs once; both are kept with the request (clones share them, and
+//!   every builder method that changes the inputs or outputs forgets
+//!   them).  Every later submit folds only the optimisation level and the
+//!   service's configuration into the saved hash state, and the cached
+//!   entry is verified against the saved text — by pointer for the request
+//!   that compiled it and its clones, by bytes otherwise — and against the
+//!   live tensors' formats, sizes and fills.  Build a request once and
+//!   submit it many times; a request rebuilt per submit pays the rendering
+//!   again.
+//! * **A quiet lock path.**  Every thread that sleeps on the cache's or the
+//!   admission queue's condvar counts itself first, and a state change
+//!   signals only when the count is nonzero (an unconditional `notify_all`
+//!   is a `futex_wake` syscall).  The fault plan's lock is skipped while no rule
+//!   is installed, and a run's [`Watch`] is built once and moved into the
+//!   engine.
+//! * **Readers and the writer.**  A [`CompiledKernel`] is an immutable,
+//!   shared image plus a cheap run state (VM and buffers).  A healthy hit
+//!   is a *reader*: it borrows one of the entry's run states — the
+//!   entry's own, or a spare, or a new one made from the image when every
+//!   other is lent, so never more than there are requests in flight — and
+//!   the entry stays in the table, so any number of hits on one structure
+//!   run at once.  Whatever changes the entry is the *writer* and takes it
+//!   out of the table whole, once every lent run state is back:
+//!   compilation, quarantine and recompile, the degraded tiers, a breaker
+//!   short-circuit, a batch group.  A hit whose run faults gives its run
+//!   state back and becomes the writer; hits arriving while a writer waits
+//!   queue behind it.  [`ServiceStats::slot_waits`] counts the requests
+//!   that had to sleep for any of this — zero on a fault-free trace of
+//!   cached structures.
+//!
 //! The service is hardened along four axes:
 //!
 //! 1. **Deadlines** — each request may carry a wall-clock deadline, enforced
@@ -57,10 +97,9 @@
 //! a typed error.
 
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use finch_cin::CinStmt;
@@ -71,7 +110,7 @@ use finch_ir::{ExecStats, OptLevel, RuntimeError, Watch};
 use crate::breaker::{BreakerBoard, BreakerDecision, BreakerPolicy};
 use crate::error::{CompileError, ServiceError};
 use crate::kernel::{CompiledKernel, Engine, Kernel};
-use crate::queue::{AdmissionQueue, AdmitError, Permit, ServiceState};
+use crate::queue::{AdmissionQueue, AdmitError, Permit, QuietCondvar, ServiceState, Sleepers};
 
 /// Configuration for a [`KernelService`].
 #[derive(Debug, Clone)]
@@ -164,6 +203,52 @@ pub struct Request {
     /// First boundary-validation failure among the inputs, recorded at bind
     /// time and surfaced by `submit` as [`ServiceError::InvalidInput`].
     invalid: Option<(String, String)>,
+    /// The prepared form (see the module docs), computed by the first
+    /// submit.  Clones share it; every builder method that changes the
+    /// inputs or the outputs forgets it.
+    prepared: Arc<OnceLock<Prepared>>,
+}
+
+/// What a submit needs of a request's *structure*, computed once per
+/// [`Request`] instead of once (or twice) per submit.
+#[derive(Debug)]
+struct Prepared {
+    /// The CIN program rendered to text: the canonical form a cache entry
+    /// is verified against on every hit.
+    program: Arc<str>,
+    /// The key hasher's state after the program text, every input's
+    /// signature and every output's specs; [`KernelService::key_of`] folds
+    /// the optimisation level and the service's configuration in on top.
+    hash: KeyHasher,
+}
+
+impl Prepared {
+    fn of(req: &Request) -> Self {
+        let program: Arc<str> = req.program.to_string().into();
+        let mut h = KeyHasher::new();
+        h.bytes(program.as_bytes());
+        h.byte(0xfe);
+        for t in &req.inputs {
+            h.bytes(t.name().as_bytes());
+            h.byte(0);
+            for level in t.levels() {
+                h.bytes(level.format_name().as_bytes());
+                h.word(level.size() as u64);
+            }
+            h.word(t.fill().to_bits());
+            h.byte(1);
+        }
+        for (name, specs) in &req.outputs {
+            h.bytes(name.as_bytes());
+            h.byte(0);
+            for spec in specs {
+                h.bytes(spec.format_name().as_bytes());
+                h.word(spec.size() as u64);
+            }
+            h.byte(2);
+        }
+        Prepared { program, hash: h }
+    }
 }
 
 impl Request {
@@ -176,6 +261,24 @@ impl Request {
             read: ReadBack::Stats,
             opt_level: None,
             invalid: None,
+            prepared: Arc::default(),
+        }
+    }
+
+    /// The prepared form, computed on first use.
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| Prepared::of(self))
+    }
+
+    /// The inputs or outputs are about to change: forget the prepared form.
+    /// A request that shares it with a clone gets a cell of its own, so the
+    /// clone keeps what is still true of *it*.
+    fn structure_changes(&mut self) {
+        match Arc::get_mut(&mut self.prepared) {
+            Some(cell) => {
+                cell.take();
+            }
+            None => self.prepared = Arc::default(),
         }
     }
 
@@ -186,6 +289,7 @@ impl Request {
     /// must surface as the typed [`ServiceError::InvalidInput`] at submit
     /// time, never as a downstream panic or a silently wrong result.
     pub fn input(mut self, tensor: &Tensor) -> Self {
+        self.structure_changes();
         if self.invalid.is_none() {
             if let Err(e) = tensor.validate() {
                 self.invalid = Some((tensor.name().to_string(), e.to_string()));
@@ -197,6 +301,7 @@ impl Request {
 
     /// Bind a scalar output and read it back after the run.
     pub fn output_scalar(mut self, name: &str) -> Self {
+        self.structure_changes();
         self.outputs.push((name.to_string(), Vec::new()));
         self.read = ReadBack::Scalar(name.to_string());
         self
@@ -205,6 +310,7 @@ impl Request {
     /// Bind a tensor output with the given per-level storage formats and read
     /// it back after the run.
     pub fn output(mut self, name: &str, specs: &[LevelSpec]) -> Self {
+        self.structure_changes();
         self.outputs.push((name.to_string(), specs.to_vec()));
         self.read = ReadBack::Tensor(name.to_string());
         self
@@ -428,6 +534,11 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Requests that had to wait in the admission queue before admission.
     pub queued: u64,
+    /// Requests that blocked on the cache after admission: on a slot another
+    /// request holds exclusively (compiling, or walking the degradation
+    /// ladder), or — for a request that needs the entry exclusively — on
+    /// the run states other requests still hold.  Healthy hits never do.
+    pub slot_waits: u64,
     /// Requests whose deadline expired while waiting in the admission queue.
     pub queue_timeouts: u64,
     /// Times a circuit breaker opened (threshold crossings and failed
@@ -470,6 +581,7 @@ struct AtomicStats {
     requests: AtomicU64,
     shed: AtomicU64,
     queued: AtomicU64,
+    slot_waits: AtomicU64,
     queue_timeouts: AtomicU64,
     breaker_opens: AtomicU64,
     breaker_short_circuits: AtomicU64,
@@ -495,6 +607,7 @@ impl AtomicStats {
             requests: get(&self.requests),
             shed: get(&self.shed),
             queued: get(&self.queued),
+            slot_waits: get(&self.slot_waits),
             queue_timeouts: get(&self.queue_timeouts),
             breaker_opens: get(&self.breaker_opens),
             breaker_short_circuits: get(&self.breaker_short_circuits),
@@ -519,6 +632,7 @@ impl AtomicStats {
 /// accidental collisions negligible, and a full structural check on every hit
 /// makes even a deliberate collision harmless (it falls back to an uncached
 /// compile).
+#[derive(Debug, Clone, Copy)]
 struct KeyHasher {
     a: u64,
     b: u64,
@@ -549,13 +663,6 @@ impl KeyHasher {
     }
 }
 
-impl fmt::Write for KeyHasher {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// The structural identity of an input, kept for hit verification.
 struct InputSig {
     name: String,
@@ -566,7 +673,9 @@ struct InputSig {
 /// Everything a cache key hashes, stored in full so hits can be verified
 /// structurally (a hash collision must not serve the wrong kernel).
 struct KeyCheck {
-    program: String,
+    /// The compiling request's rendered program, shared with its prepared
+    /// form: the same request (or a clone of it) verifies by pointer.
+    program: Arc<str>,
     inputs: Vec<InputSig>,
     outputs: Vec<(String, Vec<LevelSpec>)>,
     opt: OptLevel,
@@ -574,10 +683,8 @@ struct KeyCheck {
 
 impl KeyCheck {
     fn of(req: &Request, opt: OptLevel) -> Self {
-        let mut program = String::new();
-        let _ = write!(program, "{}", req.program);
         KeyCheck {
-            program,
+            program: Arc::clone(&req.prepared().program),
             inputs: req
                 .inputs
                 .iter()
@@ -592,10 +699,12 @@ impl KeyCheck {
         }
     }
 
-    /// Whether `req` (whose program renders to `program`) is structurally the
-    /// kernel this entry was compiled for.
-    fn matches(&self, program: &str, req: &Request, opt: OptLevel) -> bool {
-        if self.opt != opt || self.program != program {
+    /// Whether `req` is structurally the kernel this entry was compiled
+    /// for.  Runs under the cache lock on every hit: the program is compared
+    /// as saved text (by pointer, then by bytes), never rendered here.
+    fn matches(&self, req: &Request, opt: OptLevel) -> bool {
+        let program = &req.prepared().program;
+        if self.opt != opt || !(Arc::ptr_eq(&self.program, program) || self.program == *program) {
             return false;
         }
         if self.inputs.len() != req.inputs.len() || self.outputs.len() != req.outputs.len() {
@@ -618,10 +727,30 @@ impl KeyCheck {
     }
 }
 
-/// One cached kernel: the fast-tier compiled kernel plus lazily-derived
-/// degraded variants, quarantine state, and LRU bookkeeping.
+/// One cached kernel: the fast-tier compiled kernel with its run states,
+/// lazily-derived degraded variants, quarantine state, and LRU bookkeeping.
+///
+/// Healthy hits are *readers*: each borrows one run state — `base`'s own
+/// when it is home, else a spare, else a new one forked from the image —
+/// and the entry stays in the table.  Everything that changes the entry
+/// (quarantine, recompile, the degraded tiers, a batch group) is the
+/// *writer* and takes the whole entry out of the table, which it can only
+/// do while no run state is lent.
 struct Entry {
-    base: CompiledKernel,
+    /// The fast-tier kernel.  While its run state is lent this is the
+    /// stand-in (same image, no buffers) and `parked` is `None`.  Run states
+    /// are boxed: a hit moves one out and back in, by pointer.
+    base: Box<CompiledKernel>,
+    /// The stand-in that takes `base`'s place while `base` is lent.
+    parked: Option<Box<CompiledKernel>>,
+    /// Further run states over `base`'s image, made when a hit found none
+    /// at home.  At most one per request in flight (every borrower holds an
+    /// admission permit, and a state is only made when all are lent), and
+    /// dropped with the entry.
+    #[allow(clippy::vec_box)] // lent and taken back as the boxes they are
+    spares: Vec<Box<CompiledKernel>>,
+    /// Run states currently lent to requests.
+    lent: usize,
     typed_serial: Option<CompiledKernel>,
     untyped: Option<CompiledKernel>,
     oracle: Option<CompiledKernel>,
@@ -630,20 +759,100 @@ struct Entry {
     last_used: u64,
 }
 
+impl Entry {
+    fn new(base: CompiledKernel, check: KeyCheck) -> Self {
+        Entry {
+            parked: Some(Box::new(base.stand_in())),
+            base: Box::new(base),
+            spares: Vec::new(),
+            lent: 0,
+            typed_serial: None,
+            untyped: None,
+            oracle: None,
+            check,
+            poisoned: false,
+            last_used: 0,
+        }
+    }
+
+    /// Replace the fast-tier kernel (the writer's recompile).  Run states
+    /// over the old image are of no further use.
+    fn rebase(&mut self, base: CompiledKernel) {
+        debug_assert_eq!(self.lent, 0, "only the writer recompiles");
+        self.parked = Some(Box::new(base.stand_in()));
+        *self.base = base;
+        self.spares.clear();
+    }
+
+    /// Lend a run state to a healthy hit.
+    fn lend(&mut self) -> Box<CompiledKernel> {
+        self.lent += 1;
+        match self.parked.take() {
+            Some(stand_in) => std::mem::replace(&mut self.base, stand_in),
+            None => self.spares.pop().unwrap_or_else(|| Box::new(self.base.fork())),
+        }
+    }
+
+    /// Take a lent run state back.
+    fn take_back(&mut self, state: Box<CompiledKernel>) {
+        self.lent -= 1;
+        if self.parked.is_none() {
+            self.parked = Some(std::mem::replace(&mut self.base, state));
+        } else {
+            self.spares.push(state);
+        }
+    }
+}
+
 enum SlotState {
-    /// The entry is checked out by a request (or still compiling); other
-    /// requests for the same key wait on the service condvar.
+    /// The entry is out of the table: still compiling, or checked out
+    /// exclusively.  Other requests for the same key wait on the service
+    /// condvar.
     Busy,
-    /// The entry is available.
+    /// The entry is in the table; some of its run states may be lent.
     Ready(Box<Entry>),
 }
 
 struct CacheInner {
     slots: HashMap<(u64, u64), SlotState>,
+    /// How many slots are `Ready`, kept in step with `slots`.
+    ready: usize,
     tick: u64,
-    /// Reusable render buffer for hit verification, so steady-state cache
-    /// hits do not allocate.
-    scratch: String,
+    /// Keys that a request is waiting to check out exclusively while run
+    /// states are still lent.  New hits on such a key wait behind it, or a
+    /// steady stream of readers would starve the writer.
+    writers: Vec<(u64, u64)>,
+    /// Threads asleep on the service condvar.
+    sleepers: usize,
+}
+
+impl Sleepers for CacheInner {
+    fn sleepers(&mut self) -> &mut usize {
+        &mut self.sleepers
+    }
+}
+
+/// How [`KernelService::checkout`] is asked for an entry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// One run state of a healthy resident entry; the whole entry when it
+    /// has to be compiled, recompiled or was not cached.
+    Shared,
+    /// The whole entry: a batch group, a breaker short-circuit.
+    Exclusive,
+    /// The whole entry, for a request whose shared attempt faulted.  The
+    /// lookup was counted as a hit or a miss the first time.
+    Escalated,
+}
+
+/// What [`KernelService::checkout`] hands out.
+enum Lease {
+    /// One run state; the entry stays in the table.  Goes back through
+    /// [`KernelService::release`].
+    Shared(Box<CompiledKernel>),
+    /// The whole entry.  `cached == false` means it does not own its slot
+    /// (a hash collision's one-shot compile) and must not be checked in.
+    Exclusive { entry: Box<Entry>, cached: bool },
 }
 
 enum AttemptOutcome {
@@ -655,12 +864,12 @@ enum AttemptOutcome {
 /// A long-lived, fault-isolated compiled-kernel cache (see the module docs).
 ///
 /// The service is `Sync`: submit requests from many threads through a shared
-/// reference.  Requests for *different* kernels run concurrently; requests
-/// for the *same* kernel serialise on its cache slot.
+/// reference.  Healthy hits run concurrently, on one kernel as on several;
+/// only compilation and the fault ladder hold a cache slot exclusively.
 pub struct KernelService {
     cfg: ServiceConfig,
     inner: Mutex<CacheInner>,
-    cond: Condvar,
+    cond: QuietCondvar,
     queue: AdmissionQueue,
     breakers: BreakerBoard,
     /// Raised by an overrun [`KernelService::drain`]; threaded into every
@@ -671,6 +880,9 @@ pub struct KernelService {
     stall_cond: Condvar,
     next_request: AtomicU64,
     faults: Mutex<FaultPlan>,
+    /// `faults.len()`, kept in step under the `faults` lock, so a request
+    /// skips that lock altogether when no rule is installed.
+    faults_pending: AtomicUsize,
     stats: AtomicStats,
 }
 
@@ -701,8 +913,11 @@ pub struct HealthSnapshot {
     pub queued: usize,
     /// Requests admitted and executing.
     pub in_flight: usize,
-    /// Ready (cached, not checked-out) kernels.
+    /// Ready (cached, not exclusively checked-out) kernels.
     pub cached: usize,
+    /// Requests that blocked on the cache after admission so far (see
+    /// [`ServiceStats::slot_waits`]).
+    pub slot_waits: u64,
     /// Circuit breakers in the closed state.
     pub breakers_closed: usize,
     /// Circuit breakers in the open state.
@@ -730,10 +945,12 @@ impl KernelService {
             cfg,
             inner: Mutex::new(CacheInner {
                 slots: HashMap::new(),
+                ready: 0,
                 tick: 0,
-                scratch: String::new(),
+                writers: Vec::new(),
+                sleepers: 0,
             }),
-            cond: Condvar::new(),
+            cond: QuietCondvar::new(),
             queue,
             breakers,
             drain_cancel: Arc::new(AtomicBool::new(false)),
@@ -741,6 +958,7 @@ impl KernelService {
             stall_cond: Condvar::new(),
             next_request: AtomicU64::new(0),
             faults: Mutex::new(FaultPlan::new()),
+            faults_pending: AtomicUsize::new(0),
             stats: AtomicStats::default(),
         }
     }
@@ -755,15 +973,16 @@ impl KernelService {
         self.stats.snapshot()
     }
 
-    /// Number of ready (cached, not checked-out) kernels.
+    /// Number of ready (cached, not exclusively checked-out) kernels.
     pub fn cached(&self) -> usize {
-        let inner = self.lock_inner();
-        inner.slots.values().filter(|s| matches!(s, SlotState::Ready(_))).count()
+        self.lock_inner().ready
     }
 
     /// Install a fault-injection plan, replacing any previous one.
     pub fn install_faults(&self, plan: FaultPlan) {
-        *self.faults.lock().unwrap_or_else(|e| e.into_inner()) = plan;
+        let mut faults = self.faults.lock().unwrap_or_else(|e| e.into_inner());
+        self.faults_pending.store(plan.len(), Ordering::SeqCst);
+        *faults = plan;
     }
 
     /// Number of installed fault rules that have not fired yet.
@@ -863,8 +1082,12 @@ impl KernelService {
                 return;
             }
         };
-        let (mut entry, cache_hit, cached) = match self.checkout(key, &reqs[first], opt, deadline) {
-            Ok(x) => x,
+        // A group rebinds its members serially against one entry, so it takes
+        // the entry whole, like the fault ladder it may have to walk.
+        let checkout = self.checkout(key, &reqs[first], opt, deadline, Access::Exclusive);
+        let (mut entry, cached, cache_hit) = match checkout {
+            Ok((Lease::Exclusive { entry, cached }, hit)) => (entry, cached, hit),
+            Ok((Lease::Shared(_), _)) => unreachable!("an exclusive checkout lends no run state"),
             Err(err) => {
                 if probe {
                     self.breakers.abort_probe(key);
@@ -886,7 +1109,7 @@ impl KernelService {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
             }
             let (result, evict, faults) =
-                self.execute(&mut entry, &reqs[i], deadline, rid, hit, tier_start);
+                self.execute(&mut entry, &reqs[i], deadline, rid, hit, tier_start, None);
             evict_any |= evict;
             group_faults += faults;
             results[i] = Some(result.map(|mut resp| {
@@ -902,8 +1125,8 @@ impl KernelService {
         }
     }
 
-    /// The admission + breaker + cache + ladder path shared by `submit`,
-    /// after the request holds a permit and a request id.
+    /// The breaker + cache + run path of `submit`, after the request holds a
+    /// permit and a request id.
     fn serve_one(
         &self,
         req: &Request,
@@ -913,8 +1136,19 @@ impl KernelService {
         deadline: Option<(Instant, u64)>,
     ) -> Result<Response, ServiceError> {
         let (tier_start, probe, short_circuited) = self.breaker_gate(key)?;
-        let (mut entry, cache_hit, cached) = match self.checkout(key, req, opt, deadline) {
-            Ok(x) => x,
+        // A short-circuited request starts on a degraded tier, and those
+        // live in the entry: it needs the entry whole.
+        let access = if tier_start == 0 { Access::Shared } else { Access::Exclusive };
+        let (result, faults) = match self.checkout(key, req, opt, deadline, access) {
+            Ok((Lease::Shared(state), _)) => self.serve_shared(state, req, key, opt, rid, deadline),
+            Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
+                let (result, evict, faults) =
+                    self.execute(&mut entry, req, deadline, rid, cache_hit, tier_start, None);
+                if cached {
+                    self.checkin(key, entry, evict);
+                }
+                (result, faults)
+            }
             Err(err) => {
                 if probe {
                     self.breakers.abort_probe(key);
@@ -922,15 +1156,71 @@ impl KernelService {
                 return Err(err);
             }
         };
-        let (result, evict, faults) =
-            self.execute(&mut entry, req, deadline, rid, cache_hit, tier_start);
-        if cached {
-            self.checkin(key, entry, evict);
-        }
         if !short_circuited && self.breakers.record(key, faults, probe) {
             self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
         result
+    }
+
+    /// Serve a healthy hit on a lent run state: one fast-tier attempt, the
+    /// state goes back, done.  Only when that attempt faults — or a
+    /// lookup-point rule poisons the entry — does the request give the
+    /// state back, take the whole entry and continue down the ladder from
+    /// where it stands.  Returns the outcome and the tier-faults observed.
+    fn serve_shared(
+        &self,
+        mut state: Box<CompiledKernel>,
+        req: &Request,
+        key: (u64, u64),
+        opt: OptLevel,
+        rid: u64,
+        deadline: Option<(Instant, u64)>,
+    ) -> (Result<Response, ServiceError>, u32) {
+        let poison =
+            self.take_fault(rid, true).is_some_and(|rule| rule.kind == FaultKind::PoisonEntry);
+        let first_fault = if poison {
+            None
+        } else {
+            let injected = self.take_fault(rid, false);
+            let lent = &mut *state;
+            match self.attempt(move || lent, Tier::Fast, req, deadline, injected, true) {
+                AttemptOutcome::Ok(resp) => {
+                    self.stats.served_by_tier[0].fetch_add(1, Ordering::Relaxed);
+                    self.release(key, state);
+                    return (Ok(resp), 0);
+                }
+                AttemptOutcome::Typed(err) => {
+                    self.count_runtime(&err);
+                    self.release(key, state);
+                    return (Err(ServiceError::Runtime(err)), 0);
+                }
+                AttemptOutcome::Fault(detail) => Some(detail),
+            }
+        };
+        self.release(key, state);
+        match self.checkout(key, req, opt, deadline, Access::Escalated) {
+            Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
+                entry.poisoned |= poison;
+                let (result, evict, faults) =
+                    self.execute(&mut entry, req, deadline, rid, cache_hit, 0, first_fault);
+                if cached {
+                    self.checkin(key, entry, evict);
+                }
+                (result, faults)
+            }
+            Ok((Lease::Shared(_), _)) => unreachable!("an exclusive checkout lends no run state"),
+            // Out of deadline before the entry came free (or the entry was
+            // evicted meanwhile and would not compile again): the fault
+            // already seen still counts.
+            Err(err) => {
+                let faults = u32::from(first_fault.is_some());
+                if faults > 0 {
+                    self.stats.faults_by_tier[0].fetch_add(1, Ordering::Relaxed);
+                    self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                }
+                (Err(err), faults)
+            }
+        }
     }
 
     /// Consult `key`'s circuit breaker.  Returns the starting tier index,
@@ -1012,6 +1302,7 @@ impl KernelService {
             queued,
             in_flight,
             cached: self.cached(),
+            slot_waits: stats.slot_waits,
             breakers_closed,
             breakers_open,
             breakers_half_open,
@@ -1066,29 +1357,10 @@ impl KernelService {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The cache key: the request's prepared hash state with the
+    /// optimisation level and this service's configuration folded in.
     fn key_of(&self, req: &Request, opt: OptLevel) -> (u64, u64) {
-        let mut h = KeyHasher::new();
-        let _ = write!(h, "{}", req.program);
-        h.byte(0xfe);
-        for t in &req.inputs {
-            h.bytes(t.name().as_bytes());
-            h.byte(0);
-            for level in t.levels() {
-                h.bytes(level.format_name().as_bytes());
-                h.word(level.size() as u64);
-            }
-            h.word(t.fill().to_bits());
-            h.byte(1);
-        }
-        for (name, specs) in &req.outputs {
-            h.bytes(name.as_bytes());
-            h.byte(0);
-            for spec in specs {
-                h.bytes(spec.format_name().as_bytes());
-                h.word(spec.size() as u64);
-            }
-            h.byte(2);
-        }
+        let mut h = req.prepared().hash;
         h.bytes(opt.label().as_bytes());
         h.byte(u8::from(self.cfg.typed_dispatch));
         h.byte(u8::from(self.cfg.simd));
@@ -1096,73 +1368,129 @@ impl KernelService {
         h.finish()
     }
 
-    /// Obtain the entry for `key`: a verified cached entry, a freshly
-    /// compiled one (inserted as `Busy` while compiling), or — on a verified
-    /// hash collision — an uncached one-shot compile.  Returns the entry plus
-    /// `(cache_hit, cached)` flags; `cached == false` means the entry does
-    /// not own the slot and must not be checked back in.
+    /// Obtain what `access` asks for of `key`'s entry, plus whether it is a
+    /// cache hit: a run state of a verified, healthy cached entry
+    /// ([`Access::Shared`] only); the verified cached entry itself, taken
+    /// out of the table once no run state is lent; a freshly compiled entry
+    /// (its slot `Busy` while compiling); or — on a verified hash
+    /// collision — an uncached one-shot compile.
+    ///
+    /// A shared checkout never sleeps on another shared checkout.  It waits
+    /// (counted in `slot_waits`, bounded by `deadline`) only for a slot that
+    /// is `Busy` or that a writer is waiting for; an exclusive one also for
+    /// the run states still lent.
     fn checkout(
         &self,
         key: (u64, u64),
         req: &Request,
         opt: OptLevel,
         deadline: Option<(Instant, u64)>,
-    ) -> Result<(Box<Entry>, bool, bool), ServiceError> {
+        access: Access,
+    ) -> Result<(Lease, bool), ServiceError> {
+        /// What the slot's state lets this request do next.
+        enum Step {
+            Compile,
+            Collision,
+            Take,
+            Wait { as_writer: bool },
+        }
+        let count = |counter: &AtomicU64| {
+            // An escalated checkout was counted as a hit the first time.
+            if access != Access::Escalated {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         let mut inner = self.lock_inner();
+        // Whether this request is on `inner.writers`.
+        let mut registered = false;
+        let mut waited = false;
         loop {
             if let Some((dl, ms)) = deadline {
                 if Instant::now() >= dl {
+                    if registered {
+                        inner.unregister_writer(key);
+                    }
+                    // A waiting writer that leaves lets the hits queued
+                    // behind it go ahead.
+                    self.cond.wake(inner);
                     self.stats.deadline_errors.fetch_add(1, Ordering::Relaxed);
                     return Err(ServiceError::Runtime(RuntimeError::Deadline { ms }));
                 }
             }
-            match inner.slots.get(&key) {
-                None => {
+            let contested = inner.writers.contains(&key);
+            let step = match inner.slots.get_mut(&key) {
+                None => Step::Compile,
+                Some(SlotState::Busy) => Step::Wait { as_writer: false },
+                Some(SlotState::Ready(entry)) if !entry.check.matches(req, opt) => Step::Collision,
+                Some(SlotState::Ready(entry)) => {
+                    // A poisoned entry is recompiled by whoever meets it.
+                    if access == Access::Shared && !entry.poisoned {
+                        if contested {
+                            Step::Wait { as_writer: false }
+                        } else {
+                            let state = entry.lend();
+                            drop(inner);
+                            count(&self.stats.hits);
+                            return Ok((Lease::Shared(state), true));
+                        }
+                    } else if entry.lent == 0 {
+                        Step::Take
+                    } else {
+                        Step::Wait { as_writer: true }
+                    }
+                }
+            };
+            if registered && !matches!(step, Step::Wait { .. }) {
+                inner.unregister_writer(key);
+            }
+            match step {
+                Step::Compile => {
                     inner.slots.insert(key, SlotState::Busy);
                     drop(inner);
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                    count(&self.stats.misses);
                     return match self.compile_entry(req, opt) {
-                        Ok(entry) => Ok((Box::new(entry), false, true)),
+                        Ok(entry) => {
+                            Ok((Lease::Exclusive { entry: Box::new(entry), cached: true }, false))
+                        }
                         Err(err) => {
-                            self.lock_inner().slots.remove(&key);
-                            self.cond.notify_all();
+                            let mut inner = self.lock_inner();
+                            inner.slots.remove(&key);
+                            self.cond.wake(inner);
                             Err(err)
                         }
                     };
                 }
-                Some(SlotState::Busy) => {
-                    inner = match deadline {
-                        Some((dl, _)) => {
-                            let wait = dl.saturating_duration_since(Instant::now());
-                            self.cond.wait_timeout(inner, wait).unwrap_or_else(|e| e.into_inner()).0
-                        }
-                        None => self.cond.wait(inner).unwrap_or_else(|e| e.into_inner()),
-                    };
-                }
-                Some(SlotState::Ready(_)) => {
-                    let mut scratch = std::mem::take(&mut inner.scratch);
-                    scratch.clear();
-                    let _ = write!(scratch, "{}", req.program);
-                    let matched = match inner.slots.get(&key) {
-                        Some(SlotState::Ready(entry)) => entry.check.matches(&scratch, req, opt),
-                        _ => false,
-                    };
-                    inner.scratch = scratch;
-                    if matched {
-                        let Some(SlotState::Ready(entry)) =
-                            inner.slots.insert(key, SlotState::Busy)
-                        else {
-                            unreachable!("slot was Ready above");
-                        };
-                        drop(inner);
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((entry, true, true));
-                    }
+                Step::Collision => {
                     // Hash collision with a structurally different kernel:
                     // serve this request from a one-shot uncached compile.
+                    self.cond.wake(inner);
+                    count(&self.stats.misses);
+                    return self.compile_entry(req, opt).map(|entry| {
+                        (Lease::Exclusive { entry: Box::new(entry), cached: false }, false)
+                    });
+                }
+                Step::Take => {
+                    let Some(SlotState::Ready(entry)) = inner.slots.insert(key, SlotState::Busy)
+                    else {
+                        unreachable!("slot was Ready above");
+                    };
+                    inner.ready -= 1;
                     drop(inner);
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.compile_entry(req, opt).map(|e| (Box::new(e), false, false));
+                    count(&self.stats.hits);
+                    return Ok((Lease::Exclusive { entry, cached: true }, true));
+                }
+                Step::Wait { as_writer } => {
+                    if as_writer && !registered {
+                        inner.writers.push(key);
+                        registered = true;
+                    }
+                    if !waited {
+                        waited = true;
+                        self.stats.slot_waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let timeout =
+                        deadline.map(|(dl, _)| dl.saturating_duration_since(Instant::now()));
+                    inner = self.cond.sleep(inner, timeout);
                 }
             }
         }
@@ -1182,15 +1510,7 @@ impl KernelService {
                 });
             }
         };
-        Ok(Entry {
-            base,
-            typed_serial: None,
-            untyped: None,
-            oracle: None,
-            check: KeyCheck::of(req, opt),
-            poisoned: false,
-            last_used: 0,
-        })
+        Ok(Entry::new(base, KeyCheck::of(req, opt)))
     }
 
     fn build_kernel(&self, req: &Request, opt: OptLevel) -> Result<CompiledKernel, CompileError> {
@@ -1218,6 +1538,11 @@ impl KernelService {
     /// structure's breaker short-circuits).  Returns the outcome, whether
     /// the entry is condemned (must be evicted instead of checked back in),
     /// and the number of tier-faults observed (the breaker's input).
+    ///
+    /// `first_fault` is the fault of a fast-tier attempt the request already
+    /// made on a lent run state ([`KernelService::serve_shared`]): the
+    /// ladder resumes as if its own first attempt had just faulted that way.
+    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         entry: &mut Entry,
@@ -1226,6 +1551,7 @@ impl KernelService {
         rid: u64,
         cache_hit: bool,
         tier_start: usize,
+        mut first_fault: Option<String>,
     ) -> (Result<Response, ServiceError>, bool, u32) {
         let mut faults = 0u32;
         // Lookup-point faults poison the entry before it serves.
@@ -1234,7 +1560,8 @@ impl KernelService {
                 entry.poisoned = true;
             }
         }
-        if entry.poisoned {
+        // With a first fault pending, the quarantine below is the loop's.
+        if entry.poisoned && first_fault.is_none() {
             self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
             if let Err(err) = self.backoff(rid, deadline) {
                 // Out of deadline before the quarantine retry: leave the
@@ -1258,8 +1585,22 @@ impl KernelService {
         while tier_idx < Tier::ALL.len() {
             let tier = Tier::ALL[tier_idx];
             attempts += 1;
-            let injected = self.take_fault(rid, false);
-            match self.attempt(entry, tier, req, deadline, injected, cache_hit) {
+            let outcome = match first_fault.take() {
+                Some(detail) => AttemptOutcome::Fault(detail),
+                None => {
+                    let injected = self.take_fault(rid, false);
+                    let entry = &mut *entry;
+                    self.attempt(
+                        move || Self::tier_kernel(entry, tier),
+                        tier,
+                        req,
+                        deadline,
+                        injected,
+                        cache_hit,
+                    )
+                }
+            };
+            match outcome {
                 AttemptOutcome::Ok(resp) => {
                     self.stats.served_by_tier[tier_idx].fetch_add(1, Ordering::Relaxed);
                     return (Ok(resp), evict, faults);
@@ -1355,7 +1696,7 @@ impl KernelService {
         }));
         match rebuilt {
             Ok(kernel) => {
-                entry.base = kernel;
+                entry.rebase(kernel);
                 Ok(())
             }
             Err(payload) => {
@@ -1400,13 +1741,14 @@ impl KernelService {
         }
     }
 
-    /// One execution attempt at one tier, with any injected fault applied.
-    /// Everything — variant derivation, rebinding, the run itself, readback —
-    /// happens inside `catch_unwind`, so a panic anywhere degrades instead of
+    /// One execution attempt at one tier on the kernel `kernel()` yields,
+    /// with any injected fault applied.  Everything — variant derivation
+    /// (inside `kernel`), rebinding, the run itself, readback — happens
+    /// inside `catch_unwind`, so a panic anywhere degrades instead of
     /// crashing the service.
-    fn attempt(
+    fn attempt<'k>(
         &self,
-        entry: &mut Entry,
+        kernel: impl FnOnce() -> &'k mut CompiledKernel,
         tier: Tier,
         req: &Request,
         deadline: Option<(Instant, u64)>,
@@ -1443,7 +1785,9 @@ impl KernelService {
         }
         // Every run carries a watch wired to the drain-cancel flag, so a
         // drain past its deadline can cut in-flight work off at the next
-        // statement boundary with a typed error.
+        // statement boundary with a typed error.  Built once and moved all
+        // the way into the engine: the flag's reference count is a cache
+        // line every client shares.
         let mut watch = match deadline {
             Some((dl, dl_ms)) => Watch::until(dl, dl_ms).with_cancel(self.drain_cancel.clone()),
             None => Watch::cancelled_by(self.drain_cancel.clone(), 0),
@@ -1456,12 +1800,11 @@ impl KernelService {
         if let Some(at) = fault_stmt {
             watch = watch.with_fault_at_stmt(at);
         }
-        let watch = Some(watch);
         let alloc_budget = self.cfg.alloc_budget;
 
         let ran = catch_unwind(AssertUnwindSafe(
-            || -> Result<(ExecStats, Option<f64>, Option<Tensor>), RuntimeError> {
-                let kernel = Self::tier_kernel(entry, tier);
+            move || -> Result<(ExecStats, Option<f64>, Option<Tensor>), RuntimeError> {
+                let kernel = kernel();
                 for tensor in &req.inputs {
                     kernel.rebind_input(tensor)?;
                 }
@@ -1469,12 +1812,11 @@ impl KernelService {
                     Some(b) => kernel.set_step_budget(b),
                     None => kernel.clear_step_budget(),
                 };
-                kernel.set_watch(watch.clone());
                 kernel.set_alloc_budget(alloc_budget);
                 if pre_panic {
                     panic!("injected fault: panic before execution");
                 }
-                let stats = kernel.run()?;
+                let stats = kernel.run_watched(watch)?;
                 if post_panic {
                     panic!("injected fault: panic after execution");
                 }
@@ -1503,7 +1845,13 @@ impl KernelService {
     }
 
     fn take_fault(&self, rid: u64, lookup: bool) -> Option<FaultRule> {
-        self.faults.lock().unwrap_or_else(|e| e.into_inner()).take(rid, lookup)
+        if self.faults_pending.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let mut faults = self.faults.lock().unwrap_or_else(|e| e.into_inner());
+        let rule = faults.take(rid, lookup)?;
+        self.faults_pending.store(faults.len(), Ordering::SeqCst);
+        Some(rule)
     }
 
     fn count_runtime(&self, err: &RuntimeError) {
@@ -1521,8 +1869,24 @@ impl KernelService {
         }
     }
 
-    /// Return a checked-out entry to the cache (or evict it), then apply LRU
-    /// pressure and wake slot waiters.
+    /// Return a lent run state to its entry and stamp the entry as used.
+    fn release(&self, key: (u64, u64), state: Box<CompiledKernel>) {
+        let mut inner = self.lock_inner();
+        inner.tick += 1;
+        let tick = inner.tick;
+        // An entry with a run state out is neither evicted nor taken whole,
+        // so it is still there; were it not, the state would go with it.
+        if let Some(SlotState::Ready(entry)) = inner.slots.get_mut(&key) {
+            if entry.base.shares_image(&state) {
+                entry.take_back(state);
+                entry.last_used = tick;
+            }
+        }
+        self.cond.wake(inner);
+    }
+
+    /// Return an exclusively checked-out entry to the cache (or evict it),
+    /// then apply LRU pressure and wake slot waiters.
     fn checkin(&self, key: (u64, u64), mut entry: Box<Entry>, evict: bool) {
         let mut inner = self.lock_inner();
         if evict {
@@ -1532,18 +1896,15 @@ impl KernelService {
             inner.tick += 1;
             entry.last_used = inner.tick;
             inner.slots.insert(key, SlotState::Ready(entry));
+            inner.ready += 1;
             let capacity = self.cfg.capacity.max(1);
-            loop {
-                let ready =
-                    inner.slots.values().filter(|s| matches!(s, SlotState::Ready(_))).count();
-                if ready <= capacity {
-                    break;
-                }
+            while inner.ready > capacity {
+                // Least recently used among the entries nobody is using.
                 let victim = inner
                     .slots
                     .iter()
                     .filter_map(|(k, s)| match s {
-                        SlotState::Ready(e) if *k != key => Some((*k, e.last_used)),
+                        SlotState::Ready(e) if *k != key && e.lent == 0 => Some((*k, e.last_used)),
                         _ => None,
                     })
                     .min_by_key(|&(_, used)| used)
@@ -1551,14 +1912,23 @@ impl KernelService {
                 match victim {
                     Some(vk) => {
                         inner.slots.remove(&vk);
+                        inner.ready -= 1;
                         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                     None => break,
                 }
             }
         }
-        drop(inner);
-        self.cond.notify_all();
+        self.cond.wake(inner);
+    }
+}
+
+impl CacheInner {
+    /// Take one registration of `key` off the waiting-writers list.
+    fn unregister_writer(&mut self, key: (u64, u64)) {
+        if let Some(pos) = self.writers.iter().position(|k| *k == key) {
+            self.writers.swap_remove(pos);
+        }
     }
 }
 
@@ -1701,6 +2071,94 @@ mod tests {
         }
         let after = ptrs(&svc);
         assert_eq!(before, after, "cache-hit reruns must not reallocate buffers");
+    }
+
+    #[test]
+    fn a_forced_key_collision_never_serves_the_wrong_kernel() {
+        let (a, b) = dense_pair(16, 1.0);
+        let dense = dot_request(&a, &b);
+        let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
+
+        // Two intruders that verification tells from `dense` in different
+        // places: the same program text over other input formats, and the
+        // same inputs under another program text.
+        let (sa, sb) = sparse_pair(16);
+        let other_formats = dot_request(&sa, &sb);
+        let i = idx("i");
+        let other_program = Request::new(forall(
+            i.clone(),
+            add_assign(scalar("C"), add(access("A", [i.clone()]), access("B", [i]))),
+        ))
+        .input(&a)
+        .input(&b)
+        .output_scalar("C");
+
+        for intruder in [other_formats, other_program] {
+            let svc = KernelService::default();
+            let opt = svc.cfg.opt_level;
+            // Plant the intruder's entry under `dense`'s key.
+            let key = svc.key_of(&dense, opt);
+            assert_ne!(key, svc.key_of(&intruder, opt));
+            let entry = svc.compile_entry(&intruder, opt).unwrap();
+            {
+                let mut inner = svc.lock_inner();
+                inner.slots.insert(key, SlotState::Ready(Box::new(entry)));
+                inner.ready += 1;
+            }
+            // The request itself and a clone (which shares its prepared
+            // form) both fall back to an uncached compile.
+            for req in [&dense, &dense.clone()] {
+                let resp = svc.submit(req).unwrap();
+                assert!(!resp.cache_hit);
+                assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
+            }
+            let stats = svc.stats();
+            assert_eq!((stats.hits, stats.misses, stats.compiles), (0, 2, 3));
+            assert_eq!(svc.cached(), 1, "the planted entry keeps the slot");
+        }
+    }
+
+    #[test]
+    fn a_mutated_clone_keys_to_its_own_entry() {
+        let svc = KernelService::default();
+        let opt = svc.cfg.opt_level;
+        let (a, b) = dense_pair(16, 1.0);
+        let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
+        let base = dot_request(&a, &b);
+        assert!(!svc.submit(&base).unwrap().cache_hit);
+        let key = svc.key_of(&base, opt);
+
+        // An untouched clone shares the prepared form and the entry.
+        let clone = base.clone();
+        assert!(Arc::ptr_eq(&clone.prepared, &base.prepared));
+        assert!(svc.submit(&clone).unwrap().cache_hit);
+
+        // Every builder method that changes the structure forgets the
+        // prepared form of the request it is applied to — and only of that
+        // one; the opt level is folded in per submit.
+        let unused = Tensor::dense_vector("D", &[1.0, 2.0]);
+        let mutations: [(&str, Request, Option<f64>); 4] = [
+            ("input", base.clone().input(&unused), Some(expected)),
+            ("output_scalar", base.clone().output_scalar("E"), Some(0.0)),
+            ("output", base.clone().output("F", &[LevelSpec::Dense { size: 2 }]), None),
+            ("with_opt_level", base.clone().with_opt_level(OptLevel::None), Some(expected)),
+        ];
+        for (n, (what, req, scalar)) in mutations.into_iter().enumerate() {
+            let mutated_key = svc.key_of(&req, req.opt_level.unwrap_or(opt));
+            assert_ne!(mutated_key, key, "{what}");
+            let resp = svc.submit(&req).unwrap();
+            assert!(!resp.cache_hit, "{what} changes the structure");
+            assert_eq!(resp.scalar.map(f64::to_bits), scalar.map(f64::to_bits), "{what}");
+            if let Some(t) = &resp.tensor {
+                assert_eq!(t.to_dense(), vec![0.0, 0.0], "{what}");
+            }
+            // Keyed to an entry of its own, not served as a collision.
+            assert_eq!(svc.cached(), n + 2, "{what}");
+            assert!(svc.submit(&req).unwrap().cache_hit, "{what}");
+        }
+        assert_eq!(svc.key_of(&base, opt), key);
+        assert!(svc.submit(&base).unwrap().cache_hit);
+        assert_eq!(svc.stats().compiles, 5);
     }
 
     #[test]
@@ -1882,7 +2340,10 @@ mod tests {
         let opt = svc.cfg.opt_level;
         let req = dot_request(&a, &b);
         let key = svc.key_of(&req, opt);
-        let (entry, hit, cached) = svc.checkout(key, &req, opt, None).unwrap();
+        let (lease, hit) = svc.checkout(key, &req, opt, None, Access::Exclusive).unwrap();
+        let Lease::Exclusive { entry, cached } = lease else {
+            panic!("an exclusive checkout hands out the whole entry");
+        };
         assert!(hit && cached);
 
         let done = Arc::new(AtomicBool::new(false));

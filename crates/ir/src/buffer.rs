@@ -7,6 +7,7 @@
 //! inner loop avoids boxing every element.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -504,7 +505,9 @@ impl Buffer {
 #[derive(Debug, Clone, Default)]
 pub struct BufferSet {
     bufs: Vec<Buffer>,
-    names: Vec<String>,
+    /// Shared between clones: the names are fixed once binding is over, and
+    /// a kernel's run states are cloned far more often than they are named.
+    names: Arc<Vec<String>>,
 }
 
 impl BufferSet {
@@ -517,8 +520,25 @@ impl BufferSet {
     pub fn add(&mut self, name: &str, buf: Buffer) -> BufId {
         let id = BufId(self.bufs.len() as u32);
         self.bufs.push(buf);
-        self.names.push(name.to_string());
+        Arc::make_mut(&mut self.names).push(name.to_string());
         id
+    }
+
+    /// The same buffers under the same names and ids, each of its own
+    /// element kind and with no elements: the set's schema without its
+    /// data.
+    pub fn blank(&self) -> BufferSet {
+        let bufs = self
+            .bufs
+            .iter()
+            .map(|buf| match buf {
+                Buffer::I64(_) => Buffer::I64(AlignedVec::new()),
+                Buffer::F64(_) => Buffer::F64(AlignedVec::new()),
+                Buffer::U8(_) => Buffer::U8(Vec::new()),
+                Buffer::Bool(_) => Buffer::Bool(Vec::new()),
+            })
+            .collect();
+        BufferSet { bufs, names: Arc::clone(&self.names) }
     }
 
     /// Number of registered buffers.

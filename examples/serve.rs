@@ -70,7 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // backtraces so the demo output stays readable.
     std::panic::set_hook(Box::new(|_| {}));
     let mut plan = FaultPlan::new();
-    let next_rid = svc.stats().requests; // requests so far == next request id
+    // Fault rules name a request by its id, and ids are handed out to
+    // *admitted* requests in admission order.  `stats().requests` also counts
+    // submissions that were rejected before admission (invalid input,
+    // overload, shutdown); none were here, so it is the next id.
+    let next_rid = svc.stats().requests;
     for point in [InjectPoint::MidRun, InjectPoint::PreRun] {
         plan.push(FaultRule { request: next_rid, point, kind: FaultKind::Panic });
     }

@@ -255,6 +255,100 @@ fn an_overrun_drain_cancels_stuck_work_with_a_typed_error() {
 }
 
 #[test]
+fn a_hit_does_not_wait_for_a_stalled_hit_on_the_same_structure() {
+    let svc = Arc::new(KernelService::default());
+    let (req, _) = dense_dot_request(1.0);
+    svc.submit(&req).unwrap(); // rid 0 compiles the one entry
+
+    // rid 1 parks on the stall gate holding one of the entry's run states.
+    let mut plan = FaultPlan::new();
+    plan.push(stall_rule(1));
+    svc.install_faults(plan);
+    let (stalled_req, stalled_expected) = dense_dot_request(2.0);
+    let stalled = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.submit(&stalled_req))
+    };
+    while svc.stalled() == 0 {
+        std::thread::yield_now();
+    }
+
+    // A second client's hit on the *same* structure completes while the
+    // first is still parked, on a run state of its own.
+    let (req, expected) = dense_dot_request(-3.0);
+    let resp = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.submit(&req))
+    }
+    .join()
+    .unwrap()
+    .expect("the second hit is served");
+    assert_eq!(svc.stalled(), 1, "the first request is still parked");
+    assert!(resp.cache_hit);
+    assert_eq!(resp.tier, Tier::Fast);
+    assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
+
+    svc.release_stalls();
+    let resp = stalled.join().unwrap().expect("the stalled request completes");
+    assert_eq!(resp.scalar.unwrap().to_bits(), stalled_expected.to_bits());
+    let stats = svc.stats();
+    assert_eq!(stats.slot_waits, 0, "no hit waited for another");
+    assert_eq!(svc.health().slot_waits, 0);
+    assert_eq!((stats.hits, stats.compiles), (2, 1));
+    assert_eq!(svc.cached(), 1, "both run states belong to the one entry");
+}
+
+#[test]
+fn a_poisoned_entry_waits_for_the_run_state_in_flight_then_recompiles_once() {
+    let svc = Arc::new(KernelService::default());
+    let (req, _) = dense_dot_request(1.0);
+    svc.submit(&req).unwrap(); // rid 0
+
+    // rid 1 parks holding a run state; rid 2 finds the entry poisoned at
+    // lookup, which only the entry's exclusive holder may act on.
+    let mut plan = FaultPlan::new();
+    plan.push(stall_rule(1));
+    plan.push(FaultRule { request: 2, point: InjectPoint::Lookup, kind: FaultKind::PoisonEntry });
+    svc.install_faults(plan);
+    let (stalled_req, stalled_expected) = dense_dot_request(2.0);
+    let stalled = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.submit(&stalled_req))
+    };
+    while svc.stalled() == 0 {
+        std::thread::yield_now();
+    }
+    let (poisoned_req, poisoned_expected) = dense_dot_request(-3.0);
+    let poisoned = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.submit(&poisoned_req))
+    };
+    // The quarantine cannot start while the stalled request's run state is
+    // out: rid 2 registers as the entry's writer and sleeps.
+    while svc.stats().slot_waits == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(svc.stats().recompiles, 0);
+
+    svc.release_stalls();
+    let resp = stalled.join().unwrap().expect("the stalled request completes");
+    assert_eq!(resp.scalar.unwrap().to_bits(), stalled_expected.to_bits());
+    let resp = poisoned.join().unwrap().expect("the poisoned entry is recompiled and serves");
+    assert_eq!(resp.tier, Tier::Fast);
+    assert_eq!(resp.scalar.unwrap().to_bits(), poisoned_expected.to_bits());
+
+    let stats = svc.stats();
+    assert_eq!((stats.quarantined, stats.recompiles), (1, 1));
+    assert_eq!(stats.slot_waits, 1, "only the writer waited");
+    assert_eq!(svc.pending_faults(), 0);
+    // The recompiled entry is a plain cached entry again.
+    let (req, expected) = dense_dot_request(0.5);
+    let resp = svc.submit(&req).unwrap();
+    assert!(resp.cache_hit);
+    assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
+}
+
+#[test]
 fn breaker_opens_after_threshold_and_degrades_to_the_oracle() {
     let svc = KernelService::new(ServiceConfig {
         breaker_threshold: 2,
