@@ -738,6 +738,29 @@ fn main() {
         }
     }
 
+    let back_end =
+        report.figures.iter().flat_map(|fig| &fig.variants).filter_map(|v| v.opt.as_ref()).fold(
+            [0u64; 5],
+            |[copies, literals, loops, advances, variants], opt| {
+                let s = opt.stats;
+                [
+                    copies + s.copies_forwarded,
+                    literals + s.literals_pinned,
+                    loops + s.loops_rotated,
+                    advances + s.advances_predicated,
+                    variants + 1,
+                ]
+            },
+        );
+    let [copies, literals, loops, advances, variants] = back_end;
+    if variants > 0 {
+        println!(
+            "loop back end (forward pass, bytecode at OptLevel::Default): {copies} copies \
+             forwarded, {literals} literals pinned, {loops} loops rotated, {advances} advances \
+             predicated over {variants} variants"
+        );
+    }
+
     if let Err(e) = report.write(&json_path) {
         eprintln!("warning: could not write {json_path}: {e}");
     } else {

@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "opt_speedup": { "engine": "bytecode", "baseline": "none",
 //!                    "optimized": "default", "median": 1.62, "samples": 35 },
 //!   "typed_speedup": { "engine": "bytecode", "opt_level": "default",
@@ -232,7 +232,7 @@ impl Report {
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\n  \"schema_version\": 7,");
+        out.push_str("\n  \"schema_version\": 8,");
         if let Some(s) = &self.opt_speedup {
             out.push_str(&format!(
                 "\n  \"opt_speedup\": {{\"engine\": {}, \"baseline\": {}, \
@@ -295,6 +295,8 @@ impl Report {
                          \"movs_eliminated\": {}, \"regs_saved\": {}, \
                          \"instrs_typed\": {}, \"regs_pretagged\": {}, \
                          \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \
+                         \"copies_forwarded\": {}, \"literals_pinned\": {}, \
+                         \"loops_rotated\": {}, \"advances_predicated\": {}, \
                          \"ir_stmts_before\": {}, \"ir_stmts_after\": {}}},",
                         json_number(opt.compile_seconds),
                         s.folds,
@@ -311,6 +313,10 @@ impl Report {
                         s.regs_pretagged,
                         s.instrs_vectorized,
                         s.instrs_vectorizable,
+                        s.copies_forwarded,
+                        s.literals_pinned,
+                        s.loops_rotated,
+                        s.advances_predicated,
                         s.ir_stmts_before,
                         s.ir_stmts_after,
                     ));
@@ -616,6 +622,10 @@ mod tests {
                             regs_pretagged: 5,
                             instrs_vectorized: 12,
                             instrs_vectorizable: 14,
+                            copies_forwarded: 6,
+                            literals_pinned: 3,
+                            loops_rotated: 2,
+                            advances_predicated: 1,
                             ..OptStats::default()
                         },
                     }),
@@ -684,7 +694,7 @@ mod tests {
     #[test]
     fn json_has_engines_opt_levels_and_escaped_strings() {
         let j = sample().to_json();
-        assert!(j.contains("\"schema_version\": 7"));
+        assert!(j.contains("\"schema_version\": 8"));
         assert!(j.contains("\"tree_walk\""));
         assert!(j.contains("\"bytecode\""));
         assert!(j.contains("\"opt_level\": \"default\""));
@@ -713,6 +723,8 @@ mod tests {
         assert!(j.contains("\"regs_pretagged\": 5"));
         assert!(j.contains("\"instrs_vectorized\": 12"));
         assert!(j.contains("\"instrs_vectorizable\": 14"));
+        assert!(j.contains("\"copies_forwarded\": 6, \"literals_pinned\": 3"));
+        assert!(j.contains("\"loops_rotated\": 2, \"advances_predicated\": 1"));
         assert!(j.contains("\"validation\": {\"level\": \"full\""));
         assert!(j.contains("\"verify_seconds\": 0.000006"));
         assert!(j.contains("\"validate_seconds\": 0.002"));

@@ -235,18 +235,17 @@ fn blend(b: &Tensor, c: &Tensor) -> CompiledKernel {
     kernel.compile(&program).expect("blend compiles")
 }
 
-/// The disassembly lines of the loop over `var`, head to back edge.
+/// The disassembly lines of the loop over `var`, head to bottom test.
 fn loop_lines<'a>(disasm: &'a str, var: &str) -> Vec<&'a str> {
     let lines: Vec<&str> = disasm.lines().collect();
     let head = lines
         .iter()
         .position(|l| l.contains(&format!(": for {var} = ")))
         .unwrap_or_else(|| panic!("no loop over `{var}`:\n{disasm}"));
-    let head_pc = lines[head].trim().split(':').next().unwrap().to_string();
     let back = lines[head..]
         .iter()
-        .position(|l| l.contains(": step ") && l.contains(&format!("-> {head_pc}")))
-        .unwrap_or_else(|| panic!("no back edge to {head_pc}:\n{disasm}"));
+        .position(|l| l.contains(&format!(": next {var} = ")))
+        .unwrap_or_else(|| panic!("no bottom test of `{var}`:\n{disasm}"));
     lines[head..=head + back].to_vec()
 }
 
@@ -261,12 +260,12 @@ fn dense_convolution_inner_loop_keeps_only_what_changes_per_tap() {
     let kernel = dense_convolution(12, 3);
     let disasm = kernel.bytecode().disasm();
     let inner = loop_lines(&disasm, "l");
-    // Head, two operand moves, the window index (`l - inv`, `inv + ..`),
-    // its load and `coalesce` (a test and the skipped fill value), the tap
-    // index, multiply-load, accumulate, back edge: the row and tap bases
-    // (`i * 12 + k`, `(j - (1 - i)) * 12`, `1 - k`, `j * 3`) are evaluated
-    // where they change, not per tap.
-    assert!(inner.len() <= 12, "{} instructions:\n{}", inner.len(), inner.join("\n"));
+    // Head, the window index (`l - inv`, `inv + ..`), its load (typed, so
+    // the `coalesce` behind it is decided and gone), the tap index,
+    // multiply-load, accumulate, bottom test: the row and tap bases
+    // (`i * 12 + k`, `(j - (1 - i)) * 12`, `1 - k`, `j * 3`) are read in
+    // place, and evaluated where they change, not per tap.
+    assert!(inner.len() <= 8, "{} instructions:\n{}", inner.len(), inner.join("\n"));
     for line in &inner {
         assert!(!line.contains("const.i"), "an integer literal per tap:\n{}", inner.join("\n"));
         assert!(
@@ -301,10 +300,10 @@ fn rle_blend_fills_each_run_from_a_register() {
         "t2 = step_start (i64)",
         "t3 = step_stop (i64)",
         "vfill.f64 b6[inv*1+v] = hoisted for v in [t2, t3) (x8)",
-        "for j = t2 while <= t3 (i64) else -> 47",
+        "for j = t2 while <= t3 (i64) else -> 43",
         "t4 = inv + j (i64)",
         "b6[t4] = hoisted (f64)",
-        "step t2 -> 43",
+        "next j = t2 + 1 while <= t3 (i64) -> 40",
     ];
     let got: Vec<&str> = lines[fill - 3..fill + 5].iter().map(|l| op(l)).collect();
     assert_eq!(got, golden, "\n{disasm}");

@@ -103,6 +103,27 @@ pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
     targets
 }
 
+/// "No jump target" in an [`edge_table`].
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
+/// Every instruction's jump target ([`NO_EDGE`] for none), read off the ISA
+/// table once: a pass that asks "where does this jump" more than once per
+/// instruction asks the table, and walks operands once.
+pub(crate) fn edge_table(code: &[Instr]) -> Vec<u32> {
+    code.iter().map(|instr| instr.target().unwrap_or(NO_EDGE)).collect()
+}
+
+/// [`jump_targets`] of the code an [`edge_table`] was read off.
+pub(crate) fn jump_targets_of(edges: &[u32]) -> Vec<bool> {
+    let mut targets = vec![false; edges.len() + 1];
+    for &t in edges {
+        if let Some(slot) = targets.get_mut(t as usize) {
+            *slot = true;
+        }
+    }
+    targets
+}
+
 /// The basic blocks of an instruction stream: maximal runs of instructions
 /// entered only at their first and left only after their last.  A block
 /// starts at pc 0, at every jump target, and after every control transfer
@@ -222,8 +243,8 @@ pub struct ShardRegion {
     pub start: u32,
     /// The pc of the loop head ([`Instr::ForTest`] / [`Instr::IForTest`]).
     pub head: u32,
-    /// One past the loop's back-edge ([`Instr::ForStep`]); the loop head's
-    /// exit target.
+    /// One past the loop's back-edge ([`Instr::ForStep`], or the
+    /// [`Instr::IForNext`] that replaced it); the loop head's exit target.
     pub end: u32,
     /// The loop counter register; shards re-seed it with their range start.
     pub counter: Reg,
@@ -280,8 +301,10 @@ pub struct Program {
     /// pass (`crate::opt::finalize`) took off the instruction stream.
     /// Always `code.len()` entries, all zero until that pass runs; never
     /// nonzero on the target of a back edge (a loop head would account
-    /// the statements once per iteration) or on a vectorized kernel op (a
-    /// shard region may start there, and every shard re-runs it).  The
+    /// the statements once per iteration; a bottom test's target is the
+    /// body's first instruction, whose count *is* per iteration) or on a
+    /// vectorized kernel op (a shard region may start there, and every
+    /// shard re-runs it).  The
     /// target of a forward branch may carry a count (the statement after
     /// an `if`): every edge into it accounts the statements, so a rewrite
     /// must never point a branch past such an instruction.  No static
@@ -392,7 +415,8 @@ impl Program {
     }
 
     /// Check structural invariants: every jump target is resolved and in
-    /// range, every `for` back-edge lands on its loop head, every register
+    /// range, every `for` back-edge lands on its loop head and every bottom
+    /// test just past the head of the loop it closes, every register
     /// index fits the register file (which itself fits
     /// [`Program::REG_LIMIT`]), every constant index is in the pool, every
     /// operator belongs to the class its opcode executes (the VM's typed
@@ -443,6 +467,16 @@ impl Program {
                     if edge == Edge::LoopBack && !on_head {
                         return Err(format!(
                             "for back-edge at pc {pc} targets {t}, which is not a loop head"
+                        ));
+                    }
+                    // A bottom test re-enters the body of the loop it
+                    // closes: just past the head that exits to just past
+                    // this instruction.
+                    let exit = Some((pc as u32 + 1, Edge::LoopExit));
+                    let past_head = t > 0 && self.code[t as usize - 1].edge() == exit;
+                    if edge == Edge::LoopBody && !past_head {
+                        return Err(format!(
+                            "bottom test at pc {pc} targets {t}, which is not the body of its loop"
                         ));
                     }
                 }
@@ -508,8 +542,11 @@ impl Program {
             if folded(pc) && instr.vop_loop_regs().is_some() {
                 return Err(format!("folded statement count at pc {pc} sits on a vector op"));
             }
-            match instr.target() {
-                Some(t) if t as usize <= pc && folded(t as usize) => {
+            match instr.edge() {
+                // A bottom test lands where falling through the head lands:
+                // the body's first statement is accounted once per arrival.
+                Some((_, Edge::LoopBody)) => {}
+                Some((t, _)) if t as usize <= pc && folded(t as usize) => {
                     return Err(format!(
                         "folded statement count at pc {t} sits on a loop head \
                          (the back edge at pc {pc} would account it again)"
@@ -558,6 +595,7 @@ impl Program {
             }
             match self.code[end as usize - 1] {
                 Instr::ForStep { test, .. } if test == head => {}
+                Instr::IForNext { body, .. } if body == head + 1 => {}
                 _ => {
                     return Err(format!(
                         "shard region at pc {start} does not end with a back-edge to its head {head}"
@@ -755,6 +793,16 @@ impl Program {
             Instr::ISeek { dst, buf, lo, hi, key, on_abs } => {
                 let f = if on_abs { "seek_abs.i" } else { "seek.i" };
                 format!("{} = {f}(b{}, {}, {}, {})", r(dst), buf.index(), r(lo), r(hi), r(key))
+            }
+            Instr::IAdvance { op, lhs, rhs, reg, by, stmts } => {
+                let cmp = binop(op, r(lhs), r(rhs));
+                format!("if {cmp} (i64) {{ {} += {by} ; +{stmts} stmt }}", r(reg))
+            }
+            Instr::IWhileNext { op, lhs, rhs, body } => {
+                format!("next while {} (i64) -> {body}", binop(op, r(lhs), r(rhs)))
+            }
+            Instr::IForNext { counter, hi, var, body } => {
+                format!("next {} = {} + 1 while <= {} (i64) -> {body}", r(var), r(counter), r(hi))
             }
             Instr::VFillStoreF64 { buf, base, val, counter, hi, lanes, .. } => {
                 let val = match val {

@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `reg(Read \| Write \| ReadWrite)` | a register and its [`Role`] |
 //! | `buf(Read \| Len \| Write \| Append, Any \| I64 \| F64 \| U8)` | a buffer, how it is touched ([`Access`]) and the element kind it must have ([`Elem`]) |
-//! | `target(Branch \| LoopExit \| LoopBack)` | a jump target and its [`Edge`] kind |
+//! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
 //! | `reduce("complaint")` | an optional reduction that must satisfy [`is_arith_reduce`] |
@@ -32,7 +32,7 @@
 //! What stays hand-written is what gives an opcode *meaning*: its VM arm,
 //! its disassembly, and the rules of the passes that produce or
 //! pattern-match it (`typed_form`, `write_effect`, `for_each_edge`,
-//! `try_fuse`, `vectorize`).  Adding an opcode is one row here plus those
+//! `try_fuse`, `vectorize`, `forward`).  Adding an opcode is one row here plus those
 //! arms: the compiler's exhaustiveness check demands the VM's and the
 //! disassembler's, the passes default to leaving an opcode they do not know
 //! alone, and the per-opcode tests (`every_opcode_*` here and in
@@ -52,12 +52,12 @@ use crate::stmt::Stmt;
 pub(crate) enum Role {
     /// The operand is read.
     Read,
-    /// The operand is (unconditionally, on the relevant edge) written.  An
-    /// instruction has at most one written register.
+    /// The operand is (unconditionally, on the relevant edge) written.
     Write,
     /// One field that is both read and written in place
-    /// ([`Instr::CoerceInt`]'s register, the counter of [`Instr::ForStep`]
-    /// and of the vectorized kernel ops).
+    /// ([`Instr::CoerceInt`]'s register, the counter of [`Instr::ForStep`],
+    /// of [`Instr::IForNext`] and of the vectorized kernel ops, the
+    /// register an [`Instr::IAdvance`] advances).
     ReadWrite,
 }
 
@@ -96,6 +96,10 @@ pub(crate) enum Edge {
     LoopExit,
     /// The back edge of a `for`, which must land on its loop head.
     LoopBack,
+    /// The back edge of a bottom-tested loop, which re-tests the loop's
+    /// condition itself and must land just past its loop head: where
+    /// falling through the head arrives.
+    LoopBody,
 }
 
 /// Whether dispatching an opcode touches the VM's register tags.
@@ -917,6 +921,64 @@ pub enum Instr {
         /// Compare against `abs(buf[p])` (PackBits stores negated markers).
         on_abs: bool = payload,
     },
+    /// Predicated finger advance: `ints[reg] += by · (ints[lhs] op
+    /// ints[rhs])` — the `forward` pass's fusion of an
+    /// [`Instr::ICmpBranch`] that guards nothing but one `reg = reg + by`
+    /// [`Instr::IArithImm`] (the looplet stepper's `if idx[p] == step_stop
+    /// { p += 1 }`), executed without a guest branch.  The guarded
+    /// assignment's `stmts` statements are counted only when the
+    /// comparison holds, before the register is written, so a step budget
+    /// or an injected fault trips on the statement it would have tripped
+    /// on in the unfused pair.
+    IAdvance = "i_advance" TagFree {
+        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
+        op: BinOp = op(is_cmp_op, "non-comparison advance op"),
+        /// Left operand register (proven `Int`).
+        lhs: Reg = reg(Read),
+        /// Right operand register (proven `Int`).
+        rhs: Reg = reg(Read),
+        /// The register advanced in place (proven `Int`).
+        reg: Reg = reg(ReadWrite),
+        /// How far the register advances when the comparison holds.
+        by: i64 = payload,
+        /// Statements the guarded assignment accounts when it runs.
+        stmts: u32 = payload,
+    },
+    /// Bottom test of a typed `while`: the `forward` pass's replacement
+    /// for the back edge `Jump` to an [`Instr::IWhileCmp`] /
+    /// [`Instr::IWhileCmpImm`] head (an immediate is read from a pinned
+    /// literal register).  When the comparison holds, counts one loop
+    /// iteration and jumps to `body`, the instruction after the head;
+    /// otherwise falls through to the loop's exit.  The head stays as the
+    /// loop's entry test.
+    IWhileNext = "i_while_next" TagFree {
+        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
+        op: BinOp = op(is_cmp_op, "non-comparison typed while op"),
+        /// Left operand register (proven `Int`).
+        lhs: Reg = reg(Read),
+        /// Right operand register (proven `Int`).
+        rhs: Reg = reg(Read),
+        /// Absolute index of the first instruction of the loop body.
+        body: u32 = target(LoopBody),
+    },
+    /// Bottom test of a typed `for`: the `forward` pass's replacement for
+    /// an [`Instr::ForStep`] whose head is an [`Instr::IForTest`] — step
+    /// and re-test in one dispatch.  Increments the counter; when it is
+    /// still `<= hi`, counts one loop iteration, publishes the counter
+    /// into the loop variable and jumps to `body`, the instruction after
+    /// the head; otherwise falls through to the loop's exit, leaving the
+    /// counter and the variable exactly as the step and the failing head
+    /// test would.  The one opcode that writes two registers.
+    IForNext = "i_for_next" TagFree {
+        /// Register holding the hidden loop counter (proven `Int`).
+        counter: Reg = reg(ReadWrite),
+        /// Register holding the inclusive upper bound (proven `Int`).
+        hi: Reg = reg(Read),
+        /// The loop variable's register (statically `Int`).
+        var: Reg = reg(Write),
+        /// Absolute index of the first instruction of the loop body.
+        body: u32 = target(LoopBody),
+    },
 
     // -----------------------------------------------------------------
     // Vectorized kernel ops, produced by the vectorize pass in
@@ -1252,7 +1314,10 @@ impl Instr {
         verdict
     }
 
-    /// The register this instruction writes, if any (no opcode writes two).
+    /// The register this instruction writes, if any.  No opcode the passes
+    /// before `forward` see writes two; [`Instr::IForNext`], which steps its
+    /// counter and publishes its variable, answers with the variable —
+    /// whoever runs after `forward` walks the roles instead.
     #[inline]
     pub(crate) fn written_reg(&self) -> Option<Reg> {
         let mut written = None;
@@ -1296,12 +1361,19 @@ impl Instr {
         found
     }
 
+    /// Whether control can reach the next instruction from this one:
+    /// everything but the two unconditional transfers.
+    #[inline]
+    pub(crate) fn falls_through(&self) -> bool {
+        !matches!(self, Instr::Jump { .. } | Instr::ForStep { .. })
+    }
+
     /// Whether the instruction starts or closes a loop: a `for`/`while`
-    /// head (whose target is the loop's exit, one past its back edge) or
-    /// a `for` back edge.
+    /// head (whose target is the loop's exit, one past its back edge), a
+    /// `for` back edge, or the bottom test of a rotated loop.
     #[inline]
     pub(crate) fn is_loop_edge(&self) -> bool {
-        matches!(self.edge(), Some((_, Edge::LoopExit | Edge::LoopBack)))
+        matches!(self.edge(), Some((_, Edge::LoopExit | Edge::LoopBack | Edge::LoopBody)))
     }
 
     /// Whether executing this instruction touches the VM's tag array at
@@ -1404,6 +1476,9 @@ pub(crate) fn samples() -> Vec<Instr> {
         Instr::FWhileCmp { op: Lt, lhs: r(0), rhs: r(1), end: 3 },
         Instr::IForTest { counter: r(0), hi: r(1), var: r(2), end: 3 },
         Instr::ISeek { dst: r(0), buf: b(0), lo: r(1), hi: r(2), key: r(3), on_abs: true },
+        Instr::IAdvance { op: Eq, lhs: r(0), rhs: r(1), reg: r(2), by: 1, stmts: 1 },
+        Instr::IWhileNext { op: Le, lhs: r(0), rhs: r(1), body: 1 },
+        Instr::IForNext { counter: r(0), hi: r(1), var: r(2), body: 1 },
         Instr::VFillStoreF64 {
             buf: b(2),
             base: scaled(2),
@@ -1511,13 +1586,20 @@ mod tests {
 
     /// The smallest well-formed program around `sample`, and the sample's
     /// pc in it.  A kernel op sits in front of the counted loop it drives
-    /// (whose body stores the register a register-valued fill reads); any
-    /// other instruction sits inside a loop whose head is pc 0, for
-    /// `ForStep` to jump back to, and whose exit is pc 3.
+    /// (whose body stores the register a register-valued fill reads); a
+    /// bottom test sits right behind the head it re-tests, closing an empty
+    /// loop; any other instruction sits inside a loop whose head is pc 0,
+    /// for `ForStep` to jump back to, and whose exit is pc 3.
     fn around(sample: Instr) -> (Program, usize) {
         let (r, var) = (Reg, Reg(7));
-        let (code, pc) = match sample.vop_loop_regs() {
-            Some((counter, hi)) => {
+        let (code, pc) = match (sample.vop_loop_regs(), sample) {
+            (_, Instr::IWhileNext { op, lhs, rhs, .. }) => {
+                (vec![Instr::IWhileCmp { op, lhs, rhs, end: 2 }, sample], 1)
+            }
+            (_, Instr::IForNext { counter, hi, var, .. }) => {
+                (vec![Instr::IForTest { counter, hi, var, end: 2 }, sample], 1)
+            }
+            (Some((counter, hi)), _) => {
                 let body = match sample {
                     Instr::VFillStoreF64 { buf, val: VFill::Reg(val), .. } => {
                         Instr::StoreF64 { buf, idx: var, val, reduce: None }
@@ -1527,7 +1609,7 @@ mod tests {
                 let head = Instr::IForTest { counter, hi, var, end: 4 };
                 (vec![sample, head, body, Instr::ForStep { counter, test: 1 }], 0)
             }
-            None => {
+            (None, _) => {
                 let head = Instr::IForTest { counter: r(5), hi: r(6), var, end: 3 };
                 (vec![head, sample, Instr::ForStep { counter: r(5), test: 0 }], 1)
             }

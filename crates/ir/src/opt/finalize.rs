@@ -30,69 +30,61 @@
 //! of the input program, so the pass runs under
 //! [`super::StatsContract::Exact`].
 
-use crate::bytecode::{jump_targets, remap_targets, Instr, Program, ShardPlan};
+use crate::bytecode::{edge_table, jump_targets_of, Instr, Program, ShardPlan, NO_EDGE};
 
 /// Fold statement accounting into the side table, delete no-ops and
 /// thread jump chains.  `p` must not have been finalized already.
 pub fn finalize(p: &Program) -> Program {
     debug_assert!(p.stmt_bump.iter().all(|&n| n == 0), "finalizing a finalized program");
-    let targets = jump_targets(&p.code);
-    let mut code: Vec<Instr> = Vec::with_capacity(p.code.len());
-    let mut stmt_bump: Vec<u32> = Vec::with_capacity(p.code.len());
+    let edges = edge_table(&p.code);
+    let targets = jump_targets_of(&edges);
+    let mut out = Emitted::with_capacity(p.code.len());
     // `map[old_pc]` = new pc of the instruction control reaches when it
     // arrives at `old_pc`: a deleted instruction maps to whatever is
     // emitted next.
     let mut map: Vec<u32> = Vec::with_capacity(p.code.len() + 1);
     // Statements of deleted `BumpStmt`s not yet attached to anything.
     let mut pending = 0u32;
-    // Keep `pending` as one explicit `BumpStmt` carrying the rest.
-    let flush = |code: &mut Vec<Instr>, stmt_bump: &mut Vec<u32>, pending: &mut u32| {
-        if *pending > 0 {
-            code.push(Instr::BumpStmt);
-            stmt_bump.push(*pending - 1);
-            *pending = 0;
-        }
-    };
     for (pc, instr) in p.code.iter().enumerate() {
-        if targets[pc] || instr.vop_loop_regs().is_some() {
-            flush(&mut code, &mut stmt_bump, &mut pending);
+        // Keep `pending` as one explicit `BumpStmt` carrying the rest.
+        if pending > 0 && (targets[pc] || instr.vop_loop_regs().is_some()) {
+            out.push(Instr::BumpStmt, std::mem::take(&mut pending) - 1, NO_EDGE);
         }
-        map.push(code.len() as u32);
+        map.push(out.code.len() as u32);
         match instr {
             Instr::BumpStmt => pending += 1,
             Instr::Nop => {}
-            _ => {
-                code.push(*instr);
-                stmt_bump.push(std::mem::take(&mut pending));
-            }
+            _ => out.push(*instr, std::mem::take(&mut pending), edges[pc]),
         }
     }
-    flush(&mut code, &mut stmt_bump, &mut pending);
+    if pending > 0 {
+        out.push(Instr::BumpStmt, pending - 1, NO_EDGE);
+    }
+    let Emitted { mut code, stmt_bump, edges: emitted_edges } = out;
     // A target may be one past the last instruction (loop ends).
     map.push(code.len() as u32);
 
-    remap_targets(&mut code, &map);
-    // Thread branches through unconditional jumps.  A loop head's exit and
-    // a back edge stay as they are: they delimit the loop's extent, which
-    // the shard pass and the parallel runtime read off them.  So does a
-    // branch into a jump that carries statements (a `BumpStmt` that was a
-    // branch target, folded onto the jump behind it): going around it
-    // would lose them on that path.
-    for pc in 0..code.len() {
-        if code[pc].is_loop_edge() {
-            continue;
-        }
-        let Some(mut target) = code[pc].target() else { continue };
-        // The hop bound only matters for a (never generated) jump cycle.
-        for _ in 0..code.len() {
-            match code.get(target as usize) {
-                Some(&Instr::Jump { target: next }) if stmt_bump[target as usize] == 0 => {
-                    target = next
+    // Point every jump at the new pc of its target, and thread branches
+    // through unconditional jumps.  A loop head's exit and a back edge stay
+    // as they are: they delimit the loop's extent, which the shard pass and
+    // the parallel runtime read off them.  So does a branch into a jump
+    // that carries statements (a `BumpStmt` that was a branch target,
+    // folded onto the jump behind it): going around it would lose them on
+    // that path.
+    for pc in (0..code.len()).filter(|&pc| emitted_edges[pc] != NO_EDGE) {
+        let mut target = map[emitted_edges[pc] as usize];
+        if !code[pc].is_loop_edge() {
+            // The hop bound only matters for a (never generated) jump cycle.
+            for _ in 0..code.len() {
+                match code.get(target as usize) {
+                    Some(Instr::Jump { .. }) if stmt_bump[target as usize] == 0 => {
+                        target = map[emitted_edges[target as usize] as usize]
+                    }
+                    _ => break,
                 }
-                _ => break,
             }
         }
-        *code[pc].target_mut().expect("checked above") = target;
+        *code[pc].target_mut().expect("an edge is a target") = target;
     }
 
     Program {
@@ -104,6 +96,30 @@ pub fn finalize(p: &Program) -> Program {
         pretags: p.pretags.clone(),
         // Planned over final pcs by the shard pass, which runs next.
         shard_plan: ShardPlan::default(),
+    }
+}
+
+/// The instructions emitted so far, each with its folded statement count
+/// and its (old) jump target.
+struct Emitted {
+    code: Vec<Instr>,
+    stmt_bump: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl Emitted {
+    fn with_capacity(n: usize) -> Emitted {
+        Emitted {
+            code: Vec::with_capacity(n),
+            stmt_bump: Vec::with_capacity(n),
+            edges: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, instr: Instr, stmts: u32, edge: u32) {
+        self.code.push(instr);
+        self.stmt_bump.push(stmts);
+        self.edges.push(edge);
     }
 }
 
@@ -427,8 +443,17 @@ mod tests {
         assert!(!finalized.code().contains(&Instr::Nop));
         let explicit_stmts = explicit.code().iter().filter(|i| **i == Instr::BumpStmt).count();
         let folded: u32 = finalized.stmt_bump().iter().sum();
-        let kept = finalized.code().iter().filter(|i| **i == Instr::BumpStmt).count();
-        assert_eq!(folded as usize + kept, explicit_stmts, "every statement is still accounted");
+        // An explicit `stmt` counts one, a predicated advance what it guards.
+        let kept: u32 = finalized
+            .code()
+            .iter()
+            .map(|i| match *i {
+                Instr::BumpStmt => 1,
+                Instr::IAdvance { stmts, .. } => stmts,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!((folded + kept) as usize, explicit_stmts, "every statement is still accounted");
 
         // The tail-statement kernel has both shapes that must not be threaded.
         let (_, _, _, finalized) = lowered(&tail_statements());

@@ -1,16 +1,29 @@
 //! Seeded generator of structured random IR, shared by the differential
-//! tests of the passes (`typing`'s reference comparison, `licm`'s
-//! translation validation and run parity).
+//! tests of the passes (`typing`'s reference comparison, `licm`'s and
+//! `forward`'s translation validation and run parity).
 
 use crate::buffer::{BufId, Buffer, BufferSet};
+use crate::bytecode::Program;
 use crate::expr::{BinOp, Expr, UnOp};
+use crate::interp::ExecStats;
 use crate::stmt::Stmt;
 use crate::var::{Names, Var};
+use crate::vm::Vm;
+
+/// Run `p` under a statement budget (random `while` loops need not
+/// terminate): the outcome, the buffers it left, the work it counted.
+pub(crate) fn run_bounded(p: &Program, bufs: &BufferSet) -> (String, BufferSet, ExecStats) {
+    let mut bufs = bufs.clone();
+    let mut vm = Vm::new(p).with_step_budget(300);
+    let outcome = format!("{:?}", vm.run(p, &mut bufs));
+    (outcome, bufs, vm.stats())
+}
 
 /// Seeded generator of structured random IR for differential tests:
-/// nested `for` / `while` / `if`, `coalesce` and missing paths,
-/// consecutive statements that reuse the LIFO temps at conflicting
-/// types, and reads of variables no path (or only some path) has bound.
+/// nested `for` / `while` / `if`, the stepper's guarded increments,
+/// `coalesce` and missing paths, consecutive statements that reuse the
+/// LIFO temps at conflicting types, and reads of variables no path (or
+/// only some path) has bound.
 /// Most draws are well typed, so that programs resemble generated
 /// kernels (typed forms, pretags and the temp split all fire); the rest
 /// ignore types altogether.
@@ -254,7 +267,7 @@ impl IrGen {
     }
 
     fn stmt(&mut self, depth: u32) -> Stmt {
-        match self.below(if depth == 0 { 5 } else { 9 }) {
+        match self.below(if depth == 0 { 6 } else { 10 }) {
             0 => {
                 let (var, init) = self.assignment(2);
                 Stmt::Let { var, init }
@@ -284,12 +297,23 @@ impl IrGen {
                 0 => Stmt::FiberEnd { pos: self.i64s[1], data: self.f64s[1] },
                 _ => Stmt::Comment("note".into()),
             },
-            5 | 6 => Stmt::If {
+            // The stepper's finger advance: `if idx == stop { p = p + 1 }`.
+            5 => {
+                let cmp = self.pick([BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le]);
+                let (lhs, rhs, finger) =
+                    (self.pick(self.ints), self.pick(self.ints), self.pick(self.ints));
+                let by = Expr::int(1 + self.below(2) as i64);
+                Stmt::if_then(
+                    Expr::binary(cmp, Expr::Var(lhs), Expr::Var(rhs)),
+                    vec![Stmt::Assign { var: finger, value: Expr::add(Expr::Var(finger), by) }],
+                )
+            }
+            6 | 7 => Stmt::If {
                 cond: if self.wild() { self.wild_expr(1) } else { self.cond(1) },
                 then_branch: self.block(depth - 1),
                 else_branch: if self.below(2) == 0 { self.block(depth - 1) } else { Vec::new() },
             },
-            7 => Stmt::While { cond: self.cond(1), body: self.block(depth - 1) },
+            8 => Stmt::While { cond: self.cond(1), body: self.block(depth - 1) },
             _ => {
                 // Nests are at most three deep: there is a variable left.
                 let (lo, hi) = (self.int_expr(1), self.int_expr(1));

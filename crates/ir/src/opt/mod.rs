@@ -28,6 +28,12 @@
 //!   shape gains one vectorized superinstruction executing all but the
 //!   final iteration over whole buffer slices, with the untouched scalar
 //!   loop as both remainder handler and runtime fallback,
+//! * [`mod@forward`] — the back end of loops, over typed bytecode: reads
+//!   of a temp that holds a typed copy or literal read the source (or one
+//!   pinned register per literal) and the definitions left dead are
+//!   dropped, the stepper's guarded increment becomes one branch-free
+//!   [`crate::bytecode::Instr::IAdvance`], and a typed loop's back edge
+//!   re-tests its condition itself,
 //! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are
@@ -53,6 +59,7 @@
 mod dce;
 pub mod finalize;
 mod fold;
+pub mod forward;
 #[cfg(test)]
 mod irgen;
 mod licm;
@@ -66,6 +73,7 @@ pub mod vectorize;
 pub mod verify;
 
 pub use finalize::finalize;
+pub use forward::forward;
 pub use licm::hoist_invariants;
 pub use pass::{
     Pass, PassCtx, PassError, PassManager, PassReport, Repr, ReprRef, StatsContract,
@@ -180,6 +188,19 @@ pub struct OptStats {
     /// vectorize pass examined (the denominator of the vectorized
     /// fraction).
     pub instrs_vectorizable: u64,
+    /// Operand reads the `forward` pass pointed past a typed copy, at the
+    /// register the copy was made from ([`forward()`]).
+    pub copies_forwarded: u64,
+    /// Distinct literals the `forward` pass keeps in a pinned register,
+    /// written once by the program's prologue.
+    pub literals_pinned: u64,
+    /// Typed loops whose back edge the `forward` pass made their bottom
+    /// test ([`crate::bytecode::Instr::IWhileNext`] /
+    /// [`crate::bytecode::Instr::IForNext`]).
+    pub loops_rotated: u64,
+    /// Guarded increments the `forward` pass fused into one branch-free
+    /// [`crate::bytecode::Instr::IAdvance`].
+    pub advances_predicated: u64,
     /// IR statement count before the pipeline ran.
     pub ir_stmts_before: u64,
     /// IR statement count after the pipeline ran.
@@ -308,6 +329,21 @@ impl Pass for VectorizePass {
     }
 }
 
+/// Operand forwarding, predicated finger advances and loop rotation over
+/// typed bytecode ([`forward()`]) as a [`Pass`].  Runs after
+/// [`VectorizePass`], which recognises a counted loop by its `ForStep`, and
+/// before [`FinalizePass`], which deletes the `Nop`s it leaves.
+pub struct ForwardPass;
+
+impl Pass for ForwardPass {
+    fn name(&self) -> &'static str {
+        "forward"
+    }
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(forward::forward(repr.bytecode(), ctx.stats))
+    }
+}
+
 /// Dispatch-stream clean-up ([`finalize()`]) as a [`Pass`]: statement
 /// accounting folded into the per-pc side table, no-ops deleted, jump
 /// chains threaded.  Work counters and faults are untouched, so the
@@ -384,6 +420,7 @@ pub fn optimize_and_lower(
             if simd {
                 program = bytecode_pass(&VectorizePass, &program)?;
             }
+            program = bytecode_pass(&ForwardPass, &program)?;
         }
         program = bytecode_pass(&FinalizePass, &program)?;
     }

@@ -693,3 +693,149 @@ fn a_value_mutating_bytecode_rewrite_is_caught_by_witnesses() {
     };
     assert_caught(run_bytecode_mutation(&m), "poison-const", "diverge");
 }
+
+/// Hand-written typed bytecode with the three things the `forward` pass
+/// must get right, in one `while p < n` loop over `p = 0..4`:
+///
+/// ```text
+/// u = n                      ; before the loop
+/// while p < n {
+///     out.push(u)            ; reads the copy the last iteration made
+///     t = p                  ; a copy …
+///     p = p + 1              ; … whose source is then written …
+///     out.push(t)            ; … before the copy is read
+///     if t == q { q = q + 2 }; the stepper's advance, taken every other time
+///     u = p                  ; a copy read only across the back edge
+/// }
+/// out.push(q)
+/// ```
+fn kernel_with_copies_around_a_loop() -> (Program, Names, BufferSet) {
+    use crate::bytecode::{LaneTag, ShardPlan};
+    use Instr::*;
+    let mut names = Names::new();
+    let mut bufs = BufferSet::new();
+    let out = bufs.add("out", Buffer::I64(vec![].into()));
+    for name in ["p", "n", "q"] {
+        names.fresh(name);
+    }
+    let [p, n, q, t, u] = [0, 1, 2, 3, 4].map(Reg);
+    let code = vec![
+        BumpStmt,
+        ConstI { dst: p, imm: 0 },
+        BumpStmt,
+        ConstI { dst: n, imm: 4 },
+        BumpStmt,
+        ConstI { dst: q, imm: 0 },
+        IMov { dst: u, src: n },
+        BumpStmt,
+        IWhileCmp { op: BinOp::Lt, lhs: p, rhs: n, end: 22 },
+        BumpStmt,
+        IAppend { buf: out, val: u },
+        IMov { dst: t, src: p },
+        BumpStmt,
+        IArithImm { op: BinOp::Add, dst: p, lhs: p, imm: 1 },
+        BumpStmt,
+        IAppend { buf: out, val: t },
+        BumpStmt,
+        ICmpBranch { op: BinOp::Eq, lhs: t, rhs: q, target: 20 },
+        BumpStmt,
+        IArithImm { op: BinOp::Add, dst: q, lhs: q, imm: 2 },
+        IMov { dst: u, src: p },
+        Jump { target: 8 },
+        BumpStmt,
+        IAppend { buf: out, val: q },
+    ];
+    let program = Program {
+        stmt_bump: vec![0; code.len()],
+        code,
+        consts: Vec::new(),
+        var_names: vec!["p".into(), "n".into(), "q".into()].into(),
+        num_regs: 5,
+        pretags: [p, n, q, t, u].map(|r| (r, LaneTag::Int)).to_vec(),
+        shard_plan: ShardPlan::default(),
+    };
+    (program, names, bufs)
+}
+
+#[test]
+fn the_forward_pass_keeps_what_the_loop_needs_and_validates() {
+    let out = run_typed_bytecode_pass(kernel_with_copies_around_a_loop(), &ForwardPass)
+        .expect("the real pass is value- and count-exact")
+        .into_bytecode();
+    let count = |pred: fn(&Instr) -> bool| out.code().iter().filter(|i| pred(i)).count();
+    // All three copies stay: `t` is read after its source moved on, `u`
+    // around the back edge, and past the loop head no fact about the `u`
+    // made in front of the loop holds.
+    assert_eq!(count(|i| matches!(i, Instr::IMov { .. })), 3, "{}", out.disasm());
+    assert_eq!(count(|i| matches!(i, Instr::IAdvance { stmts: 1, by: 2, .. })), 1);
+    assert_eq!(count(|i| matches!(i, Instr::IWhileNext { .. })), 1, "{}", out.disasm());
+    assert_eq!(count(|i| matches!(i, Instr::Jump { .. } | Instr::ICmpBranch { .. })), 0);
+}
+
+#[test]
+fn forwarding_across_a_write_of_the_source_is_caught_and_attributed() {
+    // Simulates a forwarding that does not end a fact when its source is
+    // written: `out.push(t)` reads `p`, which has moved on.
+    let m = SeededMutation {
+        name: "forward",
+        mutate: |r| {
+            let mut program = r.into_bytecode();
+            for instr in program.code.iter_mut() {
+                if let Instr::IAppend { val, .. } = instr {
+                    if *val == Reg(3) {
+                        *val = Reg(0);
+                    }
+                }
+            }
+            Repr::Bytecode(program)
+        },
+    };
+    let verdict = run_typed_bytecode_pass(kernel_with_copies_around_a_loop(), &m);
+    assert_caught(verdict, "forward", "diverge");
+}
+
+#[test]
+fn dropping_a_copy_that_is_live_across_a_back_edge_is_caught_and_attributed() {
+    // Simulates a liveness that stops at the loop's back edge: nothing
+    // behind `u = p` reads `u`, only the next iteration's first append.
+    let m = SeededMutation {
+        name: "forward",
+        mutate: |r| {
+            let mut program = r.into_bytecode();
+            let at = program
+                .code
+                .iter()
+                .position(|i| *i == Instr::IMov { dst: Reg(4), src: Reg(0) })
+                .expect("the copy at the bottom of the loop");
+            program.code[at] = Instr::Nop;
+            Repr::Bytecode(program)
+        },
+    };
+    let verdict = run_typed_bytecode_pass(kernel_with_copies_around_a_loop(), &m);
+    assert_caught(verdict, "forward", "diverge");
+}
+
+#[test]
+fn an_advance_that_counts_its_statement_when_not_taken_is_caught_and_attributed() {
+    // Simulates a fusion that folds the guarded statement's count onto the
+    // advance itself: the real pass's output, with the count moved from the
+    // advance's payload back onto the stream, where every iteration pays it.
+    let m = SeededMutation {
+        name: "forward",
+        mutate: |r| {
+            let mut program = forward(&r.into_bytecode(), &mut OptStats::default());
+            let at = program
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::IAdvance { .. }))
+                .expect("the fused advance");
+            let Instr::IAdvance { stmts, .. } = &mut program.code[at] else { unreachable!() };
+            *stmts = 0;
+            assert_eq!(program.code[at + 1], Instr::Nop, "the guarded statement's slot");
+            program.code[at + 1] = Instr::BumpStmt;
+            Repr::Bytecode(program)
+        },
+    };
+    let verdict = run_typed_bytecode_pass(kernel_with_copies_around_a_loop(), &m);
+    assert_caught(verdict, "forward", "ExecStats");
+}

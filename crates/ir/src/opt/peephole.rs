@@ -34,8 +34,8 @@
 //!    straight-line region, so a linearly-earlier read reached through a
 //!    back edge is always re-dominated by its own write).
 
-use crate::bytecode::{for_each_reg_role, for_each_reg_role_mut, is_cmp_op, jump_targets};
-use crate::bytecode::{remap_targets, Instr, Program, Reg, Role};
+use crate::bytecode::{edge_table, for_each_reg_role, for_each_reg_role_mut, is_cmp_op};
+use crate::bytecode::{jump_targets_of, Instr, Program, Reg, Role, NO_EDGE};
 
 use super::OptStats;
 
@@ -44,17 +44,7 @@ use super::OptStats;
 pub fn peephole(program: &Program, stats: &mut OptStats) -> Program {
     debug_assert!(program.stmt_bump.iter().all(|&n| n == 0), "rewriting a finalized program");
     let mut p = program.clone();
-    // One spare instruction buffer and one pc map serve every round.
-    let mut fused = Vec::with_capacity(p.code.len());
-    let mut map = Vec::with_capacity(p.code.len() + 1);
-    // Each round can expose new pairs (e.g. `Mov` forwarding makes a
-    // compare adjacent to its branch); kernels settle within a few rounds.
-    for _ in 0..8 {
-        if !fuse_round(&p.code, p.num_vars(), &mut fused, &mut map, stats) {
-            break;
-        }
-        std::mem::swap(&mut p.code, &mut fused);
-    }
+    fuse(&mut p.code, program.num_vars(), stats);
     p.stmt_bump.truncate(p.code.len());
     compact_registers(&mut p, stats);
     p
@@ -67,16 +57,18 @@ fn reads_reg(instr: &Instr, r: Reg) -> bool {
     reads
 }
 
-/// Whether `t` is dead after position `from`: no instruction reads it
-/// before it is next written (reads are checked first — an instruction
-/// that both reads and writes `t` keeps it alive).
-fn dead_after(code: &[Instr], from: usize, t: Reg) -> bool {
-    for instr in &code[from..] {
-        if reads_reg(instr, t) {
-            return false;
-        }
-        if instr.written_reg() == Some(t) {
-            return true;
+/// Whether `t` is dead after position `from`: no surviving instruction
+/// reads it before it is next written (reads are checked first — an
+/// instruction that both reads and writes `t` keeps it alive).
+fn dead_after(code: &[Instr], deleted: &[bool], from: usize, t: Reg) -> bool {
+    for (instr, _) in code[from..].iter().zip(&deleted[from..]).filter(|(_, &gone)| !gone) {
+        let (mut read, mut written) = (false, false);
+        for_each_reg_role(instr, |r, role| {
+            read |= r == t && role != Role::Write;
+            written |= r == t && role != Role::Read;
+        });
+        if read || written {
+            return !read;
         }
     }
     true
@@ -158,66 +150,73 @@ fn retarget_dst(instr: Instr, dst: Reg) -> Option<Instr> {
     })
 }
 
-/// Try to fuse the adjacent pair `(a, b)`; `after` is the index of the
-/// first instruction past the pair, used for temp liveness.
-fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -> Option<Fused> {
+/// Try to fuse the adjacent pair `(a, b)`; `after` is the index just past
+/// `b`, from which temp liveness is read off the surviving instructions.
+fn try_fuse(
+    a: &Instr,
+    b: &Instr,
+    code: &[Instr],
+    deleted: &[bool],
+    after: usize,
+    num_vars: usize,
+) -> Option<Fused> {
     let is_temp = |r: Reg| r.index() >= num_vars;
     // The forwarded/fused temp must not be observable afterwards, unless
     // the consumer itself redefines it.
     let consumed =
-        |t: Reg| is_temp(t) && (b.written_reg() == Some(t) || dead_after(code, after, t));
+        |t: Reg| is_temp(t) && (b.written_reg() == Some(t) || dead_after(code, deleted, after, t));
 
     // Operand forwarding: `Mov t, src ; I(reads t)` → `I(reads src)`.
-    if let Instr::Mov { dst: t, src } = a {
+    if let Instr::Mov { dst: t, src } = *a {
         if src != t && consumed(t) {
-            if let Some(instr) = forward_operand(b, t, src) {
+            if let Some(instr) = forward_operand(*b, t, src) {
                 return Some(Fused::Forward(instr));
             }
         }
     }
     // Destination forwarding: `I(writes t) ; Mov dst, t` → `I(writes dst)`
     // — collapses the temp chain every self-referential assignment emits.
-    if let Instr::Mov { dst, src: t } = b {
+    if let Instr::Mov { dst, src: t } = *b {
         if dst != t
             && a.written_reg() == Some(t)
             && is_temp(t)
-            && !reads_reg(&a, t)
-            && dead_after(code, after, t)
+            && !reads_reg(a, t)
+            && dead_after(code, deleted, after, t)
         {
-            if let Some(instr) = retarget_dst(a, dst) {
+            if let Some(instr) = retarget_dst(*a, dst) {
                 return Some(Fused::Forward(instr));
             }
         }
     }
     let fused = match (a, b) {
-        (Instr::Const { dst: t, cidx }, Instr::Binary { op, dst, lhs, rhs })
+        (&Instr::Const { dst: t, cidx }, &Instr::Binary { op, dst, lhs, rhs })
             if rhs == t && lhs != t && consumed(t) =>
         {
             Instr::BinaryImm { op, dst, lhs, cidx }
         }
-        (Instr::Load { dst: t, buf, idx }, Instr::Binary { op, dst, lhs, rhs })
+        (&Instr::Load { dst: t, buf, idx }, &Instr::Binary { op, dst, lhs, rhs })
             if rhs == t && lhs != t && idx != t && consumed(t) =>
         {
             Instr::LoadBinary { op, dst, lhs, buf, idx }
         }
-        (Instr::Binary { op, dst: t, lhs, rhs }, Instr::JumpIfFalse { src, target, strict })
-            if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
+        (&Instr::Binary { op, dst: t, lhs, rhs }, &Instr::JumpIfFalse { src, target, strict })
+            if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, deleted, after, t) =>
         {
             Instr::CmpBranch { op, lhs, rhs, target, strict }
         }
         (
-            Instr::BinaryImm { op, dst: t, lhs, cidx },
-            Instr::JumpIfFalse { src, target, strict },
-        ) if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) => {
+            &Instr::BinaryImm { op, dst: t, lhs, cidx },
+            &Instr::JumpIfFalse { src, target, strict },
+        ) if src == t && is_cmp_op(op) && is_temp(t) && dead_after(code, deleted, after, t) => {
             Instr::CmpBranchImm { op, lhs, cidx, target, strict }
         }
-        (Instr::Binary { op, dst: t, lhs, rhs }, Instr::WhileTest { cond, end })
-            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
+        (&Instr::Binary { op, dst: t, lhs, rhs }, &Instr::WhileTest { cond, end })
+            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, deleted, after, t) =>
         {
             Instr::WhileCmp { op, lhs, rhs, end }
         }
-        (Instr::BinaryImm { op, dst: t, lhs, cidx }, Instr::WhileTest { cond, end })
-            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, after, t) =>
+        (&Instr::BinaryImm { op, dst: t, lhs, cidx }, &Instr::WhileTest { cond, end })
+            if cond == t && is_cmp_op(op) && is_temp(t) && dead_after(code, deleted, after, t) =>
         {
             Instr::WhileCmpImm { op, lhs, cidx, end }
         }
@@ -226,59 +225,82 @@ fn try_fuse(a: Instr, b: Instr, code: &[Instr], after: usize, num_vars: usize) -
     Some(Fused::Super(fused))
 }
 
-/// One fusion round over `code`, written to `fused` (jumps remapped through
-/// `map`; both are cleared first).  Returns whether anything changed: when
-/// nothing did, `fused` is a copy of `code` the caller can ignore.
-fn fuse_round(
-    code: &[Instr],
-    num_vars: usize,
-    fused: &mut Vec<Instr>,
-    map: &mut Vec<u32>,
-    stats: &mut OptStats,
-) -> bool {
-    let targets = jump_targets(code);
-    fused.clear();
-    // `map[old_pc]` = new pc of the instruction that carries old_pc's
-    // semantics (for a fused pair, both halves map to the fused position).
-    map.clear();
-    let mut changed = false;
-    let mut i = 0usize;
-    while i < code.len() {
-        let pair = code
-            .get(i + 1)
+/// Fuse `code` to a (bounded) fixpoint, in rounds: each round tries the
+/// adjacent pairs left to right, and a pair that fuses is skipped over, so
+/// a fused instruction meets its neighbours in the next round (`Mov`
+/// forwarding makes a compare adjacent to its branch).  The rounds work in
+/// place — a fused instruction takes its first half's slot, the second
+/// half's is marked deleted, so jump targets (never a second half) stay put
+/// until the one compaction at the end — and from the second round on only
+/// pairs next to an instruction the previous round fused are tried: any
+/// other pair failed then and would fail again, because a fusion removes a
+/// temp's read only together with the write that feeds it, which leaves
+/// every liveness answer as it was.
+fn fuse(code: &mut Vec<Instr>, num_vars: usize, stats: &mut OptStats) {
+    let mut edges = edge_table(code);
+    let targets = jump_targets_of(&edges);
+    let mut deleted = vec![false; code.len()];
+    // Instructions the previous round fused (the first round tries all).
+    let mut fresh = vec![true; code.len()];
+    let mut fused_now = vec![false; code.len()];
+    let next_live = |deleted: &[bool], i: usize| (i + 1..deleted.len()).find(|&j| !deleted[j]);
+    // Kernels settle within a few rounds.
+    for _ in 0..8 {
+        let mut changed = false;
+        let mut i = 0;
+        while let Some(j) = next_live(&deleted, i) {
             // Never fuse into a jump target: entering between the halves
             // must stay possible.
-            .filter(|_| !targets[i + 1])
-            .and_then(|&b| try_fuse(code[i], b, code, i + 2, num_vars));
-        match pair {
-            Some(kind) => {
-                let instr = match kind {
-                    Fused::Forward(instr) => {
-                        stats.movs_eliminated += 1;
-                        instr
-                    }
-                    Fused::Super(instr) => {
-                        stats.instrs_fused += 1;
-                        instr
-                    }
-                };
-                map.push(fused.len() as u32);
-                map.push(fused.len() as u32);
-                fused.push(instr);
-                changed = true;
-                i += 2;
-            }
-            None => {
-                map.push(fused.len() as u32);
-                fused.push(code[i]);
-                i += 1;
-            }
+            let pair = if (fresh[i] || fresh[j]) && !targets[j] {
+                try_fuse(&code[i], &code[j], code, &deleted, j + 1, num_vars)
+            } else {
+                None
+            };
+            let Some(kind) = pair else {
+                i = j;
+                continue;
+            };
+            code[i] = match kind {
+                Fused::Forward(instr) => {
+                    stats.movs_eliminated += 1;
+                    instr
+                }
+                Fused::Super(instr) => {
+                    stats.instrs_fused += 1;
+                    instr
+                }
+            };
+            // At most one half of a pair jumps: the fused instruction does.
+            debug_assert!(edges[i] == NO_EDGE || edges[j] == NO_EDGE);
+            edges[i] = edges[i].min(edges[j]);
+            deleted[j] = true;
+            fused_now[i] = true;
+            changed = true;
+            let Some(after) = next_live(&deleted, j) else { break };
+            i = after;
         }
+        if !changed {
+            break;
+        }
+        std::mem::swap(&mut fresh, &mut fused_now);
+        fused_now.fill(false);
+    }
+    // `map[old_pc]` = new pc of the instruction that carries old_pc's
+    // semantics (for a fused pair, both halves map to the fused position).
+    let mut map = Vec::with_capacity(code.len() + 1);
+    let mut kept = 0u32;
+    for &gone in &deleted {
+        map.push(if gone { kept - 1 } else { kept });
+        kept += !gone as u32;
     }
     // A target may be one past the last instruction (loop ends).
-    map.push(fused.len() as u32);
-    remap_targets(fused, map);
-    changed
+    map.push(kept);
+    let mut gone = deleted.iter();
+    code.retain(|_| !gone.next().expect("one flag per instruction"));
+    let jumps = edges.iter().zip(&deleted).filter(|(_, &gone)| !gone).map(|(&edge, _)| edge);
+    for (instr, edge) in code.iter_mut().zip(jumps).filter(|&(_, edge)| edge != NO_EDGE) {
+        *instr.target_mut().expect("an edge is a target") = map[edge as usize];
+    }
 }
 
 /// Renumber surviving temp registers into a dense range just above the

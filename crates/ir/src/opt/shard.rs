@@ -636,9 +636,12 @@ fn check_region(
     if end <= head + 1 || end > code.len() {
         return None;
     }
-    // (A) The back-edge must be the loop's own `ForStep`.
+    // (A) The back-edge must be the loop's own `ForStep`, or the bottom
+    // test the `forward` pass made of it.
     match code[end - 1] {
         Instr::ForStep { counter: c, test } if c == counter && test == head as u32 => {}
+        Instr::IForNext { counter: c, hi: h, var: v, body }
+            if (c, h, v) == (counter, hi, var) && body == head as u32 + 1 => {}
         _ => return None,
     }
     // (B) A vectorized kernel op driving the same loop registers sits
@@ -787,7 +790,7 @@ impl MustDefined {
                         }
                     }
                 };
-                if falls_through(instr) {
+                if instr.falls_through() {
                     push(pc + 1);
                 }
                 if let Some(t) = instr.target() {
@@ -819,11 +822,6 @@ impl MustDefined {
         }
         ok
     }
-}
-
-/// Whether control can fall through to the next instruction.
-fn falls_through(instr: &Instr) -> bool {
-    !matches!(instr, Instr::Jump { .. } | Instr::ForStep { .. })
 }
 
 #[cfg(test)]

@@ -72,9 +72,12 @@
 //! types) keep a register dynamic, the instruction simply stays in its
 //! generic form — the typed and generic instruction sets interoperate
 //! freely within one program.  The rewrite is strictly 1:1 (a statically
-//! discharged `CoerceInt` becomes [`Instr::Nop`]), so jump targets,
-//! instruction counts and [`crate::interp::ExecStats`] are bit-identical
-//! to generic dispatch.
+//! discharged `CoerceInt` becomes [`Instr::Nop`]; a missing-test on a
+//! register that holds one value kind — the `coalesce` behind a float
+//! loaded at an integer index — is decided: `JumpIfNotMissing` becomes a
+//! [`Instr::Jump`], `JumpIfMissing` a `Nop`, and the `forward` pass drops
+//! what that leaves unreachable), so jump targets, instruction counts and
+//! [`crate::interp::ExecStats`] are bit-identical to generic dispatch.
 
 use crate::buffer::{Buffer, BufferSet};
 use crate::bytecode::{for_each_reg_role, for_each_reg_role_mut, Role};
@@ -192,8 +195,10 @@ fn write_effect(instr: &Instr, s: &[u8], consts: &[Value], bufs: &BufferSet) -> 
         Instr::LoadBinary { op, dst, lhs, buf, idx } => {
             (dst, binop_bits(op, s[lhs.index()], load_bits(buf, idx)))
         }
-        Instr::ForTest { var, .. } | Instr::IForTest { var, .. } => (var, INT),
-        Instr::ForStep { counter, .. } => (counter, INT),
+        Instr::ForTest { var, .. } | Instr::IForTest { var, .. } | Instr::IForNext { var, .. } => {
+            (var, INT)
+        }
+        Instr::ForStep { counter, .. } | Instr::IAdvance { reg: counter, .. } => (counter, INT),
         Instr::Seek { dst, .. } | Instr::ISeek { dst, .. } => (dst, INT),
         // Typed forms: what a rewritten instruction pins.
         Instr::ConstI { dst, .. } | Instr::ILen { dst, .. } | Instr::LoadI64 { dst, .. } => {
@@ -310,7 +315,8 @@ fn for_each_edge(pc: usize, instr: &Instr, f: &mut dyn FnMut(usize, &[EdgeFx])) 
         }
         Instr::WhileCmp { lhs, rhs, end, .. }
         | Instr::IWhileCmp { lhs, rhs, end, .. }
-        | Instr::FWhileCmp { lhs, rhs, end, .. } => {
+        | Instr::FWhileCmp { lhs, rhs, end, .. }
+        | Instr::IWhileNext { lhs, rhs, body: end, .. } => {
             f(next, &[keep(lhs, REAL), keep(rhs, REAL)]);
             f(end as usize, &[keep(lhs, REAL), keep(rhs, REAL)]);
         }
@@ -324,6 +330,10 @@ fn for_each_edge(pc: usize, instr: &Instr, f: &mut dyn FnMut(usize, &[EdgeFx])) 
             f(end as usize, &[]);
         }
         Instr::ForStep { counter, test } => f(test as usize, &[(counter, 0, INT)]),
+        Instr::IForNext { counter, var, body, .. } => {
+            f(body as usize, &[(counter, 0, INT), (var, 0, INT)]);
+            f(next, &[(counter, 0, INT)]);
+        }
         _ => unreachable!("{} has a target but no edge rule", instr.opcode()),
     }
 }
@@ -573,6 +583,7 @@ fn typed_form(
 ) -> Option<Instr> {
     let dst_ok = |r: Reg, t: LaneTag| global[r.index()] == Some(t);
     let kind = |b| buf_bits(bufs.get(b));
+    let valued = |r: Reg| [INT, FLOAT, BOOL].iter().any(|&k| exact(r, k));
     match *instr {
         Instr::Const { dst, cidx } => match consts[cidx as usize] {
             Value::Int(imm) if dst_ok(dst, LaneTag::Int) => Some(Instr::ConstI { dst, imm }),
@@ -587,6 +598,9 @@ fn typed_form(
         }
         Instr::BufLen { dst, buf } if dst_ok(dst, LaneTag::Int) => Some(Instr::ILen { dst, buf }),
         Instr::CoerceInt { reg } if exact(reg, INT) => Some(Instr::Nop),
+        // A missing-test on a register that holds one value kind is decided.
+        Instr::JumpIfNotMissing { src, target } if valued(src) => Some(Instr::Jump { target }),
+        Instr::JumpIfMissing { src, .. } if valued(src) => Some(Instr::Nop),
         Instr::Load { dst, buf, idx } if exact(idx, INT) => match bufs.get(buf) {
             Buffer::I64(_) if dst_ok(dst, LaneTag::Int) => Some(Instr::LoadI64 { dst, buf, idx }),
             Buffer::F64(_) if dst_ok(dst, LaneTag::Float) => Some(Instr::LoadF64 { dst, buf, idx }),
@@ -1020,7 +1034,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::interp::ExecStats;
-    use crate::opt::irgen::IrGen;
+    use crate::opt::irgen::{run_bounded, IrGen};
     use crate::stmt::Stmt;
     use crate::var::Names;
     use crate::vm::Vm;
@@ -1322,15 +1336,6 @@ mod tests {
   11: step t0 -> 5
 ";
         assert_eq!(typed.disasm(), expected, "\ngeneric was:\n{}", fused.disasm());
-    }
-
-    /// Run `p` under a statement budget (random `while` loops need not
-    /// terminate): the outcome, the buffers it left, the work it counted.
-    fn run_bounded(p: &Program, bufs: &BufferSet) -> (String, BufferSet, ExecStats) {
-        let mut bufs = bufs.clone();
-        let mut vm = Vm::new(p).with_step_budget(300);
-        let outcome = format!("{:?}", vm.run(p, &mut bufs));
-        (outcome, bufs, vm.stats())
     }
 
     /// The block-level inference against the per-instruction reference on

@@ -923,6 +923,34 @@ impl Vm {
                     self.ints[dst.index()] = pos;
                     pc += 1;
                 }
+                Instr::IAdvance { op, lhs, rhs, reg, by, stmts } => {
+                    // Branch-free on the comparison: the count and the
+                    // step are both scaled by it.
+                    let taken = Self::cmp_int(op, self.ints[lhs.index()], self.ints[rhs.index()]);
+                    self.bump_stmts(stmts as u64 * taken as u64)?;
+                    let r = reg.index();
+                    self.ints[r] = self.ints[r].wrapping_add(by * taken as i64);
+                    pc += 1;
+                }
+                Instr::IWhileNext { op, lhs, rhs, body } => {
+                    if Self::cmp_int(op, self.ints[lhs.index()], self.ints[rhs.index()]) {
+                        self.stats.loop_iters += 1;
+                        pc = body as usize;
+                    } else {
+                        pc += 1;
+                    }
+                }
+                Instr::IForNext { counter, hi, var, body } => {
+                    let i = self.ints[counter.index()].wrapping_add(1);
+                    self.ints[counter.index()] = i;
+                    if i <= self.ints[hi.index()] {
+                        self.stats.loop_iters += 1;
+                        self.ints[var.index()] = i;
+                        pc = body as usize;
+                    } else {
+                        pc += 1;
+                    }
+                }
 
                 // ---- Vectorized kernel ops: each sits immediately before
                 // ---- an `IForTest` head and executes all but the last of

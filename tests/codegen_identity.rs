@@ -114,11 +114,21 @@ fn corpus() -> Vec<(String, CompiledKernel)> {
 /// everything else the compiler decided (one fact per line).
 fn texts(kernel: &CompiledKernel) -> [(&'static str, String); 3] {
     let program = kernel.bytecode();
-    // `exprs_hoisted` was added to `OptStats` after the golden file was first
-    // recorded: it is listed only where it counts something, so that the
+    // These counters were added to `OptStats` after the golden file was first
+    // recorded: each is listed only where it counts something, so that the
     // records it does not concern (every `none` record among them) stay
     // byte for byte what they were.
-    let opt_stats = format!("{:?}", kernel.opt_stats()).replace(" exprs_hoisted: 0,", "");
+    const LATER_COUNTERS: [&str; 5] = [
+        "exprs_hoisted",
+        "copies_forwarded",
+        "literals_pinned",
+        "loops_rotated",
+        "advances_predicated",
+    ];
+    let opt_stats =
+        LATER_COUNTERS.iter().fold(format!("{:?}", kernel.opt_stats()), |text, name| {
+            text.replace(&format!(" {name}: 0,"), "")
+        });
     let meta = format!(
         "num_regs {}\npretags {:?}\nshard_plan {:?}\nopt_stats {opt_stats}\n",
         program.num_regs(),

@@ -1,0 +1,163 @@
+//! Dispatch budgets: what the VM dispatches per loop iteration, pinned.
+//!
+//! Wall clock on a shared host cannot hold a regression gate; the per-pc
+//! dispatch counts of `CompiledKernel::profile()` and `ExecStats` are exact
+//! and host-independent.  For the merge-driven kernels of the paper's
+//! Figs. 1, 7 and 8, built by `finch-bench` at the sizes `figures --tiny`
+//! uses and compiled at `OptLevel::Default`, this file pins
+//!
+//! * the whole run's dispatches per counted loop iteration (every loop of
+//!   the kernel, set-up included), as a bound in hundredths, and
+//! * the dispatches one iteration of the busiest innermost loop costs —
+//!   for the two-finger walk, §6.1's coiterating merge loop itself: two
+//!   strides, two `min`s, two guards, two predicated advances, the next
+//!   `step_start` and one bottom test,
+//!
+//! and checks that no innermost loop dispatches what computes nothing: a
+//! copy of a variable or a literal into an operand temporary, or an
+//! unconditional jump.  A bound that moves is a change to the bytecode back
+//! end (`peephole` / `typing` / `forward` / `finalize`): lower it when the
+//! change pays, and say why when it does not.  These are the first rows of
+//! ROADMAP item 6's shape table.
+
+use finch_bench::{fig01_variants, fig07_variants, fig07_vector, fig08_variants, Variant};
+use finch_ir::{Instr, Program};
+use looplets_repro::finch::OptLevel;
+
+/// One innermost loop of a program: the pcs of its body and bottom test,
+/// `first..=bottom`, entered once per iteration at `first`.
+#[derive(Clone, Copy)]
+struct InnerLoop {
+    first: usize,
+    bottom: usize,
+}
+
+/// The innermost loops of `program`: the spans closed by a back edge that
+/// hold no other back edge.
+fn innermost_loops(program: &Program) -> Vec<InnerLoop> {
+    // Only these four opcodes close a loop; a bottom test lands on the
+    // body's first instruction, a `jump` / `step` on the head before it.
+    let spans: Vec<InnerLoop> = program
+        .code()
+        .iter()
+        .enumerate()
+        .filter_map(|(bottom, instr)| match *instr {
+            Instr::IWhileNext { body, .. } | Instr::IForNext { body, .. } => {
+                Some(InnerLoop { first: body as usize, bottom })
+            }
+            Instr::Jump { target } if target as usize <= bottom => {
+                Some(InnerLoop { first: target as usize + 1, bottom })
+            }
+            Instr::ForStep { test, .. } => Some(InnerLoop { first: test as usize + 1, bottom }),
+            _ => None,
+        })
+        .collect();
+    let nested = |outer: &InnerLoop| {
+        spans.iter().any(|inner| outer.first <= inner.first && inner.bottom < outer.bottom)
+    };
+    spans.iter().copied().filter(|span| !nested(span)).collect()
+}
+
+/// Whether dispatching `instr` computes nothing a register allocator would
+/// not have removed: a copy or a literal into a temp, or a plain jump.
+fn computes_nothing(instr: &Instr, program: &Program) -> bool {
+    let temp = |dst: finch_ir::Reg| dst.index() >= program.num_vars();
+    match *instr {
+        Instr::IMov { dst, .. }
+        | Instr::FMov { dst, .. }
+        | Instr::Mov { dst, .. }
+        | Instr::ConstI { dst, .. }
+        | Instr::ConstF { dst, .. }
+        | Instr::Const { dst, .. } => temp(dst),
+        Instr::Jump { .. } => true,
+        _ => false,
+    }
+}
+
+/// The pinned kernels: figure, variant label, the whole run's dispatches
+/// per loop iteration and the dispatches of one iteration of the busiest
+/// innermost loop, both in hundredths.
+const BUDGETS: &[(&str, &str, u64, u64)] = &[
+    ("fig01", "looplets: list x band", 2100, 1000),
+    ("fig01", "iterator-over-nonzeros", 1200, 1000),
+    ("fig07a", "two-finger (TACO-style)", 1145, 1027),
+    ("fig07a", "A leads (gallop)", 1102, 667),
+    ("fig07a", "x leads (gallop)", 1151, 725),
+    ("fig07a", "gallop both", 1398, 1000),
+    ("fig07a", "VBL", 1592, 600),
+    ("fig07b", "two-finger (TACO-style)", 1131, 1028),
+    ("fig07b", "A leads (gallop)", 1115, 697),
+    ("fig07b", "x leads (gallop)", 1124, 712),
+    ("fig07b", "gallop both", 1421, 1000),
+    ("fig07b", "VBL", 1664, 600),
+    ("fig08", "two-finger (TACO-style)", 1369, 985),
+    ("fig08", "gallop", 1657, 950),
+];
+
+fn figure_kernels() -> Vec<(&'static str, Variant)> {
+    let mut kernels = Vec::new();
+    for (_, variants) in fig01_variants(200, 20, &[8]) {
+        kernels.extend(variants.into_iter().map(|v| ("fig01", v)));
+    }
+    let x = fig07_vector(32, Some(0.10), None, 71);
+    kernels.extend(fig07_variants(32, &x, 1).into_iter().map(|v| ("fig07a", v)));
+    let x = fig07_vector(32, None, Some(10), 81);
+    kernels.extend(fig07_variants(32, &x, 1).into_iter().map(|v| ("fig07b", v)));
+    kernels.extend(fig08_variants(24, 2, 3).into_iter().map(|v| ("fig08", v)));
+    kernels
+}
+
+#[test]
+fn merge_kernels_stay_within_their_dispatch_budgets() {
+    let mut table = String::new();
+    let mut failures = Vec::new();
+    for (figure, variant) in figure_kernels() {
+        let mut kernel = variant.kernel;
+        assert_eq!(kernel.opt_level(), OptLevel::Default);
+        let (stats, per_pc) = kernel.profile().expect("the kernel runs");
+        let program = kernel.bytecode();
+        let total: u64 = per_pc.iter().sum();
+        let per_iteration = (total * 100).div_ceil(stats.loop_iters.max(1));
+
+        let mut per_inner_iteration = 0;
+        let mut busiest = 0;
+        for inner in innermost_loops(program) {
+            let dispatched: u64 = per_pc[inner.first..=inner.bottom].iter().sum();
+            let iterations = per_pc[inner.first];
+            if dispatched > busiest && iterations > 0 {
+                busiest = dispatched;
+                per_inner_iteration = (dispatched * 100).div_ceil(iterations);
+            }
+            for (pc, instr) in program.code()[inner.first..=inner.bottom].iter().enumerate() {
+                if computes_nothing(instr, program) && pc + inner.first != inner.bottom {
+                    failures.push(format!(
+                        "{figure}/{}: pc {} of an innermost loop computes nothing:\n{}",
+                        variant.label,
+                        pc + inner.first,
+                        program.disasm()
+                    ));
+                }
+            }
+        }
+        table.push_str(&format!(
+            "    ({figure:?}, {:?}, {per_iteration}, {per_inner_iteration}),\n",
+            variant.label
+        ));
+        match BUDGETS.iter().find(|b| (b.0, b.1) == (figure, variant.label.as_str())) {
+            None => failures.push(format!("{figure}/{}: no budget", variant.label)),
+            Some(&(_, _, budget, inner_budget)) => {
+                if per_iteration > budget || per_inner_iteration > inner_budget {
+                    failures.push(format!(
+                        "{figure}/{}: {per_iteration} per iteration (budget {budget}), \
+                         {per_inner_iteration} per inner iteration (budget {inner_budget})",
+                        variant.label
+                    ));
+                }
+            }
+        }
+    }
+    if !failures.is_empty() {
+        println!("---- measured ----\n{table}---- end ----");
+        panic!("{}", failures.join("\n"));
+    }
+}
