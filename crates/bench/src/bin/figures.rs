@@ -64,7 +64,7 @@
 
 use std::time::Instant;
 
-use finch::{Engine, OptLevel, ValidationLevel};
+use finch::{Engine, ExecConfig, OptLevel, ValidationLevel};
 use finch_bench::report::{
     EngineReport, FigureGroup, OptReport, OptSpeedup, ParallelSpeedup, Report, SimdSpeedup,
     TypedSpeedup, ValidationReport, VariantReport,
@@ -141,8 +141,8 @@ fn outcome_fingerprint(kernel: &mut finch::CompiledKernel) -> (finch::ExecStats,
     (stats, outputs)
 }
 
-/// The (engine, opt level, typed dispatch, simd) combinations to measure,
-/// from `--engine`, `--opt`, `--typed` and `--simd`:
+/// The configurations to measure, from `--engine`, `--opt`, `--typed` and
+/// `--simd`:
 ///
 /// * no flags: tree-walk and bytecode at `Default`, bytecode at `None`
 ///   (the optimiser comparison), bytecode at `Default` with typed
@@ -153,7 +153,7 @@ fn outcome_fingerprint(kernel: &mut finch::CompiledKernel) -> (finch::ExecStats,
 /// * only `--engine E`: `E` at `Default` and `None`,
 /// * only `--opt O`: both engines at `O`,
 /// * `--engine` and `--opt`: exactly `(E, O)`.
-fn combos() -> Vec<(Engine, OptLevel, bool, bool)> {
+fn combos() -> Vec<ExecConfig> {
     let engine = arg_after("--engine").map(|v| match v.as_str() {
         "bytecode" => Engine::Bytecode,
         "tree_walk" | "tree-walk" | "treewalk" => Engine::TreeWalk,
@@ -164,7 +164,7 @@ fn combos() -> Vec<(Engine, OptLevel, bool, bool)> {
     });
     let opt = arg_after("--opt").map(|v| {
         OptLevel::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --opt `{v}` (expected none|default|aggressive)");
+            eprintln!("unknown --opt `{v}` (expected none|default)");
             std::process::exit(2);
         })
     });
@@ -184,31 +184,68 @@ fn combos() -> Vec<(Engine, OptLevel, bool, bool)> {
             std::process::exit(2);
         }
     });
-    let t = typed.unwrap_or(true);
-    let s = simd.unwrap_or(true);
+    let at = |engine, opt| ExecConfig {
+        engine,
+        opt,
+        typed: typed.unwrap_or(true),
+        simd: simd.unwrap_or(true),
+        ..ExecConfig::default()
+    };
     match (engine, opt) {
         (None, None) => {
+            let primary = at(Engine::Bytecode, OptLevel::Default);
             let mut v = vec![
-                (Engine::TreeWalk, OptLevel::Default, t, s),
-                (Engine::Bytecode, OptLevel::Default, t, s),
-                (Engine::Bytecode, OptLevel::None, t, s),
+                at(Engine::TreeWalk, OptLevel::Default),
+                primary,
+                at(Engine::Bytecode, OptLevel::None),
             ];
             if typed.is_none() {
                 // The typed-dispatch comparison leg: same kernels, same
                 // level, inference stage off.
-                v.push((Engine::Bytecode, OptLevel::Default, false, s));
+                v.push(ExecConfig { typed: false, ..primary });
             }
             if simd.is_none() {
                 // The SIMD comparison leg: same kernels, same level,
                 // typed dispatch on, vectorize stage off.
-                v.push((Engine::Bytecode, OptLevel::Default, t, false));
+                v.push(ExecConfig { simd: false, ..primary });
             }
             v
         }
-        (Some(e), None) => vec![(e, OptLevel::Default, t, s), (e, OptLevel::None, t, s)],
-        (None, Some(o)) => vec![(Engine::TreeWalk, o, t, s), (Engine::Bytecode, o, t, s)],
-        (Some(e), Some(o)) => vec![(e, o, t, s)],
+        (Some(e), None) => vec![at(e, OptLevel::Default), at(e, OptLevel::None)],
+        (None, Some(o)) => vec![at(Engine::TreeWalk, o), at(Engine::Bytecode, o)],
+        (Some(e), Some(o)) => vec![at(e, o)],
     }
+}
+
+/// One measurement of a kernel under `config`, recording the dispatch mode
+/// that actually ran ([`ExecConfig::effective`]).
+fn engine_report(
+    config: &ExecConfig,
+    kernel: &finch::CompiledKernel,
+    median_seconds: f64,
+    stats: finch::ExecStats,
+) -> EngineReport {
+    let effective = config.effective();
+    EngineReport {
+        engine: config.engine,
+        opt_level: config.opt,
+        typed: effective.typed,
+        simd: effective.simd,
+        threads: config.threads,
+        median_seconds,
+        instrs: kernel.bytecode().code().len(),
+        stats,
+    }
+}
+
+/// Whether `row` is the serial measurement `config` comes to.
+fn measures(row: &EngineReport, config: &ExecConfig) -> bool {
+    let effective = config.effective();
+    row.engine == config.engine
+        && row.opt_level == config.opt
+        && row.typed == effective.typed
+        && row.simd == effective.simd
+        && row.threads == 1
 }
 
 fn header(title: &str) {
@@ -260,8 +297,9 @@ fn table(
         // within the same latency budget.
         let validation = if flag("--validate") {
             let start = Instant::now();
+            let full = ExecConfig { validation: ValidationLevel::Full, ..rederived.config() };
             let validated = rederived
-                .revalidated(ValidationLevel::Full)
+                .reconfigured(&full)
                 .expect("validated re-compilation of a working kernel succeeds");
             let validate_seconds = start.elapsed().as_secs_f64();
             assert!(
@@ -271,7 +309,7 @@ fn table(
                 v.label
             );
             Some(ValidationReport {
-                level: validated.validation().label().to_string(),
+                level: full.validation.label().to_string(),
                 passes: validated.pass_reports().to_vec(),
             })
         } else {
@@ -310,30 +348,10 @@ fn table(
             if vectorizable > 0 { Some(vectorized as f64 / vectorizable as f64) } else { None };
 
         let mut engines = Vec::new();
-        for &(engine, level, typed, simd) in &combos {
-            let mut kernel = if level == v.kernel.opt_level()
-                && typed == v.kernel.typed_dispatch()
-                && simd == v.kernel.simd()
-            {
-                v.kernel.clone()
-            } else {
-                v.kernel.reoptimized_simd(level, typed, simd)
-            };
-            let (secs, stats) = time_kernel_with(&mut kernel, reps, engine);
-            engines.push(EngineReport {
-                engine,
-                opt_level: level,
-                // Record the *effective* dispatch mode: the typing stage
-                // is gated off at OptLevel::None regardless of the flag,
-                // and the vectorize stage additionally requires typed
-                // bytecode.
-                typed: typed && level != OptLevel::None,
-                simd: simd && typed && level != OptLevel::None,
-                threads: 1,
-                median_seconds: secs,
-                instrs: kernel.bytecode().code().len(),
-                stats,
-            });
+        for config in &combos {
+            let mut kernel = v.kernel.reconfigured(config).expect("a working kernel recompiles");
+            let (secs, stats) = time_kernel_with(&mut kernel, reps, config.engine);
+            engines.push(engine_report(config, &kernel, secs, stats));
         }
 
         // The parallel scaling leg: the same kernel on the bytecode
@@ -355,16 +373,7 @@ fn table(
                     v.label
                 );
                 let (secs, stats) = time_kernel_with(&mut kernel, reps, Engine::Bytecode);
-                engines.push(EngineReport {
-                    engine: Engine::Bytecode,
-                    opt_level: OptLevel::Default,
-                    typed: true,
-                    simd: true,
-                    threads: t,
-                    median_seconds: secs,
-                    instrs: kernel.bytecode().code().len(),
-                    stats,
-                });
+                engines.push(engine_report(&kernel.config(), &kernel, secs, stats));
             }
         }
         // Cross-engine and cross-dispatch parity at each measured level:
@@ -394,39 +403,28 @@ fn table(
         });
     }
 
-    let find = |r: &VariantReport, engine: Engine, level: OptLevel, typed: bool, simd: bool| {
-        r.engines
-            .iter()
-            .find(|e| {
-                e.engine == engine
-                    && e.opt_level == level
-                    && e.typed == typed
-                    && e.simd == simd
-                    && e.threads == 1
-            })
-            .map(|e| e.median_seconds)
+    let find = |r: &VariantReport, config: ExecConfig| {
+        r.engines.iter().find(|e| measures(e, &config)).map(|e| e.median_seconds)
     };
-    // The effective dispatch/simd mode of the measured bytecode@Default
-    // leg (false under `--typed off` / `--simd off`): the optimiser
-    // comparison and the headline speedup column follow whichever mode
-    // was actually measured.
-    let primary =
-        combos.iter().find(|&&(e, l, _, _)| e == Engine::Bytecode && l == OptLevel::Default);
-    let primary_typed = primary.is_none_or(|&(_, _, t, _)| t);
-    let primary_simd = primary.is_none_or(|&(_, _, t, s)| t && s);
+    // The measured bytecode@Default leg, as it came out (untyped under
+    // `--typed off`, scalar under `--simd off`): the optimiser comparison
+    // and the headline speedup column follow whichever mode was actually
+    // measured.
+    let primary = combos
+        .iter()
+        .find(|c| c.engine == Engine::Bytecode && c.opt == OptLevel::Default)
+        .map_or_else(ExecConfig::default, ExecConfig::effective);
     let baseline = records
         .first()
-        .and_then(|r| find(r, Engine::Bytecode, OptLevel::Default, primary_typed, primary_simd))
+        .and_then(|r| find(r, primary))
         .or_else(|| records.first().map(|r| r.engines[0].median_seconds));
     for r in &mut records {
-        // OptLevel::None rows always record effective typed=false,
-        // simd=false.
-        let none = find(r, Engine::Bytecode, OptLevel::None, false, false);
-        let default = find(r, Engine::Bytecode, OptLevel::Default, primary_typed, primary_simd);
-        let typed_on = find(r, Engine::Bytecode, OptLevel::Default, true, primary_simd);
-        let default_untyped = find(r, Engine::Bytecode, OptLevel::Default, false, false);
-        let simd_on = find(r, Engine::Bytecode, OptLevel::Default, true, true);
-        let simd_off = find(r, Engine::Bytecode, OptLevel::Default, true, false);
+        let none = find(r, ExecConfig { opt: OptLevel::None, ..primary });
+        let default = find(r, primary);
+        let typed_on = find(r, ExecConfig { typed: true, ..primary });
+        let default_untyped = find(r, ExecConfig { typed: false, ..primary });
+        let simd_on = find(r, ExecConfig { typed: true, simd: true, ..primary });
+        let simd_off = find(r, ExecConfig { typed: true, simd: false, ..primary });
         if let (Some(n), Some(d)) = (none, default) {
             if d > 0.0 {
                 opt_ratios.push(n / d);
@@ -461,14 +459,7 @@ fn table(
             // The headline column: baseline-variant bytecode@Default over
             // this measurement (shown on matching rows only).
             let speedup = match baseline {
-                Some(base)
-                    if e.engine == Engine::Bytecode
-                        && e.opt_level == OptLevel::Default
-                        && e.typed == primary_typed
-                        && e.simd == primary_simd
-                        && e.threads == 1
-                        && e.median_seconds > 0.0 =>
-                {
+                Some(base) if measures(e, &primary) && e.median_seconds > 0.0 => {
                     format!("{:>11.2}x", base / e.median_seconds)
                 }
                 _ => format!("{:>12}", "-"),

@@ -1,6 +1,7 @@
 //! Differential kernel fuzzer: generate random CIN kernels, execute each
-//! through every `(engine, opt level, typed dispatch, simd)` combination,
-//! and minimize any divergence to a runnable reproducer.
+//! under every effectively distinct compile-side configuration
+//! (`ExecConfig::matrix`) on both engines, and minimize any divergence to a
+//! runnable reproducer.
 //!
 //! ```bash
 //! cargo run --release -p finch-bench --bin fuzz-kernels -- --cases 500
@@ -9,10 +10,9 @@
 //! ```
 //!
 //! Every case asserts the repository's correctness contract: bit-identical
-//! outputs across all eighteen combinations, engine-identical work
-//! counters at each configuration, scalar-identical work counters
-//! between the SIMD kernel-op tier and the typed scalar run at every opt
-//! level, and — the thread axis — every bytecode configuration re-run
+//! outputs across all eight legs, engine-identical work counters at each
+//! configuration, scalar-identical work counters between the SIMD
+//! kernel-op tier and the typed scalar run, and — the thread axis — every bytecode configuration re-run
 //! sharded at 2 and 4 worker threads reproducing the serial outputs
 //! (dense bits and assembled sparse `pos`/`idx`/`val`) and work counters
 //! exactly.  With `--validate`, kernels compile at

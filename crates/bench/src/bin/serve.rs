@@ -194,7 +194,6 @@ fn main() {
     let instances: usize = num("--instances", 4);
     let cache: usize = num("--cache", if tiny { 4 } else { 8 });
     let deadline_ms: u64 = num("--deadline-ms", if soak { 40 } else { 200 });
-    let threads: usize = num("--threads", 1);
     let faults: u32 = num("--faults", 0);
     let seed: u64 = num("--seed", 0x5E21);
     let skew: f64 = num("--zipf", 1.1);
@@ -230,7 +229,6 @@ fn main() {
     let svc = KernelService::new(ServiceConfig {
         capacity: cache,
         deadline: if deadline_ms == 0 { None } else { Some(Duration::from_millis(deadline_ms)) },
-        threads,
         max_in_flight,
         queue_depth,
         breaker_threshold: breaker,

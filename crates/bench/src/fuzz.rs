@@ -2,10 +2,11 @@
 //!
 //! [`gen_case`] draws a random CIN kernel — a handful of independent
 //! accumulation statements over two shared input vectors in random formats
-//! and protocols — and [`check_case`] executes it through **every**
-//! `(engine, opt level, typed dispatch, simd)` combination, asserting
-//! bit-identical outputs everywhere plus engine-identical
-//! [`finch::ExecStats`] at each configuration.  Every bytecode
+//! and protocols — and [`check_case`] executes it under **every**
+//! compile-side configuration that differs in effect
+//! ([`ExecConfig::matrix`]) on both engines, asserting bit-identical
+//! outputs everywhere plus engine-identical [`finch::ExecStats`] at each
+//! configuration.  Every bytecode
 //! configuration is additionally re-run sharded at 2 and 4 worker threads
 //! (the thread axis: 1/2/4); the parallel runs must reproduce the serial
 //! outputs bit-for-bit — dense buffers *and* assembled sparse
@@ -20,7 +21,7 @@
 //! bug to prove the minimizer converges.
 
 use finch::{
-    CompileError, Engine, Kernel, LevelSpec, OptLevel, RuntimeError, Tensor, ValidationLevel,
+    CompileError, Engine, ExecConfig, Kernel, LevelSpec, RuntimeError, Tensor, ValidationLevel,
 };
 use finch_baseline::datagen;
 use finch_cin::build::*;
@@ -138,7 +139,7 @@ pub struct FuzzCase {
 /// A detected miscompile: which configuration diverged and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// The `(engine, opt level, typed, simd)` combination (or `compile`).
+    /// The [`ExecConfig::label`] of the leg that diverged (or `compile`).
     pub combo: String,
     /// What diverged.
     pub detail: String,
@@ -194,9 +195,9 @@ fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
     }
 }
 
-/// Compile one fuzz case at the given validation level (typed dispatch and
-/// opt level come from the kernel defaults; [`check_case`] re-derives every
-/// other combination from the result).
+/// Compile one fuzz case at the given validation level (everything else is
+/// the default [`ExecConfig`]; [`check_case`] re-derives every other
+/// configuration from the result).
 ///
 /// # Errors
 ///
@@ -211,8 +212,8 @@ pub fn compile_case(
         datagen::counted_sparse_vector(case.n, (case.n / 4).max(2), case.seed ^ 0x9E3779B9);
     let a = case.a_format.build("A", &a_data);
     let b = case.b_format.build("B", &b_data);
-    let mut kernel = Kernel::new();
-    kernel.bind_input(&a).bind_input(&b).set_validation(validation);
+    let mut kernel = Kernel::with_config(ExecConfig { validation, ..ExecConfig::default() });
+    kernel.bind_input(&a).bind_input(&b);
     for (k, spec) in case.stmts.iter().enumerate() {
         match spec {
             StmtSpec::Dot { .. } => {
@@ -233,17 +234,16 @@ pub fn compile_case(
     kernel.compile(&program)
 }
 
-/// Execute one case through every `(engine, opt level, typed, simd)`
-/// combination and return the first divergence, or `None` when all
-/// eighteen agree (simd without typed dispatch is skipped — the vectorize
-/// stage only runs over typed bytecode, so that combination compiles to
-/// the same program as plain generic dispatch).
+/// Execute one case under every compile-side configuration that differs
+/// in effect ([`ExecConfig::matrix`]: unoptimised, untyped, typed scalar,
+/// typed with kernel ops) on both engines, and return the first divergence,
+/// or `None` when all eight legs agree.
 ///
 /// The correctness contract checked here is the repository's core claim:
-/// outputs are bit-identical across every combination, and at any given
-/// `(opt level, typed, simd)` configuration the two engines report
-/// identical work counters — the vectorize stage must also keep the
-/// counters scalar-equivalent, so the simd axis shares one reference.
+/// outputs are bit-identical across every leg, and under any one
+/// configuration the two engines report identical work counters — the
+/// vectorize stage must also keep the counters scalar-equivalent, so the
+/// typed scalar and the vectorized legs share one reference.
 ///
 /// The thread axis: every bytecode configuration is re-run sharded at 2
 /// and 4 worker threads and must match its own serial run exactly —
@@ -252,193 +252,166 @@ pub fn compile_case(
 /// analysis left serial still run (thread counts above 1 are a no-op
 /// there), so the axis also proves the serial fallback is clean.
 ///
-/// The error-parity axis: when the case is big enough, every combination
-/// is re-run under a step budget set strictly below the cheapest
-/// configuration's statement count, and must fail with the identical
-/// typed [`RuntimeError::StepBudgetExceeded`] — resource faults degrade
+/// The error-parity axis: when the case is big enough, every leg is re-run
+/// under a step budget set strictly below the cheapest configuration's
+/// statement count, and must fail with the identical typed
+/// [`RuntimeError::StepBudgetExceeded`] — resource faults degrade
 /// identically everywhere, never divergently.
 pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Divergence> {
     let compiled = match compile_case(case, validation) {
         Ok(k) => k,
         Err(e) => return Some(Divergence { combo: "compile".into(), detail: e.to_string() }),
     };
+    let derive = |config: &ExecConfig| {
+        compiled
+            .reconfigured(config)
+            .map_err(|e| Divergence { combo: config.label(), detail: e.to_string() })
+    };
     let mut reference: Option<Vec<(String, Vec<u64>)>> = None;
     let mut min_stmts = u64::MAX;
-    for level in OptLevel::all() {
-        // The typed scalar run's counters at this level: the vectorized
-        // run must report the exact same machine-independent work.
-        let mut scalar_stats: Option<finch::ExecStats> = None;
-        for (typed, simd) in [(false, false), (true, false), (true, true)] {
-            let mut k = compiled.reoptimized_simd(level, typed, simd);
-            // The compile-cost contract: register typing settles within
-            // three visits per basic block on every generated program.
-            let opt = k.opt_stats();
-            if opt.typing_block_visits > 3 * opt.typing_blocks {
-                return Some(Divergence {
-                    combo: format!("{level}/typed={typed}/simd={simd}"),
-                    detail: format!(
-                        "typing visited {} blocks {} times",
-                        opt.typing_blocks, opt.typing_block_visits
-                    ),
-                });
-            }
-            let mut engine_stats = Vec::new();
-            for engine in [Engine::TreeWalk, Engine::Bytecode] {
-                let combo = format!("{engine:?}/{level}/typed={typed}/simd={simd}");
-                let stats = match k.run_with(engine) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return Some(Divergence { combo, detail: format!("runtime fault: {e}") })
-                    }
-                };
-                engine_stats.push((combo.clone(), stats));
-                min_stmts = min_stmts.min(stats.stmts);
-                let outputs: Vec<(String, Vec<u64>)> = k
-                    .output_names()
-                    .into_iter()
-                    .map(|name| {
-                        let out = k.output(&name).expect("output reads");
-                        (name, out.iter().map(|v| v.to_bits()).collect())
-                    })
-                    .collect();
-                match &reference {
-                    None => reference = Some(outputs),
-                    Some(r) => {
-                        for ((name, want), (_, got)) in r.iter().zip(&outputs) {
-                            if want != got {
-                                return Some(Divergence {
-                                    combo,
-                                    detail: format!(
-                                        "output `{name}` diverges from the reference run"
-                                    ),
-                                });
-                            }
+    // The typed scalar run's counters: the vectorized run must report the
+    // exact same machine-independent work.
+    let mut scalar_stats: Option<finch::ExecStats> = None;
+    for config in compiled.config().matrix() {
+        let mut k = match derive(&config) {
+            Ok(k) => k,
+            Err(divergence) => return Some(divergence),
+        };
+        // The compile-cost contract: register typing settles within
+        // three visits per basic block on every generated program.
+        let opt = k.opt_stats();
+        if opt.typing_block_visits > 3 * opt.typing_blocks {
+            return Some(Divergence {
+                combo: config.label(),
+                detail: format!(
+                    "typing visited {} blocks {} times",
+                    opt.typing_blocks, opt.typing_block_visits
+                ),
+            });
+        }
+        let mut engine_stats = Vec::new();
+        for engine in [Engine::TreeWalk, Engine::Bytecode] {
+            let combo = ExecConfig { engine, ..config }.label();
+            let stats = match k.run_with(engine) {
+                Ok(s) => s,
+                Err(e) => return Some(Divergence { combo, detail: format!("runtime fault: {e}") }),
+            };
+            engine_stats.push((combo.clone(), stats));
+            min_stmts = min_stmts.min(stats.stmts);
+            let outputs: Vec<(String, Vec<u64>)> = k
+                .output_names()
+                .into_iter()
+                .map(|name| {
+                    let out = k.output(&name).expect("output reads");
+                    (name, out.iter().map(|v| v.to_bits()).collect())
+                })
+                .collect();
+            match &reference {
+                None => reference = Some(outputs),
+                Some(r) => {
+                    for ((name, want), (_, got)) in r.iter().zip(&outputs) {
+                        if want != got {
+                            return Some(Divergence {
+                                combo,
+                                detail: format!("output `{name}` diverges from the reference run"),
+                            });
                         }
                     }
                 }
             }
-            // The thread axis: `k` just ran serially on the bytecode
-            // engine, so its buffers hold the serial outcome — capture it,
-            // then re-run sharded at 2 and 4 workers and require an exact
-            // match.
-            let serial_fp = output_fingerprint(&k);
-            let serial_stats = engine_stats[1].1;
-            for threads in [2usize, 4] {
-                let combo = format!("Bytecode/{level}/typed={typed}/simd={simd}/threads={threads}");
-                let mut kp = k.clone().with_threads(threads);
-                let stats = match kp.run_with(Engine::Bytecode) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return Some(Divergence { combo, detail: format!("runtime fault: {e}") })
-                    }
-                };
-                if stats != serial_stats {
-                    return Some(Divergence {
-                        combo,
-                        detail: format!(
-                            "sharded work counters diverge from serial: {stats:?} vs \
-                             {serial_stats:?}"
-                        ),
-                    });
-                }
-                let fp = output_fingerprint(&kp);
-                if fp != serial_fp {
-                    let name = serial_fp
-                        .iter()
-                        .zip(&fp)
-                        .find(|(a, b)| a != b)
-                        .map(|(a, _)| a.0.as_str())
-                        .unwrap_or("<outputs>");
-                    return Some(Divergence {
-                        combo,
-                        detail: format!("sharded output `{name}` diverges from serial"),
-                    });
-                }
-            }
-            let (c0, s0) = &engine_stats[0];
-            let (c1, s1) = &engine_stats[1];
-            if s0 != s1 {
+        }
+        // The thread axis: `k` just ran serially on the bytecode engine, so
+        // its buffers hold the serial outcome — capture it, then re-run
+        // sharded at 2 and 4 workers and require an exact match.
+        let serial_fp = output_fingerprint(&k);
+        let serial_stats = engine_stats[1].1;
+        for threads in [2usize, 4] {
+            let combo = ExecConfig { threads, ..config }.label();
+            let mut kp = k.clone().with_threads(threads);
+            let stats = match kp.run() {
+                Ok(s) => s,
+                Err(e) => return Some(Divergence { combo, detail: format!("runtime fault: {e}") }),
+            };
+            if stats != serial_stats {
                 return Some(Divergence {
-                    combo: format!("{c0} vs {c1}"),
-                    detail: format!("work counters diverge: {s0:?} vs {s1:?}"),
+                    combo,
+                    detail: format!(
+                        "sharded work counters diverge from serial: {stats:?} vs {serial_stats:?}"
+                    ),
                 });
             }
-            if typed && !simd {
-                scalar_stats = Some(*s0);
-            } else if typed && simd {
-                if let Some(scalar) = &scalar_stats {
-                    if scalar != s0 {
-                        return Some(Divergence {
-                            combo: c1.clone(),
-                            detail: format!(
-                                "vectorized work counters diverge from the scalar run: \
-                                 {s0:?} vs {scalar:?}"
-                            ),
-                        });
-                    }
+            let fp = output_fingerprint(&kp);
+            if fp != serial_fp {
+                let name = serial_fp
+                    .iter()
+                    .zip(&fp)
+                    .find(|(a, b)| a != b)
+                    .map(|(a, _)| a.0.as_str())
+                    .unwrap_or("<outputs>");
+                return Some(Divergence {
+                    combo,
+                    detail: format!("sharded output `{name}` diverges from serial"),
+                });
+            }
+        }
+        let (c0, s0) = &engine_stats[0];
+        let (c1, s1) = &engine_stats[1];
+        if s0 != s1 {
+            return Some(Divergence {
+                combo: format!("{c0} vs {c1}"),
+                detail: format!("work counters diverge: {s0:?} vs {s1:?}"),
+            });
+        }
+        if config.typed && !config.simd {
+            scalar_stats = Some(*s0);
+        } else if config.simd {
+            if let Some(scalar) = &scalar_stats {
+                if scalar != s0 {
+                    return Some(Divergence {
+                        combo: c1.clone(),
+                        detail: format!(
+                            "vectorized work counters diverge from the scalar run: \
+                             {s0:?} vs {scalar:?}"
+                        ),
+                    });
                 }
             }
         }
     }
     // The error-parity axis: a step budget strictly below every
-    // configuration's statement count must abort *every* combination —
-    // engines, opt levels, typed/simd, and sharded thread counts — with
-    // the exact same typed error.  A combination that runs to completion,
-    // or faults with a different error, is a divergence like any other.
+    // configuration's statement count must abort *every* leg — engines,
+    // compile-side configurations, and sharded thread counts — with the
+    // exact same typed error.  A leg that runs to completion, or faults with
+    // a different error, is a divergence like any other.
     if (4..u64::MAX).contains(&min_stmts) {
         let budget = min_stmts / 2;
         let want = RuntimeError::StepBudgetExceeded { budget };
-        for level in OptLevel::all() {
-            for (typed, simd) in [(false, false), (true, false), (true, true)] {
-                let mut k = compiled.reoptimized_simd(level, typed, simd).with_step_budget(budget);
-                for engine in [Engine::TreeWalk, Engine::Bytecode] {
-                    let combo =
-                        format!("{engine:?}/{level}/typed={typed}/simd={simd}/budget={budget}");
-                    match k.run_with(engine) {
-                        Err(ref e) if *e == want => {}
-                        Ok(_) => {
-                            return Some(Divergence {
-                                combo,
-                                detail: format!(
-                                    "ran to completion under a step budget of {budget}"
-                                ),
-                            })
-                        }
-                        Err(e) => {
-                            return Some(Divergence {
-                                combo,
-                                detail: format!(
-                                    "wrong typed error under budget {budget}: {e} (want {want})"
-                                ),
-                            })
-                        }
-                    }
+        let trips = |ran: Result<finch::ExecStats, RuntimeError>, leg: ExecConfig| match ran {
+            Err(ref e) if *e == want => None,
+            Ok(_) => Some(Divergence {
+                combo: leg.label(),
+                detail: format!("ran to completion under a step budget of {budget}"),
+            }),
+            Err(e) => Some(Divergence {
+                combo: leg.label(),
+                detail: format!("wrong typed error under budget {budget}: {e} (want {want})"),
+            }),
+        };
+        for config in compiled.config().matrix() {
+            let config = ExecConfig { step_budget: Some(budget), ..config };
+            let mut k = match derive(&config) {
+                Ok(k) => k,
+                Err(divergence) => return Some(divergence),
+            };
+            for engine in [Engine::TreeWalk, Engine::Bytecode] {
+                if let Some(d) = trips(k.run_with(engine), ExecConfig { engine, ..config }) {
+                    return Some(d);
                 }
-                for threads in [2usize, 4] {
-                    let combo = format!(
-                        "Bytecode/{level}/typed={typed}/simd={simd}/threads={threads}/\
-                         budget={budget}"
-                    );
-                    let mut kp = k.clone().with_threads(threads);
-                    match kp.run_with(Engine::Bytecode) {
-                        Err(ref e) if *e == want => {}
-                        Ok(_) => {
-                            return Some(Divergence {
-                                combo,
-                                detail: format!(
-                                    "ran to completion under a step budget of {budget}"
-                                ),
-                            })
-                        }
-                        Err(e) => {
-                            return Some(Divergence {
-                                combo,
-                                detail: format!(
-                                    "wrong typed error under budget {budget}: {e} (want {want})"
-                                ),
-                            })
-                        }
-                    }
+            }
+            for threads in [2usize, 4] {
+                let mut kp = k.clone().with_threads(threads);
+                if let Some(d) = trips(kp.run(), ExecConfig { threads, ..config }) {
+                    return Some(d);
                 }
             }
         }

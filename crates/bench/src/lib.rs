@@ -5,8 +5,7 @@
 //! them — on both execution engines, tree-walk and bytecode, side by side —
 //! prints one table per figure (wall-clock plus machine-independent work
 //! counters), and emits the machine-readable `BENCH_figures.json` (see
-//! [`report`]); the Criterion benches in `benches/` time the same kernels
-//! under Criterion's statistics.
+//! [`report`]).
 //!
 //! Problem sizes are scaled down from the paper (the substrate is an
 //! instrumented VM, not native code); the *relative* shapes are what
@@ -39,13 +38,6 @@ impl Variant {
     fn new(label: &str, kernel: CompiledKernel) -> Self {
         Variant { label: label.to_string(), kernel }
     }
-}
-
-/// Median wall-clock seconds of `runs` executions of a compiled kernel on
-/// its currently selected engine, together with the work counters of one
-/// execution.
-pub fn time_kernel(kernel: &mut CompiledKernel, runs: usize) -> (f64, finch::ExecStats) {
-    time_kernel_with(kernel, runs, kernel.engine())
 }
 
 /// Median wall-clock seconds of `runs` executions of a compiled kernel on
@@ -709,12 +701,11 @@ mod tests {
     }
 
     /// The compile-latency guard: a full `Kernel::compile` and a
-    /// re-optimisation at every level must stay well under the budget the
-    /// `figures` binary enforces, so new optimiser passes cannot silently
-    /// blow up compilation time.
+    /// recompilation under every compile-side configuration must stay well
+    /// under the budget the `figures` binary enforces, so new optimiser
+    /// passes cannot silently blow up compilation time.
     #[test]
-    fn kernel_compile_stays_fast_at_every_opt_level() {
-        use finch::OptLevel;
+    fn kernel_compile_stays_fast_under_every_configuration() {
         use std::time::Instant;
         const BUDGET: f64 = 2.0;
 
@@ -729,12 +720,12 @@ mod tests {
         let full_compile = start.elapsed().as_secs_f64();
         assert!(full_compile < BUDGET, "Kernel::compile took {full_compile:.3}s");
 
-        for level in OptLevel::all() {
+        for config in kernel.config().matrix() {
             let start = Instant::now();
-            let k = kernel.reoptimized(level);
+            let k = kernel.reconfigured(&config).expect("recompiles");
             let elapsed = start.elapsed().as_secs_f64();
-            assert!(elapsed < BUDGET, "reoptimize at {level} took {elapsed:.3}s");
-            assert_eq!(k.opt_level(), level);
+            assert!(elapsed < BUDGET, "{} took {elapsed:.3}s", config.label());
+            assert_eq!(k.config(), config);
         }
     }
 

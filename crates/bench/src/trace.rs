@@ -216,8 +216,7 @@ pub fn kernel_values(compiled: &CompiledKernel, kernel: usize) -> Vec<f64> {
 /// degraded) response must match bit-for-bit.
 pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Vec<f64> {
     let mut compiled = compile_kernel(cfg, kernel, instance);
-    compiled.set_engine(Engine::TreeWalk);
-    compiled.run().expect("trace template runs");
+    compiled.run_with(Engine::TreeWalk).expect("trace template runs");
     kernel_values(&compiled, kernel)
 }
 

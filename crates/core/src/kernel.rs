@@ -6,45 +6,17 @@ use std::sync::{Arc, OnceLock};
 
 use finch_cin::CinStmt;
 use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Tensor};
-use finch_ir::opt::{Lowered, PassReport, ValidationLevel};
+use finch_ir::opt::{Lowered, PassReport};
 use finch_ir::pretty::Printer;
 use finch_ir::{
-    run_sharded, Buffer, BufferSet, ExecStats, Interpreter, Names, OptLevel, OptStats, Program,
-    RuntimeError, ShardPlan, Stmt, Vm, Watch,
+    run_sharded, Buffer, BufferSet, Engine, ExecConfig, ExecStats, Interpreter, Names, OptLevel,
+    OptStats, Program, RuntimeError, ShardPlan, Stmt, Vm, Watch,
 };
 use finch_rewrite::Rewriter;
 
 use crate::error::CompileError;
 use crate::lower::statements::{init_output, lower_stmt};
 use crate::lower::{Binding, LowerCtx, OutputBinding, OutputSink};
-
-/// The execution engine a [`CompiledKernel`] runs on.
-///
-/// Both engines execute the same lowered IR and maintain identical
-/// [`ExecStats`] work counters; they are differential-tested against each
-/// other (outputs and counters bit-identical) in the workspace test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// The flat register bytecode VM (`finch_ir::vm`).  The default: the
-    /// kernel is compiled once to bytecode and runs in a tight dispatch
-    /// loop over unboxed typed registers.
-    #[default]
-    Bytecode,
-    /// The tree-walking interpreter (`finch_ir::interp`), retained as the
-    /// semantics oracle for differential testing.
-    TreeWalk,
-}
-
-/// Resolve a requested worker-thread count: `0` means "auto" — the
-/// machine's [`std::thread::available_parallelism`] — and anything else is
-/// clamped to at least 1 (the serial path).
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// Copy an `i64` array into an existing buffer in place, reusing its
 /// capacity (the rebind fast path; replaces the buffer only if a kind
@@ -56,17 +28,6 @@ fn copy_i64(bufs: &mut BufferSet, id: finch_ir::BufId, src: &[i64]) {
             d.extend_from_slice(src);
         }
         other => *other = Buffer::I64(src.to_vec().into()),
-    }
-}
-
-impl Engine {
-    /// A short stable label, used by the benchmark harness and its JSON
-    /// report (`tree_walk` / `bytecode`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Bytecode => "bytecode",
-            Engine::TreeWalk => "tree_walk",
-        }
     }
 }
 
@@ -130,11 +91,7 @@ pub struct Kernel {
     bufs: BufferSet,
     bindings: HashMap<String, Binding>,
     rewriter: Rewriter,
-    opt_level: OptLevel,
-    typed_dispatch: bool,
-    simd: bool,
-    validation: ValidationLevel,
-    threads: usize,
+    config: ExecConfig,
 }
 
 impl Default for Kernel {
@@ -144,123 +101,27 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// An empty kernel with the default rewrite rule set.
+    /// An empty kernel with the default rewrite rule set and the default
+    /// [`ExecConfig`].
     pub fn new() -> Self {
+        Kernel::with_config(ExecConfig::default())
+    }
+
+    /// An empty kernel that compiles, and whose compiled kernel runs, under
+    /// `config`.
+    pub fn with_config(config: ExecConfig) -> Self {
         Kernel {
             names: Names::new(),
             bufs: BufferSet::new(),
             bindings: HashMap::new(),
             rewriter: Rewriter::with_default_rules(),
-            opt_level: OptLevel::default(),
-            typed_dispatch: true,
-            simd: true,
-            validation: ValidationLevel::default(),
-            threads: 1,
+            config,
         }
     }
 
-    /// The worker-thread count [`CompiledKernel::run`] will use for loops
-    /// the shard analysis proved splittable (default 1 = the serial path,
-    /// exactly as before the parallel tier existed).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Select the worker-thread count used by the compiled kernel.  `0`
-    /// resolves to the machine's [`std::thread::available_parallelism`]
-    /// ("auto"); `1` selects the serial path.  Parallel runs are
-    /// bit-identical to serial ones — kernels the analysis cannot prove
-    /// shardable simply stay serial.
-    pub fn set_threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = resolve_threads(threads);
-        self
-    }
-
-    /// Builder-style variant of [`Kernel::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = resolve_threads(threads);
-        self
-    }
-
-    /// How much post-pass checking [`Kernel::compile`]'s pass manager
-    /// performs: always-on translation validation in debug/test builds,
-    /// off in release unless opted back in (the figure harness's
-    /// `--validate`).
-    pub fn validation(&self) -> ValidationLevel {
-        self.validation
-    }
-
-    /// Select the [`ValidationLevel`] applied by [`Kernel::compile`].
-    pub fn set_validation(&mut self, validation: ValidationLevel) -> &mut Self {
-        self.validation = validation;
-        self
-    }
-
-    /// Builder-style variant of [`Kernel::set_validation`].
-    pub fn with_validation(mut self, validation: ValidationLevel) -> Self {
-        self.validation = validation;
-        self
-    }
-
-    /// Whether [`Kernel::compile`] will run the register-type inference
-    /// stage and emit monomorphic typed bytecode (the default at
-    /// [`OptLevel::Default`] and above; never applied at
-    /// [`OptLevel::None`]).
-    pub fn typed_dispatch(&self) -> bool {
-        self.typed_dispatch
-    }
-
-    /// Enable or disable the typed-dispatch stage (used by the benchmark
-    /// harness to measure the stage's wall-clock win in isolation).
-    pub fn set_typed_dispatch(&mut self, typed: bool) -> &mut Self {
-        self.typed_dispatch = typed;
-        self
-    }
-
-    /// Builder-style variant of [`Kernel::set_typed_dispatch`].
-    pub fn with_typed_dispatch(mut self, typed: bool) -> Self {
-        self.typed_dispatch = typed;
-        self
-    }
-
-    /// Whether [`Kernel::compile`] will run the vectorize stage over the
-    /// typed bytecode, fusing matching inner loops into SIMD-style kernel
-    /// ops (the default; requires typed dispatch and an [`OptLevel`]
-    /// above [`OptLevel::None`] to have any effect).
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
-    /// Enable or disable the vectorize stage (used by the benchmark
-    /// harness to measure the kernel-op tier's wall-clock win in
-    /// isolation).
-    pub fn set_simd(&mut self, simd: bool) -> &mut Self {
-        self.simd = simd;
-        self
-    }
-
-    /// Builder-style variant of [`Kernel::set_simd`].
-    pub fn with_simd(mut self, simd: bool) -> Self {
-        self.simd = simd;
-        self
-    }
-
-    /// The optimisation level [`Kernel::compile`] will apply.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
-    }
-
-    /// Select the optimisation level applied by [`Kernel::compile`]
-    /// (defaults to [`OptLevel::Default`]).
-    pub fn set_opt_level(&mut self, level: OptLevel) -> &mut Self {
-        self.opt_level = level;
-        self
-    }
-
-    /// Builder-style variant of [`Kernel::set_opt_level`].
-    pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt_level = level;
-        self
+    /// The configuration [`Kernel::compile`] applies.
+    pub fn config(&self) -> ExecConfig {
+        self.config
     }
 
     /// Bind a structured input tensor under its own name.
@@ -358,17 +219,7 @@ impl Kernel {
     /// tensors, is not concordant with the tensors' level orders, or uses
     /// unsupported features.
     pub fn compile(self, program: &CinStmt) -> Result<CompiledKernel, CompileError> {
-        let Kernel {
-            names,
-            bufs,
-            bindings,
-            rewriter,
-            opt_level,
-            typed_dispatch,
-            simd,
-            validation,
-            threads,
-        } = self;
+        let Kernel { names, bufs, bindings, rewriter, config } = self;
         let outputs: HashMap<String, OutputBinding> = bindings
             .iter()
             .filter_map(|(name, b)| match b {
@@ -420,15 +271,7 @@ impl Kernel {
         let raw_code = code;
         let raw_names = ctx.names.clone();
         let Lowered { code, program: bytecode, stats: opt_stats, reports: pass_reports } =
-            optimize_kernel(
-                &raw_code,
-                &mut ctx.names,
-                &ctx.bufs,
-                opt_level,
-                typed_dispatch,
-                simd,
-                validation,
-            )?;
+            optimize_kernel(&raw_code, &mut ctx.names, &ctx.bufs, &config)?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             image: Arc::new(KernelImage {
@@ -442,20 +285,14 @@ impl Kernel {
                 inputs,
                 source: OnceLock::new(),
                 program: format!("{program}"),
-                opt_level,
+                config,
                 opt_stats,
-                typed_dispatch,
-                simd,
-                validation,
                 pass_reports,
             }),
             vm,
             bufs: ctx.bufs,
-            engine: Engine::default(),
-            step_budget: None,
+            config,
             watch: None,
-            alloc_budget: None,
-            threads,
         })
     }
 }
@@ -464,33 +301,31 @@ impl Kernel {
 /// lowering, the peephole and (when enabled) the register-type inference
 /// stage — through the translation-validated pass manager, producing the
 /// artifacts both engines execute.  Used by [`Kernel::compile`] and
-/// [`CompiledKernel::reoptimized`].  The typing stage needs the buffer
+/// [`CompiledKernel::reconfigured`].  The typing stage needs the buffer
 /// set: buffer element types seed the inference; at
-/// [`ValidationLevel::Full`] the same buffers synthesize the witness
-/// inputs every pass is differentially checked on.
+/// [`finch_ir::opt::ValidationLevel::Full`] the same buffers synthesize the
+/// witness inputs every pass is differentially checked on.
 fn optimize_kernel(
     raw_code: &[Stmt],
     names: &mut Names,
     bufs: &finch_ir::BufferSet,
-    level: OptLevel,
-    typed: bool,
-    simd: bool,
-    validation: ValidationLevel,
+    config: &ExecConfig,
 ) -> Result<Lowered, CompileError> {
-    finch_ir::opt::optimize_and_lower(raw_code, names, bufs, level, typed, simd, validation)
+    finch_ir::opt::optimize_and_lower(raw_code, names, bufs, config)
         .map_err(|e| CompileError::ValidationFailed { pass: e.pass.to_string(), detail: e.detail })
 }
 
 /// A compiled kernel: generated code (both the IR tree and its bytecode)
 /// plus the buffers it runs against.
 ///
-/// [`CompiledKernel::run`] executes on the flat register bytecode VM by
-/// default; select the tree-walking oracle with [`CompiledKernel::set_engine`]
-/// or a one-off [`CompiledKernel::run_with`]:
+/// [`CompiledKernel::run`] executes under the kernel's [`ExecConfig`] — by
+/// default on the flat register bytecode VM; select the tree-walking oracle
+/// with [`CompiledKernel::reconfigured`] or a one-off
+/// [`CompiledKernel::run_with`]:
 ///
 /// ```
 /// use finch::build::*;
-/// use finch::{Engine, Kernel, Tensor};
+/// use finch::{Engine, ExecConfig, Kernel, Tensor};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = Tensor::sparse_list_vector("A", &[0.0, 1.5, 0.0, 2.0]);
@@ -500,8 +335,11 @@ fn optimize_kernel(
 /// let i = idx("i");
 /// let program = forall(i.clone(), add_assign(scalar("C"), mul(access("A", [i.clone()]), access("B", [i]))));
 ///
-/// let mut compiled = kernel.compile(&program)?.with_step_budget(1_000_000);
-/// assert_eq!(compiled.engine(), Engine::Bytecode);      // the default
+/// let compiled = kernel.compile(&program)?;
+/// assert_eq!(compiled.config().engine, Engine::Bytecode); // the default
+/// // A run-side change shares the compiled image; a compile-side one recompiles.
+/// let budgeted = ExecConfig { step_budget: Some(1_000_000), ..compiled.config() };
+/// let mut compiled = compiled.reconfigured(&budgeted)?;
 /// let fast = compiled.run()?;                           // bytecode VM
 /// let oracle = compiled.run_with(Engine::TreeWalk)?;    // semantics oracle
 /// assert_eq!(fast, oracle);                             // identical work counters
@@ -515,8 +353,10 @@ fn optimize_kernel(
 /// name tables, the bytecode [`Program`], the input and output bindings,
 /// the pass reports and the configuration it was compiled under.  It sits
 /// behind an `Arc` and is shared by every kernel derived from this one by
-/// [`Clone`].  The **run state** is what a run writes: the persistent
-/// [`Vm`], the [`BufferSet`], the budgets and the watch.  `clone()` copies
+/// [`Clone`], or by [`CompiledKernel::reconfigured`] when only a run-side
+/// field changes.  The **run state** is what a run writes — the persistent
+/// [`Vm`] and the [`BufferSet`] — with the configuration it runs under and
+/// the watch.  `clone()` copies
 /// the run state only, so two clones can run at the same time on two
 /// threads over one image — which is how `KernelService` serves
 /// concurrent hits on one cached structure.
@@ -527,18 +367,12 @@ pub struct CompiledKernel {
     /// allocating a fresh register file per execution.
     vm: Vm,
     bufs: BufferSet,
-    engine: Engine,
-    step_budget: Option<u64>,
+    /// What [`CompiledKernel::run`] runs under.  Its compile-side fields are
+    /// those of the image's configuration.
+    config: ExecConfig,
     /// Cooperative deadline / cancellation applied to every run on either
     /// engine.
     watch: Option<Watch>,
-    /// Output-allocation element budget applied to every run on either
-    /// engine, alongside the step budget.
-    alloc_budget: Option<u64>,
-    /// Worker threads [`CompiledKernel::run`] uses on the bytecode engine
-    /// when the compiled program carries a non-empty shard plan (1 = the
-    /// serial path).
-    threads: usize,
 }
 
 /// The immutable half of a [`CompiledKernel`]: what compilation produced.
@@ -548,8 +382,8 @@ struct KernelImage {
     /// what executes (read both through [`CompiledKernel::stmts`]).
     code: Option<Vec<Stmt>>,
     /// The lowered IR before any optimisation pass ran, kept so the same
-    /// kernel can be re-derived at any [`OptLevel`] (see
-    /// [`CompiledKernel::reoptimized`]).
+    /// kernel can be re-derived under any configuration (see
+    /// [`CompiledKernel::reconfigured`]).
     raw_code: Vec<Stmt>,
     /// The name table as it stood before optimisation (LICM creates fresh
     /// variables, so re-optimising must start from the pristine table).
@@ -570,13 +404,10 @@ struct KernelImage {
     /// never reads it.
     source: OnceLock<String>,
     program: String,
-    opt_level: OptLevel,
+    /// The configuration this image was compiled under, as it was asked
+    /// for.
+    config: ExecConfig,
     opt_stats: OptStats,
-    typed_dispatch: bool,
-    simd: bool,
-    /// The validation level the pass manager ran at when this kernel was
-    /// compiled (re-optimisations run at the same level).
-    validation: ValidationLevel,
     /// One report per optimisation pass that ran: transform, verifier and
     /// translation-validation wall-clock in nanoseconds.
     pass_reports: Vec<PassReport>,
@@ -608,9 +439,10 @@ impl CompiledKernel {
         &self.image.bytecode
     }
 
-    /// The optimisation level this kernel was compiled at.
+    /// The optimisation level this kernel was compiled at
+    /// (`config().opt`).
     pub fn opt_level(&self) -> OptLevel {
-        self.image.opt_level
+        self.image.config.opt
     }
 
     /// Per-pass optimisation counters from this kernel's compilation (IR
@@ -619,65 +451,71 @@ impl CompiledKernel {
         self.image.opt_stats
     }
 
-    /// Re-derive this kernel at a different [`OptLevel`] from the kept
-    /// pre-optimisation IR.  Buffers, outputs, engine selection, typed
-    /// dispatch and step budget carry over, so the result is directly
-    /// comparable against `self` — the benchmark harness uses this to
-    /// time `OptLevel::None` against `OptLevel::Default` on identical
-    /// kernels.
-    pub fn reoptimized(&self, level: OptLevel) -> CompiledKernel {
-        self.reoptimized_typed(level, self.image.typed_dispatch)
+    /// The configuration this kernel was compiled under and runs under, as
+    /// it was asked for; `config().effective()` says which stages that
+    /// comes to.
+    pub fn config(&self) -> ExecConfig {
+        self.config
     }
 
-    /// [`CompiledKernel::reoptimized`] with explicit control over the
-    /// typed-dispatch stage, so the benchmark harness can time the same
-    /// kernel with typed dispatch on and off at the same [`OptLevel`].
-    pub fn reoptimized_typed(&self, level: OptLevel, typed: bool) -> CompiledKernel {
-        self.reoptimized_simd(level, typed, self.image.simd)
-    }
-
-    /// [`CompiledKernel::reoptimized_typed`] with explicit control over
-    /// the vectorize stage as well, so the benchmark harness can time the
-    /// same kernel with the SIMD kernel-op tier on and off.
-    pub fn reoptimized_simd(&self, level: OptLevel, typed: bool, simd: bool) -> CompiledKernel {
-        self.rederive(level, typed, simd, self.image.validation)
-            .expect("re-optimisation of already-validated code must validate")
-    }
-
-    /// Re-derive this kernel at its current [`OptLevel`] and dispatch mode
-    /// under a different [`ValidationLevel`] — the benchmark harness uses
-    /// this (via `figures --validate`) to measure per-pass verification
-    /// and translation-validation cost on release builds, where the
-    /// default level is [`ValidationLevel::Off`].
+    /// This kernel under `config`.  When `config` asks for the same
+    /// compilation ([`ExecConfig::compiles_like`]) the result shares this
+    /// kernel's compiled image and differs in its run state alone;
+    /// otherwise it is recompiled from the kept pre-optimisation IR.
+    /// Buffers and the watch carry over either way, so the result is
+    /// directly comparable against `self`.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::ValidationFailed`] when a pass's output
-    /// fails the requested checks — which would be a compiler bug, not a
-    /// user error.
-    pub fn revalidated(&self, validation: ValidationLevel) -> Result<CompiledKernel, CompileError> {
-        self.rederive(self.image.opt_level, self.image.typed_dispatch, self.image.simd, validation)
+    /// Returns [`CompileError::ValidationFailed`] when a recompilation's
+    /// pass output fails the requested checks — which would be a compiler
+    /// bug, not a user error.
+    pub fn reconfigured(&self, config: &ExecConfig) -> Result<CompiledKernel, CompileError> {
+        if self.image.config.compiles_like(config) {
+            Ok(CompiledKernel { config: *config, ..self.clone() })
+        } else {
+            self.recompiled(config)
+        }
     }
 
-    fn rederive(
-        &self,
-        level: OptLevel,
-        typed: bool,
-        simd: bool,
-        validation: ValidationLevel,
-    ) -> Result<CompiledKernel, CompileError> {
+    /// This kernel recompiled at `level` from the kept pre-optimisation IR
+    /// — always a new compilation, also at the level it already has: the
+    /// benchmark harness times this call as the pass pipeline alone, and
+    /// `OptLevel::None` against `OptLevel::Default` on identical kernels.
+    pub fn reoptimized(&self, level: OptLevel) -> CompiledKernel {
+        self.reoptimized_simd(level, self.config.typed, self.config.simd)
+    }
+
+    /// [`CompiledKernel::reoptimized`] with the typed-dispatch stage on or
+    /// off.
+    pub fn reoptimized_typed(&self, level: OptLevel, typed: bool) -> CompiledKernel {
+        self.reoptimized_simd(level, typed, self.config.simd)
+    }
+
+    /// [`CompiledKernel::reoptimized_typed`] with the vectorize stage on or
+    /// off as well.
+    pub fn reoptimized_simd(&self, level: OptLevel, typed: bool, simd: bool) -> CompiledKernel {
+        self.recompiled(&ExecConfig { opt: level, typed, simd, ..self.config })
+            .expect("re-optimisation of already-validated code must validate")
+    }
+
+    /// [`CompiledKernel::reconfigured`] with another worker-thread count.
+    /// Threads only take effect on the bytecode engine and only over loops
+    /// the shard analysis proved splittable (see
+    /// [`CompiledKernel::sharded`]); everything else runs serial, so a
+    /// parallel run is never incorrect, merely sometimes not parallel.
+    pub fn with_threads(self, threads: usize) -> Self {
+        CompiledKernel { config: ExecConfig { threads, ..self.config }, ..self }
+    }
+
+    /// Compile the kept pre-optimisation IR again under `config`, whether
+    /// or not it differs from the current one (the `reoptimized` family is
+    /// timed as a compilation; the service's quarantine wants a new image).
+    pub(crate) fn recompiled(&self, config: &ExecConfig) -> Result<CompiledKernel, CompileError> {
         let image = &*self.image;
         let mut names = image.raw_names.clone();
         let Lowered { code, program: bytecode, stats: opt_stats, reports: pass_reports } =
-            optimize_kernel(
-                &image.raw_code,
-                &mut names,
-                &self.bufs,
-                level,
-                typed,
-                simd,
-                validation,
-            )?;
+            optimize_kernel(&image.raw_code, &mut names, &self.bufs, config)?;
         let vm = Vm::new(&bytecode);
         Ok(CompiledKernel {
             image: Arc::new(KernelImage {
@@ -691,20 +529,14 @@ impl CompiledKernel {
                 inputs: image.inputs.clone(),
                 source: OnceLock::new(),
                 program: image.program.clone(),
-                opt_level: level,
+                config: *config,
                 opt_stats,
-                typed_dispatch: typed,
-                simd,
-                validation,
                 pass_reports,
             }),
             vm,
             bufs: self.bufs.clone(),
-            engine: self.engine,
-            step_budget: self.step_budget,
+            config: *config,
             watch: self.watch.clone(),
-            alloc_budget: self.alloc_budget,
-            threads: self.threads,
         })
     }
 
@@ -712,8 +544,7 @@ impl CompiledKernel {
     /// alone: its own [`Vm`] and its own buffers — outputs as a fresh
     /// compile leaves them, input buffers empty until
     /// [`CompiledKernel::rebind_input`] fills them — with this kernel's
-    /// engine and thread count and no budgets or watch.  Unlike `clone()`
-    /// it reads none of `self`'s buffers, so it also works on a kernel
+    /// configuration and no watch.  Unlike `clone()` it reads none of `self`'s buffers, so it also works on a kernel
     /// whose run state is out on loan ([`CompiledKernel::stand_in`]).
     pub(crate) fn fork(&self) -> CompiledKernel {
         let image = &*self.image;
@@ -740,11 +571,8 @@ impl CompiledKernel {
             image: Arc::clone(&self.image),
             vm: Vm::new(&self.image.bytecode),
             bufs: BufferSet::new(),
-            engine: self.engine,
-            step_budget: None,
+            config: self.config,
             watch: None,
-            alloc_budget: None,
-            threads: self.threads,
         }
     }
 
@@ -754,29 +582,10 @@ impl CompiledKernel {
         Arc::ptr_eq(&self.image, &other.image)
     }
 
-    /// The [`ValidationLevel`] the pass manager ran at when this kernel was
-    /// compiled.
-    pub fn validation(&self) -> ValidationLevel {
-        self.image.validation
-    }
-
     /// Per-pass timing and validation reports from this kernel's
     /// compilation, in the order the passes ran.
     pub fn pass_reports(&self) -> &[PassReport] {
         &self.image.pass_reports
-    }
-
-    /// Whether this kernel's bytecode went through the typed-dispatch
-    /// (register-type inference) stage.
-    pub fn typed_dispatch(&self) -> bool {
-        self.image.typed_dispatch
-    }
-
-    /// Whether this kernel's bytecode went through the vectorize stage
-    /// (which only has an effect on typed bytecode above
-    /// [`OptLevel::None`]).
-    pub fn simd(&self) -> bool {
-        self.image.simd
     }
 
     /// How many scalar inner-loop body instructions the vectorize stage
@@ -787,33 +596,9 @@ impl CompiledKernel {
         (self.image.opt_stats.instrs_vectorized, self.image.opt_stats.instrs_vectorizable)
     }
 
-    /// The worker-thread count [`CompiledKernel::run`] uses on the
-    /// bytecode engine (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Select the worker-thread count for subsequent runs.  `0` resolves
-    /// to the machine's [`std::thread::available_parallelism`] ("auto");
-    /// `1` selects the serial path.  Threads only take effect on the
-    /// bytecode engine and only over loops the shard analysis proved
-    /// splittable (see [`CompiledKernel::sharded`]); everything else runs
-    /// serial, so a parallel run is never incorrect, merely sometimes not
-    /// parallel.
-    pub fn set_threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = resolve_threads(threads);
-        self
-    }
-
-    /// Builder-style variant of [`CompiledKernel::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = resolve_threads(threads);
-        self
-    }
-
     /// Whether the shard analysis proved at least one top-level counted
     /// loop of this kernel splittable across worker threads.  When this is
-    /// `false`, [`CompiledKernel::set_threads`] has no effect on execution.
+    /// `false`, [`ExecConfig::threads`] has no effect on execution.
     pub fn sharded(&self) -> bool {
         !self.image.bytecode.shard_plan().is_empty()
     }
@@ -825,54 +610,6 @@ impl CompiledKernel {
         self.image.bytecode.shard_plan()
     }
 
-    /// The engine [`CompiledKernel::run`] dispatches to.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Select the engine used by subsequent [`CompiledKernel::run`] calls.
-    pub fn set_engine(&mut self, engine: Engine) -> &mut Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builder-style variant of [`CompiledKernel::set_engine`].
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The configured step budget, if any.
-    pub fn step_budget(&self) -> Option<u64> {
-        self.step_budget
-    }
-
-    /// Bound the number of executed statements on either engine; a run that
-    /// exceeds the budget aborts with [`RuntimeError::StepBudgetExceeded`].
-    /// Useful to guard long-running kernels (or miscompiled non-terminating
-    /// code) at the call site.
-    pub fn set_step_budget(&mut self, budget: u64) -> &mut Self {
-        self.step_budget = Some(budget);
-        self
-    }
-
-    /// Builder-style variant of [`CompiledKernel::set_step_budget`].
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = Some(budget);
-        self
-    }
-
-    /// Remove a previously configured step budget.
-    pub fn clear_step_budget(&mut self) -> &mut Self {
-        self.step_budget = None;
-        self
-    }
-
-    /// The configured cooperative watch (deadline / cancellation), if any.
-    pub fn watch(&self) -> Option<&Watch> {
-        self.watch.as_ref()
-    }
-
     /// Set or clear a cooperative [`Watch`] applied to every run on either
     /// engine: a run whose deadline expires (or whose cancellation flag is
     /// raised) aborts with [`RuntimeError::Deadline`], checked on the same
@@ -880,32 +617,6 @@ impl CompiledKernel {
     /// next run resets them in place exactly as after a budget abort.
     pub fn set_watch(&mut self, watch: Option<Watch>) -> &mut Self {
         self.watch = watch;
-        self
-    }
-
-    /// Builder-style variant of [`CompiledKernel::set_watch`].
-    pub fn with_watch(mut self, watch: Watch) -> Self {
-        self.watch = Some(watch);
-        self
-    }
-
-    /// The configured output-allocation element budget, if any.
-    pub fn alloc_budget(&self) -> Option<u64> {
-        self.alloc_budget
-    }
-
-    /// Bound the number of elements a run may append to growable (sparse)
-    /// outputs on either engine; exceeding it aborts with
-    /// [`RuntimeError::AllocBudgetExceeded`].  The admission-control
-    /// companion of the step budget.
-    pub fn set_alloc_budget(&mut self, budget: Option<u64>) -> &mut Self {
-        self.alloc_budget = budget;
-        self
-    }
-
-    /// Builder-style variant of [`CompiledKernel::set_alloc_budget`].
-    pub fn with_alloc_budget(mut self, budget: u64) -> Self {
-        self.alloc_budget = Some(budget);
         self
     }
 
@@ -1053,8 +764,8 @@ impl CompiledKernel {
         &self.bufs
     }
 
-    /// Re-initialise the outputs and execute the kernel on the selected
-    /// engine (the bytecode VM unless changed), returning the engine's work
+    /// Re-initialise the outputs and execute the kernel on the configured
+    /// engine (the bytecode VM by default), returning the engine's work
     /// counters.
     ///
     /// # Errors
@@ -1062,7 +773,7 @@ impl CompiledKernel {
     /// Returns a [`RuntimeError`] if the generated code faults (which the
     /// test suite treats as a compiler bug) or exceeds the step budget.
     pub fn run(&mut self) -> Result<ExecStats, RuntimeError> {
-        self.run_with(self.engine)
+        self.run_with(self.config.engine)
     }
 
     /// Re-initialise the outputs and execute the kernel on an explicitly
@@ -1074,31 +785,41 @@ impl CompiledKernel {
     /// [`CompiledKernel::run`].
     pub fn run_with(&mut self, engine: Engine) -> Result<ExecStats, RuntimeError> {
         let watch = self.watch.clone();
-        self.execute(engine, watch)
+        self.execute(engine, watch, self.config.step_budget)
     }
 
     /// [`CompiledKernel::run`] under a one-off `watch` that is *moved* into
-    /// the engine instead of cloned from the configured one (which this run
-    /// ignores).  The service arms a fresh watch per request; moving it
-    /// saves two reference-count round trips on the cancellation flag every
-    /// client shares.
-    pub(crate) fn run_watched(&mut self, watch: Watch) -> Result<ExecStats, RuntimeError> {
-        self.execute(self.engine, Some(watch))
+    /// the engine instead of cloned from the configured one, and a one-off
+    /// step budget (this run ignores the configured ones).  The service
+    /// arms a fresh watch per request; moving it saves two reference-count
+    /// round trips on the cancellation flag every client shares.
+    pub(crate) fn run_watched(
+        &mut self,
+        watch: Watch,
+        step_budget: Option<u64>,
+    ) -> Result<ExecStats, RuntimeError> {
+        self.execute(self.config.engine, Some(watch), step_budget)
     }
 
-    fn execute(&mut self, engine: Engine, watch: Option<Watch>) -> Result<ExecStats, RuntimeError> {
+    fn execute(
+        &mut self,
+        engine: Engine,
+        watch: Option<Watch>,
+        step_budget: Option<u64>,
+    ) -> Result<ExecStats, RuntimeError> {
         self.reset_outputs();
         let image = &*self.image;
+        let ExecConfig { threads, alloc_budget, .. } = self.config;
         match engine {
             Engine::Bytecode => {
                 // The persistent VM resets in place: re-runs allocate
                 // nothing (no register file, no stats, no output vecs).
                 self.vm.reset();
-                self.vm.set_step_budget(self.step_budget);
+                self.vm.set_step_budget(step_budget);
                 self.vm.set_watch(watch);
-                self.vm.set_alloc_budget(self.alloc_budget);
-                if self.threads > 1 {
-                    run_sharded(&mut self.vm, &image.bytecode, &mut self.bufs, self.threads)?;
+                self.vm.set_alloc_budget(alloc_budget);
+                if threads > 1 {
+                    run_sharded(&mut self.vm, &image.bytecode, &mut self.bufs, threads)?;
                 } else {
                     self.vm.run(&image.bytecode, &mut self.bufs)?;
                 }
@@ -1106,11 +827,11 @@ impl CompiledKernel {
             }
             Engine::TreeWalk => {
                 let mut interp = Interpreter::new(&image.names);
-                if let Some(budget) = self.step_budget {
+                if let Some(budget) = step_budget {
                     interp = interp.with_step_budget(budget);
                 }
                 interp.set_watch(watch);
-                interp.set_alloc_budget(self.alloc_budget);
+                interp.set_alloc_budget(alloc_budget);
                 let code = image.code.as_deref().unwrap_or(&image.raw_code);
                 interp.run(code, &mut self.bufs)?;
                 Ok(interp.stats())
@@ -1131,9 +852,9 @@ impl CompiledKernel {
     pub fn profile(&mut self) -> Result<(ExecStats, Vec<u64>), RuntimeError> {
         self.reset_outputs();
         self.vm.reset();
-        self.vm.set_step_budget(self.step_budget);
+        self.vm.set_step_budget(self.config.step_budget);
         self.vm.set_watch(self.watch.clone());
-        self.vm.set_alloc_budget(self.alloc_budget);
+        self.vm.set_alloc_budget(self.config.alloc_budget);
         let counts = self.vm.run_profiled(&self.image.bytecode, &mut self.bufs)?;
         Ok((self.vm.stats(), counts))
     }
@@ -1256,9 +977,14 @@ mod tests {
     use super::*;
     use finch_cin::build::*;
     use finch_formats::Level;
+    use finch_ir::opt::ValidationLevel;
 
     fn dot_product(a: &Tensor, b: &Tensor) -> CompiledKernel {
-        let mut kernel = Kernel::new();
+        dot_product_under(ExecConfig::default(), a, b)
+    }
+
+    fn dot_product_under(config: ExecConfig, a: &Tensor, b: &Tensor) -> CompiledKernel {
+        let mut kernel = Kernel::with_config(config);
         kernel.bind_input(a).bind_input(b).bind_output_scalar("C");
         let i = idx("i");
         let program = forall(
@@ -1424,7 +1150,7 @@ mod tests {
         let a = Tensor::dense_vector("A", &[1.0, 2.0]);
         let b = Tensor::dense_vector("B", &[3.0, 4.0]);
         let k = dot_product(&a, &b);
-        assert_eq!(k.engine(), Engine::Bytecode);
+        assert_eq!(k.config().engine, Engine::Bytecode);
         assert!(k.bytecode().validate().is_ok(), "compiled bytecode validates");
     }
 
@@ -1444,23 +1170,64 @@ mod tests {
     }
 
     #[test]
-    fn set_engine_redirects_run() {
-        let a = Tensor::dense_vector("A", &[1.0, 2.0]);
-        let b = Tensor::dense_vector("B", &[3.0, 4.0]);
+    fn a_run_side_reconfiguration_shares_the_image_and_changes_no_result() {
+        let av = vec![0.0, 1.9, 0.0, 3.0, 0.0, 0.0, 2.7, 0.0, 5.5, 0.0, 0.0];
+        let a = Tensor::sparse_list_vector("A", &av);
+        let b = Tensor::dense_vector("B", &[0.5; 11]);
         let mut k = dot_product(&a, &b);
-        k.set_engine(Engine::TreeWalk);
-        assert_eq!(k.engine(), Engine::TreeWalk);
-        k.run().unwrap();
-        assert_eq!(k.output_scalar("C").unwrap(), 11.0);
-        let k2 = k.clone().with_engine(Engine::Bytecode);
-        assert_eq!(k2.engine(), Engine::Bytecode);
+        let stats = k.run().unwrap();
+        let out = k.output_scalar("C").unwrap();
+        let base = k.config();
+        let run_side = [
+            ExecConfig { engine: Engine::TreeWalk, ..base },
+            ExecConfig { threads: 4, ..base },
+            ExecConfig { step_budget: Some(1_000_000), alloc_budget: Some(64), ..base },
+        ];
+        for config in run_side {
+            let mut re = k.reconfigured(&config).unwrap();
+            assert!(re.shares_image(&k), "{}", config.label());
+            assert_eq!(re.config(), config);
+            assert_eq!(re.run().unwrap(), stats, "{}", config.label());
+            assert_eq!(re.output_scalar("C").unwrap().to_bits(), out.to_bits());
+            // The run side carries through a recompilation.
+            let none = re.reoptimized(OptLevel::None);
+            assert_eq!(none.config(), ExecConfig { opt: OptLevel::None, ..config });
+        }
+    }
+
+    #[test]
+    fn a_compile_side_reconfiguration_is_a_fresh_compile_under_that_configuration() {
+        let a = Tensor::dense_vector("A", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        let b = Tensor::sparse_list_vector("B", &[0.0, 2.0, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 3.0]);
+        let k = dot_product(&a, &b);
+        let base = k.config();
+        let other_validation = match base.validation {
+            ValidationLevel::Off => ValidationLevel::Full,
+            _ => ValidationLevel::Off,
+        };
+        let compile_side = [
+            ExecConfig { opt: OptLevel::None, ..base },
+            ExecConfig { typed: false, ..base },
+            ExecConfig { simd: false, ..base },
+            ExecConfig { validation: other_validation, ..base },
+        ];
+        for config in compile_side {
+            let re = k.reconfigured(&config).unwrap();
+            assert!(!re.shares_image(&k), "{}", config.label());
+            assert_eq!(re.config(), config);
+            let fresh = dot_product_under(config, &a, &b);
+            assert_eq!(re.bytecode().disasm(), fresh.bytecode().disasm(), "{}", config.label());
+            assert_eq!(re.pass_reports().len(), fresh.pass_reports().len());
+        }
     }
 
     #[test]
     fn step_budget_applies_to_both_engines() {
         let a = Tensor::dense_vector("A", &[1.0; 64]);
         let b = Tensor::dense_vector("B", &[2.0; 64]);
-        let mut k = dot_product(&a, &b).with_step_budget(3);
+        let unbounded = dot_product(&a, &b);
+        let bounded = ExecConfig { step_budget: Some(3), ..unbounded.config() };
+        let mut k = unbounded.reconfigured(&bounded).unwrap();
         for engine in [Engine::Bytecode, Engine::TreeWalk] {
             let err = k.run_with(engine).unwrap_err();
             assert!(
@@ -1468,16 +1235,7 @@ mod tests {
                 "{engine:?}: got {err:?}"
             );
         }
-        k.clear_step_budget();
-        assert_eq!(k.step_budget(), None);
-        k.run().unwrap();
-    }
-
-    #[test]
-    fn engine_labels_are_stable() {
-        assert_eq!(Engine::Bytecode.label(), "bytecode");
-        assert_eq!(Engine::TreeWalk.label(), "tree_walk");
-        assert_eq!(Engine::default(), Engine::Bytecode);
+        k.reconfigured(&unbounded.config()).unwrap().run().unwrap();
     }
 
     fn sparse_mul_kernel(av: &[f64], bv: &[f64]) -> CompiledKernel {
@@ -1795,7 +1553,7 @@ mod tests {
         let a = Tensor::dense_vector("A", &[1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::dense_vector("B", &[0.5, 0.0, 2.0, 10.0]);
         let k = dot_product(&a, &b);
-        assert!(k.typed_dispatch());
+        assert!(k.config().effective().typed);
         let stats = k.opt_stats();
         assert!(stats.instrs_typed > 0, "typing ran: {stats:?}");
         assert!(stats.regs_pretagged > 0, "registers pinned: {stats:?}");
@@ -1807,6 +1565,28 @@ mod tests {
     }
 
     #[test]
+    fn an_unoptimised_kernel_keeps_its_request_and_reports_that_no_stage_ran() {
+        let a = Tensor::dense_vector("A", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        let b = Tensor::dense_vector("B", &[0.5; 9]);
+        let mut none = dot_product(&a, &b).reoptimized(OptLevel::None);
+        let (asked, effective) = (none.config(), none.config().effective());
+        assert!(asked.typed && asked.simd, "the request is kept as asked");
+        assert!(!effective.typed && !effective.simd, "neither stage runs at OptLevel::None");
+        // Nothing typed and no kernel op is dispatched: what is tag-free in
+        // an unoptimised program is control flow and bookkeeping.
+        const TAG_NEUTRAL: [&str; 5] = ["bump_stmt", "jump", "for_step", "fiber_end", "nop"];
+        let (_, counts) = none.profile().unwrap();
+        for (count, instr) in counts.iter().zip(none.bytecode().code()) {
+            if *count > 0 && instr.is_tag_free() {
+                assert!(TAG_NEUTRAL.contains(&instr.opcode()), "dispatched {}", instr.opcode());
+            }
+        }
+        // Because the request is kept, going back up is typed again.
+        let back = none.reoptimized(OptLevel::Default);
+        assert!(back.config().effective().simd && back.opt_stats().instrs_typed > 0);
+    }
+
+    #[test]
     fn typed_and_generic_dispatch_agree_bit_for_bit() {
         let av = vec![0.0, 1.9, 0.0, 3.0, 0.0, 0.0, 2.7, 0.0, 5.5, 0.0, 0.0];
         let bv = vec![0.0, 0.0, 0.0, 3.7, 4.7, 9.2, 1.5, 8.7, 0.0, 0.0, 0.0];
@@ -1815,7 +1595,7 @@ mod tests {
         let typed = dot_product(&a, &b);
         let mut generic = typed.reoptimized_typed(OptLevel::Default, false);
         let mut typed = typed;
-        assert!(!generic.typed_dispatch());
+        assert!(!generic.config().typed);
         assert_eq!(generic.opt_stats().instrs_typed, 0);
         let st = typed.run().unwrap();
         let sg = generic.run().unwrap();
@@ -1892,7 +1672,7 @@ mod tests {
         let xv: Vec<f64> = (0..ncols).map(|k| (k as f64) * 0.25 - 1.5).collect();
         let a = Tensor::csr_matrix("A", nrows, ncols, &data);
         let x = Tensor::dense_vector("x", &xv);
-        let mut kernel = Kernel::new().with_threads(threads);
+        let mut kernel = Kernel::with_config(ExecConfig { threads, ..ExecConfig::default() });
         kernel.bind_input(&a).bind_input(&x).bind_output("y", &[nrows], 0.0);
         let (i, j) = (idx("i"), idx("j"));
         let program = forall(
@@ -1911,13 +1691,13 @@ mod tests {
     #[test]
     fn parallel_runs_are_bit_identical_to_serial() {
         let mut serial = spmv_kernel(1);
-        assert_eq!(serial.threads(), 1);
+        assert_eq!(serial.config().threads, 1);
         let s_stats = serial.run().unwrap();
         let s_out = serial.output("y").unwrap();
         assert!(serial.sharded(), "the dense outer row loop shards:\n{}", serial.code());
         for threads in [2, 3, 4, 8, 64] {
             let mut par = spmv_kernel(threads);
-            assert_eq!(par.threads(), threads);
+            assert_eq!(par.config().threads, threads);
             let p_stats = par.run().unwrap();
             let p_out = par.output("y").unwrap();
             assert_eq!(s_stats, p_stats, "{threads} threads: work counters diverge");
@@ -1934,7 +1714,7 @@ mod tests {
         // names: neither loop sharded.
         let a = Tensor::dense_vector("A", &[1.5, 2.5, 3.5, 4.5]);
         let compile = |threads: usize| {
-            let mut kernel = Kernel::new().with_threads(threads);
+            let mut kernel = Kernel::with_config(ExecConfig { threads, ..ExecConfig::default() });
             kernel.bind_input(&a).bind_output("y", &[4], 0.0).bind_output("z", &[4], 0.0);
             let copy = |index: &str, out: &str| {
                 forall(idx(index), assign(access(out, [idx(index)]), access("A", [idx(index)])))
@@ -1979,28 +1759,13 @@ mod tests {
         let mut serial = dot_product(&a, &b);
         let s_stats = serial.run().unwrap();
         let s_out = serial.output_scalar("C").unwrap();
-        let mut par = dot_product(&a, &b);
-        par.set_threads(4);
+        let mut par = dot_product(&a, &b).with_threads(4);
         assert!(!par.sharded(), "a float-reduction merge must not shard");
         assert!(par.shard_plan().is_empty());
         let p_stats = par.run().unwrap();
         let p_out = par.output_scalar("C").unwrap();
         assert_eq!(s_stats, p_stats);
         assert_eq!(s_out.to_bits(), p_out.to_bits());
-    }
-
-    #[test]
-    fn zero_threads_resolve_to_the_host_parallelism_and_counts_carry_through_reoptimize() {
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let a = Tensor::dense_vector("A", &[1.0, 2.0]);
-        let b = Tensor::dense_vector("B", &[3.0, 4.0]);
-        let mut k = dot_product(&a, &b);
-        k.set_threads(0);
-        assert_eq!(k.threads(), auto);
-        k.set_threads(4);
-        let re = k.reoptimized(OptLevel::None);
-        assert_eq!(re.threads(), 4, "reoptimize must carry the thread count");
-        assert_eq!(Kernel::new().with_threads(0).threads(), auto);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod service;
 
 pub use breaker::{BreakerPolicy, BreakerState};
 pub use error::{CompileError, ServiceError};
-pub use kernel::{CompiledKernel, Engine, Kernel};
+pub use kernel::{CompiledKernel, Kernel};
 pub use queue::ServiceState;
 pub use service::{
     DrainReport, FaultKind, FaultPlan, FaultRule, HealthSnapshot, InjectPoint, KernelService,
@@ -67,7 +67,8 @@ pub use finch_cin::{
 pub use finch_formats::{BoundTensor, Level, LevelSpec, OutputBuilder, Tensor, TensorError};
 pub use finch_ir::opt::{PassReport, ValidationLevel};
 pub use finch_ir::{
-    ExecStats, OptLevel, OptStats, RuntimeError, ShardPlan, ShardRegion, ShardRole, Value, Watch,
+    Engine, ExecConfig, ExecStats, OptLevel, OptStats, RuntimeError, ShardPlan, ShardRegion,
+    ShardRole, Value, Watch,
 };
 pub use finch_looplets as looplets;
 pub use finch_rewrite::Rewriter;

@@ -2,11 +2,11 @@
 //!
 //! [`KernelService`] owns a bounded LRU cache of [`CompiledKernel`]s keyed by
 //! kernel *structure* — the CIN program text, every input's level formats and
-//! sizes (not its data), the requested output formats, and the optimisation
-//! configuration.  Requests whose structure matches a cached entry skip
-//! compilation entirely: the entry's input buffers are overwritten in place
-//! ([`CompiledKernel::rebind_input`]) and the persistent VM re-runs without
-//! allocating.
+//! sizes (not its data) and the requested output formats — all compiled under
+//! the one [`ExecConfig`] the service runs.  Requests whose structure matches
+//! a cached entry skip compilation entirely: the entry's input buffers are
+//! overwritten in place ([`CompiledKernel::rebind_input`]) and the persistent
+//! VM re-runs without allocating.
 //!
 //! # The warm hit path
 //!
@@ -20,8 +20,7 @@
 //!   program to text once and hashes text, input signatures and output
 //!   specs once; both are kept with the request (clones share them, and
 //!   every builder method that changes the inputs or outputs forgets
-//!   them).  Every later submit folds only the optimisation level and the
-//!   service's configuration into the saved hash state, and the cached
+//!   them).  Every later submit reads the saved key, and the cached
 //!   entry is verified against the saved text — by pointer for the request
 //!   that compiled it and its clones, by bytes otherwise — and against the
 //!   live tensors' formats, sizes and fills.  Build a request once and
@@ -58,10 +57,11 @@
 //!    `catch_unwind`.  A panicking entry is quarantined (poisoned), recompiled
 //!    once after a short backoff, and evicted if the retry also faults.
 //! 3. **Degradation ladder** — a faulting kernel falls back through
-//!    progressively simpler execution tiers ([`Tier`]): SIMD/parallel
-//!    bytecode → typed serial bytecode → untyped bytecode → the tree-walk
-//!    oracle.  All tiers run at the same [`OptLevel`], so a degraded response
-//!    is bit-identical to the fast path's.
+//!    progressively simpler execution tiers ([`Tier`]): vectorized typed
+//!    bytecode → typed scalar bytecode → untyped bytecode → the tree-walk
+//!    oracle, each one [`ExecConfig`] ([`Tier::config`]).  All tiers run at
+//!    the same [`OptLevel`], so a degraded response is bit-identical to the
+//!    fast path's.
 //! 4. **Deadline-aware admission** — past the in-flight limit, requests
 //!    queue FIFO-fairly up to their remaining deadline instead of shedding
 //!    instantly; behind the bounded queue the typed
@@ -105,11 +105,11 @@ use std::time::{Duration, Instant};
 use finch_cin::CinStmt;
 use finch_formats::{LevelSpec, Tensor};
 use finch_ir::opt::ValidationLevel;
-use finch_ir::{ExecStats, OptLevel, RuntimeError, Watch};
+use finch_ir::{Engine, ExecConfig, ExecStats, OptLevel, RuntimeError, Watch};
 
 use crate::breaker::{BreakerBoard, BreakerDecision, BreakerPolicy};
 use crate::error::{CompileError, ServiceError};
-use crate::kernel::{CompiledKernel, Engine, Kernel};
+use crate::kernel::{CompiledKernel, Kernel};
 use crate::queue::{AdmissionQueue, AdmitError, Permit, QuietCondvar, ServiceState, Sleepers};
 
 /// Configuration for a [`KernelService`].
@@ -139,15 +139,8 @@ pub struct ServiceConfig {
     pub step_budget: Option<u64>,
     /// Per-request output allocation budget in elements.  `None` disables it.
     pub alloc_budget: Option<u64>,
-    /// Optimisation level kernels are compiled at (a request may override it
-    /// with [`Request::with_opt_level`]).
+    /// Optimisation level every kernel of this service is compiled at.
     pub opt_level: OptLevel,
-    /// Whether the fast tier uses typed dispatch.
-    pub typed_dispatch: bool,
-    /// Whether the fast tier uses vectorized superinstructions.
-    pub simd: bool,
-    /// Worker threads for the fast tier (`0` = one per available core).
-    pub threads: usize,
     /// Pass-manager validation level used when compiling.
     pub validation: ValidationLevel,
     /// Backoff slept before recompiling a quarantined entry.
@@ -167,9 +160,6 @@ impl Default for ServiceConfig {
             step_budget: None,
             alloc_budget: None,
             opt_level: OptLevel::Default,
-            typed_dispatch: true,
-            simd: true,
-            threads: 1,
             validation: ValidationLevel::Off,
             retry_backoff: Duration::from_millis(1),
         }
@@ -191,15 +181,14 @@ pub enum ReadBack {
 /// and requested outputs.
 ///
 /// Structurally identical requests — same program text, same input formats
-/// and sizes (data may differ), same output formats, same optimisation
-/// configuration — share one cached compiled kernel.
+/// and sizes (data may differ), same output formats — share one cached
+/// compiled kernel of the service they are submitted to.
 #[derive(Debug, Clone)]
 pub struct Request {
     program: CinStmt,
     inputs: Vec<Tensor>,
     outputs: Vec<(String, Vec<LevelSpec>)>,
     read: ReadBack,
-    opt_level: Option<OptLevel>,
     /// First boundary-validation failure among the inputs, recorded at bind
     /// time and surfaced by `submit` as [`ServiceError::InvalidInput`].
     invalid: Option<(String, String)>,
@@ -216,10 +205,10 @@ struct Prepared {
     /// The CIN program rendered to text: the canonical form a cache entry
     /// is verified against on every hit.
     program: Arc<str>,
-    /// The key hasher's state after the program text, every input's
-    /// signature and every output's specs; [`KernelService::key_of`] folds
-    /// the optimisation level and the service's configuration in on top.
-    hash: KeyHasher,
+    /// The cache key: a hash of the program text, every input's signature
+    /// and every output's specs.  A service runs one configuration, so the
+    /// key says nothing about it: each service has a table of its own.
+    key: (u64, u64),
 }
 
 impl Prepared {
@@ -247,7 +236,7 @@ impl Prepared {
             }
             h.byte(2);
         }
-        Prepared { program, hash: h }
+        Prepared { program, key: h.finish() }
     }
 }
 
@@ -259,7 +248,6 @@ impl Request {
             inputs: Vec::new(),
             outputs: Vec::new(),
             read: ReadBack::Stats,
-            opt_level: None,
             invalid: None,
             prepared: Arc::default(),
         }
@@ -268,6 +256,11 @@ impl Request {
     /// The prepared form, computed on first use.
     fn prepared(&self) -> &Prepared {
         self.prepared.get_or_init(|| Prepared::of(self))
+    }
+
+    /// The cache key of this request's structure.
+    fn key(&self) -> (u64, u64) {
+        self.prepared().key
     }
 
     /// The inputs or outputs are about to change: forget the prepared form.
@@ -322,13 +315,6 @@ impl Request {
         self.read = ReadBack::Stats;
         self
     }
-
-    /// Override the service's optimisation level for this request.  Requests
-    /// at different levels key to different cache entries.
-    pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt_level = Some(level);
-        self
-    }
 }
 
 /// The execution tier a response was served from.  Tiers descend in order
@@ -336,7 +322,7 @@ impl Request {
 /// their outputs and [`ExecStats`] are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Bytecode VM with the configured typed dispatch, SIMD, and threads.
+    /// The service's own configuration: typed, vectorized bytecode.
     Fast,
     /// Typed bytecode VM, no SIMD, single-threaded.
     TypedSerial,
@@ -357,6 +343,20 @@ impl Tier {
             Tier::TypedSerial => 1,
             Tier::Untyped => 2,
             Tier::Oracle => 3,
+        }
+    }
+
+    /// The configuration this rung runs a kernel under, given the fast
+    /// rung's: each rung switches off one more stage of the one above it,
+    /// and the last one changes engine.
+    pub fn config(self, fast: &ExecConfig) -> ExecConfig {
+        let serial = ExecConfig { simd: false, threads: 1, ..*fast };
+        let untyped = ExecConfig { typed: false, ..serial };
+        match self {
+            Tier::Fast => *fast,
+            Tier::TypedSerial => serial,
+            Tier::Untyped => untyped,
+            Tier::Oracle => ExecConfig { engine: Engine::TreeWalk, ..untyped },
         }
     }
 
@@ -632,7 +632,6 @@ impl AtomicStats {
 /// accidental collisions negligible, and a full structural check on every hit
 /// makes even a deliberate collision harmless (it falls back to an uncached
 /// compile).
-#[derive(Debug, Clone, Copy)]
 struct KeyHasher {
     a: u64,
     b: u64,
@@ -678,11 +677,10 @@ struct KeyCheck {
     program: Arc<str>,
     inputs: Vec<InputSig>,
     outputs: Vec<(String, Vec<LevelSpec>)>,
-    opt: OptLevel,
 }
 
 impl KeyCheck {
-    fn of(req: &Request, opt: OptLevel) -> Self {
+    fn of(req: &Request) -> Self {
         KeyCheck {
             program: Arc::clone(&req.prepared().program),
             inputs: req
@@ -695,16 +693,15 @@ impl KeyCheck {
                 })
                 .collect(),
             outputs: req.outputs.clone(),
-            opt,
         }
     }
 
     /// Whether `req` is structurally the kernel this entry was compiled
     /// for.  Runs under the cache lock on every hit: the program is compared
     /// as saved text (by pointer, then by bytes), never rendered here.
-    fn matches(&self, req: &Request, opt: OptLevel) -> bool {
+    fn matches(&self, req: &Request) -> bool {
         let program = &req.prepared().program;
-        if self.opt != opt || !(Arc::ptr_eq(&self.program, program) || self.program == *program) {
+        if !(Arc::ptr_eq(&self.program, program) || self.program == *program) {
             return false;
         }
         if self.inputs.len() != req.inputs.len() || self.outputs.len() != req.outputs.len() {
@@ -751,9 +748,9 @@ struct Entry {
     spares: Vec<Box<CompiledKernel>>,
     /// Run states currently lent to requests.
     lent: usize,
-    typed_serial: Option<CompiledKernel>,
-    untyped: Option<CompiledKernel>,
-    oracle: Option<CompiledKernel>,
+    /// The kernels of the rungs below [`Tier::Fast`], by `Tier::index() - 1`,
+    /// each derived from `base` when a request first degrades that far.
+    degraded: [Option<CompiledKernel>; 3],
     check: KeyCheck,
     poisoned: bool,
     last_used: u64,
@@ -766,9 +763,7 @@ impl Entry {
             base: Box::new(base),
             spares: Vec::new(),
             lent: 0,
-            typed_serial: None,
-            untyped: None,
-            oracle: None,
+            degraded: [None, None, None],
             check,
             poisoned: false,
             last_used: 0,
@@ -868,6 +863,9 @@ enum AttemptOutcome {
 /// only compilation and the fault ladder hold a cache slot exclusively.
 pub struct KernelService {
     cfg: ServiceConfig,
+    /// The one configuration this service compiles and runs kernels under;
+    /// the degraded tiers are [`Tier::config`] of it.
+    fast: ExecConfig,
     inner: Mutex<CacheInner>,
     cond: QuietCondvar,
     queue: AdmissionQueue,
@@ -941,8 +939,16 @@ impl KernelService {
     pub fn new(cfg: ServiceConfig) -> Self {
         let queue = AdmissionQueue::new(cfg.max_in_flight, cfg.queue_depth);
         let breakers = BreakerBoard::new(cfg.breaker_threshold, cfg.breaker_cooldown);
+        let fast = ExecConfig {
+            opt: cfg.opt_level,
+            validation: cfg.validation,
+            step_budget: cfg.step_budget,
+            alloc_budget: cfg.alloc_budget,
+            ..ExecConfig::default()
+        };
         KernelService {
             cfg,
+            fast,
             inner: Mutex::new(CacheInner {
                 slots: HashMap::new(),
                 ready: 0,
@@ -1003,9 +1009,7 @@ impl KernelService {
         let deadline = self.request_deadline();
         let permit = self.admit(deadline)?;
         let rid = self.next_request.fetch_add(1, Ordering::SeqCst);
-        let opt = req.opt_level.unwrap_or(self.cfg.opt_level);
-        let key = self.key_of(req, opt);
-        let mut result = self.serve_one(req, key, opt, rid, deadline);
+        let mut result = self.serve_one(req, req.key(), rid, deadline);
         if let Ok(resp) = &mut result {
             resp.queue_wait = permit.waited;
         }
@@ -1032,7 +1036,7 @@ impl KernelService {
             Err(err) => return reqs.iter().map(|_| Err(err.clone())).collect(),
         };
 
-        // Group indices by (key, opt level), preserving first-seen order.
+        // Group indices by key, preserving first-seen order.
         let mut results: Vec<Option<Result<Response, ServiceError>>> = vec![None; reqs.len()];
         let mut groups: Vec<((u64, u64), Vec<usize>)> = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
@@ -1043,11 +1047,8 @@ impl KernelService {
                 }));
                 continue;
             }
-            let opt = req.opt_level.unwrap_or(self.cfg.opt_level);
-            let key = self.key_of(req, opt);
-            match groups.iter_mut().find(|(k, idxs)| {
-                *k == key && reqs[idxs[0]].opt_level.unwrap_or(self.cfg.opt_level) == opt
-            }) {
+            let key = req.key();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, idxs)) => idxs.push(i),
                 None => groups.push((key, vec![i])),
             }
@@ -1072,7 +1073,6 @@ impl KernelService {
         results: &mut [Option<Result<Response, ServiceError>>],
     ) {
         let first = idxs[0];
-        let opt = reqs[first].opt_level.unwrap_or(self.cfg.opt_level);
         let (tier_start, probe, short_circuited) = match self.breaker_gate(key) {
             Ok(gate) => gate,
             Err(err) => {
@@ -1084,7 +1084,7 @@ impl KernelService {
         };
         // A group rebinds its members serially against one entry, so it takes
         // the entry whole, like the fault ladder it may have to walk.
-        let checkout = self.checkout(key, &reqs[first], opt, deadline, Access::Exclusive);
+        let checkout = self.checkout(key, &reqs[first], deadline, Access::Exclusive);
         let (mut entry, cached, cache_hit) = match checkout {
             Ok((Lease::Exclusive { entry, cached }, hit)) => (entry, cached, hit),
             Ok((Lease::Shared(_), _)) => unreachable!("an exclusive checkout lends no run state"),
@@ -1131,7 +1131,6 @@ impl KernelService {
         &self,
         req: &Request,
         key: (u64, u64),
-        opt: OptLevel,
         rid: u64,
         deadline: Option<(Instant, u64)>,
     ) -> Result<Response, ServiceError> {
@@ -1139,8 +1138,8 @@ impl KernelService {
         // A short-circuited request starts on a degraded tier, and those
         // live in the entry: it needs the entry whole.
         let access = if tier_start == 0 { Access::Shared } else { Access::Exclusive };
-        let (result, faults) = match self.checkout(key, req, opt, deadline, access) {
-            Ok((Lease::Shared(state), _)) => self.serve_shared(state, req, key, opt, rid, deadline),
+        let (result, faults) = match self.checkout(key, req, deadline, access) {
+            Ok((Lease::Shared(state), _)) => self.serve_shared(state, req, key, rid, deadline),
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 let (result, evict, faults) =
                     self.execute(&mut entry, req, deadline, rid, cache_hit, tier_start, None);
@@ -1172,7 +1171,6 @@ impl KernelService {
         mut state: Box<CompiledKernel>,
         req: &Request,
         key: (u64, u64),
-        opt: OptLevel,
         rid: u64,
         deadline: Option<(Instant, u64)>,
     ) -> (Result<Response, ServiceError>, u32) {
@@ -1198,7 +1196,7 @@ impl KernelService {
             }
         };
         self.release(key, state);
-        match self.checkout(key, req, opt, deadline, Access::Escalated) {
+        match self.checkout(key, req, deadline, Access::Escalated) {
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 entry.poisoned |= poison;
                 let (result, evict, faults) =
@@ -1357,17 +1355,6 @@ impl KernelService {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The cache key: the request's prepared hash state with the
-    /// optimisation level and this service's configuration folded in.
-    fn key_of(&self, req: &Request, opt: OptLevel) -> (u64, u64) {
-        let mut h = req.prepared().hash;
-        h.bytes(opt.label().as_bytes());
-        h.byte(u8::from(self.cfg.typed_dispatch));
-        h.byte(u8::from(self.cfg.simd));
-        h.word(self.cfg.threads as u64);
-        h.finish()
-    }
-
     /// Obtain what `access` asks for of `key`'s entry, plus whether it is a
     /// cache hit: a run state of a verified, healthy cached entry
     /// ([`Access::Shared`] only); the verified cached entry itself, taken
@@ -1383,7 +1370,6 @@ impl KernelService {
         &self,
         key: (u64, u64),
         req: &Request,
-        opt: OptLevel,
         deadline: Option<(Instant, u64)>,
         access: Access,
     ) -> Result<(Lease, bool), ServiceError> {
@@ -1421,7 +1407,7 @@ impl KernelService {
             let step = match inner.slots.get_mut(&key) {
                 None => Step::Compile,
                 Some(SlotState::Busy) => Step::Wait { as_writer: false },
-                Some(SlotState::Ready(entry)) if !entry.check.matches(req, opt) => Step::Collision,
+                Some(SlotState::Ready(entry)) if !entry.check.matches(req) => Step::Collision,
                 Some(SlotState::Ready(entry)) => {
                     // A poisoned entry is recompiled by whoever meets it.
                     if access == Access::Shared && !entry.poisoned {
@@ -1448,7 +1434,7 @@ impl KernelService {
                     inner.slots.insert(key, SlotState::Busy);
                     drop(inner);
                     count(&self.stats.misses);
-                    return match self.compile_entry(req, opt) {
+                    return match self.compile_entry(req) {
                         Ok(entry) => {
                             Ok((Lease::Exclusive { entry: Box::new(entry), cached: true }, false))
                         }
@@ -1465,7 +1451,7 @@ impl KernelService {
                     // serve this request from a one-shot uncached compile.
                     self.cond.wake(inner);
                     count(&self.stats.misses);
-                    return self.compile_entry(req, opt).map(|entry| {
+                    return self.compile_entry(req).map(|entry| {
                         (Lease::Exclusive { entry: Box::new(entry), cached: false }, false)
                     });
                 }
@@ -1496,9 +1482,9 @@ impl KernelService {
         }
     }
 
-    fn compile_entry(&self, req: &Request, opt: OptLevel) -> Result<Entry, ServiceError> {
+    fn compile_entry(&self, req: &Request) -> Result<Entry, ServiceError> {
         self.stats.compiles.fetch_add(1, Ordering::Relaxed);
-        let built = catch_unwind(AssertUnwindSafe(|| self.build_kernel(req, opt)));
+        let built = catch_unwind(AssertUnwindSafe(|| build_kernel(req, &self.fast)));
         let base = match built {
             Ok(Ok(kernel)) => kernel,
             Ok(Err(err)) => return Err(ServiceError::Compile(err)),
@@ -1510,27 +1496,7 @@ impl KernelService {
                 });
             }
         };
-        Ok(Entry::new(base, KeyCheck::of(req, opt)))
-    }
-
-    fn build_kernel(&self, req: &Request, opt: OptLevel) -> Result<CompiledKernel, CompileError> {
-        let mut kernel = Kernel::new()
-            .with_opt_level(opt)
-            .with_typed_dispatch(self.cfg.typed_dispatch)
-            .with_simd(self.cfg.simd)
-            .with_threads(self.cfg.threads)
-            .with_validation(self.cfg.validation);
-        for tensor in &req.inputs {
-            kernel.bind_input(tensor);
-        }
-        for (name, specs) in &req.outputs {
-            if specs.is_empty() {
-                kernel.bind_output_scalar(name);
-            } else {
-                kernel.bind_output_format(name, specs);
-            }
-        }
-        kernel.compile(&req.program)
+        Ok(Entry::new(base, KeyCheck::of(req)))
     }
 
     /// Run the entry for `req`, descending the degradation ladder on faults
@@ -1685,20 +1651,13 @@ impl KernelService {
 
     fn recompile_base(&self, entry: &mut Entry) -> Result<(), String> {
         self.stats.recompiles.fetch_add(1, Ordering::Relaxed);
-        let (opt, typed, simd, threads) = (
-            entry.base.opt_level(),
-            entry.base.typed_dispatch(),
-            entry.base.simd(),
-            entry.base.threads(),
-        );
-        let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-            entry.base.reoptimized_simd(opt, typed, simd).with_threads(threads)
-        }));
+        let rebuilt = catch_unwind(AssertUnwindSafe(|| entry.base.recompiled(&self.fast)));
         match rebuilt {
-            Ok(kernel) => {
+            Ok(Ok(kernel)) => {
                 entry.rebase(kernel);
                 Ok(())
             }
+            Ok(Err(err)) => Err(format!("recompilation failed: {err}")),
             Err(payload) => {
                 self.stats.panics.fetch_add(1, Ordering::Relaxed);
                 Err(format!("panic during recompilation: {}", panic_message(&payload)))
@@ -1706,39 +1665,17 @@ impl KernelService {
         }
     }
 
-    /// The kernel variant for a tier, derived lazily from the fast-tier
-    /// kernel at the same [`OptLevel`] (so results stay bit-identical).
+    /// The kernel a tier runs: `base` itself, or `base` reconfigured for
+    /// the rung ([`Tier::config`]) the first time a request degrades to it.
     fn tier_kernel(entry: &mut Entry, tier: Tier) -> &mut CompiledKernel {
-        let opt = entry.base.opt_level();
-        match tier {
-            Tier::Fast => &mut entry.base,
-            Tier::TypedSerial => {
-                if entry.typed_serial.is_none() {
-                    entry.typed_serial =
-                        Some(entry.base.reoptimized_simd(opt, true, false).with_threads(1));
-                }
-                entry.typed_serial.as_mut().expect("just built")
-            }
-            Tier::Untyped => {
-                if entry.untyped.is_none() {
-                    entry.untyped =
-                        Some(entry.base.reoptimized_simd(opt, false, false).with_threads(1));
-                }
-                entry.untyped.as_mut().expect("just built")
-            }
-            Tier::Oracle => {
-                if entry.oracle.is_none() {
-                    entry.oracle = Some(
-                        entry
-                            .base
-                            .reoptimized_simd(opt, false, false)
-                            .with_threads(1)
-                            .with_engine(Engine::TreeWalk),
-                    );
-                }
-                entry.oracle.as_mut().expect("just built")
-            }
-        }
+        let Some(rung) = tier.index().checked_sub(1) else {
+            return &mut entry.base;
+        };
+        let base = &entry.base;
+        entry.degraded[rung].get_or_insert_with(|| {
+            base.reconfigured(&tier.config(&base.config()))
+                .expect("re-deriving already-validated code must validate")
+        })
     }
 
     /// One execution attempt at one tier on the kernel `kernel()` yields,
@@ -1800,23 +1737,16 @@ impl KernelService {
         if let Some(at) = fault_stmt {
             watch = watch.with_fault_at_stmt(at);
         }
-        let alloc_budget = self.cfg.alloc_budget;
-
         let ran = catch_unwind(AssertUnwindSafe(
             move || -> Result<(ExecStats, Option<f64>, Option<Tensor>), RuntimeError> {
                 let kernel = kernel();
                 for tensor in &req.inputs {
                     kernel.rebind_input(tensor)?;
                 }
-                match step_budget {
-                    Some(b) => kernel.set_step_budget(b),
-                    None => kernel.clear_step_budget(),
-                };
-                kernel.set_alloc_budget(alloc_budget);
                 if pre_panic {
                     panic!("injected fault: panic before execution");
                 }
-                let stats = kernel.run_watched(watch)?;
+                let stats = kernel.run_watched(watch, step_budget)?;
                 if post_panic {
                     panic!("injected fault: panic after execution");
                 }
@@ -1932,6 +1862,22 @@ impl CacheInner {
     }
 }
 
+/// Compile `req`'s program against its inputs and outputs under `config`.
+fn build_kernel(req: &Request, config: &ExecConfig) -> Result<CompiledKernel, CompileError> {
+    let mut kernel = Kernel::with_config(*config);
+    for tensor in &req.inputs {
+        kernel.bind_input(tensor);
+    }
+    for (name, specs) in &req.outputs {
+        if specs.is_empty() {
+            kernel.bind_output_scalar(name);
+        } else {
+            kernel.bind_output_format(name, specs);
+        }
+    }
+    kernel.compile(&req.program)
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<&'static str>()
@@ -1998,9 +1944,6 @@ mod tests {
         let (sa, sb) = sparse_pair(16);
         svc.submit(&dot_request(&sa, &sb)).unwrap();
 
-        // Same everything but a different requested opt level.
-        svc.submit(&dot_request(&a, &b).with_opt_level(OptLevel::None)).unwrap();
-
         // Same inputs, different output format request.
         let i = idx("i");
         let program = forall(
@@ -2017,8 +1960,32 @@ mod tests {
 
         let stats = svc.stats();
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.compiles, 4);
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.compiles, 3);
+    }
+
+    #[test]
+    fn two_services_at_different_levels_each_compile_one_shared_request() {
+        // The prepared hash belongs to the request, the table to the service:
+        // nothing of a service's configuration is in the key.
+        let (a, b) = dense_pair(16, 1.0);
+        let req = dot_request(&a, &b);
+        let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
+        for opt_level in OptLevel::all() {
+            let svc = KernelService::new(ServiceConfig { opt_level, ..ServiceConfig::default() });
+            let clone = req.clone();
+            assert_eq!(clone.key(), req.key());
+            let cold = svc.submit(&clone).unwrap();
+            let warm = svc.submit(&req).unwrap();
+            assert!(!cold.cache_hit && warm.cache_hit, "{opt_level}");
+            assert_eq!(warm.scalar.unwrap().to_bits(), expected.to_bits(), "{opt_level}");
+            assert_eq!(svc.stats().compiles, 1, "{opt_level}");
+            let inner = svc.lock_inner();
+            let Some(SlotState::Ready(entry)) = inner.slots.get(&req.key()) else {
+                panic!("{opt_level}: the kernel is cached under the request's key");
+            };
+            assert_eq!(entry.base.opt_level(), opt_level, "each service compiled at its level");
+        }
     }
 
     #[test]
@@ -2095,11 +2062,10 @@ mod tests {
 
         for intruder in [other_formats, other_program] {
             let svc = KernelService::default();
-            let opt = svc.cfg.opt_level;
             // Plant the intruder's entry under `dense`'s key.
-            let key = svc.key_of(&dense, opt);
-            assert_ne!(key, svc.key_of(&intruder, opt));
-            let entry = svc.compile_entry(&intruder, opt).unwrap();
+            let key = dense.key();
+            assert_ne!(key, intruder.key());
+            let entry = svc.compile_entry(&intruder).unwrap();
             {
                 let mut inner = svc.lock_inner();
                 inner.slots.insert(key, SlotState::Ready(Box::new(entry)));
@@ -2121,12 +2087,11 @@ mod tests {
     #[test]
     fn a_mutated_clone_keys_to_its_own_entry() {
         let svc = KernelService::default();
-        let opt = svc.cfg.opt_level;
         let (a, b) = dense_pair(16, 1.0);
         let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
         let base = dot_request(&a, &b);
         assert!(!svc.submit(&base).unwrap().cache_hit);
-        let key = svc.key_of(&base, opt);
+        let key = base.key();
 
         // An untouched clone shares the prepared form and the entry.
         let clone = base.clone();
@@ -2135,17 +2100,15 @@ mod tests {
 
         // Every builder method that changes the structure forgets the
         // prepared form of the request it is applied to — and only of that
-        // one; the opt level is folded in per submit.
+        // one.
         let unused = Tensor::dense_vector("D", &[1.0, 2.0]);
-        let mutations: [(&str, Request, Option<f64>); 4] = [
+        let mutations: [(&str, Request, Option<f64>); 3] = [
             ("input", base.clone().input(&unused), Some(expected)),
             ("output_scalar", base.clone().output_scalar("E"), Some(0.0)),
             ("output", base.clone().output("F", &[LevelSpec::Dense { size: 2 }]), None),
-            ("with_opt_level", base.clone().with_opt_level(OptLevel::None), Some(expected)),
         ];
         for (n, (what, req, scalar)) in mutations.into_iter().enumerate() {
-            let mutated_key = svc.key_of(&req, req.opt_level.unwrap_or(opt));
-            assert_ne!(mutated_key, key, "{what}");
+            assert_ne!(req.key(), key, "{what}");
             let resp = svc.submit(&req).unwrap();
             assert!(!resp.cache_hit, "{what} changes the structure");
             assert_eq!(resp.scalar.map(f64::to_bits), scalar.map(f64::to_bits), "{what}");
@@ -2156,9 +2119,39 @@ mod tests {
             assert_eq!(svc.cached(), n + 2, "{what}");
             assert!(svc.submit(&req).unwrap().cache_hit, "{what}");
         }
-        assert_eq!(svc.key_of(&base, opt), key);
+        assert_eq!(base.key(), key);
         assert!(svc.submit(&base).unwrap().cache_hit);
-        assert_eq!(svc.stats().compiles, 5);
+        assert_eq!(svc.stats().compiles, 4);
+    }
+
+    #[test]
+    fn each_rung_of_the_ladder_is_one_configuration() {
+        let fast = ExecConfig {
+            validation: ValidationLevel::Off,
+            step_budget: Some(1 << 20),
+            alloc_budget: Some(1 << 10),
+            ..ExecConfig::default()
+        };
+        // (typed, simd, threads, engine) per rung; everything else is the
+        // fast rung's.
+        let rungs = [
+            (Tier::Fast, true, true, 1, Engine::Bytecode),
+            (Tier::TypedSerial, true, false, 1, Engine::Bytecode),
+            (Tier::Untyped, false, false, 1, Engine::Bytecode),
+            (Tier::Oracle, false, false, 1, Engine::TreeWalk),
+        ];
+        assert_eq!(rungs.map(|r| r.0), Tier::ALL);
+        for (tier, typed, simd, threads, engine) in rungs {
+            let want = ExecConfig { typed, simd, threads, engine, ..fast };
+            assert_eq!(tier.config(&fast), want, "{}", tier.label());
+            // A rung never asks for more than the one above it has.
+            let wide = ExecConfig { threads: 4, ..fast };
+            assert_eq!(tier.config(&wide).threads, if tier == Tier::Fast { 4 } else { 1 });
+        }
+        // What a default service compiles under is the fast rung.
+        let svc = KernelService::default();
+        assert_eq!(Tier::Fast.config(&svc.fast), svc.fast);
+        assert_eq!(svc.fast, ExecConfig { validation: ValidationLevel::Off, ..Default::default() });
     }
 
     #[test]
@@ -2194,9 +2187,14 @@ mod tests {
             svc.install_faults(plan);
             let result = svc.submit(&dot_request(&a, &b));
             let stats = svc.stats();
+            assert_eq!(stats.served_by_tier.len(), Tier::ALL.len());
             if k <= 4 {
                 let resp = result.unwrap();
                 assert_eq!(resp.tier, expect_tier[k as usize - 1], "k = {k}");
+                // The warm request on the fast rung, this one on its own.
+                let mut served = [1, 0, 0, 0];
+                served[resp.tier.index()] += 1;
+                assert_eq!(stats.served_by_tier, served, "k = {k}");
                 assert_eq!(
                     resp.scalar.unwrap().to_bits(),
                     expected.to_bits(),
@@ -2337,10 +2335,9 @@ mod tests {
         // Check out the only entry by hand so the slot stays Busy, then
         // submit from another thread: it must time out with Deadline rather
         // than wait forever.
-        let opt = svc.cfg.opt_level;
         let req = dot_request(&a, &b);
-        let key = svc.key_of(&req, opt);
-        let (lease, hit) = svc.checkout(key, &req, opt, None, Access::Exclusive).unwrap();
+        let key = req.key();
+        let (lease, hit) = svc.checkout(key, &req, None, Access::Exclusive).unwrap();
         let Lease::Exclusive { entry, cached } = lease else {
             panic!("an exclusive checkout hands out the whole entry");
         };

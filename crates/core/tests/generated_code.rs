@@ -4,7 +4,7 @@
 //! exist to deliver.
 
 use finch::build::*;
-use finch::{CinExpr, CompiledKernel, IndexVar, Kernel, OptLevel, Protocol, Tensor};
+use finch::{CinExpr, CompiledKernel, ExecConfig, IndexVar, Kernel, OptLevel, Protocol, Tensor};
 
 fn dot(a: &Tensor, b: &Tensor, pa: Protocol, pb: Protocol) -> CompiledKernel {
     let mut kernel = Kernel::new();
@@ -371,8 +371,10 @@ fn a_register_fill_never_changes_what_a_run_computes_or_counts() {
     assert!(!without.bytecode().disasm().contains("= hoisted for v in"));
     let full = without.clone().run().expect("runs").stmts;
     for budget in (0..full + 50).step_by(37) {
-        let (mut with, mut without) =
-            (with.clone().with_step_budget(budget), without.clone().with_step_budget(budget));
+        let budgeted = |k: &CompiledKernel| {
+            k.reconfigured(&ExecConfig { step_budget: Some(budget), ..k.config() }).unwrap()
+        };
+        let (mut with, mut without) = (budgeted(&with), budgeted(&without));
         let (a, b) = (with.run(), without.run());
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "budget {budget}");
         assert_eq!(with.output("A").unwrap(), without.output("A").unwrap(), "budget {budget}");

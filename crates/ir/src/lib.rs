@@ -57,6 +57,7 @@
 
 pub mod buffer;
 pub mod bytecode;
+pub mod config;
 pub mod error;
 pub mod expr;
 pub mod interp;
@@ -72,6 +73,7 @@ pub mod vm;
 
 pub use buffer::{AllocMeter, BufId, Buffer, BufferSet};
 pub use bytecode::{Instr, LaneTag, Program, Reg, ShardPlan, ShardRegion, ShardRole};
+pub use config::{Engine, ExecConfig};
 pub use error::RuntimeError;
 pub use expr::{BinOp, Expr, UnOp};
 pub use interp::{ExecStats, Interpreter};

@@ -131,10 +131,11 @@ mod tests {
 
     use super::*;
     use crate::buffer::{BufId, Buffer, BufferSet};
+    use crate::config::ExecConfig;
     use crate::error::RuntimeError;
     use crate::expr::{BinOp, Expr};
     use crate::interp::Interpreter;
-    use crate::opt::{optimize_and_lower, peephole, typing, OptLevel, OptStats, ValidationLevel};
+    use crate::opt::{optimize_and_lower, peephole, typing, OptStats, ValidationLevel};
     use crate::stmt::Stmt;
     use crate::var::Names;
     use crate::vm::{Vm, Watch};
@@ -288,16 +289,9 @@ mod tests {
     fn lowered(kernel: &Kernel) -> (Vec<Stmt>, Names, Program, Program) {
         let (stmts, names, bufs) = kernel;
         let mut names = names.clone();
-        let out = optimize_and_lower(
-            stmts,
-            &mut names,
-            bufs,
-            OptLevel::Default,
-            true,
-            true,
-            ValidationLevel::Full,
-        )
-        .expect("the kernel compiles under full validation");
+        let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
+        let out = optimize_and_lower(stmts, &mut names, bufs, &config)
+            .expect("the kernel compiles under full validation");
         assert_eq!(out.reports[out.reports.len() - 2].name, "finalize", "{:?}", out.reports);
         let code = out.code.expect("the IR passes ran");
         let explicit = Program::compile(&code, &names);

@@ -385,6 +385,7 @@ mod tests {
 
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
+    use crate::config::ExecConfig;
     use crate::error::RuntimeError;
     use crate::expr::Expr;
     use crate::interp::Interpreter;
@@ -461,14 +462,18 @@ mod tests {
         format!("{r:?}")
     }
 
+    /// `level` under full validation, everything else at its default.
+    fn full(opt: OptLevel) -> ExecConfig {
+        ExecConfig { opt, validation: ValidationLevel::Full, ..ExecConfig::default() }
+    }
+
     /// The kernel at `level`: the IR the tree-walker runs and the bytecode
     /// the VM runs, compiled under full validation.
     fn lowered(kernel: &Kernel, level: OptLevel) -> (Vec<Stmt>, Names, Program) {
         let (stmts, names, bufs) = kernel;
         let mut names = names.clone();
-        let out =
-            optimize_and_lower(stmts, &mut names, bufs, level, true, true, ValidationLevel::Full)
-                .expect("the kernel compiles under full validation");
+        let out = optimize_and_lower(stmts, &mut names, bufs, &full(level))
+            .expect("the kernel compiles under full validation");
         (out.code.unwrap_or_else(|| stmts.clone()), names, out.program)
     }
 
@@ -485,17 +490,10 @@ mod tests {
         assert_eq!(count(leftovers), 0, "{}", program.disasm());
         // Untyped, the pass does not run and the loops keep their back edges.
         let (stmts, names, bufs) = stepper_merge();
-        let untyped = optimize_and_lower(
-            &stmts,
-            &mut names.clone(),
-            &bufs,
-            OptLevel::Default,
-            false,
-            false,
-            ValidationLevel::Full,
-        )
-        .expect("compiles")
-        .program;
+        let untyped = ExecConfig { typed: false, ..full(OptLevel::Default) };
+        let untyped = optimize_and_lower(&stmts, &mut names.clone(), &bufs, &untyped)
+            .expect("compiles")
+            .program;
         assert!(untyped.code().iter().all(|i| i.is_loop_edge() || !leftovers_of_forward(i)));
         assert!(untyped.code().iter().any(|i| matches!(i, Instr::ForStep { .. })));
     }
@@ -752,12 +750,7 @@ mod tests {
             });
             if terminates && verifies {
                 let (mut names, mut stats) = (names.clone(), OptStats::default());
-                let mut ctx = PassCtx {
-                    names: &mut names,
-                    bufs: Some(&bufs),
-                    stats: &mut stats,
-                    unroll_point_loops: false,
-                };
+                let mut ctx = PassCtx { names: &mut names, bufs: Some(&bufs), stats: &mut stats };
                 let mut manager = PassManager::new(ValidationLevel::Full);
                 if let Err(e) = manager.run_pass(&ForwardPass, ReprRef::Bytecode(&input), &mut ctx)
                 {

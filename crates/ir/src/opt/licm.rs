@@ -662,6 +662,7 @@ mod tests {
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
     use crate::bytecode::Program;
+    use crate::config::ExecConfig;
     use crate::error::RuntimeError;
     use crate::interp::{ExecStats, Interpreter};
     use crate::opt::irgen::IrGen;
@@ -1067,9 +1068,9 @@ for i in 0..=1 {
             for level in OptLevel::all() {
                 for validation in [ValidationLevel::Off, ValidationLevel::Full] {
                     let mut names = names.clone();
-                    let lowered =
-                        optimize_and_lower(&prog, &mut names, &bufs, level, true, true, validation)
-                            .unwrap_or_else(|e| panic!("{shape} at {level}/{validation}: {e}"));
+                    let config = ExecConfig { opt: level, validation, ..ExecConfig::default() };
+                    let lowered = optimize_and_lower(&prog, &mut names, &bufs, &config)
+                        .unwrap_or_else(|e| panic!("{shape} at {level}/{validation}: {e}"));
                     let code = lowered.code.as_deref().unwrap_or(&prog);
                     let (outcome, got, stats) = interpret(code, &names, &bufs, 1000);
                     assert_eq!(outcome, Ok(()), "{shape} at {level}/{validation}, tree-walk");
@@ -1202,12 +1203,7 @@ if (lo <= hi) {
             if terminates && verify_ir(&prog, &names, Some(&bufs)).is_ok() {
                 let mut names = names.clone();
                 let mut stats = OptStats::default();
-                let mut ctx = PassCtx {
-                    names: &mut names,
-                    bufs: Some(&bufs),
-                    stats: &mut stats,
-                    unroll_point_loops: false,
-                };
+                let mut ctx = PassCtx { names: &mut names, bufs: Some(&bufs), stats: &mut stats };
                 let mut manager = PassManager::new(ValidationLevel::Full);
                 if let Err(e) = manager.run_pass(&LicmPass, ReprRef::Ir(&prog), &mut ctx) {
                     panic!("{e}\n{}", context());

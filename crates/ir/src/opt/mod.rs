@@ -86,6 +86,7 @@ pub use verify::{verify_bytecode, verify_ir};
 
 use crate::buffer::BufferSet;
 use crate::bytecode::Program;
+use crate::config::ExecConfig;
 use crate::stmt::Stmt;
 use crate::var::Names;
 
@@ -101,19 +102,15 @@ pub enum OptLevel {
     /// dead-code elimination, and the bytecode peephole.
     #[default]
     Default,
-    /// The [`OptLevel::Default`] pipeline iterated to a fixpoint, plus
-    /// single-iteration (`lo == hi`) loop elimination.
-    Aggressive,
 }
 
 impl OptLevel {
     /// A short stable label, used by the benchmark harness and its JSON
-    /// report (`none` / `default` / `aggressive`).
+    /// report (`none` / `default`).
     pub fn label(self) -> &'static str {
         match self {
             OptLevel::None => "none",
             OptLevel::Default => "default",
-            OptLevel::Aggressive => "aggressive",
         }
     }
 
@@ -122,14 +119,13 @@ impl OptLevel {
         match s {
             "none" | "0" => Some(OptLevel::None),
             "default" | "1" => Some(OptLevel::Default),
-            "aggressive" | "2" => Some(OptLevel::Aggressive),
             _ => None,
         }
     }
 
-    /// All levels, in increasing aggressiveness.
-    pub fn all() -> [OptLevel; 3] {
-        [OptLevel::None, OptLevel::Default, OptLevel::Aggressive]
+    /// Both levels, unoptimised first.
+    pub fn all() -> [OptLevel; 2] {
+        [OptLevel::None, OptLevel::Default]
     }
 }
 
@@ -149,8 +145,7 @@ pub struct OptStats {
     pub copies_propagated: u64,
     /// `if` statements whose condition was statically decided.
     pub branches_pruned: u64,
-    /// `while`/`for` loops removed because they statically never run (or,
-    /// at [`OptLevel::Aggressive`], run exactly once and were unrolled).
+    /// `while`/`for` loops removed because they statically never run.
     pub loops_removed: u64,
     /// Dead statements removed by DCE (never-read `let`/`assign` targets
     /// and emptied control flow).
@@ -218,8 +213,7 @@ fn count_stmts(stmts: &[Stmt]) -> u64 {
 }
 
 /// Constant folding, constant/copy propagation, and static control-flow
-/// pruning (`fold`) as a [`Pass`].  Honours
-/// [`PassCtx::unroll_point_loops`].
+/// pruning (`fold`) as a [`Pass`].
 pub struct FoldPass;
 
 impl Pass for FoldPass {
@@ -227,7 +221,7 @@ impl Pass for FoldPass {
         "fold"
     }
     fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Ir(fold::fold_stmts(repr.ir(), ctx.unroll_point_loops, ctx.stats))
+        Repr::Ir(fold::fold_stmts(repr.ir(), ctx.stats))
     }
     fn stats_contract(&self) -> StatsContract {
         StatsContract::Shrinks
@@ -375,9 +369,10 @@ pub struct Lowered {
     pub reports: Vec<PassReport>,
 }
 
-/// Run the complete optimise-and-lower pipeline — the IR passes at the
-/// given level, the bytecode lowering, and the bytecode passes — under a
-/// translation-validated [`PassManager`].
+/// Run the complete optimise-and-lower pipeline — the IR passes, the
+/// bytecode lowering, and the bytecode passes [`ExecConfig::effective`]
+/// leaves switched on — under a translation-validated [`PassManager`].
+/// Only the compile-side fields of `config` are read.
 ///
 /// `names` must be the table the program's variables were created from
 /// (LICM creates fresh variables); `bufs` are the kernel's buffers, used
@@ -393,31 +388,27 @@ pub fn optimize_and_lower(
     stmts: &[Stmt],
     names: &mut Names,
     bufs: &BufferSet,
-    level: OptLevel,
-    typed: bool,
-    simd: bool,
-    validation: ValidationLevel,
+    config: &ExecConfig,
 ) -> Result<Lowered, PassError> {
+    let config = config.effective();
     let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
-    let mut manager = PassManager::new(validation);
-    let mut ctx = PassCtx {
-        names,
-        bufs: Some(bufs),
-        stats: &mut stats,
-        unroll_point_loops: level == OptLevel::Aggressive,
+    let mut manager = PassManager::new(config.validation);
+    let mut ctx = PassCtx { names, bufs: Some(bufs), stats: &mut stats };
+    let optimized = match config.opt {
+        OptLevel::None => None,
+        OptLevel::Default => Some(run_ir_round(&mut manager, stmts, &mut ctx)?),
     };
-    let optimized = run_ir_passes(&mut manager, stmts, level, &mut ctx)?;
     let code = optimized.as_deref().unwrap_or(stmts);
     ctx.stats.ir_stmts_after = count_stmts(code);
     let mut program = manager.run_pass(&LowerPass, ReprRef::Ir(code), &mut ctx)?.into_bytecode();
-    if level != OptLevel::None {
+    if config.opt != OptLevel::None {
         let mut bytecode_pass = |pass: &dyn Pass, program: &Program| {
             manager.run_pass(pass, ReprRef::Bytecode(program), &mut ctx).map(Repr::into_bytecode)
         };
         program = bytecode_pass(&PeepholePass, &program)?;
-        if typed {
+        if config.typed {
             program = bytecode_pass(&TypingPass, &program)?;
-            if simd {
+            if config.simd {
                 program = bytecode_pass(&VectorizePass, &program)?;
             }
             program = bytecode_pass(&ForwardPass, &program)?;
@@ -432,65 +423,6 @@ pub fn optimize_and_lower(
         .run_pass(&shard::ShardPass { specs }, ReprRef::Bytecode(&program), &mut ctx)?
         .into_bytecode();
     Ok(Lowered { code: optimized, program, stats, reports: manager.into_reports() })
-}
-
-/// Run the IR-level optimisation pipeline at the given level.
-///
-/// `names` must be the table the program's variables were created from;
-/// LICM creates fresh variables for what it hoists.  Returns the optimised
-/// program together with the per-pass [`OptStats`].  The bytecode-level
-/// passes are part of [`optimize_and_lower`], which also runs witness
-/// validation; this IR-only entry point verifies statically (no buffer
-/// set, so no witness runs) and panics on a verifier failure — its legacy
-/// callers treat the pipeline as infallible.
-pub fn optimize(stmts: &[Stmt], names: &mut Names, level: OptLevel) -> (Vec<Stmt>, OptStats) {
-    let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
-    let validation = match ValidationLevel::default() {
-        // Witness synthesis needs the buffer set; cap at static checks.
-        ValidationLevel::Full => ValidationLevel::Static,
-        other => other,
-    };
-    let mut manager = PassManager::new(validation);
-    let mut ctx = PassCtx {
-        names,
-        bufs: None,
-        stats: &mut stats,
-        unroll_point_loops: level == OptLevel::Aggressive,
-    };
-    let code = run_ir_passes(&mut manager, stmts, level, &mut ctx)
-        .expect("IR pipeline produced invalid code")
-        .unwrap_or_else(|| stmts.to_vec());
-    stats.ir_stmts_after = count_stmts(&code);
-    (code, stats)
-}
-
-/// The IR passes `level` asks for, over `stmts`: none, one fold → licm →
-/// dce round, or rounds to a fixpoint.  `None` when no pass ran.
-fn run_ir_passes(
-    manager: &mut PassManager,
-    stmts: &[Stmt],
-    level: OptLevel,
-    ctx: &mut PassCtx<'_>,
-) -> Result<Option<Vec<Stmt>>, PassError> {
-    let mut code: Option<Vec<Stmt>> = None;
-    let rounds = match level {
-        OptLevel::None => 0,
-        OptLevel::Default => 1,
-        // Iterate to a fixpoint: folding can expose new invariants,
-        // hoisting can expose new copies and dead code, and so on.  The
-        // bound is a safety net; real kernels settle in 2-3 rounds.
-        OptLevel::Aggressive => 4,
-    };
-    for _ in 0..rounds {
-        let current = code.as_deref().unwrap_or(stmts);
-        let next = run_ir_round(manager, current, ctx)?;
-        let settled = next == current;
-        code = Some(next);
-        if settled {
-            break;
-        }
-    }
-    Ok(code)
 }
 
 /// One fold → licm → dce round through the pass manager.
@@ -511,6 +443,22 @@ mod tests {
     use crate::expr::Expr;
     use crate::interp::Interpreter;
     use crate::value::Value;
+
+    /// The IR passes alone at `level`, statically verified: these tests run
+    /// them without a kernel's buffer set, so there are no witness runs.
+    fn optimize(stmts: &[Stmt], names: &mut Names, level: OptLevel) -> (Vec<Stmt>, OptStats) {
+        let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
+        let mut manager = PassManager::new(ValidationLevel::Static);
+        let mut ctx = PassCtx { names, bufs: None, stats: &mut stats };
+        let code = match level {
+            OptLevel::None => stmts.to_vec(),
+            OptLevel::Default => {
+                run_ir_round(&mut manager, stmts, &mut ctx).expect("the IR passes verify")
+            }
+        };
+        stats.ir_stmts_after = count_stmts(&code);
+        (code, stats)
+    }
 
     /// Optimising at every level must leave buffer contents bit-identical.
     fn assert_value_exact(prog: &[Stmt], names: &Names, bufs: &BufferSet) {
@@ -600,40 +548,6 @@ mod tests {
         assert!(stats.loops_removed >= 2, "{stats:?}");
         assert_eq!(Stmt::count_matching(&code, &|s| matches!(s, Stmt::While { .. })), 0);
         assert_eq!(Stmt::count_matching(&code, &|s| matches!(s, Stmt::For { .. })), 0);
-        assert_value_exact(&prog, &names, &bufs);
-    }
-
-    #[test]
-    fn aggressive_unrolls_single_iteration_loops() {
-        let mut names = Names::new();
-        let mut bufs = BufferSet::new();
-        let x = bufs.add("x", Buffer::F64(vec![1.0, 2.0, 3.0].into()));
-        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
-        let i = names.fresh("i");
-        let prog = vec![Stmt::For {
-            var: i,
-            lo: Expr::int(1),
-            hi: Expr::int(1),
-            body: vec![Stmt::Store {
-                buf: out,
-                index: Expr::int(0),
-                value: Expr::load(x, Expr::Var(i)),
-                reduce: Option::None,
-            }],
-        }];
-        let (default_code, _) = optimize(&prog, &mut names.clone(), OptLevel::Default);
-        assert_eq!(
-            Stmt::count_matching(&default_code, &|s| matches!(s, Stmt::For { .. })),
-            1,
-            "default keeps the loop"
-        );
-        let (aggr_code, stats) = optimize(&prog, &mut names.clone(), OptLevel::Aggressive);
-        assert_eq!(
-            Stmt::count_matching(&aggr_code, &|s| matches!(s, Stmt::For { .. })),
-            0,
-            "aggressive unrolls the point loop:\n{aggr_code:?}"
-        );
-        assert!(stats.loops_removed >= 1);
         assert_value_exact(&prog, &names, &bufs);
     }
 

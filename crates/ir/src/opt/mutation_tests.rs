@@ -82,12 +82,7 @@ fn run_ir_pass(
     pass: &dyn Pass,
 ) -> Result<Repr, PassError> {
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: Some(&bufs), stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(pass, ReprRef::Ir(&stmts), &mut ctx)
 }
@@ -97,12 +92,7 @@ fn run_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
     let (stmts, mut names, bufs) = known_good_kernel();
     let program = Program::compile(&stmts, &names);
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: Some(&bufs), stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(mutation, ReprRef::Bytecode(&program), &mut ctx)
 }
@@ -148,12 +138,7 @@ fn run_typed_bytecode_pass(
     pass: &dyn Pass,
 ) -> Result<Repr, PassError> {
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: Some(&bufs), stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(pass, ReprRef::Bytecode(&program), &mut ctx)
 }
@@ -655,8 +640,7 @@ fn an_overlapping_shard_partition_is_caught_and_attributed() {
     let pass = shard::ShardPass { specs };
     let run = |program: Program, names: &mut Names, bufs: &BufferSet| {
         let mut stats = OptStats::default();
-        let mut ctx =
-            PassCtx { names, bufs: Some(bufs), stats: &mut stats, unroll_point_loops: false };
+        let mut ctx = PassCtx { names, bufs: Some(bufs), stats: &mut stats };
         let mut manager = PassManager::new(ValidationLevel::Full);
         manager.run_pass(&pass, ReprRef::Bytecode(&program), &mut ctx)
     };

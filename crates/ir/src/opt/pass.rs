@@ -186,15 +186,12 @@ impl<'a> ReprRef<'a> {
 pub struct PassCtx<'a> {
     /// The name table of the program's variables.
     pub names: &'a mut Names,
-    /// The kernel's buffers, when compiling a real kernel.  `None` for
-    /// the standalone IR pipeline entry point, which skips the passes and
-    /// checks that need buffers.
+    /// The kernel's buffers, when compiling a real kernel.  `None` when
+    /// IR passes run on their own, which skips the passes and checks that
+    /// need buffers.
     pub bufs: Option<&'a BufferSet>,
     /// Per-pass counters, accumulated across the whole pipeline.
     pub stats: &'a mut OptStats,
-    /// Whether the folding pass may unroll statically-single-iteration
-    /// loops (the [`super::OptLevel::Aggressive`] extra).
-    pub unroll_point_loops: bool,
 }
 
 /// The [`ExecStats`] preservation contract a pass's output must satisfy

@@ -828,16 +828,16 @@ impl MustDefined {
 mod tests {
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
+    use crate::config::ExecConfig;
     use crate::expr::{BinOp, Expr};
-    use crate::opt::{optimize_and_lower, OptLevel, ValidationLevel};
+    use crate::opt::{optimize_and_lower, ValidationLevel};
     use crate::stmt::Stmt;
     use crate::var::Names;
     use crate::vm::Vm;
 
     fn lower(code: &[Stmt], names: &mut Names, bufs: &BufferSet) -> crate::bytecode::Program {
-        optimize_and_lower(code, names, bufs, OptLevel::Default, true, true, ValidationLevel::Full)
-            .expect("pipeline validates")
-            .program
+        let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
+        optimize_and_lower(code, names, bufs, &config).expect("pipeline validates").program
     }
 
     fn sets_bit_equal(a: &BufferSet, b: &BufferSet) -> bool {

@@ -3,7 +3,7 @@
 //! A fixed corpus — every `finch-bench` figure builder at tiny sizes (the two
 //! sparse-output kernels among them) plus one program per input format or
 //! protocol the figures leave out (PackBits, Bitmap, Triangular, Symmetric,
-//! Ragged, `locate`) — is compiled at every [`OptLevel`], and for each kernel
+//! Ragged, `locate`) — is compiled at both [`OptLevel`]s, and for each kernel
 //! an FNV-1a hash of its generated code, its bytecode disassembly and its
 //! register count, pretags, shard plan and optimiser counters is compared
 //! with `codegen_identity.golden`, recorded at the commit before the
@@ -151,8 +151,13 @@ fn the_corpus_compiles_to_the_recorded_code_at_every_opt_level() {
     let mut mismatches = Vec::new();
     let mut golden = GOLDEN.lines();
     for (name, kernel) in corpus() {
-        for level in OptLevel::all() {
-            let derived = kernel.reoptimized(level);
+        // The two ends of the configuration matrix: unoptimised, and the
+        // full default pipeline.  (The untyped and scalar legs between them
+        // are run against these two by the parity tests.)
+        let [none, .., full] = kernel.config().matrix();
+        for config in [none, full] {
+            let level = config.opt;
+            let derived = kernel.reoptimized_simd(level, config.typed, config.simd);
             let texts = texts(&derived);
             if level == kernel.opt_level() {
                 // Re-deriving from the kept raw IR is the same pipeline run.

@@ -28,54 +28,43 @@ pub fn assert_engine_parity(kernel: &mut CompiledKernel, what: &str) {
     }
 }
 
-/// Differential-test a kernel across every [`OptLevel`], both engines,
-/// **and** both dispatch modes of the bytecode engine (typed and
-/// generic): outputs must be bit-identical for every combination, at each
-/// level the two engines must agree on the `ExecStats` work counters
-/// exactly, and at each level typed and generic dispatch must agree on
-/// both outputs and counters exactly (the typing stage is a 1:1 rewrite —
-/// it may not change any counter).  (The counters may legitimately
-/// *shrink* as the level rises — that is what the optimiser is for — so
-/// they are only compared across engines and dispatch modes, never across
-/// levels.)
+/// Differential-test a kernel under every compile-side configuration that
+/// differs in effect ([`ExecConfig::matrix`]: unoptimised, untyped, typed
+/// scalar, typed with kernel ops) on both engines: outputs must be
+/// bit-identical for every leg, under each configuration the two engines
+/// must agree on the `ExecStats` work counters exactly, and at one level
+/// every dispatch mode must report the same counters (the typing and
+/// vectorize stages are 1:1 rewrites — they may not change any counter).
+/// (The counters may legitimately *shrink* as the level rises — that is
+/// what the optimiser is for — so they are never compared across levels.)
 pub fn assert_opt_level_parity(kernel: &CompiledKernel, what: &str) {
     /// Bit-patterns of every output, keyed by output name.
     type OutputBits = Vec<(String, Vec<u64>)>;
     let mut reference: Option<OutputBits> = None;
-    for level in OptLevel::all() {
-        let mut per_dispatch: Vec<(bool, looplets_repro::finch::ExecStats, OutputBits)> =
-            Vec::new();
-        for typed in [true, false] {
-            let mut k = kernel.reoptimized_typed(level, typed);
-            assert_eq!(k.opt_level(), level);
-            assert_eq!(k.typed_dispatch(), typed);
-            assert_engine_parity(&mut k, &format!("{what} at {level} (typed={typed})"));
-            let stats = k.run_with(Engine::Bytecode).expect("bytecode runs");
-            let outs: Vec<(String, Vec<u64>)> = k
-                .output_names()
-                .into_iter()
-                .map(|n| {
-                    let bits = k.output(&n).unwrap().iter().map(|x| x.to_bits()).collect();
-                    (n, bits)
-                })
-                .collect();
-            per_dispatch.push((typed, stats, outs));
-        }
-        let (_, typed_stats, typed_outs) = &per_dispatch[0];
-        let (_, generic_stats, generic_outs) = &per_dispatch[1];
-        assert_eq!(
-            typed_stats, generic_stats,
-            "{what} at {level}: typed dispatch changed the work counters"
-        );
-        assert_eq!(
-            typed_outs, generic_outs,
-            "{what} at {level}: typed dispatch changed the outputs"
-        );
-        match &reference {
-            None => reference = Some(typed_outs.clone()),
-            Some(r) => {
-                assert_eq!(r, typed_outs, "{what}: outputs diverge between opt levels at {level}");
+    let mut level_stats: Option<(OptLevel, looplets_repro::finch::ExecStats)> = None;
+    for config in kernel.config().matrix() {
+        let at = config.label();
+        let mut k = kernel.reconfigured(&config).expect("the kernel recompiles");
+        assert_eq!(k.config(), config);
+        assert_engine_parity(&mut k, &format!("{what} under {at}"));
+        let stats = k.run_with(Engine::Bytecode).expect("bytecode runs");
+        let outs: OutputBits = k
+            .output_names()
+            .into_iter()
+            .map(|n| {
+                let bits = k.output(&n).unwrap().iter().map(|x| x.to_bits()).collect();
+                (n, bits)
+            })
+            .collect();
+        match level_stats {
+            Some((level, want)) if level == config.opt => {
+                assert_eq!(want, stats, "{what} under {at}: the dispatch mode changed the counters")
             }
+            _ => level_stats = Some((config.opt, stats)),
+        }
+        match &reference {
+            None => reference = Some(outs),
+            Some(r) => assert_eq!(r, &outs, "{what}: outputs diverge under {at}"),
         }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use common::read_scalar;
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
-    CinStmt, IndexExpr, IndexVar, Kernel, LevelSpec, Tensor, ValidationLevel,
+    CinStmt, ExecConfig, IndexExpr, IndexVar, Kernel, LevelSpec, Tensor, ValidationLevel,
 };
 
 /// Every `alloc` and `realloc` call the process makes, and the bytes they
@@ -65,11 +65,17 @@ fn strided(n: usize, stride: usize, phase: usize) -> Vec<f64> {
 /// default and what the service compiles at), and the program to compile.
 type Case = (&'static str, Kernel, CinStmt);
 
+/// An empty kernel that compiles without post-pass checks, as a release
+/// build does: the budget is for the compiler, not for its validator.
+fn unvalidated() -> Kernel {
+    Kernel::with_config(ExecConfig { validation: ValidationLevel::Off, ..ExecConfig::default() })
+}
+
 /// A kernel over the 8 × 8 CSR matrix `A` and the vector `x`, with the dense
 /// output `y` bound.
 fn matrix_vector(x: &Tensor) -> Kernel {
     let a = Tensor::csr_matrix("A", 8, 8, &strided(64, 3, 0));
-    let mut kernel = Kernel::new().with_validation(ValidationLevel::Off);
+    let mut kernel = unvalidated();
     kernel.bind_input(&a).bind_input(x).bind_output("y", &[8], 0.0);
     kernel
 }
@@ -106,7 +112,7 @@ fn csr_spmv() -> Case {
 fn all_pairs() -> Case {
     let a = Tensor::dense_matrix("A", 4, 16, &strided(64, 2, 0));
     let a2 = Tensor::dense_matrix("A2", 4, 16, &strided(64, 2, 0));
-    let mut kernel = Kernel::new().with_validation(ValidationLevel::Off);
+    let mut kernel = unvalidated();
     kernel
         .bind_input(&a)
         .bind_input(&a2)
@@ -154,7 +160,7 @@ fn all_pairs() -> Case {
 /// lists) output.
 fn sparse_output() -> Case {
     let a = Tensor::csr_matrix("A", 8, 8, &strided(64, 3, 0));
-    let mut kernel = Kernel::new().with_validation(ValidationLevel::Off);
+    let mut kernel = unvalidated();
     kernel.bind_input(&a).bind_output_format(
         "C",
         &[LevelSpec::Dense { size: 8 }, LevelSpec::SparseList { size: 8 }],
@@ -172,7 +178,7 @@ fn sparse_output() -> Case {
 fn vector_dot() -> Case {
     let a = Tensor::sparse_list_vector("A", &strided(64, 3, 1));
     let b = Tensor::sparse_list_vector("B", &strided(64, 4, 1));
-    let mut kernel = Kernel::new().with_validation(ValidationLevel::Off);
+    let mut kernel = unvalidated();
     kernel.bind_input(&a).bind_input(&b).bind_output_scalar("C");
     let i = idx("i");
     let program = forall(

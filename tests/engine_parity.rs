@@ -8,7 +8,7 @@ mod common;
 use common::assert_engine_parity;
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::Protocol;
-use looplets_repro::finch::{Engine, Tensor};
+use looplets_repro::finch::{Engine, ExecConfig, Tensor};
 
 /// The quickstart example: sparse list × sparse band dot product.
 #[test]
@@ -173,26 +173,27 @@ fn opt_levels_preserve_outputs_across_kernel_shapes() {
     common::assert_opt_level_parity(&k, "RLE alpha blend");
 }
 
-/// Sparse output assembly across opt levels: the assembled `pos`/`idx`/
-/// `val` arrays (not just the dense materialisation) must be identical at
-/// every level on both engines.
+/// Sparse output assembly across configurations: the assembled `pos`/`idx`/
+/// `val` arrays (not just the dense materialisation) must be identical
+/// under every compile-side configuration on both engines.
 #[test]
 fn opt_levels_preserve_sparse_output_assembly() {
-    use looplets_repro::finch::OptLevel;
     for g in finch_bench::figs_output_groups(96, 0.08, 13) {
         for v in g.variants {
             let mut reference = None;
-            for level in OptLevel::all() {
-                let mut k = v.kernel.reoptimized(level);
+            for config in v.kernel.config().matrix() {
+                let mut k = v.kernel.reconfigured(&config).expect("the kernel recompiles");
                 for engine in [Engine::TreeWalk, Engine::Bytecode] {
                     k.run_with(engine).expect("kernel runs");
                     let t = k.output_tensor("C").expect("output finalizes");
                     match &reference {
                         None => reference = Some(t),
                         Some(r) => assert_eq!(
-                            r, &t,
-                            "{}: assembly diverges at {level} on {engine:?}",
-                            v.label
+                            r,
+                            &t,
+                            "{}: assembly diverges under {} on {engine:?}",
+                            v.label,
+                            config.label()
                         ),
                     }
                 }
@@ -206,8 +207,8 @@ fn opt_levels_preserve_sparse_output_assembly() {
 fn step_budget_trips_identically_on_both_engines() {
     let a = Tensor::dense_vector("A", &vec![1.0; 128]);
     let b = Tensor::dense_vector("B", &vec![2.0; 128]);
-    let mut k =
-        common::dot_kernel(&a, &b, Protocol::Default, Protocol::Default).with_step_budget(50);
+    let k = common::dot_kernel(&a, &b, Protocol::Default, Protocol::Default);
+    let mut k = k.reconfigured(&ExecConfig { step_budget: Some(50), ..k.config() }).unwrap();
     let tw = k.run_with(Engine::TreeWalk).unwrap_err();
     let bc = k.run_with(Engine::Bytecode).unwrap_err();
     assert_eq!(format!("{tw}"), format!("{bc}"));

@@ -202,9 +202,9 @@ proptest! {
         prop_assert_eq!(ck.output("D").unwrap(), oracle, "copied result");
     }
 
-    /// For random kernels, outputs are bit-identical across
-    /// `OptLevel::None`, `Default` and `Aggressive` on both engines, and
-    /// the engines agree on `ExecStats` exactly at every level.
+    /// For random kernels, outputs are bit-identical under every
+    /// compile-side configuration on both engines, and the engines agree on
+    /// `ExecStats` exactly under each.
     #[test]
     fn opt_levels_are_bit_identical_for_any_dot_kernel(
         a_data in structured_vector(48),
@@ -328,12 +328,14 @@ proptest! {
             };
             (stats, pos, idx, val)
         };
-        for level in OptLevel::all() {
-            let mut typed = k.reoptimized_typed(level, true);
-            let mut generic = k.reoptimized_typed(level, false);
-            let t = raw_level(&mut typed);
-            let g = raw_level(&mut generic);
-            prop_assert_eq!(t, g, "typed vs generic diverge at {}", level);
+        // The three dispatch modes of the optimised program: untyped, typed
+        // scalar, typed with kernel ops.
+        let [_, generic, typed @ ..] = k.config().matrix();
+        let g = raw_level(&mut k.reconfigured(&generic).expect("recompiles"));
+        for config in typed {
+            prop_assert_eq!(config.opt, OptLevel::Default);
+            let t = raw_level(&mut k.reconfigured(&config).expect("recompiles"));
+            prop_assert_eq!(&t, &g, "{} diverges from generic dispatch", config.label());
         }
     }
 
@@ -342,20 +344,20 @@ proptest! {
     /// scalar reduction and a guarded sparse-output append produce
     /// bit-identical dense outputs, bit-identical assembled
     /// `pos`/`idx`/`val` arrays, and **exactly** equal `ExecStats` with
-    /// the vectorize stage on and off, at every opt level.
+    /// the vectorize stage on and off.
     #[test]
     fn simd_kernel_ops_preserve_outputs_and_stats_under_validation(
         a_data in structured_vector(48),
         b_data in structured_vector(48),
     ) {
-        use looplets_repro::finch::{Engine, Level, OptLevel, ValidationLevel};
+        use looplets_repro::finch::{Engine, ExecConfig, Level, ValidationLevel};
         let n = a_data.len().min(b_data.len());
         let (a_data, b_data) = (&a_data[..n], &b_data[..n]);
         let a = Tensor::dense_vector("A", a_data);
         let b = Tensor::dense_vector("B", b_data);
-        let mut kernel = Kernel::new();
+        let validated = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
+        let mut kernel = Kernel::with_config(validated);
         kernel
-            .set_validation(ValidationLevel::Full)
             .bind_input(&a)
             .bind_input(&b)
             .bind_output("Y", &[n], 0.0)
@@ -410,23 +412,18 @@ proptest! {
             };
             (stats, outputs, raw)
         };
-        for level in OptLevel::all() {
-            let mut on = k.reoptimized_simd(level, true, true);
-            let mut off = k.reoptimized_simd(level, true, false);
-            prop_assert_eq!(on.validation(), ValidationLevel::Full);
-            prop_assert_eq!(
-                snapshot(&mut on),
-                snapshot(&mut off),
-                "simd on vs off diverge at {}",
-                level
-            );
-        }
+        let [.., off, on] = k.config().matrix();
+        prop_assert!(on.simd && !off.simd && off.typed);
+        prop_assert_eq!(on.validation, ValidationLevel::Full);
+        let mut on = k.reconfigured(&on).expect("validated recompile succeeds");
+        let mut off = k.reconfigured(&off).expect("validated recompile succeeds");
+        prop_assert_eq!(snapshot(&mut on), snapshot(&mut off), "simd on vs off diverge");
     }
 
     /// The DCE safety net, end to end: compiled with **full translation
     /// validation**, random sparse-output kernels keep bit-identical
     /// assembled `pos`/`idx`/`val` arrays between `OptLevel::None` and
-    /// `OptLevel::Aggressive`.  Dead-code elimination may never delete an
+    /// `OptLevel::Default`.  Dead-code elimination may never delete an
     /// effectful `Append`/`FiberEnd` — if it did, the per-pass validator
     /// would already fail the compile naming `dce`, and this comparison
     /// would catch anything that slipped past it.
@@ -435,15 +432,15 @@ proptest! {
         a_data in structured_vector(48),
         b_data in structured_vector(48),
     ) {
-        use looplets_repro::finch::{Engine, Level, OptLevel, ValidationLevel};
+        use looplets_repro::finch::{Engine, ExecConfig, Level, OptLevel, ValidationLevel};
         let n = a_data.len().min(b_data.len());
         let (a_data, b_data) = (&a_data[..n], &b_data[..n]);
         let a = Tensor::sparse_list_vector("A", a_data);
         let b = Tensor::sparse_list_vector("B", b_data);
+        let validated = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
         for op in ["mul", "add"] {
-            let mut kernel = Kernel::new();
+            let mut kernel = Kernel::with_config(validated);
             kernel
-                .set_validation(ValidationLevel::Full)
                 .bind_input(&a)
                 .bind_input(&b)
                 .bind_output_format("C", &[LevelSpec::SparseList { size: n }]);
@@ -465,12 +462,12 @@ proptest! {
                 }
             };
             let mut unopt = k.reoptimized(OptLevel::None);
-            let mut aggressive = k.reoptimized(OptLevel::Aggressive);
-            prop_assert_eq!(unopt.validation(), ValidationLevel::Full);
+            let mut optimised = k.reoptimized(OptLevel::Default);
+            prop_assert_eq!(unopt.config().validation, ValidationLevel::Full);
             prop_assert_eq!(
                 raw_level(&mut unopt),
-                raw_level(&mut aggressive),
-                "assembled pos/idx/val diverge between None and Aggressive ({op})"
+                raw_level(&mut optimised),
+                "assembled pos/idx/val diverge between None and Default ({op})"
             );
         }
     }
@@ -503,15 +500,15 @@ proptest! {
     /// The parallel sharded tier, end to end: for random CSR matrices, a
     /// dense-output SpMV (a shardable dense outer row loop) produces
     /// bit-identical outputs and **exactly** equal `ExecStats` whether run
-    /// serial or sharded, at every opt level, with the SIMD tier on and
-    /// off, at every thread count — including more threads than rows.
+    /// serial or sharded, under every compile-side configuration, at every
+    /// thread count — including more threads than rows.
     #[test]
     fn parallel_execution_is_bit_identical_to_serial(
         data in structured_vector(72),
         xseed in structured_vector(12),
         ncols in 2usize..12,
     ) {
-        use looplets_repro::finch::{Engine, OptLevel};
+        use looplets_repro::finch::Engine;
         let ncols = ncols.min(data.len());
         let nrows = data.len() / ncols;
         if nrows == 0 {
@@ -530,23 +527,20 @@ proptest! {
                 k.output("y").unwrap().iter().map(|v| v.to_bits()).collect();
             (stats, bits)
         };
-        for level in OptLevel::all() {
-            for simd in [true, false] {
-                let mut serial = base.reoptimized_simd(level, true, simd);
-                let expect = snapshot(&mut serial);
-                for threads in [2usize, 3, 4, 8] {
-                    let mut par = serial.clone().with_threads(threads);
-                    prop_assert_eq!(par.threads(), threads);
-                    let got = snapshot(&mut par);
-                    prop_assert_eq!(
-                        &expect,
-                        &got,
-                        "serial vs {} threads diverge at {} (simd={})",
-                        threads,
-                        level,
-                        simd
-                    );
-                }
+        for config in base.config().matrix() {
+            let mut serial = base.reconfigured(&config).expect("recompiles");
+            let expect = snapshot(&mut serial);
+            for threads in [2usize, 3, 4, 8] {
+                let mut par = serial.clone().with_threads(threads);
+                prop_assert_eq!(par.config().threads, threads);
+                let got = snapshot(&mut par);
+                prop_assert_eq!(
+                    &expect,
+                    &got,
+                    "serial vs {} threads diverge under {}",
+                    threads,
+                    config.label()
+                );
             }
         }
     }

@@ -9,9 +9,9 @@ use std::time::Duration;
 
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
-    BreakerPolicy, CompiledKernel, DrainReport, Engine, FaultKind, FaultPlan, FaultRule,
-    HealthSnapshot, InjectPoint, Kernel, KernelService, LevelSpec, Request, RuntimeError,
-    ServiceConfig, ServiceError, ServiceState, Tensor, Tier, Watch,
+    BreakerPolicy, CompiledKernel, DrainReport, Engine, ExecConfig, FaultKind, FaultPlan,
+    FaultRule, HealthSnapshot, InjectPoint, Kernel, KernelService, LevelSpec, Request,
+    RuntimeError, ServiceConfig, ServiceError, ServiceState, Tensor, Tier, Watch,
 };
 
 /// A kernel with a sparse (assembled) output: the abort paths must leave
@@ -47,8 +47,9 @@ fn assert_reusable_after(
     what: &str,
 ) {
     let (av, bv) = test_data(24);
-    let mut k = sparse_mul_kernel(&av, &bv);
-    k.set_engine(engine);
+    let fresh = sparse_mul_kernel(&av, &bv);
+    let unlimited = ExecConfig { engine, ..fresh.config() };
+    let mut k = fresh.reconfigured(&unlimited).expect("a run-side change");
     let err = abort(&mut k);
     match err {
         RuntimeError::StepBudgetExceeded { .. }
@@ -57,16 +58,15 @@ fn assert_reusable_after(
         other => panic!("{what}: expected a resource abort, got {other}"),
     }
 
-    // Clear every limit and rerun on the same VM and buffers.
-    k.clear_step_budget();
+    // Clear every limit and rerun on the VM and buffers as the abort left
+    // them.
     k.set_watch(None);
-    k.set_alloc_budget(None);
+    let mut k = k.reconfigured(&unlimited).expect("a run-side change");
     let stats = k.run().unwrap_or_else(|e| panic!("{what}: rerun after abort failed: {e}"));
     let rerun = k.output_tensor("C").expect("rerun output");
 
     // A fresh compile of the same kernel is the reference.
-    let mut fresh = sparse_mul_kernel(&av, &bv);
-    fresh.set_engine(engine);
+    let mut fresh = fresh.reconfigured(&unlimited).expect("a run-side change");
     let fresh_stats = fresh.run().expect("fresh run");
     let reference = fresh.output_tensor("C").expect("fresh output");
 
@@ -81,13 +81,18 @@ fn assert_reusable_after(
     assert_eq!(rerun_bits, fresh_bits, "{what}: value bits diverge after abort");
 }
 
+/// `k` under a budget: a run-side change, so the same compiled image.
+fn limited(k: &CompiledKernel, config: ExecConfig) -> CompiledKernel {
+    k.reconfigured(&config).expect("a run-side change")
+}
+
 #[test]
 fn budget_abort_mid_sparse_append_leaves_vm_reusable() {
     for engine in [Engine::Bytecode, Engine::TreeWalk] {
         assert_reusable_after(
             engine,
             |k| {
-                k.set_step_budget(7);
+                *k = limited(k, ExecConfig { step_budget: Some(7), ..k.config() });
                 k.run().expect_err("budget must trip")
             },
             &format!("step budget ({engine:?})"),
@@ -116,7 +121,7 @@ fn alloc_budget_abort_mid_sparse_append_leaves_vm_reusable() {
         assert_reusable_after(
             engine,
             |k| {
-                k.set_alloc_budget(Some(2));
+                *k = limited(k, ExecConfig { alloc_budget: Some(2), ..k.config() });
                 k.run().expect_err("allocation budget must trip")
             },
             &format!("alloc budget ({engine:?})"),
