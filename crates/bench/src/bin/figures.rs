@@ -64,7 +64,7 @@
 
 use std::time::Instant;
 
-use finch::{Engine, ExecConfig, OptLevel, ValidationLevel};
+use finch::{Engine, ExecConfig, MergeDecline, OptLevel, ValidationLevel};
 use finch_bench::report::{
     EngineReport, FigureGroup, OptReport, OptSpeedup, ParallelSpeedup, Report, SimdSpeedup,
     TypedSpeedup, ValidationReport, VariantReport,
@@ -729,27 +729,36 @@ fn main() {
         }
     }
 
+    let opt_stats =
+        || report.figures.iter().flat_map(|fig| &fig.variants).filter_map(|v| v.opt.as_ref());
     let back_end =
-        report.figures.iter().flat_map(|fig| &fig.variants).filter_map(|v| v.opt.as_ref()).fold(
-            [0u64; 5],
-            |[copies, literals, loops, advances, variants], opt| {
-                let s = opt.stats;
-                [
-                    copies + s.copies_forwarded,
-                    literals + s.literals_pinned,
-                    loops + s.loops_rotated,
-                    advances + s.advances_predicated,
-                    variants + 1,
-                ]
-            },
-        );
-    let [copies, literals, loops, advances, variants] = back_end;
+        opt_stats().fold([0u64; 6], |[copies, literals, loops, advances, skips, variants], opt| {
+            let s = opt.stats;
+            [
+                copies + s.copies_forwarded,
+                literals + s.literals_pinned,
+                loops + s.loops_rotated,
+                advances + s.advances_predicated,
+                skips + s.merge_skips,
+                variants + 1,
+            ]
+        });
+    let [copies, literals, loops, advances, skips, variants] = back_end;
     if variants > 0 {
         println!(
             "loop back end (forward pass, bytecode at OptLevel::Default): {copies} copies \
              forwarded, {literals} literals pinned, {loops} loops rotated, {advances} advances \
-             predicated over {variants} variants"
+             predicated, {skips} merge loops given a run-ahead op over {variants} variants"
         );
+        let declined: Vec<String> = MergeDecline::ALL
+            .iter()
+            .enumerate()
+            .map(|(k, why)| {
+                let loops: u64 = opt_stats().map(|opt| opt.stats.merge_declined[k]).sum();
+                format!("{loops} {}", why.label())
+            })
+            .collect();
+        println!("  typed `while` loops given none, by reason: {}", declined.join(", "));
     }
 
     if let Err(e) = report.write(&json_path) {

@@ -1,8 +1,9 @@
 //! Random-kernel differential fuzzing with a delta-debugging minimizer.
 //!
 //! [`gen_case`] draws a random CIN kernel — a handful of independent
-//! accumulation statements over two shared input vectors in random formats
-//! and protocols — and [`check_case`] executes it under **every**
+//! accumulation statements over two shared input vectors in random formats,
+//! protocols and fills (empty and single-entry vectors, and pairs with one
+//! support, among them) — and [`check_case`] executes it under **every**
 //! compile-side configuration that differs in effect
 //! ([`ExecConfig::matrix`]) on both engines, asserting bit-identical
 //! outputs everywhere plus engine-identical [`finch::ExecStats`] at each
@@ -120,8 +121,42 @@ impl StmtSpec {
     }
 }
 
-/// One fuzzed kernel: the data seed, the shared input vectors' length and
-/// formats, and the statement list the CIN program is assembled from.
+/// How many entries a fuzzed input vector stores.  The degenerate fills are
+/// what reach a loop's edges: an empty list is a zero-trip merge, one entry
+/// a merge whose first step is its last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// No entry at all.
+    Empty,
+    /// One entry.
+    Single,
+    /// At least two: `n / per` of them.
+    Scattered,
+}
+
+impl Fill {
+    /// The stored-entry count of a length-`n` vector (`n / per` scattered).
+    fn count(self, n: usize, per: usize) -> usize {
+        match self {
+            Fill::Empty => 0,
+            Fill::Single => 1,
+            Fill::Scattered => (n / per).max(2),
+        }
+    }
+
+    /// Rust source for the reproducer rendering.
+    fn src(self) -> &'static str {
+        match self {
+            Fill::Empty => "Fill::Empty",
+            Fill::Single => "Fill::Single",
+            Fill::Scattered => "Fill::Scattered",
+        }
+    }
+}
+
+/// One fuzzed kernel: the data seed, the shared input vectors' length,
+/// formats and fills, and the statement list the CIN program is assembled
+/// from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzCase {
     /// Seed for the deterministic input data.
@@ -132,6 +167,13 @@ pub struct FuzzCase {
     pub a_format: VecFormat,
     /// Storage format of input `B`.
     pub b_format: VecFormat,
+    /// How many entries `A` stores (a sixth of `n` when scattered).
+    pub a_fill: Fill,
+    /// How many entries `B` stores (a quarter of `n` when scattered), unless
+    /// `same_support`.
+    pub b_fill: Fill,
+    /// `B` stores exactly `A`'s coordinates: every step of a merge matches.
+    pub same_support: bool,
     /// The kernel's statements, each accumulating into its own output.
     pub stmts: Vec<StmtSpec>,
 }
@@ -207,9 +249,13 @@ pub fn compile_case(
     case: &FuzzCase,
     validation: ValidationLevel,
 ) -> Result<finch::CompiledKernel, CompileError> {
-    let a_data = datagen::counted_sparse_vector(case.n, (case.n / 6).max(2), case.seed);
-    let b_data =
-        datagen::counted_sparse_vector(case.n, (case.n / 4).max(2), case.seed ^ 0x9E3779B9);
+    let a_data = datagen::counted_sparse_vector(case.n, case.a_fill.count(case.n, 6), case.seed);
+    let b_data = if case.same_support {
+        a_data.iter().map(|x| x * 0.5).collect()
+    } else {
+        let count = case.b_fill.count(case.n, 4);
+        datagen::counted_sparse_vector(case.n, count, case.seed ^ 0x9E3779B9)
+    };
     let a = case.a_format.build("A", &a_data);
     let b = case.b_format.build("B", &b_data);
     let mut kernel = Kernel::with_config(ExecConfig { validation, ..ExecConfig::default() });
@@ -449,6 +495,14 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
         }
         _ => Protocol::Default,
     };
+    // One vector in four is degenerate, one pair in six shares its support.
+    let fill = |rng: &mut TestRng| match rng.below_in(0, 8) {
+        0 => Fill::Empty,
+        1 => Fill::Single,
+        _ => Fill::Scattered,
+    };
+    let (a_fill, b_fill) = (fill(rng), fill(rng));
+    let same_support = rng.below_in(0, 6) == 0;
     let count = rng.below_in(1, 9);
     let stmts = (0..count)
         .map(|_| match rng.below_in(0, 5) {
@@ -462,7 +516,7 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
             _ => StmtSpec::Blend,
         })
         .collect();
-    FuzzCase { seed: rng.next_u64(), n, a_format, b_format, stmts }
+    FuzzCase { seed: rng.next_u64(), n, a_format, b_format, a_fill, b_fill, same_support, stmts }
 }
 
 /// Greedy delta debugging over the case's statement list: repeatedly drop
@@ -524,13 +578,16 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
          #[test]\n\
          fn fuzz_divergence_seed_{}() {{\n\
          \x20   use finch::ValidationLevel;\n\
-         \x20   use finch_bench::fuzz::{{check_case, FuzzCase, StmtSpec, VecFormat}};\n\
+         \x20   use finch_bench::fuzz::{{check_case, Fill, FuzzCase, StmtSpec, VecFormat}};\n\
          \x20   use finch_cin::Protocol;\n\
          \x20   let case = FuzzCase {{\n\
          \x20       seed: {},\n\
          \x20       n: {},\n\
          \x20       a_format: {},\n\
          \x20       b_format: {},\n\
+         \x20       a_fill: {},\n\
+         \x20       b_fill: {},\n\
+         \x20       same_support: {},\n\
          \x20       stmts: vec![\n{}\
          \x20       ],\n\
          \x20   }};\n\
@@ -545,6 +602,9 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
         case.n,
         case.a_format.src(),
         case.b_format.src(),
+        case.a_fill.src(),
+        case.b_fill.src(),
+        case.same_support,
         stmts_src,
     )
 }
@@ -561,6 +621,46 @@ mod tests {
             let verdict = check_case(&case, ValidationLevel::Full);
             assert_eq!(verdict, None, "case {case:?} diverged");
         }
+    }
+
+    /// Every pairing of degenerate fills on two walked sparse lists — the
+    /// two-finger merge that is never entered, matches on its first step,
+    /// ends on its first step, matches on every step — runs divergence-free
+    /// on every leg, and the generator draws each of them.
+    #[test]
+    fn degenerate_sparse_list_merges_run_divergence_free_and_are_drawn() {
+        let walk = Protocol::Walk;
+        let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
+        for (k, a_fill) in fills.into_iter().enumerate() {
+            for b_fill in fills {
+                for same_support in [false, true] {
+                    let case = FuzzCase {
+                        seed: 41 + k as u64,
+                        n: 24,
+                        a_format: VecFormat::SparseList,
+                        b_format: VecFormat::SparseList,
+                        a_fill,
+                        b_fill,
+                        same_support,
+                        stmts: vec![
+                            StmtSpec::Dot { pa: walk, pb: walk },
+                            StmtSpec::EwiseMul { pa: walk, pb: walk },
+                        ],
+                    };
+                    assert_eq!(check_case(&case, ValidationLevel::Full), None, "{case:?}");
+                }
+            }
+        }
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let lists = |c: &&FuzzCase| {
+            (c.a_format, c.b_format) == (VecFormat::SparseList, VecFormat::SparseList)
+        };
+        let count =
+            |pred: fn(&FuzzCase) -> bool| drawn.iter().filter(lists).filter(|c| pred(c)).count();
+        assert!(count(|c| c.a_fill == Fill::Empty || c.b_fill == Fill::Empty) > 0);
+        assert!(count(|c| c.a_fill == Fill::Single || c.b_fill == Fill::Single) > 0);
+        assert!(count(|c| c.same_support) > 0);
     }
 
     /// The acceptance demonstration: inject a synthetic bug (the oracle
@@ -584,6 +684,9 @@ mod tests {
             n: 32,
             a_format: VecFormat::SparseList,
             b_format: VecFormat::Dense,
+            a_fill: Fill::Scattered,
+            b_fill: Fill::Scattered,
+            same_support: false,
             stmts,
         };
         let buggy = |c: &FuzzCase| c.stmts.iter().any(|s| matches!(s, StmtSpec::Dot { .. }));
@@ -616,6 +719,9 @@ mod tests {
             n: 40,
             a_format: VecFormat::Band,
             b_format: VecFormat::SparseList,
+            a_fill: Fill::Single,
+            b_fill: Fill::Empty,
+            same_support: false,
             stmts: vec![
                 StmtSpec::Dot { pa: Protocol::Default, pb: Protocol::Gallop },
                 StmtSpec::Threshold { tenths: 55 },
@@ -626,6 +732,8 @@ mod tests {
             &Divergence { combo: "TreeWalk/default/typed=true".into(), detail: "x".into() },
         );
         assert!(repro.contains("VecFormat::Band"));
+        assert!(repro.contains("a_fill: Fill::Single,") && repro.contains("b_fill: Fill::Empty,"));
+        assert!(repro.contains("same_support: false,"));
         assert!(repro.contains("Protocol::Gallop"));
         assert!(repro.contains("StmtSpec::Threshold { tenths: 55 }"));
         assert!(repro.contains("fuzz_divergence_seed_99"));

@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 8,
+//!   "schema_version": 9,
 //!   "opt_speedup": { "engine": "bytecode", "baseline": "none",
 //!                    "optimized": "default", "median": 1.62, "samples": 35 },
 //!   "typed_speedup": { "engine": "bytecode", "opt_level": "default",
@@ -39,7 +39,7 @@
 
 use std::io::Write as _;
 
-use finch::{Engine, ExecStats, OptLevel, OptStats, PassReport};
+use finch::{Engine, ExecStats, MergeDecline, OptLevel, OptStats, PassReport};
 
 /// One engine's measurement of one variant at one opt level and dispatch
 /// mode.
@@ -232,7 +232,7 @@ impl Report {
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\n  \"schema_version\": 8,");
+        out.push_str("\n  \"schema_version\": 9,");
         if let Some(s) = &self.opt_speedup {
             out.push_str(&format!(
                 "\n  \"opt_speedup\": {{\"engine\": {}, \"baseline\": {}, \
@@ -286,6 +286,14 @@ impl Report {
                 out.push_str(&format!("\"label\": {},", json_string(&v.label)));
                 if let Some(opt) = &v.opt {
                     let s = opt.stats;
+                    // Why loops got no run-ahead op, the reasons that occur.
+                    let merge_declined = MergeDecline::ALL
+                        .iter()
+                        .zip(s.merge_declined)
+                        .filter(|(_, loops)| *loops > 0)
+                        .map(|(why, loops)| format!("\"{}\": {loops}", why.label()))
+                        .collect::<Vec<_>>()
+                        .join(", ");
                     out.push_str(&format!(
                         "\n       \"opt\": {{\"compile_seconds\": {}, \"folds\": {}, \
                          \"copies_propagated\": {}, \"branches_pruned\": {}, \
@@ -297,6 +305,7 @@ impl Report {
                          \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \
                          \"copies_forwarded\": {}, \"literals_pinned\": {}, \
                          \"loops_rotated\": {}, \"advances_predicated\": {}, \
+                         \"merge_skips\": {}, \"merge_declined\": {{{}}}, \
                          \"ir_stmts_before\": {}, \"ir_stmts_after\": {}}},",
                         json_number(opt.compile_seconds),
                         s.folds,
@@ -317,6 +326,8 @@ impl Report {
                         s.literals_pinned,
                         s.loops_rotated,
                         s.advances_predicated,
+                        s.merge_skips,
+                        merge_declined,
                         s.ir_stmts_before,
                         s.ir_stmts_after,
                     ));
@@ -626,6 +637,8 @@ mod tests {
                             literals_pinned: 3,
                             loops_rotated: 2,
                             advances_predicated: 1,
+                            merge_skips: 1,
+                            merge_declined: [0, 2, 0, 0, 1, 0],
                             ..OptStats::default()
                         },
                     }),
@@ -694,7 +707,7 @@ mod tests {
     #[test]
     fn json_has_engines_opt_levels_and_escaped_strings() {
         let j = sample().to_json();
-        assert!(j.contains("\"schema_version\": 8"));
+        assert!(j.contains("\"schema_version\": 9"));
         assert!(j.contains("\"tree_walk\""));
         assert!(j.contains("\"bytecode\""));
         assert!(j.contains("\"opt_level\": \"default\""));
@@ -725,6 +738,9 @@ mod tests {
         assert!(j.contains("\"instrs_vectorizable\": 14"));
         assert!(j.contains("\"copies_forwarded\": 6, \"literals_pinned\": 3"));
         assert!(j.contains("\"loops_rotated\": 2, \"advances_predicated\": 1"));
+        assert!(j.contains(
+            "\"merge_skips\": 1, \"merge_declined\": {\"single_finger\": 2, \"non_unit_advance\": 1}"
+        ));
         assert!(j.contains("\"validation\": {\"level\": \"full\""));
         assert!(j.contains("\"verify_seconds\": 0.000006"));
         assert!(j.contains("\"validate_seconds\": 0.002"));

@@ -65,7 +65,7 @@ pub use finch_cin::{
     Access, CinExpr, CinOp, CinStmt, IndexExpr, IndexVar, Protocol, Reduction, TensorRef,
 };
 pub use finch_formats::{BoundTensor, Level, LevelSpec, OutputBuilder, Tensor, TensorError};
-pub use finch_ir::opt::{PassReport, ValidationLevel};
+pub use finch_ir::opt::{MergeDecline, PassReport, ValidationLevel};
 pub use finch_ir::{
     Engine, ExecConfig, ExecStats, OptLevel, OptStats, RuntimeError, ShardPlan, ShardRegion,
     ShardRole, Value, Watch,

@@ -189,6 +189,34 @@ pub(crate) fn remap_targets(code: &mut [Instr], map: &[u32]) {
     }
 }
 
+/// `code` with every `(pc, instr)` of `inserts`, given in ascending `pc`
+/// order, placed in front of `code[pc]`, and every jump moved with the
+/// instruction it named.  A jump to such a `pc` keeps landing on the
+/// original instruction, going around the inserted one, unless `entered`:
+/// then it lands on the inserted one, which is entered on every path.
+pub(crate) fn splice_before(
+    code: &[Instr],
+    inserts: &[(usize, Instr)],
+    entered: bool,
+) -> Vec<Instr> {
+    let mut spliced = Vec::with_capacity(code.len() + inserts.len());
+    let mut map = Vec::with_capacity(code.len() + 1);
+    let mut inserts = inserts.iter().peekable();
+    for (pc, instr) in code.iter().enumerate() {
+        let arrival = spliced.len() as u32;
+        if let Some((_, inserted)) = inserts.next_if(|(at, _)| *at == pc) {
+            spliced.push(*inserted);
+        }
+        map.push(if entered { arrival } else { spliced.len() as u32 });
+        spliced.push(*instr);
+    }
+    debug_assert!(inserts.next().is_none(), "inserts are ascending and inside the code");
+    // A target may be one past the last instruction (loop ends).
+    map.push(spliced.len() as u32);
+    remap_targets(&mut spliced, &map);
+    spliced
+}
+
 /// How a parallel shard may touch one buffer written inside a sharded
 /// loop region, and how the per-shard copies are stitched back together.
 ///
@@ -938,6 +966,17 @@ impl Program {
                     Value::Float(set),
                     r(counter),
                     r(hi)
+                )
+            }
+            Instr::IMergeSkip { a, p, b, q, start, stop, base, on_a, on_b } => {
+                let (p, q) = (r(p), r(q));
+                format!(
+                    "merge_skip b{}[{p}] ~ b{}[{q}] in {}..={} (i64) \
+                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt | {q} += 1 ; +{on_b} stmt }}",
+                    a.index(),
+                    b.index(),
+                    r(start),
+                    r(stop)
                 )
             }
         }

@@ -32,7 +32,7 @@
 //! What stays hand-written is what gives an opcode *meaning*: its VM arm,
 //! its disassembly, and the rules of the passes that produce or
 //! pattern-match it (`typed_form`, `write_effect`, `for_each_edge`,
-//! `try_fuse`, `vectorize`, `forward`).  Adding an opcode is one row here plus those
+//! `try_fuse`, `vectorize`, `forward`, `merge_skip`).  Adding an opcode is one row here plus those
 //! arms: the compiler's exhaustiveness check demands the VM's and the
 //! disassembler's, the passes default to leaving an opcode they do not know
 //! alone, and the per-opcode tests (`every_opcode_*` here and in
@@ -1154,6 +1154,60 @@ pub enum Instr {
         /// Unroll width (4 or 8).
         lanes: u8 = lanes,
     },
+
+    // -----------------------------------------------------------------
+    // The run-ahead kernel op of the two-finger merge, produced by
+    // `crate::opt::merge_skip`.  Unlike the vectorized ops above it sits
+    // *inside* its loop, as the body's first instruction — where the
+    // loop's bottom test lands — so it is dispatched at the top of every
+    // iteration the scalar loop is about to run.
+    // -----------------------------------------------------------------
+    /// Run-ahead of a coiterating two-finger merge (paper §6.1): at the top
+    /// of an iteration of
+    ///
+    /// ```text
+    /// while start <= stop {
+    ///     s1 = a[p] ; s2 = b[q] ; ss = min(min(s1, s2), stop)
+    ///     if ss == s1 { if ss == s2 { .. } }
+    ///     if s1 == ss { p += 1 } ; if s2 == ss { q += 1 }
+    ///     start = ss + 1
+    /// }
+    /// ```
+    ///
+    /// execute, in one native loop over the two `i64` lanes, every
+    /// iteration whose coordinates differ (`s1 != s2`: the guarded body
+    /// does not run) and that is not the loop's last (`ss + 1 <= stop`) —
+    /// the fingers advance, `start` is set, and
+    /// [`crate::interp::ExecStats`] grow by exactly what the scalar
+    /// iterations count: one loop iteration, two loads and `base` (`+ on_a`
+    /// where `p` advanced, `+ on_b` where `q` did) statements each.  It
+    /// stops, with `p`, `q` and `start` as the scalar loop has them at that
+    /// iteration's top, in front of the first iteration that matches, ends
+    /// the loop, reads past a buffer (or a buffer that is no longer `i64`),
+    /// or might cross [`crate::vm::Vm`]'s statement limit (the step budget,
+    /// a deadline check, a poll of the cancellation flag) — so the scalar
+    /// loop under it, which is left as it was, still runs every iteration
+    /// that stores, faults, trips or exits, and rewrites every temporary.
+    IMergeSkip = "i_merge_skip" TagFree {
+        /// The first finger's sorted I64 coordinate buffer.
+        a: BufId = buf(Read, I64),
+        /// The first finger: a position in `a` (proven `Int`).
+        p: Reg = reg(ReadWrite),
+        /// The second finger's sorted I64 coordinate buffer.
+        b: BufId = buf(Read, I64),
+        /// The second finger: a position in `b` (proven `Int`).
+        q: Reg = reg(ReadWrite),
+        /// The loop's `step_start`, set to one past the last skipped step.
+        start: Reg = reg(ReadWrite),
+        /// The loop's inclusive bound (proven `Int`).
+        stop: Reg = reg(Read),
+        /// Statements every iteration that matches nothing accounts.
+        base: u32 = payload,
+        /// Further statements of an iteration that advances `p`.
+        on_a: u32 = payload,
+        /// Further statements of an iteration that advances `q`.
+        on_b: u32 = payload,
+    },
 }
 }
 
@@ -1558,6 +1612,17 @@ pub(crate) fn samples() -> Vec<Instr> {
             pass_cost: cost,
             lanes: 4,
         },
+        Instr::IMergeSkip {
+            a: b(0),
+            p: r(0),
+            b: b(1),
+            q: r(1),
+            start: r(2),
+            stop: r(3),
+            base: 7,
+            on_a: 2,
+            on_b: 1,
+        },
     ]
 }
 
@@ -1588,11 +1653,33 @@ mod tests {
     /// pc in it.  A kernel op sits in front of the counted loop it drives
     /// (whose body stores the register a register-valued fill reads); a
     /// bottom test sits right behind the head it re-tests, closing an empty
-    /// loop; any other instruction sits inside a loop whose head is pc 0,
-    /// for `ForStep` to jump back to, and whose exit is pc 3.
+    /// loop; the merge run-ahead sits right behind the head of a loop that
+    /// steps its fingers and its start; any other instruction sits inside a
+    /// loop whose head is pc 0, for `ForStep` to jump back to, and whose
+    /// exit is pc 3.
     fn around(sample: Instr) -> (Program, usize) {
         let (r, var) = (Reg, Reg(7));
         let (code, pc) = match (sample.vop_loop_regs(), sample) {
+            (_, Instr::IMergeSkip { p, q, start, stop, .. }) => {
+                let (op, ss) = (BinOp::Le, r(6));
+                let step = |at, reg| Instr::IAdvance {
+                    op: BinOp::Eq,
+                    lhs: at,
+                    rhs: ss,
+                    reg,
+                    by: 1,
+                    stmts: 1,
+                };
+                let code = vec![
+                    Instr::IWhileCmp { op, lhs: start, rhs: stop, end: 6 },
+                    sample,
+                    step(r(4), p),
+                    step(r(5), q),
+                    Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 },
+                    Instr::IWhileNext { op, lhs: start, rhs: stop, body: 1 },
+                ];
+                (code, 1)
+            }
             (_, Instr::IWhileNext { op, lhs, rhs, .. }) => {
                 (vec![Instr::IWhileCmp { op, lhs, rhs, end: 2 }, sample], 1)
             }

@@ -1,0 +1,674 @@
+//! Run-ahead selection for the two-finger merge.
+//!
+//! The loop the stepper lowerer emits for two coiterating steppers under a
+//! conjunctive body (paper §6.1; Fig. 7's two-finger SpMSpV, Fig. 8's walked
+//! triangle count) reaches this pass, typed and through `forward`, as
+//!
+//! ```text
+//! while start <= stop            IWhileCmp(Le)
+//!     s1 = a[p]                  LoadI64
+//!     s2 = b[q]                  LoadI64
+//!     t  = min(s1, s2)           IArith(Min)
+//!     ss = min(t, stop)          IArith(Min)
+//!     if_false ss == s1 -> L     ICmpBranch(Eq)   (the fingers in either order)
+//!     if_false ss == s2 -> L     ICmpBranch(Eq)
+//!     ..                         what a match does: anything
+//! L:  if s1 == ss { p += 1 }     IAdvance
+//!     if s2 == ss { q += 1 }     IAdvance
+//!     start = ss + 1             IArithImm(Add)
+//! next while start <= stop       IWhileNext
+//! ```
+//!
+//! and on sparse operands all but a few per cent of its iterations find
+//! `s1 != s2`, match nothing and do finger bookkeeping at a dozen dispatches
+//! each.  [`merge_skip`] recognises the loop and places one
+//! [`Instr::IMergeSkip`] as the body's first instruction — on the target of
+//! the bottom test, so it is dispatched at loop entry and after every scalar
+//! iteration — which runs those iterations natively.  Like the vectorized
+//! kernel ops this is strictly additive: the scalar loop is left
+//! instruction for instruction as it was, still executes every iteration
+//! that matches, ends the loop, faults or trips a budget, and is all there
+//! is when the op declines at run time.  The op carries the statement
+//! counts of an iteration it skips, read off the loop, so
+//! [`crate::interp::ExecStats`] cannot tell the two apart and the pass runs
+//! under [`super::StatsContract::Exact`].
+//!
+//! A loop that is not given the op says why ([`MergeDecline`]); the tallies
+//! are in [`OptStats::merge_declined`].
+
+use crate::bytecode::{jump_targets, splice_before, Instr, Program, Reg};
+use crate::expr::BinOp;
+
+use super::OptStats;
+
+/// Why a typed `while` loop was not given a run-ahead op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeDecline {
+    /// Not `while start <= stop` on two registers closed by its own bottom
+    /// test: the loop counts another way, or its condition takes more than
+    /// the head to evaluate.
+    NotAStepLoop,
+    /// The body does not begin by loading two strides: one stepper alone
+    /// (nothing to coiterate), or a stride that is not a plain coordinate
+    /// load.
+    SingleFinger,
+    /// The step is not the minimum of the two strides clipped to the
+    /// bound — a jumper's leader election takes the maximum.
+    NotTheMinimum,
+    /// The body is not guarded by both fingers ending the step, so it does
+    /// work on a step only one of them ends: a disjunctive (union) body, or
+    /// a finger whose stride ends a block or a run that covers the step.
+    NotGuardedByBoth,
+    /// A finger does not advance by one position where its stride ends the
+    /// step, or the next step does not start one past this one.
+    NonUnitAdvance,
+    /// Two of the loop's registers, or its two buffers, are the same.
+    SharedOperand,
+}
+
+impl MergeDecline {
+    /// Every reason, in tally order.
+    pub const ALL: [MergeDecline; 6] = [
+        MergeDecline::NotAStepLoop,
+        MergeDecline::SingleFinger,
+        MergeDecline::NotTheMinimum,
+        MergeDecline::NotGuardedByBoth,
+        MergeDecline::NonUnitAdvance,
+        MergeDecline::SharedOperand,
+    ];
+
+    /// A short stable label, used by the benchmark harness and its JSON
+    /// report.
+    pub fn label(self) -> &'static str {
+        match self {
+            MergeDecline::NotAStepLoop => "not_a_step_loop",
+            MergeDecline::SingleFinger => "single_finger",
+            MergeDecline::NotTheMinimum => "not_the_minimum",
+            MergeDecline::NotGuardedByBoth => "not_guarded_by_both",
+            MergeDecline::NonUnitAdvance => "non_unit_advance",
+            MergeDecline::SharedOperand => "shared_operand",
+        }
+    }
+}
+
+/// Give every two-finger merge loop of `p` its run-ahead op.  `p` is typed
+/// bytecode behind `forward`, which makes the advances and the bottom tests
+/// the shape is recognised by, and in front of `finalize`: every statement
+/// is still an explicit [`Instr::BumpStmt`].
+pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
+    let mut inserts = Vec::new();
+    for (head, instr) in p.code.iter().enumerate() {
+        if !matches!(instr, Instr::IWhileCmp { .. }) {
+            continue;
+        }
+        match recognise(&p.code, head) {
+            Ok(op) => {
+                stats.merge_skips += 1;
+                inserts.push((head + 1, op));
+            }
+            Err(why) => stats.merge_declined[why as usize] += 1,
+        }
+    }
+    if inserts.is_empty() {
+        return p.clone();
+    }
+    // The bottom test's jump to the body's first instruction lands on the op.
+    p.with_code(splice_before(&p.code, &inserts, true))
+}
+
+/// Whether `{x, y}` is `{a, b}`.
+fn pair(x: Reg, y: Reg, a: Reg, b: Reg) -> bool {
+    (x, y) == (a, b) || (x, y) == (b, a)
+}
+
+/// The op for the loop headed at `head`, or why it gets none.
+fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
+    use MergeDecline::*;
+    let Instr::IWhileCmp { op: BinOp::Le, lhs: start, rhs: stop, end } = code[head] else {
+        return Err(NotAStepLoop);
+    };
+    let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: head as u32 + 1 };
+    let bottom = (end as usize).wrapping_sub(1);
+    if bottom <= head || code.get(bottom) != Some(&closes) {
+        return Err(NotAStepLoop);
+    }
+    // The instructions that compute something, from the top of the body.
+    let computes = |pc: &usize| !matches!(code[*pc], Instr::Nop | Instr::BumpStmt);
+    let mut top = (head + 1..bottom).filter(computes).map(|pc| (pc, code[pc]));
+    let Some((_, Instr::LoadI64 { dst: s1, buf: a, idx: p_reg })) = top.next() else {
+        return Err(SingleFinger);
+    };
+    let Some((_, Instr::LoadI64 { dst: s2, buf: b, idx: q_reg })) = top.next() else {
+        return Err(SingleFinger);
+    };
+    let (Some((_, first)), Some((_, second))) = (top.next(), top.next()) else {
+        return Err(NotTheMinimum);
+    };
+    let (t, ss) = match (first, second) {
+        (
+            Instr::IArith { op: BinOp::Min, dst: t, lhs, rhs },
+            Instr::IArith { op: BinOp::Min, dst: ss, lhs: l2, rhs: r2 },
+        ) if pair(lhs, rhs, s1, s2) && pair(l2, r2, t, stop) => (t, ss),
+        _ => return Err(NotTheMinimum),
+    };
+    // Both guards skip to the same place: where the fingers advance.
+    let guard = |at: Option<(usize, Instr)>| match at {
+        Some((pc, Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, target })) => {
+            [s1, s2].into_iter().find(|&s| pair(lhs, rhs, ss, s)).map(|s| (pc, s, target as usize))
+        }
+        _ => None,
+    };
+    let (Some((outer_pc, outer, tail)), Some((inner_pc, inner, inner_tail))) =
+        (guard(top.next()), guard(top.next()))
+    else {
+        return Err(NotGuardedByBoth);
+    };
+    if outer == inner || tail != inner_tail || tail <= inner_pc || tail >= bottom {
+        return Err(NotGuardedByBoth);
+    }
+    // Behind the guarded body: the two advances, the next start, the bottom test.
+    let mut behind = (tail..bottom).filter(computes).map(|pc| code[pc]);
+    let advance = |at: Option<Instr>| match at {
+        Some(Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts }) => {
+            Some((lhs, rhs, reg, stmts))
+        }
+        _ => None,
+    };
+    let (Some(first), Some(second)) = (advance(behind.next()), advance(behind.next())) else {
+        return Err(NonUnitAdvance);
+    };
+    let stmts_of = |finger: Reg, stride: Reg| {
+        [first, second]
+            .into_iter()
+            .find(|&(lhs, rhs, reg, _)| reg == finger && pair(lhs, rhs, stride, ss))
+            .map(|(.., stmts)| stmts)
+    };
+    let (Some(a_stmts), Some(b_stmts)) = (stmts_of(p_reg, s1), stmts_of(q_reg, s2)) else {
+        return Err(NonUnitAdvance);
+    };
+    let next_start = Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 };
+    if behind.next() != Some(next_start) || behind.next().is_some() {
+        return Err(NonUnitAdvance);
+    }
+    let regs = [start, stop, p_reg, q_reg, s1, s2, t, ss];
+    if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
+        return Err(SharedOperand);
+    }
+    // Nothing enters the loop but at its top and where the guards skip to,
+    // and what a match does stays in front of the advances.
+    // (Only a loop that is the shape gets this far: one scan of the code.)
+    let targets = jump_targets(code);
+    let entered = |pc: usize| targets[pc] && pc != head + 1 && pc != tail;
+    let stays =
+        |pc: usize| code[pc].target().is_none_or(|t| (inner_pc + 1..=tail).contains(&(t as usize)));
+    if (head + 1..=inner_pc).chain(tail..=bottom).any(entered) || !(inner_pc + 1..tail).all(stays) {
+        return Err(NotGuardedByBoth);
+    }
+    // What an iteration that matches nothing accounts: every statement
+    // outside the guarded body, the inner guard's only when the outer
+    // finger ends the step, an advance's only when it advances.
+    let stmts = |pcs: std::ops::RangeInclusive<usize>| {
+        pcs.filter(|&pc| code[pc] == Instr::BumpStmt).count() as u32
+    };
+    let base = stmts(head + 1..=outer_pc) + stmts(tail..=bottom);
+    let on_outer = stmts(outer_pc + 1..=inner_pc);
+    let on = |stride: Reg, advance: u32| advance + if outer == stride { on_outer } else { 0 };
+    Ok(Instr::IMergeSkip {
+        a,
+        p: p_reg,
+        b,
+        q: q_reg,
+        start,
+        stop,
+        base,
+        on_a: on(s1, a_stmts),
+        on_b: on(s2, b_stmts),
+    })
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::buffer::{BufId, Buffer, BufferSet};
+    use crate::config::ExecConfig;
+    use crate::error::RuntimeError;
+    use crate::expr::Expr;
+    use crate::interp::{ExecStats, Interpreter};
+    use crate::opt::{optimize_and_lower, ValidationLevel};
+    use crate::stmt::Stmt;
+    use crate::var::{Names, Var};
+    use crate::vm::{Vm, Watch};
+
+    pub(in crate::opt) type Kernel = (Vec<Stmt>, Names, BufferSet);
+
+    /// The buffers of [`merge_kernel`], in the order it adds them.
+    const A_IDX: BufId = BufId(0);
+    const B_IDX: BufId = BufId(2);
+    const OUT: BufId = BufId(5);
+
+    /// What [`merge_kernel_with`] varies: the loop the recogniser takes, or
+    /// one of the shapes it must decline.
+    #[derive(Clone, Copy, PartialEq)]
+    pub(in crate::opt) enum Shape {
+        /// §6.1's two-finger intersection.
+        Intersection,
+        /// The step ends at the *later* stride: a jumper's leader election.
+        Jumper,
+        /// The body runs wherever the first finger ends the step.
+        GuardedByOneFinger,
+        /// The second finger advances by two positions.
+        AdvanceByTwo,
+    }
+
+    /// The loop `lower_stepped` emits for two coiterating steppers under a
+    /// conjunctive body — `out[0] += a_val[p] * b_val[q]` wherever the
+    /// coordinates meet — over the step range `0..=stop`, with the bound in a
+    /// register (it is loaded, so nothing folds it into the comparisons).
+    pub(in crate::opt) fn merge_kernel(a: &[i64], b: &[i64], stop: i64) -> Kernel {
+        merge_kernel_with(a, b, stop, Shape::Intersection)
+    }
+
+    pub(in crate::opt) fn merge_kernel_with(
+        a: &[i64],
+        b: &[i64],
+        stop: i64,
+        shape: Shape,
+    ) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let values =
+            |n: usize, scale: f64| (0..n).map(|k| (k + 1) as f64 * scale).collect::<Vec<_>>();
+        let a_idx = bufs.add("a_idx", Buffer::I64(a.to_vec().into()));
+        let a_val = bufs.add("a_val", Buffer::F64(values(a.len(), 0.5).into()));
+        let b_idx = bufs.add("b_idx", Buffer::I64(b.to_vec().into()));
+        let b_val = bufs.add("b_val", Buffer::F64(values(b.len(), 0.25).into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
+        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
+        assert_eq!((a_idx, b_idx, out), (A_IDX, B_IDX, OUT));
+        let [p, q, hi, start, s1, s2, ss] =
+            ["p", "q", "phase_stop", "step_start", "stride", "stride_2", "step_stop"]
+                .map(|name| names.fresh(name));
+        let v = Expr::Var;
+        let advance = |finger: Var, stride: Var, by: i64| {
+            Stmt::if_then(
+                Expr::eq(v(stride), v(ss)),
+                vec![Stmt::Assign { var: finger, value: Expr::add(v(finger), Expr::int(by)) }],
+            )
+        };
+        let both = match shape {
+            Shape::Jumper => Expr::max(v(s1), v(s2)),
+            _ => Expr::min(v(s1), v(s2)),
+        };
+        let work = Stmt::Store {
+            buf: out,
+            index: Expr::int(0),
+            value: Expr::mul(Expr::load(a_val, v(p)), Expr::load(b_val, v(q))),
+            reduce: Some(BinOp::Add),
+        };
+        let matched = match shape {
+            Shape::GuardedByOneFinger => vec![work],
+            _ => vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), vec![work])],
+        };
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: q, init: Expr::int(0) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While {
+                cond: Expr::le(v(start), v(hi)),
+                body: vec![
+                    Stmt::Let { var: s1, init: Expr::load(a_idx, v(p)) },
+                    Stmt::Let { var: s2, init: Expr::load(b_idx, v(q)) },
+                    Stmt::Let { var: ss, init: Expr::min(both, v(hi)) },
+                    Stmt::if_then(Expr::eq(v(ss), v(s1)), matched),
+                    advance(p, s1, 1),
+                    advance(q, s2, if shape == Shape::AdvanceByTwo { 2 } else { 1 }),
+                    Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+                ],
+            },
+        ];
+        (stmts, names, bufs)
+    }
+
+    /// Sorted coordinate lists with a sentinel past `stop`, so that no finger
+    /// leaves its list: sparse against dense-ish, interleaved, equal, disjoint
+    /// halves, one a prefix of the other, one entry each.
+    fn operand_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+        let end = |mut list: Vec<i64>| {
+            list.push(1000);
+            list
+        };
+        vec![
+            (end(vec![3, 17, 30]), end((0..40).collect()), 39),
+            (end((0..40).step_by(2).collect()), end((1..40).step_by(2).collect()), 39),
+            (end(vec![2, 5, 9, 14]), end(vec![2, 5, 9, 14]), 20),
+            (end((0..10).collect()), end((10..20).collect()), 19),
+            (end(vec![1, 4, 6]), end(vec![1, 4, 6, 8, 11, 12]), 12),
+            (end(vec![7]), end(vec![7]), 7),
+            (end(vec![4]), end(vec![9]), 15),
+            (end(vec![]), end(vec![1, 2]), 5),
+        ]
+    }
+
+    struct Compiled {
+        /// What the tree-walker runs.
+        code: Vec<Stmt>,
+        names: Names,
+        /// With the kernel-op tier, and without it.
+        skipping: Program,
+        scalar: Program,
+        stats: OptStats,
+    }
+
+    fn compile(kernel: &Kernel) -> Compiled {
+        let (stmts, names, bufs) = kernel;
+        let lower = |simd: bool| {
+            let mut names = names.clone();
+            let config =
+                ExecConfig { simd, validation: ValidationLevel::Full, ..ExecConfig::default() };
+            let out = optimize_and_lower(stmts, &mut names, bufs, &config)
+                .expect("the kernel compiles under full validation");
+            (out, names)
+        };
+        let ((on, names), (off, _)) = (lower(true), lower(false));
+        Compiled {
+            code: on.code.expect("the IR passes ran"),
+            names,
+            skipping: on.program,
+            scalar: off.program,
+            stats: on.stats,
+        }
+    }
+
+    fn ops(p: &Program) -> Vec<usize> {
+        let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IMergeSkip { .. });
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    fn run(p: &Program, bufs: &BufferSet, budget: Option<u64>) -> (String, ExecStats, BufferSet) {
+        let mut bufs = bufs.clone();
+        let mut vm = Vm::new(p);
+        vm.set_step_budget(budget);
+        let outcome = format!("{:?}", vm.run(p, &mut bufs));
+        (outcome, vm.stats(), bufs)
+    }
+
+    #[test]
+    fn the_merge_loop_gets_one_op_on_its_bottom_tests_target_and_is_otherwise_untouched() {
+        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
+        let c = compile(&kernel);
+        assert_eq!(c.stats.merge_skips, 1, "{}", c.skipping.disasm());
+        assert_eq!(c.stats.merge_declined, [0; 6]);
+        let [at] = ops(&c.skipping)[..] else { panic!("one op:\n{}", c.skipping.disasm()) };
+        let code = c.skipping.code();
+        let Instr::IWhileCmp { end, .. } = code[at - 1] else {
+            panic!("the op follows the loop head:\n{}", c.skipping.disasm())
+        };
+        assert!(
+            matches!(code[end as usize - 1], Instr::IWhileNext { body, .. } if body as usize == at),
+            "{}",
+            c.skipping.disasm()
+        );
+        // Seven statements an iteration, the inner guard's and the advance's
+        // with the first finger, the advance's with the second.
+        assert!(
+            matches!(code[at], Instr::IMergeSkip { base: 7, on_a: 2, on_b: 1, .. }),
+            "{}",
+            c.skipping.disasm()
+        );
+        assert_eq!(c.skipping.stmt_bump()[at], 0);
+        // Without the op, the program is the one compiled without the tier.
+        let mut without = code.to_vec();
+        without.remove(at);
+        for target in without.iter_mut().filter_map(Instr::target_mut) {
+            *target -= u32::from(*target as usize > at);
+        }
+        assert_eq!(without, c.scalar.code(), "{}\nvs\n{}", c.skipping.disasm(), c.scalar.disasm());
+        assert!(ops(&c.scalar).is_empty());
+        let mut folded = c.skipping.stmt_bump().to_vec();
+        folded.remove(at);
+        assert_eq!(folded, c.scalar.stmt_bump());
+    }
+
+    /// Every step budget from 0 to the full run, on every operand pair: the
+    /// VM with the op, the VM without it and the tree-walker stop at the same
+    /// statement with the same counters and the same output — and the op
+    /// did skip.
+    #[test]
+    fn every_step_budget_trips_where_the_scalar_loop_and_the_tree_walker_trip() {
+        for (a, b, stop) in operand_pairs() {
+            let kernel = merge_kernel(&a, &b, stop);
+            let c = compile(&kernel);
+            assert_eq!(ops(&c.skipping).len(), 1, "{}", c.skipping.disasm());
+            let context = format!("{a:?} x {b:?} to {stop}");
+            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
+            assert_eq!(outcome, "Ok(())", "{context}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let mut tree_bufs = kernel.2.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                assert_eq!(tree == "Ok(())", budget == full.stmts, "{context} at {budget}");
+                for p in [&c.skipping, &c.scalar] {
+                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
+                    assert_eq!(outcome, tree, "{context} at {budget}");
+                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
+                    assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{context} at {budget}");
+                }
+            }
+            // The scalar loop runs the iterations that match or end the loop.
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
+            let at = ops(&c.skipping)[0];
+            let matches = a.iter().filter(|&x| b.contains(x) && *x <= stop).count() as u64;
+            assert!(per_pc[at + 1] <= matches + 1, "{context}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{context}");
+        }
+    }
+
+    /// An injected fault at every statement of the run: both engines panic
+    /// with the same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_on_the_tree_walkers_statement() {
+        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
+        let c = compile(&kernel);
+        let (_, full, _) = run(&c.skipping, &kernel.2, None);
+        for at in 1..=full.stmts {
+            let watch = Watch::default().with_fault_at_stmt(at);
+            let mut interp = Interpreter::new(&c.names);
+            interp.set_watch(Some(watch.clone()));
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                let _ = interp.run(&c.code, &mut kernel.2.clone());
+            }))
+            .expect_err("the tree-walker reaches the injected fault");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic").clone();
+            let mut vm = Vm::new(&c.skipping);
+            vm.set_watch(Some(watch));
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                let _ = vm.run(&c.skipping, &mut kernel.2.clone());
+            }))
+            .expect_err("the VM reaches the injected fault");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+            assert_eq!(vm.stats(), interp.stats(), "fault at statement {at}");
+        }
+    }
+
+    /// A coordinate buffer rebound to another kind, to a shorter list, or
+    /// with a finger started outside it: the op declines or stops in front
+    /// of the iteration, and the scalar loop reports what it reports without
+    /// the op, having counted the same work.
+    #[test]
+    fn a_rebound_coordinate_buffer_faults_as_the_scalar_loop_faults() {
+        let a: Vec<i64> = vec![3, 17, 30, 99];
+        let b: Vec<i64> = (0..41).collect();
+        let kernel = merge_kernel(&a, &b, 39);
+        let c = compile(&kernel);
+        let rebound = |buf: BufId, with: Buffer| {
+            let mut bufs = kernel.2.clone();
+            *bufs.get_mut(buf) = with;
+            bufs
+        };
+        let cases = [
+            ("a as f64", rebound(A_IDX, Buffer::F64(vec![3.0, 17.0, 30.0, 99.0].into()))),
+            ("a cut short", rebound(A_IDX, Buffer::I64(vec![3, 17].into()))),
+            ("b cut short", rebound(B_IDX, Buffer::I64((0..12).collect::<Vec<_>>().into()))),
+            ("a empty", rebound(A_IDX, Buffer::I64(Vec::new().into()))),
+            (
+                "b as f64",
+                rebound(B_IDX, Buffer::F64((0..41).map(f64::from).collect::<Vec<_>>().into())),
+            ),
+        ];
+        for (what, bufs) in cases {
+            let (with_op, with_stats, with_bufs) = run(&c.skipping, &bufs, None);
+            let (without, stats, without_bufs) = run(&c.scalar, &bufs, None);
+            assert_eq!(with_op, without, "{what}");
+            assert_eq!(with_stats, stats, "{what}");
+            assert_eq!(with_bufs.get(OUT), without_bufs.get(OUT), "{what}");
+            if what.contains("cut") || what.contains("empty") {
+                assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
+            }
+        }
+    }
+
+    /// Sorted lists drawn at random, at every density: all three agree.
+    #[test]
+    fn random_sorted_lists_merge_alike_with_and_without_the_op() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        for round in 0..200 {
+            let mut list = |one_in: u64| {
+                let mut out: Vec<i64> = (0..60).filter(|_| draw(one_in) == 0).collect();
+                out.push(500);
+                out
+            };
+            let (a, b) = (list(1 + round % 7), list(1 + round % 5));
+            let kernel = merge_kernel(&a, &b, 59);
+            let c = compile(&kernel);
+            let mut interp = Interpreter::new(&c.names);
+            let mut tree_bufs = kernel.2.clone();
+            interp.run(&c.code, &mut tree_bufs).expect("the merge runs");
+            for p in [&c.skipping, &c.scalar] {
+                let (outcome, stats, bufs) = run(p, &kernel.2, None);
+                assert_eq!(outcome, "Ok(())", "{a:?} x {b:?}");
+                assert_eq!(stats, interp.stats(), "{a:?} x {b:?}");
+                assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{a:?} x {b:?}");
+            }
+        }
+    }
+
+    /// A raised cancellation flag stops a run-ahead as it stops the scalar
+    /// loop: with the typed error, before the run completes.
+    #[test]
+    fn a_raised_cancellation_flag_stops_the_run() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
+        let c = compile(&kernel);
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut vm = Vm::new(&c.skipping);
+        vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
+        // Armed and down: the run completes, counters as without a watch.
+        vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
+        assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1);
+        flag.store(true, std::sync::atomic::Ordering::Relaxed);
+        vm.reset();
+        let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
+        assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{err:?}");
+        assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
+    }
+
+    #[test]
+    fn loops_that_are_not_a_two_finger_intersection_say_why() {
+        let (a, b): (Vec<i64>, Vec<i64>) = (vec![1, 5, 99], vec![2, 5, 99]);
+        let declined = |kernel: &Kernel, why: MergeDecline| {
+            let c = compile(kernel);
+            assert!(ops(&c.skipping).is_empty(), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_skips, 0);
+            let mut tally = [0; 6];
+            tally[why as usize] = 1;
+            assert_eq!(c.stats.merge_declined, tally, "{why:?}\n{}", c.skipping.disasm());
+            assert_eq!(c.skipping.code(), c.scalar.code(), "{why:?}: no op, same program");
+        };
+        declined(&merge_kernel_with(&a, &b, 9, Shape::Jumper), MergeDecline::NotTheMinimum);
+        declined(
+            &merge_kernel_with(&a, &b, 9, Shape::GuardedByOneFinger),
+            MergeDecline::NotGuardedByBoth,
+        );
+        declined(&merge_kernel_with(&a, &b, 9, Shape::AdvanceByTwo), MergeDecline::NonUnitAdvance);
+        // Both fingers on one list.
+        let (mut stmts, names, bufs) = merge_kernel(&a, &b, 9);
+        fn rebind(stmts: &mut [Stmt]) {
+            for stmt in stmts {
+                *stmt = stmt.map_exprs(&mut |e| {
+                    e.map(&mut |sub| match sub {
+                        Expr::Load { buf, index } if *buf == B_IDX => {
+                            Some(Expr::load(A_IDX, (**index).clone()))
+                        }
+                        _ => None,
+                    })
+                });
+                if let Stmt::While { body, .. } = stmt {
+                    rebind(body);
+                }
+            }
+        }
+        rebind(&mut stmts);
+        declined(&(stmts, names, bufs), MergeDecline::SharedOperand);
+        // One stepper alone.
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let idx = bufs.add("idx", Buffer::I64(vec![1, 5, 99].into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![9].into()));
+        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
+        let [p, hi, start, s, ss] =
+            ["p", "phase_stop", "step_start", "stride", "step_stop"].map(|name| names.fresh(name));
+        let v = Expr::Var;
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While {
+                cond: Expr::le(v(start), v(hi)),
+                body: vec![
+                    Stmt::Let { var: s, init: Expr::load(idx, v(p)) },
+                    Stmt::Let { var: ss, init: Expr::min(v(s), v(hi)) },
+                    Stmt::if_then(
+                        Expr::eq(v(ss), v(s)),
+                        vec![Stmt::Store {
+                            buf: out,
+                            index: Expr::int(0),
+                            value: Expr::float(1.0),
+                            reduce: Some(BinOp::Add),
+                        }],
+                    ),
+                    Stmt::if_then(
+                        Expr::eq(v(s), v(ss)),
+                        vec![Stmt::Assign { var: p, value: Expr::add(v(p), Expr::int(1)) }],
+                    ),
+                    Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+                ],
+            },
+        ];
+        declined(&(stmts, names, bufs), MergeDecline::SingleFinger);
+        // A loop that counts another way.
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let bound = bufs.add("bound", Buffer::I64(vec![3].into()));
+        let [n, lim] = ["n", "lim"].map(|name| names.fresh(name));
+        let stmts = vec![
+            Stmt::Let { var: n, init: Expr::int(0) },
+            Stmt::Let { var: lim, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::While {
+                cond: Expr::lt(v(n), v(lim)),
+                body: vec![Stmt::Assign { var: n, value: Expr::add(v(n), Expr::int(1)) }],
+            },
+        ];
+        declined(&(stmts, names, bufs), MergeDecline::NotAStepLoop);
+    }
+}

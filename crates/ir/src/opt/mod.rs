@@ -34,6 +34,11 @@
 //!   dropped, the stepper's guarded increment becomes one branch-free
 //!   [`crate::bytecode::Instr::IAdvance`], and a typed loop's back edge
 //!   re-tests its condition itself,
+//! * [`mod@merge_skip`] — the kernel-op tier's second selection, behind
+//!   `forward`: the loop of two coiterating steppers under a conjunctive
+//!   body gains one run-ahead op as its body's first instruction, which
+//!   performs natively the iterations that match nothing, with the untouched
+//!   scalar loop running every iteration that stores, faults or exits,
 //! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are
@@ -63,6 +68,7 @@ pub mod forward;
 #[cfg(test)]
 mod irgen;
 mod licm;
+pub mod merge_skip;
 #[cfg(test)]
 mod mutation_tests;
 mod pass;
@@ -75,6 +81,7 @@ pub mod verify;
 pub use finalize::finalize;
 pub use forward::forward;
 pub use licm::hoist_invariants;
+pub use merge_skip::{merge_skip, MergeDecline};
 pub use pass::{
     Pass, PassCtx, PassError, PassManager, PassReport, Repr, ReprRef, StatsContract,
     ValidationLevel,
@@ -196,6 +203,12 @@ pub struct OptStats {
     /// Guarded increments the `forward` pass fused into one branch-free
     /// [`crate::bytecode::Instr::IAdvance`].
     pub advances_predicated: u64,
+    /// Two-finger merge loops given a run-ahead op
+    /// ([`crate::bytecode::Instr::IMergeSkip`]) by [`merge_skip()`].
+    pub merge_skips: u64,
+    /// Typed `while` loops [`merge_skip()`] looked at and gave no op, by
+    /// reason: indexed like [`MergeDecline::ALL`].
+    pub merge_declined: [u64; MergeDecline::ALL.len()],
     /// IR statement count before the pipeline ran.
     pub ir_stmts_before: u64,
     /// IR statement count after the pipeline ran.
@@ -338,6 +351,22 @@ impl Pass for ForwardPass {
     }
 }
 
+/// Run-ahead selection for two-finger merge loops ([`merge_skip()`]) as a
+/// [`Pass`]: part of the kernel-op tier, like [`VectorizePass`], but behind
+/// [`ForwardPass`], whose predicated advances and bottom tests it
+/// recognises the loop by.  The op accounts what the iterations it skips
+/// count, so the default [`StatsContract::Exact`] applies.
+pub struct MergeSkipPass;
+
+impl Pass for MergeSkipPass {
+    fn name(&self) -> &'static str {
+        "merge_skip"
+    }
+    fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+        Repr::Bytecode(merge_skip::merge_skip(repr.bytecode(), ctx.stats))
+    }
+}
+
 /// Dispatch-stream clean-up ([`finalize()`]) as a [`Pass`]: statement
 /// accounting folded into the per-pc side table, no-ops deleted, jump
 /// chains threaded.  Work counters and faults are untouched, so the
@@ -412,6 +441,9 @@ pub fn optimize_and_lower(
                 program = bytecode_pass(&VectorizePass, &program)?;
             }
             program = bytecode_pass(&ForwardPass, &program)?;
+            if config.simd {
+                program = bytecode_pass(&MergeSkipPass, &program)?;
+            }
         }
         program = bytecode_pass(&FinalizePass, &program)?;
     }

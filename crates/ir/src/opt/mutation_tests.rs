@@ -823,3 +823,142 @@ fn an_advance_that_counts_its_statement_when_not_taken_is_caught_and_attributed(
     let verdict = run_typed_bytecode_pass(kernel_with_copies_around_a_loop(), &m);
     assert_caught(verdict, "forward", "ExecStats");
 }
+
+// ---------------------------------------------------------------------
+// Seeded miscompiles of the merge run-ahead selection: the real pass's
+// output with one thing wrong, and the gate that notices.
+// ---------------------------------------------------------------------
+
+/// A two-finger merge, typed and through `forward` — what `merge_skip`
+/// runs on — whose witness skips iterations that advance the first finger,
+/// iterations that advance the second, and matches in between.
+fn forwarded_merge_kernel(shape: merge_skip::tests::Shape) -> (Program, Names, BufferSet) {
+    let b: Vec<i64> = (0..41).filter(|k| k % 3 != 1).collect();
+    let (stmts, names, bufs) =
+        merge_skip::tests::merge_kernel_with(&[3, 4, 17, 18, 30, 99], &b, 39, shape);
+    let fused = peephole(&Program::compile(&stmts, &names), &mut OptStats::default());
+    let typed = typing::specialize_checked(&fused, &bufs).0;
+    (forward(&typed, &mut OptStats::default()), names, bufs)
+}
+
+/// The real pass, then `mutate` on the op it placed.
+fn run_merge_skip_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassError> {
+    struct Mutated(fn(&mut Program, usize));
+    impl Pass for Mutated {
+        fn name(&self) -> &'static str {
+            "merge_skip"
+        }
+        fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+            let mut program = merge_skip(repr.bytecode(), ctx.stats);
+            let at = program
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::IMergeSkip { .. }))
+                .expect("the merge loop gets its op");
+            (self.0)(&mut program, at);
+            Repr::Bytecode(program)
+        }
+    }
+    let kernel = forwarded_merge_kernel(merge_skip::tests::Shape::Intersection);
+    run_typed_bytecode_pass(kernel, &Mutated(mutate))
+}
+
+#[test]
+fn the_merge_skip_pass_validates_and_its_witness_skips_with_both_fingers() {
+    let out = run_merge_skip_mutation(|_, _| {}).expect("the real pass is exact").into_bytecode();
+    let (_, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Intersection);
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    // Four matches and the loop's last iteration are dispatched, of 28.
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (5, 5, 28), "{}", out.disasm());
+}
+
+#[test]
+fn a_run_ahead_that_miscounts_its_statements_is_caught_by_the_exact_stats_witness() {
+    // Each of the three counts, one too many and one too few.
+    let mutants: [fn(&mut Program, usize); 6] = [
+        |p, at| bump_counts(p, at, [1, 0, 0]),
+        |p, at| bump_counts(p, at, [-1, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 1, 0]),
+        |p, at| bump_counts(p, at, [0, -1, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 1]),
+        |p, at| bump_counts(p, at, [0, 0, -1]),
+    ];
+    for mutate in mutants {
+        assert_caught(run_merge_skip_mutation(mutate), "merge_skip", "ExecStats");
+    }
+}
+
+fn bump_counts(program: &mut Program, at: usize, by: [i32; 3]) {
+    let Instr::IMergeSkip { base, on_a, on_b, .. } = &mut program.code[at] else { unreachable!() };
+    for (count, by) in [base, on_a, on_b].into_iter().zip(by) {
+        *count = count.checked_add_signed(by).expect("a count of at least one");
+    }
+}
+
+#[test]
+fn a_run_ahead_with_its_fingers_on_each_others_lists_is_caught_by_the_witness() {
+    // Simulates a recogniser that pairs the strides with the wrong fingers:
+    // `p` walks `b`'s coordinates, `q` walks `a`'s.  The run-ahead leaves the
+    // fingers where the scalar loop would not, and the merge goes wrong from
+    // there: off the end of a list on the witness.
+    let verdict = run_merge_skip_mutation(|program, at| {
+        let Instr::IMergeSkip { a, b, .. } = &mut program.code[at] else { unreachable!() };
+        std::mem::swap(a, b);
+    });
+    assert_caught(verdict, "merge_skip", "faults after the pass");
+}
+
+#[test]
+fn a_run_ahead_past_the_loops_own_bound_is_caught_by_the_verifier() {
+    // Simulates a recogniser that drops the last-iteration rule: the op
+    // runs to a bound that is not the loop's (here the start register, any
+    // other would do), so it would perform the iteration that ends the loop.
+    let verdict = run_merge_skip_mutation(|program, at| {
+        let Instr::IMergeSkip { p, stop, .. } = &mut program.code[at] else { unreachable!() };
+        *stop = *p;
+    });
+    assert_caught(verdict, "merge_skip", "`while start <= stop` loop on its registers");
+}
+
+#[test]
+fn a_run_ahead_the_bottom_test_does_not_land_on_is_caught_by_the_verifier() {
+    // Simulates splicing the op in like a vectorized op, so that jumps go
+    // around it: it sits behind the body's first instruction, where an
+    // iteration has already begun.
+    let verdict = run_merge_skip_mutation(|program, at| program.code.swap(at, at + 1));
+    assert_caught(verdict, "merge_skip", "is not the first instruction");
+}
+
+#[test]
+fn a_run_ahead_over_a_body_one_finger_guards_is_caught_by_output_parity() {
+    // Simulates a recogniser whose match test is one equality: the body
+    // runs wherever the first finger ends the step, and the op, which skips
+    // every step the two fingers do not both end, skips that work.
+    use merge_skip::tests::Shape;
+    struct Weakened;
+    impl Pass for Weakened {
+        fn name(&self) -> &'static str {
+            "merge_skip"
+        }
+        fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+            let declined = merge_skip(repr.bytecode(), ctx.stats);
+            assert_eq!(ctx.stats.merge_declined[MergeDecline::NotGuardedByBoth as usize], 1);
+            // The op of the intersection over the same registers and buffers.
+            let (good, ..) = forwarded_merge_kernel(Shape::Intersection);
+            let good = merge_skip(&good, &mut OptStats::default());
+            let op = *good.code.iter().find(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+            let head = declined
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::IWhileCmp { .. }))
+                .expect("the merge loop");
+            let code = crate::bytecode::splice_before(&declined.code, &[(head + 1, op)], true);
+            Repr::Bytecode(declined.with_code(code))
+        }
+    }
+    let verdict =
+        run_typed_bytecode_pass(forwarded_merge_kernel(Shape::GuardedByOneFinger), &Weakened);
+    assert_caught(verdict, "merge_skip", "diverge");
+}

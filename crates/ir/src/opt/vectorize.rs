@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::BufId;
 use crate::bytecode::{is_arith_reduce, is_cmp_op, is_float_arith};
-use crate::bytecode::{remap_targets, Instr, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
+use crate::bytecode::{splice_before, Instr, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
 use crate::expr::BinOp;
 
 use super::OptStats;
@@ -59,7 +59,7 @@ use super::OptStats;
 /// [`OptStats::instrs_vectorized`].
 pub fn vectorize(p: &Program, stats: &mut OptStats) -> Program {
     let code = &p.code;
-    let mut inserts: HashMap<usize, Instr> = HashMap::new();
+    let mut inserts = Vec::new();
     for (head, instr) in code.iter().enumerate() {
         let Instr::IForTest { counter, hi, var, end } = *instr else { continue };
         let end = end as usize;
@@ -78,28 +78,15 @@ pub fn vectorize(p: &Program, stats: &mut OptStats) -> Program {
         stats.instrs_vectorizable += body.len() as u64;
         if let Some(vop) = match_loop(body, (end - 1) as u32, counter, hi, var) {
             stats.instrs_vectorized += body.len() as u64;
-            inserts.insert(head, vop);
+            inserts.push((head, vop));
         }
     }
     if inserts.is_empty() {
         return p.clone();
     }
-    // Rebuild with each kernel op spliced in before its loop head.  Every
-    // old pc maps to the new position of the *original* instruction, so
-    // all jumps (the back-edge included) bypass the inserted op.
-    let mut new_code = Vec::with_capacity(code.len() + inserts.len());
-    let mut map = Vec::with_capacity(code.len() + 1);
-    for (pc, instr) in code.iter().enumerate() {
-        if let Some(vop) = inserts.get(&pc) {
-            new_code.push(*vop);
-        }
-        map.push(new_code.len() as u32);
-        new_code.push(*instr);
-    }
-    // A target may be one past the last instruction (loop ends).
-    map.push(new_code.len() as u32);
-    remap_targets(&mut new_code, &map);
-    p.with_code(new_code)
+    // Each kernel op goes in front of its loop head, and every jump (the
+    // back-edge included) keeps going to the *original* instruction.
+    p.with_code(splice_before(code, &inserts, false))
 }
 
 // ---------------------------------------------------------------------

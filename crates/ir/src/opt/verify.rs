@@ -11,7 +11,7 @@
 //!   and schema consistency.
 //! * [`verify_bytecode`] extends [`Program::validate`] (jump alignment,
 //!   const-pool bounds, register limits, the folded statement table) with
-//!   the kernel-op placement rule and buffer-aware checks: every
+//!   the kernel-op placement rules and buffer-aware checks: every
 //!   buffer id is in range and every monomorphic typed opcode agrees with
 //!   the element type of the buffer it touches, reusing the same
 //!   buffer-schema seeding the typing pass inferred from.
@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{for_each_reg_role, Elem, Instr, LaneTag, Operand, Program, Role, VFill};
-use crate::expr::Expr;
+use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
 use crate::var::{Names, Var};
 
@@ -336,6 +336,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
             }
             Ok(())
         })?;
+        check_merge_skip(code, pc)?;
         // A kernel op runs the bulk of the counted loop that follows it:
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
@@ -415,6 +416,57 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
                     bufs.name(buf)
                 ));
             }
+        }
+    }
+    Ok(())
+}
+
+/// The placement rule of a merge run-ahead at `pc`: it is the first
+/// instruction of the body of a `while start <= stop` loop closed by a
+/// bottom test on the same registers, which lands on it; its two buffers
+/// differ; and the rest of the body steps each finger, and the start, in
+/// exactly one place — by one, as the op does.  (That the op's statement
+/// counts are the loop's is the exact-stats witness's to find.)
+fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
+    let Instr::IMergeSkip { a, p, b, q, start, stop, .. } = code[pc] else { return Ok(()) };
+    let head = pc.checked_sub(1).map(|head| code[head]);
+    let bottom = match head {
+        Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
+            end as usize - 1
+        }
+        _ => {
+            return Err(format!(
+                "merge run-ahead at pc {pc} is not the first instruction of a \
+                 `while start <= stop` loop on its registers"
+            ))
+        }
+    };
+    let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: pc as u32 };
+    if bottom <= pc || code[bottom] != closes {
+        return Err(format!(
+            "merge run-ahead at pc {pc} sits in a loop that its own bottom test does not close"
+        ));
+    }
+    if a == b {
+        return Err(format!("merge run-ahead at pc {pc} walks one buffer with both fingers"));
+    }
+    for (reg, what, advanced) in [(p, "finger", true), (q, "finger", true), (start, "start", false)]
+    {
+        let steps = |instr: &Instr| match *instr {
+            Instr::IAdvance { reg: stepped, by: 1, .. } => advanced && stepped == reg,
+            Instr::IArithImm { op: BinOp::Add, dst, imm: 1, .. } => !advanced && dst == reg,
+            _ => false,
+        };
+        let mut writers = code[pc + 1..bottom].iter().filter(|instr| {
+            let mut writes = false;
+            for_each_reg_role(instr, |r, role| writes |= r == reg && role != Role::Read);
+            writes
+        });
+        if !(writers.next().is_some_and(steps) && writers.next().is_none()) {
+            return Err(format!(
+                "merge run-ahead at pc {pc}: the loop does not step its {what} {reg} by one, \
+                 in one place"
+            ));
         }
     }
     Ok(())

@@ -78,8 +78,8 @@ impl Watch {
     /// The largest statement count, at or past `stmts`, through which
     /// [`Watch::check`] is known to do nothing *unless the cancellation
     /// flag is raised* — the flag can flip at any moment, so the VM polls
-    /// it on every statement and skips `check` until the count passes
-    /// this.
+    /// it every [`Vm::POLL_PERIOD`] statements and skips `check` until the
+    /// count passes this.
     fn quiet_until(&self, stmts: u64) -> u64 {
         let mut quiet = u64::MAX;
         if let Some(at) = self.fault_stmt {
@@ -162,10 +162,12 @@ pub struct Vm {
     pub(crate) alloc: AllocMeter,
     /// The largest `stats.stmts` at which nothing needs looking at: the
     /// dispatch loop compares against this one number and leaves
-    /// everything else to [`Vm::poll`].  It is [`Vm::check_limit`], or
-    /// the current count while a cancellation flag is armed (every
-    /// statement polls the flag).  Derived state, like `check_limit`:
-    /// recomputed on every dispatch entry and after every check.
+    /// everything else to [`Vm::poll`].  It is [`Vm::check_limit`], or,
+    /// while a cancellation flag is armed, no further than
+    /// [`Vm::POLL_PERIOD`] statements past the flag's last poll.  Derived
+    /// state, like `check_limit`: recomputed on every dispatch entry and
+    /// after every check (to the current count, so a run's first statement
+    /// polls) and after every poll.
     stmt_limit: u64,
     /// The largest `stats.stmts` that needs no step-budget, injected-fault
     /// or deadline check.
@@ -1063,10 +1065,19 @@ impl Vm {
                     );
                     pc += 1;
                 }
+                Instr::IMergeSkip { a, p, b, q, start, stop, base, on_a, on_b } => {
+                    self.merge_skip(bufs, (a, p), (b, q), start, stop, [base, on_a, on_b]);
+                    pc += 1;
+                }
             }
         }
         Ok(pc)
     }
+
+    /// Statements between two polls of an armed cancellation flag: well
+    /// under a microsecond of work, against the milliseconds a drain waits
+    /// between looks at its stragglers.
+    pub(crate) const POLL_PERIOD: u64 = 64;
 
     /// Count `n` executed statements.  The one accounting routine behind
     /// both encodings of a statement — an explicit [`Instr::BumpStmt`]
@@ -1083,24 +1094,35 @@ impl Vm {
     }
 
     /// Past [`Vm::stmt_limit`].  While a cancellation flag is armed (every
-    /// service request arms one) that is every statement, so this is kept
-    /// to a look at the flag — a dozen instructions, no frame; anything
-    /// else is [`Vm::account`]'s.  `#[cold]` is for the run *without* a
-    /// watch: it keeps the call off the dispatch loop's straight line
-    /// (measured: inlining this costs the unwatched merge kernels 3 %,
-    /// while an armed run is as fast through the call as without a watch).
+    /// service request arms one) that is once every [`Vm::POLL_PERIOD`]
+    /// statements, and a look at the flag; anything else is
+    /// [`Vm::account`]'s.  `#[cold]` is for the run *without* a watch: it
+    /// keeps the call off the dispatch loop's straight line (measured:
+    /// inlining this costs the unwatched merge kernels 3 %).
     #[cold]
     #[inline(never)]
     fn poll(&mut self, n: u64) -> Result<(), RuntimeError> {
-        if self.stats.stmts <= self.check_limit {
-            if let Some(cancel) = self.watch.as_ref().and_then(|watch| watch.cancel.as_ref()) {
-                if !cancel.load(Ordering::Relaxed) {
-                    self.stmt_limit = self.stats.stmts;
-                    return Ok(());
-                }
-            }
+        if self.still_quiet() {
+            Ok(())
+        } else {
+            self.account(n)
         }
-        self.account(n)
+    }
+
+    /// Whether nothing but a poll of the cancellation flag is due and the
+    /// flag is down; if so, the next poll is [`Vm::POLL_PERIOD`] statements
+    /// on.
+    #[inline]
+    fn still_quiet(&mut self) -> bool {
+        if self.stats.stmts > self.check_limit {
+            return false;
+        }
+        let cancel = self.watch.as_ref().and_then(|watch| watch.cancel.as_ref());
+        if cancel.is_none_or(|cancel| cancel.load(Ordering::Relaxed)) {
+            return false;
+        }
+        self.stmt_limit = self.check_limit.min(self.stats.stmts.saturating_add(Self::POLL_PERIOD));
+        true
     }
 
     /// Re-run the `n` statements just counted one at a time against the
@@ -1825,6 +1847,66 @@ impl Vm {
         self.vbump(passes, pass_cost);
         self.ints[counter.index()] = hiv;
     }
+
+    /// [`Instr::IMergeSkip`], dispatched at the top of an iteration of its
+    /// merge loop: run ahead through the iterations that find `a[p] !=
+    /// b[q]` and are not the loop's last, exactly as the scalar loop under
+    /// the op would — every comparison is the scalar instruction's own —
+    /// but for the temporaries, which the iteration the op stops in front
+    /// of rewrites.  `stmts` is `[base, on_a, on_b]`.
+    ///
+    /// An iteration is only skipped while a worst-case one still fits under
+    /// [`Vm::stmt_limit`], so nothing a statement can trip is due inside
+    /// the run; when it is only the poll of a cancellation flag that comes
+    /// due, the op polls (early) and carries on.
+    fn merge_skip<B: VmBufs>(
+        &mut self,
+        bufs: &B,
+        (a, p): (BufId, Reg),
+        (b, q): (BufId, Reg),
+        start: Reg,
+        stop: Reg,
+        stmts: [u32; 3],
+    ) {
+        let (Buffer::I64(a), Buffer::I64(b)) = (bufs.get(a), bufs.get(b)) else { return };
+        let [base, on_a, on_b] = stmts.map(u64::from);
+        // A skipped iteration advances one finger: `a[p] != b[q]`.
+        let worst = (base + on_a.max(on_b)).max(1);
+        let stop = self.ints[stop.index()];
+        loop {
+            let (p0, q0) = (self.ints[p.index()], self.ints[q.index()]);
+            let (mut pv, mut qv, mut next) = (p0, q0, None);
+            let room = self.stmt_limit.saturating_sub(self.stats.stmts) / worst;
+            let mut skipped = 0;
+            while skipped < room {
+                // A finger outside its buffer: the scalar load's fault.
+                let (Some(&s1), Some(&s2)) = (a.get(pv as usize), b.get(qv as usize)) else {
+                    break;
+                };
+                let step_stop = s1.min(s2).min(stop);
+                let after = step_stop.wrapping_add(1);
+                if s1 == s2 || !Self::cmp_int(BinOp::Le, after, stop) {
+                    break;
+                }
+                pv = pv.wrapping_add((s1 == step_stop) as i64);
+                qv = qv.wrapping_add((s2 == step_stop) as i64);
+                next = Some(after);
+                skipped += 1;
+            }
+            let Some(next) = next else { return };
+            self.stats.loop_iters += skipped;
+            self.stats.loads += 2 * skipped;
+            self.stats.stmts += skipped * base
+                + pv.wrapping_sub(p0) as u64 * on_a
+                + qv.wrapping_sub(q0) as u64 * on_b;
+            self.ints[p.index()] = pv;
+            self.ints[q.index()] = qv;
+            self.ints[start.index()] = next;
+            if skipped < room || !self.still_quiet() {
+                return;
+            }
+        }
+    }
 }
 
 /// The map-shape operands of [`Instr::VMapF64`], bundled so the executor
@@ -2154,6 +2236,46 @@ mod tests {
         let mut vm = Vm::new(&program).with_step_budget(1000);
         let err = vm.run(&program, &mut bufs).unwrap_err();
         assert!(matches!(err, RuntimeError::StepBudgetExceeded { .. }));
+    }
+
+    /// An armed cancellation flag is polled on a run's first statement and
+    /// then once a period: raised mid-run, it stops the run within
+    /// `POLL_PERIOD` statements, and a step budget inside the period still
+    /// trips on its own statement.
+    #[test]
+    fn a_flag_raised_mid_run_trips_within_the_poll_period() {
+        let program = Program::compile(&[], &Names::new());
+        let armed = |budget: Option<u64>| {
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut vm = Vm::new(&program);
+            vm.set_step_budget(budget);
+            vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 7)));
+            vm.rearm_limits();
+            (vm, flag)
+        };
+        let (mut vm, flag) = armed(None);
+        assert_eq!(vm.stmt_limit, 0, "the first statement polls");
+        vm.bump_stmts(1).expect("the flag is down");
+        assert_eq!(vm.stmt_limit, 1 + Vm::POLL_PERIOD);
+        for _ in 0..10 {
+            vm.bump_stmts(1).expect("nothing is due");
+        }
+        flag.store(true, Ordering::Relaxed);
+        let mut unnoticed = 0;
+        let err = loop {
+            match vm.bump_stmts(1) {
+                Ok(()) => unnoticed += 1,
+                Err(err) => break err,
+            }
+        };
+        assert!(matches!(err, RuntimeError::Deadline { ms: 7 }), "{err:?}");
+        assert!(unnoticed < Vm::POLL_PERIOD, "{unnoticed} statements ran under a raised flag");
+        assert_eq!(vm.stats.stmts, 2 + Vm::POLL_PERIOD, "it trips on the statement that polls");
+
+        let (mut vm, _flag) = armed(Some(20));
+        let err = (0..).find_map(|_| vm.bump_stmts(3).err()).expect("the budget trips");
+        assert!(matches!(err, RuntimeError::StepBudgetExceeded { budget: 20 }), "{err:?}");
+        assert_eq!(vm.stats.stmts, 21, "on the budget's own statement");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use finch_bench::{
     fig11_variants, figs_output_groups, Variant,
 };
 use looplets_repro::finch::build::*;
-use looplets_repro::finch::{CompiledKernel, IndexExpr, Kernel, OptLevel, Tensor};
+use looplets_repro::finch::{CompiledKernel, IndexExpr, Kernel, OptLevel, OptStats, Tensor};
 
 const GOLDEN: &str = include_str!("codegen_identity.golden");
 
@@ -118,17 +118,20 @@ fn texts(kernel: &CompiledKernel) -> [(&'static str, String); 3] {
     // recorded: each is listed only where it counts something, so that the
     // records it does not concern (every `none` record among them) stay
     // byte for byte what they were.
-    const LATER_COUNTERS: [&str; 5] = [
+    const LATER_COUNTERS: [&str; 6] = [
         "exprs_hoisted",
         "copies_forwarded",
         "literals_pinned",
         "loops_rotated",
         "advances_predicated",
+        "merge_skips",
     ];
-    let opt_stats =
-        LATER_COUNTERS.iter().fold(format!("{:?}", kernel.opt_stats()), |text, name| {
-            text.replace(&format!(" {name}: 0,"), "")
-        });
+    // Why a loop was given no run-ahead op is a reason, not generated code.
+    let decided = OptStats { merge_declined: Default::default(), ..kernel.opt_stats() };
+    let opt_stats = LATER_COUNTERS
+        .iter()
+        .fold(format!("{decided:?}"), |text, name| text.replace(&format!(" {name}: 0,"), ""))
+        .replace(&format!(" merge_declined: {:?},", decided.merge_declined), "");
     let meta = format!(
         "num_regs {}\npretags {:?}\nshard_plan {:?}\nopt_stats {opt_stats}\n",
         program.num_regs(),

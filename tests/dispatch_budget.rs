@@ -16,13 +16,21 @@
 //! and checks that no innermost loop dispatches what computes nothing: a
 //! copy of a variable or a literal into an operand temporary, or an
 //! unconditional jump.  A bound that moves is a change to the bytecode back
-//! end (`peephole` / `typing` / `forward` / `finalize`): lower it when the
-//! change pays, and say why when it does not.  These are the first rows of
-//! ROADMAP item 6's shape table.
+//! end (`peephole` / `typing` / `forward` / `merge_skip` / `finalize`):
+//! lower it when the change pays, and say why when it does not.  These are
+//! the first rows of ROADMAP item 6's shape table.
+//!
+//! An iteration is one the loop *performs*, dispatched or not: a loop that
+//! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger merges) only
+//! dispatches the iterations that match or end it, so its iterations are
+//! counted on the same kernel compiled with `simd` off — the same scalar
+//! loop, instruction for instruction, without the op.  The same pair of
+//! kernels pins what the op is for: identical `ExecStats`, and no more
+//! scalar iterations dispatched than there are matches and loop entries.
 
 use finch_bench::{fig01_variants, fig07_variants, fig07_vector, fig08_variants, Variant};
 use finch_ir::{Instr, Program};
-use looplets_repro::finch::OptLevel;
+use looplets_repro::finch::{ExecConfig, OptLevel};
 
 /// One innermost loop of a program: the pcs of its body and bottom test,
 /// `first..=bottom`, entered once per iteration at `first`.
@@ -77,22 +85,60 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
 /// The pinned kernels: figure, variant label, the whole run's dispatches
 /// per loop iteration and the dispatches of one iteration of the busiest
 /// innermost loop, both in hundredths.
+///
+/// PR 20 re-pinned every row whose kernel holds a two-finger merge loop —
+/// the fig01 baseline, the fig07 / fig08 two-finger walks, and the gallops
+/// whose neither-finger-leads fall-back is one (where it stops being the
+/// busiest innermost loop): the run-ahead op performs the iterations that
+/// match nothing without dispatching them, so both bounds fall — the walks'
+/// merge loop from ten dispatches an iteration to between two and four, by
+/// how often it matches, and their whole run by about half.
 const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig01", "looplets: list x band", 2100, 1000),
-    ("fig01", "iterator-over-nonzeros", 1200, 1000),
-    ("fig07a", "two-finger (TACO-style)", 1145, 1027),
+    ("fig01", "iterator-over-nonzeros", 438, 238),
+    ("fig07a", "two-finger (TACO-style)", 588, 330),
     ("fig07a", "A leads (gallop)", 1102, 667),
-    ("fig07a", "x leads (gallop)", 1151, 725),
-    ("fig07a", "gallop both", 1398, 1000),
+    ("fig07a", "x leads (gallop)", 1037, 725),
+    ("fig07a", "gallop both", 1260, 715),
     ("fig07a", "VBL", 1592, 600),
-    ("fig07b", "two-finger (TACO-style)", 1131, 1028),
+    ("fig07b", "two-finger (TACO-style)", 588, 369),
     ("fig07b", "A leads (gallop)", 1115, 697),
-    ("fig07b", "x leads (gallop)", 1124, 712),
-    ("fig07b", "gallop both", 1421, 1000),
+    ("fig07b", "x leads (gallop)", 1056, 712),
+    ("fig07b", "gallop both", 1327, 876),
     ("fig07b", "VBL", 1664, 600),
-    ("fig08", "two-finger (TACO-style)", 1369, 985),
-    ("fig08", "gallop", 1657, 950),
+    ("fig08", "two-finger (TACO-style)", 757, 253),
+    ("fig08", "gallop", 1576, 650),
 ];
+
+/// The kernels that must carry a run-ahead op: the two-finger walks.
+const TWO_FINGER: &str = "two-finger (TACO-style)";
+
+/// One run-ahead op of a profiled program: how many scalar iterations its
+/// loop dispatched, how many of them matched (ran the guarded body) and how
+/// often the loop was entered.
+#[derive(Debug)]
+struct RunAhead {
+    dispatched: u64,
+    matches: u64,
+    entries: u64,
+}
+
+fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
+    let code = program.code();
+    let ops = code.iter().enumerate().filter(|(_, i)| matches!(i, Instr::IMergeSkip { .. }));
+    ops.map(|(op, _)| {
+        // The head, the op, the scalar iteration; the body behind the
+        // second of the loop's two guards.
+        let guards = (op..code.len()).filter(|&pc| matches!(code[pc], Instr::ICmpBranch { .. }));
+        let inner_guard = guards.take(2).last().expect("a merge loop has two guards");
+        RunAhead {
+            dispatched: per_pc[op + 1],
+            matches: per_pc[inner_guard + 1],
+            entries: per_pc[op - 1],
+        }
+    })
+    .collect()
+}
 
 fn figure_kernels() -> Vec<(&'static str, Variant)> {
     let mut kernels = Vec::new();
@@ -115,15 +161,36 @@ fn merge_kernels_stay_within_their_dispatch_budgets() {
         let mut kernel = variant.kernel;
         assert_eq!(kernel.opt_level(), OptLevel::Default);
         let (stats, per_pc) = kernel.profile().expect("the kernel runs");
+        // The same loops without kernel ops: every iteration is dispatched.
+        let mut scalar = kernel
+            .reconfigured(&ExecConfig { simd: false, ..kernel.config() })
+            .expect("the kernel compiles without kernel ops");
+        let (scalar_stats, scalar_per_pc) = scalar.profile().expect("the scalar kernel runs");
+        assert_eq!(stats, scalar_stats, "{figure}/{}: kernel ops change no counter", variant.label);
         let program = kernel.bytecode();
+        let skips = run_ahead_ops(program, &per_pc);
+        if variant.label == TWO_FINGER {
+            assert_eq!(skips.len(), 1, "{figure}/{}:\n{}", variant.label, program.disasm());
+        }
+        for skip in &skips {
+            assert!(
+                skip.dispatched <= skip.matches + skip.entries,
+                "{figure}/{}: {skip:?}\n{}",
+                variant.label,
+                program.disasm()
+            );
+        }
         let total: u64 = per_pc.iter().sum();
         let per_iteration = (total * 100).div_ceil(stats.loop_iters.max(1));
 
         let mut per_inner_iteration = 0;
         let mut busiest = 0;
-        for inner in innermost_loops(program) {
+        let scalar_loops = innermost_loops(scalar.bytecode());
+        let loops = innermost_loops(program);
+        assert_eq!(loops.len(), scalar_loops.len(), "kernel ops add and remove no loop");
+        for (inner, scalar_inner) in loops.into_iter().zip(scalar_loops) {
             let dispatched: u64 = per_pc[inner.first..=inner.bottom].iter().sum();
-            let iterations = per_pc[inner.first];
+            let iterations = scalar_per_pc[scalar_inner.first];
             if dispatched > busiest && iterations > 0 {
                 busiest = dispatched;
                 per_inner_iteration = (dispatched * 100).div_ceil(iterations);

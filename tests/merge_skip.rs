@@ -1,0 +1,137 @@
+//! The merge run-ahead op through the real lowerer: budget sweep and
+//! degenerate fibers.
+//!
+//! The two-finger merge loop of `lower_stepped` carries a kernel op
+//! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
+//! nothing.  Its exits are where it can go wrong — a loop that is never
+//! entered, a match on the first step, a match on the last, a budget that
+//! runs out inside a run-ahead — so for the three kernels that hold the loop
+//! (sparse·sparse `dot`, the elementwise product with a sparse output, and
+//! Fig. 7's two-finger SpMSpV) over operand pairs that are empty,
+//! single-entry, disjoint, identical, interleaved and prefixes of each
+//! other, this file runs **every** step budget from 0 to the unbudgeted
+//! run's statement count on
+//!
+//! * the VM with the op (the default configuration),
+//! * the VM with `simd` off — the same scalar loop without the op, and
+//! * the tree-walker,
+//!
+//! and requires the three to agree on `Ok` / `StepBudgetExceeded`, on the
+//! `ExecStats` of a run that completes, and on every output as the run left
+//! it — at a trip, the stores and appends made so far.  (The counters *at*
+//! a trip are not in reach from outside a kernel; `finch-ir`'s
+//! `opt::merge_skip` tests compare them on all three, budget by budget, on
+//! the same loop.)
+
+use finch_bench::ewise_mul_kernel;
+use finch_ir::Instr;
+use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor};
+
+mod common;
+
+const N: usize = 24;
+
+/// A length-`N` vector with the given coordinates stored.
+fn vector(coords: &[usize]) -> Vec<f64> {
+    let mut dense = vec![0.0; N];
+    for (k, &i) in coords.iter().enumerate() {
+        dense[i] = 1.5 + k as f64;
+    }
+    dense
+}
+
+/// The operand pairs, by what makes each one degenerate.
+fn operand_pairs() -> Vec<(&'static str, Vec<usize>, Vec<usize>)> {
+    let evens: Vec<usize> = (0..N).step_by(2).collect();
+    let odds: Vec<usize> = (1..N).step_by(2).collect();
+    vec![
+        ("both empty", vec![], vec![]),
+        ("one empty", vec![], vec![3, 9]),
+        ("single entries that meet", vec![7], vec![7]),
+        ("single entries that miss", vec![4], vec![19]),
+        ("a single entry in a long list", vec![N - 1], (0..N).collect()),
+        ("disjoint halves", (0..N / 2).collect(), (N / 2..N).collect()),
+        ("identical", vec![2, 3, 11, 17, 23], vec![2, 3, 11, 17, 23]),
+        ("interleaved", evens, odds),
+        ("a prefix of the other", vec![1, 5, 6], vec![1, 5, 6, 8, 13, 20]),
+        ("sparse against dense", vec![0, 10, 23], (0..N).collect()),
+    ]
+}
+
+/// What one run left behind: its verdict (with the counters of a run that
+/// completes) and every output, readable or not.
+fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> String {
+    let mut kernel = kernel
+        .reconfigured(&ExecConfig { step_budget: budget, ..kernel.config() })
+        .expect("a budget recompiles nothing");
+    let verdict = kernel.run_with(engine);
+    let outputs: Vec<String> = kernel
+        .output_names()
+        .iter()
+        .map(|name| format!("{name}: {:?}", kernel.output(name)))
+        .collect();
+    format!("{verdict:?} {outputs:?}")
+}
+
+fn ops(kernel: &CompiledKernel) -> usize {
+    kernel.bytecode().code().iter().filter(|i| matches!(i, Instr::IMergeSkip { .. })).count()
+}
+
+/// Sweep every budget over the three engines of `kernel`.
+fn sweep(kernel: &CompiledKernel, what: &str) {
+    let scalar = kernel
+        .reconfigured(&ExecConfig { simd: false, ..kernel.config() })
+        .expect("the kernel compiles without kernel ops");
+    assert!(
+        ops(kernel) >= 1,
+        "{what}: the merge loop carries its op\n{}",
+        kernel.bytecode().disasm()
+    );
+    assert_eq!(ops(&scalar), 0, "{what}: `simd` off selects no op");
+    let total = scalar.clone().run().expect("the unbudgeted run completes").stmts;
+    let unbudgeted = observe(&scalar, Engine::Bytecode, None);
+    for budget in (0..=total).map(Some).chain([None]) {
+        let at = format!("{what} under a budget of {budget:?}");
+        let want = observe(&scalar, Engine::Bytecode, budget);
+        assert_eq!(observe(kernel, Engine::Bytecode, budget), want, "{at}: with the op");
+        assert_eq!(observe(kernel, Engine::TreeWalk, budget), want, "{at}: on the tree-walker");
+        let completes = budget.is_none_or(|b| b >= total);
+        assert_eq!(want.starts_with("Ok("), completes, "{at}: {want}");
+        assert!(completes || want.starts_with("Err(StepBudgetExceeded"), "{at}: {want}");
+        if completes {
+            assert_eq!(want, unbudgeted, "{at}");
+        }
+    }
+}
+
+#[test]
+fn sparse_dot_agrees_under_every_budget_on_every_operand_pair() {
+    for (what, a, b) in operand_pairs() {
+        let a = Tensor::sparse_list_vector("A", &vector(&a));
+        let b = Tensor::sparse_list_vector("B", &vector(&b));
+        sweep(&common::dot_kernel(&a, &b, Protocol::Walk, Protocol::Walk), &format!("dot, {what}"));
+    }
+}
+
+#[test]
+fn sparse_output_product_agrees_under_every_budget_on_every_operand_pair() {
+    for (what, a, b) in operand_pairs() {
+        let a = Tensor::sparse_list_vector("A", &vector(&a));
+        let b = Tensor::sparse_list_vector("B", &vector(&b));
+        sweep(&ewise_mul_kernel(&a, &b, true), &format!("ewise, {what}"));
+    }
+}
+
+/// Fig. 7's two-finger SpMSpV: every first operand is a row of one CSR
+/// matrix (empty rows among them), every second operand in turn is `x`.
+#[test]
+fn two_finger_spmspv_agrees_under_every_budget_on_every_operand_pair() {
+    let pairs = operand_pairs();
+    let rows: Vec<f64> = pairs.iter().flat_map(|(_, a, _)| vector(a)).collect();
+    let matrix = Tensor::csr_matrix("A", pairs.len(), N, &rows);
+    for (what, _, x) in &pairs {
+        let x = Tensor::sparse_list_vector("x", &vector(x));
+        let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Walk);
+        sweep(&kernel, &format!("spmspv, x = {what}"));
+    }
+}
