@@ -17,6 +17,7 @@
 //!
 //! The substitutions are documented in `DESIGN.md` at the repository root.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -14,8 +14,6 @@
 //! cargo run --release -p finch-bench --bin figures -- --fig 1 --engine bytecode --opt none
 //! cargo run --release -p finch-bench --bin figures -- --engine bytecode --opt default --typed off
 //! cargo run --release -p finch-bench --bin figures -- --engine bytecode --opt default --simd off
-//! # Time the sharded parallel tier at one worker count only:
-//! cargo run --release -p finch-bench --bin figures -- --threads 2
 //! ```
 //!
 //! With no `--engine`/`--opt`/`--typed`/`--simd` flags, each variant is
@@ -28,7 +26,7 @@
 //! comparison).  Passing `--engine`, `--opt`, `--typed on|off` and/or
 //! `--simd on|off` restricts the measured combinations.  Every
 //! measurement is appended to a machine-readable JSON report
-//! (`BENCH_figures.json` by default, schema v6) including instruction
+//! (`BENCH_figures.json` by default, schema v10) including instruction
 //! counts, per-pass optimiser counters, the executed
 //! `typed_instr_fraction` from one untimed profiled run per variant (plus
 //! a per-opcode execution histogram in debug builds), the per-variant
@@ -37,19 +35,7 @@
 //! hard assert so new passes cannot silently blow up compilation
 //! latency.
 //!
-//! The parallel scaling leg: with no restricting flags, every variant the
-//! shard analysis proved splittable is additionally timed on the bytecode
-//! engine at `OptLevel::Default` (typed + simd) at 2, 4 and 8 worker
-//! threads — together with the serial leg, the 1/2/4/8 scaling curve.
-//! Before any parallel wall-clock number is recorded, the sharded run's
-//! outputs (dense materialisation *and* assembled sparse `pos`/`idx`/
-//! `val`) and summed work counters are asserted bit-identical to the
-//! serial kernel.  Engine rows carry a `threads` key, variants carry
-//! `sharded` and a `parallel_speedup` (serial over the 4-thread leg), and
-//! the report gains a headline `parallel_speedup` median.  `--threads N`
-//! replaces the 2/4/8 curve with the single worker count `N` (`--threads
-//! 1` disables the leg).  With
-//! `--validate`, each variant is additionally re-compiled under
+//! With `--validate`, each variant is additionally re-compiled under
 //! `ValidationLevel::Full` (post-pass verification plus witness-based
 //! translation validation), the per-pass transform/verify/validate
 //! wall-clock split is emitted under a `validation` key, and the
@@ -62,12 +48,14 @@
 //! dense-output run, and its store counter must be strictly below the
 //! dense variant's — so CI (`--tiny`) checks correctness, not just timing.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use finch::{Engine, ExecConfig, MergeDecline, OptLevel, ValidationLevel};
 use finch_bench::report::{
-    EngineReport, FigureGroup, OptReport, OptSpeedup, ParallelSpeedup, Report, SimdSpeedup,
-    TypedSpeedup, ValidationReport, VariantReport,
+    EngineReport, FigureGroup, OptReport, OptSpeedup, Report, SimdSpeedup, TypedSpeedup,
+    ValidationReport, VariantReport,
 };
 use finch_bench::*;
 
@@ -96,49 +84,6 @@ fn arg_after(name: &str) -> Option<String> {
 
 fn runs() -> usize {
     arg_after("--runs").and_then(|v| v.parse().ok()).unwrap_or(7)
-}
-
-/// Worker counts for the parallel scaling leg: `--threads N` pins the leg
-/// to that single count (1 = leg disabled); with no flag the default full
-/// run measures the 2/4/8 curve, while restricted runs (`--engine`,
-/// `--opt`, `--typed`, `--simd`) skip the leg.
-fn scaling_threads() -> Vec<usize> {
-    match arg_after("--threads").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("bad --threads `{v}` (expected a positive integer)");
-            std::process::exit(2);
-        })
-    }) {
-        Some(n) if n > 1 => vec![n],
-        Some(_) => vec![],
-        None => {
-            let restricted = ["--engine", "--opt", "--typed", "--simd"]
-                .iter()
-                .any(|f| std::env::args().any(|a| a == *f));
-            if restricted {
-                vec![]
-            } else {
-                vec![2, 4, 8]
-            }
-        }
-    }
-}
-
-/// A run's observable outcome, rendered comparison-ready: the work
-/// counters plus, per output, the dense materialisation as exact f64 bit
-/// patterns and (where the output finalises) the assembled tensor —
-/// including sparse `pos`/`idx`/`val` — via its `Debug` form, which
-/// round-trips f64 exactly.
-fn outcome_fingerprint(kernel: &mut finch::CompiledKernel) -> (finch::ExecStats, Vec<String>) {
-    let stats = kernel.run().expect("kernel runs");
-    let mut outputs = Vec::new();
-    for name in kernel.output_names() {
-        let bits: Vec<u64> =
-            kernel.output(&name).expect("output reads").iter().map(|x| x.to_bits()).collect();
-        let tensor = kernel.output_tensor(&name).ok().map(|t| format!("{t:?}"));
-        outputs.push(format!("{name}: bits {bits:?}, tensor {tensor:?}"));
-    }
-    (stats, outputs)
 }
 
 /// The configurations to measure, from `--engine`, `--opt`, `--typed` and
@@ -231,28 +176,26 @@ fn engine_report(
         opt_level: config.opt,
         typed: effective.typed,
         simd: effective.simd,
-        threads: config.threads,
         median_seconds,
         instrs: kernel.bytecode().code().len(),
         stats,
     }
 }
 
-/// Whether `row` is the serial measurement `config` comes to.
+/// Whether `row` is the measurement `config` comes to.
 fn measures(row: &EngineReport, config: &ExecConfig) -> bool {
     let effective = config.effective();
     row.engine == config.engine
         && row.opt_level == config.opt
         && row.typed == effective.typed
         && row.simd == effective.simd
-        && row.threads == 1
 }
 
 fn header(title: &str) {
     println!("\n== {title} ==");
     println!(
-        "{:<28} {:>9} {:>10} {:>5} {:>4} {:>3} {:>11} {:>12} {:>12}",
-        "strategy", "engine", "opt", "typed", "simd", "thr", "median (ms)", "total work", "speedup"
+        "{:<28} {:>9} {:>10} {:>5} {:>4} {:>11} {:>12} {:>12}",
+        "strategy", "engine", "opt", "typed", "simd", "median (ms)", "total work", "speedup"
     );
 }
 
@@ -272,10 +215,8 @@ fn table(
     opt_ratios: &mut Vec<f64>,
     typed_ratios: &mut Vec<f64>,
     simd_ratios: &mut Vec<f64>,
-    parallel_ratios: &mut Vec<f64>,
 ) {
     let combos = combos();
-    let scaling = scaling_threads();
     let mut records = Vec::new();
     for v in &variants {
         // Compile-latency guard: re-deriving the kernel at the default
@@ -354,28 +295,6 @@ fn table(
             engines.push(engine_report(config, &kernel, secs, stats));
         }
 
-        // The parallel scaling leg: the same kernel on the bytecode
-        // engine at `Default` (typed + simd), re-run at each requested
-        // worker count.  Kernels the shard analysis left serial skip the
-        // leg — thread counts above 1 are a no-op there.
-        let sharded = rederived.sharded();
-        if sharded && !scaling.is_empty() {
-            // Parity gate before any timing: the sharded run must be
-            // bit-identical to serial — dense output bits, assembled
-            // sparse levels, and summed work counters.
-            let serial = outcome_fingerprint(&mut rederived.clone());
-            for &t in &scaling {
-                let mut kernel = rederived.clone().with_threads(t);
-                let parallel = outcome_fingerprint(&mut kernel);
-                assert_eq!(
-                    serial, parallel,
-                    "sharded run at {t} threads diverges from serial for `{}` in {figure} ({group})",
-                    v.label
-                );
-                let (secs, stats) = time_kernel_with(&mut kernel, reps, Engine::Bytecode);
-                engines.push(engine_report(&kernel.config(), &kernel, secs, stats));
-            }
-        }
         // Cross-engine and cross-dispatch parity at each measured level:
         // neither the engine nor the typing stage may change a counter.
         for a in &engines {
@@ -396,8 +315,6 @@ fn table(
             typed_instr_fraction,
             simd_speedup: None,
             vectorized_fraction,
-            sharded,
-            parallel_speedup: None,
             opcode_counts,
             engines,
         });
@@ -441,20 +358,6 @@ fn table(
                 simd_ratios.push(off / on);
             }
         }
-        // The parallel ratio: serial over the 4-thread leg (or, when
-        // `--threads N` pinned a different count, that leg).
-        let top = r
-            .engines
-            .iter()
-            .filter(|e| e.threads > 1)
-            .min_by_key(|e| if e.threads == 4 { 0 } else { usize::MAX - e.threads })
-            .map(|e| (e.threads, e.median_seconds));
-        if let (Some(serial), Some((_, par))) = (simd_on.or(default), top) {
-            if par > 0.0 {
-                r.parallel_speedup = Some(serial / par);
-                parallel_ratios.push(serial / par);
-            }
-        }
         for e in &r.engines {
             // The headline column: baseline-variant bytecode@Default over
             // this measurement (shown on matching rows only).
@@ -465,13 +368,12 @@ fn table(
                 _ => format!("{:>12}", "-"),
             };
             println!(
-                "{:<28} {:>9} {:>10} {:>5} {:>4} {:>3} {:>11.3} {:>12} {}",
+                "{:<28} {:>9} {:>10} {:>5} {:>4} {:>11.3} {:>12} {}",
                 r.label,
                 e.engine.label(),
                 e.opt_level.label(),
                 if e.typed { "on" } else { "off" },
                 if e.simd { "on" } else { "off" },
-                e.threads,
                 e.median_seconds * 1e3,
                 e.stats.total_work(),
                 speedup
@@ -503,7 +405,6 @@ fn main() {
     let mut opt_ratios: Vec<f64> = Vec::new();
     let mut typed_ratios: Vec<f64> = Vec::new();
     let mut simd_ratios: Vec<f64> = Vec::new();
-    let mut parallel_ratios: Vec<f64> = Vec::new();
 
     if wants("1") {
         println!("\n#### Figure 1 — motivating dot product: sparse list x sparse band");
@@ -520,7 +421,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -541,7 +441,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -562,7 +461,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -582,7 +480,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -602,7 +499,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -620,7 +516,6 @@ fn main() {
             &mut opt_ratios,
             &mut typed_ratios,
             &mut simd_ratios,
-            &mut parallel_ratios,
         );
         header(&format!("Humansketches-like images ({size}x{size})"));
         table(
@@ -632,7 +527,6 @@ fn main() {
             &mut opt_ratios,
             &mut typed_ratios,
             &mut simd_ratios,
-            &mut parallel_ratios,
         );
     }
 
@@ -651,7 +545,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -674,7 +567,6 @@ fn main() {
                 &mut opt_ratios,
                 &mut typed_ratios,
                 &mut simd_ratios,
-                &mut parallel_ratios,
             );
         }
     }
@@ -710,23 +602,6 @@ fn main() {
             simd_ratios.len()
         );
         report.simd_speedup = Some(SimdSpeedup { median: med, samples: simd_ratios.len() });
-    }
-
-    if let Some(med) = median(&mut parallel_ratios) {
-        let threads = scaling_threads()
-            .iter()
-            .copied()
-            .find(|&t| t == 4)
-            .or_else(|| scaling_threads().into_iter().max());
-        if let Some(threads) = threads {
-            println!(
-                "parallel sharded speedup (bytecode at OptLevel::Default, typed+simd, \
-                 1 thread / {threads} threads): median {med:.2}x over {} shardable variants",
-                parallel_ratios.len()
-            );
-            report.parallel_speedup =
-                Some(ParallelSpeedup { threads, median: med, samples: parallel_ratios.len() });
-        }
     }
 
     let opt_stats =

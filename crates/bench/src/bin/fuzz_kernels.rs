@@ -11,18 +11,17 @@
 //!
 //! Every case asserts the repository's correctness contract: bit-identical
 //! outputs across all eight legs, engine-identical work counters at each
-//! configuration, scalar-identical work counters between the SIMD
-//! kernel-op tier and the typed scalar run, and — the thread axis — every bytecode configuration re-run
-//! sharded at 2 and 4 worker threads reproducing the serial outputs
-//! (dense bits and assembled sparse `pos`/`idx`/`val`) and work counters
-//! exactly.  With `--validate`, kernels compile at
-//! `ValidationLevel::Full`, so each optimisation pass is additionally
-//! translation-validated on witness inputs during compilation.
+//! configuration, and scalar-identical work counters between the SIMD
+//! kernel-op tier and the typed scalar run.  With `--validate`, kernels
+//! compile at `ValidationLevel::Full`, so each optimisation pass is
+//! additionally translation-validated on witness inputs during compilation.
 //!
 //! On a divergence the case is delta-debugged down to a 1-minimal
 //! statement list, printed as a `#[test]` function, and written under
 //! `--out` (default `fuzz-repros/`) for CI to upload as an artifact.  The
 //! process exits nonzero when any divergence was found.
+
+#![forbid(unsafe_code)]
 
 use finch::ValidationLevel;
 use finch_bench::fuzz::{check_case, gen_case, minimize, render_repro};

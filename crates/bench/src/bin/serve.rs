@@ -31,6 +31,8 @@
 //! part of a large warm hit goes that rebind + run + read-back, replayed on a
 //! kernel of one's own, do not explain (see [`replay`]).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,12 +7,7 @@
 //! compile-side configuration that differs in effect
 //! ([`ExecConfig::matrix`]) on both engines, asserting bit-identical
 //! outputs everywhere plus engine-identical [`finch::ExecStats`] at each
-//! configuration.  Every bytecode
-//! configuration is additionally re-run sharded at 2 and 4 worker threads
-//! (the thread axis: 1/2/4); the parallel runs must reproduce the serial
-//! outputs bit-for-bit — dense buffers *and* assembled sparse
-//! `pos`/`idx`/`val` — with exactly the serial work counters.  Any
-//! divergence is a miscompile in some stage of the
+//! configuration.  Any divergence is a miscompile in some stage of the
 //! pipeline.  [`minimize`] then shrinks the offending case with greedy
 //! delta debugging over its statement list, and [`render_repro`] prints the
 //! minimized case as a runnable `#[test]` the bug can be replayed from.
@@ -291,13 +286,6 @@ pub fn compile_case(
 /// vectorize stage must also keep the counters scalar-equivalent, so the
 /// typed scalar and the vectorized legs share one reference.
 ///
-/// The thread axis: every bytecode configuration is re-run sharded at 2
-/// and 4 worker threads and must match its own serial run exactly —
-/// output bits, assembled sparse `pos`/`idx`/`val` (compared through the
-/// finalized tensors), and summed work counters.  Kernels the shard
-/// analysis left serial still run (thread counts above 1 are a no-op
-/// there), so the axis also proves the serial fallback is clean.
-///
 /// The error-parity axis: when the case is big enough, every leg is re-run
 /// under a step budget set strictly below the cheapest configuration's
 /// statement count, and must fail with the identical typed
@@ -366,40 +354,6 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
                 }
             }
         }
-        // The thread axis: `k` just ran serially on the bytecode engine, so
-        // its buffers hold the serial outcome — capture it, then re-run
-        // sharded at 2 and 4 workers and require an exact match.
-        let serial_fp = output_fingerprint(&k);
-        let serial_stats = engine_stats[1].1;
-        for threads in [2usize, 4] {
-            let combo = ExecConfig { threads, ..config }.label();
-            let mut kp = k.clone().with_threads(threads);
-            let stats = match kp.run() {
-                Ok(s) => s,
-                Err(e) => return Some(Divergence { combo, detail: format!("runtime fault: {e}") }),
-            };
-            if stats != serial_stats {
-                return Some(Divergence {
-                    combo,
-                    detail: format!(
-                        "sharded work counters diverge from serial: {stats:?} vs {serial_stats:?}"
-                    ),
-                });
-            }
-            let fp = output_fingerprint(&kp);
-            if fp != serial_fp {
-                let name = serial_fp
-                    .iter()
-                    .zip(&fp)
-                    .find(|(a, b)| a != b)
-                    .map(|(a, _)| a.0.as_str())
-                    .unwrap_or("<outputs>");
-                return Some(Divergence {
-                    combo,
-                    detail: format!("sharded output `{name}` diverges from serial"),
-                });
-            }
-        }
         let (c0, s0) = &engine_stats[0];
         let (c1, s1) = &engine_stats[1];
         if s0 != s1 {
@@ -425,10 +379,10 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
         }
     }
     // The error-parity axis: a step budget strictly below every
-    // configuration's statement count must abort *every* leg — engines,
-    // compile-side configurations, and sharded thread counts — with the
-    // exact same typed error.  A leg that runs to completion, or faults with
-    // a different error, is a divergence like any other.
+    // configuration's statement count must abort *every* leg — engines and
+    // compile-side configurations — with the exact same typed error.  A leg
+    // that runs to completion, or faults with a different error, is a
+    // divergence like any other.
     if (4..u64::MAX).contains(&min_stmts) {
         let budget = min_stmts / 2;
         let want = RuntimeError::StepBudgetExceeded { budget };
@@ -454,30 +408,9 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
                     return Some(d);
                 }
             }
-            for threads in [2usize, 4] {
-                let mut kp = k.clone().with_threads(threads);
-                if let Some(d) = trips(kp.run(), ExecConfig { threads, ..config }) {
-                    return Some(d);
-                }
-            }
         }
     }
     None
-}
-
-/// Per-output comparison key of a kernel's last run: the dense
-/// materialisation as exact f64 bit patterns plus, where the output
-/// finalises into a tensor, its `Debug` rendering — which includes the
-/// assembled sparse `pos`/`idx`/`val` arrays and round-trips f64 exactly.
-fn output_fingerprint(k: &finch::CompiledKernel) -> Vec<(String, Vec<u64>, Option<String>)> {
-    k.output_names()
-        .into_iter()
-        .map(|name| {
-            let bits = k.output(&name).expect("output reads").iter().map(|v| v.to_bits()).collect();
-            let tensor = k.output_tensor(&name).ok().map(|t| format!("{t:?}"));
-            (name, bits, tensor)
-        })
-        .collect()
 }
 
 /// Draw one random case.  `smoke` shrinks the problem size for the CI

@@ -11,6 +11,7 @@
 //! instrumented VM, not native code); the *relative* shapes are what
 //! EXPERIMENTS.md compares against the paper.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -7,15 +7,13 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 9,
+//!   "schema_version": 10,
 //!   "opt_speedup": { "engine": "bytecode", "baseline": "none",
 //!                    "optimized": "default", "median": 1.62, "samples": 35 },
 //!   "typed_speedup": { "engine": "bytecode", "opt_level": "default",
 //!                      "median": 1.4, "samples": 35 },
 //!   "simd_speedup": { "engine": "bytecode", "opt_level": "default",
 //!                     "median": 1.5, "samples": 35 },
-//!   "parallel_speedup": { "engine": "bytecode", "opt_level": "default",
-//!                         "threads": 4, "median": 2.3, "samples": 12 },
 //!   "figures": [
 //!     { "figure": "fig01", "group": "band width 50",
 //!       "variants": [
@@ -28,11 +26,9 @@
 //!           "typed_instr_fraction": 0.93,
 //!           "simd_speedup": 1.42,
 //!           "vectorized_fraction": 0.86,
-//!           "sharded": true,
-//!           "parallel_speedup": 2.3,
 //!           "engines": [
 //!             { "engine": "bytecode", "opt_level": "default", "typed": true,
-//!               "simd": true, "threads": 1, "median_seconds": 0.0012,
+//!               "simd": true, "median_seconds": 0.0012,
 //!               "instrs": 74, "stmts": 10, "loop_iters": 4, "loads": 8,
 //!               "stores": 4, "searches": 0, "total_work": 22 } ] } ] } ] }
 //! ```
@@ -53,9 +49,6 @@ pub struct EngineReport {
     pub typed: bool,
     /// Whether the vectorize (SIMD kernel-op) stage ran.
     pub simd: bool,
-    /// Worker-thread count the run used (1 = serial; only shardable
-    /// kernels on the bytecode engine actually split work).
-    pub threads: usize,
     /// Median wall-clock seconds across the configured repetitions.
     pub median_seconds: f64,
     /// Bytecode instruction count of the kernel at this opt level.
@@ -123,15 +116,6 @@ pub struct VariantReport {
     /// (`instrs_vectorized / instrs_vectorizable`; `None` when the
     /// kernel has no such loops).
     pub vectorized_fraction: Option<f64>,
-    /// Whether the shard analysis proved a loop of this kernel splittable
-    /// across worker threads (thread counts above 1 are a no-op when
-    /// `false`).
-    pub sharded: bool,
-    /// This variant's wall-clock speedup of the parallel tier:
-    /// `serial_seconds / parallel_seconds` on the bytecode engine at
-    /// `OptLevel::Default` (typed + simd) at the scaling leg's top thread
-    /// count.  `None` when no parallel leg was measured.
-    pub parallel_speedup: Option<f64>,
     /// Per-opcode execution counts of the same profiled run (emitted in
     /// debug builds to quantify the remaining dynamic dispatch).
     pub opcode_counts: Option<Vec<(String, u64)>>,
@@ -190,20 +174,6 @@ pub struct SimdSpeedup {
     pub samples: usize,
 }
 
-/// The headline parallel-tier result: the median wall-clock speedup of
-/// the bytecode engine at `OptLevel::Default` (typed + simd) running
-/// sharded at `threads` workers over the same kernels serial, across the
-/// variants the shard analysis proved splittable.
-#[derive(Debug, Clone)]
-pub struct ParallelSpeedup {
-    /// The worker-thread count the headline ratio is measured at.
-    pub threads: usize,
-    /// Median of per-variant `serial_seconds / parallel_seconds`.
-    pub median: f64,
-    /// Number of (shardable) variants contributing ratios.
-    pub samples: usize,
-}
-
 /// The full report accumulated by one `figures` invocation.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -215,9 +185,6 @@ pub struct Report {
     /// The headline SIMD kernel-op speedup, when both simd modes were
     /// measured.
     pub simd_speedup: Option<SimdSpeedup>,
-    /// The headline parallel sharded-execution speedup, when a scaling
-    /// leg was measured.
-    pub parallel_speedup: Option<ParallelSpeedup>,
     /// Every figure table measured, in print order.
     pub figures: Vec<FigureGroup>,
 }
@@ -228,11 +195,11 @@ impl Report {
         Report::default()
     }
 
-    /// Serialise the report as a JSON document (schema v6 — see
+    /// Serialise the report as a JSON document (schema v10 — see
     /// EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\n  \"schema_version\": 9,");
+        out.push_str("\n  \"schema_version\": 10,");
         if let Some(s) = &self.opt_speedup {
             out.push_str(&format!(
                 "\n  \"opt_speedup\": {{\"engine\": {}, \"baseline\": {}, \
@@ -256,15 +223,6 @@ impl Report {
             out.push_str(&format!(
                 "\n  \"simd_speedup\": {{\"engine\": \"bytecode\", \"opt_level\": \"default\", \
                  \"median\": {}, \"samples\": {}}},",
-                json_number(s.median),
-                s.samples,
-            ));
-        }
-        if let Some(s) = &self.parallel_speedup {
-            out.push_str(&format!(
-                "\n  \"parallel_speedup\": {{\"engine\": \"bytecode\", \"opt_level\": \"default\", \
-                 \"threads\": {}, \"median\": {}, \"samples\": {}}},",
-                s.threads,
                 json_number(s.median),
                 s.samples,
             ));
@@ -367,10 +325,6 @@ impl Report {
                 if let Some(f) = v.vectorized_fraction {
                     out.push_str(&format!("\n       \"vectorized_fraction\": {},", json_number(f)));
                 }
-                out.push_str(&format!("\n       \"sharded\": {},", v.sharded));
-                if let Some(f) = v.parallel_speedup {
-                    out.push_str(&format!("\n       \"parallel_speedup\": {},", json_number(f)));
-                }
                 if let Some(counts) = &v.opcode_counts {
                     out.push_str("\n       \"opcode_counts\": {");
                     for (k, (name, count)) in counts.iter().enumerate() {
@@ -388,14 +342,13 @@ impl Report {
                     }
                     out.push_str(&format!(
                         "\n        {{\"engine\": {}, \"opt_level\": {}, \"typed\": {}, \
-                         \"simd\": {}, \"threads\": {}, \"median_seconds\": {}, \"instrs\": {}, \
+                         \"simd\": {}, \"median_seconds\": {}, \"instrs\": {}, \
                          \"stmts\": {}, \"loop_iters\": {}, \"loads\": {}, \
                          \"stores\": {}, \"searches\": {}, \"total_work\": {}}}",
                         json_string(e.engine.label()),
                         json_string(e.opt_level.label()),
                         e.typed,
                         e.simd,
-                        e.threads,
                         json_number(e.median_seconds),
                         e.instrs,
                         e.stats.stmts,
@@ -617,7 +570,6 @@ mod tests {
             }),
             typed_speedup: Some(TypedSpeedup { median: 1.4, samples: 4 }),
             simd_speedup: Some(SimdSpeedup { median: 1.5, samples: 4 }),
-            parallel_speedup: Some(ParallelSpeedup { threads: 4, median: 2.25, samples: 3 }),
             figures: vec![FigureGroup {
                 figure: "fig01".into(),
                 group: "band width \"8\"".into(),
@@ -662,8 +614,6 @@ mod tests {
                     typed_instr_fraction: Some(0.9375),
                     simd_speedup: Some(1.4375),
                     vectorized_fraction: Some(0.875),
-                    sharded: true,
-                    parallel_speedup: Some(2.125),
                     opcode_counts: Some(vec![("load_f64".into(), 100), ("store".into(), 4)]),
                     engines: vec![
                         EngineReport {
@@ -671,7 +621,6 @@ mod tests {
                             opt_level: OptLevel::Default,
                             typed: true,
                             simd: true,
-                            threads: 1,
                             median_seconds: 0.25,
                             instrs: 90,
                             stats: ExecStats {
@@ -687,7 +636,6 @@ mod tests {
                             opt_level: OptLevel::None,
                             typed: false,
                             simd: false,
-                            threads: 1,
                             median_seconds: 0.125,
                             instrs: 120,
                             stats: ExecStats {
@@ -707,7 +655,7 @@ mod tests {
     #[test]
     fn json_has_engines_opt_levels_and_escaped_strings() {
         let j = sample().to_json();
-        assert!(j.contains("\"schema_version\": 9"));
+        assert!(j.contains("\"schema_version\": 10"));
         assert!(j.contains("\"tree_walk\""));
         assert!(j.contains("\"bytecode\""));
         assert!(j.contains("\"opt_level\": \"default\""));
@@ -725,11 +673,7 @@ mod tests {
         assert!(j.contains("\"median\": 1.4"));
         assert!(j.contains("\"simd_speedup\": {\"engine\": \"bytecode\""));
         assert!(j.contains("\"median\": 1.5"));
-        assert!(j.contains("\"parallel_speedup\": {\"engine\": \"bytecode\""));
-        assert!(j.contains("\"threads\": 4, \"median\": 2.25, \"samples\": 3"));
-        assert!(j.contains("\"sharded\": true"));
-        assert!(j.contains("\"parallel_speedup\": 2.125"));
-        assert!(j.contains("\"threads\": 1"));
+        assert!(j.contains("\"simd\": false, \"median_seconds\": 0.125, \"instrs\": 120"));
         assert!(j.contains("\"loads_hoisted\": 2"));
         assert!(j.contains("\"exprs_hoisted\": 5"));
         assert!(j.contains("\"instrs_typed\": 17"));
@@ -777,13 +721,10 @@ mod tests {
         r.figures[0].variants[0].simd_speedup = None;
         r.figures[0].variants[0].vectorized_fraction = None;
         r.figures[0].variants[0].opcode_counts = None;
-        r.parallel_speedup = None;
-        r.figures[0].variants[0].parallel_speedup = None;
         let j = r.to_json();
         assert!(!j.contains("opt_speedup"));
         assert!(!j.contains("typed_speedup"));
         assert!(!j.contains("simd_speedup"));
-        assert!(!j.contains("parallel_speedup"));
         assert!(!j.contains("vectorized_fraction"));
         assert!(!j.contains("compile_seconds"));
         assert!(!j.contains("validation"));

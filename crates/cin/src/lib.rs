@@ -29,6 +29,7 @@
 //! assert_eq!(format!("{stmt}"), "@forall i C[] += (A[i] * B[i])");
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

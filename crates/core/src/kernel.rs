@@ -9,8 +9,8 @@ use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Te
 use finch_ir::opt::{Lowered, PassReport};
 use finch_ir::pretty::Printer;
 use finch_ir::{
-    run_sharded, Buffer, BufferSet, Engine, ExecConfig, ExecStats, Interpreter, Names, OptLevel,
-    OptStats, Program, RuntimeError, ShardPlan, Stmt, Vm, Watch,
+    Buffer, BufferSet, Engine, ExecConfig, ExecStats, Interpreter, Names, OptLevel, OptStats,
+    Program, RuntimeError, Stmt, Vm, Watch,
 };
 use finch_rewrite::Rewriter;
 
@@ -499,13 +499,12 @@ impl CompiledKernel {
             .expect("re-optimisation of already-validated code must validate")
     }
 
-    /// [`CompiledKernel::reconfigured`] with another worker-thread count.
-    /// Threads only take effect on the bytecode engine and only over loops
-    /// the shard analysis proved splittable (see
-    /// [`CompiledKernel::sharded`]); everything else runs serial, so a
-    /// parallel run is never incorrect, merely sometimes not parallel.
-    pub fn with_threads(self, threads: usize) -> Self {
-        CompiledKernel { config: ExecConfig { threads, ..self.config }, ..self }
+    /// Nothing shards, so threads have no effect: returns the receiver.
+    /// Kept only because the frozen `benchmark/` calls it; goes with
+    /// [`CompiledKernel::sharded`] once ROADMAP item 5(a) drops the call.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
+        self
     }
 
     /// Compile the kept pre-optimisation IR again under `config`, whether
@@ -596,18 +595,11 @@ impl CompiledKernel {
         (self.image.opt_stats.instrs_vectorized, self.image.opt_stats.instrs_vectorizable)
     }
 
-    /// Whether the shard analysis proved at least one top-level counted
-    /// loop of this kernel splittable across worker threads.  When this is
-    /// `false`, [`ExecConfig::threads`] has no effect on execution.
+    /// Always `false`: no kernel is split across threads.  Kept only
+    /// because the frozen `benchmark/` calls it (ROADMAP item 5(a)).
+    #[doc(hidden)]
     pub fn sharded(&self) -> bool {
-        !self.image.bytecode.shard_plan().is_empty()
-    }
-
-    /// The shard plan the compiler recorded on the bytecode: the loop
-    /// regions the parallel driver may split, with per-buffer roles.
-    /// Empty when nothing was proved shardable.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        self.image.bytecode.shard_plan()
+        false
     }
 
     /// Set or clear a cooperative [`Watch`] applied to every run on either
@@ -809,7 +801,7 @@ impl CompiledKernel {
     ) -> Result<ExecStats, RuntimeError> {
         self.reset_outputs();
         let image = &*self.image;
-        let ExecConfig { threads, alloc_budget, .. } = self.config;
+        let alloc_budget = self.config.alloc_budget;
         match engine {
             Engine::Bytecode => {
                 // The persistent VM resets in place: re-runs allocate
@@ -818,11 +810,7 @@ impl CompiledKernel {
                 self.vm.set_step_budget(step_budget);
                 self.vm.set_watch(watch);
                 self.vm.set_alloc_budget(alloc_budget);
-                if threads > 1 {
-                    run_sharded(&mut self.vm, &image.bytecode, &mut self.bufs, threads)?;
-                } else {
-                    self.vm.run(&image.bytecode, &mut self.bufs)?;
-                }
+                self.vm.run(&image.bytecode, &mut self.bufs)?;
                 Ok(self.vm.stats())
             }
             Engine::TreeWalk => {
@@ -1180,7 +1168,6 @@ mod tests {
         let base = k.config();
         let run_side = [
             ExecConfig { engine: Engine::TreeWalk, ..base },
-            ExecConfig { threads: 4, ..base },
             ExecConfig { step_budget: Some(1_000_000), alloc_budget: Some(64), ..base },
         ];
         for config in run_side {
@@ -1654,7 +1641,7 @@ mod tests {
 
     #[test]
     fn compiled_kernels_cross_thread_boundaries() {
-        // The parallel tier hands kernels and their buffers to worker
+        // The service lends one image's run states to concurrent client
         // threads; the public types must stay Send + Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Kernel>();
@@ -1663,95 +1650,31 @@ mod tests {
         assert_send_sync::<finch_ir::BufferSet>();
     }
 
-    fn spmv_kernel(threads: usize) -> CompiledKernel {
-        let nrows = 17;
-        let ncols = 13;
-        let data: Vec<f64> = (0..nrows * ncols)
-            .map(|k| if k % 3 == 0 { (k % 11) as f64 - 4.0 } else { 0.0 })
-            .collect();
-        let xv: Vec<f64> = (0..ncols).map(|k| (k as f64) * 0.25 - 1.5).collect();
-        let a = Tensor::csr_matrix("A", nrows, ncols, &data);
-        let x = Tensor::dense_vector("x", &xv);
-        let mut kernel = Kernel::with_config(ExecConfig { threads, ..ExecConfig::default() });
-        kernel.bind_input(&a).bind_input(&x).bind_output("y", &[nrows], 0.0);
-        let (i, j) = (idx("i"), idx("j"));
-        let program = forall(
-            i.clone(),
-            forall(
-                j.clone(),
-                add_assign(
-                    access("y", [i.clone()]),
-                    mul(access("A", [i, j.clone()]), access("x", [j])),
-                ),
-            ),
-        );
-        kernel.compile(&program).expect("spmv compiles")
-    }
-
-    #[test]
-    fn parallel_runs_are_bit_identical_to_serial() {
-        let mut serial = spmv_kernel(1);
-        assert_eq!(serial.config().threads, 1);
-        let s_stats = serial.run().unwrap();
-        let s_out = serial.output("y").unwrap();
-        assert!(serial.sharded(), "the dense outer row loop shards:\n{}", serial.code());
-        for threads in [2, 3, 4, 8, 64] {
-            let mut par = spmv_kernel(threads);
-            assert_eq!(par.config().threads, threads);
-            let p_stats = par.run().unwrap();
-            let p_out = par.output("y").unwrap();
-            assert_eq!(s_stats, p_stats, "{threads} threads: work counters diverge");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&s_out), bits(&p_out), "{threads} threads: outputs diverge");
-        }
-    }
-
     #[test]
     fn an_index_named_like_a_gensym_still_gets_a_loop_name_of_its_own() {
-        // The shard pass finds a bytecode loop's IR facts by the loop
-        // variable's printed name.  An index called `x_2` used to make the
-        // next loop over `x` print `x_2` too, and the pass drops ambiguous
-        // names: neither loop sharded.
+        // An index called `x_2` used to make the next loop over `x` print
+        // `x_2` too: two loops under one name in the code and the disasm.
         let a = Tensor::dense_vector("A", &[1.5, 2.5, 3.5, 4.5]);
-        let compile = |threads: usize| {
-            let mut kernel = Kernel::with_config(ExecConfig { threads, ..ExecConfig::default() });
-            kernel.bind_input(&a).bind_output("y", &[4], 0.0).bind_output("z", &[4], 0.0);
-            let copy = |index: &str, out: &str| {
-                forall(idx(index), assign(access(out, [idx(index)]), access("A", [idx(index)])))
-            };
-            kernel.compile(&multi(vec![copy("x_2", "y"), copy("x", "z")])).expect("compiles")
+        let mut kernel = Kernel::new();
+        kernel.bind_input(&a).bind_output("y", &[4], 0.0).bind_output("z", &[4], 0.0);
+        let copy = |index: &str, out: &str| {
+            forall(idx(index), assign(access(out, [idx(index)]), access("A", [idx(index)])))
         };
-        let mut serial = compile(1);
-        let code = serial.code().to_string();
+        let mut k = kernel.compile(&multi(vec![copy("x_2", "y"), copy("x", "z")])).unwrap();
+        let code = k.code().to_string();
         assert!(code.contains("for x_2 in 0..=3") && code.contains("for x_3 in 0..=3"), "{code}");
         assert_eq!(code.matches("for x_2 in").count(), 1, "{code}");
-        let copies = |k: &CompiledKernel| {
-            let named = |r: &finch_ir::bytecode::ShardRegion| {
-                let name = k.bytecode().reg_name(r.var);
-                name == "x_2" || name == "x_3"
-            };
-            k.shard_plan().regions.iter().filter(|r| named(r)).count()
-        };
-        assert_eq!(copies(&serial), 2, "both copy loops shard:\n{code}");
-
-        let s_stats = serial.run().unwrap();
-        let mut par = compile(2);
-        assert!(par.sharded());
-        assert_eq!(par.code(), code);
-        assert_eq!(s_stats, par.run().unwrap());
+        k.run().unwrap();
         for out in ["y", "z"] {
-            let bits = |k: &CompiledKernel| {
-                k.output(out).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(bits(&serial), bits(&par), "{out}");
-            assert_eq!(serial.output(out).unwrap(), [1.5, 2.5, 3.5, 4.5]);
+            assert_eq!(k.output(out).unwrap(), [1.5, 2.5, 3.5, 4.5]);
         }
     }
 
     #[test]
-    fn non_shardable_kernels_run_serial_at_any_thread_count() {
-        // The sparse-sparse dot product is a while-loop merge with a float
-        // reduction: not shardable, so threads must be a silent no-op.
+    fn the_thread_shims_kept_for_the_benchmark_change_nothing() {
+        // `benchmark/` still calls `sharded()` and `with_threads(2)`; the
+        // day it stops, both go.  Until then: nothing shards, and asking
+        // for threads leaves configuration, outputs and counters as they are.
         let av = vec![0.0, 1.9, 0.0, 3.0, 0.0, 0.0, 2.7, 0.0, 5.5, 0.0, 0.0];
         let bv = vec![0.0, 0.0, 0.0, 3.7, 4.7, 9.2, 1.5, 8.7, 0.0, 0.0, 0.0];
         let a = Tensor::sparse_list_vector("A", &av);
@@ -1759,13 +1682,12 @@ mod tests {
         let mut serial = dot_product(&a, &b);
         let s_stats = serial.run().unwrap();
         let s_out = serial.output_scalar("C").unwrap();
-        let mut par = dot_product(&a, &b).with_threads(4);
-        assert!(!par.sharded(), "a float-reduction merge must not shard");
-        assert!(par.shard_plan().is_empty());
-        let p_stats = par.run().unwrap();
-        let p_out = par.output_scalar("C").unwrap();
-        assert_eq!(s_stats, p_stats);
-        assert_eq!(s_out.to_bits(), p_out.to_bits());
+        let mut wide = serial.clone().with_threads(4);
+        assert!(!serial.sharded() && !wide.sharded());
+        assert!(wide.shares_image(&serial));
+        assert_eq!(wide.config(), serial.config());
+        assert_eq!(wide.run().unwrap(), s_stats);
+        assert_eq!(wide.output_scalar("C").unwrap().to_bits(), s_out.to_bits());
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! the benchmark harness, and the integration tests in this repository)
 //! only need to depend on `finch`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -66,9 +67,6 @@ pub use finch_cin::{
 };
 pub use finch_formats::{BoundTensor, Level, LevelSpec, OutputBuilder, Tensor, TensorError};
 pub use finch_ir::opt::{MergeDecline, PassReport, ValidationLevel};
-pub use finch_ir::{
-    Engine, ExecConfig, ExecStats, OptLevel, OptStats, RuntimeError, ShardPlan, ShardRegion,
-    ShardRole, Value, Watch,
-};
+pub use finch_ir::{Engine, ExecConfig, ExecStats, OptLevel, OptStats, RuntimeError, Value, Watch};
 pub use finch_looplets as looplets;
 pub use finch_rewrite::Rewriter;

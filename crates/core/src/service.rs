@@ -324,9 +324,10 @@ impl Request {
 pub enum Tier {
     /// The service's own configuration: typed, vectorized bytecode.
     Fast,
-    /// Typed bytecode VM, no SIMD, single-threaded.
+    /// Typed bytecode VM without the kernel ops (its `typed_serial` label
+    /// is read by CI and by `served_by_tier` consumers).
     TypedSerial,
-    /// Untyped bytecode VM, single-threaded.
+    /// Untyped bytecode VM.
     Untyped,
     /// The tree-walking reference interpreter.
     Oracle,
@@ -350,7 +351,7 @@ impl Tier {
     /// rung's: each rung switches off one more stage of the one above it,
     /// and the last one changes engine.
     pub fn config(self, fast: &ExecConfig) -> ExecConfig {
-        let serial = ExecConfig { simd: false, threads: 1, ..*fast };
+        let serial = ExecConfig { simd: false, ..*fast };
         let untyped = ExecConfig { typed: false, ..serial };
         match self {
             Tier::Fast => *fast,
@@ -2132,21 +2133,18 @@ mod tests {
             alloc_budget: Some(1 << 10),
             ..ExecConfig::default()
         };
-        // (typed, simd, threads, engine) per rung; everything else is the
-        // fast rung's.
+        // (typed, simd, engine) per rung; everything else is the fast
+        // rung's.
         let rungs = [
-            (Tier::Fast, true, true, 1, Engine::Bytecode),
-            (Tier::TypedSerial, true, false, 1, Engine::Bytecode),
-            (Tier::Untyped, false, false, 1, Engine::Bytecode),
-            (Tier::Oracle, false, false, 1, Engine::TreeWalk),
+            (Tier::Fast, true, true, Engine::Bytecode),
+            (Tier::TypedSerial, true, false, Engine::Bytecode),
+            (Tier::Untyped, false, false, Engine::Bytecode),
+            (Tier::Oracle, false, false, Engine::TreeWalk),
         ];
         assert_eq!(rungs.map(|r| r.0), Tier::ALL);
-        for (tier, typed, simd, threads, engine) in rungs {
-            let want = ExecConfig { typed, simd, threads, engine, ..fast };
+        for (tier, typed, simd, engine) in rungs {
+            let want = ExecConfig { typed, simd, engine, ..fast };
             assert_eq!(tier.config(&fast), want, "{}", tier.label());
-            // A rung never asks for more than the one above it has.
-            let wide = ExecConfig { threads: 4, ..fast };
-            assert_eq!(tier.config(&wide).threads, if tier == Tier::Fast { 4 } else { 1 });
         }
         // What a default service compiles under is the fast rung.
         let svc = KernelService::default();

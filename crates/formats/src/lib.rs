@@ -29,6 +29,7 @@
 //! assert_eq!(t.nnz(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

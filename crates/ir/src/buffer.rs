@@ -39,9 +39,8 @@ pub const LANE_ALIGN: usize = 64;
 /// allocation-side companion of the step budget.  Both engines charge one
 /// unit per appended element (coordinate, value, or fiber boundary) at the
 /// append itself, so a budget overrun faults at the same logical element on
-/// the tree-walker, the scalar VM, the vectorized tier (which declines a
-/// bulk that might not fit and lets the scalar loop fault exactly), and the
-/// sharded tier (which re-checks the stitched total).
+/// the tree-walker, the scalar VM and the vectorized tier (which declines a
+/// bulk that might not fit and lets the scalar loop fault exactly).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocMeter {
     budget: Option<u64>,
@@ -96,25 +95,10 @@ impl AllocMeter {
     }
 
     /// Add already-validated usage without a budget check (bulk paths that
-    /// pre-checked with [`AllocMeter::fits`], and shard-delta stitching).
+    /// pre-checked with [`AllocMeter::fits`]).
     #[inline]
     pub fn add_used(&mut self, n: u64) {
         self.used += n;
-    }
-
-    /// Re-check the running total against the budget (the sharded tier's
-    /// post-stitch check).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::AllocBudgetExceeded`] when the total is
-    /// already past the budget.
-    #[inline]
-    pub fn check(&self) -> Result<(), RuntimeError> {
-        match self.budget {
-            Some(budget) if self.used > budget => Err(RuntimeError::AllocBudgetExceeded { budget }),
-            _ => Ok(()),
-        }
     }
 }
 
@@ -584,34 +568,6 @@ impl BufferSet {
             .zip(self.names.iter())
             .enumerate()
             .map(|(i, (b, n))| (BufId(i as u32), n.as_str(), b))
-    }
-}
-
-/// The buffer-access surface the VM dispatch loop needs, abstracted so
-/// the parallel runtime (`crate::par`) can substitute a sharded view —
-/// shared reads from the master set, private per-shard copies for the
-/// buffers a sharded loop writes — without duplicating the dispatch loop.
-pub(crate) trait VmBufs {
-    /// Borrow a buffer for reading.
-    fn get(&self, id: BufId) -> &Buffer;
-    /// Borrow a buffer for writing.
-    fn get_mut(&mut self, id: BufId) -> &mut Buffer;
-    /// The registered name of a buffer (for error messages).
-    fn name(&self, id: BufId) -> &str;
-}
-
-impl VmBufs for BufferSet {
-    #[inline]
-    fn get(&self, id: BufId) -> &Buffer {
-        BufferSet::get(self, id)
-    }
-    #[inline]
-    fn get_mut(&mut self, id: BufId) -> &mut Buffer {
-        BufferSet::get_mut(self, id)
-    }
-    #[inline]
-    fn name(&self, id: BufId) -> &str {
-        BufferSet::name(self, id)
     }
 }
 

@@ -38,7 +38,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::buffer::BufId;
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
 use crate::value::Value;
@@ -48,7 +47,7 @@ use crate::var::{Names, Var};
 // and everything derived from the two.
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
-pub(crate) use crate::isa::{Access, Edge, Elem, Operand, Role, Shared};
+pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
 pub use crate::isa::{Instr, VBase, VCost, VFill, VRhs, VScale};
 
 /// A register of the bytecode VM, identified by a dense index.
@@ -217,91 +216,6 @@ pub(crate) fn splice_before(
     spliced
 }
 
-/// How a parallel shard may touch one buffer written inside a sharded
-/// loop region, and how the per-shard copies are stitched back together.
-///
-/// Recorded by the shard-analysis pass (`crate::opt::shard`) and consumed
-/// by the parallel runtime in [`crate::par`].  Every buffer the region
-/// writes must carry exactly one role; buffers the region only reads are
-/// shared across shards untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRole {
-    /// Writes of iteration `i` stay inside the element range
-    /// `[i*stride, (i+1)*stride)`, so each shard owns a contiguous slice
-    /// and stitching copies each shard's own slice back in order.
-    Partitioned {
-        /// Elements owned per iteration.
-        stride: i64,
-    },
-    /// An associative integer reduction (`+=` / `min=` / `max=`) into one
-    /// fixed element: each shard folds its own partial from the operator's
-    /// identity and stitching combines the partials in shard order.
-    Reduction {
-        /// The fixed accumulator element index.
-        index: i64,
-        /// The (associative, integer) combining operator.
-        op: BinOp,
-    },
-    /// Append-only output array: each shard appends its own iterations'
-    /// entries and stitching concatenates the per-shard suffixes in shard
-    /// order, reproducing the serial append order exactly.
-    Segment,
-    /// A fiber-boundary (`pos`) array fed by [`Instr::FiberEnd`]: like
-    /// [`ShardRole::Segment`], but each appended entry records the length
-    /// of `data`, so stitching also offsets shard *k*'s entries by the
-    /// total entries earlier shards appended to `data`.
-    SegmentPos {
-        /// The entry array whose length the `pos` entries record.
-        data: BufId,
-    },
-    /// Iteration-local scratch at one fixed element, overwritten before it
-    /// is read in every iteration: shards work on private copies and
-    /// stitching adopts the last shard's copy (the value the serial run's
-    /// final iteration would leave behind).
-    Private,
-}
-
-/// One top-level counted loop proven shardable: its bytecode extent, the
-/// loop registers the runtime repartitions, and the per-buffer stitch
-/// roles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRegion {
-    /// First instruction of the region: the loop head, or the vectorized
-    /// kernel op immediately before it when one was inserted.
-    pub start: u32,
-    /// The pc of the loop head ([`Instr::ForTest`] / [`Instr::IForTest`]).
-    pub head: u32,
-    /// One past the loop's back-edge ([`Instr::ForStep`], or the
-    /// [`Instr::IForNext`] that replaced it); the loop head's exit target.
-    pub end: u32,
-    /// The loop counter register; shards re-seed it with their range start.
-    pub counter: Reg,
-    /// The inclusive upper-bound register; shards re-seed it with their
-    /// range end.
-    pub hi: Reg,
-    /// The loop variable register (written by the head on each test).
-    pub var: Reg,
-    /// Stitch role of every buffer the region writes.
-    pub roles: Vec<(BufId, ShardRole)>,
-}
-
-/// The shard plan of a program: every top-level counted loop the shard
-/// analysis proved safe to execute as contiguous per-thread row ranges,
-/// in program order.  Empty when nothing shards — the runtime then runs
-/// the program serially regardless of the requested thread count.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ShardPlan {
-    /// The shardable regions, sorted by `start`, non-overlapping.
-    pub regions: Vec<ShardRegion>,
-}
-
-impl ShardPlan {
-    /// Whether the plan contains no shardable region.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-}
-
 /// A compiled bytecode program: the instruction stream, its constant pool,
 /// and the register-file layout.
 ///
@@ -321,9 +235,6 @@ pub struct Program {
     /// VM pins these tags before dispatch so typed instructions never
     /// touch the tag array.
     pub(crate) pretags: Vec<(Reg, LaneTag)>,
-    /// Shardable top-level loops (set by the shard-analysis pass in
-    /// `crate::opt::shard`; empty until it runs).
-    pub(crate) shard_plan: ShardPlan,
     /// `stmt_bump[pc]` = source statements the VM accounts immediately
     /// before `code[pc]` executes — [`Instr::BumpStmt`]s the `finalize`
     /// pass (`crate::opt::finalize`) took off the instruction stream.
@@ -331,13 +242,14 @@ pub struct Program {
     /// nonzero on the target of a back edge (a loop head would account
     /// the statements once per iteration; a bottom test's target is the
     /// body's first instruction, whose count *is* per iteration) or on a
-    /// vectorized kernel op (a shard region may start there, and every
-    /// shard re-runs it).  The
-    /// target of a forward branch may carry a count (the statement after
-    /// an `if`): every edge into it accounts the statements, so a rewrite
-    /// must never point a branch past such an instruction.  No static
-    /// check can see a count lost that way; the pass manager's exact
-    /// `ExecStats` witness is the gate.
+    /// vectorized kernel op (the statement in front of a vectorized loop
+    /// stays an explicit `BumpStmt`, so the op's line in `disasm` and its
+    /// per-pc `profile` count are the bulk alone).  The target of a forward
+    /// branch may carry a count (the statement after an `if`): every edge
+    /// into it accounts the statements, so a rewrite must never point a
+    /// branch past such an instruction.  No static check can see a count
+    /// lost that way; the pass manager's exact `ExecStats` witness is the
+    /// gate.
     pub(crate) stmt_bump: Vec<u32>,
 }
 
@@ -370,7 +282,6 @@ impl Program {
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: c.num_vars + c.max_temps as usize,
             pretags: Vec::new(),
-            shard_plan: ShardPlan::default(),
             stmt_bump: vec![0; c.code.len()],
             code: c.code,
         }
@@ -388,7 +299,6 @@ impl Program {
             var_names: Arc::clone(&self.var_names),
             num_regs: self.num_regs,
             pretags: self.pretags.clone(),
-            shard_plan: self.shard_plan.clone(),
         }
     }
 
@@ -423,14 +333,6 @@ impl Program {
     /// `code()[pc]` executes.  All zero unless the `finalize` pass ran.
     pub fn stmt_bump(&self) -> &[u32] {
         &self.stmt_bump
-    }
-
-    /// The shard plan recorded by the shard-analysis pass: the top-level
-    /// counted loops proven safe for contiguous row-range parallel
-    /// execution (empty for programs the pass has not run over, or when
-    /// nothing shards).
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shard_plan
     }
 
     /// The printed name of a register: the variable's name for variable
@@ -582,58 +484,6 @@ impl Program {
                 }
                 _ => {}
             }
-        }
-        let mut prev_end = 0u32;
-        for region in &self.shard_plan.regions {
-            let (start, head, end) = (region.start, region.head, region.end);
-            if start < prev_end {
-                return Err(format!(
-                    "shard region at pc {start} overlaps the previous region (ends {prev_end})"
-                ));
-            }
-            if !(start <= head && head < end && end <= len) {
-                return Err(format!(
-                    "shard region {start}..{end} (head {head}) out of order or past the end ({len})"
-                ));
-            }
-            if head - start > 1 {
-                return Err(format!(
-                    "shard region at pc {start} starts more than one op before its head {head}"
-                ));
-            }
-            match self.code[head as usize] {
-                Instr::ForTest { counter, hi, var, end: exit }
-                | Instr::IForTest { counter, hi, var, end: exit } => {
-                    if exit != end {
-                        return Err(format!(
-                            "shard region head at pc {head} exits to {exit}, not the region end {end}"
-                        ));
-                    }
-                    if counter != region.counter || hi != region.hi || var != region.var {
-                        return Err(format!(
-                            "shard region head at pc {head} uses different loop registers than the plan"
-                        ));
-                    }
-                }
-                _ => {
-                    return Err(format!(
-                        "shard region head at pc {head} is not a counted-loop head"
-                    ));
-                }
-            }
-            match self.code[end as usize - 1] {
-                Instr::ForStep { test, .. } if test == head => {}
-                Instr::IForNext { body, .. } if body == head + 1 => {}
-                _ => {
-                    return Err(format!(
-                        "shard region at pc {start} does not end with a back-edge to its head {head}"
-                    ));
-                }
-            }
-            check_reg(end as usize - 1, region.counter)?;
-            check_reg(end as usize - 1, region.hi)?;
-            check_reg(end as usize - 1, region.var)?;
-            prev_end = end;
         }
         Ok(())
     }
@@ -1639,7 +1489,6 @@ mod tests {
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: 2,
             pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Float)],
-            shard_plan: ShardPlan::default(),
             stmt_bump: vec![0; 28],
         };
         let _ = (p, x);
@@ -1685,7 +1534,6 @@ mod tests {
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags,
-            shard_plan: ShardPlan::default(),
         };
         // A non-comparison op in a typed branch is rejected.
         let p = base(
@@ -1736,7 +1584,6 @@ mod tests {
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),
-            shard_plan: ShardPlan::default(),
         };
 
         // Jump past the end of the code (len is 1, so 2 is out of range;
@@ -1782,7 +1629,7 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("exceeds the limit"));
 
         // The folded statement table: one entry per instruction, and no
-        // count where a back edge or a shard would account it again.
+        // count where a back edge would account it again, none on a kernel op.
         let looping =
             || base(vec![Instr::Mov { dst: Reg(0), src: Reg(0) }, Instr::Jump { target: 0 }]);
         let mut p = looping();
@@ -1936,7 +1783,6 @@ mod tests {
                 (Reg(2), LaneTag::Int),
                 (Reg(3), LaneTag::Float),
             ],
-            shard_plan: ShardPlan::default(),
             stmt_bump: vec![0; 8],
         };
         program.validate().expect("vector kernel ops validate");
@@ -1963,7 +1809,6 @@ mod tests {
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),
-            shard_plan: ShardPlan::default(),
         };
         let b = crate::buffer::BufId;
         let cost = VCost { stmts: 1, loads: 1, stores: 1 };

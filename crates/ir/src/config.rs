@@ -2,10 +2,10 @@
 //!
 //! Everything that selects *how* a lowered program is compiled and executed
 //! — the optimisation level, the two bytecode stages that can be switched
-//! off, the validation level, the engine, the worker-thread count and the
-//! two budgets — is one plain [`ExecConfig`] value.  The pipeline
-//! ([`crate::opt::optimize_and_lower`]) reads it, a compiled kernel records
-//! it, and the service's degradation ladder is four values of it.
+//! off, the validation level, the engine and the two budgets — is one plain
+//! [`ExecConfig`] value.  The pipeline ([`crate::opt::optimize_and_lower`])
+//! reads it, a compiled kernel records it, and the service's degradation
+//! ladder is four values of it.
 
 use crate::opt::{OptLevel, ValidationLevel};
 
@@ -39,7 +39,7 @@ impl Engine {
 }
 
 /// How a program is compiled (`opt`, `typed`, `simd`, `validation`) and how
-/// the result is run (`engine`, `threads`, the two budgets).
+/// the result is run (`engine`, the two budgets).
 ///
 /// The fields are what was *asked for*; [`ExecConfig::effective`] says what
 /// that comes to.
@@ -57,9 +57,6 @@ pub struct ExecConfig {
     pub validation: ValidationLevel,
     /// The engine a run dispatches to.
     pub engine: Engine,
-    /// Worker threads for loops the shard analysis proved splittable, on
-    /// the bytecode engine; 1 is the serial path.
-    pub threads: usize,
     /// Executed-statement bound of one run, on either engine.
     pub step_budget: Option<u64>,
     /// Bound on the elements one run may append to growable outputs, on
@@ -75,7 +72,6 @@ impl Default for ExecConfig {
             simd: true,
             validation: ValidationLevel::default(),
             engine: Engine::default(),
-            threads: 1,
             step_budget: None,
             alloc_budget: None,
         }
@@ -102,7 +98,7 @@ impl ExecConfig {
     /// The compile-side configurations that differ in effect, everything
     /// else as in `self`: unoptimised, then [`OptLevel::Default`] untyped,
     /// typed scalar, and typed with kernel ops.  What a differential test
-    /// has to cover, next to the engines and the thread counts.
+    /// has to cover, next to the engines.
     pub fn matrix(&self) -> [ExecConfig; 4] {
         let at = |opt, typed, simd| ExecConfig { opt, typed, simd, ..*self };
         [
@@ -114,16 +110,15 @@ impl ExecConfig {
     }
 
     /// A stable label naming every field, for divergence reports and test
-    /// messages: `bytecode/default/typed=true/simd=true/threads=1/…`.
+    /// messages: `bytecode/default/typed=true/simd=true/…`.
     pub fn label(&self) -> String {
         let budget = |b: Option<u64>| b.map_or("none".to_string(), |b| b.to_string());
         format!(
-            "{}/{}/typed={}/simd={}/threads={}/validation={}/steps={}/allocs={}",
+            "{}/{}/typed={}/simd={}/validation={}/steps={}/allocs={}",
             self.engine.label(),
             self.opt.label(),
             self.typed,
             self.simd,
-            self.threads,
             self.validation.label(),
             budget(self.step_budget),
             budget(self.alloc_budget),
@@ -147,11 +142,12 @@ mod tests {
 
     #[test]
     fn the_matrix_is_the_effectively_distinct_compilations() {
-        let base = ExecConfig { threads: 3, step_budget: Some(9), ..ExecConfig::default() };
+        let base =
+            ExecConfig { engine: Engine::TreeWalk, step_budget: Some(9), ..ExecConfig::default() };
         let matrix = base.matrix();
         for (k, a) in matrix.iter().enumerate() {
             assert_eq!(*a, a.effective(), "{}", a.label());
-            assert_eq!((a.threads, a.step_budget), (3, Some(9)), "the rest is kept");
+            assert_eq!((a.engine, a.step_budget), (Engine::TreeWalk, Some(9)), "the rest is kept");
             for b in &matrix[k + 1..] {
                 assert!(!a.compiles_like(b), "{} vs {}", a.label(), b.label());
             }
@@ -177,7 +173,7 @@ mod tests {
         };
         assert_eq!(
             cfg.label(),
-            "bytecode/default/typed=true/simd=true/threads=1/validation=off/steps=7/allocs=none"
+            "bytecode/default/typed=true/simd=true/validation=off/steps=7/allocs=none"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! | annotation | operand |
 //! |---|---|
 //! | `reg(Read \| Write \| ReadWrite)` | a register and its [`Role`] |
-//! | `buf(Read \| Len \| Write \| Append, Any \| I64 \| F64 \| U8)` | a buffer, how it is touched ([`Access`]) and the element kind it must have ([`Elem`]) |
+//! | `buf(Any \| I64 \| F64 \| U8)` | a buffer and the element kind it must have ([`Elem`]) |
 //! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
@@ -25,9 +25,8 @@
 //! that walk: [`for_each_reg_role`], [`Instr::edge`] / [`Instr::target`] /
 //! [`Instr::is_loop_edge`], the per-operand checks of
 //! [`Program::validate`], the buffer range and schema check of
-//! `opt::verify_bytecode`, the shard pass's written-buffer set, the
-//! peephole's liveness scan and register compaction.  None of them names an
-//! opcode, so none of them can miss one.
+//! `opt::verify_bytecode`, the peephole's liveness scan and register
+//! compaction.  None of them names an opcode, so none of them can miss one.
 //!
 //! What stays hand-written is what gives an opcode *meaning*: its VM arm,
 //! its disassembly, and the rules of the passes that produce or
@@ -59,19 +58,6 @@ pub(crate) enum Role {
     /// of [`Instr::IForNext`] and of the vectorized kernel ops, the
     /// register an [`Instr::IAdvance`] advances).
     ReadWrite,
-}
-
-/// How an instruction touches a buffer operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Access {
-    /// Elements are loaded.
-    Read,
-    /// Only the length is taken.
-    Len,
-    /// Elements are stored in place (a reducing store also reads them).
-    Write,
-    /// Elements are pushed at the end.
-    Append,
 }
 
 /// The element kind an opcode requires of a buffer operand.
@@ -141,8 +127,8 @@ impl Refs for Unique {
 pub(crate) enum Operand<'a, P: Refs> {
     /// A register and how the instruction uses it.
     Reg(P::Of<'a, Reg>, Role),
-    /// A buffer, how it is touched, and the element kind it must have.
-    Buf(P::Of<'a, BufId>, Access, Elem),
+    /// A buffer and the element kind it must have.
+    Buf(P::Of<'a, BufId>, Elem),
     /// A jump target (an absolute pc) and its edge kind.
     Target(P::Of<'a, u32>, Edge),
     /// An index into the constant pool.
@@ -217,8 +203,8 @@ macro_rules! operand {
     ($f:ident, $x:ident, reg($role:ident)) => {
         $f(Operand::Reg($x, Role::$role))
     };
-    ($f:ident, $x:ident, buf($access:ident, $elem:ident)) => {
-        $f(Operand::Buf($x, Access::$access, Elem::$elem))
+    ($f:ident, $x:ident, buf($elem:ident)) => {
+        $f(Operand::Buf($x, Elem::$elem))
     };
     ($f:ident, $x:ident, target($edge:ident)) => {
         $f(Operand::Target($x, Edge::$edge))
@@ -365,7 +351,7 @@ pub enum Instr {
         /// Destination register.
         dst: Reg = reg(Write),
         /// The buffer whose length is taken.
-        buf: BufId = buf(Len, Any),
+        buf: BufId = buf(Any),
     },
     /// `dst = buf[idx]`.  A missing index yields missing (the `permit`
     /// semantics); otherwise the index is coerced to an integer, bounds are
@@ -374,7 +360,7 @@ pub enum Instr {
         /// Destination register.
         dst: Reg = reg(Write),
         /// The buffer read from.
-        buf: BufId = buf(Read, Any),
+        buf: BufId = buf(Any),
         /// Register holding the element index.
         idx: Reg = reg(Read),
     },
@@ -391,7 +377,7 @@ pub enum Instr {
     /// counted.
     Store = "store" Generic {
         /// The destination buffer.
-        buf: BufId = buf(Write, Any),
+        buf: BufId = buf(Any),
         /// Register holding the (already integer) element index.
         idx: Reg = reg(Read),
         /// Register holding the stored value.
@@ -492,7 +478,7 @@ pub enum Instr {
     /// (sparse output assembly).  Counts one store, like [`Instr::Store`].
     Append = "append" Generic {
         /// The buffer appended to.
-        buf: BufId = buf(Append, Any),
+        buf: BufId = buf(Any),
         /// Register holding the appended value.
         val: Reg = reg(Read),
     },
@@ -500,9 +486,9 @@ pub enum Instr {
     /// recording the current length of its entry array.  Counts one store.
     FiberEnd = "fiber_end" TagFree {
         /// The `pos` (fiber boundary) buffer appended to.
-        pos: BufId = buf(Append, I64),
+        pos: BufId = buf(I64),
         /// The entry array whose current length is recorded.
-        data: BufId = buf(Len, Any),
+        data: BufId = buf(Any),
     },
     /// The looplet `seek`: lower-bound binary search for `key` over
     /// `buf[lo..=hi]` (bounds and key already integers), writing the first
@@ -512,7 +498,7 @@ pub enum Instr {
         /// Destination register for the found position.
         dst: Reg = reg(Write),
         /// The sorted coordinate buffer searched.
-        buf: BufId = buf(Read, Any),
+        buf: BufId = buf(Any),
         /// Register holding the inclusive lower candidate position.
         lo: Reg = reg(Read),
         /// Register holding the inclusive upper candidate position.
@@ -550,7 +536,7 @@ pub enum Instr {
         /// Left operand register.
         lhs: Reg = reg(Read),
         /// The buffer the right operand is loaded from.
-        buf: BufId = buf(Read, Any),
+        buf: BufId = buf(Any),
         /// Register holding the element index of the load.
         idx: Reg = reg(Read),
     },
@@ -663,7 +649,7 @@ pub enum Instr {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The buffer whose length is taken.
-        buf: BufId = buf(Len, Any),
+        buf: BufId = buf(Any),
     },
     /// `ints[dst] = i64buf[ints[idx]]` — a typed [`Instr::Load`] from an
     /// I64 buffer.  Bounds are checked and one load is counted, exactly
@@ -672,7 +658,7 @@ pub enum Instr {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The I64 buffer read from.
-        buf: BufId = buf(Read, I64),
+        buf: BufId = buf(I64),
         /// Register holding the element index (proven `Int`).
         idx: Reg = reg(Read),
     },
@@ -682,7 +668,7 @@ pub enum Instr {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// The F64 buffer read from.
-        buf: BufId = buf(Read, F64),
+        buf: BufId = buf(F64),
         /// Register holding the element index (proven `Int`).
         idx: Reg = reg(Read),
     },
@@ -692,7 +678,7 @@ pub enum Instr {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// The U8 buffer read from.
-        buf: BufId = buf(Read, U8),
+        buf: BufId = buf(U8),
         /// Register holding the element index (proven `Int`).
         idx: Reg = reg(Read),
     },
@@ -705,7 +691,7 @@ pub enum Instr {
         /// Left operand register (proven `Float`).
         lhs: Reg = reg(Read),
         /// The F64 buffer the right operand is loaded from.
-        buf: BufId = buf(Read, F64),
+        buf: BufId = buf(F64),
         /// Register holding the element index (proven `Int`).
         idx: Reg = reg(Read),
     },
@@ -713,7 +699,7 @@ pub enum Instr {
     /// into an F64 buffer under an arithmetic (infallible) reduction.
     StoreF64 = "store_f64" TagFree {
         /// The F64 destination buffer.
-        buf: BufId = buf(Write, F64),
+        buf: BufId = buf(F64),
         /// Register holding the (already integer) element index.
         idx: Reg = reg(Read),
         /// Register holding the stored value (proven `Float`).
@@ -728,7 +714,7 @@ pub enum Instr {
     /// `0..=255` and rounded exactly like [`crate::buffer::Buffer::store`].
     StoreU8 = "store_u8" TagFree {
         /// The U8 destination buffer.
-        buf: BufId = buf(Write, U8),
+        buf: BufId = buf(U8),
         /// Register holding the (already integer) element index.
         idx: Reg = reg(Read),
         /// Register holding the stored value (proven `Float`).
@@ -740,7 +726,7 @@ pub enum Instr {
     /// coordinate assembly).  Counts one store.
     IAppend = "i_append" TagFree {
         /// The I64 buffer appended to.
-        buf: BufId = buf(Append, I64),
+        buf: BufId = buf(I64),
         /// Register holding the appended value (proven `Int`).
         val: Reg = reg(Read),
     },
@@ -748,7 +734,7 @@ pub enum Instr {
     /// value assembly).  Counts one store.
     FAppend = "f_append" TagFree {
         /// The F64 buffer appended to.
-        buf: BufId = buf(Append, F64),
+        buf: BufId = buf(F64),
         /// Register holding the appended value (proven `Float`).
         val: Reg = reg(Read),
     },
@@ -911,7 +897,7 @@ pub enum Instr {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The sorted I64 coordinate buffer searched.
-        buf: BufId = buf(Read, I64),
+        buf: BufId = buf(I64),
         /// Register holding the inclusive lower candidate position.
         lo: Reg = reg(Read),
         /// Register holding the inclusive upper candidate position.
@@ -1002,7 +988,7 @@ pub enum Instr {
     /// broadcast of its run value).
     VFillStoreF64 = "v_fill_store_f64" Kernel {
         /// The F64 destination buffer.
-        buf: BufId = buf(Write, F64),
+        buf: BufId = buf(F64),
         /// Per-iteration element index shape.
         base: VBase = nested,
         /// The fill value: an immediate or a loop-invariant float register.
@@ -1023,7 +1009,7 @@ pub enum Instr {
     /// the scalar body bit-for-bit.
     VMapF64 = "v_map_f64" Kernel {
         /// The F64 destination buffer (must not alias the sources).
-        dst: BufId = buf(Write, F64),
+        dst: BufId = buf(F64),
         /// Destination index shape.
         dst_base: VBase = nested,
         /// Store reduction (`Some(Add)` is `+=`).
@@ -1031,7 +1017,7 @@ pub enum Instr {
         /// Apply `round_u8` clamping to the value before the store.
         round: bool = payload,
         /// The first F64 source buffer.
-        a: BufId = buf(Read, F64),
+        a: BufId = buf(F64),
         /// First source index shape.
         a_base: VBase = nested,
         /// Pre-scale applied to the first loaded operand.
@@ -1053,15 +1039,15 @@ pub enum Instr {
     /// buffer; neither may alias `acc`.
     VMulAddF64 = "v_mul_add_f64" Kernel {
         /// The F64 accumulator buffer.
-        acc: BufId = buf(Write, F64),
+        acc: BufId = buf(F64),
         /// The accumulator's constant element index (non-negative).
         acc_idx: i64 = acc_idx,
         /// The first F64 source buffer.
-        a: BufId = buf(Read, F64),
+        a: BufId = buf(F64),
         /// First source index shape.
         a_base: VBase = nested,
         /// The second F64 source buffer.
-        b: BufId = buf(Read, F64),
+        b: BufId = buf(F64),
         /// Second source index shape.
         b_base: VBase = nested,
         /// The reduction operator combining into the accumulator.
@@ -1079,11 +1065,11 @@ pub enum Instr {
     /// iteration, folded strictly in order.
     VReduceF64 = "v_reduce_f64" Kernel {
         /// The F64 accumulator buffer.
-        acc: BufId = buf(Write, F64),
+        acc: BufId = buf(F64),
         /// The accumulator's constant element index (non-negative).
         acc_idx: i64 = acc_idx,
         /// The F64 source buffer (must not alias `acc`).
-        src: BufId = buf(Read, F64),
+        src: BufId = buf(F64),
         /// Source index shape.
         base: VBase = nested,
         /// Pre-scale applied to the loaded operand.
@@ -1104,11 +1090,11 @@ pub enum Instr {
     /// only where `src[..v] cmp guard_imm` holds (the threshold sieve).
     VAppendRangeF64 = "v_append_range_f64" Kernel {
         /// The I64 coordinate output buffer.
-        idx_out: BufId = buf(Append, I64),
+        idx_out: BufId = buf(I64),
         /// The F64 value output buffer.
-        val_out: BufId = buf(Append, F64),
+        val_out: BufId = buf(F64),
         /// The F64 source buffer.
-        src: BufId = buf(Read, F64),
+        src: BufId = buf(F64),
         /// Source index shape.
         base: VBase = nested,
         /// Optional filter: append only where `src[..] op imm`.
@@ -1130,11 +1116,11 @@ pub enum Instr {
     /// [`Instr::StoreU8`].
     VCmpSelectU8 = "v_cmp_select_u8" Kernel {
         /// The U8 destination buffer.
-        dst: BufId = buf(Write, U8),
+        dst: BufId = buf(U8),
         /// Destination index shape.
         dst_base: VBase = nested,
         /// The F64 source buffer tested.
-        src: BufId = buf(Read, F64),
+        src: BufId = buf(F64),
         /// Source index shape.
         src_base: VBase = nested,
         /// The comparison operator of the mask.
@@ -1190,11 +1176,11 @@ pub enum Instr {
     /// that stores, faults, trips or exits, and rewrites every temporary.
     IMergeSkip = "i_merge_skip" TagFree {
         /// The first finger's sorted I64 coordinate buffer.
-        a: BufId = buf(Read, I64),
+        a: BufId = buf(I64),
         /// The first finger: a position in `a` (proven `Int`).
         p: Reg = reg(ReadWrite),
         /// The second finger's sorted I64 coordinate buffer.
-        b: BufId = buf(Read, I64),
+        b: BufId = buf(I64),
         /// The second finger: a position in `b` (proven `Int`).
         q: Reg = reg(ReadWrite),
         /// The loop's `step_start`, set to one past the last skipped step.
@@ -1319,7 +1305,7 @@ walks!(VRhs, |rhs, f| match rhs {
     VRhs::Imm { op, .. } => f(Operand::Op(*op, is_float_arith, "unsupported vector map op")),
     VRhs::Buf { op, buf, base, pre } => {
         f(Operand::Op(*op, is_float_arith, "unsupported vector map op"));
-        f(Operand::Buf(buf, Access::Read, Elem::F64));
+        f(Operand::Buf(buf, Elem::F64));
         Walk::walk(base, &mut *f);
         Walk::walk(pre, &mut *f);
     }
@@ -1398,7 +1384,7 @@ impl Instr {
 
     /// The control-transfer target of this instruction, if it has one —
     /// shared by every pass that moves instructions (peephole, vectorize,
-    /// finalize) or reasons about join points (shard, typing).
+    /// finalize) or reasons about join points (typing).
     #[inline]
     pub(crate) fn target(&self) -> Option<u32> {
         self.edge().map(|(target, _)| target)
@@ -1443,8 +1429,8 @@ impl Instr {
 
 /// Visit every register operand together with its [`Role`].  Every analysis
 /// that asks "which registers does this instruction read or write" —
-/// register typing, the shard pass's must-defined dataflow, the peephole's
-/// liveness scan — goes through here.
+/// register typing, the peephole's liveness scan, `verify_bytecode`'s
+/// kernel-op placement rule — goes through here.
 #[inline]
 pub(crate) fn for_each_reg_role(instr: &Instr, mut f: impl FnMut(Reg, Role)) {
     instr.operands(|o| {
@@ -1630,7 +1616,7 @@ pub(crate) fn samples() -> Vec<Instr> {
 mod tests {
     use super::*;
     use crate::buffer::{Buffer, BufferSet};
-    use crate::bytecode::{Program, ShardPlan};
+    use crate::bytecode::Program;
     use crate::opt::verify_bytecode;
     use crate::value::Value;
 
@@ -1708,7 +1694,6 @@ mod tests {
             var_names: vec!["a".into(), "b".into()].into(),
             num_regs: NUM_REGS,
             pretags: Vec::new(),
-            shard_plan: ShardPlan::default(),
         };
         (program, pc)
     }
@@ -1718,7 +1703,7 @@ mod tests {
     fn shape<P: Refs>(operand: &Operand<'_, P>) -> String {
         match operand {
             Operand::Reg(r, role) => format!("{} {role:?}", **r),
-            Operand::Buf(b, access, elem) => format!("b{} {access:?} {elem:?}", b.index()),
+            Operand::Buf(b, elem) => format!("b{} {elem:?}", b.index()),
             Operand::Target(t, edge) => format!("-> {} {edge:?}", **t),
             Operand::Const(c) => format!("const #{}", **c),
             Operand::Op(op, _, what) => format!("{op:?}, else {what}"),
@@ -1853,9 +1838,9 @@ mod tests {
     #[test]
     fn every_buffer_of_the_wrong_kind_is_rejected_naming_the_pc() {
         let corrupted = corrupt_each_operand(|o| match o {
-            Operand::Buf(_, _, Elem::Any) => None,
+            Operand::Buf(_, Elem::Any) => None,
             // Buffer 3 is f64, buffer 1 is i64.
-            Operand::Buf(b, _, elem) => {
+            Operand::Buf(b, elem) => {
                 *b = BufId(if elem == Elem::I64 { 3 } else { 1 });
                 Some("expects buffer")
             }

@@ -52,6 +52,7 @@
 //! # Ok(()) }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -63,7 +64,6 @@ pub mod expr;
 pub mod interp;
 mod isa;
 pub mod opt;
-pub mod par;
 pub mod pretty;
 pub mod seek;
 pub mod stmt;
@@ -72,13 +72,12 @@ pub mod var;
 pub mod vm;
 
 pub use buffer::{AllocMeter, BufId, Buffer, BufferSet};
-pub use bytecode::{Instr, LaneTag, Program, Reg, ShardPlan, ShardRegion, ShardRole};
+pub use bytecode::{Instr, LaneTag, Program, Reg};
 pub use config::{Engine, ExecConfig};
 pub use error::RuntimeError;
 pub use expr::{BinOp, Expr, UnOp};
 pub use interp::{ExecStats, Interpreter};
 pub use opt::{OptLevel, OptStats};
-pub use par::{pool_run, run_sharded};
 pub use stmt::{Extent, Stmt};
 pub use value::{Value, ValueKind};
 pub use var::{Names, Var};

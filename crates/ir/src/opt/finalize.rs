@@ -14,14 +14,17 @@
 //!   instruction is a jump target (in practice a loop head, re-entered
 //!   by its back edge) the pending statements stay one explicit
 //!   `BumpStmt` in front of it, so only the fall-through edge accounts
-//!   them.  The same holds in front of a vectorized kernel op, where a
-//!   shard region may start.  A `BumpStmt` that *is* a jump target (the
-//!   statement after an `if`, a loop exit) folds forward like any other
-//!   and every edge that reached it now reaches its carrier;
+//!   them.  The same holds in front of a vectorized kernel op, whose line
+//!   in `disasm` and per-pc `profile` count stay the bulk alone
+//!   ([`Program::validate`] rejects a count on one).  A `BumpStmt` that
+//!   *is* a jump target (the statement after an `if`, a loop exit) folds
+//!   forward like any other and every edge that reached it now reaches
+//!   its carrier;
 //! * `Nop`s are deleted;
 //! * every jump or conditional branch whose target is an unconditional
 //!   [`Instr::Jump`] is pointed at that jump's own destination (loop
-//!   heads and back edges keep theirs, which delimit the loop).  A jump
+//!   heads and back edges keep theirs, which delimit the loop for
+//!   `verify_bytecode`'s kernel-op placement rules).  A jump
 //!   that carries a folded count is never bypassed: the statements on it
 //!   belong to every edge that reaches it.
 //!
@@ -30,7 +33,7 @@
 //! of the input program, so the pass runs under
 //! [`super::StatsContract::Exact`].
 
-use crate::bytecode::{edge_table, jump_targets_of, Instr, Program, ShardPlan, NO_EDGE};
+use crate::bytecode::{edge_table, jump_targets_of, Instr, Program, NO_EDGE};
 
 /// Fold statement accounting into the side table, delete no-ops and
 /// thread jump chains.  `p` must not have been finalized already.
@@ -66,8 +69,9 @@ pub fn finalize(p: &Program) -> Program {
 
     // Point every jump at the new pc of its target, and thread branches
     // through unconditional jumps.  A loop head's exit and a back edge stay
-    // as they are: they delimit the loop's extent, which the shard pass and
-    // the parallel runtime read off them.  So does a branch into a jump
+    // as they are: they delimit the loop's extent, which `verify_bytecode`
+    // reads off them (a kernel op's body is `head + 1 .. exit`, a merge
+    // run-ahead's bottom test is `exit - 1`).  So does a branch into a jump
     // that carries statements (a `BumpStmt` that was a branch target,
     // folded onto the jump behind it): going around it would lose them on
     // that path.
@@ -94,8 +98,6 @@ pub fn finalize(p: &Program) -> Program {
         var_names: p.var_names.clone(),
         num_regs: p.num_regs,
         pretags: p.pretags.clone(),
-        // Planned over final pcs by the shard pass, which runs next.
-        shard_plan: ShardPlan::default(),
     }
 }
 
@@ -292,7 +294,7 @@ mod tests {
         let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
         let out = optimize_and_lower(stmts, &mut names, bufs, &config)
             .expect("the kernel compiles under full validation");
-        assert_eq!(out.reports[out.reports.len() - 2].name, "finalize", "{:?}", out.reports);
+        assert_eq!(out.reports.last().map(|r| r.name), Some("finalize"), "{:?}", out.reports);
         let code = out.code.expect("the IR passes ran");
         let explicit = Program::compile(&code, &names);
         assert!(out.program.code().len() < explicit.code().len());

@@ -34,7 +34,7 @@
 //!   [`Instr::ForStep`] of an [`Instr::IForTest`] head an
 //!   [`Instr::IForNext`]; both jump to the instruction after the head and
 //!   fall through to the loop's exit.  The head stays as the entry test
-//!   (and as what `shard` and the parallel runtime read the loop off).  A
+//!   (and as what `verify_bytecode`'s placement rules read the loop off).  A
 //!   loop whose condition takes more than its head to evaluate, or is not
 //!   an integer comparison, keeps its `Jump`.
 //!

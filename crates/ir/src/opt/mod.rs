@@ -73,7 +73,6 @@ pub mod merge_skip;
 mod mutation_tests;
 mod pass;
 mod peephole;
-pub(crate) mod shard;
 pub mod typing;
 pub mod vectorize;
 pub mod verify;
@@ -213,12 +212,6 @@ pub struct OptStats {
     pub ir_stmts_before: u64,
     /// IR statement count after the pipeline ran.
     pub ir_stmts_after: u64,
-    /// Top-level counted loops the shard pass proved safe to split
-    /// across worker threads (the `shard` pass).
-    pub loops_sharded: u64,
-    /// Candidate loops the shard pass examined at the bytecode level and
-    /// rejected (carried dependence, uncovered buffer write, ...).
-    pub loops_shard_rejected: u64,
 }
 
 fn count_stmts(stmts: &[Stmt]) -> u64 {
@@ -447,13 +440,6 @@ pub fn optimize_and_lower(
         }
         program = bytecode_pass(&FinalizePass, &program)?;
     }
-    // Shardability analysis runs last, at every level (it only attaches
-    // metadata — serial semantics are untouched), so the plan always
-    // describes the final instruction stream.
-    let specs = shard::analyze_ir(code, ctx.names, bufs);
-    let program = manager
-        .run_pass(&shard::ShardPass { specs }, ReprRef::Bytecode(&program), &mut ctx)?
-        .into_bytecode();
     Ok(Lowered { code: optimized, program, stats, reports: manager.into_reports() })
 }
 

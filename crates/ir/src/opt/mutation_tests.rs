@@ -609,54 +609,6 @@ fn a_count_folded_across_a_loop_head_is_caught_and_attributed() {
 }
 
 #[test]
-fn an_overlapping_shard_partition_is_caught_and_attributed() {
-    // Seeds a broken parallel plan: the partitioner is corrupted (via the
-    // `CORRUPT_PARTITION` test hook) so two shards' row ranges overlap and
-    // one iteration runs twice.  The plan itself stays structurally valid —
-    // only the sharded witness execution can see the duplicated work, and
-    // the failure must be attributed to the `shard` pass.
-    let mut names = Names::new();
-    let mut bufs = BufferSet::new();
-    let data: Vec<f64> = (0..12).map(|k| k as f64 * 0.5 - 2.0).collect();
-    let x = bufs.add("x", Buffer::F64(data.into()));
-    let y = bufs.add("y", Buffer::F64(vec![0.0; 12].into()));
-    let i = names.fresh("i");
-    let stmts = vec![Stmt::For {
-        var: i,
-        lo: Expr::int(0),
-        hi: Expr::int(11),
-        body: vec![Stmt::Store {
-            buf: y,
-            index: Expr::Var(i),
-            value: Expr::mul(Expr::load(x, Expr::Var(i)), Expr::float(2.0)),
-            reduce: None,
-        }],
-    }];
-    let specs = shard::analyze_ir(&stmts, &names, &bufs);
-    assert!(!specs.is_empty(), "the partitioned map is shardable at the IR stage");
-    let raw = Program::compile(&stmts, &names);
-    let fused = peephole(&raw, &mut OptStats::default());
-    let typed = typing::specialize_checked(&fused, &bufs).0;
-    let pass = shard::ShardPass { specs };
-    let run = |program: Program, names: &mut Names, bufs: &BufferSet| {
-        let mut stats = OptStats::default();
-        let mut ctx = PassCtx { names, bufs: Some(bufs), stats: &mut stats };
-        let mut manager = PassManager::new(ValidationLevel::Full);
-        manager.run_pass(&pass, ReprRef::Bytecode(&program), &mut ctx)
-    };
-    // Control: with an honest partitioner the real pass validates cleanly
-    // and records a non-empty plan.
-    let out = run(typed.clone(), &mut names, &bufs).expect("the honest plan is value-exact");
-    assert!(!out.into_bytecode().shard_plan().is_empty(), "the map loop must shard");
-    // Mutation: overlapping row ranges must fail the sharded witness
-    // comparison, attributed to the shard pass.
-    crate::par::CORRUPT_PARTITION.with(|c| c.set(true));
-    let verdict = run(typed, &mut names, &bufs);
-    crate::par::CORRUPT_PARTITION.with(|c| c.set(false));
-    assert_caught(verdict, "shard", "sharded");
-}
-
-#[test]
 fn a_value_mutating_bytecode_rewrite_is_caught_by_witnesses() {
     // A structurally-valid but semantically-wrong rewrite: the constant
     // pool's 2.0 becomes 2.5, so every typed check passes and only the
@@ -694,7 +646,7 @@ fn a_value_mutating_bytecode_rewrite_is_caught_by_witnesses() {
 /// out.push(q)
 /// ```
 fn kernel_with_copies_around_a_loop() -> (Program, Names, BufferSet) {
-    use crate::bytecode::{LaneTag, ShardPlan};
+    use crate::bytecode::LaneTag;
     use Instr::*;
     let mut names = Names::new();
     let mut bufs = BufferSet::new();
@@ -736,7 +688,6 @@ fn kernel_with_copies_around_a_loop() -> (Program, Names, BufferSet) {
         var_names: vec!["p".into(), "n".into(), "q".into()].into(),
         num_regs: 5,
         pretags: [p, n, q, t, u].map(|r| (r, LaneTag::Int)).to_vec(),
-        shard_plan: ShardPlan::default(),
     };
     (program, names, bufs)
 }

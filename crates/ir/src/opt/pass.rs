@@ -369,23 +369,6 @@ impl PassManager {
                     .map_err(|detail| PassError { pass: pass.name(), detail })?;
                 *cached = outcome;
             }
-            // A non-empty shard plan adds a parallel execution mode to the
-            // program: validate it like any other transform, by running
-            // every witness sharded and requiring bit-identical outputs
-            // and exact stats against the serial run just cached.
-            if let Repr::Bytecode(program) = &post {
-                if !program.shard_plan().is_empty() {
-                    for (witness, cached) in state.iter() {
-                        let sharded = execute_witness_sharded(program, witness);
-                        compare_outcomes(cached, &sharded, StatsContract::Exact).map_err(
-                            |detail| PassError {
-                                pass: pass.name(),
-                                detail: format!("sharded execution diverges from serial: {detail}"),
-                            },
-                        )?;
-                    }
-                }
-            }
             validate_nanos += t.elapsed().as_nanos() as u64;
         }
 
@@ -450,18 +433,6 @@ fn execute_witness(repr: ReprRef<'_>, names: &Names, witness: &BufferSet) -> Wit
                 Err(_) => WitnessOutcome::Faulted,
             }
         }
-    }
-}
-
-/// Execute the program against a copy of the witness buffers through the
-/// parallel sharded driver (3 threads exercises an uneven split on the
-/// usual power-of-two extents).
-fn execute_witness_sharded(program: &Program, witness: &BufferSet) -> WitnessOutcome {
-    let mut bufs = witness.clone();
-    let mut vm = Vm::new(program).with_step_budget(WITNESS_STEP_BUDGET);
-    match crate::par::run_sharded(&mut vm, program, &mut bufs, 3) {
-        Ok(()) => WitnessOutcome::Ran(bufs, vm.stats()),
-        Err(_) => WitnessOutcome::Faulted,
     }
 }
 

@@ -314,7 +314,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
         // Every buffer operand is in range and has the element kind its
         // opcode's table row requires.
         instr.try_operands(|operand| {
-            let Operand::Buf(&buf, _, elem) = operand else { return Ok(()) };
+            let Operand::Buf(&buf, elem) = operand else { return Ok(()) };
             if buf.index() >= bufs.len() {
                 return Err(format!(
                     "instruction at pc {pc} references buffer #{} outside the set of {}",
@@ -385,36 +385,6 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
         if let Some(prev) = tags.insert(reg, tag) {
             if prev != tag {
                 return Err(format!("register {reg} is pretagged both {prev:?} and {tag:?}"));
-            }
-        }
-    }
-    for (r, region) in program.shard_plan().regions.iter().enumerate() {
-        for &(buf, role) in &region.roles {
-            if buf.index() >= bufs.len() {
-                return Err(format!(
-                    "shard region #{r} assigns a role to buffer #{} outside the set of {}",
-                    buf.index(),
-                    bufs.len()
-                ));
-            }
-            if let crate::bytecode::ShardRole::SegmentPos { data } = role {
-                if data.index() >= bufs.len() {
-                    return Err(format!(
-                        "shard region #{r} pos buffer `{}` pairs with data buffer #{} \
-                         outside the set of {}",
-                        bufs.name(buf),
-                        data.index(),
-                        bufs.len()
-                    ));
-                }
-            }
-            if matches!(role, crate::bytecode::ShardRole::Reduction { .. })
-                && !matches!(bufs.get(buf), Buffer::I64(_))
-            {
-                return Err(format!(
-                    "shard region #{r} marks non-i64 buffer `{}` as a reduction",
-                    bufs.name(buf)
-                ));
             }
         }
     }
@@ -710,7 +680,6 @@ mod tests {
             var_names: Vec::new().into(),
             num_regs: 0,
             pretags: Vec::new(),
-            shard_plan: crate::bytecode::ShardPlan::default(),
             stmt_bump: vec![0],
         };
         let _ = names;

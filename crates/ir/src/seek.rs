@@ -25,7 +25,7 @@
 
 use std::convert::Infallible;
 
-use crate::buffer::{BufId, Buffer, VmBufs};
+use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::error::RuntimeError;
 
 /// The gallop-then-bisect lower bound over the inclusive window
@@ -114,8 +114,8 @@ pub(crate) fn lower_bound_i64(
 /// outside the buffer, and a type error when a probed element is not an
 /// integer — the same faults, in the same order, as the historical plain
 /// binary search probing the same positions.
-pub(crate) fn lower_bound<B: VmBufs>(
-    bufs: &B,
+pub(crate) fn lower_bound(
+    bufs: &BufferSet,
     buf: BufId,
     lo: i64,
     hi: i64,
@@ -132,8 +132,8 @@ pub(crate) fn lower_bound<B: VmBufs>(
 
 /// [`lower_bound`] with every probe bounds-checked and loaded through the
 /// boxed [`Buffer::load`] — any buffer kind, any window.
-fn lower_bound_boxed<B: VmBufs>(
-    bufs: &B,
+fn lower_bound_boxed(
+    bufs: &BufferSet,
     buf: BufId,
     lo: i64,
     hi: i64,

@@ -60,7 +60,9 @@ impl Names {
     /// is one more than the number of existing names that are the prefix or
     /// start with `prefix_`, bumped past any name already taken (a variable
     /// created from the prefix `x_2` is such a name for the prefix `x`), so
-    /// printed names are unique: the shard pass matches loops by them.
+    /// printed names are unique: two variables never read as one in the
+    /// printed code, the disassembly or an error message, and the golden
+    /// listings stay stable.
     pub fn fresh(&mut self, prefix: &str) -> Var {
         let in_family = |n: &str| {
             n.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))

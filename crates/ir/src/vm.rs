@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet, VmBufs};
+use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
 use crate::bytecode::{Instr, LaneTag, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -29,8 +29,7 @@ use crate::var::Var;
 /// typed [`RuntimeError::Deadline`]; buffers stay reusable exactly as
 /// after a step-budget abort (the next run truncates them in place).
 ///
-/// The flag is shared (`Arc`), so cloning a VM for a shard carries the
-/// same cancellation source, and a service can arm one flag to stop a
+/// The flag is shared (`Arc`), so a service can arm one flag to stop a
 /// request wherever it is executing.  The wall clock is only consulted
 /// every [`Watch::TIME_CHECK_PERIOD`] statements to keep the hot path at
 /// one relaxed atomic load.
@@ -313,7 +312,7 @@ impl Vm {
         })
     }
 
-    fn check_bounds<B: VmBufs>(buf: BufId, idx: i64, bufs: &B) -> Result<(), RuntimeError> {
+    fn check_bounds(buf: BufId, idx: i64, bufs: &BufferSet) -> Result<(), RuntimeError> {
         let len = bufs.get(buf).len();
         if idx < 0 || idx as usize >= len {
             return Err(RuntimeError::OutOfBounds {
@@ -333,27 +332,8 @@ impl Vm {
     /// when the step budget is exceeded — the same faults, in the same
     /// order, as the tree-walking interpreter.
     pub fn run(&mut self, program: &Program, bufs: &mut BufferSet) -> Result<(), RuntimeError> {
-        self.run_span(program, bufs, 0, program.code().len()).map(|_| ())
-    }
-
-    /// Execute instructions starting at `start` until the pc leaves
-    /// `[start, stop)` — either by reaching `stop` (the common fallthrough)
-    /// or by a jump past it — and return the final pc.  The parallel
-    /// runtime (`crate::par`) drives a program region-by-region with this;
-    /// `stop = code.len()` recovers a full [`Vm::run`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Vm::run`].
-    pub(crate) fn run_span<B: VmBufs>(
-        &mut self,
-        program: &Program,
-        bufs: &mut B,
-        start: usize,
-        stop: usize,
-    ) -> Result<usize, RuntimeError> {
         self.apply_pretags(program);
-        self.dispatch::<false, B>(program, bufs, &mut [], start, stop)
+        self.dispatch::<false>(program, bufs, &mut [])
     }
 
     /// Execute the program while counting how many times each instruction
@@ -373,7 +353,7 @@ impl Vm {
     ) -> Result<Vec<u64>, RuntimeError> {
         let mut counts = vec![0u64; program.code().len()];
         self.apply_pretags(program);
-        self.dispatch::<true, BufferSet>(program, bufs, &mut counts, 0, program.code().len())?;
+        self.dispatch::<true>(program, bufs, &mut counts)?;
         Ok(counts)
     }
 
@@ -394,24 +374,19 @@ impl Vm {
     }
 
     /// The dispatch loop, monomorphised over whether per-pc execution
-    /// counts are collected (so the hot non-profiled path pays nothing)
-    /// and over the buffer view (the plain [`BufferSet`], or the sharded
-    /// view the parallel runtime substitutes).  Runs over the span
-    /// `[start, stop)` and returns the pc at which control left it.
-    fn dispatch<const PROFILE: bool, B: VmBufs>(
+    /// counts are collected (so the hot non-profiled path pays nothing).
+    fn dispatch<const PROFILE: bool>(
         &mut self,
         program: &Program,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         counts: &mut [u64],
-        start: usize,
-        stop: usize,
-    ) -> Result<usize, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         let code = program.code();
         let folded = program.stmt_bump();
         assert_eq!(folded.len(), code.len(), "one folded statement count per instruction");
         self.rearm_limits();
-        let mut pc = start;
-        while pc < stop {
+        let mut pc = 0;
+        while pc < code.len() {
             let instr = &code[pc];
             if PROFILE {
                 counts[pc] += 1;
@@ -1071,7 +1046,7 @@ impl Vm {
                 }
             }
         }
-        Ok(pc)
+        Ok(())
     }
 
     /// Statements between two polls of an armed cancellation flag: well
@@ -1164,10 +1139,8 @@ impl Vm {
 
     /// The infallible integer arithmetic subset the typed [`Instr::IArith`]
     /// forms execute — exactly [`Vm::int_binop`]'s arms for these ops.
-    /// `pub(crate)` so the parallel runtime combines shard-partial integer
-    /// reductions with the identical operator bodies.
     #[inline]
-    pub(crate) fn int_arith(op: BinOp, x: i64, y: i64) -> i64 {
+    fn int_arith(op: BinOp, x: i64, y: i64) -> i64 {
         match op {
             BinOp::Add => x.wrapping_add(y),
             BinOp::Sub => x.wrapping_sub(y),
@@ -1199,12 +1172,12 @@ impl Vm {
     /// `permit`); otherwise the index is coerced, bounds are checked, and
     /// one load is counted.
     #[inline]
-    fn load_value<B: VmBufs>(
+    fn load_value(
         &mut self,
         buf: BufId,
         idx: Reg,
         program: &Program,
-        bufs: &B,
+        bufs: &BufferSet,
     ) -> Result<Value, RuntimeError> {
         let i = idx.index();
         match self.tags[i] {
@@ -1428,14 +1401,14 @@ impl Vm {
     /// Lower-bound search over `buf[lo..=hi]`, identical to the
     /// interpreter's: the shared galloping search ([`crate::seek`]), one
     /// bounds check and one counted load per probe.
-    fn binary_search<B: VmBufs>(
+    fn binary_search(
         &mut self,
         buf: BufId,
         lo: i64,
         hi: i64,
         key: i64,
         on_abs: bool,
-        bufs: &B,
+        bufs: &BufferSet,
     ) -> Result<i64, RuntimeError> {
         let (pos, probes) = crate::seek::lower_bound(bufs, buf, lo, hi, key, on_abs)?;
         self.stats.loads += probes;
@@ -1500,8 +1473,8 @@ impl Vm {
     /// or `None` when the buffer has another kind or any index of the
     /// bulk would be out of bounds.
     #[inline]
-    fn vf64_span<B: VmBufs>(
-        bufs: &B,
+    fn vf64_span(
+        bufs: &BufferSet,
         buf: BufId,
         off: i128,
         lo: i64,
@@ -1548,9 +1521,9 @@ impl Vm {
     /// register value is read from the float lane, like the typed
     /// `StoreF64` of the scalar body that proves the lane holds it.
     #[allow(clippy::too_many_arguments)]
-    fn v_fill<B: VmBufs>(
+    fn v_fill(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         buf: BufId,
         base: VBase,
         val: VFill,
@@ -1581,9 +1554,9 @@ impl Vm {
     /// bulk.  The destination is lifted out of the set for the duration
     /// so the sources can be read while it is written (it aliases
     /// neither source — checked; the two sources may alias each other).
-    fn v_map<B: VmBufs>(
+    fn v_map(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         m: VMapArgs,
         counter: Reg,
         hi: Reg,
@@ -1655,9 +1628,9 @@ impl Vm {
     /// accumulator aliases neither source — checked; `a` and `b` may be
     /// the same buffer).
     #[allow(clippy::too_many_arguments)]
-    fn v_mul_add<B: VmBufs>(
+    fn v_mul_add(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         acc: BufId,
         acc_idx: i64,
         a: (BufId, VBase),
@@ -1701,9 +1674,9 @@ impl Vm {
     /// [`Instr::VReduceF64`]: `acc[acc_idx] op= pre(src[..])` folded
     /// strictly in order.
     #[allow(clippy::too_many_arguments)]
-    fn v_reduce<B: VmBufs>(
+    fn v_reduce(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         acc: BufId,
         acc_idx: i64,
         src: BufId,
@@ -1743,9 +1716,9 @@ impl Vm {
     /// [`Instr::VAppendRangeF64`]: `idx_out.push(v)` / `val_out.push(
     /// src[base + v])` for each (passing) bulk iteration.
     #[allow(clippy::too_many_arguments)]
-    fn v_append_range<B: VmBufs>(
+    fn v_append_range(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         idx_out: BufId,
         val_out: BufId,
         src: BufId,
@@ -1802,9 +1775,9 @@ impl Vm {
     /// holds, with the stored value clamped then rounded exactly like
     /// [`Instr::StoreU8`].
     #[allow(clippy::too_many_arguments)]
-    fn v_cmp_select<B: VmBufs>(
+    fn v_cmp_select(
         &mut self,
-        bufs: &mut B,
+        bufs: &mut BufferSet,
         dst: (BufId, VBase),
         src: (BufId, VBase),
         cmp: BinOp,
@@ -1859,9 +1832,9 @@ impl Vm {
     /// [`Vm::stmt_limit`], so nothing a statement can trip is due inside
     /// the run; when it is only the poll of a cancellation flag that comes
     /// due, the op polls (early) and carries on.
-    fn merge_skip<B: VmBufs>(
+    fn merge_skip(
         &mut self,
-        bufs: &B,
+        bufs: &BufferSet,
         (a, p): (BufId, Reg),
         (b, q): (BufId, Reg),
         start: Reg,

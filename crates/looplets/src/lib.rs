@@ -32,6 +32,7 @@
 //! first, paper §6.2) and region [`truncation`](Looplet::truncate) (paper
 //! §6.1), both of which the `finch-core` lowering compiler is built on.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

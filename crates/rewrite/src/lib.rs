@@ -23,6 +23,7 @@
 //! assert!(rw.simplify_stmt(&stmt).is_pass());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

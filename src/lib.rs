@@ -3,6 +3,7 @@
 //! single import path (`looplets_repro::finch` and
 //! `looplets_repro::baseline`).
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 /// The Finch compiler facade (re-export of the `finch-core` crate).

@@ -5,7 +5,7 @@
 //! protocol the figures leave out (PackBits, Bitmap, Triangular, Symmetric,
 //! Ragged, `locate`) — is compiled at both [`OptLevel`]s, and for each kernel
 //! an FNV-1a hash of its generated code, its bytecode disassembly and its
-//! register count, pretags, shard plan and optimiser counters is compared
+//! register count, pretags and optimiser counters is compared
 //! with `codegen_identity.golden`, recorded at the commit before the
 //! compiler's trees became shared (PR 13, 6612a6d).
 //!
@@ -133,10 +133,9 @@ fn texts(kernel: &CompiledKernel) -> [(&'static str, String); 3] {
         .fold(format!("{decided:?}"), |text, name| text.replace(&format!(" {name}: 0,"), ""))
         .replace(&format!(" merge_declined: {:?},", decided.merge_declined), "");
     let meta = format!(
-        "num_regs {}\npretags {:?}\nshard_plan {:?}\nopt_stats {opt_stats}\n",
+        "num_regs {}\npretags {:?}\nopt_stats {opt_stats}\n",
         program.num_regs(),
         program.pretags(),
-        program.shard_plan(),
     );
     [("code", kernel.code().to_string()), ("disasm", program.disasm()), ("meta", meta)]
 }

@@ -497,101 +497,6 @@ proptest! {
         }
     }
 
-    /// The parallel sharded tier, end to end: for random CSR matrices, a
-    /// dense-output SpMV (a shardable dense outer row loop) produces
-    /// bit-identical outputs and **exactly** equal `ExecStats` whether run
-    /// serial or sharded, under every compile-side configuration, at every
-    /// thread count — including more threads than rows.
-    #[test]
-    fn parallel_execution_is_bit_identical_to_serial(
-        data in structured_vector(72),
-        xseed in structured_vector(12),
-        ncols in 2usize..12,
-    ) {
-        use looplets_repro::finch::Engine;
-        let ncols = ncols.min(data.len());
-        let nrows = data.len() / ncols;
-        if nrows == 0 {
-            return Ok(());
-        }
-        let data = &data[..nrows * ncols];
-        let xv: Vec<f64> = (0..ncols)
-            .map(|c| xseed.get(c % xseed.len().max(1)).copied().unwrap_or(0.0))
-            .collect();
-        let a = Tensor::csr_matrix("A", nrows, ncols, data);
-        let x = Tensor::dense_vector("x", &xv);
-        let base = spmspv_kernel(&a, &x, Protocol::Default, Protocol::Default);
-        let snapshot = |k: &mut looplets_repro::finch::CompiledKernel| {
-            let stats = k.run_with(Engine::Bytecode).expect("bytecode runs");
-            let bits: Vec<u64> =
-                k.output("y").unwrap().iter().map(|v| v.to_bits()).collect();
-            (stats, bits)
-        };
-        for config in base.config().matrix() {
-            let mut serial = base.reconfigured(&config).expect("recompiles");
-            let expect = snapshot(&mut serial);
-            for threads in [2usize, 3, 4, 8] {
-                let mut par = serial.clone().with_threads(threads);
-                prop_assert_eq!(par.config().threads, threads);
-                let got = snapshot(&mut par);
-                prop_assert_eq!(
-                    &expect,
-                    &got,
-                    "serial vs {} threads diverge under {}",
-                    threads,
-                    config.label()
-                );
-            }
-        }
-    }
-
-    /// Sharded runs that assemble sparse outputs stitch per-shard
-    /// `pos`/`idx`/`val` segments; the assembled arrays must be
-    /// bit-identical to the serial assembly for random inputs at every
-    /// thread count.
-    #[test]
-    fn parallel_sparse_assembly_is_bit_identical_to_serial(
-        data in structured_vector(72),
-        ncols in 2usize..12,
-    ) {
-        use looplets_repro::finch::{Engine, Level, LevelSpec};
-        let ncols = ncols.min(data.len());
-        let nrows = data.len() / ncols;
-        if nrows == 0 {
-            return Ok(());
-        }
-        let data = &data[..nrows * ncols];
-        let a = Tensor::csr_matrix("A", nrows, ncols, data);
-        let mut kernel = Kernel::new();
-        kernel.bind_input(&a).bind_output_format(
-            "C",
-            &[LevelSpec::Dense { size: nrows }, LevelSpec::SparseList { size: ncols }],
-        );
-        let (i, j) = (idx("i"), idx("j"));
-        let program = forall(
-            i.clone(),
-            forall(j.clone(), assign(access("C", [i.clone(), j.clone()]), access("A", [i, j]))),
-        );
-        let base = kernel.compile(&program).expect("sparse copy compiles");
-        let raw_level = |k: &mut looplets_repro::finch::CompiledKernel| {
-            let stats = k.run_with(Engine::Bytecode).expect("bytecode runs");
-            let t = k.output_tensor("C").expect("sparse output finalizes");
-            let (pos, idx) = match &t.levels()[1] {
-                Level::SparseList { pos, idx, .. } => (pos.clone(), idx.clone()),
-                other => panic!("expected a sparse list level, got {other:?}"),
-            };
-            let bits: Vec<u64> = t.values().iter().map(|v| v.to_bits()).collect();
-            (stats, pos, idx, bits)
-        };
-        let mut serial = base.clone();
-        let expect = raw_level(&mut serial);
-        for threads in [2usize, 4, 8] {
-            let mut par = base.clone().with_threads(threads);
-            let got = raw_level(&mut par);
-            prop_assert_eq!(&expect, &got, "assembled pos/idx/val diverge at {} threads", threads);
-        }
-    }
-
     #[test]
     fn compiled_spmv_agrees_with_dense_for_any_data(
         data in structured_vector(72),
