@@ -28,9 +28,8 @@
 //! measurement is appended to a machine-readable JSON report
 //! (`BENCH_figures.json` by default, schema v10) including instruction
 //! counts, per-pass optimiser counters, the executed
-//! `typed_instr_fraction` from one untimed profiled run per variant (plus
-//! a per-opcode execution histogram in debug builds), the per-variant
-//! `simd_speedup` and `vectorized_fraction` of the kernel-op tier, and
+//! `typed_instr_fraction` from one untimed profiled run per variant, the
+//! per-variant `simd_speedup` and `vectorized_fraction` of the kernel-op tier, and
 //! the optimiser compile time per variant — which is also guarded by a
 //! hard assert so new passes cannot silently blow up compilation
 //! latency.
@@ -258,8 +257,7 @@ fn table(
         };
 
         // One untimed profiled run of the typed kernel: the fraction of
-        // executed instructions that are tag-free, and (in debug builds)
-        // the per-opcode execution histogram.
+        // executed instructions that are tag-free.
         let counts = rederived.profile().expect("profiled run succeeds").1;
         let code = rederived.bytecode().code();
         let executed: u64 = counts.iter().sum();
@@ -267,19 +265,6 @@ fn table(
             counts.iter().zip(code).filter(|(_, i)| i.is_tag_free()).map(|(c, _)| *c).sum();
         let typed_instr_fraction =
             if executed > 0 { Some(typed_executed as f64 / executed as f64) } else { None };
-        let opcode_counts = if cfg!(debug_assertions) {
-            let mut by_op: std::collections::BTreeMap<&'static str, u64> =
-                std::collections::BTreeMap::new();
-            for (c, i) in counts.iter().zip(code) {
-                *by_op.entry(i.opcode()).or_default() += c;
-            }
-            let mut hist: Vec<(String, u64)> =
-                by_op.into_iter().map(|(k, c)| (k.to_string(), c)).collect();
-            hist.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            Some(hist)
-        } else {
-            None
-        };
 
         // How much of the innermost typed counted-loop bodies the
         // vectorize stage fused into kernel ops (None when the kernel has
@@ -315,7 +300,6 @@ fn table(
             typed_instr_fraction,
             simd_speedup: None,
             vectorized_fraction,
-            opcode_counts,
             engines,
         });
     }

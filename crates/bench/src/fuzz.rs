@@ -21,7 +21,7 @@ use finch::{
 };
 use finch_baseline::datagen;
 use finch_cin::build::*;
-use finch_cin::{CinStmt, IndexVar, Protocol};
+use finch_cin::{CinOp, CinStmt, IndexVar, Protocol};
 use proptest::test_runner::TestRng;
 
 /// The storage format of one fuzzed input vector.
@@ -92,6 +92,14 @@ pub enum StmtSpec {
     },
     /// `y{k}[i] += 0.75·A[i] + 0.25·B[i]` — a blend into a dense output.
     Blend,
+    /// `C{k}[] op= A[i]` — a plain reduction to a scalar.
+    Sum {
+        /// The reduction: [`CinOp::Add`] or [`CinOp::Max`].
+        op: CinOp,
+    },
+    /// `y{k}[i] = A[i] where A[i] > B[i]` — a sieve on two operands into a
+    /// dense output.
+    SieveGt,
 }
 
 impl StmtSpec {
@@ -112,6 +120,8 @@ impl StmtSpec {
             }
             StmtSpec::Threshold { tenths } => format!("StmtSpec::Threshold {{ tenths: {tenths} }}"),
             StmtSpec::Blend => "StmtSpec::Blend".to_string(),
+            StmtSpec::Sum { op } => format!("StmtSpec::Sum {{ op: finch_cin::CinOp::{op:?} }}"),
+            StmtSpec::SieveGt => "StmtSpec::SieveGt".to_string(),
         }
     }
 }
@@ -229,6 +239,16 @@ fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
                 add(mul(lit(0.75), access("A", [i.clone()])), mul(lit(0.25), access("B", [i]))),
             ),
         ),
+        StmtSpec::Sum { op } => {
+            forall(i.clone(), reduce_assign(scalar(format!("C{k}").as_str()), op, access("A", [i])))
+        }
+        StmtSpec::SieveGt => forall(
+            i.clone(),
+            sieve(
+                gt(access("A", [i.clone()]), access("B", [i.clone()])),
+                assign(access(format!("y{k}").as_str(), [i.clone()]), access("A", [i])),
+            ),
+        ),
     }
 }
 
@@ -257,10 +277,13 @@ pub fn compile_case(
     kernel.bind_input(&a).bind_input(&b);
     for (k, spec) in case.stmts.iter().enumerate() {
         match spec {
-            StmtSpec::Dot { .. } => {
+            StmtSpec::Dot { .. } | StmtSpec::Sum { .. } => {
                 kernel.bind_output_scalar(format!("C{k}").as_str());
             }
-            StmtSpec::Axpy { .. } | StmtSpec::EwiseMul { .. } | StmtSpec::Blend => {
+            StmtSpec::Axpy { .. }
+            | StmtSpec::EwiseMul { .. }
+            | StmtSpec::Blend
+            | StmtSpec::SieveGt => {
                 kernel.bind_output(&format!("y{k}"), &[case.n], 0.0);
             }
             StmtSpec::Threshold { .. } => {
@@ -437,8 +460,12 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
     let (a_fill, b_fill) = (fill(rng), fill(rng));
     let same_support = rng.below_in(0, 6) == 0;
     let count = rng.below_in(1, 9);
+    let seed = rng.next_u64();
+    // The statements draw from a stream of their own: a new statement shape
+    // does not reshuffle which formats and fills a seed covers.
+    let rng = &mut TestRng::from_seed(seed);
     let stmts = (0..count)
-        .map(|_| match rng.below_in(0, 5) {
+        .map(|_| match rng.below_in(0, 7) {
             0 => StmtSpec::Dot { pa: proto(rng, a_format), pb: proto(rng, b_format) },
             1 => StmtSpec::Axpy {
                 pa: proto(rng, a_format),
@@ -446,10 +473,12 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
             },
             2 => StmtSpec::EwiseMul { pa: proto(rng, a_format), pb: proto(rng, b_format) },
             3 => StmtSpec::Threshold { tenths: rng.below_in(10, 80) as u8 },
-            _ => StmtSpec::Blend,
+            4 => StmtSpec::Blend,
+            5 => StmtSpec::Sum { op: [CinOp::Add, CinOp::Max][rng.below_in(0, 2)] },
+            _ => StmtSpec::SieveGt,
         })
         .collect();
-    FuzzCase { seed: rng.next_u64(), n, a_format, b_format, a_fill, b_fill, same_support, stmts }
+    FuzzCase { seed, n, a_format, b_format, a_fill, b_fill, same_support, stmts }
 }
 
 /// Greedy delta debugging over the case's statement list: repeatedly drop
@@ -658,6 +687,8 @@ mod tests {
             stmts: vec![
                 StmtSpec::Dot { pa: Protocol::Default, pb: Protocol::Gallop },
                 StmtSpec::Threshold { tenths: 55 },
+                StmtSpec::Sum { op: CinOp::Max },
+                StmtSpec::SieveGt,
             ],
         };
         let repro = render_repro(
@@ -669,6 +700,8 @@ mod tests {
         assert!(repro.contains("same_support: false,"));
         assert!(repro.contains("Protocol::Gallop"));
         assert!(repro.contains("StmtSpec::Threshold { tenths: 55 }"));
+        assert!(repro.contains("StmtSpec::Sum { op: finch_cin::CinOp::Max }"));
+        assert!(repro.contains("StmtSpec::SieveGt,"));
         assert!(repro.contains("fuzz_divergence_seed_99"));
     }
 }

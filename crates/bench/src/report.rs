@@ -116,9 +116,6 @@ pub struct VariantReport {
     /// (`instrs_vectorized / instrs_vectorizable`; `None` when the
     /// kernel has no such loops).
     pub vectorized_fraction: Option<f64>,
-    /// Per-opcode execution counts of the same profiled run (emitted in
-    /// debug builds to quantify the remaining dynamic dispatch).
-    pub opcode_counts: Option<Vec<(String, u64)>>,
     /// Per-(engine, opt level, dispatch mode) measurements.
     pub engines: Vec<EngineReport>,
 }
@@ -324,16 +321,6 @@ impl Report {
                 }
                 if let Some(f) = v.vectorized_fraction {
                     out.push_str(&format!("\n       \"vectorized_fraction\": {},", json_number(f)));
-                }
-                if let Some(counts) = &v.opcode_counts {
-                    out.push_str("\n       \"opcode_counts\": {");
-                    for (k, (name, count)) in counts.iter().enumerate() {
-                        if k > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("{}: {}", json_string(name), count));
-                    }
-                    out.push_str("},");
                 }
                 out.push_str("\n       \"engines\": [");
                 for (k, e) in v.engines.iter().enumerate() {
@@ -614,7 +601,6 @@ mod tests {
                     typed_instr_fraction: Some(0.9375),
                     simd_speedup: Some(1.4375),
                     vectorized_fraction: Some(0.875),
-                    opcode_counts: Some(vec![("load_f64".into(), 100), ("store".into(), 4)]),
                     engines: vec![
                         EngineReport {
                             engine: Engine::TreeWalk,
@@ -693,7 +679,6 @@ mod tests {
         assert!(j.contains("\"typed_instr_fraction\": 0.9375"));
         assert!(j.contains("\"simd_speedup\": 1.4375"));
         assert!(j.contains("\"vectorized_fraction\": 0.875"));
-        assert!(j.contains("\"opcode_counts\": {\"load_f64\": 100, \"store\": 4}"));
         assert!(j.contains("\"instrs\": 120"));
     }
 
@@ -720,7 +705,6 @@ mod tests {
         r.figures[0].variants[0].typed_instr_fraction = None;
         r.figures[0].variants[0].simd_speedup = None;
         r.figures[0].variants[0].vectorized_fraction = None;
-        r.figures[0].variants[0].opcode_counts = None;
         let j = r.to_json();
         assert!(!j.contains("opt_speedup"));
         assert!(!j.contains("typed_speedup"));
@@ -729,7 +713,6 @@ mod tests {
         assert!(!j.contains("compile_seconds"));
         assert!(!j.contains("validation"));
         assert!(!j.contains("typed_instr_fraction"));
-        assert!(!j.contains("opcode_counts"));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(j.matches(open).count(), j.matches(close).count());
         }

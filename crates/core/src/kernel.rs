@@ -831,7 +831,8 @@ impl CompiledKernel {
     /// while collecting per-pc dispatch counts (untimed instrumentation;
     /// semantics and [`ExecStats`] identical to [`CompiledKernel::run`]).
     /// The benchmark harness derives the executed-typed-instruction
-    /// fraction and the per-opcode histogram from the counts.
+    /// fraction from the counts, `tests/isa_reach.rs` the dispatches per
+    /// opcode.
     ///
     /// # Errors
     ///

@@ -303,8 +303,6 @@ pub enum Buffer {
     /// 64-bit floats (most values arrays); the lane is 64-byte-aligned
     /// and contiguous.
     F64(AlignedVec<f64>),
-    /// Unsigned bytes (image data).
-    U8(Vec<u8>),
     /// Booleans (bitmaps / bytemaps).
     Bool(Vec<bool>),
 }
@@ -315,7 +313,6 @@ impl Buffer {
         match self {
             Buffer::I64(v) => v.len(),
             Buffer::F64(v) => v.len(),
-            Buffer::U8(v) => v.len(),
             Buffer::Bool(v) => v.len(),
         }
     }
@@ -335,7 +332,6 @@ impl Buffer {
         match self {
             Buffer::I64(v) => Value::Int(v[i]),
             Buffer::F64(v) => Value::Float(v[i]),
-            Buffer::U8(v) => Value::Float(v[i] as f64),
             Buffer::Bool(v) => Value::Bool(v[i]),
         }
     }
@@ -363,7 +359,6 @@ impl Buffer {
         match self {
             Buffer::I64(v) => v[i] = value.as_int()?,
             Buffer::F64(v) => v[i] = value.as_float()?,
-            Buffer::U8(v) => v[i] = value.as_float()?.clamp(0.0, 255.0).round() as u8,
             Buffer::Bool(v) => v[i] = value.as_bool()?,
         }
         Ok(())
@@ -387,7 +382,6 @@ impl Buffer {
         match self {
             Buffer::I64(v) => v.push(value.as_int()?),
             Buffer::F64(v) => v.push(value.as_float()?),
-            Buffer::U8(v) => v.push(value.as_float()?.clamp(0.0, 255.0).round() as u8),
             Buffer::Bool(v) => v.push(value.as_bool()?),
         }
         Ok(())
@@ -402,37 +396,8 @@ impl Buffer {
         match self {
             Buffer::I64(v) => v.clear(),
             Buffer::F64(v) => v.clear(),
-            Buffer::U8(v) => v.clear(),
             Buffer::Bool(v) => v.clear(),
         }
-    }
-
-    /// Fill every element with `value` (used to re-initialise outputs
-    /// between benchmark repetitions).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the value cannot be represented.
-    pub fn fill(&mut self, value: Value) -> Result<(), RuntimeError> {
-        match self {
-            Buffer::I64(v) => {
-                let x = value.as_int()?;
-                v.iter_mut().for_each(|e| *e = x);
-            }
-            Buffer::F64(v) => {
-                let x = value.as_float()?;
-                v.iter_mut().for_each(|e| *e = x);
-            }
-            Buffer::U8(v) => {
-                let x = value.as_float()?.clamp(0.0, 255.0).round() as u8;
-                v.iter_mut().for_each(|e| *e = x);
-            }
-            Buffer::Bool(v) => {
-                let x = value.as_bool()?;
-                v.iter_mut().for_each(|e| *e = x);
-            }
-        }
-        Ok(())
     }
 
     /// View the buffer as a slice of floats, converting lazily.
@@ -443,7 +408,6 @@ impl Buffer {
         match self {
             Buffer::I64(v) => v.iter().map(|&x| x as f64).collect(),
             Buffer::F64(v) => v.to_vec(),
-            Buffer::U8(v) => v.iter().map(|&x| x as f64).collect(),
             Buffer::Bool(v) => v.iter().map(|&x| if x { 1.0 } else { 0.0 }).collect(),
         }
     }
@@ -518,7 +482,6 @@ impl BufferSet {
             .map(|buf| match buf {
                 Buffer::I64(_) => Buffer::I64(AlignedVec::new()),
                 Buffer::F64(_) => Buffer::F64(AlignedVec::new()),
-                Buffer::U8(_) => Buffer::U8(Vec::new()),
                 Buffer::Bool(_) => Buffer::Bool(Vec::new()),
             })
             .collect();
@@ -580,17 +543,14 @@ mod tests {
         let mut bufs = BufferSet::new();
         let a = bufs.add("a", Buffer::I64(vec![0; 3].into()));
         let b = bufs.add("b", Buffer::F64(vec![0.0; 3].into()));
-        let c = bufs.add("c", Buffer::U8(vec![0; 3]));
         let d = bufs.add("d", Buffer::Bool(vec![false; 3]));
 
         bufs.get_mut(a).store(1, Value::Int(7), None).unwrap();
         bufs.get_mut(b).store(2, Value::Float(2.5), None).unwrap();
-        bufs.get_mut(c).store(0, Value::Float(300.0), None).unwrap();
         bufs.get_mut(d).store(1, Value::Bool(true), None).unwrap();
 
         assert_eq!(bufs.get(a).load(1), Value::Int(7));
         assert_eq!(bufs.get(b).load(2), Value::Float(2.5));
-        assert_eq!(bufs.get(c).load(0), Value::Float(255.0)); // clamped
         assert_eq!(bufs.get(d).load(1), Value::Bool(true));
     }
 
@@ -617,9 +577,6 @@ mod tests {
         let mut f = Buffer::F64(vec![].into());
         f.push(Value::Float(2.5)).unwrap();
         assert_eq!(f.as_f64(), Some(&[2.5][..]));
-        let mut u = Buffer::U8(vec![]);
-        u.push(Value::Float(300.0)).unwrap();
-        assert_eq!(u.load(0), Value::Float(255.0)); // clamped
         let mut b = Buffer::Bool(vec![]);
         b.push(Value::Bool(true)).unwrap();
         assert_eq!(b.load(0), Value::Bool(true));
@@ -643,16 +600,8 @@ mod tests {
     }
 
     #[test]
-    fn fill_resets_contents() {
-        let mut buf = Buffer::F64(vec![1.0, 2.0, 3.0].into());
-        buf.fill(Value::Float(0.0)).unwrap();
-        assert_eq!(buf.to_f64_vec(), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn to_f64_vec_converts_all_types() {
         assert_eq!(Buffer::I64(vec![1, 2].into()).to_f64_vec(), vec![1.0, 2.0]);
-        assert_eq!(Buffer::U8(vec![3]).to_f64_vec(), vec![3.0]);
         assert_eq!(Buffer::Bool(vec![true, false]).to_f64_vec(), vec![1.0, 0.0]);
     }
 
@@ -728,7 +677,7 @@ mod tests {
         lanes[1] = -1;
         assert_eq!(i.as_i64(), Some(&[3, -1][..]));
 
-        assert!(Buffer::U8(vec![0]).clone().as_f64_mut().is_none());
+        assert!(Buffer::I64(vec![0].into()).as_f64_mut().is_none());
         assert!(Buffer::Bool(vec![true]).clone().as_i64_mut().is_none());
     }
 

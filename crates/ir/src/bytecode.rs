@@ -536,7 +536,6 @@ impl Program {
             Instr::BumpStmt => "stmt".to_string(),
             Instr::Const { dst, cidx } => format!("{} = const {}", r(dst), c(cidx)),
             Instr::Mov { dst, src } => format!("{} = {}", r(dst), r(src)),
-            Instr::BufLen { dst, buf } => format!("{} = len(b{})", r(dst), buf.index()),
             Instr::Load { dst, buf, idx } => {
                 format!("{} = b{}[{}]", r(dst), buf.index(), r(idx))
             }
@@ -604,25 +603,17 @@ impl Program {
                 format!("{} = const.f {}", r(dst), Value::Float(imm))
             }
             Instr::IMov { dst, src } => format!("{} = {} (i64)", r(dst), r(src)),
-            Instr::FMov { dst, src } => format!("{} = {} (f64)", r(dst), r(src)),
-            Instr::ILen { dst, buf } => format!("{} = len.i(b{})", r(dst), buf.index()),
             Instr::LoadI64 { dst, buf, idx } => {
                 format!("{} = b{}[{}] (i64)", r(dst), buf.index(), r(idx))
             }
             Instr::LoadF64 { dst, buf, idx } => {
                 format!("{} = b{}[{}] (f64)", r(dst), buf.index(), r(idx))
             }
-            Instr::LoadU8 { dst, buf, idx } => {
-                format!("{} = b{}[{}] (u8)", r(dst), buf.index(), r(idx))
-            }
             Instr::FMulLoad { dst, lhs, buf, idx } => {
                 format!("{} = {} * b{}[{}] (f64)", r(dst), r(lhs), buf.index(), r(idx))
             }
             Instr::StoreF64 { buf, idx, val, reduce } => {
                 format!("b{}[{}] {} {} (f64)", buf.index(), r(idx), reduce_op(reduce), r(val))
-            }
-            Instr::StoreU8 { buf, idx, val, reduce } => {
-                format!("b{}[{}] {} {} (u8)", buf.index(), r(idx), reduce_op(reduce), r(val))
             }
             Instr::IAppend { buf, val } => format!("b{}.push({}) (i64)", buf.index(), r(val)),
             Instr::FAppend { buf, val } => format!("b{}.push({}) (f64)", buf.index(), r(val)),
@@ -661,9 +652,6 @@ impl Program {
             }
             Instr::IWhileCmpImm { op, lhs, imm, end } => {
                 format!("while {} (i64) else -> {end}", binop(op, r(lhs), format!("{imm}")))
-            }
-            Instr::FWhileCmp { op, lhs, rhs, end } => {
-                format!("while {} (f64) else -> {end}", binop(op, r(lhs), r(rhs)))
             }
             Instr::IForTest { counter, hi, var, end } => {
                 format!("for {} = {} while <= {} (i64) else -> {end}", r(var), r(counter), r(hi))
@@ -787,33 +775,6 @@ impl Program {
                     "vappend.f64 b{}.push(v), b{}.push({load}){filter} for v in [{}, {}) (x{lanes})",
                     idx_out.index(),
                     val_out.index(),
-                    r(counter),
-                    r(hi)
-                )
-            }
-            Instr::VCmpSelectU8 {
-                dst,
-                dst_base,
-                src,
-                src_base,
-                cmp,
-                cmp_imm,
-                set,
-                counter,
-                hi,
-                lanes,
-                ..
-            } => {
-                let test = binop(
-                    cmp,
-                    format!("b{}[{}]", src.index(), vbase(src_base)),
-                    format!("{}", Value::Float(cmp_imm)),
-                );
-                format!(
-                    "vselect.u8 b{}[{}] = {} where {test} for v in [{}, {}) (x{lanes})",
-                    dst.index(),
-                    vbase(dst_base),
-                    Value::Float(set),
                     r(counter),
                     r(hi)
                 )
@@ -1015,9 +976,6 @@ impl Compiler {
             Expr::Var(v) => {
                 let src = self.var_reg(*v);
                 self.emit(Instr::Mov { dst, src });
-            }
-            Expr::BufLen(b) => {
-                self.emit(Instr::BufLen { dst, buf: *b });
             }
             Expr::Load { buf, index } => {
                 let t = self.alloc();
@@ -1438,11 +1396,8 @@ mod tests {
                 Instr::ConstI { dst: Reg(0), imm: 7 },
                 Instr::ConstF { dst: Reg(1), imm: 1.5 },
                 Instr::IMov { dst: Reg(0), src: Reg(0) },
-                Instr::FMov { dst: Reg(1), src: Reg(1) },
-                Instr::ILen { dst: Reg(0), buf: crate::buffer::BufId(0) },
                 Instr::LoadI64 { dst: Reg(0), buf: crate::buffer::BufId(0), idx: Reg(0) },
                 Instr::LoadF64 { dst: Reg(1), buf: crate::buffer::BufId(1), idx: Reg(0) },
-                Instr::LoadU8 { dst: Reg(1), buf: crate::buffer::BufId(2), idx: Reg(0) },
                 Instr::FMulLoad {
                     dst: Reg(1),
                     lhs: Reg(1),
@@ -1455,12 +1410,6 @@ mod tests {
                     val: Reg(1),
                     reduce: Some(BinOp::Add),
                 },
-                Instr::StoreU8 {
-                    buf: crate::buffer::BufId(2),
-                    idx: Reg(0),
-                    val: Reg(1),
-                    reduce: None,
-                },
                 Instr::IAppend { buf: crate::buffer::BufId(0), val: Reg(0) },
                 Instr::FAppend { buf: crate::buffer::BufId(1), val: Reg(1) },
                 Instr::IArith { op: BinOp::Add, dst: Reg(0), lhs: Reg(0), rhs: Reg(0) },
@@ -1468,14 +1417,13 @@ mod tests {
                 Instr::IArithImm { op: BinOp::Add, dst: Reg(0), lhs: Reg(0), imm: 1 },
                 Instr::FArithImm { op: BinOp::Mul, dst: Reg(1), lhs: Reg(1), imm: 0.5 },
                 Instr::FRound { dst: Reg(1), src: Reg(1) },
-                Instr::ICmpBranch { op: BinOp::Lt, lhs: Reg(0), rhs: Reg(0), target: 24 },
-                Instr::ICmpBranchImm { op: BinOp::Eq, lhs: Reg(0), imm: 3, target: 24 },
-                Instr::FCmpBranch { op: BinOp::Ne, lhs: Reg(1), rhs: Reg(1), target: 24 },
-                Instr::FCmpBranchImm { op: BinOp::Ne, lhs: Reg(1), imm: 0.0, target: 24 },
-                Instr::IWhileCmp { op: BinOp::Lt, lhs: Reg(0), rhs: Reg(0), end: 24 },
-                Instr::IWhileCmpImm { op: BinOp::Le, lhs: Reg(0), imm: 9, end: 25 },
-                Instr::FWhileCmp { op: BinOp::Lt, lhs: Reg(1), rhs: Reg(1), end: 26 },
-                Instr::IForTest { counter: Reg(0), hi: Reg(0), var: Reg(0), end: 27 },
+                Instr::ICmpBranch { op: BinOp::Lt, lhs: Reg(0), rhs: Reg(0), target: 20 },
+                Instr::ICmpBranchImm { op: BinOp::Eq, lhs: Reg(0), imm: 3, target: 20 },
+                Instr::FCmpBranch { op: BinOp::Ne, lhs: Reg(1), rhs: Reg(1), target: 20 },
+                Instr::FCmpBranchImm { op: BinOp::Ne, lhs: Reg(1), imm: 0.0, target: 20 },
+                Instr::IWhileCmp { op: BinOp::Lt, lhs: Reg(0), rhs: Reg(0), end: 20 },
+                Instr::IWhileCmpImm { op: BinOp::Le, lhs: Reg(0), imm: 9, end: 21 },
+                Instr::IForTest { counter: Reg(0), hi: Reg(0), var: Reg(0), end: 22 },
                 Instr::ISeek {
                     dst: Reg(0),
                     buf: crate::buffer::BufId(0),
@@ -1489,7 +1437,7 @@ mod tests {
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: 2,
             pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Float)],
-            stmt_bump: vec![0; 28],
+            stmt_bump: vec![0; 23],
         };
         let _ = (p, x);
         program.validate().expect("typed forms validate");
@@ -1497,30 +1445,25 @@ mod tests {
    1: p = const.i 7
    2: x = const.f 1.5
    3: p = p (i64)
-   4: x = x (f64)
-   5: p = len.i(b0)
-   6: p = b0[p] (i64)
-   7: x = b1[p] (f64)
-   8: x = b2[p] (u8)
-   9: x = x * b1[p] (f64)
-  10: b1[p] += x (f64)
-  11: b2[p] = x (u8)
-  12: b0.push(p) (i64)
-  13: b1.push(x) (f64)
-  14: p = p + p (i64)
-  15: x = x * x (f64)
-  16: p = p + 1 (i64)
-  17: x = x * 0.5 (f64)
-  18: x = round_u8(x) (f64)
-  19: if_false p < p (i64) -> 24
-  20: if_false p == 3 (i64) -> 24
-  21: if_false x != x (f64) -> 24
-  22: if_false x != 0.0 (f64) -> 24
-  23: while p < p (i64) else -> 24
-  24: while p <= 9 (i64) else -> 25
-  25: while x < x (f64) else -> 26
-  26: for p = p while <= p (i64) else -> 27
-  27: p = seek_abs.i(b0, p, p, p)
+   4: p = b0[p] (i64)
+   5: x = b1[p] (f64)
+   6: x = x * b1[p] (f64)
+   7: b1[p] += x (f64)
+   8: b0.push(p) (i64)
+   9: b1.push(x) (f64)
+  10: p = p + p (i64)
+  11: x = x * x (f64)
+  12: p = p + 1 (i64)
+  13: x = x * 0.5 (f64)
+  14: x = round_u8(x) (f64)
+  15: if_false p < p (i64) -> 20
+  16: if_false p == 3 (i64) -> 20
+  17: if_false x != x (f64) -> 20
+  18: if_false x != 0.0 (f64) -> 20
+  19: while p < p (i64) else -> 20
+  20: while p <= 9 (i64) else -> 21
+  21: for p = p while <= p (i64) else -> 22
+  22: p = seek_abs.i(b0, p, p, p)
 ";
         assert_eq!(program.disasm(), expected);
     }
@@ -1759,20 +1702,6 @@ mod tests {
                     pass_cost: VCost { stmts: 2, loads: 1, stores: 2 },
                     lanes: 4,
                 },
-                Instr::VCmpSelectU8 {
-                    dst: b(5),
-                    dst_base: VBase::Var,
-                    src: b(0),
-                    src_base: VBase::Var,
-                    cmp: BinOp::Gt,
-                    cmp_imm: 0.5,
-                    set: 255.0,
-                    counter: Reg(0),
-                    hi: Reg(1),
-                    cost,
-                    pass_cost: VCost { stmts: 1, loads: 0, stores: 1 },
-                    lanes: 4,
-                },
             ],
             consts: Vec::new(),
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
@@ -1783,7 +1712,7 @@ mod tests {
                 (Reg(2), LaneTag::Int),
                 (Reg(3), LaneTag::Float),
             ],
-            stmt_bump: vec![0; 8],
+            stmt_bump: vec![0; 7],
         };
         program.validate().expect("vector kernel ops validate");
         let expected = "   0: vfill.f64 b0[v] = 0.0 for v in [i, n) (x8)
@@ -1793,7 +1722,6 @@ mod tests {
    4: vmuladd.f64 b2[0] += b0[v] * b1[v] for v in [i, n) (x8)
    5: vreduce.f64 b2[0] max= b0[v] for v in [i, n) (x8)
    6: vappend.f64 b3.push(v), b4.push(b0[v]) where b0[v] > 0.3 for v in [i, n) (x4)
-   7: vselect.u8 b5[v] = 255.0 where b0[v] > 0.5 for v in [i, n) (x4)
 ";
         assert_eq!(program.disasm(), expected);
     }
@@ -1871,20 +1799,6 @@ mod tests {
                 src: b(0),
                 base,
                 guard: None,
-                counter: r,
-                hi: r,
-                cost,
-                pass_cost: cost,
-                lanes,
-            }),
-            Box::new(move |r, base, lanes| Instr::VCmpSelectU8 {
-                dst: b(1),
-                dst_base: base,
-                src: b(0),
-                src_base: base,
-                cmp: BinOp::Gt,
-                cmp_imm: 0.5,
-                set: 255.0,
                 counter: r,
                 hi: r,
                 cost,

@@ -101,8 +101,6 @@ pub enum UnOp {
     /// Round-and-clamp to `0..=255` (the alpha blending kernel's
     /// `round(UInt8, ...)`).
     Round,
-    /// Sign.
-    Sign,
 }
 
 impl UnOp {
@@ -114,7 +112,6 @@ impl UnOp {
             UnOp::Abs => "abs",
             UnOp::Sqrt => "sqrt",
             UnOp::Round => "round_u8",
-            UnOp::Sign => "sign",
         }
     }
 }
@@ -133,11 +130,6 @@ pub enum Expr {
         /// Element index (0-based).
         index: Arc<Expr>,
     },
-    /// The length of a buffer, as an integer.
-    BufLen(
-        /// The buffer whose length is taken.
-        BufId,
-    ),
     /// A unary operation.
     Unary {
         /// The operator.
@@ -330,7 +322,7 @@ impl Expr {
             new.map_or_else(|| Arc::clone(old), Arc::new)
         }
         let rebuilt = match self {
-            Expr::Lit(_) | Expr::Var(_) | Expr::BufLen(_) => None,
+            Expr::Lit(_) | Expr::Var(_) => None,
             Expr::Load { buf, index } => index.rewritten(f).map(|i| Expr::load(*buf, i)),
             Expr::Unary { op, arg } => arg.rewritten(f).map(|a| Expr::unary(*op, a)),
             Expr::Binary { op, lhs, rhs } => {
@@ -405,7 +397,7 @@ impl Expr {
     pub fn visit(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Lit(_) | Expr::Var(_) | Expr::BufLen(_) => {}
+            Expr::Lit(_) | Expr::Var(_) => {}
             Expr::Load { index, .. } => index.visit(f),
             Expr::Unary { arg, .. } => arg.visit(f),
             Expr::Binary { lhs, rhs, .. } => {
@@ -584,7 +576,7 @@ mod tests {
                 return match self.next(3) {
                     0 => Expr::int(self.next(4) as i64),
                     1 => Expr::Var(Var(self.next(3) as u32)),
-                    _ => Expr::BufLen(BufId(0)),
+                    _ => Expr::float(0.5),
                 };
             }
             let sub = |g: &mut Gen| g.expr(depth - 1);
@@ -604,7 +596,7 @@ mod tests {
     /// reconstructed whether or not anything below it changed.
     fn rebuild(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr {
         let rebuilt = match e {
-            Expr::Lit(_) | Expr::Var(_) | Expr::BufLen(_) => e.clone(),
+            Expr::Lit(_) | Expr::Var(_) => e.clone(),
             Expr::Load { buf, index } => Expr::load(*buf, rebuild(index, f)),
             Expr::Unary { op, arg } => Expr::unary(*op, rebuild(arg, f)),
             Expr::Binary { op, lhs, rhs } => Expr::binary(*op, rebuild(lhs, f), rebuild(rhs, f)),

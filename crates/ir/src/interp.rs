@@ -228,7 +228,6 @@ impl Interpreter {
         match expr {
             Expr::Lit(v) => Ok(*v),
             Expr::Var(v) => self.read_var(*v),
-            Expr::BufLen(b) => Ok(Value::Int(bufs.get(*b).len() as i64)),
             Expr::Load { buf, index } => {
                 let idx = self.eval(index, bufs)?;
                 if idx.is_missing() {

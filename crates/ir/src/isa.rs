@@ -7,7 +7,7 @@
 //! | annotation | operand |
 //! |---|---|
 //! | `reg(Read \| Write \| ReadWrite)` | a register and its [`Role`] |
-//! | `buf(Any \| I64 \| F64 \| U8)` | a buffer and the element kind it must have ([`Elem`]) |
+//! | `buf(Any \| I64 \| F64)` | a buffer and the element kind it must have ([`Elem`]) |
 //! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
@@ -69,8 +69,6 @@ pub(crate) enum Elem {
     I64,
     /// An `f64` buffer.
     F64,
-    /// A `u8` buffer.
-    U8,
 }
 
 /// What kind of control edge a jump target is.
@@ -290,8 +288,8 @@ macro_rules! isa {
         });
 
         impl $Instr {
-            /// A short stable mnemonic for this instruction's opcode, used by the
-            /// benchmark harness's per-opcode execution histogram.
+            /// A short stable mnemonic for this instruction's opcode: what
+            /// `tests/isa_reach.rs` counts emitted and dispatched instructions by.
             pub fn opcode(&self) -> &'static str {
                 match self {
                     $( $Instr::$name { .. } => $mnemonic ),*
@@ -345,13 +343,6 @@ pub enum Instr {
         dst: Reg = reg(Write),
         /// Source register.
         src: Reg = reg(Read),
-    },
-    /// `dst = len(buf)` as an integer.
-    BufLen = "buf_len" Generic {
-        /// Destination register.
-        dst: Reg = reg(Write),
-        /// The buffer whose length is taken.
-        buf: BufId = buf(Any),
     },
     /// `dst = buf[idx]`.  A missing index yields missing (the `permit`
     /// semantics); otherwise the index is coerced to an integer, bounds are
@@ -637,20 +628,6 @@ pub enum Instr {
         /// Source register (proven `Int` and assigned here).
         src: Reg = reg(Read),
     },
-    /// `floats[dst] = floats[src]` — a typed [`Instr::Mov`].
-    FMov = "f_mov" TagFree {
-        /// Destination register (statically `Float`).
-        dst: Reg = reg(Write),
-        /// Source register (proven `Float` and assigned here).
-        src: Reg = reg(Read),
-    },
-    /// `ints[dst] = len(buf)` — a typed [`Instr::BufLen`].
-    ILen = "i_len" TagFree {
-        /// Destination register (statically `Int`).
-        dst: Reg = reg(Write),
-        /// The buffer whose length is taken.
-        buf: BufId = buf(Any),
-    },
     /// `ints[dst] = i64buf[ints[idx]]` — a typed [`Instr::Load`] from an
     /// I64 buffer.  Bounds are checked and one load is counted, exactly
     /// like the generic form on an integer index.
@@ -669,16 +646,6 @@ pub enum Instr {
         dst: Reg = reg(Write),
         /// The F64 buffer read from.
         buf: BufId = buf(F64),
-        /// Register holding the element index (proven `Int`).
-        idx: Reg = reg(Read),
-    },
-    /// `floats[dst] = u8buf[ints[idx]] as f64` — a typed [`Instr::Load`]
-    /// from a U8 buffer (which loads as a float, like the generic form).
-    LoadU8 = "load_u8" TagFree {
-        /// Destination register (statically `Float`).
-        dst: Reg = reg(Write),
-        /// The U8 buffer read from.
-        buf: BufId = buf(U8),
         /// Register holding the element index (proven `Int`).
         idx: Reg = reg(Read),
     },
@@ -706,20 +673,6 @@ pub enum Instr {
         val: Reg = reg(Read),
         /// Reduction operator (restricted to `Add`/`Sub`/`Mul`/`Div`/
         /// `Min`/`Max` or plain assignment).
-        reduce: Option<BinOp> = reduce("non-arithmetic typed store reduce"),
-    },
-    /// `u8buf[ints[idx]] reduce= clamp(round(x))` — a typed
-    /// [`Instr::Store`] into a U8 buffer: the reduction (if any) is
-    /// computed in f64 against the loaded element, then clamped to
-    /// `0..=255` and rounded exactly like [`crate::buffer::Buffer::store`].
-    StoreU8 = "store_u8" TagFree {
-        /// The U8 destination buffer.
-        buf: BufId = buf(U8),
-        /// Register holding the (already integer) element index.
-        idx: Reg = reg(Read),
-        /// Register holding the stored value (proven `Float`).
-        val: Reg = reg(Read),
-        /// Reduction operator (restricted to the arithmetic set).
         reduce: Option<BinOp> = reduce("non-arithmetic typed store reduce"),
     },
     /// `i64buf.push(ints[val])` — a typed [`Instr::Append`] (sparse
@@ -864,17 +817,6 @@ pub enum Instr {
         lhs: Reg = reg(Read),
         /// The inlined integer immediate.
         imm: i64 = payload,
-        /// Absolute index of the first instruction after the loop.
-        end: u32 = target(LoopExit),
-    },
-    /// Typed [`Instr::WhileCmp`] on two float registers.
-    FWhileCmp = "f_while_cmp" TagFree {
-        /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
-        op: BinOp = op(is_cmp_op, "non-comparison typed while op"),
-        /// Left operand register (proven `Float`).
-        lhs: Reg = reg(Read),
-        /// Right operand register (proven `Float`).
-        rhs: Reg = reg(Read),
         /// Absolute index of the first instruction after the loop.
         end: u32 = target(LoopExit),
     },
@@ -1099,36 +1041,6 @@ pub enum Instr {
         base: VBase = nested,
         /// Optional filter: append only where `src[..] op imm`.
         guard: Option<(BinOp, f64)> = guard("non-comparison vector guard op"),
-        /// Register holding the loop counter.
-        counter: Reg = reg(ReadWrite),
-        /// Register holding the inclusive upper bound.
-        hi: Reg = reg(Read),
-        /// Scalar-equivalent work per bulk iteration (always incurred).
-        cost: VCost = payload,
-        /// Additional scalar-equivalent work per *passing* iteration.
-        pass_cost: VCost = payload,
-        /// Unroll width (4 or 8).
-        lanes: u8 = lanes,
-    },
-    /// Masked constant store into a U8 buffer: `u8dst[..v] = set` where
-    /// `src[..v] cmp imm` holds (image binarization), with the stored
-    /// value rounded and clamped to `0..=255` exactly like
-    /// [`Instr::StoreU8`].
-    VCmpSelectU8 = "v_cmp_select_u8" Kernel {
-        /// The U8 destination buffer.
-        dst: BufId = buf(U8),
-        /// Destination index shape.
-        dst_base: VBase = nested,
-        /// The F64 source buffer tested.
-        src: BufId = buf(F64),
-        /// Source index shape.
-        src_base: VBase = nested,
-        /// The comparison operator of the mask.
-        cmp: BinOp = op(is_cmp_op, "non-comparison vector guard op"),
-        /// The comparison immediate.
-        cmp_imm: f64 = payload,
-        /// The value stored where the mask holds.
-        set: f64 = payload,
         /// Register holding the loop counter.
         counter: Reg = reg(ReadWrite),
         /// Register holding the inclusive upper bound.
@@ -1453,8 +1365,8 @@ pub(crate) fn for_each_reg_role_mut(instr: &mut Instr, mut f: impl FnMut(&mut Re
 
 /// One well-formed instruction per opcode, in table order, each with
 /// pairwise-distinct registers and buffers: what the per-opcode tests here
-/// and in `opt::typing` iterate over.  Buffers `0..2` are i64, `2..5` f64,
-/// `5` u8 (see `tests::buffers`); jump targets fit `tests::around`.
+/// and in `opt::typing` iterate over.  Buffers `0..2` are i64, `2..5` f64
+/// (see `tests::buffers`); jump targets fit `tests::around`.
 #[cfg(test)]
 pub(crate) fn samples() -> Vec<Instr> {
     use BinOp::*;
@@ -1465,7 +1377,6 @@ pub(crate) fn samples() -> Vec<Instr> {
         Instr::BumpStmt,
         Instr::Const { dst: r(0), cidx: 0 },
         Instr::Mov { dst: r(0), src: r(1) },
-        Instr::BufLen { dst: r(0), buf: b(2) },
         Instr::Load { dst: r(0), buf: b(2), idx: r(1) },
         Instr::CoerceInt { reg: r(0) },
         Instr::Store { buf: b(2), idx: r(0), val: r(1), reduce: Some(Add) },
@@ -1492,14 +1403,10 @@ pub(crate) fn samples() -> Vec<Instr> {
         Instr::ConstI { dst: r(0), imm: 7 },
         Instr::ConstF { dst: r(0), imm: 1.5 },
         Instr::IMov { dst: r(0), src: r(1) },
-        Instr::FMov { dst: r(0), src: r(1) },
-        Instr::ILen { dst: r(0), buf: b(2) },
         Instr::LoadI64 { dst: r(0), buf: b(0), idx: r(1) },
         Instr::LoadF64 { dst: r(0), buf: b(2), idx: r(1) },
-        Instr::LoadU8 { dst: r(0), buf: b(5), idx: r(1) },
         Instr::FMulLoad { dst: r(0), lhs: r(1), buf: b(2), idx: r(2) },
         Instr::StoreF64 { buf: b(2), idx: r(0), val: r(1), reduce: Some(Add) },
-        Instr::StoreU8 { buf: b(5), idx: r(0), val: r(1), reduce: None },
         Instr::IAppend { buf: b(0), val: r(0) },
         Instr::FAppend { buf: b(2), val: r(0) },
         Instr::IArith { op: Add, dst: r(0), lhs: r(1), rhs: r(2) },
@@ -1513,7 +1420,6 @@ pub(crate) fn samples() -> Vec<Instr> {
         Instr::FCmpBranchImm { op: Ne, lhs: r(0), imm: 0.0, target: 3 },
         Instr::IWhileCmp { op: Lt, lhs: r(0), rhs: r(1), end: 3 },
         Instr::IWhileCmpImm { op: Le, lhs: r(0), imm: 9, end: 3 },
-        Instr::FWhileCmp { op: Lt, lhs: r(0), rhs: r(1), end: 3 },
         Instr::IForTest { counter: r(0), hi: r(1), var: r(2), end: 3 },
         Instr::ISeek { dst: r(0), buf: b(0), lo: r(1), hi: r(2), key: r(3), on_abs: true },
         Instr::IAdvance { op: Eq, lhs: r(0), rhs: r(1), reg: r(2), by: 1, stmts: 1 },
@@ -1584,20 +1490,6 @@ pub(crate) fn samples() -> Vec<Instr> {
             pass_cost: cost,
             lanes: 4,
         },
-        Instr::VCmpSelectU8 {
-            dst: b(5),
-            dst_base: scaled(2),
-            src: b(2),
-            src_base: scaled(3),
-            cmp: Gt,
-            cmp_imm: 0.5,
-            set: 255.0,
-            counter: r(0),
-            hi: r(1),
-            cost,
-            pass_cost: cost,
-            lanes: 4,
-        },
         Instr::IMergeSkip {
             a: b(0),
             p: r(0),
@@ -1631,7 +1523,6 @@ mod tests {
         for name in ["f0", "f1", "f2"] {
             bufs.add(name, Buffer::F64(vec![0.0; 4].into()));
         }
-        bufs.add("u0", Buffer::U8(vec![0; 4]));
         bufs
     }
 
@@ -1832,7 +1723,7 @@ mod tests {
             }
             _ => None,
         });
-        assert!(corrupted >= 170, "{corrupted} operands");
+        assert!(corrupted >= 160, "{corrupted} operands");
     }
 
     #[test]
@@ -1846,6 +1737,6 @@ mod tests {
             }
             _ => None,
         });
-        assert!(corrupted >= 24, "{corrupted} typed buffer operands");
+        assert!(corrupted >= 22, "{corrupted} typed buffer operands");
     }
 }

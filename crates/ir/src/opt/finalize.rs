@@ -179,8 +179,8 @@ mod tests {
             Stmt::While {
                 cond: Expr::binary(
                     BinOp::And,
-                    Expr::lt(Expr::Var(p), Expr::BufLen(b[0])),
-                    Expr::lt(Expr::Var(q), Expr::BufLen(b[2])),
+                    Expr::lt(Expr::Var(p), Expr::int(6)),
+                    Expr::lt(Expr::Var(q), Expr::int(5)),
                 ),
                 body: vec![
                     Stmt::Let { var: ia, init: Expr::load(b[0], Expr::Var(p)) },
@@ -203,13 +203,13 @@ mod tests {
         let mut bufs = BufferSet::new();
         let b = merge_inputs(&mut bufs);
         let (p, q, ia) = (names.fresh("p"), names.fresh("q"), names.fresh("ia"));
-        let last_b = Expr::sub(Expr::BufLen(b[2]), Expr::int(1));
+        let last_b = Expr::sub(Expr::int(5), Expr::int(1));
         let stmts = vec![
             Stmt::Let { var: q, init: Expr::int(0) },
             Stmt::For {
                 var: p,
                 lo: Expr::int(0),
-                hi: Expr::sub(Expr::BufLen(b[0]), Expr::int(1)),
+                hi: Expr::sub(Expr::int(6), Expr::int(1)),
                 body: vec![
                     Stmt::Let { var: ia, init: Expr::load(b[0], Expr::Var(p)) },
                     Stmt::Assign {
@@ -223,7 +223,7 @@ mod tests {
                         ),
                     },
                     Stmt::If {
-                        cond: Expr::lt(Expr::Var(q), Expr::BufLen(b[2])),
+                        cond: Expr::lt(Expr::Var(q), Expr::int(5)),
                         then_branch: vec![Stmt::if_then(
                             Expr::eq(Expr::load(b[2], Expr::Var(q)), Expr::Var(ia)),
                             vec![accumulate(p, q, &b)],
@@ -256,7 +256,7 @@ mod tests {
         let stmts = vec![
             Stmt::Let { var: p, init: Expr::int(0) },
             Stmt::While {
-                cond: Expr::lt(Expr::Var(p), Expr::BufLen(b[0])),
+                cond: Expr::lt(Expr::Var(p), Expr::int(6)),
                 body: vec![
                     Stmt::Assign { var: p, value: Expr::add(Expr::Var(p), Expr::int(1)) },
                     Stmt::If {
@@ -387,7 +387,7 @@ mod tests {
         let stmts = vec![Stmt::For {
             var: i,
             lo: Expr::int(0),
-            hi: Expr::sub(Expr::BufLen(x), Expr::int(1)),
+            hi: Expr::sub(Expr::int(4), Expr::int(1)),
             body: vec![Stmt::Store {
                 buf: acc,
                 index: Expr::int(0),
@@ -401,7 +401,7 @@ mod tests {
         let finalized = finalize(&typed);
         crate::opt::verify_bytecode(&finalized, &bufs).expect("the finalized program verifies");
         let expected = "   0: t0 = const.i 0  ; +1 stmt
-   1: t2 = len.i(b0)
+   1: t2 = const.i 4
    2: t1 = t2 - 1 (i64)
    3: for i = t0 while <= t1 (i64) else -> 8
    4: t2 = const.i 0  ; +1 stmt

@@ -14,7 +14,7 @@
 //!
 //! * **Forwarding.**  Within a region entered only at its top (facts die at
 //!   every jump target), a read of a temp that holds a typed copy
-//!   ([`Instr::IMov`] / [`Instr::FMov`]) reads the copy's source instead,
+//!   ([`Instr::IMov`]) reads the copy's source instead,
 //!   and a read of a temp that holds a typed literal ([`Instr::ConstI`] /
 //!   [`Instr::ConstF`]) reads a *pinned* register: one per distinct literal
 //!   (compared bit for bit, like the constant pool), pre-tagged, written
@@ -269,9 +269,7 @@ fn forward_operands(
             held.retain(|(t, what)| t != w && !matches!(what, Held::Copy(src) if src == w));
         }
         let fact = match *instr {
-            Instr::IMov { dst, src } | Instr::FMov { dst, src } if dst != src => {
-                Some((dst, Held::Copy(src)))
-            }
+            Instr::IMov { dst, src } if dst != src => Some((dst, Held::Copy(src))),
             Instr::ConstI { dst, imm } => Some((dst, Held::Lit(false, imm as u64))),
             Instr::ConstF { dst, imm } => Some((dst, Held::Lit(true, imm.to_bits()))),
             _ => None,
@@ -298,10 +296,7 @@ fn drop_dead_definitions(code: &mut [Instr], at: &mut [At]) {
             let At { reads, writes, .. } = at[pc];
             let droppable = matches!(
                 code[pc],
-                Instr::IMov { .. }
-                    | Instr::FMov { .. }
-                    | Instr::ConstI { .. }
-                    | Instr::ConstF { .. }
+                Instr::IMov { .. } | Instr::ConstI { .. } | Instr::ConstF { .. }
             );
             if droppable && writes != 0 && after & writes == 0 {
                 dead.push(pc);

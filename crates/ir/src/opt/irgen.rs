@@ -41,7 +41,6 @@ pub(crate) struct IrGen {
     open_loops: usize,
     f64s: [BufId; 2],
     i64s: [BufId; 2],
-    u8s: BufId,
     flags: BufId,
 }
 
@@ -66,7 +65,6 @@ impl IrGen {
                 bufs.add("idx", Buffer::I64(vec![0, 1, 3, 4, 5, 9].into())),
                 bufs.add("pos", Buffer::I64(vec![0].into())),
             ],
-            u8s: bufs.add("img", Buffer::U8(vec![0, 7, 255, 3, 9, 1])),
             flags: bufs.add("mask", Buffer::Bool(vec![true, false, true, true, false, true])),
         };
         (gen, names, bufs)
@@ -99,7 +97,7 @@ impl IrGen {
     }
 
     fn any_buf(&mut self) -> BufId {
-        self.pick([self.f64s[0], self.f64s[1], self.i64s[0], self.i64s[1], self.u8s, self.flags])
+        self.pick([self.f64s[0], self.f64s[1], self.i64s[0], self.i64s[1], self.flags])
     }
 
     fn int_expr(&mut self, depth: u32) -> Expr {
@@ -113,7 +111,8 @@ impl IrGen {
             2 if self.wild() => Expr::Var(self.pick(self.loop_vars)),
             2 => Expr::int(1),
             3 => Expr::load(self.pick(self.i64s), self.int_expr(depth - 1)),
-            4 => Expr::BufLen(self.any_buf()),
+            // A buffer's length, as the literal lowering knows it by.
+            4 => Expr::int(self.pick([1, 6])),
             5 => {
                 let op = self.pick([BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max]);
                 Expr::binary(op, self.int_expr(depth - 1), self.int_expr(depth - 1))
@@ -138,7 +137,7 @@ impl IrGen {
             0 => Expr::float(self.below(8) as f64 * 0.5 - 1.0),
             1 => Expr::Var(self.pick(self.floats)),
             2 => Expr::load(self.pick(self.f64s), self.int_expr(depth - 1)),
-            3 => Expr::load(self.u8s, self.int_expr(depth - 1)),
+            3 => Expr::load(self.f64s[1], self.int_expr(depth - 1)),
             4 => {
                 let op = self.pick([BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Max]);
                 Expr::binary(op, self.float_expr(depth - 1), self.float_expr(depth - 1))
@@ -203,7 +202,7 @@ impl IrGen {
                 Expr::binary(op, self.wild_expr(depth - 1), self.wild_expr(depth - 1))
             }
             7 => {
-                let op = self.pick([UnOp::Neg, UnOp::Not, UnOp::Abs, UnOp::Sqrt, UnOp::Sign]);
+                let op = self.pick([UnOp::Neg, UnOp::Not, UnOp::Abs, UnOp::Sqrt, UnOp::Round]);
                 Expr::unary(op, self.wild_expr(depth - 1))
             }
             8 => Expr::select(

@@ -373,7 +373,6 @@ impl Hoister<'_> {
                 leaf((0, 0), hash)
             }
             Expr::Var(v) => leaf(self.var_level(*v), mix(5, v.index() as u64)),
-            Expr::BufLen(b) => leaf((self.buf_level(*b), 0), mix(6, b.index() as u64)),
             Expr::Load { buf, index } => {
                 let node = (mix(7, buf.index() as u64), self.buf_level(*buf));
                 let ([index], info) =
@@ -747,7 +746,7 @@ mod tests {
         let v = Expr::Var;
         // out[i*2 + k] += x[(j + (1 - i))*2 + k] * (n - 14)
         let prog = vec![
-            Stmt::Let { var: n, init: Expr::BufLen(x) },
+            Stmt::Let { var: n, init: Expr::int(16) },
             for_loop(
                 i,
                 Expr::int(0),
@@ -787,7 +786,7 @@ mod tests {
         // `n - 14` leaves all three loops, `i * 2` and `1 - i` two, the
         // store's whole index one; what depends on `j` stays.
         let expected = "\
-let mut n = x.len();
+let mut n = 16;
 let mut inv_4 = (n - 14);
 for i in 0..=1 {
     let mut inv = (i * 2);
@@ -815,7 +814,7 @@ for i in 0..=1 {
         let (p, q, i) = (names.fresh("p"), names.fresh("q"), names.fresh("i"));
         let v = Expr::Var;
         let prog = vec![
-            Stmt::Let { var: p, init: Expr::BufLen(vals) },
+            Stmt::Let { var: p, init: Expr::int(2) },
             // Out of bounds: every load of `vals[q]` below is guarded.
             Stmt::Let { var: q, init: Expr::add(v(p), Expr::int(5)) },
             for_loop(
@@ -848,7 +847,7 @@ for i in 0..=1 {
         ];
         let optimised = hoist_invariants(&prog, &mut names);
         let expected = "\
-let mut p = vals.len();
+let mut p = 2;
 let mut q = (p + 5);
 let mut inv = (p * 2);
 let mut inv_2 = (q < p);
@@ -872,7 +871,6 @@ for i in 0..=3 {
         let mut bufs = BufferSet::new();
         let idx = bufs.add("idx", Buffer::I64(vec![0, 2, 5].into()));
         let out = bufs.add("out", Buffer::I64(vec![0; 8].into()));
-        let grown = bufs.add("grown", Buffer::I64(vec![].into()));
         let (p, q, i) = (names.fresh("p"), names.fresh("q"), names.fresh("i"));
         let v = Expr::Var;
         let over = |body: Vec<Stmt>| {
@@ -931,20 +929,6 @@ for i in 0..=3 {
                 "the loop stores what it loads",
                 vec![store(out, v(i), Expr::add(Expr::load(out, v(q)), Expr::int(1)))],
             ),
-            (
-                "the loop appends to the buffer whose length is read",
-                vec![
-                    store(out, v(i), Expr::mul(Expr::BufLen(grown), Expr::int(2))),
-                    Stmt::Append { buf: grown, value: v(i) },
-                ],
-            ),
-            (
-                "the index reads a buffer the loop appends to",
-                vec![
-                    Stmt::Append { buf: grown, value: v(i) },
-                    store(out, v(i), Expr::load(idx, Expr::sub(Expr::BufLen(grown), Expr::int(1)))),
-                ],
-            ),
         ];
         for (why, body) in cases {
             let prog = over(body);
@@ -972,7 +956,7 @@ for i in 0..=3 {
         let row = || Expr::mul(v(i), Expr::int(4));
         let scale = || Expr::mul(v(p), Expr::float(0.5));
         let prog = vec![
-            Stmt::Let { var: p, init: Expr::BufLen(x) },
+            Stmt::Let { var: p, init: Expr::int(8) },
             for_loop(
                 i,
                 Expr::int(0),
@@ -998,7 +982,7 @@ for i in 0..=3 {
         let mut stats = OptStats::default();
         let optimised = hoist_with_stats(&prog, &mut names, &mut stats);
         let expected = "\
-let mut p = x.len();
+let mut p = 8;
 let mut inv_2 = (p * 0.5);
 for i in 0..=1 {
     let mut inv = (i * 4);
@@ -1025,12 +1009,14 @@ for i in 0..=1 {
         let mut bufs = BufferSet::new();
         let vals = bufs.add("vals", Buffer::F64(vec![1.0, 2.0].into()));
         let out = bufs.add("out", Buffer::F64(vec![7.0].into()));
+        let len = bufs.add("len", Buffer::I64(vec![2].into()));
         let (p, n, i) = (names.fresh("p"), names.fresh("n"), names.fresh("i"));
         let k = names.fresh("k");
         let read = store(out, Expr::int(0), Expr::load(vals, Expr::Var(p)));
         let prog = vec![
-            Stmt::Let { var: p, init: Expr::BufLen(vals) },
-            Stmt::Let { var: n, init: Expr::sub(Expr::BufLen(vals), Expr::int(3)) },
+            // Lengths come out of a level's arrays, where no pass can see them.
+            Stmt::Let { var: p, init: Expr::load(len, Expr::int(0)) },
+            Stmt::Let { var: n, init: Expr::sub(Expr::Var(p), Expr::int(3)) },
             Stmt::Let { var: k, init: Expr::int(0) },
             looped(i, n, k, read),
         ];
@@ -1102,8 +1088,8 @@ for i in 0..=1 {
         let (lo, hi, j) = (names.fresh("lo"), names.fresh("hi"), names.fresh("j"));
         let v = Expr::Var;
         let prog = vec![
-            Stmt::Let { var: lo, init: Expr::BufLen(vals) },
-            Stmt::Let { var: hi, init: Expr::BufLen(out) },
+            Stmt::Let { var: lo, init: Expr::int(2) },
+            Stmt::Let { var: hi, init: Expr::int(4) },
             Stmt::if_then(
                 Expr::le(v(lo), v(hi)),
                 vec![for_loop(
@@ -1116,8 +1102,8 @@ for i in 0..=1 {
         ];
         let optimised = hoist_invariants(&prog, &mut names);
         let expected = "\
-let mut lo = vals.len();
-let mut hi = out.len();
+let mut lo = 2;
+let mut hi = 4;
 if (lo <= hi) {
     let mut hoisted = vals[1];
     for j in lo..=hi {

@@ -137,7 +137,6 @@ fn retarget_dst(instr: Instr, dst: Reg) -> Option<Instr> {
     Some(match instr {
         Instr::Const { cidx, .. } => Instr::Const { dst, cidx },
         Instr::Mov { src, .. } => Instr::Mov { dst, src },
-        Instr::BufLen { buf, .. } => Instr::BufLen { dst, buf },
         Instr::Load { buf, idx, .. } => Instr::Load { dst, buf, idx },
         Instr::Unary { op, src, .. } => Instr::Unary { op, dst, src },
         Instr::Binary { op, lhs, rhs, .. } => Instr::Binary { op, dst, lhs, rhs },

@@ -112,8 +112,6 @@ fn buf_bits(buf: &Buffer) -> u8 {
     match buf {
         Buffer::I64(_) => INT,
         Buffer::F64(_) => FLOAT,
-        // U8 elements load as floats; Bool elements load as bools.
-        Buffer::U8(_) => FLOAT,
         Buffer::Bool(_) => BOOL,
     }
 }
@@ -149,7 +147,7 @@ fn unop_bits(op: UnOp, a: u8) -> u8 {
     let base = match op {
         UnOp::Not => BOOL,
         UnOp::Sqrt | UnOp::Round => FLOAT,
-        UnOp::Neg | UnOp::Abs | UnOp::Sign => {
+        UnOp::Neg | UnOp::Abs => {
             let mut r = 0u8;
             if k & INT != 0 {
                 r |= INT;
@@ -182,7 +180,6 @@ fn write_effect(instr: &Instr, s: &[u8], consts: &[Value], bufs: &BufferSet) -> 
     Some(match *instr {
         Instr::Const { dst, cidx } => (dst, const_bits(consts[cidx as usize])),
         Instr::Mov { dst, src } => (dst, s[src.index()] & !UNSET),
-        Instr::BufLen { dst, .. } => (dst, INT),
         Instr::Load { dst, buf, idx } => (dst, load_bits(buf, idx)),
         Instr::CoerceInt { reg } => (reg, INT),
         Instr::Unary { op, dst, src } => (dst, unop_bits(op, s[src.index()])),
@@ -201,20 +198,15 @@ fn write_effect(instr: &Instr, s: &[u8], consts: &[Value], bufs: &BufferSet) -> 
         Instr::ForStep { counter, .. } | Instr::IAdvance { reg: counter, .. } => (counter, INT),
         Instr::Seek { dst, .. } | Instr::ISeek { dst, .. } => (dst, INT),
         // Typed forms: what a rewritten instruction pins.
-        Instr::ConstI { dst, .. } | Instr::ILen { dst, .. } | Instr::LoadI64 { dst, .. } => {
-            (dst, INT)
-        }
+        Instr::ConstI { dst, .. } | Instr::LoadI64 { dst, .. } => (dst, INT),
         Instr::ConstF { dst, .. }
         | Instr::LoadF64 { dst, .. }
-        | Instr::LoadU8 { dst, .. }
         | Instr::FMulLoad { dst, .. }
         | Instr::FRound { dst, .. } => (dst, FLOAT),
         Instr::IMov { dst, .. } | Instr::IArith { dst, .. } | Instr::IArithImm { dst, .. } => {
             (dst, INT)
         }
-        Instr::FMov { dst, .. } | Instr::FArith { dst, .. } | Instr::FArithImm { dst, .. } => {
-            (dst, FLOAT)
-        }
+        Instr::FArith { dst, .. } | Instr::FArithImm { dst, .. } => (dst, FLOAT),
         _ => return None,
     })
 }
@@ -315,7 +307,6 @@ fn for_each_edge(pc: usize, instr: &Instr, f: &mut dyn FnMut(usize, &[EdgeFx])) 
         }
         Instr::WhileCmp { lhs, rhs, end, .. }
         | Instr::IWhileCmp { lhs, rhs, end, .. }
-        | Instr::FWhileCmp { lhs, rhs, end, .. }
         | Instr::IWhileNext { lhs, rhs, body: end, .. } => {
             f(next, &[keep(lhs, REAL), keep(rhs, REAL)]);
             f(end as usize, &[keep(lhs, REAL), keep(rhs, REAL)]);
@@ -593,10 +584,6 @@ fn typed_form(
         Instr::Mov { dst, src } if exact(src, INT) && dst_ok(dst, LaneTag::Int) => {
             Some(Instr::IMov { dst, src })
         }
-        Instr::Mov { dst, src } if exact(src, FLOAT) && dst_ok(dst, LaneTag::Float) => {
-            Some(Instr::FMov { dst, src })
-        }
-        Instr::BufLen { dst, buf } if dst_ok(dst, LaneTag::Int) => Some(Instr::ILen { dst, buf }),
         Instr::CoerceInt { reg } if exact(reg, INT) => Some(Instr::Nop),
         // A missing-test on a register that holds one value kind is decided.
         Instr::JumpIfNotMissing { src, target } if valued(src) => Some(Instr::Jump { target }),
@@ -604,17 +591,15 @@ fn typed_form(
         Instr::Load { dst, buf, idx } if exact(idx, INT) => match bufs.get(buf) {
             Buffer::I64(_) if dst_ok(dst, LaneTag::Int) => Some(Instr::LoadI64 { dst, buf, idx }),
             Buffer::F64(_) if dst_ok(dst, LaneTag::Float) => Some(Instr::LoadF64 { dst, buf, idx }),
-            Buffer::U8(_) if dst_ok(dst, LaneTag::Float) => Some(Instr::LoadU8 { dst, buf, idx }),
             _ => None,
         },
         Instr::Store { buf, idx, val, reduce }
-            if exact(idx, INT) && exact(val, FLOAT) && is_arith_reduce(reduce) =>
+            if exact(idx, INT)
+                && exact(val, FLOAT)
+                && is_arith_reduce(reduce)
+                && matches!(bufs.get(buf), Buffer::F64(_)) =>
         {
-            match bufs.get(buf) {
-                Buffer::F64(_) => Some(Instr::StoreF64 { buf, idx, val, reduce }),
-                Buffer::U8(_) => Some(Instr::StoreU8 { buf, idx, val, reduce }),
-                _ => None,
-            }
+            Some(Instr::StoreF64 { buf, idx, val, reduce })
         }
         Instr::Append { buf, val } if exact(val, INT) && kind(buf) == INT => {
             Some(Instr::IAppend { buf, val })
@@ -679,9 +664,6 @@ fn typed_form(
         },
         Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, INT) && exact(rhs, INT) => {
             Some(Instr::IWhileCmp { op, lhs, rhs, end })
-        }
-        Instr::WhileCmp { op, lhs, rhs, end } if exact(lhs, FLOAT) && exact(rhs, FLOAT) => {
-            Some(Instr::FWhileCmp { op, lhs, rhs, end })
         }
         Instr::WhileCmpImm { op, lhs, cidx, end } => match consts[cidx as usize] {
             Value::Int(imm) if exact(lhs, INT) => Some(Instr::IWhileCmpImm { op, lhs, imm, end }),

@@ -7,7 +7,7 @@
 //! pass recognises those canonical loop shapes symbolically and inserts
 //! one vectorized kernel op ([`Instr::VFillStoreF64`],
 //! [`Instr::VMapF64`], [`Instr::VMulAddF64`], [`Instr::VReduceF64`],
-//! [`Instr::VAppendRangeF64`], [`Instr::VCmpSelectU8`]) immediately
+//! [`Instr::VAppendRangeF64`]) immediately
 //! *before* the loop head, which executes all but the final iteration
 //! over whole buffer slices with no per-element dispatch.
 //!
@@ -148,7 +148,6 @@ enum Sym {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Effect {
     StoreF { buf: BufId, idx: ISym, val: FSym, reduce: Option<BinOp> },
-    StoreU { buf: BufId, idx: ISym, val: FSym, reduce: Option<BinOp> },
     AppendI { buf: BufId, val: ISym },
     AppendF { buf: BufId, val: FSym },
 }
@@ -180,14 +179,12 @@ fn whitelisted_writes(instr: &Instr, writes: &mut HashSet<Reg>) -> bool {
         Instr::Nop
         | Instr::BumpStmt
         | Instr::StoreF64 { .. }
-        | Instr::StoreU8 { .. }
         | Instr::IAppend { .. }
         | Instr::FAppend { .. }
         | Instr::FCmpBranchImm { .. } => true,
         Instr::ConstI { dst, .. }
         | Instr::ConstF { dst, .. }
         | Instr::IMov { dst, .. }
-        | Instr::FMov { dst, .. }
         | Instr::IArith { dst, .. }
         | Instr::IArithImm { dst, .. }
         | Instr::FArith { dst, .. }
@@ -275,10 +272,6 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
             }
             Instr::IMov { dst, src } => {
                 let s = read_int(&defs, &writes, src).map(Sym::I);
-                defs.insert(dst, s);
-            }
-            Instr::FMov { dst, src } => {
-                let s = read_float(&defs, &writes, src).map(Sym::F);
                 defs.insert(dst, s);
             }
             Instr::IArithImm { op, dst, lhs, imm } => {
@@ -413,12 +406,6 @@ fn match_loop(body: &[Instr], fstep_pc: u32, counter: Reg, hi: Reg, var: Reg) ->
                 let idx = read_int(&defs, &writes, idx)?;
                 let val = read_float(&defs, &writes, val)?;
                 effects.push(Effect::StoreF { buf, idx, val, reduce });
-            }
-            Instr::StoreU8 { buf, idx, val, reduce } => {
-                cost.stores += 1;
-                let idx = read_int(&defs, &writes, idx)?;
-                let val = read_float(&defs, &writes, val)?;
-                effects.push(Effect::StoreU { buf, idx, val, reduce });
             }
             Instr::IAppend { buf, val } => {
                 cost.stores += 1;
@@ -601,61 +588,33 @@ fn dispatch(
             }
         }
         Some((gop, gload, gimm)) => {
-            // The guarded forms: nothing observable before the guard
-            // except its own load.
-            if !base_effects.is_empty() || base_cost.loads != 1 {
+            // The guarded form: appends re-loading the guarded value (the
+            // threshold sieve into a sparse output), with nothing
+            // observable before the guard except its own load.
+            let [Effect::AppendI { buf: idx_out, val: ISym::Counter }, Effect::AppendF { buf: val_out, val: FSym::Map(m) }] =
+                *pass_effects
+            else {
+                return None;
+            };
+            let reloads =
+                m.rhs == VRhs::None && !m.round && m.a.pre == VScale::None && m.a == gload;
+            let loads_once =
+                base_effects.is_empty() && base_cost.loads == 1 && pass_cost.loads == 1;
+            if !(reloads && loads_once) {
                 return None;
             }
-            let cost = base_cost.to_vcost()?;
-            let pass = pass_cost.to_vcost()?;
-            match *pass_effects {
-                // Guarded appends re-loading the guarded value: the
-                // threshold sieve into a sparse output.
-                [Effect::AppendI { buf: idx_out, val: ISym::Counter }, Effect::AppendF { buf: val_out, val: FSym::Map(m) }]
-                    if m.rhs == VRhs::None
-                        && !m.round
-                        && m.a.pre == VScale::None
-                        && m.a == gload =>
-                {
-                    if pass_cost.loads != 1 {
-                        return None;
-                    }
-                    Some(Instr::VAppendRangeF64 {
-                        idx_out,
-                        val_out,
-                        src: gload.buf,
-                        base: gload.base,
-                        guard: Some((gop, gimm)),
-                        counter,
-                        hi,
-                        cost,
-                        pass_cost: pass,
-                        lanes: 4,
-                    })
-                }
-                // A guarded literal store into a U8 image: binarization.
-                [Effect::StoreU { buf, idx, val: FSym::Const(set), reduce: Option::None }] => {
-                    if pass_cost.loads != 0 {
-                        return None;
-                    }
-                    let dst_base = vbase_of(idx)?;
-                    Some(Instr::VCmpSelectU8 {
-                        dst: buf,
-                        dst_base,
-                        src: gload.buf,
-                        src_base: gload.base,
-                        cmp: gop,
-                        cmp_imm: gimm,
-                        set,
-                        counter,
-                        hi,
-                        cost,
-                        pass_cost: pass,
-                        lanes: 4,
-                    })
-                }
-                _ => None,
-            }
+            Some(Instr::VAppendRangeF64 {
+                idx_out,
+                val_out,
+                src: gload.buf,
+                base: gload.base,
+                guard: Some((gop, gimm)),
+                counter,
+                hi,
+                cost: base_cost.to_vcost()?,
+                pass_cost: pass_cost.to_vcost()?,
+                lanes: 4,
+            })
         }
     }
 }
@@ -1036,44 +995,6 @@ mod tests {
             has(&p, |i| matches!(
                 i,
                 Instr::VAppendRangeF64 { guard: Some((BinOp::Gt, imm)), .. } if *imm == 0.3
-            )),
-            "\n{}",
-            p.disasm()
-        );
-    }
-
-    #[test]
-    fn binarization_becomes_vcmpselect() {
-        let mut names = Names::new();
-        let mut bufs = BufferSet::new();
-        let x = bufs.add(
-            "x",
-            Buffer::F64(
-                vec![0.1, 0.9, 0.2, 0.8, 0.7, 0.05, 0.55, 0.45, 0.99, 0.3, 0.5, 0.65].into(),
-            ),
-        );
-        let out = bufs.add("out", Buffer::U8(vec![0; 12]));
-        let i = names.fresh("i");
-        let prog = vec![Stmt::For {
-            var: i,
-            lo: Expr::int(0),
-            hi: Expr::int(11),
-            body: vec![Stmt::If {
-                cond: Expr::binary(BinOp::Ge, Expr::load(x, Expr::Var(i)), Expr::float(0.5)),
-                then_branch: vec![Stmt::Store {
-                    buf: out,
-                    index: Expr::Var(i),
-                    value: Expr::float(255.0),
-                    reduce: None,
-                }],
-                else_branch: vec![],
-            }],
-        }];
-        let (p, _) = vectorize_checked(&prog, &names, &bufs);
-        assert!(
-            has(&p, |i| matches!(
-                i,
-                Instr::VCmpSelectU8 { cmp: BinOp::Ge, set, .. } if *set == 255.0
             )),
             "\n{}",
             p.disasm()

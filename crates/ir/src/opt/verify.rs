@@ -109,7 +109,6 @@ impl IrVerifier<'_> {
             }
             match e {
                 Expr::Load { buf, .. } => buf_err = self.check_buf(*buf, "load").err(),
-                Expr::BufLen(buf) => buf_err = self.check_buf(*buf, "len").err(),
                 Expr::Search { buf, .. } => buf_err = self.check_buf(*buf, "search").err(),
                 _ => {}
             }
@@ -326,7 +325,6 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
                 (Elem::Any, _) => return Ok(()),
                 (Elem::I64, kind) => ("i64", matches!(kind, Buffer::I64(_))),
                 (Elem::F64, kind) => ("f64", matches!(kind, Buffer::F64(_))),
-                (Elem::U8, kind) => ("u8", matches!(kind, Buffer::U8(_))),
             };
             if !ok {
                 return Err(format!(

@@ -145,9 +145,6 @@ impl<'a> Printer<'a> {
                 let _ = write!(out, "{v}");
             }
             Expr::Var(v) => out.push_str(self.names.name(*v)),
-            Expr::BufLen(b) => {
-                let _ = write!(out, "{}.len()", self.bufs.name(*b));
-            }
             Expr::Load { buf, index } => {
                 let _ = write!(out, "{}[", self.bufs.name(*buf));
                 self.write_expr(index, out);
@@ -282,7 +279,7 @@ mod tests {
         let p = Printer::new(&names, &bufs);
         assert_eq!(p.expr(&Expr::min(Expr::Var(x), Expr::int(3))), "min(x, 3)");
         assert_eq!(p.expr(&Expr::unary(crate::expr::UnOp::Sqrt, Expr::Var(x))), "sqrt(x)");
-        assert_eq!(p.expr(&Expr::BufLen(b)), "v.len()");
+        assert_eq!(p.expr(&Expr::load(b, Expr::Var(x))), "v[x]");
         assert_eq!(
             p.expr(&Expr::coalesce(vec![Expr::missing(), Expr::int(0)])),
             "coalesce(missing, 0)"

@@ -230,10 +230,6 @@ impl Value {
             },
             UnOp::Sqrt => Value::Float(a.as_float()?.sqrt()),
             UnOp::Round => Value::Float(a.as_float()?.round().clamp(0.0, 255.0)),
-            UnOp::Sign => match a {
-                Value::Int(x) => Value::Int(x.signum()),
-                other => Value::Float(other.as_float()?.signum()),
-            },
         })
     }
 

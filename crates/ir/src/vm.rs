@@ -339,7 +339,8 @@ impl Vm {
     /// Execute the program while counting how many times each instruction
     /// (by its absolute pc) was dispatched.  The returned vector is
     /// indexed by pc; the benchmark harness uses it to compute the
-    /// executed-typed-instruction fraction and the per-opcode histogram.
+    /// executed-typed-instruction fraction, `tests/isa_reach.rs` the
+    /// dispatches per opcode.
     /// Semantics and [`ExecStats`] are identical to [`Vm::run`] — only
     /// the (untimed) bookkeeping differs.
     ///
@@ -411,10 +412,6 @@ impl Vm {
                     self.ints[d] = self.ints[s];
                     self.floats[d] = self.floats[s];
                     self.bools[d] = self.bools[s];
-                    pc += 1;
-                }
-                Instr::BufLen { dst, buf } => {
-                    self.set_int(dst, bufs.get(buf).len() as i64);
                     pc += 1;
                 }
                 Instr::Load { dst, buf, idx } => {
@@ -679,14 +676,6 @@ impl Vm {
                     self.ints[dst.index()] = self.ints[src.index()];
                     pc += 1;
                 }
-                Instr::FMov { dst, src } => {
-                    self.floats[dst.index()] = self.floats[src.index()];
-                    pc += 1;
-                }
-                Instr::ILen { dst, buf } => {
-                    self.ints[dst.index()] = bufs.get(buf).len() as i64;
-                    pc += 1;
-                }
                 Instr::LoadI64 { dst, buf, idx } => {
                     let at = self.ints[idx.index()];
                     match bufs.get(buf) {
@@ -709,21 +698,6 @@ impl Vm {
                         Buffer::F64(data) if at >= 0 && (at as usize) < data.len() => {
                             self.stats.loads += 1;
                             self.floats[dst.index()] = data[at as usize];
-                        }
-                        _ => {
-                            Self::check_bounds(buf, at, bufs)?;
-                            let v = self.load_value(buf, idx, program, bufs)?;
-                            self.set(dst, v);
-                        }
-                    }
-                    pc += 1;
-                }
-                Instr::LoadU8 { dst, buf, idx } => {
-                    let at = self.ints[idx.index()];
-                    match bufs.get(buf) {
-                        Buffer::U8(data) if at >= 0 && (at as usize) < data.len() => {
-                            self.stats.loads += 1;
-                            self.floats[dst.index()] = data[at as usize] as f64;
                         }
                         _ => {
                             Self::check_bounds(buf, at, bufs)?;
@@ -760,26 +734,6 @@ impl Vm {
                         }
                     } else {
                         // Kind drift: fall back to the boxed store.
-                        bufs.get_mut(buf).store(at as usize, Value::Float(x), reduce)?;
-                    }
-                    pc += 1;
-                }
-                Instr::StoreU8 { buf, idx, val, reduce } => {
-                    let at = self.ints[idx.index()];
-                    Self::check_bounds(buf, at, bufs)?;
-                    self.stats.stores += 1;
-                    let x = self.floats[val.index()];
-                    if let Buffer::U8(data) = bufs.get_mut(buf) {
-                        let slot = &mut data[at as usize];
-                        // Reductions combine in f64 against the loaded
-                        // element, then clamp-round — exactly
-                        // `Buffer::store` on a float value.
-                        let combined = match reduce {
-                            None => x,
-                            Some(op) => Self::float_arith(op, *slot as f64, x),
-                        };
-                        *slot = combined.clamp(0.0, 255.0).round() as u8;
-                    } else {
                         bufs.get_mut(buf).store(at as usize, Value::Float(x), reduce)?;
                     }
                     pc += 1;
@@ -867,14 +821,6 @@ impl Vm {
                 }
                 Instr::IWhileCmpImm { op, lhs, imm, end } => {
                     if Self::cmp_int(op, self.ints[lhs.index()], imm) {
-                        self.stats.loop_iters += 1;
-                        pc += 1;
-                    } else {
-                        pc = end as usize;
-                    }
-                }
-                Instr::FWhileCmp { op, lhs, rhs, end } => {
-                    if Self::cmp_f64(op, self.floats[lhs.index()], self.floats[rhs.index()]) {
                         self.stats.loop_iters += 1;
                         pc += 1;
                     } else {
@@ -1009,34 +955,6 @@ impl Vm {
                 } => {
                     self.v_append_range(
                         bufs, idx_out, val_out, src, base, guard, counter, hi, cost, pass_cost,
-                    );
-                    pc += 1;
-                }
-                Instr::VCmpSelectU8 {
-                    dst,
-                    dst_base,
-                    src,
-                    src_base,
-                    cmp,
-                    cmp_imm,
-                    set,
-                    counter,
-                    hi,
-                    cost,
-                    pass_cost,
-                    ..
-                } => {
-                    self.v_cmp_select(
-                        bufs,
-                        (dst, dst_base),
-                        (src, src_base),
-                        cmp,
-                        cmp_imm,
-                        set,
-                        counter,
-                        hi,
-                        cost,
-                        pass_cost,
                     );
                     pc += 1;
                 }
@@ -1197,7 +1115,6 @@ impl Vm {
         Ok(match bufs.get(buf) {
             Buffer::I64(v) => Value::Int(v[at as usize]),
             Buffer::F64(v) => Value::Float(v[at as usize]),
-            Buffer::U8(v) => Value::Float(v[at as usize] as f64),
             Buffer::Bool(v) => Value::Bool(v[at as usize]),
         })
     }
@@ -1765,56 +1682,6 @@ impl Vm {
         *bufs.get_mut(val_out) = vlifted;
         // Pre-checked against the worst case above, so this cannot overrun.
         self.alloc.add_used(passes.saturating_mul(2));
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
-        self.vbump(passes, pass_cost);
-        self.ints[counter.index()] = hiv;
-    }
-
-    /// [`Instr::VCmpSelectU8`]: `dst[..v] = set` where `src[..v] cmp imm`
-    /// holds, with the stored value clamped then rounded exactly like
-    /// [`Instr::StoreU8`].
-    #[allow(clippy::too_many_arguments)]
-    fn v_cmp_select(
-        &mut self,
-        bufs: &mut BufferSet,
-        dst: (BufId, VBase),
-        src: (BufId, VBase),
-        cmp: BinOp,
-        cmp_imm: f64,
-        set: f64,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-        pass_cost: VCost,
-    ) {
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64 + pass_cost.stmts as u64) || dst.0 == src.0 {
-            return;
-        }
-        let Some(sspan) = Self::vf64_span(bufs, src.0, self.vbase_off(src.1), lo, hiv) else {
-            return;
-        };
-        let dst_off = self.vbase_off(dst.1);
-        let Buffer::U8(ddata) = bufs.get(dst.0) else { return };
-        let Some(dspan) = vspan(dst_off, lo, hiv, ddata.len()) else { return };
-        let mut lifted = std::mem::replace(bufs.get_mut(dst.0), Buffer::U8(Vec::new()));
-        let passes;
-        {
-            let Buffer::U8(dd) = &mut lifted else { unreachable!() };
-            let Buffer::F64(sd) = bufs.get(src.0) else { unreachable!() };
-            let byte = set.clamp(0.0, 255.0).round() as u8;
-            let mut p = 0u64;
-            for (d, &x) in dd[dspan].iter_mut().zip(&sd[sspan]) {
-                if Self::cmp_f64(cmp, x, cmp_imm) {
-                    *d = byte;
-                    p += 1;
-                }
-            }
-            passes = p;
-        }
-        *bufs.get_mut(dst.0) = lifted;
         self.stats.loop_iters += n;
         self.vbump(n, cost);
         self.vbump(passes, pass_cost);

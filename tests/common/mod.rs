@@ -2,9 +2,14 @@
 //! paper's benchmarks, and tolerant float comparison.
 #![allow(dead_code)]
 
+use finch_bench::{
+    fig01_variants, fig07_variants, fig07_vector, fig08_variants, fig09_variants, fig10_variants,
+    fig11_variants, figs_output_groups, Variant,
+};
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
-    CompiledKernel, Engine, IndexExpr, IndexVar, Kernel, OptLevel, Protocol, Tensor,
+    Access, CinExpr, CinOp, CinStmt, CompiledKernel, Engine, IndexExpr, IndexVar, Kernel,
+    LevelSpec, OptLevel, Protocol, Tensor,
 };
 
 /// Run a compiled kernel on both execution engines and panic unless the
@@ -80,17 +85,21 @@ pub fn assert_close(got: &[f64], expect: &[f64], what: &str) {
     }
 }
 
+/// `v` read through protocol `p`.
+fn with(p: Protocol, v: &IndexVar) -> IndexExpr {
+    match p {
+        Protocol::Gallop => v.gallop(),
+        Protocol::Walk => v.walk(),
+        Protocol::Locate => v.locate(),
+        Protocol::Default => v.clone().into(),
+    }
+}
+
 /// Compile `C[] += A[i] * B[i]` over the given vectors and protocols.
 pub fn dot_kernel(a: &Tensor, b: &Tensor, pa: Protocol, pb: Protocol) -> CompiledKernel {
     let mut kernel = Kernel::new();
     kernel.bind_input(a).bind_input(b).bind_output_scalar("C");
     let i = idx("i");
-    let with = |p: Protocol, i: &IndexVar| match p {
-        Protocol::Gallop => i.gallop(),
-        Protocol::Walk => i.walk(),
-        Protocol::Locate => i.locate(),
-        Protocol::Default => i.clone().into(),
-    };
     let program = forall(
         i.clone(),
         add_assign(
@@ -108,12 +117,6 @@ pub fn spmspv_kernel(a: &Tensor, x: &Tensor, pa: Protocol, px: Protocol) -> Comp
     let nrows = a.shape()[0];
     kernel.bind_input(a).bind_input(x).bind_output("y", &[nrows], 0.0);
     let (i, j) = (idx("i"), idx("j"));
-    let with = |p: Protocol, v: &IndexVar| match p {
-        Protocol::Gallop => v.gallop(),
-        Protocol::Walk => v.walk(),
-        Protocol::Locate => v.locate(),
-        Protocol::Default => v.clone().into(),
-    };
     let program = forall(
         i.clone(),
         forall(
@@ -235,6 +238,124 @@ pub fn all_pairs_kernel(a: &Tensor, a2: &Tensor) -> CompiledKernel {
 
 /// A zero-dimensional tensor read as an expression (e.g. the `o[]` of the
 /// all-pairs kernel).
-pub fn read_scalar(name: &str) -> looplets_repro::finch::CinExpr {
-    looplets_repro::finch::CinExpr::Access(scalar(name))
+pub fn read_scalar(name: &str) -> CinExpr {
+    CinExpr::Access(scalar(name))
+}
+
+/// Deterministic data with every `stride`-th entry stored.
+pub fn strided(n: usize, stride: usize, phase: usize) -> Vec<f64> {
+    (0..n).map(|k| if k % stride == phase { 1.0 + (k % 5) as f64 } else { 0.0 }).collect()
+}
+
+/// `y[i] += A[i,j] * x[j]` over a dense `x`.
+fn spmv(a: &Tensor) -> CompiledKernel {
+    let x = Tensor::dense_vector("x", &strided(a.shape()[1], 1, 0));
+    spmspv_kernel(a, &x, Protocol::Default, Protocol::Default)
+}
+
+/// `name[i]`.
+fn at_i(name: &str) -> Access {
+    access(name, [idx("i")])
+}
+
+/// Compile `forall i: body` over `inputs` into the output `out` of `levels`
+/// (none: a scalar).
+fn probe(inputs: &[&Tensor], out: &str, levels: &[LevelSpec], body: CinStmt) -> CompiledKernel {
+    let mut kernel = Kernel::new();
+    for input in inputs {
+        kernel.bind_input(input);
+    }
+    kernel.bind_output_format(out, levels);
+    kernel.compile(&forall(idx("i"), body)).expect("the probe compiles")
+}
+
+/// `C[] op= A[i]`: a plain reduction (over a dense `A`, the loop
+/// `v_reduce_f64` runs).
+pub fn probe_reduce(a: &Tensor, op: CinOp) -> CompiledKernel {
+    probe(&[a], "C", &[], reduce_assign(scalar("C"), op, at_i("A")))
+}
+
+/// `y[i] = A[i]` wherever `cond` holds.
+fn probe_sieve(a: &Tensor, b: &Tensor, cond: CinExpr) -> CompiledKernel {
+    let levels = [LevelSpec::Dense { size: a.shape()[0] }];
+    probe(&[a, b], "y", &levels, sieve(cond, assign(at_i("y"), at_i("A"))))
+}
+
+/// `sieve(A[i] > B[i], y[i] = A[i])`: a comparison of two loaded floats
+/// (over two dense vectors, `f_cmp_branch`).
+pub fn probe_sieve_gt(a: &Tensor, b: &Tensor) -> CompiledKernel {
+    probe_sieve(a, b, gt(at_i("A"), at_i("B")))
+}
+
+/// `sieve(A[i] > 2 || B[i] > 1, y[i] = A[i])`: the one condition that
+/// short-circuits on a true operand (`jump_if_true`).
+pub fn probe_sieve_or(a: &Tensor, b: &Tensor) -> CompiledKernel {
+    let either = vec![gt(at_i("A"), lit(2.0)), gt(at_i("B"), lit(1.0))];
+    probe_sieve(a, b, CinExpr::call(CinOp::Or, either))
+}
+
+/// `sieve(A[i] > 2, S[i] = A[i])` into a `SparseList` output (over a dense
+/// `A`, the guarded `v_append_range_f64`).
+pub fn probe_threshold(a: &Tensor) -> CompiledKernel {
+    let levels = [LevelSpec::SparseList { size: a.shape()[0] }];
+    probe(&[a], "S", &levels, sieve(gt(at_i("A"), lit(2.0)), assign(at_i("S"), at_i("A"))))
+}
+
+/// `y[i] += A[i] * 0.75`: a literal scale (`f_arith_imm`).
+pub fn probe_axpy(a: &Tensor) -> CompiledKernel {
+    let levels = [LevelSpec::Dense { size: a.shape()[0] }];
+    probe(&[a], "y", &levels, add_assign(at_i("y"), mul(at_i("A"), lit(0.75))))
+}
+
+/// The corpus `codegen_identity` records and `isa_reach` takes its census
+/// over, each kernel compiled at the default level: every `finch-bench`
+/// figure builder at tiny sizes (the two sparse-output kernels among them),
+/// one program per input format or protocol the figures leave out
+/// (PackBits, Bitmap, Triangular, Symmetric, Ragged, `locate`), and one
+/// probe per opcode nothing else reaches.
+pub fn corpus() -> Vec<(String, CompiledKernel)> {
+    let mut out: Vec<(String, CompiledKernel)> = Vec::new();
+    let mut figure = |fig: &str, variants: Vec<Variant>| {
+        for v in variants {
+            out.push((format!("{fig}/{}", v.label), v.kernel));
+        }
+    };
+    for (_, variants) in fig01_variants(200, 20, &[8]) {
+        figure("fig01", variants);
+    }
+    figure("fig07", fig07_variants(32, &fig07_vector(32, Some(0.2), None, 7), 7));
+    figure("fig08", fig08_variants(24, 2, 3));
+    for (_, variants) in fig09_variants(12, 3, &[0.1]) {
+        figure("fig09", variants);
+    }
+    figure("fig10", fig10_variants(16, false, 5));
+    figure("fig11", fig11_variants(3, 8, "mnist"));
+    for (g, group) in figs_output_groups(128, 0.05, 5).into_iter().enumerate() {
+        figure(&format!("figS{g}"), group.variants);
+    }
+
+    let square = strided(64, 3, 0);
+    let list = Tensor::sparse_list_vector("B", &strided(64, 4, 1));
+    let dot = |a: &Tensor, at: Protocol| dot_kernel(a, &list, Protocol::Default, at);
+    let extras = [
+        ("spmv_packbits", spmv(&Tensor::packbits_matrix("A", 1, 64, &strided(64, 7, 2)))),
+        ("spmv_triangular", spmv(&Tensor::triangular_matrix("A", 8, &square))),
+        ("spmv_symmetric", spmv(&Tensor::symmetric_matrix("A", 8, &square))),
+        ("spmv_ragged", spmv(&Tensor::ragged_matrix("A", 8, 8, &square))),
+        ("dot_bitmap", dot(&Tensor::bitmap_vector("A", &strided(64, 3, 1)), Protocol::Walk)),
+        ("dot_locate", dot(&Tensor::sparse_list_vector("A", &strided(64, 3, 1)), Protocol::Locate)),
+    ];
+    out.extend(extras.map(|(name, kernel)| (format!("extra/{name}"), kernel)));
+
+    let a = Tensor::dense_vector("A", &strided(64, 3, 1));
+    let b = Tensor::dense_vector("B", &strided(64, 4, 1));
+    let probes = [
+        ("dense_sum", probe_reduce(&a, CinOp::Add)),
+        ("sieve_gt", probe_sieve_gt(&a, &b)),
+        ("sieve_or", probe_sieve_or(&a, &b)),
+        ("threshold_sparse_out", probe_threshold(&a)),
+        ("axpy_literal", probe_axpy(&a)),
+    ];
+    out.extend(probes.map(|(name, kernel)| (format!("probe/{name}"), kernel)));
+    out
 }

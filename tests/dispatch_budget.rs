@@ -72,7 +72,6 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
     let temp = |dst: finch_ir::Reg| dst.index() >= program.num_vars();
     match *instr {
         Instr::IMov { dst, .. }
-        | Instr::FMov { dst, .. }
         | Instr::Mov { dst, .. }
         | Instr::ConstI { dst, .. }
         | Instr::ConstF { dst, .. }

@@ -1,14 +1,18 @@
 //! The paper's evaluation kernels (Figures 7, 8, 10 and 11), each checked
-//! against the native reference implementations in `finch-baseline`.
+//! against the native reference implementations in `finch-baseline`, and the
+//! corpus' probe kernels, each checked against a loop written out here.
 
 mod common;
 
-use common::{all_pairs_kernel, assert_close, blend_kernel, spmspv_kernel, triangle_kernel};
+use common::{
+    all_pairs_kernel, assert_close, assert_opt_level_parity, blend_kernel, probe_axpy,
+    probe_reduce, probe_sieve_gt, probe_sieve_or, probe_threshold, spmspv_kernel, triangle_kernel,
+};
 use looplets_repro::baseline::datagen;
 use looplets_repro::baseline::kernels::{
     all_pairs_similarity_dense, alpha_blend_dense, spmv_dense, triangles_two_finger, CsrMatrix,
 };
-use looplets_repro::finch::{Protocol, Tensor};
+use looplets_repro::finch::{CinOp, CompiledKernel, Protocol, Tensor};
 
 #[test]
 fn spmspv_all_strategies_match_the_dense_oracle() {
@@ -193,5 +197,67 @@ fn all_pairs_similarity_matches_the_dense_oracle() {
         let mut k = all_pairs_kernel(&a, &a2);
         k.run().unwrap_or_else(|e| panic!("all-pairs {name} failed to run: {e}"));
         assert_close(&k.output("O").unwrap(), &expect, &format!("all-pairs over {name}"));
+    }
+}
+
+/// Lengths that leave a vectorized loop nothing, only its scalar tail, one
+/// bulk iteration, an odd bulk, and whole unrolled blocks.
+const PROBE_LENGTHS: [usize; 5] = [0, 1, 2, 9, 64];
+
+/// Values in `0.0..=5.0` in halves, every third one (from `phase`) zero.
+fn probe_data(n: usize, phase: usize) -> Vec<f64> {
+    (0..n).map(|k| if k % 3 == phase { 0.0 } else { ((k * 7 + phase) % 11) as f64 * 0.5 }).collect()
+}
+
+/// Every configuration and both engines agree bit for bit, and the output
+/// is the oracle's.
+fn check_probe(mut kernel: CompiledKernel, output: &str, expect: &[f64], what: &str) {
+    assert_opt_level_parity(&kernel, what);
+    kernel.run().unwrap_or_else(|e| panic!("{what} failed to run: {e}\n{}", kernel.code()));
+    // A dense output of no element keeps one cell, at its fill.
+    let got = kernel.output(output).unwrap();
+    let (got, spare) = got.split_at(expect.len());
+    assert!(spare.iter().all(|&x| x == 0.0), "{what}: {spare:?} beyond the output");
+    assert_close(got, expect, what);
+}
+
+#[test]
+fn one_operand_probes_match_their_loops_at_every_length() {
+    for n in PROBE_LENGTHS {
+        let data = probe_data(n, 1);
+        let a = Tensor::dense_vector("A", &data);
+        let sum = data.iter().fold(0.0, |acc, x| acc + x);
+        check_probe(probe_reduce(&a, CinOp::Add), "C", &[sum], &format!("sum, n = {n}"));
+        let max = data.iter().fold(0.0, |acc: f64, x| acc.max(*x));
+        check_probe(probe_reduce(&a, CinOp::Max), "C", &[max], &format!("max, n = {n}"));
+        let scaled: Vec<f64> = data.iter().map(|x| x * 0.75).collect();
+        check_probe(probe_axpy(&a), "y", &scaled, &format!("axpy, n = {n}"));
+        let kept: Vec<f64> = data.iter().map(|&x| if x > 2.0 { x } else { 0.0 }).collect();
+        check_probe(probe_threshold(&a), "S", &kept, &format!("threshold, n = {n}"));
+    }
+}
+
+#[test]
+fn two_operand_and_disjunctive_sieves_match_their_loops_across_formats() {
+    type Build = fn(&str, &[f64]) -> Tensor;
+    let formats: [(&str, Build); 3] = [
+        ("dense", |name, data| Tensor::dense_vector(name, data)),
+        ("sparse-list", |name, data| Tensor::sparse_list_vector(name, data)),
+        ("bitmap", |name, data| Tensor::bitmap_vector(name, data)),
+    ];
+    for n in PROBE_LENGTHS {
+        let (av, bv) = (probe_data(n, 0), probe_data(n, 1));
+        let keep = |cond: fn(f64, f64) -> bool| -> Vec<f64> {
+            av.iter().zip(&bv).map(|(&a, &b)| if cond(a, b) { a } else { 0.0 }).collect()
+        };
+        let (gt, or) = (keep(|a, b| a > b), keep(|a, b| a > 2.0 || b > 1.0));
+        for (a_name, a_build) in formats {
+            for (b_name, b_build) in formats {
+                let (a, b) = (a_build("A", &av), b_build("B", &bv));
+                let over = format!("{a_name} x {b_name}, n = {n}");
+                check_probe(probe_sieve_gt(&a, &b), "y", &gt, &format!("A > B over {over}"));
+                check_probe(probe_sieve_or(&a, &b), "y", &or, &format!("or-sieve over {over}"));
+            }
+        }
     }
 }
