@@ -1,15 +1,16 @@
-//! The kernel-service bench: replay a Zipf-skewed trace of kernel requests
-//! against a long-lived [`KernelService`] from concurrent clients, and emit
-//! `BENCH_serve.json` with throughput (QPS), latency quantiles (p50/p99),
-//! queue-wait quantiles, cache hit rate, and the service's resilience
-//! counters.
+//! The kernel-service driver: replay a Zipf-skewed trace of kernel requests
+//! against a long-lived [`KernelService`] from concurrent clients, account
+//! for every request, and emit `BENCH_serve.json` with how each ended (ok /
+//! degraded / typed error, verified / divergent), the cache hit rate, and the
+//! service's own counters.  It reports no throughput and no latency: how
+//! fast the service is, is the repo benchmark's to measure (`benchmark/`,
+//! workloads `serve_warm` and `serve_churn`).
 //!
 //! ```bash
 //! cargo run --release -p finch-bench --bin serve
 //! cargo run --release -p finch-bench --bin serve -- --tiny
 //! cargo run --release -p finch-bench --bin serve -- --tiny --faults 250 --verify
 //! cargo run --release -p finch-bench --bin serve -- --soak --tiny --faults 250 --verify
-//! cargo run --release -p finch-bench --bin serve -- --replay
 //! ```
 //!
 //! With `--faults N`, a seeded [`FaultPlan`] injects panics, budget
@@ -26,25 +27,41 @@
 //! accounted for — served bit-identically (under `--verify`) or resolved
 //! with a typed error — and both drains settle.  `--batch N` submits in
 //! N-request batches through [`KernelService::submit_batch`].
-//!
-//! `--replay` is a one-off measurement, not a trace run: it asks where the
-//! part of a large warm hit goes that rebind + run + read-back, replayed on a
-//! kernel of one's own, do not explain (see [`replay`]).
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use finch::{
-    CompiledKernel, FaultPlan, KernelService, Request, ServiceConfig, ServiceError, ServiceState,
-    Tensor, Tier, Watch,
-};
+use finch::{FaultPlan, KernelService, ServiceConfig, ServiceError, ServiceState, Tier};
 use finch_bench::report::ServeReport;
 use finch_bench::trace::{self, TraceConfig, TraceRequest};
+
+/// Every flag `serve` takes.  Anything else is refused (exit code 5), so a
+/// script still passing a deleted one — `--replay`, `--reps` — fails loudly
+/// instead of running the default trace.
+const FLAGS: [&str; 19] = [
+    "--tiny",
+    "--soak",
+    "--verify",
+    "--requests",
+    "--clients",
+    "--kernels",
+    "--instances",
+    "--cache",
+    "--deadline-ms",
+    "--faults",
+    "--seed",
+    "--zipf",
+    "--max-in-flight",
+    "--queue-depth",
+    "--breaker",
+    "--breaker-cooldown-ms",
+    "--batch",
+    "--scale",
+    "--json",
+];
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -59,9 +76,9 @@ fn num<T: std::str::FromStr>(name: &str, default: T) -> T {
     arg_after(name).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// How one client's requests ended.
+#[derive(Default)]
 struct ClientTally {
-    latencies_ns: Vec<u64>,
-    queue_waits_ns: Vec<u64>,
     ok: u64,
     degraded: u64,
     typed_errors: u64,
@@ -69,116 +86,12 @@ struct ClientTally {
     divergences: u64,
 }
 
-/// `--replay`: is the unexplained rest of a large hit a cold cache?
-///
-/// The repo benchmark explains a warm hit by replaying the same request's
-/// rebind + run + read-back on a shadow [`CompiledKernel`] and calls what is
-/// left over the service's.  At n = 4096 that rest is 6–30 µs, and no code
-/// in `submit` is O(n).  The shadow cycles the instances of *one* structure
-/// (a few hundred KB, cache-resident), while the service's client cycles
-/// every structure and every tensor set; and every service run carries a
-/// [`Watch`] on the drain-cancel flag, which the VM polls once a statement,
-/// while the shadow runs unwatched.  This replays three ways — each
-/// structure's shadow over its own instances only, then all shadows in the
-/// service's order, then the same under a never-raised watch — beside
-/// single-client hits in that same order.  Where the rest over the last
-/// replay is small and flat in n, the remainder is the memory system's and
-/// the watch's, not `submit`'s.
-fn replay(tcfg: &TraceConfig, reps: usize) {
-    let (kernels, instances) = (tcfg.kernels, tcfg.instances);
-    // One row per data instance, one column per structure: walking a row
-    // after the other is the order the client below submits in.
-    let tensors: Vec<Vec<(Tensor, Tensor)>> = (0..instances)
-        .map(|i| (0..kernels).map(|k| trace::tensors_for(tcfg, k, i)).collect())
-        .collect();
-    let requests: Vec<Vec<Request>> = (0..instances)
-        .map(|i| (0..kernels).map(|k| trace::build_request(tcfg, k, i)).collect())
-        .collect();
-    let median_us = |xs: &mut Vec<u64>| {
-        xs.sort_unstable();
-        xs[xs.len() / 2] as f64 / 1e3
-    };
-    let replay_one = |shadow: &mut CompiledKernel, k: usize, (a, b): &(Tensor, Tensor)| {
-        let t0 = Instant::now();
-        shadow.rebind_input(a).expect("same structure");
-        shadow.rebind_input(b).expect("same structure");
-        shadow.run().expect("trace kernel runs");
-        if trace::reads_scalar(k) {
-            black_box(shadow.output_scalar("C").expect("scalar readback"));
-        } else {
-            black_box(shadow.output_tensor("C").expect("tensor readback"));
-        }
-        t0.elapsed().as_nanos() as u64
-    };
-
-    // Single-client hits, cycling every structure and every tensor set.
-    let svc = KernelService::new(ServiceConfig { capacity: kernels, ..ServiceConfig::default() });
-    for request in requests.iter().flatten() {
-        svc.submit(request).expect("trace request is served");
-    }
-    let mut hit = vec![Vec::new(); kernels];
-    for _ in 0..reps {
-        for (k, request) in requests.iter().flat_map(|row| row.iter().enumerate()) {
-            let t0 = Instant::now();
-            let resp = svc.submit(request).expect("trace request is served");
-            hit[k].push(t0.elapsed().as_nanos() as u64);
-            assert!(resp.cache_hit);
-            black_box(resp);
-        }
-    }
-
-    // The benchmark's shadow: one structure at a time, its instances only.
-    let mut shadows: Vec<CompiledKernel> =
-        (0..kernels).map(|k| trace::compile_kernel(tcfg, k, 0)).collect();
-    let mut own = vec![Vec::new(); kernels];
-    for (k, (shadow, own)) in shadows.iter_mut().zip(&mut own).enumerate() {
-        for r in 0..reps * instances {
-            own.push(replay_one(shadow, k, &tensors[r % instances][k]));
-        }
-    }
-    // The same replay in the service's order — all shadows, all tensor
-    // sets —, unwatched and then watched the way a service run is.
-    let in_order = |shadows: &mut [CompiledKernel]| {
-        let mut samples = vec![Vec::new(); kernels];
-        for _ in 0..reps {
-            for (k, set) in tensors.iter().flat_map(|row| row.iter().enumerate()) {
-                samples[k].push(replay_one(&mut shadows[k], k, set));
-            }
-        }
-        samples
-    };
-    let mut all = in_order(&mut shadows);
-    let never = Arc::new(AtomicBool::new(false));
-    for shadow in &mut shadows {
-        shadow.set_watch(Some(Watch::cancelled_by(Arc::clone(&never), 0)));
-    }
-    let mut watched = in_order(&mut shadows);
-
-    println!(
-        "replay: {kernels} structures x {instances} instances, {reps} reps, single client; \
-         medians in us; slot_waits {}",
-        svc.stats().slot_waits
-    );
-    println!(
-        "  {:<18} {:>5} {:>8} | {:>8} {:>7} | {:>8} {:>7} | {:>8} {:>7}",
-        "structure", "n", "hit", "own inst", "rest", "all sets", "rest", "+ watch", "rest"
-    );
-    for k in 0..kernels {
-        let name = ["dot sparse*dense", "ewise dense", "ewise sparse out"][k % 3];
-        let hit = median_us(&mut hit[k]);
-        let [own, all, watched] = [&mut own[k], &mut all[k], &mut watched[k]].map(median_us);
-        println!(
-            "  {name:<18} {:>5} {hit:>8.2} | {own:>8.2} {:>7.2} | {all:>8.2} {:>7.2} | \
-             {watched:>8.2} {:>7.2}",
-            tensors[0][k].0.shape()[0],
-            hit - own,
-            hit - all,
-            hit - watched
-        );
-    }
-}
-
 fn main() {
+    let unknown = |a: &String| a.starts_with("--") && !FLAGS.contains(&a.as_str());
+    if let Some(arg) = std::env::args().skip(1).find(unknown) {
+        eprintln!("unknown flag `{arg}`; serve takes {}", FLAGS.join(" "));
+        std::process::exit(5);
+    }
     let tiny = flag("--tiny");
     let soak = flag("--soak");
     let requests: usize = num("--requests", if tiny { 240 } else { 3000 });
@@ -209,23 +122,8 @@ fn main() {
     let verify = flag("--verify");
     let json_path = arg_after("--json").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
-    // `--replay` defaults to the repo benchmark's largest size class (the
-    // vector lengths run from 8 to 23 times the scale).
-    let scale: usize = num(
-        "--scale",
-        if flag("--replay") {
-            178
-        } else if tiny {
-            2
-        } else {
-            4
-        },
-    );
+    let scale: usize = num("--scale", if tiny { 2 } else { 4 });
     let tcfg = TraceConfig { kernels, instances, requests, skew, seed, scale };
-    if flag("--replay") {
-        replay(&tcfg, num("--reps", 200));
-        return;
-    }
     let schedule = trace::generate(&tcfg);
 
     let svc = KernelService::new(ServiceConfig {
@@ -282,10 +180,8 @@ fn main() {
     );
 
     let completed = AtomicU64::new(0);
-    let started = Instant::now();
     let mut max_queue_depth = 0usize;
     let mut drained = 0u64;
-    let mut drain_latency = Duration::ZERO;
     let mut drain_cancelled = false;
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(clients.max(1));
@@ -296,21 +192,12 @@ fn main() {
             let references = &references;
             let completed = &completed;
             handles.push(scope.spawn(move || {
-                let mut tally = ClientTally {
-                    latencies_ns: Vec::new(),
-                    queue_waits_ns: Vec::new(),
-                    ok: 0,
-                    degraded: 0,
-                    typed_errors: 0,
-                    verified: 0,
-                    divergences: 0,
-                };
+                let mut tally = ClientTally::default();
                 // Round-robin split of the schedule across clients.
                 let mine: Vec<TraceRequest> =
                     schedule.requests.iter().skip(c).step_by(clients.max(1)).copied().collect();
                 for chunk in mine.chunks(batch) {
                     let reqs = trace::build_requests(tcfg, chunk);
-                    let t0 = Instant::now();
                     // A draining service rejects with ShuttingDown; clients
                     // back off and retry (bounded) so the post-resume service
                     // sees real traffic again instead of the schedule burning
@@ -332,13 +219,10 @@ fn main() {
                         }
                         break outs;
                     };
-                    let per_ns = t0.elapsed().as_nanos() as u64 / outs.len().max(1) as u64;
                     for (r, out) in chunk.iter().zip(outs) {
-                        tally.latencies_ns.push(per_ns);
                         match out {
                             Ok(resp) => {
                                 tally.ok += 1;
-                                tally.queue_waits_ns.push(resp.queue_wait.as_nanos() as u64);
                                 if resp.tier != Tier::Fast {
                                     tally.degraded += 1;
                                 }
@@ -393,7 +277,6 @@ fn main() {
                 if drained < 2 && done >= next_drain {
                     let report = svc.drain(Duration::from_millis(250));
                     drained += 1;
-                    drain_latency = drain_latency.max(report.waited);
                     drain_cancelled |= report.cancelled;
                     if report.state != ServiceState::Stopped {
                         eprintln!("FAIL: drain #{drained} left the service {}", report.state);
@@ -407,34 +290,15 @@ fn main() {
         }
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
-    let elapsed = started.elapsed().as_secs_f64();
 
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests);
-    let mut queue_waits: Vec<u64> = Vec::new();
     let (mut ok, mut degraded, mut typed_errors, mut verified, mut divergences) = (0, 0, 0, 0, 0);
     for t in tallies {
-        latencies.extend(t.latencies_ns);
-        queue_waits.extend(t.queue_waits_ns);
         ok += t.ok;
         degraded += t.degraded;
         typed_errors += t.typed_errors;
         verified += t.verified;
         divergences += t.divergences;
     }
-    latencies.sort_unstable();
-    queue_waits.sort_unstable();
-    let quantile = |xs: &[u64], q: f64| -> f64 {
-        if xs.is_empty() {
-            return 0.0;
-        }
-        let k = ((xs.len() - 1) as f64 * q).round() as usize;
-        xs[k] as f64 / 1000.0
-    };
-    let mean_us = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64 / 1000.0
-    };
     let stats = svc.stats();
     let hit_rate = if stats.hits + stats.misses == 0 {
         0.0
@@ -448,18 +312,11 @@ fn main() {
         kernels: kernels as u64,
         instances: instances as u64,
         cache_capacity: cache as u64,
-        deadline_ms,
+        deadline_millis: deadline_ms,
         faults_permille: u64::from(faults),
         soak,
         seed,
         zipf_skew: skew,
-        elapsed_seconds: elapsed,
-        qps: if elapsed > 0.0 { latencies.len() as f64 / elapsed } else { 0.0 },
-        p50_us: quantile(&latencies, 0.50),
-        p99_us: quantile(&latencies, 0.99),
-        mean_us,
-        queue_wait_p50_us: quantile(&queue_waits, 0.50),
-        queue_wait_p99_us: quantile(&queue_waits, 0.99),
         max_queue_depth: max_queue_depth as u64,
         hit_rate,
         ok,
@@ -468,25 +325,16 @@ fn main() {
         verified,
         divergences,
         drained,
-        drain_latency_ms: drain_latency.as_secs_f64() * 1e3,
         drain_cancelled,
         stats,
     };
 
     println!(
-        "  {:.0} req/s, p50 {:.1}us, p99 {:.1}us, queue wait p50 {:.1}us p99 {:.1}us, \
-         hit rate {:.1}%",
-        report.qps,
-        report.p50_us,
-        report.p99_us,
-        report.queue_wait_p50_us,
-        report.queue_wait_p99_us,
-        100.0 * report.hit_rate
-    );
-    println!(
-        "  ok {ok} (degraded {degraded}), typed errors {typed_errors}, served by tier {:?}, \
-         faults by tier {:?}",
-        stats.served_by_tier, stats.faults_by_tier
+        "  ok {ok} (degraded {degraded}), typed errors {typed_errors}, hit rate {:.1}%, \
+         served by tier {:?}, faults by tier {:?}",
+        100.0 * hit_rate,
+        stats.served_by_tier,
+        stats.faults_by_tier
     );
     println!(
         "  front-end: {} queued (max depth {max_queue_depth}), {} slot waits, {} queue timeouts, \
@@ -512,8 +360,7 @@ fn main() {
     }
     if soak {
         println!(
-            "  soak: {drained} drain/resume cycles, slowest drain {:.1}ms{}",
-            report.drain_latency_ms,
+            "  soak: {drained} drain/resume cycles{}",
             if drain_cancelled { " (cancelled in-flight work)" } else { "" }
         );
     }

@@ -1,123 +1,83 @@
-//! Machine-readable benchmark report: the `figures` binary serialises every
-//! measurement into `BENCH_figures.json` so the perf trajectory is
-//! trackable across commits.
+//! Machine-readable reports: what the `figures` and `serve` binaries write
+//! to `BENCH_figures.json` / `BENCH_serve.json`.
 //!
-//! The JSON is hand-rolled (the build environment has no serde); the schema
-//! is documented in `EXPERIMENTS.md` and kept deliberately flat:
+//! Every value in either report is exact — a count, a configured input, or
+//! a ratio of counts; nothing is a wall-clock quantity, so no key ends in
+//! `_seconds`, `_us` or `_ms` (a unit test holds both documents to that).
+//! Time is the repo benchmark's to measure (`benchmark/`).
+//!
+//! The figures report ([`Report::build`]) is a pure function of the code:
+//! the same bytes from a debug and a release build, on any host.  Its
+//! `--tiny` form is committed as `tests/figures_tiny.golden` and compared
+//! byte for byte by `tests/figures_golden.rs`, line by line — so the
+//! rendering keeps one fact per line:
 //!
 //! ```json
 //! {
-//!   "schema_version": 10,
-//!   "opt_speedup": { "engine": "bytecode", "baseline": "none",
-//!                    "optimized": "default", "median": 1.62, "samples": 35 },
-//!   "typed_speedup": { "engine": "bytecode", "opt_level": "default",
-//!                      "median": 1.4, "samples": 35 },
-//!   "simd_speedup": { "engine": "bytecode", "opt_level": "default",
-//!                     "median": 1.5, "samples": 35 },
+//!   "schema_version": 11,
 //!   "figures": [
-//!     { "figure": "fig01", "group": "band width 50",
-//!       "variants": [
-//!         { "label": "looplets: list x band",
-//!           "opt": { "compile_seconds": 0.0004, "folds": 12, "...": 0 },
-//!           "validation": { "level": "full", "verify_seconds": 0.0001,
-//!                           "validate_seconds": 0.002, "passes": [
-//!             { "pass": "fold", "transform_seconds": 0.0001,
-//!               "verify_seconds": 0.00002, "validate_seconds": 0.0004 } ] },
-//!           "typed_instr_fraction": 0.93,
-//!           "simd_speedup": 1.42,
-//!           "vectorized_fraction": 0.86,
-//!           "engines": [
-//!             { "engine": "bytecode", "opt_level": "default", "typed": true,
-//!               "simd": true, "median_seconds": 0.0012,
-//!               "instrs": 74, "stmts": 10, "loop_iters": 4, "loads": 8,
-//!               "stores": 4, "searches": 0, "total_work": 22 } ] } ] } ] }
+//!     {"figure": "fig01", "group": "band width 8",
+//!      "heading": "Figure 1 — motivating dot product: ...",
+//!      "variants": [
+//!       {"label": "looplets: list x band",
+//!        "opt": {"folds": 12, "...": 0},
+//!        "typed_instr_fraction": 0.93,
+//!        "vectorized_fraction": 0.86,
+//!        "work_vs_baseline": 1,
+//!        "configs": [
+//!         {"opt_level": "none", "typed": false, "simd": false, "instrs": 120,
+//!          "dispatches": 1544, "stmts": 10, "loop_iters": 4, "loads": 8,
+//!          "stores": 4, "searches": 0, "total_work": 22} ] } ] } ] }
 //! ```
+//!
+//! The JSON is hand-rolled (the build environment has no serde); the schema
+//! is documented in `EXPERIMENTS.md`.
 
 use std::io::Write as _;
 
-use finch::{Engine, ExecStats, MergeDecline, OptLevel, OptStats, PassReport};
+use finch::{ExecConfig, ExecStats, MergeDecline, OptStats, ValidationLevel};
 
-/// One engine's measurement of one variant at one opt level and dispatch
-/// mode.
+use crate::{assert_engine_parity, FigureTable, Variant};
+
+/// One variant under one compile-side configuration.
 #[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// The engine measured.
-    pub engine: Engine,
-    /// The opt level the kernel was compiled at.
-    pub opt_level: OptLevel,
-    /// Whether the typed-dispatch (register-type inference) stage ran.
-    pub typed: bool,
-    /// Whether the vectorize (SIMD kernel-op) stage ran.
-    pub simd: bool,
-    /// Median wall-clock seconds across the configured repetitions.
-    pub median_seconds: f64,
-    /// Bytecode instruction count of the kernel at this opt level.
+pub struct ConfigReport {
+    /// The configuration, one of [`ExecConfig::matrix`].
+    pub config: ExecConfig,
+    /// Bytecode instructions of the compiled program.
     pub instrs: usize,
-    /// Machine-independent work counters of one run.
+    /// Instructions the VM dispatched in one run (`profile()`'s total).
+    pub dispatches: u64,
+    /// Work counters of one run, identical on both engines.
     pub stats: ExecStats,
 }
 
-/// The optimisation record of one variant: how long the optimiser took to
-/// re-derive the kernel at `OptLevel::Default`, and the per-pass counters
-/// of that compilation.
-#[derive(Debug, Clone)]
-pub struct OptReport {
-    /// Wall-clock seconds of one `reoptimized(OptLevel::Default)` call
-    /// (IR pipeline + bytecode compile + peephole).
-    pub compile_seconds: f64,
-    /// Per-pass optimisation counters at `OptLevel::Default`.
-    pub stats: OptStats,
-}
-
-/// The validation record of one variant: the level the kernel was
-/// re-compiled at and the per-pass wall-clock split between the
-/// transform, the static verifier, and witness-based translation
-/// validation.
-#[derive(Debug, Clone)]
-pub struct ValidationReport {
-    /// The [`finch::ValidationLevel`] label (`off`, `static`, `full`).
-    pub level: String,
-    /// Per-pass accounting, in pipeline execution order.
-    pub passes: Vec<PassReport>,
-}
-
-impl ValidationReport {
-    /// Total seconds spent in the static verifier across all passes.
-    pub fn verify_seconds(&self) -> f64 {
-        self.passes.iter().map(|p| p.verify_nanos as f64 * 1e-9).sum()
-    }
-
-    /// Total seconds spent executing and comparing witnesses.
-    pub fn validate_seconds(&self) -> f64 {
-        self.passes.iter().map(|p| p.validate_nanos as f64 * 1e-9).sum()
-    }
-}
-
-/// One strategy/format variant of a figure, measured on every requested
-/// (engine, opt level, dispatch mode) combination.
+/// One strategy/format variant of a figure under every configuration of
+/// [`ExecConfig::matrix`].
 #[derive(Debug, Clone)]
 pub struct VariantReport {
     /// Human-readable strategy/format label.
     pub label: String,
-    /// The variant's optimisation record (when the default level was run).
-    pub opt: Option<OptReport>,
-    /// The variant's validation record (when `--validate` was requested).
-    pub validation: Option<ValidationReport>,
-    /// Fraction of *executed* bytecode instructions that were tag-free
-    /// (typed or tag-neutral) in one profiled run of the typed kernel at
-    /// `OptLevel::Default` — the issue's `typed_instr_fraction`.
-    pub typed_instr_fraction: Option<f64>,
-    /// This variant's wall-clock speedup of the SIMD kernel-op tier:
-    /// `simd_off_seconds / simd_on_seconds` on the bytecode engine at
-    /// `OptLevel::Default` with typed dispatch on.
-    pub simd_speedup: Option<f64>,
+    /// The optimiser's per-pass counters at the default configuration.
+    pub opt: OptStats,
+    /// Fraction of the default configuration's dispatches that were
+    /// tag-free (typed or tag-neutral) instructions.
+    pub typed_instr_fraction: f64,
     /// Fraction of innermost typed counted-loop body instructions the
     /// vectorize pass replaced with kernel ops
     /// (`instrs_vectorized / instrs_vectorizable`; `None` when the
     /// kernel has no such loops).
     pub vectorized_fraction: Option<f64>,
-    /// Per-(engine, opt level, dispatch mode) measurements.
-    pub engines: Vec<EngineReport>,
+    /// One record per [`ExecConfig::matrix`] configuration, in its order.
+    pub configs: Vec<ConfigReport>,
+}
+
+impl VariantReport {
+    /// The record of the default configuration (the matrix's last: every
+    /// stage on).
+    pub fn at_default(&self) -> &ConfigReport {
+        self.configs.last().expect("a variant is recorded under every configuration")
+    }
 }
 
 /// One table of one figure (a figure may sweep a parameter and emit
@@ -128,222 +88,138 @@ pub struct FigureGroup {
     pub figure: String,
     /// The parameter point or dataset of this table.
     pub group: String,
-    /// The measured variants.
+    /// What the figure shows and at which sizes.
+    pub heading: String,
+    /// The recorded variants, the group's baseline first.
     pub variants: Vec<VariantReport>,
 }
 
-/// The headline optimiser result: the median wall-clock speedup of the
-/// bytecode engine at `OptLevel::Default` over `OptLevel::None` across
-/// every measured variant.
-#[derive(Debug, Clone)]
-pub struct OptSpeedup {
-    /// The engine both levels were measured on.
-    pub engine: Engine,
-    /// The baseline opt level.
-    pub baseline: OptLevel,
-    /// The optimised level the speedup is for.
-    pub optimized: OptLevel,
-    /// Median of per-variant `baseline_seconds / optimized_seconds`.
-    pub median: f64,
-    /// Number of variants contributing ratios.
-    pub samples: usize,
+impl FigureGroup {
+    /// `variant`'s `total_work` over that of the group's first variant, both
+    /// at the default configuration: the figure's headline quantity.
+    pub fn work_vs_baseline(&self, variant: &VariantReport) -> f64 {
+        let work = |v: &VariantReport| v.at_default().stats.total_work() as f64;
+        work(variant) / self.variants.first().map_or(1.0, work)
+    }
 }
 
-/// The headline typed-dispatch result: the median wall-clock speedup of
-/// the bytecode engine at `OptLevel::Default` with the typing stage on
-/// over the same kernels with it off.
-#[derive(Debug, Clone)]
-pub struct TypedSpeedup {
-    /// Median of per-variant `generic_seconds / typed_seconds`.
-    pub median: f64,
-    /// Number of variants contributing ratios.
-    pub samples: usize,
-}
-
-/// The headline vectorization result: the median wall-clock speedup of
-/// the bytecode engine at `OptLevel::Default` with the SIMD kernel-op
-/// tier on over the same typed kernels with it off.
-#[derive(Debug, Clone)]
-pub struct SimdSpeedup {
-    /// Median of per-variant `simd_off_seconds / simd_on_seconds`.
-    pub median: f64,
-    /// Number of variants contributing ratios.
-    pub samples: usize,
-}
-
-/// The full report accumulated by one `figures` invocation.
+/// The full report of one `figures` invocation.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// The headline optimiser speedup, when both levels were measured.
-    pub opt_speedup: Option<OptSpeedup>,
-    /// The headline typed-dispatch speedup, when both dispatch modes were
-    /// measured.
-    pub typed_speedup: Option<TypedSpeedup>,
-    /// The headline SIMD kernel-op speedup, when both simd modes were
-    /// measured.
-    pub simd_speedup: Option<SimdSpeedup>,
-    /// Every figure table measured, in print order.
+    /// Every figure table recorded, in print order.
     pub figures: Vec<FigureGroup>,
 }
 
+/// Record `variant` under every configuration, asserting on the way what a
+/// report may take for granted: each compiles again under
+/// [`ValidationLevel::Full`] to the same program, both engines agree on
+/// outputs and counters, and no dispatch mode changes a counter.
+fn record(what: &str, variant: &Variant) -> VariantReport {
+    let mut configs: Vec<ConfigReport> = Vec::new();
+    // Taken leg by leg; the last leg is the default configuration.
+    let (mut opt, mut typed_instr_fraction) = (OptStats::default(), 0.0);
+    for config in variant.kernel.config().matrix() {
+        let at = format!("{what} under {}", config.label());
+        let mut kernel =
+            variant.kernel.reconfigured(&config).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let full = ExecConfig { validation: ValidationLevel::Full, ..config };
+        let validated =
+            kernel.reconfigured(&full).unwrap_or_else(|e| panic!("{at}, fully validated: {e}"));
+        assert!(
+            validated.bytecode() == kernel.bytecode(),
+            "{at}: full validation compiles another program"
+        );
+        let stats = assert_engine_parity(&mut kernel, &at);
+        let (profiled, per_pc) = kernel.profile().unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(profiled, stats, "{at}: profiling changes the counters");
+        if let Some(same_level) = configs.iter().find(|c| c.config.opt == config.opt) {
+            assert_eq!(same_level.stats, stats, "{at}: the dispatch mode changes the counters");
+        }
+        let code = kernel.bytecode().code();
+        let dispatches: u64 = per_pc.iter().sum();
+        let tag_free: u64 =
+            per_pc.iter().zip(code).filter(|(_, i)| i.is_tag_free()).map(|p| p.0).sum();
+        opt = kernel.opt_stats();
+        typed_instr_fraction = tag_free as f64 / dispatches as f64;
+        configs.push(ConfigReport { config, instrs: code.len(), dispatches, stats });
+    }
+    VariantReport {
+        label: variant.label.clone(),
+        opt,
+        typed_instr_fraction,
+        vectorized_fraction: (opt.instrs_vectorizable > 0)
+            .then(|| opt.instrs_vectorized as f64 / opt.instrs_vectorizable as f64),
+        configs,
+    }
+}
+
 impl Report {
-    /// An empty report.
-    pub fn new() -> Self {
-        Report::default()
+    /// Run every variant of `tables` under every configuration and record
+    /// what is exact about it (see [`VariantReport`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming figure, group, variant and configuration, when a
+    /// kernel fails to compile under full validation, the engines disagree,
+    /// or a dispatch mode changes a work counter.
+    pub fn build(tables: &[FigureTable]) -> Report {
+        let group = |table: &FigureTable| {
+            let what = |v: &Variant| format!("{} ({}) `{}`", table.figure, table.group, v.label);
+            FigureGroup {
+                figure: table.figure.to_string(),
+                group: table.group.clone(),
+                heading: table.heading.clone(),
+                variants: table.variants.iter().map(|v| record(&what(v), v)).collect(),
+            }
+        };
+        Report { figures: tables.iter().map(group).collect() }
     }
 
-    /// Serialise the report as a JSON document (schema v10 — see
-    /// EXPERIMENTS.md).
+    /// Serialise the report as a JSON document (schema v11 — see
+    /// EXPERIMENTS.md), one fact per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\n  \"schema_version\": 10,");
-        if let Some(s) = &self.opt_speedup {
-            out.push_str(&format!(
-                "\n  \"opt_speedup\": {{\"engine\": {}, \"baseline\": {}, \
-                 \"optimized\": {}, \"median\": {}, \"samples\": {}}},",
-                json_string(s.engine.label()),
-                json_string(s.baseline.label()),
-                json_string(s.optimized.label()),
-                json_number(s.median),
-                s.samples,
-            ));
-        }
-        if let Some(s) = &self.typed_speedup {
-            out.push_str(&format!(
-                "\n  \"typed_speedup\": {{\"engine\": \"bytecode\", \"opt_level\": \"default\", \
-                 \"median\": {}, \"samples\": {}}},",
-                json_number(s.median),
-                s.samples,
-            ));
-        }
-        if let Some(s) = &self.simd_speedup {
-            out.push_str(&format!(
-                "\n  \"simd_speedup\": {{\"engine\": \"bytecode\", \"opt_level\": \"default\", \
-                 \"median\": {}, \"samples\": {}}},",
-                json_number(s.median),
-                s.samples,
-            ));
-        }
-        out.push_str("\n  \"figures\": [");
+        let mut out = String::from("{\n  \"schema_version\": 11,\n  \"figures\": [");
         for (i, fig) in self.figures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"figure\": {}, ", json_string(&fig.figure)));
-            out.push_str(&format!("\"group\": {},", json_string(&fig.group)));
-            out.push_str("\n     \"variants\": [");
+            out.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
+            out.push_str(&format!(
+                "\"figure\": {}, \"group\": {},\n     \"heading\": {},\n     \"variants\": [",
+                json_string(&fig.figure),
+                json_string(&fig.group),
+                json_string(&fig.heading),
+            ));
             for (j, v) in fig.variants.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {");
+                out.push_str(if j > 0 { ",\n      {" } else { "\n      {" });
                 out.push_str(&format!("\"label\": {},", json_string(&v.label)));
-                if let Some(opt) = &v.opt {
-                    let s = opt.stats;
-                    // Why loops got no run-ahead op, the reasons that occur.
-                    let merge_declined = MergeDecline::ALL
-                        .iter()
-                        .zip(s.merge_declined)
-                        .filter(|(_, loops)| *loops > 0)
-                        .map(|(why, loops)| format!("\"{}\": {loops}", why.label()))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    out.push_str(&format!(
-                        "\n       \"opt\": {{\"compile_seconds\": {}, \"folds\": {}, \
-                         \"copies_propagated\": {}, \"branches_pruned\": {}, \
-                         \"loops_removed\": {}, \"stmts_removed\": {}, \
-                         \"loads_hoisted\": {}, \"exprs_hoisted\": {}, \
-                         \"instrs_fused\": {}, \
-                         \"movs_eliminated\": {}, \"regs_saved\": {}, \
-                         \"instrs_typed\": {}, \"regs_pretagged\": {}, \
-                         \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \
-                         \"copies_forwarded\": {}, \"literals_pinned\": {}, \
-                         \"loops_rotated\": {}, \"advances_predicated\": {}, \
-                         \"merge_skips\": {}, \"merge_declined\": {{{}}}, \
-                         \"ir_stmts_before\": {}, \"ir_stmts_after\": {}}},",
-                        json_number(opt.compile_seconds),
-                        s.folds,
-                        s.copies_propagated,
-                        s.branches_pruned,
-                        s.loops_removed,
-                        s.stmts_removed,
-                        s.loads_hoisted,
-                        s.exprs_hoisted,
-                        s.instrs_fused,
-                        s.movs_eliminated,
-                        s.regs_saved,
-                        s.instrs_typed,
-                        s.regs_pretagged,
-                        s.instrs_vectorized,
-                        s.instrs_vectorizable,
-                        s.copies_forwarded,
-                        s.literals_pinned,
-                        s.loops_rotated,
-                        s.advances_predicated,
-                        s.merge_skips,
-                        merge_declined,
-                        s.ir_stmts_before,
-                        s.ir_stmts_after,
-                    ));
-                }
-                if let Some(val) = &v.validation {
-                    out.push_str(&format!(
-                        "\n       \"validation\": {{\"level\": {}, \
-                         \"verify_seconds\": {}, \"validate_seconds\": {}, \"passes\": [",
-                        json_string(&val.level),
-                        json_number(val.verify_seconds()),
-                        json_number(val.validate_seconds()),
-                    ));
-                    for (k, p) in val.passes.iter().enumerate() {
-                        if k > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!(
-                            "{{\"pass\": {}, \"transform_seconds\": {}, \
-                             \"verify_seconds\": {}, \"validate_seconds\": {}}}",
-                            json_string(p.name),
-                            json_number(p.transform_nanos as f64 * 1e-9),
-                            json_number(p.verify_nanos as f64 * 1e-9),
-                            json_number(p.validate_nanos as f64 * 1e-9),
-                        ));
-                    }
-                    out.push_str("]},");
-                }
-                if let Some(f) = v.typed_instr_fraction {
-                    out.push_str(&format!(
-                        "\n       \"typed_instr_fraction\": {},",
-                        json_number(f)
-                    ));
-                }
-                if let Some(f) = v.simd_speedup {
-                    out.push_str(&format!("\n       \"simd_speedup\": {},", json_number(f)));
-                }
+                out.push_str(&format!("\n       \"opt\": {},", opt_json(&v.opt)));
+                out.push_str(&format!(
+                    "\n       \"typed_instr_fraction\": {},",
+                    json_number(v.typed_instr_fraction)
+                ));
                 if let Some(f) = v.vectorized_fraction {
                     out.push_str(&format!("\n       \"vectorized_fraction\": {},", json_number(f)));
                 }
-                out.push_str("\n       \"engines\": [");
-                for (k, e) in v.engines.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
+                out.push_str(&format!(
+                    "\n       \"work_vs_baseline\": {},",
+                    json_number(fig.work_vs_baseline(v))
+                ));
+                out.push_str("\n       \"configs\": [");
+                for (k, c) in v.configs.iter().enumerate() {
+                    out.push_str(if k > 0 { ",\n        {" } else { "\n        {" });
                     out.push_str(&format!(
-                        "\n        {{\"engine\": {}, \"opt_level\": {}, \"typed\": {}, \
-                         \"simd\": {}, \"median_seconds\": {}, \"instrs\": {}, \
-                         \"stmts\": {}, \"loop_iters\": {}, \"loads\": {}, \
+                        "\"opt_level\": {}, \"typed\": {}, \"simd\": {}, \"instrs\": {}, \
+                         \"dispatches\": {}, \"stmts\": {}, \"loop_iters\": {}, \"loads\": {}, \
                          \"stores\": {}, \"searches\": {}, \"total_work\": {}}}",
-                        json_string(e.engine.label()),
-                        json_string(e.opt_level.label()),
-                        e.typed,
-                        e.simd,
-                        json_number(e.median_seconds),
-                        e.instrs,
-                        e.stats.stmts,
-                        e.stats.loop_iters,
-                        e.stats.loads,
-                        e.stats.stores,
-                        e.stats.searches,
-                        e.stats.total_work(),
+                        json_string(c.config.opt.label()),
+                        c.config.typed,
+                        c.config.simd,
+                        c.instrs,
+                        c.dispatches,
+                        c.stats.stmts,
+                        c.stats.loop_iters,
+                        c.stats.loads,
+                        c.stats.stores,
+                        c.stats.searches,
+                        c.stats.total_work(),
                     ));
                 }
                 out.push_str("\n       ]}");
@@ -365,9 +241,52 @@ impl Report {
     }
 }
 
-/// The machine-readable result of one `serve` bench run
-/// (`BENCH_serve.json`): throughput, latency quantiles, cache behaviour, and
-/// the resilience counters of the kernel service.
+/// The optimiser's counters as one JSON object.
+fn opt_json(s: &OptStats) -> String {
+    // Why loops got no run-ahead op: every reason, so that the keys of the
+    // line do not depend on the kernel.
+    let merge_declined = MergeDecline::ALL
+        .iter()
+        .zip(s.merge_declined)
+        .map(|(why, loops)| format!("\"{}\": {loops}", why.label()))
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!(
+        "{{\"folds\": {}, \"copies_propagated\": {}, \"branches_pruned\": {}, \
+         \"loops_removed\": {}, \"stmts_removed\": {}, \"loads_hoisted\": {}, \
+         \"exprs_hoisted\": {}, \"instrs_fused\": {}, \"movs_eliminated\": {}, \
+         \"regs_saved\": {}, \"instrs_typed\": {}, \"regs_pretagged\": {}, \
+         \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \"copies_forwarded\": {}, \
+         \"literals_pinned\": {}, \"loops_rotated\": {}, \"advances_predicated\": {}, \
+         \"merge_skips\": {}, \"merge_declined\": {{{}}}, \"ir_stmts_before\": {}, \
+         \"ir_stmts_after\": {}}}",
+        s.folds,
+        s.copies_propagated,
+        s.branches_pruned,
+        s.loops_removed,
+        s.stmts_removed,
+        s.loads_hoisted,
+        s.exprs_hoisted,
+        s.instrs_fused,
+        s.movs_eliminated,
+        s.regs_saved,
+        s.instrs_typed,
+        s.regs_pretagged,
+        s.instrs_vectorized,
+        s.instrs_vectorizable,
+        s.copies_forwarded,
+        s.literals_pinned,
+        s.loops_rotated,
+        s.advances_predicated,
+        s.merge_skips,
+        merge_declined,
+        s.ir_stmts_before,
+        s.ir_stmts_after,
+    )
+}
+
+/// The machine-readable result of one `serve` run (`BENCH_serve.json`): the
+/// trace's shape, how every request ended, and the service's own counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Requests submitted by the driver.
@@ -381,7 +300,7 @@ pub struct ServeReport {
     /// Service cache capacity.
     pub cache_capacity: u64,
     /// Per-request deadline in milliseconds (0 = none).
-    pub deadline_ms: u64,
+    pub deadline_millis: u64,
     /// Injected-fault rate in permille (0 = fault-free).
     pub faults_permille: u64,
     /// Whether the run was the chaos soak (overload + faults + mid-run
@@ -391,20 +310,6 @@ pub struct ServeReport {
     pub seed: u64,
     /// Zipf skew of the trace.
     pub zipf_skew: f64,
-    /// Wall-clock duration of the request phase, seconds.
-    pub elapsed_seconds: f64,
-    /// Completed requests per second (successes and typed errors).
-    pub qps: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Mean request latency, microseconds.
-    pub mean_us: f64,
-    /// Median admission-queue wait of successful requests, microseconds.
-    pub queue_wait_p50_us: f64,
-    /// 99th-percentile admission-queue wait, microseconds.
-    pub queue_wait_p99_us: f64,
     /// Deepest admission-queue depth sampled during the run.
     pub max_queue_depth: u64,
     /// Cache hits / (hits + misses).
@@ -421,8 +326,6 @@ pub struct ServeReport {
     pub divergences: u64,
     /// Number of mid-run drain/restart cycles performed (soak mode).
     pub drained: u64,
-    /// Wall-clock milliseconds the slowest drain took to settle.
-    pub drain_latency_ms: f64,
     /// Whether any drain overran its deadline and cancelled in-flight work.
     pub drain_cancelled: bool,
     /// The service's own counters at the end of the run.
@@ -435,16 +338,14 @@ impl ServeReport {
         let tiers = |xs: &[u64; 4]| format!("[{}, {}, {}, {}]", xs[0], xs[1], xs[2], xs[3]);
         let s = &self.stats;
         format!(
-            "{{\n  \"schema_version\": 2,\n  \"bench\": \"serve\",\n  \
+            "{{\n  \"schema_version\": 3,\n  \"bench\": \"serve\",\n  \
              \"requests\": {},\n  \"clients\": {},\n  \"kernels\": {},\n  \
-             \"instances\": {},\n  \"cache_capacity\": {},\n  \"deadline_ms\": {},\n  \
+             \"instances\": {},\n  \"cache_capacity\": {},\n  \"deadline_millis\": {},\n  \
              \"faults_permille\": {},\n  \"soak\": {},\n  \"seed\": {},\n  \"zipf_skew\": {},\n  \
-             \"elapsed_seconds\": {},\n  \"qps\": {},\n  \"p50_us\": {},\n  \
-             \"p99_us\": {},\n  \"mean_us\": {},\n  \"queue_wait_p50_us\": {},\n  \
-             \"queue_wait_p99_us\": {},\n  \"max_queue_depth\": {},\n  \"hit_rate\": {},\n  \
+             \"max_queue_depth\": {},\n  \"hit_rate\": {},\n  \
              \"ok\": {},\n  \"degraded\": {},\n  \"typed_errors\": {},\n  \
              \"verified\": {},\n  \"divergences\": {},\n  \"drained\": {},\n  \
-             \"drain_latency_ms\": {},\n  \"drain_cancelled\": {},\n  \"service\": {{\n    \
+             \"drain_cancelled\": {},\n  \"service\": {{\n    \
              \"hits\": {},\n    \"misses\": {},\n    \"compiles\": {},\n    \
              \"recompiles\": {},\n    \"quarantined\": {},\n    \"evictions\": {},\n    \
              \"shed\": {},\n    \"queued\": {},\n    \"slot_waits\": {},\n    \"queue_timeouts\": {},\n    \
@@ -457,18 +358,11 @@ impl ServeReport {
             self.kernels,
             self.instances,
             self.cache_capacity,
-            self.deadline_ms,
+            self.deadline_millis,
             self.faults_permille,
             self.soak,
             self.seed,
             json_number(self.zipf_skew),
-            json_number(self.elapsed_seconds),
-            json_number(self.qps),
-            json_number(self.p50_us),
-            json_number(self.p99_us),
-            json_number(self.mean_us),
-            json_number(self.queue_wait_p50_us),
-            json_number(self.queue_wait_p99_us),
             self.max_queue_depth,
             json_number(self.hit_rate),
             self.ok,
@@ -477,7 +371,6 @@ impl ServeReport {
             self.verified,
             self.divergences,
             self.drained,
-            json_number(self.drain_latency_ms),
             self.drain_cancelled,
             s.hits,
             s.misses,
@@ -545,181 +438,102 @@ fn json_number(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use finch::OptLevel;
 
     fn sample() -> Report {
+        let [none, .., full] = ExecConfig::default().matrix();
+        let at = |config, instrs, dispatches, stmts| ConfigReport {
+            config,
+            instrs,
+            dispatches,
+            stats: ExecStats { stmts, loop_iters: 4, loads: 8, stores: 4, searches: 1 },
+        };
         Report {
-            opt_speedup: Some(OptSpeedup {
-                engine: Engine::Bytecode,
-                baseline: OptLevel::None,
-                optimized: OptLevel::Default,
-                median: 1.75,
-                samples: 4,
-            }),
-            typed_speedup: Some(TypedSpeedup { median: 1.4, samples: 4 }),
-            simd_speedup: Some(SimdSpeedup { median: 1.5, samples: 4 }),
             figures: vec![FigureGroup {
                 figure: "fig01".into(),
                 group: "band width \"8\"".into(),
+                heading: "Figure 1".into(),
                 variants: vec![VariantReport {
                     label: "looplets: list x band".into(),
-                    opt: Some(OptReport {
-                        compile_seconds: 0.0004,
-                        stats: OptStats {
-                            folds: 3,
-                            loads_hoisted: 2,
-                            exprs_hoisted: 5,
-                            instrs_typed: 17,
-                            regs_pretagged: 5,
-                            instrs_vectorized: 12,
-                            instrs_vectorizable: 14,
-                            copies_forwarded: 6,
-                            literals_pinned: 3,
-                            loops_rotated: 2,
-                            advances_predicated: 1,
-                            merge_skips: 1,
-                            merge_declined: [0, 2, 0, 0, 1, 0],
-                            ..OptStats::default()
-                        },
-                    }),
-                    validation: Some(ValidationReport {
-                        level: "full".into(),
-                        passes: vec![
-                            PassReport {
-                                name: "fold",
-                                transform_nanos: 1_000,
-                                verify_nanos: 2_000,
-                                validate_nanos: 500_000,
-                            },
-                            PassReport {
-                                name: "lower",
-                                transform_nanos: 3_000,
-                                verify_nanos: 4_000,
-                                validate_nanos: 1_500_000,
-                            },
-                        ],
-                    }),
-                    typed_instr_fraction: Some(0.9375),
-                    simd_speedup: Some(1.4375),
+                    opt: OptStats {
+                        folds: 3,
+                        loads_hoisted: 2,
+                        exprs_hoisted: 5,
+                        instrs_typed: 17,
+                        regs_pretagged: 5,
+                        instrs_vectorized: 12,
+                        instrs_vectorizable: 14,
+                        copies_forwarded: 6,
+                        literals_pinned: 3,
+                        loops_rotated: 2,
+                        advances_predicated: 1,
+                        merge_skips: 1,
+                        merge_declined: [0, 2, 0, 0, 1, 0],
+                        ..OptStats::default()
+                    },
+                    typed_instr_fraction: 0.9375,
                     vectorized_fraction: Some(0.875),
-                    engines: vec![
-                        EngineReport {
-                            engine: Engine::TreeWalk,
-                            opt_level: OptLevel::Default,
-                            typed: true,
-                            simd: true,
-                            median_seconds: 0.25,
-                            instrs: 90,
-                            stats: ExecStats {
-                                stmts: 10,
-                                loop_iters: 4,
-                                loads: 8,
-                                stores: 4,
-                                searches: 1,
-                            },
-                        },
-                        EngineReport {
-                            engine: Engine::Bytecode,
-                            opt_level: OptLevel::None,
-                            typed: false,
-                            simd: false,
-                            median_seconds: 0.125,
-                            instrs: 120,
-                            stats: ExecStats {
-                                stmts: 12,
-                                loop_iters: 4,
-                                loads: 9,
-                                stores: 4,
-                                searches: 1,
-                            },
-                        },
-                    ],
+                    configs: vec![at(none, 120, 300, 12), at(full, 90, 200, 10)],
                 }],
             }],
         }
     }
 
-    #[test]
-    fn json_has_engines_opt_levels_and_escaped_strings() {
-        let j = sample().to_json();
-        assert!(j.contains("\"schema_version\": 10"));
-        assert!(j.contains("\"tree_walk\""));
-        assert!(j.contains("\"bytecode\""));
-        assert!(j.contains("\"opt_level\": \"default\""));
-        assert!(j.contains("\"opt_level\": \"none\""));
-        assert!(j.contains("\"typed\": true"));
-        assert!(j.contains("\"typed\": false"));
-        assert!(j.contains("\"simd\": true"));
-        assert!(j.contains("\"simd\": false"));
-        assert!(j.contains("\"median_seconds\": 0.125"));
-        assert!(j.contains("band width \\\"8\\\""), "{j}");
-        assert!(j.contains("\"total_work\": 23"));
-        assert!(j.contains("\"opt_speedup\""));
-        assert!(j.contains("\"typed_speedup\""));
-        assert!(j.contains("\"median\": 1.75"));
-        assert!(j.contains("\"median\": 1.4"));
-        assert!(j.contains("\"simd_speedup\": {\"engine\": \"bytecode\""));
-        assert!(j.contains("\"median\": 1.5"));
-        assert!(j.contains("\"simd\": false, \"median_seconds\": 0.125, \"instrs\": 120"));
-        assert!(j.contains("\"loads_hoisted\": 2"));
-        assert!(j.contains("\"exprs_hoisted\": 5"));
-        assert!(j.contains("\"instrs_typed\": 17"));
-        assert!(j.contains("\"regs_pretagged\": 5"));
-        assert!(j.contains("\"instrs_vectorized\": 12"));
-        assert!(j.contains("\"instrs_vectorizable\": 14"));
-        assert!(j.contains("\"copies_forwarded\": 6, \"literals_pinned\": 3"));
-        assert!(j.contains("\"loops_rotated\": 2, \"advances_predicated\": 1"));
-        assert!(j.contains(
-            "\"merge_skips\": 1, \"merge_declined\": {\"single_finger\": 2, \"non_unit_advance\": 1}"
-        ));
-        assert!(j.contains("\"validation\": {\"level\": \"full\""));
-        assert!(j.contains("\"verify_seconds\": 0.000006"));
-        assert!(j.contains("\"validate_seconds\": 0.002"));
-        assert!(j.contains("{\"pass\": \"fold\", \"transform_seconds\": 0.000001"));
-        assert!(j.contains("{\"pass\": \"lower\""));
-        assert!(j.contains("\"typed_instr_fraction\": 0.9375"));
-        assert!(j.contains("\"simd_speedup\": 1.4375"));
-        assert!(j.contains("\"vectorized_fraction\": 0.875"));
-        assert!(j.contains("\"instrs\": 120"));
+    /// The keys of a rendered document: every `"name":`.
+    fn keys(json: &str) -> Vec<&str> {
+        json.split('"')
+            .zip(json.split('"').skip(1))
+            .filter(|(_, next)| next.starts_with(':'))
+            .map(|(key, _)| key)
+            .collect()
     }
 
-    #[test]
-    fn json_is_structurally_balanced() {
-        let j = sample().to_json();
+    fn assert_balanced(j: &str) {
         for (open, close) in [('{', '}'), ('[', ']')] {
-            let opens = j.matches(open).count();
-            let closes = j.matches(close).count();
-            assert_eq!(opens, closes, "unbalanced {open}{close} in:\n{j}");
+            assert_eq!(j.matches(open).count(), j.matches(close).count(), "{open}{close}:\n{j}");
         }
         // No trailing commas before a closer.
         assert!(!j.contains(",]") && !j.contains(",}"));
     }
 
     #[test]
-    fn report_without_opt_comparison_omits_the_key() {
-        let mut r = sample();
-        r.opt_speedup = None;
-        r.typed_speedup = None;
-        r.simd_speedup = None;
-        r.figures[0].variants[0].opt = None;
-        r.figures[0].variants[0].validation = None;
-        r.figures[0].variants[0].typed_instr_fraction = None;
-        r.figures[0].variants[0].simd_speedup = None;
-        r.figures[0].variants[0].vectorized_fraction = None;
-        let j = r.to_json();
-        assert!(!j.contains("opt_speedup"));
-        assert!(!j.contains("typed_speedup"));
-        assert!(!j.contains("simd_speedup"));
+    fn json_has_every_configuration_and_escaped_strings() {
+        let report = sample();
+        assert_eq!(report.figures[0].variants[0].at_default().config.opt, OptLevel::Default);
+        let j = report.to_json();
+        assert!(j.contains("\"schema_version\": 11"));
+        assert!(j.contains("band width \\\"8\\\""), "{j}");
+        assert!(j.contains(
+            "{\"opt_level\": \"none\", \"typed\": false, \"simd\": false, \"instrs\": 120, \
+             \"dispatches\": 300, \"stmts\": 12, \"loop_iters\": 4, \"loads\": 8, \
+             \"stores\": 4, \"searches\": 1, \"total_work\": 25}"
+        ));
+        assert!(j.contains(
+            "{\"opt_level\": \"default\", \"typed\": true, \"simd\": true, \"instrs\": 90, \
+             \"dispatches\": 200, \"stmts\": 10,"
+        ));
+        assert!(j.contains("\"loads_hoisted\": 2, \"exprs_hoisted\": 5"));
+        assert!(j.contains("\"instrs_typed\": 17, \"regs_pretagged\": 5"));
+        assert!(j.contains("\"instrs_vectorized\": 12, \"instrs_vectorizable\": 14"));
+        assert!(j.contains("\"copies_forwarded\": 6, \"literals_pinned\": 3"));
+        assert!(j.contains("\"loops_rotated\": 2, \"advances_predicated\": 1"));
+        assert!(j.contains("\"merge_skips\": 1, \"merge_declined\": {\"not_a_step_loop\": 0, "));
+        assert!(j.contains("\"single_finger\": 2, "));
+        assert!(j.contains("\"non_unit_advance\": 1, \"shared_operand\": 0}, \"ir_stmts_before\""));
+        assert!(j.contains("\"typed_instr_fraction\": 0.9375"));
+        assert!(j.contains("\"vectorized_fraction\": 0.875"));
+        assert!(j.contains("\"work_vs_baseline\": 1"), "the first variant is the baseline");
+        assert_balanced(&j);
+
+        let mut report = report;
+        report.figures[0].variants[0].vectorized_fraction = None;
+        let j = report.to_json();
         assert!(!j.contains("vectorized_fraction"));
-        assert!(!j.contains("compile_seconds"));
-        assert!(!j.contains("validation"));
-        assert!(!j.contains("typed_instr_fraction"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(j.matches(open).count(), j.matches(close).count());
-        }
+        assert_balanced(&j);
     }
 
     #[test]
-    fn serve_report_emits_schema_v2_with_front_end_counters() {
+    fn serve_report_emits_schema_v3_with_front_end_counters() {
         let stats = finch::ServiceStats {
             queued: 7,
             queue_timeouts: 3,
@@ -732,24 +546,20 @@ mod tests {
         let r = ServeReport {
             requests: 16,
             clients: 8,
+            deadline_millis: 40,
             soak: true,
-            queue_wait_p50_us: 120.5,
-            queue_wait_p99_us: 950.0,
             max_queue_depth: 6,
             drained: 2,
-            drain_latency_ms: 12.25,
             drain_cancelled: false,
             stats,
             ..ServeReport::default()
         };
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 2"));
+        assert!(j.contains("\"schema_version\": 3"));
+        assert!(j.contains("\"deadline_millis\": 40"));
         assert!(j.contains("\"soak\": true"));
-        assert!(j.contains("\"queue_wait_p50_us\": 120.5"));
-        assert!(j.contains("\"queue_wait_p99_us\": 950"));
         assert!(j.contains("\"max_queue_depth\": 6"));
         assert!(j.contains("\"drained\": 2"));
-        assert!(j.contains("\"drain_latency_ms\": 12.25"));
         assert!(j.contains("\"drain_cancelled\": false"));
         assert!(j.contains("\"queued\": 7"));
         assert!(j.contains("\"queue_timeouts\": 3"));
@@ -757,10 +567,19 @@ mod tests {
         assert!(j.contains("\"breaker_short_circuits\": 5"));
         assert!(j.contains("\"batch_groups\": 4"));
         assert!(j.contains("\"served_by_tier\": [10, 1, 0, 2]"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(j.matches(open).count(), j.matches(close).count());
+        assert_balanced(&j);
+    }
+
+    /// Neither report carries a wall-clock quantity: time is the repo
+    /// benchmark's to measure.
+    #[test]
+    fn no_report_key_names_a_time() {
+        let documents = [sample().to_json(), ServeReport::default().to_json()];
+        for key in documents.iter().flat_map(|j| keys(j)) {
+            let timed = ["_seconds", "_us", "_ms", "_speedup"].iter().any(|s| key.ends_with(s));
+            assert!(!timed && key != "qps", "`{key}` names a measured time");
         }
-        assert!(!j.contains(",]") && !j.contains(",}"));
+        assert!(keys(&documents[1]).contains(&"slot_waits"), "the scan sees the keys");
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn gen_data(
 
 /// The input tensors for `(kernel, instance)`.  The structure (formats and
 /// sizes) depends only on `kernel`; the values also depend on `instance`.
-pub fn tensors_for(cfg: &TraceConfig, kernel: usize, instance: usize) -> (Tensor, Tensor) {
+fn tensors_for(cfg: &TraceConfig, kernel: usize, instance: usize) -> (Tensor, Tensor) {
     let av = gen_data(cfg, kernel, instance, 0xA, 0.4);
     let bv = gen_data(cfg, kernel, instance, 0xB, 0.7);
     match kernel % 3 {
@@ -155,7 +155,7 @@ fn template(cfg: &TraceConfig, kernel: usize) -> (CinStmt, Option<LevelSpec>) {
 
 /// Whether kernel structure `kernel` reads the scalar `C` back (otherwise the
 /// tensor `C`).
-pub fn reads_scalar(kernel: usize) -> bool {
+fn reads_scalar(kernel: usize) -> bool {
     kernel.is_multiple_of(3)
 }
 
@@ -188,7 +188,7 @@ pub fn response_values(resp: &Response) -> Vec<f64> {
 /// Compile `(kernel, instance)` directly, outside any service: the kernel
 /// the service would cache for this structure, bound to this instance's
 /// data.
-pub fn compile_kernel(cfg: &TraceConfig, kernel: usize, instance: usize) -> CompiledKernel {
+fn compile_kernel(cfg: &TraceConfig, kernel: usize, instance: usize) -> CompiledKernel {
     let (a, b) = tensors_for(cfg, kernel, instance);
     let (program, output) = template(cfg, kernel);
     let mut k = Kernel::new();
@@ -203,7 +203,7 @@ pub fn compile_kernel(cfg: &TraceConfig, kernel: usize, instance: usize) -> Comp
 /// The readback values of `compiled` after a run, read the way the service
 /// reads them for kernel structure `kernel`: the scalar, or the finalized
 /// output tensor's stored values.
-pub fn kernel_values(compiled: &CompiledKernel, kernel: usize) -> Vec<f64> {
+fn kernel_values(compiled: &CompiledKernel, kernel: usize) -> Vec<f64> {
     if reads_scalar(kernel) {
         vec![compiled.output_scalar("C").expect("scalar readback")]
     } else {

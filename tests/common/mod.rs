@@ -2,6 +2,10 @@
 //! paper's benchmarks, and tolerant float comparison.
 #![allow(dead_code)]
 
+/// The kernels of Figs. 1, 7, 10 and 11 (dot product, SpMSpV, alpha blend,
+/// all-pairs similarity) are `finch-bench`'s.
+#[allow(unused_imports)]
+pub use finch_bench::{all_pairs_kernel, blend_kernel, dot_kernel, spmspv_kernel};
 use finch_bench::{
     fig01_variants, fig07_variants, fig07_vector, fig08_variants, fig09_variants, fig10_variants,
     fig11_variants, figs_output_groups, Variant,
@@ -85,51 +89,6 @@ pub fn assert_close(got: &[f64], expect: &[f64], what: &str) {
     }
 }
 
-/// `v` read through protocol `p`.
-fn with(p: Protocol, v: &IndexVar) -> IndexExpr {
-    match p {
-        Protocol::Gallop => v.gallop(),
-        Protocol::Walk => v.walk(),
-        Protocol::Locate => v.locate(),
-        Protocol::Default => v.clone().into(),
-    }
-}
-
-/// Compile `C[] += A[i] * B[i]` over the given vectors and protocols.
-pub fn dot_kernel(a: &Tensor, b: &Tensor, pa: Protocol, pb: Protocol) -> CompiledKernel {
-    let mut kernel = Kernel::new();
-    kernel.bind_input(a).bind_input(b).bind_output_scalar("C");
-    let i = idx("i");
-    let program = forall(
-        i.clone(),
-        add_assign(
-            scalar("C"),
-            mul(access(a.name(), [with(pa, &i)]), access(b.name(), [with(pb, &i)])),
-        ),
-    );
-    kernel.compile(&program).expect("dot kernel compiles")
-}
-
-/// Compile the paper's SpMSpV kernel `y[i] += A[i,j] * x[j]` with the given
-/// protocol on the inner dimension of `A` and on `x`.
-pub fn spmspv_kernel(a: &Tensor, x: &Tensor, pa: Protocol, px: Protocol) -> CompiledKernel {
-    let mut kernel = Kernel::new();
-    let nrows = a.shape()[0];
-    kernel.bind_input(a).bind_input(x).bind_output("y", &[nrows], 0.0);
-    let (i, j) = (idx("i"), idx("j"));
-    let program = forall(
-        i.clone(),
-        forall(
-            j.clone(),
-            add_assign(
-                access("y", [i.clone()]),
-                mul(access(a.name(), [i.into(), with(pa, &j)]), access(x.name(), [with(px, &j)])),
-            ),
-        ),
-    );
-    kernel.compile(&program).expect("spmspv kernel compiles")
-}
-
 /// Compile the triangle counting kernel
 /// `C[] += A[i,j] * A2[j,k] * At[i,k]` (the paper transposes the last
 /// argument so that every access is concordant).
@@ -156,84 +115,6 @@ pub fn triangle_kernel(a: &Tensor, a2: &Tensor, at: &Tensor, gallop: bool) -> Co
         ),
     );
     kernel.compile(&program).expect("triangle kernel compiles")
-}
-
-/// Compile the alpha-blending kernel
-/// `A[i,j] = round(alpha * B[i,j] + beta * C[i,j])`.
-pub fn blend_kernel(b: &Tensor, c: &Tensor, alpha: f64, beta: f64) -> CompiledKernel {
-    let mut kernel = Kernel::new();
-    let shape = b.shape();
-    kernel.bind_input(b).bind_input(c).bind_output("A", &shape, 0.0);
-    let (i, j) = (idx("i"), idx("j"));
-    let program = forall(
-        i.clone(),
-        forall(
-            j.clone(),
-            assign(
-                access("A", [i.clone(), j.clone()]),
-                round_u8(add(
-                    mul(lit(alpha), access(b.name(), [i.clone(), j.clone()])),
-                    mul(lit(beta), access(c.name(), [i, j])),
-                )),
-            ),
-        ),
-    );
-    kernel.compile(&program).expect("blend kernel compiles")
-}
-
-/// Compile the all-pairs image similarity kernel of Figure 11:
-///
-/// ```text
-/// @forall k ij   R[k] += A[k, ij]^2
-/// @forall k l    (O[k,l] = sqrt(R[k] + R[l] - 2*o[])) where (@forall ij o[] += A[k,ij] * A2[l,ij])
-/// ```
-pub fn all_pairs_kernel(a: &Tensor, a2: &Tensor) -> CompiledKernel {
-    let n = a.shape()[0];
-    let mut kernel = Kernel::new();
-    kernel
-        .bind_input(a)
-        .bind_input(a2)
-        .bind_output("R", &[n], 0.0)
-        .bind_output("O", &[n, n], 0.0)
-        .bind_output_scalar("o");
-    let (k, l, ij, ij2) = (idx("k"), idx("l"), idx("ij"), idx("ij2"));
-    let squares = forall(
-        k.clone(),
-        forall(
-            ij.clone(),
-            add_assign(
-                access("R", [k.clone()]),
-                mul(access(a.name(), [k.clone(), ij.clone()]), access(a.name(), [k.clone(), ij])),
-            ),
-        ),
-    );
-    let pairwise = forall(
-        k.clone(),
-        forall(
-            l.clone(),
-            where_(
-                assign(
-                    access("O", [k.clone(), l.clone()]),
-                    sqrt(add(
-                        add(access("R", [k.clone()]), access("R", [l.clone()])),
-                        mul(lit(-2.0), read_scalar("o")),
-                    )),
-                ),
-                forall(
-                    ij2.clone(),
-                    add_assign(
-                        scalar("o"),
-                        mul(
-                            access(a.name(), [k.clone(), ij2.clone()]),
-                            access(a2.name(), [l.clone(), ij2]),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    );
-    let program = multi(vec![squares, pairwise]);
-    kernel.compile(&program).expect("all-pairs kernel compiles")
 }
 
 /// A zero-dimensional tensor read as an expression (e.g. the `o[]` of the

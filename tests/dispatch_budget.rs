@@ -28,7 +28,7 @@
 //! kernels pins what the op is for: identical `ExecStats`, and no more
 //! scalar iterations dispatched than there are matches and loop entries.
 
-use finch_bench::{fig01_variants, fig07_variants, fig07_vector, fig08_variants, Variant};
+use finch_bench::{figure_tables, Variant};
 use finch_ir::{Instr, Program};
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
@@ -139,17 +139,12 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
     .collect()
 }
 
+/// The merge-driven kernels of the `--tiny` sweep: every variant of the
+/// figures [`BUDGETS`] has rows for.
 fn figure_kernels() -> Vec<(&'static str, Variant)> {
-    let mut kernels = Vec::new();
-    for (_, variants) in fig01_variants(200, 20, &[8]) {
-        kernels.extend(variants.into_iter().map(|v| ("fig01", v)));
-    }
-    let x = fig07_vector(32, Some(0.10), None, 71);
-    kernels.extend(fig07_variants(32, &x, 1).into_iter().map(|v| ("fig07a", v)));
-    let x = fig07_vector(32, None, Some(10), 81);
-    kernels.extend(fig07_variants(32, &x, 1).into_iter().map(|v| ("fig07b", v)));
-    kernels.extend(fig08_variants(24, 2, 3).into_iter().map(|v| ("fig08", v)));
-    kernels
+    let pinned = |figure: &str| BUDGETS.iter().any(|budget| budget.0 == figure);
+    let tables = figure_tables(true).into_iter().filter(|table| pinned(table.figure));
+    tables.flat_map(|table| table.variants.into_iter().map(move |v| (table.figure, v))).collect()
 }
 
 #[test]
