@@ -316,7 +316,7 @@ pub struct ServeReport {
     pub hit_rate: f64,
     /// Successful responses.
     pub ok: u64,
-    /// Responses served below the fast tier.
+    /// Responses served by the oracle tier.
     pub degraded: u64,
     /// Requests that ended in a typed error (deadline, budget, shed, ...).
     pub typed_errors: u64,
@@ -335,10 +335,10 @@ pub struct ServeReport {
 impl ServeReport {
     /// Render the report as a JSON document.
     pub fn to_json(&self) -> String {
-        let tiers = |xs: &[u64; 4]| format!("[{}, {}, {}, {}]", xs[0], xs[1], xs[2], xs[3]);
+        let tiers = |xs: &[u64]| format!("{xs:?}");
         let s = &self.stats;
         format!(
-            "{{\n  \"schema_version\": 3,\n  \"bench\": \"serve\",\n  \
+            "{{\n  \"schema_version\": 4,\n  \"bench\": \"serve\",\n  \
              \"requests\": {},\n  \"clients\": {},\n  \"kernels\": {},\n  \
              \"instances\": {},\n  \"cache_capacity\": {},\n  \"deadline_millis\": {},\n  \
              \"faults_permille\": {},\n  \"soak\": {},\n  \"seed\": {},\n  \"zipf_skew\": {},\n  \
@@ -533,14 +533,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_report_emits_schema_v3_with_front_end_counters() {
+    fn serve_report_emits_schema_v4_with_front_end_counters() {
         let stats = finch::ServiceStats {
             queued: 7,
             queue_timeouts: 3,
             breaker_opens: 2,
             breaker_short_circuits: 5,
             batch_groups: 4,
-            served_by_tier: [10, 1, 0, 2],
+            served_by_tier: [10, 2],
             ..Default::default()
         };
         let r = ServeReport {
@@ -555,7 +555,7 @@ mod tests {
             ..ServeReport::default()
         };
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 3"));
+        assert!(j.contains("\"schema_version\": 4"));
         assert!(j.contains("\"deadline_millis\": 40"));
         assert!(j.contains("\"soak\": true"));
         assert!(j.contains("\"max_queue_depth\": 6"));
@@ -566,7 +566,8 @@ mod tests {
         assert!(j.contains("\"breaker_opens\": 2"));
         assert!(j.contains("\"breaker_short_circuits\": 5"));
         assert!(j.contains("\"batch_groups\": 4"));
-        assert!(j.contains("\"served_by_tier\": [10, 1, 0, 2]"));
+        assert!(j.contains("\"served_by_tier\": [10, 2]"));
+        assert!(j.contains("\"faults_by_tier\": [0, 0]"));
         assert_balanced(&j);
     }
 

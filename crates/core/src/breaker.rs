@@ -1,16 +1,14 @@
 //! Per-structure circuit breakers.
 //!
-//! The degradation ladder makes a faulting kernel *correct* (every tier is
+//! The oracle fallback makes a faulting kernel *correct* (both tiers are
 //! bit-identical), but not *cheap*: a structure that faults on every request
-//! pays the fast tier, the quarantine recompile, and possibly several more
-//! tiers, every single time.  The [`BreakerBoard`] tracks consecutive
-//! tier-faults per cache key; once a structure crosses the configured
-//! threshold its breaker **opens** and subsequent requests short-circuit —
-//! either straight to the tree-walk oracle tier (still bit-identical, no
-//! wasted fast-tier attempts) or to a typed `CircuitOpen` error, per
-//! [`BreakerPolicy`].  After a cooldown one **half-open probe** request is
-//! let through at full tier order; a clean probe closes the breaker, a
-//! faulting one re-opens it.
+//! pays the fast tier, the quarantine recompile, the retry and the oracle,
+//! every single time.  The [`BreakerBoard`] tracks consecutive tier-faults
+//! per cache key; once a structure crosses the configured threshold its
+//! breaker **opens** and subsequent requests short-circuit straight to the
+//! tree-walk oracle (still bit-identical, no wasted fast-tier attempts).
+//! After a cooldown one **half-open probe** request is let through on the
+//! fast tier; a clean probe closes the breaker, a faulting one re-opens it.
 //!
 //! Transitions are driven entirely by recorded fault counts, so a
 //! deterministic fault plan drives deterministic breaker state — the unit
@@ -21,24 +19,14 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// What an open breaker does to requests for its structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerPolicy {
-    /// Short-circuit straight to the tree-walk oracle tier: the request is
-    /// still served bit-identically, skipping the tiers known to fault.
-    Degrade,
-    /// Reject with a typed `CircuitOpen` error.
-    Reject,
-}
-
 /// The state of one structure's breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
-    /// Healthy: requests run the full tier ladder.
+    /// Healthy: requests start on the fast tier.
     Closed,
-    /// Too many consecutive faults: requests short-circuit.
+    /// Too many consecutive faults: requests short-circuit to the oracle.
     Open,
-    /// Cooldown elapsed: one probe request is trying the full ladder.
+    /// Cooldown elapsed: one probe request is trying the fast tier.
     HalfOpen,
 }
 
@@ -60,7 +48,7 @@ pub(crate) enum BreakerDecision {
     /// outcome decides the breaker's fate.
     Allow { probe: bool },
     /// The breaker is open (or another probe is in flight).
-    ShortCircuit { consecutive_faults: u32, cooldown_ms: u64 },
+    ShortCircuit,
 }
 
 struct Breaker {
@@ -98,8 +86,8 @@ impl BreakerBoard {
         self.threshold > 0
     }
 
-    /// Decide whether a request for `key` runs the full ladder, runs as the
-    /// half-open probe, or short-circuits.
+    /// Decide whether a request for `key` starts on the fast tier, runs as
+    /// the half-open probe, or short-circuits.
     pub(crate) fn admit(&self, key: (u64, u64)) -> BreakerDecision {
         if !self.enabled() {
             return BreakerDecision::Allow { probe: false };
@@ -119,10 +107,7 @@ impl BreakerBoard {
                 b.probing = true;
                 BreakerDecision::Allow { probe: true }
             }
-            BreakerState::Open | BreakerState::HalfOpen => BreakerDecision::ShortCircuit {
-                consecutive_faults: b.consecutive_faults,
-                cooldown_ms: self.cooldown.as_millis() as u64,
-            },
+            BreakerState::Open | BreakerState::HalfOpen => BreakerDecision::ShortCircuit,
         }
     }
 
@@ -227,10 +212,7 @@ mod tests {
         assert!(!board.record(KEY, 1, false));
         assert_eq!(board.admit(KEY), BreakerDecision::Allow { probe: false });
         assert!(board.record(KEY, 1, false), "third fault crosses the threshold");
-        match board.admit(KEY) {
-            BreakerDecision::ShortCircuit { consecutive_faults: 3, .. } => {}
-            other => panic!("expected ShortCircuit, got {other:?}"),
-        }
+        assert_eq!(board.admit(KEY), BreakerDecision::ShortCircuit);
         assert_eq!(board.counts(), (0, 1, 0));
     }
 
@@ -247,7 +229,7 @@ mod tests {
     fn a_burst_of_faults_in_one_request_opens_immediately() {
         let board = BreakerBoard::new(2, HOUR);
         assert!(board.record(KEY, 2, false), "one request with 2 tier-faults opens");
-        assert!(matches!(board.admit(KEY), BreakerDecision::ShortCircuit { .. }));
+        assert_eq!(board.admit(KEY), BreakerDecision::ShortCircuit);
     }
 
     #[test]
@@ -257,7 +239,7 @@ mod tests {
         assert!(board.record(KEY, 1, false));
         assert_eq!(board.admit(KEY), BreakerDecision::Allow { probe: true });
         // A second request while the probe is in flight still short-circuits.
-        assert!(matches!(board.admit(KEY), BreakerDecision::ShortCircuit { .. }));
+        assert_eq!(board.admit(KEY), BreakerDecision::ShortCircuit);
         assert_eq!(board.counts(), (0, 0, 1));
         assert!(!board.record(KEY, 0, true), "clean probe closes without opening");
         assert_eq!(board.admit(KEY), BreakerDecision::Allow { probe: false });
@@ -279,7 +261,7 @@ mod tests {
         let board = BreakerBoard::new(1, HOUR);
         assert!(board.record(KEY, 1, false));
         for _ in 0..3 {
-            assert!(matches!(board.admit(KEY), BreakerDecision::ShortCircuit { .. }));
+            assert_eq!(board.admit(KEY), BreakerDecision::ShortCircuit);
         }
     }
 

@@ -108,9 +108,9 @@ impl fmt::Display for CompileError {
 impl Error for CompileError {}
 
 /// A typed service failure.  Every failure mode the service can hit — shed
-/// load, queue timeouts, shutdown rejections, open breakers, invalid
-/// inputs, compile errors, resource exhaustion, and kernels that fault at
-/// every tier — surfaces as one of these; the service never aborts.
+/// load, queue timeouts, shutdown rejections, invalid inputs, compile
+/// errors, resource exhaustion, and kernels that fault on both tiers —
+/// surfaces as one of these; the service never aborts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// Admission control rejected the request: the in-flight limit and the
@@ -138,14 +138,6 @@ pub enum ServiceError {
         /// The lifecycle state that rejected the request.
         state: ServiceState,
     },
-    /// The structure's circuit breaker is open and the service is
-    /// configured to reject (rather than degrade) short-circuited requests.
-    CircuitOpen {
-        /// Consecutive tier-faults recorded when the breaker opened.
-        consecutive_faults: u32,
-        /// The configured cooldown before a half-open probe, milliseconds.
-        cooldown_ms: u64,
-    },
     /// An input tensor failed boundary validation (non-monotonic `pos`,
     /// unsorted or out-of-range `idx`, wrong value count).
     InvalidInput {
@@ -158,9 +150,10 @@ pub enum ServiceError {
     Compile(CompileError),
     /// The run failed with a typed runtime error (deadline, step budget,
     /// allocation budget, rebind mismatch, ...).  Resource errors are final:
-    /// they do not trigger the degradation ladder.
+    /// they do not trigger the oracle fallback.
     Runtime(RuntimeError),
-    /// The kernel faulted at every tier of the degradation ladder.
+    /// The kernel could not be served: every attempt faulted, the oracle's
+    /// included, or a poisoned entry's quarantine recompile failed.
     Faulted {
         /// Number of execution attempts made (including the fast-tier retry).
         attempts: u32,
@@ -183,10 +176,6 @@ impl fmt::Display for ServiceError {
             ServiceError::ShuttingDown { state } => {
                 write!(f, "service is {state}: not accepting new requests")
             }
-            ServiceError::CircuitOpen { consecutive_faults, cooldown_ms } => write!(
-                f,
-                "circuit breaker open after {consecutive_faults} consecutive faults (cooldown {cooldown_ms}ms)"
-            ),
             ServiceError::InvalidInput { name, detail } => {
                 write!(f, "input tensor `{name}` failed validation: {detail}")
             }
@@ -236,7 +225,6 @@ mod tests {
             ServiceError::Overloaded { in_flight: 4, limit: 4, queued: 16 },
             ServiceError::QueueTimeout { waited_ms: 25, depth: 3 },
             ServiceError::ShuttingDown { state: ServiceState::Draining },
-            ServiceError::CircuitOpen { consecutive_faults: 5, cooldown_ms: 10 },
             ServiceError::InvalidInput { name: "A".into(), detail: "bad pos".into() },
             ServiceError::Compile(CompileError::UnknownTensor { name: "Z".into() }),
             ServiceError::Runtime(RuntimeError::Deadline { ms: 40 }),

@@ -780,17 +780,19 @@ impl CompiledKernel {
         self.execute(engine, watch, self.config.step_budget)
     }
 
-    /// [`CompiledKernel::run`] under a one-off `watch` that is *moved* into
-    /// the engine instead of cloned from the configured one, and a one-off
-    /// step budget (this run ignores the configured ones).  The service
-    /// arms a fresh watch per request; moving it saves two reference-count
-    /// round trips on the cancellation flag every client shares.
+    /// [`CompiledKernel::run_with`] under a one-off `watch` that is *moved*
+    /// into the engine instead of cloned from the configured one, and a
+    /// one-off step budget (this run ignores the configured ones).  The
+    /// service arms a fresh watch per request; moving it saves two
+    /// reference-count round trips on the cancellation flag every client
+    /// shares.
     pub(crate) fn run_watched(
         &mut self,
         watch: Watch,
         step_budget: Option<u64>,
+        engine: Engine,
     ) -> Result<ExecStats, RuntimeError> {
-        self.execute(self.config.engine, Some(watch), step_budget)
+        self.execute(engine, Some(watch), step_budget)
     }
 
     fn execute(

@@ -51,7 +51,7 @@ mod lower;
 mod queue;
 mod service;
 
-pub use breaker::{BreakerPolicy, BreakerState};
+pub use breaker::BreakerState;
 pub use error::{CompileError, ServiceError};
 pub use kernel::{CompiledKernel, Kernel};
 pub use queue::ServiceState;

@@ -40,7 +40,7 @@
 //!   the entry stays in the table, so any number of hits on one structure
 //!   run at once.  Whatever changes the entry is the *writer* and takes it
 //!   out of the table whole, once every lent run state is back:
-//!   compilation, quarantine and recompile, the degraded tiers, a breaker
+//!   compilation, quarantine and recompile, the oracle fallback, a breaker
 //!   short-circuit, a batch group.  A hit whose run faults gives its run
 //!   state back and becomes the writer; hits arriving while a writer waits
 //!   queue behind it.  [`ServiceStats::slot_waits`] counts the requests
@@ -56,12 +56,12 @@
 //! 2. **Panic isolation** — every compile and run is wrapped in
 //!    `catch_unwind`.  A panicking entry is quarantined (poisoned), recompiled
 //!    once after a short backoff, and evicted if the retry also faults.
-//! 3. **Degradation ladder** — a faulting kernel falls back through
-//!    progressively simpler execution tiers ([`Tier`]): vectorized typed
-//!    bytecode → typed scalar bytecode → untyped bytecode → the tree-walk
-//!    oracle, each one [`ExecConfig`] ([`Tier::config`]).  All tiers run at
-//!    the same [`OptLevel`], so a degraded response is bit-identical to the
-//!    fast path's.
+//! 3. **The oracle fallback** — a kernel that faults on the fast path
+//!    and on its quarantine retry is served by the tree-walk oracle
+//!    ([`Tier::Oracle`]): the same compiled image, its optimised IR run by
+//!    the interpreter, which shares no code with the bytecode back end.
+//!    Falling back compiles nothing, and the response is bit-identical to
+//!    the fast path's.
 //! 4. **Deadline-aware admission** — past the in-flight limit, requests
 //!    queue FIFO-fairly up to their remaining deadline instead of shedding
 //!    instantly; behind the bounded queue the typed
@@ -71,9 +71,8 @@
 //!    bounds memory per request.
 //! 5. **Per-structure circuit breakers** — a structure that keeps faulting
 //!    trips its breaker ([`crate::BreakerState`]): requests short-circuit
-//!    straight to the oracle tier (or a typed
-//!    [`ServiceError::CircuitOpen`], per [`BreakerPolicy`]) until a
-//!    half-open probe proves the structure healthy again.
+//!    straight to the oracle until a half-open probe proves the structure
+//!    healthy again.
 //! 6. **Graceful drain** — [`KernelService::drain`] rejects new work with
 //!    the typed [`ServiceError::ShuttingDown`], completes (or
 //!    deadline-cancels, through every run's cooperative watch) the work in
@@ -105,9 +104,9 @@ use std::time::{Duration, Instant};
 use finch_cin::CinStmt;
 use finch_formats::{LevelSpec, Tensor};
 use finch_ir::opt::ValidationLevel;
-use finch_ir::{Engine, ExecConfig, ExecStats, OptLevel, RuntimeError, Watch};
+use finch_ir::{Engine, ExecConfig, ExecStats, RuntimeError, Watch};
 
-use crate::breaker::{BreakerBoard, BreakerDecision, BreakerPolicy};
+use crate::breaker::{BreakerBoard, BreakerDecision};
 use crate::error::{CompileError, ServiceError};
 use crate::kernel::{CompiledKernel, Kernel};
 use crate::queue::{AdmissionQueue, AdmitError, Permit, QuietCondvar, ServiceState, Sleepers};
@@ -130,18 +129,14 @@ pub struct ServiceConfig {
     /// How long an open breaker short-circuits before admitting a half-open
     /// probe.
     pub breaker_cooldown: Duration,
-    /// What an open breaker does to requests: degrade to the oracle tier or
-    /// reject with [`ServiceError::CircuitOpen`].
-    pub breaker_policy: BreakerPolicy,
     /// Per-request wall-clock deadline.  `None` disables deadlines.
     pub deadline: Option<Duration>,
     /// Per-request VM step budget.  `None` disables the budget.
     pub step_budget: Option<u64>,
     /// Per-request output allocation budget in elements.  `None` disables it.
     pub alloc_budget: Option<u64>,
-    /// Optimisation level every kernel of this service is compiled at.
-    pub opt_level: OptLevel,
-    /// Pass-manager validation level used when compiling.
+    /// Pass-manager validation level used when compiling (every kernel is
+    /// compiled at [`finch_ir::OptLevel::Default`]).
     pub validation: ValidationLevel,
     /// Backoff slept before recompiling a quarantined entry.
     pub retry_backoff: Duration,
@@ -155,11 +150,9 @@ impl Default for ServiceConfig {
             queue_depth: 32,
             breaker_threshold: 0,
             breaker_cooldown: Duration::from_millis(25),
-            breaker_policy: BreakerPolicy::Degrade,
             deadline: None,
             step_budget: None,
             alloc_budget: None,
-            opt_level: OptLevel::Default,
             validation: ValidationLevel::Off,
             retry_backoff: Duration::from_millis(1),
         }
@@ -317,56 +310,32 @@ impl Request {
     }
 }
 
-/// The execution tier a response was served from.  Tiers descend in order
-/// when the tier above faults; all tiers run at the same [`OptLevel`], so
-/// their outputs and [`ExecStats`] are bit-identical.
+/// The execution tier a response was served from.  A request falls back
+/// from the fast tier to the oracle when the fast tier and its quarantine
+/// retry both fault; both run the entry's one compiled image, so their
+/// outputs and [`ExecStats`] are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// The service's own configuration: typed, vectorized bytecode.
     Fast,
-    /// Typed bytecode VM without the kernel ops (its `typed_serial` label
-    /// is read by CI and by `served_by_tier` consumers).
-    TypedSerial,
-    /// Untyped bytecode VM.
-    Untyped,
-    /// The tree-walking reference interpreter.
+    /// The tree-walking reference interpreter over the same image's
+    /// optimised IR.
     Oracle,
 }
 
 impl Tier {
-    /// All tiers, fastest first — the order the degradation ladder descends.
-    pub const ALL: [Tier; 4] = [Tier::Fast, Tier::TypedSerial, Tier::Untyped, Tier::Oracle];
+    /// Both tiers, fast first — the order a faulting request falls back in.
+    pub const ALL: [Tier; 2] = [Tier::Fast, Tier::Oracle];
 
-    /// The tier's position on the ladder (0 = fastest).
+    /// The tier's position in [`Tier::ALL`] (0 = fast).
     pub fn index(self) -> usize {
-        match self {
-            Tier::Fast => 0,
-            Tier::TypedSerial => 1,
-            Tier::Untyped => 2,
-            Tier::Oracle => 3,
-        }
+        self as usize
     }
 
-    /// The configuration this rung runs a kernel under, given the fast
-    /// rung's: each rung switches off one more stage of the one above it,
-    /// and the last one changes engine.
-    pub fn config(self, fast: &ExecConfig) -> ExecConfig {
-        let serial = ExecConfig { simd: false, ..*fast };
-        let untyped = ExecConfig { typed: false, ..serial };
-        match self {
-            Tier::Fast => *fast,
-            Tier::TypedSerial => serial,
-            Tier::Untyped => untyped,
-            Tier::Oracle => ExecConfig { engine: Engine::TreeWalk, ..untyped },
-        }
-    }
-
-    /// A short stable label (`fast` / `typed_serial` / `untyped` / `oracle`).
+    /// A short stable label (`fast` / `oracle`).
     pub fn label(self) -> &'static str {
         match self {
             Tier::Fast => "fast",
-            Tier::TypedSerial => "typed_serial",
-            Tier::Untyped => "untyped",
             Tier::Oracle => "oracle",
         }
     }
@@ -409,8 +378,8 @@ pub enum InjectPoint {
 /// What kind of fault a [`FaultRule`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A genuine `panic!`, exercising `catch_unwind` isolation and the
-    /// degradation ladder.
+    /// A genuine `panic!`, exercising `catch_unwind` isolation, the
+    /// quarantine retry and the oracle fallback.
     Panic,
     /// Step-budget exhaustion: the attempt runs with a budget of 1.
     BudgetExhaustion,
@@ -440,7 +409,7 @@ pub struct FaultRule {
 
 /// A deterministic fault-injection plan.  Rules are consumed (removed) as
 /// they fire: at most one non-lookup rule per execution attempt, so stacking
-/// several rules on one request walks it down the degradation ladder.
+/// two panics on one request sends it to the oracle, and three fault it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
@@ -501,8 +470,8 @@ impl FaultPlan {
             };
             plan.push(FaultRule { request, point, kind });
             // Occasionally stack a second panic on the same request so the
-            // fast-tier retry also faults and the request degrades down the
-            // ladder (a single rule is always absorbed by the retry).
+            // fast-tier retry also faults and the oracle serves the request
+            // (a single rule is always absorbed by the retry).
             if kind == FaultKind::Panic && next() % 4 == 0 {
                 plan.push(FaultRule {
                     request,
@@ -536,8 +505,8 @@ pub struct ServiceStats {
     /// Requests that had to wait in the admission queue before admission.
     pub queued: u64,
     /// Requests that blocked on the cache after admission: on a slot another
-    /// request holds exclusively (compiling, or walking the degradation
-    /// ladder), or — for a request that needs the entry exclusively — on
+    /// request holds exclusively (compiling, or recovering from a fault),
+    /// or — for a request that needs the entry exclusively — on
     /// the run states other requests still hold.  Healthy hits never do.
     pub slot_waits: u64,
     /// Requests whose deadline expired while waiting in the admission queue.
@@ -545,8 +514,7 @@ pub struct ServiceStats {
     /// Times a circuit breaker opened (threshold crossings and failed
     /// half-open probes).
     pub breaker_opens: u64,
-    /// Requests short-circuited by an open breaker (degraded to the oracle
-    /// tier or rejected, per [`BreakerPolicy`]).
+    /// Requests short-circuited by an open breaker to the oracle tier.
     pub breaker_short_circuits: u64,
     /// Structural groups formed by [`KernelService::submit_batch`] (each
     /// group checks out its cache entry once).
@@ -572,9 +540,9 @@ pub struct ServiceStats {
     /// Requests that failed with [`RuntimeError::AllocBudgetExceeded`].
     pub alloc_errors: u64,
     /// Successful responses per tier, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 4],
+    pub served_by_tier: [u64; 2],
     /// Faults observed per tier, indexed by [`Tier::index`].
-    pub faults_by_tier: [u64; 4],
+    pub faults_by_tier: [u64; 2],
 }
 
 #[derive(Default)]
@@ -597,8 +565,8 @@ struct AtomicStats {
     deadline_errors: AtomicU64,
     budget_errors: AtomicU64,
     alloc_errors: AtomicU64,
-    served_by_tier: [AtomicU64; 4],
-    faults_by_tier: [AtomicU64; 4],
+    served_by_tier: [AtomicU64; 2],
+    faults_by_tier: [AtomicU64; 2],
 }
 
 impl AtomicStats {
@@ -725,17 +693,17 @@ impl KeyCheck {
     }
 }
 
-/// One cached kernel: the fast-tier compiled kernel with its run states,
-/// lazily-derived degraded variants, quarantine state, and LRU bookkeeping.
+/// One cached kernel: the compiled kernel with its run states, quarantine
+/// state, and LRU bookkeeping.
 ///
 /// Healthy hits are *readers*: each borrows one run state — `base`'s own
 /// when it is home, else a spare, else a new one forked from the image —
 /// and the entry stays in the table.  Everything that changes the entry
-/// (quarantine, recompile, the degraded tiers, a batch group) is the
+/// (quarantine, recompile, the oracle fallback, a batch group) is the
 /// *writer* and takes the whole entry out of the table, which it can only
 /// do while no run state is lent.
 struct Entry {
-    /// The fast-tier kernel.  While its run state is lent this is the
+    /// The kernel both tiers run.  While its run state is lent this is the
     /// stand-in (same image, no buffers) and `parked` is `None`.  Run states
     /// are boxed: a hit moves one out and back in, by pointer.
     base: Box<CompiledKernel>,
@@ -749,9 +717,6 @@ struct Entry {
     spares: Vec<Box<CompiledKernel>>,
     /// Run states currently lent to requests.
     lent: usize,
-    /// The kernels of the rungs below [`Tier::Fast`], by `Tier::index() - 1`,
-    /// each derived from `base` when a request first degrades that far.
-    degraded: [Option<CompiledKernel>; 3],
     check: KeyCheck,
     poisoned: bool,
     last_used: u64,
@@ -764,14 +729,13 @@ impl Entry {
             base: Box::new(base),
             spares: Vec::new(),
             lent: 0,
-            degraded: [None, None, None],
             check,
             poisoned: false,
             last_used: 0,
         }
     }
 
-    /// Replace the fast-tier kernel (the writer's recompile).  Run states
+    /// Replace the compiled kernel (the writer's recompile).  Run states
     /// over the old image are of no further use.
     fn rebase(&mut self, base: CompiledKernel) {
         debug_assert_eq!(self.lent, 0, "only the writer recompiles");
@@ -861,11 +825,11 @@ enum AttemptOutcome {
 ///
 /// The service is `Sync`: submit requests from many threads through a shared
 /// reference.  Healthy hits run concurrently, on one kernel as on several;
-/// only compilation and the fault ladder hold a cache slot exclusively.
+/// only compilation and fault recovery hold a cache slot exclusively.
 pub struct KernelService {
     cfg: ServiceConfig,
-    /// The one configuration this service compiles and runs kernels under;
-    /// the degraded tiers are [`Tier::config`] of it.
+    /// The one configuration this service compiles kernels under; the
+    /// oracle tier runs the same images on the tree-walker.
     fast: ExecConfig,
     inner: Mutex<CacheInner>,
     cond: QuietCondvar,
@@ -923,10 +887,6 @@ pub struct HealthSnapshot {
     pub breakers_open: usize,
     /// Circuit breakers half-open (a probe in flight).
     pub breakers_half_open: usize,
-    /// Successful responses per tier, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 4],
-    /// Faults observed per tier, indexed by [`Tier::index`].
-    pub faults_by_tier: [u64; 4],
 }
 
 impl Default for KernelService {
@@ -941,7 +901,6 @@ impl KernelService {
         let queue = AdmissionQueue::new(cfg.max_in_flight, cfg.queue_depth);
         let breakers = BreakerBoard::new(cfg.breaker_threshold, cfg.breaker_cooldown);
         let fast = ExecConfig {
-            opt: cfg.opt_level,
             validation: cfg.validation,
             step_budget: cfg.step_budget,
             alloc_budget: cfg.alloc_budget,
@@ -999,9 +958,8 @@ impl KernelService {
 
     /// Execute a request: validate its inputs, admit it (queueing up to its
     /// deadline when saturated), consult the structure's circuit breaker,
-    /// look up or compile the kernel, rebind the inputs, run (descending
-    /// the degradation ladder on faults), and read back the requested
-    /// output.
+    /// look up or compile the kernel, rebind the inputs, run (falling back
+    /// to the oracle on faults), and read back the requested output.
     pub fn submit(&self, req: &Request) -> Result<Response, ServiceError> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         if let Some((name, detail)) = &req.invalid {
@@ -1074,17 +1032,9 @@ impl KernelService {
         results: &mut [Option<Result<Response, ServiceError>>],
     ) {
         let first = idxs[0];
-        let (tier_start, probe, short_circuited) = match self.breaker_gate(key) {
-            Ok(gate) => gate,
-            Err(err) => {
-                for &i in idxs {
-                    results[i] = Some(Err(err.clone()));
-                }
-                return;
-            }
-        };
+        let (start, probe) = self.breaker_gate(key);
         // A group rebinds its members serially against one entry, so it takes
-        // the entry whole, like the fault ladder it may have to walk.
+        // the entry whole, like the fault recovery it may need.
         let checkout = self.checkout(key, &reqs[first], deadline, Access::Exclusive);
         let (mut entry, cached, cache_hit) = match checkout {
             Ok((Lease::Exclusive { entry, cached }, hit)) => (entry, cached, hit),
@@ -1110,7 +1060,7 @@ impl KernelService {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
             }
             let (result, evict, faults) =
-                self.execute(&mut entry, &reqs[i], deadline, rid, hit, tier_start, None);
+                self.execute(&mut entry, &reqs[i], deadline, rid, hit, start, None);
             evict_any |= evict;
             group_faults += faults;
             results[i] = Some(result.map(|mut resp| {
@@ -1121,7 +1071,7 @@ impl KernelService {
         if cached {
             self.checkin(key, entry, evict_any);
         }
-        if !short_circuited && self.breakers.record(key, group_faults, probe) {
+        if start == Tier::Fast && self.breakers.record(key, group_faults, probe) {
             self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1135,15 +1085,15 @@ impl KernelService {
         rid: u64,
         deadline: Option<(Instant, u64)>,
     ) -> Result<Response, ServiceError> {
-        let (tier_start, probe, short_circuited) = self.breaker_gate(key)?;
-        // A short-circuited request starts on a degraded tier, and those
-        // live in the entry: it needs the entry whole.
-        let access = if tier_start == 0 { Access::Shared } else { Access::Exclusive };
+        let (start, probe) = self.breaker_gate(key);
+        // A short-circuited request runs the oracle on the entry's own run
+        // state, as fault recovery does: it needs the entry whole.
+        let access = if start == Tier::Fast { Access::Shared } else { Access::Exclusive };
         let (result, faults) = match self.checkout(key, req, deadline, access) {
             Ok((Lease::Shared(state), _)) => self.serve_shared(state, req, key, rid, deadline),
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 let (result, evict, faults) =
-                    self.execute(&mut entry, req, deadline, rid, cache_hit, tier_start, None);
+                    self.execute(&mut entry, req, deadline, rid, cache_hit, start, None);
                 if cached {
                     self.checkin(key, entry, evict);
                 }
@@ -1156,7 +1106,7 @@ impl KernelService {
                 return Err(err);
             }
         };
-        if !short_circuited && self.breakers.record(key, faults, probe) {
+        if start == Tier::Fast && self.breakers.record(key, faults, probe) {
             self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
         result
@@ -1165,8 +1115,8 @@ impl KernelService {
     /// Serve a healthy hit on a lent run state: one fast-tier attempt, the
     /// state goes back, done.  Only when that attempt faults — or a
     /// lookup-point rule poisons the entry — does the request give the
-    /// state back, take the whole entry and continue down the ladder from
-    /// where it stands.  Returns the outcome and the tier-faults observed.
+    /// state back, take the whole entry and recover from where it stands.
+    /// Returns the outcome and the tier-faults observed.
     fn serve_shared(
         &self,
         mut state: Box<CompiledKernel>,
@@ -1181,8 +1131,7 @@ impl KernelService {
             None
         } else {
             let injected = self.take_fault(rid, false);
-            let lent = &mut *state;
-            match self.attempt(move || lent, Tier::Fast, req, deadline, injected, true) {
+            match self.attempt(&mut state, Tier::Fast, req, deadline, injected, true) {
                 AttemptOutcome::Ok(resp) => {
                     self.stats.served_by_tier[0].fetch_add(1, Ordering::Relaxed);
                     self.release(key, state);
@@ -1200,8 +1149,15 @@ impl KernelService {
         match self.checkout(key, req, deadline, Access::Escalated) {
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 entry.poisoned |= poison;
-                let (result, evict, faults) =
-                    self.execute(&mut entry, req, deadline, rid, cache_hit, 0, first_fault);
+                let (result, evict, faults) = self.execute(
+                    &mut entry,
+                    req,
+                    deadline,
+                    rid,
+                    cache_hit,
+                    Tier::Fast,
+                    first_fault,
+                );
                 if cached {
                     self.checkin(key, entry, evict);
                 }
@@ -1222,21 +1178,15 @@ impl KernelService {
         }
     }
 
-    /// Consult `key`'s circuit breaker.  Returns the starting tier index,
-    /// whether this request is the half-open probe, and whether it was
-    /// short-circuited (skip breaker recording); or the typed rejection
-    /// under [`BreakerPolicy::Reject`].
-    fn breaker_gate(&self, key: (u64, u64)) -> Result<(usize, bool, bool), ServiceError> {
+    /// Consult `key`'s circuit breaker.  Returns the tier the request starts
+    /// on — the oracle when the breaker short-circuits it, and then its
+    /// outcome is not recorded — and whether it is the half-open probe.
+    fn breaker_gate(&self, key: (u64, u64)) -> (Tier, bool) {
         match self.breakers.admit(key) {
-            BreakerDecision::Allow { probe } => Ok((0, probe, false)),
-            BreakerDecision::ShortCircuit { consecutive_faults, cooldown_ms } => {
+            BreakerDecision::Allow { probe } => (Tier::Fast, probe),
+            BreakerDecision::ShortCircuit => {
                 self.stats.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
-                match self.cfg.breaker_policy {
-                    BreakerPolicy::Reject => {
-                        Err(ServiceError::CircuitOpen { consecutive_faults, cooldown_ms })
-                    }
-                    BreakerPolicy::Degrade => Ok((Tier::Oracle.index(), false, true)),
-                }
+                (Tier::Oracle, false)
             }
         }
     }
@@ -1291,22 +1241,20 @@ impl KernelService {
     }
 
     /// A point-in-time health snapshot: lifecycle state, queue depth,
-    /// in-flight count, cache size, breaker states, and per-tier counters.
+    /// in-flight count, cache size, slot waits and breaker states (the
+    /// per-tier counters are [`KernelService::stats`]').
     pub fn health(&self) -> HealthSnapshot {
         let (state, queued, in_flight) = self.queue.snapshot();
         let (breakers_closed, breakers_open, breakers_half_open) = self.breakers.counts();
-        let stats = self.stats.snapshot();
         HealthSnapshot {
             state,
             queued,
             in_flight,
             cached: self.cached(),
-            slot_waits: stats.slot_waits,
+            slot_waits: self.stats.slot_waits.load(Ordering::Relaxed),
             breakers_closed,
             breakers_open,
             breakers_half_open,
-            served_by_tier: stats.served_by_tier,
-            faults_by_tier: stats.faults_by_tier,
         }
     }
 
@@ -1500,15 +1448,16 @@ impl KernelService {
         Ok(Entry::new(base, KeyCheck::of(req)))
     }
 
-    /// Run the entry for `req`, descending the degradation ladder on faults
-    /// starting at tier `tier_start` (0, or the oracle tier when the
-    /// structure's breaker short-circuits).  Returns the outcome, whether
-    /// the entry is condemned (must be evicted instead of checked back in),
-    /// and the number of tier-faults observed (the breaker's input).
+    /// Run the entry for `req` starting at tier `start` (the fast tier, or
+    /// the oracle when the structure's breaker short-circuits): a fast-tier
+    /// fault quarantines and retries once, a second one falls back to the
+    /// oracle.  Returns the outcome, whether the entry is condemned (must be
+    /// evicted instead of checked back in), and the number of tier-faults
+    /// observed (the breaker's input).
     ///
     /// `first_fault` is the fault of a fast-tier attempt the request already
-    /// made on a lent run state ([`KernelService::serve_shared`]): the
-    /// ladder resumes as if its own first attempt had just faulted that way.
+    /// made on a lent run state ([`KernelService::serve_shared`]): recovery
+    /// resumes as if its own first attempt had just faulted that way.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -1517,7 +1466,7 @@ impl KernelService {
         deadline: Option<(Instant, u64)>,
         rid: u64,
         cache_hit: bool,
-        tier_start: usize,
+        start: Tier,
         mut first_fault: Option<String>,
     ) -> (Result<Response, ServiceError>, bool, u32) {
         let mut faults = 0u32;
@@ -1545,75 +1494,59 @@ impl KernelService {
         }
 
         let mut attempts = 0u32;
-        let mut last_fault = String::new();
-        let mut tier0_retried = false;
+        let mut retried = false;
         let mut evict = false;
-        let mut tier_idx = tier_start.min(Tier::ALL.len() - 1);
-        while tier_idx < Tier::ALL.len() {
-            let tier = Tier::ALL[tier_idx];
+        let mut tier = start;
+        let detail = loop {
             attempts += 1;
             let outcome = match first_fault.take() {
                 Some(detail) => AttemptOutcome::Fault(detail),
                 None => {
                     let injected = self.take_fault(rid, false);
-                    let entry = &mut *entry;
-                    self.attempt(
-                        move || Self::tier_kernel(entry, tier),
-                        tier,
-                        req,
-                        deadline,
-                        injected,
-                        cache_hit,
-                    )
+                    self.attempt(&mut entry.base, tier, req, deadline, injected, cache_hit)
                 }
             };
-            match outcome {
+            let detail = match outcome {
                 AttemptOutcome::Ok(resp) => {
-                    self.stats.served_by_tier[tier_idx].fetch_add(1, Ordering::Relaxed);
+                    self.stats.served_by_tier[tier.index()].fetch_add(1, Ordering::Relaxed);
                     return (Ok(resp), evict, faults);
                 }
                 AttemptOutcome::Typed(err) => {
                     self.count_runtime(&err);
                     return (Err(ServiceError::Runtime(err)), evict, faults);
                 }
-                AttemptOutcome::Fault(detail) => {
-                    self.stats.faults_by_tier[tier_idx].fetch_add(1, Ordering::Relaxed);
-                    self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                    faults += 1;
-                    last_fault = detail;
-                    if tier == Tier::Fast && !tier0_retried {
-                        // Quarantine: recompile once with backoff, retry the
-                        // fast tier.
-                        tier0_retried = true;
-                        entry.poisoned = true;
-                        self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                        if let Err(err) = self.backoff(rid, deadline) {
-                            self.count_runtime(&err);
-                            return (Err(ServiceError::Runtime(err)), false, faults);
-                        }
-                        match self.recompile_base(entry) {
-                            Ok(()) => {
-                                entry.poisoned = false;
-                                continue;
-                            }
-                            Err(detail) => {
-                                last_fault = detail;
-                                faults += 1;
-                                evict = true;
-                                tier_idx += 1;
-                            }
-                        }
-                    } else {
-                        if tier == Tier::Fast {
-                            // The retry faulted too: condemn the entry.
-                            evict = true;
-                        }
-                        tier_idx += 1;
+                AttemptOutcome::Fault(detail) => detail,
+            };
+            self.stats.faults_by_tier[tier.index()].fetch_add(1, Ordering::Relaxed);
+            self.stats.panics.fetch_add(1, Ordering::Relaxed);
+            faults += 1;
+            if tier == Tier::Oracle {
+                break detail;
+            }
+            if !retried {
+                // Quarantine: recompile once with backoff, retry the fast
+                // tier.
+                retried = true;
+                entry.poisoned = true;
+                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                if let Err(err) = self.backoff(rid, deadline) {
+                    self.count_runtime(&err);
+                    return (Err(ServiceError::Runtime(err)), false, faults);
+                }
+                match self.recompile_base(entry) {
+                    Ok(()) => {
+                        entry.poisoned = false;
+                        continue;
                     }
+                    Err(_) => faults += 1,
                 }
             }
-        }
-        (Err(ServiceError::Faulted { attempts, detail: last_fault }), true, faults)
+            // The retry (or the recompile) faulted too: condemn the entry
+            // and serve from the oracle.
+            evict = true;
+            tier = Tier::Oracle;
+        };
+        (Err(ServiceError::Faulted { attempts, detail }), true, faults)
     }
 
     /// The quarantine backoff, capped by the request's remaining deadline
@@ -1666,27 +1599,14 @@ impl KernelService {
         }
     }
 
-    /// The kernel a tier runs: `base` itself, or `base` reconfigured for
-    /// the rung ([`Tier::config`]) the first time a request degrades to it.
-    fn tier_kernel(entry: &mut Entry, tier: Tier) -> &mut CompiledKernel {
-        let Some(rung) = tier.index().checked_sub(1) else {
-            return &mut entry.base;
-        };
-        let base = &entry.base;
-        entry.degraded[rung].get_or_insert_with(|| {
-            base.reconfigured(&tier.config(&base.config()))
-                .expect("re-deriving already-validated code must validate")
-        })
-    }
-
-    /// One execution attempt at one tier on the kernel `kernel()` yields,
-    /// with any injected fault applied.  Everything — variant derivation
-    /// (inside `kernel`), rebinding, the run itself, readback — happens
-    /// inside `catch_unwind`, so a panic anywhere degrades instead of
-    /// crashing the service.
-    fn attempt<'k>(
+    /// One execution attempt at one tier on `kernel`, with any injected
+    /// fault applied: the fast tier runs the bytecode, the oracle the same
+    /// image's IR on the tree-walker.  Rebinding, the run itself and
+    /// readback happen inside `catch_unwind`, so a panic anywhere falls
+    /// back instead of crashing the service.
+    fn attempt(
         &self,
-        kernel: impl FnOnce() -> &'k mut CompiledKernel,
+        kernel: &mut CompiledKernel,
         tier: Tier,
         req: &Request,
         deadline: Option<(Instant, u64)>,
@@ -1738,16 +1658,19 @@ impl KernelService {
         if let Some(at) = fault_stmt {
             watch = watch.with_fault_at_stmt(at);
         }
+        let engine = match tier {
+            Tier::Fast => self.fast.engine,
+            Tier::Oracle => Engine::TreeWalk,
+        };
         let ran = catch_unwind(AssertUnwindSafe(
             move || -> Result<(ExecStats, Option<f64>, Option<Tensor>), RuntimeError> {
-                let kernel = kernel();
                 for tensor in &req.inputs {
                     kernel.rebind_input(tensor)?;
                 }
                 if pre_panic {
                     panic!("injected fault: panic before execution");
                 }
-                let stats = kernel.run_watched(watch, step_budget)?;
+                let stats = kernel.run_watched(watch, step_budget, engine)?;
                 if post_panic {
                     panic!("injected fault: panic after execution");
                 }
@@ -1966,26 +1889,29 @@ mod tests {
     }
 
     #[test]
-    fn two_services_at_different_levels_each_compile_one_shared_request() {
+    fn two_services_each_compile_one_shared_request() {
         // The prepared hash belongs to the request, the table to the service:
-        // nothing of a service's configuration is in the key.
+        // a request another service already prepared and cached still misses
+        // in a service of its own.
         let (a, b) = dense_pair(16, 1.0);
         let req = dot_request(&a, &b);
         let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
-        for opt_level in OptLevel::all() {
-            let svc = KernelService::new(ServiceConfig { opt_level, ..ServiceConfig::default() });
+        for n in 0..2 {
+            let svc = KernelService::default();
+            assert_eq!(
+                svc.fast,
+                ExecConfig { validation: ValidationLevel::Off, ..Default::default() }
+            );
             let clone = req.clone();
             assert_eq!(clone.key(), req.key());
             let cold = svc.submit(&clone).unwrap();
             let warm = svc.submit(&req).unwrap();
-            assert!(!cold.cache_hit && warm.cache_hit, "{opt_level}");
-            assert_eq!(warm.scalar.unwrap().to_bits(), expected.to_bits(), "{opt_level}");
-            assert_eq!(svc.stats().compiles, 1, "{opt_level}");
+            assert!(!cold.cache_hit && warm.cache_hit, "service {n}");
+            assert_eq!(warm.scalar.unwrap().to_bits(), expected.to_bits(), "service {n}");
+            assert_eq!(svc.stats().compiles, 1, "service {n}");
             let inner = svc.lock_inner();
-            let Some(SlotState::Ready(entry)) = inner.slots.get(&req.key()) else {
-                panic!("{opt_level}: the kernel is cached under the request's key");
-            };
-            assert_eq!(entry.base.opt_level(), opt_level, "each service compiled at its level");
+            let cached = matches!(inner.slots.get(&req.key()), Some(SlotState::Ready(_)));
+            assert!(cached, "service {n}: the kernel is cached under the request's key");
         }
     }
 
@@ -2126,33 +2052,6 @@ mod tests {
     }
 
     #[test]
-    fn each_rung_of_the_ladder_is_one_configuration() {
-        let fast = ExecConfig {
-            validation: ValidationLevel::Off,
-            step_budget: Some(1 << 20),
-            alloc_budget: Some(1 << 10),
-            ..ExecConfig::default()
-        };
-        // (typed, simd, engine) per rung; everything else is the fast
-        // rung's.
-        let rungs = [
-            (Tier::Fast, true, true, Engine::Bytecode),
-            (Tier::TypedSerial, true, false, Engine::Bytecode),
-            (Tier::Untyped, false, false, Engine::Bytecode),
-            (Tier::Oracle, false, false, Engine::TreeWalk),
-        ];
-        assert_eq!(rungs.map(|r| r.0), Tier::ALL);
-        for (tier, typed, simd, engine) in rungs {
-            let want = ExecConfig { typed, simd, engine, ..fast };
-            assert_eq!(tier.config(&fast), want, "{}", tier.label());
-        }
-        // What a default service compiles under is the fast rung.
-        let svc = KernelService::default();
-        assert_eq!(Tier::Fast.config(&svc.fast), svc.fast);
-        assert_eq!(svc.fast, ExecConfig { validation: ValidationLevel::Off, ..Default::default() });
-    }
-
-    #[test]
     fn fault_ladder_degrades_with_bit_identical_results() {
         let (a, b) = sparse_pair(64);
         let expected = {
@@ -2160,18 +2059,12 @@ mod tests {
             svc.submit(&dot_request(&a, &b)).unwrap().scalar.unwrap()
         };
 
-        // k injected panics walk the ladder: 1 → fast (after quarantine +
-        // recompile), 2 → typed serial, 3 → untyped, 4 → oracle, 5 → typed
-        // Faulted error.  Every served tier returns the identical scalar.
-        let expect_tier = [Tier::Fast, Tier::TypedSerial, Tier::Untyped, Tier::Oracle];
-        let points = [
-            InjectPoint::PreRun,
-            InjectPoint::MidRun,
-            InjectPoint::PostRun,
-            InjectPoint::PreRun,
-            InjectPoint::MidRun,
-        ];
-        for k in 1..=5u64 {
+        // k injected panics: 1 → fast (after quarantine + recompile), 2 →
+        // oracle, 3 → typed Faulted error.  Both tiers return the identical
+        // scalar, and falling back compiles nothing.
+        let expect_tier = [Tier::Fast, Tier::Oracle];
+        let points = [InjectPoint::PreRun, InjectPoint::MidRun, InjectPoint::PostRun];
+        for k in 1..=3u64 {
             let svc = KernelService::default();
             svc.submit(&dot_request(&a, &b)).unwrap(); // warm: rid 0
             let mut plan = FaultPlan::new();
@@ -2186,11 +2079,11 @@ mod tests {
             let result = svc.submit(&dot_request(&a, &b));
             let stats = svc.stats();
             assert_eq!(stats.served_by_tier.len(), Tier::ALL.len());
-            if k <= 4 {
+            if k <= 2 {
                 let resp = result.unwrap();
                 assert_eq!(resp.tier, expect_tier[k as usize - 1], "k = {k}");
-                // The warm request on the fast rung, this one on its own.
-                let mut served = [1, 0, 0, 0];
+                // The warm request on the fast tier, this one on its own.
+                let mut served = [1, 0];
                 served[resp.tier.index()] += 1;
                 assert_eq!(stats.served_by_tier, served, "k = {k}");
                 assert_eq!(
@@ -2200,7 +2093,7 @@ mod tests {
                 );
             } else {
                 match result {
-                    Err(ServiceError::Faulted { attempts, .. }) => assert_eq!(attempts, 5),
+                    Err(ServiceError::Faulted { attempts, .. }) => assert_eq!(attempts, 3),
                     other => panic!("expected Faulted, got {other:?}"),
                 }
             }
@@ -2208,11 +2101,9 @@ mod tests {
             assert_eq!(stats.panics, k, "every injected panic was caught");
             let faults: u64 = stats.faults_by_tier.iter().sum();
             assert_eq!(faults, k);
-            // One quarantine + recompile as soon as the fast tier faults.
-            if k >= 1 {
-                assert_eq!(stats.quarantined, 1);
-                assert_eq!(stats.recompiles, 1);
-            }
+            // One quarantine + recompile as soon as the fast tier faults,
+            // and no compile beyond it and the warm request's.
+            assert_eq!((stats.quarantined, stats.recompiles, stats.compiles), (1, 1, 1), "k = {k}");
         }
     }
 

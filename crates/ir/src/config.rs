@@ -4,8 +4,8 @@
 //! — the optimisation level, the two bytecode stages that can be switched
 //! off, the validation level, the engine and the two budgets — is one plain
 //! [`ExecConfig`] value.  The pipeline ([`crate::opt::optimize_and_lower`])
-//! reads it, a compiled kernel records it, and the service's degradation
-//! ladder is four values of it.
+//! reads it, a compiled kernel records it, and a kernel service compiles
+//! under one value of it.
 
 use crate::opt::{OptLevel, ValidationLevel};
 

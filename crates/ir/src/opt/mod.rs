@@ -120,15 +120,6 @@ impl OptLevel {
         }
     }
 
-    /// Parse a label produced by [`OptLevel::label`] (used by CLI flags).
-    pub fn parse(s: &str) -> Option<OptLevel> {
-        match s {
-            "none" | "0" => Some(OptLevel::None),
-            "default" | "1" => Some(OptLevel::Default),
-            _ => None,
-        }
-    }
-
     /// Both levels, unoptimised first.
     pub fn all() -> [OptLevel; 2] {
         [OptLevel::None, OptLevel::Default]
@@ -581,12 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip() {
+    fn labels_are_the_display_form() {
         for level in OptLevel::all() {
-            assert_eq!(OptLevel::parse(level.label()), Some(level));
             assert_eq!(format!("{level}"), level.label());
         }
-        assert_eq!(OptLevel::parse("bogus"), Option::None);
         assert_eq!(OptLevel::default(), OptLevel::Default);
     }
 }

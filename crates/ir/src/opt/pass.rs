@@ -81,16 +81,6 @@ impl ValidationLevel {
             ValidationLevel::Full => "full",
         }
     }
-
-    /// Parse a label produced by [`ValidationLevel::label`].
-    pub fn parse(s: &str) -> Option<ValidationLevel> {
-        match s {
-            "off" => Some(ValidationLevel::Off),
-            "static" => Some(ValidationLevel::Static),
-            "full" => Some(ValidationLevel::Full),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ValidationLevel {

@@ -9,9 +9,9 @@ use std::time::Duration;
 
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
-    BreakerPolicy, CompiledKernel, DrainReport, Engine, ExecConfig, FaultKind, FaultPlan,
-    FaultRule, HealthSnapshot, InjectPoint, Kernel, KernelService, LevelSpec, Request,
-    RuntimeError, ServiceConfig, ServiceError, ServiceState, Tensor, Tier, Watch,
+    CompiledKernel, DrainReport, Engine, ExecConfig, FaultKind, FaultPlan, FaultRule,
+    HealthSnapshot, InjectPoint, Kernel, KernelService, LevelSpec, Request, RuntimeError,
+    ServiceConfig, ServiceError, ServiceState, Tensor, Tier, Watch,
 };
 
 /// A kernel with a sparse (assembled) output: the abort paths must leave
@@ -140,7 +140,6 @@ fn kernel_service_is_send_and_sync() {
     assert_send_sync::<ServiceState>();
     assert_send_sync::<DrainReport>();
     assert_send_sync::<HealthSnapshot>();
-    assert_send_sync::<BreakerPolicy>();
 }
 
 /// A dense dot-product request plus its expected scalar; every `scale`
@@ -358,7 +357,6 @@ fn breaker_opens_after_threshold_and_degrades_to_the_oracle() {
     let svc = KernelService::new(ServiceConfig {
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_secs(3600),
-        breaker_policy: BreakerPolicy::Degrade,
         retry_backoff: Duration::ZERO,
         ..ServiceConfig::default()
     });
@@ -372,12 +370,12 @@ fn breaker_opens_after_threshold_and_degrades_to_the_oracle() {
     plan.push(FaultRule { request: 1, point: InjectPoint::PostRun, kind: FaultKind::Panic });
     svc.install_faults(plan);
     let resp = svc.submit(&req).unwrap();
-    assert_eq!(resp.tier, Tier::TypedSerial, "two fast-tier faults degrade one tier");
+    assert_eq!(resp.tier, Tier::Oracle, "two fast-tier faults land on the oracle");
     assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
     assert_eq!(svc.health().breakers_open, 1);
 
     // Within the cooldown the structure short-circuits straight to the
-    // oracle tier — still bit-identical, no wasted fast-tier attempts.
+    // oracle — still bit-identical, no wasted fast-tier attempts.
     let resp = svc.submit(&req).unwrap();
     assert_eq!(resp.tier, Tier::Oracle);
     assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
@@ -391,7 +389,6 @@ fn a_clean_half_open_probe_closes_the_breaker() {
     let svc = KernelService::new(ServiceConfig {
         breaker_threshold: 1,
         breaker_cooldown: Duration::ZERO,
-        breaker_policy: BreakerPolicy::Degrade,
         retry_backoff: Duration::ZERO,
         ..ServiceConfig::default()
     });
@@ -403,8 +400,8 @@ fn a_clean_half_open_probe_closes_the_breaker() {
     svc.submit(&req).unwrap(); // rid 1: one fault opens the breaker
     assert_eq!(svc.health().breakers_open, 1);
 
-    // Zero cooldown: the next request is the half-open probe.  It runs the
-    // full ladder cleanly and closes the breaker.
+    // Zero cooldown: the next request is the half-open probe.  It runs on
+    // the fast tier cleanly and closes the breaker.
     let resp = svc.submit(&req).unwrap();
     assert_eq!(resp.tier, Tier::Fast);
     assert_eq!(resp.scalar.unwrap().to_bits(), expected.to_bits());
@@ -421,7 +418,6 @@ fn a_faulting_probe_reopens_the_breaker() {
     let svc = KernelService::new(ServiceConfig {
         breaker_threshold: 1,
         breaker_cooldown: Duration::ZERO,
-        breaker_policy: BreakerPolicy::Degrade,
         retry_backoff: Duration::ZERO,
         ..ServiceConfig::default()
     });
@@ -437,28 +433,6 @@ fn a_faulting_probe_reopens_the_breaker() {
     let stats = svc.stats();
     assert_eq!(stats.breaker_opens, 2, "the faulting probe re-opened the breaker");
     assert_eq!(svc.health().breakers_open, 1);
-}
-
-#[test]
-fn an_open_breaker_rejects_when_configured() {
-    let svc = KernelService::new(ServiceConfig {
-        breaker_threshold: 1,
-        breaker_cooldown: Duration::from_secs(3600),
-        breaker_policy: BreakerPolicy::Reject,
-        retry_backoff: Duration::ZERO,
-        ..ServiceConfig::default()
-    });
-    let (req, _) = dense_dot_request(1.0);
-    svc.submit(&req).unwrap();
-    let mut plan = FaultPlan::new();
-    plan.push(FaultRule { request: 1, point: InjectPoint::PreRun, kind: FaultKind::Panic });
-    svc.install_faults(plan);
-    svc.submit(&req).unwrap(); // rid 1 opens the breaker
-    match svc.submit(&req) {
-        Err(ServiceError::CircuitOpen { consecutive_faults: 1, .. }) => {}
-        other => panic!("expected CircuitOpen, got {other:?}"),
-    }
-    assert_eq!(svc.stats().breaker_short_circuits, 1);
 }
 
 #[test]
@@ -609,4 +583,53 @@ fn service_survives_a_full_fault_barrage_with_typed_outcomes_only() {
     assert_eq!(svc.pending_faults(), 0, "every injected fault fired");
     let stats = svc.stats();
     assert!(stats.panics > 0 && stats.quarantined > 0);
+}
+
+/// `serve --tiny --faults 250`'s trace and seeded fault plan, submitted from
+/// one thread: request ids follow the schedule, so every outcome is a pure
+/// function of the plan.  No wall-clock deadline or step budget is
+/// configured, so a `Deadline { ms: 0 }` can only be an injected expiry and a
+/// `StepBudgetExceeded { budget: 1 }` only an injected exhaustion; every
+/// panic, poisoned entry and stacked second panic must end served.
+#[test]
+fn a_serial_replay_of_the_seeded_fault_plan_is_served_or_typed() {
+    use finch_bench::trace::{self, TraceConfig};
+    use std::collections::HashMap;
+
+    let tcfg =
+        TraceConfig { kernels: 6, instances: 4, requests: 240, scale: 2, ..Default::default() };
+    let svc = KernelService::new(ServiceConfig { capacity: 4, ..ServiceConfig::default() });
+    svc.install_faults(FaultPlan::seeded(tcfg.seed, tcfg.requests as u64, 250));
+    let mut references: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+    let (mut ok, mut budget, mut deadline) = (0u64, 0u64, 0u64);
+    for (n, r) in trace::generate(&tcfg).requests.into_iter().enumerate() {
+        let want = references.entry((r.kernel, r.instance)).or_insert_with(|| {
+            trace::reference_values(&tcfg, r.kernel, r.instance)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        });
+        match svc.submit(&trace::build_request(&tcfg, r.kernel, r.instance)) {
+            Ok(resp) => {
+                let got: Vec<u64> =
+                    trace::response_values(&resp).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(&got, want, "request {n} ({}) served a wrong result", resp.tier.label());
+                ok += 1;
+            }
+            Err(ServiceError::Runtime(RuntimeError::StepBudgetExceeded { budget: 1 })) => {
+                budget += 1
+            }
+            Err(ServiceError::Runtime(RuntimeError::Deadline { ms: 0 })) => deadline += 1,
+            Err(other) => panic!("request {n}: no rule implies {other:?}"),
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!(svc.pending_faults(), 0, "every rule fired");
+    assert_eq!(stats.served_by_tier.iter().sum::<u64>(), ok);
+    assert_eq!(stats.faults_by_tier[1], 0, "the oracle never faulted");
+    assert_eq!((stats.budget_errors, stats.deadline_errors), (budget, deadline));
+    // The counts EXPERIMENTS.md records ("The fallback is the oracle").
+    assert_eq!((ok, budget, deadline), (205, 13, 22));
+    assert_eq!(stats.served_by_tier, [202, 3]);
+    assert_eq!(stats.faults_by_tier, [18, 0]);
 }
