@@ -33,6 +33,8 @@ pub enum VecFormat {
     SparseList,
     /// A contiguous band from the first to the last nonzero.
     Band,
+    /// A variable block list: each maximal run of nonzeros one block.
+    Vbl,
 }
 
 impl VecFormat {
@@ -42,6 +44,7 @@ impl VecFormat {
             VecFormat::Dense => Tensor::dense_vector(name, data),
             VecFormat::SparseList => Tensor::sparse_list_vector(name, data),
             VecFormat::Band => Tensor::band_vector(name, data),
+            VecFormat::Vbl => Tensor::vbl_vector(name, data),
         }
     }
 
@@ -51,6 +54,7 @@ impl VecFormat {
             VecFormat::Dense => "VecFormat::Dense",
             VecFormat::SparseList => "VecFormat::SparseList",
             VecFormat::Band => "VecFormat::Band",
+            VecFormat::Vbl => "VecFormat::Vbl",
         }
     }
 }
@@ -439,10 +443,10 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
 /// Draw one random case.  `smoke` shrinks the problem size for the CI
 /// smoke job.
 pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
-    let formats = [VecFormat::Dense, VecFormat::SparseList, VecFormat::Band];
+    let formats = [VecFormat::Dense, VecFormat::SparseList, VecFormat::Band, VecFormat::Vbl];
     let n = if smoke { rng.below_in(16, 48) } else { rng.below_in(32, 128) };
-    let a_format = formats[rng.below_in(0, 3)];
-    let b_format = formats[rng.below_in(0, 3)];
+    let a_format = formats[rng.below_in(0, 4)];
+    let b_format = formats[rng.below_in(0, 4)];
     // Protocol annotations are only meaningful on formats with a searchable
     // coordinate list; everything else iterates with the default unfurl.
     let proto = |rng: &mut TestRng, f: VecFormat| match f {
@@ -625,6 +629,26 @@ mod tests {
         assert!(count(|c| c.same_support) > 0);
     }
 
+    /// VBL against a walked sparse list is the run-ahead's block form: the
+    /// smoke draw reaches it, and such cases run divergence-free.
+    #[test]
+    fn vbl_against_a_sparse_list_draws_the_block_form_run_ahead() {
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let block_form = drawn.iter().filter(|case| {
+            let formats = [case.a_format, case.b_format];
+            formats.contains(&VecFormat::Vbl) && formats.contains(&VecFormat::SparseList) && {
+                let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+                kernel.bytecode().disasm().contains(" blocks b")
+            }
+        });
+        let cases: Vec<&FuzzCase> = block_form.collect();
+        assert!(!cases.is_empty(), "no smoke case emits the block form");
+        for case in cases.into_iter().take(3) {
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        }
+    }
+
     /// The acceptance demonstration: inject a synthetic bug (the oracle
     /// flags any case containing a `Dot` statement) into a 24-statement
     /// case and check the minimizer converges to a reproducer of at most
@@ -703,5 +727,8 @@ mod tests {
         assert!(repro.contains("StmtSpec::Sum { op: finch_cin::CinOp::Max }"));
         assert!(repro.contains("StmtSpec::SieveGt,"));
         assert!(repro.contains("fuzz_divergence_seed_99"));
+        let vbl = FuzzCase { b_format: VecFormat::Vbl, ..case };
+        let repro = render_repro(&vbl, &Divergence { combo: "c".into(), detail: "x".into() });
+        assert!(repro.contains("b_format: VecFormat::Vbl,"));
     }
 }

@@ -779,11 +779,14 @@ impl Program {
                     r(hi)
                 )
             }
-            Instr::IMergeSkip { a, p, b, q, start, stop, base, on_a, on_b } => {
+            Instr::IMergeSkip { a, p, b, q, ofs, start, stop, base, on_a, on_b, on_b_loads } => {
                 let (p, q) = (r(p), r(q));
+                let blocks = ofs.map_or(String::new(), |ofs| format!(" blocks b{}", ofs.index()));
+                let loads =
+                    if on_b_loads > 0 { format!(" +{on_b_loads} load") } else { String::new() };
                 format!(
-                    "merge_skip b{}[{p}] ~ b{}[{q}] in {}..={} (i64) \
-                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt | {q} += 1 ; +{on_b} stmt }}",
+                    "merge_skip b{}[{p}]{blocks} ~ b{}[{q}] in {}..={} (i64) \
+                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt | {q} += 1 ; +{on_b} stmt{loads} }}",
                     a.index(),
                     b.index(),
                     r(start),

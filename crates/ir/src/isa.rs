@@ -8,6 +8,7 @@
 //! |---|---|
 //! | `reg(Read \| Write \| ReadWrite)` | a register and its [`Role`] |
 //! | `buf(Any \| I64 \| F64)` | a buffer and the element kind it must have ([`Elem`]) |
+//! | `opt_buf(..)` | an optional buffer, annotated as `buf` when present |
 //! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
@@ -203,6 +204,11 @@ macro_rules! operand {
     };
     ($f:ident, $x:ident, buf($elem:ident)) => {
         $f(Operand::Buf($x, Elem::$elem))
+    };
+    ($f:ident, $x:ident, opt_buf($elem:ident)) => {
+        if let Some(buf) = $x {
+            $f(Operand::Buf(buf, Elem::$elem))
+        }
     };
     ($f:ident, $x:ident, target($edge:ident)) => {
         $f(Operand::Target($x, Edge::$edge))
@@ -1077,15 +1083,27 @@ pub enum Instr {
     /// does not run) and that is not the loop's last (`ss + 1 <= stop`) —
     /// the fingers advance, `start` is set, and
     /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration, two loads and `base` (`+ on_a`
-    /// where `p` advanced, `+ on_b` where `q` did) statements each.  It
-    /// stops, with `p`, `q` and `start` as the scalar loop has them at that
-    /// iteration's top, in front of the first iteration that matches, ends
-    /// the loop, reads past a buffer (or a buffer that is no longer `i64`),
-    /// or might cross [`crate::vm::Vm`]'s statement limit (the step budget,
-    /// a deadline check, a poll of the cancellation flag) — so the scalar
-    /// loop under it, which is left as it was, still runs every iteration
-    /// that stores, faults, trips or exits, and rewrites every temporary.
+    /// iterations count: one loop iteration, two loads (`+ on_b_loads`
+    /// where `q` advanced) and `base` (`+ on_a` where `p` advanced, `+ on_b`
+    /// where `q` did) statements each.
+    ///
+    /// The **block form** (`ofs` present; VBL's loop, Fig. 3b) is the same
+    /// loop with the inner guard `ss` lies inside the block `a[p]` ends:
+    /// `a`'s stride is a block's last coordinate, the block is `len =
+    /// ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 - len < s2
+    /// <= s1`.  It skips both kinds of empty step: `s1 < s2` (the block ends
+    /// first; `p` advances) and `s2 <= s1 - len` (`b`'s coordinate is in the
+    /// zero gap in front of the block; `q` advances, and its gap test's
+    /// statements and loads are in `on_b` / `on_b_loads`).
+    ///
+    /// The op stops, with `p`, `q` and `start` as the scalar loop has them
+    /// at that iteration's top, in front of the first iteration that
+    /// matches, ends the loop, reads past a buffer (or a buffer that is no
+    /// longer `i64`), or might cross [`crate::vm::Vm`]'s statement limit
+    /// (the step budget, a deadline check, a poll of the cancellation flag)
+    /// — so the scalar loop under it, which is left as it was, still runs
+    /// every iteration that stores, faults, trips or exits, and rewrites
+    /// every temporary that a later iteration or the loop's exit reads.
     IMergeSkip = "i_merge_skip" TagFree {
         /// The first finger's sorted I64 coordinate buffer.
         a: BufId = buf(I64),
@@ -1095,6 +1113,8 @@ pub enum Instr {
         b: BufId = buf(I64),
         /// The second finger: a position in `b` (proven `Int`).
         q: Reg = reg(ReadWrite),
+        /// The block form: `a`'s I64 block offsets, distinct from `a` and `b`.
+        ofs: Option<BufId> = opt_buf(I64),
         /// The loop's `step_start`, set to one past the last skipped step.
         start: Reg = reg(ReadWrite),
         /// The loop's inclusive bound (proven `Int`).
@@ -1105,6 +1125,8 @@ pub enum Instr {
         on_a: u32 = payload,
         /// Further statements of an iteration that advances `q`.
         on_b: u32 = payload,
+        /// Further loads of an iteration that advances `q` (the gap test's).
+        on_b_loads: u32 = payload,
     },
 }
 }
@@ -1495,11 +1517,13 @@ pub(crate) fn samples() -> Vec<Instr> {
             p: r(0),
             b: b(1),
             q: r(1),
+            ofs: Some(b(5)),
             start: r(2),
             stop: r(3),
             base: 7,
             on_a: 2,
-            on_b: 1,
+            on_b: 8,
+            on_b_loads: 3,
         },
     ]
 }
@@ -1523,6 +1547,8 @@ mod tests {
         for name in ["f0", "f1", "f2"] {
             bufs.add(name, Buffer::F64(vec![0.0; 4].into()));
         }
+        // The merge run-ahead's block offsets.
+        bufs.add("i5", Buffer::I64(vec![0; 4].into()));
         bufs
     }
 

@@ -33,12 +33,20 @@
 //! [`crate::interp::ExecStats`] cannot tell the two apart and the pass runs
 //! under [`super::StatsContract::Exact`].
 //!
+//! The **block form** takes VBL's loop (Fig. 3b; Fig. 7's VBL SpMSpV), whose
+//! first finger's stride ends a block of `ofs[p + 1] - ofs[p]` coordinates:
+//! there the inner guard is the block test `block_test` matches, and the op
+//! also skips the steps that find the other finger's coordinate in the zero
+//! gap in front of the block.
+//!
 //! A loop that is not given the op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
 
+use crate::buffer::BufId;
 use crate::bytecode::{jump_targets, splice_before, Instr, Program, Reg};
 use crate::expr::BinOp;
 
+use super::peephole::dead_after;
 use super::OptStats;
 
 /// Why a typed `while` loop was not given a run-ahead op.
@@ -55,9 +63,10 @@ pub enum MergeDecline {
     /// The step is not the minimum of the two strides clipped to the
     /// bound — a jumper's leader election takes the maximum.
     NotTheMinimum,
-    /// The body is not guarded by both fingers ending the step, so it does
-    /// work on a step only one of them ends: a disjunctive (union) body, or
-    /// a finger whose stride ends a block or a run that covers the step.
+    /// The body is not guarded by both fingers ending the step (or by one
+    /// ending it inside the other's block), so it does work on a step only
+    /// one of them ends: a disjunctive (union) body, a block test that is
+    /// not VBL's, or two fingers whose strides end blocks or runs.
     NotGuardedByBoth,
     /// A finger does not advance by one position where its stride ends the
     /// step, or the next step does not start one past this one.
@@ -151,19 +160,32 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
         ) if pair(lhs, rhs, s1, s2) && pair(l2, r2, t, stop) => (t, ss),
         _ => return Err(NotTheMinimum),
     };
-    // Both guards skip to the same place: where the fingers advance.
+    let regs = [start, stop, p_reg, q_reg, s1, s2, t, ss];
+    // Both guards skip to the same place: where the fingers advance.  The
+    // outer one is a finger ending the step; the inner one, the other
+    // finger ending it too, or the step ending inside the other's block.
     let guard = |at: Option<(usize, Instr)>| match at {
         Some((pc, Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, target })) => {
             [s1, s2].into_iter().find(|&s| pair(lhs, rhs, ss, s)).map(|s| (pc, s, target as usize))
         }
         _ => None,
     };
-    let (Some((outer_pc, outer, tail)), Some((inner_pc, inner, inner_tail))) =
-        (guard(top.next()), guard(top.next()))
-    else {
+    let Some((outer_pc, outer, tail)) = guard(top.next()) else {
         return Err(NotGuardedByBoth);
     };
-    if outer == inner || tail != inner_tail || tail <= inner_pc || tail >= bottom {
+    let (inner_pc, block) = match guard(top.next()) {
+        Some((pc, inner, target)) if inner != outer && target == tail => (pc, None),
+        _ => {
+            let blocks = if outer == s2 { (a, p_reg, s1, ss) } else { (b, q_reg, s2, ss) };
+            // What a skipped iteration reads behind the test (`t` it does not).
+            let frame = [start, stop, p_reg, q_reg, s1, s2, ss];
+            let (test, join, ofs, loads) =
+                block_test(code, (outer_pc + 1, tail, end as usize), &frame, blocks)
+                    .ok_or(NotGuardedByBoth)?;
+            (test, Some((join, ofs, loads)))
+        }
+    };
+    if tail <= inner_pc || tail >= bottom {
         return Err(NotGuardedByBoth);
     }
     // Behind the guarded body: the two advances, the next start, the bottom test.
@@ -190,40 +212,149 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
     if behind.next() != Some(next_start) || behind.next().is_some() {
         return Err(NonUnitAdvance);
     }
-    let regs = [start, stop, p_reg, q_reg, s1, s2, t, ss];
-    if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
+    let ofs = block.map(|(_, ofs, _)| ofs);
+    if a == b
+        || (1..regs.len()).any(|k| regs[..k].contains(&regs[k]))
+        || [Some(a), Some(b)].contains(&ofs)
+    {
         return Err(SharedOperand);
     }
-    // Nothing enters the loop but at its top and where the guards skip to,
-    // and what a match does stays in front of the advances.
+    // Nothing enters the loop but at its top, where the guards skip to and
+    // where the block test's one branch joins (from that branch alone); and
+    // what a match does stays in front of the advances.
     // (Only a loop that is the shape gets this far: one scan of the code.)
     let targets = jump_targets(code);
-    let entered = |pc: usize| targets[pc] && pc != head + 1 && pc != tail;
+    let join = block.map(|(join, ..)| join);
+    let entered = |pc: usize| targets[pc] && pc != head + 1 && pc != tail && Some(pc) != join;
     let stays =
         |pc: usize| code[pc].target().is_none_or(|t| (inner_pc + 1..=tail).contains(&(t as usize)));
-    if (head + 1..=inner_pc).chain(tail..=bottom).any(entered) || !(inner_pc + 1..tail).all(stays) {
+    let joins = code.iter().filter(|i| join.is_some_and(|j| i.target() == Some(j as u32))).count();
+    if (head + 1..=inner_pc).chain(tail..=bottom).any(entered)
+        || !(inner_pc + 1..tail).all(stays)
+        || joins > 1
+    {
         return Err(NotGuardedByBoth);
     }
     // What an iteration that matches nothing accounts: every statement
-    // outside the guarded body, the inner guard's only when the outer
-    // finger ends the step, an advance's only when it advances.
+    // outside the guarded body, the inner guard's (or the block test's)
+    // only when the outer finger ends the step, an advance's only when it
+    // advances.
     let stmts = |pcs: std::ops::RangeInclusive<usize>| {
         pcs.filter(|&pc| code[pc] == Instr::BumpStmt).count() as u32
     };
     let base = stmts(head + 1..=outer_pc) + stmts(tail..=bottom);
     let on_outer = stmts(outer_pc + 1..=inner_pc);
     let on = |stride: Reg, advance: u32| advance + if outer == stride { on_outer } else { 0 };
-    Ok(Instr::IMergeSkip {
-        a,
-        p: p_reg,
-        b,
-        q: q_reg,
-        start,
-        stop,
-        base,
-        on_a: on(s1, a_stmts),
-        on_b: on(s2, b_stmts),
-    })
+    let mut fingers = [(a, p_reg, on(s1, a_stmts)), (b, q_reg, on(s2, b_stmts))];
+    // The block form's first finger is the one whose stride ends a block.
+    if block.is_some() && outer == s1 {
+        fingers.reverse();
+    }
+    let [(a, p, on_a), (b, q, on_b)] = fingers;
+    let on_b_loads = block.map_or(0, |(.., loads)| loads);
+    Ok(Instr::IMergeSkip { a, p, b, q, ofs, start, stop, base, on_a, on_b, on_b_loads })
+}
+
+/// What a register of a block test holds: the step's end `ss`; the block
+/// finger `p`, `p + 1`, and the block's last coordinate `a[p]`; `ofs[p + 1]`
+/// and the block's length `ofs[p + 1] - ofs[p]`; the gap's last coordinate
+/// `a[p] - len`, clipped to the step (`gap_stop`); the block phase's start.
+#[derive(Clone, Copy, PartialEq)]
+enum Val {
+    Step,
+    Finger,
+    Next,
+    Last,
+    Hi,
+    Len,
+    Gap,
+    GapStop,
+    From,
+}
+
+/// The test, from `from` to the guards' target `tail`, that `ss` ends inside
+/// the block `coords[p]` ends — lowering's VBL pipeline (Fig. 3b), a zero gap
+/// then the block:
+///
+/// ```text
+/// from = ss ; gap_stop = min(coords[p] - (ofs[p + 1] - ofs[p]), ss)
+/// if ss <= gap_stop { from = gap_stop + 1 }
+/// if from <= ss { .. }
+/// ```
+///
+/// matched by value (any register holding `coords[p]` will do), and nothing
+/// else: no other load, branch or write to the loop's `frame`, and what it
+/// writes is dead where the loop exits, as the op leaves it as it was.  The
+/// test's pc, where its inner branch joins, `ofs` and the loads on the way.
+fn block_test(
+    code: &[Instr],
+    (from, tail, exit): (usize, usize, usize),
+    frame: &[Reg],
+    (coords, p, last, ss): (BufId, Reg, Reg, Reg),
+) -> Option<(usize, usize, BufId, u32)> {
+    use Val::*;
+    let mut vals = vec![(ss, Step), (p, Finger), (last, Last)];
+    let val = |vals: &[(Reg, Val)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
+    let (mut ofs, mut loads, mut join, mut pc) = (None, 0, None, from);
+    let mut offsets = |buf| buf != coords && *ofs.get_or_insert(buf) == buf;
+    while pc < tail {
+        let (at, instr) = (pc, code[pc]);
+        pc += 1;
+        loads += matches!(instr, Instr::LoadI64 { .. } | Instr::LoadBinary { .. }) as u32;
+        let written = match instr {
+            Instr::Nop | Instr::BumpStmt => continue,
+            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
+            Instr::LoadI64 { dst, buf, idx } => match val(&vals, idx)? {
+                Finger if buf == coords => (dst, Last),
+                Next if offsets(buf) => (dst, Hi),
+                _ => return None,
+            },
+            Instr::LoadBinary { op: BinOp::Sub, dst, lhs, buf, idx } => {
+                let len = val(&vals, lhs)? == Hi && val(&vals, idx)? == Finger && offsets(buf);
+                len.then_some((dst, Len))?
+            }
+            Instr::IArith { op, dst, lhs, rhs } => match (op, val(&vals, lhs)?, val(&vals, rhs)?) {
+                (BinOp::Sub, Last, Len) => (dst, Gap),
+                (BinOp::Min, Gap, Step) | (BinOp::Min, Step, Gap) => (dst, GapStop),
+                _ => return None,
+            },
+            Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 } if val(&vals, lhs)? == Finger => {
+                (dst, Next)
+            }
+            // `if ss <= gap_stop { from = gap_stop + 1 }`, `from` holding `ss`.
+            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target }
+                if join.is_none()
+                    && (pc..tail).contains(&(target as usize))
+                    && (val(&vals, lhs), val(&vals, rhs)) == (Some(Step), Some(GapStop)) =>
+            {
+                let computes = |pc: &usize| !matches!(code[*pc], Instr::Nop | Instr::BumpStmt);
+                let mut moved = (pc..target as usize).filter(computes).map(|pc| code[pc]);
+                let (Some(Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 }), None) =
+                    (moved.next(), moved.next())
+                else {
+                    return None;
+                };
+                if (val(&vals, lhs), val(&vals, dst)) != (Some(GapStop), Some(Step)) {
+                    return None;
+                }
+                (join, pc) = (Some(target as usize), target as usize);
+                (dst, From)
+            }
+            // `if from <= ss { .. }`.
+            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target } if target as usize == tail => {
+                let unread = vec![false; code.len()];
+                let dead = |&(r, _): &(Reg, Val)| {
+                    !frame.contains(&r) && dead_after(code, &unread, exit, r)
+                };
+                let test = (val(&vals, lhs), val(&vals, rhs)) == (Some(From), Some(Step));
+                let (join, ofs) = (join?, ofs?);
+                return (test && vals[3..].iter().all(dead)).then_some((at, join, ofs, loads));
+            }
+            _ => return None,
+        };
+        vals.push(written);
+    }
+    None
 }
 
 #[cfg(test)]
@@ -247,10 +378,11 @@ pub(super) mod tests {
     const A_IDX: BufId = BufId(0);
     const B_IDX: BufId = BufId(2);
     const OUT: BufId = BufId(5);
+    const A_OFS: BufId = BufId(6);
 
     /// What [`merge_kernel_with`] varies: the loop the recogniser takes, or
     /// one of the shapes it must decline.
-    #[derive(Clone, Copy, PartialEq)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub(in crate::opt) enum Shape {
         /// §6.1's two-finger intersection.
         Intersection,
@@ -260,6 +392,26 @@ pub(super) mod tests {
         GuardedByOneFinger,
         /// The second finger advances by two positions.
         AdvanceByTwo,
+        /// VBL's loop (Fig. 3b): the first finger's stride ends a block, and
+        /// the body runs where the second ends the step inside it.
+        Block,
+        /// [`Shape::Block`], the block's last coordinate read off the stride
+        /// instead of reloaded.
+        BlockOnStride,
+        /// The block one coordinate longer than its offsets say: where the
+        /// block form's gap test is off by one.
+        BlockGapOffByOne,
+        /// The block's length read one offsets position further on.
+        BlockLenOneOn,
+        /// The block test without the second finger's guard: a union body.
+        BlockUnion,
+    }
+
+    /// The length of block `k` of the first finger under the block shapes:
+    /// one to four coordinates, as far as the block in front allows.
+    pub(in crate::opt) fn block_lens(a: &[i64]) -> Vec<i64> {
+        let before = |k: usize| if k == 0 { -1 } else { a[k - 1] };
+        (0..a.len()).map(|k| (1 + a[k] % 4).min(a[k] - before(k))).collect()
     }
 
     /// The loop `lower_stepped` emits for two coiterating steppers under a
@@ -286,10 +438,27 @@ pub(super) mod tests {
         let b_val = bufs.add("b_val", Buffer::F64(values(b.len(), 0.25).into()));
         let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
         let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
-        assert_eq!((a_idx, b_idx, out), (A_IDX, B_IDX, OUT));
-        let [p, q, hi, start, s1, s2, ss] =
-            ["p", "q", "phase_stop", "step_start", "stride", "stride_2", "step_stop"]
-                .map(|name| names.fresh(name));
+        // The block shapes' offsets, with a spare last entry for the shape
+        // that reads one position further on.
+        let mut offsets = vec![0];
+        for len in block_lens(a) {
+            offsets.push(offsets.last().unwrap() + len);
+        }
+        offsets.push(*offsets.last().unwrap());
+        let a_ofs = bufs.add("a_ofs", Buffer::I64(offsets.into()));
+        assert_eq!((a_idx, b_idx, out, a_ofs), (A_IDX, B_IDX, OUT, A_OFS));
+        let [p, q, hi, start, s1, s2, ss, from, gap_stop] = [
+            "p",
+            "q",
+            "phase_stop",
+            "step_start",
+            "stride",
+            "stride_2",
+            "step_stop",
+            "phase_start",
+            "gap_stop",
+        ]
+        .map(|name| names.fresh(name));
         let v = Expr::Var;
         let advance = |finger: Var, stride: Var, by: i64| {
             Stmt::if_then(
@@ -307,9 +476,31 @@ pub(super) mod tests {
             value: Expr::mul(Expr::load(a_val, v(p)), Expr::load(b_val, v(q))),
             reduce: Some(BinOp::Add),
         };
+        // Lowering's VBL pipeline, a zero gap then the block, restricted to
+        // the step's end: the block phase starts past the gap.
+        let gap_test = |last: Expr, at: i64, less: i64| {
+            let ofs = |k: i64| Expr::load(a_ofs, Expr::add(v(p), Expr::int(k)));
+            let lo = if at == 0 { Expr::load(a_ofs, v(p)) } else { ofs(at) };
+            let gap = Expr::sub(last, Expr::sub(ofs(at + 1), lo));
+            let gap = if less == 0 { gap } else { Expr::sub(gap, Expr::int(less)) };
+            let past_gap = Stmt::Assign { var: from, value: Expr::add(v(gap_stop), Expr::int(1)) };
+            vec![
+                Stmt::Let { var: from, init: v(ss) },
+                Stmt::Let { var: gap_stop, init: Expr::min(gap, v(ss)) },
+                Stmt::if_then(Expr::le(v(from), v(gap_stop)), vec![past_gap]),
+                Stmt::if_then(Expr::le(v(from), v(ss)), vec![work.clone()]),
+            ]
+        };
+        let reload = || Expr::load(a_idx, v(p));
+        let guarded = |by: Var, body| vec![Stmt::if_then(Expr::eq(v(ss), v(by)), body)];
         let matched = match shape {
-            Shape::GuardedByOneFinger => vec![work],
-            _ => vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), vec![work])],
+            Shape::GuardedByOneFinger => guarded(s1, vec![work]),
+            Shape::Block => guarded(s2, gap_test(reload(), 0, 0)),
+            Shape::BlockOnStride => guarded(s2, gap_test(v(s1), 0, 0)),
+            Shape::BlockGapOffByOne => guarded(s2, gap_test(reload(), 0, 1)),
+            Shape::BlockLenOneOn => guarded(s2, gap_test(reload(), 1, 0)),
+            Shape::BlockUnion => gap_test(reload(), 0, 0),
+            _ => guarded(s1, vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), vec![work])]),
         };
         let stmts = vec![
             Stmt::Let { var: p, init: Expr::int(0) },
@@ -318,15 +509,20 @@ pub(super) mod tests {
             Stmt::Let { var: start, init: Expr::int(0) },
             Stmt::While {
                 cond: Expr::le(v(start), v(hi)),
-                body: vec![
-                    Stmt::Let { var: s1, init: Expr::load(a_idx, v(p)) },
-                    Stmt::Let { var: s2, init: Expr::load(b_idx, v(q)) },
-                    Stmt::Let { var: ss, init: Expr::min(both, v(hi)) },
-                    Stmt::if_then(Expr::eq(v(ss), v(s1)), matched),
-                    advance(p, s1, 1),
-                    advance(q, s2, if shape == Shape::AdvanceByTwo { 2 } else { 1 }),
-                    Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
-                ],
+                body: [
+                    vec![
+                        Stmt::Let { var: s1, init: Expr::load(a_idx, v(p)) },
+                        Stmt::Let { var: s2, init: Expr::load(b_idx, v(q)) },
+                        Stmt::Let { var: ss, init: Expr::min(both, v(hi)) },
+                    ],
+                    matched,
+                    vec![
+                        advance(p, s1, 1),
+                        advance(q, s2, if shape == Shape::AdvanceByTwo { 2 } else { 1 }),
+                        Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+                    ],
+                ]
+                .concat(),
             },
         ];
         (stmts, names, bufs)
@@ -395,41 +591,70 @@ pub(super) mod tests {
         (outcome, vm.stats(), bufs)
     }
 
+    /// The shapes that get the op: §6.1's intersection and VBL's block test,
+    /// the block's last coordinate reloaded (as lowering emits it) or read
+    /// off the stride.
+    const TAKEN: [Shape; 3] = [Shape::Intersection, Shape::Block, Shape::BlockOnStride];
+
+    /// How many iterations of `shape`'s loop run its guarded body.
+    fn matches(a: &[i64], b: &[i64], stop: i64, shape: Shape) -> u64 {
+        let lens = if shape == Shape::Intersection { vec![1; a.len()] } else { block_lens(a) };
+        let inside =
+            |x: &i64| a.iter().zip(&lens).any(|(last, len)| (last - len + 1..=*last).contains(x));
+        b.iter().filter(|x| inside(x) && **x <= stop).count() as u64
+    }
+
     #[test]
     fn the_merge_loop_gets_one_op_on_its_bottom_tests_target_and_is_otherwise_untouched() {
-        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
-        let c = compile(&kernel);
-        assert_eq!(c.stats.merge_skips, 1, "{}", c.skipping.disasm());
-        assert_eq!(c.stats.merge_declined, [0; 6]);
-        let [at] = ops(&c.skipping)[..] else { panic!("one op:\n{}", c.skipping.disasm()) };
-        let code = c.skipping.code();
-        let Instr::IWhileCmp { end, .. } = code[at - 1] else {
-            panic!("the op follows the loop head:\n{}", c.skipping.disasm())
-        };
-        assert!(
-            matches!(code[end as usize - 1], Instr::IWhileNext { body, .. } if body as usize == at),
-            "{}",
-            c.skipping.disasm()
-        );
-        // Seven statements an iteration, the inner guard's and the advance's
-        // with the first finger, the advance's with the second.
-        assert!(
-            matches!(code[at], Instr::IMergeSkip { base: 7, on_a: 2, on_b: 1, .. }),
-            "{}",
-            c.skipping.disasm()
-        );
-        assert_eq!(c.skipping.stmt_bump()[at], 0);
-        // Without the op, the program is the one compiled without the tier.
-        let mut without = code.to_vec();
-        without.remove(at);
-        for target in without.iter_mut().filter_map(Instr::target_mut) {
-            *target -= u32::from(*target as usize > at);
+        // Seven statements an iteration; the intersection's inner guard goes
+        // with the first finger, the block test's statements and loads with
+        // the second — three loads, or two when the stride stands in for the
+        // reload of `a[p]`.
+        let wants = [
+            "merge_skip b0[p] ~ b2[q] in step_start..=phase_stop (i64) \
+             { +7 stmt ; p += 1 ; +2 stmt | q += 1 ; +1 stmt }",
+            "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
+             { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +3 load }",
+            "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
+             { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +2 load }",
+        ];
+        for (shape, want) in TAKEN.into_iter().zip(wants) {
+            let kernel =
+                merge_kernel_with(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39, shape);
+            let c = compile(&kernel);
+            assert_eq!(c.stats.merge_skips, 1, "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            let [at] = ops(&c.skipping)[..] else { panic!("one op:\n{}", c.skipping.disasm()) };
+            let code = c.skipping.code();
+            let Instr::IWhileCmp { end, .. } = code[at - 1] else {
+                panic!("the op follows the loop head:\n{}", c.skipping.disasm())
+            };
+            assert!(
+                matches!(code[end as usize - 1], Instr::IWhileNext { body, .. } if body as usize == at),
+                "{}",
+                c.skipping.disasm()
+            );
+            let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
+            assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
+            assert_eq!(c.skipping.stmt_bump()[at], 0);
+            // Without the op, the program is the one compiled without the tier.
+            let mut without = code.to_vec();
+            without.remove(at);
+            for target in without.iter_mut().filter_map(Instr::target_mut) {
+                *target -= u32::from(*target as usize > at);
+            }
+            assert_eq!(
+                without,
+                c.scalar.code(),
+                "{}\nvs\n{}",
+                c.skipping.disasm(),
+                c.scalar.disasm()
+            );
+            assert!(ops(&c.scalar).is_empty());
+            let mut folded = c.skipping.stmt_bump().to_vec();
+            folded.remove(at);
+            assert_eq!(folded, c.scalar.stmt_bump());
         }
-        assert_eq!(without, c.scalar.code(), "{}\nvs\n{}", c.skipping.disasm(), c.scalar.disasm());
-        assert!(ops(&c.scalar).is_empty());
-        let mut folded = c.skipping.stmt_bump().to_vec();
-        folded.remove(at);
-        assert_eq!(folded, c.scalar.stmt_bump());
     }
 
     /// Every step budget from 0 to the full run, on every operand pair: the
@@ -438,11 +663,14 @@ pub(super) mod tests {
     /// did skip.
     #[test]
     fn every_step_budget_trips_where_the_scalar_loop_and_the_tree_walker_trip() {
-        for (a, b, stop) in operand_pairs() {
-            let kernel = merge_kernel(&a, &b, stop);
+        let cases = TAKEN
+            .into_iter()
+            .flat_map(|shape| operand_pairs().into_iter().map(move |pair| (shape, pair)));
+        for (shape, (a, b, stop)) in cases {
+            let kernel = merge_kernel_with(&a, &b, stop, shape);
             let c = compile(&kernel);
             assert_eq!(ops(&c.skipping).len(), 1, "{}", c.skipping.disasm());
-            let context = format!("{a:?} x {b:?} to {stop}");
+            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
             let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
             assert_eq!(outcome, "Ok(())", "{context}");
             for budget in 0..=full.stmts {
@@ -461,7 +689,7 @@ pub(super) mod tests {
             let mut vm = Vm::new(&c.skipping);
             let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
             let at = ops(&c.skipping)[0];
-            let matches = a.iter().filter(|&x| b.contains(x) && *x <= stop).count() as u64;
+            let matches = matches(&a, &b, stop, shape);
             assert!(per_pc[at + 1] <= matches + 1, "{context}: {} iterations", per_pc[at + 1]);
             assert_eq!(vm.stats(), full, "{context}");
         }
@@ -471,8 +699,15 @@ pub(super) mod tests {
     /// with the same message having counted the same work.
     #[test]
     fn an_injected_fault_trips_on_the_tree_walkers_statement() {
-        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
-        let c = compile(&kernel);
+        for shape in [Shape::Intersection, Shape::Block] {
+            let kernel =
+                merge_kernel_with(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39, shape);
+            faults_alike(&kernel);
+        }
+    }
+
+    fn faults_alike(kernel: &Kernel) {
+        let c = compile(kernel);
         let (_, full, _) = run(&c.skipping, &kernel.2, None);
         for at in 1..=full.stmts {
             let watch = Watch::default().with_fault_at_stmt(at);
@@ -502,36 +737,52 @@ pub(super) mod tests {
     fn a_rebound_coordinate_buffer_faults_as_the_scalar_loop_faults() {
         let a: Vec<i64> = vec![3, 17, 30, 99];
         let b: Vec<i64> = (0..41).collect();
-        let kernel = merge_kernel(&a, &b, 39);
-        let c = compile(&kernel);
-        let rebound = |buf: BufId, with: Buffer| {
-            let mut bufs = kernel.2.clone();
-            *bufs.get_mut(buf) = with;
-            bufs
-        };
-        let cases = [
-            ("a as f64", rebound(A_IDX, Buffer::F64(vec![3.0, 17.0, 30.0, 99.0].into()))),
-            ("a cut short", rebound(A_IDX, Buffer::I64(vec![3, 17].into()))),
-            ("b cut short", rebound(B_IDX, Buffer::I64((0..12).collect::<Vec<_>>().into()))),
-            ("a empty", rebound(A_IDX, Buffer::I64(Vec::new().into()))),
-            (
-                "b as f64",
-                rebound(B_IDX, Buffer::F64((0..41).map(f64::from).collect::<Vec<_>>().into())),
-            ),
-        ];
-        for (what, bufs) in cases {
-            let (with_op, with_stats, with_bufs) = run(&c.skipping, &bufs, None);
-            let (without, stats, without_bufs) = run(&c.scalar, &bufs, None);
-            assert_eq!(with_op, without, "{what}");
-            assert_eq!(with_stats, stats, "{what}");
-            assert_eq!(with_bufs.get(OUT), without_bufs.get(OUT), "{what}");
-            if what.contains("cut") || what.contains("empty") {
-                assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
+        for shape in [Shape::Intersection, Shape::Block] {
+            let kernel = merge_kernel_with(&a, &b, 39, shape);
+            let c = compile(&kernel);
+            let rebound = |buf: BufId, with: Buffer| {
+                let mut bufs = kernel.2.clone();
+                *bufs.get_mut(buf) = with;
+                bufs
+            };
+            let mut cases = vec![
+                ("a as f64", rebound(A_IDX, Buffer::F64(vec![3.0, 17.0, 30.0, 99.0].into()))),
+                ("a cut short", rebound(A_IDX, Buffer::I64(vec![3, 17].into()))),
+                ("b cut short", rebound(B_IDX, Buffer::I64((0..12).collect::<Vec<_>>().into()))),
+                ("a empty", rebound(A_IDX, Buffer::I64(Vec::new().into()))),
+                (
+                    "b as f64",
+                    rebound(B_IDX, Buffer::F64((0..41).map(f64::from).collect::<Vec<_>>().into())),
+                ),
+            ];
+            if shape == Shape::Block {
+                // The block offsets run out at the third block, or are no
+                // longer `i64`.
+                let cut = Buffer::I64(vec![0, 4, 6].into());
+                let floats = Buffer::F64(vec![0.0, 4.0, 6.0, 9.0, 13.0].into());
+                cases.push(("offsets cut short", rebound(A_OFS, cut)));
+                cases.push(("offsets as f64", rebound(A_OFS, floats)));
+            }
+            for (what, bufs) in cases {
+                let what = format!("{what}, {shape:?}");
+                same_verdict(&c, &bufs, &what);
             }
         }
     }
 
-    /// Sorted lists drawn at random, at every density: all three agree.
+    fn same_verdict(c: &Compiled, bufs: &BufferSet, what: &str) {
+        let (with_op, with_stats, with_bufs) = run(&c.skipping, bufs, None);
+        let (without, stats, without_bufs) = run(&c.scalar, bufs, None);
+        assert_eq!(with_op, without, "{what}");
+        assert_eq!(with_stats, stats, "{what}");
+        assert_eq!(with_bufs.get(OUT), without_bufs.get(OUT), "{what}");
+        if what.contains("cut") || what.contains("empty") {
+            assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
+        }
+    }
+
+    /// Sorted lists drawn at random, at every density, under every shape that
+    /// takes the op: all three agree.
     #[test]
     fn random_sorted_lists_merge_alike_with_and_without_the_op() {
         let mut rng = 0x2545_F491_4F6C_DD1Du64;
@@ -548,7 +799,7 @@ pub(super) mod tests {
                 out
             };
             let (a, b) = (list(1 + round % 7), list(1 + round % 5));
-            let kernel = merge_kernel(&a, &b, 59);
+            let kernel = merge_kernel_with(&a, &b, 59, TAKEN[round as usize % 3]);
             let c = compile(&kernel);
             let mut interp = Interpreter::new(&c.names);
             let mut tree_bufs = kernel.2.clone();
@@ -601,6 +852,11 @@ pub(super) mod tests {
             MergeDecline::NotGuardedByBoth,
         );
         declined(&merge_kernel_with(&a, &b, 9, Shape::AdvanceByTwo), MergeDecline::NonUnitAdvance);
+        // A block test that is not the op's, and a body one finger does not
+        // guard: the block does work on steps the second finger does not end.
+        for shape in [Shape::BlockGapOffByOne, Shape::BlockLenOneOn, Shape::BlockUnion] {
+            declined(&merge_kernel_with(&a, &b, 9, shape), MergeDecline::NotGuardedByBoth);
+        }
         // Both fingers on one list.
         let (mut stmts, names, bufs) = merge_kernel(&a, &b, 9);
         fn rebind(stmts: &mut [Stmt]) {

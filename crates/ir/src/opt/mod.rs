@@ -36,9 +36,11 @@
 //!   re-tests its condition itself,
 //! * [`mod@merge_skip`] — the kernel-op tier's second selection, behind
 //!   `forward`: the loop of two coiterating steppers under a conjunctive
-//!   body gains one run-ahead op as its body's first instruction, which
-//!   performs natively the iterations that match nothing, with the untouched
-//!   scalar loop running every iteration that stores, faults or exits,
+//!   body — both fingers ending the step, or one ending it inside the
+//!   other's VBL block — gains one run-ahead op as its body's first
+//!   instruction, which performs natively the iterations that match
+//!   nothing, with the untouched scalar loop running every iteration that
+//!   stores, faults or exits,
 //! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are

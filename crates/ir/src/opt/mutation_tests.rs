@@ -794,6 +794,14 @@ fn forwarded_merge_kernel(shape: merge_skip::tests::Shape) -> (Program, Names, B
 
 /// The real pass, then `mutate` on the op it placed.
 fn run_merge_skip_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassError> {
+    run_merge_skip_mutation_on(merge_skip::tests::Shape::Intersection, mutate)
+}
+
+/// [`run_merge_skip_mutation`] on the loop of another shape.
+fn run_merge_skip_mutation_on(
+    shape: merge_skip::tests::Shape,
+    mutate: fn(&mut Program, usize),
+) -> Result<Repr, PassError> {
     struct Mutated(fn(&mut Program, usize));
     impl Pass for Mutated {
         fn name(&self) -> &'static str {
@@ -810,8 +818,7 @@ fn run_merge_skip_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, Pass
             Repr::Bytecode(program)
         }
     }
-    let kernel = forwarded_merge_kernel(merge_skip::tests::Shape::Intersection);
-    run_typed_bytecode_pass(kernel, &Mutated(mutate))
+    run_typed_bytecode_pass(forwarded_merge_kernel(shape), &Mutated(mutate))
 }
 
 #[test]
@@ -888,16 +895,25 @@ fn a_run_ahead_over_a_body_one_finger_guards_is_caught_by_output_parity() {
     // runs wherever the first finger ends the step, and the op, which skips
     // every step the two fingers do not both end, skips that work.
     use merge_skip::tests::Shape;
-    struct Weakened;
-    impl Pass for Weakened {
+    let verdict = forced_op(Shape::Intersection, Shape::GuardedByOneFinger);
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+/// The op the real pass gives a loop of shape `op`, forced onto the loop of
+/// shape `over` — the same registers and buffers — which the pass declines.
+fn forced_op(
+    op: merge_skip::tests::Shape,
+    over: merge_skip::tests::Shape,
+) -> Result<Repr, PassError> {
+    struct Forced(merge_skip::tests::Shape);
+    impl Pass for Forced {
         fn name(&self) -> &'static str {
             "merge_skip"
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let declined = merge_skip(repr.bytecode(), ctx.stats);
             assert_eq!(ctx.stats.merge_declined[MergeDecline::NotGuardedByBoth as usize], 1);
-            // The op of the intersection over the same registers and buffers.
-            let (good, ..) = forwarded_merge_kernel(Shape::Intersection);
+            let (good, ..) = forwarded_merge_kernel(self.0);
             let good = merge_skip(&good, &mut OptStats::default());
             let op = *good.code.iter().find(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
             let head = declined
@@ -909,7 +925,61 @@ fn a_run_ahead_over_a_body_one_finger_guards_is_caught_by_output_parity() {
             Repr::Bytecode(declined.with_code(code))
         }
     }
-    let verdict =
-        run_typed_bytecode_pass(forwarded_merge_kernel(Shape::GuardedByOneFinger), &Weakened);
+    run_typed_bytecode_pass(forwarded_merge_kernel(over), &Forced(op))
+}
+
+#[test]
+fn the_block_form_validates_and_its_witness_skips_both_kinds_of_empty_step() {
+    use merge_skip::tests::Shape;
+    let out = run_merge_skip_mutation_on(Shape::Block, |_, _| {})
+        .expect("the real pass is exact")
+        .into_bytecode();
+    let (_, _, bufs) = forwarded_merge_kernel(Shape::Block);
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    // Of 28 iterations, the seven whose `b` coordinate is inside a block
+    // (0, 2, 3; 17; 18; 29, 30) and the loop's last are dispatched, each
+    // behind one call of the op: the others find a block ending first, or
+    // `b` in the gap in front of one.
+    let counts = (per_pc[at], per_pc[at + 1], vm.stats().loop_iters);
+    assert_eq!(counts, (8, 8, 28), "{}", out.disasm());
+}
+
+#[test]
+fn a_block_run_ahead_whose_gap_test_is_off_by_one_is_caught_by_output_parity() {
+    // The loop's block begins one coordinate before the op's: the op skips
+    // `b` at the block's first coordinate (27 in front of the block ending
+    // at 30), where the loop runs its body.
+    use merge_skip::tests::Shape;
+    let verdict = forced_op(Shape::Block, Shape::BlockGapOffByOne);
     assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
+fn a_block_run_ahead_reading_the_length_off_another_offset_is_caught_by_output_parity() {
+    // The loop reads the block's length one offsets position further on
+    // than the op: where the next block is longer, the op takes the loop's
+    // first block coordinate for the gap.
+    use merge_skip::tests::Shape;
+    let verdict = forced_op(Shape::Block, Shape::BlockLenOneOn);
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
+fn a_block_run_ahead_one_gap_load_short_is_caught_by_the_exact_stats_witness() {
+    let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
+        let Instr::IMergeSkip { on_b_loads, .. } = &mut program.code[at] else { unreachable!() };
+        *on_b_loads -= 1;
+    });
+    assert_caught(verdict, "merge_skip", "ExecStats");
+}
+
+#[test]
+fn a_block_run_ahead_whose_offsets_are_a_fingers_list_is_caught_by_the_verifier() {
+    let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
+        let Instr::IMergeSkip { a, ofs, .. } = &mut program.code[at] else { unreachable!() };
+        *ofs = Some(*a);
+    });
+    assert_caught(verdict, "merge_skip", "block offsets from a finger's list");
 }

@@ -392,11 +392,13 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// The placement rule of a merge run-ahead at `pc`: it is the first
 /// instruction of the body of a `while start <= stop` loop closed by a
 /// bottom test on the same registers, which lands on it; its two buffers
-/// differ; and the rest of the body steps each finger, and the start, in
-/// exactly one place — by one, as the op does.  (That the op's statement
-/// counts are the loop's is the exact-stats witness's to find.)
+/// differ, and the block form's offsets are neither (their `i64` kind is
+/// the operand walk's to check); and the rest of the body steps each
+/// finger, and the start, in exactly one place — by one, as the op does.
+/// (That the op's statement counts are the loop's is the exact-stats
+/// witness's to find.)
 fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IMergeSkip { a, p, b, q, start, stop, .. } = code[pc] else { return Ok(()) };
+    let Instr::IMergeSkip { a, p, b, q, ofs, start, stop, .. } = code[pc] else { return Ok(()) };
     let head = pc.checked_sub(1).map(|head| code[head]);
     let bottom = match head {
         Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
@@ -417,6 +419,11 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
     }
     if a == b {
         return Err(format!("merge run-ahead at pc {pc} walks one buffer with both fingers"));
+    }
+    if ofs.is_some_and(|ofs| ofs == a || ofs == b) {
+        return Err(format!(
+            "merge run-ahead at pc {pc} reads its block offsets from a finger's list"
+        ));
     }
     for (reg, what, advanced) in [(p, "finger", true), (q, "finger", true), (start, "start", false)]
     {

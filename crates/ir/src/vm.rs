@@ -958,8 +958,21 @@ impl Vm {
                     );
                     pc += 1;
                 }
-                Instr::IMergeSkip { a, p, b, q, start, stop, base, on_a, on_b } => {
-                    self.merge_skip(bufs, (a, p), (b, q), start, stop, [base, on_a, on_b]);
+                Instr::IMergeSkip {
+                    a,
+                    p,
+                    b,
+                    q,
+                    ofs,
+                    start,
+                    stop,
+                    base,
+                    on_a,
+                    on_b,
+                    on_b_loads,
+                } => {
+                    let counts = [base, on_a, on_b, on_b_loads];
+                    self.merge_skip(bufs, (a, p, ofs), (b, q), start, stop, counts);
                     pc += 1;
                 }
             }
@@ -1690,10 +1703,12 @@ impl Vm {
 
     /// [`Instr::IMergeSkip`], dispatched at the top of an iteration of its
     /// merge loop: run ahead through the iterations that find `a[p] !=
-    /// b[q]` and are not the loop's last, exactly as the scalar loop under
-    /// the op would — every comparison is the scalar instruction's own —
-    /// but for the temporaries, which the iteration the op stops in front
-    /// of rewrites.  `stmts` is `[base, on_a, on_b]`.
+    /// b[q]`, are not the loop's last and — in the block form, where `b`
+    /// ends the step — find `b[q]` in the gap in front of `a[p]`'s block,
+    /// exactly as the scalar loop under the op would — every comparison is
+    /// the scalar instruction's own — but for the temporaries, which the
+    /// loop does not read before it rewrites them.  `counts` is `[base,
+    /// on_a, on_b, on_b_loads]`.
     ///
     /// An iteration is only skipped while a worst-case one still fits under
     /// [`Vm::stmt_limit`], so nothing a statement can trip is due inside
@@ -1702,14 +1717,19 @@ impl Vm {
     fn merge_skip(
         &mut self,
         bufs: &BufferSet,
-        (a, p): (BufId, Reg),
+        (a, p, ofs): (BufId, Reg, Option<BufId>),
         (b, q): (BufId, Reg),
         start: Reg,
         stop: Reg,
-        stmts: [u32; 3],
+        counts: [u32; 4],
     ) {
         let (Buffer::I64(a), Buffer::I64(b)) = (bufs.get(a), bufs.get(b)) else { return };
-        let [base, on_a, on_b] = stmts.map(u64::from);
+        let ofs = match ofs.map(|ofs| bufs.get(ofs)) {
+            Some(Buffer::I64(ofs)) => Some(ofs),
+            Some(_) => return,
+            None => None,
+        };
+        let [base, on_a, on_b, on_b_loads] = counts.map(u64::from);
         // A skipped iteration advances one finger: `a[p] != b[q]`.
         let worst = (base + on_a.max(on_b)).max(1);
         let stop = self.ints[stop.index()];
@@ -1728,6 +1748,19 @@ impl Vm {
                 if s1 == s2 || !Self::cmp_int(BinOp::Le, after, stop) {
                     break;
                 }
+                // Where `b` ends the step, the block form's gap test as the
+                // scalar loop computes it: the body runs unless `ss <=
+                // gap_stop = min(s1 - len, ss)` and the block phase, starting
+                // at `gap_stop + 1`, starts past `ss`.
+                if let Some(ofs) = ofs.filter(|_| s2 == step_stop) {
+                    let at = pv as usize;
+                    let Some(&[lo, hi]) = ofs.get(at..at + 2) else { break };
+                    let gap_stop = s1.wrapping_sub(hi.wrapping_sub(lo)).min(step_stop);
+                    let le = |x, y| Self::cmp_int(BinOp::Le, x, y);
+                    if !le(step_stop, gap_stop) || le(gap_stop.wrapping_add(1), step_stop) {
+                        break;
+                    }
+                }
                 pv = pv.wrapping_add((s1 == step_stop) as i64);
                 qv = qv.wrapping_add((s2 == step_stop) as i64);
                 next = Some(after);
@@ -1735,7 +1768,7 @@ impl Vm {
             }
             let Some(next) = next else { return };
             self.stats.loop_iters += skipped;
-            self.stats.loads += 2 * skipped;
+            self.stats.loads += 2 * skipped + qv.wrapping_sub(q0) as u64 * on_b_loads;
             self.stats.stmts += skipped * base
                 + pv.wrapping_sub(p0) as u64 * on_a
                 + qv.wrapping_sub(q0) as u64 * on_b;

@@ -21,7 +21,7 @@
 //! the first rows of ROADMAP item 6's shape table.
 //!
 //! An iteration is one the loop *performs*, dispatched or not: a loop that
-//! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger merges) only
+//! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger and VBL merges) only
 //! dispatches the iterations that match or end it, so its iterations are
 //! counted on the same kernel compiled with `simd` off — the same scalar
 //! loop, instruction for instruction, without the op.  The same pair of
@@ -91,7 +91,11 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
 /// busiest innermost loop): the run-ahead op performs the iterations that
 /// match nothing without dispatching them, so both bounds fall — the walks'
 /// merge loop from ten dispatches an iteration to between two and four, by
-/// how often it matches, and their whole run by about half.
+/// how often it matches, and their whole run by about half.  PR 26 re-pinned
+/// the two `VBL` rows: the op's block form performs the merge steps that end
+/// a block first or find `x` in the gap in front of one, and their whole run
+/// falls by a third (15.92 → 10.96, 16.64 → 10.46); the busiest innermost
+/// loop is the block's `for`, which does not move.
 const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig01", "looplets: list x band", 2100, 1000),
     ("fig01", "iterator-over-nonzeros", 438, 238),
@@ -99,18 +103,19 @@ const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig07a", "A leads (gallop)", 1102, 667),
     ("fig07a", "x leads (gallop)", 1037, 725),
     ("fig07a", "gallop both", 1260, 715),
-    ("fig07a", "VBL", 1592, 600),
+    ("fig07a", "VBL", 1096, 600),
     ("fig07b", "two-finger (TACO-style)", 588, 369),
     ("fig07b", "A leads (gallop)", 1115, 697),
     ("fig07b", "x leads (gallop)", 1056, 712),
     ("fig07b", "gallop both", 1327, 876),
-    ("fig07b", "VBL", 1664, 600),
+    ("fig07b", "VBL", 1046, 600),
     ("fig08", "two-finger (TACO-style)", 757, 253),
     ("fig08", "gallop", 1576, 650),
 ];
 
-/// The kernels that must carry a run-ahead op: the two-finger walks.
-const TWO_FINGER: &str = "two-finger (TACO-style)";
+/// The kernels that must carry exactly one run-ahead op: the two-finger
+/// walks, and VBL's (the op's block form).
+const ONE_OP: [&str; 2] = ["two-finger (TACO-style)", "VBL"];
 
 /// One run-ahead op of a profiled program: how many scalar iterations its
 /// loop dispatched, how many of them matched (ran the guarded body) and how
@@ -126,15 +131,17 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
     let code = program.code();
     let ops = code.iter().enumerate().filter(|(_, i)| matches!(i, Instr::IMergeSkip { .. }));
     ops.map(|(op, _)| {
-        // The head, the op, the scalar iteration; the body behind the
-        // second of the loop's two guards.
-        let guards = (op..code.len()).filter(|&pc| matches!(code[pc], Instr::ICmpBranch { .. }));
-        let inner_guard = guards.take(2).last().expect("a merge loop has two guards");
-        RunAhead {
-            dispatched: per_pc[op + 1],
-            matches: per_pc[inner_guard + 1],
-            entries: per_pc[op - 1],
-        }
+        // The head, the op, the scalar iteration; the guarded body, behind
+        // the last test that skips to where the loop's first guard does —
+        // the second equality of an intersection, a block form's block test.
+        let skips_to = |pc: usize| match code[pc] {
+            Instr::ICmpBranch { target, .. } => Some(target as usize),
+            _ => None,
+        };
+        let outer = (op..code.len()).find(|&pc| skips_to(pc).is_some()).expect("a guard");
+        let tail = skips_to(outer).expect("a guard");
+        let inner = (outer..tail).rfind(|&pc| skips_to(pc) == Some(tail)).unwrap();
+        RunAhead { dispatched: per_pc[op + 1], matches: per_pc[inner + 1], entries: per_pc[op - 1] }
     })
     .collect()
 }
@@ -163,7 +170,7 @@ fn merge_kernels_stay_within_their_dispatch_budgets() {
         assert_eq!(stats, scalar_stats, "{figure}/{}: kernel ops change no counter", variant.label);
         let program = kernel.bytecode();
         let skips = run_ahead_ops(program, &per_pc);
-        if variant.label == TWO_FINGER {
+        if ONE_OP.contains(&variant.label.as_str()) {
             assert_eq!(skips.len(), 1, "{figure}/{}:\n{}", variant.label, program.disasm());
         }
         for skip in &skips {

@@ -5,11 +5,12 @@
 //! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
 //! nothing.  Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
-//! runs out inside a run-ahead — so for the three kernels that hold the loop
+//! runs out inside a run-ahead — so for the four kernels that hold the loop
 //! (sparse·sparse `dot`, the elementwise product with a sparse output, and
-//! Fig. 7's two-finger SpMSpV) over operand pairs that are empty,
-//! single-entry, disjoint, identical, interleaved and prefixes of each
-//! other, this file runs **every** step budget from 0 to the unbudgeted
+//! Fig. 7's two-finger and VBL SpMSpV, the last the op's block form) over
+//! operand pairs that are empty, single-entry, disjoint, identical,
+//! interleaved, prefixes of each other, or on either side of a block's
+//! edges, this file runs **every** step budget from 0 to the unbudgeted
 //! run's statement count on
 //!
 //! * the VM with the op (the default configuration),
@@ -133,5 +134,57 @@ fn two_finger_spmspv_agrees_under_every_budget_on_every_operand_pair() {
         let x = Tensor::sparse_list_vector("x", &vector(x));
         let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Walk);
         sweep(&kernel, &format!("spmspv, x = {what}"));
+    }
+}
+
+/// Fig. 7's VBL SpMSpV, the run-ahead's block form: each row of one VBL
+/// matrix is a set of blocks — length-1 blocks, blocks at coordinate 0 and
+/// at `N - 1`, blocks as close as `vbl_matrix` keeps them apart (one zero
+/// between; touching runs are one block), one long block, an empty row —
+/// and `x` in turn sits at every block's start − 1, start, end and end + 1,
+/// everywhere, or nowhere.
+#[test]
+fn vbl_spmspv_agrees_under_every_budget_on_every_operand_pair() {
+    let rows: [&[(usize, usize)]; 6] = [
+        &[(3, 3), (7, 7), (12, 12)],
+        &[(0, 2), (20, N - 1)],
+        &[(4, 5), (7, 9), (11, 11)],
+        &[],
+        &[(5, 18)],
+        &[(0, 0), (N - 1, N - 1)],
+    ];
+    let mut dense = vec![0.0; rows.len() * N];
+    for (r, blocks) in rows.iter().enumerate() {
+        for &(first, last) in *blocks {
+            for c in first..=last {
+                dense[r * N + c] = 0.5 + (r * N + c) as f64;
+            }
+        }
+    }
+    let matrix = Tensor::vbl_matrix("A", rows.len(), N, &dense);
+    let blocks = || rows.iter().flat_map(|blocks| blocks.iter().copied());
+    let at = |coord: fn((usize, usize)) -> Option<usize>| {
+        let mut coords: Vec<usize> = blocks().filter_map(coord).filter(|&c| c < N).collect();
+        coords.sort_unstable();
+        coords.dedup();
+        coords
+    };
+    let xs = [
+        ("empty", vec![]),
+        ("at every block start - 1", at(|(first, _)| first.checked_sub(1))),
+        ("at every block start", at(|(first, _)| Some(first))),
+        ("at every block end", at(|(_, last)| Some(last))),
+        ("at every block end + 1", at(|(_, last)| Some(last + 1))),
+        ("everywhere", (0..N).collect()),
+    ];
+    for (what, x) in xs {
+        let x = Tensor::sparse_list_vector("x", &vector(&x));
+        let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Walk);
+        assert!(
+            kernel.bytecode().disasm().contains(" blocks b"),
+            "the block form\n{}",
+            kernel.bytecode().disasm()
+        );
+        sweep(&kernel, &format!("vbl spmspv, x {what}"));
     }
 }
