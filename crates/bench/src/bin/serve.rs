@@ -21,12 +21,17 @@
 //!
 //! `--soak` is the chaos harness: it clamps `--max-in-flight` far below the
 //! client count (sustained overload, so requests queue), arms the
-//! per-structure circuit breakers, tightens the deadline, and performs two
-//! mid-run [`KernelService::drain`]/resume cycles while the clients keep
-//! submitting.  The process exits nonzero unless **every** request is
-//! accounted for — served bit-identically (under `--verify`) or resolved
-//! with a typed error — and both drains settle.  `--batch N` submits in
-//! N-request batches through [`KernelService::submit_batch`].
+//! per-structure circuit breakers at two faults, tightens the deadline, and
+//! performs two mid-run [`KernelService::drain`]/resume cycles while the
+//! clients keep submitting.  The process exits nonzero unless **every**
+//! request is accounted for — served bit-identically (under `--verify`) or
+//! resolved with a typed error — both drains settle, and an open breaker
+//! short-circuited at least one request.
+//!
+//! Exit codes: 1 the report could not be written, 2 a response diverged
+//! from the reference, 3 a request is unaccounted for, 4 a drain left the
+//! service running, 5 an unknown flag, 6 a soak whose breakers
+//! short-circuited nothing.
 
 #![forbid(unsafe_code)]
 
@@ -36,12 +41,12 @@ use std::time::Duration;
 
 use finch::{FaultPlan, KernelService, ServiceConfig, ServiceError, ServiceState, Tier};
 use finch_bench::report::ServeReport;
-use finch_bench::trace::{self, TraceConfig, TraceRequest};
+use finch_bench::trace::{self, TraceConfig};
 
 /// Every flag `serve` takes.  Anything else is refused (exit code 5), so a
-/// script still passing a deleted one — `--replay`, `--reps` — fails loudly
-/// instead of running the default trace.
-const FLAGS: [&str; 19] = [
+/// script still passing a deleted one — `--replay`, `--reps`, `--batch` —
+/// fails loudly instead of running the default trace.
+const FLAGS: [&str; 18] = [
     "--tiny",
     "--soak",
     "--verify",
@@ -58,7 +63,6 @@ const FLAGS: [&str; 19] = [
     "--queue-depth",
     "--breaker",
     "--breaker-cooldown-ms",
-    "--batch",
     "--scale",
     "--json",
 ];
@@ -113,12 +117,12 @@ fn main() {
     let seed: u64 = num("--seed", 0x5E21);
     let skew: f64 = num("--zipf", 1.1);
     // Soak throttles admission far below the client count so the queue is
-    // genuinely exercised, and arms the breakers.
+    // genuinely exercised, and arms the breakers low enough that the seeded
+    // faults open some (at four, none opens on the tiny trace).
     let max_in_flight: usize = num("--max-in-flight", if soak { 2 } else { 32 });
     let queue_depth: usize = num("--queue-depth", if soak { 16 } else { 32 });
-    let breaker: u32 = num("--breaker", if soak { 4 } else { 0 });
+    let breaker: u32 = num("--breaker", if soak { 2 } else { 0 });
     let breaker_cooldown_ms: u64 = num("--breaker-cooldown-ms", 10);
-    let batch: usize = num("--batch", 1).max(1);
     let verify = flag("--verify");
     let json_path = arg_after("--json").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
@@ -173,9 +177,8 @@ fn main() {
     println!(
         "serve{}: {requests} requests, {clients} clients, {kernels} kernels x {instances} \
          instances, cache {cache}, deadline {deadline_ms}ms, faults {faults}/1000, \
-         in-flight {max_in_flight}, queue {queue_depth}, breaker {breaker}{}{}",
+         in-flight {max_in_flight}, queue {queue_depth}, breaker {breaker}{}",
         if soak { " (soak)" } else { "" },
-        if batch > 1 { ", batched" } else { "" },
         if verify { ", verifying" } else { "" }
     );
 
@@ -194,69 +197,56 @@ fn main() {
             handles.push(scope.spawn(move || {
                 let mut tally = ClientTally::default();
                 // Round-robin split of the schedule across clients.
-                let mine: Vec<TraceRequest> =
-                    schedule.requests.iter().skip(c).step_by(clients.max(1)).copied().collect();
-                for chunk in mine.chunks(batch) {
-                    let reqs = trace::build_requests(tcfg, chunk);
+                for r in schedule.requests.iter().skip(c).step_by(clients.max(1)) {
+                    let req = trace::build_request(tcfg, r.kernel, r.instance);
                     // A draining service rejects with ShuttingDown; clients
                     // back off and retry (bounded) so the post-resume service
                     // sees real traffic again instead of the schedule burning
                     // off as instant rejections.
-                    let mut attempts = 0u32;
-                    let outs = loop {
-                        let outs = if batch > 1 {
-                            svc.submit_batch(&reqs)
-                        } else {
-                            vec![svc.submit(&reqs[0])]
-                        };
-                        let all_shutdown = outs
-                            .iter()
-                            .all(|o| matches!(o, Err(ServiceError::ShuttingDown { .. })));
-                        if all_shutdown && attempts < 1000 {
-                            attempts += 1;
-                            std::thread::sleep(Duration::from_micros(500));
-                            continue;
+                    let mut out = svc.submit(&req);
+                    for _ in 0..1000 {
+                        if !matches!(out, Err(ServiceError::ShuttingDown { .. })) {
+                            break;
                         }
-                        break outs;
-                    };
-                    for (r, out) in chunk.iter().zip(outs) {
-                        match out {
-                            Ok(resp) => {
-                                tally.ok += 1;
-                                if resp.tier != Tier::Fast {
-                                    tally.degraded += 1;
-                                }
-                                if verify {
-                                    let got: Vec<u64> = trace::response_values(&resp)
-                                        .iter()
-                                        .map(|x| x.to_bits())
-                                        .collect();
-                                    let want = &references[&(r.kernel, r.instance)];
-                                    if got == *want {
-                                        tally.verified += 1;
-                                    } else {
-                                        tally.divergences += 1;
-                                        eprintln!(
-                                            "DIVERGENCE kernel {} instance {} tier {}: \
-                                             {} values vs {} reference",
-                                            r.kernel,
-                                            r.instance,
-                                            resp.tier.label(),
-                                            got.len(),
-                                            want.len()
-                                        );
-                                    }
-                                }
-                            }
-                            Err(ServiceError::Compile(e)) => {
-                                // Trace templates always compile; a compile
-                                // error is a bench bug, not a service fault.
-                                panic!("unexpected compile error in trace: {e}");
-                            }
-                            Err(_) => tally.typed_errors += 1,
-                        }
-                        completed.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_micros(500));
+                        out = svc.submit(&req);
                     }
+                    match out {
+                        Ok(resp) => {
+                            tally.ok += 1;
+                            if resp.tier != Tier::Fast {
+                                tally.degraded += 1;
+                            }
+                            if verify {
+                                let got: Vec<u64> = trace::response_values(&resp)
+                                    .iter()
+                                    .map(|x| x.to_bits())
+                                    .collect();
+                                let want = &references[&(r.kernel, r.instance)];
+                                if got == *want {
+                                    tally.verified += 1;
+                                } else {
+                                    tally.divergences += 1;
+                                    eprintln!(
+                                        "DIVERGENCE kernel {} instance {} tier {}: \
+                                         {} values vs {} reference",
+                                        r.kernel,
+                                        r.instance,
+                                        resp.tier.label(),
+                                        got.len(),
+                                        want.len()
+                                    );
+                                }
+                            }
+                        }
+                        Err(ServiceError::Compile(e)) => {
+                            // Trace templates always compile; a compile
+                            // error is a bench bug, not a service fault.
+                            panic!("unexpected compile error in trace: {e}");
+                        }
+                        Err(_) => tally.typed_errors += 1,
+                    }
+                    completed.fetch_add(1, Ordering::SeqCst);
                 }
                 tally
             }));
@@ -338,14 +328,13 @@ fn main() {
     );
     println!(
         "  front-end: {} queued (max depth {max_queue_depth}), {} slot waits, {} queue timeouts, \
-         {} shed, breaker opens {}, short-circuits {}, batch groups {}",
+         {} shed, breaker opens {}, short-circuits {}",
         stats.queued,
         stats.slot_waits,
         stats.queue_timeouts,
         stats.shed,
         stats.breaker_opens,
-        stats.breaker_short_circuits,
-        stats.batch_groups
+        stats.breaker_short_circuits
     );
     if faults > 0 {
         println!(
@@ -385,5 +374,12 @@ fn main() {
             requests as u64 - ok - typed_errors
         );
         std::process::exit(3);
+    }
+    if soak && stats.breaker_short_circuits == 0 {
+        eprintln!(
+            "FAIL: the soak short-circuited no request ({} breaker opens at threshold {breaker})",
+            stats.breaker_opens
+        );
+        std::process::exit(6);
     }
 }

@@ -338,7 +338,7 @@ impl ServeReport {
         let tiers = |xs: &[u64]| format!("{xs:?}");
         let s = &self.stats;
         format!(
-            "{{\n  \"schema_version\": 4,\n  \"bench\": \"serve\",\n  \
+            "{{\n  \"schema_version\": 5,\n  \"bench\": \"serve\",\n  \
              \"requests\": {},\n  \"clients\": {},\n  \"kernels\": {},\n  \
              \"instances\": {},\n  \"cache_capacity\": {},\n  \"deadline_millis\": {},\n  \
              \"faults_permille\": {},\n  \"soak\": {},\n  \"seed\": {},\n  \"zipf_skew\": {},\n  \
@@ -350,7 +350,7 @@ impl ServeReport {
              \"recompiles\": {},\n    \"quarantined\": {},\n    \"evictions\": {},\n    \
              \"shed\": {},\n    \"queued\": {},\n    \"slot_waits\": {},\n    \"queue_timeouts\": {},\n    \
              \"breaker_opens\": {},\n    \"breaker_short_circuits\": {},\n    \
-             \"batch_groups\": {},\n    \"panics\": {},\n    \"deadline_errors\": {},\n    \
+             \"panics\": {},\n    \"deadline_errors\": {},\n    \
              \"budget_errors\": {},\n    \"alloc_errors\": {},\n    \
              \"served_by_tier\": {},\n    \"faults_by_tier\": {}\n  }}\n}}\n",
             self.requests,
@@ -384,7 +384,6 @@ impl ServeReport {
             s.queue_timeouts,
             s.breaker_opens,
             s.breaker_short_circuits,
-            s.batch_groups,
             s.panics,
             s.deadline_errors,
             s.budget_errors,
@@ -533,13 +532,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_report_emits_schema_v4_with_front_end_counters() {
+    fn serve_report_emits_schema_v5_with_front_end_counters() {
         let stats = finch::ServiceStats {
             queued: 7,
             queue_timeouts: 3,
             breaker_opens: 2,
             breaker_short_circuits: 5,
-            batch_groups: 4,
             served_by_tier: [10, 2],
             ..Default::default()
         };
@@ -555,7 +553,7 @@ mod tests {
             ..ServeReport::default()
         };
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 4"));
+        assert!(j.contains("\"schema_version\": 5"));
         assert!(j.contains("\"deadline_millis\": 40"));
         assert!(j.contains("\"soak\": true"));
         assert!(j.contains("\"max_queue_depth\": 6"));
@@ -565,7 +563,7 @@ mod tests {
         assert!(j.contains("\"queue_timeouts\": 3"));
         assert!(j.contains("\"breaker_opens\": 2"));
         assert!(j.contains("\"breaker_short_circuits\": 5"));
-        assert!(j.contains("\"batch_groups\": 4"));
+        assert!(!j.contains("batch"));
         assert!(j.contains("\"served_by_tier\": [10, 2]"));
         assert!(j.contains("\"faults_by_tier\": [0, 0]"));
         assert_balanced(&j);

@@ -170,12 +170,6 @@ pub fn build_request(cfg: &TraceConfig, kernel: usize, instance: usize) -> Reque
     }
 }
 
-/// Build the service [`Request`]s for a slice of scheduled trace entries,
-/// in order — the batch-submission driver's input.
-pub fn build_requests(cfg: &TraceConfig, reqs: &[TraceRequest]) -> Vec<Request> {
-    reqs.iter().map(|r| build_request(cfg, r.kernel, r.instance)).collect()
-}
-
 /// The readback values of a service [`Response`]: the scalar as a singleton,
 /// or the output tensor's stored values.
 pub fn response_values(resp: &Response) -> Vec<f64> {

@@ -32,20 +32,21 @@
 //!   is a `futex_wake` syscall).  The fault plan's lock is skipped while no rule
 //!   is installed, and a run's [`Watch`] is built once and moved into the
 //!   engine.
-//! * **Readers and the writer.**  A [`CompiledKernel`] is an immutable,
-//!   shared image plus a cheap run state (VM and buffers).  A healthy hit
-//!   is a *reader*: it borrows one of the entry's run states — the
-//!   entry's own, or a spare, or a new one made from the image when every
+//! * **Readers read, writers change the entry.**  A [`CompiledKernel`] is
+//!   an immutable, shared image plus a cheap run state (VM and buffers).
+//!   A hit is a *reader*: it borrows one of the entry's run states — the
+//!   entry's own, a spare, or a new one made from the image when every
 //!   other is lent, so never more than there are requests in flight — and
 //!   the entry stays in the table, so any number of hits on one structure
-//!   run at once.  Whatever changes the entry is the *writer* and takes it
-//!   out of the table whole, once every lent run state is back:
-//!   compilation, quarantine and recompile, the oracle fallback, a breaker
-//!   short-circuit, a batch group.  A hit whose run faults gives its run
-//!   state back and becomes the writer; hits arriving while a writer waits
-//!   queue behind it.  [`ServiceStats::slot_waits`] counts the requests
-//!   that had to sleep for any of this — zero on a fault-free trace of
-//!   cached structures.
+//!   run at once, on either tier (an open breaker's short-circuit runs the
+//!   oracle on its borrowed state).  Whatever changes the entry is a
+//!   *writer* and takes it out of the table whole, once every lent run
+//!   state is back: compilation, quarantine and recompile, and fault
+//!   recovery with its oracle fallback.  A hit whose run faults, or that
+//!   finds the entry poisoned, gives its state back and becomes a writer;
+//!   hits arriving while a writer waits queue behind it.
+//!   [`ServiceStats::slot_waits`] counts the requests that slept for any of
+//!   this — zero on a fault-free trace of cached structures.
 //!
 //! The service is hardened along four axes:
 //!
@@ -83,11 +84,6 @@
 //!    structurally validated; corrupt level arrays surface as the typed
 //!    [`ServiceError::InvalidInput`] instead of a downstream panic or a
 //!    wrong result.
-//!
-//! [`KernelService::submit_batch`] amortises the front-end: a slice of
-//! requests is admitted under one queue permit, grouped by structural hash,
-//! compiled (or looked up) once per group, and rebound serially against one
-//! cache entry — with per-request typed outcomes in submission order.
 //!
 //! A deterministic [`FaultPlan`] injects panics, budget exhaustion, poisoned
 //! entries, deadline expiry, and execution stalls at chosen points so tests
@@ -504,10 +500,10 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Requests that had to wait in the admission queue before admission.
     pub queued: u64,
-    /// Requests that blocked on the cache after admission: on a slot another
-    /// request holds exclusively (compiling, or recovering from a fault),
-    /// or — for a request that needs the entry exclusively — on
-    /// the run states other requests still hold.  Healthy hits never do.
+    /// Requests that blocked on the cache after admission: on a slot a
+    /// writer holds (compiling, recompiling, or recovering from a fault),
+    /// or — as a writer themselves — on the run states other requests still
+    /// hold.  Hits on a healthy entry, short-circuited or not, never do.
     pub slot_waits: u64,
     /// Requests whose deadline expired while waiting in the admission queue.
     pub queue_timeouts: u64,
@@ -516,9 +512,6 @@ pub struct ServiceStats {
     pub breaker_opens: u64,
     /// Requests short-circuited by an open breaker to the oracle tier.
     pub breaker_short_circuits: u64,
-    /// Structural groups formed by [`KernelService::submit_batch`] (each
-    /// group checks out its cache entry once).
-    pub batch_groups: u64,
     /// Requests served from a cached compiled kernel.
     pub hits: u64,
     /// Requests that required compilation.
@@ -554,7 +547,6 @@ struct AtomicStats {
     queue_timeouts: AtomicU64,
     breaker_opens: AtomicU64,
     breaker_short_circuits: AtomicU64,
-    batch_groups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
@@ -580,7 +572,6 @@ impl AtomicStats {
             queue_timeouts: get(&self.queue_timeouts),
             breaker_opens: get(&self.breaker_opens),
             breaker_short_circuits: get(&self.breaker_short_circuits),
-            batch_groups: get(&self.batch_groups),
             hits: get(&self.hits),
             misses: get(&self.misses),
             compiles: get(&self.compiles),
@@ -696,10 +687,10 @@ impl KeyCheck {
 /// One cached kernel: the compiled kernel with its run states, quarantine
 /// state, and LRU bookkeeping.
 ///
-/// Healthy hits are *readers*: each borrows one run state — `base`'s own
-/// when it is home, else a spare, else a new one forked from the image —
-/// and the entry stays in the table.  Everything that changes the entry
-/// (quarantine, recompile, the oracle fallback, a batch group) is the
+/// Hits are *readers*, on either tier: each borrows one run state —
+/// `base`'s own when it is home, else a spare, else a new one forked from
+/// the image — and the entry stays in the table.  Everything that changes
+/// the entry (compilation, quarantine and recompile, fault recovery) is a
 /// *writer* and takes the whole entry out of the table, which it can only
 /// do while no run state is lent.
 struct Entry {
@@ -795,13 +786,13 @@ impl Sleepers for CacheInner {
 /// How [`KernelService::checkout`] is asked for an entry.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Access {
-    /// One run state of a healthy resident entry; the whole entry when it
-    /// has to be compiled, recompiled or was not cached.
+    /// Every request's first checkout: one run state of a healthy resident
+    /// entry; the whole entry when it has to be compiled, recompiled or was
+    /// not cached.
     Shared,
-    /// The whole entry: a batch group, a breaker short-circuit.
-    Exclusive,
-    /// The whole entry, for a request whose shared attempt faulted.  The
-    /// lookup was counted as a hit or a miss the first time.
+    /// The whole entry, for a request whose attempt on a lent run state
+    /// faulted or found the entry poisoned.  The lookup was counted as a
+    /// hit the first time.
     Escalated,
 }
 
@@ -824,8 +815,8 @@ enum AttemptOutcome {
 /// A long-lived, fault-isolated compiled-kernel cache (see the module docs).
 ///
 /// The service is `Sync`: submit requests from many threads through a shared
-/// reference.  Healthy hits run concurrently, on one kernel as on several;
-/// only compilation and fault recovery hold a cache slot exclusively.
+/// reference.  Hits run concurrently, on one kernel as on several; only
+/// compilation, quarantine and fault recovery take a cache slot whole.
 pub struct KernelService {
     cfg: ServiceConfig,
     /// The one configuration this service compiles kernels under; the
@@ -975,107 +966,6 @@ impl KernelService {
         result
     }
 
-    /// Execute a slice of requests under **one** admission permit, grouped
-    /// by structural hash: each group checks its cache entry out once and
-    /// rebinds the member requests serially against it, amortising the
-    /// lookup (and any compile) across the group.
-    ///
-    /// Outcomes are per-request and order-preserving: `result[i]` belongs
-    /// to `reqs[i]`.  An admission rejection (overload, queue timeout,
-    /// shutdown) applies to the whole batch — every slot gets the same
-    /// typed error.
-    pub fn submit_batch(&self, reqs: &[Request]) -> Vec<Result<Response, ServiceError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        self.stats.requests.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let deadline = self.request_deadline();
-        let permit = match self.admit(deadline) {
-            Ok(p) => p,
-            Err(err) => return reqs.iter().map(|_| Err(err.clone())).collect(),
-        };
-
-        // Group indices by key, preserving first-seen order.
-        let mut results: Vec<Option<Result<Response, ServiceError>>> = vec![None; reqs.len()];
-        let mut groups: Vec<((u64, u64), Vec<usize>)> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            if let Some((name, detail)) = &req.invalid {
-                results[i] = Some(Err(ServiceError::InvalidInput {
-                    name: name.clone(),
-                    detail: detail.clone(),
-                }));
-                continue;
-            }
-            let key = req.key();
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        self.stats.batch_groups.fetch_add(groups.len() as u64, Ordering::Relaxed);
-
-        for (key, idxs) in groups {
-            self.serve_group(reqs, key, &idxs, deadline, &permit, &mut results);
-        }
-        drop(permit);
-        results.into_iter().map(|r| r.expect("every request resolved")).collect()
-    }
-
-    /// Serve one structural group of a batch against a single checkout.
-    fn serve_group(
-        &self,
-        reqs: &[Request],
-        key: (u64, u64),
-        idxs: &[usize],
-        deadline: Option<(Instant, u64)>,
-        permit: &Permit<'_>,
-        results: &mut [Option<Result<Response, ServiceError>>],
-    ) {
-        let first = idxs[0];
-        let (start, probe) = self.breaker_gate(key);
-        // A group rebinds its members serially against one entry, so it takes
-        // the entry whole, like the fault recovery it may need.
-        let checkout = self.checkout(key, &reqs[first], deadline, Access::Exclusive);
-        let (mut entry, cached, cache_hit) = match checkout {
-            Ok((Lease::Exclusive { entry, cached }, hit)) => (entry, cached, hit),
-            Ok((Lease::Shared(_), _)) => unreachable!("an exclusive checkout lends no run state"),
-            Err(err) => {
-                if probe {
-                    self.breakers.abort_probe(key);
-                }
-                for &i in idxs {
-                    results[i] = Some(Err(err.clone()));
-                }
-                return;
-            }
-        };
-        let mut evict_any = false;
-        let mut group_faults = 0u32;
-        for &i in idxs {
-            let rid = self.next_request.fetch_add(1, Ordering::SeqCst);
-            // Members after the first rebind against the group's entry: a
-            // cache hit whatever the checkout was.
-            let hit = cache_hit || i != first;
-            if i != first {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            let (result, evict, faults) =
-                self.execute(&mut entry, &reqs[i], deadline, rid, hit, start, None);
-            evict_any |= evict;
-            group_faults += faults;
-            results[i] = Some(result.map(|mut resp| {
-                resp.queue_wait = permit.waited;
-                resp
-            }));
-        }
-        if cached {
-            self.checkin(key, entry, evict_any);
-        }
-        if start == Tier::Fast && self.breakers.record(key, group_faults, probe) {
-            self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The breaker + cache + run path of `submit`, after the request holds a
     /// permit and a request id.
     fn serve_one(
@@ -1086,11 +976,10 @@ impl KernelService {
         deadline: Option<(Instant, u64)>,
     ) -> Result<Response, ServiceError> {
         let (start, probe) = self.breaker_gate(key);
-        // A short-circuited request runs the oracle on the entry's own run
-        // state, as fault recovery does: it needs the entry whole.
-        let access = if start == Tier::Fast { Access::Shared } else { Access::Exclusive };
-        let (result, faults) = match self.checkout(key, req, deadline, access) {
-            Ok((Lease::Shared(state), _)) => self.serve_shared(state, req, key, rid, deadline),
+        let (result, faults) = match self.checkout(key, req, deadline, Access::Shared) {
+            Ok((Lease::Shared(state), _)) => {
+                self.serve_shared(state, req, key, rid, deadline, start)
+            }
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 let (result, evict, faults) =
                     self.execute(&mut entry, req, deadline, rid, cache_hit, start, None);
@@ -1112,11 +1001,12 @@ impl KernelService {
         result
     }
 
-    /// Serve a healthy hit on a lent run state: one fast-tier attempt, the
-    /// state goes back, done.  Only when that attempt faults — or a
-    /// lookup-point rule poisons the entry — does the request give the
-    /// state back, take the whole entry and recover from where it stands.
-    /// Returns the outcome and the tier-faults observed.
+    /// Serve a hit on a lent run state: one attempt at tier `start` (the
+    /// oracle when the breaker short-circuits the request), the state goes
+    /// back, done.  Only when that attempt faults — or a lookup-point rule
+    /// poisons the entry — does the request give the state back, take the
+    /// whole entry and recover from where it stands.  Returns the outcome
+    /// and the tier-faults observed.
     fn serve_shared(
         &self,
         mut state: Box<CompiledKernel>,
@@ -1124,6 +1014,7 @@ impl KernelService {
         key: (u64, u64),
         rid: u64,
         deadline: Option<(Instant, u64)>,
+        start: Tier,
     ) -> (Result<Response, ServiceError>, u32) {
         let poison =
             self.take_fault(rid, true).is_some_and(|rule| rule.kind == FaultKind::PoisonEntry);
@@ -1131,9 +1022,9 @@ impl KernelService {
             None
         } else {
             let injected = self.take_fault(rid, false);
-            match self.attempt(&mut state, Tier::Fast, req, deadline, injected, true) {
+            match self.attempt(&mut state, start, req, deadline, injected, true) {
                 AttemptOutcome::Ok(resp) => {
-                    self.stats.served_by_tier[0].fetch_add(1, Ordering::Relaxed);
+                    self.stats.served_by_tier[start.index()].fetch_add(1, Ordering::Relaxed);
                     self.release(key, state);
                     return (Ok(resp), 0);
                 }
@@ -1149,15 +1040,8 @@ impl KernelService {
         match self.checkout(key, req, deadline, Access::Escalated) {
             Ok((Lease::Exclusive { mut entry, cached }, cache_hit)) => {
                 entry.poisoned |= poison;
-                let (result, evict, faults) = self.execute(
-                    &mut entry,
-                    req,
-                    deadline,
-                    rid,
-                    cache_hit,
-                    Tier::Fast,
-                    first_fault,
-                );
+                let (result, evict, faults) =
+                    self.execute(&mut entry, req, deadline, rid, cache_hit, start, first_fault);
                 if cached {
                     self.checkin(key, entry, evict);
                 }
@@ -1170,7 +1054,7 @@ impl KernelService {
             Err(err) => {
                 let faults = u32::from(first_fault.is_some());
                 if faults > 0 {
-                    self.stats.faults_by_tier[0].fetch_add(1, Ordering::Relaxed);
+                    self.stats.faults_by_tier[start.index()].fetch_add(1, Ordering::Relaxed);
                     self.stats.panics.fetch_add(1, Ordering::Relaxed);
                 }
                 (Err(err), faults)
@@ -1311,10 +1195,11 @@ impl KernelService {
     /// (its slot `Busy` while compiling); or — on a verified hash
     /// collision — an uncached one-shot compile.
     ///
-    /// A shared checkout never sleeps on another shared checkout.  It waits
-    /// (counted in `slot_waits`, bounded by `deadline`) only for a slot that
-    /// is `Busy` or that a writer is waiting for; an exclusive one also for
-    /// the run states still lent.
+    /// A shared checkout of a healthy entry never sleeps on another shared
+    /// checkout.  It waits (counted in `slot_waits`, bounded by `deadline`)
+    /// only for a slot that is `Busy` or that a writer is waiting for; a
+    /// writer — an escalated checkout, or a shared one that finds the entry
+    /// poisoned — also for the run states still lent.
     fn checkout(
         &self,
         key: (u64, u64),
@@ -1455,9 +1340,9 @@ impl KernelService {
     /// evicted instead of checked back in), and the number of tier-faults
     /// observed (the breaker's input).
     ///
-    /// `first_fault` is the fault of a fast-tier attempt the request already
-    /// made on a lent run state ([`KernelService::serve_shared`]): recovery
-    /// resumes as if its own first attempt had just faulted that way.
+    /// `first_fault` is the fault of the request's attempt at `start` on a
+    /// lent run state ([`KernelService::serve_shared`]): recovery resumes
+    /// as if its own first attempt had just faulted that way.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -2226,9 +2111,9 @@ mod tests {
         // than wait forever.
         let req = dot_request(&a, &b);
         let key = req.key();
-        let (lease, hit) = svc.checkout(key, &req, None, Access::Exclusive).unwrap();
+        let (lease, hit) = svc.checkout(key, &req, None, Access::Escalated).unwrap();
         let Lease::Exclusive { entry, cached } = lease else {
-            panic!("an exclusive checkout hands out the whole entry");
+            panic!("an escalated checkout hands out the whole entry");
         };
         assert!(hit && cached);
 
@@ -2252,69 +2137,6 @@ mod tests {
         svc.checkin(key, entry, false);
         // Slot is usable again.
         assert!(svc.submit(&dot_request(&a, &b)).unwrap().cache_hit);
-    }
-
-    #[test]
-    fn batches_group_by_structure_and_preserve_order() {
-        let svc = KernelService::default();
-        let (da, db) = dense_pair(16, 1.0);
-        let (da2, db2) = dense_pair(16, -2.0);
-        let (sa, sb) = sparse_pair(16);
-        let bad = Tensor::from_raw_parts(
-            "A",
-            vec![
-                Level::Dense { size: 2 },
-                Level::SparseList { size: 5, pos: vec![0, 3, 1], idx: vec![1, 2, 4] },
-            ],
-            vec![1.0, 2.0, 3.0],
-            0.0,
-        );
-        let i = idx("i");
-        let j = idx("j");
-        let bad_req = Request::new(forall(
-            i.clone(),
-            forall(j.clone(), add_assign(scalar("C"), access("A", [i, j]))),
-        ))
-        .input(&bad)
-        .output_scalar("C");
-
-        let reqs = vec![
-            dot_request(&da, &db),   // dense group, compiles
-            dot_request(&sa, &sb),   // sparse group, compiles
-            dot_request(&da2, &db2), // dense group, rebinds
-            bad_req,                 // rejected at the boundary
-        ];
-        let results = svc.submit_batch(&reqs);
-        assert_eq!(results.len(), 4);
-        let expect_dense = |scale: f64| -> f64 {
-            (0..16).map(|k| scale * (k as f64 + 1.0) * (0.5 * k as f64 - 1.0)).sum()
-        };
-        assert_eq!(results[0].as_ref().unwrap().scalar.unwrap().to_bits(), {
-            expect_dense(1.0).to_bits()
-        });
-        assert!(!results[0].as_ref().unwrap().cache_hit);
-        assert!(!results[1].as_ref().unwrap().cache_hit);
-        assert_eq!(results[2].as_ref().unwrap().scalar.unwrap().to_bits(), {
-            expect_dense(-2.0).to_bits()
-        });
-        assert!(results[2].as_ref().unwrap().cache_hit, "group member rebinds the shared entry");
-        match &results[3] {
-            Err(ServiceError::InvalidInput { name, .. }) => assert_eq!(name, "A"),
-            other => panic!("expected InvalidInput, got {other:?}"),
-        }
-
-        let stats = svc.stats();
-        assert_eq!(stats.requests, 4);
-        assert_eq!(stats.batch_groups, 2, "dense and sparse structures form two groups");
-        assert_eq!(stats.compiles, 2);
-        assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn an_empty_batch_is_a_no_op() {
-        let svc = KernelService::default();
-        assert!(svc.submit_batch(&[]).is_empty());
-        assert_eq!(svc.stats().requests, 0);
     }
 
     #[test]

@@ -87,32 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         degraded.scalar.unwrap().to_bits() == baseline.to_bits(),
     );
     assert_eq!(degraded.scalar.unwrap().to_bits(), baseline.to_bits());
+    // Falling back condemned the entry: the next request compiles it anew.
+    assert!(!svc.submit(&dot_request(&a, &b))?.cache_hit);
 
-    // 3. Batched submission: requests sharing a structure are grouped so a
-    //    cold structure compiles once for the whole batch, then each request
-    //    rebinds its own data.  Outcomes come back in submission order.
-    let sq = |scale: f64| {
-        let (a, _) = mk(scale);
-        let i = idx("i");
-        let program = forall(
-            i.clone(),
-            add_assign(scalar("S"), mul(access("A", [i.clone()]), access("A", [i]))),
-        );
-        Request::new(program).input(&a).output_scalar("S")
-    };
-    let batch = [sq(1.0), dot_request(&a, &b), sq(2.0), sq(3.0)];
-    let before = svc.stats().compiles;
-    let outcomes = svc.submit_batch(&batch);
-    let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-    println!(
-        "batch of {}:     {} ok in {} structural groups, {} new compile(s)",
-        batch.len(),
-        ok,
-        svc.stats().batch_groups,
-        svc.stats().compiles - before,
-    );
-
-    // 4. Health, drain, resume: `drain` stops admitting (new work gets a
+    // 3. Health, drain, resume: `drain` stops admitting (new work gets a
     //    typed `ShuttingDown`), lets in-flight requests finish up to its
     //    deadline, and leaves the service `Stopped`; `resume` reopens it with
     //    the kernel cache intact.

@@ -435,6 +435,96 @@ fn a_faulting_probe_reopens_the_breaker() {
     assert_eq!(svc.health().breakers_open, 1);
 }
 
+/// A service whose breaker on `dense_dot_request`'s structure is open while
+/// the entry stays resident: rid 0 warms the cache, and rid 1's one
+/// fast-tier panic, served by the quarantine retry, opens the breaker
+/// (threshold 1, an hour's cooldown).  `rid_2` is the next request's rule.
+fn open_breaker(deadline: Option<Duration>, rid_2: FaultRule) -> Arc<KernelService> {
+    let svc = Arc::new(KernelService::new(ServiceConfig {
+        breaker_threshold: 1,
+        breaker_cooldown: Duration::from_secs(3600),
+        retry_backoff: Duration::ZERO,
+        deadline,
+        ..ServiceConfig::default()
+    }));
+    let mut plan = FaultPlan::new();
+    plan.push(FaultRule { request: 1, point: InjectPoint::PreRun, kind: FaultKind::Panic });
+    plan.push(rid_2);
+    svc.install_faults(plan);
+    let (req, expected) = dense_dot_request(1.0);
+    for _ in 0..2 {
+        let resp = svc.submit(&req).unwrap();
+        assert_eq!((resp.tier, resp.scalar.unwrap().to_bits()), (Tier::Fast, expected.to_bits()));
+    }
+    assert_eq!((svc.health().breakers_open, svc.cached()), (1, 1));
+    svc
+}
+
+#[test]
+fn a_short_circuited_hit_does_not_wait_for_a_stalled_short_circuit() {
+    let svc = open_breaker(Some(Duration::from_secs(2)), stall_rule(2));
+
+    // rid 2 is short-circuited to the oracle and parks on the stall gate
+    // holding one of the entry's run states.
+    let (stalled_req, stalled_expected) = dense_dot_request(2.0);
+    let stalled = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.submit(&stalled_req))
+    };
+    while svc.stalled() == 0 {
+        std::thread::yield_now();
+    }
+
+    // rid 3 is short-circuited too, and runs the oracle on a run state of
+    // its own instead of waiting for the entry.
+    let (req, expected) = dense_dot_request(-3.0);
+    let resp = svc.submit(&req).expect("the second short-circuit is served");
+    assert_eq!(svc.stalled(), 1, "rid 2 is still parked");
+    assert!(resp.cache_hit);
+    assert_eq!((resp.tier, resp.scalar.unwrap().to_bits()), (Tier::Oracle, expected.to_bits()));
+    assert_eq!(svc.stats().slot_waits, 0, "no short-circuit waited for another");
+
+    svc.release_stalls();
+    let resp = stalled.join().unwrap().expect("the stalled short-circuit completes");
+    assert_eq!(
+        (resp.tier, resp.scalar.unwrap().to_bits()),
+        (Tier::Oracle, stalled_expected.to_bits())
+    );
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.served_by_tier, stats.breaker_short_circuits, stats.slot_waits),
+        ([2, 2], 2, 0)
+    );
+    assert_eq!(svc.cached(), 1, "both run states belong to the one entry");
+}
+
+#[test]
+fn a_short_circuited_hit_whose_oracle_run_panics_takes_the_entry_and_evicts_it() {
+    let panic_at_2 = FaultRule { request: 2, point: InjectPoint::PreRun, kind: FaultKind::Panic };
+    let svc = open_breaker(None, panic_at_2);
+
+    // rid 2's oracle run on its lent state panics: the request gives the
+    // state back, takes the whole entry, and — the oracle being the last
+    // tier — ends faulted and condemns the entry.
+    let (req, _) = dense_dot_request(2.0);
+    match svc.submit(&req) {
+        Err(ServiceError::Faulted { attempts: 1, .. }) => {}
+        other => panic!("expected Faulted after one oracle attempt, got {other:?}"),
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.breaker_short_circuits, stats.faults_by_tier), (1, [1, 1]));
+    assert_eq!((stats.panics, stats.evictions, stats.slot_waits), (2, 1, 0));
+    assert_eq!((svc.cached(), svc.pending_faults()), (0, 0), "the faulted entry was evicted");
+
+    // The breaker is still open: the next request compiles the structure
+    // again and is served by the oracle.
+    let (req, expected) = dense_dot_request(0.5);
+    let resp = svc.submit(&req).unwrap();
+    assert!(!resp.cache_hit);
+    assert_eq!((resp.tier, resp.scalar.unwrap().to_bits()), (Tier::Oracle, expected.to_bits()));
+    assert_eq!(svc.stats().breaker_short_circuits, 2);
+}
+
 #[test]
 fn deadline_expiry_is_attributed_to_queue_or_execution_never_lost() {
     let svc = Arc::new(KernelService::new(ServiceConfig {
