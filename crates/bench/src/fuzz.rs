@@ -649,6 +649,31 @@ mod tests {
         }
     }
 
+    /// Two galloped fingers — a `Dot` or an `EwiseMul` over two sparse lists,
+    /// both `Gallop` — are the run-ahead's jumper form: every such case the
+    /// smoke draw makes emits it, and runs divergence-free.
+    #[test]
+    fn two_galloped_fingers_draw_the_jumper_form_run_ahead() {
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let gallop = Protocol::Gallop;
+        let both_gallop = |stmt: &StmtSpec| match *stmt {
+            StmtSpec::Dot { pa, pb } | StmtSpec::EwiseMul { pa, pb } => {
+                (pa, pb) == (gallop, gallop)
+            }
+            _ => false,
+        };
+        let cases: Vec<&FuzzCase> =
+            drawn.iter().filter(|case| case.stmts.iter().any(both_gallop)).collect();
+        assert!(!cases.is_empty(), "the smoke draw galloped no pair of fingers");
+        for case in cases {
+            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+            let disasm = kernel.bytecode().disasm();
+            assert!(disasm.contains(" seeks < b"), "{case:?}: the jumper form\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        }
+    }
+
     /// The acceptance demonstration: inject a synthetic bug (the oracle
     /// flags any case containing a `Dot` statement) into a 24-statement
     /// case and check the minimizer converges to a reproducer of at most

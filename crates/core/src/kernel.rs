@@ -501,7 +501,8 @@ impl CompiledKernel {
 
     /// Nothing shards, so threads have no effect: returns the receiver.
     /// Kept only because the frozen `benchmark/` calls it; goes with
-    /// [`CompiledKernel::sharded`] once ROADMAP item 5(a) drops the call.
+    /// [`CompiledKernel::sharded`] once ROADMAP's "The `[benchmark]` PR"
+    /// drops the call.
     #[doc(hidden)]
     pub fn with_threads(self, _threads: usize) -> Self {
         self
@@ -596,7 +597,8 @@ impl CompiledKernel {
     }
 
     /// Always `false`: no kernel is split across threads.  Kept only
-    /// because the frozen `benchmark/` calls it (ROADMAP item 5(a)).
+    /// because the frozen `benchmark/` calls it (ROADMAP's "The
+    /// `[benchmark]` PR").
     #[doc(hidden)]
     pub fn sharded(&self) -> bool {
         false

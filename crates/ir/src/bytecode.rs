@@ -48,7 +48,7 @@ use crate::var::{Names, Var};
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
-pub use crate::isa::{Instr, VBase, VCost, VFill, VRhs, VScale};
+pub use crate::isa::{Instr, MergeForm, VBase, VCost, VFill, VRhs, VScale};
 
 /// A register of the bytecode VM, identified by a dense index.
 ///
@@ -779,18 +779,41 @@ impl Program {
                     r(hi)
                 )
             }
-            Instr::IMergeSkip { a, p, b, q, ofs, start, stop, base, on_a, on_b, on_b_loads } => {
+            Instr::IMergeSkip {
+                a,
+                p,
+                b,
+                q,
+                form,
+                start,
+                stop,
+                base,
+                on_a,
+                on_b,
+                on_a_loads,
+                on_b_loads,
+            } => {
                 let (p, q) = (r(p), r(q));
-                let blocks = ofs.map_or(String::new(), |ofs| format!(" blocks b{}", ofs.index()));
-                let loads =
-                    if on_b_loads > 0 { format!(" +{on_b_loads} load") } else { String::new() };
+                let (a_form, b_form) = match form {
+                    MergeForm::Steps => (String::new(), String::new()),
+                    MergeForm::Blocks { ofs } => {
+                        (format!(" blocks b{}", ofs.index()), String::new())
+                    }
+                    MergeForm::Gallop { a_end, a_row, b_end, b_row } => (
+                        format!(" seeks < b{}[{}]", a_end.index(), r(a_row)),
+                        format!(" seeks < b{}[{}]", b_end.index(), r(b_row)),
+                    ),
+                };
+                let loads = |n: u32| if n > 0 { format!(" +{n} load") } else { String::new() };
                 format!(
-                    "merge_skip b{}[{p}]{blocks} ~ b{}[{q}] in {}..={} (i64) \
-                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt | {q} += 1 ; +{on_b} stmt{loads} }}",
+                    "merge_skip b{}[{p}]{a_form} ~ b{}[{q}]{b_form} in {}..={} (i64) \
+                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt{} | {q} += 1 ; +{on_b} stmt{} }}",
                     a.index(),
                     b.index(),
                     r(start),
-                    r(stop)
+                    r(stop),
+                    loads(on_a_loads),
+                    loads(on_b_loads)
                 )
             }
         }

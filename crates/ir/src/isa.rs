@@ -8,14 +8,13 @@
 //! |---|---|
 //! | `reg(Read \| Write \| ReadWrite)` | a register and its [`Role`] |
 //! | `buf(Any \| I64 \| F64)` | a buffer and the element kind it must have ([`Elem`]) |
-//! | `opt_buf(..)` | an optional buffer, annotated as `buf` when present |
 //! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
 //! | `reduce("complaint")` | an optional reduction that must satisfy [`is_arith_reduce`] |
 //! | `guard("complaint")` | an optional comparison-with-immediate filter |
 //! | `lanes`, `acc_idx` | a kernel op's unroll width / accumulator index |
-//! | `nested` | a [`VBase`] / [`VFill`] / [`VScale`] / [`VRhs`], which states its own operands below |
+//! | `nested` | a [`VBase`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`MergeForm`], which states its own operands below |
 //! | `payload` | anything no analysis looks at (immediates, flags, costs, unconstrained operators) |
 //!
 //! From the table the `isa!` macro derives the enum itself,
@@ -204,11 +203,6 @@ macro_rules! operand {
     };
     ($f:ident, $x:ident, buf($elem:ident)) => {
         $f(Operand::Buf($x, Elem::$elem))
-    };
-    ($f:ident, $x:ident, opt_buf($elem:ident)) => {
-        if let Some(buf) = $x {
-            $f(Operand::Buf(buf, Elem::$elem))
-        }
     };
     ($f:ident, $x:ident, target($edge:ident)) => {
         $f(Operand::Target($x, Edge::$edge))
@@ -1083,23 +1077,35 @@ pub enum Instr {
     /// does not run) and that is not the loop's last (`ss + 1 <= stop`) —
     /// the fingers advance, `start` is set, and
     /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration, two loads (`+ on_b_loads`
-    /// where `q` advanced) and `base` (`+ on_a` where `p` advanced, `+ on_b`
-    /// where `q` did) statements each.
+    /// iterations count: one loop iteration, two loads (`+ on_a_loads`
+    /// where `p` advanced, `+ on_b_loads` where `q` did) and `base` (`+
+    /// on_a` where `p` advanced, `+ on_b` where `q` did) statements each.
     ///
-    /// The **block form** (`ofs` present; VBL's loop, Fig. 3b) is the same
-    /// loop with the inner guard `ss` lies inside the block `a[p]` ends:
-    /// `a`'s stride is a block's last coordinate, the block is `len =
+    /// The **block form** ([`MergeForm::Blocks`]; VBL's loop, Fig. 3b) is
+    /// the same loop with the inner guard `ss` lies inside the block `a[p]`
+    /// ends: `a`'s stride is a block's last coordinate, the block is `len =
     /// ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 - len < s2
     /// <= s1`.  It skips both kinds of empty step: `s1 < s2` (the block ends
     /// first; `p` advances) and `s2 <= s1 - len` (`b`'s coordinate is in the
     /// zero gap in front of the block; `q` advances, and its gap test's
     /// statements and loads are in `on_b` / `on_b_loads`).
     ///
+    /// The **jumper form** ([`MergeForm::Gallop`]; two galloped fingers) is
+    /// the loop whose step ends at the *later* stride, `ss = min(max(s1,
+    /// s2), stop)`: the leader advances, and the trailer seeks to `ss` in
+    /// its own list (up to its row's `end[row] - 1`) and runs a one-step
+    /// stepper there, whose body runs where the seek lands on `ss`.  It
+    /// skips the steps one finger ends and whose seek lands past `ss`,
+    /// counting two loop iterations, one search and the seek's probes as
+    /// loads on top — the loop's last such step too, one loop iteration
+    /// fewer, after which it leaves the loop by the exit of the head in
+    /// front of it.
+    ///
     /// The op stops, with `p`, `q` and `start` as the scalar loop has them
     /// at that iteration's top, in front of the first iteration that
-    /// matches, ends the loop, reads past a buffer (or a buffer that is no
-    /// longer `i64`), or might cross [`crate::vm::Vm`]'s statement limit
+    /// matches, ends the loop (but for the jumper form's empty last step),
+    /// reads past a buffer (or a buffer that is no longer `i64`), or might
+    /// cross [`crate::vm::Vm`]'s statement limit
     /// (the step budget, a deadline check, a poll of the cancellation flag)
     /// — so the scalar loop under it, which is left as it was, still runs
     /// every iteration that stores, faults, trips or exits, and rewrites
@@ -1113,8 +1119,8 @@ pub enum Instr {
         b: BufId = buf(I64),
         /// The second finger: a position in `b` (proven `Int`).
         q: Reg = reg(ReadWrite),
-        /// The block form: `a`'s I64 block offsets, distinct from `a` and `b`.
-        ofs: Option<BufId> = opt_buf(I64),
+        /// Which step the loop takes: the steppers', VBL's, or the jumpers'.
+        form: MergeForm = nested,
         /// The loop's `step_start`, set to one past the last skipped step.
         start: Reg = reg(ReadWrite),
         /// The loop's inclusive bound (proven `Int`).
@@ -1125,7 +1131,11 @@ pub enum Instr {
         on_a: u32 = payload,
         /// Further statements of an iteration that advances `q`.
         on_b: u32 = payload,
-        /// Further loads of an iteration that advances `q` (the gap test's).
+        /// Further loads of an iteration that advances `p` (the jumper
+        /// form's).
+        on_a_loads: u32 = payload,
+        /// Further loads of an iteration that advances `q` (the gap test's,
+        /// or the jumper form's).
         on_b_loads: u32 = payload,
     },
 }
@@ -1133,8 +1143,9 @@ pub enum Instr {
 
 /// The dispatch loop strides over `[Instr]`, so the instruction's size is
 /// its cache footprint.  It is 112 bytes because the vectorized kernel ops
-/// carry their payloads inline; moving them out of line is ROADMAP item 3's
-/// open half, and until then the size must not grow unnoticed.
+/// carry their payloads inline; moving them out of line is ROADMAP's
+/// parked "compact `Instr`", and until then the size must not grow
+/// unnoticed.
 const _: () = assert!(std::mem::size_of::<Instr>() == 112);
 
 /// Per-iteration element index shape of a vectorized kernel op: either
@@ -1177,6 +1188,42 @@ pub enum VFill {
 walks!(VFill, |fill, f| match fill {
     VFill::Imm(_) => {}
     VFill::Reg(reg) => f(Operand::Reg(reg, Role::Read)),
+});
+
+/// Which step an [`Instr::IMergeSkip`]'s loop takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MergeForm {
+    /// Two steppers: the step ends at the earlier stride.
+    Steps,
+    /// VBL: `a`'s stride ends a block, `ofs[p + 1] - ofs[p]` coordinates
+    /// long.
+    Blocks {
+        /// `a`'s I64 block offsets, distinct from `a` and `b`.
+        ofs: BufId,
+    },
+    /// Two jumpers: the step ends at the later stride, and the trailer
+    /// seeks to it.  A finger's seek window ends at `end[row] - 1`.
+    Gallop {
+        /// `a`'s I64 row ends, distinct from `a` and `b`.
+        a_end: BufId,
+        /// `a`'s row (proven `Int`; the loop does not write it).
+        a_row: Reg,
+        /// `b`'s I64 row ends, distinct from `a` and `b`.
+        b_end: BufId,
+        /// `b`'s row (proven `Int`; the loop does not write it).
+        b_row: Reg,
+    },
+}
+
+walks!(MergeForm, |form, f| match form {
+    MergeForm::Steps => {}
+    MergeForm::Blocks { ofs } => f(Operand::Buf(ofs, Elem::I64)),
+    MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+        f(Operand::Buf(a_end, Elem::I64));
+        f(Operand::Reg(a_row, Role::Read));
+        f(Operand::Buf(b_end, Elem::I64));
+        f(Operand::Reg(b_row, Role::Read));
+    }
 });
 
 /// Pre-scale applied to a loaded operand of a vectorized kernel op,
@@ -1517,12 +1564,13 @@ pub(crate) fn samples() -> Vec<Instr> {
             p: r(0),
             b: b(1),
             q: r(1),
-            ofs: Some(b(5)),
+            form: MergeForm::Gallop { a_end: b(5), a_row: r(4), b_end: b(6), b_row: r(5) },
             start: r(2),
             stop: r(3),
             base: 7,
             on_a: 2,
             on_b: 8,
+            on_a_loads: 4,
             on_b_loads: 3,
         },
     ]
@@ -1547,8 +1595,9 @@ mod tests {
         for name in ["f0", "f1", "f2"] {
             bufs.add(name, Buffer::F64(vec![0.0; 4].into()));
         }
-        // The merge run-ahead's block offsets.
+        // The merge run-ahead's row ends.
         bufs.add("i5", Buffer::I64(vec![0; 4].into()));
+        bufs.add("i6", Buffer::I64(vec![0; 4].into()));
         bufs
     }
 

@@ -39,11 +39,24 @@
 //! also skips the steps that find the other finger's coordinate in the zero
 //! gap in front of the block.
 //!
+//! The **jumper form** takes the loop lowering emits for two galloped
+//! fingers (paper §6.1, "Jumpers"; Fig. 7's "gallop both" SpMSpV, Fig. 8's
+//! galloped triangle count), whose step ends at the *later* stride, `ss =
+//! min(max(s1, s2), stop)`: where one finger ends the step and the other
+//! does not, the trailer seeks to `ss` in its row and runs a one-step
+//! stepper there, whose body runs only where the seek lands on `ss`.  The
+//! recogniser walks that iteration, for either finger leading, from the top
+//! of the body to the bottom test ([`walk`]), and the op performs every one
+//! whose seek lands past `ss` — the loop's last included, after which it
+//! leaves the loop by its head's exit.
+//!
 //! A loop that is not given the op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
 
 use crate::buffer::BufId;
-use crate::bytecode::{jump_targets, splice_before, Instr, Program, Reg};
+use crate::bytecode::{
+    for_each_reg_role, jump_targets, splice_before, Instr, MergeForm, Program, Reg, Role,
+};
 use crate::expr::BinOp;
 
 use super::peephole::dead_after;
@@ -60,8 +73,11 @@ pub enum MergeDecline {
     /// (nothing to coiterate), or a stride that is not a plain coordinate
     /// load.
     SingleFinger,
-    /// The step is not the minimum of the two strides clipped to the
-    /// bound — a jumper's leader election takes the maximum.
+    /// The step is not the minimum of the two strides clipped to the bound,
+    /// nor the maximum with lowering's jumper fall-back behind it (the
+    /// trailer's seek in its own row and a one-step stepper, under a body
+    /// that stores nothing where the seek lands past the step): another
+    /// leader election, or a jumper loop whose fall-back is not that one.
     NotTheMinimum,
     /// The body is not guarded by both fingers ending the step (or by one
     /// ending it inside the other's block), so it does work on a step only
@@ -155,9 +171,15 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
     };
     let (t, ss) = match (first, second) {
         (
-            Instr::IArith { op: BinOp::Min, dst: t, lhs, rhs },
+            Instr::IArith { op, dst: t, lhs, rhs },
             Instr::IArith { op: BinOp::Min, dst: ss, lhs: l2, rhs: r2 },
-        ) if pair(lhs, rhs, s1, s2) && pair(l2, r2, t, stop) => (t, ss),
+        ) if pair(lhs, rhs, s1, s2) && pair(l2, r2, t, stop) => match op {
+            BinOp::Min => (t, ss),
+            BinOp::Max => {
+                return gallop(code, (head, bottom), (start, stop), [(a, p_reg), (b, q_reg)]);
+            }
+            _ => return Err(NotTheMinimum),
+        },
         _ => return Err(NotTheMinimum),
     };
     let regs = [start, stop, p_reg, q_reg, s1, s2, t, ss];
@@ -252,7 +274,309 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
     }
     let [(a, p, on_a), (b, q, on_b)] = fingers;
     let on_b_loads = block.map_or(0, |(.., loads)| loads);
-    Ok(Instr::IMergeSkip { a, p, b, q, ofs, start, stop, base, on_a, on_b, on_b_loads })
+    let form = ofs.map_or(MergeForm::Steps, |ofs| MergeForm::Blocks { ofs });
+    let on_a_loads = 0;
+    Ok(Instr::IMergeSkip {
+        a,
+        p,
+        b,
+        q,
+        form,
+        start,
+        stop,
+        base,
+        on_a,
+        on_b,
+        on_a_loads,
+        on_b_loads,
+    })
+}
+
+/// The jumper form's op for the loop `head..=bottom` ([`MergeForm::Gallop`]):
+/// both skipped iterations — `a` leading, and `b` — walked from the top of
+/// the body ([`walk`]), and what they write besides the fingers and the
+/// start dead where the op hands over, at the top of the body.
+fn gallop(
+    code: &[Instr],
+    (head, bottom): (usize, usize),
+    (start, stop): (Reg, Reg),
+    fingers: [(BufId, Reg); 2],
+) -> Result<Instr, MergeDecline> {
+    use MergeDecline::*;
+    let [(a, p), (b, q)] = fingers;
+    let regs = [start, stop, p, q];
+    if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
+        return Err(SharedOperand);
+    }
+    let walked = |lead| walk(code, (head, bottom), (start, stop), fingers, lead);
+    let (Some(led_by_a), Some(led_by_b)) = (walked(0), walked(1)) else {
+        return Err(NotTheMinimum);
+    };
+    // Where `a` leads, `b` seeks in its row; and the other way round.
+    let ((b_end, b_row), (a_end, a_row)) = (led_by_a.row, led_by_b.row);
+    if [a_end, b_end].iter().any(|end| [a, b].contains(end)) {
+        return Err(SharedOperand);
+    }
+    // Only the bottom test lands on the top of the body, and nothing the
+    // op leaves unwritten is read there, or where the loop exits (the op runs
+    // a last iteration and leaves), before it is rewritten.
+    let entered =
+        code.iter().enumerate().any(|(pc, i)| pc != bottom && i.target() == Some(head as u32 + 1));
+    let mut unwritten: Vec<Reg> =
+        led_by_a.written.iter().chain(&led_by_b.written).copied().collect();
+    unwritten.sort_unstable_by_key(|r| r.0);
+    unwritten.dedup();
+    unwritten.retain(|r| ![start, p, q].contains(r));
+    if entered
+        || unwritten.contains(&stop)
+        || read_before_written(code, [head + 1, bottom + 1], &unwritten)
+    {
+        return Err(NotTheMinimum);
+    }
+    let base = led_by_a.stmts.min(led_by_b.stmts);
+    let (Some(on_a_loads), Some(on_b_loads)) =
+        (led_by_a.loads.checked_sub(2), led_by_b.loads.checked_sub(2))
+    else {
+        return Err(NotTheMinimum);
+    };
+    Ok(Instr::IMergeSkip {
+        a,
+        p,
+        b,
+        q,
+        form: MergeForm::Gallop { a_end, a_row, b_end, b_row },
+        start,
+        stop,
+        base,
+        on_a: led_by_a.stmts - base,
+        on_b: led_by_b.stmts - base,
+        on_a_loads,
+        on_b_loads,
+    })
+}
+
+/// What a register of the jumper loop holds on an iteration the op skips:
+/// the loop's bounds and a finger's position at the top; the leader's
+/// coordinate, which is the step's end `ss`, and the trailer's, which is
+/// not; the later of the two, which clipped to the bound is `ss`; `ss + 1`;
+/// a row's end `end[row]` and last position `end[row] - 1`, `row` a
+/// register the loop does not write; where the trailer's seek lands, and
+/// the coordinate there, past `ss`; the leader's position one on.
+#[derive(Clone, Copy, PartialEq)]
+enum Jv {
+    Start,
+    Stop,
+    Pos(usize),
+    Step,
+    Behind,
+    Later,
+    After,
+    End(BufId, Reg),
+    Last(BufId, Reg),
+    Landed,
+    Past,
+    Moved,
+}
+
+/// One iteration the op skips, read off the loop.
+struct Skipped {
+    /// Its statements, and its loads but the seek's probes.
+    stmts: u32,
+    loads: u32,
+    /// The trailer's row ends and row.
+    row: (BufId, Reg),
+    /// Every register it writes.
+    written: Vec<Reg>,
+}
+
+/// The iteration of the jumper loop `head..=bottom` in which finger `lead`
+/// leads and the other seeks past the step, walked from the top of the body
+/// to the bottom test with every branch decided by what such an iteration
+/// knows ([`Jv`]) — lowering's fall-back (paper §6.1, "Jumpers"):
+///
+/// ```text
+/// s1 = a[p] ; s2 = b[q] ; ss = min(max(s1, s2), stop)
+/// .. where the trailer, say b, does not end the step:
+/// q = seek(b, q, end[row] - 1, ss)             ISeek
+/// while ss <= ss { s = b[q] ; .. ; start' = min(s, ss) + 1 }
+/// if s1 == ss { p += 1 } ; if s2 == ss { q += 1 } ; start = ss + 1
+/// ```
+///
+/// It must pass one seek, the trailer's, to `ss` in its own list, and one
+/// iteration of an inner loop, and end with the leader one on, the trailer
+/// where it landed and `start` at `ss + 1`; an instruction it cannot decide
+/// or does not know (a store above all: the body) is no such iteration.
+fn walk(
+    code: &[Instr],
+    (head, bottom): (usize, usize),
+    (start, stop): (Reg, Reg),
+    fingers: [(BufId, Reg); 2],
+    lead: usize,
+) -> Option<Skipped> {
+    use Jv::*;
+    let trail = 1 - lead;
+    let lists = fingers.map(|(list, _)| list);
+    let invariant = |r: Reg| !code[head..=bottom].iter().any(|i| writes(i, r));
+    let mut vals =
+        vec![(start, Start), (stop, Stop), (fingers[0].1, Pos(0)), (fingers[1].1, Pos(1))];
+    let val = |vals: &[(Reg, Jv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
+    let eq = |x: Jv, y: Jv| match (x, y) {
+        _ if x == y => Some(true),
+        (Step, Behind | Past) | (Behind | Past, Step) => Some(false),
+        _ => None,
+    };
+    let le = |x: Jv, y: Jv| match (x, y) {
+        (Step, Step) => Some(true),
+        (After, Step) => Some(false),
+        _ => None,
+    };
+    let (mut stmts, mut loads, mut iters, mut row, mut pc) = (0, 0, 0, None, head + 1);
+    // Every pc at most twice: the inner loop runs once.
+    for _ in 0..2 * (bottom - head) {
+        if pc == bottom {
+            let ends = [(fingers[lead].1, Moved), (fingers[trail].1, Landed), (start, After)];
+            if iters != 1 || ends.iter().any(|&(r, v)| val(&vals, r) != Some(v)) {
+                return None;
+            }
+            let written = vals[4..].iter().map(|&(r, _)| r).collect();
+            return Some(Skipped { stmts, loads, row: row?, written });
+        }
+        if pc <= head || pc > bottom {
+            return None;
+        }
+        let instr = code[pc];
+        pc += 1;
+        let written = match instr {
+            Instr::Nop => continue,
+            Instr::BumpStmt => {
+                stmts += 1;
+                continue;
+            }
+            Instr::Jump { target } => {
+                pc = target as usize;
+                continue;
+            }
+            Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, target } => {
+                if !eq(val(&vals, lhs)?, val(&vals, rhs)?)? {
+                    pc = target as usize;
+                }
+                continue;
+            }
+            Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end } => {
+                match le(val(&vals, lhs)?, val(&vals, rhs)?)? {
+                    true => iters += 1,
+                    false => pc = end as usize,
+                }
+                continue;
+            }
+            Instr::IWhileNext { op: BinOp::Le, lhs, rhs, body } => {
+                if le(val(&vals, lhs)?, val(&vals, rhs)?)? {
+                    (iters, pc) = (iters + 1, body as usize);
+                }
+                continue;
+            }
+            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
+                if !eq(val(&vals, lhs)?, val(&vals, rhs)?)? {
+                    continue;
+                }
+                stmts += n;
+                if val(&vals, reg)? != Pos(lead) {
+                    return None;
+                }
+                (reg, Moved)
+            }
+            Instr::LoadI64 { dst, buf, idx } => {
+                loads += 1;
+                let loaded = match val(&vals, idx) {
+                    Some(Pos(k)) if buf == lists[k] => {
+                        if k == lead {
+                            Step
+                        } else {
+                            Behind
+                        }
+                    }
+                    Some(Landed) if buf == lists[trail] => Past,
+                    None if invariant(idx) && !lists.contains(&buf) => End(buf, idx),
+                    _ => return None,
+                };
+                (dst, loaded)
+            }
+            Instr::IArith { op, dst, lhs, rhs } => {
+                let (x, y) = (val(&vals, lhs)?, val(&vals, rhs)?);
+                let is = |u, v| (x, y) == (u, v) || (x, y) == (v, u);
+                let stepped = match op {
+                    BinOp::Max if is(Step, Behind) => Later,
+                    BinOp::Min if is(Later, Stop) || is(Step, Stop) || is(Step, Past) => Step,
+                    _ => return None,
+                };
+                (dst, stepped)
+            }
+            Instr::IArithImm { op, dst, lhs, imm } => match (op, val(&vals, lhs)?, imm) {
+                (BinOp::Sub, End(end, r), 1) | (BinOp::Add, End(end, r), -1) => (dst, Last(end, r)),
+                (BinOp::Add, Step, 1) => (dst, After),
+                _ => return None,
+            },
+            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
+            Instr::ISeek { dst, buf, lo, hi, key, on_abs: false } => {
+                let at = (val(&vals, lo)?, val(&vals, key)?);
+                let (Last(end, r), None) = (val(&vals, hi)?, row) else { return None };
+                if buf != lists[trail] || at != (Pos(trail), Step) {
+                    return None;
+                }
+                row = Some((end, r));
+                (dst, Landed)
+            }
+            _ => return None,
+        };
+        vals.push(written);
+    }
+    None
+}
+
+/// Whether `instr` writes `r`.
+fn writes(instr: &Instr, r: Reg) -> bool {
+    let mut written = false;
+    for_each_reg_role(instr, |reg, role| written |= reg == r && role != Role::Read);
+    written
+}
+
+/// Whether some path from either of `from` reads one of `regs` before it
+/// writes it.  One walk for all of them: each pc keeps, a bit per register,
+/// those some path has reached it without writing, and is revisited only
+/// with bits it has not had (more than 64 registers count as read).
+fn read_before_written(code: &[Instr], from: [usize; 2], regs: &[Reg]) -> bool {
+    let Some(all) = 1u64.checked_shl(regs.len() as u32).map(|bit| bit - 1) else {
+        return true;
+    };
+    let mut bit_of = vec![0u64; regs.iter().map(|r| r.0 as usize + 1).max().unwrap_or(0)];
+    for (k, r) in regs.iter().enumerate() {
+        bit_of[r.0 as usize] = 1 << k;
+    }
+    let mut reached = vec![0u64; code.len()];
+    let mut todo = from.map(|pc| (pc, all)).to_vec();
+    while let Some((pc, open)) = todo.pop() {
+        let Some(seen) = reached.get_mut(pc) else { continue };
+        let open = open & !*seen;
+        if open == 0 {
+            continue;
+        }
+        *seen |= open;
+        let (mut read, mut written) = (0u64, 0u64);
+        for_each_reg_role(&code[pc], |reg, role| {
+            let bit = bit_of.get(reg.0 as usize).copied().unwrap_or(0);
+            read |= if role != Role::Write { bit } else { 0 };
+            written |= if role != Role::Read { bit } else { 0 };
+        });
+        if open & read != 0 {
+            return true;
+        }
+        let open = open & !written;
+        if code[pc].falls_through() {
+            todo.push((pc + 1, open));
+        }
+        todo.extend(code[pc].target().map(|t| (t as usize, open)));
+    }
+    false
 }
 
 /// What a register of a block test holds: the step's end `ss`; the block
@@ -379,6 +703,7 @@ pub(super) mod tests {
     const B_IDX: BufId = BufId(2);
     const OUT: BufId = BufId(5);
     const A_OFS: BufId = BufId(6);
+    const B_POS: BufId = BufId(8);
 
     /// What [`merge_kernel_with`] varies: the loop the recogniser takes, or
     /// one of the shapes it must decline.
@@ -386,8 +711,14 @@ pub(super) mod tests {
     pub(in crate::opt) enum Shape {
         /// §6.1's two-finger intersection.
         Intersection,
-        /// The step ends at the *later* stride: a jumper's leader election.
+        /// The step ends at the *later* stride, but the trailer does not
+        /// seek to it: a jumper's leader election without lowering's
+        /// fall-back.
         Jumper,
+        /// Two galloped fingers as lowering emits them (paper §6.1,
+        /// "Jumpers"): the later stride leads, and the trailer seeks to it
+        /// in its row and steps once there.
+        Gallop,
         /// The body runs wherever the first finger ends the step.
         GuardedByOneFinger,
         /// The second finger advances by two positions.
@@ -436,7 +767,8 @@ pub(super) mod tests {
         let a_val = bufs.add("a_val", Buffer::F64(values(a.len(), 0.5).into()));
         let b_idx = bufs.add("b_idx", Buffer::I64(b.to_vec().into()));
         let b_val = bufs.add("b_val", Buffer::F64(values(b.len(), 0.25).into()));
-        let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
+        // The bound, and the galloped fingers' row.
+        let bound = bufs.add("bound", Buffer::I64(vec![stop, 1].into()));
         let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
         // The block shapes' offsets, with a spare last entry for the shape
         // that reads one position further on.
@@ -446,8 +778,12 @@ pub(super) mod tests {
         }
         offsets.push(*offsets.last().unwrap());
         let a_ofs = bufs.add("a_ofs", Buffer::I64(offsets.into()));
-        assert_eq!((a_idx, b_idx, out, a_ofs), (A_IDX, B_IDX, OUT, A_OFS));
-        let [p, q, hi, start, s1, s2, ss, from, gap_stop] = [
+        // The galloped fingers' rows: each list is row 1 of its `pos`.
+        let row = |list: &[i64]| Buffer::I64(vec![0, list.len() as i64].into());
+        let a_pos = bufs.add("a_pos", row(a));
+        let b_pos = bufs.add("b_pos", row(b));
+        assert_eq!((a_idx, b_idx, out, a_ofs, b_pos), (A_IDX, B_IDX, OUT, A_OFS, B_POS));
+        let [p, q, hi, start, s1, s2, ss, from, gap_stop, inv] = [
             "p",
             "q",
             "phase_stop",
@@ -457,6 +793,7 @@ pub(super) mod tests {
             "step_stop",
             "phase_start",
             "gap_stop",
+            "inv",
         ]
         .map(|name| names.fresh(name));
         let v = Expr::Var;
@@ -467,7 +804,7 @@ pub(super) mod tests {
             )
         };
         let both = match shape {
-            Shape::Jumper => Expr::max(v(s1), v(s2)),
+            Shape::Jumper | Shape::Gallop => Expr::max(v(s1), v(s2)),
             _ => Expr::min(v(s1), v(s2)),
         };
         let work = Stmt::Store {
@@ -500,11 +837,20 @@ pub(super) mod tests {
             Shape::BlockGapOffByOne => guarded(s2, gap_test(reload(), 0, 1)),
             Shape::BlockLenOneOn => guarded(s2, gap_test(reload(), 1, 0)),
             Shape::BlockUnion => gap_test(reload(), 0, 0),
+            Shape::Gallop => gallop_step(
+                &mut names,
+                [(a_idx, a_pos, p, s1), (b_idx, b_pos, q, s2)],
+                inv,
+                ss,
+                start,
+                &work,
+            ),
             _ => guarded(s1, vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), vec![work])]),
         };
         let stmts = vec![
             Stmt::Let { var: p, init: Expr::int(0) },
             Stmt::Let { var: q, init: Expr::int(0) },
+            Stmt::Let { var: inv, init: Expr::load(bound, Expr::int(1)) },
             Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
             Stmt::Let { var: start, init: Expr::int(0) },
             Stmt::While {
@@ -526,6 +872,105 @@ pub(super) mod tests {
             },
         ];
         (stmts, names, bufs)
+    }
+
+    /// The body of [`Shape::Gallop`]'s loop in front of the advances: where
+    /// both fingers end the step, `work`; where one does, the other's
+    /// fall-back; where neither does (the step clipped to the bound), the
+    /// stepper merge from `start`.  A finger is its list, its row ends, its
+    /// position and its stride; `inv` holds the row.
+    fn gallop_step(
+        names: &mut Names,
+        fingers: [(BufId, BufId, Var, Var); 2],
+        inv: Var,
+        ss: Var,
+        start: Var,
+        work: &Stmt,
+    ) -> Vec<Stmt> {
+        let v = Expr::Var;
+        let one_on = |finger: Var| Expr::add(v(finger), Expr::int(1));
+        let seek = |(list, pos, finger, _): (BufId, BufId, Var, Var), key: Var| Stmt::Assign {
+            var: finger,
+            value: Expr::search(
+                list,
+                v(finger),
+                Expr::sub(Expr::load(pos, v(inv)), Expr::int(1)),
+                v(key),
+                false,
+            ),
+        };
+        let mut fresh = |name| names.fresh(name);
+        // `from = ss ; while from <= ss { s = list[f] ; t = min(s, ss) ; .. }`
+        let mut stepper = |finger @ (list, _, f, _): (BufId, BufId, Var, Var)| {
+            let [from, s, t] = ["step_start", "stride", "step_stop"].map(&mut fresh);
+            vec![
+                seek(finger, ss),
+                Stmt::Let { var: from, init: v(ss) },
+                Stmt::While {
+                    cond: Expr::le(v(from), v(ss)),
+                    body: vec![
+                        Stmt::Let { var: s, init: Expr::load(list, v(f)) },
+                        Stmt::Let { var: t, init: Expr::min(v(s), v(ss)) },
+                        Stmt::if_then(Expr::eq(v(t), v(s)), vec![work.clone()]),
+                        Stmt::if_then(
+                            Expr::eq(v(s), v(t)),
+                            vec![Stmt::Assign { var: f, value: one_on(f) }],
+                        ),
+                        Stmt::Assign { var: from, value: Expr::add(v(t), Expr::int(1)) },
+                    ],
+                },
+            ]
+        };
+        let [a, b] = fingers;
+        let ((a_list, _, p, s1), (b_list, _, q, s2)) = (a, b);
+        let ends = |list: BufId, finger: Var| Expr::eq(Expr::load(list, v(finger)), v(ss));
+        let b_falls_back = stepper(b);
+        let a_falls_back = stepper(a);
+        // Neither ends the step: both seek to its start and merge to its end.
+        let [from, t1, t2, t] = ["step_start", "stride", "stride", "step_stop"].map(&mut fresh);
+        let advance = |finger: Var, stride: Var| {
+            Stmt::if_then(
+                Expr::eq(v(stride), v(t)),
+                vec![Stmt::Assign { var: finger, value: one_on(finger) }],
+            )
+        };
+        let merge = vec![
+            seek(a, start),
+            seek(b, start),
+            Stmt::Let { var: from, init: v(start) },
+            Stmt::While {
+                cond: Expr::le(v(from), v(ss)),
+                body: vec![
+                    Stmt::Let { var: t1, init: Expr::load(a_list, v(p)) },
+                    Stmt::Let { var: t2, init: Expr::load(b_list, v(q)) },
+                    Stmt::Let { var: t, init: Expr::min(Expr::min(v(t1), v(t2)), v(ss)) },
+                    Stmt::if_then(
+                        Expr::eq(v(t), v(t1)),
+                        vec![Stmt::if_then(Expr::eq(v(t), v(t2)), vec![work.clone()])],
+                    ),
+                    advance(p, t1),
+                    advance(q, t2),
+                    Stmt::Assign { var: from, value: Expr::add(v(t), Expr::int(1)) },
+                ],
+            },
+        ];
+        let both = Stmt::if_then(Expr::eq(v(ss), v(s2)), vec![work.clone()]);
+        vec![Stmt::If {
+            cond: ends(a_list, p),
+            then_branch: vec![Stmt::if_then(
+                Expr::eq(v(ss), v(s1)),
+                vec![Stmt::If {
+                    cond: ends(b_list, q),
+                    then_branch: vec![both],
+                    else_branch: b_falls_back,
+                }],
+            )],
+            else_branch: vec![Stmt::If {
+                cond: ends(b_list, q),
+                then_branch: vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), a_falls_back)],
+                else_branch: merge,
+            }],
+        }]
     }
 
     /// Sorted coordinate lists with a sentinel past `stop`, so that no finger
@@ -591,14 +1036,28 @@ pub(super) mod tests {
         (outcome, vm.stats(), bufs)
     }
 
-    /// The shapes that get the op: §6.1's intersection and VBL's block test,
+    /// The shapes that get the op: §6.1's intersection, VBL's block test,
     /// the block's last coordinate reloaded (as lowering emits it) or read
-    /// off the stride.
-    const TAKEN: [Shape; 3] = [Shape::Intersection, Shape::Block, Shape::BlockOnStride];
+    /// off the stride, and the galloped intersection.
+    const TAKEN: [Shape; 4] =
+        [Shape::Intersection, Shape::Block, Shape::BlockOnStride, Shape::Gallop];
+
+    /// The ops `shape`'s kernel carries: the galloped loop's neither-finger-
+    /// leads fall-back is a stepper merge with its own.
+    fn op_count(shape: Shape) -> usize {
+        if shape == Shape::Gallop {
+            2
+        } else {
+            1
+        }
+    }
 
     /// How many iterations of `shape`'s loop run its guarded body.
     fn matches(a: &[i64], b: &[i64], stop: i64, shape: Shape) -> u64 {
-        let lens = if shape == Shape::Intersection { vec![1; a.len()] } else { block_lens(a) };
+        let lens = match shape {
+            Shape::Intersection | Shape::Gallop => vec![1; a.len()],
+            _ => block_lens(a),
+        };
         let inside =
             |x: &i64| a.iter().zip(&lens).any(|(last, len)| (last - len + 1..=*last).contains(x));
         b.iter().filter(|x| inside(x) && **x <= stop).count() as u64
@@ -609,7 +1068,8 @@ pub(super) mod tests {
         // Seven statements an iteration; the intersection's inner guard goes
         // with the first finger, the block test's statements and loads with
         // the second — three loads, or two when the stride stands in for the
-        // reload of `a[p]`.
+        // reload of `a[p]`.  The jumper form's fall-back counts alike for
+        // either finger.
         let wants = [
             "merge_skip b0[p] ~ b2[q] in step_start..=phase_stop (i64) \
              { +7 stmt ; p += 1 ; +2 stmt | q += 1 ; +1 stmt }",
@@ -617,14 +1077,21 @@ pub(super) mod tests {
              { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +3 load }",
             "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
              { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +2 load }",
+            "merge_skip b0[p] seeks < b7[inv] ~ b2[q] seeks < b8[inv] in step_start..=phase_stop \
+             (i64) { +18 stmt ; p += 1 ; +0 stmt +4 load | q += 1 ; +0 stmt +4 load }",
         ];
         for (shape, want) in TAKEN.into_iter().zip(wants) {
             let kernel =
                 merge_kernel_with(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39, shape);
             let c = compile(&kernel);
-            assert_eq!(c.stats.merge_skips, 1, "{}", c.skipping.disasm());
-            assert_eq!(c.stats.merge_declined, [0; 6]);
-            let [at] = ops(&c.skipping)[..] else { panic!("one op:\n{}", c.skipping.disasm()) };
+            let placed = ops(&c.skipping);
+            assert_eq!(c.stats.merge_skips as usize, op_count(shape), "{}", c.skipping.disasm());
+            assert_eq!(placed.len(), op_count(shape), "{}", c.skipping.disasm());
+            // The galloped loop's two one-step fall-backs walk one finger.
+            let mut declined = [0; 6];
+            declined[MergeDecline::SingleFinger as usize] = 2 * (shape == Shape::Gallop) as u64;
+            assert_eq!(c.stats.merge_declined, declined);
+            let at = placed[0];
             let code = c.skipping.code();
             let Instr::IWhileCmp { end, .. } = code[at - 1] else {
                 panic!("the op follows the loop head:\n{}", c.skipping.disasm())
@@ -636,12 +1103,16 @@ pub(super) mod tests {
             );
             let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
             assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
-            assert_eq!(c.skipping.stmt_bump()[at], 0);
-            // Without the op, the program is the one compiled without the tier.
+            // Without the ops, the program is the one compiled without the tier.
             let mut without = code.to_vec();
-            without.remove(at);
-            for target in without.iter_mut().filter_map(Instr::target_mut) {
-                *target -= u32::from(*target as usize > at);
+            let mut folded = c.skipping.stmt_bump().to_vec();
+            for &at in placed.iter().rev() {
+                assert_eq!(folded[at], 0);
+                without.remove(at);
+                folded.remove(at);
+                for target in without.iter_mut().filter_map(Instr::target_mut) {
+                    *target -= u32::from(*target as usize > at);
+                }
             }
             assert_eq!(
                 without,
@@ -651,8 +1122,6 @@ pub(super) mod tests {
                 c.scalar.disasm()
             );
             assert!(ops(&c.scalar).is_empty());
-            let mut folded = c.skipping.stmt_bump().to_vec();
-            folded.remove(at);
             assert_eq!(folded, c.scalar.stmt_bump());
         }
     }
@@ -669,7 +1138,7 @@ pub(super) mod tests {
         for (shape, (a, b, stop)) in cases {
             let kernel = merge_kernel_with(&a, &b, stop, shape);
             let c = compile(&kernel);
-            assert_eq!(ops(&c.skipping).len(), 1, "{}", c.skipping.disasm());
+            assert_eq!(ops(&c.skipping).len(), op_count(shape), "{}", c.skipping.disasm());
             let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
             let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
             assert_eq!(outcome, "Ok(())", "{context}");
@@ -699,7 +1168,7 @@ pub(super) mod tests {
     /// with the same message having counted the same work.
     #[test]
     fn an_injected_fault_trips_on_the_tree_walkers_statement() {
-        for shape in [Shape::Intersection, Shape::Block] {
+        for shape in [Shape::Intersection, Shape::Block, Shape::Gallop] {
             let kernel =
                 merge_kernel_with(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39, shape);
             faults_alike(&kernel);
@@ -737,7 +1206,7 @@ pub(super) mod tests {
     fn a_rebound_coordinate_buffer_faults_as_the_scalar_loop_faults() {
         let a: Vec<i64> = vec![3, 17, 30, 99];
         let b: Vec<i64> = (0..41).collect();
-        for shape in [Shape::Intersection, Shape::Block] {
+        for shape in [Shape::Intersection, Shape::Block, Shape::Gallop] {
             let kernel = merge_kernel_with(&a, &b, 39, shape);
             let c = compile(&kernel);
             let rebound = |buf: BufId, with: Buffer| {
@@ -762,6 +1231,14 @@ pub(super) mod tests {
                 let floats = Buffer::F64(vec![0.0, 4.0, 6.0, 9.0, 13.0].into());
                 cases.push(("offsets cut short", rebound(A_OFS, cut)));
                 cases.push(("offsets as f64", rebound(A_OFS, floats)));
+            }
+            if shape == Shape::Gallop {
+                // `b`'s row ends early (its seeks run past the row, onto
+                // coordinates the loop still reads), past the list (a seek's
+                // window leaves it), or is no longer `i64`.
+                cases.push(("b's row short", rebound(B_POS, Buffer::I64(vec![0, 9].into()))));
+                cases.push(("b's row long", rebound(B_POS, Buffer::I64(vec![0, 60].into()))));
+                cases.push(("b's row as f64", rebound(B_POS, Buffer::F64(vec![0.0, 41.0].into()))));
             }
             for (what, bufs) in cases {
                 let what = format!("{what}, {shape:?}");
@@ -799,7 +1276,7 @@ pub(super) mod tests {
                 out
             };
             let (a, b) = (list(1 + round % 7), list(1 + round % 5));
-            let kernel = merge_kernel_with(&a, &b, 59, TAKEN[round as usize % 3]);
+            let kernel = merge_kernel_with(&a, &b, 59, TAKEN[round as usize % TAKEN.len()]);
             let c = compile(&kernel);
             let mut interp = Interpreter::new(&c.names);
             let mut tree_bufs = kernel.2.clone();

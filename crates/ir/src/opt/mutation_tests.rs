@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Instr, Reg, VBase, VFill, VRhs, VScale};
+use crate::bytecode::{Instr, MergeForm, Reg, VBase, VFill, VRhs, VScale};
 use crate::expr::{BinOp, Expr};
 use crate::value::Value;
 
@@ -782,11 +782,16 @@ fn an_advance_that_counts_its_statement_when_not_taken_is_caught_and_attributed(
 
 /// A two-finger merge, typed and through `forward` — what `merge_skip`
 /// runs on — whose witness skips iterations that advance the first finger,
-/// iterations that advance the second, and matches in between.
+/// iterations that advance the second, and matches in between.  (The
+/// galloped merge's first finger also holds coordinates the second lacks,
+/// 10 and 25: where it leads, its trailer's seek lands past them.)
 fn forwarded_merge_kernel(shape: merge_skip::tests::Shape) -> (Program, Names, BufferSet) {
     let b: Vec<i64> = (0..41).filter(|k| k % 3 != 1).collect();
-    let (stmts, names, bufs) =
-        merge_skip::tests::merge_kernel_with(&[3, 4, 17, 18, 30, 99], &b, 39, shape);
+    let a: &[i64] = match shape {
+        merge_skip::tests::Shape::Gallop => &[3, 4, 10, 17, 18, 25, 30, 99],
+        _ => &[3, 4, 17, 18, 30, 99],
+    };
+    let (stmts, names, bufs) = merge_skip::tests::merge_kernel_with(a, &b, 39, shape);
     let fused = peephole(&Program::compile(&stmts, &names), &mut OptStats::default());
     let typed = typing::specialize_checked(&fused, &bufs).0;
     (forward(&typed, &mut OptStats::default()), names, bufs)
@@ -978,8 +983,74 @@ fn a_block_run_ahead_one_gap_load_short_is_caught_by_the_exact_stats_witness() {
 #[test]
 fn a_block_run_ahead_whose_offsets_are_a_fingers_list_is_caught_by_the_verifier() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
-        let Instr::IMergeSkip { a, ofs, .. } = &mut program.code[at] else { unreachable!() };
-        *ofs = Some(*a);
+        let Instr::IMergeSkip { a, form, .. } = &mut program.code[at] else { unreachable!() };
+        *form = MergeForm::Blocks { ofs: *a };
     });
     assert_caught(verdict, "merge_skip", "block offsets from a finger's list");
+}
+
+#[test]
+fn the_jumper_form_validates_and_its_witness_skips_with_either_finger_leading() {
+    use merge_skip::tests::Shape;
+    let out = run_merge_skip_mutation_on(Shape::Gallop, |_, _| {})
+        .expect("the real pass is exact")
+        .into_bytecode();
+    let (_, _, bufs) = forwarded_merge_kernel(Shape::Gallop);
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    // The four matches (3, 17, 18, 30) and the last iteration, whose step
+    // is clipped to the bound with neither finger on it, are dispatched; the
+    // three steps whose seek lands past the leader (5, 10, 25; `b`, `a`,
+    // `a` leading) are not.  Of 20 loop iterations, the stepper merges'
+    // included.
+    let counts = (per_pc[at], per_pc[at + 1], vm.stats().loop_iters);
+    assert_eq!(counts, (5, 5, 20), "{}", out.disasm());
+}
+
+#[test]
+fn a_jumper_run_ahead_whose_fall_back_miscounts_is_caught_by_the_exact_stats_witness() {
+    // A fall-back's loads (the row end, the stepper's stride) or the
+    // statements of a step one off, for either finger leading.
+    let mutants: [fn(&mut Program, usize); 4] = [
+        |p, at| jumper_loads(p, at, [1, 0]),
+        |p, at| jumper_loads(p, at, [0, -1]),
+        |p, at| bump_counts(p, at, [1, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 1]),
+    ];
+    for mutate in mutants {
+        let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, mutate);
+        assert_caught(verdict, "merge_skip", "ExecStats");
+    }
+}
+
+fn jumper_loads(program: &mut Program, at: usize, by: [i32; 2]) {
+    let Instr::IMergeSkip { on_a_loads, on_b_loads, .. } = &mut program.code[at] else {
+        unreachable!()
+    };
+    for (count, by) in [on_a_loads, on_b_loads].into_iter().zip(by) {
+        *count = count.checked_add_signed(by).expect("a count of at least one");
+    }
+}
+
+#[test]
+fn a_jumper_run_ahead_taking_the_earlier_stride_as_its_leader_is_caught_by_the_verifier() {
+    // Simulates a recogniser that reads the jumper loop as a stepper merge:
+    // the op would end each step at the earlier stride and advance that
+    // finger by one, where the loop seeks the trailer to the later one.
+    let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
+        let Instr::IMergeSkip { form, .. } = &mut program.code[at] else { unreachable!() };
+        *form = MergeForm::Steps;
+    });
+    assert_caught(verdict, "merge_skip", "by one, in one place");
+}
+
+#[test]
+fn a_jumper_run_ahead_whose_row_ends_are_a_fingers_list_is_caught_by_the_verifier() {
+    let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
+        let Instr::IMergeSkip { a, form, .. } = &mut program.code[at] else { unreachable!() };
+        let MergeForm::Gallop { a_end, .. } = form else { unreachable!() };
+        *a_end = *a;
+    });
+    assert_caught(verdict, "merge_skip", "row ends from a finger's list");
 }

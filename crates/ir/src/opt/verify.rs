@@ -23,7 +23,9 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{for_each_reg_role, Elem, Instr, LaneTag, Operand, Program, Role, VFill};
+use crate::bytecode::{
+    for_each_reg_role, Elem, Instr, LaneTag, MergeForm, Operand, Program, Reg, Role, VFill,
+};
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
 use crate::var::{Names, Var};
@@ -392,13 +394,16 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// The placement rule of a merge run-ahead at `pc`: it is the first
 /// instruction of the body of a `while start <= stop` loop closed by a
 /// bottom test on the same registers, which lands on it; its two buffers
-/// differ, and the block form's offsets are neither (their `i64` kind is
-/// the operand walk's to check); and the rest of the body steps each
-/// finger, and the start, in exactly one place — by one, as the op does.
-/// (That the op's statement counts are the loop's is the exact-stats
-/// witness's to find.)
+/// differ, and its form's block offsets or row ends are neither (their
+/// `i64` kind is the operand walk's to check); the loop does not write a
+/// jumper's rows, which the op reads once; and the rest of the body steps
+/// the start in exactly one place, by one past the step, and each finger —
+/// a stepper's in exactly one place, by one, as the op does; a jumper's by
+/// one, by a seek from itself in its own list or by a nested run-ahead over
+/// that list, the last write the loop's own step by one.  (That the op's
+/// statement counts are the loop's is the exact-stats witness's to find.)
 fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IMergeSkip { a, p, b, q, ofs, start, stop, .. } = code[pc] else { return Ok(()) };
+    let Instr::IMergeSkip { a, p, b, q, form, start, stop, .. } = code[pc] else { return Ok(()) };
     let head = pc.checked_sub(1).map(|head| code[head]);
     let bottom = match head {
         Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
@@ -420,27 +425,63 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
     if a == b {
         return Err(format!("merge run-ahead at pc {pc} walks one buffer with both fingers"));
     }
-    if ofs.is_some_and(|ofs| ofs == a || ofs == b) {
-        return Err(format!(
-            "merge run-ahead at pc {pc} reads its block offsets from a finger's list"
-        ));
+    let (aux, rows, what) = match form {
+        MergeForm::Steps => (vec![], vec![], ""),
+        MergeForm::Blocks { ofs } => (vec![ofs], vec![], "block offsets"),
+        MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+            (vec![a_end, b_end], vec![a_row, b_row], "row ends")
+        }
+    };
+    if aux.iter().any(|&buf| buf == a || buf == b) {
+        return Err(format!("merge run-ahead at pc {pc} reads its {what} from a finger's list"));
     }
-    for (reg, what, advanced) in [(p, "finger", true), (q, "finger", true), (start, "start", false)]
-    {
-        let steps = |instr: &Instr| match *instr {
-            Instr::IAdvance { reg: stepped, by: 1, .. } => advanced && stepped == reg,
-            Instr::IArithImm { op: BinOp::Add, dst, imm: 1, .. } => !advanced && dst == reg,
-            _ => false,
-        };
-        let mut writers = code[pc + 1..bottom].iter().filter(|instr| {
+    let body = &code[pc + 1..bottom];
+    let writes = |reg: Reg| {
+        move |instr: &&Instr| {
             let mut writes = false;
             for_each_reg_role(instr, |r, role| writes |= r == reg && role != Role::Read);
             writes
-        });
-        if !(writers.next().is_some_and(steps) && writers.next().is_none()) {
+        }
+    };
+    if let Some(&row) = rows.iter().find(|&&row| body.iter().any(|i| writes(row)(&i))) {
+        return Err(format!("merge run-ahead at pc {pc} reads row {row}, which its loop writes"));
+    }
+    let gallop = !rows.is_empty();
+    for (reg, list) in [(p, Some(a)), (q, Some(b)), (start, None)] {
+        let steps = |instr: &Instr| match *instr {
+            Instr::IAdvance { reg: stepped, by: 1, .. } => list.is_some() && stepped == reg,
+            Instr::IArithImm { op: BinOp::Add, dst, imm: 1, .. } => list.is_none() && dst == reg,
+            _ => false,
+        };
+        // A jumper's fall-backs seek it, and step it in a nested merge,
+        // which may carry its own run-ahead over the same list.
+        let moves = |instr: &Instr| match *instr {
+            Instr::ISeek { dst, buf, lo, on_abs: false, .. } => {
+                (dst, lo) == (reg, reg) && Some(buf) == list
+            }
+            Instr::IMergeSkip { a, p, b, q, .. } => {
+                (Some(a), p) == (list, reg) || (Some(b), q) == (list, reg)
+            }
+            _ => steps(instr),
+        };
+        let writers: Vec<&Instr> = body.iter().filter(writes(reg)).collect();
+        let placed = match writers[..] {
+            [only] => steps(only),
+            [.., last] if gallop && list.is_some() => {
+                steps(last) && writers.iter().all(|instr| moves(instr))
+            }
+            _ => false,
+        };
+        if !placed {
+            let (what, how) = match list {
+                None => ("start", "by one, in one place"),
+                Some(_) if gallop => {
+                    ("finger", "by one or by a seek in its own list, the loop's own step last")
+                }
+                Some(_) => ("finger", "by one, in one place"),
+            };
             return Err(format!(
-                "merge run-ahead at pc {pc}: the loop does not step its {what} {reg} by one, \
-                 in one place"
+                "merge run-ahead at pc {pc}: the loop does not step its {what} {reg} {how}"
             ));
         }
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
-use crate::bytecode::{Instr, LaneTag, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
+use crate::bytecode::{Instr, LaneTag, MergeForm, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
 use crate::interp::ExecStats;
@@ -958,23 +958,7 @@ impl Vm {
                     );
                     pc += 1;
                 }
-                Instr::IMergeSkip {
-                    a,
-                    p,
-                    b,
-                    q,
-                    ofs,
-                    start,
-                    stop,
-                    base,
-                    on_a,
-                    on_b,
-                    on_b_loads,
-                } => {
-                    let counts = [base, on_a, on_b, on_b_loads];
-                    self.merge_skip(bufs, (a, p, ofs), (b, q), start, stop, counts);
-                    pc += 1;
-                }
+                Instr::IMergeSkip { .. } => pc = self.merge_run_ahead(bufs, code, pc),
             }
         }
         Ok(())
@@ -1701,6 +1685,52 @@ impl Vm {
         self.ints[counter.index()] = hiv;
     }
 
+    /// [`Instr::IMergeSkip`] at `pc`, out of the dispatch loop: run ahead
+    /// in the form's own way and return where dispatch goes on — the next
+    /// instruction, or the loop's exit once a jumper has run its last step.
+    #[inline(never)]
+    fn merge_run_ahead(&mut self, bufs: &BufferSet, code: &[Instr], pc: usize) -> usize {
+        let Instr::IMergeSkip {
+            a,
+            p,
+            b,
+            q,
+            form,
+            start,
+            stop,
+            base,
+            on_a,
+            on_b,
+            on_a_loads,
+            on_b_loads,
+        } = code[pc]
+        else {
+            unreachable!("dispatched on an IMergeSkip")
+        };
+        let counts = [base, on_a, on_b, on_a_loads, on_b_loads];
+        match form {
+            MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+                let fingers = [(a, p, a_end, a_row), (b, q, b_end, b_row)];
+                // The loop's exit, off its head in front of the op.
+                let exit = match pc.checked_sub(1).map(|head| &code[head]) {
+                    Some(&Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end })
+                        if (lhs, rhs) == (start, stop) =>
+                    {
+                        Some(end)
+                    }
+                    _ => None,
+                };
+                let left = self.merge_gallop(bufs, fingers, (start, stop), counts, exit);
+                return left.map_or(pc + 1, |end| end as usize);
+            }
+            MergeForm::Blocks { ofs } => {
+                self.merge_skip(bufs, (a, p, Some(ofs)), (b, q), start, stop, counts)
+            }
+            MergeForm::Steps => self.merge_skip(bufs, (a, p, None), (b, q), start, stop, counts),
+        }
+        pc + 1
+    }
+
     /// [`Instr::IMergeSkip`], dispatched at the top of an iteration of its
     /// merge loop: run ahead through the iterations that find `a[p] !=
     /// b[q]`, are not the loop's last and — in the block form, where `b`
@@ -1708,7 +1738,8 @@ impl Vm {
     /// exactly as the scalar loop under the op would — every comparison is
     /// the scalar instruction's own — but for the temporaries, which the
     /// loop does not read before it rewrites them.  `counts` is `[base,
-    /// on_a, on_b, on_b_loads]`.
+    /// on_a, on_b, on_a_loads, on_b_loads]` (no stepper or block step loads
+    /// more where `p` advances: `on_a_loads` is the jumper form's).
     ///
     /// An iteration is only skipped while a worst-case one still fits under
     /// [`Vm::stmt_limit`], so nothing a statement can trip is due inside
@@ -1721,7 +1752,7 @@ impl Vm {
         (b, q): (BufId, Reg),
         start: Reg,
         stop: Reg,
-        counts: [u32; 4],
+        counts: [u32; 5],
     ) {
         let (Buffer::I64(a), Buffer::I64(b)) = (bufs.get(a), bufs.get(b)) else { return };
         let ofs = match ofs.map(|ofs| bufs.get(ofs)) {
@@ -1729,7 +1760,7 @@ impl Vm {
             Some(_) => return,
             None => None,
         };
-        let [base, on_a, on_b, on_b_loads] = counts.map(u64::from);
+        let [base, on_a, on_b, _, on_b_loads] = counts.map(u64::from);
         // A skipped iteration advances one finger: `a[p] != b[q]`.
         let worst = (base + on_a.max(on_b)).max(1);
         let stop = self.ints[stop.index()];
@@ -1777,6 +1808,117 @@ impl Vm {
             self.ints[start.index()] = next;
             if skipped < room || !self.still_quiet() {
                 return;
+            }
+        }
+    }
+
+    /// [`Instr::IMergeSkip`]'s jumper form ([`MergeForm::Gallop`]),
+    /// dispatched at the top of an iteration of its merge loop: run ahead
+    /// through the iterations that match nothing.  In such an iteration one
+    /// finger, the leader, ends the step `ss = min(max(s1, s2), stop)` and
+    /// the other, the trailer, does not; the trailer seeks to `ss` in its
+    /// row (the VM's own galloping search, over `list[finger..=end[row] -
+    /// 1]`) and lands on a coordinate past it.  The leader advances by one
+    /// and the trailer moves to where its seek landed; the iteration counts
+    /// two loop iterations (the loop's next one and the trailer's one-step
+    /// stepper), one search, and the seek's probes as loads on top of
+    /// `counts`.  It stops, without committing its seek, in front of an
+    /// iteration whose strides are equal, that neither finger ends (the step
+    /// clipped to the bound), whose seek lands on `ss` (a match) or runs out
+    /// of its row, or that would fault.
+    ///
+    /// The loop's last iteration (`ss == stop`) matching nothing is run too
+    /// where the op knows the loop's exit, `exit` (the head in front of the
+    /// op): it counts one loop iteration fewer, as the bottom test does not
+    /// go round again, and the op returns `exit` for the dispatch loop to
+    /// continue at.
+    ///
+    /// The loop's comparisons of coordinates go through `f64`
+    /// ([`Vm::cmp_int`]); the recogniser decided them on integers, so the
+    /// op also stops where `ss` or `ss + 1` is not exact in an `f64`.
+    fn merge_gallop(
+        &mut self,
+        bufs: &BufferSet,
+        fingers: [(BufId, Reg, BufId, Reg); 2],
+        (start, stop): (Reg, Reg),
+        counts: [u32; 5],
+        exit: Option<u32>,
+    ) -> Option<u32> {
+        /// The magnitude below which every `i64` is exact in an `f64`.
+        const EXACT: i64 = 1 << 53;
+        let [(a, p, a_end, a_row), (b, q, b_end, b_row)] = fingers;
+        let (Buffer::I64(a), Buffer::I64(b)) = (bufs.get(a), bufs.get(b)) else { return None };
+        // A trailer's last position, `end[row] - 1`: the loop writes neither
+        // the row nor (on a step the op performs) the buffer.
+        let last = |end: BufId, row: Reg| match bufs.get(end) {
+            Buffer::I64(end) => {
+                let row = usize::try_from(self.ints[row.index()]).ok()?;
+                end.get(row).map(|end| end.wrapping_sub(1))
+            }
+            _ => None,
+        };
+        let (a_last, b_last) = (last(a_end, a_row), last(b_end, b_row));
+        let [base, on_a, on_b, on_a_loads, on_b_loads] = counts.map(u64::from);
+        let worst = (base + on_a.max(on_b)).max(1);
+        let stop = self.ints[stop.index()];
+        if stop >= EXACT {
+            return None;
+        }
+        loop {
+            let (mut pv, mut qv) = (self.ints[p.index()], self.ints[q.index()]);
+            let room = self.stmt_limit.saturating_sub(self.stats.stmts) / worst;
+            let (mut skipped, mut led_by_a, mut probed) = (0, 0, 0);
+            let (mut next, mut left) = (None, false);
+            while skipped < room {
+                let (Some(&s1), Some(&s2)) = (a.get(pv as usize), b.get(qv as usize)) else {
+                    break;
+                };
+                let step_stop = s1.max(s2).min(stop);
+                let a_leads = s1 == step_stop;
+                let ends = a_leads || s2 == step_stop;
+                let last_step = step_stop == stop;
+                if s1 == s2 || !ends || step_stop < -EXACT || (last_step && exit.is_none()) {
+                    break;
+                }
+                let (list, from, last) = if a_leads { (b, qv, b_last) } else { (a, pv, a_last) };
+                let Some(last) = last else { break };
+                let Some((to, probes)) =
+                    crate::seek::lower_bound_i64(list, from, last, step_stop, false)
+                else {
+                    break;
+                };
+                if list.get(to as usize).is_none_or(|&landed| landed <= step_stop) {
+                    break;
+                }
+                if a_leads {
+                    (pv, qv) = (pv + 1, to);
+                    led_by_a += 1;
+                } else {
+                    (pv, qv) = (to, qv + 1);
+                }
+                probed += probes;
+                next = Some(step_stop + 1);
+                skipped += 1;
+                if last_step {
+                    left = true;
+                    break;
+                }
+            }
+            let next = next?;
+            let led_by_b = skipped - led_by_a;
+            self.stats.loop_iters += 2 * skipped - left as u64;
+            self.stats.searches += skipped;
+            self.stats.loads +=
+                2 * skipped + led_by_a * on_a_loads + led_by_b * on_b_loads + probed;
+            self.stats.stmts += skipped * base + led_by_a * on_a + led_by_b * on_b;
+            self.ints[p.index()] = pv;
+            self.ints[q.index()] = qv;
+            self.ints[start.index()] = next;
+            if left {
+                return exit;
+            }
+            if skipped < room || !self.still_quiet() {
+                return None;
             }
         }
     }

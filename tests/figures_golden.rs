@@ -11,8 +11,9 @@
 //! when it fails — and says which counters moved and why.  On a mismatch the
 //! test names figure, group, variant, configuration and counter.
 //!
-//! Beside the bytes, the first rows of ROADMAP item 2: the shapes of the
-//! paper's evaluation that hold at these sizes, asserted on the counters.
+//! Beside the bytes, the first rows of ROADMAP's "Pin the paper's shapes on
+//! exact counters": the shapes of the paper's evaluation that hold at these
+//! sizes, asserted on the counters.
 
 use finch_bench::figure_tables;
 use finch_bench::report::Report;

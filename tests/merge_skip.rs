@@ -5,13 +5,15 @@
 //! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
 //! nothing.  Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
-//! runs out inside a run-ahead — so for the four kernels that hold the loop
+//! runs out inside a run-ahead — so for the kernels that hold the loop
 //! (sparse·sparse `dot`, the elementwise product with a sparse output, and
-//! Fig. 7's two-finger and VBL SpMSpV, the last the op's block form) over
-//! operand pairs that are empty, single-entry, disjoint, identical,
-//! interleaved, prefixes of each other, or on either side of a block's
-//! edges, this file runs **every** step budget from 0 to the unbudgeted
-//! run's statement count on
+//! Fig. 7's two-finger and VBL SpMSpV, the last the op's block form; and,
+//! for its jumper form, the galloped `dot`, Fig. 7's "gallop both" SpMSpV
+//! and Fig. 8's galloped triangle count) over operand pairs that are empty,
+//! single-entry, disjoint, identical, interleaved, prefixes of each other,
+//! on either side of a block's edges, or at a jumper's own exits, this file
+//! runs **every** step budget from 0 to the unbudgeted run's statement
+//! count on
 //!
 //! * the VM with the op (the default configuration),
 //! * the VM with `simd` off — the same scalar loop without the op, and
@@ -25,7 +27,8 @@
 //! the same loop.)
 
 use finch_bench::ewise_mul_kernel;
-use finch_ir::Instr;
+use finch_ir::{Instr, MergeForm};
+use looplets_repro::baseline::datagen;
 use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor};
 
 mod common;
@@ -59,6 +62,20 @@ fn operand_pairs() -> Vec<(&'static str, Vec<usize>, Vec<usize>)> {
     ]
 }
 
+/// The pairs that leave a galloped merge by the jumper's own exits: a
+/// trailer's seek that lands on the leader's coordinate (a match in the
+/// fall-back), one that gallops to the last entry of its row (the loop's
+/// bound keeps every step at or before each row's last coordinate, so no
+/// seek of these kernels runs past it), and an empty last step (the bound
+/// is one finger's last coordinate; the other's next is past it).
+fn jumper_pairs() -> Vec<(&'static str, Vec<usize>, Vec<usize>)> {
+    vec![
+        ("a seek that lands on the leader", vec![2, 9], vec![1, 5, 9]),
+        ("a seek to its row's last entry", (1..10).chain([22]).collect(), vec![0, 22, 23]),
+        ("an empty last step", vec![3, 9], vec![5, 10, 12]),
+    ]
+}
+
 /// What one run left behind: its verdict (with the counters of a run that
 /// completes) and every output, readable or not.
 fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> String {
@@ -76,6 +93,12 @@ fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> Stri
 
 fn ops(kernel: &CompiledKernel) -> usize {
     kernel.bytecode().code().iter().filter(|i| matches!(i, Instr::IMergeSkip { .. })).count()
+}
+
+/// Whether `kernel` carries the op's jumper form.
+fn gallops(kernel: &CompiledKernel) -> bool {
+    let jumper = |i: &Instr| matches!(i, Instr::IMergeSkip { form: MergeForm::Gallop { .. }, .. });
+    kernel.bytecode().code().iter().any(jumper)
 }
 
 /// Sweep every budget over the three engines of `kernel`.
@@ -187,4 +210,48 @@ fn vbl_spmspv_agrees_under_every_budget_on_every_operand_pair() {
         );
         sweep(&kernel, &format!("vbl spmspv, x {what}"));
     }
+}
+
+/// The galloped `dot`: both fingers jump, the later stride leads and the
+/// other seeks to it — the op's jumper form.
+#[test]
+fn gallop_dot_agrees_under_every_budget_on_every_operand_pair() {
+    for (what, a, b) in operand_pairs().into_iter().chain(jumper_pairs()) {
+        let a = Tensor::sparse_list_vector("A", &vector(&a));
+        let b = Tensor::sparse_list_vector("B", &vector(&b));
+        let kernel = common::dot_kernel(&a, &b, Protocol::Gallop, Protocol::Gallop);
+        assert!(gallops(&kernel), "{what}: the jumper form\n{}", kernel.bytecode().disasm());
+        sweep(&kernel, &format!("gallop dot, {what}"));
+    }
+}
+
+/// Fig. 7's "gallop both" SpMSpV over the rows of the two-finger sweep's
+/// matrix (and the jumper pairs'), every second operand in turn `x`.
+#[test]
+fn gallop_both_spmspv_agrees_under_every_budget_on_every_operand_pair() {
+    let pairs: Vec<_> = operand_pairs().into_iter().chain(jumper_pairs()).collect();
+    let rows: Vec<f64> = pairs.iter().flat_map(|(_, a, _)| vector(a)).collect();
+    let matrix = Tensor::csr_matrix("A", pairs.len(), N, &rows);
+    for (what, _, x) in &pairs {
+        let x = Tensor::sparse_list_vector("x", &vector(x));
+        let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Gallop, Protocol::Gallop);
+        assert!(gallops(&kernel), "{what}: the jumper form\n{}", kernel.bytecode().disasm());
+        sweep(&kernel, &format!("gallop both spmspv, x = {what}"));
+    }
+}
+
+/// Fig. 8's galloped triangle count on a small power-law graph: the jumper
+/// loop is the innermost of three, entered once per edge.
+#[test]
+fn gallop_triangles_agree_under_every_budget() {
+    let n = 10;
+    let adj = datagen::power_law_graph(n, 2, 5);
+    let (a, a2, at) = (
+        Tensor::csr_matrix("A", n, n, &adj),
+        Tensor::csr_matrix("A2", n, n, &adj),
+        Tensor::csr_matrix("At", n, n, &adj),
+    );
+    let kernel = common::triangle_kernel(&a, &a2, &at, true);
+    assert!(gallops(&kernel), "the jumper form\n{}", kernel.bytecode().disasm());
+    sweep(&kernel, "gallop triangles");
 }
