@@ -592,7 +592,9 @@ mod tests {
     /// Every pairing of degenerate fills on two walked sparse lists — the
     /// two-finger merge that is never entered, matches on its first step,
     /// ends on its first step, matches on every step — runs divergence-free
-    /// on every leg, and the generator draws each of them.
+    /// on every leg, and the generator draws each of them.  Every drawn
+    /// `Dot` or `EwiseMul` over two walked sparse lists emits the
+    /// run-ahead's stepper form and runs divergence-free too.
     #[test]
     fn degenerate_sparse_list_merges_run_divergence_free_and_are_drawn() {
         let walk = Protocol::Walk;
@@ -627,6 +629,24 @@ mod tests {
         assert!(count(|c| c.a_fill == Fill::Empty || c.b_fill == Fill::Empty) > 0);
         assert!(count(|c| c.a_fill == Fill::Single || c.b_fill == Fill::Single) > 0);
         assert!(count(|c| c.same_support) > 0);
+        let both_walked = |stmt: &StmtSpec| match *stmt {
+            StmtSpec::Dot { pa, pb } | StmtSpec::EwiseMul { pa, pb } => (pa, pb) == (walk, walk),
+            _ => false,
+        };
+        let steps = |line: &str| {
+            line.contains("merge_skip")
+                && !line.contains(" blocks b")
+                && !line.contains(" seeks < b")
+        };
+        let walked: Vec<&FuzzCase> =
+            drawn.iter().filter(lists).filter(|c| c.stmts.iter().any(both_walked)).collect();
+        assert!(!walked.is_empty(), "the smoke draw walked no pair of sparse lists");
+        for case in walked {
+            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+            let disasm = kernel.bytecode().disasm();
+            assert!(disasm.lines().any(steps), "{case:?}: the stepper form\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        }
     }
 
     /// VBL against a walked sparse list is the run-ahead's block form: the

@@ -787,11 +787,10 @@ impl Program {
                 form,
                 start,
                 stop,
-                base,
-                on_a,
-                on_b,
-                on_a_loads,
-                on_b_loads,
+                stmts_a,
+                loads_a,
+                stmts_b,
+                loads_b,
             } => {
                 let (p, q) = (r(p), r(q));
                 let (a_form, b_form) = match form {
@@ -804,16 +803,14 @@ impl Program {
                         format!(" seeks < b{}[{}]", b_end.index(), r(b_row)),
                     ),
                 };
-                let loads = |n: u32| if n > 0 { format!(" +{n} load") } else { String::new() };
                 format!(
                     "merge_skip b{}[{p}]{a_form} ~ b{}[{q}]{b_form} in {}..={} (i64) \
-                     {{ +{base} stmt ; {p} += 1 ; +{on_a} stmt{} | {q} += 1 ; +{on_b} stmt{} }}",
+                     {{ {p} += 1 ; +{stmts_a} stmt +{loads_a} load \
+                     | {q} += 1 ; +{stmts_b} stmt +{loads_b} load }}",
                     a.index(),
                     b.index(),
                     r(start),
                     r(stop),
-                    loads(on_a_loads),
-                    loads(on_b_loads)
                 )
             }
         }

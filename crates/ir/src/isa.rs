@@ -1074,21 +1074,22 @@ pub enum Instr {
     ///
     /// execute, in one native loop over the two `i64` lanes, every
     /// iteration whose coordinates differ (`s1 != s2`: the guarded body
-    /// does not run) and that is not the loop's last (`ss + 1 <= stop`) —
-    /// the fingers advance, `start` is set, and
+    /// does not run) and that is not the loop's last (`ss + 1 <= stop`).
+    /// Each such iteration is led by one finger, the one whose stride is
+    /// `ss`, and advances that finger alone; `start` is set, and
     /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration, two loads (`+ on_a_loads`
-    /// where `p` advanced, `+ on_b_loads` where `q` did) and `base` (`+
-    /// on_a` where `p` advanced, `+ on_b` where `q` did) statements each.
+    /// iterations count: one loop iteration each, and `stmts_a` statements
+    /// and `loads_a` loads per iteration `p` leads, `stmts_b` and `loads_b`
+    /// per iteration `q` leads.
     ///
     /// The **block form** ([`MergeForm::Blocks`]; VBL's loop, Fig. 3b) is
     /// the same loop with the inner guard `ss` lies inside the block `a[p]`
     /// ends: `a`'s stride is a block's last coordinate, the block is `len =
     /// ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 - len < s2
     /// <= s1`.  It skips both kinds of empty step: `s1 < s2` (the block ends
-    /// first; `p` advances) and `s2 <= s1 - len` (`b`'s coordinate is in the
-    /// zero gap in front of the block; `q` advances, and its gap test's
-    /// statements and loads are in `on_b` / `on_b_loads`).
+    /// first; `p` leads) and `s2 <= s1 - len` (`b`'s coordinate is in the
+    /// zero gap in front of the block; `q` leads, and its gap test's
+    /// statements and loads are in `stmts_b` / `loads_b`).
     ///
     /// The **jumper form** ([`MergeForm::Gallop`]; two galloped fingers) is
     /// the loop whose step ends at the *later* stride, `ss = min(max(s1,
@@ -1097,9 +1098,9 @@ pub enum Instr {
     /// stepper there, whose body runs where the seek lands on `ss`.  It
     /// skips the steps one finger ends and whose seek lands past `ss`,
     /// counting two loop iterations, one search and the seek's probes as
-    /// loads on top — the loop's last such step too, one loop iteration
-    /// fewer, after which it leaves the loop by the exit of the head in
-    /// front of it.
+    /// loads besides the leader's counts — the loop's last such step too,
+    /// one loop iteration fewer, after which it leaves the loop by the exit
+    /// of the head in front of it.
     ///
     /// The op stops, with `p`, `q` and `start` as the scalar loop has them
     /// at that iteration's top, in front of the first iteration that
@@ -1125,18 +1126,16 @@ pub enum Instr {
         start: Reg = reg(ReadWrite),
         /// The loop's inclusive bound (proven `Int`).
         stop: Reg = reg(Read),
-        /// Statements every iteration that matches nothing accounts.
-        base: u32 = payload,
-        /// Further statements of an iteration that advances `p`.
-        on_a: u32 = payload,
-        /// Further statements of an iteration that advances `q`.
-        on_b: u32 = payload,
-        /// Further loads of an iteration that advances `p` (the jumper
-        /// form's).
-        on_a_loads: u32 = payload,
-        /// Further loads of an iteration that advances `q` (the gap test's,
-        /// or the jumper form's).
-        on_b_loads: u32 = payload,
+        /// Statements of a skipped iteration that `p` leads.
+        stmts_a: u32 = payload,
+        /// Loads of a skipped iteration that `p` leads (a seek's probes
+        /// aside).
+        loads_a: u32 = payload,
+        /// Statements of a skipped iteration that `q` leads.
+        stmts_b: u32 = payload,
+        /// Loads of a skipped iteration that `q` leads (a seek's probes
+        /// aside).
+        loads_b: u32 = payload,
     },
 }
 }
@@ -1190,13 +1189,17 @@ walks!(VFill, |fill, f| match fill {
     VFill::Reg(reg) => f(Operand::Reg(reg, Role::Read)),
 });
 
-/// Which step an [`Instr::IMergeSkip`]'s loop takes.
+/// Which step an [`Instr::IMergeSkip`]'s loop takes: what the finger that
+/// does not lead an iteration — the trailer — reads besides its list.  The
+/// leader is the finger whose stride ends the step; the op's counts are one
+/// per leading finger whatever the form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergeForm {
-    /// Two steppers: the step ends at the earlier stride.
+    /// Two steppers: the step ends at the earlier stride, and the trailer
+    /// reads nothing.
     Steps,
     /// VBL: `a`'s stride ends a block, `ofs[p + 1] - ofs[p]` coordinates
-    /// long.
+    /// long, and where `b` leads, `a` reads its offsets for the gap test.
     Blocks {
         /// `a`'s I64 block offsets, distinct from `a` and `b`.
         ofs: BufId,
@@ -1567,11 +1570,10 @@ pub(crate) fn samples() -> Vec<Instr> {
             form: MergeForm::Gallop { a_end: b(5), a_row: r(4), b_end: b(6), b_row: r(5) },
             start: r(2),
             stop: r(3),
-            base: 7,
-            on_a: 2,
-            on_b: 8,
-            on_a_loads: 4,
-            on_b_loads: 3,
+            stmts_a: 9,
+            loads_a: 6,
+            stmts_b: 15,
+            loads_b: 5,
         },
     ]
 }

@@ -1,65 +1,64 @@
 //! Run-ahead selection for the two-finger merge.
 //!
-//! The loop the stepper lowerer emits for two coiterating steppers under a
-//! conjunctive body (paper §6.1; Fig. 7's two-finger SpMSpV, Fig. 8's walked
-//! triangle count) reaches this pass, typed and through `forward`, as
+//! Lowering coiterates two fingers with one step loop (paper §6.1), which
+//! reaches this pass, typed and through `forward`, as
 //!
 //! ```text
-//! while start <= stop            IWhileCmp(Le)
-//!     s1 = a[p]                  LoadI64
-//!     s2 = b[q]                  LoadI64
-//!     t  = min(s1, s2)           IArith(Min)
-//!     ss = min(t, stop)          IArith(Min)
-//!     if_false ss == s1 -> L     ICmpBranch(Eq)   (the fingers in either order)
-//!     if_false ss == s2 -> L     ICmpBranch(Eq)
-//!     ..                         what a match does: anything
-//! L:  if s1 == ss { p += 1 }     IAdvance
-//!     if s2 == ss { q += 1 }     IAdvance
-//!     start = ss + 1             IArithImm(Add)
-//! next while start <= stop       IWhileNext
+//! while start <= stop                 IWhileCmp(Le)
+//!     s1 = a[p] ; s2 = b[q]           LoadI64, LoadI64
+//!     t  = lead(s1, s2)               IArith(Min), or IArith(Max)
+//!     ss = min(t, stop)               IArith(Min)
+//!     ..                              the step's body
+//!     if s1 == ss { p += 1 }          IAdvance
+//!     if s2 == ss { q += 1 }          IAdvance
+//!     start = ss + 1                  IArithImm(Add)
+//! next while start <= stop            IWhileNext
 //! ```
 //!
-//! and on sparse operands all but a few per cent of its iterations find
-//! `s1 != s2`, match nothing and do finger bookkeeping at a dozen dispatches
-//! each.  [`merge_skip`] recognises the loop and places one
-//! [`Instr::IMergeSkip`] as the body's first instruction — on the target of
-//! the bottom test, so it is dispatched at loop entry and after every scalar
-//! iteration — which runs those iterations natively.  Like the vectorized
-//! kernel ops this is strictly additive: the scalar loop is left
-//! instruction for instruction as it was, still executes every iteration
-//! that matches, ends the loop, faults or trips a budget, and is all there
-//! is when the op declines at run time.  The op carries the statement
-//! counts of an iteration it skips, read off the loop, so
-//! [`crate::interp::ExecStats`] cannot tell the two apart and the pass runs
-//! under [`super::StatsContract::Exact`].
+//! Steppers elect the earlier stride (`min`), jumpers the later (`max`).
+//! The finger whose stride ends the step leads; the other trails, and what
+//! the body does with the trailer is all that tells the loops apart.  On
+//! sparse operands all but a few per cent of the iterations match nothing
+//! and do finger bookkeeping at a dozen or more dispatches each.
+//! [`merge_skip`] places one [`Instr::IMergeSkip`] as the body's first
+//! instruction — on the target of the bottom test, so it is dispatched at
+//! loop entry and after every scalar iteration — which runs those
+//! iterations natively.  Like the vectorized kernel ops this is strictly
+//! additive: the scalar loop is left instruction for instruction as it was,
+//! still executes every iteration that matches, ends the loop, faults or
+//! trips a budget, and is all there is when the op declines at run time.
 //!
-//! The **block form** takes VBL's loop (Fig. 3b; Fig. 7's VBL SpMSpV), whose
-//! first finger's stride ends a block of `ofs[p + 1] - ofs[p]` coordinates:
-//! there the inner guard is the block test `block_test` matches, and the op
-//! also skips the steps that find the other finger's coordinate in the zero
-//! gap in front of the block.
+//! One walk recognises the loop (`walk`): an iteration that matches
+//! nothing is followed from the top of the body to the bottom test, once
+//! with `a` leading and once with `b`, every register holding a value the
+//! iteration knows (`Jv`) and every branch decided on a fact the op checks
+//! at run time.  What the walk passes on the way is the form:
+//! - the fingers' lists alone: two steppers ([`MergeForm::Steps`]);
+//! - the trailer's block offsets: VBL (Fig. 3b; Fig. 7's VBL SpMSpV), whose
+//!   trailing stride ends a block, and whose gap test finds the leader's
+//!   coordinate in the zero gap in front of it ([`MergeForm::Blocks`]);
+//! - the trailer's seek to `ss` in its row and a one-step stepper there:
+//!   two jumpers (paper §6.1, "Jumpers"; Fig. 7's "gallop both", Fig. 8's
+//!   galloped triangle count), whose seek lands past the step
+//!   ([`MergeForm::Gallop`]).
 //!
-//! The **jumper form** takes the loop lowering emits for two galloped
-//! fingers (paper §6.1, "Jumpers"; Fig. 7's "gallop both" SpMSpV, Fig. 8's
-//! galloped triangle count), whose step ends at the *later* stride, `ss =
-//! min(max(s1, s2), stop)`: where one finger ends the step and the other
-//! does not, the trailer seeks to `ss` in its row and runs a one-step
-//! stepper there, whose body runs only where the seek lands on `ss`.  The
-//! recogniser walks that iteration, for either finger leading, from the top
-//! of the body to the bottom test ([`walk`]), and the op performs every one
-//! whose seek lands past `ss` — the loop's last included, after which it
-//! leaves the loop by its head's exit.
+//! A skipped iteration advances exactly one finger, its leader, so what it
+//! costs is a count per leading finger: the statements and loads the walk
+//! led by that finger counted.  [`crate::interp::ExecStats`] cannot tell
+//! the op from the iterations it performs, and the pass runs under
+//! [`super::StatsContract::Exact`].
 //!
 //! A loop that is not given the op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
 
+use std::cell::OnceCell;
+
 use crate::buffer::BufId;
 use crate::bytecode::{
-    for_each_reg_role, jump_targets, splice_before, Instr, MergeForm, Program, Reg, Role,
+    edge_table, for_each_reg_role, splice_before, Instr, MergeForm, Program, Reg, Role, NO_EDGE,
 };
 use crate::expr::BinOp;
 
-use super::peephole::dead_after;
 use super::OptStats;
 
 /// Why a typed `while` loop was not given a run-ahead op.
@@ -118,15 +117,17 @@ impl MergeDecline {
 
 /// Give every two-finger merge loop of `p` its run-ahead op.  `p` is typed
 /// bytecode behind `forward`, which makes the advances and the bottom tests
-/// the shape is recognised by, and in front of `finalize`: every statement
+/// the loop is recognised by, and in front of `finalize`: every statement
 /// is still an explicit [`Instr::BumpStmt`].
 pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
     let mut inserts = Vec::new();
+    // Every instruction's jump target, read once the first loop needs them.
+    let edges = OnceCell::new();
     for (head, instr) in p.code.iter().enumerate() {
         if !matches!(instr, Instr::IWhileCmp { .. }) {
             continue;
         }
-        match recognise(&p.code, head) {
+        match recognise(&p.code, &edges, head) {
             Ok(op) => {
                 stats.merge_skips += 1;
                 inserts.push((head + 1, op));
@@ -141,13 +142,15 @@ pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
     p.with_code(splice_before(&p.code, &inserts, true))
 }
 
-/// Whether `{x, y}` is `{a, b}`.
-fn pair(x: Reg, y: Reg, a: Reg, b: Reg) -> bool {
-    (x, y) == (a, b) || (x, y) == (b, a)
-}
-
-/// The op for the loop headed at `head`, or why it gets none.
-fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
+/// The op for the loop headed at `head`, or why it gets none: the head and
+/// the two stride loads read off the code, the leader off the first
+/// [`Instr::IArith`], and the rest off the two walks ([`walk`]).  `edges`
+/// is [`edge_table`] of `code`, or empty until it is first needed.
+fn recognise(
+    code: &[Instr],
+    edges: &OnceCell<Vec<u32>>,
+    head: usize,
+) -> Result<Instr, MergeDecline> {
     use MergeDecline::*;
     let Instr::IWhileCmp { op: BinOp::Le, lhs: start, rhs: stop, end } = code[head] else {
         return Err(NotAStepLoop);
@@ -157,125 +160,82 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
     if bottom <= head || code.get(bottom) != Some(&closes) {
         return Err(NotAStepLoop);
     }
-    // The instructions that compute something, from the top of the body.
-    let computes = |pc: &usize| !matches!(code[*pc], Instr::Nop | Instr::BumpStmt);
-    let mut top = (head + 1..bottom).filter(computes).map(|pc| (pc, code[pc]));
-    let Some((_, Instr::LoadI64 { dst: s1, buf: a, idx: p_reg })) = top.next() else {
+    let mut top =
+        code[head + 1..bottom].iter().filter(|i| !matches!(i, Instr::Nop | Instr::BumpStmt));
+    let (
+        Some(&Instr::LoadI64 { buf: a, idx: p, .. }),
+        Some(&Instr::LoadI64 { buf: b, idx: q, .. }),
+    ) = (top.next(), top.next())
+    else {
         return Err(SingleFinger);
     };
-    let Some((_, Instr::LoadI64 { dst: s2, buf: b, idx: q_reg })) = top.next() else {
-        return Err(SingleFinger);
-    };
-    let (Some((_, first)), Some((_, second))) = (top.next(), top.next()) else {
-        return Err(NotTheMinimum);
-    };
-    let (t, ss) = match (first, second) {
-        (
-            Instr::IArith { op, dst: t, lhs, rhs },
-            Instr::IArith { op: BinOp::Min, dst: ss, lhs: l2, rhs: r2 },
-        ) if pair(lhs, rhs, s1, s2) && pair(l2, r2, t, stop) => match op {
-            BinOp::Min => (t, ss),
-            BinOp::Max => {
-                return gallop(code, (head, bottom), (start, stop), [(a, p_reg), (b, q_reg)]);
-            }
-            _ => return Err(NotTheMinimum),
-        },
+    let jumper = match top.find_map(|i| match *i {
+        Instr::IArith { op, .. } => Some(op),
+        _ => None,
+    }) {
+        Some(BinOp::Min) => false,
+        Some(BinOp::Max) => true,
         _ => return Err(NotTheMinimum),
     };
-    let regs = [start, stop, p_reg, q_reg, s1, s2, t, ss];
-    // Both guards skip to the same place: where the fingers advance.  The
-    // outer one is a finger ending the step; the inner one, the other
-    // finger ending it too, or the step ending inside the other's block.
-    let guard = |at: Option<(usize, Instr)>| match at {
-        Some((pc, Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, target })) => {
-            [s1, s2].into_iter().find(|&s| pair(lhs, rhs, ss, s)).map(|s| (pc, s, target as usize))
-        }
-        _ => None,
-    };
-    let Some((outer_pc, outer, tail)) = guard(top.next()) else {
-        return Err(NotGuardedByBoth);
-    };
-    let (inner_pc, block) = match guard(top.next()) {
-        Some((pc, inner, target)) if inner != outer && target == tail => (pc, None),
-        _ => {
-            let blocks = if outer == s2 { (a, p_reg, s1, ss) } else { (b, q_reg, s2, ss) };
-            // What a skipped iteration reads behind the test (`t` it does not).
-            let frame = [start, stop, p_reg, q_reg, s1, s2, ss];
-            let (test, join, ofs, loads) =
-                block_test(code, (outer_pc + 1, tail, end as usize), &frame, blocks)
-                    .ok_or(NotGuardedByBoth)?;
-            (test, Some((join, ofs, loads)))
-        }
-    };
-    if tail <= inner_pc || tail >= bottom {
-        return Err(NotGuardedByBoth);
-    }
-    // Behind the guarded body: the two advances, the next start, the bottom test.
-    let mut behind = (tail..bottom).filter(computes).map(|pc| code[pc]);
-    let advance = |at: Option<Instr>| match at {
-        Some(Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts }) => {
-            Some((lhs, rhs, reg, stmts))
-        }
-        _ => None,
-    };
-    let (Some(first), Some(second)) = (advance(behind.next()), advance(behind.next())) else {
-        return Err(NonUnitAdvance);
-    };
-    let stmts_of = |finger: Reg, stride: Reg| {
-        [first, second]
-            .into_iter()
-            .find(|&(lhs, rhs, reg, _)| reg == finger && pair(lhs, rhs, stride, ss))
-            .map(|(.., stmts)| stmts)
-    };
-    let (Some(a_stmts), Some(b_stmts)) = (stmts_of(p_reg, s1), stmts_of(q_reg, s2)) else {
-        return Err(NonUnitAdvance);
-    };
-    let next_start = Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 };
-    if behind.next() != Some(next_start) || behind.next().is_some() {
-        return Err(NonUnitAdvance);
-    }
-    let ofs = block.map(|(_, ofs, _)| ofs);
-    if a == b
-        || (1..regs.len()).any(|k| regs[..k].contains(&regs[k]))
-        || [Some(a), Some(b)].contains(&ofs)
-    {
+    let regs = [start, stop, p, q];
+    if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
         return Err(SharedOperand);
     }
-    // Nothing enters the loop but at its top, where the guards skip to and
-    // where the block test's one branch joins (from that branch alone); and
-    // what a match does stays in front of the advances.
-    // (Only a loop that is the shape gets this far: one scan of the code.)
-    let targets = jump_targets(code);
-    let join = block.map(|(join, ..)| join);
-    let entered = |pc: usize| targets[pc] && pc != head + 1 && pc != tail && Some(pc) != join;
-    let stays =
-        |pc: usize| code[pc].target().is_none_or(|t| (inner_pc + 1..=tail).contains(&(t as usize)));
-    let joins = code.iter().filter(|i| join.is_some_and(|j| i.target() == Some(j as u32))).count();
-    if (head + 1..=inner_pc).chain(tail..=bottom).any(entered)
-        || !(inner_pc + 1..tail).all(stays)
-        || joins > 1
-    {
-        return Err(NotGuardedByBoth);
-    }
-    // What an iteration that matches nothing accounts: every statement
-    // outside the guarded body, the inner guard's (or the block test's)
-    // only when the outer finger ends the step, an advance's only when it
-    // advances.
-    let stmts = |pcs: std::ops::RangeInclusive<usize>| {
-        pcs.filter(|&pc| code[pc] == Instr::BumpStmt).count() as u32
+    // A jumper loop that is not lowering's, in whatever way, is a leader
+    // election the op does not know.
+    let why = |why| if jumper { NotTheMinimum } else { why };
+    let walked = |lead| walk(code, (head, bottom), (start, stop), [(a, p), (b, q)], jumper, lead);
+    let (by_a, by_b) = (walked(0).map_err(why)?, walked(1).map_err(why)?);
+    // Where `a` leads, `b` trails: `by_a` holds what `b` reads besides its
+    // list, and the other way round.
+    let form = match (by_a.aux, by_b.aux) {
+        (Aux::Row(b_end, b_row), Aux::Row(a_end, a_row)) => {
+            MergeForm::Gallop { a_end, a_row, b_end, b_row }
+        }
+        (Aux::Nothing, Aux::Nothing) => MergeForm::Steps,
+        (Aux::Blocks(ofs), Aux::Nothing) | (Aux::Nothing, Aux::Blocks(ofs)) => {
+            MergeForm::Blocks { ofs }
+        }
+        _ => return Err(why(NotGuardedByBoth)),
     };
-    let base = stmts(head + 1..=outer_pc) + stmts(tail..=bottom);
-    let on_outer = stmts(outer_pc + 1..=inner_pc);
-    let on = |stride: Reg, advance: u32| advance + if outer == stride { on_outer } else { 0 };
-    let mut fingers = [(a, p_reg, on(s1, a_stmts)), (b, q_reg, on(s2, b_stmts))];
-    // The block form's first finger is the one whose stride ends a block.
-    if block.is_some() && outer == s1 {
-        fingers.reverse();
+    let reads_a_list = |s: &Skipped| match s.aux {
+        Aux::Blocks(buf) | Aux::Row(buf, _) => buf == a || buf == b,
+        Aux::Nothing => false,
+    };
+    if reads_a_list(&by_a) || reads_a_list(&by_b) {
+        return Err(SharedOperand);
     }
-    let [(a, p, on_a), (b, q, on_b)] = fingers;
-    let on_b_loads = block.map_or(0, |(.., loads)| loads);
-    let form = ofs.map_or(MergeForm::Steps, |ofs| MergeForm::Blocks { ofs });
-    let on_a_loads = 0;
+    // A jumper's rows are read once, so the loop must not write them.
+    let writes_rows = match form {
+        MergeForm::Gallop { a_row, b_row, .. } => {
+            code[head..=bottom].iter().any(|i| writes(i, &[a_row, b_row]))
+        }
+        _ => false,
+    };
+    // Only the bottom test lands on the top of the body, and nothing the
+    // op leaves unwritten is read there before it is rewritten — nor where
+    // the loop exits, which a jumper's op leaves by after its last
+    // iteration (a stepper's hands over to the scalar loop first).
+    let edges = edges.get_or_init(|| edge_table(code));
+    let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
+    let mut unwritten: Vec<Reg> = by_a.written.iter().chain(&by_b.written).copied().collect();
+    unwritten.sort_unstable_by_key(|r| r.0);
+    unwritten.dedup();
+    unwritten.retain(|r| ![start, p, q].contains(r));
+    let from = &[head + 1, bottom + 1][..1 + jumper as usize];
+    if entered
+        || writes_rows
+        || unwritten.contains(&stop)
+        || read_before_written(code, edges, from, &unwritten)
+    {
+        return Err(why(NotGuardedByBoth));
+    }
+    // The block form's first finger is the one whose stride ends a block.
+    let mut fingers = [((a, p), by_a), ((b, q), by_b)];
+    if matches!(fingers[0].1.aux, Aux::Blocks(_)) {
+        fingers.swap(0, 1);
+    }
+    let [((a, p), by_a), ((b, q), by_b)] = fingers;
     Ok(Instr::IMergeSkip {
         a,
         p,
@@ -284,169 +244,138 @@ fn recognise(code: &[Instr], head: usize) -> Result<Instr, MergeDecline> {
         form,
         start,
         stop,
-        base,
-        on_a,
-        on_b,
-        on_a_loads,
-        on_b_loads,
+        stmts_a: by_a.stmts,
+        loads_a: by_a.loads,
+        stmts_b: by_b.stmts,
+        loads_b: by_b.loads,
     })
 }
 
-/// The jumper form's op for the loop `head..=bottom` ([`MergeForm::Gallop`]):
-/// both skipped iterations — `a` leading, and `b` — walked from the top of
-/// the body ([`walk`]), and what they write besides the fingers and the
-/// start dead where the op hands over, at the top of the body.
-fn gallop(
-    code: &[Instr],
-    (head, bottom): (usize, usize),
-    (start, stop): (Reg, Reg),
-    fingers: [(BufId, Reg); 2],
-) -> Result<Instr, MergeDecline> {
-    use MergeDecline::*;
-    let [(a, p), (b, q)] = fingers;
-    let regs = [start, stop, p, q];
-    if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
-        return Err(SharedOperand);
-    }
-    let walked = |lead| walk(code, (head, bottom), (start, stop), fingers, lead);
-    let (Some(led_by_a), Some(led_by_b)) = (walked(0), walked(1)) else {
-        return Err(NotTheMinimum);
-    };
-    // Where `a` leads, `b` seeks in its row; and the other way round.
-    let ((b_end, b_row), (a_end, a_row)) = (led_by_a.row, led_by_b.row);
-    if [a_end, b_end].iter().any(|end| [a, b].contains(end)) {
-        return Err(SharedOperand);
-    }
-    // Only the bottom test lands on the top of the body, and nothing the
-    // op leaves unwritten is read there, or where the loop exits (the op runs
-    // a last iteration and leaves), before it is rewritten.
-    let entered =
-        code.iter().enumerate().any(|(pc, i)| pc != bottom && i.target() == Some(head as u32 + 1));
-    let mut unwritten: Vec<Reg> =
-        led_by_a.written.iter().chain(&led_by_b.written).copied().collect();
-    unwritten.sort_unstable_by_key(|r| r.0);
-    unwritten.dedup();
-    unwritten.retain(|r| ![start, p, q].contains(r));
-    if entered
-        || unwritten.contains(&stop)
-        || read_before_written(code, [head + 1, bottom + 1], &unwritten)
-    {
-        return Err(NotTheMinimum);
-    }
-    let base = led_by_a.stmts.min(led_by_b.stmts);
-    let (Some(on_a_loads), Some(on_b_loads)) =
-        (led_by_a.loads.checked_sub(2), led_by_b.loads.checked_sub(2))
-    else {
-        return Err(NotTheMinimum);
-    };
-    Ok(Instr::IMergeSkip {
-        a,
-        p,
-        b,
-        q,
-        form: MergeForm::Gallop { a_end, a_row, b_end, b_row },
-        start,
-        stop,
-        base,
-        on_a: led_by_a.stmts - base,
-        on_b: led_by_b.stmts - base,
-        on_a_loads,
-        on_b_loads,
-    })
-}
-
-/// What a register of the jumper loop holds on an iteration the op skips:
-/// the loop's bounds and a finger's position at the top; the leader's
-/// coordinate, which is the step's end `ss`, and the trailer's, which is
-/// not; the later of the two, which clipped to the bound is `ss`; `ss + 1`;
-/// a row's end `end[row]` and last position `end[row] - 1`, `row` a
-/// register the loop does not write; where the trailer's seek lands, and
-/// the coordinate there, past `ss`; the leader's position one on.
+/// What a register holds on an iteration the op skips: the loop's bound; a
+/// finger's position at the top, and one on; the leader's stride, which is
+/// the step's end `ss`, and the trailer's, which is not (ahead of it under
+/// `min`, behind it under `max`); `max(s1, s2)`, which clipped to the bound
+/// is `ss`; `ss + 1`.  A jumper's trailer adds its row's end `end[row]` and
+/// last position `end[row] - 1`, where its seek lands and the coordinate
+/// there, past `ss`.  VBL's adds its block's end offset `ofs[p + 1]` and
+/// length `ofs[p + 1] - ofs[p]`, the zero gap's last coordinate (the block's
+/// last, less the length), that clipped to the step — `ss` is at or past it
+/// — and one past that, which is past `ss`.
 #[derive(Clone, Copy, PartialEq)]
 enum Jv {
-    Start,
     Stop,
     Pos(usize),
+    OneOn(usize),
     Step,
-    Behind,
+    Other,
     Later,
     After,
-    End(BufId, Reg),
-    Last(BufId, Reg),
+    End,
+    Last,
     Landed,
     Past,
-    Moved,
+    Hi,
+    Len,
+    Gap,
+    GapStop,
+    PastGap,
+}
+
+/// What the trailer of a skipped iteration reads besides its list.
+#[derive(Clone, Copy, PartialEq)]
+enum Aux {
+    /// Nothing: a stepper.
+    Nothing,
+    /// Its block offsets: its stride ends a block.
+    Blocks(BufId),
+    /// Its row's ends, and its row (a register the loop must not write),
+    /// to seek in: a jumper.
+    Row(BufId, Reg),
 }
 
 /// One iteration the op skips, read off the loop.
 struct Skipped {
-    /// Its statements, and its loads but the seek's probes.
+    /// Its statements, and its loads but a seek's probes.
     stmts: u32,
     loads: u32,
-    /// The trailer's row ends and row.
-    row: (BufId, Reg),
+    /// What its trailer reads besides its list.
+    aux: Aux,
     /// Every register it writes.
     written: Vec<Reg>,
 }
 
-/// The iteration of the jumper loop `head..=bottom` in which finger `lead`
-/// leads and the other seeks past the step, walked from the top of the body
-/// to the bottom test with every branch decided by what such an iteration
-/// knows ([`Jv`]) — lowering's fall-back (paper §6.1, "Jumpers"):
+/// The iteration of the loop `head..=bottom` that finger `lead` leads and
+/// that matches nothing, walked from the top of the body to the bottom test
+/// with every branch decided on what such an iteration knows ([`Jv`]): the
+/// strides differ; the step is not the loop's last (a jumper's op performs
+/// that one too, and leaves the loop); VBL's gap test,
+/// `ss <= min(a[p] - (ofs[p + 1] - ofs[p]), ss)`; a jumper's trailer lands
+/// past `ss`.  The op checks each at run time.
 ///
-/// ```text
-/// s1 = a[p] ; s2 = b[q] ; ss = min(max(s1, s2), stop)
-/// .. where the trailer, say b, does not end the step:
-/// q = seek(b, q, end[row] - 1, ss)             ISeek
-/// while ss <= ss { s = b[q] ; .. ; start' = min(s, ss) + 1 }
-/// if s1 == ss { p += 1 } ; if s2 == ss { q += 1 } ; start = ss + 1
-/// ```
-///
-/// It must pass one seek, the trailer's, to `ss` in its own list, and one
-/// iteration of an inner loop, and end with the leader one on, the trailer
-/// where it landed and `start` at `ss + 1`; an instruction it cannot decide
-/// or does not know (a store above all: the body) is no such iteration.
+/// The iteration ends with the leader one on and `start` at `ss + 1`; a
+/// stepper's trailer where it was, a jumper's where its one seek — to `ss`,
+/// in its own list, up to its row's last position — landed, after one
+/// iteration of an inner loop.  An instruction the walk cannot decide or
+/// does not know (a store above all: the body) is no such iteration.
 fn walk(
     code: &[Instr],
     (head, bottom): (usize, usize),
     (start, stop): (Reg, Reg),
     fingers: [(BufId, Reg); 2],
+    jumper: bool,
     lead: usize,
-) -> Option<Skipped> {
+) -> Result<Skipped, MergeDecline> {
     use Jv::*;
+    use MergeDecline::{NonUnitAdvance, NotGuardedByBoth};
     let trail = 1 - lead;
     let lists = fingers.map(|(list, _)| list);
-    let invariant = |r: Reg| !code[head..=bottom].iter().any(|i| writes(i, r));
-    let mut vals =
-        vec![(start, Start), (stop, Stop), (fingers[0].1, Pos(0)), (fingers[1].1, Pos(1))];
-    let val = |vals: &[(Reg, Jv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
-    let eq = |x: Jv, y: Jv| match (x, y) {
-        _ if x == y => Some(true),
-        (Step, Behind | Past) | (Behind | Past, Step) => Some(false),
-        _ => None,
+    let mut vals = Vec::with_capacity(2 * (bottom - head));
+    vals.extend([(stop, Stop), (fingers[0].1, Pos(0)), (fingers[1].1, Pos(1))]);
+    let val = |vals: &[(Reg, Jv)], r: Reg| {
+        vals.iter().rev().find(|v| v.0 == r).map(|v| v.1).ok_or(NotGuardedByBoth)
     };
-    let le = |x: Jv, y: Jv| match (x, y) {
-        (Step, Step) => Some(true),
-        (After, Step) => Some(false),
-        _ => None,
+    let decide = |vals: &[(Reg, Jv)], op: BinOp, lhs: Reg, rhs: Reg| {
+        let holds = match (op, val(vals, lhs)?, val(vals, rhs)?) {
+            (BinOp::Eq | BinOp::Le, x, y) if x == y => true,
+            (BinOp::Eq, Step, Other | Past) | (BinOp::Eq, Other | Past, Step) => false,
+            (BinOp::Le, Step, GapStop) => true,
+            (BinOp::Le, PastGap, Step) => false,
+            // Where `ss + 1` is exact, which a jumper's op checks.
+            (BinOp::Le, After, Step) if jumper => false,
+            _ => return Err(NotGuardedByBoth),
+        };
+        Ok(holds)
     };
-    let (mut stmts, mut loads, mut iters, mut row, mut pc) = (0, 0, 0, None, head + 1);
-    // Every pc at most twice: the inner loop runs once.
+    // The one buffer the trailer reads besides its list.
+    let claim = |aux: &mut Aux, want: Aux| {
+        if *aux == Aux::Nothing {
+            *aux = want;
+        }
+        *aux == want
+    };
+    let (mut stmts, mut loads, mut iters, mut sought) = (0, 0, 0, false);
+    let (mut aux, mut pc) = (Aux::Nothing, head + 1);
+    // Every pc at most twice: an inner loop runs once.
     for _ in 0..2 * (bottom - head) {
         if pc == bottom {
-            let ends = [(fingers[lead].1, Moved), (fingers[trail].1, Landed), (start, After)];
-            if iters != 1 || ends.iter().any(|&(r, v)| val(&vals, r) != Some(v)) {
-                return None;
+            let trailer = if jumper { Landed } else { Pos(trail) };
+            let ends =
+                [(fingers[lead].1, OneOn(lead)), (fingers[trail].1, trailer), (start, After)];
+            if ends.iter().any(|&(r, v)| val(&vals, r) != Ok(v)) {
+                return Err(NonUnitAdvance);
             }
-            let written = vals[4..].iter().map(|&(r, _)| r).collect();
-            return Some(Skipped { stmts, loads, row: row?, written });
+            if (iters, sought) != (jumper as u32, jumper) {
+                return Err(NotGuardedByBoth);
+            }
+            let written = vals[3..].iter().map(|&(r, _)| r).collect();
+            return Ok(Skipped { stmts, loads, aux, written });
         }
         if pc <= head || pc > bottom {
-            return None;
+            return Err(NotGuardedByBoth);
         }
-        let instr = code[pc];
+        let instr = &code[pc];
         pc += 1;
-        let written = match instr {
+        let written = match *instr {
             Instr::Nop => continue,
             Instr::BumpStmt => {
                 stmts += 1;
@@ -456,95 +385,114 @@ fn walk(
                 pc = target as usize;
                 continue;
             }
-            Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, target } => {
-                if !eq(val(&vals, lhs)?, val(&vals, rhs)?)? {
+            Instr::ICmpBranch { op, lhs, rhs, target } => {
+                if !decide(&vals, op, lhs, rhs)? {
                     pc = target as usize;
                 }
                 continue;
             }
-            Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end } => {
-                match le(val(&vals, lhs)?, val(&vals, rhs)?)? {
+            Instr::IWhileCmp { op, lhs, rhs, end } => {
+                match decide(&vals, op, lhs, rhs)? {
                     true => iters += 1,
                     false => pc = end as usize,
                 }
                 continue;
             }
-            Instr::IWhileNext { op: BinOp::Le, lhs, rhs, body } => {
-                if le(val(&vals, lhs)?, val(&vals, rhs)?)? {
+            Instr::IWhileNext { op, lhs, rhs, body } => {
+                if decide(&vals, op, lhs, rhs)? {
                     (iters, pc) = (iters + 1, body as usize);
                 }
                 continue;
             }
-            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
-                if !eq(val(&vals, lhs)?, val(&vals, rhs)?)? {
+            Instr::IAdvance { op, lhs, rhs, reg, by, stmts: n } => {
+                if !decide(&vals, op, lhs, rhs)? {
                     continue;
                 }
                 stmts += n;
-                if val(&vals, reg)? != Pos(lead) {
-                    return None;
+                match (by, val(&vals, reg)) {
+                    (1, Ok(Pos(k))) => (reg, OneOn(k)),
+                    _ => return Err(NonUnitAdvance),
                 }
-                (reg, Moved)
             }
             Instr::LoadI64 { dst, buf, idx } => {
                 loads += 1;
                 let loaded = match val(&vals, idx) {
-                    Some(Pos(k)) if buf == lists[k] => {
+                    Ok(Pos(k)) if buf == lists[k] => {
                         if k == lead {
                             Step
                         } else {
-                            Behind
+                            Other
                         }
                     }
-                    Some(Landed) if buf == lists[trail] => Past,
-                    None if invariant(idx) && !lists.contains(&buf) => End(buf, idx),
-                    _ => return None,
+                    Ok(Landed) if buf == lists[trail] => Past,
+                    Ok(OneOn(k)) if k == trail && !jumper && claim(&mut aux, Aux::Blocks(buf)) => {
+                        Hi
+                    }
+                    Err(_) if jumper && claim(&mut aux, Aux::Row(buf, idx)) => End,
+                    _ => return Err(NotGuardedByBoth),
                 };
                 (dst, loaded)
+            }
+            Instr::LoadBinary { op: BinOp::Sub, dst, lhs, buf, idx } => {
+                loads += 1;
+                let at = (val(&vals, lhs)?, val(&vals, idx)?);
+                if at != (Hi, Pos(trail)) || !claim(&mut aux, Aux::Blocks(buf)) {
+                    return Err(NotGuardedByBoth);
+                }
+                (dst, Len)
             }
             Instr::IArith { op, dst, lhs, rhs } => {
                 let (x, y) = (val(&vals, lhs)?, val(&vals, rhs)?);
                 let is = |u, v| (x, y) == (u, v) || (x, y) == (v, u);
-                let stepped = match op {
-                    BinOp::Max if is(Step, Behind) => Later,
+                let computed = match op {
+                    BinOp::Min if !jumper && is(Step, Other) => Step,
+                    BinOp::Max if jumper && is(Step, Other) => Later,
                     BinOp::Min if is(Later, Stop) || is(Step, Stop) || is(Step, Past) => Step,
-                    _ => return None,
+                    BinOp::Min if is(Gap, Step) => GapStop,
+                    BinOp::Sub if (x, y) == (Other, Len) => Gap,
+                    _ => return Err(NotGuardedByBoth),
                 };
-                (dst, stepped)
+                (dst, computed)
             }
-            Instr::IArithImm { op, dst, lhs, imm } => match (op, val(&vals, lhs)?, imm) {
-                (BinOp::Sub, End(end, r), 1) | (BinOp::Add, End(end, r), -1) => (dst, Last(end, r)),
-                (BinOp::Add, Step, 1) => (dst, After),
-                _ => return None,
-            },
+            Instr::IArithImm { op, dst, lhs, imm } => {
+                let computed = match (op, val(&vals, lhs)?, imm) {
+                    (BinOp::Add, Pos(k), 1) => OneOn(k),
+                    (BinOp::Add, Step, 1) => After,
+                    (BinOp::Add, GapStop, 1) => PastGap,
+                    (BinOp::Sub, End, 1) | (BinOp::Add, End, -1) => Last,
+                    _ => return Err(NotGuardedByBoth),
+                };
+                (dst, computed)
+            }
             Instr::IMov { dst, src } => (dst, val(&vals, src)?),
             Instr::ISeek { dst, buf, lo, hi, key, on_abs: false } => {
-                let at = (val(&vals, lo)?, val(&vals, key)?);
-                let (Last(end, r), None) = (val(&vals, hi)?, row) else { return None };
-                if buf != lists[trail] || at != (Pos(trail), Step) {
-                    return None;
+                let at = (val(&vals, lo)?, val(&vals, hi)?, val(&vals, key)?);
+                if sought || buf != lists[trail] || at != (Pos(trail), Last, Step) {
+                    return Err(NotGuardedByBoth);
                 }
-                row = Some((end, r));
+                sought = true;
                 (dst, Landed)
             }
-            _ => return None,
+            _ => return Err(NotGuardedByBoth),
         };
         vals.push(written);
     }
-    None
+    Err(NotGuardedByBoth)
 }
 
-/// Whether `instr` writes `r`.
-fn writes(instr: &Instr, r: Reg) -> bool {
+/// Whether `instr` writes one of `regs`.
+fn writes(instr: &Instr, regs: &[Reg]) -> bool {
     let mut written = false;
-    for_each_reg_role(instr, |reg, role| written |= reg == r && role != Role::Read);
+    for_each_reg_role(instr, |reg, role| written |= role != Role::Read && regs.contains(&reg));
     written
 }
 
-/// Whether some path from either of `from` reads one of `regs` before it
-/// writes it.  One walk for all of them: each pc keeps, a bit per register,
-/// those some path has reached it without writing, and is revisited only
-/// with bits it has not had (more than 64 registers count as read).
-fn read_before_written(code: &[Instr], from: [usize; 2], regs: &[Reg]) -> bool {
+/// Whether some path from one of `from` reads one of `regs` before it
+/// writes it (`edges` is [`edge_table`] of `code`).  One walk for all of
+/// them: each pc keeps, a bit per register, those some path has reached it
+/// without writing, and is revisited only with bits it has not had (more
+/// than 64 registers count as read).
+fn read_before_written(code: &[Instr], edges: &[u32], from: &[usize], regs: &[Reg]) -> bool {
     let Some(all) = 1u64.checked_shl(regs.len() as u32).map(|bit| bit - 1) else {
         return true;
     };
@@ -553,7 +501,7 @@ fn read_before_written(code: &[Instr], from: [usize; 2], regs: &[Reg]) -> bool {
         bit_of[r.0 as usize] = 1 << k;
     }
     let mut reached = vec![0u64; code.len()];
-    let mut todo = from.map(|pc| (pc, all)).to_vec();
+    let mut todo: Vec<_> = from.iter().map(|&pc| (pc, all)).collect();
     while let Some((pc, open)) = todo.pop() {
         let Some(seen) = reached.get_mut(pc) else { continue };
         let open = open & !*seen;
@@ -574,111 +522,11 @@ fn read_before_written(code: &[Instr], from: [usize; 2], regs: &[Reg]) -> bool {
         if code[pc].falls_through() {
             todo.push((pc + 1, open));
         }
-        todo.extend(code[pc].target().map(|t| (t as usize, open)));
+        if edges[pc] != NO_EDGE {
+            todo.push((edges[pc] as usize, open));
+        }
     }
     false
-}
-
-/// What a register of a block test holds: the step's end `ss`; the block
-/// finger `p`, `p + 1`, and the block's last coordinate `a[p]`; `ofs[p + 1]`
-/// and the block's length `ofs[p + 1] - ofs[p]`; the gap's last coordinate
-/// `a[p] - len`, clipped to the step (`gap_stop`); the block phase's start.
-#[derive(Clone, Copy, PartialEq)]
-enum Val {
-    Step,
-    Finger,
-    Next,
-    Last,
-    Hi,
-    Len,
-    Gap,
-    GapStop,
-    From,
-}
-
-/// The test, from `from` to the guards' target `tail`, that `ss` ends inside
-/// the block `coords[p]` ends — lowering's VBL pipeline (Fig. 3b), a zero gap
-/// then the block:
-///
-/// ```text
-/// from = ss ; gap_stop = min(coords[p] - (ofs[p + 1] - ofs[p]), ss)
-/// if ss <= gap_stop { from = gap_stop + 1 }
-/// if from <= ss { .. }
-/// ```
-///
-/// matched by value (any register holding `coords[p]` will do), and nothing
-/// else: no other load, branch or write to the loop's `frame`, and what it
-/// writes is dead where the loop exits, as the op leaves it as it was.  The
-/// test's pc, where its inner branch joins, `ofs` and the loads on the way.
-fn block_test(
-    code: &[Instr],
-    (from, tail, exit): (usize, usize, usize),
-    frame: &[Reg],
-    (coords, p, last, ss): (BufId, Reg, Reg, Reg),
-) -> Option<(usize, usize, BufId, u32)> {
-    use Val::*;
-    let mut vals = vec![(ss, Step), (p, Finger), (last, Last)];
-    let val = |vals: &[(Reg, Val)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
-    let (mut ofs, mut loads, mut join, mut pc) = (None, 0, None, from);
-    let mut offsets = |buf| buf != coords && *ofs.get_or_insert(buf) == buf;
-    while pc < tail {
-        let (at, instr) = (pc, code[pc]);
-        pc += 1;
-        loads += matches!(instr, Instr::LoadI64 { .. } | Instr::LoadBinary { .. }) as u32;
-        let written = match instr {
-            Instr::Nop | Instr::BumpStmt => continue,
-            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
-            Instr::LoadI64 { dst, buf, idx } => match val(&vals, idx)? {
-                Finger if buf == coords => (dst, Last),
-                Next if offsets(buf) => (dst, Hi),
-                _ => return None,
-            },
-            Instr::LoadBinary { op: BinOp::Sub, dst, lhs, buf, idx } => {
-                let len = val(&vals, lhs)? == Hi && val(&vals, idx)? == Finger && offsets(buf);
-                len.then_some((dst, Len))?
-            }
-            Instr::IArith { op, dst, lhs, rhs } => match (op, val(&vals, lhs)?, val(&vals, rhs)?) {
-                (BinOp::Sub, Last, Len) => (dst, Gap),
-                (BinOp::Min, Gap, Step) | (BinOp::Min, Step, Gap) => (dst, GapStop),
-                _ => return None,
-            },
-            Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 } if val(&vals, lhs)? == Finger => {
-                (dst, Next)
-            }
-            // `if ss <= gap_stop { from = gap_stop + 1 }`, `from` holding `ss`.
-            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target }
-                if join.is_none()
-                    && (pc..tail).contains(&(target as usize))
-                    && (val(&vals, lhs), val(&vals, rhs)) == (Some(Step), Some(GapStop)) =>
-            {
-                let computes = |pc: &usize| !matches!(code[*pc], Instr::Nop | Instr::BumpStmt);
-                let mut moved = (pc..target as usize).filter(computes).map(|pc| code[pc]);
-                let (Some(Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 }), None) =
-                    (moved.next(), moved.next())
-                else {
-                    return None;
-                };
-                if (val(&vals, lhs), val(&vals, dst)) != (Some(GapStop), Some(Step)) {
-                    return None;
-                }
-                (join, pc) = (Some(target as usize), target as usize);
-                (dst, From)
-            }
-            // `if from <= ss { .. }`.
-            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target } if target as usize == tail => {
-                let unread = vec![false; code.len()];
-                let dead = |&(r, _): &(Reg, Val)| {
-                    !frame.contains(&r) && dead_after(code, &unread, exit, r)
-                };
-                let test = (val(&vals, lhs), val(&vals, rhs)) == (Some(From), Some(Step));
-                let (join, ofs) = (join?, ofs?);
-                return (test && vals[3..].iter().all(dead)).then_some((at, join, ofs, loads));
-            }
-            _ => return None,
-        };
-        vals.push(written);
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1065,20 +913,20 @@ pub(super) mod tests {
 
     #[test]
     fn the_merge_loop_gets_one_op_on_its_bottom_tests_target_and_is_otherwise_untouched() {
-        // Seven statements an iteration; the intersection's inner guard goes
-        // with the first finger, the block test's statements and loads with
-        // the second — three loads, or two when the stride stands in for the
-        // reload of `a[p]`.  The jumper form's fall-back counts alike for
-        // either finger.
+        // What an iteration costs, by the finger that leads it: the
+        // intersection's inner guard where `p` leads; the block test's
+        // statements and loads where `q` does — three loads, or two when the
+        // stride stands in for the reload of `a[p]`; the jumper form's
+        // fall-back alike for either finger.
         let wants = [
             "merge_skip b0[p] ~ b2[q] in step_start..=phase_stop (i64) \
-             { +7 stmt ; p += 1 ; +2 stmt | q += 1 ; +1 stmt }",
+             { p += 1 ; +9 stmt +2 load | q += 1 ; +8 stmt +2 load }",
             "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
-             { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +3 load }",
+             { p += 1 ; +8 stmt +2 load | q += 1 ; +13 stmt +5 load }",
             "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
-             { +7 stmt ; p += 1 ; +1 stmt | q += 1 ; +6 stmt +2 load }",
+             { p += 1 ; +8 stmt +2 load | q += 1 ; +13 stmt +4 load }",
             "merge_skip b0[p] seeks < b7[inv] ~ b2[q] seeks < b8[inv] in step_start..=phase_stop \
-             (i64) { +18 stmt ; p += 1 ; +0 stmt +4 load | q += 1 ; +0 stmt +4 load }",
+             (i64) { p += 1 ; +18 stmt +6 load | q += 1 ; +18 stmt +6 load }",
         ];
         for (shape, want) in TAKEN.into_iter().zip(wants) {
             let kernel =

@@ -839,23 +839,28 @@ fn the_merge_skip_pass_validates_and_its_witness_skips_with_both_fingers() {
 
 #[test]
 fn a_run_ahead_that_miscounts_its_statements_is_caught_by_the_exact_stats_witness() {
-    // Each of the three counts, one too many and one too few.
-    let mutants: [fn(&mut Program, usize); 6] = [
-        |p, at| bump_counts(p, at, [1, 0, 0]),
-        |p, at| bump_counts(p, at, [-1, 0, 0]),
-        |p, at| bump_counts(p, at, [0, 1, 0]),
-        |p, at| bump_counts(p, at, [0, -1, 0]),
-        |p, at| bump_counts(p, at, [0, 0, 1]),
-        |p, at| bump_counts(p, at, [0, 0, -1]),
+    // Each of the four counts, one too many and one too few.
+    let mutants: [fn(&mut Program, usize); 8] = [
+        |p, at| bump_counts(p, at, [1, 0, 0, 0]),
+        |p, at| bump_counts(p, at, [-1, 0, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 1, 0, 0]),
+        |p, at| bump_counts(p, at, [0, -1, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 1, 0]),
+        |p, at| bump_counts(p, at, [0, 0, -1, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 0, 1]),
+        |p, at| bump_counts(p, at, [0, 0, 0, -1]),
     ];
     for mutate in mutants {
         assert_caught(run_merge_skip_mutation(mutate), "merge_skip", "ExecStats");
     }
 }
 
-fn bump_counts(program: &mut Program, at: usize, by: [i32; 3]) {
-    let Instr::IMergeSkip { base, on_a, on_b, .. } = &mut program.code[at] else { unreachable!() };
-    for (count, by) in [base, on_a, on_b].into_iter().zip(by) {
+/// Moves `[stmts_a, loads_a, stmts_b, loads_b]` of the op at `at` by `by`.
+fn bump_counts(program: &mut Program, at: usize, by: [i32; 4]) {
+    let Instr::IMergeSkip { stmts_a, loads_a, stmts_b, loads_b, .. } = &mut program.code[at] else {
+        unreachable!()
+    };
+    for (count, by) in [stmts_a, loads_a, stmts_b, loads_b].into_iter().zip(by) {
         *count = count.checked_add_signed(by).expect("a count of at least one");
     }
 }
@@ -974,8 +979,7 @@ fn a_block_run_ahead_reading_the_length_off_another_offset_is_caught_by_output_p
 #[test]
 fn a_block_run_ahead_one_gap_load_short_is_caught_by_the_exact_stats_witness() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
-        let Instr::IMergeSkip { on_b_loads, .. } = &mut program.code[at] else { unreachable!() };
-        *on_b_loads -= 1;
+        bump_counts(program, at, [0, 0, 0, -1])
     });
     assert_caught(verdict, "merge_skip", "ExecStats");
 }
@@ -1013,23 +1017,14 @@ fn a_jumper_run_ahead_whose_fall_back_miscounts_is_caught_by_the_exact_stats_wit
     // A fall-back's loads (the row end, the stepper's stride) or the
     // statements of a step one off, for either finger leading.
     let mutants: [fn(&mut Program, usize); 4] = [
-        |p, at| jumper_loads(p, at, [1, 0]),
-        |p, at| jumper_loads(p, at, [0, -1]),
-        |p, at| bump_counts(p, at, [1, 0, 0]),
-        |p, at| bump_counts(p, at, [0, 0, 1]),
+        |p, at| bump_counts(p, at, [0, 1, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 0, -1]),
+        |p, at| bump_counts(p, at, [1, 0, 0, 0]),
+        |p, at| bump_counts(p, at, [0, 0, 1, 0]),
     ];
     for mutate in mutants {
         let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, mutate);
         assert_caught(verdict, "merge_skip", "ExecStats");
-    }
-}
-
-fn jumper_loads(program: &mut Program, at: usize, by: [i32; 2]) {
-    let Instr::IMergeSkip { on_a_loads, on_b_loads, .. } = &mut program.code[at] else {
-        unreachable!()
-    };
-    for (count, by) in [on_a_loads, on_b_loads].into_iter().zip(by) {
-        *count = count.checked_add_signed(by).expect("a count of at least one");
     }
 }
 

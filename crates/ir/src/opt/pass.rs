@@ -48,8 +48,8 @@ const WITNESS_STEP_BUDGET: u64 = 50_000_000;
 /// How much checking the pass manager performs after every pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValidationLevel {
-    /// No post-pass checking (the release-mode default; the figure
-    /// harness opts back in with `--validate`).
+    /// No post-pass checking (the release-mode default; the kernel fuzzer
+    /// opts back in with `fuzz-kernels --validate`).
     Off,
     /// Run the static IR/bytecode verifier after every pass.
     Static,

@@ -60,7 +60,7 @@ fn reads_reg(instr: &Instr, r: Reg) -> bool {
 /// Whether `t` is dead after position `from`: no surviving instruction
 /// reads it before it is next written (reads are checked first — an
 /// instruction that both reads and writes `t` keeps it alive).
-pub(super) fn dead_after(code: &[Instr], deleted: &[bool], from: usize, t: Reg) -> bool {
+fn dead_after(code: &[Instr], deleted: &[bool], from: usize, t: Reg) -> bool {
     for (instr, _) in code[from..].iter().zip(&deleted[from..]).filter(|(_, &gone)| !gone) {
         let (mut read, mut written) = (false, false);
         for_each_reg_role(instr, |r, role| {

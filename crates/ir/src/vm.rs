@@ -1690,24 +1690,12 @@ impl Vm {
     /// instruction, or the loop's exit once a jumper has run its last step.
     #[inline(never)]
     fn merge_run_ahead(&mut self, bufs: &BufferSet, code: &[Instr], pc: usize) -> usize {
-        let Instr::IMergeSkip {
-            a,
-            p,
-            b,
-            q,
-            form,
-            start,
-            stop,
-            base,
-            on_a,
-            on_b,
-            on_a_loads,
-            on_b_loads,
-        } = code[pc]
+        let Instr::IMergeSkip { a, p, b, q, form, start, stop, stmts_a, loads_a, stmts_b, loads_b } =
+            code[pc]
         else {
             unreachable!("dispatched on an IMergeSkip")
         };
-        let counts = [base, on_a, on_b, on_a_loads, on_b_loads];
+        let counts = [stmts_a, loads_a, stmts_b, loads_b];
         match form {
             MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
                 let fingers = [(a, p, a_end, a_row), (b, q, b_end, b_row)];
@@ -1737,9 +1725,9 @@ impl Vm {
     /// ends the step — find `b[q]` in the gap in front of `a[p]`'s block,
     /// exactly as the scalar loop under the op would — every comparison is
     /// the scalar instruction's own — but for the temporaries, which the
-    /// loop does not read before it rewrites them.  `counts` is `[base,
-    /// on_a, on_b, on_a_loads, on_b_loads]` (no stepper or block step loads
-    /// more where `p` advances: `on_a_loads` is the jumper form's).
+    /// loop does not read before it rewrites them.  `counts` is `[stmts_a,
+    /// loads_a, stmts_b, loads_b]`: what an iteration costs, by the finger
+    /// that leads it — the one finger it advances.
     ///
     /// An iteration is only skipped while a worst-case one still fits under
     /// [`Vm::stmt_limit`], so nothing a statement can trip is due inside
@@ -1752,7 +1740,7 @@ impl Vm {
         (b, q): (BufId, Reg),
         start: Reg,
         stop: Reg,
-        counts: [u32; 5],
+        counts: [u32; 4],
     ) {
         let (Buffer::I64(a), Buffer::I64(b)) = (bufs.get(a), bufs.get(b)) else { return };
         let ofs = match ofs.map(|ofs| bufs.get(ofs)) {
@@ -1760,9 +1748,9 @@ impl Vm {
             Some(_) => return,
             None => None,
         };
-        let [base, on_a, on_b, _, on_b_loads] = counts.map(u64::from);
+        let [stmts_a, loads_a, stmts_b, loads_b] = counts.map(u64::from);
         // A skipped iteration advances one finger: `a[p] != b[q]`.
-        let worst = (base + on_a.max(on_b)).max(1);
+        let worst = stmts_a.max(stmts_b).max(1);
         let stop = self.ints[stop.index()];
         loop {
             let (p0, q0) = (self.ints[p.index()], self.ints[q.index()]);
@@ -1798,11 +1786,10 @@ impl Vm {
                 skipped += 1;
             }
             let Some(next) = next else { return };
+            let (led_by_a, led_by_b) = (pv.wrapping_sub(p0) as u64, qv.wrapping_sub(q0) as u64);
             self.stats.loop_iters += skipped;
-            self.stats.loads += 2 * skipped + qv.wrapping_sub(q0) as u64 * on_b_loads;
-            self.stats.stmts += skipped * base
-                + pv.wrapping_sub(p0) as u64 * on_a
-                + qv.wrapping_sub(q0) as u64 * on_b;
+            self.stats.loads += led_by_a * loads_a + led_by_b * loads_b;
+            self.stats.stmts += led_by_a * stmts_a + led_by_b * stmts_b;
             self.ints[p.index()] = pv;
             self.ints[q.index()] = qv;
             self.ints[start.index()] = next;
@@ -1841,7 +1828,7 @@ impl Vm {
         bufs: &BufferSet,
         fingers: [(BufId, Reg, BufId, Reg); 2],
         (start, stop): (Reg, Reg),
-        counts: [u32; 5],
+        counts: [u32; 4],
         exit: Option<u32>,
     ) -> Option<u32> {
         /// The magnitude below which every `i64` is exact in an `f64`.
@@ -1858,8 +1845,8 @@ impl Vm {
             _ => None,
         };
         let (a_last, b_last) = (last(a_end, a_row), last(b_end, b_row));
-        let [base, on_a, on_b, on_a_loads, on_b_loads] = counts.map(u64::from);
-        let worst = (base + on_a.max(on_b)).max(1);
+        let [stmts_a, loads_a, stmts_b, loads_b] = counts.map(u64::from);
+        let worst = stmts_a.max(stmts_b).max(1);
         let stop = self.ints[stop.index()];
         if stop >= EXACT {
             return None;
@@ -1908,9 +1895,8 @@ impl Vm {
             let led_by_b = skipped - led_by_a;
             self.stats.loop_iters += 2 * skipped - left as u64;
             self.stats.searches += skipped;
-            self.stats.loads +=
-                2 * skipped + led_by_a * on_a_loads + led_by_b * on_b_loads + probed;
-            self.stats.stmts += skipped * base + led_by_a * on_a + led_by_b * on_b;
+            self.stats.loads += led_by_a * loads_a + led_by_b * loads_b + probed;
+            self.stats.stmts += led_by_a * stmts_a + led_by_b * stmts_b;
             self.ints[p.index()] = pv;
             self.ints[q.index()] = qv;
             self.ints[start.index()] = next;
