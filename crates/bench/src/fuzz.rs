@@ -16,8 +16,11 @@
 //! from CI's smoke job); the unit tests below drive it with an injected
 //! bug to prove the minimizer converges.
 
+use std::time::Instant;
+
 use finch::{
     CompileError, Engine, ExecConfig, Kernel, LevelSpec, RuntimeError, Tensor, ValidationLevel,
+    Watch,
 };
 use finch_baseline::datagen;
 use finch_cin::build::*;
@@ -317,7 +320,11 @@ pub fn compile_case(
 /// under a step budget set strictly below the cheapest configuration's
 /// statement count, and must fail with the identical typed
 /// [`RuntimeError::StepBudgetExceeded`] — resource faults degrade
-/// identically everywhere, never divergently.
+/// identically everywhere, never divergently.  Every leg also runs once
+/// under a deadline that has already passed, and at each configuration both
+/// engines must agree on [`RuntimeError::Deadline`] versus `Ok`: the clock is
+/// read once a run reaches [`Watch::TIME_CHECK_PERIOD`] statements, however
+/// many of them a kernel op counted at once.
 pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Divergence> {
     let compiled = match compile_case(case, validation) {
         Ok(k) => k,
@@ -387,6 +394,33 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
             return Some(Divergence {
                 combo: format!("{c0} vs {c1}"),
                 detail: format!("work counters diverge: {s0:?} vs {s1:?}"),
+            });
+        }
+        // The passed-deadline leg.
+        k.set_watch(Some(Watch::until(Instant::now(), 0)));
+        let mut tripped = [false; 2];
+        for (engine, tripped) in [Engine::TreeWalk, Engine::Bytecode].into_iter().zip(&mut tripped)
+        {
+            match k.run_with(engine) {
+                Ok(_) => {}
+                Err(RuntimeError::Deadline { .. }) => *tripped = true,
+                Err(e) => {
+                    return Some(Divergence {
+                        combo: ExecConfig { engine, ..config }.label(),
+                        detail: format!("wrong typed error past a deadline: {e}"),
+                    })
+                }
+            }
+        }
+        if tripped[0] != tripped[1] {
+            let verdict = |tripped| if tripped { "tripped" } else { "ran to completion" };
+            return Some(Divergence {
+                combo: config.label(),
+                detail: format!(
+                    "past a deadline the tree-walker {} and the VM {}",
+                    verdict(tripped[0]),
+                    verdict(tripped[1])
+                ),
             });
         }
         if config.typed && !config.simd {
@@ -594,11 +628,36 @@ mod tests {
     /// ends on its first step, matches on every step — runs divergence-free
     /// on every leg, and the generator draws each of them.  Every drawn
     /// `Dot` or `EwiseMul` over two walked sparse lists emits the
-    /// run-ahead's stepper form and runs divergence-free too.
+    /// run-ahead's stepper form and runs divergence-free too.  So does a
+    /// `Dot` of a walked sparse list against a dense or banded vector, the
+    /// lone stepper whose body the gather reduction performs: under every
+    /// pairing of fills, and wherever the smoke draw makes one.
     #[test]
     fn degenerate_sparse_list_merges_run_divergence_free_and_are_drawn() {
         let walk = Protocol::Walk;
         let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
+        let gathers = |case: &FuzzCase| {
+            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+            let disasm = kernel.bytecode().disasm();
+            assert!(disasm.contains("gather_reduce"), "{case:?}: the gather reduction\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        };
+        for b_format in [VecFormat::Dense, VecFormat::Band] {
+            for (k, a_fill) in fills.into_iter().enumerate() {
+                for b_fill in fills {
+                    gathers(&FuzzCase {
+                        seed: 51 + k as u64,
+                        n: 24,
+                        a_format: VecFormat::SparseList,
+                        b_format,
+                        a_fill,
+                        b_fill,
+                        same_support: false,
+                        stmts: vec![StmtSpec::Dot { pa: walk, pb: Protocol::Default }],
+                    });
+                }
+            }
+        }
         for (k, a_fill) in fills.into_iter().enumerate() {
             for b_fill in fills {
                 for same_support in [false, true] {
@@ -647,6 +706,16 @@ mod tests {
             assert!(disasm.lines().any(steps), "{case:?}: the stepper form\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         }
+        let located = |c: &&FuzzCase| {
+            c.a_format == VecFormat::SparseList
+                && [VecFormat::Dense, VecFormat::Band].contains(&c.b_format)
+                && c.stmts.iter().any(|stmt| {
+                    matches!(stmt, StmtSpec::Dot { pa: Protocol::Default | Protocol::Walk, .. })
+                })
+        };
+        let lone: Vec<&FuzzCase> = drawn.iter().filter(located).collect();
+        assert!(!lone.is_empty(), "the smoke draw dotted no walked list with a located vector");
+        lone.into_iter().for_each(gathers);
     }
 
     /// VBL against a walked sparse list is the run-ahead's block form: the

@@ -48,7 +48,7 @@ use crate::var::{Names, Var};
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
-pub use crate::isa::{Instr, MergeForm, VBase, VCost, VFill, VRhs, VScale};
+pub use crate::isa::{Gather, Instr, MergeForm, Term, VBase, VCost, VFill, VRhs, VScale};
 
 /// A register of the bytecode VM, identified by a dense index.
 ///
@@ -809,6 +809,37 @@ impl Program {
                      | {q} += 1 ; +{stmts_b} stmt +{loads_b} load }}",
                     a.index(),
                     b.index(),
+                    r(start),
+                    r(stop),
+                )
+            }
+            Instr::IGatherReduce { crd, val, p, gather, acc, k, op, start, stop, stmts, loads } => {
+                let p = r(p);
+                let gathered = match gather {
+                    Gather::None => String::new(),
+                    Gather::Load { x, ofs } => {
+                        let mut at = format!("b{}[{p}]", crd.index());
+                        for term in ofs {
+                            match term {
+                                Term::Zero => {}
+                                Term::Plus { buf, at: reg } => {
+                                    at += &format!(" + b{}[{}]", buf.index(), r(reg))
+                                }
+                                Term::Minus { buf, at: reg } => {
+                                    at += &format!(" - b{}[{}]", buf.index(), r(reg))
+                                }
+                            }
+                        }
+                        format!(" * b{}[{at}]", x.index())
+                    }
+                };
+                format!(
+                    "gather_reduce b{}[{}] {} b{}[{p}]{gathered} in {}..={} (i64) \
+                     {{ {p} += 1 ; +{stmts} stmt +{loads} load }}",
+                    acc.index(),
+                    r(k),
+                    reduce_op(Some(op)),
+                    val.index(),
                     r(start),
                     r(stop),
                 )

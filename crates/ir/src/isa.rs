@@ -1137,6 +1137,61 @@ pub enum Instr {
         /// aside).
         loads_b: u32 = payload,
     },
+    /// Gather reduction of a lone stepper (Fig. 1's sparse list against a
+    /// located operand), placed like [`Instr::IMergeSkip`]: at the top of an
+    /// iteration of
+    ///
+    /// ```text
+    /// while start <= stop {
+    ///     s = crd[p] ; ss = min(s, stop)
+    ///     if ss == s { acc[k] op= val[p] * x[ss + ofs] }
+    ///     if s == ss { p += 1 }
+    ///     start = ss + 1
+    /// }
+    /// ```
+    ///
+    /// execute, in one native loop, every iteration whose stride is below
+    /// the bound (`s + 1 <= stop`): the body runs and the loop goes on.
+    /// The op folds `val[p] * x[s + ofs]` (or `val[p]` alone) into a local
+    /// strictly in order, as the scalar stores do, and stores `acc[k]` once.
+    /// `ofs` is loop-invariant: the op evaluates its terms once per
+    /// dispatch, with the scalar code's wrapping `i64` arithmetic, and does
+    /// nothing if one of their loads is out of bounds.  `p` and `start` are
+    /// set, and [`crate::interp::ExecStats`] grow by one loop iteration,
+    /// `stmts` statements, `loads` loads (the invariant terms' included)
+    /// and one store per iteration.
+    ///
+    /// The op stops in front of the loop's last iteration, a load past a
+    /// buffer or of the wrong kind (the gather included), and an iteration
+    /// that might cross [`crate::vm::Vm`]'s statement limit, as
+    /// [`Instr::IMergeSkip`] does — so the scalar loop under it, left as it
+    /// was, still runs every iteration that ends the loop, faults or trips.
+    IGatherReduce = "i_gather_reduce" TagFree {
+        /// The walked list's sorted I64 coordinates.
+        crd: BufId = buf(I64),
+        /// The walked list's F64 values.
+        val: BufId = buf(F64),
+        /// The finger: a position in `crd` and `val` (proven `Int`).
+        p: Reg = reg(ReadWrite),
+        /// The second factor: none, or a load of `x` at the coordinate
+        /// plus loop-invariant terms.
+        gather: Gather = nested,
+        /// The F64 accumulator, distinct from every source.
+        acc: BufId = buf(F64),
+        /// The accumulator's element (proven `Int`; the loop does not
+        /// write it).
+        k: Reg = reg(Read),
+        /// The reduction operator combining into the accumulator.
+        op: BinOp = op(is_float_arith, "unsupported gather reduce op"),
+        /// The loop's `step_start`, set to one past the last performed step.
+        start: Reg = reg(ReadWrite),
+        /// The loop's inclusive bound (proven `Int`).
+        stop: Reg = reg(Read),
+        /// Statements of a performed iteration.
+        stmts: u32 = payload,
+        /// Loads of a performed iteration.
+        loads: u32 = payload,
+    },
 }
 }
 
@@ -1226,6 +1281,61 @@ walks!(MergeForm, |form, f| match form {
         f(Operand::Reg(a_row, Role::Read));
         f(Operand::Buf(b_end, Elem::I64));
         f(Operand::Reg(b_row, Role::Read));
+    }
+});
+
+/// The second factor of an [`Instr::IGatherReduce`]'s body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gather {
+    /// None: the body is `acc[k] op= val[p]`.
+    None,
+    /// `x[s + ofs]`, where `s` is the stride and `ofs` the wrapping sum of
+    /// the terms.
+    Load {
+        /// The F64 buffer gathered from.
+        x: BufId,
+        /// The offset's loop-invariant terms.
+        ofs: [Term; 2],
+    },
+}
+
+walks!(Gather, |gather, f| match gather {
+    Gather::None => {}
+    Gather::Load { x, ofs } => {
+        f(Operand::Buf(x, Elem::F64));
+        for term in ofs {
+            Walk::walk(term, &mut *f);
+        }
+    }
+});
+
+/// One loop-invariant term of a gather's offset: a load the loop does not
+/// write, at a register the loop does not write.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Term {
+    /// No term.
+    Zero,
+    /// `+ buf[at]`.
+    Plus {
+        /// The I64 buffer.
+        buf: BufId,
+        /// The register holding the position.
+        at: Reg,
+    },
+    /// `- buf[at]`.
+    Minus {
+        /// The I64 buffer.
+        buf: BufId,
+        /// The register holding the position.
+        at: Reg,
+    },
+}
+
+walks!(Term, |term, f| match term {
+    Term::Zero => {}
+    Term::Plus { buf, at } | Term::Minus { buf, at } => {
+        f(Operand::Buf(buf, Elem::I64));
+        f(Operand::Reg(at, Role::Read));
     }
 });
 
@@ -1575,6 +1685,22 @@ pub(crate) fn samples() -> Vec<Instr> {
             stmts_b: 15,
             loads_b: 5,
         },
+        Instr::IGatherReduce {
+            crd: b(0),
+            val: b(2),
+            p: r(0),
+            gather: Gather::Load {
+                x: b(3),
+                ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
+            },
+            acc: b(4),
+            k: r(1),
+            op: Add,
+            start: r(2),
+            stop: r(3),
+            stmts: 7,
+            loads: 5,
+        },
     ]
 }
 
@@ -1629,6 +1755,17 @@ mod tests {
                     sample,
                     step(r(4), p),
                     step(r(5), q),
+                    Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 },
+                    Instr::IWhileNext { op, lhs: start, rhs: stop, body: 1 },
+                ];
+                (code, 1)
+            }
+            (_, Instr::IGatherReduce { p, start, stop, .. }) => {
+                let (op, ss) = (BinOp::Le, r(6));
+                let code = vec![
+                    Instr::IWhileCmp { op, lhs: start, rhs: stop, end: 5 },
+                    sample,
+                    Instr::IAdvance { op: BinOp::Eq, lhs: ss, rhs: ss, reg: p, by: 1, stmts: 1 },
                     Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 },
                     Instr::IWhileNext { op, lhs: start, rhs: stop, body: 1 },
                 ];

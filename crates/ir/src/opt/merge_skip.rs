@@ -1,4 +1,5 @@
-//! Run-ahead selection for the two-finger merge.
+//! Run-ahead selection for the step loop: the two-finger merge, and the
+//! lone stepper's gather reduction.
 //!
 //! Lowering coiterates two fingers with one step loop (paper §6.1), which
 //! reaches this pass, typed and through `forward`, as
@@ -48,14 +49,26 @@
 //! the op from the iterations it performs, and the pass runs under
 //! [`super::StatsContract::Exact`].
 //!
-//! A loop that is not given the op says why ([`MergeDecline`]); the tallies
+//! A loop with one stepper has nothing to skip: on Fig. 1's list × band
+//! every step but the last runs the body.  Where that body is a gather
+//! reduction — `acc[k] op= val[p] * x[s + ofs]`, or `acc[k] op= val[p]`,
+//! with `k` and the terms of `ofs` loads and registers the loop does not
+//! write — the pass places an [`Instr::IGatherReduce`] in the same place,
+//! which performs every step whose stride is below the bound, body and all
+//! (`gather_reduce`).  One such step is walked from the top of the body to
+//! the bottom test, as above, and its statements and loads are the op's
+//! counts.  A guard, an append, a store at a varying index or any other
+//! factor leaves the loop declined as [`MergeDecline::SingleFinger`].
+//!
+//! A loop that is not given an op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
 
 use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, splice_before, Instr, MergeForm, Program, Reg, Role, NO_EDGE,
+    edge_table, for_each_reg_role, splice_before, Gather, Instr, MergeForm, Program, Reg, Role,
+    Term, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -69,8 +82,8 @@ pub enum MergeDecline {
     /// the head to evaluate.
     NotAStepLoop,
     /// The body does not begin by loading two strides: one stepper alone
-    /// (nothing to coiterate), or a stride that is not a plain coordinate
-    /// load.
+    /// (nothing to coiterate) whose body is no gather reduction, or a
+    /// stride that is not a plain coordinate load.
     SingleFinger,
     /// The step is not the minimum of the two strides clipped to the bound,
     /// nor the maximum with lowering's jumper fall-back behind it (the
@@ -115,7 +128,8 @@ impl MergeDecline {
     }
 }
 
-/// Give every two-finger merge loop of `p` its run-ahead op.  `p` is typed
+/// Give every two-finger merge loop of `p` its run-ahead op, and every lone
+/// stepper whose body is a gather reduction its gather op.  `p` is typed
 /// bytecode behind `forward`, which makes the advances and the bottom tests
 /// the loop is recognised by, and in front of `finalize`: every statement
 /// is still an explicit [`Instr::BumpStmt`].
@@ -144,8 +158,9 @@ pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
 
 /// The op for the loop headed at `head`, or why it gets none: the head and
 /// the two stride loads read off the code, the leader off the first
-/// [`Instr::IArith`], and the rest off the two walks ([`walk`]).  `edges`
-/// is [`edge_table`] of `code`, or empty until it is first needed.
+/// [`Instr::IArith`], and the rest off the two walks ([`walk`]) — or, where
+/// there is one stride load, the lone stepper's ([`gather_reduce`]).
+/// `edges` is [`edge_table`] of `code`, or empty until it is first needed.
 fn recognise(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
@@ -162,12 +177,13 @@ fn recognise(
     }
     let mut top =
         code[head + 1..bottom].iter().filter(|i| !matches!(i, Instr::Nop | Instr::BumpStmt));
-    let (
-        Some(&Instr::LoadI64 { buf: a, idx: p, .. }),
-        Some(&Instr::LoadI64 { buf: b, idx: q, .. }),
-    ) = (top.next(), top.next())
-    else {
-        return Err(SingleFinger);
+    let (a, p) = match top.next() {
+        Some(&Instr::LoadI64 { buf, idx, .. }) => (buf, idx),
+        _ => return Err(SingleFinger),
+    };
+    let Some(&Instr::LoadI64 { buf: b, idx: q, .. }) = top.next() else {
+        return gather_reduce(code, edges, (head, bottom), (start, stop), (a, p))
+            .ok_or(SingleFinger);
     };
     let jumper = match top.find_map(|i| match *i {
         Instr::IArith { op, .. } => Some(op),
@@ -248,6 +264,214 @@ fn recognise(
         loads_a: by_a.loads,
         stmts_b: by_b.stmts,
         loads_b: by_b.loads,
+    })
+}
+
+/// What a register holds on an iteration of a lone stepper that the
+/// gather-reduction op performs: the loop's bound; the finger at the top,
+/// and one on; its stride, which is the step's end (the stride is below the
+/// bound); `ss + 1`; a loop invariant, the sum of its terms; the stride plus
+/// such a sum; the value `val[p]`; that value times `x[s + ofs]`.
+#[derive(Clone, Copy, PartialEq)]
+enum Gv {
+    Stop,
+    Pos,
+    OneOn,
+    Step,
+    After,
+    Inv([Term; 2]),
+    Idx([Term; 2]),
+    Val(BufId),
+    Prod(BufId, BufId, [Term; 2]),
+}
+
+/// No term.
+const NO_TERMS: [Term; 2] = [Term::Zero; 2];
+
+/// The terms of `a` and of `b` (`minus`: of `-b`), if there are two at most.
+fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
+    let flip = |term| match term {
+        Term::Plus { buf, at } if minus => Term::Minus { buf, at },
+        Term::Minus { buf, at } if minus => Term::Plus { buf, at },
+        term => term,
+    };
+    let mut terms = a.into_iter().chain(b.map(flip)).filter(|&term| term != Term::Zero);
+    let out = [terms.next().unwrap_or(Term::Zero), terms.next().unwrap_or(Term::Zero)];
+    terms.next().is_none().then_some(out)
+}
+
+/// The gather-reduction op for the lone stepper `head..=bottom`, whose body
+/// begins by loading the stride `crd[p]`, or `None` (the loop is declined
+/// as [`MergeDecline::SingleFinger`]).  One iteration whose stride is below
+/// the bound is walked from the top of the body to the bottom test: it must
+/// run the body `acc[k] op= val[p] * x[s + ofs]` (or `acc[k] op= val[p]`),
+/// where `k` and the terms of `ofs` are loads and registers the loop does
+/// not write, advance `p` by one, set `start` to `s + 1`, and do nothing
+/// else; and the loop may write `p` and `start` nowhere else.  Its
+/// statements and loads are the op's counts.
+fn gather_reduce(
+    code: &[Instr],
+    edges: &OnceCell<Vec<u32>>,
+    (head, bottom): (usize, usize),
+    (start, stop): (Reg, Reg),
+    (crd, p): (BufId, Reg),
+) -> Option<Instr> {
+    use Gv::*;
+    let mut loop_writes = Vec::new();
+    for instr in &code[head..=bottom] {
+        for_each_reg_role(instr, |r, role| {
+            if role != Role::Read {
+                loop_writes.push(r);
+            }
+        });
+    }
+    let invariant = |r: Reg| !loop_writes.contains(&r);
+    // The finger and the start are written in one place each: the step the
+    // walk must find (a jumper's fall-back seeks the finger too).
+    let once = |r: Reg| loop_writes.iter().filter(|&&w| w == r).count() == 1;
+    if p == start || p == stop || start == stop || !invariant(stop) || !once(p) || !once(start) {
+        return None;
+    }
+    let mut vals = vec![(stop, Stop), (p, Pos)];
+    let val = |vals: &[(Reg, Gv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
+    let (mut stmts, mut loads, mut stored, mut pc) = (0, 0, None, head + 1);
+    // Every pc at most once: the iteration has no inner loop.
+    for _ in head..bottom {
+        if pc == bottom || pc <= head || pc > bottom {
+            break;
+        }
+        let instr = code[pc];
+        pc += 1;
+        let written = match instr {
+            Instr::Nop => continue,
+            Instr::BumpStmt => {
+                stmts += 1;
+                continue;
+            }
+            Instr::Jump { target } => {
+                pc = target as usize;
+                continue;
+            }
+            // The body runs, and the finger advances: the stride ends the step.
+            Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, .. }
+                if [lhs, rhs].map(|r| val(&vals, r)) == [Some(Step); 2] =>
+            {
+                continue
+            }
+            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n }
+                if [lhs, rhs, reg].map(|r| val(&vals, r))
+                    == [Some(Step), Some(Step), Some(Pos)] =>
+            {
+                stmts += n;
+                (reg, OneOn)
+            }
+            Instr::LoadI64 { dst, buf, idx } => {
+                loads += 1;
+                match val(&vals, idx) {
+                    Some(Pos) if buf == crd => (dst, Step),
+                    None if invariant(idx) => (dst, Inv([Term::Plus { buf, at: idx }, Term::Zero])),
+                    _ => return None,
+                }
+            }
+            Instr::LoadF64 { dst, buf, idx } if val(&vals, idx) == Some(Pos) => {
+                loads += 1;
+                (dst, Val(buf))
+            }
+            Instr::LoadBinary { op: op @ (BinOp::Add | BinOp::Sub), dst, lhs, buf, idx }
+                if invariant(idx) =>
+            {
+                loads += 1;
+                let term = [Term::Plus { buf, at: idx }, Term::Zero];
+                let minus = op == BinOp::Sub;
+                match val(&vals, lhs)? {
+                    Step => (dst, Idx(sum(NO_TERMS, term, minus)?)),
+                    Idx(terms) => (dst, Idx(sum(terms, term, minus)?)),
+                    Inv(terms) => (dst, Inv(sum(terms, term, minus)?)),
+                    _ => return None,
+                }
+            }
+            Instr::IArith { op, dst, lhs, rhs } => {
+                let computed = match (op, val(&vals, lhs)?, val(&vals, rhs)?) {
+                    (BinOp::Min, Step, Stop) | (BinOp::Min, Stop, Step) => Step,
+                    (BinOp::Add, Step, Inv(b)) | (BinOp::Add, Inv(b), Step) => Idx(b),
+                    (BinOp::Sub, Step, Inv(b)) => Idx(sum(NO_TERMS, b, true)?),
+                    (BinOp::Add, Idx(a), Inv(b)) => Idx(sum(a, b, false)?),
+                    (BinOp::Add, Inv(a), Idx(b)) => Idx(sum(a, b, false)?),
+                    (BinOp::Sub, Idx(a), Inv(b)) => Idx(sum(a, b, true)?),
+                    (BinOp::Add, Inv(a), Inv(b)) => Inv(sum(a, b, false)?),
+                    (BinOp::Sub, Inv(a), Inv(b)) => Inv(sum(a, b, true)?),
+                    _ => return None,
+                };
+                (dst, computed)
+            }
+            Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 }
+                if val(&vals, lhs) == Some(Step) =>
+            {
+                (dst, After)
+            }
+            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
+            Instr::FMulLoad { dst, lhs, buf, idx } => {
+                loads += 1;
+                match (val(&vals, lhs)?, val(&vals, idx)?) {
+                    (Val(values), Step) => (dst, Prod(values, buf, NO_TERMS)),
+                    (Val(values), Idx(terms)) => (dst, Prod(values, buf, terms)),
+                    _ => return None,
+                }
+            }
+            Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
+                if stored.is_none() && invariant(idx) =>
+            {
+                stored = match val(&vals, v)? {
+                    Val(values) => Some((buf, idx, op, values, Gather::None)),
+                    Prod(values, x, ofs) => Some((buf, idx, op, values, Gather::Load { x, ofs })),
+                    _ => return None,
+                };
+                continue;
+            }
+            _ => return None,
+        };
+        vals.push(written);
+    }
+    let (acc, k, op, values, gather) = stored?;
+    if pc != bottom || val(&vals, p) != Some(OneOn) || val(&vals, start) != Some(After) {
+        return None;
+    }
+    let mut sources = vec![crd, values];
+    if let Gather::Load { x, ofs } = gather {
+        sources.push(x);
+        for term in ofs {
+            if let Term::Plus { buf, .. } | Term::Minus { buf, .. } = term {
+                sources.push(buf);
+            }
+        }
+    }
+    if sources.contains(&acc) {
+        return None;
+    }
+    // Only the bottom test lands on the top of the body, and nothing the op
+    // leaves unwritten is read there, or where the loop exits, before it is
+    // rewritten.
+    let edges = edges.get_or_init(|| edge_table(code));
+    let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
+    let mut unwritten: Vec<Reg> = vals[2..].iter().map(|&(r, _)| r).collect();
+    unwritten.sort_unstable_by_key(|r| r.0);
+    unwritten.dedup();
+    unwritten.retain(|r| ![p, start].contains(r));
+    if entered || read_before_written(code, edges, &[head + 1], &unwritten) {
+        return None;
+    }
+    Some(Instr::IGatherReduce {
+        crd,
+        val: values,
+        p,
+        gather,
+        acc,
+        k,
+        op,
+        start,
+        stop,
+        stmts,
+        loads,
     })
 }
 
@@ -951,27 +1175,26 @@ pub(super) mod tests {
             );
             let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
             assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
-            // Without the ops, the program is the one compiled without the tier.
-            let mut without = code.to_vec();
-            let mut folded = c.skipping.stmt_bump().to_vec();
-            for &at in placed.iter().rev() {
-                assert_eq!(folded[at], 0);
-                without.remove(at);
-                folded.remove(at);
-                for target in without.iter_mut().filter_map(Instr::target_mut) {
-                    *target -= u32::from(*target as usize > at);
-                }
-            }
-            assert_eq!(
-                without,
-                c.scalar.code(),
-                "{}\nvs\n{}",
-                c.skipping.disasm(),
-                c.scalar.disasm()
-            );
             assert!(ops(&c.scalar).is_empty());
-            assert_eq!(folded, c.scalar.stmt_bump());
+            only_adds(&c, &placed);
         }
+    }
+
+    /// Without the ops at `placed`, the program is the one compiled without
+    /// the tier.
+    fn only_adds(c: &Compiled, placed: &[usize]) {
+        let mut without = c.skipping.code().to_vec();
+        let mut folded = c.skipping.stmt_bump().to_vec();
+        for &at in placed.iter().rev() {
+            assert_eq!(folded[at], 0);
+            without.remove(at);
+            folded.remove(at);
+            for target in without.iter_mut().filter_map(Instr::target_mut) {
+                *target -= u32::from(*target as usize > at);
+            }
+        }
+        assert_eq!(without, c.scalar.code(), "{}\nvs\n{}", c.skipping.disasm(), c.scalar.disasm());
+        assert_eq!(folded, c.scalar.stmt_bump());
     }
 
     /// Every step budget from 0 to the full run, on every operand pair: the
@@ -1090,17 +1313,17 @@ pub(super) mod tests {
             }
             for (what, bufs) in cases {
                 let what = format!("{what}, {shape:?}");
-                same_verdict(&c, &bufs, &what);
+                same_verdict(&c, &bufs, &what, OUT);
             }
         }
     }
 
-    fn same_verdict(c: &Compiled, bufs: &BufferSet, what: &str) {
+    fn same_verdict(c: &Compiled, bufs: &BufferSet, what: &str, out: BufId) {
         let (with_op, with_stats, with_bufs) = run(&c.skipping, bufs, None);
         let (without, stats, without_bufs) = run(&c.scalar, bufs, None);
         assert_eq!(with_op, without, "{what}");
         assert_eq!(with_stats, stats, "{what}");
-        assert_eq!(with_bufs.get(OUT), without_bufs.get(OUT), "{what}");
+        assert_eq!(with_bufs.get(out), without_bufs.get(out), "{what}");
         if what.contains("cut") || what.contains("empty") {
             assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
         }
@@ -1251,5 +1474,237 @@ pub(super) mod tests {
             },
         ];
         declined(&(stmts, names, bufs), MergeDecline::NotAStepLoop);
+    }
+
+    /// The buffers of [`gather_kernel`], in the order it adds them.
+    const CRD: BufId = BufId(0);
+    const VALS: BufId = BufId(1);
+    const X: BufId = BufId(2);
+    const X_POS: BufId = BufId(3);
+    const X_START: BufId = BufId(4);
+    const SUM: BufId = BufId(6);
+
+    /// What [`gather_kernel`] varies: the lone stepper's body.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(in crate::opt) enum Lone {
+        /// Fig. 1's list × band: `sum[0] += val[p] * x[pos[r] + (ss -
+        /// start[r])]`, `r` loop-invariant.
+        Band,
+        /// A list against a dense vector: `sum[0] += val[p] * x[ss]`.
+        Dense,
+        /// The list alone: `sum[0] max= val[p]`.
+        Max,
+        /// The body stores at the coordinate: `sum[ss] += val[p]`.
+        Scatter,
+        /// The body runs only where the value is positive.
+        Guarded,
+        /// `x` read at the finger, not at the coordinate: `x[p]`.
+        AtFinger,
+    }
+
+    /// The loop `lower_stepped` emits for one walked list against a located
+    /// operand, over the step range `0..=stop` (the bound loaded, so nothing
+    /// folds it): `if ss == s { body }`.  `x` is one longer than the range,
+    /// its band starting one position into it (`pos[r] - start[r]` is 1).
+    pub(in crate::opt) fn gather_kernel(crd: &[i64], stop: i64, shape: Lone) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let values =
+            |n: usize, scale: f64| (0..n).map(|k| (k + 1) as f64 * scale).collect::<Vec<_>>();
+        let span = (stop + 2).max(1) as usize;
+        let crd_buf = bufs.add("crd", Buffer::I64(crd.to_vec().into()));
+        let vals = bufs.add("vals", Buffer::F64(values(crd.len(), 0.5).into()));
+        let x = bufs.add("x", Buffer::F64(values(span, 0.25).into()));
+        let x_pos = bufs.add("x_pos", Buffer::I64(vec![1, span as i64].into()));
+        let x_start = bufs.add("x_start", Buffer::I64(vec![0].into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop, 0].into()));
+        let sum = bufs.add("sum", Buffer::F64(vec![0.0; span].into()));
+        assert_eq!((crd_buf, vals, x, x_pos, x_start, sum), (CRD, VALS, X, X_POS, X_START, SUM));
+        let [p, hi, inv, start, s, ss] =
+            ["p", "phase_stop", "inv", "step_start", "stride", "step_stop"].map(|n| names.fresh(n));
+        let v = Expr::Var;
+        let value = Expr::load(vals, v(p));
+        let store = |index: Expr, value: Expr, op: BinOp| Stmt::Store {
+            buf: sum,
+            index,
+            value,
+            reduce: Some(op),
+        };
+        let band =
+            Expr::add(Expr::load(x_pos, v(inv)), Expr::sub(v(ss), Expr::load(x_start, v(inv))));
+        let body = match shape {
+            Lone::Band => store(Expr::int(0), Expr::mul(value, Expr::load(x, band)), BinOp::Add),
+            Lone::Dense => store(Expr::int(0), Expr::mul(value, Expr::load(x, v(ss))), BinOp::Add),
+            Lone::Max => store(Expr::int(0), value, BinOp::Max),
+            Lone::Scatter => store(v(ss), value, BinOp::Add),
+            Lone::Guarded => Stmt::if_then(
+                Expr::lt(Expr::float(1.0), value.clone()),
+                vec![store(Expr::int(0), value, BinOp::Add)],
+            ),
+            Lone::AtFinger => {
+                store(Expr::int(0), Expr::mul(value, Expr::load(x, v(p))), BinOp::Add)
+            }
+        };
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: inv, init: Expr::load(bound, Expr::int(1)) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While {
+                cond: Expr::le(v(start), v(hi)),
+                body: vec![
+                    Stmt::Let { var: s, init: Expr::load(crd_buf, v(p)) },
+                    Stmt::Let { var: ss, init: Expr::min(v(s), v(hi)) },
+                    Stmt::if_then(Expr::eq(v(ss), v(s)), vec![body]),
+                    Stmt::if_then(
+                        Expr::eq(v(s), v(ss)),
+                        vec![Stmt::Assign { var: p, value: Expr::add(v(p), Expr::int(1)) }],
+                    ),
+                    Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+                ],
+            },
+        ];
+        (stmts, names, bufs)
+    }
+
+    /// The lone stepper's shapes that get the gather reduction.
+    const GATHERED: [Lone; 3] = [Lone::Band, Lone::Dense, Lone::Max];
+
+    fn gathers(p: &Program) -> Vec<usize> {
+        let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IGatherReduce { .. });
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    /// Coordinate lists and bounds for the lone stepper: a sentinel past the
+    /// bound, the bound on the last coordinate, a dense run, the first step
+    /// the last, a list the loop never enters, two neighbours at the end.
+    fn lone_lists() -> Vec<(Vec<i64>, i64)> {
+        vec![
+            (vec![3, 17, 30, 1000], 39),
+            ((0..40).collect(), 39),
+            (vec![2, 5, 9, 14], 14),
+            (vec![39], 39),
+            (vec![], -1),
+            (vec![5, 6], 6),
+            (vec![0, 7, 1000], 7),
+        ]
+    }
+
+    #[test]
+    fn the_lone_stepper_gets_the_gather_reduction_and_is_otherwise_untouched() {
+        let wants = [
+            "gather_reduce b6[t7] += b1[p] * b2[b0[p] + b3[inv] - b4[inv]] \
+             in step_start..=phase_stop (i64) { p += 1 ; +7 stmt +5 load }",
+            "gather_reduce b6[t3] += b1[p] * b2[b0[p]] in step_start..=phase_stop (i64) \
+             { p += 1 ; +7 stmt +3 load }",
+            "gather_reduce b6[t2] max= b1[p] in step_start..=phase_stop (i64) \
+             { p += 1 ; +7 stmt +2 load }",
+        ];
+        for (shape, want) in GATHERED.into_iter().zip(wants) {
+            let c = compile(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
+            let placed = gathers(&c.skipping);
+            assert_eq!((c.stats.merge_skips, placed.len()), (1, 1), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            let at = placed[0];
+            let code = c.skipping.code();
+            assert!(matches!(code[at - 1], Instr::IWhileCmp { .. }), "{}", c.skipping.disasm());
+            let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
+            assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
+            only_adds(&c, &placed);
+        }
+    }
+
+    /// Every step budget from 0 to the full run, on every list: the VM with
+    /// the op, the VM without it and the tree-walker stop at the same
+    /// statement with the same counters and the same output — and the
+    /// scalar loop dispatches only the loop's entry and its last iteration.
+    #[test]
+    fn every_step_budget_trips_the_gather_reduction_where_the_scalar_loop_trips() {
+        for (shape, (crd, stop)) in
+            GATHERED.into_iter().flat_map(|s| lone_lists().into_iter().map(move |l| (s, l)))
+        {
+            let kernel = gather_kernel(&crd, stop, shape);
+            let c = compile(&kernel);
+            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
+            let context = format!("{crd:?} to {stop}, {shape:?}");
+            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
+            assert_eq!(outcome, "Ok(())", "{context}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let mut tree_bufs = kernel.2.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                for p in [&c.skipping, &c.scalar] {
+                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
+                    assert_eq!(outcome, tree, "{context} at {budget}");
+                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
+                    assert_eq!(bufs.get(SUM), tree_bufs.get(SUM), "{context} at {budget}");
+                }
+            }
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
+            let at = gathers(&c.skipping)[0];
+            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{context}");
+        }
+    }
+
+    /// An injected fault at every statement: both engines panic with the
+    /// same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_the_gather_reduction_on_the_tree_walkers_statement() {
+        for shape in GATHERED {
+            faults_alike(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
+        }
+    }
+
+    /// A buffer rebound to another kind or a shorter length — the list, its
+    /// values, the gathered vector (short enough that the gather faults),
+    /// an offset term, the accumulator: the op declines or stops in front of
+    /// the iteration, and the scalar loop reports what it reports without
+    /// the op, having counted the same work.
+    #[test]
+    fn a_rebound_buffer_faults_the_gather_reduction_as_the_scalar_loop_faults() {
+        for shape in GATHERED {
+            let kernel = gather_kernel(&[3, 17, 30, 1000], 39, shape);
+            let c = compile(&kernel);
+            let rebound = |buf: BufId, with: Buffer| {
+                let mut bufs = kernel.2.clone();
+                *bufs.get_mut(buf) = with;
+                bufs
+            };
+            let floats = |n: usize| Buffer::F64(vec![1.5; n].into());
+            let ints = |n: usize| Buffer::I64(vec![1; n].into());
+            let mut cases = vec![
+                ("crd as f64", rebound(CRD, floats(4))),
+                ("crd cut short", rebound(CRD, Buffer::I64(vec![3, 17].into()))),
+                ("vals cut short", rebound(VALS, floats(2))),
+                ("vals as i64", rebound(VALS, ints(4))),
+                ("sum as i64", rebound(SUM, ints(41))),
+                ("sum empty", rebound(SUM, Buffer::F64(Vec::new().into()))),
+            ];
+            if shape != Lone::Max {
+                cases.push(("x cut short", rebound(X, floats(18))));
+                cases.push(("x as i64", rebound(X, ints(41))));
+            }
+            if shape == Lone::Band {
+                cases.push(("x_pos cut short", rebound(X_POS, Buffer::I64(Vec::new().into()))));
+                cases.push(("x_start as f64", rebound(X_START, floats(1))));
+            }
+            for (what, bufs) in cases {
+                same_verdict(&c, &bufs, &format!("{what}, {shape:?}"), SUM);
+            }
+        }
+    }
+
+    #[test]
+    fn lone_steppers_whose_body_is_no_gather_reduction_are_declined_as_single_finger() {
+        for shape in [Lone::Scatter, Lone::Guarded, Lone::AtFinger] {
+            let c = compile(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
+            assert!(gathers(&c.skipping).is_empty(), "{shape:?}\n{}", c.skipping.disasm());
+            let mut tally = [0; 6];
+            tally[MergeDecline::SingleFinger as usize] = 1;
+            assert_eq!((c.stats.merge_skips, c.stats.merge_declined), (0, tally), "{shape:?}");
+            assert_eq!(c.skipping.code(), c.scalar.code(), "{shape:?}: no op, same program");
+        }
     }
 }

@@ -40,7 +40,8 @@
 //!   other's VBL block — gains one run-ahead op as its body's first
 //!   instruction, which performs natively the iterations that match
 //!   nothing, with the untouched scalar loop running every iteration that
-//!   stores, faults or exits,
+//!   stores, faults or exits; the loop of one stepper whose body is a
+//!   gather reduction gains one that performs every iteration but the last,
 //! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are
@@ -195,8 +196,9 @@ pub struct OptStats {
     /// Guarded increments the `forward` pass fused into one branch-free
     /// [`crate::bytecode::Instr::IAdvance`].
     pub advances_predicated: u64,
-    /// Two-finger merge loops given a run-ahead op
-    /// ([`crate::bytecode::Instr::IMergeSkip`]) by [`merge_skip()`].
+    /// Step loops given a run-ahead op by [`merge_skip()`]: two-finger
+    /// merges ([`crate::bytecode::Instr::IMergeSkip`]) and lone steppers
+    /// ([`crate::bytecode::Instr::IGatherReduce`]).
     pub merge_skips: u64,
     /// Typed `while` loops [`merge_skip()`] looked at and gave no op, by
     /// reason: indexed like [`MergeDecline::ALL`].
@@ -337,11 +339,11 @@ impl Pass for ForwardPass {
     }
 }
 
-/// Run-ahead selection for two-finger merge loops ([`merge_skip()`]) as a
-/// [`Pass`]: part of the kernel-op tier, like [`VectorizePass`], but behind
+/// Run-ahead selection for step loops ([`merge_skip()`]) as a [`Pass`]:
+/// part of the kernel-op tier, like [`VectorizePass`], but behind
 /// [`ForwardPass`], whose predicated advances and bottom tests it
-/// recognises the loop by.  The op accounts what the iterations it skips
-/// count, so the default [`StatsContract::Exact`] applies.
+/// recognises the loop by.  The ops account what the iterations they
+/// perform count, so the default [`StatsContract::Exact`] applies.
 pub struct MergeSkipPass;
 
 impl Pass for MergeSkipPass {

@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Instr, MergeForm, Reg, VBase, VFill, VRhs, VScale};
+use crate::bytecode::{Gather, Instr, MergeForm, Reg, Term, VBase, VFill, VRhs, VScale};
 use crate::expr::{BinOp, Expr};
 use crate::value::Value;
 
@@ -791,7 +791,11 @@ fn forwarded_merge_kernel(shape: merge_skip::tests::Shape) -> (Program, Names, B
         merge_skip::tests::Shape::Gallop => &[3, 4, 10, 17, 18, 25, 30, 99],
         _ => &[3, 4, 17, 18, 30, 99],
     };
-    let (stmts, names, bufs) = merge_skip::tests::merge_kernel_with(a, &b, 39, shape);
+    forwarded(merge_skip::tests::merge_kernel_with(a, &b, 39, shape))
+}
+
+/// `kernel` compiled, fused, typed and through `forward`.
+fn forwarded((stmts, names, bufs): merge_skip::tests::Kernel) -> (Program, Names, BufferSet) {
     let fused = peephole(&Program::compile(&stmts, &names), &mut OptStats::default());
     let typed = typing::specialize_checked(&fused, &bufs).0;
     (forward(&typed, &mut OptStats::default()), names, bufs)
@@ -1048,4 +1052,94 @@ fn a_jumper_run_ahead_whose_row_ends_are_a_fingers_list_is_caught_by_the_verifie
         *a_end = *a;
     });
     assert_caught(verdict, "merge_skip", "row ends from a finger's list");
+}
+
+// ---------------------------------------------------------------------
+// Seeded miscompiles of the gather reduction: the real pass's output on
+// Fig. 1's lone stepper with one thing wrong, and the gate that notices.
+// ---------------------------------------------------------------------
+
+/// A lone stepper over a band, typed and through `forward`: its last
+/// coordinate is the loop's bound, so the op performs every iteration but
+/// that one.
+fn forwarded_gather_kernel() -> (Program, Names, BufferSet) {
+    let crd = [1, 3, 4, 8, 13, 21, 34, 39];
+    forwarded(merge_skip::tests::gather_kernel(&crd, 39, merge_skip::tests::Lone::Band))
+}
+
+/// The real pass on [`forwarded_gather_kernel`], then `mutate` on the op it
+/// placed.
+fn run_gather_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassError> {
+    struct Mutated(fn(&mut Program, usize));
+    impl Pass for Mutated {
+        fn name(&self) -> &'static str {
+            "merge_skip"
+        }
+        fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+            let mut program = merge_skip(repr.bytecode(), ctx.stats);
+            let at = program
+                .code
+                .iter()
+                .position(|i| matches!(i, Instr::IGatherReduce { .. }))
+                .expect("the lone stepper gets its op");
+            (self.0)(&mut program, at);
+            Repr::Bytecode(program)
+        }
+    }
+    run_typed_bytecode_pass(forwarded_gather_kernel(), &Mutated(mutate))
+}
+
+#[test]
+fn the_gather_reduction_validates_and_its_witness_performs_all_but_the_last_iteration() {
+    let out = run_gather_mutation(|_, _| {}).expect("the real pass is exact").into_bytecode();
+    let (_, _, bufs) = forwarded_gather_kernel();
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. })).unwrap();
+    // The op once, at the loop's entry, and the last of eight iterations.
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 8), "{}", out.disasm());
+}
+
+#[test]
+fn a_gather_reduction_that_miscounts_is_caught_by_the_exact_stats_witness() {
+    let mutants: [fn(&mut Program, usize); 4] = [
+        |p, at| bump_gather_counts(p, at, [1, 0]),
+        |p, at| bump_gather_counts(p, at, [-1, 0]),
+        |p, at| bump_gather_counts(p, at, [0, 1]),
+        |p, at| bump_gather_counts(p, at, [0, -1]),
+    ];
+    for mutate in mutants {
+        assert_caught(run_gather_mutation(mutate), "merge_skip", "ExecStats");
+    }
+}
+
+/// Moves `[stmts, loads]` of the gather reduction at `at` by `by`.
+fn bump_gather_counts(program: &mut Program, at: usize, by: [i32; 2]) {
+    let Instr::IGatherReduce { stmts, loads, .. } = &mut program.code[at] else { unreachable!() };
+    for (count, by) in [stmts, loads].into_iter().zip(by) {
+        *count = count.checked_add_signed(by).expect("a count of at least one");
+    }
+}
+
+#[test]
+fn a_gather_reduction_whose_offset_is_off_by_one_is_caught_by_output_parity() {
+    // The band starts one position into `x`: without the term that says
+    // so, the op gathers each value from the coordinate in front.
+    let verdict = run_gather_mutation(|program, at| {
+        let Instr::IGatherReduce { gather: Gather::Load { ofs, .. }, .. } = &mut program.code[at]
+        else {
+            unreachable!()
+        };
+        ofs.iter_mut().filter(|t| matches!(t, Term::Plus { .. })).for_each(|t| *t = Term::Zero);
+    });
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
+fn a_gather_reduction_accumulating_into_a_source_is_caught_by_the_verifier() {
+    let verdict = run_gather_mutation(|program, at| {
+        let Instr::IGatherReduce { val, acc, .. } = &mut program.code[at] else { unreachable!() };
+        *acc = *val;
+    });
+    assert_caught(verdict, "merge_skip", "accumulates into one of its sources");
 }

@@ -24,7 +24,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    for_each_reg_role, Elem, Instr, LaneTag, MergeForm, Operand, Program, Reg, Role, VFill,
+    for_each_reg_role, Elem, Gather, Instr, LaneTag, MergeForm, Operand, Program, Reg, Role, Term,
+    VFill,
 };
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -337,6 +338,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
             Ok(())
         })?;
         check_merge_skip(code, pc)?;
+        check_gather_reduce(code, pc)?;
         // A kernel op runs the bulk of the counted loop that follows it:
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
@@ -404,24 +406,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// statement counts are the loop's is the exact-stats witness's to find.)
 fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
     let Instr::IMergeSkip { a, p, b, q, form, start, stop, .. } = code[pc] else { return Ok(()) };
-    let head = pc.checked_sub(1).map(|head| code[head]);
-    let bottom = match head {
-        Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
-            end as usize - 1
-        }
-        _ => {
-            return Err(format!(
-                "merge run-ahead at pc {pc} is not the first instruction of a \
-                 `while start <= stop` loop on its registers"
-            ))
-        }
-    };
-    let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: pc as u32 };
-    if bottom <= pc || code[bottom] != closes {
-        return Err(format!(
-            "merge run-ahead at pc {pc} sits in a loop that its own bottom test does not close"
-        ));
-    }
+    let bottom = step_loop_bottom(code, pc, (start, stop), "merge run-ahead")?;
     if a == b {
         return Err(format!("merge run-ahead at pc {pc} walks one buffer with both fingers"));
     }
@@ -436,23 +421,12 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
         return Err(format!("merge run-ahead at pc {pc} reads its {what} from a finger's list"));
     }
     let body = &code[pc + 1..bottom];
-    let writes = |reg: Reg| {
-        move |instr: &&Instr| {
-            let mut writes = false;
-            for_each_reg_role(instr, |r, role| writes |= r == reg && role != Role::Read);
-            writes
-        }
-    };
-    if let Some(&row) = rows.iter().find(|&&row| body.iter().any(|i| writes(row)(&i))) {
+    if let Some(&row) = rows.iter().find(|&&row| body.iter().any(|i| writes(i, row))) {
         return Err(format!("merge run-ahead at pc {pc} reads row {row}, which its loop writes"));
     }
     let gallop = !rows.is_empty();
     for (reg, list) in [(p, Some(a)), (q, Some(b)), (start, None)] {
-        let steps = |instr: &Instr| match *instr {
-            Instr::IAdvance { reg: stepped, by: 1, .. } => list.is_some() && stepped == reg,
-            Instr::IArithImm { op: BinOp::Add, dst, imm: 1, .. } => list.is_none() && dst == reg,
-            _ => false,
-        };
+        let steps = |instr: &Instr| steps(instr, reg, list.is_some());
         // A jumper's fall-backs seek it, and step it in a nested merge,
         // which may carry its own run-ahead over the same list.
         let moves = |instr: &Instr| match *instr {
@@ -464,7 +438,7 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
             }
             _ => steps(instr),
         };
-        let writers: Vec<&Instr> = body.iter().filter(writes(reg)).collect();
+        let writers: Vec<&Instr> = body.iter().filter(|i| writes(i, reg)).collect();
         let placed = match writers[..] {
             [only] => steps(only),
             [.., last] if gallop && list.is_some() => {
@@ -486,6 +460,123 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The placement rule of a gather reduction at `pc`: it is the first
+/// instruction of the body of a `while start <= stop` loop closed by a
+/// bottom test on the same registers, which lands on it; its accumulator is
+/// none of its sources; the loop writes neither its accumulator's element,
+/// its bound nor the registers of its offset's terms, which the op reads
+/// once, and stores into none of its sources; and the rest of the body steps
+/// the finger by one and the start by one past the step, each in exactly
+/// one place, as the op does.  (That its counts are the loop's, and its
+/// offset the loop's index, is the exact-stats witness's to find.)
+fn check_gather_reduce(code: &[Instr], pc: usize) -> Result<(), String> {
+    let Instr::IGatherReduce { crd, val, p, gather, acc, k, start, stop, .. } = code[pc] else {
+        return Ok(());
+    };
+    let bottom = step_loop_bottom(code, pc, (start, stop), "gather reduction")?;
+    let (mut sources, mut invariant) = (vec![crd, val], vec![k, stop]);
+    if let Gather::Load { x, ofs } = gather {
+        sources.push(x);
+        for term in ofs {
+            if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
+                sources.push(buf);
+                invariant.push(at);
+            }
+        }
+    }
+    if sources.contains(&acc) {
+        return Err(format!("gather reduction at pc {pc} accumulates into one of its sources"));
+    }
+    let body = &code[pc + 1..bottom];
+    if let Some(reg) = invariant.into_iter().find(|&reg| body.iter().any(|i| writes(i, reg))) {
+        return Err(format!(
+            "gather reduction at pc {pc} reads register {reg}, which its loop writes"
+        ));
+    }
+    if let Some(buf) = sources.into_iter().find(|&buf| body.iter().any(|i| stores_into(i, buf))) {
+        return Err(format!(
+            "gather reduction at pc {pc} reads buffer b{}, which its loop stores into",
+            buf.index()
+        ));
+    }
+    for (reg, finger) in [(p, true), (start, false)] {
+        let writers: Vec<&Instr> = body.iter().filter(|i| writes(i, reg)).collect();
+        if !matches!(writers[..], [only] if steps(only, reg, finger)) {
+            let what = if finger { "finger" } else { "start" };
+            return Err(format!(
+                "gather reduction at pc {pc}: the loop does not step its {what} {reg} by one, \
+                 in one place"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The bottom test of the `while start <= stop` loop whose body's first
+/// instruction is the run-ahead op at `pc` (`what`), or why it has none.
+fn step_loop_bottom(
+    code: &[Instr],
+    pc: usize,
+    (start, stop): (Reg, Reg),
+    what: &str,
+) -> Result<usize, String> {
+    let head = pc.checked_sub(1).map(|head| code[head]);
+    let bottom = match head {
+        Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
+            end as usize - 1
+        }
+        _ => {
+            return Err(format!(
+                "{what} at pc {pc} is not the first instruction of a \
+                 `while start <= stop` loop on its registers"
+            ))
+        }
+    };
+    let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: pc as u32 };
+    if bottom <= pc || code[bottom] != closes {
+        return Err(format!(
+            "{what} at pc {pc} sits in a loop that its own bottom test does not close"
+        ));
+    }
+    Ok(bottom)
+}
+
+/// Whether `instr` writes `reg`.
+fn writes(instr: &Instr, reg: Reg) -> bool {
+    let mut writes = false;
+    for_each_reg_role(instr, |r, role| writes |= r == reg && role != Role::Read);
+    writes
+}
+
+/// Whether `instr` steps `reg` by one: a finger's predicated advance, or the
+/// start set one past the step.
+fn steps(instr: &Instr, reg: Reg, finger: bool) -> bool {
+    match *instr {
+        Instr::IAdvance { reg: stepped, by: 1, .. } => finger && stepped == reg,
+        Instr::IArithImm { op: BinOp::Add, dst, imm: 1, .. } => !finger && dst == reg,
+        _ => false,
+    }
+}
+
+/// Whether `instr` stores into, or appends to, `buf`.
+fn stores_into(instr: &Instr, buf: BufId) -> bool {
+    match *instr {
+        Instr::Store { buf: to, .. }
+        | Instr::StoreF64 { buf: to, .. }
+        | Instr::Append { buf: to, .. }
+        | Instr::IAppend { buf: to, .. }
+        | Instr::FAppend { buf: to, .. }
+        | Instr::FiberEnd { pos: to, .. }
+        | Instr::VFillStoreF64 { buf: to, .. }
+        | Instr::VMapF64 { dst: to, .. }
+        | Instr::VMulAddF64 { acc: to, .. }
+        | Instr::VReduceF64 { acc: to, .. }
+        | Instr::IGatherReduce { acc: to, .. } => to == buf,
+        Instr::VAppendRangeF64 { idx_out, val_out, .. } => idx_out == buf || val_out == buf,
+        _ => false,
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
-use crate::bytecode::{Instr, LaneTag, MergeForm, Program, Reg, VBase, VCost, VFill, VRhs, VScale};
+use crate::bytecode::{
+    Gather, Instr, LaneTag, MergeForm, Program, Reg, Term, VBase, VCost, VFill, VRhs, VScale,
+};
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
 use crate::interp::ExecStats;
@@ -92,12 +94,22 @@ impl Watch {
         quiet
     }
 
-    /// The statement-path check both engines call: panics at an armed
-    /// injection point, otherwise trips [`RuntimeError::Deadline`] on
-    /// cancellation (every statement) or deadline expiry (every
-    /// [`Watch::TIME_CHECK_PERIOD`] statements).
+    /// The statement-path check the tree-walker calls on every statement:
+    /// panics at an armed injection point, otherwise trips
+    /// [`RuntimeError::Deadline`] on cancellation (every statement) or
+    /// deadline expiry (every [`Watch::TIME_CHECK_PERIOD`] statements).
     #[inline]
     pub(crate) fn check(&self, stmts: u64) -> Result<(), RuntimeError> {
+        self.check_since(stmts.saturating_sub(1), stmts)
+    }
+
+    /// [`Watch::check`] at statement `stmts` when the last statement checked
+    /// was `since`: the clock is read if a multiple of
+    /// [`Watch::TIME_CHECK_PERIOD`] lies in `since + 1..=stmts`, so a
+    /// kernel op that counts many statements at once does not step over a
+    /// deadline check.
+    #[inline]
+    fn check_since(&self, since: u64, stmts: u64) -> Result<(), RuntimeError> {
         if let Some(at) = self.fault_stmt {
             if stmts >= at {
                 panic!("injected fault: panic at statement {at}");
@@ -109,7 +121,8 @@ impl Watch {
             }
         }
         if let Some(deadline) = self.deadline {
-            if stmts.is_multiple_of(Self::TIME_CHECK_PERIOD) && Instant::now() >= deadline {
+            let due = stmts / Self::TIME_CHECK_PERIOD > since / Self::TIME_CHECK_PERIOD;
+            if due && Instant::now() >= deadline {
                 return Err(RuntimeError::Deadline { ms: self.ms });
             }
         }
@@ -959,6 +972,10 @@ impl Vm {
                     pc += 1;
                 }
                 Instr::IMergeSkip { .. } => pc = self.merge_run_ahead(bufs, code, pc),
+                Instr::IGatherReduce { .. } => {
+                    self.gather_reduce(bufs, &code[pc]);
+                    pc += 1;
+                }
             }
         }
         Ok(())
@@ -1020,10 +1037,19 @@ impl Vm {
     /// deadline) — the order and the per-statement counts of the
     /// tree-walker, so a trip leaves `stats.stmts` at exactly the
     /// statement that tripped.
+    ///
+    /// A vectorized kernel op counts its bulk without a check, bounded by
+    /// the step budget only.  What it counted past [`Vm::check_limit`] is
+    /// checked at the next statement accounted here — so a deadline check
+    /// it stepped over is made there — and until then the limits stay.
     #[cold]
     #[inline(never)]
     fn account(&mut self, n: u64) -> Result<(), RuntimeError> {
+        if n == 0 {
+            return Ok(());
+        }
         let counted = self.stats.stmts;
+        let mut since = (counted - n).min(self.check_limit);
         for stmts in counted - n + 1..=counted {
             self.stats.stmts = stmts;
             if let Some(budget) = self.step_budget {
@@ -1032,8 +1058,9 @@ impl Vm {
                 }
             }
             if let Some(watch) = &self.watch {
-                watch.check(stmts)?;
+                watch.check_since(since, stmts)?;
             }
+            since = stmts;
         }
         self.rearm_limits();
         Ok(())
@@ -1905,6 +1932,106 @@ impl Vm {
             }
             if skipped < room || !self.still_quiet() {
                 return None;
+            }
+        }
+    }
+
+    /// [`Instr::IGatherReduce`], out of the dispatch loop, dispatched at the
+    /// top of an iteration of its step loop: perform the iterations whose
+    /// stride `s = crd[p]` is below the bound — `min(s, stop)` is `s`, so
+    /// the body runs, and `s + 1 <= stop`, so the loop goes on — folding
+    /// each body's value into the accumulator in order, and store it once:
+    /// nothing else in those iterations reads `acc`, which is no source.
+    /// Every comparison is the scalar instruction's own.
+    ///
+    /// The accumulator's element and the offset's terms are read once; if
+    /// one is out of bounds, or a buffer has another kind, the op does
+    /// nothing, and the scalar loop faults where it faults.  An iteration is
+    /// only performed while a whole one still fits under [`Vm::stmt_limit`],
+    /// polling early as [`Vm::merge_skip`] does.
+    #[inline(never)]
+    fn gather_reduce(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::IGatherReduce { crd, val, p, gather, acc, k, op, start, stop, stmts, loads } =
+            *instr
+        else {
+            unreachable!("dispatched on an IGatherReduce")
+        };
+        let slot = self.ints[k.index()];
+        let mut sum = match bufs.get(acc) {
+            Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => data[slot as usize],
+            _ => return,
+        };
+        let x = match gather {
+            Gather::None => None,
+            Gather::Load { x, .. } if x == acc => return,
+            Gather::Load { x, ofs } => {
+                let Buffer::F64(x) = bufs.get(x) else { return };
+                let mut shift = 0i64;
+                for term in ofs {
+                    let (buf, at, minus) = match term {
+                        Term::Zero => continue,
+                        Term::Plus { buf, at } => (buf, at, false),
+                        Term::Minus { buf, at } => (buf, at, true),
+                    };
+                    let Buffer::I64(data) = bufs.get(buf) else { return };
+                    let Some(&v) =
+                        usize::try_from(self.ints[at.index()]).ok().and_then(|i| data.get(i))
+                    else {
+                        return;
+                    };
+                    shift = if minus { shift.wrapping_sub(v) } else { shift.wrapping_add(v) };
+                }
+                Some((x, shift))
+            }
+        };
+        if acc == val {
+            return;
+        }
+        let (Buffer::I64(crd), Buffer::F64(val)) = (bufs.get(crd), bufs.get(val)) else { return };
+        let stop = self.ints[stop.index()];
+        let per = u64::from(stmts).max(1);
+        let mut folded = false;
+        loop {
+            let mut pv = self.ints[p.index()];
+            let room = self.stmt_limit.saturating_sub(self.stats.stmts) / per;
+            let (mut done, mut next) = (0, None);
+            while done < room {
+                // A finger outside its list: the scalar load's fault.
+                let Some(at) = usize::try_from(pv).ok() else { break };
+                let (Some(&s), Some(&v)) = (crd.get(at), val.get(at)) else { break };
+                let after = s.wrapping_add(1);
+                if s > stop || !Self::cmp_int(BinOp::Le, after, stop) {
+                    break;
+                }
+                let y = match x {
+                    None => v,
+                    Some((x, shift)) => {
+                        match usize::try_from(s.wrapping_add(shift)).ok().and_then(|i| x.get(i)) {
+                            Some(&gathered) => v * gathered,
+                            None => break,
+                        }
+                    }
+                };
+                sum = Self::float_arith(op, sum, y);
+                pv += 1;
+                next = Some(after);
+                done += 1;
+            }
+            let Some(next) = next else { break };
+            folded = true;
+            self.stats.loop_iters += done;
+            self.stats.stmts += done * u64::from(stmts);
+            self.stats.loads += done * u64::from(loads);
+            self.stats.stores += done;
+            self.ints[p.index()] = pv;
+            self.ints[start.index()] = next;
+            if done < room || !self.still_quiet() {
+                break;
+            }
+        }
+        if folded {
+            if let Buffer::F64(data) = bufs.get_mut(acc) {
+                data[slot as usize] = sum;
             }
         }
     }

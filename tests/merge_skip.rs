@@ -1,9 +1,11 @@
-//! The merge run-ahead op through the real lowerer: budget sweep and
-//! degenerate fibers.
+//! The merge run-ahead op and the gather reduction through the real
+//! lowerer: budget sweep and degenerate fibers.
 //!
 //! The two-finger merge loop of `lower_stepped` carries a kernel op
 //! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
-//! nothing.  Its exits are where it can go wrong — a loop that is never
+//! nothing; the lone stepper of a walked list against a located operand
+//! (Fig. 1's list × band, a CSR × dense SpMV) carries one
+//! (`Instr::IGatherReduce`) that performs every iteration but its last.  Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
 //! runs out inside a run-ahead — so for the kernels that hold the loop
 //! (sparse·sparse `dot`, the elementwise product with a sparse output, and
@@ -92,7 +94,13 @@ fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> Stri
 }
 
 fn ops(kernel: &CompiledKernel) -> usize {
-    kernel.bytecode().code().iter().filter(|i| matches!(i, Instr::IMergeSkip { .. })).count()
+    let op = |i: &&Instr| matches!(i, Instr::IMergeSkip { .. } | Instr::IGatherReduce { .. });
+    kernel.bytecode().code().iter().filter(op).count()
+}
+
+/// Whether `kernel` carries the gather reduction.
+fn gathers(kernel: &CompiledKernel) -> bool {
+    kernel.bytecode().code().iter().any(|i| matches!(i, Instr::IGatherReduce { .. }))
 }
 
 /// Whether `kernel` carries the op's jumper form.
@@ -254,4 +262,35 @@ fn gallop_triangles_agree_under_every_budget() {
     let kernel = common::triangle_kernel(&a, &a2, &at, true);
     assert!(gallops(&kernel), "the jumper form\n{}", kernel.bytecode().disasm());
     sweep(&kernel, "gallop triangles");
+}
+
+/// Fig. 1's list × band: the list is walked and the band located at each of
+/// its coordinates, the lone stepper whose body the gather reduction
+/// performs.  The band is each pair's second vector from its first to its
+/// last entry: empty, one entry, before, around, inside or after the list.
+#[test]
+fn list_band_dot_agrees_under_every_budget_on_every_operand_pair() {
+    for (what, a, b) in operand_pairs() {
+        let a = Tensor::sparse_list_vector("A", &vector(&a));
+        let b = Tensor::band_vector("B", &vector(&b));
+        let kernel = common::dot_kernel(&a, &b, Protocol::Walk, Protocol::Default);
+        assert!(gathers(&kernel), "{what}: the gather reduction\n{}", kernel.bytecode().disasm());
+        sweep(&kernel, &format!("list x band dot, {what}"));
+    }
+}
+
+/// A CSR × dense SpMV: each row of the two-finger sweep's matrix is a lone
+/// stepper gathering from `x`, which in turn is every pair's second vector,
+/// dense.
+#[test]
+fn csr_dense_spmv_agrees_under_every_budget_on_every_operand_pair() {
+    let pairs = operand_pairs();
+    let rows: Vec<f64> = pairs.iter().flat_map(|(_, a, _)| vector(a)).collect();
+    let matrix = Tensor::csr_matrix("A", pairs.len(), N, &rows);
+    for (what, _, x) in &pairs {
+        let x = Tensor::dense_vector("x", &vector(x));
+        let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Default);
+        assert!(gathers(&kernel), "{what}: the gather reduction\n{}", kernel.bytecode().disasm());
+        sweep(&kernel, &format!("csr x dense spmv, x = {what}"));
+    }
 }

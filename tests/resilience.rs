@@ -5,7 +5,7 @@
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
@@ -126,6 +126,38 @@ fn alloc_budget_abort_mid_sparse_append_leaves_vm_reusable() {
             },
             &format!("alloc budget ({engine:?})"),
         );
+    }
+}
+
+/// A deadline that has passed trips every run of at least
+/// `Watch::TIME_CHECK_PERIOD` statements, on both engines, also where a
+/// vectorized kernel op counts most of them at once: the clock is read at
+/// the first statement accounted past each multiple of the period, not only
+/// at the multiple itself, which the op's bulk steps over.
+#[test]
+fn a_passed_deadline_trips_across_a_vectorized_loop() {
+    for (n, trips) in [(1_000, false), (5_000, true), (100_000, true)] {
+        let a = Tensor::dense_vector("A", &vec![0.5; n]);
+        let b = Tensor::dense_vector("B", &vec![2.0; n]);
+        let mut kernel = Kernel::new();
+        kernel.bind_input(&a).bind_input(&b).bind_output_scalar("C");
+        let i = idx("i");
+        let body = add_assign(scalar("C"), mul(access("A", [i.clone()]), access("B", [i.clone()])));
+        let dot = kernel.compile(&forall(i, body)).expect("the dense dot compiles");
+        let disasm = dot.bytecode().disasm();
+        assert!(disasm.contains("vmuladd.f64"), "the loop is vectorized\n{disasm}");
+        for engine in [Engine::TreeWalk, Engine::Bytecode] {
+            let mut k = dot
+                .reconfigured(&ExecConfig { engine, ..dot.config() })
+                .expect("a run-side change");
+            k.set_watch(Some(Watch::until(Instant::now(), 5)));
+            let ran = k.run();
+            match ran {
+                Err(RuntimeError::Deadline { ms: 5 }) if trips => {}
+                Ok(stats) if !trips => assert_eq!(stats.stmts, n as u64 + 2, "{engine:?}"),
+                other => panic!("n = {n} on {engine:?}: {other:?}"),
+            }
+        }
     }
 }
 
