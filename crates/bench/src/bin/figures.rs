@@ -30,7 +30,7 @@
 
 #![forbid(unsafe_code)]
 
-use finch::MergeDecline;
+use finch::{MergeDecline, VectorDecline};
 use finch_bench::figure_tables;
 use finch_bench::report::{FigureGroup, Report};
 
@@ -111,7 +111,8 @@ fn print_group(group: &FigureGroup) {
 }
 
 /// What the loop back end did over every recorded variant, and why the
-/// merge loops without a run-ahead op got none.
+/// counted loops without a vectorized op and the merge loops without a
+/// run-ahead op got none.
 fn print_back_end(report: &Report) {
     let opts: Vec<_> = report.figures.iter().flat_map(|f| &f.variants).map(|v| v.opt).collect();
     let total = |counter: fn(&finch::OptStats) -> u64| opts.iter().map(counter).sum::<u64>();
@@ -126,14 +127,17 @@ fn print_back_end(report: &Report) {
         total(|s| s.merge_skips),
         opts.len()
     );
-    let declined: Vec<String> = MergeDecline::ALL
-        .iter()
-        .enumerate()
-        .map(|(k, why)| {
-            format!("{} {}", opts.iter().map(|s| s.merge_declined[k]).sum::<u64>(), why.label())
-        })
-        .collect();
-    println!("  typed `while` loops given none, by reason: {}", declined.join(", "));
+    // Each reason's loops, summed over the variants, in tally order.
+    let declined = |labels: Vec<&str>, loops: fn(&finch::OptStats) -> &[u64]| {
+        let sum = |k: usize| opts.iter().map(|s| loops(s)[k]).sum::<u64>();
+        labels.iter().enumerate().map(|(k, why)| format!("{} {why}", sum(k))).collect::<Vec<_>>()
+    };
+    let merge =
+        declined(MergeDecline::ALL.map(MergeDecline::label).to_vec(), |s| &s.merge_declined);
+    println!("  typed `while` loops given none, by reason: {}", merge.join(", "));
+    let vector =
+        declined(VectorDecline::ALL.map(VectorDecline::label).to_vec(), |s| &s.vector_declined);
+    println!("  innermost counted loops given no vectorized op, by reason: {}", vector.join(", "));
 }
 
 fn main() {

@@ -24,7 +24,7 @@ use finch::{
 };
 use finch_baseline::datagen;
 use finch_cin::build::*;
-use finch_cin::{CinOp, CinStmt, IndexVar, Protocol};
+use finch_cin::{CinExpr, CinOp, CinStmt, IndexVar, Protocol};
 use proptest::test_runner::TestRng;
 
 /// The storage format of one fuzzed input vector.
@@ -107,6 +107,14 @@ pub enum StmtSpec {
     /// `y{k}[i] = A[i] where A[i] > B[i]` — a sieve on two operands into a
     /// dense output.
     SieveGt,
+    /// `y{k}[i] += coalesce(A[j + i - h], 0) · B[j]` for `j` in `0..width`,
+    /// `h = width / 2` — Fig. 9's window dot in one dimension: `A`'s
+    /// coordinate is `offset` by `h - i` and `permit`ted past its ends, and
+    /// the `coalesce` reads a missing element as zero.
+    Window {
+        /// The window's width, 1 to 9.
+        width: u8,
+    },
 }
 
 impl StmtSpec {
@@ -129,6 +137,7 @@ impl StmtSpec {
             StmtSpec::Blend => "StmtSpec::Blend".to_string(),
             StmtSpec::Sum { op } => format!("StmtSpec::Sum {{ op: finch_cin::CinOp::{op:?} }}"),
             StmtSpec::SieveGt => "StmtSpec::SieveGt".to_string(),
+            StmtSpec::Window { width } => format!("StmtSpec::Window {{ width: {width} }}"),
         }
     }
 }
@@ -256,6 +265,25 @@ fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
                 assign(access(format!("y{k}").as_str(), [i.clone()]), access("A", [i])),
             ),
         ),
+        StmtSpec::Window { width } => {
+            let j = idx("j");
+            let half = i64::from(width / 2);
+            let shifted = j.walk().offset(sub(lit_int(half), CinExpr::Index(i.clone()))).permit();
+            let tap = mul(
+                coalesce(vec![access("A", [shifted]).into(), lit(0.0)]),
+                access("B", [j.clone()]),
+            );
+            let last = lit_int(i64::from(width) - 1);
+            forall(
+                i.clone(),
+                forall_in(
+                    j,
+                    lit_int(0),
+                    last,
+                    add_assign(access(format!("y{k}").as_str(), [i]), tap),
+                ),
+            )
+        }
     }
 }
 
@@ -290,7 +318,8 @@ pub fn compile_case(
             StmtSpec::Axpy { .. }
             | StmtSpec::EwiseMul { .. }
             | StmtSpec::Blend
-            | StmtSpec::SieveGt => {
+            | StmtSpec::SieveGt
+            | StmtSpec::Window { .. } => {
                 kernel.bind_output(&format!("y{k}"), &[case.n], 0.0);
             }
             StmtSpec::Threshold { .. } => {
@@ -502,7 +531,7 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
     // The statements draw from a stream of their own: a new statement shape
     // does not reshuffle which formats and fills a seed covers.
     let rng = &mut TestRng::from_seed(seed);
-    let stmts = (0..count)
+    let mut stmts = (0..count)
         .map(|_| match rng.below_in(0, 7) {
             0 => StmtSpec::Dot { pa: proto(rng, a_format), pb: proto(rng, b_format) },
             1 => StmtSpec::Axpy {
@@ -515,7 +544,13 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
             5 => StmtSpec::Sum { op: [CinOp::Add, CinOp::Max][rng.below_in(0, 2)] },
             _ => StmtSpec::SieveGt,
         })
-        .collect();
+        .collect::<Vec<_>>();
+    // One case in three also takes a window, drawn from a stream of its own
+    // so that it reshuffles none of the statements above.
+    let rng = &mut TestRng::from_seed(seed ^ 0x5749_4E44);
+    if rng.below_in(0, 3) == 0 {
+        stmts.push(StmtSpec::Window { width: rng.below_in(1, 10) as u8 });
+    }
     FuzzCase { seed, n, a_format, b_format, a_fill, b_fill, same_support, stmts }
 }
 
@@ -759,6 +794,33 @@ mod tests {
             let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
             let disasm = kernel.bytecode().disasm();
             assert!(disasm.contains(" seeks < b"), "{case:?}: the jumper form\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        }
+    }
+
+    /// A window over a dense `A` and a dense `B` is Fig. 9's window dot:
+    /// the smoke draw reaches it, every such case gives its loop the inner
+    /// product over the shifted index `v - q` into the register-indexed
+    /// `y{k}[i]`, and runs divergence-free on every leg, the passed-deadline
+    /// leg among them.
+    #[test]
+    fn a_dense_window_draws_the_window_dot_kernel_op() {
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let dense = |case: &&FuzzCase| {
+            (case.a_format, case.b_format) == (VecFormat::Dense, VecFormat::Dense)
+                && case.stmts.iter().any(|stmt| matches!(stmt, StmtSpec::Window { .. }))
+        };
+        let cases: Vec<&FuzzCase> = drawn.iter().filter(dense).collect();
+        assert!(!cases.is_empty(), "the smoke draw made no dense window");
+        for case in cases {
+            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+            let disasm = kernel.bytecode().disasm();
+            // `vmuladd.f64 y[i] += A[v - inv] * B[v]`, `i` being a register.
+            let window_dot = |line: &str| {
+                line.contains("vmuladd.f64 b") && line.contains("[i") && line.contains("[v-")
+            };
+            assert!(disasm.lines().any(window_dot), "{case:?}: the window dot\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 11,
+//!   "schema_version": 12,
 //!   "figures": [
 //!     {"figure": "fig01", "group": "band width 8",
 //!      "heading": "Figure 1 — motivating dot product: ...",
@@ -35,7 +35,7 @@
 
 use std::io::Write as _;
 
-use finch::{ExecConfig, ExecStats, MergeDecline, OptStats, ValidationLevel};
+use finch::{ExecConfig, ExecStats, MergeDecline, OptStats, ValidationLevel, VectorDecline};
 
 use crate::{assert_engine_parity, FigureTable, Variant};
 
@@ -175,10 +175,10 @@ impl Report {
         Report { figures: tables.iter().map(group).collect() }
     }
 
-    /// Serialise the report as a JSON document (schema v11 — see
+    /// Serialise the report as a JSON document (schema v12 — see
     /// EXPERIMENTS.md), one fact per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema_version\": 11,\n  \"figures\": [");
+        let mut out = String::from("{\n  \"schema_version\": 12,\n  \"figures\": [");
         for (i, fig) in self.figures.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
             out.push_str(&format!(
@@ -241,22 +241,30 @@ impl Report {
     }
 }
 
+/// A decline tally as the inside of one JSON object: every reason, so that
+/// the keys of the line do not depend on the kernel.
+fn declines(labels: impl Iterator<Item = &'static str>, loops: &[u64]) -> String {
+    labels
+        .zip(loops)
+        .map(|(why, loops)| format!("\"{why}\": {loops}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 /// The optimiser's counters as one JSON object.
 fn opt_json(s: &OptStats) -> String {
-    // Why loops got no run-ahead op: every reason, so that the keys of the
-    // line do not depend on the kernel.
-    let merge_declined = MergeDecline::ALL
-        .iter()
-        .zip(s.merge_declined)
-        .map(|(why, loops)| format!("\"{}\": {loops}", why.label()))
-        .collect::<Vec<_>>()
-        .join(", ");
+    // Why loops got no kernel op, vectorized or run-ahead.
+    let vector_declined =
+        declines(VectorDecline::ALL.iter().map(|why| why.label()), &s.vector_declined);
+    let merge_declined =
+        declines(MergeDecline::ALL.iter().map(|why| why.label()), &s.merge_declined);
     format!(
         "{{\"folds\": {}, \"copies_propagated\": {}, \"branches_pruned\": {}, \
          \"loops_removed\": {}, \"stmts_removed\": {}, \"loads_hoisted\": {}, \
          \"exprs_hoisted\": {}, \"instrs_fused\": {}, \"movs_eliminated\": {}, \
          \"regs_saved\": {}, \"instrs_typed\": {}, \"regs_pretagged\": {}, \
-         \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \"copies_forwarded\": {}, \
+         \"instrs_vectorized\": {}, \"instrs_vectorizable\": {}, \"vector_declined\": {{{}}}, \
+         \"copies_forwarded\": {}, \
          \"literals_pinned\": {}, \"loops_rotated\": {}, \"advances_predicated\": {}, \
          \"merge_skips\": {}, \"merge_declined\": {{{}}}, \"ir_stmts_before\": {}, \
          \"ir_stmts_after\": {}}}",
@@ -274,6 +282,7 @@ fn opt_json(s: &OptStats) -> String {
         s.regs_pretagged,
         s.instrs_vectorized,
         s.instrs_vectorizable,
+        vector_declined,
         s.copies_forwarded,
         s.literals_pinned,
         s.loops_rotated,
@@ -462,6 +471,7 @@ mod tests {
                         regs_pretagged: 5,
                         instrs_vectorized: 12,
                         instrs_vectorizable: 14,
+                        vector_declined: [0, 1, 0, 0, 0],
                         copies_forwarded: 6,
                         literals_pinned: 3,
                         loops_rotated: 2,
@@ -500,7 +510,7 @@ mod tests {
         let report = sample();
         assert_eq!(report.figures[0].variants[0].at_default().config.opt, OptLevel::Default);
         let j = report.to_json();
-        assert!(j.contains("\"schema_version\": 11"));
+        assert!(j.contains("\"schema_version\": 12"));
         assert!(j.contains("band width \\\"8\\\""), "{j}");
         assert!(j.contains(
             "{\"opt_level\": \"none\", \"typed\": false, \"simd\": false, \"instrs\": 120, \
@@ -513,7 +523,11 @@ mod tests {
         ));
         assert!(j.contains("\"loads_hoisted\": 2, \"exprs_hoisted\": 5"));
         assert!(j.contains("\"instrs_typed\": 17, \"regs_pretagged\": 5"));
-        assert!(j.contains("\"instrs_vectorized\": 12, \"instrs_vectorizable\": 14"));
+        assert!(j.contains(
+            "\"instrs_vectorized\": 12, \"instrs_vectorizable\": 14, \"vector_declined\": \
+             {\"not_whitelisted\": 0, \"index_shape\": 1, \"acc_index\": 0, \"effect_shape\": 0, \
+             \"loads_mismatch\": 0}, \"copies_forwarded\": 6"
+        ));
         assert!(j.contains("\"copies_forwarded\": 6, \"literals_pinned\": 3"));
         assert!(j.contains("\"loops_rotated\": 2, \"advances_predicated\": 1"));
         assert!(j.contains("\"merge_skips\": 1, \"merge_declined\": {\"not_a_step_loop\": 0, "));

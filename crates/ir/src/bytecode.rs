@@ -48,7 +48,7 @@ use crate::var::{Names, Var};
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
-pub use crate::isa::{Gather, Instr, MergeForm, Term, VBase, VCost, VFill, VRhs, VScale};
+pub use crate::isa::{Gather, Instr, MergeForm, Term, VAcc, VBase, VCost, VFill, VRhs, VScale};
 
 /// A register of the bytecode VM, identified by a dense index.
 ///
@@ -526,6 +526,13 @@ impl Program {
         let vbase = |base: VBase| match base {
             VBase::Var => "v".to_string(),
             VBase::Scaled { reg, stride } => format!("{}*{stride}+v", r(reg)),
+            VBase::Offset { add: Some(add), sub } => format!("{}-{}+v", r(add), r(sub)),
+            VBase::Offset { add: None, sub } => format!("v-{}", r(sub)),
+        };
+        let vacc = |acc: VAcc| match acc {
+            VAcc { imm, reg: None } => format!("{imm}"),
+            VAcc { imm: 0, reg: Some(reg) } => r(reg),
+            VAcc { imm, reg: Some(reg) } => format!("{}+{imm}", r(reg)),
         };
         let vscaled = |pre: VScale, x: String| match pre {
             VScale::None => x,
@@ -732,8 +739,9 @@ impl Program {
                 let x = format!("b{}[{}]", a.index(), vbase(a_base));
                 let y = format!("b{}[{}]", b.index(), vbase(b_base));
                 format!(
-                    "vmuladd.f64 b{}[{acc_idx}] {} {} for v in [{}, {}) (x{lanes})",
+                    "vmuladd.f64 b{}[{}] {} {} for v in [{}, {}) (x{lanes})",
                     acc.index(),
+                    vacc(acc_idx),
                     reduce_op(Some(op)),
                     binop(BinOp::Mul, x, y),
                     r(counter),
@@ -743,8 +751,9 @@ impl Program {
             Instr::VReduceF64 { acc, acc_idx, src, base, pre, op, counter, hi, lanes, .. } => {
                 let x = vscaled(pre, format!("b{}[{}]", src.index(), vbase(base)));
                 format!(
-                    "vreduce.f64 b{}[{acc_idx}] {} {x} for v in [{}, {}) (x{lanes})",
+                    "vreduce.f64 b{}[{}] {} {x} for v in [{}, {}) (x{lanes})",
                     acc.index(),
+                    vacc(acc_idx),
                     reduce_op(Some(op)),
                     r(counter),
                     r(hi)
@@ -1719,11 +1728,12 @@ mod tests {
                     cost,
                     lanes: 8,
                 },
+                // A window dot into a register-indexed accumulator.
                 Instr::VMulAddF64 {
                     acc: b(2),
-                    acc_idx: 0,
+                    acc_idx: VAcc { imm: 0, reg: Some(Reg(2)) },
                     a: b(0),
-                    a_base: VBase::Var,
+                    a_base: VBase::Offset { add: Some(Reg(2)), sub: Reg(0) },
                     b: b(1),
                     b_base: VBase::Var,
                     op: BinOp::Add,
@@ -1734,7 +1744,7 @@ mod tests {
                 },
                 Instr::VReduceF64 {
                     acc: b(2),
-                    acc_idx: 0,
+                    acc_idx: VAcc { imm: 0, reg: None },
                     src: b(0),
                     base: VBase::Var,
                     pre: VScale::None,
@@ -1773,7 +1783,7 @@ mod tests {
    1: vfill.f64 b0[k*1+v] = x for v in [i, n) (x8)
    2: vmap.f64 b2[v] += b0[v] * 0.75 for v in [i, n) (x8)
    3: vmap.f64 b2[k*4+v] = round_u8(0.6 * b0[k*4+v] + 0.4 * b1[k*4+v]) for v in [i, n) (x8)
-   4: vmuladd.f64 b2[0] += b0[v] * b1[v] for v in [i, n) (x8)
+   4: vmuladd.f64 b2[k] += b0[k-i+v] * b1[v] for v in [i, n) (x8)
    5: vreduce.f64 b2[0] max= b0[v] for v in [i, n) (x8)
    6: vappend.f64 b3.push(v), b4.push(b0[v]) where b0[v] > 0.3 for v in [i, n) (x4)
 ";
@@ -1824,7 +1834,7 @@ mod tests {
             }),
             Box::new(move |r, base, lanes| Instr::VMulAddF64 {
                 acc: b(2),
-                acc_idx: 0,
+                acc_idx: VAcc { imm: 0, reg: Some(r) },
                 a: b(0),
                 a_base: base,
                 b: b(1),
@@ -1837,7 +1847,7 @@ mod tests {
             }),
             Box::new(move |r, base, lanes| Instr::VReduceF64 {
                 acc: b(1),
-                acc_idx: 0,
+                acc_idx: VAcc { imm: 0, reg: None },
                 src: b(0),
                 base,
                 pre: VScale::None,
@@ -1877,6 +1887,8 @@ mod tests {
             assert!(p.validate().unwrap_err().contains("outside the file"));
             let p = base(vec![mk(Reg(0), VBase::Scaled { reg: Reg(9), stride: 1 }, 8)]);
             assert!(p.validate().unwrap_err().contains("outside the file"));
+            let p = base(vec![mk(Reg(0), VBase::Offset { add: None, sub: Reg(9) }, 8)]);
+            assert!(p.validate().unwrap_err().contains("outside the file"));
         }
 
         // A register-valued fill: the register must be in the file, and can
@@ -1899,10 +1911,11 @@ mod tests {
             .unwrap_err()
             .contains("stores a loop register"));
 
-        // A negative accumulator element index is a bad slice range.
-        let p = base(vec![Instr::VMulAddF64 {
+        // A negative accumulator element index is a bad slice range, and its
+        // register must be in the file.
+        let mul_add = |acc_idx| Instr::VMulAddF64 {
             acc: b(0),
-            acc_idx: -1,
+            acc_idx,
             a: b(1),
             a_base: VBase::Var,
             b: b(2),
@@ -1912,8 +1925,11 @@ mod tests {
             hi: Reg(0),
             cost,
             lanes: 8,
-        }]);
+        };
+        let p = base(vec![mul_add(VAcc { imm: -1, reg: None })]);
         assert!(p.validate().unwrap_err().contains("bad slice range"));
+        let p = base(vec![mul_add(VAcc { imm: 0, reg: Some(Reg(9)) })]);
+        assert!(p.validate().unwrap_err().contains("outside the file"));
 
         // Operator whitelists: a logical map reduce, a comparison where
         // arithmetic is required, and arithmetic where a comparison is
@@ -1935,7 +1951,7 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("non-arithmetic vector store reduce"));
         let p = base(vec![Instr::VReduceF64 {
             acc: b(0),
-            acc_idx: 0,
+            acc_idx: VAcc { imm: 0, reg: None },
             src: b(1),
             base: VBase::Var,
             pre: VScale::None,

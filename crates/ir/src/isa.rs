@@ -13,8 +13,8 @@
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
 //! | `reduce("complaint")` | an optional reduction that must satisfy [`is_arith_reduce`] |
 //! | `guard("complaint")` | an optional comparison-with-immediate filter |
-//! | `lanes`, `acc_idx` | a kernel op's unroll width / accumulator index |
-//! | `nested` | a [`VBase`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`MergeForm`], which states its own operands below |
+//! | `lanes` | a kernel op's unroll width |
+//! | `nested` | a [`VBase`] / [`VAcc`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`MergeForm`], which states its own operands below |
 //! | `payload` | anything no analysis looks at (immediates, flags, costs, unconstrained operators) |
 //!
 //! From the table the `isa!` macro derives the enum itself,
@@ -138,7 +138,8 @@ pub(crate) enum Operand<'a, P: Refs> {
     Lanes(u8),
     /// The row stride of a [`VBase::Scaled`] index shape (at least 1).
     Stride(i64),
-    /// A kernel op's constant accumulator element index (non-negative).
+    /// The constant part of a kernel op's accumulator element
+    /// (non-negative).
     AccIdx(i64),
 }
 
@@ -226,9 +227,6 @@ macro_rules! operand {
     };
     ($f:ident, $x:ident, lanes) => {
         $f(Operand::Lanes(*$x))
-    };
-    ($f:ident, $x:ident, acc_idx) => {
-        $f(Operand::AccIdx(*$x))
     };
     ($f:ident, $x:ident, nested) => {
         Walk::walk($x, &mut *$f)
@@ -978,12 +976,13 @@ pub enum Instr {
     /// Inner product: `f64acc[acc_idx] op= a[..] * b[..]` for each bulk
     /// iteration, folded strictly in order (FP reassociation would break
     /// bit-exactness with the scalar loop).  `a` and `b` may be the same
-    /// buffer; neither may alias `acc`.
+    /// buffer; neither may alias `acc`.  (Fig. 9's window dot, a dense
+    /// row norm, a dense dot.)
     VMulAddF64 = "v_mul_add_f64" Kernel {
         /// The F64 accumulator buffer.
         acc: BufId = buf(F64),
-        /// The accumulator's constant element index (non-negative).
-        acc_idx: i64 = acc_idx,
+        /// The accumulator's element, fixed for the whole loop.
+        acc_idx: VAcc = nested,
         /// The first F64 source buffer.
         a: BufId = buf(F64),
         /// First source index shape.
@@ -1008,8 +1007,8 @@ pub enum Instr {
     VReduceF64 = "v_reduce_f64" Kernel {
         /// The F64 accumulator buffer.
         acc: BufId = buf(F64),
-        /// The accumulator's constant element index (non-negative).
-        acc_idx: i64 = acc_idx,
+        /// The accumulator's element, fixed for the whole loop.
+        acc_idx: VAcc = nested,
         /// The F64 source buffer (must not alias `acc`).
         src: BufId = buf(F64),
         /// Source index shape.
@@ -1202,10 +1201,12 @@ pub enum Instr {
 /// unnoticed.
 const _: () = assert!(std::mem::size_of::<Instr>() == 112);
 
-/// Per-iteration element index shape of a vectorized kernel op: either
-/// the loop counter itself (a dense 1-D walk) or `ints[reg] * stride + v`
-/// (a row-major inner loop whose row base is loop-invariant; the base
-/// register must never be written inside the loop body).
+/// Per-iteration element index shape of a vectorized kernel op: the loop
+/// counter `v` plus a loop-invariant offset read from registers the loop
+/// body must never write — none (a dense 1-D walk), a row base
+/// `ints[reg] * stride` (a row-major inner loop), or `ints[add] - ints[sub]`
+/// (a window: Fig. 9's `offset` shifts the filter's coordinate by the
+/// output's, `add` being the row base of a 2-D window and absent in 1-D).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VBase {
     /// The element index is the bulk iteration counter `v` itself.
@@ -1217,6 +1218,14 @@ pub enum VBase {
         /// The row stride (elements per row), at least 1.
         stride: i64,
     },
+    /// The element index is `ints[add] + (v - ints[sub])`, or `v - ints[sub]`
+    /// without `add`.
+    Offset {
+        /// Register holding the loop-invariant base, if any.
+        add: Option<Reg>,
+        /// Register holding the loop-invariant shift subtracted from `v`.
+        sub: Reg,
+    },
 }
 
 walks!(VBase, |base, f| match base {
@@ -1224,6 +1233,32 @@ walks!(VBase, |base, f| match base {
     VBase::Scaled { reg, stride } => {
         f(Operand::Reg(reg, Role::Read));
         f(Operand::Stride(*stride));
+    }
+    VBase::Offset { add, sub } => {
+        if let Some(add) = add {
+            f(Operand::Reg(add, Role::Read));
+        }
+        f(Operand::Reg(sub, Role::Read));
+    }
+});
+
+/// The accumulator element of a [`Instr::VMulAddF64`] /
+/// [`Instr::VReduceF64`]: `imm`, plus `ints[reg]` when there is a register
+/// (a row norm's `acc[k]`, which the enclosing loop walks; the loop body
+/// must never write the register).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VAcc {
+    /// The constant part (non-negative).
+    pub imm: i64,
+    /// The loop-invariant integer register added to it, if any.
+    pub reg: Option<Reg>,
+}
+
+walks!(VAcc, |acc, f| {
+    let VAcc { imm, reg } = acc;
+    f(Operand::AccIdx(*imm));
+    if let Some(reg) = reg {
+        f(Operand::Reg(reg, Role::Read));
     }
 });
 
@@ -1637,11 +1672,11 @@ pub(crate) fn samples() -> Vec<Instr> {
         },
         Instr::VMulAddF64 {
             acc: b(2),
-            acc_idx: 0,
+            acc_idx: VAcc { imm: 1, reg: Some(r(4)) },
             a: b(3),
             a_base: scaled(2),
             b: b(4),
-            b_base: scaled(3),
+            b_base: VBase::Offset { add: Some(r(3)), sub: r(5) },
             op: Add,
             counter: r(0),
             hi: r(1),
@@ -1650,7 +1685,7 @@ pub(crate) fn samples() -> Vec<Instr> {
         },
         Instr::VReduceF64 {
             acc: b(2),
-            acc_idx: 0,
+            acc_idx: VAcc { imm: 1, reg: Some(r(4)) },
             src: b(3),
             base: scaled(2),
             pre: VScale::Right { op: Mul, imm: 2.0 },

@@ -90,7 +90,7 @@ pub use pass::{
 };
 pub use peephole::peephole;
 pub use typing::specialize;
-pub use vectorize::vectorize;
+pub use vectorize::{vectorize, VectorDecline};
 pub use verify::{verify_bytecode, verify_ir};
 
 use crate::buffer::BufferSet;
@@ -183,6 +183,9 @@ pub struct OptStats {
     /// vectorize pass examined (the denominator of the vectorized
     /// fraction).
     pub instrs_vectorizable: u64,
+    /// Innermost typed counted loops [`vectorize()`] looked at and gave no
+    /// kernel op, by reason: indexed like [`VectorDecline::ALL`].
+    pub vector_declined: [u64; VectorDecline::ALL.len()],
     /// Operand reads the `forward` pass pointed past a typed copy, at the
     /// register the copy was made from ([`forward()`]).
     pub copies_forwarded: u64,

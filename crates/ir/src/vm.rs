@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    Gather, Instr, LaneTag, MergeForm, Program, Reg, Term, VBase, VCost, VFill, VRhs, VScale,
+    Gather, Instr, LaneTag, MergeForm, Program, Reg, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
 };
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -894,81 +894,24 @@ impl Vm {
                 // ---- advances the counter.  On any failed precondition
                 // ---- the op does *nothing* and the scalar loop runs every
                 // ---- iteration, so none of these can fault.
-                Instr::VFillStoreF64 { buf, base, val, counter, hi, cost, lanes } => {
-                    self.v_fill(bufs, buf, base, val, counter, hi, cost, lanes);
+                Instr::VFillStoreF64 { .. } => {
+                    self.v_fill(bufs, &code[pc]);
                     pc += 1;
                 }
-                Instr::VMapF64 {
-                    dst,
-                    dst_base,
-                    reduce,
-                    round,
-                    a,
-                    a_base,
-                    a_pre,
-                    rhs,
-                    counter,
-                    hi,
-                    cost,
-                    lanes,
-                } => {
-                    self.v_map(
-                        bufs,
-                        VMapArgs { dst, dst_base, reduce, round, a, a_base, a_pre, rhs },
-                        counter,
-                        hi,
-                        cost,
-                        lanes,
-                    );
+                Instr::VMapF64 { .. } => {
+                    self.v_map(bufs, &code[pc]);
                     pc += 1;
                 }
-                Instr::VMulAddF64 {
-                    acc,
-                    acc_idx,
-                    a,
-                    a_base,
-                    b,
-                    b_base,
-                    op,
-                    counter,
-                    hi,
-                    cost,
-                    ..
-                } => {
-                    self.v_mul_add(
-                        bufs,
-                        acc,
-                        acc_idx,
-                        (a, a_base),
-                        (b, b_base),
-                        op,
-                        counter,
-                        hi,
-                        cost,
-                    );
+                Instr::VMulAddF64 { .. } => {
+                    self.v_mul_add(bufs, &code[pc]);
                     pc += 1;
                 }
-                Instr::VReduceF64 {
-                    acc, acc_idx, src, base, pre, op, counter, hi, cost, ..
-                } => {
-                    self.v_reduce(bufs, acc, acc_idx, src, base, pre, op, counter, hi, cost);
+                Instr::VReduceF64 { .. } => {
+                    self.v_reduce(bufs, &code[pc]);
                     pc += 1;
                 }
-                Instr::VAppendRangeF64 {
-                    idx_out,
-                    val_out,
-                    src,
-                    base,
-                    guard,
-                    counter,
-                    hi,
-                    cost,
-                    pass_cost,
-                    ..
-                } => {
-                    self.v_append_range(
-                        bufs, idx_out, val_out, src, base, guard, counter, hi, cost, pass_cost,
-                    );
+                Instr::VAppendRangeF64 { .. } => {
+                    self.v_append_range(bufs, &code[pc]);
                     pc += 1;
                 }
                 Instr::IMergeSkip { .. } => pc = self.merge_run_ahead(bufs, code, pc),
@@ -1368,12 +1311,24 @@ impl Vm {
     // temporary register and doubles as the remainder handler).
     // -----------------------------------------------------------------
 
-    /// Minimum bulk trip count worth taking: below this, the bulk path's
-    /// precondition checks and slice setup cost more than the per-element
-    /// dispatch it saves (short trips dominate the merge-driven kernels,
-    /// e.g. galloped intersections and variable-block formats), so the op
-    /// declines and the scalar loop runs the whole trip.
-    const VMIN_TRIP: i64 = 8;
+    /// Minimum bulk trip count worth taking, one for every kernel op: below
+    /// it the op's precondition checks and slice setup cost more than the
+    /// dispatches it saves, so the op declines and the scalar loop runs the
+    /// whole trip.
+    ///
+    /// Measured, not guessed: `vectorize`'s ignored `vmin_trip_break_even`
+    /// test (`cargo test --release -p finch-ir vmin_trip_break_even --
+    /// --ignored --nocapture`) times 4 096 entries of a loop of `bulk + 1`
+    /// trips with `simd` on and off, alternately, and prints the median
+    /// time per entry of each.  On a 2-core shared Xeon VM, with the floor
+    /// at 1, the op's time over the scalar loop's read, at bulk 1, 2, 3, 4
+    /// (four runs): `VMulAddF64` 1.02–1.11, 0.73–0.77, 0.57–0.60,
+    /// 0.48–0.51; `VFillStoreF64` 0.91–1.00, 0.73–0.76, 0.58–0.62,
+    /// 0.49–0.55; `VMapF64` 1.03–1.12, 0.80–0.81, 0.66–0.69, 0.57–0.62.
+    /// Every op breaks even between bulk 1 and 2, so the floor is 2: Fig. 9's
+    /// window dot (bulk 2–4 per entry) and run-length regions of a few
+    /// pixels run as one op.
+    pub(crate) const VMIN_TRIP: i64 = 2;
 
     /// Bulk trip count `hi - lo` when enough bulk iterations remain to
     /// amortize the setup (plus the scalar-loop final iteration).
@@ -1407,7 +1362,18 @@ impl Vm {
         match base {
             VBase::Var => 0,
             VBase::Scaled { reg, stride } => self.ints[reg.index()] as i128 * stride as i128,
+            VBase::Offset { add, sub } => {
+                add.map_or(0, |add| self.ints[add.index()] as i128) - self.ints[sub.index()] as i128
+            }
         }
+    }
+
+    /// The accumulator element `acc` names in an F64 buffer of `len`
+    /// elements, or `None` when it is out of bounds.
+    #[inline]
+    fn vacc_index(&self, acc: VAcc, len: usize) -> Option<usize> {
+        let reg = acc.reg.map_or(0, |reg| self.ints[reg.index()] as i128);
+        usize::try_from(acc.imm as i128 + reg).ok().filter(|&k| k < len)
     }
 
     /// The in-bounds element range `[off+lo, off+hi)` of an F64 buffer,
@@ -1461,18 +1427,11 @@ impl Vm {
     /// [`Instr::VFillStoreF64`]: `buf[base + v] = val` for the bulk.  A
     /// register value is read from the float lane, like the typed
     /// `StoreF64` of the scalar body that proves the lane holds it.
-    #[allow(clippy::too_many_arguments)]
-    fn v_fill(
-        &mut self,
-        bufs: &mut BufferSet,
-        buf: BufId,
-        base: VBase,
-        val: VFill,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-        lanes: u8,
-    ) {
+    #[inline(never)]
+    fn v_fill(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::VFillStoreF64 { buf, base, val, counter, hi, cost, lanes } = *instr else {
+            unreachable!("dispatched on a VFillStoreF64")
+        };
         let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
         let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
         if !self.vbudget_ok(n, cost.stmts as u64) {
@@ -1495,29 +1454,39 @@ impl Vm {
     /// bulk.  The destination is lifted out of the set for the duration
     /// so the sources can be read while it is written (it aliases
     /// neither source — checked; the two sources may alias each other).
-    fn v_map(
-        &mut self,
-        bufs: &mut BufferSet,
-        m: VMapArgs,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-        lanes: u8,
-    ) {
+    #[inline(never)]
+    fn v_map(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::VMapF64 {
+            dst,
+            dst_base,
+            reduce,
+            round,
+            a,
+            a_base,
+            a_pre,
+            rhs,
+            counter,
+            hi,
+            cost,
+            lanes,
+        } = *instr
+        else {
+            unreachable!("dispatched on a VMapF64")
+        };
         let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
         let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) || m.dst == m.a {
+        if !self.vbudget_ok(n, cost.stmts as u64) || dst == a {
             return;
         }
-        let Some(dspan) = Self::vf64_span(bufs, m.dst, self.vbase_off(m.dst_base), lo, hiv) else {
+        let Some(dspan) = Self::vf64_span(bufs, dst, self.vbase_off(dst_base), lo, hiv) else {
             return;
         };
-        let Some(aspan) = Self::vf64_span(bufs, m.a, self.vbase_off(m.a_base), lo, hiv) else {
+        let Some(aspan) = Self::vf64_span(bufs, a, self.vbase_off(a_base), lo, hiv) else {
             return;
         };
-        let bspan = match m.rhs {
+        let bspan = match rhs {
             VRhs::Buf { buf, base, .. } => {
-                if m.dst == buf {
+                if dst == buf {
                     return;
                 }
                 match Self::vf64_span(bufs, buf, self.vbase_off(base), lo, hiv) {
@@ -1527,14 +1496,13 @@ impl Vm {
             }
             _ => None,
         };
-        let mut lifted = std::mem::replace(bufs.get_mut(m.dst), Buffer::F64(Vec::new().into()));
+        let mut lifted = lift(bufs, dst);
         {
             let Buffer::F64(ddata) = &mut lifted else { unreachable!() };
-            let Buffer::F64(adata) = bufs.get(m.a) else { unreachable!() };
+            let Buffer::F64(adata) = bufs.get(a) else { unreachable!() };
             let dslice = &mut ddata[dspan];
             let aslice = &adata[aspan];
-            let (a_pre, round, reduce) = (m.a_pre, m.round, m.reduce);
-            match (m.rhs, bspan) {
+            match (rhs, bspan) {
                 (VRhs::None, _) => {
                     vmap2_f64(dslice, aslice, reduce, lanes, |x| {
                         Self::vpost(round, Self::vscale(a_pre, x))
@@ -1558,7 +1526,7 @@ impl Vm {
                 (VRhs::Buf { .. }, None) => unreachable!(),
             }
         }
-        *bufs.get_mut(m.dst) = lifted;
+        *bufs.get_mut(dst) = lifted;
         self.stats.loop_iters += n;
         self.vbump(n, cost);
         self.ints[counter.index()] = hiv;
@@ -1568,43 +1536,35 @@ impl Vm {
     /// strictly in order (bit-exact with the scalar loop because the
     /// accumulator aliases neither source — checked; `a` and `b` may be
     /// the same buffer).
-    #[allow(clippy::too_many_arguments)]
-    fn v_mul_add(
-        &mut self,
-        bufs: &mut BufferSet,
-        acc: BufId,
-        acc_idx: i64,
-        a: (BufId, VBase),
-        b: (BufId, VBase),
-        op: BinOp,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-    ) {
+    #[inline(never)]
+    fn v_mul_add(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::VMulAddF64 { acc, acc_idx, a, a_base, b, b_base, op, counter, hi, cost, .. } =
+            *instr
+        else {
+            unreachable!("dispatched on a VMulAddF64")
+        };
         let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
         let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) || acc == a.0 || acc == b.0 {
+        if !self.vbudget_ok(n, cost.stmts as u64) || acc == a || acc == b {
             return;
         }
         let Buffer::F64(accd) = bufs.get(acc) else { return };
-        if acc_idx < 0 || acc_idx as usize >= accd.len() {
-            return;
-        }
-        let mut t = accd[acc_idx as usize];
-        let Some(aspan) = Self::vf64_span(bufs, a.0, self.vbase_off(a.1), lo, hiv) else {
+        let Some(k) = self.vacc_index(acc_idx, accd.len()) else { return };
+        let mut t = accd[k];
+        let Some(aspan) = Self::vf64_span(bufs, a, self.vbase_off(a_base), lo, hiv) else {
             return;
         };
-        let Some(bspan) = Self::vf64_span(bufs, b.0, self.vbase_off(b.1), lo, hiv) else {
+        let Some(bspan) = Self::vf64_span(bufs, b, self.vbase_off(b_base), lo, hiv) else {
             return;
         };
-        let (Buffer::F64(adata), Buffer::F64(bdata)) = (bufs.get(a.0), bufs.get(b.0)) else {
+        let (Buffer::F64(adata), Buffer::F64(bdata)) = (bufs.get(a), bufs.get(b)) else {
             unreachable!()
         };
         for (&x, &y) in adata[aspan].iter().zip(&bdata[bspan]) {
             t = Self::float_arith(op, t, x * y);
         }
         match bufs.get_mut(acc) {
-            Buffer::F64(d) => d[acc_idx as usize] = t,
+            Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
         }
         self.stats.loop_iters += n;
@@ -1614,30 +1574,20 @@ impl Vm {
 
     /// [`Instr::VReduceF64`]: `acc[acc_idx] op= pre(src[..])` folded
     /// strictly in order.
-    #[allow(clippy::too_many_arguments)]
-    fn v_reduce(
-        &mut self,
-        bufs: &mut BufferSet,
-        acc: BufId,
-        acc_idx: i64,
-        src: BufId,
-        base: VBase,
-        pre: VScale,
-        op: BinOp,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-    ) {
+    #[inline(never)]
+    fn v_reduce(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::VReduceF64 { acc, acc_idx, src, base, pre, op, counter, hi, cost, .. } = *instr
+        else {
+            unreachable!("dispatched on a VReduceF64")
+        };
         let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
         let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
         if !self.vbudget_ok(n, cost.stmts as u64) || acc == src {
             return;
         }
         let Buffer::F64(accd) = bufs.get(acc) else { return };
-        if acc_idx < 0 || acc_idx as usize >= accd.len() {
-            return;
-        }
-        let mut t = accd[acc_idx as usize];
+        let Some(k) = self.vacc_index(acc_idx, accd.len()) else { return };
+        let mut t = accd[k];
         let Some(span) = Self::vf64_span(bufs, src, self.vbase_off(base), lo, hiv) else {
             return;
         };
@@ -1646,7 +1596,7 @@ impl Vm {
             t = Self::float_arith(op, t, Self::vscale(pre, x));
         }
         match bufs.get_mut(acc) {
-            Buffer::F64(d) => d[acc_idx as usize] = t,
+            Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
         }
         self.stats.loop_iters += n;
@@ -1656,20 +1606,23 @@ impl Vm {
 
     /// [`Instr::VAppendRangeF64`]: `idx_out.push(v)` / `val_out.push(
     /// src[base + v])` for each (passing) bulk iteration.
-    #[allow(clippy::too_many_arguments)]
-    fn v_append_range(
-        &mut self,
-        bufs: &mut BufferSet,
-        idx_out: BufId,
-        val_out: BufId,
-        src: BufId,
-        base: VBase,
-        guard: Option<(BinOp, f64)>,
-        counter: Reg,
-        hi: Reg,
-        cost: VCost,
-        pass_cost: VCost,
-    ) {
+    #[inline(never)]
+    fn v_append_range(&mut self, bufs: &mut BufferSet, instr: &Instr) {
+        let Instr::VAppendRangeF64 {
+            idx_out,
+            val_out,
+            src,
+            base,
+            guard,
+            counter,
+            hi,
+            cost,
+            pass_cost,
+            ..
+        } = *instr
+        else {
+            unreachable!("dispatched on a VAppendRangeF64")
+        };
         let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
         let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
         // Worst case every iteration passes the guard.
@@ -1693,8 +1646,8 @@ impl Vm {
         let Some(span) = Self::vf64_span(bufs, src, self.vbase_off(base), lo, hiv) else {
             return;
         };
-        let mut ilifted = std::mem::replace(bufs.get_mut(idx_out), Buffer::I64(Vec::new().into()));
-        let mut vlifted = std::mem::replace(bufs.get_mut(val_out), Buffer::F64(Vec::new().into()));
+        let mut ilifted = lift(bufs, idx_out);
+        let mut vlifted = lift(bufs, val_out);
         let passes;
         {
             let Buffer::I64(ivec) = &mut ilifted else { unreachable!() };
@@ -2037,20 +1990,6 @@ impl Vm {
     }
 }
 
-/// The map-shape operands of [`Instr::VMapF64`], bundled so the executor
-/// signature stays readable.
-#[derive(Clone, Copy)]
-struct VMapArgs {
-    dst: BufId,
-    dst_base: VBase,
-    reduce: Option<BinOp>,
-    round: bool,
-    a: BufId,
-    a_base: VBase,
-    a_pre: VScale,
-    rhs: VRhs,
-}
-
 /// The element range `[off+lo, off+hi)` of a buffer of `len` elements,
 /// or `None` when any index of the bulk would fall out of bounds (the
 /// offset is exact `i128` arithmetic, so index overflow lands here too).
@@ -2108,6 +2047,14 @@ fn vmap2_lanes<const L: usize>(
     for (d, &x) in dr.iter_mut().zip(ar) {
         *d = vcombine(reduce, *d, f(x));
     }
+}
+
+/// Take a kernel op's destination out of the set, so that its sources can
+/// be read while it is written; the caller puts it back.  An empty `Bool`
+/// holds its place because it allocates nothing (an empty aligned lane
+/// reserves its padding): lifting is on every short bulk's path.
+fn lift(bufs: &mut BufferSet, id: BufId) -> Buffer {
+    std::mem::replace(bufs.get_mut(id), Buffer::Bool(Vec::new()))
 }
 
 /// Unrolled two-source map over pre-checked, equal-length slices.

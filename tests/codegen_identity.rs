@@ -49,12 +49,17 @@ fn texts(kernel: &CompiledKernel) -> [(&'static str, String); 3] {
         "advances_predicated",
         "merge_skips",
     ];
-    // Why a loop was given no run-ahead op is a reason, not generated code.
-    let decided = OptStats { merge_declined: Default::default(), ..kernel.opt_stats() };
+    // Why a loop was given no kernel op is a reason, not generated code.
+    let decided = OptStats {
+        merge_declined: Default::default(),
+        vector_declined: Default::default(),
+        ..kernel.opt_stats()
+    };
     let opt_stats = LATER_COUNTERS
         .iter()
         .fold(format!("{decided:?}"), |text, name| text.replace(&format!(" {name}: 0,"), ""))
-        .replace(&format!(" merge_declined: {:?},", decided.merge_declined), "");
+        .replace(&format!(" merge_declined: {:?},", decided.merge_declined), "")
+        .replace(&format!(" vector_declined: {:?},", decided.vector_declined), "");
     let meta = format!(
         "num_regs {}\npretags {:?}\nopt_stats {opt_stats}\n",
         program.num_regs(),

@@ -15,10 +15,13 @@
 //!
 //! and checks that no innermost loop dispatches what computes nothing: a
 //! copy of a variable or a literal into an operand temporary, or an
-//! unconditional jump.  A bound that moves is a change to the bytecode back
-//! end (`peephole` / `typing` / `forward` / `merge_skip` / `finalize`):
-//! lower it when the change pays, and say why when it does not.  These are
-//! the first rows of ROADMAP's "Pin the paper's shapes on exact counters".
+//! unconditional jump.  For the dense kernels of Figs. 9 and 11 it pins the
+//! dispatches per entry of the loop a vectorized kernel op runs.  A bound
+//! that moves is a change to the bytecode back end (`peephole` / `typing` /
+//! `vectorize` / `forward` / `merge_skip` / `finalize`, or the VM's
+//! `VMIN_TRIP`): lower it when the change pays, and say why when it does
+//! not.  These are the first rows of ROADMAP's "Pin the paper's shapes on
+//! exact counters".
 //!
 //! An iteration is one the loop *performs*, dispatched or not: a loop that
 //! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger, VBL and
@@ -31,7 +34,7 @@
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
 //! more scalar iterations dispatched than there are matches and loop entries.
 
-use finch_bench::{figure_tables, Variant};
+use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
 use finch_ir::{Instr, MergeForm, Program};
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
@@ -305,6 +308,73 @@ fn merge_kernels_stay_within_their_dispatch_budgets() {
     }
     if !failures.is_empty() {
         println!("---- measured ----\n{table}---- end ----");
+        panic!("{}", failures.join("\n"));
+    }
+}
+
+/// The loops a vectorized kernel op runs: figure, variant label, and the
+/// dispatches per entry of the busiest such loop in hundredths — the op, the
+/// loop head, and the one scalar trip the op leaves, whatever the trip
+/// count.  Fig. 9's window dot has 3 to 5 taps at the 5 × 5 filter the
+/// benchmark uses (the `--tiny` filter is 3 × 3, whose 2-tap edge windows
+/// are below `Vm::VMIN_TRIP` and run scalar); Fig. 11's is the row norm
+/// `b2[k] += b0[inv + ij] * b0[inv + ij]`.
+const PER_ENTRY: &[(&str, &str, u64)] =
+    &[("fig09", "dense (OpenCV-style)", 900), ("fig11", "dense", 800)];
+
+#[test]
+fn vectorized_loops_dispatch_one_scalar_trip_per_entry() {
+    let fig09 = fig09_variants(12, 5, &[0.1]).into_iter().flat_map(|(_, v)| v);
+    let kernels = fig09
+        .map(|v| ("fig09", v))
+        .chain(fig11_variants(3, 8, "mnist").into_iter().map(|v| ("fig11", v)));
+    let mut measured = String::new();
+    let mut failures = Vec::new();
+    for (figure, variant) in kernels {
+        let Some(&(_, _, budget)) =
+            PER_ENTRY.iter().find(|row| (row.0, row.1) == (figure, variant.label.as_str()))
+        else {
+            continue;
+        };
+        let mut kernel = variant.kernel;
+        let (stats, per_pc) = kernel.profile().expect("the kernel runs");
+        let mut scalar = kernel
+            .reconfigured(&ExecConfig { simd: false, ..kernel.config() })
+            .expect("the kernel compiles without kernel ops");
+        let (scalar_stats, _) = scalar.profile().expect("the scalar kernel runs");
+        assert_eq!(stats, scalar_stats, "{figure}/{}: kernel ops change no counter", variant.label);
+        let program = kernel.bytecode();
+        let code = program.code();
+        // Each op sits right in front of its loop's head: dispatched once per
+        // entry, with the head, the body and the bottom test behind it.
+        let busiest = code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.opcode().starts_with("v_"))
+            .map(|(op, _)| {
+                let Instr::IForTest { end, .. } = code[op + 1] else {
+                    panic!("{figure}: the op precedes its head")
+                };
+                let dispatched: u64 = per_pc[op..end as usize].iter().sum();
+                (dispatched, per_pc[op + 1])
+            })
+            .max()
+            .unwrap_or_else(|| {
+                panic!("{figure}/{}: no kernel op\n{}", variant.label, program.disasm())
+            });
+        let per_entry = (busiest.0 * 100).div_ceil(busiest.1.max(1));
+        measured.push_str(&format!("    ({figure:?}, {:?}, {per_entry}),\n", variant.label));
+        if per_entry > budget {
+            failures.push(format!(
+                "{figure}/{}: {per_entry} per entry (budget {budget})\n{}",
+                variant.label,
+                program.disasm()
+            ));
+        }
+    }
+    assert_eq!(measured.lines().count(), PER_ENTRY.len(), "every row has its kernel");
+    if !failures.is_empty() {
+        println!("---- measured ----\n{measured}---- end ----");
         panic!("{}", failures.join("\n"));
     }
 }
