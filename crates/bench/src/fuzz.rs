@@ -38,6 +38,8 @@ pub enum VecFormat {
     Band,
     /// A variable block list: each maximal run of nonzeros one block.
     Vbl,
+    /// Run-length encoded: each maximal run of equal values one run.
+    Rle,
 }
 
 impl VecFormat {
@@ -48,6 +50,7 @@ impl VecFormat {
             VecFormat::SparseList => Tensor::sparse_list_vector(name, data),
             VecFormat::Band => Tensor::band_vector(name, data),
             VecFormat::Vbl => Tensor::vbl_vector(name, data),
+            VecFormat::Rle => Tensor::rle_vector(name, data),
         }
     }
 
@@ -58,6 +61,7 @@ impl VecFormat {
             VecFormat::SparseList => "VecFormat::SparseList",
             VecFormat::Band => "VecFormat::Band",
             VecFormat::Vbl => "VecFormat::Vbl",
+            VecFormat::Rle => "VecFormat::Rle",
         }
     }
 }
@@ -528,6 +532,11 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
     let same_support = rng.below_in(0, 6) == 0;
     let count = rng.below_in(1, 9);
     let seed = rng.next_u64();
+    // One vector in four is run-length encoded, drawn from a stream of its
+    // own: every other case keeps the formats its seed drew without it.
+    let rng = &mut TestRng::from_seed(seed ^ 0x524C_4520);
+    let mut rle = |format| if rng.below_in(0, 4) == 0 { VecFormat::Rle } else { format };
+    let (a_format, b_format) = (rle(a_format), rle(b_format));
     // The statements draw from a stream of their own: a new statement shape
     // does not reshuffle which formats and fills a seed covers.
     let rng = &mut TestRng::from_seed(seed);
@@ -751,6 +760,47 @@ mod tests {
         let lone: Vec<&FuzzCase> = drawn.iter().filter(located).collect();
         assert!(!lone.is_empty(), "the smoke draw dotted no walked list with a located vector");
         lone.into_iter().for_each(gathers);
+    }
+
+    /// A `Dot` of two run-length vectors is Fig. 11's run × run product, the
+    /// two-finger reduction: under every pairing of fills, and wherever the
+    /// smoke draw makes one, it emits the op and runs divergence-free on
+    /// every leg, the passed-deadline leg among them.
+    #[test]
+    fn run_length_dots_draw_the_two_finger_reduction_and_run_divergence_free() {
+        let reduces = |case: &FuzzCase| {
+            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+            let disasm = kernel.bytecode().disasm();
+            let two_fingers = |line: &str| line.contains("gather_reduce") && line.contains(" ~ b");
+            assert!(disasm.lines().any(two_fingers), "{case:?}: the reduction\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        };
+        let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
+        for (k, a_fill) in fills.into_iter().enumerate() {
+            for b_fill in fills {
+                for same_support in [false, true] {
+                    reduces(&FuzzCase {
+                        seed: 61 + k as u64,
+                        n: 24,
+                        a_format: VecFormat::Rle,
+                        b_format: VecFormat::Rle,
+                        a_fill,
+                        b_fill,
+                        same_support,
+                        stmts: vec![StmtSpec::Dot { pa: Protocol::Default, pb: Protocol::Default }],
+                    });
+                }
+            }
+        }
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let runs = |case: &&FuzzCase| {
+            (case.a_format, case.b_format) == (VecFormat::Rle, VecFormat::Rle)
+                && case.stmts.iter().any(|stmt| matches!(stmt, StmtSpec::Dot { .. }))
+        };
+        let cases: Vec<&FuzzCase> = drawn.iter().filter(runs).collect();
+        assert!(!cases.is_empty(), "the smoke draw dotted no two run-length vectors");
+        cases.into_iter().for_each(reduces);
     }
 
     /// VBL against a walked sparse list is the run-ahead's block form: the

@@ -48,7 +48,9 @@ use crate::var::{Names, Var};
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
-pub use crate::isa::{Gather, Instr, MergeForm, Term, VAcc, VBase, VCost, VFill, VRhs, VScale};
+pub use crate::isa::{
+    Fingers, Gather, Instr, MergeForm, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
+};
 
 /// A register of the bytecode VM, identified by a dense index.
 ///
@@ -100,6 +102,21 @@ pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
         }
     }
     targets
+}
+
+/// Whether `reg` holds the integer literal `imm` wherever the program reads
+/// it: the `forward` pass's pinned register, written once, by the run of
+/// literals at pc 0, and never again.
+pub(crate) fn holds_literal(code: &[Instr], reg: Reg, imm: i64) -> bool {
+    let prologue =
+        code.iter().take_while(|i| matches!(i, Instr::ConstI { .. } | Instr::ConstF { .. }));
+    let pinned = prologue.filter(|&&i| i == Instr::ConstI { dst: reg, imm }).count() == 1;
+    let writes = |instr: &Instr| {
+        let mut writes = false;
+        for_each_reg_role(instr, |r, role| writes |= r == reg && role != Role::Read);
+        writes
+    };
+    pinned && code.iter().filter(|instr| writes(instr)).count() == 1
 }
 
 /// "No jump target" in an [`edge_table`].
@@ -822,10 +839,25 @@ impl Program {
                     r(stop),
                 )
             }
-            Instr::IGatherReduce { crd, val, p, gather, acc, k, op, start, stop, stmts, loads } => {
+            Instr::IGatherReduce {
+                crd,
+                val,
+                p,
+                fingers,
+                gather,
+                extent,
+                acc,
+                k,
+                op,
+                start,
+                stop,
+                stmts,
+                loads,
+            } => {
                 let p = r(p);
-                let gathered = match gather {
+                let mut factors = match gather {
                     Gather::None => String::new(),
+                    Gather::At { x, at } => format!(" * b{}[{}]", x.index(), r(at)),
                     Gather::Load { x, ofs } => {
                         let mut at = format!("b{}[{p}]", crd.index());
                         for term in ofs {
@@ -842,9 +874,26 @@ impl Program {
                         format!(" * b{}[{at}]", x.index())
                     }
                 };
+                if extent {
+                    factors += " * extent";
+                }
+                let (over, steps) = match fingers {
+                    Fingers::One => {
+                        (String::new(), format!("{p} += 1 ; +{stmts} stmt +{loads} load"))
+                    }
+                    Fingers::Two { crd: b, q, adv_p, adv_q } => {
+                        let q = r(q);
+                        (
+                            format!(" over b{}[{p}] ~ b{}[{q}]", crd.index(), b.index()),
+                            format!(
+                                "+{stmts} stmt +{loads} load | {p} += 1 ; +{adv_p} stmt \
+                                 | {q} += 1 ; +{adv_q} stmt"
+                            ),
+                        )
+                    }
+                };
                 format!(
-                    "gather_reduce b{}[{}] {} b{}[{p}]{gathered} in {}..={} (i64) \
-                     {{ {p} += 1 ; +{stmts} stmt +{loads} load }}",
+                    "gather_reduce b{}[{}] {} b{}[{p}]{factors}{over} in {}..={} (i64) {{ {steps} }}",
                     acc.index(),
                     r(k),
                     reduce_op(Some(op)),

@@ -1136,45 +1136,59 @@ pub enum Instr {
         /// aside).
         loads_b: u32 = payload,
     },
-    /// Gather reduction of a lone stepper (Fig. 1's sparse list against a
-    /// located operand), placed like [`Instr::IMergeSkip`]: at the top of an
-    /// iteration of
+    /// The step loop's reduction (Fig. 1's sparse list against a located
+    /// operand; Fig. 11's run-length rows), placed like
+    /// [`Instr::IMergeSkip`]: at the top of an iteration of
     ///
     /// ```text
     /// while start <= stop {
-    ///     s = crd[p] ; ss = min(s, stop)
-    ///     if ss == s { acc[k] op= val[p] * x[ss + ofs] }
-    ///     if s == ss { p += 1 }
+    ///     s1 = crd[p] ; ss = min(s1, stop)     // one finger
+    ///     s2 = b[q] ; ss = min(min(s1, s2), stop)  // or two
+    ///     acc[k] op= val[p] * second * extent
+    ///     if s1 == ss { p += 1 } ; if s2 == ss { q += 1 }
     ///     start = ss + 1
     /// }
     /// ```
     ///
-    /// execute, in one native loop, every iteration whose stride is below
-    /// the bound (`s + 1 <= stop`): the body runs and the loop goes on.
-    /// The op folds `val[p] * x[s + ofs]` (or `val[p]` alone) into a local
-    /// strictly in order, as the scalar stores do, and stores `acc[k]` once.
-    /// `ofs` is loop-invariant: the op evaluates its terms once per
-    /// dispatch, with the scalar code's wrapping `i64` arithmetic, and does
-    /// nothing if one of their loads is out of bounds.  `p` and `start` are
-    /// set, and [`crate::interp::ExecStats`] grow by one loop iteration,
-    /// `stmts` statements, `loads` loads (the invariant terms' included)
-    /// and one store per iteration.
+    /// execute, in one native loop, every iteration that is not the loop's
+    /// last (`ss + 1 <= stop`): the body runs and the loop goes on.  The
+    /// body's factors are `val[p]`, then the [`Gather`] (none, a value at a
+    /// finger, or `x[ss + ofs]`), then — `extent` — the step's length
+    /// `max(ss - start + 1, 0)`; the op multiplies them in that order, as
+    /// the scalar code does, the extent in `f64` as the generic `*` of
+    /// [`crate::value::Value::binop`] converts it, and with the scalar
+    /// code's wrapping `i64` arithmetic.  A lone stepper's body may be
+    /// guarded by `ss == s1`: its steps end at its stride, which is below
+    /// the bound.  The op folds each body's value into a local strictly in
+    /// order, as the scalar stores do, and stores `acc[k]` once.  `ofs` is
+    /// loop-invariant: the op evaluates its terms once per dispatch, and does
+    /// nothing if one of their loads is out of bounds.  The fingers, and
+    /// `start`, are set, and [`crate::interp::ExecStats`] grow by one loop
+    /// iteration, `stmts` statements (a lone finger's advance included),
+    /// `loads` loads (the invariant terms' included) and one store per
+    /// iteration, and by the statements of each advance of two fingers
+    /// ([`Fingers::Two`]) that fires.
     ///
     /// The op stops in front of the loop's last iteration, a load past a
-    /// buffer or of the wrong kind (the gather included), and an iteration
-    /// that might cross [`crate::vm::Vm`]'s statement limit, as
+    /// buffer or of the wrong kind (the second factor included), and an
+    /// iteration that might cross [`crate::vm::Vm`]'s statement limit, as
     /// [`Instr::IMergeSkip`] does — so the scalar loop under it, left as it
     /// was, still runs every iteration that ends the loop, faults or trips.
     IGatherReduce = "i_gather_reduce" TagFree {
-        /// The walked list's sorted I64 coordinates.
+        /// The first finger's sorted I64 coordinates.
         crd: BufId = buf(I64),
-        /// The walked list's F64 values.
+        /// The first factor: the first finger's F64 values.
         val: BufId = buf(F64),
-        /// The finger: a position in `crd` and `val` (proven `Int`).
+        /// The first finger: a position in `crd` and `val` (proven `Int`).
         p: Reg = reg(ReadWrite),
-        /// The second factor: none, or a load of `x` at the coordinate
-        /// plus loop-invariant terms.
+        /// One finger, or a second under a `min` leader.
+        fingers: Fingers = nested,
+        /// The second factor: none, a value at a finger, or a load of `x`
+        /// at the step's end plus loop-invariant terms.
         gather: Gather = nested,
+        /// Whether the step's extent, `max(ss - start + 1, 0)`, is the last
+        /// factor.
+        extent: bool = payload,
         /// The F64 accumulator, distinct from every source.
         acc: BufId = buf(F64),
         /// The accumulator's element (proven `Int`; the loop does not
@@ -1184,9 +1198,11 @@ pub enum Instr {
         op: BinOp = op(is_float_arith, "unsupported gather reduce op"),
         /// The loop's `step_start`, set to one past the last performed step.
         start: Reg = reg(ReadWrite),
-        /// The loop's inclusive bound (proven `Int`).
+        /// The loop's inclusive bound (proven `Int`): a register, or the
+        /// pinned register of a literal bound.
         stop: Reg = reg(Read),
-        /// Statements of a performed iteration.
+        /// Statements of a performed iteration, a second finger's advances
+        /// aside.
         stmts: u32 = payload,
         /// Loads of a performed iteration.
         loads: u32 = payload,
@@ -1319,13 +1335,49 @@ walks!(MergeForm, |form, f| match form {
     }
 });
 
+/// The fingers of an [`Instr::IGatherReduce`]'s loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fingers {
+    /// A lone stepper `p`: a performed step ends at its stride and advances
+    /// it, and the advance's statements are in the op's `stmts`.
+    One,
+    /// A second stepper under a `min` leader: the step ends at the earlier
+    /// stride and advances each finger whose stride it is — both, on a tie
+    /// — accounting `adv_p` (`adv_q`) statements where `p` (`q`) advances.
+    Two {
+        /// The second finger's sorted I64 coordinates.
+        crd: BufId,
+        /// The second finger: a position in `crd` (proven `Int`).
+        q: Reg,
+        /// Statements of `p`'s advance.
+        adv_p: u32,
+        /// Statements of `q`'s advance.
+        adv_q: u32,
+    },
+}
+
+walks!(Fingers, |fingers, f| match fingers {
+    Fingers::One => {}
+    Fingers::Two { crd, q, .. } => {
+        f(Operand::Buf(crd, Elem::I64));
+        f(Operand::Reg(q, Role::ReadWrite));
+    }
+});
+
 /// The second factor of an [`Instr::IGatherReduce`]'s body.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gather {
-    /// None: the body is `acc[k] op= val[p]`.
+    /// None: the body is `acc[k] op= val[p]` (times the extent).
     None,
-    /// `x[s + ofs]`, where `s` is the stride and `ofs` the wrapping sum of
-    /// the terms.
+    /// `x[at]`, a value at a finger: `at` is `p` or the second finger.
+    At {
+        /// The F64 buffer read from.
+        x: BufId,
+        /// The finger.
+        at: Reg,
+    },
+    /// `x[ss + ofs]`, where `ss` is the step's end and `ofs` the wrapping
+    /// sum of the terms.
     Load {
         /// The F64 buffer gathered from.
         x: BufId,
@@ -1336,6 +1388,10 @@ pub enum Gather {
 
 walks!(Gather, |gather, f| match gather {
     Gather::None => {}
+    Gather::At { x, at } => {
+        f(Operand::Buf(x, Elem::F64));
+        f(Operand::Reg(at, Role::Read));
+    }
     Gather::Load { x, ofs } => {
         f(Operand::Buf(x, Elem::F64));
         for term in ofs {
@@ -1724,10 +1780,12 @@ pub(crate) fn samples() -> Vec<Instr> {
             crd: b(0),
             val: b(2),
             p: r(0),
+            fingers: Fingers::Two { crd: b(1), q: r(6), adv_p: 1, adv_q: 2 },
             gather: Gather::Load {
                 x: b(3),
                 ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
             },
+            extent: true,
             acc: b(4),
             k: r(1),
             op: Add,
@@ -1795,12 +1853,15 @@ mod tests {
                 ];
                 (code, 1)
             }
-            (_, Instr::IGatherReduce { p, start, stop, .. }) => {
-                let (op, ss) = (BinOp::Le, r(6));
+            (_, Instr::IGatherReduce { p, fingers: Fingers::Two { q, .. }, start, stop, .. }) => {
+                let (op, ss) = (BinOp::Le, r(7));
+                let step =
+                    |reg| Instr::IAdvance { op: BinOp::Eq, lhs: ss, rhs: ss, reg, by: 1, stmts: 1 };
                 let code = vec![
-                    Instr::IWhileCmp { op, lhs: start, rhs: stop, end: 5 },
+                    Instr::IWhileCmp { op, lhs: start, rhs: stop, end: 6 },
                     sample,
-                    Instr::IAdvance { op: BinOp::Eq, lhs: ss, rhs: ss, reg: p, by: 1, stmts: 1 },
+                    step(p),
+                    step(q),
                     Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 },
                     Instr::IWhileNext { op, lhs: start, rhs: stop, body: 1 },
                 ];

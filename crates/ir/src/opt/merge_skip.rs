@@ -1,5 +1,5 @@
 //! Run-ahead selection for the step loop: the two-finger merge, and the
-//! lone stepper's gather reduction.
+//! step loop's reduction.
 //!
 //! Lowering coiterates two fingers with one step loop (paper §6.1), which
 //! reaches this pass, typed and through `forward`, as
@@ -15,6 +15,13 @@
 //!     start = ss + 1                  IArithImm(Add)
 //! next while start <= stop            IWhileNext
 //! ```
+//!
+//! A literal bound (Fig. 11's `575`, the last coordinate of a 24 × 24
+//! image) is inlined where the loop reads it — an [`Instr::IWhileCmpImm`]
+//! head, an [`Instr::IArithImm`] `min` clip — but for the bottom test, which
+//! reads it from its pinned register, the one `forward`'s prologue writes
+//! once at pc 0.  That register is the ops' `stop`, and the walks take the
+//! clip by the literal for the bound.
 //!
 //! Steppers elect the earlier stride (`min`), jumpers the later (`max`).
 //! The finger whose stride ends the step leads; the other trails, and what
@@ -49,16 +56,23 @@
 //! the op from the iterations it performs, and the pass runs under
 //! [`super::StatsContract::Exact`].
 //!
-//! A loop with one stepper has nothing to skip: on Fig. 1's list × band
-//! every step but the last runs the body.  Where that body is a gather
-//! reduction — `acc[k] op= val[p] * x[s + ofs]`, or `acc[k] op= val[p]`,
-//! with `k` and the terms of `ofs` loads and registers the loop does not
-//! write — the pass places an [`Instr::IGatherReduce`] in the same place,
-//! which performs every step whose stride is below the bound, body and all
-//! (`gather_reduce`).  One such step is walked from the top of the body to
-//! the bottom test, as above, and its statements and loads are the op's
-//! counts.  A guard, an append, a store at a varying index or any other
-//! factor leaves the loop declined as [`MergeDecline::SingleFinger`].
+//! A loop whose body runs on every step has nothing to skip: on Fig. 1's
+//! list × band, a lone stepper, every step but the last runs the body; on
+//! Fig. 11's run-length images, two steppers whose runs' product is a run,
+//! every step does.  Where that body is a reduction — `acc[k] op= val[p] *
+//! second * extent`, the second factor none, a value at a finger (`b[q]`, or
+//! `val[p]` again for a row norm) or a gather `x[ss + ofs]`, the extent
+//! `max(ss - start + 1, 0)` or none, with `k` and the terms of `ofs` loads
+//! and registers the loop does not write — the pass places an
+//! [`Instr::IGatherReduce`] in the same place, which performs every step but
+//! the last, body and all (`reduction`).  One such step is walked from the
+//! top of the body to the bottom test, as above; its statements and loads
+//! are the op's counts, and so are, apart, the statements of each of two
+//! fingers' advances, which fire where the finger's stride ends the step.
+//! A lone stepper with a guard, an append, a store at a varying index or
+//! any other factor is declined as [`MergeDecline::SingleFinger`]; two
+//! fingers whose body is no such reduction as the walks' reason,
+//! [`MergeDecline::NotGuardedByBoth`] for a body that is not guarded.
 //!
 //! A loop that is not given an op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
@@ -67,8 +81,8 @@ use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, splice_before, Gather, Instr, MergeForm, Program, Reg, Role,
-    Term, NO_EDGE,
+    edge_table, for_each_reg_role, holds_literal, splice_before, Fingers, Gather, Instr, MergeForm,
+    Program, Reg, Role, Term, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -77,13 +91,13 @@ use super::OptStats;
 /// Why a typed `while` loop was not given a run-ahead op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeDecline {
-    /// Not `while start <= stop` on two registers closed by its own bottom
-    /// test: the loop counts another way, or its condition takes more than
-    /// the head to evaluate.
+    /// Not `while start <= stop` on two registers, or on a register and a
+    /// literal bound, closed by its own bottom test: the loop counts another
+    /// way, or its condition takes more than the head to evaluate.
     NotAStepLoop,
     /// The body does not begin by loading two strides: one stepper alone
-    /// (nothing to coiterate) whose body is no gather reduction, or a
-    /// stride that is not a plain coordinate load.
+    /// (nothing to coiterate) whose body is no reduction, or a stride that
+    /// is not a plain coordinate load.
     SingleFinger,
     /// The step is not the minimum of the two strides clipped to the bound,
     /// nor the maximum with lowering's jumper fall-back behind it (the
@@ -93,8 +107,11 @@ pub enum MergeDecline {
     NotTheMinimum,
     /// The body is not guarded by both fingers ending the step (or by one
     /// ending it inside the other's block), so it does work on a step only
-    /// one of them ends: a disjunctive (union) body, a block test that is
-    /// not VBL's, or two fingers whose strides end blocks or runs.
+    /// one of them ends — a disjunctive (union) body, a block test that is
+    /// not VBL's, or two fingers whose strides end blocks or runs — and it
+    /// is no reduction the op performs on every step either: an unguarded
+    /// body that fills or appends (Fig. 10's run-length blend), or whose
+    /// product has another factor.
     NotGuardedByBoth,
     /// A finger does not advance by one position where its stride ends the
     /// step, or the next step does not start one past this one.
@@ -128,17 +145,17 @@ impl MergeDecline {
     }
 }
 
-/// Give every two-finger merge loop of `p` its run-ahead op, and every lone
-/// stepper whose body is a gather reduction its gather op.  `p` is typed
-/// bytecode behind `forward`, which makes the advances and the bottom tests
-/// the loop is recognised by, and in front of `finalize`: every statement
-/// is still an explicit [`Instr::BumpStmt`].
+/// Give every two-finger merge loop of `p` its run-ahead op, and every step
+/// loop whose body is a reduction its reduction op.  `p` is typed bytecode
+/// behind `forward`, which makes the advances and the bottom tests the loop
+/// is recognised by, and in front of `finalize`: every statement is still an
+/// explicit [`Instr::BumpStmt`].
 pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
     let mut inserts = Vec::new();
     // Every instruction's jump target, read once the first loop needs them.
     let edges = OnceCell::new();
     for (head, instr) in p.code.iter().enumerate() {
-        if !matches!(instr, Instr::IWhileCmp { .. }) {
+        if !matches!(instr, Instr::IWhileCmp { .. } | Instr::IWhileCmpImm { .. }) {
             continue;
         }
         match recognise(&p.code, &edges, head) {
@@ -156,25 +173,53 @@ pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
     p.with_code(splice_before(&p.code, &inserts, true))
 }
 
+/// A step loop `while start <= stop`: its head, its bottom test, and the
+/// literal its bound is, if it is one (read from the pinned register `stop`
+/// by the bottom test, inlined in the head and in the step's clip).
+#[derive(Clone, Copy)]
+struct StepLoop {
+    head: usize,
+    bottom: usize,
+    start: Reg,
+    stop: Reg,
+    bound: Option<i64>,
+}
+
+impl StepLoop {
+    /// The step loop headed at `head`, closed by its own bottom test.
+    fn at(code: &[Instr], head: usize) -> Option<StepLoop> {
+        let (start, stop, bound, end) = match code[head] {
+            Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end } => (lhs, Some(rhs), None, end),
+            Instr::IWhileCmpImm { op: BinOp::Le, lhs, imm, end } => (lhs, None, Some(imm), end),
+            _ => return None,
+        };
+        let bottom = (end as usize).checked_sub(1).filter(|&bottom| bottom > head)?;
+        let Instr::IWhileNext { op: BinOp::Le, lhs, rhs, body } = code[bottom] else { return None };
+        let closes = lhs == start && body as usize == head + 1 && stop.is_none_or(|s| s == rhs);
+        let pinned = bound.is_none_or(|imm| holds_literal(code, rhs, imm));
+        (closes && pinned).then_some(StepLoop { head, bottom, start, stop: rhs, bound })
+    }
+
+    /// Whether `imm` is the bound, as the step's clip `min(t, imm)` inlines it.
+    fn is_bound(&self, imm: i64) -> bool {
+        self.bound == Some(imm)
+    }
+}
+
 /// The op for the loop headed at `head`, or why it gets none: the head and
 /// the two stride loads read off the code, the leader off the first
 /// [`Instr::IArith`], and the rest off the two walks ([`walk`]) — or, where
-/// there is one stride load, the lone stepper's ([`gather_reduce`]).
-/// `edges` is [`edge_table`] of `code`, or empty until it is first needed.
+/// there is one stride load or the body runs on every step, off the walk of
+/// one step the reduction op performs ([`reduction`]).  `edges` is
+/// [`edge_table`] of `code`, or empty until it is first needed.
 fn recognise(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
     head: usize,
 ) -> Result<Instr, MergeDecline> {
     use MergeDecline::*;
-    let Instr::IWhileCmp { op: BinOp::Le, lhs: start, rhs: stop, end } = code[head] else {
-        return Err(NotAStepLoop);
-    };
-    let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: head as u32 + 1 };
-    let bottom = (end as usize).wrapping_sub(1);
-    if bottom <= head || code.get(bottom) != Some(&closes) {
-        return Err(NotAStepLoop);
-    }
+    let lp = StepLoop::at(code, head).ok_or(NotAStepLoop)?;
+    let StepLoop { bottom, start, stop, .. } = lp;
     let mut top =
         code[head + 1..bottom].iter().filter(|i| !matches!(i, Instr::Nop | Instr::BumpStmt));
     let (a, p) = match top.next() {
@@ -182,8 +227,7 @@ fn recognise(
         _ => return Err(SingleFinger),
     };
     let Some(&Instr::LoadI64 { buf: b, idx: q, .. }) = top.next() else {
-        return gather_reduce(code, edges, (head, bottom), (start, stop), (a, p))
-            .ok_or(SingleFinger);
+        return reduction(code, edges, lp, &[(a, p)]).ok_or(SingleFinger);
     };
     let jumper = match top.find_map(|i| match *i {
         Instr::IArith { op, .. } => Some(op),
@@ -200,8 +244,14 @@ fn recognise(
     // A jumper loop that is not lowering's, in whatever way, is a leader
     // election the op does not know.
     let why = |why| if jumper { NotTheMinimum } else { why };
-    let walked = |lead| walk(code, (head, bottom), (start, stop), [(a, p), (b, q)], jumper, lead);
-    let (by_a, by_b) = (walked(0).map_err(why)?, walked(1).map_err(why)?);
+    let walked = |lead| walk(code, lp, [(a, p), (b, q)], jumper, lead);
+    let (by_a, by_b) = match walked(0).and_then(|by_a| Ok((by_a, walked(1)?))) {
+        Ok(walks) => walks,
+        // A stepper body that runs where one finger ends the step may run on
+        // every step: a reduction's.
+        Err(e) if jumper => return Err(why(e)),
+        Err(e) => return reduction(code, edges, lp, &[(a, p), (b, q)]).ok_or(e),
+    };
     // Where `a` leads, `b` trails: `by_a` holds what `b` reads besides its
     // list, and the other way round.
     let form = match (by_a.aux, by_b.aux) {
@@ -267,22 +317,31 @@ fn recognise(
     })
 }
 
-/// What a register holds on an iteration of a lone stepper that the
-/// gather-reduction op performs: the loop's bound; the finger at the top,
-/// and one on; its stride, which is the step's end (the stride is below the
-/// bound); `ss + 1`; a loop invariant, the sum of its terms; the stride plus
-/// such a sum; the value `val[p]`; that value times `x[s + ofs]`.
+/// What a register holds on an iteration the reduction op performs: the
+/// loop's bound and its start at the top; a finger at the top, and one on;
+/// one of two fingers' strides, and the earlier of the two; the step's end
+/// `ss` — a lone finger's stride, which is below the bound; `ss + 1`;
+/// `ss - start`, one more, and that at least zero: the extent; a loop
+/// invariant, the sum of its terms; `ss` plus such a sum; a value at a
+/// finger; that times the second factor; and either times the extent.
 #[derive(Clone, Copy, PartialEq)]
 enum Gv {
     Stop,
-    Pos,
-    OneOn,
+    Start,
+    Pos(usize),
+    OneOn(usize),
+    Stride(usize),
+    Lead,
     Step,
     After,
+    Span,
+    SpanOn,
+    Extent,
     Inv([Term; 2]),
     Idx([Term; 2]),
-    Val(BufId),
-    Prod(BufId, BufId, [Term; 2]),
+    Val(BufId, usize),
+    Prod(BufId, usize, Gather),
+    Scaled(BufId, usize, Gather),
 }
 
 /// No term.
@@ -300,23 +359,26 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
     terms.next().is_none().then_some(out)
 }
 
-/// The gather-reduction op for the lone stepper `head..=bottom`, whose body
-/// begins by loading the stride `crd[p]`, or `None` (the loop is declined
-/// as [`MergeDecline::SingleFinger`]).  One iteration whose stride is below
-/// the bound is walked from the top of the body to the bottom test: it must
-/// run the body `acc[k] op= val[p] * x[s + ofs]` (or `acc[k] op= val[p]`),
-/// where `k` and the terms of `ofs` are loads and registers the loop does
-/// not write, advance `p` by one, set `start` to `s + 1`, and do nothing
-/// else; and the loop may write `p` and `start` nowhere else.  Its
-/// statements and loads are the op's counts.
-fn gather_reduce(
+/// The reduction op for the step loop `lp` of one or two `fingers` (a list
+/// and a position each), whose body begins by loading their strides, or
+/// `None`.  One iteration that is not the loop's last is walked from the top
+/// of the body to the bottom test: it must run the body `acc[k] op= val[p] *
+/// second * extent` — the second factor none, a value at a finger or `x[ss +
+/// ofs]`, the extent `max(ss - start + 1, 0)` or none — where `k` and the
+/// terms of `ofs` are loads and registers the loop does not write; advance
+/// each finger by one where its stride ends the step (a lone finger's always
+/// does); set `start` to `ss + 1`; and do nothing else.  The loop may write
+/// the fingers and `start` nowhere else.  Its statements and loads, and the
+/// statements of two fingers' advances, are the op's counts.
+fn reduction(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
-    (head, bottom): (usize, usize),
-    (start, stop): (Reg, Reg),
-    (crd, p): (BufId, Reg),
+    lp: StepLoop,
+    fingers: &[(BufId, Reg)],
 ) -> Option<Instr> {
     use Gv::*;
+    let StepLoop { head, bottom, start, stop, .. } = lp;
+    let two = fingers.len() == 2;
     let mut loop_writes = Vec::new();
     for instr in &code[head..=bottom] {
         for_each_reg_role(instr, |r, role| {
@@ -326,15 +388,19 @@ fn gather_reduce(
         });
     }
     let invariant = |r: Reg| !loop_writes.contains(&r);
-    // The finger and the start are written in one place each: the step the
-    // walk must find (a jumper's fall-back seeks the finger too).
+    // The fingers and the start are written in one place each: the step the
+    // walk must find.
     let once = |r: Reg| loop_writes.iter().filter(|&&w| w == r).count() == 1;
-    if p == start || p == stop || start == stop || !invariant(stop) || !once(p) || !once(start) {
+    let regs: Vec<Reg> = fingers.iter().map(|&(_, r)| r).chain([start, stop]).collect();
+    let distinct = (1..regs.len()).all(|k| !regs[..k].contains(&regs[k]));
+    if !distinct || !invariant(stop) || !regs[..regs.len() - 1].iter().all(|&r| once(r)) {
         return None;
     }
-    let mut vals = vec![(stop, Stop), (p, Pos)];
+    let mut vals = vec![(stop, Stop), (start, Start)];
+    vals.extend(fingers.iter().enumerate().map(|(k, &(_, r))| (r, Pos(k))));
+    let entry = vals.len();
     let val = |vals: &[(Reg, Gv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
-    let (mut stmts, mut loads, mut stored, mut pc) = (0, 0, None, head + 1);
+    let (mut stmts, mut loads, mut adv, mut stored, mut pc) = (0, 0, [None; 2], None, head + 1);
     // Every pc at most once: the iteration has no inner loop.
     for _ in head..bottom {
         if pc == bottom || pc <= head || pc > bottom {
@@ -352,30 +418,37 @@ fn gather_reduce(
                 pc = target as usize;
                 continue;
             }
-            // The body runs, and the finger advances: the stride ends the step.
+            // A lone finger's body runs: its stride ends the step.
             Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, .. }
                 if [lhs, rhs].map(|r| val(&vals, r)) == [Some(Step); 2] =>
             {
                 continue
             }
-            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n }
-                if [lhs, rhs, reg].map(|r| val(&vals, r))
-                    == [Some(Step), Some(Step), Some(Pos)] =>
-            {
-                stmts += n;
-                (reg, OneOn)
+            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
+                let Pos(k) = val(&vals, reg)? else { return None };
+                match [val(&vals, lhs)?, val(&vals, rhs)?] {
+                    [Step, Step] if !two => stmts += n,
+                    [Stride(j), Step] | [Step, Stride(j)] if j == k && adv[k].is_none() => {
+                        adv[k] = Some(n)
+                    }
+                    _ => return None,
+                }
+                (reg, OneOn(k))
             }
             Instr::LoadI64 { dst, buf, idx } => {
                 loads += 1;
                 match val(&vals, idx) {
-                    Some(Pos) if buf == crd => (dst, Step),
+                    Some(Pos(k)) if buf == fingers[k].0 => {
+                        (dst, if two { Stride(k) } else { Step })
+                    }
                     None if invariant(idx) => (dst, Inv([Term::Plus { buf, at: idx }, Term::Zero])),
                     _ => return None,
                 }
             }
-            Instr::LoadF64 { dst, buf, idx } if val(&vals, idx) == Some(Pos) => {
+            Instr::LoadF64 { dst, buf, idx } => {
                 loads += 1;
-                (dst, Val(buf))
+                let Pos(k) = val(&vals, idx)? else { return None };
+                (dst, Val(buf, k))
             }
             Instr::LoadBinary { op: op @ (BinOp::Add | BinOp::Sub), dst, lhs, buf, idx }
                 if invariant(idx) =>
@@ -392,7 +465,10 @@ fn gather_reduce(
             }
             Instr::IArith { op, dst, lhs, rhs } => {
                 let computed = match (op, val(&vals, lhs)?, val(&vals, rhs)?) {
-                    (BinOp::Min, Step, Stop) | (BinOp::Min, Stop, Step) => Step,
+                    (BinOp::Min, Step, Stop) | (BinOp::Min, Stop, Step) if !two => Step,
+                    (BinOp::Min, Stride(0), Stride(1)) | (BinOp::Min, Stride(1), Stride(0)) => Lead,
+                    (BinOp::Min, Lead, Stop) | (BinOp::Min, Stop, Lead) => Step,
+                    (BinOp::Sub, Step, Start) => Span,
                     (BinOp::Add, Step, Inv(b)) | (BinOp::Add, Inv(b), Step) => Idx(b),
                     (BinOp::Sub, Step, Inv(b)) => Idx(sum(NO_TERMS, b, true)?),
                     (BinOp::Add, Idx(a), Inv(b)) => Idx(sum(a, b, false)?),
@@ -404,44 +480,72 @@ fn gather_reduce(
                 };
                 (dst, computed)
             }
-            Instr::IArithImm { op: BinOp::Add, dst, lhs, imm: 1 }
-                if val(&vals, lhs) == Some(Step) =>
-            {
-                (dst, After)
+            Instr::IArithImm { op, dst, lhs, imm } => {
+                let computed = match (op, val(&vals, lhs)?, imm) {
+                    (BinOp::Add, Step, 1) => After,
+                    (BinOp::Add, Span, 1) => SpanOn,
+                    (BinOp::Max, SpanOn, 0) => Extent,
+                    (BinOp::Min, Step, _) if !two && lp.is_bound(imm) => Step,
+                    (BinOp::Min, Lead, _) if lp.is_bound(imm) => Step,
+                    _ => return None,
+                };
+                (dst, computed)
             }
-            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
+            // A typed move moves integers.
+            Instr::IMov { dst, src } => match val(&vals, src)? {
+                Val(..) | Prod(..) | Scaled(..) => return None,
+                held => (dst, held),
+            },
             Instr::FMulLoad { dst, lhs, buf, idx } => {
                 loads += 1;
-                match (val(&vals, lhs)?, val(&vals, idx)?) {
-                    (Val(values), Step) => (dst, Prod(values, buf, NO_TERMS)),
-                    (Val(values), Idx(terms)) => (dst, Prod(values, buf, terms)),
+                let Val(values, k) = val(&vals, lhs)? else { return None };
+                let second = match val(&vals, idx)? {
+                    Pos(j) => Gather::At { x: buf, at: fingers[j].1 },
+                    Step => Gather::Load { x: buf, ofs: NO_TERMS },
+                    Idx(ofs) => Gather::Load { x: buf, ofs },
+                    _ => return None,
+                };
+                (dst, Prod(values, k, second))
+            }
+            // `Value::binop`'s `f64 * i64`, which the op reproduces.
+            Instr::Binary { op: BinOp::Mul, dst, lhs, rhs } => {
+                match (val(&vals, lhs)?, val(&vals, rhs)?) {
+                    (Val(values, k), Extent) => (dst, Scaled(values, k, Gather::None)),
+                    (Prod(values, k, second), Extent) => (dst, Scaled(values, k, second)),
                     _ => return None,
                 }
             }
             Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
                 if stored.is_none() && invariant(idx) =>
             {
-                stored = match val(&vals, v)? {
-                    Val(values) => Some((buf, idx, op, values, Gather::None)),
-                    Prod(values, x, ofs) => Some((buf, idx, op, values, Gather::Load { x, ofs })),
+                let (values, k, second, extent) = match val(&vals, v)? {
+                    Val(values, k) => (values, k, Gather::None, false),
+                    Prod(values, k, second) => (values, k, second, false),
+                    Scaled(values, k, second) => (values, k, second, true),
                     _ => return None,
                 };
+                stored = Some((buf, idx, op, values, k, second, extent));
                 continue;
             }
             _ => return None,
         };
         vals.push(written);
     }
-    let (acc, k, op, values, gather) = stored?;
-    if pc != bottom || val(&vals, p) != Some(OneOn) || val(&vals, start) != Some(After) {
+    let (acc, k, op, values, first, gather, extent) = stored?;
+    let ends = fingers.iter().enumerate().all(|(k, &(_, r))| val(&vals, r) == Some(OneOn(k)));
+    if pc != bottom || !ends || val(&vals, start) != Some(After) || (two && adv.contains(&None)) {
         return None;
     }
-    let mut sources = vec![crd, values];
-    if let Gather::Load { x, ofs } = gather {
-        sources.push(x);
-        for term in ofs {
-            if let Term::Plus { buf, .. } | Term::Minus { buf, .. } = term {
-                sources.push(buf);
+    let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).chain([values]).collect();
+    match gather {
+        Gather::None => {}
+        Gather::At { x, .. } => sources.push(x),
+        Gather::Load { x, ofs } => {
+            sources.push(x);
+            for term in ofs {
+                if let Term::Plus { buf, .. } | Term::Minus { buf, .. } = term {
+                    sources.push(buf);
+                }
             }
         }
     }
@@ -453,18 +557,30 @@ fn gather_reduce(
     // rewritten.
     let edges = edges.get_or_init(|| edge_table(code));
     let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
-    let mut unwritten: Vec<Reg> = vals[2..].iter().map(|&(r, _)| r).collect();
+    let mut unwritten: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
     unwritten.sort_unstable_by_key(|r| r.0);
     unwritten.dedup();
-    unwritten.retain(|r| ![p, start].contains(r));
+    unwritten.retain(|r| !regs.contains(r));
     if entered || read_before_written(code, edges, &[head + 1], &unwritten) {
         return None;
     }
+    // The op's `p` is the finger of the first factor; a `min` leader does not
+    // tell two fingers apart.
+    let (p, q) = (fingers[first], fingers[fingers.len() - 1 - first]);
+    let fingers = match adv {
+        [Some(a), Some(b)] => {
+            let (adv_p, adv_q) = if first == 0 { (a, b) } else { (b, a) };
+            Fingers::Two { crd: q.0, q: q.1, adv_p, adv_q }
+        }
+        _ => Fingers::One,
+    };
     Some(Instr::IGatherReduce {
-        crd,
+        crd: p.0,
         val: values,
-        p,
+        p: p.1,
+        fingers,
         gather,
+        extent,
         acc,
         k,
         op,
@@ -543,14 +659,14 @@ struct Skipped {
 /// does not know (a store above all: the body) is no such iteration.
 fn walk(
     code: &[Instr],
-    (head, bottom): (usize, usize),
-    (start, stop): (Reg, Reg),
+    lp: StepLoop,
     fingers: [(BufId, Reg); 2],
     jumper: bool,
     lead: usize,
 ) -> Result<Skipped, MergeDecline> {
     use Jv::*;
     use MergeDecline::{NonUnitAdvance, NotGuardedByBoth};
+    let StepLoop { head, bottom, start, stop, .. } = lp;
     let trail = 1 - lead;
     let lists = fingers.map(|(list, _)| list);
     let mut vals = Vec::with_capacity(2 * (bottom - head));
@@ -682,6 +798,7 @@ fn walk(
                 let computed = match (op, val(&vals, lhs)?, imm) {
                     (BinOp::Add, Pos(k), 1) => OneOn(k),
                     (BinOp::Add, Step, 1) => After,
+                    (BinOp::Min, Later | Step, _) if lp.is_bound(imm) => Step,
                     (BinOp::Add, GapStop, 1) => PastGap,
                     (BinOp::Sub, End, 1) | (BinOp::Add, End, -1) => Last,
                     _ => return Err(NotGuardedByBoth),
@@ -1500,6 +1617,8 @@ pub(super) mod tests {
         Guarded,
         /// `x` read at the finger, not at the coordinate: `x[p]`.
         AtFinger,
+        /// `x` read one past the finger: a factor at a varying index.
+        PastFinger,
     }
 
     /// The loop `lower_stepped` emits for one walked list against a located
@@ -1544,6 +1663,10 @@ pub(super) mod tests {
             Lone::AtFinger => {
                 store(Expr::int(0), Expr::mul(value, Expr::load(x, v(p))), BinOp::Add)
             }
+            Lone::PastFinger => {
+                let past = Expr::add(v(p), Expr::int(1));
+                store(Expr::int(0), Expr::mul(value, Expr::load(x, past)), BinOp::Add)
+            }
         };
         let stmts = vec![
             Stmt::Let { var: p, init: Expr::int(0) },
@@ -1568,7 +1691,7 @@ pub(super) mod tests {
     }
 
     /// The lone stepper's shapes that get the gather reduction.
-    const GATHERED: [Lone; 3] = [Lone::Band, Lone::Dense, Lone::Max];
+    const GATHERED: [Lone; 4] = [Lone::Band, Lone::Dense, Lone::Max, Lone::AtFinger];
 
     fn gathers(p: &Program) -> Vec<usize> {
         let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IGatherReduce { .. });
@@ -1599,6 +1722,8 @@ pub(super) mod tests {
              { p += 1 ; +7 stmt +3 load }",
             "gather_reduce b6[t2] max= b1[p] in step_start..=phase_stop (i64) \
              { p += 1 ; +7 stmt +2 load }",
+            "gather_reduce b6[t3] += b1[p] * b2[p] in step_start..=phase_stop (i64) \
+             { p += 1 ; +7 stmt +3 load }",
         ];
         for (shape, want) in GATHERED.into_iter().zip(wants) {
             let c = compile(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
@@ -1683,7 +1808,9 @@ pub(super) mod tests {
                 ("sum empty", rebound(SUM, Buffer::F64(Vec::new().into()))),
             ];
             if shape != Lone::Max {
-                cases.push(("x cut short", rebound(X, floats(18))));
+                // Short of the coordinate the gather reads, or of the finger.
+                let short = if shape == Lone::AtFinger { 2 } else { 18 };
+                cases.push(("x cut short", rebound(X, floats(short))));
                 cases.push(("x as i64", rebound(X, ints(41))));
             }
             if shape == Lone::Band {
@@ -1698,11 +1825,333 @@ pub(super) mod tests {
 
     #[test]
     fn lone_steppers_whose_body_is_no_gather_reduction_are_declined_as_single_finger() {
-        for shape in [Lone::Scatter, Lone::Guarded, Lone::AtFinger] {
+        for shape in [Lone::Scatter, Lone::Guarded, Lone::PastFinger] {
             let c = compile(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
             assert!(gathers(&c.skipping).is_empty(), "{shape:?}\n{}", c.skipping.disasm());
             let mut tally = [0; 6];
             tally[MergeDecline::SingleFinger as usize] = 1;
+            assert_eq!((c.stats.merge_skips, c.stats.merge_declined), (0, tally), "{shape:?}");
+            assert_eq!(c.skipping.code(), c.scalar.code(), "{shape:?}: no op, same program");
+        }
+    }
+
+    /// What [`run_kernel`] varies: the step loop over two run-length lists
+    /// (or one) that the reduction op takes, or one it must decline.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(in crate::opt) enum Runs {
+        /// Fig. 11's run × run product, the bound in a register:
+        /// `out[0] += a_val[p] * b_val[q] * max(ss - start + 1, 0)`.
+        Product,
+        /// [`Runs::Product`] with a literal bound.
+        Literal,
+        /// [`Runs::Product`] with `b`'s value the first factor.
+        Swapped,
+        /// Fig. 11's row norm over `a` alone, with a literal bound:
+        /// `out[0] += a_val[p] * a_val[p] * max(ss - start + 1, 0)`.
+        Norm,
+        /// The extent without its `+ 1` and clamp: `ss - start`.
+        Span,
+        /// `b`'s value one past its finger: a factor at a varying index.
+        Shifted,
+        /// The product accumulated into `a`'s values, a source.
+        IntoSource,
+    }
+
+    /// The run-length shapes that get the reduction op.
+    const REDUCED: [Runs; 4] = [Runs::Product, Runs::Literal, Runs::Swapped, Runs::Norm];
+
+    /// The step loop lowering emits for a reduction over two run-length
+    /// lists (`a`'s and `b`'s run ends; `Norm` reads `a` alone), over the
+    /// step range `0..=stop`: the body runs on every step.  The values are
+    /// thirds and sevenths, so that an operand order or a rounding shows.
+    pub(in crate::opt) fn run_kernel(a: &[i64], b: &[i64], stop: i64, shape: Runs) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let values = |n: usize, by: f64| (0..n).map(|k| (k as f64 + 1.0) / by).collect::<Vec<_>>();
+        let a_idx = bufs.add("a_idx", Buffer::I64(a.to_vec().into()));
+        let a_val = bufs.add("a_val", Buffer::F64(values(a.len(), 3.0).into()));
+        let b_idx = bufs.add("b_idx", Buffer::I64(b.to_vec().into()));
+        let b_val = bufs.add("b_val", Buffer::F64(values(b.len(), 7.0).into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
+        let out = bufs.add("out", Buffer::F64(vec![0.5].into()));
+        assert_eq!((a_idx, b_idx, out), (A_IDX, B_IDX, OUT));
+        let [p, q, hi, start, s1, s2, ss] =
+            ["p", "q", "phase_stop", "step_start", "stride", "stride_2", "step_stop"]
+                .map(|name| names.fresh(name));
+        let v = Expr::Var;
+        let lone = shape == Runs::Norm;
+        let limit =
+            || if matches!(shape, Runs::Literal | Runs::Norm) { Expr::int(stop) } else { v(hi) };
+        let span = Expr::sub(v(ss), v(start));
+        let extent = match shape {
+            Runs::Span => span,
+            _ => Expr::max(Expr::add(span, Expr::int(1)), Expr::int(0)),
+        };
+        let second = match shape {
+            Runs::Norm => Expr::load(a_val, v(p)),
+            Runs::Shifted => Expr::load(b_val, Expr::add(v(q), Expr::int(1))),
+            _ => Expr::load(b_val, v(q)),
+        };
+        let into = if shape == Runs::IntoSource { a_val } else { out };
+        let first = Expr::load(a_val, v(p));
+        let product = match shape {
+            Runs::Swapped => Expr::mul(second, first),
+            _ => Expr::mul(first, second),
+        };
+        let work = Stmt::Store {
+            buf: into,
+            index: Expr::int(0),
+            value: Expr::mul(product, extent),
+            reduce: Some(BinOp::Add),
+        };
+        let advance = |finger: Var, stride: Var| {
+            Stmt::if_then(
+                Expr::eq(v(stride), v(ss)),
+                vec![Stmt::Assign { var: finger, value: Expr::add(v(finger), Expr::int(1)) }],
+            )
+        };
+        let mut body = vec![Stmt::Let { var: s1, init: Expr::load(a_idx, v(p)) }];
+        if lone {
+            body.push(Stmt::Let { var: ss, init: Expr::min(v(s1), limit()) });
+            body.extend([work, advance(p, s1)]);
+        } else {
+            body.push(Stmt::Let { var: s2, init: Expr::load(b_idx, v(q)) });
+            body.push(Stmt::Let { var: ss, init: Expr::min(Expr::min(v(s1), v(s2)), limit()) });
+            body.extend([work, advance(p, s1), advance(q, s2)]);
+        }
+        body.push(Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) });
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: q, init: Expr::int(0) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While { cond: Expr::le(v(start), limit()), body },
+        ];
+        (stmts, names, bufs)
+    }
+
+    /// Run ends covering `0..=stop` from the stream `draw`: runs of one to
+    /// `longest` coordinates, the last ending on `stop` when `exact`, else
+    /// past it.
+    fn run_ends(
+        draw: &mut impl FnMut(u64) -> u64,
+        stop: i64,
+        longest: u64,
+        exact: bool,
+    ) -> Vec<i64> {
+        let mut ends = Vec::new();
+        let mut end = -1;
+        while end < stop {
+            end += 1 + draw(longest) as i64;
+            ends.push(if exact { end.min(stop) } else { end });
+        }
+        ends
+    }
+
+    /// Pairs of run-length lists over `0..=stop`: every run one coordinate
+    /// long against one run, the same runs on both sides (every end a tie),
+    /// runs ending together every other time, and a list whose last run ends
+    /// exactly on the bound against one that runs past it.
+    fn run_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+        vec![
+            ((0..=12).collect(), vec![40], 12),
+            (vec![3, 7, 8, 20], vec![3, 7, 8, 20], 20),
+            (vec![1, 3, 5, 7, 9, 11], vec![3, 7, 11], 11),
+            (vec![0, 4, 9], vec![2, 4, 6, 30], 9),
+            (vec![5], vec![5], 5),
+            (vec![0], vec![0, 1], 0),
+        ]
+    }
+
+    #[test]
+    fn the_run_product_gets_the_two_finger_reduction_and_is_otherwise_untouched() {
+        let wants = [
+            "gather_reduce b5[t7] += b1[p] * b3[q] * extent over b0[p] ~ b2[q] \
+             in step_start..=phase_stop (i64) { +7 stmt +4 load | p += 1 ; +1 stmt \
+             | q += 1 ; +1 stmt }",
+            "gather_reduce b5[t7] += b1[p] * b3[q] * extent over b0[p] ~ b2[q] \
+             in step_start..=t8 (i64) { +7 stmt +4 load | p += 1 ; +1 stmt | q += 1 ; +1 stmt }",
+            "gather_reduce b5[t7] += b3[q] * b1[p] * extent over b2[q] ~ b0[p] \
+             in step_start..=phase_stop (i64) { +7 stmt +4 load | q += 1 ; +1 stmt \
+             | p += 1 ; +1 stmt }",
+            "gather_reduce b5[t7] += b1[p] * b1[p] * extent in step_start..=t8 (i64) \
+             { p += 1 ; +6 stmt +3 load }",
+        ];
+        for (shape, want) in REDUCED.into_iter().zip(wants) {
+            let c = compile(&run_kernel(&[3, 7, 8, 20], &[1, 7, 20], 20, shape));
+            let placed = gathers(&c.skipping);
+            assert_eq!((c.stats.merge_skips, placed.len()), (1, 1), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            let at = placed[0];
+            let head = &c.skipping.code()[at - 1];
+            let literal = matches!(head, Instr::IWhileCmpImm { .. });
+            let want_literal = matches!(shape, Runs::Literal | Runs::Norm);
+            assert_eq!(literal, want_literal, "{}", c.skipping.disasm());
+            let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
+            assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
+            only_adds(&c, &placed);
+        }
+    }
+
+    /// Every step budget from 0 to the full run, on every pair of runs: the
+    /// VM with the op, the VM without it and the tree-walker stop at the same
+    /// statement with the same counters and the same output — and the scalar
+    /// loop dispatches only the loop's entry and its last iteration.
+    #[test]
+    fn every_step_budget_trips_the_two_finger_reduction_where_the_scalar_loop_trips() {
+        for (shape, (a, b, stop)) in
+            REDUCED.into_iter().flat_map(|s| run_pairs().into_iter().map(move |l| (s, l)))
+        {
+            let kernel = run_kernel(&a, &b, stop, shape);
+            let c = compile(&kernel);
+            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
+            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
+            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
+            assert_eq!(outcome, "Ok(())", "{context}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let mut tree_bufs = kernel.2.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                for p in [&c.skipping, &c.scalar] {
+                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
+                    assert_eq!(outcome, tree, "{context} at {budget}");
+                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
+                    assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{context} at {budget}");
+                }
+            }
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
+            let at = gathers(&c.skipping)[0];
+            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{context}");
+        }
+    }
+
+    /// Run-length pairs drawn at random — runs of every length from one,
+    /// ends that coincide, a last run on the bound or past it — under every
+    /// shape that takes the op: the VM with it and without it agree, output
+    /// bit for bit, with the tree-walker; and so do they under a deadline
+    /// that has passed.
+    #[test]
+    fn random_run_pairs_reduce_alike_with_and_without_the_op() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        for round in 0..120u64 {
+            let stop = 10 + draw(300) as i64;
+            let a = run_ends(&mut draw, stop, 1 + round % 9, round % 2 == 0);
+            let b = run_ends(&mut draw, stop, 1 + round % 4, round % 3 == 0);
+            let shape = REDUCED[round as usize % REDUCED.len()];
+            let kernel = run_kernel(&a, &b, stop, shape);
+            let c = compile(&kernel);
+            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
+            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
+            let mut interp = Interpreter::new(&c.names);
+            let mut tree_bufs = kernel.2.clone();
+            interp.run(&c.code, &mut tree_bufs).expect("the reduction runs");
+            for p in [&c.skipping, &c.scalar] {
+                let (outcome, stats, bufs) = run(p, &kernel.2, None);
+                assert_eq!(outcome, "Ok(())", "{context}");
+                assert_eq!(stats, interp.stats(), "{context}");
+                let bits = |bufs: &BufferSet| match bufs.get(OUT) {
+                    Buffer::F64(out) => out[0].to_bits(),
+                    other => panic!("{other:?}"),
+                };
+                assert_eq!(bits(&bufs), bits(&tree_bufs), "{context}");
+            }
+            let passed = [&c.skipping, &c.scalar].map(|p| {
+                let mut vm = Vm::new(p);
+                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
+                (vm.run(p, &mut kernel.2.clone()), vm.stats())
+            });
+            assert_eq!(passed[0], passed[1], "{context}: a passed deadline");
+            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
+                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{context}");
+            }
+        }
+    }
+
+    /// An injected fault at every statement: both engines panic with the
+    /// same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_the_two_finger_reduction_on_the_tree_walkers_statement() {
+        for shape in REDUCED {
+            faults_alike(&run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape));
+        }
+    }
+
+    /// A raised cancellation flag stops the reduction as it stops the scalar
+    /// loop: with the typed error, at the run's first statement.
+    #[test]
+    fn a_raised_cancellation_flag_stops_the_two_finger_reduction() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let kernel = run_kernel(&(0..=40).collect::<Vec<_>>(), &[9, 19, 40], 40, Runs::Product);
+        let c = compile(&kernel);
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut vm = Vm::new(&c.skipping);
+        vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
+        vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
+        assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1);
+        flag.store(true, Ordering::Relaxed);
+        vm.reset();
+        let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
+        assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{err:?}");
+        assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
+    }
+
+    /// A buffer rebound to another kind or length — a values buffer shorter
+    /// than its coordinates, an `i64` values buffer, a coordinate list cut
+    /// short, the accumulator: the op declines or stops in front of the
+    /// iteration, and the scalar loop reports what it reports without the
+    /// op, having counted the same work.
+    #[test]
+    fn a_rebound_buffer_faults_the_two_finger_reduction_as_the_scalar_loop_faults() {
+        const A_VAL: BufId = BufId(1);
+        const B_VAL: BufId = BufId(3);
+        for shape in REDUCED {
+            let kernel = run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape);
+            let c = compile(&kernel);
+            let rebound = |buf: BufId, with: Buffer| {
+                let mut bufs = kernel.2.clone();
+                *bufs.get_mut(buf) = with;
+                bufs
+            };
+            let floats = |n: usize| Buffer::F64(vec![1.5; n].into());
+            let ints = |n: usize| Buffer::I64(vec![1; n].into());
+            let mut cases = vec![
+                ("a_val cut short", rebound(A_VAL, floats(2))),
+                ("a_val as i64", rebound(A_VAL, ints(4))),
+                ("a_idx cut short", rebound(A_IDX, Buffer::I64(vec![3, 7].into()))),
+                ("a_idx as f64", rebound(A_IDX, floats(4))),
+                ("out as i64", rebound(OUT, ints(1))),
+                ("out empty", rebound(OUT, Buffer::F64(Vec::new().into()))),
+            ];
+            if shape != Runs::Norm {
+                cases.push(("b_val cut short", rebound(B_VAL, floats(3))));
+                cases.push(("b_val as i64", rebound(B_VAL, ints(5))));
+                cases.push(("b_idx cut short", rebound(B_IDX, Buffer::I64(vec![1, 7].into()))));
+            }
+            for (what, bufs) in cases {
+                same_verdict(&c, &bufs, &format!("{what}, {shape:?}"), OUT);
+            }
+        }
+    }
+
+    /// An extent of another form, a factor at a varying index and an
+    /// accumulator that is a source: two fingers whose body runs on every
+    /// step but is no reduction the op performs.
+    #[test]
+    fn run_loops_whose_body_is_no_reduction_are_declined_as_not_guarded_by_both() {
+        for shape in [Runs::Span, Runs::Shifted, Runs::IntoSource] {
+            let c = compile(&run_kernel(&[3, 7, 8, 20], &[1, 7, 20], 20, shape));
+            assert!(gathers(&c.skipping).is_empty(), "{shape:?}\n{}", c.skipping.disasm());
+            let mut tally = [0; 6];
+            tally[MergeDecline::NotGuardedByBoth as usize] = 1;
             assert_eq!((c.stats.merge_skips, c.stats.merge_declined), (0, tally), "{shape:?}");
             assert_eq!(c.skipping.code(), c.scalar.code(), "{shape:?}: no op, same program");
         }

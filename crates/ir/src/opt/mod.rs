@@ -200,11 +200,12 @@ pub struct OptStats {
     /// [`crate::bytecode::Instr::IAdvance`].
     pub advances_predicated: u64,
     /// Step loops given a run-ahead op by [`merge_skip()`]: two-finger
-    /// merges ([`crate::bytecode::Instr::IMergeSkip`]) and lone steppers
-    /// ([`crate::bytecode::Instr::IGatherReduce`]).
+    /// merges ([`crate::bytecode::Instr::IMergeSkip`]) and reductions over
+    /// one or two steppers ([`crate::bytecode::Instr::IGatherReduce`]).
     pub merge_skips: u64,
-    /// Typed `while` loops [`merge_skip()`] looked at and gave no op, by
-    /// reason: indexed like [`MergeDecline::ALL`].
+    /// Typed `while` loops (every `i_while_cmp` / `i_while_cmp_imm` head)
+    /// [`merge_skip()`] looked at and gave no op, by reason: indexed like
+    /// [`MergeDecline::ALL`].
     pub merge_declined: [u64; MergeDecline::ALL.len()],
     /// IR statement count before the pipeline ran.
     pub ir_stmts_before: u64,

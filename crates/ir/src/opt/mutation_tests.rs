@@ -1143,3 +1143,89 @@ fn a_gather_reduction_accumulating_into_a_source_is_caught_by_the_verifier() {
     });
     assert_caught(verdict, "merge_skip", "accumulates into one of its sources");
 }
+
+// ---------------------------------------------------------------------
+// Seeded miscompiles of the two-finger reduction: the real pass's op placed
+// on a run × run loop one instruction off the loop it performs — what a
+// recogniser that misread that instruction would emit — and the gate that
+// notices.
+// ---------------------------------------------------------------------
+
+/// Fig. 11's run × run product, typed and through `forward`: runs that end
+/// together, runs one coordinate long, and both lists' last run on the bound.
+fn forwarded_run_kernel() -> (Program, Names, BufferSet) {
+    let (a, b) = ([0, 3, 4, 9, 15, 20], [3, 4, 7, 15, 20]);
+    forwarded(merge_skip::tests::run_kernel(&a, &b, 20, merge_skip::tests::Runs::Product))
+}
+
+/// [`forwarded_run_kernel`] with the instruction `misread` picks replaced by
+/// the one it returns, given the op the real pass places on the original.
+fn run_misread_reduction(misread: fn(&[Instr]) -> (usize, Instr)) -> Result<Repr, PassError> {
+    struct Misread {
+        at: usize,
+        read: Instr,
+    }
+    impl Pass for Misread {
+        fn name(&self) -> &'static str {
+            "merge_skip"
+        }
+        fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+            let mut read = repr.bytecode().clone();
+            let loop_has = std::mem::replace(&mut read.code[self.at], self.read);
+            let mut program = merge_skip(&read, ctx.stats);
+            let op = program.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. }));
+            assert!(op.is_some_and(|op| op <= self.at), "the run loop gets its op in front");
+            program.code[self.at + 1] = loop_has;
+            Repr::Bytecode(program)
+        }
+    }
+    let (mut program, names, bufs) = forwarded_run_kernel();
+    let (at, loop_has) = misread(&program.code);
+    let read = std::mem::replace(&mut program.code[at], loop_has);
+    run_typed_bytecode_pass((program, names, bufs), &Misread { at, read })
+}
+
+#[test]
+fn the_two_finger_reduction_validates_and_its_witness_performs_all_but_the_last_step() {
+    let real = run_misread_reduction(|code| {
+        let at = code.iter().position(|i| matches!(i, Instr::IAdvance { .. })).unwrap();
+        (at, code[at])
+    });
+    let out = real.expect("the real pass is exact").into_bytecode();
+    let (_, _, bufs) = forwarded_run_kernel();
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. })).unwrap();
+    // The op once, at the loop's entry, and the last of eight steps (ends 0,
+    // 3, 4, 7, 9, 15 and 20; 3, 4, 15 and 20 are ties).
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 7), "{}", out.disasm());
+}
+
+#[test]
+fn a_two_finger_reduction_whose_extent_is_off_by_one_is_caught_by_output_parity() {
+    // The loop's extent is `max(ss - start, 0)`; the op multiplies by one
+    // more.
+    let verdict = run_misread_reduction(|code| {
+        let at = code
+            .iter()
+            .position(|i| matches!(i, Instr::IArithImm { op: BinOp::Add, imm: 1, .. }))
+            .expect("the extent's `+ 1`");
+        let Instr::IArithImm { op, dst, lhs, .. } = code[at] else { unreachable!() };
+        (at, Instr::IArithImm { op, dst, lhs, imm: 0 })
+    });
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
+fn a_two_finger_reduction_advancing_one_finger_on_a_tie_is_caught_by_the_exact_stats_witness() {
+    // The loop advances `q` only where its stride is below `p`'s: on a tie
+    // `p` alone moves on, where the op moves both.
+    let verdict = run_misread_reduction(|code| {
+        let advances: Vec<usize> =
+            (0..code.len()).filter(|&pc| matches!(code[pc], Instr::IAdvance { .. })).collect();
+        let Instr::IAdvance { lhs: stride, .. } = code[advances[0]] else { unreachable!() };
+        let Instr::IAdvance { lhs, reg, by, stmts, .. } = code[advances[1]] else { unreachable!() };
+        (advances[1], Instr::IAdvance { op: BinOp::Lt, lhs, rhs: stride, reg, by, stmts })
+    });
+    assert_caught(verdict, "merge_skip", "ExecStats");
+}

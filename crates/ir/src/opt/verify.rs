@@ -24,8 +24,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    for_each_reg_role, Elem, Gather, Instr, LaneTag, MergeForm, Operand, Program, Reg, Role, Term,
-    VFill,
+    for_each_reg_role, holds_literal, Elem, Fingers, Gather, Instr, LaneTag, MergeForm, Operand,
+    Program, Reg, Role, Term, VFill,
 };
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -462,27 +462,44 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The placement rule of a gather reduction at `pc`: it is the first
-/// instruction of the body of a `while start <= stop` loop closed by a
-/// bottom test on the same registers, which lands on it; its accumulator is
-/// none of its sources; the loop writes neither its accumulator's element,
-/// its bound nor the registers of its offset's terms, which the op reads
-/// once, and stores into none of its sources; and the rest of the body steps
-/// the finger by one and the start by one past the step, each in exactly
-/// one place, as the op does.  (That its counts are the loop's, and its
-/// offset the loop's index, is the exact-stats witness's to find.)
+/// The placement rule of a reduction at `pc`: it is the first instruction
+/// of the body of a `while start <= stop` loop closed by a bottom test on
+/// the same registers, which lands on it; its accumulator is none of its
+/// sources; a value at a finger is at one of its fingers; the loop writes
+/// neither its accumulator's element, its bound nor the registers of its
+/// offset's terms, which the op reads once, and stores into none of its
+/// sources; and the rest of the body steps each finger by one and the start
+/// by one past the step, each in exactly one place, as the op does.  (That
+/// its counts are the loop's, and its factors the body's, is the
+/// exact-stats witness's to find.)
 fn check_gather_reduce(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IGatherReduce { crd, val, p, gather, acc, k, start, stop, .. } = code[pc] else {
+    let Instr::IGatherReduce { crd, val, p, fingers, gather, acc, k, start, stop, .. } = code[pc]
+    else {
         return Ok(());
     };
     let bottom = step_loop_bottom(code, pc, (start, stop), "gather reduction")?;
-    let (mut sources, mut invariant) = (vec![crd, val], vec![k, stop]);
-    if let Gather::Load { x, ofs } = gather {
-        sources.push(x);
-        for term in ofs {
-            if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
-                sources.push(buf);
-                invariant.push(at);
+    let (mut sources, mut invariant, mut stepped) = (vec![crd, val], vec![k, stop], vec![p]);
+    if let Fingers::Two { crd, q, .. } = fingers {
+        sources.push(crd);
+        stepped.push(q);
+    }
+    match gather {
+        Gather::None => {}
+        Gather::At { x, at } => {
+            sources.push(x);
+            if !stepped.contains(&at) {
+                return Err(format!(
+                    "gather reduction at pc {pc} reads a value at {at}, which is not a finger"
+                ));
+            }
+        }
+        Gather::Load { x, ofs } => {
+            sources.push(x);
+            for term in ofs {
+                if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
+                    sources.push(buf);
+                    invariant.push(at);
+                }
             }
         }
     }
@@ -501,7 +518,8 @@ fn check_gather_reduce(code: &[Instr], pc: usize) -> Result<(), String> {
             buf.index()
         ));
     }
-    for (reg, finger) in [(p, true), (start, false)] {
+    let steps_of = stepped.into_iter().map(|reg| (reg, true));
+    for (reg, finger) in steps_of.chain([(start, false)]) {
         let writers: Vec<&Instr> = body.iter().filter(|i| writes(i, reg)).collect();
         if !matches!(writers[..], [only] if steps(only, reg, finger)) {
             let what = if finger { "finger" } else { "start" };
@@ -515,7 +533,8 @@ fn check_gather_reduce(code: &[Instr], pc: usize) -> Result<(), String> {
 }
 
 /// The bottom test of the `while start <= stop` loop whose body's first
-/// instruction is the run-ahead op at `pc` (`what`), or why it has none.
+/// instruction is the run-ahead op at `pc` (`what`), or why it has none.  A
+/// literal bound's head inlines it, and `stop` is its pinned register.
 fn step_loop_bottom(
     code: &[Instr],
     pc: usize,
@@ -525,6 +544,11 @@ fn step_loop_bottom(
     let head = pc.checked_sub(1).map(|head| code[head]);
     let bottom = match head {
         Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
+            end as usize - 1
+        }
+        Some(Instr::IWhileCmpImm { op: BinOp::Le, lhs, imm, end })
+            if lhs == start && holds_literal(code, stop, imm) =>
+        {
             end as usize - 1
         }
         _ => {

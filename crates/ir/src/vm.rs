@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    Gather, Instr, LaneTag, MergeForm, Program, Reg, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
+    Fingers, Gather, Instr, LaneTag, MergeForm, Program, Reg, Term, VAcc, VBase, VCost, VFill,
+    VRhs, VScale,
 };
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -1890,35 +1891,48 @@ impl Vm {
     }
 
     /// [`Instr::IGatherReduce`], out of the dispatch loop, dispatched at the
-    /// top of an iteration of its step loop: perform the iterations whose
-    /// stride `s = crd[p]` is below the bound — `min(s, stop)` is `s`, so
-    /// the body runs, and `s + 1 <= stop`, so the loop goes on — folding
-    /// each body's value into the accumulator in order, and store it once:
-    /// nothing else in those iterations reads `acc`, which is no source.
-    /// Every comparison is the scalar instruction's own.
+    /// top of an iteration of its step loop: perform the iterations that are
+    /// not the loop's last — `ss + 1 <= stop`, and for a lone stepper `ss`
+    /// its stride `crd[p]`, so the body runs — folding each body's value into
+    /// the accumulator in order, and store it once: nothing else in those
+    /// iterations reads `acc`, which is no source.  Every comparison is the
+    /// scalar instruction's own.
     ///
     /// The accumulator's element and the offset's terms are read once; if
     /// one is out of bounds, or a buffer has another kind, the op does
     /// nothing, and the scalar loop faults where it faults.  An iteration is
-    /// only performed while a whole one still fits under [`Vm::stmt_limit`],
-    /// polling early as [`Vm::merge_skip`] does.
+    /// only performed while a whole one — every advance firing — still fits
+    /// under [`Vm::stmt_limit`], polling early as [`Vm::merge_skip`] does.
     #[inline(never)]
     fn gather_reduce(&mut self, bufs: &mut BufferSet, instr: &Instr) {
-        let Instr::IGatherReduce { crd, val, p, gather, acc, k, op, start, stop, stmts, loads } =
-            *instr
+        let Instr::IGatherReduce {
+            crd,
+            val,
+            p,
+            fingers,
+            gather,
+            extent,
+            acc,
+            k,
+            op,
+            start,
+            stop,
+            stmts,
+            loads,
+        } = *instr
         else {
             unreachable!("dispatched on an IGatherReduce")
         };
         let slot = self.ints[k.index()];
-        let mut sum = match bufs.get(acc) {
+        let sum = match bufs.get(acc) {
             Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => data[slot as usize],
             _ => return,
         };
-        let x = match gather {
-            Gather::None => None,
-            Gather::Load { x, .. } if x == acc => return,
+        let (x, shift) = match gather {
+            Gather::None => (None, 0),
+            Gather::At { x, .. } | Gather::Load { x, .. } if x == acc => return,
+            Gather::At { x, .. } => (Some(x), 0),
             Gather::Load { x, ofs } => {
-                let Buffer::F64(x) = bufs.get(x) else { return };
                 let mut shift = 0i64;
                 for term in ofs {
                     let (buf, at, minus) = match term {
@@ -1927,67 +1941,175 @@ impl Vm {
                         Term::Minus { buf, at } => (buf, at, true),
                     };
                     let Buffer::I64(data) = bufs.get(buf) else { return };
-                    let Some(&v) =
-                        usize::try_from(self.ints[at.index()]).ok().and_then(|i| data.get(i))
-                    else {
-                        return;
-                    };
+                    let Some(&v) = position(data, self.ints[at.index()]) else { return };
                     shift = if minus { shift.wrapping_sub(v) } else { shift.wrapping_add(v) };
                 }
-                Some((x, shift))
+                (Some(x), shift)
             }
+        };
+        let x = match x.map(|x| bufs.get(x)) {
+            Some(Buffer::F64(x)) => &x[..],
+            Some(_) => return,
+            None => &[],
         };
         if acc == val {
             return;
         }
         let (Buffer::I64(crd), Buffer::F64(val)) = (bufs.get(crd), bufs.get(val)) else { return };
-        let stop = self.ints[stop.index()];
-        let per = u64::from(stmts).max(1);
-        let mut folded = false;
-        loop {
-            let mut pv = self.ints[p.index()];
-            let room = self.stmt_limit.saturating_sub(self.stats.stmts) / per;
-            let (mut done, mut next) = (0, None);
-            while done < room {
-                // A finger outside its list: the scalar load's fault.
-                let Some(at) = usize::try_from(pv).ok() else { break };
-                let (Some(&s), Some(&v)) = (crd.get(at), val.get(at)) else { break };
-                let after = s.wrapping_add(1);
-                if s > stop || !Self::cmp_int(BinOp::Le, after, stop) {
-                    break;
-                }
-                let y = match x {
-                    None => v,
-                    Some((x, shift)) => {
-                        match usize::try_from(s.wrapping_add(shift)).ok().and_then(|i| x.get(i)) {
-                            Some(&gathered) => v * gathered,
-                            None => break,
-                        }
-                    }
-                };
-                sum = Self::float_arith(op, sum, y);
-                pv += 1;
-                next = Some(after);
-                done += 1;
+        // A lone finger is its own second: `q` is `p`, and never advanced.
+        let (b, q, adv) = match fingers {
+            Fingers::One => (&crd[..], p, None),
+            Fingers::Two { crd: b, q, adv_p, adv_q } => {
+                let Buffer::I64(b) = bufs.get(b) else { return };
+                (&b[..], q, Some([adv_p, adv_q].map(u64::from)))
             }
-            let Some(next) = next else { break };
-            folded = true;
-            self.stats.loop_iters += done;
-            self.stats.stmts += done * u64::from(stmts);
-            self.stats.loads += done * u64::from(loads);
-            self.stats.stores += done;
-            self.ints[p.index()] = pv;
-            self.ints[start.index()] = next;
-            if done < room || !self.still_quiet() {
-                break;
+        };
+        let steps = Steps {
+            lists: [crd, b],
+            val,
+            regs: [p, q, start],
+            stop: self.ints[stop.index()],
+            counts: [stmts, loads].map(u64::from),
+            adv,
+            extent,
+            op,
+        };
+        // One loop per kind of second factor, the value `v = val[p]` times
+        // it in the scalar code's order; `None` where its load would fault.
+        let folded = match gather {
+            Gather::None => self.fold(&steps, sum, |v, _, _, _| Some(v)),
+            Gather::At { at, .. } if at == p => {
+                self.fold(&steps, sum, |v, pv, _, _| Some(v * position(x, pv)?))
             }
-        }
-        if folded {
+            Gather::At { .. } => self.fold(&steps, sum, |v, _, qv, _| Some(v * position(x, qv)?)),
+            Gather::Load { .. } => {
+                self.fold(&steps, sum, |v, _, _, ss| Some(v * position(x, ss.wrapping_add(shift))?))
+            }
+        };
+        if let Some(sum) = folded {
             if let Buffer::F64(data) = bufs.get_mut(acc) {
                 data[slot as usize] = sum;
             }
         }
     }
+
+    /// [`Vm::fold_steps`] over the instruction's one finger or two.
+    #[inline(always)]
+    fn fold(
+        &mut self,
+        steps: &Steps<'_>,
+        sum: f64,
+        times: impl Fn(f64, i64, i64, i64) -> Option<f64>,
+    ) -> Option<f64> {
+        match steps.adv {
+            None => self.fold_steps::<false>(steps, sum, times),
+            Some(_) => self.fold_steps::<true>(steps, sum, times),
+        }
+    }
+
+    /// The steps of [`Vm::gather_reduce`]'s loop over one finger (not `TWO`)
+    /// or two, from the registers `[p, q, start]` on: every step that is not
+    /// the loop's last, while a whole one still fits under
+    /// [`Vm::stmt_limit`], folding into `sum` the value `times(val[p], p, q,
+    /// ss)`, scaled by the extent.  The fold, if any step was performed.
+    #[inline(always)]
+    fn fold_steps<const TWO: bool>(
+        &mut self,
+        steps: &Steps<'_>,
+        mut sum: f64,
+        times: impl Fn(f64, i64, i64, i64) -> Option<f64>,
+    ) -> Option<f64> {
+        let Steps { lists: [a, b], val, regs: [p, q, start], stop, counts, adv, extent, op } =
+            *steps;
+        let ([stmts, loads], [adv_p, adv_q]) = (counts, adv.unwrap_or_default());
+        let worst = (stmts + adv_p + adv_q).max(1);
+        let mut folded = false;
+        loop {
+            let (mut pv, mut qv) = (self.ints[p.index()], self.ints[q.index()]);
+            let mut from = self.ints[start.index()];
+            let room = self.stmt_limit.saturating_sub(self.stats.stmts) / worst;
+            let (mut done, mut moved_p, mut moved_q) = (0, 0, 0);
+            while done < room {
+                // A finger outside its list: the scalar load's fault.
+                let Some(&s1) = position(a, pv) else { break };
+                let (ss, s2) = if TWO {
+                    let Some(&s2) = position(b, qv) else { break };
+                    (s1.min(s2).min(stop), s2)
+                } else if s1 > stop {
+                    break;
+                } else {
+                    (s1, s1)
+                };
+                let after = ss.wrapping_add(1);
+                if !Self::cmp_int(BinOp::Le, after, stop) {
+                    break;
+                }
+                let Some(y) = position(val, pv).and_then(|&v| times(v, pv, qv, ss)) else {
+                    break;
+                };
+                let y = if extent {
+                    y * ss.wrapping_sub(from).wrapping_add(1).max(0) as f64
+                } else {
+                    y
+                };
+                sum = Self::float_arith(op, sum, y);
+                if TWO {
+                    let (a, b) = (u64::from(s1 == ss), u64::from(s2 == ss));
+                    (pv, qv) = (pv + a as i64, qv + b as i64);
+                    (moved_p, moved_q) = (moved_p + a, moved_q + b);
+                } else {
+                    pv += 1;
+                }
+                from = after;
+                done += 1;
+            }
+            if done == 0 {
+                break;
+            }
+            folded = true;
+            self.stats.loop_iters += done;
+            self.stats.stmts += done * stmts + moved_p * adv_p + moved_q * adv_q;
+            self.stats.loads += done * loads;
+            self.stats.stores += done;
+            self.ints[p.index()] = pv;
+            if TWO {
+                self.ints[q.index()] = qv;
+            }
+            self.ints[start.index()] = from;
+            if done < room || !self.still_quiet() {
+                break;
+            }
+        }
+        folded.then_some(sum)
+    }
+}
+
+/// What [`Vm::fold_steps`] reads of an [`Instr::IGatherReduce`], its buffers
+/// and registers resolved.
+#[derive(Clone, Copy)]
+struct Steps<'a> {
+    /// The fingers' coordinates (a lone finger's twice).
+    lists: [&'a [i64]; 2],
+    /// The first factor's values, at `p`.
+    val: &'a [f64],
+    /// `p`, `q` (`p` again for a lone finger) and `start`.
+    regs: [Reg; 3],
+    /// The loop's bound.
+    stop: i64,
+    /// A step's statements and loads.
+    counts: [u64; 2],
+    /// The statements of two fingers' advances, or `None` for one finger.
+    adv: Option<[u64; 2]>,
+    /// Whether the step's extent is the last factor.
+    extent: bool,
+    /// The reduction.
+    op: BinOp,
+}
+
+/// `data[at]`, if `at` is a position in it.
+#[inline]
+fn position<T>(data: &[T], at: i64) -> Option<&T> {
+    usize::try_from(at).ok().and_then(|i| data.get(i))
 }
 
 /// The element range `[off+lo, off+hi)` of a buffer of `len` elements,

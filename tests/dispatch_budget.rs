@@ -3,8 +3,9 @@
 //! Wall clock on a shared host cannot hold a regression gate; the per-pc
 //! dispatch counts of `CompiledKernel::profile()` and `ExecStats` are exact
 //! and host-independent.  For the merge-driven kernels of the paper's
-//! Figs. 1, 7 and 8, built by `finch-bench` at the sizes `figures --tiny`
-//! uses and compiled at `OptLevel::Default`, this file pins
+//! Figs. 1, 7 and 8 and the all-pairs kernels of Fig. 11, built by
+//! `finch-bench` at the sizes `figures --tiny` uses and compiled at
+//! `OptLevel::Default`, this file pins
 //!
 //! * the whole run's dispatches per counted loop iteration (every loop of
 //!   the kernel, set-up included), as a bound in hundredths, and
@@ -27,15 +28,17 @@
 //! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger, VBL and
 //! galloped merges) only dispatches the iterations that match or end it
 //! (the galloped merge's op runs an empty last iteration too), and one that
-//! carries the gather reduction (`Instr::IGatherReduce`, Fig. 1's lone
-//! stepper) only its last iteration, so its
+//! carries the reduction op (`Instr::IGatherReduce`: over Fig. 1's lone
+//! stepper, Fig. 11's row norms, or the two run-length fingers of Fig. 11's
+//! run × run loop, whose body runs on every step) only its last iteration,
+//! so its
 //! iterations are counted on the same kernel compiled with `simd` off — the
 //! same scalar loop, instruction for instruction, without the op.  The same
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
 //! more scalar iterations dispatched than there are matches and loop entries.
 
 use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
-use finch_ir::{Instr, MergeForm, Program};
+use finch_ir::{Fingers, Instr, MergeForm, Program};
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
 /// One innermost loop of a program: the pcs of its body and bottom test,
@@ -109,6 +112,14 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
 /// gather reduction re-pinned Fig. 1's list × band: it performs every
 /// iteration of the lone stepper but the last, so its loop falls from ten
 /// dispatches an iteration to 2.34 and the whole run from 21.00 to 13.34.
+/// Fig. 11's four all-pairs variants are pinned with the two-finger
+/// reduction, which performs the run-length variant's run × run loop but its
+/// last step (the lone stepper's op takes its row norm): that whole run falls
+/// from 13.87 to 1.30 dispatches an iteration, and its busiest innermost
+/// loop, the run × run loop, from 15.00 to 0.63 (16 dispatches, the op and
+/// the last step, per entry of about 25 steps).  The sparse list's row norm,
+/// `val[p] * val[p]`, takes the lone stepper's op too (9.61 → 7.93; its
+/// busiest loop, the intersection, stays at 8.62).
 const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig01", "looplets: list x band", 1334, 234),
     ("fig01", "iterator-over-nonzeros", 438, 238),
@@ -124,28 +135,37 @@ const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig07b", "VBL", 1046, 600),
     ("fig08", "two-finger (TACO-style)", 757, 253),
     ("fig08", "gallop", 886, 248),
+    ("fig11", "dense", 32, 10),
+    ("fig11", "sparse list", 793, 862),
+    ("fig11", "VBL", 1534, 800),
+    ("fig11", "run-length (RLE)", 130, 63),
 ];
 
-/// The kernels that must carry exactly one run-ahead op of a form: the
-/// two-finger walks the steppers', VBL's the block form, the gallops the
-/// jumper form (their neither-finger-leads fall-back may carry a second,
-/// the steppers').
-const ONE_OP: [(&str, Form); 5] = [
-    ("two-finger (TACO-style)", Form::Steps),
-    ("VBL", Form::Blocks),
-    ("gallop both", Form::Gallop),
-    ("gallop", Form::Gallop),
-    ("looplets: list x band", Form::Gather),
+/// The kernels that must carry exactly one run-ahead op of a form, by
+/// figure (a prefix of its name) and label: the two-finger walks the
+/// steppers', Fig. 7's VBL the block form, the gallops the jumper form
+/// (their neither-finger-leads fall-back may carry a second, the
+/// steppers'), Fig. 1's list × band the lone stepper's reduction and
+/// Fig. 11's run-length all-pairs the two fingers' (its row norm carries
+/// the lone stepper's too).
+const ONE_OP: [(&str, &str, Form); 6] = [
+    ("fig0", "two-finger (TACO-style)", Form::Steps),
+    ("fig07", "VBL", Form::Blocks),
+    ("fig07", "gallop both", Form::Gallop),
+    ("fig08", "gallop", Form::Gallop),
+    ("fig01", "looplets: list x band", Form::Gather),
+    ("fig11", "run-length (RLE)", Form::Reduce),
 ];
 
-/// A run-ahead op's form, without its operands (the gather reduction
-/// counts as one).
+/// A run-ahead op's form, without its operands (the reductions count as
+/// ones, by their fingers).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
     Steps,
     Blocks,
     Gallop,
     Gather,
+    Reduce,
 }
 
 /// One run-ahead op of a profiled program: its form, how many scalar
@@ -167,19 +187,20 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
         _ => None,
     };
     let ops = code.iter().enumerate().filter_map(|(op, i)| match i {
-        Instr::IMergeSkip { form, .. } => Some((op, Some(*form))),
-        Instr::IGatherReduce { .. } => Some((op, None)),
+        Instr::IMergeSkip { form, .. } => Some((op, Ok(*form))),
+        Instr::IGatherReduce { fingers: Fingers::One, .. } => Some((op, Err(Form::Gather))),
+        Instr::IGatherReduce { .. } => Some((op, Err(Form::Reduce))),
         _ => None,
     });
     ops.map(|(op, form)| {
         // The head, the op, the scalar iteration.
         let (form, sites) = match form {
-            None => (Form::Gather, vec![]),
-            Some(MergeForm::Gallop { .. }) => (Form::Gallop, jumper_sites(code, op)),
+            Err(reduction) => (reduction, vec![]),
+            Ok(MergeForm::Gallop { .. }) => (Form::Gallop, jumper_sites(code, op)),
             // The guarded body, behind the last test that skips to where the
             // loop's first guard does — the second equality of an
             // intersection, a block form's block test.
-            Some(form) => {
+            Ok(form) => {
                 let outer = (op..code.len()).find(|&pc| skips_to(pc).is_some()).expect("a guard");
                 let tail = skips_to(outer).expect("a guard");
                 let inner = (outer..tail).rfind(|&pc| skips_to(pc) == Some(tail)).unwrap();
@@ -251,7 +272,10 @@ fn merge_kernels_stay_within_their_dispatch_budgets() {
         assert_eq!(stats, scalar_stats, "{figure}/{}: kernel ops change no counter", variant.label);
         let program = kernel.bytecode();
         let skips = run_ahead_ops(program, &per_pc);
-        if let Some(&(_, form)) = ONE_OP.iter().find(|(label, _)| *label == variant.label) {
+        let one_op = ONE_OP
+            .iter()
+            .find(|(fig, label, _)| figure.starts_with(fig) && *label == variant.label);
+        if let Some(&(_, _, form)) = one_op {
             let of_form = skips.iter().filter(|skip| skip.form == form).count();
             assert_eq!(of_form, 1, "{figure}/{}: {form:?}\n{}", variant.label, program.disasm());
         }

@@ -195,3 +195,28 @@ fn a_moved_counter_is_named() {
     );
     assert_eq!(describe(&line(7), &line(7)), "");
 }
+
+/// The census of `merge_skip`: every typed step-loop head of every record —
+/// a `while` on two registers or on a register and a literal bound — is
+/// given an op or tallied with the reason it is not.
+#[test]
+fn every_typed_while_loop_is_given_an_op_or_a_reason() {
+    use finch_ir::Instr;
+    for table in figure_tables(true) {
+        for variant in &table.variants {
+            let heads = variant.kernel.bytecode().code().iter().filter(|instr| {
+                matches!(instr, Instr::IWhileCmp { .. } | Instr::IWhileCmpImm { .. })
+            });
+            let stats = variant.kernel.opt_stats();
+            let counted = stats.merge_skips + stats.merge_declined.iter().sum::<u64>();
+            assert_eq!(
+                counted,
+                heads.count() as u64,
+                "{} ({}) {}: {stats:?}",
+                table.figure,
+                table.group,
+                variant.label
+            );
+        }
+    }
+}

@@ -5,7 +5,9 @@
 //! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
 //! nothing; the lone stepper of a walked list against a located operand
 //! (Fig. 1's list × band, a CSR × dense SpMV) carries one
-//! (`Instr::IGatherReduce`) that performs every iteration but its last.  Its exits are where it can go wrong — a loop that is never
+//! (`Instr::IGatherReduce`) that performs every iteration but its last, and
+//! so does the run × run loop of two run-length vectors (Fig. 11's product of
+//! two runs), over two fingers.  Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
 //! runs out inside a run-ahead — so for the kernels that hold the loop
 //! (sparse·sparse `dot`, the elementwise product with a sparse output, and
@@ -29,7 +31,7 @@
 //! the same loop.)
 
 use finch_bench::ewise_mul_kernel;
-use finch_ir::{Instr, MergeForm};
+use finch_ir::{Fingers, Instr, MergeForm};
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor};
 
@@ -101,6 +103,12 @@ fn ops(kernel: &CompiledKernel) -> usize {
 /// Whether `kernel` carries the gather reduction.
 fn gathers(kernel: &CompiledKernel) -> bool {
     kernel.bytecode().code().iter().any(|i| matches!(i, Instr::IGatherReduce { .. }))
+}
+
+/// Whether `kernel` carries the reduction over two fingers.
+fn reduces_two(kernel: &CompiledKernel) -> bool {
+    let two = |i: &Instr| matches!(i, Instr::IGatherReduce { fingers: Fingers::Two { .. }, .. });
+    kernel.bytecode().code().iter().any(two)
 }
 
 /// Whether `kernel` carries the op's jumper form.
@@ -292,5 +300,20 @@ fn csr_dense_spmv_agrees_under_every_budget_on_every_operand_pair() {
         let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Default);
         assert!(gathers(&kernel), "{what}: the gather reduction\n{}", kernel.bytecode().disasm());
         sweep(&kernel, &format!("csr x dense spmv, x = {what}"));
+    }
+}
+
+/// Two run-length vectors dotted: the run × run step loop, whose body the
+/// two-finger reduction performs on every step but the last.  Every pair's
+/// entries are runs of one coordinate between runs of zeros, so the pairs
+/// give runs that end together, runs that do not, and one run each.
+#[test]
+fn run_length_dot_agrees_under_every_budget_on_every_operand_pair() {
+    for (what, a, b) in operand_pairs() {
+        let a = Tensor::rle_vector("A", &vector(&a));
+        let b = Tensor::rle_vector("B", &vector(&b));
+        let kernel = common::dot_kernel(&a, &b, Protocol::Default, Protocol::Default);
+        assert!(reduces_two(&kernel), "{what}: the reduction\n{}", kernel.bytecode().disasm());
+        sweep(&kernel, &format!("run-length dot, {what}"));
     }
 }
