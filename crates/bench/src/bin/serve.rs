@@ -16,8 +16,9 @@
 //! With `--faults N`, a seeded [`FaultPlan`] injects panics, budget
 //! exhaustion, poisoned entries, and deadline expiry into N‰ of requests;
 //! with `--verify`, every successful response — including degraded ones —
-//! is checked bit-for-bit against an independently computed tree-walk
-//! reference, and the process exits nonzero on any divergence.
+//! is checked bit-for-bit against a reference computed from the trace's
+//! data without the compiler, and the process exits nonzero on any
+//! divergence.
 //!
 //! `--soak` is the chaos harness: it clamps `--max-in-flight` far below the
 //! client count (sustained overload, so requests queue), arms the
@@ -157,8 +158,8 @@ fn main() {
         }));
     }
 
-    // Independently computed references for --verify: one per distinct
-    // (kernel, instance), via the tree-walk oracle.
+    // References for --verify: one per distinct (kernel, instance),
+    // computed from the trace's data without the compiler.
     let references: HashMap<(usize, usize), Vec<u64>> = if verify {
         let mut refs = HashMap::new();
         for r in &schedule.requests {

@@ -656,6 +656,21 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use finch_ir::bytecode::Step;
+    use finch_ir::{Instr, MergeForm};
+
+    /// Whether the kernel of `case` carries a step loop op that `op` accepts
+    /// (by what it does with a step, and whether it has two fingers), and
+    /// the kernel's disassembly to show when it does not.
+    fn carries(case: &FuzzCase, op: impl Fn(Step, bool) -> bool) -> (bool, String) {
+        let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
+        let program = kernel.bytecode();
+        let found = program.code().iter().any(|i| match *i {
+            Instr::IStepLoop { q, step, .. } => op(step, q.is_some()),
+            _ => false,
+        });
+        (found, program.disasm())
+    }
 
     #[test]
     fn generated_cases_run_divergence_free() {
@@ -681,9 +696,8 @@ mod tests {
         let walk = Protocol::Walk;
         let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
         let gathers = |case: &FuzzCase| {
-            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
-            let disasm = kernel.bytecode().disasm();
-            assert!(disasm.contains("gather_reduce"), "{case:?}: the gather reduction\n{disasm}");
+            let (found, disasm) = carries(case, |step, _| matches!(step, Step::Reduce { .. }));
+            assert!(found, "{case:?}: the gather reduction\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         };
         for b_format in [VecFormat::Dense, VecFormat::Band] {
@@ -736,18 +750,12 @@ mod tests {
             StmtSpec::Dot { pa, pb } | StmtSpec::EwiseMul { pa, pb } => (pa, pb) == (walk, walk),
             _ => false,
         };
-        let steps = |line: &str| {
-            line.contains("merge_skip")
-                && !line.contains(" blocks b")
-                && !line.contains(" seeks < b")
-        };
         let walked: Vec<&FuzzCase> =
             drawn.iter().filter(lists).filter(|c| c.stmts.iter().any(both_walked)).collect();
         assert!(!walked.is_empty(), "the smoke draw walked no pair of sparse lists");
         for case in walked {
-            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
-            let disasm = kernel.bytecode().disasm();
-            assert!(disasm.lines().any(steps), "{case:?}: the stepper form\n{disasm}");
+            let (found, disasm) = carries(case, |step, _| step == Step::Skip(MergeForm::Steps));
+            assert!(found, "{case:?}: the stepper form\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         }
         let located = |c: &&FuzzCase| {
@@ -769,10 +777,9 @@ mod tests {
     #[test]
     fn run_length_dots_draw_the_two_finger_reduction_and_run_divergence_free() {
         let reduces = |case: &FuzzCase| {
-            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
-            let disasm = kernel.bytecode().disasm();
-            let two_fingers = |line: &str| line.contains("gather_reduce") && line.contains(" ~ b");
-            assert!(disasm.lines().any(two_fingers), "{case:?}: the reduction\n{disasm}");
+            let (found, disasm) =
+                carries(case, |step, two| two && matches!(step, Step::Reduce { .. }));
+            assert!(found, "{case:?}: the reduction\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         };
         let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
@@ -811,10 +818,9 @@ mod tests {
         let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
         let block_form = drawn.iter().filter(|case| {
             let formats = [case.a_format, case.b_format];
-            formats.contains(&VecFormat::Vbl) && formats.contains(&VecFormat::SparseList) && {
-                let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
-                kernel.bytecode().disasm().contains(" blocks b")
-            }
+            formats.contains(&VecFormat::Vbl)
+                && formats.contains(&VecFormat::SparseList)
+                && carries(case, |step, _| matches!(step, Step::Skip(MergeForm::Blocks { .. }))).0
         });
         let cases: Vec<&FuzzCase> = block_form.collect();
         assert!(!cases.is_empty(), "no smoke case emits the block form");
@@ -841,9 +847,9 @@ mod tests {
             drawn.iter().filter(|case| case.stmts.iter().any(both_gallop)).collect();
         assert!(!cases.is_empty(), "the smoke draw galloped no pair of fingers");
         for case in cases {
-            let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
-            let disasm = kernel.bytecode().disasm();
-            assert!(disasm.contains(" seeks < b"), "{case:?}: the jumper form\n{disasm}");
+            let (found, disasm) =
+                carries(case, |step, _| matches!(step, Step::Skip(MergeForm::Gallop { .. })));
+            assert!(found, "{case:?}: the jumper form\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         }
     }
@@ -919,11 +925,10 @@ mod tests {
         assert!(repro.contains("#[test]"), "reproducer is a runnable test");
     }
 
-    /// A real end-to-end divergence: a case whose oracle is the actual
-    /// differential check, with the "bug" injected by corrupting the
-    /// case's own data seed comparison — here we instead assert the real
-    /// oracle is stable under minimization plumbing (a non-diverging case
-    /// minimizes to itself only via the injected-oracle path).
+    /// A reproducer spells its case out verbatim as Rust: a band and a VBL
+    /// format, both fills, the support flag, the `Gallop` protocol, the
+    /// threshold, max-sum and sieve statements with their parameters, and a
+    /// test named after the case's seed.  It only renders; nothing runs.
     #[test]
     fn reproducers_render_protocols_and_formats_verbatim() {
         let case = FuzzCase {

@@ -13,7 +13,7 @@
 //! verified against independently computed reference results.
 
 use finch::build::*;
-use finch::{CinStmt, CompiledKernel, Engine, Kernel, LevelSpec, Request, Response, Tensor};
+use finch::{CinStmt, LevelSpec, Request, Response, Tensor};
 
 /// Parameters of a generated trace.
 #[derive(Debug, Clone)]
@@ -153,12 +153,6 @@ fn template(cfg: &TraceConfig, kernel: usize) -> (CinStmt, Option<LevelSpec>) {
     }
 }
 
-/// Whether kernel structure `kernel` reads the scalar `C` back (otherwise the
-/// tensor `C`).
-fn reads_scalar(kernel: usize) -> bool {
-    kernel.is_multiple_of(3)
-}
-
 /// Build the service [`Request`] for `(kernel, instance)`.
 pub fn build_request(cfg: &TraceConfig, kernel: usize, instance: usize) -> Request {
     let (a, b) = tensors_for(cfg, kernel, instance);
@@ -171,47 +165,28 @@ pub fn build_request(cfg: &TraceConfig, kernel: usize, instance: usize) -> Reque
 }
 
 /// The readback values of a service [`Response`]: the scalar as a singleton,
-/// or the output tensor's stored values.
+/// or the output tensor's dense values.
 pub fn response_values(resp: &Response) -> Vec<f64> {
     if let Some(s) = resp.scalar {
         return vec![s];
     }
-    resp.tensor.as_ref().map(|t| t.values().to_vec()).unwrap_or_default()
+    resp.tensor.as_ref().map(Tensor::to_dense).unwrap_or_default()
 }
 
-/// Compile `(kernel, instance)` directly, outside any service: the kernel
-/// the service would cache for this structure, bound to this instance's
-/// data.
-fn compile_kernel(cfg: &TraceConfig, kernel: usize, instance: usize) -> CompiledKernel {
-    let (a, b) = tensors_for(cfg, kernel, instance);
-    let (program, output) = template(cfg, kernel);
-    let mut k = Kernel::new();
-    k.bind_input(&a).bind_input(&b);
-    match output {
-        None => k.bind_output_scalar("C"),
-        Some(spec) => k.bind_output_format("C", &[spec]),
-    };
-    k.compile(&program).expect("trace template compiles")
-}
-
-/// The readback values of `compiled` after a run, read the way the service
-/// reads them for kernel structure `kernel`: the scalar, or the finalized
-/// output tensor's stored values.
-fn kernel_values(compiled: &CompiledKernel, kernel: usize) -> Vec<f64> {
-    if reads_scalar(kernel) {
-        vec![compiled.output_scalar("C").expect("scalar readback")]
-    } else {
-        compiled.output_tensor("C").expect("tensor readback").values().to_vec()
-    }
-}
-
-/// Independently compile and run `(kernel, instance)` on the tree-walk
-/// oracle and return its readback values — the reference a served (possibly
-/// degraded) response must match bit-for-bit.
+/// The readback values a response for `(kernel, instance)` must match bit
+/// for bit, computed from the generated data alone, with no compiler: the
+/// dot product as an index-order fold `s + a * b` from `0.0`, the dense
+/// product `a * b`, and the sparse product `a * b` where both are nonzero
+/// and `0.0` elsewhere (the sparse output's fill).
 pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Vec<f64> {
-    let mut compiled = compile_kernel(cfg, kernel, instance);
-    compiled.run_with(Engine::TreeWalk).expect("trace template runs");
-    kernel_values(&compiled, kernel)
+    let av = gen_data(cfg, kernel, instance, 0xA, 0.4);
+    let bv = gen_data(cfg, kernel, instance, 0xB, 0.7);
+    let pairs = av.into_iter().zip(bv);
+    match kernel % 3 {
+        0 => vec![pairs.fold(0.0, |s, (a, b)| s + a * b)],
+        1 => pairs.map(|(a, b)| a * b).collect(),
+        _ => pairs.map(|(a, b)| if a != 0.0 && b != 0.0 { a * b } else { 0.0 }).collect(),
+    }
 }
 
 #[cfg(test)]

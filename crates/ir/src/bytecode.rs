@@ -38,6 +38,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::buffer::BufId;
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
 use crate::value::Value;
@@ -49,7 +50,7 @@ pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
 pub use crate::isa::{
-    Fingers, Gather, Instr, MergeForm, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
+    Gather, Instr, MergeForm, Step, StepCounts, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
 };
 
 /// A register of the bytecode VM, identified by a dense index.
@@ -805,101 +806,70 @@ impl Program {
                     r(hi)
                 )
             }
-            Instr::IMergeSkip {
-                a,
-                p,
-                b,
-                q,
-                form,
-                start,
-                stop,
-                stmts_a,
-                loads_a,
-                stmts_b,
-                loads_b,
-            } => {
-                let (p, q) = (r(p), r(q));
-                let (a_form, b_form) = match form {
-                    MergeForm::Steps => (String::new(), String::new()),
-                    MergeForm::Blocks { ofs } => {
-                        (format!(" blocks b{}", ofs.index()), String::new())
+            Instr::IStepLoop { a, p, q, step, start, stop, counts } => {
+                let at = |list: BufId, finger: Reg| format!("b{}[{}]", list.index(), r(finger));
+                let (mut a_form, mut b_form) = (String::new(), String::new());
+                let does = match step {
+                    Step::Skip(MergeForm::Steps) => "skip".to_string(),
+                    Step::Skip(MergeForm::Blocks { ofs }) => {
+                        a_form = format!(" blocks b{}", ofs.index());
+                        "skip".to_string()
                     }
-                    MergeForm::Gallop { a_end, a_row, b_end, b_row } => (
-                        format!(" seeks < b{}[{}]", a_end.index(), r(a_row)),
-                        format!(" seeks < b{}[{}]", b_end.index(), r(b_row)),
-                    ),
-                };
-                format!(
-                    "merge_skip b{}[{p}]{a_form} ~ b{}[{q}]{b_form} in {}..={} (i64) \
-                     {{ {p} += 1 ; +{stmts_a} stmt +{loads_a} load \
-                     | {q} += 1 ; +{stmts_b} stmt +{loads_b} load }}",
-                    a.index(),
-                    b.index(),
-                    r(start),
-                    r(stop),
-                )
-            }
-            Instr::IGatherReduce {
-                crd,
-                val,
-                p,
-                fingers,
-                gather,
-                extent,
-                acc,
-                k,
-                op,
-                start,
-                stop,
-                stmts,
-                loads,
-            } => {
-                let p = r(p);
-                let mut factors = match gather {
-                    Gather::None => String::new(),
-                    Gather::At { x, at } => format!(" * b{}[{}]", x.index(), r(at)),
-                    Gather::Load { x, ofs } => {
-                        let mut at = format!("b{}[{p}]", crd.index());
-                        for term in ofs {
-                            match term {
-                                Term::Zero => {}
-                                Term::Plus { buf, at: reg } => {
-                                    at += &format!(" + b{}[{}]", buf.index(), r(reg))
+                    Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
+                        a_form = format!(" seeks < {}", at(a_end, a_row));
+                        b_form = format!(" seeks < {}", at(b_end, b_row));
+                        "skip".to_string()
+                    }
+                    Step::Reduce { val, gather, extent, acc, k, op } => {
+                        let mut body =
+                            format!("{} {} {}", at(acc, k), reduce_op(Some(op)), at(val, p));
+                        match gather {
+                            Gather::None => {}
+                            Gather::At { x, at: finger } => {
+                                body += &format!(" * {}", at(x, finger))
+                            }
+                            Gather::Load { x, ofs } => {
+                                let mut index = at(a, p);
+                                for term in ofs {
+                                    match term {
+                                        Term::Zero => {}
+                                        Term::Plus { buf, at: reg } => {
+                                            index += &format!(" + {}", at(buf, reg))
+                                        }
+                                        Term::Minus { buf, at: reg } => {
+                                            index += &format!(" - {}", at(buf, reg))
+                                        }
+                                    }
                                 }
-                                Term::Minus { buf, at: reg } => {
-                                    at += &format!(" - b{}[{}]", buf.index(), r(reg))
-                                }
+                                body += &format!(" * b{}[{index}]", x.index());
                             }
                         }
-                        format!(" * b{}[{at}]", x.index())
+                        if extent {
+                            body += " * extent";
+                        }
+                        body
                     }
                 };
-                if extent {
-                    factors += " * extent";
+                let cost = |k: usize| {
+                    let (stmts, loads) = (counts.stmts[k], counts.loads[k]);
+                    let loads = if loads > 0 { format!(" +{loads} load") } else { String::new() };
+                    format!("+{stmts} stmt{loads}")
+                };
+                let mut fingers = at(a, p) + &a_form;
+                let mut steps = Vec::new();
+                if counts.stmts[0] > 0 || counts.loads[0] > 0 {
+                    steps.push(cost(0));
                 }
-                let (over, steps) = match fingers {
-                    Fingers::One => {
-                        (String::new(), format!("{p} += 1 ; +{stmts} stmt +{loads} load"))
-                    }
-                    Fingers::Two { crd: b, q, adv_p, adv_q } => {
-                        let q = r(q);
-                        (
-                            format!(" over b{}[{p}] ~ b{}[{q}]", crd.index(), b.index()),
-                            format!(
-                                "+{stmts} stmt +{loads} load | {p} += 1 ; +{adv_p} stmt \
-                                 | {q} += 1 ; +{adv_q} stmt"
-                            ),
-                        )
-                    }
-                };
+                steps.push(format!("{} += 1 ; {}", r(p), cost(1)));
+                if let Some((b, q)) = q {
+                    fingers += &format!(" ~ {}{b_form}", at(b, q));
+                    steps.push(format!("{} += 1 ; {}", r(q), cost(2)));
+                }
                 format!(
-                    "gather_reduce b{}[{}] {} b{}[{p}]{factors}{over} in {}..={} (i64) {{ {steps} }}",
-                    acc.index(),
-                    r(k),
-                    reduce_op(Some(op)),
-                    val.index(),
+                    "step_loop {fingers} in {}..={} (i64) {does} {{ {} }}",
                     r(start),
                     r(stop),
+                    steps.join(" | ")
                 )
             }
         }

@@ -14,7 +14,7 @@
 //! | `reduce("complaint")` | an optional reduction that must satisfy [`is_arith_reduce`] |
 //! | `guard("complaint")` | an optional comparison-with-immediate filter |
 //! | `lanes` | a kernel op's unroll width |
-//! | `nested` | a [`VBase`] / [`VAcc`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`MergeForm`], which states its own operands below |
+//! | `nested` | a [`VBase`] / [`VAcc`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`Step`], which states its own operands below |
 //! | `payload` | anything no analysis looks at (immediates, flags, costs, unconstrained operators) |
 //!
 //! From the table the `isa!` macro derives the enum itself,
@@ -1053,159 +1053,60 @@ pub enum Instr {
     },
 
     // -----------------------------------------------------------------
-    // The run-ahead kernel op of the two-finger merge, produced by
-    // `crate::opt::merge_skip`.  Unlike the vectorized ops above it sits
-    // *inside* its loop, as the body's first instruction — where the
-    // loop's bottom test lands — so it is dispatched at the top of every
-    // iteration the scalar loop is about to run.
+    // The step loop's kernel op, produced by `crate::opt::merge_skip`.
+    // Unlike the vectorized ops above it sits *inside* its loop, as the
+    // body's first instruction — where the loop's bottom test lands — so it
+    // is dispatched at the top of every iteration the scalar loop is about
+    // to run.
     // -----------------------------------------------------------------
-    /// Run-ahead of a coiterating two-finger merge (paper §6.1): at the top
-    /// of an iteration of
+    /// The step loop (paper §6.1), run ahead: at the top of an iteration of
     ///
     /// ```text
     /// while start <= stop {
     ///     s1 = a[p] ; s2 = b[q] ; ss = min(min(s1, s2), stop)
-    ///     if ss == s1 { if ss == s2 { .. } }
+    ///     ..                                        // the step's body
     ///     if s1 == ss { p += 1 } ; if s2 == ss { q += 1 }
     ///     start = ss + 1
     /// }
     /// ```
     ///
-    /// execute, in one native loop over the two `i64` lanes, every
-    /// iteration whose coordinates differ (`s1 != s2`: the guarded body
-    /// does not run) and that is not the loop's last (`ss + 1 <= stop`).
-    /// Each such iteration is led by one finger, the one whose stride is
-    /// `ss`, and advances that finger alone; `start` is set, and
+    /// — or over a lone stepper `p`, whose step `ss = min(s1, stop)` the op
+    /// takes where it ends at the stride — execute, in one native loop over
+    /// the `i64` lanes, the iterations that are not the loop's last (`ss + 1
+    /// <= stop`) and that the [`Step`] performs: those whose guarded body
+    /// does not run, up to the first that matches ([`Step::Skip`]), or every
+    /// one, body and all ([`Step::Reduce`]).  Each advances the fingers whose
+    /// stride ends its step; `start` is set, and
     /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration each, and `stmts_a` statements
-    /// and `loads_a` loads per iteration `p` leads, `stmts_b` and `loads_b`
-    /// per iteration `q` leads.
+    /// iterations count: one loop iteration each, and the `counts` of every
+    /// step and of each finger on the steps it ends.
     ///
-    /// The **block form** ([`MergeForm::Blocks`]; VBL's loop, Fig. 3b) is
-    /// the same loop with the inner guard `ss` lies inside the block `a[p]`
-    /// ends: `a`'s stride is a block's last coordinate, the block is `len =
-    /// ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 - len < s2
-    /// <= s1`.  It skips both kinds of empty step: `s1 < s2` (the block ends
-    /// first; `p` leads) and `s2 <= s1 - len` (`b`'s coordinate is in the
-    /// zero gap in front of the block; `q` leads, and its gap test's
-    /// statements and loads are in `stmts_b` / `loads_b`).
-    ///
-    /// The **jumper form** ([`MergeForm::Gallop`]; two galloped fingers) is
-    /// the loop whose step ends at the *later* stride, `ss = min(max(s1,
-    /// s2), stop)`: the leader advances, and the trailer seeks to `ss` in
-    /// its own list (up to its row's `end[row] - 1`) and runs a one-step
-    /// stepper there, whose body runs where the seek lands on `ss`.  It
-    /// skips the steps one finger ends and whose seek lands past `ss`,
-    /// counting two loop iterations, one search and the seek's probes as
-    /// loads besides the leader's counts — the loop's last such step too,
-    /// one loop iteration fewer, after which it leaves the loop by the exit
-    /// of the head in front of it.
-    ///
-    /// The op stops, with `p`, `q` and `start` as the scalar loop has them
-    /// at that iteration's top, in front of the first iteration that
-    /// matches, ends the loop (but for the jumper form's empty last step),
-    /// reads past a buffer (or a buffer that is no longer `i64`), or might
-    /// cross [`crate::vm::Vm`]'s statement limit
-    /// (the step budget, a deadline check, a poll of the cancellation flag)
-    /// — so the scalar loop under it, which is left as it was, still runs
-    /// every iteration that stores, faults, trips or exits, and rewrites
-    /// every temporary that a later iteration or the loop's exit reads.
-    IMergeSkip = "i_merge_skip" TagFree {
-        /// The first finger's sorted I64 coordinate buffer.
+    /// The op stops, with the fingers and `start` as the scalar loop has
+    /// them at that iteration's top, in front of the loop's last iteration
+    /// (but for the jumper form's empty last step), a read past a buffer or
+    /// of a buffer of another kind, and an iteration that might cross
+    /// [`crate::vm::Vm`]'s statement limit (the step budget, a deadline
+    /// check, a poll of the cancellation flag) — so the scalar loop under
+    /// it, which is left as it was, still runs every iteration that
+    /// matches, ends the loop, faults or trips, and rewrites every
+    /// temporary that a later iteration or the loop's exit reads.
+    IStepLoop = "i_step_loop" TagFree {
+        /// The first finger's sorted I64 coordinates.
         a: BufId = buf(I64),
         /// The first finger: a position in `a` (proven `Int`).
         p: Reg = reg(ReadWrite),
-        /// The second finger's sorted I64 coordinate buffer.
-        b: BufId = buf(I64),
-        /// The second finger: a position in `b` (proven `Int`).
-        q: Reg = reg(ReadWrite),
-        /// Which step the loop takes: the steppers', VBL's, or the jumpers'.
-        form: MergeForm = nested,
-        /// The loop's `step_start`, set to one past the last skipped step.
-        start: Reg = reg(ReadWrite),
-        /// The loop's inclusive bound (proven `Int`).
-        stop: Reg = reg(Read),
-        /// Statements of a skipped iteration that `p` leads.
-        stmts_a: u32 = payload,
-        /// Loads of a skipped iteration that `p` leads (a seek's probes
-        /// aside).
-        loads_a: u32 = payload,
-        /// Statements of a skipped iteration that `q` leads.
-        stmts_b: u32 = payload,
-        /// Loads of a skipped iteration that `q` leads (a seek's probes
-        /// aside).
-        loads_b: u32 = payload,
-    },
-    /// The step loop's reduction (Fig. 1's sparse list against a located
-    /// operand; Fig. 11's run-length rows), placed like
-    /// [`Instr::IMergeSkip`]: at the top of an iteration of
-    ///
-    /// ```text
-    /// while start <= stop {
-    ///     s1 = crd[p] ; ss = min(s1, stop)     // one finger
-    ///     s2 = b[q] ; ss = min(min(s1, s2), stop)  // or two
-    ///     acc[k] op= val[p] * second * extent
-    ///     if s1 == ss { p += 1 } ; if s2 == ss { q += 1 }
-    ///     start = ss + 1
-    /// }
-    /// ```
-    ///
-    /// execute, in one native loop, every iteration that is not the loop's
-    /// last (`ss + 1 <= stop`): the body runs and the loop goes on.  The
-    /// body's factors are `val[p]`, then the [`Gather`] (none, a value at a
-    /// finger, or `x[ss + ofs]`), then — `extent` — the step's length
-    /// `max(ss - start + 1, 0)`; the op multiplies them in that order, as
-    /// the scalar code does, the extent in `f64` as the generic `*` of
-    /// [`crate::value::Value::binop`] converts it, and with the scalar
-    /// code's wrapping `i64` arithmetic.  A lone stepper's body may be
-    /// guarded by `ss == s1`: its steps end at its stride, which is below
-    /// the bound.  The op folds each body's value into a local strictly in
-    /// order, as the scalar stores do, and stores `acc[k]` once.  `ofs` is
-    /// loop-invariant: the op evaluates its terms once per dispatch, and does
-    /// nothing if one of their loads is out of bounds.  The fingers, and
-    /// `start`, are set, and [`crate::interp::ExecStats`] grow by one loop
-    /// iteration, `stmts` statements (a lone finger's advance included),
-    /// `loads` loads (the invariant terms' included) and one store per
-    /// iteration, and by the statements of each advance of two fingers
-    /// ([`Fingers::Two`]) that fires.
-    ///
-    /// The op stops in front of the loop's last iteration, a load past a
-    /// buffer or of the wrong kind (the second factor included), and an
-    /// iteration that might cross [`crate::vm::Vm`]'s statement limit, as
-    /// [`Instr::IMergeSkip`] does — so the scalar loop under it, left as it
-    /// was, still runs every iteration that ends the loop, faults or trips.
-    IGatherReduce = "i_gather_reduce" TagFree {
-        /// The first finger's sorted I64 coordinates.
-        crd: BufId = buf(I64),
-        /// The first factor: the first finger's F64 values.
-        val: BufId = buf(F64),
-        /// The first finger: a position in `crd` and `val` (proven `Int`).
-        p: Reg = reg(ReadWrite),
-        /// One finger, or a second under a `min` leader.
-        fingers: Fingers = nested,
-        /// The second factor: none, a value at a finger, or a load of `x`
-        /// at the step's end plus loop-invariant terms.
-        gather: Gather = nested,
-        /// Whether the step's extent, `max(ss - start + 1, 0)`, is the last
-        /// factor.
-        extent: bool = payload,
-        /// The F64 accumulator, distinct from every source.
-        acc: BufId = buf(F64),
-        /// The accumulator's element (proven `Int`; the loop does not
-        /// write it).
-        k: Reg = reg(Read),
-        /// The reduction operator combining into the accumulator.
-        op: BinOp = op(is_float_arith, "unsupported gather reduce op"),
+        /// The second finger, if there is one: its sorted I64 coordinates,
+        /// and a position in them (proven `Int`).
+        q: Option<(BufId, Reg)> = nested,
+        /// What the op does with a step.
+        step: Step = nested,
         /// The loop's `step_start`, set to one past the last performed step.
         start: Reg = reg(ReadWrite),
         /// The loop's inclusive bound (proven `Int`): a register, or the
         /// pinned register of a literal bound.
         stop: Reg = reg(Read),
-        /// Statements of a performed iteration, a second finger's advances
-        /// aside.
-        stmts: u32 = payload,
-        /// Loads of a performed iteration.
-        loads: u32 = payload,
+        /// What a performed step counts.
+        counts: StepCounts = payload,
     },
 }
 }
@@ -1295,23 +1196,101 @@ walks!(VFill, |fill, f| match fill {
     VFill::Reg(reg) => f(Operand::Reg(reg, Role::Read)),
 });
 
-/// Which step an [`Instr::IMergeSkip`]'s loop takes: what the finger that
-/// does not lead an iteration — the trailer — reads besides its list.  The
-/// leader is the finger whose stride ends the step; the op's counts are one
-/// per leading finger whatever the form.
+// An [`Instr::IStepLoop`]'s second finger, if it has one: its list and the
+// finger itself, which the op steps.
+walks!(Option<(BufId, Reg)>, |second, f| if let Some((list, finger)) = second {
+    f(Operand::Buf(list, Elem::I64));
+    f(Operand::Reg(finger, Role::ReadWrite));
+});
+
+/// What an [`Instr::IStepLoop`] does with a step of its loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Step {
+    /// Skip it: two fingers' step that one of them ends alone, whose body
+    /// the form's guard keeps from running.  The op stops in front of the
+    /// first step whose body runs.
+    Skip(MergeForm),
+    /// Perform it, body and all: the body is `acc[k] op= val[p] * second *
+    /// extent`, whose factors are the first finger's value, the [`Gather`]
+    /// (none, a value at a finger, or `x[ss + ofs]`) and — `extent` — the
+    /// step's length `max(ss - start + 1, 0)`.  The op multiplies them in
+    /// that order, as the scalar code does, the extent in `f64` as the
+    /// generic `*` of [`crate::value::Value::binop`] converts it, and with
+    /// the scalar code's wrapping `i64` arithmetic; it folds each body's
+    /// value into a local strictly in order, as the scalar stores do, stores
+    /// `acc[k]` once, and counts one store per step.  A lone stepper's body
+    /// may be guarded by `ss == s1`: its steps end at its stride, which is
+    /// below the bound.  `ofs` is loop-invariant: the op evaluates its terms
+    /// once per dispatch, and does nothing if one of their loads is out of
+    /// bounds.
+    Reduce {
+        /// The first factor: the first finger's F64 values.
+        val: BufId,
+        /// The second factor.
+        gather: Gather,
+        /// Whether the step's extent is the last factor.
+        extent: bool,
+        /// The F64 accumulator, distinct from every source.
+        acc: BufId,
+        /// The accumulator's element (proven `Int`; the loop does not write
+        /// it).
+        k: Reg,
+        /// The reduction operator combining into the accumulator.
+        op: BinOp,
+    },
+}
+
+walks!(Step, |step, f| match step {
+    Step::Skip(form) => Walk::walk(form, &mut *f),
+    Step::Reduce { val, gather, acc, k, op, .. } => {
+        f(Operand::Buf(val, Elem::F64));
+        Walk::walk(gather, &mut *f);
+        f(Operand::Buf(acc, Elem::F64));
+        f(Operand::Reg(k, Role::Read));
+        f(Operand::Op(*op, is_float_arith, "unsupported step loop reduce op"));
+    }
+});
+
+/// What a step of an [`Instr::IStepLoop`]'s loop counts, statements and
+/// loads alike, indexed `[each, p, q]`: every step counts `each`, and a step
+/// a finger's stride ends — where the finger advances — that finger's
+/// count.  A skipped step is ended by its leader alone; a performed step
+/// may be ended by both fingers, and a lone finger ends every step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepCounts {
+    /// Statements.
+    pub stmts: [u32; 3],
+    /// Loads (a seek's probes aside).
+    pub loads: [u32; 3],
+}
+
+/// How a [`Step::Skip`] loop steps: what the finger that does not lead an
+/// iteration — the trailer — reads besides its list.  The leader is the
+/// finger whose stride ends the step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergeForm {
-    /// Two steppers: the step ends at the earlier stride, and the trailer
-    /// reads nothing.
+    /// Two steppers: the step ends at the earlier stride, the trailer reads
+    /// nothing, and a step is skipped where the strides differ.
     Steps,
-    /// VBL: `a`'s stride ends a block, `ofs[p + 1] - ofs[p]` coordinates
-    /// long, and where `b` leads, `a` reads its offsets for the gap test.
+    /// VBL (Fig. 3b): `a`'s stride is a block's last coordinate, the block
+    /// is `len = ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 -
+    /// len < s2 <= s1`.  Both kinds of empty step are skipped: `s1 < s2` (the
+    /// block ends first; `p` leads) and `s2 <= s1 - len` (`b`'s coordinate is
+    /// in the zero gap in front of the block; `q` leads, and its gap test's
+    /// statements and loads are in `q`'s counts).
     Blocks {
         /// `a`'s I64 block offsets, distinct from `a` and `b`.
         ofs: BufId,
     },
-    /// Two jumpers: the step ends at the later stride, and the trailer
-    /// seeks to it.  A finger's seek window ends at `end[row] - 1`.
+    /// Two jumpers: the step ends at the *later* stride, `ss = min(max(s1,
+    /// s2), stop)`; the leader advances, and the trailer seeks to `ss` in its
+    /// own list (up to its row's `end[row] - 1`) and runs a one-step stepper
+    /// there, whose body runs where the seek lands on `ss`.  A step is
+    /// skipped where one finger ends it and the seek lands past `ss`,
+    /// counting two loop iterations, one search and the seek's probes as
+    /// loads besides the leader's counts — the loop's last such step too,
+    /// one loop iteration fewer, after which the op leaves the loop by the
+    /// exit of the head in front of it.
     Gallop {
         /// `a`'s I64 row ends, distinct from `a` and `b`.
         a_end: BufId,
@@ -1335,36 +1314,7 @@ walks!(MergeForm, |form, f| match form {
     }
 });
 
-/// The fingers of an [`Instr::IGatherReduce`]'s loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fingers {
-    /// A lone stepper `p`: a performed step ends at its stride and advances
-    /// it, and the advance's statements are in the op's `stmts`.
-    One,
-    /// A second stepper under a `min` leader: the step ends at the earlier
-    /// stride and advances each finger whose stride it is — both, on a tie
-    /// — accounting `adv_p` (`adv_q`) statements where `p` (`q`) advances.
-    Two {
-        /// The second finger's sorted I64 coordinates.
-        crd: BufId,
-        /// The second finger: a position in `crd` (proven `Int`).
-        q: Reg,
-        /// Statements of `p`'s advance.
-        adv_p: u32,
-        /// Statements of `q`'s advance.
-        adv_q: u32,
-    },
-}
-
-walks!(Fingers, |fingers, f| match fingers {
-    Fingers::One => {}
-    Fingers::Two { crd, q, .. } => {
-        f(Operand::Buf(crd, Elem::I64));
-        f(Operand::Reg(q, Role::ReadWrite));
-    }
-});
-
-/// The second factor of an [`Instr::IGatherReduce`]'s body.
+/// The second factor of a [`Step::Reduce`]'s body.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gather {
     /// None: the body is `acc[k] op= val[p]` (times the extent).
@@ -1763,36 +1713,24 @@ pub(crate) fn samples() -> Vec<Instr> {
             pass_cost: cost,
             lanes: 4,
         },
-        Instr::IMergeSkip {
+        Instr::IStepLoop {
             a: b(0),
             p: r(0),
-            b: b(1),
-            q: r(1),
-            form: MergeForm::Gallop { a_end: b(5), a_row: r(4), b_end: b(6), b_row: r(5) },
-            start: r(2),
-            stop: r(3),
-            stmts_a: 9,
-            loads_a: 6,
-            stmts_b: 15,
-            loads_b: 5,
-        },
-        Instr::IGatherReduce {
-            crd: b(0),
-            val: b(2),
-            p: r(0),
-            fingers: Fingers::Two { crd: b(1), q: r(6), adv_p: 1, adv_q: 2 },
-            gather: Gather::Load {
-                x: b(3),
-                ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
+            q: Some((b(1), r(6))),
+            step: Step::Reduce {
+                val: b(2),
+                gather: Gather::Load {
+                    x: b(3),
+                    ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
+                },
+                extent: true,
+                acc: b(4),
+                k: r(1),
+                op: Add,
             },
-            extent: true,
-            acc: b(4),
-            k: r(1),
-            op: Add,
             start: r(2),
             stop: r(3),
-            stmts: 7,
-            loads: 5,
+            counts: StepCounts { stmts: [7, 1, 2], loads: [5, 0, 0] },
         },
     ]
 }
@@ -1816,7 +1754,7 @@ mod tests {
         for name in ["f0", "f1", "f2"] {
             bufs.add(name, Buffer::F64(vec![0.0; 4].into()));
         }
-        // The merge run-ahead's row ends.
+        // A reduction's offset terms.
         bufs.add("i5", Buffer::I64(vec![0; 4].into()));
         bufs.add("i6", Buffer::I64(vec![0; 4].into()));
         bufs
@@ -1826,34 +1764,14 @@ mod tests {
     /// pc in it.  A kernel op sits in front of the counted loop it drives
     /// (whose body stores the register a register-valued fill reads); a
     /// bottom test sits right behind the head it re-tests, closing an empty
-    /// loop; the merge run-ahead sits right behind the head of a loop that
+    /// loop; the step loop op sits right behind the head of a loop that
     /// steps its fingers and its start; any other instruction sits inside a
     /// loop whose head is pc 0, for `ForStep` to jump back to, and whose
     /// exit is pc 3.
     fn around(sample: Instr) -> (Program, usize) {
         let (r, var) = (Reg, Reg(7));
         let (code, pc) = match (sample.vop_loop_regs(), sample) {
-            (_, Instr::IMergeSkip { p, q, start, stop, .. }) => {
-                let (op, ss) = (BinOp::Le, r(6));
-                let step = |at, reg| Instr::IAdvance {
-                    op: BinOp::Eq,
-                    lhs: at,
-                    rhs: ss,
-                    reg,
-                    by: 1,
-                    stmts: 1,
-                };
-                let code = vec![
-                    Instr::IWhileCmp { op, lhs: start, rhs: stop, end: 6 },
-                    sample,
-                    step(r(4), p),
-                    step(r(5), q),
-                    Instr::IArithImm { op: BinOp::Add, dst: start, lhs: ss, imm: 1 },
-                    Instr::IWhileNext { op, lhs: start, rhs: stop, body: 1 },
-                ];
-                (code, 1)
-            }
-            (_, Instr::IGatherReduce { p, fingers: Fingers::Two { q, .. }, start, stop, .. }) => {
+            (_, Instr::IStepLoop { p, q: Some((_, q)), start, stop, .. }) => {
                 let (op, ss) = (BinOp::Le, r(7));
                 let step =
                     |reg| Instr::IAdvance { op: BinOp::Eq, lhs: ss, rhs: ss, reg, by: 1, stmts: 1 };

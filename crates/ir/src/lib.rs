@@ -72,7 +72,7 @@ pub mod var;
 pub mod vm;
 
 pub use buffer::{AllocMeter, BufId, Buffer, BufferSet};
-pub use bytecode::{Fingers, Instr, LaneTag, MergeForm, Program, Reg};
+pub use bytecode::{Instr, LaneTag, MergeForm, Program, Reg};
 pub use config::{Engine, ExecConfig};
 pub use error::RuntimeError;
 pub use expr::{BinOp, Expr, UnOp};

@@ -28,13 +28,14 @@
 //! the body does with the trailer is all that tells the loops apart.  On
 //! sparse operands all but a few per cent of the iterations match nothing
 //! and do finger bookkeeping at a dozen or more dispatches each.
-//! [`merge_skip`] places one [`Instr::IMergeSkip`] as the body's first
+//! [`merge_skip`] places one [`Instr::IStepLoop`] as the body's first
 //! instruction — on the target of the bottom test, so it is dispatched at
-//! loop entry and after every scalar iteration — which runs those
-//! iterations natively.  Like the vectorized kernel ops this is strictly
-//! additive: the scalar loop is left instruction for instruction as it was,
-//! still executes every iteration that matches, ends the loop, faults or
-//! trips a budget, and is all there is when the op declines at run time.
+//! loop entry and after every scalar iteration — which skips those
+//! iterations natively ([`Step::Skip`]).  Like the vectorized kernel ops
+//! this is strictly additive: the scalar loop is left instruction for
+//! instruction as it was, still executes every iteration that matches, ends
+//! the loop, faults or trips a budget, and is all there is when the op
+//! declines at run time.
 //!
 //! One walk recognises the loop (`walk`): an iteration that matches
 //! nothing is followed from the top of the body to the bottom test, once
@@ -63,16 +64,21 @@
 //! second * extent`, the second factor none, a value at a finger (`b[q]`, or
 //! `val[p]` again for a row norm) or a gather `x[ss + ofs]`, the extent
 //! `max(ss - start + 1, 0)` or none, with `k` and the terms of `ofs` loads
-//! and registers the loop does not write — the pass places an
-//! [`Instr::IGatherReduce`] in the same place, which performs every step but
-//! the last, body and all (`reduction`).  One such step is walked from the
-//! top of the body to the bottom test, as above; its statements and loads
-//! are the op's counts, and so are, apart, the statements of each of two
-//! fingers' advances, which fire where the finger's stride ends the step.
-//! A lone stepper with a guard, an append, a store at a varying index or
-//! any other factor is declined as [`MergeDecline::SingleFinger`]; two
-//! fingers whose body is no such reduction as the walks' reason,
+//! and registers the loop does not write — the pass places the same op in
+//! the same place, which performs every step but the last, body and all
+//! ([`Step::Reduce`]; `reduction`).  One such step is walked from the top
+//! of the body to the bottom test, as above; its statements and loads are
+//! the op's counts for every step, and the statements of each finger's
+//! advance its counts for the steps the finger's stride ends.  A lone
+//! stepper with a guard, an append, a store at a varying index or any other
+//! factor is declined as [`MergeDecline::SingleFinger`]; two fingers whose
+//! body is no such reduction as the walks' reason,
 //! [`MergeDecline::NotGuardedByBoth`] for a body that is not guarded.
+//!
+//! Both walks end in one constructor (`step_loop_op`), which checks what
+//! the scalar loop could otherwise tell apart: that only the bottom test
+//! lands on the op, and that nothing the op leaves unwritten is read before
+//! it is rewritten.
 //!
 //! A loop that is not given an op says why ([`MergeDecline`]); the tallies
 //! are in [`OptStats::merge_declined`].
@@ -81,8 +87,8 @@ use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, holds_literal, splice_before, Fingers, Gather, Instr, MergeForm,
-    Program, Reg, Role, Term, NO_EDGE,
+    edge_table, for_each_reg_role, holds_literal, splice_before, Gather, Instr, MergeForm, Program,
+    Reg, Role, Step, StepCounts, Term, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -145,11 +151,11 @@ impl MergeDecline {
     }
 }
 
-/// Give every two-finger merge loop of `p` its run-ahead op, and every step
-/// loop whose body is a reduction its reduction op.  `p` is typed bytecode
-/// behind `forward`, which makes the advances and the bottom tests the loop
-/// is recognised by, and in front of `finalize`: every statement is still an
-/// explicit [`Instr::BumpStmt`].
+/// Give every two-finger merge loop of `p` the step loop op that skips, and
+/// every step loop whose body is a reduction the one that performs.  `p` is
+/// typed bytecode behind `forward`, which makes the advances and the bottom
+/// tests the loop is recognised by, and in front of `finalize`: every
+/// statement is still an explicit [`Instr::BumpStmt`].
 pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
     let mut inserts = Vec::new();
     // Every instruction's jump target, read once the first loop needs them.
@@ -272,49 +278,62 @@ fn recognise(
         return Err(SharedOperand);
     }
     // A jumper's rows are read once, so the loop must not write them.
-    let writes_rows = match form {
-        MergeForm::Gallop { a_row, b_row, .. } => {
-            code[head..=bottom].iter().any(|i| writes(i, &[a_row, b_row]))
+    if let MergeForm::Gallop { a_row, b_row, .. } = form {
+        if code[head..=bottom].iter().any(|i| writes(i, &[a_row, b_row])) {
+            return Err(why(NotGuardedByBoth));
         }
-        _ => false,
-    };
-    // Only the bottom test lands on the top of the body, and nothing the
-    // op leaves unwritten is read there before it is rewritten — nor where
-    // the loop exits, which a jumper's op leaves by after its last
-    // iteration (a stepper's hands over to the scalar loop first).
-    let edges = edges.get_or_init(|| edge_table(code));
-    let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
-    let mut unwritten: Vec<Reg> = by_a.written.iter().chain(&by_b.written).copied().collect();
-    unwritten.sort_unstable_by_key(|r| r.0);
-    unwritten.dedup();
-    unwritten.retain(|r| ![start, p, q].contains(r));
-    let from = &[head + 1, bottom + 1][..1 + jumper as usize];
-    if entered
-        || writes_rows
-        || unwritten.contains(&stop)
-        || read_before_written(code, edges, from, &unwritten)
-    {
-        return Err(why(NotGuardedByBoth));
     }
     // The block form's first finger is the one whose stride ends a block.
     let mut fingers = [((a, p), by_a), ((b, q), by_b)];
     if matches!(fingers[0].1.aux, Aux::Blocks(_)) {
         fingers.swap(0, 1);
     }
-    let [((a, p), by_a), ((b, q), by_b)] = fingers;
-    Ok(Instr::IMergeSkip {
-        a,
-        p,
-        b,
-        q,
-        form,
-        start,
-        stop,
-        stmts_a: by_a.stmts,
-        loads_a: by_a.loads,
-        stmts_b: by_b.stmts,
-        loads_b: by_b.loads,
-    })
+    let [(first, by_a), (second, by_b)] = fingers;
+    let counts =
+        StepCounts { stmts: [0, by_a.stmts, by_b.stmts], loads: [0, by_a.loads, by_b.loads] };
+    let written = by_a.written.into_iter().chain(by_b.written).collect();
+    step_loop_op(code, edges, lp, &[first, second], Step::Skip(form), counts, written)
+        .ok_or(why(NotGuardedByBoth))
+}
+
+/// The op over `fingers` (a list and a position each) that takes the steps
+/// of the loop `lp` as `step` says, counting `counts` — where the scalar
+/// loop cannot tell it from the steps it takes — or `None`.  The fingers,
+/// the start and the bound are distinct registers; only the bottom test
+/// lands on the top of the body; and no register a taken step writes but
+/// the op does not (`written`: the bound among them) is read before it is
+/// rewritten on a path from the top of the body — nor from the loop's exit,
+/// where a jumper's op leaves the loop after its last step (another op
+/// hands over to the scalar loop first).  `edges` is [`edge_table`] of
+/// `code`, or empty until it is first needed.
+fn step_loop_op(
+    code: &[Instr],
+    edges: &OnceCell<Vec<u32>>,
+    lp: StepLoop,
+    fingers: &[(BufId, Reg)],
+    step: Step,
+    counts: StepCounts,
+    mut written: Vec<Reg>,
+) -> Option<Instr> {
+    let StepLoop { head, bottom, start, stop, .. } = lp;
+    let mut regs: Vec<Reg> = fingers.iter().map(|&(_, r)| r).chain([start, stop]).collect();
+    if (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
+        return None;
+    }
+    // The op writes its fingers and its start.
+    regs.pop();
+    written.sort_unstable_by_key(|r| r.0);
+    written.dedup();
+    written.retain(|r| !regs.contains(r));
+    let edges = edges.get_or_init(|| edge_table(code));
+    let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
+    let leaves = matches!(step, Step::Skip(MergeForm::Gallop { .. }));
+    let from = &[head + 1, bottom + 1][..1 + leaves as usize];
+    if entered || written.contains(&stop) || read_before_written(code, edges, from, &written) {
+        return None;
+    }
+    let (&(a, p), second) = fingers.split_first()?;
+    Some(Instr::IStepLoop { a, p, q: second.first().copied(), step, start, stop, counts })
 }
 
 /// What a register holds on an iteration the reduction op performs: the
@@ -391,9 +410,7 @@ fn reduction(
     // The fingers and the start are written in one place each: the step the
     // walk must find.
     let once = |r: Reg| loop_writes.iter().filter(|&&w| w == r).count() == 1;
-    let regs: Vec<Reg> = fingers.iter().map(|&(_, r)| r).chain([start, stop]).collect();
-    let distinct = (1..regs.len()).all(|k| !regs[..k].contains(&regs[k]));
-    if !distinct || !invariant(stop) || !regs[..regs.len() - 1].iter().all(|&r| once(r)) {
+    if !invariant(stop) || !fingers.iter().map(|&(_, r)| r).chain([start]).all(once) {
         return None;
     }
     let mut vals = vec![(stop, Stop), (start, Start)];
@@ -426,13 +443,15 @@ fn reduction(
             }
             Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
                 let Pos(k) = val(&vals, reg)? else { return None };
-                match [val(&vals, lhs)?, val(&vals, rhs)?] {
-                    [Step, Step] if !two => stmts += n,
-                    [Stride(j), Step] | [Step, Stride(j)] if j == k && adv[k].is_none() => {
-                        adv[k] = Some(n)
-                    }
-                    _ => return None,
+                let ends = match [val(&vals, lhs)?, val(&vals, rhs)?] {
+                    [Step, Step] => !two,
+                    [Stride(j), Step] | [Step, Stride(j)] => j == k,
+                    _ => false,
+                };
+                if !ends || adv[k].is_some() {
+                    return None;
                 }
+                adv[k] = Some(n);
                 (reg, OneOn(k))
             }
             Instr::LoadI64 { dst, buf, idx } => {
@@ -533,7 +552,7 @@ fn reduction(
     }
     let (acc, k, op, values, first, gather, extent) = stored?;
     let ends = fingers.iter().enumerate().all(|(k, &(_, r))| val(&vals, r) == Some(OneOn(k)));
-    if pc != bottom || !ends || val(&vals, start) != Some(After) || (two && adv.contains(&None)) {
+    if pc != bottom || !ends || val(&vals, start) != Some(After) {
         return None;
     }
     let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).chain([values]).collect();
@@ -552,43 +571,18 @@ fn reduction(
     if sources.contains(&acc) {
         return None;
     }
-    // Only the bottom test lands on the top of the body, and nothing the op
-    // leaves unwritten is read there, or where the loop exits, before it is
-    // rewritten.
-    let edges = edges.get_or_init(|| edge_table(code));
-    let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
-    let mut unwritten: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
-    unwritten.sort_unstable_by_key(|r| r.0);
-    unwritten.dedup();
-    unwritten.retain(|r| !regs.contains(r));
-    if entered || read_before_written(code, edges, &[head + 1], &unwritten) {
-        return None;
-    }
     // The op's `p` is the finger of the first factor; a `min` leader does not
     // tell two fingers apart.
-    let (p, q) = (fingers[first], fingers[fingers.len() - 1 - first]);
-    let fingers = match adv {
-        [Some(a), Some(b)] => {
-            let (adv_p, adv_q) = if first == 0 { (a, b) } else { (b, a) };
-            Fingers::Two { crd: q.0, q: q.1, adv_p, adv_q }
-        }
-        _ => Fingers::One,
-    };
-    Some(Instr::IGatherReduce {
-        crd: p.0,
-        val: values,
-        p: p.1,
-        fingers,
-        gather,
-        extent,
-        acc,
-        k,
-        op,
-        start,
-        stop,
-        stmts,
-        loads,
-    })
+    let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
+    let mut fingers = fingers.to_vec();
+    if first == 1 {
+        fingers.swap(0, 1);
+        advances.swap(0, 1);
+    }
+    let counts = StepCounts { stmts: [stmts, advances[0], advances[1]], loads: [loads, 0, 0] };
+    let step = crate::bytecode::Step::Reduce { val: values, gather, extent, acc, k, op };
+    let written = vals[entry..].iter().map(|&(r, _)| r).collect();
+    step_loop_op(code, edges, lp, &fingers, step, counts, written)
 }
 
 /// What a register holds on an iteration the op skips: the loop's bound; a
@@ -1213,7 +1207,8 @@ pub(super) mod tests {
     }
 
     fn ops(p: &Program) -> Vec<usize> {
-        let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IMergeSkip { .. });
+        let is_op =
+            |pc: &usize| matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Skip(_), .. });
         (0..p.code().len()).filter(is_op).collect()
     }
 
@@ -1260,14 +1255,14 @@ pub(super) mod tests {
         // stride stands in for the reload of `a[p]`; the jumper form's
         // fall-back alike for either finger.
         let wants = [
-            "merge_skip b0[p] ~ b2[q] in step_start..=phase_stop (i64) \
+            "step_loop b0[p] ~ b2[q] in step_start..=phase_stop (i64) skip \
              { p += 1 ; +9 stmt +2 load | q += 1 ; +8 stmt +2 load }",
-            "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
+            "step_loop b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) skip \
              { p += 1 ; +8 stmt +2 load | q += 1 ; +13 stmt +5 load }",
-            "merge_skip b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) \
+            "step_loop b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) skip \
              { p += 1 ; +8 stmt +2 load | q += 1 ; +13 stmt +4 load }",
-            "merge_skip b0[p] seeks < b7[inv] ~ b2[q] seeks < b8[inv] in step_start..=phase_stop \
-             (i64) { p += 1 ; +18 stmt +6 load | q += 1 ; +18 stmt +6 load }",
+            "step_loop b0[p] seeks < b7[inv] ~ b2[q] seeks < b8[inv] in step_start..=phase_stop \
+             (i64) skip { p += 1 ; +18 stmt +6 load | q += 1 ; +18 stmt +6 load }",
         ];
         for (shape, want) in TAKEN.into_iter().zip(wants) {
             let kernel =
@@ -1694,7 +1689,9 @@ pub(super) mod tests {
     const GATHERED: [Lone; 4] = [Lone::Band, Lone::Dense, Lone::Max, Lone::AtFinger];
 
     fn gathers(p: &Program) -> Vec<usize> {
-        let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IGatherReduce { .. });
+        let is_op = |pc: &usize| {
+            matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Reduce { .. }, .. })
+        };
         (0..p.code().len()).filter(is_op).collect()
     }
 
@@ -1716,14 +1713,14 @@ pub(super) mod tests {
     #[test]
     fn the_lone_stepper_gets_the_gather_reduction_and_is_otherwise_untouched() {
         let wants = [
-            "gather_reduce b6[t7] += b1[p] * b2[b0[p] + b3[inv] - b4[inv]] \
-             in step_start..=phase_stop (i64) { p += 1 ; +7 stmt +5 load }",
-            "gather_reduce b6[t3] += b1[p] * b2[b0[p]] in step_start..=phase_stop (i64) \
-             { p += 1 ; +7 stmt +3 load }",
-            "gather_reduce b6[t2] max= b1[p] in step_start..=phase_stop (i64) \
-             { p += 1 ; +7 stmt +2 load }",
-            "gather_reduce b6[t3] += b1[p] * b2[p] in step_start..=phase_stop (i64) \
-             { p += 1 ; +7 stmt +3 load }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) \
+             b6[t7] += b1[p] * b2[b0[p] + b3[inv] - b4[inv]] { +6 stmt +5 load | p += 1 ; +1 stmt }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) b6[t3] += b1[p] * b2[b0[p]] \
+             { +6 stmt +3 load | p += 1 ; +1 stmt }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) b6[t2] max= b1[p] \
+             { +6 stmt +2 load | p += 1 ; +1 stmt }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) b6[t3] += b1[p] * b2[p] \
+             { +6 stmt +3 load | p += 1 ; +1 stmt }",
         ];
         for (shape, want) in GATHERED.into_iter().zip(wants) {
             let c = compile(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
@@ -1966,16 +1963,16 @@ pub(super) mod tests {
     #[test]
     fn the_run_product_gets_the_two_finger_reduction_and_is_otherwise_untouched() {
         let wants = [
-            "gather_reduce b5[t7] += b1[p] * b3[q] * extent over b0[p] ~ b2[q] \
-             in step_start..=phase_stop (i64) { +7 stmt +4 load | p += 1 ; +1 stmt \
+            "step_loop b0[p] ~ b2[q] in step_start..=phase_stop (i64) \
+             b5[t7] += b1[p] * b3[q] * extent { +7 stmt +4 load | p += 1 ; +1 stmt \
              | q += 1 ; +1 stmt }",
-            "gather_reduce b5[t7] += b1[p] * b3[q] * extent over b0[p] ~ b2[q] \
-             in step_start..=t8 (i64) { +7 stmt +4 load | p += 1 ; +1 stmt | q += 1 ; +1 stmt }",
-            "gather_reduce b5[t7] += b3[q] * b1[p] * extent over b2[q] ~ b0[p] \
-             in step_start..=phase_stop (i64) { +7 stmt +4 load | q += 1 ; +1 stmt \
+            "step_loop b0[p] ~ b2[q] in step_start..=t8 (i64) \
+             b5[t7] += b1[p] * b3[q] * extent { +7 stmt +4 load | p += 1 ; +1 stmt | q += 1 ; +1 stmt }",
+            "step_loop b2[q] ~ b0[p] in step_start..=phase_stop (i64) \
+             b5[t7] += b3[q] * b1[p] * extent { +7 stmt +4 load | q += 1 ; +1 stmt \
              | p += 1 ; +1 stmt }",
-            "gather_reduce b5[t7] += b1[p] * b1[p] * extent in step_start..=t8 (i64) \
-             { p += 1 ; +6 stmt +3 load }",
+            "step_loop b0[p] in step_start..=t8 (i64) b5[t7] += b1[p] * b1[p] * extent \
+             { +5 stmt +3 load | p += 1 ; +1 stmt }",
         ];
         for (shape, want) in REDUCED.into_iter().zip(wants) {
             let c = compile(&run_kernel(&[3, 7, 8, 20], &[1, 7, 20], 20, shape));

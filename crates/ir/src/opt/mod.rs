@@ -37,11 +37,11 @@
 //! * [`mod@merge_skip`] — the kernel-op tier's second selection, behind
 //!   `forward`: the loop of two coiterating steppers under a conjunctive
 //!   body — both fingers ending the step, or one ending it inside the
-//!   other's VBL block — gains one run-ahead op as its body's first
-//!   instruction, which performs natively the iterations that match
-//!   nothing, with the untouched scalar loop running every iteration that
-//!   stores, faults or exits; the loop of one stepper whose body is a
-//!   gather reduction gains one that performs every iteration but the last,
+//!   other's VBL block — gains one step loop op as its body's first
+//!   instruction, which skips natively the iterations that match nothing,
+//!   with the untouched scalar loop running every iteration that stores,
+//!   faults or exits; the step loop whose body is a reduction gains the
+//!   same op, which performs every iteration but the last,
 //! * [`mod@finalize`] — the last rewrite, at every level above
 //!   [`OptLevel::None`]: statement accounting moves from one dispatched
 //!   `BumpStmt` per statement into a per-pc side table, no-ops are
@@ -199,9 +199,9 @@ pub struct OptStats {
     /// Guarded increments the `forward` pass fused into one branch-free
     /// [`crate::bytecode::Instr::IAdvance`].
     pub advances_predicated: u64,
-    /// Step loops given a run-ahead op by [`merge_skip()`]: two-finger
-    /// merges ([`crate::bytecode::Instr::IMergeSkip`]) and reductions over
-    /// one or two steppers ([`crate::bytecode::Instr::IGatherReduce`]).
+    /// Step loops given their kernel op ([`crate::bytecode::Instr::IStepLoop`])
+    /// by [`merge_skip()`]: two-finger merges, whose empty steps it skips,
+    /// and reductions over one or two steppers, whose steps it performs.
     pub merge_skips: u64,
     /// Typed `while` loops (every `i_while_cmp` / `i_while_cmp_imm` head)
     /// [`merge_skip()`] looked at and gave no op, by reason: indexed like

@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Gather, Instr, MergeForm, Reg, Term, VBase, VFill, VRhs, VScale};
+use crate::bytecode::{Gather, Instr, MergeForm, Reg, Step, Term, VBase, VFill, VRhs, VScale};
 use crate::expr::{BinOp, Expr};
 use crate::value::Value;
 
@@ -780,6 +780,16 @@ fn an_advance_that_counts_its_statement_when_not_taken_is_caught_and_attributed(
 // output with one thing wrong, and the gate that notices.
 // ---------------------------------------------------------------------
 
+/// Whether `instr` is a step loop op that skips.
+fn skips(instr: &Instr) -> bool {
+    matches!(instr, Instr::IStepLoop { step: Step::Skip(_), .. })
+}
+
+/// Whether `instr` is a step loop op that performs a reduction.
+fn reduces(instr: &Instr) -> bool {
+    matches!(instr, Instr::IStepLoop { step: Step::Reduce { .. }, .. })
+}
+
 /// A two-finger merge, typed and through `forward` — what `merge_skip`
 /// runs on — whose witness skips iterations that advance the first finger,
 /// iterations that advance the second, and matches in between.  (The
@@ -818,11 +828,7 @@ fn run_merge_skip_mutation_on(
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program
-                .code
-                .iter()
-                .position(|i| matches!(i, Instr::IMergeSkip { .. }))
-                .expect("the merge loop gets its op");
+            let at = program.code.iter().position(skips).expect("the merge loop gets its op");
             (self.0)(&mut program, at);
             Repr::Bytecode(program)
         }
@@ -836,7 +842,7 @@ fn the_merge_skip_pass_validates_and_its_witness_skips_with_both_fingers() {
     let (_, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Intersection);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    let at = out.code.iter().position(skips).unwrap();
     // Four matches and the loop's last iteration are dispatched, of 28.
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (5, 5, 28), "{}", out.disasm());
 }
@@ -859,11 +865,12 @@ fn a_run_ahead_that_miscounts_its_statements_is_caught_by_the_exact_stats_witnes
     }
 }
 
-/// Moves `[stmts_a, loads_a, stmts_b, loads_b]` of the op at `at` by `by`.
+/// Moves the statements and loads of a step `p` leads, then of one `q`
+/// leads, of the op at `at` by `by`.
 fn bump_counts(program: &mut Program, at: usize, by: [i32; 4]) {
-    let Instr::IMergeSkip { stmts_a, loads_a, stmts_b, loads_b, .. } = &mut program.code[at] else {
-        unreachable!()
-    };
+    let Instr::IStepLoop { counts, .. } = &mut program.code[at] else { unreachable!() };
+    let [_, stmts_a, stmts_b] = &mut counts.stmts;
+    let [_, loads_a, loads_b] = &mut counts.loads;
     for (count, by) in [stmts_a, loads_a, stmts_b, loads_b].into_iter().zip(by) {
         *count = count.checked_add_signed(by).expect("a count of at least one");
     }
@@ -876,7 +883,9 @@ fn a_run_ahead_with_its_fingers_on_each_others_lists_is_caught_by_the_witness() 
     // fingers where the scalar loop would not, and the merge goes wrong from
     // there: off the end of a list on the witness.
     let verdict = run_merge_skip_mutation(|program, at| {
-        let Instr::IMergeSkip { a, b, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { a, q: Some((b, _)), .. } = &mut program.code[at] else {
+            unreachable!()
+        };
         std::mem::swap(a, b);
     });
     assert_caught(verdict, "merge_skip", "faults after the pass");
@@ -888,7 +897,7 @@ fn a_run_ahead_past_the_loops_own_bound_is_caught_by_the_verifier() {
     // runs to a bound that is not the loop's (here the start register, any
     // other would do), so it would perform the iteration that ends the loop.
     let verdict = run_merge_skip_mutation(|program, at| {
-        let Instr::IMergeSkip { p, stop, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { p, stop, .. } = &mut program.code[at] else { unreachable!() };
         *stop = *p;
     });
     assert_caught(verdict, "merge_skip", "`while start <= stop` loop on its registers");
@@ -929,7 +938,7 @@ fn forced_op(
             assert_eq!(ctx.stats.merge_declined[MergeDecline::NotGuardedByBoth as usize], 1);
             let (good, ..) = forwarded_merge_kernel(self.0);
             let good = merge_skip(&good, &mut OptStats::default());
-            let op = *good.code.iter().find(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+            let op = *good.code.iter().find(|i| skips(i)).unwrap();
             let head = declined
                 .code
                 .iter()
@@ -951,7 +960,7 @@ fn the_block_form_validates_and_its_witness_skips_both_kinds_of_empty_step() {
     let (_, _, bufs) = forwarded_merge_kernel(Shape::Block);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    let at = out.code.iter().position(skips).unwrap();
     // Of 28 iterations, the seven whose `b` coordinate is inside a block
     // (0, 2, 3; 17; 18; 29, 30) and the loop's last are dispatched, each
     // behind one call of the op: the others find a block ending first, or
@@ -991,7 +1000,9 @@ fn a_block_run_ahead_one_gap_load_short_is_caught_by_the_exact_stats_witness() {
 #[test]
 fn a_block_run_ahead_whose_offsets_are_a_fingers_list_is_caught_by_the_verifier() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
-        let Instr::IMergeSkip { a, form, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { a, step: Step::Skip(form), .. } = &mut program.code[at] else {
+            unreachable!()
+        };
         *form = MergeForm::Blocks { ofs: *a };
     });
     assert_caught(verdict, "merge_skip", "block offsets from a finger's list");
@@ -1006,7 +1017,7 @@ fn the_jumper_form_validates_and_its_witness_skips_with_either_finger_leading() 
     let (_, _, bufs) = forwarded_merge_kernel(Shape::Gallop);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(|i| matches!(i, Instr::IMergeSkip { .. })).unwrap();
+    let at = out.code.iter().position(skips).unwrap();
     // The four matches (3, 17, 18, 30) and the last iteration, whose step
     // is clipped to the bound with neither finger on it, are dispatched; the
     // three steps whose seek lands past the leader (5, 10, 25; `b`, `a`,
@@ -1038,7 +1049,9 @@ fn a_jumper_run_ahead_taking_the_earlier_stride_as_its_leader_is_caught_by_the_v
     // the op would end each step at the earlier stride and advance that
     // finger by one, where the loop seeks the trailer to the later one.
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
-        let Instr::IMergeSkip { form, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { step: Step::Skip(form), .. } = &mut program.code[at] else {
+            unreachable!()
+        };
         *form = MergeForm::Steps;
     });
     assert_caught(verdict, "merge_skip", "by one, in one place");
@@ -1047,7 +1060,9 @@ fn a_jumper_run_ahead_taking_the_earlier_stride_as_its_leader_is_caught_by_the_v
 #[test]
 fn a_jumper_run_ahead_whose_row_ends_are_a_fingers_list_is_caught_by_the_verifier() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
-        let Instr::IMergeSkip { a, form, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { a, step: Step::Skip(form), .. } = &mut program.code[at] else {
+            unreachable!()
+        };
         let MergeForm::Gallop { a_end, .. } = form else { unreachable!() };
         *a_end = *a;
     });
@@ -1077,11 +1092,7 @@ fn run_gather_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassErro
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program
-                .code
-                .iter()
-                .position(|i| matches!(i, Instr::IGatherReduce { .. }))
-                .expect("the lone stepper gets its op");
+            let at = program.code.iter().position(reduces).expect("the lone stepper gets its op");
             (self.0)(&mut program, at);
             Repr::Bytecode(program)
         }
@@ -1095,7 +1106,7 @@ fn the_gather_reduction_validates_and_its_witness_performs_all_but_the_last_iter
     let (_, _, bufs) = forwarded_gather_kernel();
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. })).unwrap();
+    let at = out.code.iter().position(reduces).unwrap();
     // The op once, at the loop's entry, and the last of eight iterations.
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 8), "{}", out.disasm());
 }
@@ -1113,10 +1124,11 @@ fn a_gather_reduction_that_miscounts_is_caught_by_the_exact_stats_witness() {
     }
 }
 
-/// Moves `[stmts, loads]` of the gather reduction at `at` by `by`.
+/// Moves the statements and loads of every step of the gather reduction at
+/// `at` by `by`.
 fn bump_gather_counts(program: &mut Program, at: usize, by: [i32; 2]) {
-    let Instr::IGatherReduce { stmts, loads, .. } = &mut program.code[at] else { unreachable!() };
-    for (count, by) in [stmts, loads].into_iter().zip(by) {
+    let Instr::IStepLoop { counts, .. } = &mut program.code[at] else { unreachable!() };
+    for (count, by) in [&mut counts.stmts[0], &mut counts.loads[0]].into_iter().zip(by) {
         *count = count.checked_add_signed(by).expect("a count of at least one");
     }
 }
@@ -1126,7 +1138,9 @@ fn a_gather_reduction_whose_offset_is_off_by_one_is_caught_by_output_parity() {
     // The band starts one position into `x`: without the term that says
     // so, the op gathers each value from the coordinate in front.
     let verdict = run_gather_mutation(|program, at| {
-        let Instr::IGatherReduce { gather: Gather::Load { ofs, .. }, .. } = &mut program.code[at]
+        let Instr::IStepLoop {
+            step: Step::Reduce { gather: Gather::Load { ofs, .. }, .. }, ..
+        } = &mut program.code[at]
         else {
             unreachable!()
         };
@@ -1138,7 +1152,10 @@ fn a_gather_reduction_whose_offset_is_off_by_one_is_caught_by_output_parity() {
 #[test]
 fn a_gather_reduction_accumulating_into_a_source_is_caught_by_the_verifier() {
     let verdict = run_gather_mutation(|program, at| {
-        let Instr::IGatherReduce { val, acc, .. } = &mut program.code[at] else { unreachable!() };
+        let Instr::IStepLoop { step: Step::Reduce { val, acc, .. }, .. } = &mut program.code[at]
+        else {
+            unreachable!()
+        };
         *acc = *val;
     });
     assert_caught(verdict, "merge_skip", "accumulates into one of its sources");
@@ -1173,7 +1190,7 @@ fn run_misread_reduction(misread: fn(&[Instr]) -> (usize, Instr)) -> Result<Repr
             let mut read = repr.bytecode().clone();
             let loop_has = std::mem::replace(&mut read.code[self.at], self.read);
             let mut program = merge_skip(&read, ctx.stats);
-            let op = program.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. }));
+            let op = program.code.iter().position(reduces);
             assert!(op.is_some_and(|op| op <= self.at), "the run loop gets its op in front");
             program.code[self.at + 1] = loop_has;
             Repr::Bytecode(program)
@@ -1195,7 +1212,7 @@ fn the_two_finger_reduction_validates_and_its_witness_performs_all_but_the_last_
     let (_, _, bufs) = forwarded_run_kernel();
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(|i| matches!(i, Instr::IGatherReduce { .. })).unwrap();
+    let at = out.code.iter().position(reduces).unwrap();
     // The op once, at the loop's entry, and the last of eight steps (ends 0,
     // 3, 4, 7, 9, 15 and 20; 3, 4, 15 and 20 are ties).
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 7), "{}", out.disasm());

@@ -24,8 +24,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    for_each_reg_role, holds_literal, Elem, Fingers, Gather, Instr, LaneTag, MergeForm, Operand,
-    Program, Reg, Role, Term, VFill,
+    for_each_reg_role, holds_literal, Elem, Gather, Instr, LaneTag, MergeForm, Operand, Program,
+    Reg, Role, Step, Term, VFill,
 };
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -337,8 +337,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
             }
             Ok(())
         })?;
-        check_merge_skip(code, pc)?;
-        check_gather_reduce(code, pc)?;
+        check_step_loop(code, pc)?;
         // A kernel op runs the bulk of the counted loop that follows it:
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
@@ -393,47 +392,91 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
     Ok(())
 }
 
-/// The placement rule of a merge run-ahead at `pc`: it is the first
+/// The placement rule of a step loop op at `pc`: it is the first
 /// instruction of the body of a `while start <= stop` loop closed by a
-/// bottom test on the same registers, which lands on it; its two buffers
-/// differ, and its form's block offsets or row ends are neither (their
-/// `i64` kind is the operand walk's to check); the loop does not write a
-/// jumper's rows, which the op reads once; and the rest of the body steps
-/// the start in exactly one place, by one past the step, and each finger —
-/// a stepper's in exactly one place, by one, as the op does; a jumper's by
-/// one, by a seek from itself in its own list or by a nested run-ahead over
-/// that list, the last write the loop's own step by one.  (That the op's
-/// statement counts are the loop's is the exact-stats witness's to find.)
-fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IMergeSkip { a, p, b, q, form, start, stop, .. } = code[pc] else { return Ok(()) };
-    let bottom = step_loop_bottom(code, pc, (start, stop), "merge run-ahead")?;
-    if a == b {
-        return Err(format!("merge run-ahead at pc {pc} walks one buffer with both fingers"));
-    }
-    let (aux, rows, what) = match form {
-        MergeForm::Steps => (vec![], vec![], ""),
-        MergeForm::Blocks { ofs } => (vec![ofs], vec![], "block offsets"),
-        MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
-            (vec![a_end, b_end], vec![a_row, b_row], "row ends")
+/// bottom test on the same registers, which lands on it.  What the op reads
+/// once per dispatch, the loop may not change: it writes none of the op's
+/// other registers — the bound, a jumper's rows, a reduction's accumulator
+/// element and offset terms — and stores into none of the op's sources.  A
+/// skip walks two lists with two fingers, and its form's block offsets or
+/// row ends are neither (their `i64` kind is the operand walk's to check); a
+/// reduction's accumulator is none of its sources, and a value at a finger
+/// is at one of its fingers.  The rest of the body steps the start in
+/// exactly one place, by one past the step, and each finger — a stepper's in
+/// exactly one place, by one, as the op does; a jumper's by one, by a seek
+/// from itself in its own list or by a nested op over that list, the last
+/// write the loop's own step by one.  (That the op's counts are the loop's,
+/// and a reduction's factors the body's, is the exact-stats witness's to
+/// find.)
+fn check_step_loop(code: &[Instr], pc: usize) -> Result<(), String> {
+    let Instr::IStepLoop { a, p, q, step, start, stop, .. } = code[pc] else { return Ok(()) };
+    let bottom = step_loop_bottom(code, pc, (start, stop))?;
+    let fail = |what: String| Err(format!("step loop op at pc {pc}: {what}"));
+    let fingers: Vec<(Reg, BufId)> = [(p, a)].into_iter().chain(q.map(|(b, q)| (q, b))).collect();
+    let (mut invariant, mut sources) = (vec![stop], vec![a]);
+    sources.extend(q.map(|(b, _)| b));
+    match step {
+        Step::Skip(form) => {
+            let Some((b, _)) = q.filter(|&(b, _)| b != a) else {
+                return fail("does not walk two lists with two fingers".into());
+            };
+            let (aux, what) = match form {
+                MergeForm::Steps => (vec![], ""),
+                MergeForm::Blocks { ofs } => (vec![ofs], "block offsets"),
+                MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+                    invariant.extend([a_row, b_row]);
+                    (vec![a_end, b_end], "row ends")
+                }
+            };
+            if aux.iter().any(|&buf| buf == a || buf == b) {
+                return fail(format!("reads its {what} from a finger's list"));
+            }
+            sources.extend(aux);
         }
-    };
-    if aux.iter().any(|&buf| buf == a || buf == b) {
-        return Err(format!("merge run-ahead at pc {pc} reads its {what} from a finger's list"));
+        Step::Reduce { val, gather, acc, k, .. } => {
+            sources.push(val);
+            invariant.push(k);
+            match gather {
+                Gather::None => {}
+                Gather::At { x, at } => {
+                    sources.push(x);
+                    if !fingers.iter().any(|&(finger, _)| finger == at) {
+                        return fail(format!("reads a value at {at}, which is not a finger"));
+                    }
+                }
+                Gather::Load { x, ofs } => {
+                    sources.push(x);
+                    for term in ofs {
+                        if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
+                            sources.push(buf);
+                            invariant.push(at);
+                        }
+                    }
+                }
+            }
+            if sources.contains(&acc) {
+                return fail("accumulates into one of its sources".into());
+            }
+        }
     }
     let body = &code[pc + 1..bottom];
-    if let Some(&row) = rows.iter().find(|&&row| body.iter().any(|i| writes(i, row))) {
-        return Err(format!("merge run-ahead at pc {pc} reads row {row}, which its loop writes"));
+    if let Some(reg) = invariant.into_iter().find(|&reg| body.iter().any(|i| writes(i, reg))) {
+        return fail(format!("reads register {reg}, which its loop writes"));
     }
-    let gallop = !rows.is_empty();
-    for (reg, list) in [(p, Some(a)), (q, Some(b)), (start, None)] {
+    if let Some(buf) = sources.into_iter().find(|&buf| body.iter().any(|i| stores_into(i, buf))) {
+        return fail(format!("reads buffer b{}, which its loop stores into", buf.index()));
+    }
+    let gallop = matches!(step, Step::Skip(MergeForm::Gallop { .. }));
+    let stepped = fingers.into_iter().map(|(reg, list)| (reg, Some(list)));
+    for (reg, list) in stepped.chain([(start, None)]) {
         let steps = |instr: &Instr| steps(instr, reg, list.is_some());
         // A jumper's fall-backs seek it, and step it in a nested merge,
-        // which may carry its own run-ahead over the same list.
+        // which may carry its own op over the same list.
         let moves = |instr: &Instr| match *instr {
             Instr::ISeek { dst, buf, lo, on_abs: false, .. } => {
                 (dst, lo) == (reg, reg) && Some(buf) == list
             }
-            Instr::IMergeSkip { a, p, b, q, .. } => {
+            Instr::IStepLoop { a, p, q: Some((b, q)), .. } => {
                 (Some(a), p) == (list, reg) || (Some(b), q) == (list, reg)
             }
             _ => steps(instr),
@@ -454,93 +497,16 @@ fn check_merge_skip(code: &[Instr], pc: usize) -> Result<(), String> {
                 }
                 Some(_) => ("finger", "by one, in one place"),
             };
-            return Err(format!(
-                "merge run-ahead at pc {pc}: the loop does not step its {what} {reg} {how}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The placement rule of a reduction at `pc`: it is the first instruction
-/// of the body of a `while start <= stop` loop closed by a bottom test on
-/// the same registers, which lands on it; its accumulator is none of its
-/// sources; a value at a finger is at one of its fingers; the loop writes
-/// neither its accumulator's element, its bound nor the registers of its
-/// offset's terms, which the op reads once, and stores into none of its
-/// sources; and the rest of the body steps each finger by one and the start
-/// by one past the step, each in exactly one place, as the op does.  (That
-/// its counts are the loop's, and its factors the body's, is the
-/// exact-stats witness's to find.)
-fn check_gather_reduce(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IGatherReduce { crd, val, p, fingers, gather, acc, k, start, stop, .. } = code[pc]
-    else {
-        return Ok(());
-    };
-    let bottom = step_loop_bottom(code, pc, (start, stop), "gather reduction")?;
-    let (mut sources, mut invariant, mut stepped) = (vec![crd, val], vec![k, stop], vec![p]);
-    if let Fingers::Two { crd, q, .. } = fingers {
-        sources.push(crd);
-        stepped.push(q);
-    }
-    match gather {
-        Gather::None => {}
-        Gather::At { x, at } => {
-            sources.push(x);
-            if !stepped.contains(&at) {
-                return Err(format!(
-                    "gather reduction at pc {pc} reads a value at {at}, which is not a finger"
-                ));
-            }
-        }
-        Gather::Load { x, ofs } => {
-            sources.push(x);
-            for term in ofs {
-                if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
-                    sources.push(buf);
-                    invariant.push(at);
-                }
-            }
-        }
-    }
-    if sources.contains(&acc) {
-        return Err(format!("gather reduction at pc {pc} accumulates into one of its sources"));
-    }
-    let body = &code[pc + 1..bottom];
-    if let Some(reg) = invariant.into_iter().find(|&reg| body.iter().any(|i| writes(i, reg))) {
-        return Err(format!(
-            "gather reduction at pc {pc} reads register {reg}, which its loop writes"
-        ));
-    }
-    if let Some(buf) = sources.into_iter().find(|&buf| body.iter().any(|i| stores_into(i, buf))) {
-        return Err(format!(
-            "gather reduction at pc {pc} reads buffer b{}, which its loop stores into",
-            buf.index()
-        ));
-    }
-    let steps_of = stepped.into_iter().map(|reg| (reg, true));
-    for (reg, finger) in steps_of.chain([(start, false)]) {
-        let writers: Vec<&Instr> = body.iter().filter(|i| writes(i, reg)).collect();
-        if !matches!(writers[..], [only] if steps(only, reg, finger)) {
-            let what = if finger { "finger" } else { "start" };
-            return Err(format!(
-                "gather reduction at pc {pc}: the loop does not step its {what} {reg} by one, \
-                 in one place"
-            ));
+            return fail(format!("the loop does not step its {what} {reg} {how}"));
         }
     }
     Ok(())
 }
 
 /// The bottom test of the `while start <= stop` loop whose body's first
-/// instruction is the run-ahead op at `pc` (`what`), or why it has none.  A
-/// literal bound's head inlines it, and `stop` is its pinned register.
-fn step_loop_bottom(
-    code: &[Instr],
-    pc: usize,
-    (start, stop): (Reg, Reg),
-    what: &str,
-) -> Result<usize, String> {
+/// instruction is the step loop op at `pc`, or why it has none.  A literal
+/// bound's head inlines it, and `stop` is its pinned register.
+fn step_loop_bottom(code: &[Instr], pc: usize, (start, stop): (Reg, Reg)) -> Result<usize, String> {
     let head = pc.checked_sub(1).map(|head| code[head]);
     let bottom = match head {
         Some(Instr::IWhileCmp { op: BinOp::Le, lhs, rhs, end }) if (lhs, rhs) == (start, stop) => {
@@ -553,7 +519,7 @@ fn step_loop_bottom(
         }
         _ => {
             return Err(format!(
-                "{what} at pc {pc} is not the first instruction of a \
+                "step loop op at pc {pc} is not the first instruction of a \
                  `while start <= stop` loop on its registers"
             ))
         }
@@ -561,7 +527,7 @@ fn step_loop_bottom(
     let closes = Instr::IWhileNext { op: BinOp::Le, lhs: start, rhs: stop, body: pc as u32 };
     if bottom <= pc || code[bottom] != closes {
         return Err(format!(
-            "{what} at pc {pc} sits in a loop that its own bottom test does not close"
+            "step loop op at pc {pc} sits in a loop that its own bottom test does not close"
         ));
     }
     Ok(bottom)
@@ -597,7 +563,7 @@ fn stores_into(instr: &Instr, buf: BufId) -> bool {
         | Instr::VMapF64 { dst: to, .. }
         | Instr::VMulAddF64 { acc: to, .. }
         | Instr::VReduceF64 { acc: to, .. }
-        | Instr::IGatherReduce { acc: to, .. } => to == buf,
+        | Instr::IStepLoop { step: Step::Reduce { acc: to, .. }, .. } => to == buf,
         Instr::VAppendRangeF64 { idx_out, val_out, .. } => idx_out == buf || val_out == buf,
         _ => false,
     }

@@ -24,21 +24,21 @@
 //! not.  These are the first rows of ROADMAP's "Pin the paper's shapes on
 //! exact counters".
 //!
-//! An iteration is one the loop *performs*, dispatched or not: a loop that
-//! carries a run-ahead op (`Instr::IMergeSkip`, the two-finger, VBL and
-//! galloped merges) only dispatches the iterations that match or end it
-//! (the galloped merge's op runs an empty last iteration too), and one that
-//! carries the reduction op (`Instr::IGatherReduce`: over Fig. 1's lone
-//! stepper, Fig. 11's row norms, or the two run-length fingers of Fig. 11's
-//! run × run loop, whose body runs on every step) only its last iteration,
-//! so its
+//! An iteration is one the loop *performs*, dispatched or not: a loop whose
+//! step loop op skips (`Instr::IStepLoop`, `Step::Skip`: the two-finger, VBL
+//! and galloped merges) only dispatches the iterations that match or end it
+//! (the galloped merge's op runs an empty last iteration too), and one whose
+//! op reduces (`Step::Reduce`: over Fig. 1's lone stepper, Fig. 11's row
+//! norms, or the two run-length fingers of Fig. 11's run × run loop, whose
+//! body runs on every step) only its last iteration, so its
 //! iterations are counted on the same kernel compiled with `simd` off — the
 //! same scalar loop, instruction for instruction, without the op.  The same
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
 //! more scalar iterations dispatched than there are matches and loop entries.
 
 use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
-use finch_ir::{Fingers, Instr, MergeForm, Program};
+use finch_ir::bytecode::Step;
+use finch_ir::{Instr, MergeForm, Program};
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
 /// One innermost loop of a program: the pcs of its body and bottom test,
@@ -187,9 +187,9 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
         _ => None,
     };
     let ops = code.iter().enumerate().filter_map(|(op, i)| match i {
-        Instr::IMergeSkip { form, .. } => Some((op, Ok(*form))),
-        Instr::IGatherReduce { fingers: Fingers::One, .. } => Some((op, Err(Form::Gather))),
-        Instr::IGatherReduce { .. } => Some((op, Err(Form::Reduce))),
+        Instr::IStepLoop { step: Step::Skip(form), .. } => Some((op, Ok(*form))),
+        Instr::IStepLoop { q: None, .. } => Some((op, Err(Form::Gather))),
+        Instr::IStepLoop { .. } => Some((op, Err(Form::Reduce))),
         _ => None,
     });
     ops.map(|(op, form)| {
@@ -230,7 +230,7 @@ fn jumper_sites(code: &[Instr], op: usize) -> Vec<usize> {
         .last()
         .expect("the advances");
     let carries_op = |head: usize, end: usize| {
-        code[head..end].iter().any(|i| matches!(i, Instr::IMergeSkip { .. }))
+        code[head..end].iter().any(|i| matches!(i, Instr::IStepLoop { .. }))
     };
     let fall_backs: Vec<usize> = (op + 1..tail)
         .filter(

@@ -31,7 +31,7 @@ fn table_rows() -> Vec<&'static str> {
             matches!(lane, "Generic" | "TagFree" | "Kernel").then_some(mnemonic)
         })
         .collect();
-    assert!(rows.contains(&"nop") && rows.contains(&"i_merge_skip"), "misread table: {rows:?}");
+    assert!(rows.contains(&"nop") && rows.contains(&"i_step_loop"), "misread table: {rows:?}");
     rows
 }
 

@@ -1,12 +1,12 @@
-//! The merge run-ahead op and the gather reduction through the real
-//! lowerer: budget sweep and degenerate fibers.
+//! The step loop op, skipping and reducing, through the real lowerer:
+//! budget sweep and degenerate fibers.
 //!
 //! The two-finger merge loop of `lower_stepped` carries a kernel op
-//! (`Instr::IMergeSkip`) that performs, natively, the iterations that match
-//! nothing; the lone stepper of a walked list against a located operand
-//! (Fig. 1's list × band, a CSR × dense SpMV) carries one
-//! (`Instr::IGatherReduce`) that performs every iteration but its last, and
-//! so does the run × run loop of two run-length vectors (Fig. 11's product of
+//! (`Instr::IStepLoop`, `Step::Skip`) that skips, natively, the iterations
+//! that match nothing; the lone stepper of a walked list against a located
+//! operand (Fig. 1's list × band, a CSR × dense SpMV) carries the same op
+//! (`Step::Reduce`), which performs every iteration but its last, and so
+//! does the run × run loop of two run-length vectors (Fig. 11's product of
 //! two runs), over two fingers.  Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
 //! runs out inside a run-ahead — so for the kernels that hold the loop
@@ -31,7 +31,8 @@
 //! the same loop.)
 
 use finch_bench::ewise_mul_kernel;
-use finch_ir::{Fingers, Instr, MergeForm};
+use finch_ir::bytecode::Step;
+use finch_ir::{Instr, MergeForm};
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor};
 
@@ -95,26 +96,38 @@ fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> Stri
     format!("{verdict:?} {outputs:?}")
 }
 
+/// What each step loop op of `kernel` does with a step, and whether it has
+/// two fingers.
+fn step_ops(kernel: &CompiledKernel) -> Vec<(Step, bool)> {
+    let op = |i: &Instr| match *i {
+        Instr::IStepLoop { q, step, .. } => Some((step, q.is_some())),
+        _ => None,
+    };
+    kernel.bytecode().code().iter().filter_map(op).collect()
+}
+
 fn ops(kernel: &CompiledKernel) -> usize {
-    let op = |i: &&Instr| matches!(i, Instr::IMergeSkip { .. } | Instr::IGatherReduce { .. });
-    kernel.bytecode().code().iter().filter(op).count()
+    step_ops(kernel).len()
 }
 
 /// Whether `kernel` carries the gather reduction.
 fn gathers(kernel: &CompiledKernel) -> bool {
-    kernel.bytecode().code().iter().any(|i| matches!(i, Instr::IGatherReduce { .. }))
+    step_ops(kernel).iter().any(|(step, _)| matches!(step, Step::Reduce { .. }))
 }
 
 /// Whether `kernel` carries the reduction over two fingers.
 fn reduces_two(kernel: &CompiledKernel) -> bool {
-    let two = |i: &Instr| matches!(i, Instr::IGatherReduce { fingers: Fingers::Two { .. }, .. });
-    kernel.bytecode().code().iter().any(two)
+    step_ops(kernel).iter().any(|op| matches!(op, (Step::Reduce { .. }, true)))
 }
 
-/// Whether `kernel` carries the op's jumper form.
+/// Whether `kernel` carries the skip's `form`.
+fn skips(kernel: &CompiledKernel, form: fn(&MergeForm) -> bool) -> bool {
+    step_ops(kernel).iter().any(|(step, _)| matches!(step, Step::Skip(f) if form(f)))
+}
+
+/// Whether `kernel` carries the skip's jumper form.
 fn gallops(kernel: &CompiledKernel) -> bool {
-    let jumper = |i: &Instr| matches!(i, Instr::IMergeSkip { form: MergeForm::Gallop { .. }, .. });
-    kernel.bytecode().code().iter().any(jumper)
+    skips(kernel, |form| matches!(form, MergeForm::Gallop { .. }))
 }
 
 /// Sweep every budget over the three engines of `kernel`.
@@ -220,7 +233,7 @@ fn vbl_spmspv_agrees_under_every_budget_on_every_operand_pair() {
         let x = Tensor::sparse_list_vector("x", &vector(&x));
         let kernel = common::spmspv_kernel(&matrix, &x, Protocol::Walk, Protocol::Walk);
         assert!(
-            kernel.bytecode().disasm().contains(" blocks b"),
+            skips(&kernel, |form| matches!(form, MergeForm::Blocks { .. })),
             "the block form\n{}",
             kernel.bytecode().disasm()
         );
