@@ -854,6 +854,66 @@ mod tests {
         }
     }
 
+    /// A `Threshold` over a sparse list `A` is Fig. S's filter, the lone
+    /// stepper whose guarded append the op performs: every such case the
+    /// smoke draw makes carries `Step::Append` and runs divergence-free on
+    /// every leg — under the step budget's and the passed deadline's legs
+    /// among them — and, with a fault injected at statements spread over the
+    /// run, both engines of every configuration and the scalar and the
+    /// kernel-op legs of the typed one panic alike, leaving the same outputs.
+    #[test]
+    fn a_threshold_over_a_sparse_list_draws_the_append() {
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let filters = |case: &&FuzzCase| {
+            case.a_format == VecFormat::SparseList
+                && case.stmts.iter().any(|stmt| matches!(stmt, StmtSpec::Threshold { .. }))
+        };
+        let cases: Vec<&FuzzCase> = drawn.iter().filter(filters).collect();
+        assert!(!cases.is_empty(), "the smoke draw filtered no sparse list");
+        for case in cases {
+            let (found, disasm) =
+                carries(case, |step, two| !two && matches!(step, Step::Append { .. }));
+            assert!(found, "{case:?}: the append\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+            faults_alike(case);
+        }
+    }
+
+    /// Every leg of `case` under a fault injected at each of 16 statements
+    /// spread over its run: the panic's message and the outputs it left, per
+    /// configuration (both engines agree), the typed scalar and kernel-op
+    /// configurations agreeing too.
+    fn faults_alike(case: &FuzzCase) {
+        let compiled = compile_case(case, ValidationLevel::Off).expect("compiles");
+        let total = compiled.clone().run().expect("runs").stmts;
+        for at in (1..=16).map(|k| k * total / 16) {
+            let mut typed = Vec::new();
+            for config in compiled.config().matrix() {
+                let mut k = compiled.reconfigured(&config).expect("reconfigures");
+                k.set_watch(Some(Watch::default().with_fault_at_stmt(at.max(1))));
+                let legs = [Engine::TreeWalk, Engine::Bytecode].map(|engine| {
+                    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        k.run_with(engine)
+                    }));
+                    let verdict = match ran {
+                        Ok(verdict) => format!("{verdict:?}"),
+                        Err(panic) => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
+                    };
+                    let outputs: Vec<String> =
+                        k.output_names().iter().map(|n| format!("{:?}", k.output(n))).collect();
+                    format!("{verdict} {outputs:?}")
+                });
+                let combo = format!("{case:?}, a fault at {at}, {}", config.label());
+                assert_eq!(legs[0], legs[1], "{combo}");
+                if config.typed {
+                    typed.push(legs[1].clone());
+                }
+            }
+            assert_eq!(typed[0], typed[1], "{case:?}, a fault at {at}: with and without the op");
+        }
+    }
+
     /// A window over a dense `A` and a dense `B` is Fig. 9's window dot:
     /// the smoke draw reaches it, every such case gives its loop the inner
     /// product over the shifted index `v - q` into the register-indexed

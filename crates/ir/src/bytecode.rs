@@ -849,21 +849,38 @@ impl Program {
                         }
                         body
                     }
+                    Step::Append { val, guard, crd, vals, .. } => {
+                        let mut body = format!(
+                            "b{}.push({}), b{}.push({})",
+                            crd.index(),
+                            at(a, p),
+                            vals.index(),
+                            at(val, p)
+                        );
+                        if let Some((op, imm)) = guard {
+                            let cmp = binop(op, at(val, p), format!("{}", Value::Float(imm)));
+                            body += &format!(" where {cmp}");
+                        }
+                        body
+                    }
                 };
-                let cost = |k: usize| {
-                    let (stmts, loads) = (counts.stmts[k], counts.loads[k]);
+                let cost = |[stmts, loads]: [u32; 2]| {
                     let loads = if loads > 0 { format!(" +{loads} load") } else { String::new() };
                     format!("+{stmts} stmt{loads}")
                 };
                 let mut fingers = at(a, p) + &a_form;
                 let mut steps = Vec::new();
+                let count = |k: usize| [counts.stmts[k], counts.loads[k]];
                 if counts.stmts[0] > 0 || counts.loads[0] > 0 {
-                    steps.push(cost(0));
+                    steps.push(cost(count(0)));
                 }
-                steps.push(format!("{} += 1 ; {}", r(p), cost(1)));
+                steps.push(format!("{} += 1 ; {}", r(p), cost(count(1))));
                 if let Some((b, q)) = q {
                     fingers += &format!(" ~ {}{b_form}", at(b, q));
-                    steps.push(format!("{} += 1 ; {}", r(q), cost(2)));
+                    steps.push(format!("{} += 1 ; {}", r(q), cost(count(2))));
+                }
+                if let Step::Append { guard: Some(_), pass, .. } = step {
+                    steps.push(format!("pass ; {}", cost(pass)));
                 }
                 format!(
                     "step_loop {fingers} in {}..={} (i64) {does} {{ {} }}",

@@ -1075,11 +1075,12 @@ pub enum Instr {
     /// the `i64` lanes, the iterations that are not the loop's last (`ss + 1
     /// <= stop`) and that the [`Step`] performs: those whose guarded body
     /// does not run, up to the first that matches ([`Step::Skip`]), or every
-    /// one, body and all ([`Step::Reduce`]).  Each advances the fingers whose
-    /// stride ends its step; `start` is set, and
+    /// one, body and all ([`Step::Reduce`], [`Step::Append`]).  Each advances
+    /// the fingers whose stride ends its step; `start` is set, and
     /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration each, and the `counts` of every
-    /// step and of each finger on the steps it ends.
+    /// iterations count: one loop iteration each, the `counts` of every step
+    /// and of each finger on the steps it ends, and an append's `pass` on
+    /// the steps whose guard passes.
     ///
     /// The op stops, with the fingers and `start` as the scalar loop has
     /// them at that iteration's top, in front of the loop's last iteration
@@ -1117,6 +1118,15 @@ pub enum Instr {
 /// parked "compact `Instr`", and until then the size must not grow
 /// unnoticed.
 const _: () = assert!(std::mem::size_of::<Instr>() == 112);
+
+/// The step loop op's operands, whose payload is the largest: it must leave
+/// [`Instr`] eight bytes for a tag of its own.  At 112 bytes the tag moves
+/// into a niche of the payload, and every `match` on an instruction pays to
+/// decode it — the VM's dispatch and every pass (measured: `compile_cold`
+/// +6.5 %, `run_merge` +7 %).
+const _: () = assert!(
+    std::mem::size_of::<(BufId, Reg, Option<(BufId, Reg)>, Step, Reg, Reg, StepCounts)>() <= 104
+);
 
 /// Per-iteration element index shape of a vectorized kernel op: the loop
 /// counter `v` plus a loop-invariant offset read from registers the loop
@@ -1238,6 +1248,32 @@ pub enum Step {
         /// The reduction operator combining into the accumulator.
         op: BinOp,
     },
+    /// Perform it, body and all, on a lone stepper: the body is `if val[p]
+    /// op imm { crd.push(ss) ; vals.push(val[p]) }` — a sparse output's
+    /// append (Fig. S's threshold filter), or without the guard its copy.
+    /// The guard is the scalar [`Instr::FCmpBranchImm`]'s comparison, NaN
+    /// and ±0 alike; the op pushes the step's end and the value as the
+    /// scalar [`Instr::IAppend`] / [`Instr::FAppend`] do, counting a store
+    /// and an allocated element each, and stops in front of a step whose
+    /// pushes the allocation budget would not hold.
+    Append {
+        /// The first finger's F64 values: the guard's operand and the
+        /// pushed value.
+        val: BufId,
+        /// The comparison with a literal a step's value must pass to be
+        /// pushed, if any.
+        guard: Option<(BinOp, f64)>,
+        /// The I64 output the step's end is pushed onto.
+        crd: BufId,
+        /// The F64 output the value is pushed onto.
+        vals: BufId,
+        /// The statements and loads of a step whose guard passes on top of
+        /// every step's `counts`: the code between the guard and its join
+        /// (none without a guard, whose pushes every step counts).  Here
+        /// rather than in [`StepCounts`], so that the instruction's payload
+        /// leaves [`Instr`] room for a tag of its own.
+        pass: [u32; 2],
+    },
 }
 
 walks!(Step, |step, f| match step {
@@ -1248,6 +1284,14 @@ walks!(Step, |step, f| match step {
         f(Operand::Buf(acc, Elem::F64));
         f(Operand::Reg(k, Role::Read));
         f(Operand::Op(*op, is_float_arith, "unsupported step loop reduce op"));
+    }
+    Step::Append { val, guard, crd, vals, .. } => {
+        f(Operand::Buf(val, Elem::F64));
+        if let Some((op, _)) = guard {
+            f(Operand::Op(*op, is_cmp_op, "non-comparison step loop guard op"));
+        }
+        f(Operand::Buf(crd, Elem::I64));
+        f(Operand::Buf(vals, Elem::F64));
     }
 });
 

@@ -1,5 +1,5 @@
 //! Run-ahead selection for the step loop: the two-finger merge, and the
-//! step loop's reduction.
+//! step loop's reduction and append.
 //!
 //! Lowering coiterates two fingers with one step loop (paper §6.1), which
 //! reaches this pass, typed and through `forward`, as
@@ -66,14 +66,20 @@
 //! `max(ss - start + 1, 0)` or none, with `k` and the terms of `ofs` loads
 //! and registers the loop does not write — the pass places the same op in
 //! the same place, which performs every step but the last, body and all
-//! ([`Step::Reduce`]; `reduction`).  One such step is walked from the top
+//! ([`Step::Reduce`]; `performed`).  One such step is walked from the top
 //! of the body to the bottom test, as above; its statements and loads are
 //! the op's counts for every step, and the statements of each finger's
-//! advance its counts for the steps the finger's stride ends.  A lone
-//! stepper with a guard, an append, a store at a varying index or any other
-//! factor is declined as [`MergeDecline::SingleFinger`]; two fingers whose
-//! body is no such reduction as the walks' reason,
-//! [`MergeDecline::NotGuardedByBoth`] for a body that is not guarded.
+//! advance its counts for the steps the finger's stride ends.  Where a lone
+//! stepper's body is a sparse output's append — `crd.push(ss) ;
+//! vals.push(val[p])`, optionally under a guard `val[p] op imm` whose false
+//! edge lands on the join in front of the finger's advance (Fig. S's
+//! threshold filter) — the same walk places the op appending
+//! ([`Step::Append`]): the code between the guard and its join is the count
+//! of a step that passes, on top of every step's.  A lone stepper with a
+//! store at a varying index, a guarded reduction or any other factor is
+//! declined as [`MergeDecline::SingleFinger`]; two fingers whose body is no
+//! such reduction as the walks' reason, [`MergeDecline::NotGuardedByBoth`]
+//! for a body that is not guarded.
 //!
 //! Both walks end in one constructor (`step_loop_op`), which checks what
 //! the scalar loop could otherwise tell apart: that only the bottom test
@@ -102,8 +108,8 @@ pub enum MergeDecline {
     /// way, or its condition takes more than the head to evaluate.
     NotAStepLoop,
     /// The body does not begin by loading two strides: one stepper alone
-    /// (nothing to coiterate) whose body is no reduction, or a stride that
-    /// is not a plain coordinate load.
+    /// (nothing to coiterate) whose body is no reduction and no append, or a
+    /// stride that is not a plain coordinate load.
     SingleFinger,
     /// The step is not the minimum of the two strides clipped to the bound,
     /// nor the maximum with lowering's jumper fall-back behind it (the
@@ -152,7 +158,8 @@ impl MergeDecline {
 }
 
 /// Give every two-finger merge loop of `p` the step loop op that skips, and
-/// every step loop whose body is a reduction the one that performs.  `p` is
+/// every step loop whose body is a reduction or an append the one that
+/// performs.  `p` is
 /// typed bytecode behind `forward`, which makes the advances and the bottom
 /// tests the loop is recognised by, and in front of `finalize`: every
 /// statement is still an explicit [`Instr::BumpStmt`].
@@ -216,7 +223,7 @@ impl StepLoop {
 /// the two stride loads read off the code, the leader off the first
 /// [`Instr::IArith`], and the rest off the two walks ([`walk`]) — or, where
 /// there is one stride load or the body runs on every step, off the walk of
-/// one step the reduction op performs ([`reduction`]).  `edges` is
+/// one step the op performs ([`performed`]).  `edges` is
 /// [`edge_table`] of `code`, or empty until it is first needed.
 fn recognise(
     code: &[Instr],
@@ -233,7 +240,7 @@ fn recognise(
         _ => return Err(SingleFinger),
     };
     let Some(&Instr::LoadI64 { buf: b, idx: q, .. }) = top.next() else {
-        return reduction(code, edges, lp, &[(a, p)]).ok_or(SingleFinger);
+        return performed(code, edges, lp, &[(a, p)]).ok_or(SingleFinger);
     };
     let jumper = match top.find_map(|i| match *i {
         Instr::IArith { op, .. } => Some(op),
@@ -256,7 +263,7 @@ fn recognise(
         // A stepper body that runs where one finger ends the step may run on
         // every step: a reduction's.
         Err(e) if jumper => return Err(why(e)),
-        Err(e) => return reduction(code, edges, lp, &[(a, p), (b, q)]).ok_or(e),
+        Err(e) => return performed(code, edges, lp, &[(a, p), (b, q)]).ok_or(e),
     };
     // Where `a` leads, `b` trails: `by_a` holds what `b` reads besides its
     // list, and the other way round.
@@ -336,13 +343,15 @@ fn step_loop_op(
     Some(Instr::IStepLoop { a, p, q: second.first().copied(), step, start, stop, counts })
 }
 
-/// What a register holds on an iteration the reduction op performs: the
+/// What a register holds on an iteration the op performs: the
 /// loop's bound and its start at the top; a finger at the top, and one on;
 /// one of two fingers' strides, and the earlier of the two; the step's end
 /// `ss` — a lone finger's stride, which is below the bound; `ss + 1`;
 /// `ss - start`, one more, and that at least zero: the extent; a loop
 /// invariant, the sum of its terms; `ss` plus such a sum; a value at a
-/// finger; that times the second factor; and either times the extent.
+/// finger; that times the second factor; and either times the extent.  A
+/// register an append's guarded code wrote holds a value only the steps
+/// that pass know.
 #[derive(Clone, Copy, PartialEq)]
 enum Gv {
     Stop,
@@ -361,6 +370,7 @@ enum Gv {
     Val(BufId, usize),
     Prod(BufId, usize, Gather),
     Scaled(BufId, usize, Gather),
+    Passed,
 }
 
 /// No term.
@@ -378,18 +388,22 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
     terms.next().is_none().then_some(out)
 }
 
-/// The reduction op for the step loop `lp` of one or two `fingers` (a list
-/// and a position each), whose body begins by loading their strides, or
-/// `None`.  One iteration that is not the loop's last is walked from the top
-/// of the body to the bottom test: it must run the body `acc[k] op= val[p] *
-/// second * extent` — the second factor none, a value at a finger or `x[ss +
-/// ofs]`, the extent `max(ss - start + 1, 0)` or none — where `k` and the
-/// terms of `ofs` are loads and registers the loop does not write; advance
-/// each finger by one where its stride ends the step (a lone finger's always
+/// The op that performs the steps of the step loop `lp` of one or two
+/// `fingers` (a list and a position each), whose body begins by loading
+/// their strides, or `None`.  One iteration that is not the loop's last is
+/// walked from the top of the body to the bottom test: it must run the body
+/// `acc[k] op= val[p] * second * extent` — the second factor none, a value
+/// at a finger or `x[ss + ofs]`, the extent `max(ss - start + 1, 0)` or none
+/// — where `k` and the terms of `ofs` are loads and registers the loop does
+/// not write ([`Step::Reduce`]), or, on a lone finger, `crd.push(ss) ;
+/// vals.push(val[p])`, optionally under a guard `val[p] op imm` whose false
+/// edge lands on the join behind the pushes ([`Step::Append`]); advance each
+/// finger by one where its stride ends the step (a lone finger's always
 /// does); set `start` to `ss + 1`; and do nothing else.  The loop may write
-/// the fingers and `start` nowhere else.  Its statements and loads, and the
-/// statements of two fingers' advances, are the op's counts.
-fn reduction(
+/// the fingers and `start` nowhere else.  Its statements and loads, the
+/// statements of two fingers' advances, and what the guarded code counts
+/// are the op's counts.
+fn performed(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
     lp: StepLoop,
@@ -417,18 +431,31 @@ fn reduction(
     vals.extend(fingers.iter().enumerate().map(|(k, &(_, r))| (r, Pos(k))));
     let entry = vals.len();
     let val = |vals: &[(Reg, Gv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
-    let (mut stmts, mut loads, mut adv, mut stored, mut pc) = (0, 0, [None; 2], None, head + 1);
+    // What every step counts, and what a step that passes the guard does
+    // besides: `[each, pass]`.
+    let (mut stmts, mut loads, mut adv, mut stored, mut pc) =
+        ([0; 2], [0; 2], [None; 2], None, head + 1);
+    // An append's guard, and while its code is walked, the join its false
+    // edge lands on and where in `vals` that code's values begin; the pushes.
+    let (mut guard, mut open, mut crd, mut pushed) = (None, None, None, None);
     // Every pc at most once: the iteration has no inner loop.
     for _ in head..bottom {
+        // At the join, a register the guarded code wrote holds what only the
+        // steps that passed know.
+        if let Some((_, from)) = open.filter(|&(join, _)| join == pc) {
+            vals[from..].iter_mut().for_each(|held| held.1 = Passed);
+            open = None;
+        }
         if pc == bottom || pc <= head || pc > bottom {
             break;
         }
         let instr = code[pc];
         pc += 1;
+        let at = usize::from(open.is_some());
         let written = match instr {
             Instr::Nop => continue,
             Instr::BumpStmt => {
-                stmts += 1;
+                stmts[at] += 1;
                 continue;
             }
             Instr::Jump { target } => {
@@ -440,6 +467,32 @@ fn reduction(
                 if [lhs, rhs].map(|r| val(&vals, r)) == [Some(Step); 2] =>
             {
                 continue
+            }
+            // An append's guard: a value at the lone finger against a literal.
+            Instr::FCmpBranchImm { op, lhs, imm, target }
+                if !two && guard.is_none() && crd.is_none() && target as usize >= pc =>
+            {
+                let Val(values, 0) = val(&vals, lhs)? else { return None };
+                guard = Some((values, op, imm));
+                open = Some((target as usize, vals.len()));
+                continue;
+            }
+            // The pushes, where the guard (if any) passed.
+            Instr::IAppend { buf, val: v }
+                if !two && crd.is_none() && open.is_some() == guard.is_some() =>
+            {
+                if val(&vals, v)? != Step {
+                    return None;
+                }
+                crd = Some(buf);
+                continue;
+            }
+            Instr::FAppend { buf, val: v }
+                if crd.is_some() && pushed.is_none() && open.is_some() == guard.is_some() =>
+            {
+                let Val(values, 0) = val(&vals, v)? else { return None };
+                pushed = Some((buf, values));
+                continue;
             }
             Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
                 let Pos(k) = val(&vals, reg)? else { return None };
@@ -455,7 +508,7 @@ fn reduction(
                 (reg, OneOn(k))
             }
             Instr::LoadI64 { dst, buf, idx } => {
-                loads += 1;
+                loads[at] += 1;
                 match val(&vals, idx) {
                     Some(Pos(k)) if buf == fingers[k].0 => {
                         (dst, if two { Stride(k) } else { Step })
@@ -465,14 +518,14 @@ fn reduction(
                 }
             }
             Instr::LoadF64 { dst, buf, idx } => {
-                loads += 1;
+                loads[at] += 1;
                 let Pos(k) = val(&vals, idx)? else { return None };
                 (dst, Val(buf, k))
             }
             Instr::LoadBinary { op: op @ (BinOp::Add | BinOp::Sub), dst, lhs, buf, idx }
                 if invariant(idx) =>
             {
-                loads += 1;
+                loads[at] += 1;
                 let term = [Term::Plus { buf, at: idx }, Term::Zero];
                 let minus = op == BinOp::Sub;
                 match val(&vals, lhs)? {
@@ -512,11 +565,11 @@ fn reduction(
             }
             // A typed move moves integers.
             Instr::IMov { dst, src } => match val(&vals, src)? {
-                Val(..) | Prod(..) | Scaled(..) => return None,
+                Val(..) | Prod(..) | Scaled(..) | Passed => return None,
                 held => (dst, held),
             },
             Instr::FMulLoad { dst, lhs, buf, idx } => {
-                loads += 1;
+                loads[at] += 1;
                 let Val(values, k) = val(&vals, lhs)? else { return None };
                 let second = match val(&vals, idx)? {
                     Pos(j) => Gather::At { x: buf, at: fingers[j].1 },
@@ -535,7 +588,7 @@ fn reduction(
                 }
             }
             Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
-                if stored.is_none() && invariant(idx) =>
+                if stored.is_none() && guard.is_none() && invariant(idx) =>
             {
                 let (values, k, second, extent) = match val(&vals, v)? {
                     Val(values, k) => (values, k, Gather::None, false),
@@ -550,11 +603,32 @@ fn reduction(
         };
         vals.push(written);
     }
-    let (acc, k, op, values, first, gather, extent) = stored?;
     let ends = fingers.iter().enumerate().all(|(k, &(_, r))| val(&vals, r) == Some(OneOn(k)));
-    if pc != bottom || !ends || val(&vals, start) != Some(After) {
+    if pc != bottom || open.is_some() || !ends || val(&vals, start) != Some(After) {
         return None;
     }
+    let written = vals[entry..].iter().map(|&(r, _)| r).collect();
+    let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
+    let counts = |[by_p, by_q]: [u32; 2]| StepCounts {
+        stmts: [stmts[0], by_p, by_q],
+        loads: [loads[0], 0, 0],
+    };
+    if let (Some(crd), Some((vals, values))) = (crd, pushed) {
+        // One buffer the guard reads and the op pushes from, none written.
+        let guard = match guard {
+            Some((read, op, imm)) if read == values => Some((op, imm)),
+            Some(_) => return None,
+            None => None,
+        };
+        let bufs = [fingers[0].0, values, crd, vals];
+        if stored.is_some() || (1..bufs.len()).any(|k| bufs[..k].contains(&bufs[k])) {
+            return None;
+        }
+        let pass = [stmts[1], loads[1]];
+        let step = crate::bytecode::Step::Append { val: values, guard, crd, vals, pass };
+        return step_loop_op(code, edges, lp, fingers, step, counts(advances), written);
+    }
+    let (acc, k, op, values, first, gather, extent) = stored?;
     let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).chain([values]).collect();
     match gather {
         Gather::None => {}
@@ -573,16 +647,13 @@ fn reduction(
     }
     // The op's `p` is the finger of the first factor; a `min` leader does not
     // tell two fingers apart.
-    let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
     let mut fingers = fingers.to_vec();
     if first == 1 {
         fingers.swap(0, 1);
         advances.swap(0, 1);
     }
-    let counts = StepCounts { stmts: [stmts, advances[0], advances[1]], loads: [loads, 0, 0] };
     let step = crate::bytecode::Step::Reduce { val: values, gather, extent, acc, k, op };
-    let written = vals[entry..].iter().map(|&(r, _)| r).collect();
-    step_loop_op(code, edges, lp, &fingers, step, counts, written)
+    step_loop_op(code, edges, lp, &fingers, step, counts(advances), written)
 }
 
 /// What a register holds on an iteration the op skips: the loop's bound; a
@@ -1435,7 +1506,9 @@ pub(super) mod tests {
         let (without, stats, without_bufs) = run(&c.scalar, bufs, None);
         assert_eq!(with_op, without, "{what}");
         assert_eq!(with_stats, stats, "{what}");
-        assert_eq!(with_bufs.get(out), without_bufs.get(out), "{what}");
+        // By `{:?}`, so that a NaN pushed compares equal to itself.
+        let [with, without] = [with_bufs, without_bufs].map(|bufs| format!("{:?}", bufs.get(out)));
+        assert_eq!(with, without, "{what}");
         if what.contains("cut") || what.contains("empty") {
             assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
         }
@@ -1829,6 +1902,232 @@ pub(super) mod tests {
             tally[MergeDecline::SingleFinger as usize] = 1;
             assert_eq!((c.stats.merge_skips, c.stats.merge_declined), (0, tally), "{shape:?}");
             assert_eq!(c.skipping.code(), c.scalar.code(), "{shape:?}: no op, same program");
+        }
+    }
+
+    /// The output buffers of [`append_kernel`].
+    const KEPT_CRD: BufId = BufId(3);
+    const KEPT_VALS: BufId = BufId(4);
+
+    /// The loop `lower_stepped` emits for one walked list filtered into a
+    /// sparse output, over the step range `0..=stop` (the bound loaded, so
+    /// nothing folds it): `if ss == s { if vals[p] op imm { kept_crd.push(ss)
+    /// ; kept_vals.push(vals[p]) } }`, without the inner test if there is no
+    /// `guard`.
+    pub(in crate::opt) fn append_kernel(
+        crd: &[i64],
+        values: &[f64],
+        stop: i64,
+        guard: Option<(BinOp, f64)>,
+    ) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let crd_buf = bufs.add("crd", Buffer::I64(crd.to_vec().into()));
+        let vals = bufs.add("vals", Buffer::F64(values.to_vec().into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
+        let kept_crd = bufs.add("kept_crd", Buffer::I64(Vec::new().into()));
+        let kept_vals = bufs.add("kept_vals", Buffer::F64(Vec::new().into()));
+        assert_eq!((crd_buf, vals, kept_crd, kept_vals), (CRD, VALS, KEPT_CRD, KEPT_VALS));
+        let [p, hi, start, s, ss, v] =
+            ["p", "phase_stop", "step_start", "stride", "step_stop", "v"].map(|n| names.fresh(n));
+        let var = Expr::Var;
+        let pushes = vec![
+            Stmt::Append { buf: kept_crd, value: var(ss) },
+            Stmt::Append { buf: kept_vals, value: Expr::load(vals, var(p)) },
+        ];
+        let body = match guard {
+            Some((op, imm)) => vec![
+                Stmt::Let { var: v, init: Expr::load(vals, var(p)) },
+                Stmt::if_then(Expr::binary(op, var(v), Expr::float(imm)), pushes),
+            ],
+            None => pushes,
+        };
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While {
+                cond: Expr::le(var(start), var(hi)),
+                body: vec![
+                    Stmt::Let { var: s, init: Expr::load(crd_buf, var(p)) },
+                    Stmt::Let { var: ss, init: Expr::min(var(s), var(hi)) },
+                    Stmt::if_then(Expr::eq(var(ss), var(s)), body),
+                    Stmt::if_then(
+                        Expr::eq(var(s), var(ss)),
+                        vec![Stmt::Assign { var: p, value: Expr::add(var(p), Expr::int(1)) }],
+                    ),
+                    Stmt::Assign { var: start, value: Expr::add(var(ss), Expr::int(1)) },
+                ],
+            },
+        ];
+        (stmts, names, bufs)
+    }
+
+    fn appends(p: &Program) -> Vec<usize> {
+        let is_op = |pc: &usize| {
+            matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Append { .. }, .. })
+        };
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    /// The guards the append kernels filter by: none, `> 2`, and against
+    /// the two zeros.  (A NaN literal is `tests/merge_skip.rs`': programs
+    /// holding one compare unequal to themselves.)
+    const GUARDS: [Option<(BinOp, f64)>; 4] =
+        [None, Some((BinOp::Gt, 2.0)), Some((BinOp::Le, -0.0)), Some((BinOp::Ge, 0.0))];
+
+    /// Values at [`lone_lists`]' coordinates: above and below the guards,
+    /// both zeros, NaN and the infinities.
+    fn append_values(n: usize) -> Vec<f64> {
+        let cycle = [1.5, 2.5, -0.0, f64::NAN, 0.0, -3.0, f64::INFINITY, 2.0, f64::NEG_INFINITY];
+        (0..n).map(|k| cycle[k % cycle.len()]).collect()
+    }
+
+    /// Every list and guard, with what the appends kept.
+    fn append_kernels() -> Vec<(String, Kernel)> {
+        let lists = lone_lists().into_iter();
+        let cases =
+            lists.flat_map(|(crd, stop)| GUARDS.map(move |guard| (crd.clone(), stop, guard)));
+        cases
+            .map(|(crd, stop, guard)| {
+                let kernel = append_kernel(&crd, &append_values(crd.len()), stop, guard);
+                (format!("{crd:?} to {stop}, guard {guard:?}"), kernel)
+            })
+            .collect()
+    }
+
+    /// The VM's run of `p` under the allocation budget `budget`.
+    fn run_allocating(
+        p: &Program,
+        bufs: &BufferSet,
+        budget: u64,
+    ) -> (String, ExecStats, BufferSet) {
+        let mut bufs = bufs.clone();
+        let mut vm = Vm::new(p);
+        vm.set_alloc_budget(Some(budget));
+        let outcome = format!("{:?}", vm.run(p, &mut bufs));
+        (outcome, vm.stats(), bufs)
+    }
+
+    /// The outputs as `{:?}`, NaN included.
+    fn kept(bufs: &BufferSet) -> String {
+        format!("{:?} {:?}", bufs.get(KEPT_CRD), bufs.get(KEPT_VALS))
+    }
+
+    #[test]
+    fn the_lone_stepper_gets_the_append_and_is_otherwise_untouched() {
+        let wants = [
+            "step_loop b0[p] in step_start..=phase_stop (i64) b3.push(b0[p]), b4.push(b1[p]) \
+             { +7 stmt +2 load | p += 1 ; +1 stmt }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) b3.push(b0[p]), b4.push(b1[p]) \
+             where b1[p] > 2.0 { +7 stmt +2 load | p += 1 ; +1 stmt | pass ; +2 stmt +1 load }",
+        ];
+        for (guard, want) in GUARDS.into_iter().zip(wants) {
+            let c = compile(&append_kernel(&[3, 17, 30, 1000], &[1.0, 3.0, 5.0, 7.0], 39, guard));
+            let placed = appends(&c.skipping);
+            assert_eq!((c.stats.merge_skips, placed.len()), (1, 1), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            let line = c.skipping.disasm().lines().nth(placed[0]).unwrap().to_string();
+            assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
+            only_adds(&c, &placed);
+        }
+    }
+
+    /// Every step budget from 0 to the full run, on every list under every
+    /// guard: the VM with the op, the VM without it and the tree-walker stop
+    /// at the same statement with the same counters and the same pushes —
+    /// and the scalar loop dispatches only the loop's entry and its last
+    /// iteration.
+    #[test]
+    fn every_step_budget_trips_the_append_where_the_scalar_loop_trips() {
+        for (context, kernel) in append_kernels() {
+            let c = compile(&kernel);
+            assert_eq!(appends(&c.skipping).len(), 1, "{context}\n{}", c.skipping.disasm());
+            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
+            assert_eq!(outcome, "Ok(())", "{context}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let mut tree_bufs = kernel.2.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                for p in [&c.skipping, &c.scalar] {
+                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
+                    assert_eq!(outcome, tree, "{context} at {budget}");
+                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
+                    assert_eq!(kept(&bufs), kept(&tree_bufs), "{context} at {budget}");
+                }
+            }
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
+            let at = appends(&c.skipping)[0];
+            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{context}");
+        }
+    }
+
+    /// Every allocation budget from none at all to one past what the run
+    /// keeps: the op stops in front of the push that would not fit, and the
+    /// scalar step raises the error where it raises it without the op.
+    #[test]
+    fn every_allocation_budget_trips_the_append_where_the_scalar_loop_trips() {
+        for (context, kernel) in append_kernels() {
+            let c = compile(&kernel);
+            let (_, _, full) = run(&c.scalar, &kernel.2, None);
+            let pushed = (full.get(KEPT_CRD).len() + full.get(KEPT_VALS).len()) as u64;
+            for budget in 0..=pushed + 1 {
+                let mut interp = Interpreter::new(&c.names);
+                interp.set_alloc_budget(Some(budget));
+                let mut tree_bufs = kernel.2.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                assert_eq!(tree == "Ok(())", budget >= pushed, "{context} at {budget}: {tree}");
+                for p in [&c.skipping, &c.scalar] {
+                    let (outcome, stats, bufs) = run_allocating(p, &kernel.2, budget);
+                    assert_eq!(outcome, tree, "{context} at {budget}");
+                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
+                    assert_eq!(kept(&bufs), kept(&tree_bufs), "{context} at {budget}");
+                }
+            }
+        }
+    }
+
+    /// An injected fault at every statement: both engines panic with the
+    /// same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_the_append_on_the_tree_walkers_statement() {
+        for guard in GUARDS {
+            faults_alike(&append_kernel(&[3, 17, 30, 1000], &append_values(4), 39, guard));
+        }
+    }
+
+    /// An output rebound to another kind, the list or its values cut short
+    /// or of another kind: the op declines or stops in front of the step,
+    /// and the scalar loop reports what it reports without the op, having
+    /// counted the same work and pushed the same entries.
+    #[test]
+    fn a_rebound_buffer_faults_the_append_as_the_scalar_loop_faults() {
+        for guard in GUARDS {
+            let kernel = append_kernel(&[3, 17, 30, 1000], &append_values(4), 39, guard);
+            let c = compile(&kernel);
+            let rebound = |buf: BufId, with: Buffer| {
+                let mut bufs = kernel.2.clone();
+                *bufs.get_mut(buf) = with;
+                bufs
+            };
+            let floats = |n: usize| Buffer::F64(vec![2.5; n].into());
+            let ints = |n: usize| Buffer::I64(vec![1; n].into());
+            let cases = [
+                ("crd cut short", rebound(CRD, Buffer::I64(vec![3, 17].into()))),
+                ("crd as f64", rebound(CRD, floats(4))),
+                ("vals cut short", rebound(VALS, floats(2))),
+                ("vals as i64", rebound(VALS, ints(4))),
+                ("kept crd as f64", rebound(KEPT_CRD, floats(0))),
+                ("kept vals as i64", rebound(KEPT_VALS, ints(0))),
+                ("kept crd as bool", rebound(KEPT_CRD, Buffer::Bool(Vec::new()))),
+            ];
+            for (what, bufs) in cases {
+                let what = format!("{what}, guard {guard:?}");
+                same_verdict(&c, &bufs, &what, KEPT_CRD);
+                same_verdict(&c, &bufs, &what, KEPT_VALS);
+            }
         }
     }
 

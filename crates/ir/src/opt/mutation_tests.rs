@@ -1085,19 +1085,29 @@ fn forwarded_gather_kernel() -> (Program, Names, BufferSet) {
 /// The real pass on [`forwarded_gather_kernel`], then `mutate` on the op it
 /// placed.
 fn run_gather_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassError> {
-    struct Mutated(fn(&mut Program, usize));
+    run_lone_mutation(forwarded_gather_kernel(), reduces, mutate)
+}
+
+/// The real pass on `kernel`, a lone stepper, then `mutate` on the op that
+/// `is_op` finds.
+fn run_lone_mutation(
+    kernel: (Program, Names, BufferSet),
+    is_op: fn(&Instr) -> bool,
+    mutate: fn(&mut Program, usize),
+) -> Result<Repr, PassError> {
+    struct Mutated(fn(&Instr) -> bool, fn(&mut Program, usize));
     impl Pass for Mutated {
         fn name(&self) -> &'static str {
             "merge_skip"
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program.code.iter().position(reduces).expect("the lone stepper gets its op");
-            (self.0)(&mut program, at);
+            let at = program.code.iter().position(self.0).expect("the lone stepper gets its op");
+            (self.1)(&mut program, at);
             Repr::Bytecode(program)
         }
     }
-    run_typed_bytecode_pass(forwarded_gather_kernel(), &Mutated(mutate))
+    run_typed_bytecode_pass(kernel, &Mutated(is_op, mutate))
 }
 
 #[test]
@@ -1159,6 +1169,73 @@ fn a_gather_reduction_accumulating_into_a_source_is_caught_by_the_verifier() {
         *acc = *val;
     });
     assert_caught(verdict, "merge_skip", "accumulates into one of its sources");
+}
+
+// ---------------------------------------------------------------------
+// A seeded miscompile of the append: the real pass's op with its pass count
+// off by one, and the gate that notices.
+// ---------------------------------------------------------------------
+
+/// Fig. S's threshold filter as a lone stepper, typed and through `forward`:
+/// values above and below its guard `> 2`, the last coordinate the loop's
+/// bound.
+fn forwarded_append_kernel() -> (Program, Names, BufferSet) {
+    let crd = [1, 3, 4, 8, 13, 21, 34, 39];
+    let values = [0.5, 3.0, 2.5, 1.0, 4.0, 2.0, 7.5, 3.5];
+    let guard = Some((BinOp::Gt, 2.0));
+    forwarded(merge_skip::tests::append_kernel(&crd, &values, 39, guard))
+}
+
+/// Whether `instr` is a step loop op that appends.
+fn appends(instr: &Instr) -> bool {
+    matches!(instr, Instr::IStepLoop { step: Step::Append { .. }, .. })
+}
+
+#[test]
+fn the_append_validates_and_its_witness_performs_all_but_the_last_iteration() {
+    let out = run_lone_mutation(forwarded_append_kernel(), appends, |_, _| {})
+        .expect("the real pass is exact")
+        .into_bytecode();
+    let (_, _, bufs) = forwarded_append_kernel();
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(appends).unwrap();
+    // The op once, at the loop's entry, and the last of eight iterations.
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 8), "{}", out.disasm());
+}
+
+#[test]
+fn an_append_whose_pass_count_is_off_by_one_is_caught_by_the_exact_stats_witness() {
+    let mutants: [fn(&mut Program, usize); 2] =
+        [|p, at| bump_pass_count(p, at, 1), |p, at| bump_pass_count(p, at, -1)];
+    for mutate in mutants {
+        assert_caught(
+            run_lone_mutation(forwarded_append_kernel(), appends, mutate),
+            "merge_skip",
+            "ExecStats",
+        );
+    }
+}
+
+#[test]
+fn an_append_pushing_onto_its_own_values_is_caught_by_the_verifier() {
+    let verdict = run_lone_mutation(forwarded_append_kernel(), appends, |program, at| {
+        let Instr::IStepLoop { step: Step::Append { val, vals, .. }, .. } = &mut program.code[at]
+        else {
+            unreachable!()
+        };
+        *vals = *val;
+    });
+    assert_caught(verdict, "merge_skip", "appends from or onto one buffer twice");
+}
+
+/// Moves the statements of a step that passes the guard of the append at
+/// `at` by `by`.
+fn bump_pass_count(program: &mut Program, at: usize, by: i32) {
+    let Instr::IStepLoop { step: Step::Append { pass, .. }, .. } = &mut program.code[at] else {
+        unreachable!()
+    };
+    pass[0] = pass[0].checked_add_signed(by).expect("a count of at least one");
 }
 
 // ---------------------------------------------------------------------

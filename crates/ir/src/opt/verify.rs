@@ -458,6 +458,16 @@ fn check_step_loop(code: &[Instr], pc: usize) -> Result<(), String> {
                 return fail("accumulates into one of its sources".into());
             }
         }
+        Step::Append { val, crd, vals, .. } => {
+            if q.is_some() {
+                return fail("appends on two fingers".into());
+            }
+            let bufs = [a, val, crd, vals];
+            if (1..bufs.len()).any(|k| bufs[..k].contains(&bufs[k])) {
+                return fail("appends from or onto one buffer twice".into());
+            }
+            sources.push(val);
+        }
     }
     let body = &code[pc + 1..bottom];
     if let Some(reg) = invariant.into_iter().find(|&reg| body.iter().any(|i| writes(i, reg))) {
@@ -564,7 +574,10 @@ fn stores_into(instr: &Instr, buf: BufId) -> bool {
         | Instr::VMulAddF64 { acc: to, .. }
         | Instr::VReduceF64 { acc: to, .. }
         | Instr::IStepLoop { step: Step::Reduce { acc: to, .. }, .. } => to == buf,
-        Instr::VAppendRangeF64 { idx_out, val_out, .. } => idx_out == buf || val_out == buf,
+        Instr::VAppendRangeF64 { idx_out, val_out, .. }
+        | Instr::IStepLoop { step: Step::Append { crd: idx_out, vals: val_out, .. }, .. } => {
+            idx_out == buf || val_out == buf
+        }
         _ => false,
     }
 }

@@ -1665,9 +1665,10 @@ impl Vm {
     /// [`Instr::IStepLoop`] at `pc`, out of the dispatch loop: take the steps
     /// its [`Step`] takes, and return where dispatch goes on — the next
     /// instruction, or the loop's exit once a jumper has run its last step.
-    /// Skipping, galloping and reducing are functions of their own, so that
-    /// each one's loops are optimised apart (inlined into this one, the
-    /// reduction's loops measured 10–15 % slower on `dot_list_band`).
+    /// Skipping, galloping, reducing and appending are functions of their
+    /// own, so that each one's loops are optimised apart (inlined into this
+    /// one, the reduction's loops measured 10–15 % slower on
+    /// `dot_list_band`).
     #[inline(never)]
     fn step_loop(&mut self, bufs: &mut BufferSet, code: &[Instr], pc: usize) -> usize {
         let Instr::IStepLoop { a, p, q, step, start, stop, counts } = code[pc] else {
@@ -1675,18 +1676,24 @@ impl Vm {
         };
         // A lone finger is its own second: `q` is `p`, over the same list.
         let (b, second) = q.unwrap_or((a, p));
-        let reduces = matches!(step, Step::Reduce { .. });
         // A skipped step is ended by its leader alone, a performed one may be
-        // ended by both fingers.
+        // ended by both fingers, and an append's may pass its guard.
         let [each, by_p, by_q] = counts.stmts;
-        let worst = each + if reduces { by_p + by_q } else { by_p.max(by_q) };
+        let (worst, stores, pass) = match step {
+            Step::Skip(_) => (each + by_p.max(by_q), 0, [0; 3]),
+            Step::Reduce { .. } => (each + by_p + by_q, 1, [0; 3]),
+            Step::Append { pass: [stmts, loads], .. } => {
+                (each + by_p + stmts, 0, [stmts, loads, 2].map(u64::from))
+            }
+        };
         let run = Run {
             regs: [p, second, start],
             stop: self.ints[stop.index()],
             two: q.is_some(),
             counts,
             worst: u64::from(worst).max(1),
-            stores: u64::from(reduces),
+            stores,
+            pass,
         };
         match step {
             Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
@@ -1704,6 +1711,7 @@ impl Vm {
             }
             Step::Skip(form) => self.skip(bufs, [a, b], form, &run),
             Step::Reduce { .. } => self.reduce(bufs, [a, b], step, &run),
+            Step::Append { .. } => self.append(bufs, a, step, &run),
         }
         pc + 1
     }
@@ -1735,16 +1743,26 @@ impl Vm {
     /// Commit `done` steps of a step loop op's loop: the fingers and the
     /// start where the steps left them (`at`), and what they count — one loop
     /// iteration each, the counts of every step and of each finger on the
-    /// steps it ended (`ended`), and `extra`.
+    /// steps it ended (`ended`), [`Run::stores`], [`Run::pass`] on the steps
+    /// that passed a guard (`passed`), and `extra`.
     #[inline(always)]
-    fn commit(&mut self, run: &Run, at: [i64; 3], done: u64, ended: [u64; 2], extra: ExecStats) {
+    fn commit(
+        &mut self,
+        run: &Run,
+        at: [i64; 3],
+        done: u64,
+        ended: [u64; 2],
+        passed: u64,
+        extra: ExecStats,
+    ) {
         let count = |[each, by_p, by_q]: [u32; 3]| {
             done * u64::from(each) + ended[0] * u64::from(by_p) + ended[1] * u64::from(by_q)
         };
+        let [pass_stmts, pass_loads, pass_stores] = run.pass.map(|n| passed * n);
         self.stats.loop_iters += done + extra.loop_iters;
-        self.stats.stmts += count(run.counts.stmts) + extra.stmts;
-        self.stats.loads += count(run.counts.loads) + extra.loads;
-        self.stats.stores += extra.stores;
+        self.stats.stmts += count(run.counts.stmts) + pass_stmts + extra.stmts;
+        self.stats.loads += count(run.counts.loads) + pass_loads + extra.loads;
+        self.stats.stores += done * run.stores + pass_stores + extra.stores;
         self.stats.searches += extra.searches;
         let [p, q, start] = run.regs;
         self.ints[p.index()] = at[0];
@@ -1762,19 +1780,19 @@ impl Vm {
     /// written, as the loop does not read them before it rewrites them.  The
     /// accumulator, if a step was taken.
     #[inline(always)]
-    fn steps<const TWO: bool, A: Copy>(
+    fn steps<const TWO: bool, A: Carry>(
         &mut self,
         [a, b]: [&[i64]; 2],
         run: &Run,
         mut acc: A,
-        body: impl Fn(A, &At) -> Option<A>,
+        mut body: impl FnMut(A, &At) -> Option<A>,
     ) -> Option<A> {
         let stop = run.stop;
         let mut taken = false;
         loop {
             let room = self.room(run);
             let [p0, q0, mut from] = self.fingers(run);
-            let (mut pv, mut qv, mut done) = (p0, q0, 0);
+            let (mut pv, mut qv, mut done, passed) = (p0, q0, 0, acc.passed());
             while done < room {
                 // A finger outside its list: the scalar load's fault.
                 let Some(&s1) = position(a, pv) else { break };
@@ -1807,8 +1825,8 @@ impl Vm {
             }
             taken |= done > 0;
             let ended = [(pv - p0) as u64, (qv - q0) as u64];
-            let stores = ExecStats { stores: done * run.stores, ..ExecStats::default() };
-            self.commit(run, [pv, qv, from], done, ended, stores);
+            let passed = acc.passed() - passed;
+            self.commit(run, [pv, qv, from], done, ended, passed, ExecStats::default());
             if !self.again(done, room) {
                 return taken.then_some(acc);
             }
@@ -1944,6 +1962,72 @@ impl Vm {
         }
     }
 
+    /// [`Step::Append`]: perform the steps that are not the loop's last —
+    /// a lone stepper's, which end at its stride — pushing `ss` onto `crd`
+    /// and `val[p]` onto `vals` where the guard passes.  Both outputs are
+    /// lifted once per dispatch, and reserve room for as many pushes as
+    /// there are steps left in the list and statements to take them.  A step
+    /// is staged whether it passes or not, and the stage keeps it only if it
+    /// does, so that no branch depends on the values.  The op stops in front
+    /// of a step whose value load would fault and of a push the allocation
+    /// budget would not hold, so that the scalar step raises the error; it
+    /// does nothing where a buffer has another kind or two of them are one.
+    #[inline(never)]
+    fn append(&mut self, bufs: &mut BufferSet, a: BufId, step: Step, run: &Run) {
+        /// Steps staged between two copies onto the outputs.
+        const STAGE: usize = 64;
+        let Step::Append { val, guard, crd, vals, .. } = step else { unreachable!("an append") };
+        let distinct = [a, val, crd, vals];
+        if (1..distinct.len()).any(|k| distinct[..k].contains(&distinct[k])) {
+            return;
+        }
+        let (Buffer::I64(list), Buffer::F64(_), Buffer::I64(_), Buffer::F64(_)) =
+            (bufs.get(a), bufs.get(val), bufs.get(crd), bufs.get(vals))
+        else {
+            return;
+        };
+        // The passes the allocation budget holds: two elements each.
+        let fit = self.alloc.budget().map_or(u64::MAX, |b| b.saturating_sub(self.alloc.used())) / 2;
+        let left = usize::try_from(self.ints[run.regs[0].index()])
+            .map_or(0, |at| list.len().saturating_sub(at));
+        let reserve = (left as u64).min(self.room(run)).min(fit) as usize;
+        let (mut crd_out, mut vals_out) = (lift(bufs, crd), lift(bufs, vals));
+        let passed = {
+            let (Buffer::I64(crd_out), Buffer::F64(vals_out)) = (&mut crd_out, &mut vals_out)
+            else {
+                unreachable!("checked above")
+            };
+            let (Buffer::I64(list), Buffer::F64(val)) = (bufs.get(a), bufs.get(val)) else {
+                unreachable!("checked above")
+            };
+            crd_out.reserve(reserve);
+            vals_out.reserve(reserve);
+            let (mut crd_stage, mut vals_stage, mut staged) = ([0; STAGE], [0.0; STAGE], 0);
+            let passed = self.steps::<false, u64>([list, list], run, 0, |passed, step| {
+                let v = *position(val, step.at[0])?;
+                let pass = guard.is_none_or(|(op, imm)| Self::cmp_f64(op, v, imm));
+                if pass & (passed == fit) {
+                    return None;
+                }
+                crd_stage[staged] = step.ss;
+                vals_stage[staged] = v;
+                staged += usize::from(pass);
+                if staged == STAGE {
+                    crd_out.extend_from_slice(&crd_stage);
+                    vals_out.extend_from_slice(&vals_stage);
+                    staged = 0;
+                }
+                Some(passed + u64::from(pass))
+            });
+            crd_out.extend_from_slice(&crd_stage[..staged]);
+            vals_out.extend_from_slice(&vals_stage[..staged]);
+            passed
+        };
+        *bufs.get_mut(crd) = crd_out;
+        *bufs.get_mut(vals) = vals_out;
+        self.alloc.add_used(2 * passed.unwrap_or(0));
+    }
+
     /// [`MergeForm::Gallop`]: skip the steps that match nothing.  In such a
     /// step one finger, the leader, ends the step `ss = min(max(s1, s2),
     /// stop)` and the other, the trailer, does not; the trailer seeks to `ss`
@@ -2037,7 +2121,7 @@ impl Vm {
                 loads: probed,
                 ..ExecStats::default()
             };
-            self.commit(run, [pv, qv, next], skipped, [led_by_a, skipped - led_by_a], extra);
+            self.commit(run, [pv, qv, next], skipped, [led_by_a, skipped - led_by_a], 0, extra);
             if left {
                 return exit;
             }
@@ -2063,6 +2147,31 @@ struct Run {
     worst: u64,
     /// The stores of a taken step: a reduction's one.
     stores: u64,
+    /// The statements, loads and stores a step that passes an append's guard
+    /// adds: its guarded code's, and its two pushes.
+    pass: [u64; 3],
+}
+
+/// What a step loop op carries from step to step: the accumulator of
+/// [`Vm::steps`].
+trait Carry: Copy {
+    /// How many of the steps taken so far passed a guard.
+    fn passed(self) -> u64 {
+        0
+    }
+}
+
+/// A skip's: nothing.
+impl Carry for () {}
+
+/// A reduction's: the fold.
+impl Carry for f64 {}
+
+/// An append's: the steps that pushed.
+impl Carry for u64 {
+    fn passed(self) -> u64 {
+        self
+    }
 }
 
 /// A step of a step loop op's loop, as the op is about to take it.

@@ -3,7 +3,8 @@
 //! Wall clock on a shared host cannot hold a regression gate; the per-pc
 //! dispatch counts of `CompiledKernel::profile()` and `ExecStats` are exact
 //! and host-independent.  For the merge-driven kernels of the paper's
-//! Figs. 1, 7 and 8 and the all-pairs kernels of Fig. 11, built by
+//! Figs. 1, 7 and 8, the all-pairs kernels of Fig. 11 and Fig. S's threshold
+//! filter, built by
 //! `finch-bench` at the sizes `figures --tiny` uses and compiled at
 //! `OptLevel::Default`, this file pins
 //!
@@ -30,7 +31,8 @@
 //! (the galloped merge's op runs an empty last iteration too), and one whose
 //! op reduces (`Step::Reduce`: over Fig. 1's lone stepper, Fig. 11's row
 //! norms, or the two run-length fingers of Fig. 11's run × run loop, whose
-//! body runs on every step) only its last iteration, so its
+//! body runs on every step) or appends (`Step::Append`: Fig. S's threshold
+//! filter over a sparse list) only its last iteration, so its
 //! iterations are counted on the same kernel compiled with `simd` off — the
 //! same scalar loop, instruction for instruction, without the op.  The same
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
@@ -119,7 +121,11 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
 /// loop, the run × run loop, from 15.00 to 0.63 (16 dispatches, the op and
 /// the last step, per entry of about 25 steps).  The sparse list's row norm,
 /// `val[p] * val[p]`, takes the lone stepper's op too (9.61 → 7.93; its
-/// busiest loop, the intersection, stays at 8.62).
+/// busiest loop, the intersection, stays at 8.62).  Fig. S's threshold
+/// filter is pinned with the append, which performs the sparse list's lone
+/// stepper but its last step, guard and pushes and all (the sparse-list
+/// output: 11.00 → 2.73 dispatches an iteration, its loop 9.50 → 1.10).
+/// A row's figure is a prefix of the table's figure and group.
 const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig01", "looplets: list x band", 1334, 234),
     ("fig01", "iterator-over-nonzeros", 438, 238),
@@ -139,22 +145,26 @@ const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig11", "sparse list", 793, 862),
     ("fig11", "VBL", 1534, 800),
     ("fig11", "run-length (RLE)", 130, 63),
+    ("figS threshold", "dense output", 24, 891),
+    ("figS threshold", "sparse-list output", 273, 110),
 ];
 
 /// The kernels that must carry exactly one run-ahead op of a form, by
 /// figure (a prefix of its name) and label: the two-finger walks the
 /// steppers', Fig. 7's VBL the block form, the gallops the jumper form
 /// (their neither-finger-leads fall-back may carry a second, the
-/// steppers'), Fig. 1's list × band the lone stepper's reduction and
+/// steppers'), Fig. 1's list × band the lone stepper's reduction,
 /// Fig. 11's run-length all-pairs the two fingers' (its row norm carries
-/// the lone stepper's too).
-const ONE_OP: [(&str, &str, Form); 6] = [
+/// the lone stepper's too) and Fig. S's threshold filter into a sparse list
+/// the append.
+const ONE_OP: [(&str, &str, Form); 7] = [
     ("fig0", "two-finger (TACO-style)", Form::Steps),
     ("fig07", "VBL", Form::Blocks),
     ("fig07", "gallop both", Form::Gallop),
     ("fig08", "gallop", Form::Gallop),
     ("fig01", "looplets: list x band", Form::Gather),
     ("fig11", "run-length (RLE)", Form::Reduce),
+    ("figS threshold", "sparse-list output", Form::Append),
 ];
 
 /// A run-ahead op's form, without its operands (the reductions count as
@@ -166,12 +176,13 @@ enum Form {
     Gallop,
     Gather,
     Reduce,
+    Append,
 }
 
 /// One run-ahead op of a profiled program: its form, how many scalar
 /// iterations its loop dispatched, how many of them matched (ran the guarded
-/// body; none for the gather reduction, which performs every iteration but
-/// the last) and how often the loop was entered.
+/// body; none for the reductions and the append, which perform every
+/// iteration but the last) and how often the loop was entered.
 #[derive(Debug)]
 struct RunAhead {
     form: Form,
@@ -188,6 +199,7 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
     };
     let ops = code.iter().enumerate().filter_map(|(op, i)| match i {
         Instr::IStepLoop { step: Step::Skip(form), .. } => Some((op, Ok(*form))),
+        Instr::IStepLoop { step: Step::Append { .. }, .. } => Some((op, Err(Form::Append))),
         Instr::IStepLoop { q: None, .. } => Some((op, Err(Form::Gather))),
         Instr::IStepLoop { .. } => Some((op, Err(Form::Reduce))),
         _ => None,
@@ -248,12 +260,13 @@ fn jumper_sites(code: &[Instr], op: usize) -> Vec<usize> {
     sites
 }
 
-/// The merge-driven kernels of the `--tiny` sweep: every variant of the
-/// figures [`BUDGETS`] has rows for.
-fn figure_kernels() -> Vec<(&'static str, Variant)> {
-    let pinned = |figure: &str| BUDGETS.iter().any(|budget| budget.0 == figure);
-    let tables = figure_tables(true).into_iter().filter(|table| pinned(table.figure));
-    tables.flat_map(|table| table.variants.into_iter().map(move |v| (table.figure, v))).collect()
+/// The pinned kernels of the `--tiny` sweep: every variant of the tables
+/// [`BUDGETS`] has rows for, by the table's figure and group.
+fn figure_kernels() -> Vec<(String, Variant)> {
+    let pinned = |table: &str| BUDGETS.iter().any(|budget| table.starts_with(budget.0));
+    let tables = figure_tables(true).into_iter().map(|t| (format!("{} {}", t.figure, t.group), t));
+    let tables = tables.filter(|(table, _)| pinned(table));
+    tables.flat_map(|(table, t)| t.variants.into_iter().map(move |v| (table.clone(), v))).collect()
 }
 
 #[test]
@@ -313,11 +326,13 @@ fn merge_kernels_stay_within_their_dispatch_budgets() {
                 }
             }
         }
+        let row = BUDGETS.iter().find(|b| figure.starts_with(b.0) && b.1 == variant.label);
         table.push_str(&format!(
-            "    ({figure:?}, {:?}, {per_iteration}, {per_inner_iteration}),\n",
+            "    ({:?}, {:?}, {per_iteration}, {per_inner_iteration}),\n",
+            row.map_or(figure.as_str(), |row| row.0),
             variant.label
         ));
-        match BUDGETS.iter().find(|b| (b.0, b.1) == (figure, variant.label.as_str())) {
+        match row {
             None => failures.push(format!("{figure}/{}: no budget", variant.label)),
             Some(&(_, _, budget, inner_budget)) => {
                 if per_iteration > budget || per_inner_iteration > inner_budget {

@@ -7,7 +7,9 @@
 //! operand (Fig. 1's list × band, a CSR × dense SpMV) carries the same op
 //! (`Step::Reduce`), which performs every iteration but its last, and so
 //! does the run × run loop of two run-length vectors (Fig. 11's product of
-//! two runs), over two fingers.  Its exits are where it can go wrong — a loop that is never
+//! two runs), over two fingers, and so does the lone stepper of Fig. S's
+//! threshold filter, whose guarded append the op performs (`Step::Append`).
+//! Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
 //! runs out inside a run-ahead — so for the kernels that hold the loop
 //! (sparse·sparse `dot`, the elementwise product with a sparse output, and
@@ -28,13 +30,17 @@
 //! it — at a trip, the stores and appends made so far.  (The counters *at*
 //! a trip are not in reach from outside a kernel; `finch-ir`'s
 //! `opt::merge_skip` tests compare them on all three, budget by budget, on
-//! the same loop.)
+//! the same loop.)  The threshold filter is also run under an injected fault
+//! at every statement, a passed deadline and every allocation budget.
 
-use finch_bench::ewise_mul_kernel;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
+
+use finch_bench::{ewise_mul_kernel, threshold_kernel};
 use finch_ir::bytecode::Step;
 use finch_ir::{Instr, MergeForm};
 use looplets_repro::baseline::datagen;
-use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor};
+use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor, Watch};
 
 mod common;
 
@@ -328,5 +334,142 @@ fn run_length_dot_agrees_under_every_budget_on_every_operand_pair() {
         let kernel = common::dot_kernel(&a, &b, Protocol::Default, Protocol::Default);
         assert!(reduces_two(&kernel), "{what}: the reduction\n{}", kernel.bytecode().disasm());
         sweep(&kernel, &format!("run-length dot, {what}"));
+    }
+}
+
+/// The three ways [`sweep`] runs a kernel: with the op, without it, and on
+/// the tree-walker.
+fn legs(kernel: &CompiledKernel) -> [(CompiledKernel, Engine); 3] {
+    let scalar = kernel
+        .reconfigured(&ExecConfig { simd: false, ..kernel.config() })
+        .expect("the kernel compiles without kernel ops");
+    [
+        (kernel.clone(), Engine::Bytecode),
+        (scalar, Engine::Bytecode),
+        (kernel.clone(), Engine::TreeWalk),
+    ]
+}
+
+/// What a threshold run left behind: its verdict (with the counters of a run
+/// that completes) and the sparse output `C` finalised, its `pos` / `idx` /
+/// `val` by `{:?}` (so a NaN kept compares equal to itself).
+fn observe_filter(kernel: &mut CompiledKernel, engine: Engine) -> String {
+    let verdict = kernel.run_with(engine);
+    format!("{verdict:?} {:?}", kernel.output_tensor("C"))
+}
+
+/// Run `f` on each leg of `kernel`, require the same observation, and
+/// return it.
+fn alike(
+    kernel: &CompiledKernel,
+    what: &str,
+    f: impl Fn(&mut CompiledKernel, Engine) -> String,
+) -> String {
+    let [(mut with_op, bytecode), (mut scalar, _), (mut tree, tree_walk)] = legs(kernel);
+    let want = f(&mut scalar, bytecode);
+    assert_eq!(f(&mut with_op, bytecode), want, "{what}: with the op");
+    assert_eq!(f(&mut tree, tree_walk), want, "{what}: on the tree-walker");
+    want
+}
+
+/// The stored values of one length-`n` vector: at one coordinate in
+/// `one_in`, a value drawn from halves in -3.5..=3.5 (both zeros left
+/// unstored), NaN and the infinities.
+fn filter_values(n: usize, one_in: u64, rng: &mut u64) -> Vec<f64> {
+    let mut draw = |below: u64| {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng % below
+    };
+    (0..n)
+        .map(|_| match (draw(one_in), draw(18)) {
+            (0, 15) => f64::NAN,
+            (0, 16) => f64::INFINITY,
+            (0, 17) => f64::NEG_INFINITY,
+            (0, k) => k as f64 / 2.0 - 3.5,
+            _ => 0.0,
+        })
+        .collect()
+}
+
+/// Whether `kernel` carries the append, on a lone finger.
+fn appends(kernel: &CompiledKernel) -> bool {
+    step_ops(kernel).iter().any(|(step, two)| matches!(step, Step::Append { .. }) && !two)
+}
+
+/// Fig. S's threshold filter `C[i] = A[i] where A[i] > t` over a sparse
+/// list: the empty list, one entry, random lists of every density, under
+/// thresholds every value passes, none passes, NaN, both zeros and random.
+fn threshold_kernels() -> Vec<(String, CompiledKernel)> {
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut lists = vec![("empty".to_string(), vec![0.0; N]), ("one entry".into(), vector(&[9]))];
+    for one_in in [1, 2, 3, 5, 8] {
+        lists.push((format!("random, one in {one_in}"), filter_values(N, one_in, &mut rng)));
+    }
+    let thresholds = [-10.0, 10.0, f64::NAN, 0.0, -0.0, 1.0, -1.5];
+    let mut kernels = Vec::new();
+    for (what, dense) in &lists {
+        let a = Tensor::sparse_list_vector("A", dense);
+        for t in thresholds {
+            let kernel = threshold_kernel(&a, t, true);
+            assert!(appends(&kernel), "{what}, > {t}: the append\n{}", kernel.bytecode().disasm());
+            kernels.push((format!("threshold > {t}, {what}"), kernel));
+        }
+    }
+    kernels
+}
+
+/// The threshold filter with and without the op and on the tree-walker,
+/// under every step budget, an injected fault at every statement and every
+/// allocation budget from none to twice what the run keeps: the same typed
+/// error at the same statement, or the same finalised output and counters.
+#[test]
+fn threshold_filter_agrees_under_every_budget_fault_and_allocation() {
+    for (what, kernel) in threshold_kernels() {
+        sweep(&kernel, &what);
+        let full = kernel.clone().run().expect("the unbudgeted run completes");
+        for at in 1..=full.stmts + 1 {
+            alike(&kernel, &format!("{what}, a fault at statement {at}"), |k, engine| {
+                k.set_watch(Some(Watch::default().with_fault_at_stmt(at)));
+                let ran = catch_unwind(AssertUnwindSafe(|| k.run_with(engine)));
+                let verdict = match ran {
+                    Ok(verdict) => format!("{verdict:?}"),
+                    Err(panic) => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
+                };
+                format!("{verdict} {:?}", k.output_tensor("C"))
+            });
+        }
+        // Two elements per entry kept, one store each, and one for `pos`.
+        let kept = (full.stores - 1) / 2;
+        for budget in 0..=2 * kept {
+            alike(&kernel, &format!("{what}, an allocation budget of {budget}"), |k, engine| {
+                let mut k = k
+                    .reconfigured(&ExecConfig { alloc_budget: Some(budget), ..k.config() })
+                    .expect("a budget recompiles nothing");
+                observe_filter(&mut k, engine)
+            });
+        }
+    }
+}
+
+/// Past a deadline, a threshold filter long enough to reach the clock's
+/// first check trips alike with the op, without it and on the tree-walker,
+/// and one too short to reach it completes alike.
+#[test]
+fn threshold_filter_agrees_past_a_deadline() {
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    for (n, one_in) in [(N, 2), (4096, 1), (4096, 3)] {
+        let a = Tensor::sparse_list_vector("A", &filter_values(n, one_in, &mut rng));
+        for t in [-10.0, 0.0, 1.0] {
+            let kernel = threshold_kernel(&a, t, true);
+            assert!(appends(&kernel), "the append\n{}", kernel.bytecode().disasm());
+            let what = format!("length {n}, > {t}, past a deadline");
+            let verdict = alike(&kernel, &what, |k, engine| {
+                k.set_watch(Some(Watch::until(Instant::now(), 0)));
+                observe_filter(k, engine)
+            });
+            assert_eq!(verdict.starts_with("Err(Deadline"), n > N, "{what}: {verdict}");
+        }
     }
 }
