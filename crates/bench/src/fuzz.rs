@@ -95,6 +95,14 @@ pub enum StmtSpec {
         /// Iteration protocol for `B`.
         pb: Protocol,
     },
+    /// `S{k}[i] = A[i] * B[i]` — an elementwise multiply appending into a
+    /// sparse-list output.
+    EwiseSparse {
+        /// Iteration protocol for `A`.
+        pa: Protocol,
+        /// Iteration protocol for `B`.
+        pb: Protocol,
+    },
     /// `S{k}[i] = A[i] where A[i] > t` — a sieve appending into a
     /// sparse-list output (`t = tenths / 10`).
     Threshold {
@@ -136,6 +144,9 @@ impl StmtSpec {
             }
             StmtSpec::EwiseMul { pa, pb } => {
                 format!("StmtSpec::EwiseMul {{ pa: {}, pb: {} }}", p(pa), p(pb))
+            }
+            StmtSpec::EwiseSparse { pa, pb } => {
+                format!("StmtSpec::EwiseSparse {{ pa: {}, pb: {} }}", p(pa), p(pb))
             }
             StmtSpec::Threshold { tenths } => format!("StmtSpec::Threshold {{ tenths: {tenths} }}"),
             StmtSpec::Blend => "StmtSpec::Blend".to_string(),
@@ -245,6 +256,13 @@ fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
                 mul(access("A", [protocol_index(pa, &i)]), access("B", [protocol_index(pb, &i)])),
             ),
         ),
+        StmtSpec::EwiseSparse { pa, pb } => forall(
+            i.clone(),
+            assign(
+                access(format!("S{k}").as_str(), [i.clone()]),
+                mul(access("A", [protocol_index(pa, &i)]), access("B", [protocol_index(pb, &i)])),
+            ),
+        ),
         StmtSpec::Threshold { tenths } => forall(
             i.clone(),
             sieve(
@@ -326,7 +344,7 @@ pub fn compile_case(
             | StmtSpec::Window { .. } => {
                 kernel.bind_output(&format!("y{k}"), &[case.n], 0.0);
             }
-            StmtSpec::Threshold { .. } => {
+            StmtSpec::EwiseSparse { .. } | StmtSpec::Threshold { .. } => {
                 kernel.bind_output_format(
                     &format!("S{k}"),
                     &[LevelSpec::SparseList { size: case.n }],
@@ -560,6 +578,12 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
     if rng.below_in(0, 3) == 0 {
         stmts.push(StmtSpec::Window { width: rng.below_in(1, 10) as u8 });
     }
+    // One case in four also multiplies into a sparse list, from a stream of
+    // its own as well.
+    let rng = &mut TestRng::from_seed(seed ^ 0x4557_5350);
+    if rng.below_in(0, 4) == 0 {
+        stmts.push(StmtSpec::EwiseSparse { pa: proto(rng, a_format), pb: proto(rng, b_format) });
+    }
     FuzzCase { seed, n, a_format, b_format, a_fill, b_fill, same_support, stmts }
 }
 
@@ -656,7 +680,7 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use finch_ir::bytecode::Step;
+    use finch_ir::bytecode::{MatchOut, Step};
     use finch_ir::{Instr, MergeForm};
 
     /// Whether the kernel of `case` carries a step loop op that `op` accepts
@@ -686,8 +710,9 @@ mod tests {
     /// two-finger merge that is never entered, matches on its first step,
     /// ends on its first step, matches on every step — runs divergence-free
     /// on every leg, and the generator draws each of them.  Every drawn
-    /// `Dot` or `EwiseMul` over two walked sparse lists emits the
-    /// run-ahead's stepper form and runs divergence-free too.  So does a
+    /// `Dot` over two walked sparse lists emits the op that performs its
+    /// matched steps, reducing, and every `EwiseMul` (into a dense output)
+    /// the op's stepper skip; both run divergence-free too.  So does a
     /// `Dot` of a walked sparse list against a dense or banded vector, the
     /// lone stepper whose body the gather reduction performs: under every
     /// pairing of fills, and wherever the smoke draw makes one.
@@ -754,8 +779,23 @@ mod tests {
             drawn.iter().filter(lists).filter(|c| c.stmts.iter().any(both_walked)).collect();
         assert!(!walked.is_empty(), "the smoke draw walked no pair of sparse lists");
         for case in walked {
-            let (found, disasm) = carries(case, |step, _| step == Step::Skip(MergeForm::Steps));
-            assert!(found, "{case:?}: the stepper form\n{disasm}");
+            let walks = |dot: bool| {
+                case.stmts.iter().any(|stmt| match *stmt {
+                    StmtSpec::Dot { pa, pb } => dot && (pa, pb) == (walk, walk),
+                    StmtSpec::EwiseMul { pa, pb } => !dot && (pa, pb) == (walk, walk),
+                    _ => false,
+                })
+            };
+            if walks(true) {
+                let (found, disasm) = carries(case, |step, _| {
+                    matches!(step, Step::Match { out: MatchOut::Reduce { .. }, .. })
+                });
+                assert!(found, "{case:?}: the matched reduction\n{disasm}");
+            }
+            if walks(false) {
+                let (found, disasm) = carries(case, |step, _| step == Step::Skip(MergeForm::Steps));
+                assert!(found, "{case:?}: the stepper form\n{disasm}");
+            }
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         }
         let located = |c: &&FuzzCase| {
@@ -875,6 +915,34 @@ mod tests {
             let (found, disasm) =
                 carries(case, |step, two| !two && matches!(step, Step::Append { .. }));
             assert!(found, "{case:?}: the append\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+            faults_alike(case);
+        }
+    }
+
+    /// An `EwiseSparse` over two walked sparse lists is the sparse-output
+    /// product, the intersection whose matched steps the op performs,
+    /// appending: every such case the smoke draw makes carries the op and
+    /// runs divergence-free on every leg — under the step budget's and the
+    /// passed deadline's legs among them — and alike under injected faults.
+    #[test]
+    fn a_sparse_product_of_walked_lists_draws_the_matched_append() {
+        let mut rng = TestRng::from_seed(61954);
+        let drawn: Vec<FuzzCase> = (0..200).map(|_| gen_case(&mut rng, true)).collect();
+        let walk = Protocol::Walk;
+        let multiplies = |case: &&FuzzCase| {
+            (case.a_format, case.b_format) == (VecFormat::SparseList, VecFormat::SparseList)
+                && case.stmts.iter().any(|stmt| {
+                    matches!(*stmt, StmtSpec::EwiseSparse { pa, pb } if (pa, pb) == (walk, walk))
+                })
+        };
+        let cases: Vec<&FuzzCase> = drawn.iter().filter(multiplies).collect();
+        assert!(!cases.is_empty(), "the smoke draw multiplied no two walked lists into a list");
+        for case in cases {
+            let (found, disasm) = carries(case, |step, _| {
+                matches!(step, Step::Match { out: MatchOut::Append { .. }, .. })
+            });
+            assert!(found, "{case:?}: the matched append\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
             faults_alike(case);
         }

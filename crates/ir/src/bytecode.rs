@@ -50,7 +50,8 @@ pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
 pub use crate::isa::{
-    Gather, Instr, MergeForm, Step, StepCounts, Term, VAcc, VBase, VCost, VFill, VRhs, VScale,
+    Gather, Instr, MatchOut, MergeForm, Step, StepCounts, Term, VAcc, VBase, VCost, VFill, VRhs,
+    VScale,
 };
 
 /// A register of the bytecode VM, identified by a dense index.
@@ -863,6 +864,23 @@ impl Program {
                         }
                         body
                     }
+                    Step::Match { val, x, lead, out, .. } => {
+                        let (b, q) = q.unwrap_or((a, p));
+                        let lead = lead.map_or(String::new(), |(buf, k)| at(buf, k) + " * ");
+                        let product = format!("{lead}{} * {}", at(val, p), at(x, q));
+                        let body = match out {
+                            MatchOut::Reduce { acc, k, op } => {
+                                format!("{} {} {product}", at(acc, k), reduce_op(Some(op)))
+                            }
+                            MatchOut::Append { crd, vals } => format!(
+                                "b{}.push({}), b{}.push({product})",
+                                crd.index(),
+                                at(a, p),
+                                vals.index()
+                            ),
+                        };
+                        format!("{body} where {} == {}", at(a, p), at(b, q))
+                    }
                 };
                 let cost = |[stmts, loads]: [u32; 2]| {
                     let loads = if loads > 0 { format!(" +{loads} load") } else { String::new() };
@@ -879,8 +897,12 @@ impl Program {
                     fingers += &format!(" ~ {}{b_form}", at(b, q));
                     steps.push(format!("{} += 1 ; {}", r(q), cost(count(2))));
                 }
-                if let Step::Append { guard: Some(_), pass, .. } = step {
-                    steps.push(format!("pass ; {}", cost(pass)));
+                match step {
+                    Step::Append { guard: Some(_), pass, .. } => {
+                        steps.push(format!("pass ; {}", cost(pass)))
+                    }
+                    Step::Match { pass, .. } => steps.push(format!("match ; {}", cost(pass))),
+                    _ => {}
                 }
                 format!(
                     "step_loop {fingers} in {}..={} (i64) {does} {{ {} }}",

@@ -1075,12 +1075,13 @@ pub enum Instr {
     /// the `i64` lanes, the iterations that are not the loop's last (`ss + 1
     /// <= stop`) and that the [`Step`] performs: those whose guarded body
     /// does not run, up to the first that matches ([`Step::Skip`]), or every
-    /// one, body and all ([`Step::Reduce`], [`Step::Append`]).  Each advances
-    /// the fingers whose stride ends its step; `start` is set, and
-    /// [`crate::interp::ExecStats`] grow by exactly what the scalar
-    /// iterations count: one loop iteration each, the `counts` of every step
-    /// and of each finger on the steps it ends, and an append's `pass` on
-    /// the steps whose guard passes.
+    /// one, body and all ([`Step::Reduce`], [`Step::Append`],
+    /// [`Step::Match`]).  Each advances the fingers whose stride ends its
+    /// step; `start` is set, and [`crate::interp::ExecStats`] grow by exactly
+    /// what the scalar iterations count: one loop iteration each, the
+    /// `counts` of every step and of each finger on the steps it ends, and an
+    /// append's `pass` on the steps whose guard passes — or, where both
+    /// fingers end a step, a match's `pass` instead of the fingers'.
     ///
     /// The op stops, with the fingers and `start` as the scalar loop has
     /// them at that iteration's top, in front of the loop's last iteration
@@ -1218,7 +1219,9 @@ walks!(Option<(BufId, Reg)>, |second, f| if let Some((list, finger)) = second {
 pub enum Step {
     /// Skip it: two fingers' step that one of them ends alone, whose body
     /// the form's guard keeps from running.  The op stops in front of the
-    /// first step whose body runs.
+    /// first step whose body runs, which the scalar loop runs; two steppers
+    /// whose matched body is a product get [`Step::Match`] instead, which
+    /// performs it.
     Skip(MergeForm),
     /// Perform it, body and all: the body is `acc[k] op= val[p] * second *
     /// extent`, whose factors are the first finger's value, the [`Gather`]
@@ -1274,6 +1277,32 @@ pub enum Step {
         /// leaves [`Instr`] room for a tag of its own.
         pass: [u32; 2],
     },
+    /// Perform it, body and all, on two steppers under a `min` leader
+    /// ([`MergeForm::Steps`]'s loop), whose body runs only where both
+    /// strides end the step: a step one finger ends alone is skipped, as
+    /// [`Step::Skip`] skips it, and a step both end (`s1 == s2`) — a match —
+    /// runs the body, whose product is `[lead *] val[p] * x[q]`, multiplied
+    /// in the scalar code's order, `(lead * val[p]) * x[q]`, and put where
+    /// `out` says (Fig. 7's two-finger SpMSpV and Fig. 8's triangle count
+    /// reduce, the sparse-output product appends).  `lead` is
+    /// loop-invariant: the op reads it once per dispatch, and does nothing
+    /// if it is out of bounds.  The op stops in front of a match whose loads
+    /// would fault.
+    Match {
+        /// The first finger's F64 values.
+        val: BufId,
+        /// The second finger's F64 values.
+        x: BufId,
+        /// The first factor `lead[at]`, if there is one: an F64 buffer and
+        /// a register the loop does not write.
+        lead: Option<(BufId, Reg)>,
+        /// Where the product goes.
+        out: MatchOut,
+        /// The statements and loads of a match, counted in place of the
+        /// fingers' `counts` (a match is ended by both): the whole step's.
+        /// Here rather than in [`StepCounts`], as [`Step::Append`]'s is.
+        pass: [u32; 2],
+    },
 }
 
 walks!(Step, |step, f| match step {
@@ -1290,6 +1319,55 @@ walks!(Step, |step, f| match step {
         if let Some((op, _)) = guard {
             f(Operand::Op(*op, is_cmp_op, "non-comparison step loop guard op"));
         }
+        f(Operand::Buf(crd, Elem::I64));
+        f(Operand::Buf(vals, Elem::F64));
+    }
+    Step::Match { val, x, lead, out, .. } => {
+        f(Operand::Buf(val, Elem::F64));
+        f(Operand::Buf(x, Elem::F64));
+        if let Some((buf, at)) = lead {
+            f(Operand::Buf(buf, Elem::F64));
+            f(Operand::Reg(at, Role::Read));
+        }
+        Walk::walk(out, &mut *f);
+    }
+});
+
+/// Where a [`Step::Match`] puts a matched step's product.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MatchOut {
+    /// `acc[k] op= product`: the op folds the products into a local strictly
+    /// in order, as the scalar stores do, stores `acc[k]` once, and counts
+    /// one store per match.  `k` is read once per dispatch; if it is out of
+    /// bounds, the op does nothing.
+    Reduce {
+        /// The F64 accumulator, distinct from every source.
+        acc: BufId,
+        /// The accumulator's element (proven `Int`; the loop does not write
+        /// it).
+        k: Reg,
+        /// The reduction operator combining into the accumulator.
+        op: BinOp,
+    },
+    /// `crd.push(ss) ; vals.push(product)`: a sparse output's append, each
+    /// push counting a store and an allocated element as the scalar
+    /// [`Instr::IAppend`] / [`Instr::FAppend`] do.  The op stops in front of
+    /// a match whose pushes the allocation budget would not hold.
+    Append {
+        /// The I64 output the step's end is pushed onto.
+        crd: BufId,
+        /// The F64 output the product is pushed onto.
+        vals: BufId,
+    },
+}
+
+walks!(MatchOut, |out, f| match out {
+    MatchOut::Reduce { acc, k, op } => {
+        f(Operand::Buf(acc, Elem::F64));
+        f(Operand::Reg(k, Role::Read));
+        f(Operand::Op(*op, is_float_arith, "unsupported step loop reduce op"));
+    }
+    MatchOut::Append { crd, vals } => {
         f(Operand::Buf(crd, Elem::I64));
         f(Operand::Buf(vals, Elem::F64));
     }
@@ -1314,7 +1392,9 @@ pub struct StepCounts {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergeForm {
     /// Two steppers: the step ends at the earlier stride, the trailer reads
-    /// nothing, and a step is skipped where the strides differ.
+    /// nothing, and a step is skipped where the strides differ.  A match —
+    /// equal strides — stops the skip, unless its body is one that
+    /// [`Step::Match`] performs.
     Steps,
     /// VBL (Fig. 3b): `a`'s stride is a block's last coordinate, the block
     /// is `len = ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 -

@@ -57,6 +57,19 @@
 //! the op from the iterations it performs, and the pass runs under
 //! [`super::StatsContract::Exact`].
 //!
+//! Two steppers' matches need not stop the op either.  Once both walks have
+//! found [`MergeForm::Steps`], one matched iteration — both strides the
+//! step's end — is walked as a performed step is (`performed`, below): where
+//! its body is `acc[k] op= [lead *] a_val[p] * b_val[q]` (Fig. 7's two-finger
+//! SpMSpV; Fig. 8's triangle count, whose lead `A[i, j]` is a load at a
+//! register the loop does not write) or `crd.push(ss) ; vals.push(a_val[p] *
+//! b_val[q])` (the sparse-output product), the op performs the matches too
+//! ([`Step::Match`]), and the scalar loop runs only the loop's last step.
+//! What the match walk counts is the op's `pass`; the skip walks' counts
+//! are its counts.  Any other matched body — a store at the step's end (a
+//! dense output), a factor of another shape — keeps the skip, as do the
+//! block and jumper forms.
+//!
 //! A loop whose body runs on every step has nothing to skip: on Fig. 1's
 //! list × band, a lone stepper, every step but the last runs the body; on
 //! Fig. 11's run-length images, two steppers whose runs' product is a run,
@@ -93,8 +106,8 @@ use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, holds_literal, splice_before, Gather, Instr, MergeForm, Program,
-    Reg, Role, Step, StepCounts, Term, NO_EDGE,
+    edge_table, for_each_reg_role, holds_literal, splice_before, Gather, Instr, MatchOut,
+    MergeForm, Program, Reg, Role, Step, StepCounts, Term, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -123,7 +136,8 @@ pub enum MergeDecline {
     /// not VBL's, or two fingers whose strides end blocks or runs — and it
     /// is no reduction the op performs on every step either: an unguarded
     /// body that fills or appends (Fig. 10's run-length blend), or whose
-    /// product has another factor.
+    /// product has another factor.  (A body both fingers guard gets the op:
+    /// the skip, or [`Step::Match`] where the op performs the body too.)
     NotGuardedByBoth,
     /// A finger does not advance by one position where its stride ends the
     /// step, or the next step does not start one past this one.
@@ -157,9 +171,10 @@ impl MergeDecline {
     }
 }
 
-/// Give every two-finger merge loop of `p` the step loop op that skips, and
-/// every step loop whose body is a reduction or an append the one that
-/// performs.  `p` is
+/// Give every two-finger merge loop of `p` the step loop op that skips (or,
+/// where two steppers' matched step is a product, the one that performs the
+/// matches too), and every step loop whose body is a reduction or an append
+/// the one that performs.  `p` is
 /// typed bytecode behind `forward`, which makes the advances and the bottom
 /// tests the loop is recognised by, and in front of `finalize`: every
 /// statement is still an explicit [`Instr::BumpStmt`].
@@ -240,7 +255,7 @@ fn recognise(
         _ => return Err(SingleFinger),
     };
     let Some(&Instr::LoadI64 { buf: b, idx: q, .. }) = top.next() else {
-        return performed(code, edges, lp, &[(a, p)]).ok_or(SingleFinger);
+        return performed(code, edges, lp, &[(a, p)], None).ok_or(SingleFinger);
     };
     let jumper = match top.find_map(|i| match *i {
         Instr::IArith { op, .. } => Some(op),
@@ -263,7 +278,7 @@ fn recognise(
         // A stepper body that runs where one finger ends the step may run on
         // every step: a reduction's.
         Err(e) if jumper => return Err(why(e)),
-        Err(e) => return performed(code, edges, lp, &[(a, p), (b, q)]).ok_or(e),
+        Err(e) => return performed(code, edges, lp, &[(a, p), (b, q)], None).ok_or(e),
     };
     // Where `a` leads, `b` trails: `by_a` holds what `b` reads besides its
     // list, and the other way round.
@@ -298,9 +313,24 @@ fn recognise(
     let [(first, by_a), (second, by_b)] = fingers;
     let counts =
         StepCounts { stmts: [0, by_a.stmts, by_b.stmts], loads: [0, by_a.loads, by_b.loads] };
-    let written = by_a.written.into_iter().chain(by_b.written).collect();
+    let written: Vec<Reg> = by_a.written.into_iter().chain(by_b.written).collect();
+    // Two steppers' matched step: performed too, where its body is a product.
+    if form == MergeForm::Steps {
+        let skipping = Some(Skipping { counts, written: &written });
+        if let Some(op) = performed(code, edges, lp, &[first, second], skipping) {
+            return Ok(op);
+        }
+    }
     step_loop_op(code, edges, lp, &[first, second], Step::Skip(form), counts, written)
         .ok_or(why(NotGuardedByBoth))
+}
+
+/// What two steppers' skip walks found, for the op that also performs their
+/// matched steps: the counts of a step one finger ends alone, and every
+/// register those steps write.
+struct Skipping<'a> {
+    counts: StepCounts,
+    written: &'a [Reg],
 }
 
 /// The op over `fingers` (a list and a position each) that takes the steps
@@ -351,7 +381,9 @@ fn step_loop_op(
 /// invariant, the sum of its terms; `ss` plus such a sum; a value at a
 /// finger; that times the second factor; and either times the extent.  A
 /// register an append's guarded code wrote holds a value only the steps
-/// that pass know.
+/// that pass know.  On a matched step: an F64 load at a register the loop
+/// does not write, the lead; the lead times a value at a finger, and that
+/// times the second factor.
 #[derive(Clone, Copy, PartialEq)]
 enum Gv {
     Stop,
@@ -371,6 +403,9 @@ enum Gv {
     Prod(BufId, usize, Gather),
     Scaled(BufId, usize, Gather),
     Passed,
+    Fixed,
+    Led(BufId, usize),
+    LedProd(BufId, usize, Gather),
 }
 
 /// No term.
@@ -403,15 +438,24 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
 /// the fingers and `start` nowhere else.  Its statements and loads, the
 /// statements of two fingers' advances, and what the guarded code counts
 /// are the op's counts.
+///
+/// With `skipping` (two steppers whose skip walks found [`MergeForm::Steps`])
+/// the iteration walked is a matched one, on which both strides are the
+/// step's end: its body must be `acc[k] op= [lead *] val[p] * x[q]` or
+/// `crd.push(ss) ; vals.push([lead *] val[p] * x[q])`, `lead` an F64 load at
+/// a register the loop does not write ([`Step::Match`]).  Its statements and
+/// loads are the match's `pass`; the skip walks' counts are the op's.
 fn performed(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
     lp: StepLoop,
     fingers: &[(BufId, Reg)],
+    skipping: Option<Skipping<'_>>,
 ) -> Option<Instr> {
     use Gv::*;
     let StepLoop { head, bottom, start, stop, .. } = lp;
     let two = fingers.len() == 2;
+    let matched = skipping.is_some();
     let mut loop_writes = Vec::new();
     for instr in &code[head..=bottom] {
         for_each_reg_role(instr, |r, role| {
@@ -436,8 +480,9 @@ fn performed(
     let (mut stmts, mut loads, mut adv, mut stored, mut pc) =
         ([0; 2], [0; 2], [None; 2], None, head + 1);
     // An append's guard, and while its code is walked, the join its false
-    // edge lands on and where in `vals` that code's values begin; the pushes.
-    let (mut guard, mut open, mut crd, mut pushed) = (None, None, None, None);
+    // edge lands on and where in `vals` that code's values begin; the pushes;
+    // a matched step's lead.
+    let (mut guard, mut open, mut crd, mut pushed, mut lead) = (None, None, None, None, None);
     // Every pc at most once: the iteration has no inner loop.
     for _ in head..bottom {
         // At the join, a register the guarded code wrote holds what only the
@@ -462,9 +507,14 @@ fn performed(
                 pc = target as usize;
                 continue;
             }
-            // A lone finger's body runs: its stride ends the step.
+            // A lone finger's body runs: its stride ends the step; so does a
+            // matched step's, where both strides end it.
             Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, .. }
-                if [lhs, rhs].map(|r| val(&vals, r)) == [Some(Step); 2] =>
+                if match [lhs, rhs].map(|r| val(&vals, r)) {
+                    [Some(Step), Some(Step)] => !two,
+                    [Some(Step), Some(Stride(_))] | [Some(Stride(_)), Some(Step)] => matched,
+                    _ => false,
+                } =>
             {
                 continue
             }
@@ -479,7 +529,7 @@ fn performed(
             }
             // The pushes, where the guard (if any) passed.
             Instr::IAppend { buf, val: v }
-                if !two && crd.is_none() && open.is_some() == guard.is_some() =>
+                if (!two || matched) && crd.is_none() && open.is_some() == guard.is_some() =>
             {
                 if val(&vals, v)? != Step {
                     return None;
@@ -490,8 +540,7 @@ fn performed(
             Instr::FAppend { buf, val: v }
                 if crd.is_some() && pushed.is_none() && open.is_some() == guard.is_some() =>
             {
-                let Val(values, 0) = val(&vals, v)? else { return None };
-                pushed = Some((buf, values));
+                pushed = Some((buf, val(&vals, v)?));
                 continue;
             }
             Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
@@ -519,8 +568,14 @@ fn performed(
             }
             Instr::LoadF64 { dst, buf, idx } => {
                 loads[at] += 1;
-                let Pos(k) = val(&vals, idx)? else { return None };
-                (dst, Val(buf, k))
+                match val(&vals, idx) {
+                    Some(Pos(k)) => (dst, Val(buf, k)),
+                    None if matched && lead.is_none() && invariant(idx) => {
+                        lead = Some((buf, idx));
+                        (dst, Fixed)
+                    }
+                    _ => return None,
+                }
             }
             Instr::LoadBinary { op: op @ (BinOp::Add | BinOp::Sub), dst, lhs, buf, idx }
                 if invariant(idx) =>
@@ -565,19 +620,25 @@ fn performed(
             }
             // A typed move moves integers.
             Instr::IMov { dst, src } => match val(&vals, src)? {
-                Val(..) | Prod(..) | Scaled(..) | Passed => return None,
+                Val(..) | Prod(..) | Scaled(..) | Passed | Fixed | Led(..) | LedProd(..) => {
+                    return None
+                }
                 held => (dst, held),
             },
             Instr::FMulLoad { dst, lhs, buf, idx } => {
                 loads[at] += 1;
-                let Val(values, k) = val(&vals, lhs)? else { return None };
-                let second = match val(&vals, idx)? {
-                    Pos(j) => Gather::At { x: buf, at: fingers[j].1 },
-                    Step => Gather::Load { x: buf, ofs: NO_TERMS },
-                    Idx(ofs) => Gather::Load { x: buf, ofs },
-                    _ => return None,
+                let second = |gv| match gv {
+                    Pos(j) => Some(Gather::At { x: buf, at: fingers[j].1 }),
+                    Step => Some(Gather::Load { x: buf, ofs: NO_TERMS }),
+                    Idx(ofs) => Some(Gather::Load { x: buf, ofs }),
+                    _ => None,
                 };
-                (dst, Prod(values, k, second))
+                match (val(&vals, lhs)?, val(&vals, idx)?) {
+                    (Fixed, Pos(k)) => (dst, Led(buf, k)),
+                    (Led(values, k), at) => (dst, LedProd(values, k, second(at)?)),
+                    (Val(values, k), at) => (dst, Prod(values, k, second(at)?)),
+                    _ => return None,
+                }
             }
             // `Value::binop`'s `f64 * i64`, which the op reproduces.
             Instr::Binary { op: BinOp::Mul, dst, lhs, rhs } => {
@@ -590,13 +651,7 @@ fn performed(
             Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
                 if stored.is_none() && guard.is_none() && invariant(idx) =>
             {
-                let (values, k, second, extent) = match val(&vals, v)? {
-                    Val(values, k) => (values, k, Gather::None, false),
-                    Prod(values, k, second) => (values, k, second, false),
-                    Scaled(values, k, second) => (values, k, second, true),
-                    _ => return None,
-                };
-                stored = Some((buf, idx, op, values, k, second, extent));
+                stored = Some((buf, idx, op, val(&vals, v)?));
                 continue;
             }
             _ => return None,
@@ -607,13 +662,49 @@ fn performed(
     if pc != bottom || open.is_some() || !ends || val(&vals, start) != Some(After) {
         return None;
     }
-    let written = vals[entry..].iter().map(|&(r, _)| r).collect();
+    let mut written: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
     let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
+    if let Some(Skipping { mut counts, written: skipped }) = skipping {
+        // `[lead *] val[k] * x[j]`, `j` the other finger.
+        let (values, k, x) = match (lead, stored.map(|s| s.3).or(pushed.map(|p| p.1))?) {
+            (None, Prod(values, k, Gather::At { x, at })) if at != fingers[k].1 => (values, k, x),
+            (Some(_), LedProd(values, k, Gather::At { x, at })) if at != fingers[k].1 => {
+                (values, k, x)
+            }
+            _ => return None,
+        };
+        let out = match (stored, crd, pushed) {
+            (Some((acc, k, op, _)), None, None) => MatchOut::Reduce { acc, k, op },
+            (None, Some(crd), Some((vals, _))) => MatchOut::Append { crd, vals },
+            _ => return None,
+        };
+        // Nothing the op reads is a buffer it writes.
+        let sources = [fingers[0].0, fingers[1].0, values, x, lead.map_or(values, |(buf, _)| buf)];
+        let outs = match out {
+            MatchOut::Reduce { acc, .. } => [acc, acc],
+            MatchOut::Append { crd, vals } if crd != vals => [crd, vals],
+            MatchOut::Append { .. } => return None,
+        };
+        if outs.iter().any(|buf| sources.contains(buf)) {
+            return None;
+        }
+        let pass = [stmts[0] + advances[0] + advances[1], loads[0]];
+        let step = crate::bytecode::Step::Match { val: values, x, lead, out, pass };
+        // The op's `p` is the finger of the first factor.
+        let mut fingers = fingers.to_vec();
+        if k == 1 {
+            fingers.swap(0, 1);
+            counts.stmts.swap(1, 2);
+            counts.loads.swap(1, 2);
+        }
+        written.extend_from_slice(skipped);
+        return step_loop_op(code, edges, lp, &fingers, step, counts, written);
+    }
     let counts = |[by_p, by_q]: [u32; 2]| StepCounts {
         stmts: [stmts[0], by_p, by_q],
         loads: [loads[0], 0, 0],
     };
-    if let (Some(crd), Some((vals, values))) = (crd, pushed) {
+    if let (Some(crd), Some((vals, Val(values, 0)))) = (crd, pushed) {
         // One buffer the guard reads and the op pushes from, none written.
         let guard = match guard {
             Some((read, op, imm)) if read == values => Some((op, imm)),
@@ -628,7 +719,16 @@ fn performed(
         let step = crate::bytecode::Step::Append { val: values, guard, crd, vals, pass };
         return step_loop_op(code, edges, lp, fingers, step, counts(advances), written);
     }
-    let (acc, k, op, values, first, gather, extent) = stored?;
+    let (acc, k, op, stored) = stored?;
+    let (values, first, gather, extent) = match stored {
+        Val(values, k) => (values, k, Gather::None, false),
+        Prod(values, k, second) => (values, k, second, false),
+        Scaled(values, k, second) => (values, k, second, true),
+        _ => return None,
+    };
+    if crd.is_some() {
+        return None;
+    }
     let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).chain([values]).collect();
     match gather {
         Gather::None => {}
@@ -963,8 +1063,13 @@ pub(super) mod tests {
     /// one of the shapes it must decline.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub(in crate::opt) enum Shape {
-        /// §6.1's two-finger intersection.
+        /// §6.1's two-finger intersection, whose matched step the op
+        /// performs.
         Intersection,
+        /// The intersection scattered into a dense output, `out[ss] +=
+        /// a_val[p] * b_val[q]`: a store at a varying index, which the op
+        /// skips to.
+        Scatter,
         /// The step ends at the *later* stride, but the trailer does not
         /// seek to it: a jumper's leader election without lowering's
         /// fall-back.
@@ -1023,7 +1128,7 @@ pub(super) mod tests {
         let b_val = bufs.add("b_val", Buffer::F64(values(b.len(), 0.25).into()));
         // The bound, and the galloped fingers' row.
         let bound = bufs.add("bound", Buffer::I64(vec![stop, 1].into()));
-        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
+        let out = bufs.add("out", Buffer::F64(vec![0.0; stop.max(0) as usize + 1].into()));
         // The block shapes' offsets, with a spare last entry for the shape
         // that reads one position further on.
         let mut offsets = vec![0];
@@ -1063,7 +1168,7 @@ pub(super) mod tests {
         };
         let work = Stmt::Store {
             buf: out,
-            index: Expr::int(0),
+            index: if shape == Shape::Scatter { v(ss) } else { Expr::int(0) },
             value: Expr::mul(Expr::load(a_val, v(p)), Expr::load(b_val, v(q))),
             reduce: Some(BinOp::Add),
         };
@@ -1278,8 +1383,7 @@ pub(super) mod tests {
     }
 
     fn ops(p: &Program) -> Vec<usize> {
-        let is_op =
-            |pc: &usize| matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Skip(_), .. });
+        let is_op = |pc: &usize| matches!(p.code()[*pc], Instr::IStepLoop { .. });
         (0..p.code().len()).filter(is_op).collect()
     }
 
@@ -1291,11 +1395,12 @@ pub(super) mod tests {
         (outcome, vm.stats(), bufs)
     }
 
-    /// The shapes that get the op: §6.1's intersection, VBL's block test,
-    /// the block's last coordinate reloaded (as lowering emits it) or read
-    /// off the stride, and the galloped intersection.
-    const TAKEN: [Shape; 4] =
-        [Shape::Intersection, Shape::Block, Shape::BlockOnStride, Shape::Gallop];
+    /// The shapes that get the op: §6.1's intersection, matched or
+    /// scattered, VBL's block test, the block's last coordinate reloaded (as
+    /// lowering emits it) or read off the stride, and the galloped
+    /// intersection.
+    const TAKEN: [Shape; 5] =
+        [Shape::Intersection, Shape::Scatter, Shape::Block, Shape::BlockOnStride, Shape::Gallop];
 
     /// The ops `shape`'s kernel carries: the galloped loop's neither-finger-
     /// leads fall-back is a stepper merge with its own.
@@ -1310,7 +1415,7 @@ pub(super) mod tests {
     /// How many iterations of `shape`'s loop run its guarded body.
     fn matches(a: &[i64], b: &[i64], stop: i64, shape: Shape) -> u64 {
         let lens = match shape {
-            Shape::Intersection | Shape::Gallop => vec![1; a.len()],
+            Shape::Intersection | Shape::Scatter | Shape::Gallop => vec![1; a.len()],
             _ => block_lens(a),
         };
         let inside =
@@ -1326,6 +1431,9 @@ pub(super) mod tests {
         // stride stands in for the reload of `a[p]`; the jumper form's
         // fall-back alike for either finger.
         let wants = [
+            "step_loop b0[p] ~ b2[q] in step_start..=phase_stop (i64) b5[t3] += b1[p] * b3[q] \
+             where b0[p] == b2[q] { p += 1 ; +9 stmt +2 load | q += 1 ; +8 stmt +2 load | \
+             match ; +11 stmt +4 load }",
             "step_loop b0[p] ~ b2[q] in step_start..=phase_stop (i64) skip \
              { p += 1 ; +9 stmt +2 load | q += 1 ; +8 stmt +2 load }",
             "step_loop b0[p] blocks b6 ~ b2[q] in step_start..=phase_stop (i64) skip \
@@ -2127,6 +2235,414 @@ pub(super) mod tests {
                 let what = format!("{what}, guard {guard:?}");
                 same_verdict(&c, &bufs, &what, KEPT_CRD);
                 same_verdict(&c, &bufs, &what, KEPT_VALS);
+            }
+        }
+    }
+
+    /// What [`match_kernel`]'s two steppers do on a step both strides end.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(in crate::opt) enum Matched {
+        /// `out[0] += a_val[p] * b_val[q]`: Fig. 7's two-finger SpMSpV.
+        Reduce,
+        /// `out[0] += lead[inv] * a_val[p] * b_val[q]`, `inv` a register the
+        /// loop does not write: Fig. 8's triangle count.
+        Led,
+        /// `out[0] += a_val[p] * b_val[q] * lead[inv]`: the lead last, which
+        /// the op does not take.
+        LedLast,
+        /// `crd.push(ss) ; vals.push(a_val[p] * b_val[q])`: the product into
+        /// a sparse list.
+        Append,
+    }
+
+    /// The buffers of [`match_kernel`], in the order it adds them.
+    pub(in crate::opt) const M_A_VAL: BufId = BufId(1);
+    pub(in crate::opt) const M_B_VAL: BufId = BufId(3);
+    pub(in crate::opt) const M_LEAD: BufId = BufId(5);
+    const M_OUT: BufId = BufId(6);
+    const M_CRD: BufId = BufId(7);
+    const M_VALS: BufId = BufId(8);
+
+    /// The bodies the op performs.
+    const MATCHED: [Matched; 3] = [Matched::Reduce, Matched::Led, Matched::Append];
+
+    /// The loop `lower_stepped` emits for two coiterating steppers under a
+    /// conjunctive `body`, over the step range `0..=stop` (the bound loaded,
+    /// so nothing folds it), the values at the coordinates given.
+    pub(in crate::opt) fn match_kernel(
+        (a, a_vals): (&[i64], &[f64]),
+        (b, b_vals): (&[i64], &[f64]),
+        stop: i64,
+        body: Matched,
+    ) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let a_idx = bufs.add("a_idx", Buffer::I64(a.to_vec().into()));
+        let a_val = bufs.add("a_val", Buffer::F64(a_vals.to_vec().into()));
+        let b_idx = bufs.add("b_idx", Buffer::I64(b.to_vec().into()));
+        let b_val = bufs.add("b_val", Buffer::F64(b_vals.to_vec().into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop, 1].into()));
+        let lead = bufs.add("lead", Buffer::F64(vec![-2.0, 0.1].into()));
+        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
+        let crd = bufs.add("kept_crd", Buffer::I64(Vec::new().into()));
+        let vals = bufs.add("kept_vals", Buffer::F64(Vec::new().into()));
+        assert_eq!(
+            (a_val, b_val, lead, out, crd, vals),
+            (M_A_VAL, M_B_VAL, M_LEAD, M_OUT, M_CRD, M_VALS)
+        );
+        let [p, q, inv, hi, start, s1, s2, ss] =
+            ["p", "q", "inv", "phase_stop", "step_start", "stride", "stride_2", "step_stop"]
+                .map(|name| names.fresh(name));
+        let v = Expr::Var;
+        let (lead, product) =
+            (Expr::load(lead, v(inv)), Expr::mul(Expr::load(a_val, v(p)), Expr::load(b_val, v(q))));
+        let add =
+            |value| Stmt::Store { buf: out, index: Expr::int(0), value, reduce: Some(BinOp::Add) };
+        let work = match body {
+            Matched::Reduce => vec![add(product)],
+            Matched::Led => vec![add(Expr::mul(
+                Expr::mul(lead, Expr::load(a_val, v(p))),
+                Expr::load(b_val, v(q)),
+            ))],
+            Matched::LedLast => vec![add(Expr::mul(product, lead))],
+            Matched::Append => vec![
+                Stmt::Append { buf: crd, value: v(ss) },
+                Stmt::Append { buf: vals, value: product },
+            ],
+        };
+        let advance = |finger: Var, stride: Var| {
+            Stmt::if_then(
+                Expr::eq(v(stride), v(ss)),
+                vec![Stmt::Assign { var: finger, value: Expr::add(v(finger), Expr::int(1)) }],
+            )
+        };
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: q, init: Expr::int(0) },
+            Stmt::Let { var: inv, init: Expr::load(bound, Expr::int(1)) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While {
+                cond: Expr::le(v(start), v(hi)),
+                body: vec![
+                    Stmt::Let { var: s1, init: Expr::load(a_idx, v(p)) },
+                    Stmt::Let { var: s2, init: Expr::load(b_idx, v(q)) },
+                    Stmt::Let { var: ss, init: Expr::min(Expr::min(v(s1), v(s2)), v(hi)) },
+                    Stmt::if_then(
+                        Expr::eq(v(ss), v(s1)),
+                        vec![Stmt::if_then(Expr::eq(v(ss), v(s2)), work)],
+                    ),
+                    advance(p, s1),
+                    advance(q, s2),
+                    Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+                ],
+            },
+        ];
+        (stmts, names, bufs)
+    }
+
+    /// `n` values, from `from` on in a cycle: finite ones, or (`special`)
+    /// among them both zeros, NaN and both infinities.
+    fn match_values(n: usize, from: usize, special: bool) -> Vec<f64> {
+        let cycle: &[f64] = if special {
+            &[1.5, -0.0, 0.1, f64::NAN, 2.5, f64::INFINITY, 0.0, -0.7, f64::NEG_INFINITY, 3.0]
+        } else {
+            &[1.5, 0.1, -2.5, 0.3, 7.0, -0.7, 1.0 / 3.0]
+        };
+        (0..n).map(|k| cycle[(from + k) % cycle.len()]).collect()
+    }
+
+    /// Sorted pairs, each list ending past `stop` so no finger leaves it:
+    /// disjoint, identical, one or both empty, one entry each (meeting or
+    /// not), a prefix of the other, and overlapping in part.
+    fn match_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+        let end = |mut list: Vec<i64>| {
+            list.push(1000);
+            list
+        };
+        vec![
+            (end((0..30).step_by(2).collect()), end((1..30).step_by(2).collect()), 29),
+            (end(vec![2, 5, 9, 14, 20]), end(vec![2, 5, 9, 14, 20]), 25),
+            (end(vec![]), end(vec![1, 2, 6]), 8),
+            (end(vec![]), end(vec![]), 4),
+            (end(vec![7]), end(vec![7]), 7),
+            (end(vec![4]), end(vec![9]), 15),
+            (end(vec![1, 4, 6]), end(vec![1, 4, 6, 8, 11, 12]), 12),
+            (end(vec![2, 5, 9, 14, 20]), end(vec![1, 2, 9, 11, 14, 18, 20]), 25),
+            (end((0..24).collect()), end(vec![0, 10, 23]), 23),
+        ]
+    }
+
+    /// A match kernel for every pair and body, with the buffers to run it on
+    /// under each value set.  The kernel itself holds finite values: they are
+    /// the witnesses its compilation is validated on, whose engines must
+    /// agree bit for bit, and the bits of a NaN that arithmetic produces are
+    /// not the same in both.
+    fn match_kernels(bodies: &[Matched]) -> Vec<(String, Kernel, BufferSet)> {
+        let mut kernels = Vec::new();
+        for (a, b, stop) in match_pairs() {
+            for &body in bodies {
+                let values = |list: &[i64], from, special| match_values(list.len(), from, special);
+                let kernel = match_kernel(
+                    (&a, &values(&a, 0, false)),
+                    (&b, &values(&b, 3, false)),
+                    stop,
+                    body,
+                );
+                for special in [false, true] {
+                    let what = format!("{a:?} x {b:?} to {stop}, {body:?}, special {special}");
+                    let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
+                    kernels.push((what, kernel.clone(), bufs));
+                }
+            }
+        }
+        kernels
+    }
+
+    /// `kernel`'s buffers with these values at the two fingers.
+    fn with_values(kernel: &Kernel, a_vals: Vec<f64>, b_vals: Vec<f64>) -> BufferSet {
+        let mut bufs = kernel.2.clone();
+        *bufs.get_mut(M_A_VAL) = Buffer::F64(a_vals.into());
+        *bufs.get_mut(M_B_VAL) = Buffer::F64(b_vals.into());
+        bufs
+    }
+
+    fn matches_op(p: &Program) -> Vec<usize> {
+        let is_op =
+            |pc: &usize| matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Match { .. }, .. });
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    /// Every output of a match kernel, its floats bit for bit — but, unless
+    /// `payload`, a NaN's: what an operation on NaN (or `0 * ∞`) returns is
+    /// a NaN of no bits the language fixes, and a release build's
+    /// tree-walker and VM return different ones.  The op and the scalar
+    /// loop it stands for agree on those too.
+    fn outputs(bufs: &BufferSet, payload: bool) -> String {
+        let bits = |x: &f64| if x.is_nan() && !payload { None } else { Some(x.to_bits()) };
+        let show = |id| match bufs.get(id) {
+            Buffer::F64(v) => format!("{:x?}", v.iter().map(bits).collect::<Vec<_>>()),
+            other => format!("{other:?}"),
+        };
+        [M_OUT, M_CRD, M_VALS].map(show).join(" ")
+    }
+
+    #[test]
+    fn the_intersection_gets_the_match_and_is_otherwise_untouched() {
+        let skip = "{ p += 1 ; +9 stmt +2 load | q += 1 ; +8 stmt +2 load";
+        let wants = [
+            (Matched::Reduce, format!("b6[t3] += b1[p] * b3[q] where b0[p] == b2[q] {skip} | match ; +11 stmt +4 load }}")),
+            (Matched::Led, format!("b6[t5] += b5[inv] * b1[p] * b3[q] where b0[p] == b2[q] {skip} | match ; +11 stmt +5 load }}")),
+            (Matched::Append, format!("b7.push(b0[p]), b8.push(b1[p] * b3[q]) where b0[p] == b2[q] {skip} | match ; +12 stmt +4 load }}")),
+            (Matched::LedLast, format!("skip {skip} }}")),
+        ];
+        let (a, b) = (vec![2, 5, 9, 1000], vec![1, 5, 9, 12, 1000]);
+        for (body, want) in wants {
+            let c = compile(&match_kernel((&a, &[1.0; 4]), (&b, &[2.0; 5]), 12, body));
+            let placed = ops(&c.skipping);
+            assert_eq!((c.stats.merge_skips, placed.len()), (1, 1), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            assert_eq!(matches_op(&c.skipping).len(), usize::from(body != Matched::LedLast));
+            let line = c.skipping.disasm().lines().nth(placed[0]).unwrap().to_string();
+            assert!(line.ends_with(&want), "{body:?}: {line}\n{}", c.skipping.disasm());
+            only_adds(&c, &placed);
+        }
+    }
+
+    /// Every step budget from 0 to the full run, on every pair, body and
+    /// value set: the VM with the op, the VM without it and the tree-walker
+    /// stop at the same statement with the same counters and the same
+    /// outputs, bit for bit — and the scalar loop dispatches only the loop's
+    /// last iteration.
+    #[test]
+    fn every_step_budget_trips_the_match_where_the_scalar_loop_trips() {
+        for (context, kernel, bufs) in match_kernels(&MATCHED) {
+            let c = compile(&kernel);
+            assert_eq!(matches_op(&c.skipping).len(), 1, "{context}\n{}", c.skipping.disasm());
+            let (outcome, full, _) = run(&c.scalar, &bufs, None);
+            assert_eq!(outcome, "Ok(())", "{context}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let mut tree_bufs = bufs.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                let runs = [&c.skipping, &c.scalar].map(|p| run(p, &bufs, Some(budget)));
+                for (outcome, stats, left) in &runs {
+                    assert_eq!(*outcome, tree, "{context} at {budget}");
+                    assert_eq!(*stats, interp.stats(), "{context} at {budget}");
+                    let out = outputs(left, false);
+                    assert_eq!(out, outputs(&tree_bufs, false), "{context} at {budget}");
+                }
+                let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
+                assert_eq!(op, scalar, "{context} at {budget}");
+            }
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut bufs.clone()).expect("runs");
+            let at = matches_op(&c.skipping)[0];
+            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{context}");
+        }
+    }
+
+    /// Sorted lists drawn at random, long enough for the wall clock to be
+    /// read, under every body: the VM with the op and without it agree with
+    /// the tree-walker, outputs bit for bit; and so do the two VMs under a
+    /// deadline that has passed.
+    #[test]
+    fn random_sorted_lists_match_alike_with_and_without_the_op() {
+        let mut rng = 0x51_7CC1_B727_220Au64;
+        let mut draw = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        for round in 0..90u64 {
+            let mut list = |one_in: u64| {
+                let mut out: Vec<i64> = (0..400).filter(|_| draw(one_in) == 0).collect();
+                out.push(5000);
+                out
+            };
+            let (a, b) = (list(1 + round % 4), list(1 + round % 3));
+            let body = MATCHED[round as usize % MATCHED.len()];
+            let special = round % 2 == 1;
+            let values = |list: &[i64], from, special| match_values(list.len(), from, special);
+            let finite = (values(&a, 0, false), values(&b, 3, false));
+            let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), 399, body);
+            let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
+            let c = compile(&kernel);
+            let context = format!("{a:?} x {b:?}, {body:?}, special {special}");
+            let mut interp = Interpreter::new(&c.names);
+            let mut tree_bufs = bufs.clone();
+            interp.run(&c.code, &mut tree_bufs).expect("the merge runs");
+            let runs = [&c.skipping, &c.scalar].map(|p| run(p, &bufs, None));
+            for (outcome, stats, left) in &runs {
+                assert_eq!(outcome, "Ok(())", "{context}");
+                assert_eq!(*stats, interp.stats(), "{context}");
+                assert_eq!(outputs(left, false), outputs(&tree_bufs, false), "{context}");
+            }
+            let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
+            assert_eq!(op, scalar, "{context}");
+            let passed = [&c.skipping, &c.scalar].map(|p| {
+                let mut vm = Vm::new(p);
+                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
+                let mut left = bufs.clone();
+                (vm.run(p, &mut left), vm.stats(), outputs(&left, true))
+            });
+            assert_eq!(passed[0], passed[1], "{context}: a passed deadline");
+            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
+                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{context}");
+            }
+        }
+    }
+
+    /// An injected fault at every statement: both engines panic with the
+    /// same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_the_match_on_the_tree_walkers_statement() {
+        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
+        for body in MATCHED {
+            let values = |list: &[i64]| match_values(list.len(), 1, false);
+            faults_alike(&match_kernel((&a, &values(&a)), (&b, &values(&b)), 25, body));
+        }
+    }
+
+    /// A raised cancellation flag stops the match as it stops the scalar
+    /// loop: with the typed error, at the run's first statement.
+    #[test]
+    fn a_raised_cancellation_flag_stops_the_match() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let (a, b) = ((0..40).collect::<Vec<i64>>(), (0..40).step_by(3).collect::<Vec<i64>>());
+        for body in MATCHED {
+            let values = |list: &[i64]| match_values(list.len(), 0, false);
+            let kernel = match_kernel((&a, &values(&a)), (&b, &values(&b)), 30, body);
+            let c = compile(&kernel);
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut vm = Vm::new(&c.skipping);
+            vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
+            vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
+            assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1, "{body:?}");
+            flag.store(true, Ordering::Relaxed);
+            vm.reset();
+            let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
+            assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{body:?}: {err:?}");
+            assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
+        }
+    }
+
+    /// Every allocation budget from none at all to twice what the run keeps:
+    /// the op stops in front of the match whose pushes would not fit, and
+    /// the scalar step raises the error where it raises it without the op.
+    #[test]
+    fn every_allocation_budget_trips_the_matched_append_where_the_scalar_loop_trips() {
+        for (context, kernel, bufs) in match_kernels(&[Matched::Append]) {
+            let c = compile(&kernel);
+            let (_, _, full) = run(&c.scalar, &bufs, None);
+            let kept = (full.get(M_CRD).len() + full.get(M_VALS).len()) as u64;
+            for budget in 0..=2 * kept {
+                let mut interp = Interpreter::new(&c.names);
+                interp.set_alloc_budget(Some(budget));
+                let mut tree_bufs = bufs.clone();
+                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+                assert_eq!(tree == "Ok(())", budget >= kept, "{context} at {budget}: {tree}");
+                let runs = [&c.skipping, &c.scalar].map(|p| run_allocating(p, &bufs, budget));
+                for (outcome, stats, left) in &runs {
+                    assert_eq!(*outcome, tree, "{context} at {budget}");
+                    assert_eq!(*stats, interp.stats(), "{context} at {budget}");
+                    let out = outputs(left, false);
+                    assert_eq!(out, outputs(&tree_bufs, false), "{context} at {budget}");
+                }
+                let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
+                assert_eq!(op, scalar, "{context} at {budget}");
+            }
+        }
+    }
+
+    /// A values buffer, the lead, the accumulator or an output rebound to
+    /// another kind or length: the op declines or stops in front of the
+    /// match, and the scalar loop reports what it reports without the op,
+    /// having counted the same work and left the same outputs.
+    #[test]
+    fn a_rebound_buffer_faults_the_match_as_the_scalar_loop_faults() {
+        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
+        for body in MATCHED {
+            let values = |list: &[i64], special| match_values(list.len(), 2, special);
+            let kernel = match_kernel((&a, &values(&a, false)), (&b, &values(&b, false)), 25, body);
+            let c = compile(&kernel);
+            let special = with_values(&kernel, values(&a, true), values(&b, true));
+            let rebound = |buf: BufId, with: Buffer| {
+                let mut bufs = special.clone();
+                *bufs.get_mut(buf) = with;
+                bufs
+            };
+            let floats = |n: usize| Buffer::F64(vec![0.5; n].into());
+            let ints = |n: usize| Buffer::I64(vec![1; n].into());
+            let mut cases = vec![
+                ("a_val cut short", rebound(M_A_VAL, floats(2))),
+                ("a_val as i64", rebound(M_A_VAL, ints(6))),
+                ("x cut short", rebound(M_B_VAL, floats(3))),
+                ("x as i64", rebound(M_B_VAL, ints(8))),
+            ];
+            match body {
+                Matched::Append => {
+                    cases.push(("crd as f64", rebound(M_CRD, floats(0))));
+                    cases.push(("vals as i64", rebound(M_VALS, ints(0))));
+                    cases.push(("crd as bool", rebound(M_CRD, Buffer::Bool(Vec::new()))));
+                }
+                _ => {
+                    cases.push(("acc as i64", rebound(M_OUT, ints(1))));
+                    cases.push(("acc empty", rebound(M_OUT, Buffer::F64(Vec::new().into()))));
+                }
+            }
+            if body == Matched::Led {
+                cases.push(("lead cut short", rebound(M_LEAD, floats(1))));
+                cases.push(("lead as i64", rebound(M_LEAD, ints(2))));
+            }
+            for (what, bufs) in cases {
+                let what = format!("{what}, {body:?}");
+                for out in [M_OUT, M_CRD, M_VALS] {
+                    same_verdict(&c, &bufs, &what, out);
+                }
             }
         }
     }

@@ -811,9 +811,10 @@ fn forwarded((stmts, names, bufs): merge_skip::tests::Kernel) -> (Program, Names
     (forward(&typed, &mut OptStats::default()), names, bufs)
 }
 
-/// The real pass, then `mutate` on the op it placed.
+/// The real pass, then `mutate` on the op it placed: the skip of an
+/// intersection scattered into a dense output.
 fn run_merge_skip_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassError> {
-    run_merge_skip_mutation_on(merge_skip::tests::Shape::Intersection, mutate)
+    run_merge_skip_mutation_on(merge_skip::tests::Shape::Scatter, mutate)
 }
 
 /// [`run_merge_skip_mutation`] on the loop of another shape.
@@ -839,7 +840,7 @@ fn run_merge_skip_mutation_on(
 #[test]
 fn the_merge_skip_pass_validates_and_its_witness_skips_with_both_fingers() {
     let out = run_merge_skip_mutation(|_, _| {}).expect("the real pass is exact").into_bytecode();
-    let (_, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Intersection);
+    let (_, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Scatter);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
     let at = out.code.iter().position(skips).unwrap();
@@ -918,7 +919,7 @@ fn a_run_ahead_over_a_body_one_finger_guards_is_caught_by_output_parity() {
     // runs wherever the first finger ends the step, and the op, which skips
     // every step the two fingers do not both end, skips that work.
     use merge_skip::tests::Shape;
-    let verdict = forced_op(Shape::Intersection, Shape::GuardedByOneFinger);
+    let verdict = forced_op(Shape::Scatter, Shape::GuardedByOneFinger);
     assert_caught(verdict, "merge_skip", "diverge");
 }
 
@@ -1322,4 +1323,110 @@ fn a_two_finger_reduction_advancing_one_finger_on_a_tie_is_caught_by_the_exact_s
         (advances[1], Instr::IAdvance { op: BinOp::Lt, lhs, rhs: stride, reg, by, stmts })
     });
     assert_caught(verdict, "merge_skip", "ExecStats");
+}
+
+// ---------------------------------------------------------------------
+// Seeded miscompiles of the matched step: the real pass's op with its match
+// count off by one, and its lead forced onto a loop that multiplies the lead
+// last — and the gates that notice.
+// ---------------------------------------------------------------------
+
+/// Two steppers whose matched step is `out[0] += lead[inv] * a_val[p] *
+/// b_val[q]` (or, `last`, `a_val[p] * b_val[q] * lead[inv]`), typed and
+/// through `forward`: steps that `a` ends, that `b` ends and that both end.
+/// The values make the order of the product matter: `lead * a_val`
+/// overflows, and neither `a_val * b_val * lead` nor the sum of the four
+/// matches does.
+fn forwarded_led_kernel(last: bool) -> (Program, Names, BufferSet) {
+    use merge_skip::tests::{match_kernel, Matched, M_LEAD};
+    let (a, b) = ([2, 5, 9, 14, 20, 1000], [1, 2, 9, 11, 14, 18, 20, 1000]);
+    let body = if last { Matched::LedLast } else { Matched::Led };
+    let (stmts, names, mut bufs) = match_kernel((&a, &[2.0; 6]), (&b, &[0.125; 8]), 25, body);
+    *bufs.get_mut(M_LEAD) = Buffer::F64(vec![1.0, 1e308].into());
+    forwarded((stmts, names, bufs))
+}
+
+/// Whether `instr` is a step loop op that performs matched steps.
+fn matches_steps(instr: &Instr) -> bool {
+    matches!(instr, Instr::IStepLoop { step: Step::Match { .. }, .. })
+}
+
+#[test]
+fn the_match_validates_and_its_witness_performs_all_but_the_last_step() {
+    let out = run_lone_mutation(forwarded_led_kernel(false), matches_steps, |_, _| {})
+        .expect("the real pass is exact")
+        .into_bytecode();
+    let (_, _, bufs) = forwarded_led_kernel(false);
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(matches_steps).unwrap();
+    // The op once, at the loop's entry, and the last of nine steps (ends 1,
+    // 2, 5, 9, 11, 14, 18, 20 and 25; 2, 9, 14 and 20 are matches).
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 9), "{}", out.disasm());
+}
+
+#[test]
+fn a_match_whose_pass_count_is_off_by_one_is_caught_by_the_exact_stats_witness() {
+    let mutants: [fn(&mut Program, usize); 2] =
+        [|p, at| bump_match_count(p, at, 1), |p, at| bump_match_count(p, at, -1)];
+    for mutate in mutants {
+        assert_caught(
+            run_lone_mutation(forwarded_led_kernel(false), matches_steps, mutate),
+            "merge_skip",
+            "ExecStats",
+        );
+    }
+}
+
+/// Moves the statements of a match of the op at `at` by `by`.
+fn bump_match_count(program: &mut Program, at: usize, by: i32) {
+    let Instr::IStepLoop { step: Step::Match { pass, .. }, .. } = &mut program.code[at] else {
+        unreachable!()
+    };
+    pass[0] = pass[0].checked_add_signed(by).expect("a count of at least one");
+}
+
+#[test]
+fn a_match_multiplying_the_lead_first_where_the_loop_multiplies_it_last_is_caught_by_output_parity()
+{
+    // Simulates a recogniser that takes a lead wherever the product reads
+    // one: the loop computes `(a_val[p] * b_val[q]) * lead`, the op `(lead *
+    // a_val[p]) * b_val[q]`, which overflows on the witness.
+    struct Forced;
+    impl Pass for Forced {
+        fn name(&self) -> &'static str {
+            "merge_skip"
+        }
+        fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
+            let mut program = merge_skip(repr.bytecode(), ctx.stats);
+            let at = program.code.iter().position(skips).expect("the lead-last loop skips");
+            let (led, ..) = forwarded_led_kernel(false);
+            let led = merge_skip(&led, &mut OptStats::default());
+            let op = *led.code.iter().find(|i| matches_steps(i)).expect("the match");
+            let (Instr::IStepLoop { a, p, q, start, stop, .. }, Instr::IStepLoop { step, .. }) =
+                (program.code[at], op)
+            else {
+                unreachable!()
+            };
+            // The same loop, registers and all, but for the order of the
+            // product.
+            let store = program.code.iter().find_map(|i| match *i {
+                Instr::StoreF64 { idx, reduce: Some(_), .. } => Some(idx),
+                _ => None,
+            });
+            let Step::Match { out: crate::bytecode::MatchOut::Reduce { k, .. }, .. } = step else {
+                unreachable!()
+            };
+            assert_eq!(store, Some(k), "{}", program.disasm());
+            assert!(matches!(op, Instr::IStepLoop { a: a2, p: p2, q: q2, start: s2, stop: t2, .. }
+                if (a2, p2, q2, s2, t2) == (a, p, q, start, stop)));
+            program.code[at] = op;
+            Repr::Bytecode(program)
+        }
+    }
+    assert_caught(
+        run_typed_bytecode_pass(forwarded_led_kernel(true), &Forced),
+        "merge_skip",
+        "diverge",
+    );
 }

@@ -24,8 +24,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    for_each_reg_role, holds_literal, Elem, Gather, Instr, LaneTag, MergeForm, Operand, Program,
-    Reg, Role, Step, Term, VFill,
+    for_each_reg_role, holds_literal, Elem, Gather, Instr, LaneTag, MatchOut, MergeForm, Operand,
+    Program, Reg, Role, Step, Term, VFill,
 };
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -397,11 +397,12 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// bottom test on the same registers, which lands on it.  What the op reads
 /// once per dispatch, the loop may not change: it writes none of the op's
 /// other registers — the bound, a jumper's rows, a reduction's accumulator
-/// element and offset terms — and stores into none of the op's sources.  A
-/// skip walks two lists with two fingers, and its form's block offsets or
-/// row ends are neither (their `i64` kind is the operand walk's to check); a
-/// reduction's accumulator is none of its sources, and a value at a finger
-/// is at one of its fingers.  The rest of the body steps the start in
+/// element and offset terms, a match's lead — and stores into none of the
+/// op's sources.  A skip or a match walks two lists with two fingers, and a
+/// skip's block offsets or row ends are neither (their `i64` kind is the
+/// operand walk's to check); a reduction's accumulator, or a match's outputs,
+/// are none of its sources, and a value at a finger is at one of its
+/// fingers.  The rest of the body steps the start in
 /// exactly one place, by one past the step, and each finger — a stepper's in
 /// exactly one place, by one, as the op does; a jumper's by one, by a seek
 /// from itself in its own list or by a nested op over that list, the last
@@ -467,6 +468,26 @@ fn check_step_loop(code: &[Instr], pc: usize) -> Result<(), String> {
                 return fail("appends from or onto one buffer twice".into());
             }
             sources.push(val);
+        }
+        Step::Match { val, x, lead, out, .. } => {
+            if q.is_none_or(|(b, _)| b == a) {
+                return fail("does not match two lists with two fingers".into());
+            }
+            sources.extend([val, x]);
+            if let Some((buf, at)) = lead {
+                sources.push(buf);
+                invariant.push(at);
+            }
+            let outs = match out {
+                MatchOut::Reduce { acc, k, .. } => {
+                    invariant.push(k);
+                    vec![acc]
+                }
+                MatchOut::Append { crd, vals } => vec![crd, vals],
+            };
+            if outs.iter().any(|buf| sources.contains(buf)) || outs.first() == outs.get(1) {
+                return fail("puts its product into one of its sources, or twice".into());
+            }
         }
     }
     let body = &code[pc + 1..bottom];
@@ -573,11 +594,17 @@ fn stores_into(instr: &Instr, buf: BufId) -> bool {
         | Instr::VMapF64 { dst: to, .. }
         | Instr::VMulAddF64 { acc: to, .. }
         | Instr::VReduceF64 { acc: to, .. }
-        | Instr::IStepLoop { step: Step::Reduce { acc: to, .. }, .. } => to == buf,
+        | Instr::IStepLoop { step: Step::Reduce { acc: to, .. }, .. }
+        | Instr::IStepLoop {
+            step: Step::Match { out: MatchOut::Reduce { acc: to, .. }, .. },
+            ..
+        } => to == buf,
         Instr::VAppendRangeF64 { idx_out, val_out, .. }
-        | Instr::IStepLoop { step: Step::Append { crd: idx_out, vals: val_out, .. }, .. } => {
-            idx_out == buf || val_out == buf
-        }
+        | Instr::IStepLoop { step: Step::Append { crd: idx_out, vals: val_out, .. }, .. }
+        | Instr::IStepLoop {
+            step: Step::Match { out: MatchOut::Append { crd: idx_out, vals: val_out }, .. },
+            ..
+        } => idx_out == buf || val_out == buf,
         _ => false,
     }
 }

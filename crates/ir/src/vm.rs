@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::buffer::{AllocMeter, BufId, Buffer, BufferSet};
+use crate::buffer::{AlignedVec, AllocMeter, BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    Gather, Instr, LaneTag, MergeForm, Program, Reg, Step, StepCounts, Term, VAcc, VBase, VCost,
-    VFill, VRhs, VScale,
+    Gather, Instr, LaneTag, MatchOut, MergeForm, Program, Reg, Step, StepCounts, Term, VAcc, VBase,
+    VCost, VFill, VRhs, VScale,
 };
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -1663,12 +1663,14 @@ impl Vm {
     }
 
     /// [`Instr::IStepLoop`] at `pc`, out of the dispatch loop: take the steps
-    /// its [`Step`] takes, and return where dispatch goes on — the next
-    /// instruction, or the loop's exit once a jumper has run its last step.
-    /// Skipping, galloping, reducing and appending are functions of their
-    /// own, so that each one's loops are optimised apart (inlined into this
-    /// one, the reduction's loops measured 10–15 % slower on
-    /// `dot_list_band`).
+    /// its [`Step`] takes — a skip up to the first match, which the scalar
+    /// loop runs; the other steps all but the loop's last, a two-finger
+    /// match's matches among them — and return where dispatch goes on: the
+    /// next instruction, or the loop's exit once a jumper has run its last
+    /// step.  Skipping, galloping, reducing, appending and matching are
+    /// functions of their own, so that each one's loops are optimised apart
+    /// (inlined into this one, the reduction's loops measured 10–15 % slower
+    /// on `dot_list_band`).
     #[inline(never)]
     fn step_loop(&mut self, bufs: &mut BufferSet, code: &[Instr], pc: usize) -> usize {
         let Instr::IStepLoop { a, p, q, step, start, stop, counts } = code[pc] else {
@@ -1677,13 +1679,18 @@ impl Vm {
         // A lone finger is its own second: `q` is `p`, over the same list.
         let (b, second) = q.unwrap_or((a, p));
         // A skipped step is ended by its leader alone, a performed one may be
-        // ended by both fingers, and an append's may pass its guard.
+        // ended by both fingers, an append's may pass its guard, and a match
+        // counts its own in place of the fingers'.
         let [each, by_p, by_q] = counts.stmts;
         let (worst, stores, pass) = match step {
             Step::Skip(_) => (each + by_p.max(by_q), 0, [0; 3]),
             Step::Reduce { .. } => (each + by_p + by_q, 1, [0; 3]),
             Step::Append { pass: [stmts, loads], .. } => {
                 (each + by_p + stmts, 0, [stmts, loads, 2].map(u64::from))
+            }
+            Step::Match { pass: [stmts, loads], out, .. } => {
+                let pushes = if matches!(out, MatchOut::Append { .. }) { 2 } else { 1 };
+                (each + by_p.max(by_q).max(stmts), 0, [stmts, loads, pushes].map(u64::from))
             }
         };
         let run = Run {
@@ -1694,6 +1701,7 @@ impl Vm {
             worst: u64::from(worst).max(1),
             stores,
             pass,
+            replaces: u64::from(matches!(step, Step::Match { .. })),
         };
         match step {
             Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
@@ -1712,6 +1720,7 @@ impl Vm {
             Step::Skip(form) => self.skip(bufs, [a, b], form, &run),
             Step::Reduce { .. } => self.reduce(bufs, [a, b], step, &run),
             Step::Append { .. } => self.append(bufs, a, step, &run),
+            Step::Match { .. } => self.matched(bufs, [a, b], step, &run),
         }
         pc + 1
     }
@@ -1743,8 +1752,9 @@ impl Vm {
     /// Commit `done` steps of a step loop op's loop: the fingers and the
     /// start where the steps left them (`at`), and what they count — one loop
     /// iteration each, the counts of every step and of each finger on the
-    /// steps it ended (`ended`), [`Run::stores`], [`Run::pass`] on the steps
-    /// that passed a guard (`passed`), and `extra`.
+    /// steps it ended (`ended`, less the ends [`Run::replaces`] on the steps
+    /// that passed), [`Run::stores`], [`Run::pass`] on the steps that passed
+    /// a guard or matched (`passed`), and `extra`.
     #[inline(always)]
     fn commit(
         &mut self,
@@ -1755,6 +1765,7 @@ impl Vm {
         passed: u64,
         extra: ExecStats,
     ) {
+        let ended = ended.map(|n| n - passed * run.replaces);
         let count = |[each, by_p, by_q]: [u32; 3]| {
             done * u64::from(each) + ended[0] * u64::from(by_p) + ended[1] * u64::from(by_q)
         };
@@ -1776,7 +1787,9 @@ impl Vm {
     /// and that `body` takes, in batches ([`Vm::room`]), each step advancing
     /// the fingers whose stride ends it.  `body(acc, step)` is the
     /// accumulator after the step, or `None` to stop in front of it.  Every
-    /// comparison is the scalar instruction's own; the temporaries are not
+    /// comparison decides as the scalar instruction's own does (two fingers'
+    /// steps are taken only below the bound, where a stride ends the step
+    /// exactly when it is not past the other); the temporaries are not
     /// written, as the loop does not read them before it rewrites them.  The
     /// accumulator, if a step was taken.
     #[inline(always)]
@@ -1805,7 +1818,11 @@ impl Vm {
                     (s1, s1)
                 };
                 let after = ss.wrapping_add(1);
-                if !Self::cmp_int(BinOp::Le, after, stop) {
+                // Not the loop's last: by its own test, through `f64` — or,
+                // for two fingers, below the bound in `i64`, which implies
+                // that test and that the step ends at the earlier stride.
+                let last = if TWO { ss >= stop } else { !Self::cmp_int(BinOp::Le, after, stop) };
+                if last {
                     break;
                 }
                 let Some(next) = body(acc, &At { s: [s1, s2], ss, at: [pv, qv], from }) else {
@@ -1813,8 +1830,10 @@ impl Vm {
                 };
                 acc = next;
                 if TWO {
-                    pv += i64::from(s1 == ss);
-                    qv += i64::from(s2 == ss);
+                    // `s1 == ss`, and `s2 == ss`: off the step's `min`s, so
+                    // that the next loads wait on the strides alone.
+                    pv += i64::from(s1 <= s2);
+                    qv += i64::from(s2 <= s1);
                 } else {
                     // A lone finger ends every step, and is its own second.
                     pv += 1;
@@ -1964,68 +1983,179 @@ impl Vm {
 
     /// [`Step::Append`]: perform the steps that are not the loop's last —
     /// a lone stepper's, which end at its stride — pushing `ss` onto `crd`
-    /// and `val[p]` onto `vals` where the guard passes.  Both outputs are
-    /// lifted once per dispatch, and reserve room for as many pushes as
-    /// there are steps left in the list and statements to take them.  A step
-    /// is staged whether it passes or not, and the stage keeps it only if it
-    /// does, so that no branch depends on the values.  The op stops in front
-    /// of a step whose value load would fault and of a push the allocation
+    /// and `val[p]` onto `vals` where the guard passes ([`Vm::pushing`],
+    /// for as many steps as are left in the list).  The op stops in front of
+    /// a step whose value load would fault and of a push the allocation
     /// budget would not hold, so that the scalar step raises the error; it
     /// does nothing where a buffer has another kind or two of them are one.
     #[inline(never)]
     fn append(&mut self, bufs: &mut BufferSet, a: BufId, step: Step, run: &Run) {
-        /// Steps staged between two copies onto the outputs.
-        const STAGE: usize = 64;
         let Step::Append { val, guard, crd, vals, .. } = step else { unreachable!("an append") };
         let distinct = [a, val, crd, vals];
         if (1..distinct.len()).any(|k| distinct[..k].contains(&distinct[k])) {
             return;
         }
-        let (Buffer::I64(list), Buffer::F64(_), Buffer::I64(_), Buffer::F64(_)) =
-            (bufs.get(a), bufs.get(val), bufs.get(crd), bufs.get(vals))
-        else {
-            return;
-        };
-        // The passes the allocation budget holds: two elements each.
-        let fit = self.alloc.budget().map_or(u64::MAX, |b| b.saturating_sub(self.alloc.used())) / 2;
+        let (Buffer::I64(list), Buffer::F64(_)) = (bufs.get(a), bufs.get(val)) else { return };
         let left = usize::try_from(self.ints[run.regs[0].index()])
             .map_or(0, |at| list.len().saturating_sub(at));
-        let reserve = (left as u64).min(self.room(run)).min(fit) as usize;
+        self.pushing(bufs, [crd, vals], left as u64, run, |vm, bufs, stage, fit| {
+            let (Buffer::I64(list), Buffer::F64(val)) = (bufs.get(a), bufs.get(val)) else {
+                unreachable!("checked above")
+            };
+            vm.steps::<false, u64>([list, list], run, 0, |passed, step| {
+                let v = *position(val, step.at[0])?;
+                let pass = guard.is_none_or(|(op, imm)| Self::cmp_f64(op, v, imm));
+                if pass & (passed == fit) {
+                    return None;
+                }
+                stage.push(step.ss, v, pass);
+                Some(passed + u64::from(pass))
+            })
+        });
+    }
+
+    /// Take the steps `take(vm, bufs, stage, fit)` takes, pushing what it
+    /// stages onto the sparse outputs `crd` (I64) and `vals` (F64); `fit`
+    /// is how many pushes of two elements the allocation budget holds, and
+    /// `take` returns how many it pushed, if it took a step.  The outputs
+    /// are lifted out of `bufs` once, so that `take` reads the sources
+    /// beside them, and reserve room for `most` pushes, or as many as there
+    /// are statements to take them.  Nothing happens where an output has
+    /// another kind.
+    #[inline(always)]
+    fn pushing(
+        &mut self,
+        bufs: &mut BufferSet,
+        [crd, vals]: [BufId; 2],
+        most: u64,
+        run: &Run,
+        take: impl FnOnce(&mut Self, &BufferSet, &mut Stage<'_>, u64) -> Option<u64>,
+    ) {
+        let (Buffer::I64(_), Buffer::F64(_)) = (bufs.get(crd), bufs.get(vals)) else { return };
+        let fit = self.alloc.budget().map_or(u64::MAX, |b| b.saturating_sub(self.alloc.used())) / 2;
+        let reserve = most.min(self.room(run)).min(fit) as usize;
         let (mut crd_out, mut vals_out) = (lift(bufs, crd), lift(bufs, vals));
         let passed = {
             let (Buffer::I64(crd_out), Buffer::F64(vals_out)) = (&mut crd_out, &mut vals_out)
             else {
                 unreachable!("checked above")
             };
-            let (Buffer::I64(list), Buffer::F64(val)) = (bufs.get(a), bufs.get(val)) else {
-                unreachable!("checked above")
-            };
             crd_out.reserve(reserve);
             vals_out.reserve(reserve);
-            let (mut crd_stage, mut vals_stage, mut staged) = ([0; STAGE], [0.0; STAGE], 0);
-            let passed = self.steps::<false, u64>([list, list], run, 0, |passed, step| {
-                let v = *position(val, step.at[0])?;
-                let pass = guard.is_none_or(|(op, imm)| Self::cmp_f64(op, v, imm));
-                if pass & (passed == fit) {
-                    return None;
-                }
-                crd_stage[staged] = step.ss;
-                vals_stage[staged] = v;
-                staged += usize::from(pass);
-                if staged == STAGE {
-                    crd_out.extend_from_slice(&crd_stage);
-                    vals_out.extend_from_slice(&vals_stage);
-                    staged = 0;
-                }
-                Some(passed + u64::from(pass))
-            });
-            crd_out.extend_from_slice(&crd_stage[..staged]);
-            vals_out.extend_from_slice(&vals_stage[..staged]);
+            let mut stage =
+                Stage { crd: crd_out, vals: vals_out, at: [0; STAGE], v: [0.0; STAGE], n: 0 };
+            let passed = take(self, bufs, &mut stage, fit);
+            stage.flush();
             passed
         };
         *bufs.get_mut(crd) = crd_out;
         *bufs.get_mut(vals) = vals_out;
         self.alloc.add_used(2 * passed.unwrap_or(0));
+    }
+
+    /// [`Step::Match`]: perform the steps that are not the loop's last of
+    /// two steppers — skipping those one finger ends alone, and running the
+    /// body on those both end — multiplying each match's product in the
+    /// scalar code's order, `(lead * val[p]) * x[q]`.  The lead is read once
+    /// per dispatch.  A reduction folds the products into a local strictly
+    /// in order and stores `acc[k]` once, if a step matched; an append pushes
+    /// them ([`Vm::pushing`], for as many matches as there are entries left
+    /// in the shorter list).  The op stops in front of a match whose loads
+    /// would fault or whose pushes the allocation budget would not hold, so
+    /// that the scalar step raises the error; it does nothing where the lead
+    /// or the accumulator's element is out of bounds, a buffer has another
+    /// kind, or it would write a buffer it reads.
+    #[inline(never)]
+    fn matched(&mut self, bufs: &mut BufferSet, [a, b]: [BufId; 2], step: Step, run: &Run) {
+        let Step::Match { val, x, lead, out, .. } = step else { unreachable!("a match") };
+        let sources = [a, b, val, x, lead.map_or(a, |(buf, _)| buf)];
+        let lead = match lead.map(|(buf, at)| (bufs.get(buf), self.ints[at.index()])) {
+            None => None,
+            Some((Buffer::F64(data), at)) => match position(data, at) {
+                Some(&lead) => Some(lead),
+                None => return,
+            },
+            Some(_) => return,
+        };
+        let outs = match out {
+            MatchOut::Reduce { acc, .. } => [acc, acc],
+            MatchOut::Append { crd, vals } => [crd, vals],
+        };
+        if outs.iter().any(|buf| sources.contains(buf)) {
+            return;
+        }
+        /// The lists and the values, if each has its kind.
+        fn lists(bufs: &BufferSet, [a, b, val, x]: [BufId; 4]) -> Option<Lists<'_>> {
+            match (bufs.get(a), bufs.get(b), bufs.get(val), bufs.get(x)) {
+                (Buffer::I64(a), Buffer::I64(b), Buffer::F64(val), Buffer::F64(x)) => {
+                    Some(([&a[..], &b[..]], &val[..], &x[..]))
+                }
+                _ => None,
+            }
+        }
+        type Lists<'a> = ([&'a [i64]; 2], &'a [f64], &'a [f64]);
+        let ids = [a, b, val, x];
+        if lists(bufs, ids).is_none() {
+            return;
+        }
+        // Whether the step matches, and the product a match takes: computed on
+        // every step, so that no branch depends on the data.  `None` where a
+        // match's load would fault.
+        let product = |val: &[f64], x: &[f64], step: &At| {
+            let matched = step.s[0] == step.s[1];
+            let (v, w) = (position(val, step.at[0]), position(x, step.at[1]));
+            if matched & (v.is_none() | w.is_none()) {
+                return None;
+            }
+            let (v, w) = (v.map_or(0.0, |&v| v), w.map_or(0.0, |&w| w));
+            let v = match lead {
+                Some(lead) => lead * v,
+                None => v,
+            };
+            Some((matched, v * w))
+        };
+        match out {
+            MatchOut::Reduce { acc, k, op } => {
+                let slot = self.ints[k.index()];
+                let sum = match bufs.get(acc) {
+                    Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => {
+                        data[slot as usize]
+                    }
+                    _ => return,
+                };
+                let (lists, val, x) = lists(bufs, ids).expect("checked above");
+                let folded = self.steps::<true, (f64, u64)>(lists, run, (sum, 0), |carry, step| {
+                    let (matched, y) = product(val, x, step)?;
+                    let (sum, n) = carry;
+                    let folded = Self::float_arith(op, sum, y);
+                    Some((if matched { folded } else { sum }, n + u64::from(matched)))
+                });
+                if let (Some((sum, 1..)), Buffer::F64(data)) = (folded, bufs.get_mut(acc)) {
+                    data[slot as usize] = sum;
+                }
+            }
+            MatchOut::Append { crd, vals } => {
+                // A match advances both fingers: there are no more of them
+                // than entries left in the shorter list.
+                let [p, q, _] = self.fingers(run);
+                let left = |list: &[i64], at: i64| {
+                    usize::try_from(at).map_or(0, |at| list.len().saturating_sub(at)) as u64
+                };
+                let ([a, b], ..) = lists(bufs, ids).expect("checked above");
+                let shorter = left(a, p).min(left(b, q));
+                self.pushing(bufs, [crd, vals], shorter, run, |vm, bufs, stage, fit| {
+                    let (lists, val, x) = lists(bufs, ids).expect("checked above");
+                    vm.steps::<true, u64>(lists, run, 0, |passed, step| {
+                        let (matched, y) = product(val, x, step)?;
+                        if matched & (passed == fit) {
+                            return None;
+                        }
+                        stage.push(step.ss, y, matched);
+                        Some(passed + u64::from(matched))
+                    })
+                });
+            }
+        }
     }
 
     /// [`MergeForm::Gallop`]: skip the steps that match nothing.  In such a
@@ -2148,8 +2278,13 @@ struct Run {
     /// The stores of a taken step: a reduction's one.
     stores: u64,
     /// The statements, loads and stores a step that passes an append's guard
-    /// adds: its guarded code's, and its two pushes.
+    /// adds — its guarded code's, and its two pushes — or a match counts: the
+    /// whole step's, and its store or its two pushes.
     pass: [u64; 3],
+    /// How many of each finger's ends a step that passes stands for, counting
+    /// its `pass` in place of the fingers' counts: a match's one, as both
+    /// fingers end it.
+    replaces: u64,
 }
 
 /// What a step loop op carries from step to step: the accumulator of
@@ -2167,10 +2302,54 @@ impl Carry for () {}
 /// A reduction's: the fold.
 impl Carry for f64 {}
 
+/// A matched reduction's: the fold, and the steps that matched.
+impl Carry for (f64, u64) {
+    fn passed(self) -> u64 {
+        self.1
+    }
+}
+
 /// An append's: the steps that pushed.
 impl Carry for u64 {
     fn passed(self) -> u64 {
         self
+    }
+}
+
+/// Pushes staged between two copies onto the outputs.
+const STAGE: usize = 64;
+
+/// The pushes of a step loop op onto two sparse outputs, staged: every step
+/// is written to the stage whether it pushes or not and kept only if it
+/// does, so that no branch depends on the values.
+struct Stage<'a> {
+    /// The outputs, lifted out of their buffer set.
+    crd: &'a mut AlignedVec<i64>,
+    vals: &'a mut AlignedVec<f64>,
+    /// The staged coordinates and values, and how many are kept.
+    at: [i64; STAGE],
+    v: [f64; STAGE],
+    n: usize,
+}
+
+impl Stage<'_> {
+    /// Stage `crd.push(at) ; vals.push(v)`, kept if `keep`.
+    #[inline(always)]
+    fn push(&mut self, at: i64, v: f64, keep: bool) {
+        self.at[self.n] = at;
+        self.v[self.n] = v;
+        self.n += usize::from(keep);
+        if self.n == STAGE {
+            self.flush();
+        }
+    }
+
+    /// Copy what is kept onto the outputs.
+    #[inline(always)]
+    fn flush(&mut self) {
+        self.crd.extend_from_slice(&self.at[..self.n]);
+        self.vals.extend_from_slice(&self.v[..self.n]);
+        self.n = 0;
     }
 }
 

@@ -26,13 +26,16 @@
 //! exact counters".
 //!
 //! An iteration is one the loop *performs*, dispatched or not: a loop whose
-//! step loop op skips (`Instr::IStepLoop`, `Step::Skip`: the two-finger, VBL
-//! and galloped merges) only dispatches the iterations that match or end it
-//! (the galloped merge's op runs an empty last iteration too), and one whose
-//! op reduces (`Step::Reduce`: over Fig. 1's lone stepper, Fig. 11's row
-//! norms, or the two run-length fingers of Fig. 11's run × run loop, whose
-//! body runs on every step) or appends (`Step::Append`: Fig. S's threshold
-//! filter over a sparse list) only its last iteration, so its
+//! step loop op skips (`Instr::IStepLoop`, `Step::Skip`: the VBL and
+//! galloped merges, and a two-finger walk into a dense output) only
+//! dispatches the iterations that match or end it (the galloped merge's op
+//! runs an empty last iteration too), and one whose op reduces
+//! (`Step::Reduce`: over Fig. 1's lone stepper, Fig. 11's row norms, or the
+//! two run-length fingers of Fig. 11's run × run loop, whose body runs on
+//! every step), appends (`Step::Append`: Fig. S's threshold filter over a
+//! sparse list) or matches (`Step::Match`: the two-finger walks of Figs. 1,
+//! 7, 8 and 11, whose matched steps it performs too) only its last
+//! iteration, so its
 //! iterations are counted on the same kernel compiled with `simd` off — the
 //! same scalar loop, instruction for instruction, without the op.  The same
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
@@ -125,24 +128,31 @@ fn computes_nothing(instr: &Instr, program: &Program) -> bool {
 /// filter is pinned with the append, which performs the sparse list's lone
 /// stepper but its last step, guard and pushes and all (the sparse-list
 /// output: 11.00 → 2.73 dispatches an iteration, its loop 9.50 → 1.10).
+/// The matched step re-pinned the five rows whose busiest loop is a
+/// two-finger walk under a product: the op performs every step but the
+/// last, matches and all, so the walk falls from one scalar iteration per
+/// match to one per entry — fig07a 5.88 → 4.44 (its loop 3.30 → 1.50),
+/// fig07b 5.88 → 3.89 (3.69 → 1.28), fig08 7.57 → 6.87 (2.53 → 1.70), Fig. 1's
+/// iterator-over-nonzeros 4.38 → 2.63 (2.38 → 0.63) and Fig. 11's sparse list
+/// 7.93 → 2.61 (8.62 → 0.81).
 /// A row's figure is a prefix of the table's figure and group.
 const BUDGETS: &[(&str, &str, u64, u64)] = &[
     ("fig01", "looplets: list x band", 1334, 234),
-    ("fig01", "iterator-over-nonzeros", 438, 238),
-    ("fig07a", "two-finger (TACO-style)", 588, 330),
+    ("fig01", "iterator-over-nonzeros", 263, 63),
+    ("fig07a", "two-finger (TACO-style)", 444, 150),
     ("fig07a", "A leads (gallop)", 1102, 667),
     ("fig07a", "x leads (gallop)", 1037, 725),
     ("fig07a", "gallop both", 998, 600),
     ("fig07a", "VBL", 1096, 600),
-    ("fig07b", "two-finger (TACO-style)", 588, 369),
+    ("fig07b", "two-finger (TACO-style)", 389, 128),
     ("fig07b", "A leads (gallop)", 1115, 697),
     ("fig07b", "x leads (gallop)", 1056, 712),
     ("fig07b", "gallop both", 1058, 828),
     ("fig07b", "VBL", 1046, 600),
-    ("fig08", "two-finger (TACO-style)", 757, 253),
+    ("fig08", "two-finger (TACO-style)", 687, 170),
     ("fig08", "gallop", 886, 248),
     ("fig11", "dense", 32, 10),
-    ("fig11", "sparse list", 793, 862),
+    ("fig11", "sparse list", 261, 81),
     ("fig11", "VBL", 1534, 800),
     ("fig11", "run-length (RLE)", 130, 63),
     ("figS threshold", "dense output", 24, 891),
@@ -151,14 +161,17 @@ const BUDGETS: &[(&str, &str, u64, u64)] = &[
 
 /// The kernels that must carry exactly one run-ahead op of a form, by
 /// figure (a prefix of its name) and label: the two-finger walks the
-/// steppers', Fig. 7's VBL the block form, the gallops the jumper form
-/// (their neither-finger-leads fall-back may carry a second, the
-/// steppers'), Fig. 1's list × band the lone stepper's reduction,
-/// Fig. 11's run-length all-pairs the two fingers' (its row norm carries
-/// the lone stepper's too) and Fig. S's threshold filter into a sparse list
-/// the append.
-const ONE_OP: [(&str, &str, Form); 7] = [
-    ("fig0", "two-finger (TACO-style)", Form::Steps),
+/// match (Fig. 11's sparse list carries the lone stepper's reduction too,
+/// for its row norm), Fig. 7's VBL the block form, the gallops the jumper
+/// form (their neither-finger-leads fall-back may carry a second, the
+/// steppers'), Fig. 1's list × band the lone stepper's reduction, Fig. 11's
+/// run-length all-pairs the two fingers' (its row norm carries the lone
+/// stepper's too) and Fig. S's threshold filter into a sparse list the
+/// append.
+const ONE_OP: [(&str, &str, Form); 9] = [
+    ("fig0", "two-finger (TACO-style)", Form::Match),
+    ("fig01", "iterator-over-nonzeros", Form::Match),
+    ("fig11", "sparse list", Form::Match),
     ("fig07", "VBL", Form::Blocks),
     ("fig07", "gallop both", Form::Gallop),
     ("fig08", "gallop", Form::Gallop),
@@ -177,12 +190,13 @@ enum Form {
     Gather,
     Reduce,
     Append,
+    Match,
 }
 
 /// One run-ahead op of a profiled program: its form, how many scalar
 /// iterations its loop dispatched, how many of them matched (ran the guarded
-/// body; none for the reductions and the append, which perform every
-/// iteration but the last) and how often the loop was entered.
+/// body; none for the reductions, the append and the match, which perform
+/// every iteration but the last) and how often the loop was entered.
 #[derive(Debug)]
 struct RunAhead {
     form: Form,
@@ -200,6 +214,7 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
     let ops = code.iter().enumerate().filter_map(|(op, i)| match i {
         Instr::IStepLoop { step: Step::Skip(form), .. } => Some((op, Ok(*form))),
         Instr::IStepLoop { step: Step::Append { .. }, .. } => Some((op, Err(Form::Append))),
+        Instr::IStepLoop { step: Step::Match { .. }, .. } => Some((op, Err(Form::Match))),
         Instr::IStepLoop { q: None, .. } => Some((op, Err(Form::Gather))),
         Instr::IStepLoop { .. } => Some((op, Err(Form::Reduce))),
         _ => None,

@@ -3,7 +3,10 @@
 //!
 //! The two-finger merge loop of `lower_stepped` carries a kernel op
 //! (`Instr::IStepLoop`, `Step::Skip`) that skips, natively, the iterations
-//! that match nothing; the lone stepper of a walked list against a located
+//! that match nothing — and, where the matched body is a product into a
+//! scalar or a sparse list (the dot, the sparse-output product, Fig. 7's
+//! two-finger SpMSpV), performs the matches too (`Step::Match`); the lone
+//! stepper of a walked list against a located
 //! operand (Fig. 1's list × band, a CSR × dense SpMV) carries the same op
 //! (`Step::Reduce`), which performs every iteration but its last, and so
 //! does the run × run loop of two run-length vectors (Fig. 11's product of
