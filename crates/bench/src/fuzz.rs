@@ -19,8 +19,8 @@
 use std::time::Instant;
 
 use finch::{
-    CompileError, Engine, ExecConfig, Kernel, LevelSpec, RuntimeError, Tensor, ValidationLevel,
-    Watch,
+    same_f64, CompileError, Engine, ExecConfig, Kernel, LevelSpec, RuntimeError, Tensor,
+    ValidationLevel, Watch,
 };
 use finch_baseline::datagen;
 use finch_cin::build::*;
@@ -386,7 +386,7 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
             .reconfigured(config)
             .map_err(|e| Divergence { combo: config.label(), detail: e.to_string() })
     };
-    let mut reference: Option<Vec<(String, Vec<u64>)>> = None;
+    let mut reference: Option<Vec<(String, Vec<f64>)>> = None;
     let mut min_stmts = u64::MAX;
     // The typed scalar run's counters: the vectorized run must report the
     // exact same machine-independent work.
@@ -417,19 +417,21 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
             };
             engine_stats.push((combo.clone(), stats));
             min_stmts = min_stmts.min(stats.stmts);
-            let outputs: Vec<(String, Vec<u64>)> = k
+            let outputs: Vec<(String, Vec<f64>)> = k
                 .output_names()
                 .into_iter()
                 .map(|name| {
                     let out = k.output(&name).expect("output reads");
-                    (name, out.iter().map(|v| v.to_bits()).collect())
+                    (name, out)
                 })
                 .collect();
             match &reference {
                 None => reference = Some(outputs),
                 Some(r) => {
                     for ((name, want), (_, got)) in r.iter().zip(&outputs) {
-                        if want != got {
+                        let same = want.len() == got.len()
+                            && want.iter().zip(got).all(|(&w, &g)| same_f64(w, g));
+                        if !same {
                             return Some(Divergence {
                                 combo,
                                 detail: format!("output `{name}` diverges from the reference run"),
@@ -680,7 +682,7 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use finch_ir::bytecode::{MatchOut, Step};
+    use finch_ir::bytecode::{Guard, Out, Step};
     use finch_ir::{Instr, MergeForm};
 
     /// Whether the kernel of `case` carries a step loop op that `op` accepts
@@ -689,8 +691,8 @@ mod tests {
     fn carries(case: &FuzzCase, op: impl Fn(Step, bool) -> bool) -> (bool, String) {
         let kernel = compile_case(case, ValidationLevel::Off).expect("compiles");
         let program = kernel.bytecode();
-        let found = program.code().iter().any(|i| match *i {
-            Instr::IStepLoop { q, step, .. } => op(step, q.is_some()),
+        let found = program.code().iter().any(|i| match (*i, program.step_of(i)) {
+            (Instr::IStepLoop { q, .. }, Some(&step)) => op(step, q.is_some()),
             _ => false,
         });
         (found, program.disasm())
@@ -721,7 +723,9 @@ mod tests {
         let walk = Protocol::Walk;
         let fills = [Fill::Empty, Fill::Single, Fill::Scattered];
         let gathers = |case: &FuzzCase| {
-            let (found, disasm) = carries(case, |step, _| matches!(step, Step::Reduce { .. }));
+            let (found, disasm) = carries(case, |step, _| {
+                matches!(step, Step::Perform { guard: Guard::Every, out: Out::Fold { .. }, .. })
+            });
             assert!(found, "{case:?}: the gather reduction\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         };
@@ -788,7 +792,7 @@ mod tests {
             };
             if walks(true) {
                 let (found, disasm) = carries(case, |step, _| {
-                    matches!(step, Step::Match { out: MatchOut::Reduce { .. }, .. })
+                    matches!(step, Step::Perform { guard: Guard::Both, out: Out::Fold { .. }, .. })
                 });
                 assert!(found, "{case:?}: the matched reduction\n{disasm}");
             }
@@ -817,8 +821,12 @@ mod tests {
     #[test]
     fn run_length_dots_draw_the_two_finger_reduction_and_run_divergence_free() {
         let reduces = |case: &FuzzCase| {
-            let (found, disasm) =
-                carries(case, |step, two| two && matches!(step, Step::Reduce { .. }));
+            let (found, disasm) = carries(case, |step, two| {
+                two && matches!(
+                    step,
+                    Step::Perform { guard: Guard::Every, out: Out::Fold { .. }, .. }
+                )
+            });
             assert!(found, "{case:?}: the reduction\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
         };
@@ -896,7 +904,8 @@ mod tests {
 
     /// A `Threshold` over a sparse list `A` is Fig. S's filter, the lone
     /// stepper whose guarded append the op performs: every such case the
-    /// smoke draw makes carries `Step::Append` and runs divergence-free on
+    /// smoke draw makes carries `Step::Perform` pushing under `Guard::Cmp`
+    /// and runs divergence-free on
     /// every leg — under the step budget's and the passed deadline's legs
     /// among them — and, with a fault injected at statements spread over the
     /// run, both engines of every configuration and the scalar and the
@@ -912,8 +921,12 @@ mod tests {
         let cases: Vec<&FuzzCase> = drawn.iter().filter(filters).collect();
         assert!(!cases.is_empty(), "the smoke draw filtered no sparse list");
         for case in cases {
-            let (found, disasm) =
-                carries(case, |step, two| !two && matches!(step, Step::Append { .. }));
+            let (found, disasm) = carries(case, |step, two| {
+                !two && matches!(
+                    step,
+                    Step::Perform { guard: Guard::Cmp(..), out: Out::Push { .. }, .. }
+                )
+            });
             assert!(found, "{case:?}: the append\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
             faults_alike(case);
@@ -940,7 +953,7 @@ mod tests {
         assert!(!cases.is_empty(), "the smoke draw multiplied no two walked lists into a list");
         for case in cases {
             let (found, disasm) = carries(case, |step, _| {
-                matches!(step, Step::Match { out: MatchOut::Append { .. }, .. })
+                matches!(step, Step::Perform { guard: Guard::Both, out: Out::Push { .. }, .. })
             });
             assert!(found, "{case:?}: the matched append\n{disasm}");
             assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");

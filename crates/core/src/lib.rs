@@ -67,6 +67,7 @@ pub use finch_cin::{
 };
 pub use finch_formats::{BoundTensor, Level, LevelSpec, OutputBuilder, Tensor, TensorError};
 pub use finch_ir::opt::{MergeDecline, PassReport, ValidationLevel, VectorDecline};
+pub use finch_ir::value::same_f64;
 pub use finch_ir::{Engine, ExecConfig, ExecStats, OptLevel, OptStats, RuntimeError, Value, Watch};
 pub use finch_looplets as looplets;
 pub use finch_rewrite::Rewriter;

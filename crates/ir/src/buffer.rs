@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
-use crate::value::Value;
+use crate::value::{same_f64, Value};
 
 /// Identifier of a buffer within a [`BufferSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -320,6 +320,17 @@ impl Buffer {
     /// Whether the buffer has no elements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether the two buffers hold the same values: of one kind and length,
+    /// floats compared by [`crate::value::same_f64`].
+    pub fn same_as(&self, other: &Buffer) -> bool {
+        match (self, other) {
+            (Buffer::F64(x), Buffer::F64(y)) => {
+                x.len() == y.len() && x.iter().zip(y.iter()).all(|(&a, &b)| same_f64(a, b))
+            }
+            _ => self == other,
+        }
     }
 
     /// Load element `i` as a [`Value`].

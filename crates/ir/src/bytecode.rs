@@ -46,12 +46,12 @@ use crate::var::{Names, Var};
 
 // The instruction set is one table, in `isa.rs`: the enum, its operand walk
 // and everything derived from the two.
-pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut};
+pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut, operand_ids};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
-pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared};
+pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared, Walk};
 pub use crate::isa::{
-    Gather, Instr, MatchOut, MergeForm, Step, StepCounts, Term, VAcc, VBase, VCost, VFill, VRhs,
-    VScale,
+    Gather, Guard, Instr, MergeForm, Out, Product, Step, StepCounts, Term, VAcc, VBase, VCost,
+    VFill, VRhs, VScale,
 };
 
 /// A register of the bytecode VM, identified by a dense index.
@@ -236,7 +236,7 @@ pub(crate) fn splice_before(
 }
 
 /// A compiled bytecode program: the instruction stream, its constant pool,
-/// and the register-file layout.
+/// its step table, and the register-file layout.
 ///
 /// Obtain one with [`Program::compile`] and execute it with
 /// [`crate::vm::Vm`].
@@ -244,6 +244,10 @@ pub(crate) fn splice_before(
 pub struct Program {
     pub(crate) code: Vec<Instr>,
     pub(crate) consts: Vec<Value>,
+    /// What each [`Instr::IStepLoop`] does with a step, by the op's `step`
+    /// index: one entry per op (the `merge_skip` pass, `crate::opt::merge_skip`,
+    /// appends them), held out of line as the constant pool is.
+    pub(crate) steps: Vec<Step>,
     /// The IR variables' names, one per variable register.  Shared: every
     /// pass derives its output from a clone of its input program, and the
     /// table never changes after [`Program::compile`].
@@ -298,6 +302,7 @@ impl Program {
         debug_assert_eq!(c.next_temp, 0, "temp registers must be freed LIFO");
         Program {
             consts: c.consts,
+            steps: Vec::new(),
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: c.num_vars + c.max_temps as usize,
             pretags: Vec::new(),
@@ -306,15 +311,17 @@ impl Program {
         }
     }
 
-    /// This program with its instruction stream replaced by `code` (whose
-    /// jump targets the caller has already remapped) and every statement
-    /// still explicit in it — for the passes that run before `finalize`.
+    /// This program, step table and all, with its instruction stream
+    /// replaced by `code` (whose jump targets the caller has already
+    /// remapped) and every statement still explicit in it — for the passes
+    /// that run before `finalize`.
     pub(crate) fn with_code(&self, code: Vec<Instr>) -> Program {
         debug_assert!(self.stmt_bump.iter().all(|&n| n == 0), "rewriting a finalized program");
         Program {
             stmt_bump: vec![0; code.len()],
             code,
             consts: self.consts.clone(),
+            steps: self.steps.clone(),
             var_names: Arc::clone(&self.var_names),
             num_regs: self.num_regs,
             pretags: self.pretags.clone(),
@@ -329,6 +336,36 @@ impl Program {
     /// The constant pool.
     pub fn consts(&self) -> &[Value] {
         &self.consts
+    }
+
+    /// The step-table entry of `instr` — what a step loop op does with a
+    /// step — if it is one and its entry is in the table.
+    pub fn step_of(&self, instr: &Instr) -> Option<&Step> {
+        match *instr {
+            Instr::IStepLoop { step, .. } => self.steps.get(step as usize),
+            _ => None,
+        }
+    }
+
+    /// Call `check` on every operand of `code[pc]` and of its step-table
+    /// entry, if it has one, in field order: stop at, and return, the first
+    /// operand's error.
+    pub(crate) fn try_operands_at<'a, E>(
+        &'a self,
+        pc: usize,
+        mut check: impl FnMut(Operand<'a, Shared>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut verdict = Ok(());
+        let mut f = |o| {
+            if verdict.is_ok() {
+                verdict = check(o);
+            }
+        };
+        self.code[pc].operands(&mut f);
+        if let Some(step) = self.step_of(&self.code[pc]) {
+            Walk::walk(step, &mut f);
+        }
+        verdict
     }
 
     /// Total number of registers the VM must allocate.
@@ -368,6 +405,8 @@ impl Program {
     /// test just past the head of the loop it closes, every register
     /// index fits the register file (which itself fits
     /// [`Program::REG_LIMIT`]), every constant index is in the pool, every
+    /// step loop op names an entry of the step table no other op names (whose
+    /// operands are checked as the op's own), every
     /// operator belongs to the class its opcode executes (the VM's typed
     /// and fused arms are `unreachable!` outside it), every kernel op has a
     /// lane count of 4 or 8, strides of at least 1 and a non-negative
@@ -434,6 +473,11 @@ impl Program {
                         return Err(format!("constant {cidx} at pc {pc} outside the pool"));
                     }
                 }
+                Operand::Step(&sidx) => {
+                    if sidx as usize >= self.steps.len() {
+                        return Err(format!("step entry {sidx} at pc {pc} outside the table"));
+                    }
+                }
                 Operand::Op(op, in_class, what) => {
                     if !in_class(op) {
                         return Err(format!("{what} {op:?} at pc {pc}"));
@@ -463,8 +507,14 @@ impl Program {
             }
             Ok(())
         };
+        let mut owners = vec![None; self.steps.len()];
         for (pc, instr) in self.code.iter().enumerate() {
-            instr.try_operands(|operand| check_operand(pc, operand))?;
+            self.try_operands_at(pc, |operand| check_operand(pc, operand))?;
+            if let Instr::IStepLoop { step, .. } = *instr {
+                if let Some(other) = owners[step as usize].replace(pc) {
+                    return Err(format!("step entry {step} at pc {pc} is the op's at pc {other}"));
+                }
+            }
             if let Instr::VFillStoreF64 { val: VFill::Reg(reg), counter, hi, .. } = *instr {
                 if reg == counter || reg == hi {
                     return Err(format!("vector fill at pc {pc} stores a loop register"));
@@ -809,77 +859,71 @@ impl Program {
             }
             Instr::IStepLoop { a, p, q, step, start, stop, counts } => {
                 let at = |list: BufId, finger: Reg| format!("b{}[{}]", list.index(), r(finger));
-                let (mut a_form, mut b_form) = (String::new(), String::new());
-                let does = match step {
-                    Step::Skip(MergeForm::Steps) => "skip".to_string(),
-                    Step::Skip(MergeForm::Blocks { ofs }) => {
-                        a_form = format!(" blocks b{}", ofs.index());
+                let (mut a_form, mut b_form, mut pass) = (String::new(), String::new(), None);
+                let does = match self.steps.get(step as usize) {
+                    None => format!("step #{step}"),
+                    Some(&Step::Skip(form)) => {
+                        match form {
+                            MergeForm::Steps => {}
+                            MergeForm::Blocks { ofs } => {
+                                a_form = format!(" blocks b{}", ofs.index())
+                            }
+                            MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+                                a_form = format!(" seeks < {}", at(a_end, a_row));
+                                b_form = format!(" seeks < {}", at(b_end, b_row));
+                            }
+                        }
                         "skip".to_string()
                     }
-                    Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
-                        a_form = format!(" seeks < {}", at(a_end, a_row));
-                        b_form = format!(" seeks < {}", at(b_end, b_row));
-                        "skip".to_string()
-                    }
-                    Step::Reduce { val, gather, extent, acc, k, op } => {
-                        let mut body =
-                            format!("{} {} {}", at(acc, k), reduce_op(Some(op)), at(val, p));
-                        match gather {
+                    Some(&Step::Perform { guard, product, out, pass: counted }) => {
+                        let Product { lead, val, second, extent } = product;
+                        let mut value = lead.map_or(String::new(), |(buf, k)| at(buf, k) + " * ");
+                        value += &at(val, p);
+                        match second {
                             Gather::None => {}
                             Gather::At { x, at: finger } => {
-                                body += &format!(" * {}", at(x, finger))
+                                value += &format!(" * {}", at(x, finger))
                             }
                             Gather::Load { x, ofs } => {
                                 let mut index = at(a, p);
                                 for term in ofs {
-                                    match term {
-                                        Term::Zero => {}
-                                        Term::Plus { buf, at: reg } => {
-                                            index += &format!(" + {}", at(buf, reg))
-                                        }
-                                        Term::Minus { buf, at: reg } => {
-                                            index += &format!(" - {}", at(buf, reg))
-                                        }
-                                    }
+                                    let (sign, buf, reg) = match term {
+                                        Term::Zero => continue,
+                                        Term::Plus { buf, at } => ('+', buf, at),
+                                        Term::Minus { buf, at } => ('-', buf, at),
+                                    };
+                                    index += &format!(" {sign} {}", at(buf, reg));
                                 }
-                                body += &format!(" * b{}[{index}]", x.index());
+                                value += &format!(" * b{}[{index}]", x.index());
                             }
                         }
                         if extent {
-                            body += " * extent";
+                            value += " * extent";
                         }
-                        body
-                    }
-                    Step::Append { val, guard, crd, vals, .. } => {
-                        let mut body = format!(
-                            "b{}.push({}), b{}.push({})",
-                            crd.index(),
-                            at(a, p),
-                            vals.index(),
-                            at(val, p)
-                        );
-                        if let Some((op, imm)) = guard {
-                            let cmp = binop(op, at(val, p), format!("{}", Value::Float(imm)));
-                            body += &format!(" where {cmp}");
-                        }
-                        body
-                    }
-                    Step::Match { val, x, lead, out, .. } => {
-                        let (b, q) = q.unwrap_or((a, p));
-                        let lead = lead.map_or(String::new(), |(buf, k)| at(buf, k) + " * ");
-                        let product = format!("{lead}{} * {}", at(val, p), at(x, q));
                         let body = match out {
-                            MatchOut::Reduce { acc, k, op } => {
-                                format!("{} {} {product}", at(acc, k), reduce_op(Some(op)))
+                            Out::Fold { acc, k, op } => {
+                                format!("{} {} {value}", at(acc, k), reduce_op(Some(op)))
                             }
-                            MatchOut::Append { crd, vals } => format!(
-                                "b{}.push({}), b{}.push({product})",
+                            Out::Push { crd, vals } => format!(
+                                "b{}.push({}), b{}.push({value})",
                                 crd.index(),
                                 at(a, p),
                                 vals.index()
                             ),
                         };
-                        format!("{body} where {} == {}", at(a, p), at(b, q))
+                        match guard {
+                            Guard::Every => body,
+                            Guard::Cmp(op, imm) => {
+                                pass = Some(("pass", counted));
+                                let imm = format!("{}", Value::Float(imm));
+                                format!("{body} where {}", binop(op, at(val, p), imm))
+                            }
+                            Guard::Both => {
+                                pass = Some(("match", counted));
+                                let (b, q) = q.unwrap_or((a, p));
+                                format!("{body} where {} == {}", at(a, p), at(b, q))
+                            }
+                        }
                     }
                 };
                 let cost = |[stmts, loads]: [u32; 2]| {
@@ -897,12 +941,8 @@ impl Program {
                     fingers += &format!(" ~ {}{b_form}", at(b, q));
                     steps.push(format!("{} += 1 ; {}", r(q), cost(count(2))));
                 }
-                match step {
-                    Step::Append { guard: Some(_), pass, .. } => {
-                        steps.push(format!("pass ; {}", cost(pass)))
-                    }
-                    Step::Match { pass, .. } => steps.push(format!("match ; {}", cost(pass))),
-                    _ => {}
+                if let Some((what, counted)) = pass {
+                    steps.push(format!("{what} ; {}", cost(counted)));
                 }
                 format!(
                     "step_loop {fingers} in {}..={} (i64) {does} {{ {} }}",
@@ -1555,6 +1595,7 @@ mod tests {
                 },
             ],
             consts: Vec::new(),
+            steps: Vec::new(),
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: 2,
             pretags: vec![(Reg(0), LaneTag::Int), (Reg(1), LaneTag::Float)],
@@ -1595,6 +1636,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
+            steps: Vec::new(),
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags,
@@ -1645,6 +1687,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: vec![Value::Int(1)],
+            steps: Vec::new(),
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),
@@ -1826,6 +1869,7 @@ mod tests {
                 },
             ],
             consts: Vec::new(),
+            steps: Vec::new(),
             var_names: names.iter().map(|v| names.name(v).to_string()).collect(),
             num_regs: 4,
             pretags: vec![
@@ -1856,6 +1900,7 @@ mod tests {
             stmt_bump: vec![0; code.len()],
             code,
             consts: Vec::new(),
+            steps: Vec::new(),
             var_names: vec!["a".into()].into(),
             num_regs: 1,
             pretags: Vec::new(),

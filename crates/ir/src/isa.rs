@@ -10,11 +10,12 @@
 //! | `buf(Any \| I64 \| F64)` | a buffer and the element kind it must have ([`Elem`]) |
 //! | `target(Branch \| LoopExit \| LoopBack \| LoopBody)` | a jump target and its [`Edge`] kind |
 //! | `cidx` | a constant-pool index |
+//! | `sidx` | a step-table index, whose [`Step`] states its own operands below |
 //! | `op(class, "complaint")` | an operator that must satisfy `class` ([`is_cmp_op`], [`is_int_arith`], [`is_float_arith`]) |
 //! | `reduce("complaint")` | an optional reduction that must satisfy [`is_arith_reduce`] |
 //! | `guard("complaint")` | an optional comparison-with-immediate filter |
 //! | `lanes` | a kernel op's unroll width |
-//! | `nested` | a [`VBase`] / [`VAcc`] / [`VFill`] / [`VScale`] / [`VRhs`] / [`Step`], which states its own operands below |
+//! | `nested` | a [`VBase`] / [`VAcc`] / [`VFill`] / [`VScale`] / [`VRhs`], which states its own operands below |
 //! | `payload` | anything no analysis looks at (immediates, flags, costs, unconstrained operators) |
 //!
 //! From the table the `isa!` macro derives the enum itself,
@@ -131,6 +132,8 @@ pub(crate) enum Operand<'a, P: Refs> {
     Target(P::Of<'a, u32>, Edge),
     /// An index into the constant pool.
     Const(P::Of<'a, u32>),
+    /// An index into the step table ([`Program::step_of`]).
+    Step(P::Of<'a, u32>),
     /// An operator, the class it must belong to, and what to call it when
     /// it does not.
     Op(BinOp, fn(BinOp) -> bool, &'static str),
@@ -210,6 +213,9 @@ macro_rules! operand {
     };
     ($f:ident, $x:ident, cidx) => {
         $f(Operand::Const($x))
+    };
+    ($f:ident, $x:ident, sidx) => {
+        $f(Operand::Step($x))
     };
     ($f:ident, $x:ident, op($class:ident, $what:literal)) => {
         $f(Operand::Op(*$x, $class, $what))
@@ -1073,15 +1079,15 @@ pub enum Instr {
     /// — or over a lone stepper `p`, whose step `ss = min(s1, stop)` the op
     /// takes where it ends at the stride — execute, in one native loop over
     /// the `i64` lanes, the iterations that are not the loop's last (`ss + 1
-    /// <= stop`) and that the [`Step`] performs: those whose guarded body
+    /// <= stop`) and that the [`Step`] takes: those whose guarded body
     /// does not run, up to the first that matches ([`Step::Skip`]), or every
-    /// one, body and all ([`Step::Reduce`], [`Step::Append`],
-    /// [`Step::Match`]).  Each advances the fingers whose stride ends its
-    /// step; `start` is set, and [`crate::interp::ExecStats`] grow by exactly
-    /// what the scalar iterations count: one loop iteration each, the
-    /// `counts` of every step and of each finger on the steps it ends, and an
-    /// append's `pass` on the steps whose guard passes — or, where both
-    /// fingers end a step, a match's `pass` instead of the fingers'.
+    /// one, body and all ([`Step::Perform`]).  Each advances the fingers
+    /// whose stride ends its step; `start` is set, and
+    /// [`crate::interp::ExecStats`] grow by exactly what the scalar
+    /// iterations count: one loop iteration each, the `counts` of every step
+    /// and of each finger on the steps it ends, and the `pass` of a
+    /// [`Step::Perform`] on the steps its guard selects — in place of the
+    /// fingers' where the guard is [`Guard::Both`], whose steps both end.
     ///
     /// The op stops, with the fingers and `start` as the scalar loop has
     /// them at that iteration's top, in front of the loop's last iteration
@@ -1100,8 +1106,9 @@ pub enum Instr {
         /// The second finger, if there is one: its sorted I64 coordinates,
         /// and a position in them (proven `Int`).
         q: Option<(BufId, Reg)> = nested,
-        /// What the op does with a step.
-        step: Step = nested,
+        /// What the op does with a step: an index into the program's step
+        /// table ([`Program::step_of`]), at an entry no other op shares.
+        step: u32 = sidx,
         /// The loop's `step_start`, set to one past the last performed step.
         start: Reg = reg(ReadWrite),
         /// The loop's inclusive bound (proven `Int`): a register, or the
@@ -1120,13 +1127,16 @@ pub enum Instr {
 /// unnoticed.
 const _: () = assert!(std::mem::size_of::<Instr>() == 112);
 
-/// The step loop op's operands, whose payload is the largest: it must leave
-/// [`Instr`] eight bytes for a tag of its own.  At 112 bytes the tag moves
-/// into a niche of the payload, and every `match` on an instruction pays to
-/// decode it — the VM's dispatch and every pass (measured: `compile_cold`
-/// +6.5 %, `run_merge` +7 %).
+/// The step loop op's operands, whose payload was the largest: it must
+/// leave [`Instr`] eight bytes for a tag of its own.  At 112 bytes the tag
+/// moves into a niche of the payload, and every `match` on an instruction
+/// pays to decode it — the VM's dispatch and every pass (measured:
+/// `compile_cold` +6.5 %, `run_merge` +7 %).  What the op does with a step
+/// — a skip's form, or a guard × product × output — is held out of line in
+/// the program's step table ([`Program::step_of`]) behind a `u32`, so that
+/// a new guard, factor or output costs the instruction nothing.
 const _: () = assert!(
-    std::mem::size_of::<(BufId, Reg, Option<(BufId, Reg)>, Step, Reg, Reg, StepCounts)>() <= 104
+    std::mem::size_of::<(BufId, Reg, Option<(BufId, Reg)>, u32, Reg, Reg, StepCounts)>() <= 104
 );
 
 /// Per-iteration element index shape of a vectorized kernel op: the loop
@@ -1220,127 +1230,106 @@ pub enum Step {
     /// Skip it: two fingers' step that one of them ends alone, whose body
     /// the form's guard keeps from running.  The op stops in front of the
     /// first step whose body runs, which the scalar loop runs; two steppers
-    /// whose matched body is a product get [`Step::Match`] instead, which
-    /// performs it.
+    /// whose matched body is a product get a [`Step::Perform`] under
+    /// [`Guard::Both`] instead, which performs it.
     Skip(MergeForm),
-    /// Perform it, body and all: the body is `acc[k] op= val[p] * second *
-    /// extent`, whose factors are the first finger's value, the [`Gather`]
-    /// (none, a value at a finger, or `x[ss + ofs]`) and — `extent` — the
-    /// step's length `max(ss - start + 1, 0)`.  The op multiplies them in
-    /// that order, as the scalar code does, the extent in `f64` as the
-    /// generic `*` of [`crate::value::Value::binop`] converts it, and with
-    /// the scalar code's wrapping `i64` arithmetic; it folds each body's
-    /// value into a local strictly in order, as the scalar stores do, stores
-    /// `acc[k]` once, and counts one store per step.  A lone stepper's body
-    /// may be guarded by `ss == s1`: its steps end at its stride, which is
-    /// below the bound.  `ofs` is loop-invariant: the op evaluates its terms
-    /// once per dispatch, and does nothing if one of their loads is out of
-    /// bounds.
-    Reduce {
-        /// The first factor: the first finger's F64 values.
-        val: BufId,
-        /// The second factor.
-        gather: Gather,
-        /// Whether the step's extent is the last factor.
-        extent: bool,
-        /// The F64 accumulator, distinct from every source.
-        acc: BufId,
-        /// The accumulator's element (proven `Int`; the loop does not write
-        /// it).
-        k: Reg,
-        /// The reduction operator combining into the accumulator.
-        op: BinOp,
-    },
-    /// Perform it, body and all, on a lone stepper: the body is `if val[p]
-    /// op imm { crd.push(ss) ; vals.push(val[p]) }` — a sparse output's
-    /// append (Fig. S's threshold filter), or without the guard its copy.
-    /// The guard is the scalar [`Instr::FCmpBranchImm`]'s comparison, NaN
-    /// and ±0 alike; the op pushes the step's end and the value as the
-    /// scalar [`Instr::IAppend`] / [`Instr::FAppend`] do, counting a store
-    /// and an allocated element each, and stops in front of a step whose
-    /// pushes the allocation budget would not hold.
-    Append {
-        /// The first finger's F64 values: the guard's operand and the
-        /// pushed value.
-        val: BufId,
-        /// The comparison with a literal a step's value must pass to be
-        /// pushed, if any.
-        guard: Option<(BinOp, f64)>,
-        /// The I64 output the step's end is pushed onto.
-        crd: BufId,
-        /// The F64 output the value is pushed onto.
-        vals: BufId,
-        /// The statements and loads of a step whose guard passes on top of
-        /// every step's `counts`: the code between the guard and its join
-        /// (none without a guard, whose pushes every step counts).  Here
-        /// rather than in [`StepCounts`], so that the instruction's payload
-        /// leaves [`Instr`] room for a tag of its own.
-        pass: [u32; 2],
-    },
-    /// Perform it, body and all, on two steppers under a `min` leader
-    /// ([`MergeForm::Steps`]'s loop), whose body runs only where both
-    /// strides end the step: a step one finger ends alone is skipped, as
-    /// [`Step::Skip`] skips it, and a step both end (`s1 == s2`) — a match —
-    /// runs the body, whose product is `[lead *] val[p] * x[q]`, multiplied
-    /// in the scalar code's order, `(lead * val[p]) * x[q]`, and put where
-    /// `out` says (Fig. 7's two-finger SpMSpV and Fig. 8's triangle count
-    /// reduce, the sparse-output product appends).  `lead` is
-    /// loop-invariant: the op reads it once per dispatch, and does nothing
-    /// if it is out of bounds.  The op stops in front of a match whose loads
-    /// would fault.
-    Match {
-        /// The first finger's F64 values.
-        val: BufId,
-        /// The second finger's F64 values.
-        x: BufId,
-        /// The first factor `lead[at]`, if there is one: an F64 buffer and
-        /// a register the loop does not write.
-        lead: Option<(BufId, Reg)>,
-        /// Where the product goes.
-        out: MatchOut,
-        /// The statements and loads of a match, counted in place of the
-        /// fingers' `counts` (a match is ended by both): the whole step's.
-        /// Here rather than in [`StepCounts`], as [`Step::Append`]'s is.
+    /// Perform it, body and all: on a step the [`Guard`] selects, form the
+    /// [`Product`] and put it where the [`Out`] says; on another, do nothing
+    /// but advance.  The op stops in front of a step whose loads would
+    /// fault.  Which guard × product × output combinations exist is
+    /// `opt::merge_skip::supported`'s to say: a reduction on every step (any
+    /// second factor, the extent or not), a lone stepper's append on every
+    /// step or under a comparison, and a match's reduction or append of a
+    /// value at each finger, led or not.
+    Perform {
+        /// Which steps run the body.
+        guard: Guard,
+        /// What the body forms.
+        product: Product,
+        /// Where it goes.
+        out: Out,
+        /// The statements and loads of a step the guard selects on top of
+        /// every step's `counts`: the code between a comparison and its join
+        /// (none for [`Guard::Every`], whose body every step counts) — or,
+        /// for [`Guard::Both`], counted in place of the fingers' `counts` (a
+        /// match is ended by both): the whole step's.  Here rather than in
+        /// [`StepCounts`], so that the instruction's payload leaves [`Instr`]
+        /// room for a tag of its own.
         pass: [u32; 2],
     },
 }
 
 walks!(Step, |step, f| match step {
     Step::Skip(form) => Walk::walk(form, &mut *f),
-    Step::Reduce { val, gather, acc, k, op, .. } => {
-        f(Operand::Buf(val, Elem::F64));
-        Walk::walk(gather, &mut *f);
-        f(Operand::Buf(acc, Elem::F64));
-        f(Operand::Reg(k, Role::Read));
-        f(Operand::Op(*op, is_float_arith, "unsupported step loop reduce op"));
-    }
-    Step::Append { val, guard, crd, vals, .. } => {
-        f(Operand::Buf(val, Elem::F64));
-        if let Some((op, _)) = guard {
-            f(Operand::Op(*op, is_cmp_op, "non-comparison step loop guard op"));
-        }
-        f(Operand::Buf(crd, Elem::I64));
-        f(Operand::Buf(vals, Elem::F64));
-    }
-    Step::Match { val, x, lead, out, .. } => {
-        f(Operand::Buf(val, Elem::F64));
-        f(Operand::Buf(x, Elem::F64));
-        if let Some((buf, at)) = lead {
-            f(Operand::Buf(buf, Elem::F64));
-            f(Operand::Reg(at, Role::Read));
-        }
+    Step::Perform { guard, product, out, .. } => {
+        Walk::walk(guard, &mut *f);
+        Walk::walk(product, &mut *f);
         Walk::walk(out, &mut *f);
     }
 });
 
-/// Where a [`Step::Match`] puts a matched step's product.
+/// Which steps a [`Step::Perform`] runs its body on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatchOut {
-    /// `acc[k] op= product`: the op folds the products into a local strictly
-    /// in order, as the scalar stores do, stores `acc[k]` once, and counts
-    /// one store per match.  `k` is read once per dispatch; if it is out of
-    /// bounds, the op does nothing.
-    Reduce {
+pub enum Guard {
+    /// Every step: the body is unguarded (Fig. 11's run × run loop) or, on a
+    /// lone stepper, guarded by `ss == s1`, which every step the op takes
+    /// passes — it ends at the stride, which is below the bound (Fig. 1's
+    /// list × band).
+    Every,
+    /// A lone stepper's steps whose value passes `val[p] op imm` (Fig. S's
+    /// threshold filter): the scalar [`Instr::FCmpBranchImm`]'s comparison,
+    /// NaN and ±0 alike.
+    Cmp(BinOp, f64),
+    /// Two steppers' steps under a `min` leader ([`MergeForm::Steps`]'s
+    /// loop) that both strides end (`s1 == s2`) — a match.  A step one
+    /// finger ends alone is skipped, as [`Step::Skip`] skips it (Fig. 7's
+    /// two-finger SpMSpV and Fig. 8's triangle count reduce, the
+    /// sparse-output product appends).
+    Both,
+}
+
+walks!(Guard, |guard, f| if let Guard::Cmp(op, _) = guard {
+    f(Operand::Op(*op, is_cmp_op, "non-comparison step loop guard op"));
+});
+
+/// What the body of a [`Step::Perform`] forms: `[lead *] val[p] * second [*
+/// extent]`, multiplied in that order, as the scalar code does — the extent
+/// in `f64` as the generic `*` of [`crate::value::Value::binop`] converts
+/// it, with the scalar code's wrapping `i64` arithmetic.  The loop-invariant
+/// operands (the lead, a gather's terms) are read once per dispatch; if one
+/// of their loads is out of bounds, the op does nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Product {
+    /// The first factor `lead[at]`, if there is one: an F64 buffer and a
+    /// register the loop does not write.
+    pub lead: Option<(BufId, Reg)>,
+    /// The first finger's F64 values (the guard's operand).
+    pub val: BufId,
+    /// The second factor.
+    pub second: Gather,
+    /// Whether the step's extent `max(ss - start + 1, 0)` is the last
+    /// factor.
+    pub extent: bool,
+}
+
+walks!(Product, |product, f| {
+    let Product { lead, val, second, .. } = product;
+    if let Some((buf, at)) = lead {
+        f(Operand::Buf(buf, Elem::F64));
+        f(Operand::Reg(at, Role::Read));
+    }
+    f(Operand::Buf(val, Elem::F64));
+    Walk::walk(second, &mut *f);
+});
+
+/// Where a [`Step::Perform`] puts the product of a step its guard selects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Out {
+    /// `acc[k] op= product`: the op folds the products into a local
+    /// strictly in order, as the scalar stores do, stores `acc[k]` once if a
+    /// step was selected, and counts one store per selected step.  `k` is
+    /// read once per dispatch; if it is out of bounds, the op does nothing.
+    Fold {
         /// The F64 accumulator, distinct from every source.
         acc: BufId,
         /// The accumulator's element (proven `Int`; the loop does not write
@@ -1352,8 +1341,8 @@ pub enum MatchOut {
     /// `crd.push(ss) ; vals.push(product)`: a sparse output's append, each
     /// push counting a store and an allocated element as the scalar
     /// [`Instr::IAppend`] / [`Instr::FAppend`] do.  The op stops in front of
-    /// a match whose pushes the allocation budget would not hold.
-    Append {
+    /// a step whose pushes the allocation budget would not hold.
+    Push {
         /// The I64 output the step's end is pushed onto.
         crd: BufId,
         /// The F64 output the product is pushed onto.
@@ -1361,13 +1350,13 @@ pub enum MatchOut {
     },
 }
 
-walks!(MatchOut, |out, f| match out {
-    MatchOut::Reduce { acc, k, op } => {
+walks!(Out, |out, f| match out {
+    Out::Fold { acc, k, op } => {
         f(Operand::Buf(acc, Elem::F64));
         f(Operand::Reg(k, Role::Read));
         f(Operand::Op(*op, is_float_arith, "unsupported step loop reduce op"));
     }
-    MatchOut::Append { crd, vals } => {
+    Out::Push { crd, vals } => {
         f(Operand::Buf(crd, Elem::I64));
         f(Operand::Buf(vals, Elem::F64));
     }
@@ -1393,8 +1382,8 @@ pub struct StepCounts {
 pub enum MergeForm {
     /// Two steppers: the step ends at the earlier stride, the trailer reads
     /// nothing, and a step is skipped where the strides differ.  A match —
-    /// equal strides — stops the skip, unless its body is one that
-    /// [`Step::Match`] performs.
+    /// equal strides — stops the skip, unless its body is one that a
+    /// [`Step::Perform`] under [`Guard::Both`] performs.
     Steps,
     /// VBL (Fig. 3b): `a`'s stride is a block's last coordinate, the block
     /// is `len = ofs[p + 1] - ofs[p]` coordinates long, and a match is `s1 -
@@ -1438,10 +1427,10 @@ walks!(MergeForm, |form, f| match form {
     }
 });
 
-/// The second factor of a [`Step::Reduce`]'s body.
+/// The second factor of a [`Product`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gather {
-    /// None: the body is `acc[k] op= val[p]` (times the extent).
+    /// None: the product is `[lead *] val[p]` (times the extent).
     None,
     /// `x[at]`, a value at a finger: `at` is `p` or the second finger.
     At {
@@ -1598,21 +1587,6 @@ impl Instr {
         Walk::walk(self, &mut f)
     }
 
-    /// [`Instr::operands`] for a check that can fail: stop at, and return,
-    /// the first operand's error.
-    pub(crate) fn try_operands<'a, E>(
-        &'a self,
-        mut check: impl FnMut(Operand<'a, Shared>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut verdict = Ok(());
-        self.operands(|o| {
-            if verdict.is_ok() {
-                verdict = check(o);
-            }
-        });
-        verdict
-    }
-
     /// The register this instruction writes, if any.  No opcode the passes
     /// before `forward` see writes two; [`Instr::IForNext`], which steps its
     /// counter and publishes its variable, answers with the variable —
@@ -1697,6 +1671,18 @@ pub(crate) fn for_each_reg_role(instr: &Instr, mut f: impl FnMut(Reg, Role)) {
             f(*r, role);
         }
     })
+}
+
+/// The buffers and the registers among the operands of `walk`, in field
+/// order: what a step-table entry, or a part of one, reads or writes.
+pub(crate) fn operand_ids<'a>(walk: impl Walk<'a, Shared>) -> (Vec<BufId>, Vec<Reg>) {
+    let (mut bufs, mut regs) = (Vec::new(), Vec::new());
+    walk.walk(&mut |o| match o {
+        Operand::Buf(&buf, _) => bufs.push(buf),
+        Operand::Reg(&reg, _) => regs.push(reg),
+        _ => {}
+    });
+    (bufs, regs)
 }
 
 /// Visit every register operand mutably together with its [`Role`]: the
@@ -1841,22 +1827,33 @@ pub(crate) fn samples() -> Vec<Instr> {
             a: b(0),
             p: r(0),
             q: Some((b(1), r(6))),
-            step: Step::Reduce {
-                val: b(2),
-                gather: Gather::Load {
-                    x: b(3),
-                    ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
-                },
-                extent: true,
-                acc: b(4),
-                k: r(1),
-                op: Add,
-            },
+            step: 0,
             start: r(2),
             stop: r(3),
             counts: StepCounts { stmts: [7, 1, 2], loads: [5, 0, 0] },
         },
     ]
+}
+
+/// The step-table entry of the [`Instr::IStepLoop`] sample: a reduction on
+/// every step, whose operands are distinct from the op's.
+#[cfg(test)]
+pub(crate) fn sample_step() -> Step {
+    let (r, b) = (Reg, BufId);
+    Step::Perform {
+        guard: Guard::Every,
+        product: Product {
+            lead: None,
+            val: b(2),
+            second: Gather::Load {
+                x: b(3),
+                ofs: [Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) }],
+            },
+            extent: true,
+        },
+        out: Out::Fold { acc: b(4), k: r(1), op: BinOp::Add },
+        pass: [0, 0],
+    }
 }
 
 #[cfg(test)]
@@ -1930,15 +1927,35 @@ mod tests {
                 (vec![head, sample, Instr::ForStep { counter: r(5), test: 0 }], 1)
             }
         };
+        let steps = matches!(sample, Instr::IStepLoop { .. }).then(sample_step).into_iter();
         let program = Program {
             stmt_bump: vec![0; code.len()],
             code,
             consts: vec![Value::Int(1)],
+            steps: steps.collect(),
             var_names: vec!["a".into(), "b".into()].into(),
             num_regs: NUM_REGS,
             pretags: Vec::new(),
         };
         (program, pc)
+    }
+
+    /// Call `f` on every operand of `program.code[pc]` and of its step-table
+    /// entry, by `&mut`.
+    fn operands_at_mut<'a>(
+        program: &'a mut Program,
+        pc: usize,
+        mut f: impl FnMut(Operand<'a, Unique>),
+    ) {
+        let Program { code, steps, .. } = program;
+        let entry = match code[pc] {
+            Instr::IStepLoop { step, .. } => steps.get_mut(step as usize),
+            _ => None,
+        };
+        code[pc].operands_mut(&mut f);
+        if let Some(entry) = entry {
+            Walk::walk(entry, &mut f);
+        }
     }
 
     /// One operand flattened to text, so that a walk by `&` and a walk by
@@ -1949,6 +1966,7 @@ mod tests {
             Operand::Buf(b, elem) => format!("b{} {elem:?}", b.index()),
             Operand::Target(t, edge) => format!("-> {} {edge:?}", **t),
             Operand::Const(c) => format!("const #{}", **c),
+            Operand::Step(c) => format!("step #{}", **c),
             Operand::Op(op, _, what) => format!("{op:?}, else {what}"),
             Operand::Lanes(n) => format!("x{n}"),
             Operand::Stride(n) => format!("stride {n}"),
@@ -1977,10 +1995,13 @@ mod tests {
             // Distinct operands are what make the order checks below mean
             // something.
             let (mut regs, mut bufs) = (Vec::new(), Vec::new());
-            sample.operands(|o| match o {
-                Operand::Reg(r, _) => regs.push(*r),
-                Operand::Buf(b, ..) => bufs.push(*b),
-                _ => {}
+            let _ = program.try_operands_at(pc, |o| {
+                match o {
+                    Operand::Reg(r, _) => regs.push(*r),
+                    Operand::Buf(b, ..) => bufs.push(*b),
+                    _ => {}
+                }
+                Ok::<_, ()>(())
             });
             for (k, r) in regs.iter().enumerate() {
                 assert!(!regs[..k].contains(r), "{} names {r} twice", sample.opcode());
@@ -2007,7 +2028,9 @@ mod tests {
                     match o {
                         Operand::Reg(r, _) => r.0 = (r.0 as i64 + by) as u32,
                         Operand::Buf(b, ..) => b.0 = (b.0 as i64 + by) as u32,
-                        Operand::Target(t, _) | Operand::Const(t) => *t = (*t as i64 + by) as u32,
+                        Operand::Target(t, _) | Operand::Const(t) | Operand::Step(t) => {
+                            *t = (*t as i64 + by) as u32
+                        }
                         _ => touched -= 1,
                     }
                 });
@@ -2029,10 +2052,16 @@ mod tests {
         let bufs = buffers();
         let mut corrupted = 0;
         for sample in samples() {
-            for k in 0..shapes(&sample).len() {
+            let (program, pc) = around(sample);
+            let mut operands = 0;
+            let _ = program.try_operands_at(pc, |_| {
+                operands += 1;
+                Ok::<_, ()>(())
+            });
+            for k in 0..operands {
                 let (mut program, pc) = around(sample);
                 let (mut at, mut expect) = (0, None);
-                program.code[pc].operands_mut(|o| {
+                operands_at_mut(&mut program, pc, |o| {
                     if at == k {
                         expect = corrupt(o);
                     }
@@ -2072,6 +2101,10 @@ mod tests {
             Operand::Const(c) => {
                 *c = 5;
                 Some("outside the pool")
+            }
+            Operand::Step(c) => {
+                *c = 5;
+                Some("outside the table")
             }
             _ => None,
         });

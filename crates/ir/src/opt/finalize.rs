@@ -95,6 +95,7 @@ pub fn finalize(p: &Program) -> Program {
         code,
         stmt_bump,
         consts: p.consts.clone(),
+        steps: p.steps.clone(),
         var_names: p.var_names.clone(),
         num_regs: p.num_regs,
         pretags: p.pretags.clone(),

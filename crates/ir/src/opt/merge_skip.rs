@@ -1,5 +1,5 @@
-//! Run-ahead selection for the step loop: the two-finger merge, and the
-//! step loop's reduction and append.
+//! Run-ahead selection for the step loop: the two-finger merge's skip, and
+//! the performed step — a guard × product × output.
 //!
 //! Lowering coiterates two fingers with one step loop (paper §6.1), which
 //! reaches this pass, typed and through `forward`, as
@@ -57,42 +57,44 @@
 //! the op from the iterations it performs, and the pass runs under
 //! [`super::StatsContract::Exact`].
 //!
-//! Two steppers' matches need not stop the op either.  Once both walks have
-//! found [`MergeForm::Steps`], one matched iteration — both strides the
-//! step's end — is walked as a performed step is (`performed`, below): where
-//! its body is `acc[k] op= [lead *] a_val[p] * b_val[q]` (Fig. 7's two-finger
-//! SpMSpV; Fig. 8's triangle count, whose lead `A[i, j]` is a load at a
-//! register the loop does not write) or `crd.push(ss) ; vals.push(a_val[p] *
-//! b_val[q])` (the sparse-output product), the op performs the matches too
-//! ([`Step::Match`]), and the scalar loop runs only the loop's last step.
-//! What the match walk counts is the op's `pass`; the skip walks' counts
-//! are its counts.  Any other matched body — a store at the step's end (a
-//! dense output), a factor of another shape — keeps the skip, as do the
-//! block and jumper forms.
+//! A loop whose body runs on steps the op can tell apart need not stop it
+//! at all: the op performs them too ([`Step::Perform`]), and the scalar
+//! loop runs only the loop's last step.  One such step is walked from the
+//! top of the body to the bottom test (`performed`, below), and what it
+//! does is three choices:
+//! - the guard ([`Guard`]) — which steps run the body: every step (on
+//!   Fig. 1's list × band, a lone stepper, every step but the last runs
+//!   it; on Fig. 11's run-length images, two steppers whose runs' product
+//!   is a run, every step does); a lone stepper's `val[p] op imm`, whose
+//!   false edge lands on the join in front of the finger's advance (Fig.
+//!   S's threshold filter); or, once both skip walks have found
+//!   [`MergeForm::Steps`], a matched step, both strides the step's end
+//!   (Fig. 7's two-finger SpMSpV, Fig. 8's triangle count, the
+//!   sparse-output product);
+//! - the product ([`Product`]) — `[lead *] val[p] * second [* extent]`:
+//!   the second factor none, a value at a finger (`b[q]`, or `val[p]` again
+//!   for a row norm) or a gather `x[ss + ofs]`, the extent
+//!   `max(ss - start + 1, 0)` or none, and a match's lead `A[i, j]`, with
+//!   the lead, the terms of `ofs` and an accumulator's `k` loads and
+//!   registers the loop does not write;
+//! - the output ([`Out`]) — a reduction `acc[k] op= product`, or a sparse
+//!   output's append `crd.push(ss) ; vals.push(product)`.
 //!
-//! A loop whose body runs on every step has nothing to skip: on Fig. 1's
-//! list × band, a lone stepper, every step but the last runs the body; on
-//! Fig. 11's run-length images, two steppers whose runs' product is a run,
-//! every step does.  Where that body is a reduction — `acc[k] op= val[p] *
-//! second * extent`, the second factor none, a value at a finger (`b[q]`, or
-//! `val[p]` again for a row norm) or a gather `x[ss + ofs]`, the extent
-//! `max(ss - start + 1, 0)` or none, with `k` and the terms of `ofs` loads
-//! and registers the loop does not write — the pass places the same op in
-//! the same place, which performs every step but the last, body and all
-//! ([`Step::Reduce`]; `performed`).  One such step is walked from the top
-//! of the body to the bottom test, as above; its statements and loads are
-//! the op's counts for every step, and the statements of each finger's
-//! advance its counts for the steps the finger's stride ends.  Where a lone
-//! stepper's body is a sparse output's append — `crd.push(ss) ;
-//! vals.push(val[p])`, optionally under a guard `val[p] op imm` whose false
-//! edge lands on the join in front of the finger's advance (Fig. S's
-//! threshold filter) — the same walk places the op appending
-//! ([`Step::Append`]): the code between the guard and its join is the count
-//! of a step that passes, on top of every step's.  A lone stepper with a
-//! store at a varying index, a guarded reduction or any other factor is
-//! declined as [`MergeDecline::SingleFinger`]; two fingers whose body is no
-//! such reduction as the walks' reason, [`MergeDecline::NotGuardedByBoth`]
-//! for a body that is not guarded.
+//! Which combinations exist is one predicate's to say (`supported`): a
+//! reduction on every step, any product but a lead; a lone stepper's value
+//! pushed on every step or under its comparison; a match's
+//! `[lead *] val[p] * x[q]`, reduced or pushed.  The walked step's statements and loads are
+//! the op's counts for every step, the statements of each finger's advance
+//! its counts for the steps the finger's stride ends, and the code between a
+//! comparison and its join the `pass` of a step that passes it; a matched
+//! step's whole counts are its `pass`, and the skip walks' counts the op's.
+//! Any other matched body — a store at the step's end (a dense output), a
+//! factor of another shape — keeps the skip, as do the block and jumper
+//! forms.  A lone stepper with a store at a varying index, a guarded
+//! reduction or any other factor is declined as
+//! [`MergeDecline::SingleFinger`]; two fingers whose body is no such step as
+//! the walks' reason, [`MergeDecline::NotGuardedByBoth`] for a body that is
+//! not guarded.
 //!
 //! Both walks end in one constructor (`step_loop_op`), which checks what
 //! the scalar loop could otherwise tell apart: that only the bottom test
@@ -106,8 +108,8 @@ use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, holds_literal, splice_before, Gather, Instr, MatchOut,
-    MergeForm, Program, Reg, Role, Step, StepCounts, Term, NO_EDGE,
+    edge_table, for_each_reg_role, holds_literal, operand_ids, splice_before, Gather, Guard, Instr,
+    MergeForm, Out, Product, Program, Reg, Role, Step, StepCounts, Term, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -137,7 +139,8 @@ pub enum MergeDecline {
     /// is no reduction the op performs on every step either: an unguarded
     /// body that fills or appends (Fig. 10's run-length blend), or whose
     /// product has another factor.  (A body both fingers guard gets the op:
-    /// the skip, or [`Step::Match`] where the op performs the body too.)
+    /// the skip, or a [`Step::Perform`] under [`Guard::Both`] where the op
+    /// performs the body too.)
     NotGuardedByBoth,
     /// A finger does not advance by one position where its stride ends the
     /// step, or the next step does not start one past this one.
@@ -179,16 +182,17 @@ impl MergeDecline {
 /// tests the loop is recognised by, and in front of `finalize`: every
 /// statement is still an explicit [`Instr::BumpStmt`].
 pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
-    let mut inserts = Vec::new();
+    let (mut inserts, mut steps) = (Vec::new(), p.steps.clone());
     // Every instruction's jump target, read once the first loop needs them.
     let edges = OnceCell::new();
     for (head, instr) in p.code.iter().enumerate() {
         if !matches!(instr, Instr::IWhileCmp { .. } | Instr::IWhileCmpImm { .. }) {
             continue;
         }
-        match recognise(&p.code, &edges, head) {
-            Ok(op) => {
+        match recognise(&p.code, &edges, head, steps.len() as u32) {
+            Ok((op, step)) => {
                 stats.merge_skips += 1;
+                steps.push(step);
                 inserts.push((head + 1, op));
             }
             Err(why) => stats.merge_declined[why as usize] += 1,
@@ -198,7 +202,9 @@ pub fn merge_skip(p: &Program, stats: &mut OptStats) -> Program {
         return p.clone();
     }
     // The bottom test's jump to the body's first instruction lands on the op.
-    p.with_code(splice_before(&p.code, &inserts, true))
+    let mut out = p.with_code(splice_before(&p.code, &inserts, true));
+    out.steps = steps;
+    out
 }
 
 /// A step loop `while start <= stop`: its head, its bottom test, and the
@@ -211,6 +217,8 @@ struct StepLoop {
     start: Reg,
     stop: Reg,
     bound: Option<i64>,
+    /// The step-table entry the loop's op names.
+    entry: u32,
 }
 
 impl StepLoop {
@@ -225,7 +233,7 @@ impl StepLoop {
         let Instr::IWhileNext { op: BinOp::Le, lhs, rhs, body } = code[bottom] else { return None };
         let closes = lhs == start && body as usize == head + 1 && stop.is_none_or(|s| s == rhs);
         let pinned = bound.is_none_or(|imm| holds_literal(code, rhs, imm));
-        (closes && pinned).then_some(StepLoop { head, bottom, start, stop: rhs, bound })
+        (closes && pinned).then_some(StepLoop { head, bottom, start, stop: rhs, bound, entry: 0 })
     }
 
     /// Whether `imm` is the bound, as the step's clip `min(t, imm)` inlines it.
@@ -234,7 +242,8 @@ impl StepLoop {
     }
 }
 
-/// The op for the loop headed at `head`, or why it gets none: the head and
+/// The op for the loop headed at `head`, naming `entry` of the step table,
+/// and what goes there, or why it gets none: the head and
 /// the two stride loads read off the code, the leader off the first
 /// [`Instr::IArith`], and the rest off the two walks ([`walk`]) — or, where
 /// there is one stride load or the body runs on every step, off the walk of
@@ -244,9 +253,10 @@ fn recognise(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
     head: usize,
-) -> Result<Instr, MergeDecline> {
+    entry: u32,
+) -> Result<(Instr, Step), MergeDecline> {
     use MergeDecline::*;
-    let lp = StepLoop::at(code, head).ok_or(NotAStepLoop)?;
+    let lp = StepLoop { entry, ..StepLoop::at(code, head).ok_or(NotAStepLoop)? };
     let StepLoop { bottom, start, stop, .. } = lp;
     let mut top =
         code[head + 1..bottom].iter().filter(|i| !matches!(i, Instr::Nop | Instr::BumpStmt));
@@ -334,7 +344,7 @@ struct Skipping<'a> {
 }
 
 /// The op over `fingers` (a list and a position each) that takes the steps
-/// of the loop `lp` as `step` says, counting `counts` — where the scalar
+/// of the loop `lp` as `step` says, and `step`, counting `counts` — where the scalar
 /// loop cannot tell it from the steps it takes — or `None`.  The fingers,
 /// the start and the bound are distinct registers; only the bottom test
 /// lands on the top of the body; and no register a taken step writes but
@@ -351,8 +361,8 @@ fn step_loop_op(
     step: Step,
     counts: StepCounts,
     mut written: Vec<Reg>,
-) -> Option<Instr> {
-    let StepLoop { head, bottom, start, stop, .. } = lp;
+) -> Option<(Instr, Step)> {
+    let StepLoop { head, bottom, start, stop, entry, .. } = lp;
     let mut regs: Vec<Reg> = fingers.iter().map(|&(_, r)| r).chain([start, stop]).collect();
     if (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
         return None;
@@ -370,7 +380,8 @@ fn step_loop_op(
         return None;
     }
     let (&(a, p), second) = fingers.split_first()?;
-    Some(Instr::IStepLoop { a, p, q: second.first().copied(), step, start, stop, counts })
+    let q = second.first().copied();
+    Some((Instr::IStepLoop { a, p, q, step: entry, start, stop, counts }, step))
 }
 
 /// What a register holds on an iteration the op performs: the
@@ -378,12 +389,12 @@ fn step_loop_op(
 /// one of two fingers' strides, and the earlier of the two; the step's end
 /// `ss` — a lone finger's stride, which is below the bound; `ss + 1`;
 /// `ss - start`, one more, and that at least zero: the extent; a loop
-/// invariant, the sum of its terms; `ss` plus such a sum; a value at a
-/// finger; that times the second factor; and either times the extent.  A
-/// register an append's guarded code wrote holds a value only the steps
-/// that pass know.  On a matched step: an F64 load at a register the loop
-/// does not write, the lead; the lead times a value at a finger, and that
-/// times the second factor.
+/// invariant, the sum of its terms; `ss` plus such a sum; a product formed
+/// from a value at a finger (and that finger): the value, times the second
+/// factor, and either times the extent.  A register an append's guarded
+/// code wrote holds a value only the steps that pass know.  On a matched
+/// step: an F64 load at a register the loop does not write, the lead, and
+/// the product the lead begins.
 #[derive(Clone, Copy, PartialEq)]
 enum Gv {
     Stop,
@@ -399,13 +410,14 @@ enum Gv {
     Extent,
     Inv([Term; 2]),
     Idx([Term; 2]),
-    Val(BufId, usize),
-    Prod(BufId, usize, Gather),
-    Scaled(BufId, usize, Gather),
+    Formed(Product, usize),
     Passed,
     Fixed,
-    Led(BufId, usize),
-    LedProd(BufId, usize, Gather),
+}
+
+/// The product that is a value at a finger, alone.
+fn value(val: BufId) -> Product {
+    Product { lead: None, val, second: Gather::None, extent: false }
 }
 
 /// No term.
@@ -427,31 +439,32 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
 /// `fingers` (a list and a position each), whose body begins by loading
 /// their strides, or `None`.  One iteration that is not the loop's last is
 /// walked from the top of the body to the bottom test: it must run the body
-/// `acc[k] op= val[p] * second * extent` — the second factor none, a value
-/// at a finger or `x[ss + ofs]`, the extent `max(ss - start + 1, 0)` or none
-/// — where `k` and the terms of `ofs` are loads and registers the loop does
-/// not write ([`Step::Reduce`]), or, on a lone finger, `crd.push(ss) ;
-/// vals.push(val[p])`, optionally under a guard `val[p] op imm` whose false
-/// edge lands on the join behind the pushes ([`Step::Append`]); advance each
-/// finger by one where its stride ends the step (a lone finger's always
-/// does); set `start` to `ss + 1`; and do nothing else.  The loop may write
-/// the fingers and `start` nowhere else.  Its statements and loads, the
-/// statements of two fingers' advances, and what the guarded code counts
-/// are the op's counts.
+/// — put a [`Product`] `[lead *] val[p] * second [* extent]` (the second
+/// factor none, a value at a finger or `x[ss + ofs]`, the extent `max(ss -
+/// start + 1, 0)` or none, the lead, `k` and the terms of `ofs` loads and
+/// registers the loop does not write) where an [`Out`] says, `acc[k] op=
+/// product` or `crd.push(ss) ; vals.push(product)`, on a lone finger
+/// optionally under a guard `val[p] op imm` whose false edge lands on the
+/// join behind the pushes; advance each finger by one where its stride ends
+/// the step (a lone finger's always does); set `start` to `ss + 1`; and do
+/// nothing else.  The loop may write the fingers and `start` nowhere else.
+/// Its statements and loads, the statements of two fingers' advances, and
+/// what the guarded code counts are the op's counts.  The guard × product ×
+/// output must be one that [`supported`] says exists.
 ///
 /// With `skipping` (two steppers whose skip walks found [`MergeForm::Steps`])
 /// the iteration walked is a matched one, on which both strides are the
-/// step's end: its body must be `acc[k] op= [lead *] val[p] * x[q]` or
-/// `crd.push(ss) ; vals.push([lead *] val[p] * x[q])`, `lead` an F64 load at
-/// a register the loop does not write ([`Step::Match`]).  Its statements and
-/// loads are the match's `pass`; the skip walks' counts are the op's.
+/// step's end ([`Guard::Both`]): its product is a value at each finger,
+/// `lead` (if any) an F64 load at a register the loop does not write.  Its
+/// statements and loads are the match's `pass`; the skip walks' counts are
+/// the op's.
 fn performed(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
     lp: StepLoop,
     fingers: &[(BufId, Reg)],
     skipping: Option<Skipping<'_>>,
-) -> Option<Instr> {
+) -> Option<(Instr, Step)> {
     use Gv::*;
     let StepLoop { head, bottom, start, stop, .. } = lp;
     let two = fingers.len() == 2;
@@ -522,8 +535,8 @@ fn performed(
             Instr::FCmpBranchImm { op, lhs, imm, target }
                 if !two && guard.is_none() && crd.is_none() && target as usize >= pc =>
             {
-                let Val(values, 0) = val(&vals, lhs)? else { return None };
-                guard = Some((values, op, imm));
+                let Formed(read, 0) = val(&vals, lhs)? else { return None };
+                guard = Some((read, op, imm));
                 open = Some((target as usize, vals.len()));
                 continue;
             }
@@ -569,7 +582,7 @@ fn performed(
             Instr::LoadF64 { dst, buf, idx } => {
                 loads[at] += 1;
                 match val(&vals, idx) {
-                    Some(Pos(k)) => (dst, Val(buf, k)),
+                    Some(Pos(k)) => (dst, Formed(value(buf), k)),
                     None if matched && lead.is_none() && invariant(idx) => {
                         lead = Some((buf, idx));
                         (dst, Fixed)
@@ -620,9 +633,7 @@ fn performed(
             }
             // A typed move moves integers.
             Instr::IMov { dst, src } => match val(&vals, src)? {
-                Val(..) | Prod(..) | Scaled(..) | Passed | Fixed | Led(..) | LedProd(..) => {
-                    return None
-                }
+                Formed(..) | Passed | Fixed => return None,
                 held => (dst, held),
             },
             Instr::FMulLoad { dst, lhs, buf, idx } => {
@@ -634,17 +645,19 @@ fn performed(
                     _ => None,
                 };
                 match (val(&vals, lhs)?, val(&vals, idx)?) {
-                    (Fixed, Pos(k)) => (dst, Led(buf, k)),
-                    (Led(values, k), at) => (dst, LedProd(values, k, second(at)?)),
-                    (Val(values, k), at) => (dst, Prod(values, k, second(at)?)),
+                    (Fixed, Pos(k)) => (dst, Formed(Product { lead, ..value(buf) }, k)),
+                    (Formed(formed, k), at) if formed.second == Gather::None && !formed.extent => {
+                        (dst, Formed(Product { second: second(at)?, ..formed }, k))
+                    }
                     _ => return None,
                 }
             }
             // `Value::binop`'s `f64 * i64`, which the op reproduces.
             Instr::Binary { op: BinOp::Mul, dst, lhs, rhs } => {
                 match (val(&vals, lhs)?, val(&vals, rhs)?) {
-                    (Val(values, k), Extent) => (dst, Scaled(values, k, Gather::None)),
-                    (Prod(values, k, second), Extent) => (dst, Scaled(values, k, second)),
+                    (Formed(formed, k), Extent) if formed.lead.is_none() && !formed.extent => {
+                        (dst, Formed(Product { extent: true, ..formed }, k))
+                    }
                     _ => return None,
                 }
             }
@@ -664,87 +677,22 @@ fn performed(
     }
     let mut written: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
     let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
-    if let Some(Skipping { mut counts, written: skipped }) = skipping {
-        // `[lead *] val[k] * x[j]`, `j` the other finger.
-        let (values, k, x) = match (lead, stored.map(|s| s.3).or(pushed.map(|p| p.1))?) {
-            (None, Prod(values, k, Gather::At { x, at })) if at != fingers[k].1 => (values, k, x),
-            (Some(_), LedProd(values, k, Gather::At { x, at })) if at != fingers[k].1 => {
-                (values, k, x)
-            }
-            _ => return None,
-        };
-        let out = match (stored, crd, pushed) {
-            (Some((acc, k, op, _)), None, None) => MatchOut::Reduce { acc, k, op },
-            (None, Some(crd), Some((vals, _))) => MatchOut::Append { crd, vals },
-            _ => return None,
-        };
-        // Nothing the op reads is a buffer it writes.
-        let sources = [fingers[0].0, fingers[1].0, values, x, lead.map_or(values, |(buf, _)| buf)];
-        let outs = match out {
-            MatchOut::Reduce { acc, .. } => [acc, acc],
-            MatchOut::Append { crd, vals } if crd != vals => [crd, vals],
-            MatchOut::Append { .. } => return None,
-        };
-        if outs.iter().any(|buf| sources.contains(buf)) {
-            return None;
-        }
-        let pass = [stmts[0] + advances[0] + advances[1], loads[0]];
-        let step = crate::bytecode::Step::Match { val: values, x, lead, out, pass };
-        // The op's `p` is the finger of the first factor.
-        let mut fingers = fingers.to_vec();
-        if k == 1 {
-            fingers.swap(0, 1);
-            counts.stmts.swap(1, 2);
-            counts.loads.swap(1, 2);
-        }
-        written.extend_from_slice(skipped);
-        return step_loop_op(code, edges, lp, &fingers, step, counts, written);
-    }
-    let counts = |[by_p, by_q]: [u32; 2]| StepCounts {
-        stmts: [stmts[0], by_p, by_q],
-        loads: [loads[0], 0, 0],
-    };
-    if let (Some(crd), Some((vals, Val(values, 0)))) = (crd, pushed) {
-        // One buffer the guard reads and the op pushes from, none written.
-        let guard = match guard {
-            Some((read, op, imm)) if read == values => Some((op, imm)),
-            Some(_) => return None,
-            None => None,
-        };
-        let bufs = [fingers[0].0, values, crd, vals];
-        if stored.is_some() || (1..bufs.len()).any(|k| bufs[..k].contains(&bufs[k])) {
-            return None;
-        }
-        let pass = [stmts[1], loads[1]];
-        let step = crate::bytecode::Step::Append { val: values, guard, crd, vals, pass };
-        return step_loop_op(code, edges, lp, fingers, step, counts(advances), written);
-    }
-    let (acc, k, op, stored) = stored?;
-    let (values, first, gather, extent) = match stored {
-        Val(values, k) => (values, k, Gather::None, false),
-        Prod(values, k, second) => (values, k, second, false),
-        Scaled(values, k, second) => (values, k, second, true),
+    let (out, formed) = match (stored, crd, pushed) {
+        (Some((acc, k, op, formed)), None, None) => (Out::Fold { acc, k, op }, formed),
+        (None, Some(crd), Some((vals, formed))) => (Out::Push { crd, vals }, formed),
         _ => return None,
     };
-    if crd.is_some() {
+    // `[lead *] val[first] * second [* extent]`, the lead loaded its own.
+    let Formed(product, first) = formed else { return None };
+    if product.lead != lead {
         return None;
     }
-    let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).chain([values]).collect();
-    match gather {
-        Gather::None => {}
-        Gather::At { x, .. } => sources.push(x),
-        Gather::Load { x, ofs } => {
-            sources.push(x);
-            for term in ofs {
-                if let Term::Plus { buf, .. } | Term::Minus { buf, .. } = term {
-                    sources.push(buf);
-                }
-            }
-        }
-    }
-    if sources.contains(&acc) {
-        return None;
-    }
+    let guard = match (guard, &skipping) {
+        (None, None) => Guard::Every,
+        (Some((read, op, imm)), None) if read == value(product.val) => Guard::Cmp(op, imm),
+        (None, Some(_)) => Guard::Both,
+        _ => return None,
+    };
     // The op's `p` is the finger of the first factor; a `min` leader does not
     // tell two fingers apart.
     let mut fingers = fingers.to_vec();
@@ -752,8 +700,56 @@ fn performed(
         fingers.swap(0, 1);
         advances.swap(0, 1);
     }
-    let step = crate::bytecode::Step::Reduce { val: values, gather, extent, acc, k, op };
-    step_loop_op(code, edges, lp, &fingers, step, counts(advances), written)
+    if !supported(guard, &product, out, fingers.get(1).map(|&(_, q)| q)) {
+        return None;
+    }
+    // Nothing the op reads is a buffer it writes, or writes twice.
+    let mut sources: Vec<BufId> = fingers.iter().map(|&(list, _)| list).collect();
+    sources.extend(operand_ids(&product).0);
+    let outs = operand_ids(&out).0;
+    if outs.iter().any(|buf| sources.contains(buf)) || outs.first() == outs.get(1) {
+        return None;
+    }
+    let (counts, pass) = match skipping {
+        Some(Skipping { mut counts, written: skipped }) => {
+            if first == 1 {
+                counts.stmts.swap(1, 2);
+                counts.loads.swap(1, 2);
+            }
+            written.extend_from_slice(skipped);
+            (counts, [stmts[0] + advances[0] + advances[1], loads[0]])
+        }
+        None => {
+            let [by_p, by_q] = advances;
+            let counts = StepCounts { stmts: [stmts[0], by_p, by_q], loads: [loads[0], 0, 0] };
+            (counts, [stmts[1], loads[1]])
+        }
+    };
+    let step = crate::bytecode::Step::Perform { guard, product, out, pass };
+    step_loop_op(code, edges, lp, &fingers, step, counts, written)
+}
+
+/// Whether a [`Step::Perform`] of this guard × product × output exists —
+/// what the walk gives an op and `verify_bytecode` lets through, over the
+/// second finger `q` if there is one.  Every combination a kernel emits is
+/// one of: a reduction on every step, of one finger or two, the second
+/// factor any, the extent or not (Fig. 1's list × band, Fig. 11's runs); a
+/// lone stepper's value pushed on every step or under a comparison (Fig.
+/// S's threshold filter); a match's `[lead *] val[p] * x[q]`, folded or
+/// pushed (Figs. 7 and 8, the sparse-output product).  The rest are
+/// declined, not written.
+pub(crate) fn supported(guard: Guard, product: &Product, out: Out, q: Option<Reg>) -> bool {
+    let Product { lead, second, extent, .. } = *product;
+    match (guard, out) {
+        (Guard::Every, Out::Fold { .. }) => lead.is_none(),
+        (Guard::Every | Guard::Cmp(..), Out::Push { .. }) => {
+            q.is_none() && lead.is_none() && second == Gather::None && !extent
+        }
+        (Guard::Cmp(..), Out::Fold { .. }) => false,
+        (Guard::Both, _) => {
+            !extent && q.is_some_and(|q| matches!(second, Gather::At { at, .. } if at == q))
+        }
+    }
 }
 
 /// What a register holds on an iteration the op skips: the loop's bound; a
@@ -1055,7 +1051,7 @@ pub(super) mod tests {
     /// The buffers of [`merge_kernel`], in the order it adds them.
     const A_IDX: BufId = BufId(0);
     const B_IDX: BufId = BufId(2);
-    const OUT: BufId = BufId(5);
+    pub(in crate::opt) const OUT: BufId = BufId(5);
     const A_OFS: BufId = BufId(6);
     const B_POS: BufId = BufId(8);
 
@@ -1614,9 +1610,8 @@ pub(super) mod tests {
         let (without, stats, without_bufs) = run(&c.scalar, bufs, None);
         assert_eq!(with_op, without, "{what}");
         assert_eq!(with_stats, stats, "{what}");
-        // By `{:?}`, so that a NaN pushed compares equal to itself.
-        let [with, without] = [with_bufs, without_bufs].map(|bufs| format!("{:?}", bufs.get(out)));
-        assert_eq!(with, without, "{what}");
+        let (with, without) = (with_bufs.get(out), without_bufs.get(out));
+        assert!(with.same_as(without), "{what}: {with:?} vs {without:?}");
         if what.contains("cut") || what.contains("empty") {
             assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
         }
@@ -1871,7 +1866,8 @@ pub(super) mod tests {
 
     fn gathers(p: &Program) -> Vec<usize> {
         let is_op = |pc: &usize| {
-            matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Reduce { .. }, .. })
+            let step = p.step_of(&p.code()[*pc]);
+            matches!(step, Some(Step::Perform { guard: Guard::Every, out: Out::Fold { .. }, .. }))
         };
         (0..p.code().len()).filter(is_op).collect()
     }
@@ -1914,90 +1910,6 @@ pub(super) mod tests {
             let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
             assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
             only_adds(&c, &placed);
-        }
-    }
-
-    /// Every step budget from 0 to the full run, on every list: the VM with
-    /// the op, the VM without it and the tree-walker stop at the same
-    /// statement with the same counters and the same output — and the
-    /// scalar loop dispatches only the loop's entry and its last iteration.
-    #[test]
-    fn every_step_budget_trips_the_gather_reduction_where_the_scalar_loop_trips() {
-        for (shape, (crd, stop)) in
-            GATHERED.into_iter().flat_map(|s| lone_lists().into_iter().map(move |l| (s, l)))
-        {
-            let kernel = gather_kernel(&crd, stop, shape);
-            let c = compile(&kernel);
-            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
-            let context = format!("{crd:?} to {stop}, {shape:?}");
-            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
-            assert_eq!(outcome, "Ok(())", "{context}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let mut tree_bufs = kernel.2.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                for p in [&c.skipping, &c.scalar] {
-                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
-                    assert_eq!(outcome, tree, "{context} at {budget}");
-                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
-                    assert_eq!(bufs.get(SUM), tree_bufs.get(SUM), "{context} at {budget}");
-                }
-            }
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
-            let at = gathers(&c.skipping)[0];
-            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{context}");
-        }
-    }
-
-    /// An injected fault at every statement: both engines panic with the
-    /// same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_the_gather_reduction_on_the_tree_walkers_statement() {
-        for shape in GATHERED {
-            faults_alike(&gather_kernel(&[3, 17, 30, 1000], 39, shape));
-        }
-    }
-
-    /// A buffer rebound to another kind or a shorter length — the list, its
-    /// values, the gathered vector (short enough that the gather faults),
-    /// an offset term, the accumulator: the op declines or stops in front of
-    /// the iteration, and the scalar loop reports what it reports without
-    /// the op, having counted the same work.
-    #[test]
-    fn a_rebound_buffer_faults_the_gather_reduction_as_the_scalar_loop_faults() {
-        for shape in GATHERED {
-            let kernel = gather_kernel(&[3, 17, 30, 1000], 39, shape);
-            let c = compile(&kernel);
-            let rebound = |buf: BufId, with: Buffer| {
-                let mut bufs = kernel.2.clone();
-                *bufs.get_mut(buf) = with;
-                bufs
-            };
-            let floats = |n: usize| Buffer::F64(vec![1.5; n].into());
-            let ints = |n: usize| Buffer::I64(vec![1; n].into());
-            let mut cases = vec![
-                ("crd as f64", rebound(CRD, floats(4))),
-                ("crd cut short", rebound(CRD, Buffer::I64(vec![3, 17].into()))),
-                ("vals cut short", rebound(VALS, floats(2))),
-                ("vals as i64", rebound(VALS, ints(4))),
-                ("sum as i64", rebound(SUM, ints(41))),
-                ("sum empty", rebound(SUM, Buffer::F64(Vec::new().into()))),
-            ];
-            if shape != Lone::Max {
-                // Short of the coordinate the gather reads, or of the finger.
-                let short = if shape == Lone::AtFinger { 2 } else { 18 };
-                cases.push(("x cut short", rebound(X, floats(short))));
-                cases.push(("x as i64", rebound(X, ints(41))));
-            }
-            if shape == Lone::Band {
-                cases.push(("x_pos cut short", rebound(X_POS, Buffer::I64(Vec::new().into()))));
-                cases.push(("x_start as f64", rebound(X_START, floats(1))));
-            }
-            for (what, bufs) in cases {
-                same_verdict(&c, &bufs, &format!("{what}, {shape:?}"), SUM);
-            }
         }
     }
 
@@ -2073,7 +1985,8 @@ pub(super) mod tests {
 
     fn appends(p: &Program) -> Vec<usize> {
         let is_op = |pc: &usize| {
-            matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Append { .. }, .. })
+            let step = p.step_of(&p.code()[*pc]);
+            matches!(step, Some(Step::Perform { out: Out::Push { .. }, .. }))
         };
         (0..p.code().len()).filter(is_op).collect()
     }
@@ -2091,19 +2004,6 @@ pub(super) mod tests {
         (0..n).map(|k| cycle[k % cycle.len()]).collect()
     }
 
-    /// Every list and guard, with what the appends kept.
-    fn append_kernels() -> Vec<(String, Kernel)> {
-        let lists = lone_lists().into_iter();
-        let cases =
-            lists.flat_map(|(crd, stop)| GUARDS.map(move |guard| (crd.clone(), stop, guard)));
-        cases
-            .map(|(crd, stop, guard)| {
-                let kernel = append_kernel(&crd, &append_values(crd.len()), stop, guard);
-                (format!("{crd:?} to {stop}, guard {guard:?}"), kernel)
-            })
-            .collect()
-    }
-
     /// The VM's run of `p` under the allocation budget `budget`.
     fn run_allocating(
         p: &Program,
@@ -2115,11 +2015,6 @@ pub(super) mod tests {
         vm.set_alloc_budget(Some(budget));
         let outcome = format!("{:?}", vm.run(p, &mut bufs));
         (outcome, vm.stats(), bufs)
-    }
-
-    /// The outputs as `{:?}`, NaN included.
-    fn kept(bufs: &BufferSet) -> String {
-        format!("{:?} {:?}", bufs.get(KEPT_CRD), bufs.get(KEPT_VALS))
     }
 
     #[test]
@@ -2138,104 +2033,6 @@ pub(super) mod tests {
             let line = c.skipping.disasm().lines().nth(placed[0]).unwrap().to_string();
             assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
             only_adds(&c, &placed);
-        }
-    }
-
-    /// Every step budget from 0 to the full run, on every list under every
-    /// guard: the VM with the op, the VM without it and the tree-walker stop
-    /// at the same statement with the same counters and the same pushes —
-    /// and the scalar loop dispatches only the loop's entry and its last
-    /// iteration.
-    #[test]
-    fn every_step_budget_trips_the_append_where_the_scalar_loop_trips() {
-        for (context, kernel) in append_kernels() {
-            let c = compile(&kernel);
-            assert_eq!(appends(&c.skipping).len(), 1, "{context}\n{}", c.skipping.disasm());
-            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
-            assert_eq!(outcome, "Ok(())", "{context}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let mut tree_bufs = kernel.2.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                for p in [&c.skipping, &c.scalar] {
-                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
-                    assert_eq!(outcome, tree, "{context} at {budget}");
-                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
-                    assert_eq!(kept(&bufs), kept(&tree_bufs), "{context} at {budget}");
-                }
-            }
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
-            let at = appends(&c.skipping)[0];
-            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{context}");
-        }
-    }
-
-    /// Every allocation budget from none at all to one past what the run
-    /// keeps: the op stops in front of the push that would not fit, and the
-    /// scalar step raises the error where it raises it without the op.
-    #[test]
-    fn every_allocation_budget_trips_the_append_where_the_scalar_loop_trips() {
-        for (context, kernel) in append_kernels() {
-            let c = compile(&kernel);
-            let (_, _, full) = run(&c.scalar, &kernel.2, None);
-            let pushed = (full.get(KEPT_CRD).len() + full.get(KEPT_VALS).len()) as u64;
-            for budget in 0..=pushed + 1 {
-                let mut interp = Interpreter::new(&c.names);
-                interp.set_alloc_budget(Some(budget));
-                let mut tree_bufs = kernel.2.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                assert_eq!(tree == "Ok(())", budget >= pushed, "{context} at {budget}: {tree}");
-                for p in [&c.skipping, &c.scalar] {
-                    let (outcome, stats, bufs) = run_allocating(p, &kernel.2, budget);
-                    assert_eq!(outcome, tree, "{context} at {budget}");
-                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
-                    assert_eq!(kept(&bufs), kept(&tree_bufs), "{context} at {budget}");
-                }
-            }
-        }
-    }
-
-    /// An injected fault at every statement: both engines panic with the
-    /// same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_the_append_on_the_tree_walkers_statement() {
-        for guard in GUARDS {
-            faults_alike(&append_kernel(&[3, 17, 30, 1000], &append_values(4), 39, guard));
-        }
-    }
-
-    /// An output rebound to another kind, the list or its values cut short
-    /// or of another kind: the op declines or stops in front of the step,
-    /// and the scalar loop reports what it reports without the op, having
-    /// counted the same work and pushed the same entries.
-    #[test]
-    fn a_rebound_buffer_faults_the_append_as_the_scalar_loop_faults() {
-        for guard in GUARDS {
-            let kernel = append_kernel(&[3, 17, 30, 1000], &append_values(4), 39, guard);
-            let c = compile(&kernel);
-            let rebound = |buf: BufId, with: Buffer| {
-                let mut bufs = kernel.2.clone();
-                *bufs.get_mut(buf) = with;
-                bufs
-            };
-            let floats = |n: usize| Buffer::F64(vec![2.5; n].into());
-            let ints = |n: usize| Buffer::I64(vec![1; n].into());
-            let cases = [
-                ("crd cut short", rebound(CRD, Buffer::I64(vec![3, 17].into()))),
-                ("crd as f64", rebound(CRD, floats(4))),
-                ("vals cut short", rebound(VALS, floats(2))),
-                ("vals as i64", rebound(VALS, ints(4))),
-                ("kept crd as f64", rebound(KEPT_CRD, floats(0))),
-                ("kept vals as i64", rebound(KEPT_VALS, ints(0))),
-                ("kept crd as bool", rebound(KEPT_CRD, Buffer::Bool(Vec::new()))),
-            ];
-            for (what, bufs) in cases {
-                let what = format!("{what}, guard {guard:?}");
-                same_verdict(&c, &bufs, &what, KEPT_CRD);
-                same_verdict(&c, &bufs, &what, KEPT_VALS);
-            }
         }
     }
 
@@ -2373,32 +2170,6 @@ pub(super) mod tests {
         ]
     }
 
-    /// A match kernel for every pair and body, with the buffers to run it on
-    /// under each value set.  The kernel itself holds finite values: they are
-    /// the witnesses its compilation is validated on, whose engines must
-    /// agree bit for bit, and the bits of a NaN that arithmetic produces are
-    /// not the same in both.
-    fn match_kernels(bodies: &[Matched]) -> Vec<(String, Kernel, BufferSet)> {
-        let mut kernels = Vec::new();
-        for (a, b, stop) in match_pairs() {
-            for &body in bodies {
-                let values = |list: &[i64], from, special| match_values(list.len(), from, special);
-                let kernel = match_kernel(
-                    (&a, &values(&a, 0, false)),
-                    (&b, &values(&b, 3, false)),
-                    stop,
-                    body,
-                );
-                for special in [false, true] {
-                    let what = format!("{a:?} x {b:?} to {stop}, {body:?}, special {special}");
-                    let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
-                    kernels.push((what, kernel.clone(), bufs));
-                }
-            }
-        }
-        kernels
-    }
-
     /// `kernel`'s buffers with these values at the two fingers.
     fn with_values(kernel: &Kernel, a_vals: Vec<f64>, b_vals: Vec<f64>) -> BufferSet {
         let mut bufs = kernel.2.clone();
@@ -2408,23 +2179,10 @@ pub(super) mod tests {
     }
 
     fn matches_op(p: &Program) -> Vec<usize> {
-        let is_op =
-            |pc: &usize| matches!(p.code()[*pc], Instr::IStepLoop { step: Step::Match { .. }, .. });
-        (0..p.code().len()).filter(is_op).collect()
-    }
-
-    /// Every output of a match kernel, its floats bit for bit — but, unless
-    /// `payload`, a NaN's: what an operation on NaN (or `0 * ∞`) returns is
-    /// a NaN of no bits the language fixes, and a release build's
-    /// tree-walker and VM return different ones.  The op and the scalar
-    /// loop it stands for agree on those too.
-    fn outputs(bufs: &BufferSet, payload: bool) -> String {
-        let bits = |x: &f64| if x.is_nan() && !payload { None } else { Some(x.to_bits()) };
-        let show = |id| match bufs.get(id) {
-            Buffer::F64(v) => format!("{:x?}", v.iter().map(bits).collect::<Vec<_>>()),
-            other => format!("{other:?}"),
+        let is_op = |pc: &usize| {
+            matches!(p.step_of(&p.code()[*pc]), Some(Step::Perform { guard: Guard::Both, .. }))
         };
-        [M_OUT, M_CRD, M_VALS].map(show).join(" ")
+        (0..p.code().len()).filter(is_op).collect()
     }
 
     #[test]
@@ -2446,204 +2204,6 @@ pub(super) mod tests {
             let line = c.skipping.disasm().lines().nth(placed[0]).unwrap().to_string();
             assert!(line.ends_with(&want), "{body:?}: {line}\n{}", c.skipping.disasm());
             only_adds(&c, &placed);
-        }
-    }
-
-    /// Every step budget from 0 to the full run, on every pair, body and
-    /// value set: the VM with the op, the VM without it and the tree-walker
-    /// stop at the same statement with the same counters and the same
-    /// outputs, bit for bit — and the scalar loop dispatches only the loop's
-    /// last iteration.
-    #[test]
-    fn every_step_budget_trips_the_match_where_the_scalar_loop_trips() {
-        for (context, kernel, bufs) in match_kernels(&MATCHED) {
-            let c = compile(&kernel);
-            assert_eq!(matches_op(&c.skipping).len(), 1, "{context}\n{}", c.skipping.disasm());
-            let (outcome, full, _) = run(&c.scalar, &bufs, None);
-            assert_eq!(outcome, "Ok(())", "{context}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let mut tree_bufs = bufs.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                let runs = [&c.skipping, &c.scalar].map(|p| run(p, &bufs, Some(budget)));
-                for (outcome, stats, left) in &runs {
-                    assert_eq!(*outcome, tree, "{context} at {budget}");
-                    assert_eq!(*stats, interp.stats(), "{context} at {budget}");
-                    let out = outputs(left, false);
-                    assert_eq!(out, outputs(&tree_bufs, false), "{context} at {budget}");
-                }
-                let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
-                assert_eq!(op, scalar, "{context} at {budget}");
-            }
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut bufs.clone()).expect("runs");
-            let at = matches_op(&c.skipping)[0];
-            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{context}");
-        }
-    }
-
-    /// Sorted lists drawn at random, long enough for the wall clock to be
-    /// read, under every body: the VM with the op and without it agree with
-    /// the tree-walker, outputs bit for bit; and so do the two VMs under a
-    /// deadline that has passed.
-    #[test]
-    fn random_sorted_lists_match_alike_with_and_without_the_op() {
-        let mut rng = 0x51_7CC1_B727_220Au64;
-        let mut draw = move |below: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % below
-        };
-        for round in 0..90u64 {
-            let mut list = |one_in: u64| {
-                let mut out: Vec<i64> = (0..400).filter(|_| draw(one_in) == 0).collect();
-                out.push(5000);
-                out
-            };
-            let (a, b) = (list(1 + round % 4), list(1 + round % 3));
-            let body = MATCHED[round as usize % MATCHED.len()];
-            let special = round % 2 == 1;
-            let values = |list: &[i64], from, special| match_values(list.len(), from, special);
-            let finite = (values(&a, 0, false), values(&b, 3, false));
-            let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), 399, body);
-            let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
-            let c = compile(&kernel);
-            let context = format!("{a:?} x {b:?}, {body:?}, special {special}");
-            let mut interp = Interpreter::new(&c.names);
-            let mut tree_bufs = bufs.clone();
-            interp.run(&c.code, &mut tree_bufs).expect("the merge runs");
-            let runs = [&c.skipping, &c.scalar].map(|p| run(p, &bufs, None));
-            for (outcome, stats, left) in &runs {
-                assert_eq!(outcome, "Ok(())", "{context}");
-                assert_eq!(*stats, interp.stats(), "{context}");
-                assert_eq!(outputs(left, false), outputs(&tree_bufs, false), "{context}");
-            }
-            let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
-            assert_eq!(op, scalar, "{context}");
-            let passed = [&c.skipping, &c.scalar].map(|p| {
-                let mut vm = Vm::new(p);
-                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
-                let mut left = bufs.clone();
-                (vm.run(p, &mut left), vm.stats(), outputs(&left, true))
-            });
-            assert_eq!(passed[0], passed[1], "{context}: a passed deadline");
-            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
-                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{context}");
-            }
-        }
-    }
-
-    /// An injected fault at every statement: both engines panic with the
-    /// same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_the_match_on_the_tree_walkers_statement() {
-        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
-        for body in MATCHED {
-            let values = |list: &[i64]| match_values(list.len(), 1, false);
-            faults_alike(&match_kernel((&a, &values(&a)), (&b, &values(&b)), 25, body));
-        }
-    }
-
-    /// A raised cancellation flag stops the match as it stops the scalar
-    /// loop: with the typed error, at the run's first statement.
-    #[test]
-    fn a_raised_cancellation_flag_stops_the_match() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let (a, b) = ((0..40).collect::<Vec<i64>>(), (0..40).step_by(3).collect::<Vec<i64>>());
-        for body in MATCHED {
-            let values = |list: &[i64]| match_values(list.len(), 0, false);
-            let kernel = match_kernel((&a, &values(&a)), (&b, &values(&b)), 30, body);
-            let c = compile(&kernel);
-            let flag = Arc::new(AtomicBool::new(false));
-            let mut vm = Vm::new(&c.skipping);
-            vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
-            vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
-            assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1, "{body:?}");
-            flag.store(true, Ordering::Relaxed);
-            vm.reset();
-            let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
-            assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{body:?}: {err:?}");
-            assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
-        }
-    }
-
-    /// Every allocation budget from none at all to twice what the run keeps:
-    /// the op stops in front of the match whose pushes would not fit, and
-    /// the scalar step raises the error where it raises it without the op.
-    #[test]
-    fn every_allocation_budget_trips_the_matched_append_where_the_scalar_loop_trips() {
-        for (context, kernel, bufs) in match_kernels(&[Matched::Append]) {
-            let c = compile(&kernel);
-            let (_, _, full) = run(&c.scalar, &bufs, None);
-            let kept = (full.get(M_CRD).len() + full.get(M_VALS).len()) as u64;
-            for budget in 0..=2 * kept {
-                let mut interp = Interpreter::new(&c.names);
-                interp.set_alloc_budget(Some(budget));
-                let mut tree_bufs = bufs.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                assert_eq!(tree == "Ok(())", budget >= kept, "{context} at {budget}: {tree}");
-                let runs = [&c.skipping, &c.scalar].map(|p| run_allocating(p, &bufs, budget));
-                for (outcome, stats, left) in &runs {
-                    assert_eq!(*outcome, tree, "{context} at {budget}");
-                    assert_eq!(*stats, interp.stats(), "{context} at {budget}");
-                    let out = outputs(left, false);
-                    assert_eq!(out, outputs(&tree_bufs, false), "{context} at {budget}");
-                }
-                let [op, scalar] = runs.map(|(_, _, left)| outputs(&left, true));
-                assert_eq!(op, scalar, "{context} at {budget}");
-            }
-        }
-    }
-
-    /// A values buffer, the lead, the accumulator or an output rebound to
-    /// another kind or length: the op declines or stops in front of the
-    /// match, and the scalar loop reports what it reports without the op,
-    /// having counted the same work and left the same outputs.
-    #[test]
-    fn a_rebound_buffer_faults_the_match_as_the_scalar_loop_faults() {
-        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
-        for body in MATCHED {
-            let values = |list: &[i64], special| match_values(list.len(), 2, special);
-            let kernel = match_kernel((&a, &values(&a, false)), (&b, &values(&b, false)), 25, body);
-            let c = compile(&kernel);
-            let special = with_values(&kernel, values(&a, true), values(&b, true));
-            let rebound = |buf: BufId, with: Buffer| {
-                let mut bufs = special.clone();
-                *bufs.get_mut(buf) = with;
-                bufs
-            };
-            let floats = |n: usize| Buffer::F64(vec![0.5; n].into());
-            let ints = |n: usize| Buffer::I64(vec![1; n].into());
-            let mut cases = vec![
-                ("a_val cut short", rebound(M_A_VAL, floats(2))),
-                ("a_val as i64", rebound(M_A_VAL, ints(6))),
-                ("x cut short", rebound(M_B_VAL, floats(3))),
-                ("x as i64", rebound(M_B_VAL, ints(8))),
-            ];
-            match body {
-                Matched::Append => {
-                    cases.push(("crd as f64", rebound(M_CRD, floats(0))));
-                    cases.push(("vals as i64", rebound(M_VALS, ints(0))));
-                    cases.push(("crd as bool", rebound(M_CRD, Buffer::Bool(Vec::new()))));
-                }
-                _ => {
-                    cases.push(("acc as i64", rebound(M_OUT, ints(1))));
-                    cases.push(("acc empty", rebound(M_OUT, Buffer::F64(Vec::new().into()))));
-                }
-            }
-            if body == Matched::Led {
-                cases.push(("lead cut short", rebound(M_LEAD, floats(1))));
-                cases.push(("lead as i64", rebound(M_LEAD, ints(2))));
-            }
-            for (what, bufs) in cases {
-                let what = format!("{what}, {body:?}");
-                for out in [M_OUT, M_CRD, M_VALS] {
-                    same_verdict(&c, &bufs, &what, out);
-                }
-            }
         }
     }
 
@@ -2805,155 +2365,6 @@ pub(super) mod tests {
         }
     }
 
-    /// Every step budget from 0 to the full run, on every pair of runs: the
-    /// VM with the op, the VM without it and the tree-walker stop at the same
-    /// statement with the same counters and the same output — and the scalar
-    /// loop dispatches only the loop's entry and its last iteration.
-    #[test]
-    fn every_step_budget_trips_the_two_finger_reduction_where_the_scalar_loop_trips() {
-        for (shape, (a, b, stop)) in
-            REDUCED.into_iter().flat_map(|s| run_pairs().into_iter().map(move |l| (s, l)))
-        {
-            let kernel = run_kernel(&a, &b, stop, shape);
-            let c = compile(&kernel);
-            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
-            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
-            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
-            assert_eq!(outcome, "Ok(())", "{context}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let mut tree_bufs = kernel.2.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                for p in [&c.skipping, &c.scalar] {
-                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
-                    assert_eq!(outcome, tree, "{context} at {budget}");
-                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
-                    assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{context} at {budget}");
-                }
-            }
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
-            let at = gathers(&c.skipping)[0];
-            assert!(per_pc[at + 1] <= 1, "{context}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{context}");
-        }
-    }
-
-    /// Run-length pairs drawn at random — runs of every length from one,
-    /// ends that coincide, a last run on the bound or past it — under every
-    /// shape that takes the op: the VM with it and without it agree, output
-    /// bit for bit, with the tree-walker; and so do they under a deadline
-    /// that has passed.
-    #[test]
-    fn random_run_pairs_reduce_alike_with_and_without_the_op() {
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let mut draw = move |below: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % below
-        };
-        for round in 0..120u64 {
-            let stop = 10 + draw(300) as i64;
-            let a = run_ends(&mut draw, stop, 1 + round % 9, round % 2 == 0);
-            let b = run_ends(&mut draw, stop, 1 + round % 4, round % 3 == 0);
-            let shape = REDUCED[round as usize % REDUCED.len()];
-            let kernel = run_kernel(&a, &b, stop, shape);
-            let c = compile(&kernel);
-            assert_eq!(gathers(&c.skipping).len(), 1, "{}", c.skipping.disasm());
-            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
-            let mut interp = Interpreter::new(&c.names);
-            let mut tree_bufs = kernel.2.clone();
-            interp.run(&c.code, &mut tree_bufs).expect("the reduction runs");
-            for p in [&c.skipping, &c.scalar] {
-                let (outcome, stats, bufs) = run(p, &kernel.2, None);
-                assert_eq!(outcome, "Ok(())", "{context}");
-                assert_eq!(stats, interp.stats(), "{context}");
-                let bits = |bufs: &BufferSet| match bufs.get(OUT) {
-                    Buffer::F64(out) => out[0].to_bits(),
-                    other => panic!("{other:?}"),
-                };
-                assert_eq!(bits(&bufs), bits(&tree_bufs), "{context}");
-            }
-            let passed = [&c.skipping, &c.scalar].map(|p| {
-                let mut vm = Vm::new(p);
-                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
-                (vm.run(p, &mut kernel.2.clone()), vm.stats())
-            });
-            assert_eq!(passed[0], passed[1], "{context}: a passed deadline");
-            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
-                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{context}");
-            }
-        }
-    }
-
-    /// An injected fault at every statement: both engines panic with the
-    /// same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_the_two_finger_reduction_on_the_tree_walkers_statement() {
-        for shape in REDUCED {
-            faults_alike(&run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape));
-        }
-    }
-
-    /// A raised cancellation flag stops the reduction as it stops the scalar
-    /// loop: with the typed error, at the run's first statement.
-    #[test]
-    fn a_raised_cancellation_flag_stops_the_two_finger_reduction() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let kernel = run_kernel(&(0..=40).collect::<Vec<_>>(), &[9, 19, 40], 40, Runs::Product);
-        let c = compile(&kernel);
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut vm = Vm::new(&c.skipping);
-        vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
-        vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
-        assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1);
-        flag.store(true, Ordering::Relaxed);
-        vm.reset();
-        let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
-        assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{err:?}");
-        assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
-    }
-
-    /// A buffer rebound to another kind or length — a values buffer shorter
-    /// than its coordinates, an `i64` values buffer, a coordinate list cut
-    /// short, the accumulator: the op declines or stops in front of the
-    /// iteration, and the scalar loop reports what it reports without the
-    /// op, having counted the same work.
-    #[test]
-    fn a_rebound_buffer_faults_the_two_finger_reduction_as_the_scalar_loop_faults() {
-        const A_VAL: BufId = BufId(1);
-        const B_VAL: BufId = BufId(3);
-        for shape in REDUCED {
-            let kernel = run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape);
-            let c = compile(&kernel);
-            let rebound = |buf: BufId, with: Buffer| {
-                let mut bufs = kernel.2.clone();
-                *bufs.get_mut(buf) = with;
-                bufs
-            };
-            let floats = |n: usize| Buffer::F64(vec![1.5; n].into());
-            let ints = |n: usize| Buffer::I64(vec![1; n].into());
-            let mut cases = vec![
-                ("a_val cut short", rebound(A_VAL, floats(2))),
-                ("a_val as i64", rebound(A_VAL, ints(4))),
-                ("a_idx cut short", rebound(A_IDX, Buffer::I64(vec![3, 7].into()))),
-                ("a_idx as f64", rebound(A_IDX, floats(4))),
-                ("out as i64", rebound(OUT, ints(1))),
-                ("out empty", rebound(OUT, Buffer::F64(Vec::new().into()))),
-            ];
-            if shape != Runs::Norm {
-                cases.push(("b_val cut short", rebound(B_VAL, floats(3))));
-                cases.push(("b_val as i64", rebound(B_VAL, ints(5))));
-                cases.push(("b_idx cut short", rebound(B_IDX, Buffer::I64(vec![1, 7].into()))));
-            }
-            for (what, bufs) in cases {
-                same_verdict(&c, &bufs, &format!("{what}, {shape:?}"), OUT);
-            }
-        }
-    }
-
     /// An extent of another form, a factor at a varying index and an
     /// accumulator that is a source: two fingers whose body runs on every
     /// step but is no reduction the op performs.
@@ -2966,6 +2377,403 @@ pub(super) mod tests {
             tally[MergeDecline::NotGuardedByBoth as usize] = 1;
             assert_eq!((c.stats.merge_skips, c.stats.merge_declined), (0, tally), "{shape:?}");
             assert_eq!(c.skipping.code(), c.scalar.code(), "{shape:?}: no op, same program");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // One sweep for every performed step — the lone reductions, the
+    // appends, the matches and the two-finger reductions: a table of
+    // kernels and inputs, each marked with the legs that run it.
+    // -----------------------------------------------------------------
+
+    /// The legs of the sweep: every step budget, every allocation budget, a
+    /// fault at every statement, a raised cancellation flag, a passed
+    /// deadline.  (A [`Case`] with rebound inputs also runs the rebinding
+    /// leg.)
+    const BUDGETS: u8 = 1;
+    const ALLOCS: u8 = 2;
+    const FAULTS: u8 = 4;
+    const CANCEL: u8 = 8;
+    const DEADLINE: u8 = 16;
+
+    /// The values buffers of [`merge_kernel`] and [`run_kernel`].
+    const A_VAL: BufId = BufId(1);
+    const B_VAL: BufId = BufId(3);
+
+    /// The outputs of [`match_kernel`].
+    const M_OUTS: &[BufId] = &[M_OUT, M_CRD, M_VALS];
+
+    /// One kernel whose step loop op performs its steps, the input its legs
+    /// run it on, the legs, the outputs they compare, and the inputs of the
+    /// rebinding leg: the kernel's own with a buffer rebound to another kind
+    /// or length.
+    struct Case {
+        what: String,
+        kernel: Kernel,
+        bufs: BufferSet,
+        legs: u8,
+        outs: &'static [BufId],
+        rebound: Vec<(&'static str, BufferSet)>,
+    }
+
+    impl Case {
+        fn new(what: String, kernel: Kernel, legs: u8, outs: &'static [BufId]) -> Case {
+            let bufs = kernel.2.clone();
+            Case { what, kernel, bufs, legs, outs, rebound: Vec::new() }
+        }
+
+        /// This case with `rebound`'s buffers rebound, one at a time, in
+        /// its input.
+        fn rebinding(mut self, rebound: Vec<(&'static str, BufId, Buffer)>) -> Case {
+            for (what, buf, with) in rebound {
+                let mut bufs = self.bufs.clone();
+                *bufs.get_mut(buf) = with;
+                self.rebound.push((what, bufs));
+            }
+            self
+        }
+    }
+
+    /// A xorshift stream from `seed`: `draw(below)` is in `0..below`.
+    fn xorshift(mut rng: u64) -> impl FnMut(u64) -> u64 {
+        move |below| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        }
+    }
+
+    /// Every kernel whose op performs its steps, with its inputs and legs:
+    /// each family's kernels on every input of its sweep, and on the inputs
+    /// its faults, cancellation, rebinding and random lists (long enough
+    /// for the wall clock to be read) run on.
+    fn performed() -> Vec<Case> {
+        let floats = |n: usize, x: f64| Buffer::F64(vec![x; n].into());
+        let ints = |n: usize| Buffer::I64(vec![1; n].into());
+        let cut = |list: &[i64]| Buffer::I64(list.to_vec().into());
+        let mut cases = Vec::new();
+        // The lone reductions on every list; the first also faults and is
+        // rebound, the gathered vector short of the coordinate it reads.
+        for shape in GATHERED {
+            for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
+                let kernel = gather_kernel(&crd, stop, shape);
+                let case =
+                    Case::new(format!("{crd:?} to {stop}, {shape:?}"), kernel, BUDGETS, &[SUM]);
+                if k > 0 {
+                    cases.push(case);
+                    continue;
+                }
+                let mut rebound = vec![
+                    ("crd as f64", CRD, floats(4, 1.5)),
+                    ("crd cut short", CRD, cut(&[3, 17])),
+                    ("vals cut short", VALS, floats(2, 1.5)),
+                    ("vals as i64", VALS, ints(4)),
+                    ("sum as i64", SUM, ints(41)),
+                    ("sum empty", SUM, floats(0, 0.0)),
+                ];
+                if shape != Lone::Max {
+                    let short = if shape == Lone::AtFinger { 2 } else { 18 };
+                    rebound.push(("x cut short", X, floats(short, 1.5)));
+                    rebound.push(("x as i64", X, ints(41)));
+                }
+                if shape == Lone::Band {
+                    rebound.push(("x_pos cut short", X_POS, cut(&[])));
+                    rebound.push(("x_start as f64", X_START, floats(1, 1.5)));
+                }
+                cases.push(Case { legs: BUDGETS | FAULTS, ..case }.rebinding(rebound));
+            }
+        }
+        // The appends under every guard on every list; the first list also
+        // faults and is rebound.
+        for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
+            for guard in GUARDS {
+                let kernel = append_kernel(&crd, &append_values(crd.len()), stop, guard);
+                let what = format!("{crd:?} to {stop}, guard {guard:?}");
+                let case = Case::new(what, kernel, BUDGETS | ALLOCS, &[KEPT_CRD, KEPT_VALS]);
+                if k > 0 {
+                    cases.push(case);
+                    continue;
+                }
+                let rebound = vec![
+                    ("crd cut short", CRD, cut(&[3, 17])),
+                    ("crd as f64", CRD, floats(4, 2.5)),
+                    ("vals cut short", VALS, floats(2, 2.5)),
+                    ("vals as i64", VALS, ints(4)),
+                    ("kept crd as f64", KEPT_CRD, floats(0, 2.5)),
+                    ("kept vals as i64", KEPT_VALS, ints(0)),
+                    ("kept crd as bool", KEPT_CRD, Buffer::Bool(Vec::new())),
+                ];
+                cases.push(Case { legs: BUDGETS | ALLOCS | FAULTS, ..case }.rebinding(rebound));
+            }
+        }
+        // The matches on every pair, under finite values and under both
+        // zeros, NaN and the infinities.  The kernel itself holds finite
+        // values: they are the witnesses its compilation is validated on.
+        let values = |list: &[i64], from, special| match_values(list.len(), from, special);
+        for (a, b, stop) in match_pairs() {
+            for body in MATCHED {
+                let finite = (values(&a, 0, false), values(&b, 3, false));
+                let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), stop, body);
+                let legs = if body == Matched::Append { BUDGETS | ALLOCS } else { BUDGETS };
+                for special in [false, true] {
+                    let what = format!("{a:?} x {b:?} to {stop}, {body:?}, special {special}");
+                    let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
+                    cases.push(Case { bufs, ..Case::new(what, kernel.clone(), legs, M_OUTS) });
+                }
+            }
+        }
+        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
+        let (all, thirds): (Vec<i64>, Vec<i64>) = ((0..40).collect(), (0..40).step_by(3).collect());
+        for body in MATCHED {
+            let kernel = |(a, b): (&[i64], &[i64]), from, stop| {
+                match_kernel((a, &values(a, from, false)), (b, &values(b, from, false)), stop, body)
+            };
+            cases.push(Case::new(format!("{body:?}"), kernel((&a, &b), 1, 25), FAULTS, M_OUTS));
+            let cancelled = kernel((&all, &thirds), 0, 30);
+            cases.push(Case::new(format!("{body:?}"), cancelled, CANCEL, M_OUTS));
+            let mut rebound = vec![
+                ("a_val cut short", M_A_VAL, floats(2, 0.5)),
+                ("a_val as i64", M_A_VAL, ints(6)),
+                ("x cut short", M_B_VAL, floats(3, 0.5)),
+                ("x as i64", M_B_VAL, ints(8)),
+            ];
+            if body == Matched::Append {
+                rebound.push(("crd as f64", M_CRD, floats(0, 0.5)));
+                rebound.push(("vals as i64", M_VALS, ints(0)));
+                rebound.push(("crd as bool", M_CRD, Buffer::Bool(Vec::new())));
+            } else {
+                rebound.push(("acc as i64", M_OUT, ints(1)));
+                rebound.push(("acc empty", M_OUT, floats(0, 0.0)));
+            }
+            if body == Matched::Led {
+                rebound.push(("lead cut short", M_LEAD, floats(1, 0.5)));
+                rebound.push(("lead as i64", M_LEAD, ints(2)));
+            }
+            let kernel = kernel((&a, &b), 2, 25);
+            let bufs = with_values(&kernel, values(&a, 2, true), values(&b, 2, true));
+            let case = Case { bufs, ..Case::new(format!("{body:?}"), kernel, 0, M_OUTS) };
+            cases.push(case.rebinding(rebound));
+        }
+        // The two-finger reductions on every pair of runs; one pair also
+        // faults and is rebound.
+        for shape in REDUCED {
+            for (a, b, stop) in run_pairs() {
+                let what = format!("{a:?} x {b:?} to {stop}, {shape:?}");
+                cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), BUDGETS, &[OUT]));
+            }
+            let kernel = run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape);
+            let mut rebound = vec![
+                ("a_val cut short", A_VAL, floats(2, 1.5)),
+                ("a_val as i64", A_VAL, ints(4)),
+                ("a_idx cut short", A_IDX, cut(&[3, 7])),
+                ("a_idx as f64", A_IDX, floats(4, 1.5)),
+                ("out as i64", OUT, ints(1)),
+                ("out empty", OUT, floats(0, 0.0)),
+            ];
+            if shape != Runs::Norm {
+                rebound.push(("b_val cut short", B_VAL, floats(3, 1.5)));
+                rebound.push(("b_val as i64", B_VAL, ints(5)));
+                rebound.push(("b_idx cut short", B_IDX, cut(&[1, 7])));
+            }
+            let case = Case::new(format!("{shape:?}"), kernel, FAULTS, &[OUT]);
+            cases.push(case.rebinding(rebound));
+        }
+        let cancelled = run_kernel(&(0..=40).collect::<Vec<_>>(), &[9, 19, 40], 40, Runs::Product);
+        cases.push(Case::new("Product".into(), cancelled, CANCEL, &[OUT]));
+        // Sorted lists drawn at random under every body, and run-length
+        // pairs — runs of every length from one, ends that coincide, a last
+        // run on the bound or past it — under every reduction.
+        let mut draw = xorshift(0x51_7CC1_B727_220A);
+        for round in 0..90u64 {
+            let mut list = |one_in: u64| {
+                let mut out: Vec<i64> = (0..400).filter(|_| draw(one_in) == 0).collect();
+                out.push(5000);
+                out
+            };
+            let (a, b) = (list(1 + round % 4), list(1 + round % 3));
+            let (body, special) = (MATCHED[round as usize % MATCHED.len()], round % 2 == 1);
+            let finite = (values(&a, 0, false), values(&b, 3, false));
+            let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), 399, body);
+            let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
+            let what = format!("{a:?} x {b:?}, {body:?}, special {special}");
+            cases.push(Case { bufs, ..Case::new(what, kernel, DEADLINE, M_OUTS) });
+        }
+        let mut draw = xorshift(0x9E37_79B9_7F4A_7C15);
+        for round in 0..120u64 {
+            let stop = 10 + draw(300) as i64;
+            let a = run_ends(&mut draw, stop, 1 + round % 9, round % 2 == 0);
+            let b = run_ends(&mut draw, stop, 1 + round % 4, round % 3 == 0);
+            let shape = REDUCED[round as usize % REDUCED.len()];
+            let what = format!("{a:?} x {b:?} to {stop}, {shape:?}");
+            cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), DEADLINE, &[OUT]));
+        }
+        cases
+    }
+
+    /// The cases of [`performed`] that run `leg`.
+    fn running(leg: u8) -> impl Iterator<Item = Case> {
+        performed().into_iter().filter(move |case| case.legs & leg != 0)
+    }
+
+    /// The step loop ops of `p` that perform their steps.
+    fn performs(p: &Program) -> Vec<usize> {
+        let is_op = |pc: &usize| matches!(p.step_of(&p.code()[*pc]), Some(Step::Perform { .. }));
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    /// A buffer's floats bit for bit, NaNs' payloads included.
+    fn bits(buf: &Buffer) -> String {
+        match buf {
+            Buffer::F64(v) => format!("{:x?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The tree-walker `interp`'s run of `case` and the runs `run` makes of
+    /// the program with the op and without it: the same verdict, the same
+    /// counters and the same outputs — a NaN's bits aside, which no engine
+    /// fixes — and the op's outputs the scalar loop's bit for bit.  The
+    /// tree-walker's verdict.
+    fn agree(
+        c: &Compiled,
+        case: &Case,
+        interp: &mut Interpreter,
+        run: impl Fn(&Program) -> (String, ExecStats, BufferSet),
+        what: &str,
+    ) -> String {
+        let mut tree_bufs = case.bufs.clone();
+        let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
+        let runs = [&c.skipping, &c.scalar].map(run);
+        for (outcome, stats, left) in &runs {
+            assert_eq!(*outcome, tree, "{what}");
+            assert_eq!(*stats, interp.stats(), "{what}");
+            for &out in case.outs {
+                let (got, want) = (left.get(out), tree_bufs.get(out));
+                assert!(got.same_as(want), "{what}: {got:?} vs {want:?}");
+            }
+        }
+        for &out in case.outs {
+            assert_eq!(bits(runs[0].2.get(out)), bits(runs[1].2.get(out)), "{what}");
+        }
+        tree
+    }
+
+    /// Every step budget from 0 to the full run: the VM with the op, the VM
+    /// without it and the tree-walker stop at the same statement with the
+    /// same counters and the same outputs — and the scalar loop dispatches
+    /// only the loop's entry and its last iteration.
+    #[test]
+    fn every_step_budget_trips_the_performed_step_where_the_scalar_loop_trips() {
+        for case in running(BUDGETS) {
+            let (c, what) = (compile(&case.kernel), &case.what);
+            assert_eq!(performs(&c.skipping).len(), 1, "{what}\n{}", c.skipping.disasm());
+            let (outcome, full, _) = run(&c.scalar, &case.bufs, None);
+            assert_eq!(outcome, "Ok(())", "{what}");
+            for budget in 0..=full.stmts {
+                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
+                let at = format!("{what} at {budget}");
+                agree(&c, &case, &mut interp, |p| run(p, &case.bufs, Some(budget)), &at);
+            }
+            let mut vm = Vm::new(&c.skipping);
+            let per_pc = vm.run_profiled(&c.skipping, &mut case.bufs.clone()).expect("runs");
+            let at = performs(&c.skipping)[0];
+            assert!(per_pc[at + 1] <= 1, "{what}: {} iterations", per_pc[at + 1]);
+            assert_eq!(vm.stats(), full, "{what}");
+        }
+    }
+
+    /// Every allocation budget from none at all to one past twice what the
+    /// run pushes: the op stops in front of the step whose pushes would not
+    /// fit, and the scalar step raises the error where it raises it without
+    /// the op.
+    #[test]
+    fn every_allocation_budget_trips_the_performed_push_where_the_scalar_loop_trips() {
+        for case in running(ALLOCS) {
+            let c = compile(&case.kernel);
+            let (_, _, full) = run(&c.scalar, &case.bufs, None);
+            let grown = |&out: &BufId| (full.get(out).len() - case.bufs.get(out).len()) as u64;
+            let pushed: u64 = case.outs.iter().map(grown).sum();
+            for budget in 0..=2 * pushed + 1 {
+                let mut interp = Interpreter::new(&c.names);
+                interp.set_alloc_budget(Some(budget));
+                let what = format!("{} at {budget}", case.what);
+                let tree =
+                    agree(&c, &case, &mut interp, |p| run_allocating(p, &case.bufs, budget), &what);
+                assert_eq!(tree == "Ok(())", budget >= pushed, "{what}: {tree}");
+            }
+        }
+    }
+
+    /// An injected fault at every statement: both engines panic with the
+    /// same message having counted the same work.
+    #[test]
+    fn an_injected_fault_trips_the_performed_step_on_the_tree_walkers_statement() {
+        running(FAULTS).for_each(|case| faults_alike(&case.kernel));
+    }
+
+    /// A raised cancellation flag stops the op as it stops the scalar loop:
+    /// with the typed error, at the run's first statement.
+    #[test]
+    fn a_raised_cancellation_flag_stops_the_performed_step() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        for case in running(CANCEL) {
+            let c = compile(&case.kernel);
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut vm = Vm::new(&c.skipping);
+            vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
+            vm.run(&c.skipping, &mut case.bufs.clone()).expect("nothing cancels the run");
+            assert_eq!(vm.stats(), run(&c.scalar, &case.bufs, None).1, "{}", case.what);
+            flag.store(true, Ordering::Relaxed);
+            vm.reset();
+            let err = vm.run(&c.skipping, &mut case.bufs.clone()).expect_err("the flag is up");
+            assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{}: {err:?}", case.what);
+            assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
+        }
+    }
+
+    /// Long random inputs: the VM with the op and without it agree with the
+    /// tree-walker, and with each other under a deadline that has passed.
+    #[test]
+    fn random_inputs_perform_alike_and_stop_alike_past_a_deadline() {
+        for case in running(DEADLINE) {
+            let (c, what) = (compile(&case.kernel), &case.what);
+            assert_eq!(performs(&c.skipping).len(), 1, "{what}\n{}", c.skipping.disasm());
+            let mut interp = Interpreter::new(&c.names);
+            let tree = agree(&c, &case, &mut interp, |p| run(p, &case.bufs, None), what);
+            assert_eq!(tree, "Ok(())", "{what}");
+            let passed = [&c.skipping, &c.scalar].map(|p| {
+                let mut vm = Vm::new(p);
+                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
+                let mut left = case.bufs.clone();
+                let verdict = vm.run(p, &mut left);
+                (
+                    verdict,
+                    vm.stats(),
+                    case.outs.iter().map(|&out| bits(left.get(out))).collect::<Vec<_>>(),
+                )
+            });
+            assert_eq!(passed[0], passed[1], "{what}: a passed deadline");
+            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
+                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{what}");
+            }
+        }
+    }
+
+    /// A buffer rebound to another kind or length: the op declines or stops
+    /// in front of the step, and the scalar loop reports what it reports
+    /// without the op, having counted the same work and left the same
+    /// outputs.
+    #[test]
+    fn a_rebound_buffer_faults_the_performed_step_as_the_scalar_loop_faults() {
+        for case in performed().into_iter().filter(|case| !case.rebound.is_empty()) {
+            let c = compile(&case.kernel);
+            for (what, bufs) in &case.rebound {
+                for &out in case.outs {
+                    same_verdict(&c, bufs, &format!("{what}, {}", case.what), out);
+                }
+            }
         }
     }
 }

@@ -8,7 +8,9 @@
 
 use super::*;
 use crate::buffer::{Buffer, BufferSet};
-use crate::bytecode::{Gather, Instr, MergeForm, Reg, Step, Term, VBase, VFill, VRhs, VScale};
+use crate::bytecode::{
+    Gather, Guard, Instr, MergeForm, Out, Product, Reg, Step, Term, VBase, VFill, VRhs, VScale,
+};
 use crate::expr::{BinOp, Expr};
 use crate::value::Value;
 
@@ -685,6 +687,7 @@ fn kernel_with_copies_around_a_loop() -> (Program, Names, BufferSet) {
         stmt_bump: vec![0; code.len()],
         code,
         consts: Vec::new(),
+        steps: Vec::new(),
         var_names: vec!["p".into(), "n".into(), "q".into()].into(),
         num_regs: 5,
         pretags: [p, n, q, t, u].map(|r| (r, LaneTag::Int)).to_vec(),
@@ -780,14 +783,35 @@ fn an_advance_that_counts_its_statement_when_not_taken_is_caught_and_attributed(
 // output with one thing wrong, and the gate that notices.
 // ---------------------------------------------------------------------
 
-/// Whether `instr` is a step loop op that skips.
-fn skips(instr: &Instr) -> bool {
-    matches!(instr, Instr::IStepLoop { step: Step::Skip(_), .. })
+/// Whether `instr`, an instruction of `p`, is a step loop op that skips.
+fn skips(p: &Program, instr: &Instr) -> bool {
+    matches!(p.step_of(instr), Some(Step::Skip(_)))
 }
 
-/// Whether `instr` is a step loop op that performs a reduction.
-fn reduces(instr: &Instr) -> bool {
-    matches!(instr, Instr::IStepLoop { step: Step::Reduce { .. }, .. })
+/// Whether `instr` is a step loop op that performs a reduction on every
+/// step.
+fn reduces(p: &Program, instr: &Instr) -> bool {
+    matches!(
+        p.step_of(instr),
+        Some(Step::Perform { guard: Guard::Every, out: Out::Fold { .. }, .. })
+    )
+}
+
+/// The step-table entry of the step loop op at `at`.
+fn step_at(program: &mut Program, at: usize) -> &mut Step {
+    let Instr::IStepLoop { step, .. } = program.code[at] else { unreachable!() };
+    &mut program.steps[step as usize]
+}
+
+/// The first op of `from` that `is_op` finds, naming a copy of its entry
+/// appended to the step table of `into`.
+fn transplant(from: &Program, is_op: fn(&Program, &Instr) -> bool, into: &mut Program) -> Instr {
+    let mut op = *from.code.iter().find(|i| is_op(from, i)).expect("the op");
+    let entry = *from.step_of(&op).expect("its entry");
+    let Instr::IStepLoop { step, .. } = &mut op else { unreachable!() };
+    *step = into.steps.len() as u32;
+    into.steps.push(entry);
+    op
 }
 
 /// A two-finger merge, typed and through `forward` — what `merge_skip`
@@ -829,7 +853,8 @@ fn run_merge_skip_mutation_on(
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program.code.iter().position(skips).expect("the merge loop gets its op");
+            let at = program.code.iter().position(|i| skips(&program, i));
+            let at = at.expect("the merge loop gets its op");
             (self.0)(&mut program, at);
             Repr::Bytecode(program)
         }
@@ -843,7 +868,7 @@ fn the_merge_skip_pass_validates_and_its_witness_skips_with_both_fingers() {
     let (_, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Scatter);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(skips).unwrap();
+    let at = out.code.iter().position(|i| skips(&out, i)).unwrap();
     // Four matches and the loop's last iteration are dispatched, of 28.
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (5, 5, 28), "{}", out.disasm());
 }
@@ -935,11 +960,11 @@ fn forced_op(
             "merge_skip"
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
-            let declined = merge_skip(repr.bytecode(), ctx.stats);
+            let mut declined = merge_skip(repr.bytecode(), ctx.stats);
             assert_eq!(ctx.stats.merge_declined[MergeDecline::NotGuardedByBoth as usize], 1);
             let (good, ..) = forwarded_merge_kernel(self.0);
             let good = merge_skip(&good, &mut OptStats::default());
-            let op = *good.code.iter().find(|i| skips(i)).unwrap();
+            let op = transplant(&good, skips, &mut declined);
             let head = declined
                 .code
                 .iter()
@@ -953,6 +978,61 @@ fn forced_op(
 }
 
 #[test]
+fn a_run_ahead_pointed_at_another_loops_entry_is_caught_by_the_verifier() {
+    // The galloped loop's op and its neither-finger-leads fall-back's each
+    // name an entry of the step table; the first one named the second's
+    // would perform the fall-back's steps on the outer loop.
+    let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
+        let other = program.code.iter().rposition(|i| matches!(i, Instr::IStepLoop { .. }));
+        let Instr::IStepLoop { step: theirs, .. } = program.code[other.unwrap()] else {
+            unreachable!()
+        };
+        let Instr::IStepLoop { step: ours, .. } = &mut program.code[at] else { unreachable!() };
+        assert_ne!(*ours, theirs, "two loops, two entries");
+        *ours = theirs;
+    });
+    assert_caught(verdict, "merge_skip", "is the op's at pc");
+}
+
+#[test]
+fn a_run_ahead_past_the_step_table_is_caught_by_the_verifier_and_declined_by_the_vm() {
+    let past = |program: &mut Program, at: usize| {
+        let Instr::IStepLoop { step, .. } = &mut program.code[at] else { unreachable!() };
+        *step = 7;
+    };
+    assert_caught(run_merge_skip_mutation(past), "merge_skip", "outside the table");
+    // Run anyway, the op does nothing: the scalar loop computes what the
+    // program computes without it.
+    let (forwarded, _, bufs) = forwarded_merge_kernel(merge_skip::tests::Shape::Scatter);
+    let mut program = merge_skip(&forwarded, &mut OptStats::default());
+    let at = program.code.iter().position(|i| skips(&program, i)).unwrap();
+    past(&mut program, at);
+    let run = |p: &Program| {
+        let mut bufs = bufs.clone();
+        let mut vm = crate::vm::Vm::new(p);
+        vm.run(p, &mut bufs).expect("runs");
+        (vm.stats(), format!("{:?}", bufs.get(merge_skip::tests::OUT)))
+    };
+    assert_eq!(run(&program), run(&forwarded));
+}
+
+#[test]
+fn a_match_guarded_as_every_step_is_caught_by_the_witness() {
+    // Simulates a recogniser that drops the match test: the op performs the
+    // product of every step, where the loop performs only the steps both
+    // fingers end.
+    let verdict = run_lone_mutation(
+        forwarded_merge_kernel(merge_skip::tests::Shape::Intersection),
+        matches_steps,
+        |program, at| {
+            let Step::Perform { guard, .. } = step_at(program, at) else { unreachable!() };
+            *guard = Guard::Every;
+        },
+    );
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
 fn the_block_form_validates_and_its_witness_skips_both_kinds_of_empty_step() {
     use merge_skip::tests::Shape;
     let out = run_merge_skip_mutation_on(Shape::Block, |_, _| {})
@@ -961,7 +1041,7 @@ fn the_block_form_validates_and_its_witness_skips_both_kinds_of_empty_step() {
     let (_, _, bufs) = forwarded_merge_kernel(Shape::Block);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(skips).unwrap();
+    let at = out.code.iter().position(|i| skips(&out, i)).unwrap();
     // Of 28 iterations, the seven whose `b` coordinate is inside a block
     // (0, 2, 3; 17; 18; 29, 30) and the loop's last are dispatched, each
     // behind one call of the op: the others find a block ending first, or
@@ -1001,10 +1081,8 @@ fn a_block_run_ahead_one_gap_load_short_is_caught_by_the_exact_stats_witness() {
 #[test]
 fn a_block_run_ahead_whose_offsets_are_a_fingers_list_is_caught_by_the_verifier() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Block, |program, at| {
-        let Instr::IStepLoop { a, step: Step::Skip(form), .. } = &mut program.code[at] else {
-            unreachable!()
-        };
-        *form = MergeForm::Blocks { ofs: *a };
+        let Instr::IStepLoop { a, .. } = program.code[at] else { unreachable!() };
+        *step_at(program, at) = Step::Skip(MergeForm::Blocks { ofs: a });
     });
     assert_caught(verdict, "merge_skip", "block offsets from a finger's list");
 }
@@ -1018,7 +1096,7 @@ fn the_jumper_form_validates_and_its_witness_skips_with_either_finger_leading() 
     let (_, _, bufs) = forwarded_merge_kernel(Shape::Gallop);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(skips).unwrap();
+    let at = out.code.iter().position(|i| skips(&out, i)).unwrap();
     // The four matches (3, 17, 18, 30) and the last iteration, whose step
     // is clipped to the bound with neither finger on it, are dispatched; the
     // three steps whose seek lands past the leader (5, 10, 25; `b`, `a`,
@@ -1050,10 +1128,7 @@ fn a_jumper_run_ahead_taking_the_earlier_stride_as_its_leader_is_caught_by_the_v
     // the op would end each step at the earlier stride and advance that
     // finger by one, where the loop seeks the trailer to the later one.
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
-        let Instr::IStepLoop { step: Step::Skip(form), .. } = &mut program.code[at] else {
-            unreachable!()
-        };
-        *form = MergeForm::Steps;
+        *step_at(program, at) = Step::Skip(MergeForm::Steps);
     });
     assert_caught(verdict, "merge_skip", "by one, in one place");
 }
@@ -1061,11 +1136,11 @@ fn a_jumper_run_ahead_taking_the_earlier_stride_as_its_leader_is_caught_by_the_v
 #[test]
 fn a_jumper_run_ahead_whose_row_ends_are_a_fingers_list_is_caught_by_the_verifier() {
     let verdict = run_merge_skip_mutation_on(merge_skip::tests::Shape::Gallop, |program, at| {
-        let Instr::IStepLoop { a, step: Step::Skip(form), .. } = &mut program.code[at] else {
+        let Instr::IStepLoop { a, .. } = program.code[at] else { unreachable!() };
+        let Step::Skip(MergeForm::Gallop { a_end, .. }) = step_at(program, at) else {
             unreachable!()
         };
-        let MergeForm::Gallop { a_end, .. } = form else { unreachable!() };
-        *a_end = *a;
+        *a_end = a;
     });
     assert_caught(verdict, "merge_skip", "row ends from a finger's list");
 }
@@ -1093,17 +1168,18 @@ fn run_gather_mutation(mutate: fn(&mut Program, usize)) -> Result<Repr, PassErro
 /// `is_op` finds.
 fn run_lone_mutation(
     kernel: (Program, Names, BufferSet),
-    is_op: fn(&Instr) -> bool,
+    is_op: fn(&Program, &Instr) -> bool,
     mutate: fn(&mut Program, usize),
 ) -> Result<Repr, PassError> {
-    struct Mutated(fn(&Instr) -> bool, fn(&mut Program, usize));
+    struct Mutated(fn(&Program, &Instr) -> bool, fn(&mut Program, usize));
     impl Pass for Mutated {
         fn name(&self) -> &'static str {
             "merge_skip"
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program.code.iter().position(self.0).expect("the lone stepper gets its op");
+            let at = program.code.iter().position(|i| (self.0)(&program, i));
+            let at = at.expect("the lone stepper gets its op");
             (self.1)(&mut program, at);
             Repr::Bytecode(program)
         }
@@ -1117,7 +1193,7 @@ fn the_gather_reduction_validates_and_its_witness_performs_all_but_the_last_iter
     let (_, _, bufs) = forwarded_gather_kernel();
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(reduces).unwrap();
+    let at = out.code.iter().position(|i| reduces(&out, i)).unwrap();
     // The op once, at the loop's entry, and the last of eight iterations.
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 8), "{}", out.disasm());
 }
@@ -1149,9 +1225,8 @@ fn a_gather_reduction_whose_offset_is_off_by_one_is_caught_by_output_parity() {
     // The band starts one position into `x`: without the term that says
     // so, the op gathers each value from the coordinate in front.
     let verdict = run_gather_mutation(|program, at| {
-        let Instr::IStepLoop {
-            step: Step::Reduce { gather: Gather::Load { ofs, .. }, .. }, ..
-        } = &mut program.code[at]
+        let Step::Perform { product: Product { second: Gather::Load { ofs, .. }, .. }, .. } =
+            step_at(program, at)
         else {
             unreachable!()
         };
@@ -1163,13 +1238,12 @@ fn a_gather_reduction_whose_offset_is_off_by_one_is_caught_by_output_parity() {
 #[test]
 fn a_gather_reduction_accumulating_into_a_source_is_caught_by_the_verifier() {
     let verdict = run_gather_mutation(|program, at| {
-        let Instr::IStepLoop { step: Step::Reduce { val, acc, .. }, .. } = &mut program.code[at]
-        else {
+        let Step::Perform { product, out: Out::Fold { acc, .. }, .. } = step_at(program, at) else {
             unreachable!()
         };
-        *acc = *val;
+        *acc = product.val;
     });
-    assert_caught(verdict, "merge_skip", "accumulates into one of its sources");
+    assert_caught(verdict, "merge_skip", "puts its product into one of its sources");
 }
 
 // ---------------------------------------------------------------------
@@ -1187,9 +1261,12 @@ fn forwarded_append_kernel() -> (Program, Names, BufferSet) {
     forwarded(merge_skip::tests::append_kernel(&crd, &values, 39, guard))
 }
 
-/// Whether `instr` is a step loop op that appends.
-fn appends(instr: &Instr) -> bool {
-    matches!(instr, Instr::IStepLoop { step: Step::Append { .. }, .. })
+/// Whether `instr` is a step loop op that pushes a lone stepper's value.
+fn appends(p: &Program, instr: &Instr) -> bool {
+    matches!(
+        p.step_of(instr),
+        Some(Step::Perform { guard: Guard::Every | Guard::Cmp(..), out: Out::Push { .. }, .. })
+    )
 }
 
 #[test]
@@ -1200,7 +1277,7 @@ fn the_append_validates_and_its_witness_performs_all_but_the_last_iteration() {
     let (_, _, bufs) = forwarded_append_kernel();
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(appends).unwrap();
+    let at = out.code.iter().position(|i| appends(&out, i)).unwrap();
     // The op once, at the loop's entry, and the last of eight iterations.
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 8), "{}", out.disasm());
 }
@@ -1221,21 +1298,19 @@ fn an_append_whose_pass_count_is_off_by_one_is_caught_by_the_exact_stats_witness
 #[test]
 fn an_append_pushing_onto_its_own_values_is_caught_by_the_verifier() {
     let verdict = run_lone_mutation(forwarded_append_kernel(), appends, |program, at| {
-        let Instr::IStepLoop { step: Step::Append { val, vals, .. }, .. } = &mut program.code[at]
+        let Step::Perform { product, out: Out::Push { vals, .. }, .. } = step_at(program, at)
         else {
             unreachable!()
         };
-        *vals = *val;
+        *vals = product.val;
     });
-    assert_caught(verdict, "merge_skip", "appends from or onto one buffer twice");
+    assert_caught(verdict, "merge_skip", "puts its product into one of its sources");
 }
 
 /// Moves the statements of a step that passes the guard of the append at
 /// `at` by `by`.
 fn bump_pass_count(program: &mut Program, at: usize, by: i32) {
-    let Instr::IStepLoop { step: Step::Append { pass, .. }, .. } = &mut program.code[at] else {
-        unreachable!()
-    };
+    let Step::Perform { pass, .. } = step_at(program, at) else { unreachable!() };
     pass[0] = pass[0].checked_add_signed(by).expect("a count of at least one");
 }
 
@@ -1268,7 +1343,7 @@ fn run_misread_reduction(misread: fn(&[Instr]) -> (usize, Instr)) -> Result<Repr
             let mut read = repr.bytecode().clone();
             let loop_has = std::mem::replace(&mut read.code[self.at], self.read);
             let mut program = merge_skip(&read, ctx.stats);
-            let op = program.code.iter().position(reduces);
+            let op = program.code.iter().position(|i| reduces(&program, i));
             assert!(op.is_some_and(|op| op <= self.at), "the run loop gets its op in front");
             program.code[self.at + 1] = loop_has;
             Repr::Bytecode(program)
@@ -1290,7 +1365,7 @@ fn the_two_finger_reduction_validates_and_its_witness_performs_all_but_the_last_
     let (_, _, bufs) = forwarded_run_kernel();
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(reduces).unwrap();
+    let at = out.code.iter().position(|i| reduces(&out, i)).unwrap();
     // The op once, at the loop's entry, and the last of eight steps (ends 0,
     // 3, 4, 7, 9, 15 and 20; 3, 4, 15 and 20 are ties).
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 7), "{}", out.disasm());
@@ -1347,8 +1422,8 @@ fn forwarded_led_kernel(last: bool) -> (Program, Names, BufferSet) {
 }
 
 /// Whether `instr` is a step loop op that performs matched steps.
-fn matches_steps(instr: &Instr) -> bool {
-    matches!(instr, Instr::IStepLoop { step: Step::Match { .. }, .. })
+fn matches_steps(p: &Program, instr: &Instr) -> bool {
+    matches!(p.step_of(instr), Some(Step::Perform { guard: Guard::Both, .. }))
 }
 
 #[test]
@@ -1359,7 +1434,7 @@ fn the_match_validates_and_its_witness_performs_all_but_the_last_step() {
     let (_, _, bufs) = forwarded_led_kernel(false);
     let mut vm = crate::vm::Vm::new(&out);
     let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
-    let at = out.code.iter().position(matches_steps).unwrap();
+    let at = out.code.iter().position(|i| matches_steps(&out, i)).unwrap();
     // The op once, at the loop's entry, and the last of nine steps (ends 1,
     // 2, 5, 9, 11, 14, 18, 20 and 25; 2, 9, 14 and 20 are matches).
     assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 9), "{}", out.disasm());
@@ -1380,9 +1455,7 @@ fn a_match_whose_pass_count_is_off_by_one_is_caught_by_the_exact_stats_witness()
 
 /// Moves the statements of a match of the op at `at` by `by`.
 fn bump_match_count(program: &mut Program, at: usize, by: i32) {
-    let Instr::IStepLoop { step: Step::Match { pass, .. }, .. } = &mut program.code[at] else {
-        unreachable!()
-    };
+    let Step::Perform { pass, .. } = step_at(program, at) else { unreachable!() };
     pass[0] = pass[0].checked_add_signed(by).expect("a count of at least one");
 }
 
@@ -1399,13 +1472,12 @@ fn a_match_multiplying_the_lead_first_where_the_loop_multiplies_it_last_is_caugh
         }
         fn run(&self, repr: ReprRef<'_>, ctx: &mut PassCtx<'_>) -> Repr {
             let mut program = merge_skip(repr.bytecode(), ctx.stats);
-            let at = program.code.iter().position(skips).expect("the lead-last loop skips");
+            let at = program.code.iter().position(|i| skips(&program, i));
+            let at = at.expect("the lead-last loop skips");
             let (led, ..) = forwarded_led_kernel(false);
             let led = merge_skip(&led, &mut OptStats::default());
-            let op = *led.code.iter().find(|i| matches_steps(i)).expect("the match");
-            let (Instr::IStepLoop { a, p, q, start, stop, .. }, Instr::IStepLoop { step, .. }) =
-                (program.code[at], op)
-            else {
+            let op = transplant(&led, matches_steps, &mut program);
+            let Instr::IStepLoop { a, p, q, start, stop, .. } = program.code[at] else {
                 unreachable!()
             };
             // The same loop, registers and all, but for the order of the
@@ -1414,10 +1486,10 @@ fn a_match_multiplying_the_lead_first_where_the_loop_multiplies_it_last_is_caugh
                 Instr::StoreF64 { idx, reduce: Some(_), .. } => Some(idx),
                 _ => None,
             });
-            let Step::Match { out: crate::bytecode::MatchOut::Reduce { k, .. }, .. } = step else {
+            let Some(Step::Perform { out: Out::Fold { k, .. }, .. }) = program.step_of(&op) else {
                 unreachable!()
             };
-            assert_eq!(store, Some(k), "{}", program.disasm());
+            assert_eq!(store, Some(*k), "{}", program.disasm());
             assert!(matches!(op, Instr::IStepLoop { a: a2, p: p2, q: q2, start: s2, stop: t2, .. }
                 if (a2, p2, q2, s2, t2) == (a, p, q, start, stop)));
             program.code[at] = op;

@@ -187,8 +187,9 @@ pub struct PassCtx<'a> {
 /// The [`ExecStats`] preservation contract a pass's output must satisfy
 /// relative to its input when both complete on a witness.
 ///
-/// Buffer contents must be bit-identical under every contract; the
-/// contract only governs the work counters.
+/// Buffer contents must be bit-identical under every contract, but for the
+/// bits of a NaN ([`crate::value::same_f64`]); the contract only governs the
+/// work counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsContract {
     /// Every counter is preserved exactly.  The contract of the bytecode
@@ -428,8 +429,9 @@ fn execute_witness(repr: ReprRef<'_>, names: &Names, witness: &BufferSet) -> Wit
 
 /// Compare the cached pre-pass outcome against the post-pass outcome.
 ///
-/// Buffer contents must be bit-identical.  The [`ExecStats`] check is
-/// governed by the pass's declared [`StatsContract`].
+/// Buffer contents must be the same values ([`Buffer::same_as`]: bit for
+/// bit, but any NaN equals any NaN).  The [`ExecStats`] check is governed by
+/// the pass's declared [`StatsContract`].
 fn compare_outcomes(
     pre: &WitnessOutcome,
     post: &WitnessOutcome,
@@ -449,7 +451,7 @@ fn compare_outcomes(
     };
     for (id, name, pre_buf) in pre_bufs.iter() {
         let post_buf = post_bufs.get(id);
-        if !buffers_bit_equal(pre_buf, post_buf) {
+        if !pre_buf.same_as(post_buf) {
             return Err(format!(
                 "witness outputs diverge in buffer `{name}`: {pre_buf:?} vs {post_buf:?}"
             ));
@@ -485,15 +487,4 @@ fn compare_outcomes(
         }
     }
     Ok(())
-}
-
-/// Bit-exact buffer comparison: floats compare by `to_bits`, so `-0.0`
-/// vs `0.0` and NaN payload changes count as divergence.
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (a, b) {
-        (Buffer::F64(x), Buffer::F64(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        }
-        _ => a == b,
-    }
 }

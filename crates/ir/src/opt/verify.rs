@@ -24,8 +24,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::buffer::{BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    for_each_reg_role, holds_literal, Elem, Gather, Instr, LaneTag, MatchOut, MergeForm, Operand,
-    Program, Reg, Role, Step, Term, VFill,
+    for_each_reg_role, holds_literal, operand_ids, Elem, Gather, Instr, LaneTag, MergeForm,
+    Operand, Out, Program, Reg, Role, Step, VFill,
 };
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -315,7 +315,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
     for (pc, instr) in code.iter().enumerate() {
         // Every buffer operand is in range and has the element kind its
         // opcode's table row requires.
-        instr.try_operands(|operand| {
+        program.try_operands_at(pc, |operand| {
             let Operand::Buf(&buf, elem) = operand else { return Ok(()) };
             if buf.index() >= bufs.len() {
                 return Err(format!(
@@ -337,7 +337,7 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
             }
             Ok(())
         })?;
-        check_step_loop(code, pc)?;
+        check_step_loop(program, pc)?;
         // A kernel op runs the bulk of the counted loop that follows it:
         // anything in between (or a different loop) would run in the
         // wrong place or not at all.
@@ -396,95 +396,64 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// instruction of the body of a `while start <= stop` loop closed by a
 /// bottom test on the same registers, which lands on it.  What the op reads
 /// once per dispatch, the loop may not change: it writes none of the op's
-/// other registers — the bound, a jumper's rows, a reduction's accumulator
-/// element and offset terms, a match's lead — and stores into none of the
-/// op's sources.  A skip or a match walks two lists with two fingers, and a
-/// skip's block offsets or row ends are neither (their `i64` kind is the
-/// operand walk's to check); a reduction's accumulator, or a match's outputs,
-/// are none of its sources, and a value at a finger is at one of its
-/// fingers.  The rest of the body steps the start in
+/// other registers — the bound, a jumper's rows, the lead, an accumulator
+/// element and a gather's offset terms — and stores into none of the op's
+/// sources.  Two fingers walk two lists; a skip has two, and its block
+/// offsets or row ends are neither list (their `i64` kind is the operand
+/// walk's to check); a performed step's guard × product × output is one
+/// that `merge_skip::supported` says exists, its outputs are none of its
+/// sources and not one buffer twice, and a value at a finger is at one of
+/// its fingers.  The rest of the body steps the start in
 /// exactly one place, by one past the step, and each finger — a stepper's in
 /// exactly one place, by one, as the op does; a jumper's by one, by a seek
 /// from itself in its own list or by a nested op over that list, the last
 /// write the loop's own step by one.  (That the op's counts are the loop's,
-/// and a reduction's factors the body's, is the exact-stats witness's to
+/// and a product's factors the body's, is the exact-stats witness's to
 /// find.)
-fn check_step_loop(code: &[Instr], pc: usize) -> Result<(), String> {
-    let Instr::IStepLoop { a, p, q, step, start, stop, .. } = code[pc] else { return Ok(()) };
+fn check_step_loop(program: &Program, pc: usize) -> Result<(), String> {
+    let code = program.code();
+    let Instr::IStepLoop { a, p, q, start, stop, .. } = code[pc] else { return Ok(()) };
+    // An entry outside the table is `Program::validate`'s to reject.
+    let Some(&step) = program.step_of(&code[pc]) else { return Ok(()) };
     let bottom = step_loop_bottom(code, pc, (start, stop))?;
     let fail = |what: String| Err(format!("step loop op at pc {pc}: {what}"));
     let fingers: Vec<(Reg, BufId)> = [(p, a)].into_iter().chain(q.map(|(b, q)| (q, b))).collect();
     let (mut invariant, mut sources) = (vec![stop], vec![a]);
     sources.extend(q.map(|(b, _)| b));
+    if q.is_some_and(|(b, _)| b == a) {
+        return fail("walks one list with two fingers".into());
+    }
     match step {
         Step::Skip(form) => {
-            let Some((b, _)) = q.filter(|&(b, _)| b != a) else {
+            let Some((b, _)) = q else {
                 return fail("does not walk two lists with two fingers".into());
             };
-            let (aux, what) = match form {
-                MergeForm::Steps => (vec![], ""),
-                MergeForm::Blocks { ofs } => (vec![ofs], "block offsets"),
-                MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
-                    invariant.extend([a_row, b_row]);
-                    (vec![a_end, b_end], "row ends")
-                }
-            };
+            let (aux, rows) = operand_ids(&form);
             if aux.iter().any(|&buf| buf == a || buf == b) {
+                let what = match form {
+                    MergeForm::Blocks { .. } => "block offsets",
+                    _ => "row ends",
+                };
                 return fail(format!("reads its {what} from a finger's list"));
             }
             sources.extend(aux);
+            invariant.extend(rows);
         }
-        Step::Reduce { val, gather, acc, k, .. } => {
-            sources.push(val);
-            invariant.push(k);
-            match gather {
-                Gather::None => {}
-                Gather::At { x, at } => {
-                    sources.push(x);
-                    if !fingers.iter().any(|&(finger, _)| finger == at) {
-                        return fail(format!("reads a value at {at}, which is not a finger"));
-                    }
-                }
-                Gather::Load { x, ofs } => {
-                    sources.push(x);
-                    for term in ofs {
-                        if let Term::Plus { buf, at } | Term::Minus { buf, at } = term {
-                            sources.push(buf);
-                            invariant.push(at);
-                        }
-                    }
+        Step::Perform { guard, product, out, .. } => {
+            if !super::merge_skip::supported(guard, &product, out, q.map(|(_, q)| q)) {
+                return fail(format!("performs {guard:?} into {out:?}, which no loop does"));
+            }
+            let ((read, mut regs), (outs, k)) = (operand_ids(&product), operand_ids(&out));
+            // A value at a finger, the walk's last register, reads the finger
+            // as the op steps it; every other register is read once.
+            if let Gather::At { at, .. } = product.second {
+                regs.pop();
+                if !fingers.iter().any(|&(finger, _)| finger == at) {
+                    return fail(format!("reads a value at {at}, which is not a finger"));
                 }
             }
-            if sources.contains(&acc) {
-                return fail("accumulates into one of its sources".into());
-            }
-        }
-        Step::Append { val, crd, vals, .. } => {
-            if q.is_some() {
-                return fail("appends on two fingers".into());
-            }
-            let bufs = [a, val, crd, vals];
-            if (1..bufs.len()).any(|k| bufs[..k].contains(&bufs[k])) {
-                return fail("appends from or onto one buffer twice".into());
-            }
-            sources.push(val);
-        }
-        Step::Match { val, x, lead, out, .. } => {
-            if q.is_none_or(|(b, _)| b == a) {
-                return fail("does not match two lists with two fingers".into());
-            }
-            sources.extend([val, x]);
-            if let Some((buf, at)) = lead {
-                sources.push(buf);
-                invariant.push(at);
-            }
-            let outs = match out {
-                MatchOut::Reduce { acc, k, .. } => {
-                    invariant.push(k);
-                    vec![acc]
-                }
-                MatchOut::Append { crd, vals } => vec![crd, vals],
-            };
+            sources.extend(read);
+            invariant.extend(regs.into_iter().chain(k));
             if outs.iter().any(|buf| sources.contains(buf)) || outs.first() == outs.get(1) {
                 return fail("puts its product into one of its sources, or twice".into());
             }
@@ -494,7 +463,8 @@ fn check_step_loop(code: &[Instr], pc: usize) -> Result<(), String> {
     if let Some(reg) = invariant.into_iter().find(|&reg| body.iter().any(|i| writes(i, reg))) {
         return fail(format!("reads register {reg}, which its loop writes"));
     }
-    if let Some(buf) = sources.into_iter().find(|&buf| body.iter().any(|i| stores_into(i, buf))) {
+    let stores = |i: &Instr, buf| stores_into(program, i, buf);
+    if let Some(buf) = sources.into_iter().find(|&buf| body.iter().any(|i| stores(i, buf))) {
         return fail(format!("reads buffer b{}, which its loop stores into", buf.index()));
     }
     let gallop = matches!(step, Step::Skip(MergeForm::Gallop { .. }));
@@ -581,8 +551,9 @@ fn steps(instr: &Instr, reg: Reg, finger: bool) -> bool {
     }
 }
 
-/// Whether `instr` stores into, or appends to, `buf`.
-fn stores_into(instr: &Instr, buf: BufId) -> bool {
+/// Whether `instr`, an instruction of `program`, stores into, or appends
+/// to, `buf`.
+fn stores_into(program: &Program, instr: &Instr, buf: BufId) -> bool {
     match *instr {
         Instr::Store { buf: to, .. }
         | Instr::StoreF64 { buf: to, .. }
@@ -593,18 +564,13 @@ fn stores_into(instr: &Instr, buf: BufId) -> bool {
         | Instr::VFillStoreF64 { buf: to, .. }
         | Instr::VMapF64 { dst: to, .. }
         | Instr::VMulAddF64 { acc: to, .. }
-        | Instr::VReduceF64 { acc: to, .. }
-        | Instr::IStepLoop { step: Step::Reduce { acc: to, .. }, .. }
-        | Instr::IStepLoop {
-            step: Step::Match { out: MatchOut::Reduce { acc: to, .. }, .. },
-            ..
-        } => to == buf,
-        Instr::VAppendRangeF64 { idx_out, val_out, .. }
-        | Instr::IStepLoop { step: Step::Append { crd: idx_out, vals: val_out, .. }, .. }
-        | Instr::IStepLoop {
-            step: Step::Match { out: MatchOut::Append { crd: idx_out, vals: val_out }, .. },
-            ..
-        } => idx_out == buf || val_out == buf,
+        | Instr::VReduceF64 { acc: to, .. } => to == buf,
+        Instr::VAppendRangeF64 { idx_out, val_out, .. } => idx_out == buf || val_out == buf,
+        Instr::IStepLoop { .. } => match program.step_of(instr) {
+            Some(&Step::Perform { out: Out::Fold { acc, .. }, .. }) => acc == buf,
+            Some(&Step::Perform { out: Out::Push { crd, vals }, .. }) => crd == buf || vals == buf,
+            _ => false,
+        },
         _ => false,
     }
 }
@@ -844,6 +810,7 @@ mod tests {
         let program = Program {
             code: vec![Instr::FiberEnd { pos: BufId(7), data: BufId(8) }],
             consts: Vec::new(),
+            steps: Vec::new(),
             var_names: Vec::new().into(),
             num_regs: 0,
             pretags: Vec::new(),

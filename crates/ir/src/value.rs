@@ -11,6 +11,14 @@ use std::fmt;
 use crate::error::RuntimeError;
 use crate::expr::{BinOp, UnOp};
 
+/// Whether two floats are the same value: equal bits, or both NaN.  Rust
+/// fixes no bits for the NaN that arithmetic returns (RFC 3514), so no
+/// engine, tier or kernel op can promise a NaN's sign or payload; `-0.0` and
+/// `0.0`, which every engine produces alike, stay distinct.
+pub fn same_f64(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 /// A scalar runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {

@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use crate::buffer::{AlignedVec, AllocMeter, BufId, Buffer, BufferSet};
 use crate::bytecode::{
-    Gather, Instr, LaneTag, MatchOut, MergeForm, Program, Reg, Step, StepCounts, Term, VAcc, VBase,
-    VCost, VFill, VRhs, VScale,
+    Gather, Guard, Instr, LaneTag, MergeForm, Out, Product, Program, Reg, Step, StepCounts, Term,
+    VAcc, VBase, VCost, VFill, VRhs, VScale,
 };
 use crate::error::RuntimeError;
 use crate::expr::BinOp;
@@ -266,7 +266,7 @@ impl Vm {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn value(&self, r: Reg, program: &Program) -> Result<Value, RuntimeError> {
         self.get(r).ok_or_else(|| RuntimeError::UnboundVariable { name: program.reg_name(r) })
     }
@@ -396,7 +396,7 @@ impl Vm {
         bufs: &mut BufferSet,
         counts: &mut [u64],
     ) -> Result<(), RuntimeError> {
-        let code = program.code();
+        let (code, steps) = (program.code(), &program.steps[..]);
         let folded = program.stmt_bump();
         assert_eq!(folded.len(), code.len(), "one folded statement count per instruction");
         self.rearm_limits();
@@ -915,7 +915,7 @@ impl Vm {
                     self.v_append_range(bufs, &code[pc]);
                     pc += 1;
                 }
-                Instr::IStepLoop { .. } => pc = self.step_loop(bufs, code, pc),
+                Instr::IStepLoop { .. } => pc = self.step_loop(bufs, (code, steps), pc),
             }
         }
         Ok(())
@@ -1035,7 +1035,7 @@ impl Vm {
 
     /// The float arithmetic subset the typed [`Instr::FArith`] forms
     /// execute — exactly [`Vm::float_binop`]'s arms for these ops.
-    #[inline]
+    #[inline(always)]
     fn float_arith(op: BinOp, x: f64, y: f64) -> f64 {
         match op {
             BinOp::Add => x + y,
@@ -1663,34 +1663,40 @@ impl Vm {
     }
 
     /// [`Instr::IStepLoop`] at `pc`, out of the dispatch loop: take the steps
-    /// its [`Step`] takes — a skip up to the first match, which the scalar
-    /// loop runs; the other steps all but the loop's last, a two-finger
-    /// match's matches among them — and return where dispatch goes on: the
-    /// next instruction, or the loop's exit once a jumper has run its last
-    /// step.  Skipping, galloping, reducing, appending and matching are
-    /// functions of their own, so that each one's loops are optimised apart
-    /// (inlined into this one, the reduction's loops measured 10–15 % slower
-    /// on `dot_list_band`).
+    /// its [`Step`] (the op's entry of `steps`) takes — a skip up to the
+    /// first match, which the scalar loop runs; a performed step all but the
+    /// loop's last — and return where dispatch goes on: the next
+    /// instruction, or the loop's exit once a jumper has run its last step.
+    /// Skipping, galloping and performing are functions of their own, so
+    /// that each one's loops are optimised apart (inlined into this one, the
+    /// reduction's loops measured 10–15 % slower on `dot_list_band`).
     #[inline(never)]
-    fn step_loop(&mut self, bufs: &mut BufferSet, code: &[Instr], pc: usize) -> usize {
+    fn step_loop(
+        &mut self,
+        bufs: &mut BufferSet,
+        (code, steps): (&[Instr], &[Step]),
+        pc: usize,
+    ) -> usize {
         let Instr::IStepLoop { a, p, q, step, start, stop, counts } = code[pc] else {
             unreachable!("dispatched on an IStepLoop")
         };
+        // An entry outside the table: the op declines.
+        let Some(&step) = steps.get(step as usize) else { return pc + 1 };
         // A lone finger is its own second: `q` is `p`, over the same list.
         let (b, second) = q.unwrap_or((a, p));
-        // A skipped step is ended by its leader alone, a performed one may be
-        // ended by both fingers, an append's may pass its guard, and a match
-        // counts its own in place of the fingers'.
+        // A skipped step is ended by its leader alone.  A performed one may be
+        // ended by both fingers, and counts its `pass` and its store or two
+        // pushes on the steps its guard selects — every step, for
+        // `Guard::Every` — where a match counts them in place of the
+        // fingers' counts.
         let [each, by_p, by_q] = counts.stmts;
-        let (worst, stores, pass) = match step {
-            Step::Skip(_) => (each + by_p.max(by_q), 0, [0; 3]),
-            Step::Reduce { .. } => (each + by_p + by_q, 1, [0; 3]),
-            Step::Append { pass: [stmts, loads], .. } => {
-                (each + by_p + stmts, 0, [stmts, loads, 2].map(u64::from))
-            }
-            Step::Match { pass: [stmts, loads], out, .. } => {
-                let pushes = if matches!(out, MatchOut::Append { .. }) { 2 } else { 1 };
-                (each + by_p.max(by_q).max(stmts), 0, [stmts, loads, pushes].map(u64::from))
+        let (worst, pass, replaces) = match step {
+            Step::Skip(_) => (each + by_p.max(by_q), [0; 3], 0),
+            Step::Perform { guard, out, pass: [stmts, loads], .. } => {
+                let both = guard == Guard::Both;
+                let ends = if both { by_p.max(by_q).max(stmts) } else { by_p + by_q + stmts };
+                let puts = if matches!(out, Out::Push { .. }) { 2 } else { 1 };
+                (each + ends, [stmts, loads, puts].map(u64::from), u64::from(both))
             }
         };
         let run = Run {
@@ -1699,9 +1705,8 @@ impl Vm {
             two: q.is_some(),
             counts,
             worst: u64::from(worst).max(1),
-            stores,
             pass,
-            replaces: u64::from(matches!(step, Step::Match { .. })),
+            replaces,
         };
         match step {
             Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
@@ -1718,9 +1723,9 @@ impl Vm {
                 return left.map_or(pc + 1, |end| end as usize);
             }
             Step::Skip(form) => self.skip(bufs, [a, b], form, &run),
-            Step::Reduce { .. } => self.reduce(bufs, [a, b], step, &run),
-            Step::Append { .. } => self.append(bufs, a, step, &run),
-            Step::Match { .. } => self.matched(bufs, [a, b], step, &run),
+            Step::Perform { guard, product, out, .. } => {
+                let _ = self.perform(bufs, [a, b], (guard, product, out), &run);
+            }
         }
         pc + 1
     }
@@ -1753,8 +1758,8 @@ impl Vm {
     /// start where the steps left them (`at`), and what they count — one loop
     /// iteration each, the counts of every step and of each finger on the
     /// steps it ended (`ended`, less the ends [`Run::replaces`] on the steps
-    /// that passed), [`Run::stores`], [`Run::pass`] on the steps that passed
-    /// a guard or matched (`passed`), and `extra`.
+    /// that passed), [`Run::pass`] on the steps the guard selected
+    /// (`passed`), and `extra`.
     #[inline(always)]
     fn commit(
         &mut self,
@@ -1773,7 +1778,7 @@ impl Vm {
         self.stats.loop_iters += done + extra.loop_iters;
         self.stats.stmts += count(run.counts.stmts) + pass_stmts + extra.stmts;
         self.stats.loads += count(run.counts.loads) + pass_loads + extra.loads;
-        self.stats.stores += done * run.stores + pass_stores + extra.stores;
+        self.stats.stores += pass_stores + extra.stores;
         self.stats.searches += extra.searches;
         let [p, q, start] = run.regs;
         self.ints[p.index()] = at[0];
@@ -1883,135 +1888,172 @@ impl Vm {
         };
     }
 
-    /// [`Step::Reduce`]: perform the steps that are not the loop's last —
+    /// [`Step::Perform`]: perform the steps that are not the loop's last —
     /// for a lone stepper, those that end at its stride, so the body runs —
-    /// folding each body's value into the accumulator in order, and store it
-    /// once: nothing else in those steps reads `acc`, which is no source.
+    /// and on those the guard selects, put the product, `((lead * val[p]) *
+    /// second) * extent` in the scalar code's order, where the output says:
+    /// folded into a local strictly in order and stored into `acc[k]` once,
+    /// if a step was selected (nothing else in those steps reads `acc`,
+    /// which is no source), or pushed ([`Vm::pushing`], for as many steps as
+    /// there are entries left in the shorter list).
     ///
-    /// The accumulator's element and the offset's terms are read once; if
-    /// one is out of bounds, or a buffer has another kind, the op does
-    /// nothing, and the scalar loop faults where it faults.
+    /// The lead, the accumulator's element and a gather's offset terms are
+    /// read once; the op does nothing where one is out of bounds, a buffer
+    /// has another kind, or it would write a buffer it reads.  It stops in
+    /// front of a step whose loads would fault, or whose pushes the
+    /// allocation budget would not hold, so that the scalar loop raises the
+    /// error where it raises it.  Each guard × second factor × output that a
+    /// loop has is a loop of its own ([`Vm::put`]), and any other
+    /// combination is declined.
     #[inline(never)]
-    fn reduce(&mut self, bufs: &mut BufferSet, [a, b]: [BufId; 2], step: Step, run: &Run) {
-        let Step::Reduce { val, gather, extent, acc, k, op } = step else {
-            unreachable!("a reduction")
+    fn perform(
+        &mut self,
+        bufs: &mut BufferSet,
+        [a, b]: [BufId; 2],
+        (guard, product, out): (Guard, Product, Out),
+        run: &Run,
+    ) -> Option<()> {
+        let Product { lead, val, second, extent } = product;
+        let (x, s) = match second {
+            Gather::None => (val, NONE),
+            Gather::At { x, at } => (x, if at == run.regs[0] { AT_P } else { AT_Q }),
+            Gather::Load { x, .. } => (x, LOAD),
         };
-        let slot = self.ints[k.index()];
-        let sum = match bufs.get(acc) {
-            Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => data[slot as usize],
-            _ => return,
+        let outs = match out {
+            Out::Fold { acc, .. } => [acc, acc],
+            Out::Push { crd, vals } => [crd, vals],
         };
-        let (x, shift) = match gather {
-            Gather::None => (None, 0),
-            Gather::At { x, .. } | Gather::Load { x, .. } if x == acc => return,
-            Gather::At { x, .. } => (Some(x), 0),
-            Gather::Load { x, ofs } => {
-                let mut shift = 0i64;
-                for term in ofs {
-                    let (buf, at, minus) = match term {
-                        Term::Zero => continue,
-                        Term::Plus { buf, at } => (buf, at, false),
-                        Term::Minus { buf, at } => (buf, at, true),
-                    };
-                    let Buffer::I64(data) = bufs.get(buf) else { return };
-                    let Some(&v) = position(data, self.ints[at.index()]) else { return };
-                    shift = if minus { shift.wrapping_sub(v) } else { shift.wrapping_add(v) };
-                }
-                (Some(x), shift)
-            }
+        let sources = [a, b, val, x, lead.map_or(a, |(buf, _)| buf)];
+        let (g, cmp) = match guard {
+            Guard::Every => (EVERY, None),
+            Guard::Cmp(op, imm) => (CMP, Some((op, imm))),
+            Guard::Both => (BOTH, None),
         };
-        let x = match x.map(|x| bufs.get(x)) {
-            Some(Buffer::F64(x)) => &x[..],
-            Some(_) => return,
-            None => &[],
-        };
-        if acc == val {
-            return;
+        if outs.iter().any(|buf| sources.contains(buf)) || (lead.is_some() && g != BOTH) {
+            return None;
         }
-        let (Buffer::I64(a), Buffer::I64(b), Buffer::F64(val)) =
-            (bufs.get(a), bufs.get(b), bufs.get(val))
-        else {
-            return;
+        let lead = match lead.map(|(buf, at)| (bufs.get(buf), self.ints[at.index()])) {
+            Some((Buffer::F64(data), at)) => Some(*position(data, at)?),
+            Some(_) => return None,
+            None => None,
         };
-        let (lists, body) = ([&a[..], &b[..]], (&val[..], extent, op));
-        // One loop per kind of second factor, the value `v = val[p]` times
-        // it in the scalar code's order; `None` where its load would fault.
-        let folded = match gather {
-            Gather::None => self.fold(lists, run, body, sum, |v, _| Some(v)),
-            Gather::At { at, .. } if at == run.regs[0] => {
-                self.fold(lists, run, body, sum, |v, step| Some(v * position(x, step.at[0])?))
-            }
-            Gather::At { .. } => {
-                self.fold(lists, run, body, sum, |v, step| Some(v * position(x, step.at[1])?))
-            }
-            Gather::Load { .. } => self.fold(lists, run, body, sum, |v, step| {
-                Some(v * position(x, step.ss.wrapping_add(shift))?)
-            }),
-        };
-        if let (Some(sum), Buffer::F64(data)) = (folded, bufs.get_mut(acc)) {
-            data[slot as usize] = sum;
+        let mut shift = 0i64;
+        for term in match second {
+            Gather::Load { ofs, .. } => ofs,
+            _ => [Term::Zero; 2],
+        } {
+            let (Term::Plus { buf, at } | Term::Minus { buf, at }) = term else { continue };
+            let Buffer::I64(data) = bufs.get(buf) else { return None };
+            let v = *position(data, self.ints[at.index()])?;
+            let minus = matches!(term, Term::Minus { .. });
+            shift = if minus { shift.wrapping_sub(v) } else { shift.wrapping_add(v) };
         }
+        let how = How { ids: [a, b, val, x], lead, shift, cmp, extent, out };
+        match (g, s, run.two, matches!(out, Out::Push { .. })) {
+            (EVERY, NONE, false, false) => self.put::<EVERY, NONE, false, false>(bufs, &how, run),
+            (EVERY, NONE, true, false) => self.put::<EVERY, NONE, true, false>(bufs, &how, run),
+            (EVERY, AT_P, false, false) => self.put::<EVERY, AT_P, false, false>(bufs, &how, run),
+            (EVERY, AT_P, true, false) => self.put::<EVERY, AT_P, true, false>(bufs, &how, run),
+            (EVERY, AT_Q, true, false) => self.put::<EVERY, AT_Q, true, false>(bufs, &how, run),
+            (EVERY, LOAD, false, false) => self.put::<EVERY, LOAD, false, false>(bufs, &how, run),
+            (EVERY, LOAD, true, false) => self.put::<EVERY, LOAD, true, false>(bufs, &how, run),
+            (EVERY, NONE, false, true) => self.put::<EVERY, NONE, false, true>(bufs, &how, run),
+            (CMP, NONE, false, true) => self.put::<CMP, NONE, false, true>(bufs, &how, run),
+            (BOTH, AT_Q, true, false) => self.put::<BOTH, AT_Q, true, false>(bufs, &how, run),
+            (BOTH, AT_Q, true, true) => self.put::<BOTH, AT_Q, true, true>(bufs, &how, run),
+            _ => {}
+        }
+        Some(())
     }
 
-    /// [`Vm::steps`] of a reduction over one finger or two: fold into `sum`,
-    /// by `op`, each step's value `times(val[p], step)`, scaled by the
-    /// step's extent where `extent` says so.  The fold, if a step was taken.
-    #[inline(always)]
-    fn fold(
+    /// [`Vm::perform`]'s loop for one guard `G` ([`EVERY`], [`CMP`],
+    /// [`BOTH`]), one second factor `S` ([`NONE`], [`AT_P`], [`AT_Q`],
+    /// [`LOAD`]), one finger or `TWO`, folding or (`PUSH`) pushing.  The
+    /// product is formed on every step and kept on a selected one, so that no
+    /// branch depends on the data; a step stops the op where a load the
+    /// scalar step makes would fault — every step's, but for [`BOTH`], whose
+    /// loads only a match makes.  Each combination is a function of its own,
+    /// so that its loop is optimised apart: inlined into [`Vm::perform`], the
+    /// lone reduction's loop read `dot_list_band` +103 %.
+    #[inline(never)]
+    fn put<const G: u8, const S: u8, const TWO: bool, const PUSH: bool>(
         &mut self,
-        lists: [&[i64]; 2],
+        bufs: &mut BufferSet,
+        how: &How,
         run: &Run,
-        (val, extent, op): (&[f64], bool, BinOp),
-        sum: f64,
-        times: impl Fn(f64, &At) -> Option<f64>,
-    ) -> Option<f64> {
-        let body = |sum, step: &At| {
-            let y = position(val, step.at[0]).and_then(|&v| times(v, step))?;
+    ) {
+        let How { ids, lead, shift, cmp, extent, out } = *how;
+        let product = |(val, x): (&[f64], &[f64]), step: &At| {
+            let v = position(val, step.at[0]).copied();
+            let keep = match G {
+                EVERY => true,
+                CMP => v.zip(cmp).is_some_and(|(v, (op, imm))| Self::cmp_f64(op, v, imm)),
+                _ => step.s[0] == step.s[1],
+            };
+            let y = v.and_then(|v| {
+                let v = if G == BOTH { lead.map_or(v, |lead| lead * v) } else { v };
+                let at = match S {
+                    NONE => return Some(v),
+                    AT_P => step.at[0],
+                    AT_Q => step.at[1],
+                    _ => step.ss.wrapping_add(shift),
+                };
+                Some(v * position(x, at)?)
+            });
+            if (G != BOTH || keep) & y.is_none() {
+                return None;
+            }
+            let y = y.unwrap_or(0.0);
             let y = if extent {
                 y * step.ss.wrapping_sub(step.from).wrapping_add(1).max(0) as f64
             } else {
                 y
             };
-            Some(Self::float_arith(op, sum, y))
+            Some((keep, y))
         };
-        if run.two {
-            self.steps::<true, f64>(lists, run, sum, body)
-        } else {
-            self.steps::<false, f64>(lists, run, sum, body)
-        }
-    }
-
-    /// [`Step::Append`]: perform the steps that are not the loop's last —
-    /// a lone stepper's, which end at its stride — pushing `ss` onto `crd`
-    /// and `val[p]` onto `vals` where the guard passes ([`Vm::pushing`],
-    /// for as many steps as are left in the list).  The op stops in front of
-    /// a step whose value load would fault and of a push the allocation
-    /// budget would not hold, so that the scalar step raises the error; it
-    /// does nothing where a buffer has another kind or two of them are one.
-    #[inline(never)]
-    fn append(&mut self, bufs: &mut BufferSet, a: BufId, step: Step, run: &Run) {
-        let Step::Append { val, guard, crd, vals, .. } = step else { unreachable!("an append") };
-        let distinct = [a, val, crd, vals];
-        if (1..distinct.len()).any(|k| distinct[..k].contains(&distinct[k])) {
-            return;
-        }
-        let (Buffer::I64(list), Buffer::F64(_)) = (bufs.get(a), bufs.get(val)) else { return };
-        let left = usize::try_from(self.ints[run.regs[0].index()])
-            .map_or(0, |at| list.len().saturating_sub(at));
-        self.pushing(bufs, [crd, vals], left as u64, run, |vm, bufs, stage, fit| {
-            let (Buffer::I64(list), Buffer::F64(val)) = (bufs.get(a), bufs.get(val)) else {
-                unreachable!("checked above")
-            };
-            vm.steps::<false, u64>([list, list], run, 0, |passed, step| {
-                let v = *position(val, step.at[0])?;
-                let pass = guard.is_none_or(|(op, imm)| Self::cmp_f64(op, v, imm));
-                if pass & (passed == fit) {
-                    return None;
+        match out {
+            Out::Fold { acc, k, op } if !PUSH => {
+                let slot = self.ints[k.index()];
+                let sum = match bufs.get(acc) {
+                    Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => {
+                        data[slot as usize]
+                    }
+                    _ => return,
+                };
+                let Some((lists, values)) = sources(bufs, ids) else { return };
+                let folded =
+                    self.steps::<TWO, (f64, u64)>(lists, run, (sum, 0), |(sum, n), step| {
+                        let (keep, y) = product(values, step)?;
+                        let folded = Self::float_arith(op, sum, y);
+                        Some((if keep { folded } else { sum }, n + u64::from(keep)))
+                    });
+                if let (Some((sum, 1..)), Buffer::F64(data)) = (folded, bufs.get_mut(acc)) {
+                    data[slot as usize] = sum;
                 }
-                stage.push(step.ss, v, pass);
-                Some(passed + u64::from(pass))
-            })
-        });
+            }
+            Out::Push { crd, vals } if PUSH => {
+                // A push takes a step a finger ends: there are no more of them
+                // than entries left in the shorter list.
+                let Some(([a, b], _)) = sources(bufs, ids) else { return };
+                let [p, q, _] = self.fingers(run);
+                let left = |list: &[i64], at: i64| {
+                    usize::try_from(at).map_or(0, |at| list.len().saturating_sub(at)) as u64
+                };
+                let most = left(a, p).min(left(b, q));
+                self.pushing(bufs, [crd, vals], most, run, |vm, bufs, stage, fit| {
+                    let (lists, values) = sources(bufs, ids)?;
+                    vm.steps::<TWO, u64>(lists, run, 0, |passed, step| {
+                        let (keep, y) = product(values, step)?;
+                        if keep & (passed == fit) {
+                            return None;
+                        }
+                        stage.push(step.ss, y, keep);
+                        Some(passed + u64::from(keep))
+                    })
+                });
+            }
+            _ => {}
+        }
     }
 
     /// Take the steps `take(vm, bufs, stage, fit)` takes, pushing what it
@@ -2051,111 +2093,6 @@ impl Vm {
         *bufs.get_mut(crd) = crd_out;
         *bufs.get_mut(vals) = vals_out;
         self.alloc.add_used(2 * passed.unwrap_or(0));
-    }
-
-    /// [`Step::Match`]: perform the steps that are not the loop's last of
-    /// two steppers — skipping those one finger ends alone, and running the
-    /// body on those both end — multiplying each match's product in the
-    /// scalar code's order, `(lead * val[p]) * x[q]`.  The lead is read once
-    /// per dispatch.  A reduction folds the products into a local strictly
-    /// in order and stores `acc[k]` once, if a step matched; an append pushes
-    /// them ([`Vm::pushing`], for as many matches as there are entries left
-    /// in the shorter list).  The op stops in front of a match whose loads
-    /// would fault or whose pushes the allocation budget would not hold, so
-    /// that the scalar step raises the error; it does nothing where the lead
-    /// or the accumulator's element is out of bounds, a buffer has another
-    /// kind, or it would write a buffer it reads.
-    #[inline(never)]
-    fn matched(&mut self, bufs: &mut BufferSet, [a, b]: [BufId; 2], step: Step, run: &Run) {
-        let Step::Match { val, x, lead, out, .. } = step else { unreachable!("a match") };
-        let sources = [a, b, val, x, lead.map_or(a, |(buf, _)| buf)];
-        let lead = match lead.map(|(buf, at)| (bufs.get(buf), self.ints[at.index()])) {
-            None => None,
-            Some((Buffer::F64(data), at)) => match position(data, at) {
-                Some(&lead) => Some(lead),
-                None => return,
-            },
-            Some(_) => return,
-        };
-        let outs = match out {
-            MatchOut::Reduce { acc, .. } => [acc, acc],
-            MatchOut::Append { crd, vals } => [crd, vals],
-        };
-        if outs.iter().any(|buf| sources.contains(buf)) {
-            return;
-        }
-        /// The lists and the values, if each has its kind.
-        fn lists(bufs: &BufferSet, [a, b, val, x]: [BufId; 4]) -> Option<Lists<'_>> {
-            match (bufs.get(a), bufs.get(b), bufs.get(val), bufs.get(x)) {
-                (Buffer::I64(a), Buffer::I64(b), Buffer::F64(val), Buffer::F64(x)) => {
-                    Some(([&a[..], &b[..]], &val[..], &x[..]))
-                }
-                _ => None,
-            }
-        }
-        type Lists<'a> = ([&'a [i64]; 2], &'a [f64], &'a [f64]);
-        let ids = [a, b, val, x];
-        if lists(bufs, ids).is_none() {
-            return;
-        }
-        // Whether the step matches, and the product a match takes: computed on
-        // every step, so that no branch depends on the data.  `None` where a
-        // match's load would fault.
-        let product = |val: &[f64], x: &[f64], step: &At| {
-            let matched = step.s[0] == step.s[1];
-            let (v, w) = (position(val, step.at[0]), position(x, step.at[1]));
-            if matched & (v.is_none() | w.is_none()) {
-                return None;
-            }
-            let (v, w) = (v.map_or(0.0, |&v| v), w.map_or(0.0, |&w| w));
-            let v = match lead {
-                Some(lead) => lead * v,
-                None => v,
-            };
-            Some((matched, v * w))
-        };
-        match out {
-            MatchOut::Reduce { acc, k, op } => {
-                let slot = self.ints[k.index()];
-                let sum = match bufs.get(acc) {
-                    Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => {
-                        data[slot as usize]
-                    }
-                    _ => return,
-                };
-                let (lists, val, x) = lists(bufs, ids).expect("checked above");
-                let folded = self.steps::<true, (f64, u64)>(lists, run, (sum, 0), |carry, step| {
-                    let (matched, y) = product(val, x, step)?;
-                    let (sum, n) = carry;
-                    let folded = Self::float_arith(op, sum, y);
-                    Some((if matched { folded } else { sum }, n + u64::from(matched)))
-                });
-                if let (Some((sum, 1..)), Buffer::F64(data)) = (folded, bufs.get_mut(acc)) {
-                    data[slot as usize] = sum;
-                }
-            }
-            MatchOut::Append { crd, vals } => {
-                // A match advances both fingers: there are no more of them
-                // than entries left in the shorter list.
-                let [p, q, _] = self.fingers(run);
-                let left = |list: &[i64], at: i64| {
-                    usize::try_from(at).map_or(0, |at| list.len().saturating_sub(at)) as u64
-                };
-                let ([a, b], ..) = lists(bufs, ids).expect("checked above");
-                let shorter = left(a, p).min(left(b, q));
-                self.pushing(bufs, [crd, vals], shorter, run, |vm, bufs, stage, fit| {
-                    let (lists, val, x) = lists(bufs, ids).expect("checked above");
-                    vm.steps::<true, u64>(lists, run, 0, |passed, step| {
-                        let (matched, y) = product(val, x, step)?;
-                        if matched & (passed == fit) {
-                            return None;
-                        }
-                        stage.push(step.ss, y, matched);
-                        Some(passed + u64::from(matched))
-                    })
-                });
-            }
-        }
     }
 
     /// [`MergeForm::Gallop`]: skip the steps that match nothing.  In such a
@@ -2275,22 +2212,60 @@ struct Run {
     counts: StepCounts,
     /// The statements of the costliest step, at least one.
     worst: u64,
-    /// The stores of a taken step: a reduction's one.
-    stores: u64,
-    /// The statements, loads and stores a step that passes an append's guard
-    /// adds — its guarded code's, and its two pushes — or a match counts: the
-    /// whole step's, and its store or its two pushes.
+    /// The statements, loads and stores a step the guard of a performed
+    /// step selects adds: its `pass`, and its store or its two pushes.
     pass: [u64; 3],
-    /// How many of each finger's ends a step that passes stands for, counting
+    /// How many of each finger's ends a selected step stands for, counting
     /// its `pass` in place of the fingers' counts: a match's one, as both
     /// fingers end it.
     replaces: u64,
 }
 
+/// What a [`Step::Perform`]'s loop reads, resolved once per dispatch: the
+/// lists, the values and the second factor's buffer (the values for none),
+/// the lead, a gather's offset, a comparison's operator and literal,
+/// whether the extent is a factor, and the output.
+#[derive(Clone, Copy)]
+struct How {
+    ids: [BufId; 4],
+    lead: Option<f64>,
+    shift: i64,
+    cmp: Option<(BinOp, f64)>,
+    extent: bool,
+    out: Out,
+}
+
+/// [`Vm::put`]'s guards: [`Guard::Every`], [`Guard::Cmp`], [`Guard::Both`].
+const EVERY: u8 = 0;
+const CMP: u8 = 1;
+const BOTH: u8 = 2;
+
+/// [`Vm::put`]'s second factors: none, a value at `p` or at `q`, a gather
+/// at the step's end (the [`Gather`] kinds).
+const NONE: u8 = 0;
+const AT_P: u8 = 1;
+const AT_Q: u8 = 2;
+const LOAD: u8 = 3;
+
+/// The lists, and the values and the second factor's buffer, of a performed
+/// step.
+type Sources<'a> = ([&'a [i64]; 2], (&'a [f64], &'a [f64]));
+
+/// The [`Sources`] of a performed step's `[a, b, val, x]`, if each has its
+/// kind.
+fn sources(bufs: &BufferSet, [a, b, val, x]: [BufId; 4]) -> Option<Sources<'_>> {
+    match (bufs.get(a), bufs.get(b), bufs.get(val), bufs.get(x)) {
+        (Buffer::I64(a), Buffer::I64(b), Buffer::F64(val), Buffer::F64(x)) => {
+            Some(([&a[..], &b[..]], (&val[..], &x[..])))
+        }
+        _ => None,
+    }
+}
+
 /// What a step loop op carries from step to step: the accumulator of
 /// [`Vm::steps`].
 trait Carry: Copy {
-    /// How many of the steps taken so far passed a guard.
+    /// How many of the steps taken so far its guard selected.
     fn passed(self) -> u64 {
         0
     }
@@ -2299,17 +2274,14 @@ trait Carry: Copy {
 /// A skip's: nothing.
 impl Carry for () {}
 
-/// A reduction's: the fold.
-impl Carry for f64 {}
-
-/// A matched reduction's: the fold, and the steps that matched.
+/// A fold's: the sum, and the steps selected.
 impl Carry for (f64, u64) {
     fn passed(self) -> u64 {
         self.1
     }
 }
 
-/// An append's: the steps that pushed.
+/// A push's: the steps that pushed.
 impl Carry for u64 {
     fn passed(self) -> u64 {
         self

@@ -29,20 +29,20 @@
 //! step loop op skips (`Instr::IStepLoop`, `Step::Skip`: the VBL and
 //! galloped merges, and a two-finger walk into a dense output) only
 //! dispatches the iterations that match or end it (the galloped merge's op
-//! runs an empty last iteration too), and one whose op reduces
-//! (`Step::Reduce`: over Fig. 1's lone stepper, Fig. 11's row norms, or the
-//! two run-length fingers of Fig. 11's run × run loop, whose body runs on
-//! every step), appends (`Step::Append`: Fig. S's threshold filter over a
-//! sparse list) or matches (`Step::Match`: the two-finger walks of Figs. 1,
-//! 7, 8 and 11, whose matched steps it performs too) only its last
-//! iteration, so its
+//! runs an empty last iteration too), and one whose op performs its steps
+//! (`Step::Perform`, a guard × output: `Guard::Every` folding over Fig. 1's
+//! lone stepper, Fig. 11's row norms, or the two run-length fingers of
+//! Fig. 11's run × run loop, whose body runs on every step; `Guard::Cmp`
+//! pushing in Fig. S's threshold filter over a sparse list; `Guard::Both`
+//! folding in the two-finger walks of Figs. 1, 7, 8 and 11, whose matched
+//! steps it performs too) only its last iteration, so its
 //! iterations are counted on the same kernel compiled with `simd` off — the
 //! same scalar loop, instruction for instruction, without the op.  The same
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
 //! more scalar iterations dispatched than there are matches and loop entries.
 
 use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
-use finch_ir::bytecode::Step;
+use finch_ir::bytecode::{Guard, Out, Step};
 use finch_ir::{Instr, MergeForm, Program};
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
@@ -169,34 +169,46 @@ const BUDGETS: &[(&str, &str, u64, u64)] = &[
 /// stepper's too) and Fig. S's threshold filter into a sparse list the
 /// append.
 const ONE_OP: [(&str, &str, Form); 9] = [
-    ("fig0", "two-finger (TACO-style)", Form::Match),
-    ("fig01", "iterator-over-nonzeros", Form::Match),
-    ("fig11", "sparse list", Form::Match),
+    ("fig0", "two-finger (TACO-style)", Form::Perform(On::Both, Put::Fold, 2)),
+    ("fig01", "iterator-over-nonzeros", Form::Perform(On::Both, Put::Fold, 2)),
+    ("fig11", "sparse list", Form::Perform(On::Both, Put::Fold, 2)),
     ("fig07", "VBL", Form::Blocks),
     ("fig07", "gallop both", Form::Gallop),
     ("fig08", "gallop", Form::Gallop),
-    ("fig01", "looplets: list x band", Form::Gather),
-    ("fig11", "run-length (RLE)", Form::Reduce),
-    ("figS threshold", "sparse-list output", Form::Append),
+    ("fig01", "looplets: list x band", Form::Perform(On::Every, Put::Fold, 1)),
+    ("fig11", "run-length (RLE)", Form::Perform(On::Every, Put::Fold, 2)),
+    ("figS threshold", "sparse-list output", Form::Perform(On::Cmp, Put::Push, 1)),
 ];
 
-/// A run-ahead op's form, without its operands (the reductions count as
-/// ones, by their fingers).
+/// A run-ahead op's form, without its operands: a skip's form, or a
+/// performed step's guard, output and number of fingers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
     Steps,
     Blocks,
     Gallop,
-    Gather,
-    Reduce,
-    Append,
-    Match,
+    Perform(On, Put, u8),
+}
+
+/// A [`Guard`], without its operands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum On {
+    Every,
+    Cmp,
+    Both,
+}
+
+/// An [`Out`], without its operands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Put {
+    Fold,
+    Push,
 }
 
 /// One run-ahead op of a profiled program: its form, how many scalar
 /// iterations its loop dispatched, how many of them matched (ran the guarded
-/// body; none for the reductions, the append and the match, which perform
-/// every iteration but the last) and how often the loop was entered.
+/// body; none for the performed steps, which perform every iteration but the
+/// last) and how often the loop was entered.
 #[derive(Debug)]
 struct RunAhead {
     form: Form,
@@ -211,18 +223,23 @@ fn run_ahead_ops(program: &Program, per_pc: &[u64]) -> Vec<RunAhead> {
         Instr::ICmpBranch { target, .. } => Some(target as usize),
         _ => None,
     };
-    let ops = code.iter().enumerate().filter_map(|(op, i)| match i {
-        Instr::IStepLoop { step: Step::Skip(form), .. } => Some((op, Ok(*form))),
-        Instr::IStepLoop { step: Step::Append { .. }, .. } => Some((op, Err(Form::Append))),
-        Instr::IStepLoop { step: Step::Match { .. }, .. } => Some((op, Err(Form::Match))),
-        Instr::IStepLoop { q: None, .. } => Some((op, Err(Form::Gather))),
-        Instr::IStepLoop { .. } => Some((op, Err(Form::Reduce))),
+    let ops = code.iter().enumerate().filter_map(|(op, i)| match (program.step_of(i)?, i) {
+        (Step::Skip(form), _) => Some((op, Ok(*form))),
+        (Step::Perform { guard, out, .. }, Instr::IStepLoop { q, .. }) => {
+            let on = match guard {
+                Guard::Every => On::Every,
+                Guard::Cmp(..) => On::Cmp,
+                Guard::Both => On::Both,
+            };
+            let put = if matches!(out, Out::Push { .. }) { Put::Push } else { Put::Fold };
+            Some((op, Err(Form::Perform(on, put, 1 + u8::from(q.is_some())))))
+        }
         _ => None,
     });
     ops.map(|(op, form)| {
         // The head, the op, the scalar iteration.
         let (form, sites) = match form {
-            Err(reduction) => (reduction, vec![]),
+            Err(performed) => (performed, vec![]),
             Ok(MergeForm::Gallop { .. }) => (Form::Gallop, jumper_sites(code, op)),
             // The guarded body, behind the last test that skips to where the
             // loop's first guard does — the second equality of an

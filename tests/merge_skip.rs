@@ -5,13 +5,14 @@
 //! (`Instr::IStepLoop`, `Step::Skip`) that skips, natively, the iterations
 //! that match nothing — and, where the matched body is a product into a
 //! scalar or a sparse list (the dot, the sparse-output product, Fig. 7's
-//! two-finger SpMSpV), performs the matches too (`Step::Match`); the lone
-//! stepper of a walked list against a located
+//! two-finger SpMSpV), performs the matches too (`Step::Perform` under
+//! `Guard::Both`); the lone stepper of a walked list against a located
 //! operand (Fig. 1's list × band, a CSR × dense SpMV) carries the same op
-//! (`Step::Reduce`), which performs every iteration but its last, and so
-//! does the run × run loop of two run-length vectors (Fig. 11's product of
-//! two runs), over two fingers, and so does the lone stepper of Fig. S's
-//! threshold filter, whose guarded append the op performs (`Step::Append`).
+//! folding on every step (`Guard::Every`, `Out::Fold`), which performs every
+//! iteration but its last, and so does the run × run loop of two run-length
+//! vectors (Fig. 11's product of two runs), over two fingers, and so does
+//! the lone stepper of Fig. S's threshold filter, whose guarded append the
+//! op performs (`Guard::Cmp`, `Out::Push`).
 //! Its exits are where it can go wrong — a loop that is never
 //! entered, a match on the first step, a match on the last, a budget that
 //! runs out inside a run-ahead — so for the kernels that hold the loop
@@ -40,7 +41,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use finch_bench::{ewise_mul_kernel, threshold_kernel};
-use finch_ir::bytecode::Step;
+use finch_ir::bytecode::{Guard, Out, Step};
 use finch_ir::{Instr, MergeForm};
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::{CompiledKernel, Engine, ExecConfig, Protocol, Tensor, Watch};
@@ -108,25 +109,31 @@ fn observe(kernel: &CompiledKernel, engine: Engine, budget: Option<u64>) -> Stri
 /// What each step loop op of `kernel` does with a step, and whether it has
 /// two fingers.
 fn step_ops(kernel: &CompiledKernel) -> Vec<(Step, bool)> {
+    let program = kernel.bytecode();
     let op = |i: &Instr| match *i {
-        Instr::IStepLoop { q, step, .. } => Some((step, q.is_some())),
+        Instr::IStepLoop { q, .. } => Some((*program.step_of(i)?, q.is_some())),
         _ => None,
     };
-    kernel.bytecode().code().iter().filter_map(op).collect()
+    program.code().iter().filter_map(op).collect()
 }
 
 fn ops(kernel: &CompiledKernel) -> usize {
     step_ops(kernel).len()
 }
 
+/// Whether `step` folds on every step: a reduction.
+fn reduction(step: &Step) -> bool {
+    matches!(step, Step::Perform { guard: Guard::Every, out: Out::Fold { .. }, .. })
+}
+
 /// Whether `kernel` carries the gather reduction.
 fn gathers(kernel: &CompiledKernel) -> bool {
-    step_ops(kernel).iter().any(|(step, _)| matches!(step, Step::Reduce { .. }))
+    step_ops(kernel).iter().any(|(step, _)| reduction(step))
 }
 
 /// Whether `kernel` carries the reduction over two fingers.
 fn reduces_two(kernel: &CompiledKernel) -> bool {
-    step_ops(kernel).iter().any(|op| matches!(op, (Step::Reduce { .. }, true)))
+    step_ops(kernel).iter().any(|(step, two)| reduction(step) && *two)
 }
 
 /// Whether `kernel` carries the skip's `form`.
@@ -398,7 +405,8 @@ fn filter_values(n: usize, one_in: u64, rng: &mut u64) -> Vec<f64> {
 
 /// Whether `kernel` carries the append, on a lone finger.
 fn appends(kernel: &CompiledKernel) -> bool {
-    step_ops(kernel).iter().any(|(step, two)| matches!(step, Step::Append { .. }) && !two)
+    let push = |step: &Step| matches!(step, Step::Perform { out: Out::Push { .. }, .. });
+    step_ops(kernel).iter().any(|(step, two)| push(step) && !two)
 }
 
 /// Fig. S's threshold filter `C[i] = A[i] where A[i] > t` over a sparse
