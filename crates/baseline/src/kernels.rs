@@ -1,10 +1,6 @@
-//! Native reference kernels.
-//!
-//! These are the "hand-written" implementations a performance engineer
-//! would produce for each kernel: dense loops (the OpenCV stand-in) and
-//! iterator-over-nonzeros two-finger merges (the TACO stand-in).  They are
-//! used both as baselines in the benchmark harness and as oracles in the
-//! test suite.
+//! The TACO stand-in: [`spmspv_two_finger`], the iterator-over-nonzeros
+//! merge a performance engineer would write for Figure 7's SpMSpV, whose
+//! work `examples/spmspv.rs` prints beside the compiled strategies'.
 
 /// A sparse vector as parallel coordinate/value arrays (sorted by
 /// coordinate).
@@ -30,20 +26,6 @@ impl SparseVec {
             }
         }
         SparseVec { idx, val, len: data.len() }
-    }
-
-    /// Materialise as a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len];
-        for (&i, &v) in self.idx.iter().zip(&self.val) {
-            out[i] = v;
-        }
-        out
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.idx.len()
     }
 }
 
@@ -86,34 +68,6 @@ impl CsrMatrix {
         CsrMatrix { nrows, ncols, pos, idx, val }
     }
 
-    /// Materialise as a dense row-major matrix.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.nrows * self.ncols];
-        for r in 0..self.nrows {
-            for q in self.pos[r]..self.pos[r + 1] {
-                out[r * self.ncols + self.idx[q]] = self.val[q];
-            }
-        }
-        out
-    }
-
-    /// The transposed matrix (also CSR).
-    pub fn transpose(&self) -> CsrMatrix {
-        let dense = self.to_dense();
-        let mut out = vec![0.0; self.nrows * self.ncols];
-        for r in 0..self.nrows {
-            for c in 0..self.ncols {
-                out[c * self.nrows + r] = dense[r * self.ncols + c];
-            }
-        }
-        CsrMatrix::from_dense(self.ncols, self.nrows, &out)
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.val.len()
-    }
-
     /// The column coordinates of row `r`.
     pub fn row_idx(&self, r: usize) -> &[usize] {
         &self.idx[self.pos[r]..self.pos[r + 1]]
@@ -124,70 +78,6 @@ impl CsrMatrix {
         &self.val[self.pos[r]..self.pos[r + 1]]
     }
 }
-
-// ---------------------------------------------------------------------------
-// Dot products (Figure 1)
-// ---------------------------------------------------------------------------
-
-/// Dense dot product.
-pub fn dot_dense(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// TACO-style two-finger merge dot product over two sparse vectors.
-/// Also returns the number of inner-loop iterations performed, the
-/// machine-independent work measure used in the evaluation.
-pub fn dot_two_finger(a: &SparseVec, b: &SparseVec) -> (f64, u64) {
-    let mut acc = 0.0;
-    let mut work = 0u64;
-    let (mut pa, mut pb) = (0usize, 0usize);
-    while pa < a.idx.len() && pb < b.idx.len() {
-        work += 1;
-        let (ia, ib) = (a.idx[pa], b.idx[pb]);
-        if ia == ib {
-            acc += a.val[pa] * b.val[pb];
-            pa += 1;
-            pb += 1;
-        } else if ia < ib {
-            pa += 1;
-        } else {
-            pb += 1;
-        }
-    }
-    (acc, work)
-}
-
-/// Galloping (mutual lookahead) intersection dot product.
-pub fn dot_gallop(a: &SparseVec, b: &SparseVec) -> (f64, u64) {
-    let mut acc = 0.0;
-    let mut work = 0u64;
-    let (mut pa, mut pb) = (0usize, 0usize);
-    while pa < a.idx.len() && pb < b.idx.len() {
-        work += 1;
-        let (ia, ib) = (a.idx[pa], b.idx[pb]);
-        if ia == ib {
-            acc += a.val[pa] * b.val[pb];
-            pa += 1;
-            pb += 1;
-        } else if ia < ib {
-            pa += lower_bound(&a.idx[pa..], ib);
-        } else {
-            pb += lower_bound(&b.idx[pb..], ia);
-        }
-    }
-    (acc, work)
-}
-
-fn lower_bound(slice: &[usize], key: usize) -> usize {
-    match slice.binary_search(&key) {
-        Ok(k) => k,
-        Err(k) => k,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SpMSpV (Figure 7)
-// ---------------------------------------------------------------------------
 
 /// Sparse-matrix sparse-vector multiply, merging `x` against every row of
 /// `a` with a two-finger merge (the TACO comparison point of Figure 7).
@@ -213,353 +103,41 @@ pub fn spmspv_two_finger(a: &CsrMatrix, x: &SparseVec) -> (Vec<f64>, u64) {
     (y, work)
 }
 
-/// SpMSpV with a galloping merge in every row.
-pub fn spmspv_gallop(a: &CsrMatrix, x: &SparseVec) -> (Vec<f64>, u64) {
-    let mut y = vec![0.0; a.nrows];
-    let mut work = 0u64;
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (idx, val) = (a.row_idx(r), a.row_val(r));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < idx.len() && q < x.idx.len() {
-            work += 1;
-            if idx[p] == x.idx[q] {
-                *yr += val[p] * x.val[q];
-                p += 1;
-                q += 1;
-            } else if idx[p] < x.idx[q] {
-                p += lower_bound(&idx[p..], x.idx[q]);
-            } else {
-                q += lower_bound(&x.idx[q..], idx[p]);
-            }
-        }
-    }
-    (y, work)
-}
-
-/// Dense reference SpMV (oracle).
-pub fn spmv_dense(nrows: usize, ncols: usize, a: &[f64], x: &[f64]) -> Vec<f64> {
-    (0..nrows).map(|r| (0..ncols).map(|c| a[r * ncols + c] * x[c]).sum()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Triangle counting (Figure 8)
-// ---------------------------------------------------------------------------
-
-/// Triangle counting via two-finger row intersections:
-/// `C = Σ_{i,j,k} A[i,j] A[j,k] A[k,i]` over a 0/1 adjacency matrix
-/// (counts each triangle once per ordered rotation, as the paper's kernel
-/// does).
-pub fn triangles_two_finger(a: &CsrMatrix) -> (f64, u64) {
-    triangles_impl(a, false)
-}
-
-/// Triangle counting with galloping intersections.
-pub fn triangles_gallop(a: &CsrMatrix) -> (f64, u64) {
-    triangles_impl(a, true)
-}
-
-fn triangles_impl(a: &CsrMatrix, gallop: bool) -> (f64, u64) {
-    let at = a.transpose();
-    let mut count = 0.0;
-    let mut work = 0u64;
-    for i in 0..a.nrows {
-        for &j in a.row_idx(i) {
-            // Intersect row j of A with column i of A (= row i of Aᵀ).
-            let bj = a.row_idx(j);
-            let ci = at.row_idx(i);
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < bj.len() && q < ci.len() {
-                work += 1;
-                if bj[p] == ci[q] {
-                    count += 1.0;
-                    p += 1;
-                    q += 1;
-                } else if bj[p] < ci[q] {
-                    if gallop {
-                        p += lower_bound(&bj[p..], ci[q]);
-                    } else {
-                        p += 1;
-                    }
-                } else if gallop {
-                    q += lower_bound(&ci[q..], bj[p]);
-                } else {
-                    q += 1;
-                }
-            }
-        }
-    }
-    (count, work)
-}
-
-// ---------------------------------------------------------------------------
-// Convolution (Figure 9)
-// ---------------------------------------------------------------------------
-
-/// Dense 2-D convolution with zero padding, masked to positions where the
-/// input is nonzero (the paper's Figure 9 kernel).
-pub fn conv2d_dense_masked(
-    nrows: usize,
-    ncols: usize,
-    a: &[f64],
-    ksize: usize,
-    filter: &[f64],
-) -> Vec<f64> {
-    let half = (ksize / 2) as isize;
-    let mut out = vec![0.0; nrows * ncols];
-    for i in 0..nrows as isize {
-        for k in 0..ncols as isize {
-            if a[(i as usize) * ncols + k as usize] == 0.0 {
-                continue;
-            }
-            let mut acc = 0.0;
-            for dj in 0..ksize as isize {
-                for dl in 0..ksize as isize {
-                    let (r, c) = (i + dj - half, k + dl - half);
-                    if r >= 0 && r < nrows as isize && c >= 0 && c < ncols as isize {
-                        acc += a[(r as usize) * ncols + c as usize]
-                            * filter[(dj as usize) * ksize + dl as usize];
-                    }
-                }
-            }
-            out[(i as usize) * ncols + k as usize] = acc;
-        }
-    }
-    out
-}
-
-/// Dense 2-D convolution with zero padding over every output position
-/// (the OpenCV stand-in: no sparsity exploited at all).
-pub fn conv2d_dense_full(
-    nrows: usize,
-    ncols: usize,
-    a: &[f64],
-    ksize: usize,
-    filter: &[f64],
-) -> Vec<f64> {
-    let half = (ksize / 2) as isize;
-    let mut out = vec![0.0; nrows * ncols];
-    for i in 0..nrows as isize {
-        for k in 0..ncols as isize {
-            let mut acc = 0.0;
-            for dj in 0..ksize as isize {
-                for dl in 0..ksize as isize {
-                    let (r, c) = (i + dj - half, k + dl - half);
-                    if r >= 0 && r < nrows as isize && c >= 0 && c < ncols as isize {
-                        acc += a[(r as usize) * ncols + c as usize]
-                            * filter[(dj as usize) * ksize + dl as usize];
-                    }
-                }
-            }
-            out[(i as usize) * ncols + k as usize] = acc;
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Alpha blending (Figure 10)
-// ---------------------------------------------------------------------------
-
-/// Dense alpha blending: `A = round(α·B + β·C)` clamped to `0..=255`.
-pub fn alpha_blend_dense(b: &[f64], c: &[f64], alpha: f64, beta: f64) -> Vec<f64> {
-    b.iter().zip(c).map(|(&x, &y)| (alpha * x + beta * y).round().clamp(0.0, 255.0)).collect()
-}
-
-/// Run-length alpha blending: blends run-by-run over both images' runs
-/// (the TACO-RLE comparison point).  Returns the blended image and the
-/// number of runs processed.
-pub fn alpha_blend_rle(b: &[f64], c: &[f64], alpha: f64, beta: f64) -> (Vec<f64>, u64) {
-    let n = b.len();
-    let mut out = vec![0.0; n];
-    let mut work = 0u64;
-    let mut i = 0usize;
-    while i < n {
-        // The extent of the current run in both images.
-        let bv = b[i];
-        let cv = c[i];
-        let mut j = i;
-        while j + 1 < n && b[j + 1] == bv && c[j + 1] == cv {
-            j += 1;
-        }
-        let blended = (alpha * bv + beta * cv).round().clamp(0.0, 255.0);
-        out[i..=j].iter_mut().for_each(|o| *o = blended);
-        work += 1;
-        i = j + 1;
-    }
-    (out, work)
-}
-
-// ---------------------------------------------------------------------------
-// All-pairs image similarity (Figure 11)
-// ---------------------------------------------------------------------------
-
-/// Pairwise Euclidean distances between the rows of an `n × m` matrix of
-/// linearised images: `O[k,l] = sqrt(R[k] + R[l] - 2·⟨A[k,:], A[l,:]⟩)`.
-pub fn all_pairs_similarity_dense(n: usize, m: usize, a: &[f64]) -> Vec<f64> {
-    let r: Vec<f64> = (0..n).map(|k| (0..m).map(|j| a[k * m + j] * a[k * m + j]).sum()).collect();
-    let mut out = vec![0.0; n * n];
-    for k in 0..n {
-        for l in 0..n {
-            let mut dot = 0.0;
-            for j in 0..m {
-                dot += a[k * m + j] * a[l * m + j];
-            }
-            out[k * n + l] = (r[k] + r[l] - 2.0 * dot).max(0.0).sqrt();
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::eval;
+    use finch_cin::build::*;
+    use finch_formats::Tensor;
 
-    fn sample_sparse() -> (Vec<f64>, Vec<f64>) {
-        (
-            vec![0.0, 1.9, 0.0, 3.0, 0.0, 0.0, 2.7, 0.0, 5.5, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 3.7, 4.7, 9.2, 1.5, 8.7, 0.0, 0.0, 0.0],
-        )
-    }
-
+    /// The merge computes `y[i] += A[i, j] * x[j]`'s dense meaning, and its
+    /// work is one step per finger advance.
     #[test]
-    fn sparse_vec_roundtrip() {
-        let (a, _) = sample_sparse();
-        let s = SparseVec::from_dense(&a);
-        assert_eq!(s.to_dense(), a);
-        assert_eq!(s.nnz(), 4);
-    }
-
-    #[test]
-    fn csr_roundtrip_and_transpose() {
-        let data = vec![1.0, 0.0, 2.0, 0.0, 0.0, 3.0];
-        let m = CsrMatrix::from_dense(2, 3, &data);
-        assert_eq!(m.to_dense(), data);
-        let t = m.transpose();
-        assert_eq!(t.nrows, 3);
-        assert_eq!(t.to_dense(), vec![1.0, 0.0, 0.0, 0.0, 2.0, 3.0]);
-        assert_eq!(m.nnz(), 3);
-    }
-
-    #[test]
-    fn merge_dot_products_agree_with_dense() {
-        let (a, b) = sample_sparse();
-        let expect = dot_dense(&a, &b);
-        let (two, _) = dot_two_finger(&SparseVec::from_dense(&a), &SparseVec::from_dense(&b));
-        let (gal, _) = dot_gallop(&SparseVec::from_dense(&a), &SparseVec::from_dense(&b));
-        assert!((two - expect).abs() < 1e-9);
-        assert!((gal - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn galloping_does_less_work_on_skewed_inputs() {
-        // One long list, one tiny list: galloping should touch far fewer
-        // entries than the two-finger merge.
-        let long: Vec<f64> = (0..10_000).map(|k| if k % 2 == 0 { 1.0 } else { 0.0 }).collect();
-        let mut short = vec![0.0; 10_000];
-        short[9_000] = 2.0;
-        let (v1, w1) =
-            dot_two_finger(&SparseVec::from_dense(&long), &SparseVec::from_dense(&short));
-        let (v2, w2) = dot_gallop(&SparseVec::from_dense(&long), &SparseVec::from_dense(&short));
-        assert_eq!(v1, v2);
-        assert!(w2 * 10 < w1, "gallop {w2} vs two-finger {w1}");
-    }
-
-    #[test]
-    fn spmspv_variants_agree_with_dense() {
-        let nrows = 6;
-        let ncols = 11;
-        let (row, xv) = sample_sparse();
+    fn the_two_finger_merge_computes_the_spmv_meaning() {
+        let (nrows, ncols) = (6, 11);
+        let row = [0.0, 1.9, 0.0, 3.0, 0.0, 0.0, 2.7, 0.0, 5.5, 0.0, 0.0];
+        let xv = [0.0, 0.0, 0.0, 3.7, 4.7, 9.2, 1.5, 8.7, 0.0, 0.0, 0.0];
         let dense: Vec<f64> =
             (0..nrows).flat_map(|r| row.iter().map(move |&v| v * (r as f64 + 1.0))).collect();
-        let a = CsrMatrix::from_dense(nrows, ncols, &dense);
-        let x = SparseVec::from_dense(&xv);
-        let expect = spmv_dense(nrows, ncols, &dense, &xv);
-        let (y1, _) = spmspv_two_finger(&a, &x);
-        let (y2, _) = spmspv_gallop(&a, &x);
-        for r in 0..nrows {
-            assert!((y1[r] - expect[r]).abs() < 1e-9);
-            assert!((y2[r] - expect[r]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn triangle_counting_matches_a_brute_force_count() {
-        // A small graph: 5 nodes, triangles (0,1,2) and (1,2,3).
-        let n = 5;
-        let edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (3, 4)];
-        let mut dense = vec![0.0; n * n];
-        for &(u, v) in &edges {
-            dense[u * n + v] = 1.0;
-            dense[v * n + u] = 1.0;
-        }
-        let a = CsrMatrix::from_dense(n, n, &dense);
-        let brute = {
-            let mut c = 0.0;
-            for i in 0..n {
-                for j in 0..n {
-                    for k in 0..n {
-                        c += dense[i * n + j] * dense[j * n + k] * dense[k * n + i];
-                    }
-                }
-            }
-            c
-        };
-        let (two, _) = triangles_two_finger(&a);
-        let (gal, _) = triangles_gallop(&a);
-        assert_eq!(two, brute);
-        assert_eq!(gal, brute);
-        // 2 undirected triangles = 12 ordered rotations.
-        assert_eq!(two, 12.0);
-    }
-
-    #[test]
-    fn masked_convolution_only_writes_on_nonzero_inputs() {
-        let nrows = 8;
-        let ncols = 8;
-        let mut a = vec![0.0; nrows * ncols];
-        a[3 * ncols + 4] = 2.0;
-        a[5 * ncols + 1] = 1.0;
-        let filter = vec![1.0; 9];
-        let out = conv2d_dense_masked(nrows, ncols, &a, 3, &filter);
-        assert!(out[3 * ncols + 4] > 0.0);
-        assert_eq!(out[0], 0.0);
-        let full = conv2d_dense_full(nrows, ncols, &a, 3, &filter);
-        // The masked output agrees with the full convolution wherever the
-        // mask admits a value.
-        for p in 0..nrows * ncols {
-            if a[p] != 0.0 {
-                assert!((out[p] - full[p]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn alpha_blend_rle_matches_dense() {
-        let b = vec![10.0, 10.0, 10.0, 40.0, 40.0, 200.0, 200.0, 200.0];
-        let c = vec![0.0, 0.0, 0.0, 100.0, 100.0, 100.0, 100.0, 30.0];
-        let expect = alpha_blend_dense(&b, &c, 0.6, 0.4);
-        let (got, runs) = alpha_blend_rle(&b, &c, 0.6, 0.4);
-        assert_eq!(got, expect);
-        assert!(runs < b.len() as u64);
-    }
-
-    #[test]
-    fn all_pairs_distances_are_symmetric_with_zero_diagonal() {
-        let a = vec![
-            1.0, 0.0, 2.0, //
-            0.0, 3.0, 0.0, //
-            1.0, 1.0, 1.0,
-        ];
-        let d = all_pairs_similarity_dense(3, 3, &a);
-        for k in 0..3 {
-            assert!(d[k * 3 + k].abs() < 1e-9);
-            for l in 0..3 {
-                assert!((d[k * 3 + l] - d[l * 3 + k]).abs() < 1e-9);
-            }
-        }
-        // Spot check one distance.
-        let expect =
-            ((1.0f64 - 0.0).powi(2) + (0.0f64 - 3.0).powi(2) + (2.0f64 - 0.0).powi(2)).sqrt();
-        assert!((d[1] - expect).abs() < 1e-9);
+        let (i, j) = (idx("i"), idx("j"));
+        let spmv = forall(
+            i.clone(),
+            forall(
+                j.clone(),
+                add_assign(
+                    access("y", [i.clone()]),
+                    mul(access("A", [i, j.clone()]), access("x", [j])),
+                ),
+            ),
+        );
+        let a = Tensor::dense_matrix("A", nrows, ncols, &dense);
+        let x = Tensor::dense_vector("x", &xv);
+        let meaning = eval(&spmv, &[&a, &x], &[("y", &[nrows], 0.0)]).unwrap().remove(0);
+        let (y, work) = spmspv_two_finger(
+            &CsrMatrix::from_dense(nrows, ncols, &dense),
+            &SparseVec::from_dense(&xv),
+        );
+        assert_eq!(y, meaning);
+        assert_eq!(work, 6 * 6);
     }
 }

@@ -1,4 +1,4 @@
-//! # finch-baseline — reference kernels and synthetic workloads
+//! # finch-baseline — the dense meaning, a merge baseline and synthetic workloads
 //!
 //! The paper's evaluation compares Finch against TACO (iterator-over-
 //! nonzeros / two-finger merges) and OpenCV (dense vectorised kernels) on
@@ -6,16 +6,15 @@
 //! datasets.  None of those systems or datasets are vendored here; instead
 //! this crate provides
 //!
-//! * [`kernels`] — straightforward native Rust implementations of every
-//!   kernel in the evaluation (dense and two-finger-merge variants).  They
-//!   play the role of the TACO/OpenCV comparison points *and* serve as
-//!   correctness oracles for the compiler-generated code, and
+//! * [`reference`](mod@reference) — [`reference::eval`], the dense meaning
+//!   of a CIN program and the one oracle every compiled kernel is checked
+//!   against; it depends on `finch-cin`, `finch-formats` and `finch-ir`,
+//!   never on the compiler,
+//! * [`kernels`] — the TACO stand-in, a native two-finger SpMSpV merge, and
 //! * [`datagen`] — synthetic workload generators that reproduce the
 //!   *structural* properties the paper's datasets are used for: clustered
 //!   and banded scientific matrices, power-law graphs, stroke-like sparse
 //!   images and noisy sketches.
-//!
-//! The substitutions are documented in `DESIGN.md` at the repository root.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,3 +22,4 @@
 
 pub mod datagen;
 pub mod kernels;
+pub mod reference;

@@ -9,8 +9,9 @@
 //! cargo run --release -p finch-bench --bin fuzz-kernels -- --validate   # per-pass validation on
 //! ```
 //!
-//! Every case asserts the repository's correctness contract: bit-identical
-//! outputs across all eight legs, engine-identical work counters at each
+//! Every case asserts the repository's correctness contract: the same
+//! outputs across all eight legs and equal to the program's dense meaning
+//! (`fuzz::check_case`), engine-identical work counters at each
 //! configuration, and scalar-identical work counters between the SIMD
 //! kernel-op tier and the typed scalar run.  With `--validate`, kernels
 //! compile at `ValidationLevel::Full`, so each optimisation pass is
@@ -73,7 +74,7 @@ fn main() {
                 eprintln!("warning: could not write reproducer under {out_dir}: {e}");
             }
         } else if (case_no + 1) % 50 == 0 {
-            println!("  {} / {cases} cases divergence-free", case_no + 1);
+            println!("  {} / {cases} cases checked, {divergences} divergence(s)", case_no + 1);
         }
     }
 

@@ -5,16 +5,21 @@
 //! protocols and fills (empty and single-entry vectors, and pairs with one
 //! support, among them) — and [`check_case`] executes it under **every**
 //! compile-side configuration that differs in effect
-//! ([`ExecConfig::matrix`]) on both engines, asserting bit-identical
-//! outputs everywhere plus engine-identical [`finch::ExecStats`] at each
-//! configuration.  Any divergence is a miscompile in some stage of the
-//! pipeline.  [`minimize`] then shrinks the offending case with greedy
-//! delta debugging over its statement list, and [`render_repro`] prints the
-//! minimized case as a runnable `#[test]` the bug can be replayed from.
+//! ([`ExecConfig::matrix`]) on both engines, asserting the same outputs
+//! everywhere (by [`same_f64`]) plus engine-identical [`finch::ExecStats`]
+//! at each configuration.  Those legs all share rewriting, `unfurl` and
+//! looplet lowering, so a bug there gives every leg the same wrong answer;
+//! the first leg is therefore also compared against the program's dense
+//! meaning, [`reference::eval`], which runs the CIN over the inputs' dense
+//! arrays and shares no code with the compiler.  Any divergence is a
+//! miscompile in some stage of the pipeline.  [`minimize`] then shrinks the
+//! offending case with greedy delta debugging over its statement list, and
+//! [`render_repro`] prints the minimized case as a runnable `#[test]` the
+//! bug can be replayed from.
 //!
 //! The `fuzz-kernels` binary drives this module from the command line (and
-//! from CI's smoke job); the unit tests below drive it with an injected
-//! bug to prove the minimizer converges.
+//! from CI's smoke job); the unit tests below drive it with injected bugs to
+//! prove the minimizer converges and that a bug every leg shares is caught.
 
 use std::time::Instant;
 
@@ -22,10 +27,12 @@ use finch::{
     same_f64, CompileError, Engine, ExecConfig, Kernel, LevelSpec, RuntimeError, Tensor,
     ValidationLevel, Watch,
 };
-use finch_baseline::datagen;
+use finch_baseline::{datagen, reference};
 use finch_cin::build::*;
-use finch_cin::{CinExpr, CinOp, CinStmt, IndexVar, Protocol};
+use finch_cin::{CinExpr, CinOp, CinStmt, Protocol};
 use proptest::test_runner::TestRng;
+
+use crate::protocol_index;
 
 /// The storage format of one fuzzed input vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,17 +58,6 @@ impl VecFormat {
             VecFormat::Band => Tensor::band_vector(name, data),
             VecFormat::Vbl => Tensor::vbl_vector(name, data),
             VecFormat::Rle => Tensor::rle_vector(name, data),
-        }
-    }
-
-    /// Rust source for the reproducer rendering.
-    fn src(self) -> &'static str {
-        match self {
-            VecFormat::Dense => "VecFormat::Dense",
-            VecFormat::SparseList => "VecFormat::SparseList",
-            VecFormat::Band => "VecFormat::Band",
-            VecFormat::Vbl => "VecFormat::Vbl",
-            VecFormat::Rle => "VecFormat::Rle",
         }
     }
 }
@@ -131,12 +127,7 @@ pub enum StmtSpec {
 
 impl StmtSpec {
     fn src(self) -> String {
-        let p = |p: Protocol| match p {
-            Protocol::Default => "Protocol::Default",
-            Protocol::Walk => "Protocol::Walk",
-            Protocol::Gallop => "Protocol::Gallop",
-            Protocol::Locate => "Protocol::Locate",
-        };
+        let p = |p: Protocol| format!("Protocol::{p:?}");
         match self {
             StmtSpec::Dot { pa, pb } => format!("StmtSpec::Dot {{ pa: {}, pb: {} }}", p(pa), p(pb)),
             StmtSpec::Axpy { pa, quarters } => {
@@ -179,15 +170,6 @@ impl Fill {
             Fill::Scattered => (n / per).max(2),
         }
     }
-
-    /// Rust source for the reproducer rendering.
-    fn src(self) -> &'static str {
-        match self {
-            Fill::Empty => "Fill::Empty",
-            Fill::Single => "Fill::Single",
-            Fill::Scattered => "Fill::Scattered",
-        }
-    }
 }
 
 /// One fuzzed kernel: the data seed, the shared input vectors' length,
@@ -221,15 +203,6 @@ pub struct Divergence {
     pub combo: String,
     /// What diverged.
     pub detail: String,
-}
-
-fn protocol_index(p: Protocol, v: &IndexVar) -> finch_cin::IndexExpr {
-    match p {
-        Protocol::Gallop => v.gallop(),
-        Protocol::Walk => v.walk(),
-        Protocol::Locate => v.locate(),
-        Protocol::Default => v.clone().into(),
-    }
 }
 
 fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
@@ -321,6 +294,24 @@ pub fn compile_case(
     case: &FuzzCase,
     validation: ValidationLevel,
 ) -> Result<finch::CompiledKernel, CompileError> {
+    let mut kernel = Kernel::with_config(ExecConfig { validation, ..ExecConfig::default() });
+    for input in &inputs(case) {
+        kernel.bind_input(input);
+    }
+    for (k, spec) in case.stmts.iter().enumerate() {
+        let (name, shape) = output(*spec, k, case.n);
+        match spec {
+            StmtSpec::EwiseSparse { .. } | StmtSpec::Threshold { .. } => {
+                kernel.bind_output_format(&name, &[LevelSpec::SparseList { size: case.n }])
+            }
+            _ => kernel.bind_output(&name, &shape, 0.0),
+        };
+    }
+    kernel.compile(&program(case))
+}
+
+/// The case's two input vectors, `A` and `B`.
+fn inputs(case: &FuzzCase) -> [Tensor; 2] {
     let a_data = datagen::counted_sparse_vector(case.n, case.a_fill.count(case.n, 6), case.seed);
     let b_data = if case.same_support {
         a_data.iter().map(|x| x * 0.5).collect()
@@ -328,32 +319,22 @@ pub fn compile_case(
         let count = case.b_fill.count(case.n, 4);
         datagen::counted_sparse_vector(case.n, count, case.seed ^ 0x9E3779B9)
     };
-    let a = case.a_format.build("A", &a_data);
-    let b = case.b_format.build("B", &b_data);
-    let mut kernel = Kernel::with_config(ExecConfig { validation, ..ExecConfig::default() });
-    kernel.bind_input(&a).bind_input(&b);
-    for (k, spec) in case.stmts.iter().enumerate() {
-        match spec {
-            StmtSpec::Dot { .. } | StmtSpec::Sum { .. } => {
-                kernel.bind_output_scalar(format!("C{k}").as_str());
-            }
-            StmtSpec::Axpy { .. }
-            | StmtSpec::EwiseMul { .. }
-            | StmtSpec::Blend
-            | StmtSpec::SieveGt
-            | StmtSpec::Window { .. } => {
-                kernel.bind_output(&format!("y{k}"), &[case.n], 0.0);
-            }
-            StmtSpec::EwiseSparse { .. } | StmtSpec::Threshold { .. } => {
-                kernel.bind_output_format(
-                    &format!("S{k}"),
-                    &[LevelSpec::SparseList { size: case.n }],
-                );
-            }
-        }
+    [case.a_format.build("A", &a_data), case.b_format.build("B", &b_data)]
+}
+
+/// The output statement `k` of the case writes, and its shape; every
+/// output starts at `0.0`.
+fn output(spec: StmtSpec, k: usize, n: usize) -> (String, Vec<usize>) {
+    match spec {
+        StmtSpec::Dot { .. } | StmtSpec::Sum { .. } => (format!("C{k}"), vec![]),
+        StmtSpec::EwiseSparse { .. } | StmtSpec::Threshold { .. } => (format!("S{k}"), vec![n]),
+        _ => (format!("y{k}"), vec![n]),
     }
-    let program = multi(case.stmts.iter().enumerate().map(|(k, s)| build_stmt(*s, k)).collect());
-    kernel.compile(&program)
+}
+
+/// The case's program: its statements, in order.
+fn program(case: &FuzzCase) -> CinStmt {
+    multi(case.stmts.iter().enumerate().map(|(k, s)| build_stmt(*s, k)).collect())
 }
 
 /// Execute one case under every compile-side configuration that differs
@@ -362,10 +343,14 @@ pub fn compile_case(
 /// or `None` when all eight legs agree.
 ///
 /// The correctness contract checked here is the repository's core claim:
-/// outputs are bit-identical across every leg, and under any one
-/// configuration the two engines report identical work counters — the
-/// vectorize stage must also keep the counters scalar-equivalent, so the
-/// typed scalar and the vectorized legs share one reference.
+/// outputs are the same across every leg (by [`same_f64`]: bits, but any
+/// NaN is any NaN), and under any one configuration the two engines report
+/// identical work counters — the vectorize stage must also keep the
+/// counters scalar-equivalent, so the typed scalar and the vectorized legs
+/// share one reference.  Last, the first leg's outputs must be the
+/// program's dense meaning ([`reference::eval`], compared by
+/// [`reference::same_value`]): the one check a bug that every leg shares —
+/// in rewriting, `unfurl`, looplet lowering — cannot pass.
 ///
 /// The error-parity axis: when the case is big enough, every leg is re-run
 /// under a step budget set strictly below the cheapest configuration's
@@ -377,6 +362,16 @@ pub fn compile_case(
 /// read once a run reaches [`Watch::TIME_CHECK_PERIOD`] statements, however
 /// many of them a kernel op counted at once.
 pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Divergence> {
+    check_legs(case, validation, &|_| {})
+}
+
+/// [`check_case`], with `tamper` applied to every output every leg reads
+/// back: the seam a test injects a bug that all legs share through.
+fn check_legs(
+    case: &FuzzCase,
+    validation: ValidationLevel,
+    tamper: &dyn Fn(&mut [f64]),
+) -> Option<Divergence> {
     let compiled = match compile_case(case, validation) {
         Ok(k) => k,
         Err(e) => return Some(Divergence { combo: "compile".into(), detail: e.to_string() }),
@@ -386,7 +381,7 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
             .reconfigured(config)
             .map_err(|e| Divergence { combo: config.label(), detail: e.to_string() })
     };
-    let mut reference: Option<Vec<(String, Vec<f64>)>> = None;
+    let mut first_leg: Option<Vec<(String, Vec<f64>)>> = None;
     let mut min_stmts = u64::MAX;
     // The typed scalar run's counters: the vectorized run must report the
     // exact same machine-independent work.
@@ -417,16 +412,10 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
             };
             engine_stats.push((combo.clone(), stats));
             min_stmts = min_stmts.min(stats.stmts);
-            let outputs: Vec<(String, Vec<f64>)> = k
-                .output_names()
-                .into_iter()
-                .map(|name| {
-                    let out = k.output(&name).expect("output reads");
-                    (name, out)
-                })
-                .collect();
-            match &reference {
-                None => reference = Some(outputs),
+            let mut outputs = crate::outputs(&k);
+            outputs.iter_mut().for_each(|(_, values)| tamper(values));
+            match &first_leg {
+                None => first_leg = Some(outputs),
                 Some(r) => {
                     for ((name, want), (_, got)) in r.iter().zip(&outputs) {
                         let same = want.len() == got.len()
@@ -522,6 +511,32 @@ pub fn check_case(case: &FuzzCase, validation: ValidationLevel) -> Option<Diverg
                     return Some(d);
                 }
             }
+        }
+    }
+    // Last, the first leg against the program's dense meaning.
+    let first_leg = first_leg?;
+    let first = ExecConfig { engine: Engine::TreeWalk, ..compiled.config().matrix()[0] };
+    let combo = format!("{} vs the dense meaning", first.label());
+    let outputs: Vec<_> =
+        case.stmts.iter().enumerate().map(|(k, s)| output(*s, k, case.n)).collect();
+    let declared: Vec<_> =
+        outputs.iter().map(|(name, shape)| (name.as_str(), &shape[..], 0.0)).collect();
+    let [a, b] = inputs(case);
+    let meaning = match reference::eval(&program(case), &[&a, &b], &declared) {
+        Ok(meaning) => meaning,
+        Err(e) => return Some(Divergence { combo, detail: format!("no dense meaning: {e}") }),
+    };
+    for ((name, _), want) in outputs.iter().zip(meaning) {
+        let got = first_leg.iter().find(|(n, _)| n == name).map_or(&[][..], |(_, got)| &got[..]);
+        let differs = |p: &usize| match (got.get(*p), want.get(*p)) {
+            (Some(&g), Some(&w)) => !reference::same_value(g, w),
+            _ => true,
+        };
+        if let Some(p) = (0..got.len().max(want.len())).find(differs) {
+            let (got, want) = (got.get(p), want.get(p));
+            let detail =
+                format!("output `{name}`[{p}] is {got:?} where the dense meaning is {want:?}");
+            return Some(Divergence { combo, detail });
         }
     }
     None
@@ -653,10 +668,10 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
          \x20   let case = FuzzCase {{\n\
          \x20       seed: {},\n\
          \x20       n: {},\n\
-         \x20       a_format: {},\n\
-         \x20       b_format: {},\n\
-         \x20       a_fill: {},\n\
-         \x20       b_fill: {},\n\
+         \x20       a_format: VecFormat::{:?},\n\
+         \x20       b_format: VecFormat::{:?},\n\
+         \x20       a_fill: Fill::{:?},\n\
+         \x20       b_fill: Fill::{:?},\n\
          \x20       same_support: {},\n\
          \x20       stmts: vec![\n{}\
          \x20       ],\n\
@@ -670,10 +685,10 @@ pub fn render_repro(case: &FuzzCase, divergence: &Divergence) -> String {
         case.seed,
         case.seed,
         case.n,
-        case.a_format.src(),
-        case.b_format.src(),
-        case.a_fill.src(),
-        case.b_fill.src(),
+        case.a_format,
+        case.b_format,
+        case.a_fill,
+        case.b_fill,
         case.same_support,
         stmts_src,
     )
@@ -1064,6 +1079,33 @@ mod tests {
         );
         assert!(repro.contains("StmtSpec::Dot"), "reproducer lists the offending statement");
         assert!(repro.contains("#[test]"), "reproducer is a runnable test");
+    }
+
+    /// A bug every leg shares — each output read back with its first
+    /// element one too large, injected through `check_legs` the way the
+    /// minimizer test injects its bug — passes every cross-leg, cross-engine
+    /// and stats comparison, which all run first, and is reported by the
+    /// comparison against the program's dense meaning alone.
+    #[test]
+    fn a_bug_every_leg_shares_is_caught_by_the_dense_meaning() {
+        let case = FuzzCase {
+            seed: 7,
+            n: 24,
+            a_format: VecFormat::SparseList,
+            b_format: VecFormat::Band,
+            a_fill: Fill::Scattered,
+            b_fill: Fill::Scattered,
+            same_support: false,
+            stmts: vec![
+                StmtSpec::Dot { pa: Protocol::Walk, pb: Protocol::Default },
+                StmtSpec::Axpy { pa: Protocol::Default, quarters: 3 },
+            ],
+        };
+        assert_eq!(check_legs(&case, ValidationLevel::Full, &|_| {}), None);
+        let shared = |values: &mut [f64]| values[0] += 1.0;
+        let caught = check_legs(&case, ValidationLevel::Full, &shared).expect("the bug is caught");
+        assert!(caught.combo.ends_with(" vs the dense meaning"), "{caught:?}");
+        assert!(caught.detail.starts_with("output `C0`[0] is Some("), "{caught:?}");
     }
 
     /// A reproducer spells its case out verbatim as Rust: a band and a VBL

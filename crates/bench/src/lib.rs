@@ -24,10 +24,10 @@ pub mod fuzz;
 pub mod report;
 pub mod trace;
 
-use finch::{CompiledKernel, Engine, ExecStats, Kernel, LevelSpec, Tensor};
+use finch::{same_f64, CompiledKernel, Engine, ExecStats, Kernel, LevelSpec, Tensor};
 use finch_baseline::datagen;
 use finch_cin::build::*;
-use finch_cin::{CinExpr, IndexVar, Protocol};
+use finch_cin::{CinExpr, CinStmt, IndexVar, Protocol};
 
 /// One prepared experiment variant: a label and a compiled kernel ready to
 /// be run repeatedly.
@@ -44,26 +44,34 @@ impl Variant {
     }
 }
 
+/// Every output of `kernel`, by name.
+pub fn outputs(kernel: &CompiledKernel) -> Vec<(String, Vec<f64>)> {
+    let read = |name: String| (name.clone(), kernel.output(&name).expect("a bound output reads"));
+    kernel.output_names().into_iter().map(read).collect()
+}
+
+/// Whether two [`outputs`] readings hold the same values by
+/// [`finch::same_f64`]: a NaN's sign and payload do not count, ±0 do.
+pub fn same_outputs(a: &[(String, Vec<f64>)], b: &[(String, Vec<f64>)]) -> bool {
+    let same =
+        |x: &[f64], y: &[f64]| x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same_f64(p, q));
+    a.len() == b.len() && a.iter().zip(b).all(|((n, x), (m, y))| n == m && same(x, y))
+}
+
 /// Run `kernel` on the tree-walk oracle and on the bytecode VM and assert
-/// that every output and the work counters are bit-identical — what lets a
-/// report print one set of counters per configuration.  Returns them.
-pub(crate) fn assert_engine_parity(kernel: &mut CompiledKernel, what: &str) -> ExecStats {
-    let outputs = |kernel: &CompiledKernel| -> Vec<(String, Vec<u64>)> {
-        let bits = |name: String| {
-            let values = kernel.output(&name).expect("a bound output reads");
-            (name, values.iter().map(|x| x.to_bits()).collect())
-        };
-        kernel.output_names().into_iter().map(bits).collect()
-    };
+/// that the work counters are identical and every output the same by
+/// [`same_outputs`] — what lets a report print one set of counters per
+/// configuration.  Returns them.
+pub fn assert_engine_parity(kernel: &mut CompiledKernel, what: &str) -> ExecStats {
     let oracle = kernel.run_with(Engine::TreeWalk).unwrap_or_else(|e| panic!("{what}: {e}"));
     let expected = outputs(kernel);
     let stats = kernel.run_with(Engine::Bytecode).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(oracle, stats, "{what}: the engines' work counters diverge");
-    assert!(expected == outputs(kernel), "{what}: the engines' outputs diverge");
+    assert!(same_outputs(&expected, &outputs(kernel)), "{what}: the engines' outputs diverge");
     stats
 }
 
-fn protocol_index(p: Protocol, v: &IndexVar) -> finch_cin::IndexExpr {
+pub(crate) fn protocol_index(p: Protocol, v: &IndexVar) -> finch_cin::IndexExpr {
     match p {
         Protocol::Gallop => v.gallop(),
         Protocol::Walk => v.walk(),
@@ -110,18 +118,19 @@ pub fn fig01_variants(n: usize, nnz: usize, band_widths: &[usize]) -> Vec<(usize
 pub fn dot_kernel(a: &Tensor, b: &Tensor, pa: Protocol, pb: Protocol) -> CompiledKernel {
     let mut kernel = Kernel::new();
     kernel.bind_input(a).bind_input(b).bind_output_scalar("C");
+    kernel.compile(&dot_program(a.name(), b.name(), pa, pb)).expect("dot kernel compiles")
+}
+
+/// [`dot_kernel`]'s program over the inputs named `a` and `b`.
+pub fn dot_program(a: &str, b: &str, pa: Protocol, pb: Protocol) -> CinStmt {
     let i = idx("i");
-    let program = forall(
+    forall(
         i.clone(),
         add_assign(
             scalar("C"),
-            mul(
-                access(a.name(), [protocol_index(pa, &i)]),
-                access(b.name(), [protocol_index(pb, &i)]),
-            ),
+            mul(access(a, [protocol_index(pa, &i)]), access(b, [protocol_index(pb, &i)])),
         ),
-    );
-    kernel.compile(&program).expect("dot kernel compiles")
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -133,21 +142,25 @@ pub fn spmspv_kernel(a: &Tensor, x: &Tensor, pa: Protocol, px: Protocol) -> Comp
     let nrows = a.shape()[0];
     let mut kernel = Kernel::new();
     kernel.bind_input(a).bind_input(x).bind_output("y", &[nrows], 0.0);
+    kernel.compile(&spmspv_program(a.name(), x.name(), pa, px)).expect("spmspv kernel compiles")
+}
+
+/// [`spmspv_kernel`]'s program over the inputs named `a` and `x`.
+pub fn spmspv_program(a: &str, x: &str, pa: Protocol, px: Protocol) -> CinStmt {
     let (i, j) = (idx("i"), idx("j"));
-    let program = forall(
+    forall(
         i.clone(),
         forall(
             j.clone(),
             add_assign(
                 access("y", [i.clone()]),
                 mul(
-                    access(a.name(), [i.into(), protocol_index(pa, &j)]),
-                    access(x.name(), [protocol_index(px, &j)]),
+                    access(a, [i.into(), protocol_index(pa, &j)]),
+                    access(x, [protocol_index(px, &j)]),
                 ),
             ),
         ),
-    );
-    kernel.compile(&program).expect("spmspv kernel compiles")
+    )
 }
 
 /// The SpMSpV strategies of Figure 7 for one matrix/vector pair.  The first
@@ -204,9 +217,14 @@ pub fn triangle_kernel(adj: &[f64], n: usize, gallop: bool) -> CompiledKernel {
     let at = Tensor::csr_matrix("At", n, n, adj);
     let mut kernel = Kernel::new();
     kernel.bind_input(&a).bind_input(&a2).bind_input(&at).bind_output_scalar("C");
+    kernel.compile(&triangle_program(gallop)).expect("triangle kernel compiles")
+}
+
+/// [`triangle_kernel`]'s program, `C[] += A[i,j] * A2[j,k] * At[i,k]`.
+pub fn triangle_program(gallop: bool) -> CinStmt {
     let (i, j, k) = (idx("i"), idx("j"), idx("k"));
     let inner = |v: &IndexVar| if gallop { v.gallop() } else { v.walk() };
-    let program = forall(
+    forall(
         i.clone(),
         forall(
             j.clone(),
@@ -215,21 +233,14 @@ pub fn triangle_kernel(adj: &[f64], n: usize, gallop: bool) -> CompiledKernel {
                 add_assign(
                     scalar("C"),
                     mul3(
-                        access(
-                            "A",
-                            [
-                                finch_cin::IndexExpr::from(i.clone()),
-                                finch_cin::IndexExpr::from(j.clone()),
-                            ],
-                        ),
-                        access("A2", [finch_cin::IndexExpr::from(j), inner(&k)]),
-                        access("At", [finch_cin::IndexExpr::from(i), inner(&k)]),
+                        access("A", [i.clone(), j.clone()]),
+                        access("A2", [j.into(), inner(&k)]),
+                        access("At", [i.into(), inner(&k)]),
                     ),
                 ),
             ),
         ),
-    );
-    kernel.compile(&program).expect("triangle kernel compiles")
+    )
 }
 
 /// Figure 8 variants for one power-law graph.
@@ -328,24 +339,27 @@ pub fn fig09_variants(size: usize, ksize: usize, densities: &[f64]) -> Vec<(f64,
 
 /// The alpha blending kernel `A[i,j] = round(α·B[i,j] + β·C[i,j])`.
 pub fn blend_kernel(b: &Tensor, c: &Tensor, alpha: f64, beta: f64) -> CompiledKernel {
-    let shape = b.shape();
     let mut kernel = Kernel::new();
-    kernel.bind_input(b).bind_input(c).bind_output("A", &shape, 0.0);
+    kernel.bind_input(b).bind_input(c).bind_output("A", &b.shape(), 0.0);
+    kernel.compile(&blend_program(b.name(), c.name(), alpha, beta)).expect("blend kernel compiles")
+}
+
+/// [`blend_kernel`]'s program over the inputs named `b` and `c`.
+pub fn blend_program(b: &str, c: &str, alpha: f64, beta: f64) -> CinStmt {
     let (i, j) = (idx("i"), idx("j"));
-    let program = forall(
+    forall(
         i.clone(),
         forall(
             j.clone(),
             assign(
                 access("A", [i.clone(), j.clone()]),
                 round_u8(add(
-                    mul(lit(alpha), access(b.name(), [i.clone(), j.clone()])),
-                    mul(lit(beta), access(c.name(), [i, j])),
+                    mul(lit(alpha), access(b, [i.clone(), j.clone()])),
+                    mul(lit(beta), access(c, [i, j])),
                 )),
             ),
         ),
-    );
-    kernel.compile(&program).expect("blend kernel compiles")
+    )
 }
 
 /// Figure 10: blending variants over a dataset generator ("omniglot"-like
@@ -403,6 +417,11 @@ pub fn all_pairs_kernel(a: &Tensor, a2: &Tensor) -> CompiledKernel {
         .bind_output("R", &[n], 0.0)
         .bind_output("O", &[n, n], 0.0)
         .bind_output_scalar("o");
+    kernel.compile(&all_pairs_program(a.name(), a2.name())).expect("all-pairs kernel compiles")
+}
+
+/// [`all_pairs_kernel`]'s program over the inputs named `a` and `a2`.
+pub fn all_pairs_program(a: &str, a2: &str) -> CinStmt {
     let (k, l, ij, ij2) = (idx("k"), idx("l"), idx("ij"), idx("ij2"));
     let squares = forall(
         k.clone(),
@@ -410,7 +429,7 @@ pub fn all_pairs_kernel(a: &Tensor, a2: &Tensor) -> CompiledKernel {
             ij.clone(),
             add_assign(
                 access("R", [k.clone()]),
-                mul(access(a.name(), [k.clone(), ij.clone()]), access(a.name(), [k.clone(), ij])),
+                mul(access(a, [k.clone(), ij.clone()]), access(a, [k.clone(), ij])),
             ),
         ),
     );
@@ -430,16 +449,13 @@ pub fn all_pairs_kernel(a: &Tensor, a2: &Tensor) -> CompiledKernel {
                     ij2.clone(),
                     add_assign(
                         scalar("o"),
-                        mul(
-                            access(a.name(), [k.clone(), ij2.clone()]),
-                            access(a2.name(), [l.clone(), ij2]),
-                        ),
+                        mul(access(a, [k.clone(), ij2.clone()]), access(a2, [l.clone(), ij2])),
                     ),
                 ),
             ),
         ),
     );
-    kernel.compile(&multi(vec![squares, pairwise])).expect("all-pairs kernel compiles")
+    multi(vec![squares, pairwise])
 }
 
 /// Figure 11: format variants over one image batch.  `dataset` selects the

@@ -177,7 +177,10 @@ pub fn response_values(resp: &Response) -> Vec<f64> {
 /// for bit, computed from the generated data alone, with no compiler: the
 /// dot product as an index-order fold `s + a * b` from `0.0`, the dense
 /// product `a * b`, and the sparse product `a * b` where both are nonzero
-/// and `0.0` elsewhere (the sparse output's fill).
+/// and `0.0` elsewhere (the sparse output's fill).  This is each template's
+/// dense meaning (`finch_baseline::reference::eval`) with the sign of every
+/// zero fixed, where `eval` leaves it open, so it is kept: `resilience.rs`,
+/// `serve --verify` and CI compare responses to it bit for bit.
 pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Vec<f64> {
     let av = gen_data(cfg, kernel, instance, 0xA, 0.4);
     let bv = gen_data(cfg, kernel, instance, 0xB, 0.7);
@@ -193,6 +196,7 @@ pub fn reference_values(cfg: &TraceConfig, kernel: usize, instance: usize) -> Ve
 mod tests {
     use super::*;
     use finch::{KernelService, ServiceConfig};
+    use finch_baseline::reference;
 
     #[test]
     fn schedules_are_seeded_and_skewed() {
@@ -208,6 +212,29 @@ mod tests {
         }
         let max = *counts.iter().max().unwrap();
         assert_eq!(counts[0], max, "rank-1 kernel should dominate: {counts:?}");
+    }
+
+    /// The reference values are the templates' dense meaning, and the
+    /// sparse template's differ from it by the sign of a zero.
+    #[test]
+    fn reference_values_are_each_templates_dense_meaning() {
+        let cfg = TraceConfig { scale: 2, ..TraceConfig::default() };
+        let mut signed_zeros = 0;
+        for kernel in 0..3 {
+            let (program, output) = template(&cfg, kernel);
+            let shape = output.map_or(vec![], |_| vec![len_of(&cfg, kernel)]);
+            for instance in 0..2 {
+                let (a, b) = tensors_for(&cfg, kernel, instance);
+                let outputs = [("C", &shape[..], 0.0)];
+                let meaning = reference::eval(&program, &[&a, &b], &outputs).unwrap().remove(0);
+                let want = reference_values(&cfg, kernel, instance);
+                let same = meaning.iter().zip(&want).all(|(&m, &w)| reference::same_value(m, w));
+                assert!(same && meaning.len() == want.len(), "kernel {kernel}/{instance}");
+                signed_zeros +=
+                    meaning.iter().zip(&want).filter(|(m, w)| m.to_bits() != w.to_bits()).count();
+            }
+        }
+        assert!(signed_zeros > 0, "no template computes a -0.0 its reference fixes to +0.0");
     }
 
     #[test]

@@ -6,29 +6,26 @@
 //! ```
 
 use looplets_repro::baseline::datagen;
-use looplets_repro::baseline::kernels::{all_pairs_similarity_dense, alpha_blend_dense};
+use looplets_repro::baseline::reference::eval;
 use looplets_repro::finch::build::*;
-use looplets_repro::finch::{CinExpr, Kernel, Tensor};
+use looplets_repro::finch::{CinExpr, CinStmt, Kernel, Tensor};
 
-fn blend(b: &Tensor, c: &Tensor, alpha: f64, beta: f64) -> looplets_repro::finch::CompiledKernel {
-    let shape = b.shape();
-    let mut kernel = Kernel::new();
-    kernel.bind_input(b).bind_input(c).bind_output("A", &shape, 0.0);
+/// `A[i,j] = round(α·B[i,j] + β·C[i,j])` over the inputs named `b` and `c`.
+fn blend(b: &str, c: &str, alpha: f64, beta: f64) -> CinStmt {
     let (i, j) = (idx("i"), idx("j"));
-    let program = forall(
+    forall(
         i.clone(),
         forall(
             j.clone(),
             assign(
                 access("A", [i.clone(), j.clone()]),
                 round_u8(add(
-                    mul(lit(alpha), access(b.name(), [i.clone(), j.clone()])),
-                    mul(lit(beta), access(c.name(), [i, j])),
+                    mul(lit(alpha), access(b, [i.clone(), j.clone()])),
+                    mul(lit(beta), access(c, [i, j])),
                 )),
             ),
         ),
-    );
-    kernel.compile(&program).expect("blend compiles")
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fg = datagen::stroke_image(size, 3, 21);
     let bg = datagen::stroke_image(size, 2, 22);
     let (alpha, beta) = (0.7, 0.3);
-    let reference = alpha_blend_dense(&fg, &bg, alpha, beta);
+    let program = blend("B", "Cimg", alpha, beta);
 
     println!("alpha blending {size}x{size} images (density {:.2})", datagen::density(&fg));
     println!("{:28} {:>14} {:>12}", "format", "total work", "max |err|");
@@ -57,9 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Tensor::rle_matrix("Cimg", size, size, &bg),
         ),
     ] {
-        let mut k = blend(&b, &c, alpha, beta);
+        let mut kernel = Kernel::new();
+        kernel.bind_input(&b).bind_input(&c).bind_output("A", &[size, size], 0.0);
+        let mut k = kernel.compile(&program)?;
         let stats = k.run()?;
         let got = k.output("A").unwrap();
+        let reference = eval(&program, &[&b, &c], &[("A", &[size, size], 0.0)])?.remove(0);
         let err = got.iter().zip(&reference).map(|(g, e)| (g - e).abs()).fold(0.0f64, f64::max);
         println!("{:28} {:>14} {:>12.2e}", name, stats.total_work(), err);
     }
@@ -112,10 +112,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ),
     );
-    let mut compiled = kernel.compile(&multi(vec![squares, pairwise]))?;
+    let program = multi(vec![squares, pairwise]);
+    let mut compiled = kernel.compile(&program)?;
     let stats = compiled.run()?;
     let got = compiled.output("O").unwrap();
-    let expect = all_pairs_similarity_dense(count, m, &batch);
+    let outputs = [("R", &[count][..], 0.0), ("O", &[count, count], 0.0), ("o", &[], 0.0)];
+    let expect = eval(&program, &[&a, &a2], &outputs)?.remove(1);
     let err = got.iter().zip(&expect).map(|(g, e)| (g - e).abs()).fold(0.0f64, f64::max);
     println!(
         "\nall-pairs similarity over {count} VBL images: total work {}, max |err| {err:.2e}",

@@ -1,55 +1,41 @@
 //! Shared helpers for the integration tests: kernel builders for the
-//! paper's benchmarks, and tolerant float comparison.
+//! paper's benchmarks and their programs, the dense meaning every kernel is
+//! checked against (`eval`), parity assertions and tolerant float
+//! comparison.
 #![allow(dead_code)]
 
 /// The kernels of Figs. 1, 7, 10 and 11 (dot product, SpMSpV, alpha blend,
-/// all-pairs similarity) are `finch-bench`'s.
+/// all-pairs similarity) and their programs are `finch-bench`'s, and so is
+/// the engine-parity assertion.
 #[allow(unused_imports)]
-pub use finch_bench::{all_pairs_kernel, blend_kernel, dot_kernel, spmspv_kernel};
+pub use finch_bench::{
+    all_pairs_kernel, all_pairs_program, assert_engine_parity, blend_kernel, blend_program,
+    dot_kernel, dot_program, spmspv_kernel, spmspv_program,
+};
 use finch_bench::{
     fig01_variants, fig07_variants, fig07_vector, fig08_variants, fig09_variants, fig10_variants,
-    fig11_variants, figs_output_groups, Variant,
+    fig11_variants, figs_output_groups, outputs, same_outputs, Variant,
 };
+#[allow(unused_imports)]
+pub use looplets_repro::baseline::reference::eval;
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{
-    Access, CinExpr, CinOp, CinStmt, CompiledKernel, Engine, IndexExpr, IndexVar, Kernel,
-    LevelSpec, OptLevel, Protocol, Tensor,
+    Access, CinExpr, CinOp, CinStmt, CompiledKernel, Engine, Kernel, LevelSpec, OptLevel, Protocol,
+    Tensor,
 };
-
-/// Run a compiled kernel on both execution engines and panic unless the
-/// outputs **and** the `ExecStats` work counters are bit-identical (the
-/// bytecode VM is differential-tested against the tree-walking oracle).
-pub fn assert_engine_parity(kernel: &mut CompiledKernel, what: &str) {
-    let tw_stats = kernel.run_with(Engine::TreeWalk).expect("tree-walk runs");
-    let tw_outs: Vec<(String, Vec<u64>)> = kernel
-        .output_names()
-        .into_iter()
-        .map(|n| {
-            let bits = kernel.output(&n).unwrap().iter().map(|x| x.to_bits()).collect();
-            (n, bits)
-        })
-        .collect();
-    let bc_stats = kernel.run_with(Engine::Bytecode).expect("bytecode runs");
-    assert_eq!(tw_stats, bc_stats, "{what}: work counters diverge");
-    for (name, tw_bits) in tw_outs {
-        let bc_bits: Vec<u64> = kernel.output(&name).unwrap().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(tw_bits, bc_bits, "{what}: output {name} is not bit-identical");
-    }
-}
 
 /// Differential-test a kernel under every compile-side configuration that
 /// differs in effect ([`ExecConfig::matrix`]: unoptimised, untyped, typed
-/// scalar, typed with kernel ops) on both engines: outputs must be
-/// bit-identical for every leg, under each configuration the two engines
-/// must agree on the `ExecStats` work counters exactly, and at one level
-/// every dispatch mode must report the same counters (the typing and
-/// vectorize stages are 1:1 rewrites — they may not change any counter).
-/// (The counters may legitimately *shrink* as the level rises — that is
-/// what the optimiser is for — so they are never compared across levels.)
+/// scalar, typed with kernel ops) on both engines: outputs must be the same
+/// for every leg (by `finch::same_f64`: bit-identical but for a NaN's bits),
+/// under each configuration the two engines must agree on the `ExecStats`
+/// work counters exactly, and at one level every dispatch mode must report
+/// the same counters (the typing and vectorize stages are 1:1 rewrites —
+/// they may not change any counter).  (The counters may legitimately
+/// *shrink* as the level rises — that is what the optimiser is for — so
+/// they are never compared across levels.)
 pub fn assert_opt_level_parity(kernel: &CompiledKernel, what: &str) {
-    /// Bit-patterns of every output, keyed by output name.
-    type OutputBits = Vec<(String, Vec<u64>)>;
-    let mut reference: Option<OutputBits> = None;
+    let mut reference: Option<Vec<(String, Vec<f64>)>> = None;
     let mut level_stats: Option<(OptLevel, looplets_repro::finch::ExecStats)> = None;
     for config in kernel.config().matrix() {
         let at = config.label();
@@ -57,14 +43,7 @@ pub fn assert_opt_level_parity(kernel: &CompiledKernel, what: &str) {
         assert_eq!(k.config(), config);
         assert_engine_parity(&mut k, &format!("{what} under {at}"));
         let stats = k.run_with(Engine::Bytecode).expect("bytecode runs");
-        let outs: OutputBits = k
-            .output_names()
-            .into_iter()
-            .map(|n| {
-                let bits = k.output(&n).unwrap().iter().map(|x| x.to_bits()).collect();
-                (n, bits)
-            })
-            .collect();
+        let outs = outputs(&k);
         match level_stats {
             Some((level, want)) if level == config.opt => {
                 assert_eq!(want, stats, "{what} under {at}: the dispatch mode changed the counters")
@@ -73,9 +52,21 @@ pub fn assert_opt_level_parity(kernel: &CompiledKernel, what: &str) {
         }
         match &reference {
             None => reference = Some(outs),
-            Some(r) => assert_eq!(r, &outs, "{what}: outputs diverge under {at}"),
+            Some(r) => assert!(same_outputs(r, &outs), "{what}: outputs diverge under {at}"),
         }
     }
+}
+
+/// `C[] += A[i] * B[i]`'s dense meaning.
+pub fn dot_meaning(a: &Tensor, b: &Tensor) -> f64 {
+    let program = dot_program(a.name(), b.name(), Protocol::Default, Protocol::Default);
+    eval(&program, &[a, b], &[("C", &[], 0.0)]).unwrap()[0][0]
+}
+
+/// `y[i] += A[i,j] * x[j]`'s dense meaning.
+pub fn spmv_meaning(a: &Tensor, x: &Tensor) -> Vec<f64> {
+    let program = spmspv_program(a.name(), x.name(), Protocol::Default, Protocol::Default);
+    eval(&program, &[a, x], &[("y", &a.shape()[..1], 0.0)]).unwrap().remove(0)
 }
 
 /// Assert two float slices are element-wise equal within a small tolerance.
@@ -87,34 +78,6 @@ pub fn assert_close(got: &[f64], expect: &[f64], what: &str) {
             "{what}: element {k} differs: got {g}, expected {e}"
         );
     }
-}
-
-/// Compile the triangle counting kernel
-/// `C[] += A[i,j] * A2[j,k] * At[i,k]` (the paper transposes the last
-/// argument so that every access is concordant).
-pub fn triangle_kernel(a: &Tensor, a2: &Tensor, at: &Tensor, gallop: bool) -> CompiledKernel {
-    let mut kernel = Kernel::new();
-    kernel.bind_input(a).bind_input(a2).bind_input(at).bind_output_scalar("C");
-    let (i, j, k) = (idx("i"), idx("j"), idx("k"));
-    let inner = |v: &IndexVar| if gallop { v.gallop() } else { v.walk() };
-    let program = forall(
-        i.clone(),
-        forall(
-            j.clone(),
-            forall(
-                k.clone(),
-                add_assign(
-                    scalar("C"),
-                    mul3(
-                        access(a.name(), [IndexExpr::from(i.clone()), IndexExpr::from(j.clone())]),
-                        access(a2.name(), [IndexExpr::from(j), inner(&k)]),
-                        access(at.name(), [IndexExpr::from(i), inner(&k)]),
-                    ),
-                ),
-            ),
-        ),
-    );
-    kernel.compile(&program).expect("triangle kernel compiles")
 }
 
 /// A zero-dimensional tensor read as an expression (e.g. the `o[]` of the
@@ -139,51 +102,64 @@ fn at_i(name: &str) -> Access {
     access(name, [idx("i")])
 }
 
+/// A probe kernel, and its one output's value by its program's dense
+/// meaning.
+pub struct Probe {
+    /// The compiled kernel.
+    pub kernel: CompiledKernel,
+    /// [`eval`] of its program: the output's expected values.
+    pub meaning: Vec<f64>,
+}
+
 /// Compile `forall i: body` over `inputs` into the output `out` of `levels`
 /// (none: a scalar).
-fn probe(inputs: &[&Tensor], out: &str, levels: &[LevelSpec], body: CinStmt) -> CompiledKernel {
+fn probe(inputs: &[&Tensor], out: &str, levels: &[LevelSpec], body: CinStmt) -> Probe {
+    let program = forall(idx("i"), body);
+    let shape: Vec<usize> = levels.iter().map(LevelSpec::size).collect();
+    let meaning = eval(&program, inputs, &[(out, &shape, 0.0)]).expect("the probe means");
     let mut kernel = Kernel::new();
     for input in inputs {
         kernel.bind_input(input);
     }
     kernel.bind_output_format(out, levels);
-    kernel.compile(&forall(idx("i"), body)).expect("the probe compiles")
+    let kernel = kernel.compile(&program).expect("the probe compiles");
+    Probe { kernel, meaning: meaning.into_iter().next().expect("one output") }
 }
 
 /// `C[] op= A[i]`: a plain reduction (over a dense `A`, the loop
 /// `v_reduce_f64` runs).
-pub fn probe_reduce(a: &Tensor, op: CinOp) -> CompiledKernel {
+pub fn probe_reduce(a: &Tensor, op: CinOp) -> Probe {
     probe(&[a], "C", &[], reduce_assign(scalar("C"), op, at_i("A")))
 }
 
 /// `y[i] = A[i]` wherever `cond` holds.
-fn probe_sieve(a: &Tensor, b: &Tensor, cond: CinExpr) -> CompiledKernel {
+fn probe_sieve(a: &Tensor, b: &Tensor, cond: CinExpr) -> Probe {
     let levels = [LevelSpec::Dense { size: a.shape()[0] }];
     probe(&[a, b], "y", &levels, sieve(cond, assign(at_i("y"), at_i("A"))))
 }
 
 /// `sieve(A[i] > B[i], y[i] = A[i])`: a comparison of two loaded floats
 /// (over two dense vectors, `f_cmp_branch`).
-pub fn probe_sieve_gt(a: &Tensor, b: &Tensor) -> CompiledKernel {
+pub fn probe_sieve_gt(a: &Tensor, b: &Tensor) -> Probe {
     probe_sieve(a, b, gt(at_i("A"), at_i("B")))
 }
 
 /// `sieve(A[i] > 2 || B[i] > 1, y[i] = A[i])`: the one condition that
 /// short-circuits on a true operand (`jump_if_true`).
-pub fn probe_sieve_or(a: &Tensor, b: &Tensor) -> CompiledKernel {
+pub fn probe_sieve_or(a: &Tensor, b: &Tensor) -> Probe {
     let either = vec![gt(at_i("A"), lit(2.0)), gt(at_i("B"), lit(1.0))];
     probe_sieve(a, b, CinExpr::call(CinOp::Or, either))
 }
 
 /// `sieve(A[i] > 2, S[i] = A[i])` into a `SparseList` output (over a dense
 /// `A`, the guarded `v_append_range_f64`).
-pub fn probe_threshold(a: &Tensor) -> CompiledKernel {
+pub fn probe_threshold(a: &Tensor) -> Probe {
     let levels = [LevelSpec::SparseList { size: a.shape()[0] }];
     probe(&[a], "S", &levels, sieve(gt(at_i("A"), lit(2.0)), assign(at_i("S"), at_i("A"))))
 }
 
 /// `y[i] += A[i] * 0.75`: a literal scale (`f_arith_imm`).
-pub fn probe_axpy(a: &Tensor) -> CompiledKernel {
+pub fn probe_axpy(a: &Tensor) -> Probe {
     let levels = [LevelSpec::Dense { size: a.shape()[0] }];
     probe(&[a], "y", &levels, add_assign(at_i("y"), mul(at_i("A"), lit(0.75))))
 }
@@ -237,6 +213,6 @@ pub fn corpus() -> Vec<(String, CompiledKernel)> {
         ("threshold_sparse_out", probe_threshold(&a)),
         ("axpy_literal", probe_axpy(&a)),
     ];
-    out.extend(probes.map(|(name, kernel)| (format!("probe/{name}"), kernel)));
+    out.extend(probes.map(|(name, probe)| (format!("probe/{name}"), probe.kernel)));
     out
 }

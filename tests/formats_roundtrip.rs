@@ -1,12 +1,11 @@
 //! Experiment E8 (paper Figure 3): every level format can be iterated by
-//! the compiler and produces exactly the same values as the dense
-//! reference, both on its own (a reduction) and when coiterated with other
+//! the compiler and produces exactly the same values as the program's dense
+//! meaning, both on its own (a reduction) and when coiterated with other
 //! formats (a dot product / SpMV).
 
 mod common;
 
-use common::{assert_close, dot_kernel, spmspv_kernel};
-use looplets_repro::baseline::kernels::{dot_dense, spmv_dense};
+use common::{assert_close, dot_kernel, dot_meaning, eval, spmspv_kernel, spmv_meaning};
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{Kernel, Protocol, Tensor};
 
@@ -37,13 +36,13 @@ fn vector_formats(data: &[f64]) -> Vec<Tensor> {
 
 #[test]
 fn every_vector_format_sums_to_the_dense_total() {
+    let i = idx("i");
+    let program = forall(i.clone(), add_assign(scalar("S"), access("V", [i])));
     for data in [sample_vector(), banded_vector(), repeated_vector()] {
-        let expect: f64 = data.iter().sum();
         for t in vector_formats(&data) {
+            let expect = eval(&program, &[&t], &[("S", &[], 0.0)]).unwrap()[0][0];
             let mut kernel = Kernel::new();
             kernel.bind_input(&t).bind_output_scalar("S");
-            let i = idx("i");
-            let program = forall(i.clone(), add_assign(scalar("S"), access("V", [i])));
             let mut compiled = kernel.compile(&program).unwrap_or_else(|e| {
                 panic!("sum over {} failed to compile: {e}", t.levels()[0].format_name())
             });
@@ -63,11 +62,11 @@ fn every_vector_format_sums_to_the_dense_total() {
 fn every_pair_of_vector_formats_coiterates_correctly() {
     let a_data = sample_vector();
     let b_data = banded_vector();
-    let expect = dot_dense(&a_data, &b_data);
     for a in vector_formats(&a_data) {
         let a = a.with_name("A");
         for b in vector_formats(&b_data) {
             let b = b.with_name("B");
+            let expect = dot_meaning(&a, &b);
             let mut k = dot_kernel(&a, &b, Protocol::Default, Protocol::Default);
             k.run().expect("dot runs");
             let got = k.output_scalar("C").unwrap();
@@ -84,11 +83,9 @@ fn every_pair_of_vector_formats_coiterates_correctly() {
 
 #[test]
 fn protocol_choices_do_not_change_results() {
-    let a_data = sample_vector();
-    let b_data = banded_vector();
-    let expect = dot_dense(&a_data, &b_data);
-    let a = Tensor::sparse_list_vector("A", &a_data);
-    let b = Tensor::sparse_list_vector("B", &b_data);
+    let a = Tensor::sparse_list_vector("A", &sample_vector());
+    let b = Tensor::sparse_list_vector("B", &banded_vector());
+    let expect = dot_meaning(&a, &b);
     for pa in [Protocol::Walk, Protocol::Gallop] {
         for pb in [Protocol::Walk, Protocol::Gallop, Protocol::Locate] {
             let mut k = dot_kernel(&a, &b, pa, pb);
@@ -120,7 +117,6 @@ fn matrix_formats_spmv_matches_dense_reference() {
         data.extend(src.iter().map(|&v| v * (r as f64 + 1.0)));
     }
     let xv: Vec<f64> = (0..ncols).map(|c| if c % 2 == 0 { c as f64 * 0.5 } else { 0.0 }).collect();
-    let expect = spmv_dense(nrows, ncols, &data, &xv);
 
     let matrices = vec![
         Tensor::dense_matrix("A", nrows, ncols, &data),
@@ -144,7 +140,7 @@ fn matrix_formats_spmv_matches_dense_reference() {
             let y = k.output("y").unwrap();
             assert_close(
                 &y,
-                &expect,
+                &spmv_meaning(a, x),
                 &format!(
                     "spmv over {} x {}",
                     a.levels()[1].format_name(),
@@ -175,12 +171,12 @@ fn triangular_and_symmetric_formats_reduce_correctly() {
     for (t, dense) in cases {
         let xv: Vec<f64> = (0..n).map(|c| c as f64 + 1.0).collect();
         let x = Tensor::dense_vector("x", &xv);
-        let expect = spmv_dense(n, n, &dense, &xv);
+        assert_eq!(t.to_dense(), dense, "{}", t.levels()[1].format_name());
         let mut k = spmspv_kernel(&t, &x, Protocol::Default, Protocol::Default);
         k.run().expect("spmv runs");
         assert_close(
             &k.output("y").unwrap(),
-            &expect,
+            &spmv_meaning(&t, &x),
             &format!("spmv over {}", t.levels()[1].format_name()),
         );
     }

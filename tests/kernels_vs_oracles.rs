@@ -1,25 +1,22 @@
-//! The paper's evaluation kernels (Figures 7, 8, 10 and 11), each checked
-//! against the native reference implementations in `finch-baseline`, and the
-//! corpus' probe kernels, each checked against a loop written out here.
+//! The paper's evaluation kernels (Figures 7, 8, 10 and 11) and the
+//! corpus' probe kernels, each checked against its program's dense meaning
+//! (`finch_baseline::reference::eval`).
 
 mod common;
 
 use common::{
-    all_pairs_kernel, assert_close, assert_opt_level_parity, blend_kernel, probe_axpy,
-    probe_reduce, probe_sieve_gt, probe_sieve_or, probe_threshold, spmspv_kernel, triangle_kernel,
+    all_pairs_kernel, all_pairs_program, assert_close, assert_opt_level_parity, blend_kernel,
+    blend_program, eval, probe_axpy, probe_reduce, probe_sieve_gt, probe_sieve_or, probe_threshold,
+    spmspv_kernel, spmv_meaning, Probe,
 };
 use looplets_repro::baseline::datagen;
-use looplets_repro::baseline::kernels::{
-    all_pairs_similarity_dense, alpha_blend_dense, spmv_dense, triangles_two_finger, CsrMatrix,
-};
-use looplets_repro::finch::{CinOp, CompiledKernel, Protocol, Tensor};
+use looplets_repro::finch::{CinOp, Protocol, Tensor};
 
 #[test]
 fn spmspv_all_strategies_match_the_dense_oracle() {
     let n = 48;
     let dense_a = datagen::scientific_matrix(n, 2, 3, 0.01, 41);
     let xv = datagen::random_sparse_vector(n, 0.2, 42);
-    let expect = spmv_dense(n, n, &dense_a, &xv);
 
     let strategies: Vec<(&str, Tensor, Protocol, Protocol)> = vec![
         ("csr-follower", Tensor::csr_matrix("A", n, n, &dense_a), Protocol::Walk, Protocol::Walk),
@@ -42,7 +39,7 @@ fn spmspv_all_strategies_match_the_dense_oracle() {
     for (name, a, pa, px) in strategies {
         let mut k = spmspv_kernel(&a, &x_sparse, pa, px);
         k.run().unwrap_or_else(|e| panic!("{name} failed to run: {e}\n{}", k.code()));
-        assert_close(&k.output("y").unwrap(), &expect, name);
+        assert_close(&k.output("y").unwrap(), &spmv_meaning(&a, &x_sparse), name);
     }
 }
 
@@ -54,10 +51,10 @@ fn spmspv_with_very_sparse_x_skips_most_of_the_matrix() {
     let n = 96;
     let dense_a = datagen::scientific_matrix(n, 2, 2, 0.01, 43);
     let xv = datagen::counted_sparse_vector(n, 4, 44);
-    let expect = spmv_dense(n, n, &dense_a, &xv);
     let x = Tensor::sparse_list_vector("x", &xv);
 
     let a_walk = Tensor::csr_matrix("A", n, n, &dense_a);
+    let expect = spmv_meaning(&a_walk, &x);
     let mut follower = spmspv_kernel(&a_walk, &x, Protocol::Walk, Protocol::Walk);
     let follower_stats = follower.run().expect("follower runs");
     assert_close(&follower.output("y").unwrap(), &expect, "follower");
@@ -79,15 +76,15 @@ fn spmspv_with_very_sparse_x_skips_most_of_the_matrix() {
 fn triangle_counting_matches_the_merge_oracle() {
     let n = 40;
     let adj = datagen::power_law_graph(n, 3, 45);
-    let csr = CsrMatrix::from_dense(n, n, &adj);
-    let (expect, _) = triangles_two_finger(&csr);
-
-    let a = Tensor::csr_matrix("A", n, n, &adj);
-    let a2 = Tensor::csr_matrix("A2", n, n, &adj);
-    let at = Tensor::csr_matrix("At", n, n, &csr.transpose().to_dense());
+    // The graph is undirected, so `At`, the pre-transposed last argument, is
+    // the adjacency matrix itself.
+    let inputs = ["A", "A2", "At"].map(|name| Tensor::csr_matrix(name, n, n, &adj));
+    let [a, a2, at] = &inputs;
+    let meaning = eval(&finch_bench::triangle_program(false), &[a, a2, at], &[("C", &[], 0.0)]);
+    let expect = meaning.unwrap()[0][0];
 
     for gallop in [false, true] {
-        let mut k = triangle_kernel(&a, &a2, &at, gallop);
+        let mut k = finch_bench::triangle_kernel(&adj, n, gallop);
         k.run().unwrap_or_else(|e| panic!("triangle kernel failed: {e}\n{}", k.code()));
         let got = k.output_scalar("C").unwrap();
         assert!(
@@ -103,7 +100,6 @@ fn alpha_blending_matches_the_dense_oracle_across_formats() {
     let b_img = datagen::stroke_image(size, 2, 46);
     let c_img = datagen::stroke_image(size, 3, 47);
     let (alpha, beta) = (0.6, 0.4);
-    let expect = alpha_blend_dense(&b_img, &c_img, alpha, beta);
 
     let cases: Vec<(&str, Tensor, Tensor)> = vec![
         (
@@ -130,8 +126,15 @@ fn alpha_blending_matches_the_dense_oracle_across_formats() {
     for (name, b, c) in cases {
         let mut k = blend_kernel(&b, &c, alpha, beta);
         k.run().unwrap_or_else(|e| panic!("blend {name} failed to run: {e}"));
+        let expect = blend_meaning(&b, &c, alpha, beta);
         assert_close(&k.output("A").unwrap(), &expect, &format!("alpha blend over {name}"));
     }
+}
+
+/// `A[i,j] = round(α·B[i,j] + β·C[i,j])`'s dense meaning.
+fn blend_meaning(b: &Tensor, c: &Tensor, alpha: f64, beta: f64) -> Vec<f64> {
+    let program = blend_program(b.name(), c.name(), alpha, beta);
+    eval(&program, &[b, c], &[("A", &b.shape(), 0.0)]).unwrap().remove(0)
 }
 
 #[test]
@@ -145,10 +148,9 @@ fn rle_blending_of_flat_images_does_less_work_than_dense() {
         b_img[k * size + k] = 55.0;
         c_img[k * size + (size - 1 - k)] = 77.0;
     }
-    let expect = alpha_blend_dense(&b_img, &c_img, 0.5, 0.5);
-
     let dense_b = Tensor::dense_matrix("B", size, size, &b_img);
     let dense_c = Tensor::dense_matrix("Cimg", size, size, &c_img);
+    let expect = blend_meaning(&dense_b, &dense_c, 0.5, 0.5);
     let mut dense_kernel = blend_kernel(&dense_b, &dense_c, 0.5, 0.5);
     let dense_stats = dense_kernel.run().expect("dense blend runs");
     assert_close(&dense_kernel.output("A").unwrap(), &expect, "dense blend");
@@ -175,7 +177,6 @@ fn all_pairs_similarity_matches_the_dense_oracle() {
     let size = 12;
     let batch = datagen::image_batch(count, size, 48, datagen::blob_image);
     let m = size * size;
-    let expect = all_pairs_similarity_dense(count, m, &batch);
 
     for (name, a, a2) in [
         (
@@ -196,7 +197,9 @@ fn all_pairs_similarity_matches_the_dense_oracle() {
     ] {
         let mut k = all_pairs_kernel(&a, &a2);
         k.run().unwrap_or_else(|e| panic!("all-pairs {name} failed to run: {e}"));
-        assert_close(&k.output("O").unwrap(), &expect, &format!("all-pairs over {name}"));
+        let outputs = [("R", &[count][..], 0.0), ("O", &[count, count], 0.0), ("o", &[], 0.0)];
+        let meaning = eval(&all_pairs_program("A", "A2"), &[&a, &a2], &outputs).unwrap();
+        assert_close(&k.output("O").unwrap(), &meaning[1], &format!("all-pairs over {name}"));
     }
 }
 
@@ -209,31 +212,27 @@ fn probe_data(n: usize, phase: usize) -> Vec<f64> {
     (0..n).map(|k| if k % 3 == phase { 0.0 } else { ((k * 7 + phase) % 11) as f64 * 0.5 }).collect()
 }
 
-/// Every configuration and both engines agree bit for bit, and the output
-/// is the oracle's.
-fn check_probe(mut kernel: CompiledKernel, output: &str, expect: &[f64], what: &str) {
+/// Every configuration and both engines agree, and the output is the
+/// probe's dense meaning.
+fn check_probe(probe: Probe, output: &str, what: &str) {
+    let Probe { mut kernel, meaning } = probe;
     assert_opt_level_parity(&kernel, what);
     kernel.run().unwrap_or_else(|e| panic!("{what} failed to run: {e}\n{}", kernel.code()));
     // A dense output of no element keeps one cell, at its fill.
     let got = kernel.output(output).unwrap();
-    let (got, spare) = got.split_at(expect.len());
+    let (got, spare) = got.split_at(meaning.len());
     assert!(spare.iter().all(|&x| x == 0.0), "{what}: {spare:?} beyond the output");
-    assert_close(got, expect, what);
+    assert_close(got, &meaning, what);
 }
 
 #[test]
 fn one_operand_probes_match_their_loops_at_every_length() {
     for n in PROBE_LENGTHS {
-        let data = probe_data(n, 1);
-        let a = Tensor::dense_vector("A", &data);
-        let sum = data.iter().fold(0.0, |acc, x| acc + x);
-        check_probe(probe_reduce(&a, CinOp::Add), "C", &[sum], &format!("sum, n = {n}"));
-        let max = data.iter().fold(0.0, |acc: f64, x| acc.max(*x));
-        check_probe(probe_reduce(&a, CinOp::Max), "C", &[max], &format!("max, n = {n}"));
-        let scaled: Vec<f64> = data.iter().map(|x| x * 0.75).collect();
-        check_probe(probe_axpy(&a), "y", &scaled, &format!("axpy, n = {n}"));
-        let kept: Vec<f64> = data.iter().map(|&x| if x > 2.0 { x } else { 0.0 }).collect();
-        check_probe(probe_threshold(&a), "S", &kept, &format!("threshold, n = {n}"));
+        let a = Tensor::dense_vector("A", &probe_data(n, 1));
+        check_probe(probe_reduce(&a, CinOp::Add), "C", &format!("sum, n = {n}"));
+        check_probe(probe_reduce(&a, CinOp::Max), "C", &format!("max, n = {n}"));
+        check_probe(probe_axpy(&a), "y", &format!("axpy, n = {n}"));
+        check_probe(probe_threshold(&a), "S", &format!("threshold, n = {n}"));
     }
 }
 
@@ -247,16 +246,12 @@ fn two_operand_and_disjunctive_sieves_match_their_loops_across_formats() {
     ];
     for n in PROBE_LENGTHS {
         let (av, bv) = (probe_data(n, 0), probe_data(n, 1));
-        let keep = |cond: fn(f64, f64) -> bool| -> Vec<f64> {
-            av.iter().zip(&bv).map(|(&a, &b)| if cond(a, b) { a } else { 0.0 }).collect()
-        };
-        let (gt, or) = (keep(|a, b| a > b), keep(|a, b| a > 2.0 || b > 1.0));
         for (a_name, a_build) in formats {
             for (b_name, b_build) in formats {
                 let (a, b) = (a_build("A", &av), b_build("B", &bv));
                 let over = format!("{a_name} x {b_name}, n = {n}");
-                check_probe(probe_sieve_gt(&a, &b), "y", &gt, &format!("A > B over {over}"));
-                check_probe(probe_sieve_or(&a, &b), "y", &or, &format!("or-sieve over {over}"));
+                check_probe(probe_sieve_gt(&a, &b), "y", &format!("A > B over {over}"));
+                check_probe(probe_sieve_or(&a, &b), "y", &format!("or-sieve over {over}"));
             }
         }
     }

@@ -291,12 +291,7 @@ fn gallop_both_spmspv_agrees_under_every_budget_on_every_operand_pair() {
 fn gallop_triangles_agree_under_every_budget() {
     let n = 10;
     let adj = datagen::power_law_graph(n, 2, 5);
-    let (a, a2, at) = (
-        Tensor::csr_matrix("A", n, n, &adj),
-        Tensor::csr_matrix("A2", n, n, &adj),
-        Tensor::csr_matrix("At", n, n, &adj),
-    );
-    let kernel = common::triangle_kernel(&a, &a2, &at, true);
+    let kernel = finch_bench::triangle_kernel(&adj, n, true);
     assert!(gallops(&kernel), "the jumper form\n{}", kernel.bytecode().disasm());
     sweep(&kernel, "gallop triangles");
 }

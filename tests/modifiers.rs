@@ -1,12 +1,13 @@
 //! Index modifiers (paper §8): windowing, shifting (`offset`), padding
 //! (`permit`), concatenation and convolution over structured inputs, plus
-//! the `sieve` statement.
+//! the `sieve` statement.  Each program's dense meaning (`eval`) is checked
+//! too: against the literal a small case spells out, and it is the oracle of
+//! the convolutions.
 
 mod common;
 
-use common::assert_close;
+use common::{assert_close, eval};
 use looplets_repro::baseline::datagen;
-use looplets_repro::baseline::kernels::conv2d_dense_masked;
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{CinExpr, Kernel, Tensor};
 
@@ -27,6 +28,15 @@ fn window_sums_a_slice() {
     let mut compiled = kernel.compile(&program).expect("window kernel compiles");
     compiled.run().expect("window kernel runs");
     assert_eq!(compiled.output_scalar("S").unwrap(), 3.0 + 4.0 + 5.0);
+    assert_eq!(eval(&program, &[&a], &[("S", &[], 0.0)]).unwrap(), [[3.0 + 4.0 + 5.0]]);
+    // `k = 3` reads past the slice: no meaning, as past the end of `A`.
+    let past = forall_in(
+        k.clone(),
+        lit_int(0),
+        lit_int(3),
+        add_assign(scalar("S"), access("A", [k.walk().window(lit_int(2), lit_int(4))])),
+    );
+    assert!(eval(&past, &[&a], &[("S", &[], 0.0)]).is_err());
 }
 
 #[test]
@@ -46,6 +56,7 @@ fn offset_shifts_the_coordinate_system() {
     let mut compiled = kernel.compile(&program).expect("offset kernel compiles");
     compiled.run().expect("offset kernel runs");
     assert_eq!(compiled.output("y").unwrap(), vec![30.0, 40.0]);
+    assert_eq!(eval(&program, &[&a], &[("y", &[2], 0.0)]).unwrap(), [[30.0, 40.0]]);
 }
 
 #[test]
@@ -69,6 +80,8 @@ fn permit_reads_out_of_bounds_as_missing() {
     let mut compiled = kernel.compile(&program).expect("permit kernel compiles");
     compiled.run().expect("permit kernel runs");
     assert_eq!(compiled.output("y").unwrap(), vec![-1.0, 5.0, 7.0, -1.0]);
+    let meaning = eval(&program, &[&a], &[("y", &[4], 0.0)]).unwrap();
+    assert_eq!(meaning, [[-1.0, 5.0, 7.0, -1.0]]);
 }
 
 #[test]
@@ -99,6 +112,7 @@ fn concatenation_via_permit_and_offset() {
     compiled.run().expect("concat kernel runs");
     let expect: Vec<f64> = a_data.iter().chain(b_data.iter()).copied().collect();
     assert_eq!(compiled.output("C").unwrap(), expect);
+    assert_eq!(eval(&program, &[&a, &b], &[("C", &[total], 0.0)]).unwrap(), [expect]);
 }
 
 #[test]
@@ -129,21 +143,8 @@ fn one_dimensional_convolution_over_a_sparse_input() {
     let mut compiled = kernel.compile(&program).expect("1d conv compiles");
     compiled.run().expect("1d conv runs");
     let got = compiled.output("B").unwrap();
-    let expect: Vec<f64> = (0..n as isize)
-        .map(|i| {
-            (0..3isize)
-                .map(|j| {
-                    let p = i + j - 1;
-                    if p >= 0 && p < n as isize {
-                        a_data[p as usize] * f_data[j as usize]
-                    } else {
-                        0.0
-                    }
-                })
-                .sum()
-        })
-        .collect();
-    assert_close(&got, &expect, "1d convolution");
+    let meaning = eval(&program, &[&a, &f], &[("B", &[n], 0.0)]).unwrap();
+    assert_close(&got, &meaning[0], "1d convolution");
 }
 
 #[test]
@@ -154,7 +155,6 @@ fn masked_two_dimensional_convolution_matches_the_oracle() {
     let size = 10;
     let grid = datagen::sparse_grid(size, size, 0.15, 77);
     let filter: Vec<f64> = (0..9).map(|v| (v as f64) * 0.25 + 0.5).collect();
-    let expect = conv2d_dense_masked(size, size, &grid, 3, &filter);
 
     let a = Tensor::csr_matrix("A", size, size, &grid);
     let aw = Tensor::csr_matrix("Aw", size, size, &grid);
@@ -191,7 +191,8 @@ fn masked_two_dimensional_convolution_matches_the_oracle() {
     );
     let mut compiled = kernel.compile(&program).expect("2d conv compiles");
     compiled.run().expect("2d conv runs");
-    assert_close(&compiled.output("C").unwrap(), &expect, "masked 2d convolution");
+    let meaning = eval(&program, &[&a, &aw, &f], &[("C", &[size, size], 0.0)]).unwrap();
+    assert_close(&compiled.output("C").unwrap(), &meaning[0], "masked 2d convolution");
 }
 
 #[test]
@@ -215,6 +216,7 @@ fn sieve_statements_guard_scatter_like_updates() {
     let mut compiled = kernel.compile(&program).expect("sieve kernel compiles");
     compiled.run().expect("sieve kernel runs");
     assert_eq!(compiled.output_scalar("count").unwrap(), 3.0);
+    assert_eq!(eval(&program, &[&a], &[("count", &[], 0.0)]).unwrap(), [[3.0]]);
 }
 
 #[test]

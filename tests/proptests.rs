@@ -1,10 +1,13 @@
 //! Property-based tests: for arbitrary data, every format stores the data
-//! faithfully and every compiled coiteration agrees with a dense oracle.
+//! faithfully and every compiled coiteration agrees with its program's dense
+//! meaning.
 
 mod common;
 
-use common::{assert_engine_parity, assert_opt_level_parity, dot_kernel, spmspv_kernel};
-use looplets_repro::baseline::kernels::{dot_dense, spmv_dense};
+use common::{
+    assert_engine_parity, assert_opt_level_parity, dot_kernel, dot_meaning, eval, spmspv_kernel,
+    spmv_meaning,
+};
 use looplets_repro::finch::build::*;
 use looplets_repro::finch::{Kernel, LevelSpec, Protocol, Tensor};
 use proptest::prelude::*;
@@ -72,7 +75,8 @@ proptest! {
     ) {
         let n = a_data.len().min(b_data.len());
         let (a_data, b_data) = (&a_data[..n], &b_data[..n]);
-        let expect = dot_dense(a_data, b_data);
+        let expect =
+            dot_meaning(&Tensor::dense_vector("A", a_data), &Tensor::dense_vector("B", b_data));
         let a_formats = vec![
             Tensor::sparse_list_vector("A", a_data),
             Tensor::vbl_vector("A", a_data),
@@ -105,7 +109,8 @@ proptest! {
     ) {
         let n = a_data.len().min(b_data.len());
         let (a_data, b_data) = (&a_data[..n], &b_data[..n]);
-        let expect = dot_dense(a_data, b_data);
+        let expect =
+            dot_meaning(&Tensor::dense_vector("A", a_data), &Tensor::dense_vector("B", b_data));
         let a = Tensor::sparse_list_vector("A", a_data);
         let b = Tensor::sparse_list_vector("B", b_data);
         for (pa, pb) in [
@@ -188,7 +193,7 @@ proptest! {
         assert_engine_parity(&mut k, "sparse-output multiply");
         let c = k.output_tensor("C").expect("sparse output finalizes");
 
-        let oracle: Vec<f64> = a_data.iter().zip(b_data).map(|(x, y)| x * y).collect();
+        let oracle = eval(&program, &[&a, &b], &[("C", &[n], 0.0)]).unwrap().remove(0);
         prop_assert_eq!(c.to_dense(), oracle.clone(), "assembled tensor");
         prop_assert_eq!(c.stored(), oracle.iter().filter(|&&v| v != 0.0).count());
 
@@ -510,8 +515,8 @@ proptest! {
         }
         let data = &data[..nrows * ncols];
         let xv: Vec<f64> = (0..ncols).map(|c| xseed.get(c % xseed.len().max(1)).copied().unwrap_or(0.0)).collect();
-        let expect = spmv_dense(nrows, ncols, data, &xv);
         let x = Tensor::sparse_list_vector("x", &xv);
+        let expect = spmv_meaning(&Tensor::dense_matrix("A", nrows, ncols, data), &x);
         for a in [
             Tensor::csr_matrix("A", nrows, ncols, data),
             Tensor::vbl_matrix("A", nrows, ncols, data),
