@@ -1628,6 +1628,262 @@ mod tests {
   22: p = seek_abs.i(b0, p, p, p)
 ";
         assert_eq!(program.disasm(), expected);
+
+        // Every row of the table, then every form of a nested operand, a
+        // flag either way, `=` without a reduction, a call-style operator and
+        // a step loop whose entry is not in the table.  Nothing here runs, so
+        // the program is not validated.
+        use BinOp::*;
+        let (r, b) = (Reg, crate::buffer::BufId);
+        let cost = VCost { stmts: 1, loads: 1, stores: 1 };
+        let (var, scaled) = (VBase::Var, VBase::Scaled { reg: r(2), stride: 4 });
+        let window = VBase::Offset { add: Some(r(2)), sub: r(3) };
+        let shift = VBase::Offset { add: None, sub: r(3) };
+        let fill = |base, val| Instr::VFillStoreF64 {
+            buf: b(2),
+            base,
+            val,
+            counter: r(0),
+            hi: r(1),
+            cost,
+            lanes: 8,
+        };
+        let map = |reduce, round, a_pre, rhs| Instr::VMapF64 {
+            dst: b(2),
+            dst_base: var,
+            reduce,
+            round,
+            a: b(3),
+            a_base: shift,
+            a_pre,
+            rhs,
+            counter: r(0),
+            hi: r(1),
+            cost,
+            lanes: 4,
+        };
+        let mul_add = |acc_idx, op| Instr::VMulAddF64 {
+            acc: b(2),
+            acc_idx,
+            a: b(3),
+            a_base: window,
+            b: b(4),
+            b_base: var,
+            op,
+            counter: r(0),
+            hi: r(1),
+            cost,
+            lanes: 8,
+        };
+        let reduce = |pre| Instr::VReduceF64 {
+            acc: b(2),
+            acc_idx: VAcc { imm: 0, reg: None },
+            src: b(3),
+            base: var,
+            pre,
+            op: Add,
+            counter: r(0),
+            hi: r(1),
+            cost,
+            lanes: 4,
+        };
+        let append = Instr::VAppendRangeF64 {
+            idx_out: b(0),
+            val_out: b(2),
+            src: b(3),
+            base: var,
+            guard: None,
+            counter: r(0),
+            hi: r(1),
+            cost,
+            pass_cost: cost,
+            lanes: 8,
+        };
+        let step_loop = |q, step, each: u32, loads: u32| Instr::IStepLoop {
+            a: b(0),
+            p: r(0),
+            q,
+            step,
+            start: r(2),
+            stop: r(3),
+            counts: StepCounts { stmts: [each, 3, 4], loads: [each, loads, 0] },
+        };
+        let second = Some((b(1), r(6)));
+        let fold = |op| Out::Fold { acc: b(4), k: r(1), op };
+        let push = Out::Push { crd: b(5), vals: b(6) };
+        let product = |lead, second, extent| Product { lead, val: b(2), second, extent };
+        let perform = |guard, product, out| Step::Perform { guard, product, out, pass: [5, 2] };
+        let at = Gather::At { x: b(3), at: r(6) };
+        let gathered = |ofs| Gather::Load { x: b(3), ofs };
+        let (plus, minus) =
+            (Term::Plus { buf: b(5), at: r(4) }, Term::Minus { buf: b(6), at: r(5) });
+        let mut code = crate::isa::samples();
+        let mut steps = vec![crate::isa::sample_step()];
+        let forms = [
+            (second, Step::Skip(MergeForm::Steps)),
+            (second, Step::Skip(MergeForm::Blocks { ofs: b(5) })),
+            (
+                second,
+                Step::Skip(MergeForm::Gallop {
+                    a_end: b(5),
+                    a_row: r(4),
+                    b_end: b(6),
+                    b_row: r(5),
+                }),
+            ),
+            (None, perform(Guard::Every, product(None, Gather::None, false), fold(Add))),
+            (None, perform(Guard::Cmp(Gt, 5.0), product(None, Gather::None, true), push)),
+            (second, perform(Guard::Both, product(Some((b(7), r(5))), at, false), fold(Max))),
+            (second, perform(Guard::Both, product(None, at, false), push)),
+            (
+                None,
+                perform(
+                    Guard::Every,
+                    product(None, gathered([Term::Zero, minus]), true),
+                    fold(Add),
+                ),
+            ),
+            (None, perform(Guard::Every, product(None, gathered([minus, plus]), false), push)),
+            (None, perform(Guard::Both, product(None, Gather::None, false), fold(Add))),
+        ];
+        for (k, (q, step)) in forms.into_iter().enumerate() {
+            code.push(step_loop(q, steps.len() as u32, k as u32 % 2, k as u32 % 3));
+            steps.push(step);
+        }
+        code.extend([
+            step_loop(second, 99, 0, 0),
+            Instr::Store { buf: b(2), idx: r(0), val: r(1), reduce: None },
+            Instr::StoreF64 { buf: b(2), idx: r(0), val: r(1), reduce: None },
+            Instr::Binary { op: Max, dst: r(0), lhs: r(1), rhs: r(2) },
+            Instr::BinaryImm { op: Min, dst: r(0), lhs: r(1), cidx: 0 },
+            Instr::JumpIfFalse { src: r(0), target: 3, strict: true },
+            Instr::CmpBranch { op: Ge, lhs: r(0), rhs: r(1), target: 3, strict: true },
+            Instr::CmpBranchImm { op: Ne, lhs: r(0), cidx: 0, target: 3, strict: false },
+            Instr::Seek { dst: r(0), buf: b(0), lo: r(1), hi: r(2), key: r(3), on_abs: true },
+            Instr::ISeek { dst: r(0), buf: b(0), lo: r(1), hi: r(2), key: r(3), on_abs: false },
+            Instr::FArithImm { op: Max, dst: r(0), lhs: r(1), imm: -2.0 },
+            fill(var, VFill::Imm(0.0)),
+            fill(window, VFill::Imm(0.25)),
+            fill(shift, VFill::Reg(r(3))),
+            map(None, false, VScale::None, VRhs::None),
+            map(
+                Some(Mul),
+                false,
+                VScale::Right { op: Max, imm: 1.0 },
+                VRhs::Imm { op: Sub, imm: 2.5 },
+            ),
+            map(
+                Some(Max),
+                true,
+                VScale::None,
+                VRhs::Buf { op: Min, buf: b(4), base: scaled, pre: VScale::None },
+            ),
+            mul_add(VAcc { imm: 3, reg: None }, Max),
+            mul_add(VAcc { imm: 0, reg: Some(r(4)) }, Mul),
+            reduce(VScale::None),
+            reduce(VScale::Left { op: Sub, imm: 1.5 }),
+            append,
+        ]);
+        let program = Program {
+            stmt_bump: (0..code.len() as u32).map(|pc| pc % 7 / 6).collect(),
+            code,
+            consts: vec![Value::Float(2.0)],
+            steps,
+            var_names: vec!["i".into(), "j".into(), "k".into()].into(),
+            num_regs: 8,
+            pretags: Vec::new(),
+        };
+        let expected = "   0: stmt
+   1: i = const 2.0
+   2: i = j
+   3: i = b2[j]
+   4: coerce_int i
+   5: b2[i] += j
+   6: i = -(j)  ; +1 stmt
+   7: i = j + k
+   8: jump -> 3
+   9: if_false i -> 3
+  10: if_true i -> 3
+  11: if_missing i -> 3
+  12: if_not_missing i -> 3
+  13: while i else -> 3  ; +1 stmt
+  14: for k = i while <= j else -> 3
+  15: step i -> 0
+  16: b0.push(i)
+  17: b0.push(len(b2))
+  18: i = seek(b0, j, k, t0)
+  19: i = j + const 2.0
+  20: i = j * b2[k]  ; +1 stmt
+  21: if_false i < j -> 3
+  22: if_false i < const 2.0 -> 3 (strict)
+  23: while i < j else -> 3
+  24: while i < const 2.0 else -> 3
+  25: nop
+  26: i = const.i 7
+  27: i = const.f 1.5  ; +1 stmt
+  28: i = j (i64)
+  29: i = b0[j] (i64)
+  30: i = b2[j] (f64)
+  31: i = j * b2[k] (f64)
+  32: b2[i] += j (f64)
+  33: b0.push(i) (i64)
+  34: b2.push(i) (f64)  ; +1 stmt
+  35: i = j + k (i64)
+  36: i = j / k (f64)
+  37: i = j + 1 (i64)
+  38: i = j * 0.5 (f64)
+  39: i = round_u8(j) (f64)
+  40: if_false i < j (i64) -> 3
+  41: if_false i == 3 (i64) -> 3  ; +1 stmt
+  42: if_false i != j (f64) -> 3
+  43: if_false i != 0.0 (f64) -> 3
+  44: while i < j (i64) else -> 3
+  45: while i <= 9 (i64) else -> 3
+  46: for k = i while <= j (i64) else -> 3
+  47: i = seek_abs.i(b0, j, k, t0)
+  48: if i == j (i64) { k += 1 ; +1 stmt }  ; +1 stmt
+  49: next while i <= j (i64) -> 1
+  50: next k = i + 1 while <= j (i64) -> 1
+  51: vfill.f64 b2[k*4+v] = t0 for v in [i, j) (x8)
+  52: vmap.f64 b2[k*4+v] += round_u8(0.6 * b3[t0*4+v] + b4[t1*4+v] * 0.4) for v in [i, j) (x8)
+  53: vmuladd.f64 b2[t1+1] += b3[k*4+v] * b4[t0-t2+v] for v in [i, j) (x4)
+  54: vreduce.f64 b2[t1+1] max= b3[k*4+v] * 2.0 for v in [i, j) (x8)
+  55: vappend.f64 b0.push(v), b2.push(b3[k*4+v]) where b3[k*4+v] > 0.3 for v in [i, j) (x4)  ; +1 stmt
+  56: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) b4[j] += b2[i] * b3[b0[i] + b5[t1] - b6[t2]] * extent { +7 stmt +5 load | i += 1 ; +1 stmt | t3 += 1 ; +2 stmt }
+  57: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) skip { i += 1 ; +3 stmt | t3 += 1 ; +4 stmt }
+  58: step_loop b0[i] blocks b5 ~ b1[t3] in k..=t0 (i64) skip { +1 stmt +1 load | i += 1 ; +3 stmt +1 load | t3 += 1 ; +4 stmt }
+  59: step_loop b0[i] seeks < b5[t1] ~ b1[t3] seeks < b6[t2] in k..=t0 (i64) skip { i += 1 ; +3 stmt +2 load | t3 += 1 ; +4 stmt }
+  60: step_loop b0[i] in k..=t0 (i64) b4[j] += b2[i] { +1 stmt +1 load | i += 1 ; +3 stmt }
+  61: step_loop b0[i] in k..=t0 (i64) b5.push(b0[i]), b6.push(b2[i] * extent) where b2[i] > 5.0 { i += 1 ; +3 stmt +1 load | pass ; +5 stmt +2 load }
+  62: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) b4[j] max= b7[t2] * b2[i] * b3[t3] where b0[i] == b1[t3] { +1 stmt +1 load | i += 1 ; +3 stmt +2 load | t3 += 1 ; +4 stmt | match ; +5 stmt +2 load }  ; +1 stmt
+  63: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) b5.push(b0[i]), b6.push(b2[i] * b3[t3]) where b0[i] == b1[t3] { i += 1 ; +3 stmt | t3 += 1 ; +4 stmt | match ; +5 stmt +2 load }
+  64: step_loop b0[i] in k..=t0 (i64) b4[j] += b2[i] * b3[b0[i] - b6[t2]] * extent { +1 stmt +1 load | i += 1 ; +3 stmt +1 load }
+  65: step_loop b0[i] in k..=t0 (i64) b5.push(b0[i]), b6.push(b2[i] * b3[b0[i] - b6[t2] + b5[t1]]) { i += 1 ; +3 stmt +2 load }
+  66: step_loop b0[i] in k..=t0 (i64) b4[j] += b2[i] where b0[i] == b0[i] { +1 stmt +1 load | i += 1 ; +3 stmt | match ; +5 stmt +2 load }
+  67: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) step #99 { i += 1 ; +3 stmt | t3 += 1 ; +4 stmt }
+  68: b2[i] = j
+  69: b2[i] = j (f64)  ; +1 stmt
+  70: i = max(j, k)
+  71: i = min(j, const 2.0)
+  72: if_false i -> 3 (strict)
+  73: if_false i >= j -> 3 (strict)
+  74: if_false i != const 2.0 -> 3
+  75: i = seek_abs(b0, j, k, t0)
+  76: i = seek.i(b0, j, k, t0)  ; +1 stmt
+  77: i = max(j, -2.0) (f64)
+  78: vfill.f64 b2[v] = 0.0 for v in [i, j) (x8)
+  79: vfill.f64 b2[k-t0+v] = 0.25 for v in [i, j) (x8)
+  80: vfill.f64 b2[v-t0] = t0 for v in [i, j) (x8)
+  81: vmap.f64 b2[v] = b3[v-t0] for v in [i, j) (x4)
+  82: vmap.f64 b2[v] *= max(b3[v-t0], 1.0) - 2.5 for v in [i, j) (x4)
+  83: vmap.f64 b2[v] max= round_u8(min(b3[v-t0], b4[k*4+v])) for v in [i, j) (x4)  ; +1 stmt
+  84: vmuladd.f64 b2[3] max= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
+  85: vmuladd.f64 b2[t1] *= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
+  86: vreduce.f64 b2[0] += b3[v] for v in [i, j) (x4)
+  87: vreduce.f64 b2[0] += 1.5 - b3[v] for v in [i, j) (x4)
+  88: vappend.f64 b0.push(v), b2.push(b3[v]) for v in [i, j) (x8)
+";
+        assert_eq!(program.disasm(), expected, "\n{}", program.disasm());
     }
 
     #[test]
