@@ -48,7 +48,7 @@ use crate::var::{Names, Var};
 // and everything derived from the two.
 pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut, operand_ids};
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
-pub(crate) use crate::isa::{Edge, Elem, Operand, Role, Shared, Walk};
+pub(crate) use crate::isa::{Edge, Elem, Operand, Piece, Role, Shared, Walk};
 pub use crate::isa::{
     Gather, Guard, Instr, MergeForm, Out, Product, Step, StepCounts, Term, VAcc, VBase, VCost,
     VFill, VRhs, VScale,
@@ -567,7 +567,7 @@ impl Program {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (pc, instr) in self.code.iter().enumerate() {
-            let _ = write!(out, "{pc:4}: {}", self.disasm_instr(*instr));
+            let _ = write!(out, "{pc:4}: {}", instr.disasm(self));
             match self.stmt_bump.get(pc) {
                 Some(&n) if n > 0 => {
                     let _ = writeln!(out, "  ; +{n} stmt");
@@ -578,381 +578,218 @@ impl Program {
         out
     }
 
-    fn disasm_instr(&self, instr: Instr) -> String {
-        let r = |reg: Reg| self.reg_name(reg);
-        let c = |cidx: u32| format!("{}", self.consts[cidx as usize]);
-        let binop = |op: BinOp, a: String, b: String| {
-            if op.is_call_style() {
-                format!("{}({a}, {b})", op.symbol())
-            } else {
-                format!("{a} {} {b}", op.symbol())
+    /// `template` — an instruction's row of the ISA table — with each
+    /// `{field}` rendered from `fields` (the module documentation of
+    /// `crate::isa` has the syntax).
+    pub(crate) fn render(&self, template: &str, instr: &Instr, fields: &[(&str, Piece)]) -> String {
+        let mut out = String::new();
+        let mut rest = template;
+        while let Some(at) = rest.find(['{', '}']) {
+            let brace = &rest[at..=at];
+            out += &rest[..at];
+            rest = &rest[at + 1..];
+            if let Some(tail) = rest.strip_prefix(brace) {
+                out += brace;
+                rest = tail;
+                continue;
             }
-        };
-        let reduce_op = |reduce: Option<BinOp>| match reduce {
-            None => "=".to_string(),
-            Some(op) => format!("{}=", op.symbol()),
-        };
-        let vbase = |base: VBase| match base {
+            let spec = split_top(rest, '}')[0];
+            let (name, arg) = spec.split_at(spec.find([':', '?']).unwrap_or(spec.len()));
+            let piece = fields.iter().find(|(field, _)| *field == name).map(|&(_, piece)| piece);
+            let piece = piece.unwrap_or_else(|| panic!("`{template}` names no field `{name}`"));
+            out += &match (arg.strip_prefix('?'), arg.strip_prefix(':')) {
+                (Some(text), _) => {
+                    if matches!(piece, Piece::Flag(true)) { text } else { "" }.to_string()
+                }
+                (_, Some(args)) => {
+                    let args =
+                        split_top(args, '|').into_iter().map(|x| self.render(x, instr, fields));
+                    self.show(piece, instr, &args.collect::<Vec<_>>())
+                }
+                _ => self.show(piece, instr, &[]),
+            };
+            rest = &rest[spec.len() + 1..];
+        }
+        out + rest
+    }
+
+    /// One field, applied to the operands `args` where it takes any.
+    fn show(&self, piece: Piece, instr: &Instr, args: &[String]) -> String {
+        match (piece, args) {
+            (Piece::Reg(reg), []) => self.reg_name(reg),
+            (Piece::Buf(buf), []) => format!("b{}", buf.index()),
+            (Piece::Pc(pc), []) => pc.to_string(),
+            (Piece::Const(cidx), []) => self.consts[cidx as usize].to_string(),
+            (Piece::Step, []) => self.step_loop(instr),
+            (Piece::Op(op), []) => op.symbol().to_string(),
+            (Piece::Op(op), [a, b]) => binop(op, a, b),
+            (Piece::Reduce(reduce), []) => format!("{}=", reduce.map_or("", BinOp::symbol)),
+            (Piece::Guard(None), [_]) => String::new(),
+            (Piece::Guard(Some((op, imm))), [x]) => format!(" where {}", binop(op, x, &float(imm))),
+            (Piece::Un(op), []) => op.symbol().to_string(),
+            (Piece::Int(n), []) => n.to_string(),
+            (Piece::Float(x), []) => float(x),
+            (Piece::Base(base), []) => self.vbase(base),
+            (Piece::Acc(VAcc { imm, reg: None }), []) => imm.to_string(),
+            (Piece::Acc(VAcc { imm: 0, reg: Some(reg) }), []) => self.reg_name(reg),
+            (Piece::Acc(VAcc { imm, reg: Some(reg) }), []) => {
+                format!("{}+{imm}", self.reg_name(reg))
+            }
+            (Piece::Fill(VFill::Imm(imm)), []) => float(imm),
+            (Piece::Fill(VFill::Reg(reg)), []) => self.reg_name(reg),
+            (Piece::Scale(pre), [x]) => scaled(pre, x),
+            (Piece::Rhs(VRhs::None), [x]) => x.clone(),
+            (Piece::Rhs(VRhs::Imm { op, imm }), [x]) => binop(op, x, &float(imm)),
+            (Piece::Rhs(VRhs::Buf { op, buf, base, pre }), [x]) => {
+                binop(op, x, &scaled(pre, &format!("b{}[{}]", buf.index(), self.vbase(base))))
+            }
+            (piece, args) => unreachable!("{piece:?} does not render over {} operands", args.len()),
+        }
+    }
+
+    /// A kernel op's index shape.
+    fn vbase(&self, base: VBase) -> String {
+        match base {
             VBase::Var => "v".to_string(),
-            VBase::Scaled { reg, stride } => format!("{}*{stride}+v", r(reg)),
-            VBase::Offset { add: Some(add), sub } => format!("{}-{}+v", r(add), r(sub)),
-            VBase::Offset { add: None, sub } => format!("v-{}", r(sub)),
+            VBase::Scaled { reg, stride } => format!("{}*{stride}+v", self.reg_name(reg)),
+            VBase::Offset { add: Some(add), sub } => {
+                format!("{}-{}+v", self.reg_name(add), self.reg_name(sub))
+            }
+            VBase::Offset { add: None, sub } => format!("v-{}", self.reg_name(sub)),
+        }
+    }
+
+    /// A step loop op's fingers, bounds, step-table entry and counts: its
+    /// line after the mnemonic.
+    fn step_loop(&self, instr: &Instr) -> String {
+        let Instr::IStepLoop { a, p, q, step, start, stop, counts } = *instr else {
+            unreachable!("only the step loop op has a step-table index")
         };
-        let vacc = |acc: VAcc| match acc {
-            VAcc { imm, reg: None } => format!("{imm}"),
-            VAcc { imm: 0, reg: Some(reg) } => r(reg),
-            VAcc { imm, reg: Some(reg) } => format!("{}+{imm}", r(reg)),
-        };
-        let vscaled = |pre: VScale, x: String| match pre {
-            VScale::None => x,
-            VScale::Left { op, imm } => binop(op, format!("{}", Value::Float(imm)), x),
-            VScale::Right { op, imm } => binop(op, x, format!("{}", Value::Float(imm))),
-        };
-        match instr {
-            Instr::BumpStmt => "stmt".to_string(),
-            Instr::Const { dst, cidx } => format!("{} = const {}", r(dst), c(cidx)),
-            Instr::Mov { dst, src } => format!("{} = {}", r(dst), r(src)),
-            Instr::Load { dst, buf, idx } => {
-                format!("{} = b{}[{}]", r(dst), buf.index(), r(idx))
-            }
-            Instr::CoerceInt { reg } => format!("coerce_int {}", r(reg)),
-            Instr::Store { buf, idx, val, reduce } => {
-                format!("b{}[{}] {} {}", buf.index(), r(idx), reduce_op(reduce), r(val))
-            }
-            Instr::Unary { op, dst, src } => {
-                format!("{} = {}({})", r(dst), op.symbol(), r(src))
-            }
-            Instr::Binary { op, dst, lhs, rhs } => {
-                format!("{} = {}", r(dst), binop(op, r(lhs), r(rhs)))
-            }
-            Instr::Jump { target } => format!("jump -> {target}"),
-            Instr::JumpIfFalse { src, target, strict } => {
-                let strictness = if strict { " (strict)" } else { "" };
-                format!("if_false {} -> {target}{strictness}", r(src))
-            }
-            Instr::JumpIfTrue { src, target } => format!("if_true {} -> {target}", r(src)),
-            Instr::JumpIfMissing { src, target } => {
-                format!("if_missing {} -> {target}", r(src))
-            }
-            Instr::JumpIfNotMissing { src, target } => {
-                format!("if_not_missing {} -> {target}", r(src))
-            }
-            Instr::WhileTest { cond, end } => format!("while {} else -> {end}", r(cond)),
-            Instr::ForTest { counter, hi, var, end } => {
-                format!("for {} = {} while <= {} else -> {end}", r(var), r(counter), r(hi))
-            }
-            Instr::ForStep { counter, test } => format!("step {} -> {test}", r(counter)),
-            Instr::Append { buf, val } => format!("b{}.push({})", buf.index(), r(val)),
-            Instr::FiberEnd { pos, data } => {
-                format!("b{}.push(len(b{}))", pos.index(), data.index())
-            }
-            Instr::Seek { dst, buf, lo, hi, key, on_abs } => {
-                let f = if on_abs { "seek_abs" } else { "seek" };
-                format!("{} = {f}(b{}, {}, {}, {})", r(dst), buf.index(), r(lo), r(hi), r(key))
-            }
-            Instr::BinaryImm { op, dst, lhs, cidx } => {
-                format!("{} = {}", r(dst), binop(op, r(lhs), format!("const {}", c(cidx))))
-            }
-            Instr::LoadBinary { op, dst, lhs, buf, idx } => {
-                let load = format!("b{}[{}]", buf.index(), r(idx));
-                format!("{} = {}", r(dst), binop(op, r(lhs), load))
-            }
-            Instr::CmpBranch { op, lhs, rhs, target, strict } => {
-                let strictness = if strict { " (strict)" } else { "" };
-                format!("if_false {} -> {target}{strictness}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::CmpBranchImm { op, lhs, cidx, target, strict } => {
-                let strictness = if strict { " (strict)" } else { "" };
-                let cmp = binop(op, r(lhs), format!("const {}", c(cidx)));
-                format!("if_false {cmp} -> {target}{strictness}")
-            }
-            Instr::WhileCmp { op, lhs, rhs, end } => {
-                format!("while {} else -> {end}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::WhileCmpImm { op, lhs, cidx, end } => {
-                let cmp = binop(op, r(lhs), format!("const {}", c(cidx)));
-                format!("while {cmp} else -> {end}")
-            }
-            Instr::Nop => "nop".to_string(),
-            Instr::ConstI { dst, imm } => format!("{} = const.i {imm}", r(dst)),
-            Instr::ConstF { dst, imm } => {
-                format!("{} = const.f {}", r(dst), Value::Float(imm))
-            }
-            Instr::IMov { dst, src } => format!("{} = {} (i64)", r(dst), r(src)),
-            Instr::LoadI64 { dst, buf, idx } => {
-                format!("{} = b{}[{}] (i64)", r(dst), buf.index(), r(idx))
-            }
-            Instr::LoadF64 { dst, buf, idx } => {
-                format!("{} = b{}[{}] (f64)", r(dst), buf.index(), r(idx))
-            }
-            Instr::FMulLoad { dst, lhs, buf, idx } => {
-                format!("{} = {} * b{}[{}] (f64)", r(dst), r(lhs), buf.index(), r(idx))
-            }
-            Instr::StoreF64 { buf, idx, val, reduce } => {
-                format!("b{}[{}] {} {} (f64)", buf.index(), r(idx), reduce_op(reduce), r(val))
-            }
-            Instr::IAppend { buf, val } => format!("b{}.push({}) (i64)", buf.index(), r(val)),
-            Instr::FAppend { buf, val } => format!("b{}.push({}) (f64)", buf.index(), r(val)),
-            Instr::IArith { op, dst, lhs, rhs } => {
-                format!("{} = {} (i64)", r(dst), binop(op, r(lhs), r(rhs)))
-            }
-            Instr::FArith { op, dst, lhs, rhs } => {
-                format!("{} = {} (f64)", r(dst), binop(op, r(lhs), r(rhs)))
-            }
-            Instr::IArithImm { op, dst, lhs, imm } => {
-                format!("{} = {} (i64)", r(dst), binop(op, r(lhs), format!("{imm}")))
-            }
-            Instr::FArithImm { op, dst, lhs, imm } => {
-                format!(
-                    "{} = {} (f64)",
-                    r(dst),
-                    binop(op, r(lhs), format!("{}", Value::Float(imm)))
-                )
-            }
-            Instr::FRound { dst, src } => format!("{} = round_u8({}) (f64)", r(dst), r(src)),
-            Instr::ICmpBranch { op, lhs, rhs, target } => {
-                format!("if_false {} (i64) -> {target}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::ICmpBranchImm { op, lhs, imm, target } => {
-                format!("if_false {} (i64) -> {target}", binop(op, r(lhs), format!("{imm}")))
-            }
-            Instr::FCmpBranch { op, lhs, rhs, target } => {
-                format!("if_false {} (f64) -> {target}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::FCmpBranchImm { op, lhs, imm, target } => {
-                let cmp = binop(op, r(lhs), format!("{}", Value::Float(imm)));
-                format!("if_false {cmp} (f64) -> {target}")
-            }
-            Instr::IWhileCmp { op, lhs, rhs, end } => {
-                format!("while {} (i64) else -> {end}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::IWhileCmpImm { op, lhs, imm, end } => {
-                format!("while {} (i64) else -> {end}", binop(op, r(lhs), format!("{imm}")))
-            }
-            Instr::IForTest { counter, hi, var, end } => {
-                format!("for {} = {} while <= {} (i64) else -> {end}", r(var), r(counter), r(hi))
-            }
-            Instr::ISeek { dst, buf, lo, hi, key, on_abs } => {
-                let f = if on_abs { "seek_abs.i" } else { "seek.i" };
-                format!("{} = {f}(b{}, {}, {}, {})", r(dst), buf.index(), r(lo), r(hi), r(key))
-            }
-            Instr::IAdvance { op, lhs, rhs, reg, by, stmts } => {
-                let cmp = binop(op, r(lhs), r(rhs));
-                format!("if {cmp} (i64) {{ {} += {by} ; +{stmts} stmt }}", r(reg))
-            }
-            Instr::IWhileNext { op, lhs, rhs, body } => {
-                format!("next while {} (i64) -> {body}", binop(op, r(lhs), r(rhs)))
-            }
-            Instr::IForNext { counter, hi, var, body } => {
-                format!("next {} = {} + 1 while <= {} (i64) -> {body}", r(var), r(counter), r(hi))
-            }
-            Instr::VFillStoreF64 { buf, base, val, counter, hi, lanes, .. } => {
-                let val = match val {
-                    VFill::Imm(imm) => format!("{}", Value::Float(imm)),
-                    VFill::Reg(reg) => r(reg),
-                };
-                format!(
-                    "vfill.f64 b{}[{}] = {val} for v in [{}, {}) (x{lanes})",
-                    buf.index(),
-                    vbase(base),
-                    r(counter),
-                    r(hi)
-                )
-            }
-            Instr::VMapF64 {
-                dst,
-                dst_base,
-                reduce,
-                round,
-                a,
-                a_base,
-                a_pre,
-                rhs,
-                counter,
-                hi,
-                lanes,
-                ..
-            } => {
-                let x = vscaled(a_pre, format!("b{}[{}]", a.index(), vbase(a_base)));
-                let val = match rhs {
-                    VRhs::None => x,
-                    VRhs::Imm { op, imm } => binop(op, x, format!("{}", Value::Float(imm))),
-                    VRhs::Buf { op, buf, base, pre } => {
-                        let y = vscaled(pre, format!("b{}[{}]", buf.index(), vbase(base)));
-                        binop(op, x, y)
+        let r = |reg: Reg| self.reg_name(reg);
+        let at = |list: BufId, finger: Reg| format!("b{}[{}]", list.index(), r(finger));
+        let (mut a_form, mut b_form, mut pass) = (String::new(), String::new(), None);
+        let does = match self.steps.get(step as usize) {
+            None => format!("step #{step}"),
+            Some(&Step::Skip(form)) => {
+                match form {
+                    MergeForm::Steps => {}
+                    MergeForm::Blocks { ofs } => a_form = format!(" blocks b{}", ofs.index()),
+                    MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
+                        a_form = format!(" seeks < {}", at(a_end, a_row));
+                        b_form = format!(" seeks < {}", at(b_end, b_row));
                     }
-                };
-                let val = if round { format!("round_u8({val})") } else { val };
-                format!(
-                    "vmap.f64 b{}[{}] {} {val} for v in [{}, {}) (x{lanes})",
-                    dst.index(),
-                    vbase(dst_base),
-                    reduce_op(reduce),
-                    r(counter),
-                    r(hi)
-                )
+                }
+                "skip".to_string()
             }
-            Instr::VMulAddF64 {
-                acc,
-                acc_idx,
-                a,
-                a_base,
-                b,
-                b_base,
-                op,
-                counter,
-                hi,
-                lanes,
-                ..
-            } => {
-                let x = format!("b{}[{}]", a.index(), vbase(a_base));
-                let y = format!("b{}[{}]", b.index(), vbase(b_base));
-                format!(
-                    "vmuladd.f64 b{}[{}] {} {} for v in [{}, {}) (x{lanes})",
-                    acc.index(),
-                    vacc(acc_idx),
-                    reduce_op(Some(op)),
-                    binop(BinOp::Mul, x, y),
-                    r(counter),
-                    r(hi)
-                )
-            }
-            Instr::VReduceF64 { acc, acc_idx, src, base, pre, op, counter, hi, lanes, .. } => {
-                let x = vscaled(pre, format!("b{}[{}]", src.index(), vbase(base)));
-                format!(
-                    "vreduce.f64 b{}[{}] {} {x} for v in [{}, {}) (x{lanes})",
-                    acc.index(),
-                    vacc(acc_idx),
-                    reduce_op(Some(op)),
-                    r(counter),
-                    r(hi)
-                )
-            }
-            Instr::VAppendRangeF64 {
-                idx_out,
-                val_out,
-                src,
-                base,
-                guard,
-                counter,
-                hi,
-                lanes,
-                ..
-            } => {
-                let load = format!("b{}[{}]", src.index(), vbase(base));
-                let filter = match guard {
-                    None => String::new(),
-                    Some((op, imm)) => {
+            Some(&Step::Perform { guard, product, out, pass: counted }) => {
+                let Product { lead, val, second, extent } = product;
+                let mut value = lead.map_or(String::new(), |(buf, k)| at(buf, k) + " * ");
+                value += &at(val, p);
+                match second {
+                    Gather::None => {}
+                    Gather::At { x, at: finger } => value += &format!(" * {}", at(x, finger)),
+                    Gather::Load { x, ofs } => {
+                        let mut index = at(a, p);
+                        for term in ofs {
+                            let (sign, buf, reg) = match term {
+                                Term::Zero => continue,
+                                Term::Plus { buf, at } => ('+', buf, at),
+                                Term::Minus { buf, at } => ('-', buf, at),
+                            };
+                            index += &format!(" {sign} {}", at(buf, reg));
+                        }
+                        value += &format!(" * b{}[{index}]", x.index());
+                    }
+                }
+                if extent {
+                    value += " * extent";
+                }
+                let body = match out {
+                    Out::Fold { acc, k, op } => format!("{} {}= {value}", at(acc, k), op.symbol()),
+                    Out::Push { crd, vals } => {
                         format!(
-                            " where {}",
-                            binop(op, load.clone(), format!("{}", Value::Float(imm)))
+                            "b{}.push({}), b{}.push({value})",
+                            crd.index(),
+                            at(a, p),
+                            vals.index()
                         )
                     }
                 };
-                format!(
-                    "vappend.f64 b{}.push(v), b{}.push({load}){filter} for v in [{}, {}) (x{lanes})",
-                    idx_out.index(),
-                    val_out.index(),
-                    r(counter),
-                    r(hi)
-                )
-            }
-            Instr::IStepLoop { a, p, q, step, start, stop, counts } => {
-                let at = |list: BufId, finger: Reg| format!("b{}[{}]", list.index(), r(finger));
-                let (mut a_form, mut b_form, mut pass) = (String::new(), String::new(), None);
-                let does = match self.steps.get(step as usize) {
-                    None => format!("step #{step}"),
-                    Some(&Step::Skip(form)) => {
-                        match form {
-                            MergeForm::Steps => {}
-                            MergeForm::Blocks { ofs } => {
-                                a_form = format!(" blocks b{}", ofs.index())
-                            }
-                            MergeForm::Gallop { a_end, a_row, b_end, b_row } => {
-                                a_form = format!(" seeks < {}", at(a_end, a_row));
-                                b_form = format!(" seeks < {}", at(b_end, b_row));
-                            }
-                        }
-                        "skip".to_string()
+                match guard {
+                    Guard::Every => body,
+                    Guard::Cmp(op, imm) => {
+                        pass = Some(("pass", counted));
+                        format!("{body} where {}", binop(op, &at(val, p), &float(imm)))
                     }
-                    Some(&Step::Perform { guard, product, out, pass: counted }) => {
-                        let Product { lead, val, second, extent } = product;
-                        let mut value = lead.map_or(String::new(), |(buf, k)| at(buf, k) + " * ");
-                        value += &at(val, p);
-                        match second {
-                            Gather::None => {}
-                            Gather::At { x, at: finger } => {
-                                value += &format!(" * {}", at(x, finger))
-                            }
-                            Gather::Load { x, ofs } => {
-                                let mut index = at(a, p);
-                                for term in ofs {
-                                    let (sign, buf, reg) = match term {
-                                        Term::Zero => continue,
-                                        Term::Plus { buf, at } => ('+', buf, at),
-                                        Term::Minus { buf, at } => ('-', buf, at),
-                                    };
-                                    index += &format!(" {sign} {}", at(buf, reg));
-                                }
-                                value += &format!(" * b{}[{index}]", x.index());
-                            }
-                        }
-                        if extent {
-                            value += " * extent";
-                        }
-                        let body = match out {
-                            Out::Fold { acc, k, op } => {
-                                format!("{} {} {value}", at(acc, k), reduce_op(Some(op)))
-                            }
-                            Out::Push { crd, vals } => format!(
-                                "b{}.push({}), b{}.push({value})",
-                                crd.index(),
-                                at(a, p),
-                                vals.index()
-                            ),
-                        };
-                        match guard {
-                            Guard::Every => body,
-                            Guard::Cmp(op, imm) => {
-                                pass = Some(("pass", counted));
-                                let imm = format!("{}", Value::Float(imm));
-                                format!("{body} where {}", binop(op, at(val, p), imm))
-                            }
-                            Guard::Both => {
-                                pass = Some(("match", counted));
-                                let (b, q) = q.unwrap_or((a, p));
-                                format!("{body} where {} == {}", at(a, p), at(b, q))
-                            }
-                        }
+                    Guard::Both => {
+                        pass = Some(("match", counted));
+                        let (b, q) = q.unwrap_or((a, p));
+                        format!("{body} where {} == {}", at(a, p), at(b, q))
                     }
-                };
-                let cost = |[stmts, loads]: [u32; 2]| {
-                    let loads = if loads > 0 { format!(" +{loads} load") } else { String::new() };
-                    format!("+{stmts} stmt{loads}")
-                };
-                let mut fingers = at(a, p) + &a_form;
-                let mut steps = Vec::new();
-                let count = |k: usize| [counts.stmts[k], counts.loads[k]];
-                if counts.stmts[0] > 0 || counts.loads[0] > 0 {
-                    steps.push(cost(count(0)));
                 }
-                steps.push(format!("{} += 1 ; {}", r(p), cost(count(1))));
-                if let Some((b, q)) = q {
-                    fingers += &format!(" ~ {}{b_form}", at(b, q));
-                    steps.push(format!("{} += 1 ; {}", r(q), cost(count(2))));
-                }
-                if let Some((what, counted)) = pass {
-                    steps.push(format!("{what} ; {}", cost(counted)));
-                }
-                format!(
-                    "step_loop {fingers} in {}..={} (i64) {does} {{ {} }}",
-                    r(start),
-                    r(stop),
-                    steps.join(" | ")
-                )
             }
+        };
+        let cost = |[stmts, loads]: [u32; 2]| {
+            let loads = if loads > 0 { format!(" +{loads} load") } else { String::new() };
+            format!("+{stmts} stmt{loads}")
+        };
+        let mut fingers = at(a, p) + &a_form;
+        let mut steps = Vec::new();
+        let count = |k: usize| [counts.stmts[k], counts.loads[k]];
+        if counts.stmts[0] > 0 || counts.loads[0] > 0 {
+            steps.push(cost(count(0)));
+        }
+        steps.push(format!("{} += 1 ; {}", r(p), cost(count(1))));
+        if let Some((b, q)) = q {
+            fingers += &format!(" ~ {}{b_form}", at(b, q));
+            steps.push(format!("{} += 1 ; {}", r(q), cost(count(2))));
+        }
+        if let Some((what, counted)) = pass {
+            steps.push(format!("{what} ; {}", cost(counted)));
+        }
+        format!("{fingers} in {}..={} (i64) {does} {{ {} }}", r(start), r(stop), steps.join(" | "))
+    }
+}
+
+/// `text` split at each `sep` outside braces.
+fn split_top(text: &str, sep: char) -> Vec<&str> {
+    let (mut parts, mut from, mut depth) = (Vec::new(), 0, 0);
+    for (at, c) in text.char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth > 0 => depth -= 1,
+            _ if c == sep && depth == 0 => {
+                parts.push(&text[from..at]);
+                from = at + 1;
+            }
+            _ => {}
         }
     }
+    parts.push(&text[from..]);
+    parts
+}
+
+/// `a op b`, or `op(a, b)` for a call-style operator.
+fn binop(op: BinOp, a: &str, b: &str) -> String {
+    if op.is_call_style() {
+        format!("{}({a}, {b})", op.symbol())
+    } else {
+        format!("{a} {} {b}", op.symbol())
+    }
+}
+
+/// `x` under a kernel op's pre-scale.
+fn scaled(pre: VScale, x: &str) -> String {
+    match pre {
+        VScale::None => x.to_string(),
+        VScale::Left { op, imm } => binop(op, &float(imm), x),
+        VScale::Right { op, imm } => binop(op, x, &float(imm)),
+    }
+}
+
+/// A float immediate, as a float literal displays.
+fn float(x: f64) -> String {
+    Value::Float(x).to_string()
 }
 
 /// The Stmt/Expr → bytecode compiler.

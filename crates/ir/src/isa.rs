@@ -1,8 +1,9 @@
 //! The bytecode ISA, stated once.
 //!
 //! [`Instr`] is generated from the table in this file: one row per opcode
-//! with its documentation, its mnemonic, its dispatch [`Lane`], and every
-//! operand with its type and an annotation saying what the operand *is* —
+//! with its documentation, its mnemonic, its dispatch [`Lane`], its
+//! disassembly template, and every operand with its type and an annotation
+//! saying what the operand *is* —
 //!
 //! | annotation | operand |
 //! |---|---|
@@ -19,30 +20,37 @@
 //! | `payload` | anything no analysis looks at (immediates, flags, costs, unconstrained operators) |
 //!
 //! From the table the `isa!` macro derives the enum itself,
-//! [`Instr::opcode`], [`Instr::is_tag_free`], [`Instr::vop_loop_regs`] and
-//! **one operand walk**, by `&` ([`Instr::operands`]) and by `&mut`
-//! ([`Instr::operands_mut`]), statically dispatched on a closure.  Every
-//! question of the form "which operands, in which role" is a few lines over
-//! that walk: [`for_each_reg_role`], [`Instr::edge`] / [`Instr::target`] /
-//! [`Instr::is_loop_edge`], the per-operand checks of
+//! [`Instr::opcode`], [`Instr::is_tag_free`], [`Instr::vop_loop_regs`],
+//! [`Instr::disasm`] and **one operand walk**, by `&` ([`Instr::operands`])
+//! and by `&mut` ([`Instr::operands_mut`]), statically dispatched on a
+//! closure.  Every question of the form "which operands, in which role" is a
+//! few lines over that walk: [`for_each_reg_role`], [`Instr::edge`] /
+//! [`Instr::target`] / [`Instr::is_loop_edge`], the per-operand checks of
 //! [`Program::validate`], the buffer range and schema check of
 //! `opt::verify_bytecode`, the peephole's liveness scan and register
 //! compaction.  None of them names an opcode, so none of them can miss one.
 //!
+//! A row's template is its line in [`Program::disasm`]: `{field}` renders
+//! the field by what it is ([`Piece`]) — a register by its variable's (or a
+//! `tN` temporary's) name, a buffer as `bK`, a jump target as its absolute
+//! pc, a constant-pool index as the resolved literal, a float immediate as
+//! [`crate::value::Value::Float`] displays it, a nested operand by its one
+//! render function.  `{op:x|y}` applies the operator `op` to what the
+//! sub-templates `x` and `y` render (infix, or call-style as `max(x, y)`), a
+//! [`VScale`], [`VRhs`] or guard field is applied to one operand the same way,
+//! `{flag?text}` is `text` where the flag is set, and `{{` / `}}` are braces.
+//!
 //! What stays hand-written is what gives an opcode *meaning*: its VM arm,
-//! its disassembly, and the rules of the passes that produce or
-//! pattern-match it (`typed_form`, `write_effect`, `for_each_edge`,
-//! `try_fuse`, `vectorize`, `forward`, `merge_skip`).  Adding an opcode is one row here plus those
-//! arms: the compiler's exhaustiveness check demands the VM's and the
-//! disassembler's, the passes default to leaving an opcode they do not know
-//! alone, and the per-opcode tests (`every_opcode_*` here and in
-//! `opt::typing`) fail until the row has a sample instruction in
-//! [`samples`] and, if it branches, an edge rule.
+//! and the rules of the passes that produce or pattern-match it
+//! (`typed_form`, `write_effect`, `for_each_edge`, `try_fuse`, `vectorize`,
+//! `forward`, `merge_skip`).  Adding an opcode is one row here plus those
+//! arms: the compiler's exhaustiveness check demands the VM's, the passes
+//! default to leaving an opcode they do not know alone, and the per-opcode
+//! tests (`every_opcode_*` here and in `opt::typing`) fail until the row has
+//! a sample instruction in `samples` and, if it branches, an edge rule.
 
 use crate::buffer::BufId;
-#[cfg(doc)]
-use crate::bytecode::Program;
-use crate::bytecode::Reg;
+use crate::bytecode::{Program, Reg};
 use crate::expr::{BinOp, UnOp};
 #[cfg(doc)]
 use crate::stmt::Stmt;
@@ -254,16 +262,110 @@ macro_rules! loop_regs {
     };
 }
 
+/// One field of a table row as its template renders it ([`Instr::disasm`]):
+/// by its annotation where its type does not say (the `u32` indices), by
+/// its type otherwise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Piece {
+    /// A register: its variable's name, or `tN`.
+    Reg(Reg),
+    /// A buffer: `bK`.
+    Buf(BufId),
+    /// A jump target: its absolute pc.
+    Pc(u32),
+    /// A constant-pool index: the resolved literal.
+    Const(u32),
+    /// A step-table index: the step loop's operands and what it does with a
+    /// step ([`Step`]).
+    Step,
+    /// An operator: its symbol, or applied to two operands.
+    Op(BinOp),
+    /// A store's reduction: `=` or `op=`.
+    Reduce(Option<BinOp>),
+    /// A filter applied to one operand: nothing, or ` where x op imm`.
+    Guard(Option<(BinOp, f64)>),
+    /// A unary operator: its symbol.
+    Un(UnOp),
+    /// A flag, which selects text.
+    Flag(bool),
+    /// An integer immediate.
+    Int(i64),
+    /// A float immediate, as [`crate::value::Value::Float`] displays it.
+    Float(f64),
+    /// A kernel op's index shape.
+    Base(VBase),
+    /// A kernel op's accumulator element.
+    Acc(VAcc),
+    /// A fill value.
+    Fill(VFill),
+    /// A pre-scale, applied to one operand.
+    Scale(VScale),
+    /// A map's second operand, applied to its first.
+    Rhs(VRhs),
+    /// A field no template names: a cost, the step counts, the second finger.
+    Hidden,
+}
+
+/// [`Piece`] from each field type that says how it renders.
+macro_rules! pieces {
+    ($($ty:ty => $make:expr),* $(,)?) => {
+        $(impl From<$ty> for Piece {
+            fn from(x: $ty) -> Piece {
+                $make(x)
+            }
+        })*
+    };
+}
+
+pieces! {
+    Reg => Piece::Reg,
+    BufId => Piece::Buf,
+    BinOp => Piece::Op,
+    Option<BinOp> => Piece::Reduce,
+    Option<(BinOp, f64)> => Piece::Guard,
+    UnOp => Piece::Un,
+    bool => Piece::Flag,
+    i64 => Piece::Int,
+    u32 => |x| Piece::Int(i64::from(x)),
+    u8 => |x| Piece::Int(i64::from(x)),
+    f64 => Piece::Float,
+    VBase => Piece::Base,
+    VAcc => Piece::Acc,
+    VFill => Piece::Fill,
+    VScale => Piece::Scale,
+    VRhs => Piece::Rhs,
+    VCost => |_| Piece::Hidden,
+    StepCounts => |_| Piece::Hidden,
+    Option<(BufId, Reg)> => |_| Piece::Hidden,
+}
+
+/// The [`Piece`] of one annotated field `$x` of a table row.
+macro_rules! piece {
+    (target($edge:ident), $x:expr) => {
+        Piece::Pc($x)
+    };
+    (cidx, $x:expr) => {
+        Piece::Const($x)
+    };
+    (sidx, $x:expr) => {{
+        let _ = $x;
+        Piece::Step
+    }};
+    ($kind:ident $(($($arg:tt)*))?, $x:expr) => {
+        Piece::from($x)
+    };
+}
+
 /// Generate the instruction enum and everything that is a function of the
-/// table alone: the operand [`Walk`]s, the mnemonic, the lane, and the
-/// kernel ops' loop registers.
+/// table alone: the operand [`Walk`]s, the mnemonic, the lane, the kernel
+/// ops' loop registers and the disassembly.
 macro_rules! isa {
     (
         $(#[$emeta:meta])*
         pub enum $Instr:ident {
             $(
                 $(#[$vmeta:meta])*
-                $name:ident = $mnemonic:literal $lane:ident
+                $name:ident = $mnemonic:literal $lane:ident $template:literal
                 $({
                     $(
                         $(#[$fmeta:meta])*
@@ -313,6 +415,19 @@ macro_rules! isa {
                     $( $Instr::$name { .. } => loop_regs!($lane, self, $Instr::$name) ),*
                 }
             }
+
+            /// This instruction's line in [`Program::disasm`]: its row's
+            /// template over its fields, with `program`'s register names,
+            /// constant pool and step table.
+            pub(crate) fn disasm(&self, program: &Program) -> String {
+                match self {
+                    $(
+                        $Instr::$name $({ $($field),* })? => program.render($template, self, &[
+                            $($( (stringify!($field), piece!($kind $(( $($arg)* ))?, *$field)) ),*)?
+                        ])
+                    ),*
+                }
+            }
         }
 
         /// Every opcode's mnemonic, in table order.
@@ -332,9 +447,9 @@ pub enum Instr {
     /// once per source [`Stmt`], before the statement's own code; the
     /// `finalize` pass folds most of them into [`Program::stmt_bump`] and
     /// keeps only those a join point needs (loop heads).
-    BumpStmt = "bump_stmt" TagFree,
+    BumpStmt = "bump_stmt" TagFree "stmt",
     /// `dst = consts[cidx]`.
-    Const = "const" Generic {
+    Const = "const" Generic "{dst} = const {cidx}" {
         /// Destination register.
         dst: Reg = reg(Write),
         /// Index into the program's constant pool.
@@ -342,7 +457,7 @@ pub enum Instr {
     },
     /// `dst = src`.  Reading an unset register is an error (this is how an
     /// unbound variable read surfaces).
-    Mov = "mov" Generic {
+    Mov = "mov" Generic "{dst} = {src}" {
         /// Destination register.
         dst: Reg = reg(Write),
         /// Source register.
@@ -351,7 +466,7 @@ pub enum Instr {
     /// `dst = buf[idx]`.  A missing index yields missing (the `permit`
     /// semantics); otherwise the index is coerced to an integer, bounds are
     /// checked, and one load is counted.
-    Load = "load" Generic {
+    Load = "load" Generic "{dst} = {buf}[{idx}]" {
         /// Destination register.
         dst: Reg = reg(Write),
         /// The buffer read from.
@@ -362,7 +477,7 @@ pub enum Instr {
     /// Coerce the register to an integer in place (the interpreter's
     /// `Value::as_int`): booleans widen, integral floats convert, anything
     /// else (including missing) is a type error.
-    CoerceInt = "coerce_int" Generic {
+    CoerceInt = "coerce_int" Generic "coerce_int {reg}" {
         /// The register coerced.
         reg: Reg = reg(ReadWrite),
     },
@@ -370,7 +485,7 @@ pub enum Instr {
     /// index register must already hold an integer (the compiler emits
     /// [`Instr::CoerceInt`] first); bounds are checked and one store is
     /// counted.
-    Store = "store" Generic {
+    Store = "store" Generic "{buf}[{idx}] {reduce} {val}" {
         /// The destination buffer.
         buf: BufId = buf(Any),
         /// Register holding the (already integer) element index.
@@ -381,7 +496,7 @@ pub enum Instr {
         reduce: Option<BinOp> = payload,
     },
     /// `dst = op src`.
-    Unary = "unary" Generic {
+    Unary = "unary" Generic "{dst} = {op}({src})" {
         /// The operator.
         op: UnOp = payload,
         /// Destination register.
@@ -392,7 +507,7 @@ pub enum Instr {
     /// `dst = lhs op rhs`.  `&&`/`||` appearing here are the *non*
     /// short-circuit completion of the branchy lowering (both operands are
     /// already evaluated).
-    Binary = "binary" Generic {
+    Binary = "binary" Generic "{dst} = {op:{lhs}|{rhs}}" {
         /// The operator.
         op: BinOp = payload,
         /// Destination register.
@@ -403,14 +518,14 @@ pub enum Instr {
         rhs: Reg = reg(Read),
     },
     /// Unconditional jump.
-    Jump = "jump" TagFree {
+    Jump = "jump" TagFree "jump -> {target}" {
         /// Absolute target instruction index.
         target: u32 = target(Branch),
     },
     /// Jump when the register is falsy.  A missing value jumps when
     /// `strict` is false (`if`/`select` semantics) and raises a type error
     /// when `strict` is true.
-    JumpIfFalse = "jump_if_false" Generic {
+    JumpIfFalse = "jump_if_false" Generic "if_false {src} -> {target}{strict? (strict)}" {
         /// The register tested.
         src: Reg = reg(Read),
         /// Absolute target instruction index.
@@ -420,21 +535,21 @@ pub enum Instr {
     },
     /// Jump when the register is truthy; a missing value falls through.
     /// Used by the short-circuit lowering of `||`.
-    JumpIfTrue = "jump_if_true" Generic {
+    JumpIfTrue = "jump_if_true" Generic "if_true {src} -> {target}" {
         /// The register tested.
         src: Reg = reg(Read),
         /// Absolute target instruction index.
         target: u32 = target(Branch),
     },
     /// Jump when the register holds missing (short-circuit `&&`/`||`).
-    JumpIfMissing = "jump_if_missing" Generic {
+    JumpIfMissing = "jump_if_missing" Generic "if_missing {src} -> {target}" {
         /// The register tested.
         src: Reg = reg(Read),
         /// Absolute target instruction index.
         target: u32 = target(Branch),
     },
     /// Jump when the register holds a non-missing value (`coalesce`).
-    JumpIfNotMissing = "jump_if_not_missing" Generic {
+    JumpIfNotMissing = "jump_if_not_missing" Generic "if_not_missing {src} -> {target}" {
         /// The register tested.
         src: Reg = reg(Read),
         /// Absolute target instruction index.
@@ -443,7 +558,7 @@ pub enum Instr {
     /// `while` loop head: test the (strictly boolean-coercible) condition;
     /// when true count one loop iteration and fall through into the body,
     /// otherwise jump to `end`.
-    WhileTest = "while_test" Generic {
+    WhileTest = "while_test" Generic "while {cond} else -> {end}" {
         /// Register holding the just-evaluated condition.
         cond: Reg = reg(Read),
         /// Absolute index of the first instruction after the loop.
@@ -452,7 +567,7 @@ pub enum Instr {
     /// `for` loop head: when `counter <= hi` (both already integers) count
     /// one loop iteration, publish the counter into the loop variable's
     /// register, and fall through; otherwise jump to `end`.
-    ForTest = "for_test" Generic {
+    ForTest = "for_test" Generic "for {var} = {counter} while <= {hi} else -> {end}" {
         /// Register holding the hidden loop counter.
         counter: Reg = reg(Read),
         /// Register holding the inclusive upper bound.
@@ -463,7 +578,7 @@ pub enum Instr {
         end: u32 = target(LoopExit),
     },
     /// `for` loop back-edge: increment the counter and jump to `test`.
-    ForStep = "for_step" TagFree {
+    ForStep = "for_step" TagFree "step {counter} -> {test}" {
         /// Register holding the hidden loop counter.
         counter: Reg = reg(ReadWrite),
         /// Absolute index of the loop's [`Instr::ForTest`].
@@ -471,7 +586,7 @@ pub enum Instr {
     },
     /// `buf.push(val)`: append one element at the end of a growable buffer
     /// (sparse output assembly).  Counts one store, like [`Instr::Store`].
-    Append = "append" Generic {
+    Append = "append" Generic "{buf}.push({val})" {
         /// The buffer appended to.
         buf: BufId = buf(Any),
         /// Register holding the appended value.
@@ -479,7 +594,7 @@ pub enum Instr {
     },
     /// `pos.push(len(data))`: close one fiber of a sparse output level by
     /// recording the current length of its entry array.  Counts one store.
-    FiberEnd = "fiber_end" TagFree {
+    FiberEnd = "fiber_end" TagFree "{pos}.push(len({data}))" {
         /// The `pos` (fiber boundary) buffer appended to.
         pos: BufId = buf(I64),
         /// The entry array whose current length is recorded.
@@ -489,7 +604,7 @@ pub enum Instr {
     /// `buf[lo..=hi]` (bounds and key already integers), writing the first
     /// position with `buf[p] >= key` (or `hi + 1`) into `dst`.  Counts one
     /// search plus one load per probe, exactly like the tree-walker.
-    Seek = "seek" Generic {
+    Seek = "seek" Generic "{dst} = seek{on_abs?_abs}({buf}, {lo}, {hi}, {key})" {
         /// Destination register for the found position.
         dst: Reg = reg(Write),
         /// The sorted coordinate buffer searched.
@@ -508,7 +623,7 @@ pub enum Instr {
     /// [`Instr::Binary`].  Semantics (promotion, missing propagation,
     /// errors) and [`crate::interp::ExecStats`] are exactly those of the
     /// unfused pair.
-    BinaryImm = "binary_imm" Generic {
+    BinaryImm = "binary_imm" Generic "{dst} = {op:{lhs}|const {cidx}}" {
         /// The operator.
         op: BinOp = payload,
         /// Destination register.
@@ -523,7 +638,7 @@ pub enum Instr {
     /// The load half keeps its exact semantics (missing index yields a
     /// missing operand, bounds are checked, one load is counted) before the
     /// operator is applied.
-    LoadBinary = "load_binary" Generic {
+    LoadBinary = "load_binary" Generic "{dst} = {op:{lhs}|{buf}[{idx}]}" {
         /// The operator.
         op: BinOp = payload,
         /// Destination register.
@@ -540,7 +655,7 @@ pub enum Instr {
     /// comparison is false; a missing comparison (a missing operand) jumps
     /// when `strict` is false and raises a type error when `strict` is
     /// true, exactly like the unfused pair.
-    CmpBranch = "cmp_branch" Generic {
+    CmpBranch = "cmp_branch" Generic "if_false {op:{lhs}|{rhs}} -> {target}{strict? (strict)}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison branch op"),
         /// Left operand register.
@@ -554,7 +669,8 @@ pub enum Instr {
     },
     /// Superinstruction: fused compare-immediate-and-branch — a
     /// [`Instr::BinaryImm`] comparison feeding a [`Instr::JumpIfFalse`].
-    CmpBranchImm = "cmp_branch_imm" Generic {
+    CmpBranchImm = "cmp_branch_imm" Generic
+        "if_false {op:{lhs}|const {cidx}} -> {target}{strict? (strict)}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison branch op"),
         /// Left operand register.
@@ -571,7 +687,7 @@ pub enum Instr {
     /// comparison holds, counts one loop iteration and falls through;
     /// otherwise jumps to `end`.  A missing comparison is a type error,
     /// like [`Instr::WhileTest`] on a missing condition.
-    WhileCmp = "while_cmp" Generic {
+    WhileCmp = "while_cmp" Generic "while {op:{lhs}|{rhs}} else -> {end}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison while op"),
         /// Left operand register.
@@ -584,7 +700,7 @@ pub enum Instr {
     /// Superinstruction: fused `while` head with an immediate right
     /// operand — a [`Instr::BinaryImm`] comparison feeding a
     /// [`Instr::WhileTest`].
-    WhileCmpImm = "while_cmp_imm" Generic {
+    WhileCmpImm = "while_cmp_imm" Generic "while {op:{lhs}|const {cidx}} else -> {end}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison while op"),
         /// Left operand register.
@@ -608,10 +724,10 @@ pub enum Instr {
     /// No operation (a statically-discharged [`Instr::CoerceInt`], kept
     /// so jump targets stay stable — the typing pass rewrites 1:1; the
     /// `finalize` pass deletes them).
-    Nop = "nop" TagFree,
+    Nop = "nop" TagFree "nop",
     /// `ints[dst] = imm` — a typed [`Instr::Const`] with the integer
     /// inlined (no constant-pool read).
-    ConstI = "const_i" TagFree {
+    ConstI = "const_i" TagFree "{dst} = const.i {imm}" {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The inlined integer literal.
@@ -619,14 +735,14 @@ pub enum Instr {
     },
     /// `floats[dst] = imm` — a typed [`Instr::Const`] with the float
     /// inlined bit-exactly.
-    ConstF = "const_f" TagFree {
+    ConstF = "const_f" TagFree "{dst} = const.f {imm}" {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// The inlined float literal.
         imm: f64 = payload,
     },
     /// `ints[dst] = ints[src]` — a typed [`Instr::Mov`].
-    IMov = "i_mov" TagFree {
+    IMov = "i_mov" TagFree "{dst} = {src} (i64)" {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// Source register (proven `Int` and assigned here).
@@ -635,7 +751,7 @@ pub enum Instr {
     /// `ints[dst] = i64buf[ints[idx]]` — a typed [`Instr::Load`] from an
     /// I64 buffer.  Bounds are checked and one load is counted, exactly
     /// like the generic form on an integer index.
-    LoadI64 = "load_i64" TagFree {
+    LoadI64 = "load_i64" TagFree "{dst} = {buf}[{idx}] (i64)" {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The I64 buffer read from.
@@ -645,7 +761,7 @@ pub enum Instr {
     },
     /// `floats[dst] = f64buf[ints[idx]]` — a typed [`Instr::Load`] from
     /// an F64 buffer.
-    LoadF64 = "load_f64" TagFree {
+    LoadF64 = "load_f64" TagFree "{dst} = {buf}[{idx}] (f64)" {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// The F64 buffer read from.
@@ -656,7 +772,7 @@ pub enum Instr {
     /// `floats[dst] = floats[lhs] * f64buf[ints[idx]]` — a typed
     /// [`Instr::LoadBinary`] with a multiply (the inner-product hot
     /// path).  One load is counted.
-    FMulLoad = "f_mul_load" TagFree {
+    FMulLoad = "f_mul_load" TagFree "{dst} = {lhs} * {buf}[{idx}] (f64)" {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// Left operand register (proven `Float`).
@@ -668,7 +784,7 @@ pub enum Instr {
     },
     /// `f64buf[ints[idx]] reduce= floats[val]` — a typed [`Instr::Store`]
     /// into an F64 buffer under an arithmetic (infallible) reduction.
-    StoreF64 = "store_f64" TagFree {
+    StoreF64 = "store_f64" TagFree "{buf}[{idx}] {reduce} {val} (f64)" {
         /// The F64 destination buffer.
         buf: BufId = buf(F64),
         /// Register holding the (already integer) element index.
@@ -681,7 +797,7 @@ pub enum Instr {
     },
     /// `i64buf.push(ints[val])` — a typed [`Instr::Append`] (sparse
     /// coordinate assembly).  Counts one store.
-    IAppend = "i_append" TagFree {
+    IAppend = "i_append" TagFree "{buf}.push({val}) (i64)" {
         /// The I64 buffer appended to.
         buf: BufId = buf(I64),
         /// Register holding the appended value (proven `Int`).
@@ -689,7 +805,7 @@ pub enum Instr {
     },
     /// `f64buf.push(floats[val])` — a typed [`Instr::Append`] (sparse
     /// value assembly).  Counts one store.
-    FAppend = "f_append" TagFree {
+    FAppend = "f_append" TagFree "{buf}.push({val}) (f64)" {
         /// The F64 buffer appended to.
         buf: BufId = buf(F64),
         /// Register holding the appended value (proven `Float`).
@@ -698,7 +814,7 @@ pub enum Instr {
     /// `ints[dst] = ints[lhs] op ints[rhs]` for an infallible integer
     /// arithmetic operator (wrapping `Add`/`Sub`/`Mul`, `Min`, `Max`) —
     /// a typed [`Instr::Binary`].
-    IArith = "i_arith" TagFree {
+    IArith = "i_arith" TagFree "{dst} = {op:{lhs}|{rhs}} (i64)" {
         /// The operator (`Add`/`Sub`/`Mul`/`Min`/`Max`).
         op: BinOp = op(is_int_arith, "unsupported IArith op"),
         /// Destination register (statically `Int`).
@@ -711,7 +827,7 @@ pub enum Instr {
     /// `floats[dst] = floats[lhs] op floats[rhs]` for a float arithmetic
     /// operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`) — a typed
     /// [`Instr::Binary`].
-    FArith = "f_arith" TagFree {
+    FArith = "f_arith" TagFree "{dst} = {op:{lhs}|{rhs}} (f64)" {
         /// The operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`).
         op: BinOp = op(is_float_arith, "unsupported FArith op"),
         /// Destination register (statically `Float`).
@@ -723,7 +839,7 @@ pub enum Instr {
     },
     /// `ints[dst] = ints[lhs] op imm` — a typed [`Instr::BinaryImm`]
     /// with the integer immediate inlined.
-    IArithImm = "i_arith_imm" TagFree {
+    IArithImm = "i_arith_imm" TagFree "{dst} = {op:{lhs}|{imm}} (i64)" {
         /// The operator (`Add`/`Sub`/`Mul`/`Min`/`Max`).
         op: BinOp = op(is_int_arith, "unsupported IArithImm op"),
         /// Destination register (statically `Int`).
@@ -735,7 +851,7 @@ pub enum Instr {
     },
     /// `floats[dst] = floats[lhs] op imm` — a typed [`Instr::BinaryImm`]
     /// with the float immediate inlined bit-exactly.
-    FArithImm = "f_arith_imm" TagFree {
+    FArithImm = "f_arith_imm" TagFree "{dst} = {op:{lhs}|{imm}} (f64)" {
         /// The operator (`Add`/`Sub`/`Mul`/`Div`/`Min`/`Max`).
         op: BinOp = op(is_float_arith, "unsupported FArithImm op"),
         /// Destination register (statically `Float`).
@@ -747,7 +863,7 @@ pub enum Instr {
     },
     /// `floats[dst] = round(floats[src]).clamp(0, 255)` — a typed
     /// [`Instr::Unary`] for `round_u8` (the alpha-blend hot path).
-    FRound = "f_round" TagFree {
+    FRound = "f_round" TagFree "{dst} = round_u8({src}) (f64)" {
         /// Destination register (statically `Float`).
         dst: Reg = reg(Write),
         /// Operand register (proven `Float`).
@@ -757,7 +873,7 @@ pub enum Instr {
     /// the integers, ordering through f64 (exactly the generic int/int
     /// fast path).  The comparison cannot be missing, so there is no
     /// strictness flag.
-    ICmpBranch = "i_cmp_branch" TagFree {
+    ICmpBranch = "i_cmp_branch" TagFree "if_false {op:{lhs}|{rhs}} (i64) -> {target}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed branch op"),
         /// Left operand register (proven `Int`).
@@ -768,7 +884,7 @@ pub enum Instr {
         target: u32 = target(Branch),
     },
     /// Typed [`Instr::CmpBranchImm`] with an inlined integer immediate.
-    ICmpBranchImm = "i_cmp_branch_imm" TagFree {
+    ICmpBranchImm = "i_cmp_branch_imm" TagFree "if_false {op:{lhs}|{imm}} (i64) -> {target}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed branch op"),
         /// Left operand register (proven `Int`).
@@ -779,7 +895,7 @@ pub enum Instr {
         target: u32 = target(Branch),
     },
     /// Typed [`Instr::CmpBranch`] on two float registers.
-    FCmpBranch = "f_cmp_branch" TagFree {
+    FCmpBranch = "f_cmp_branch" TagFree "if_false {op:{lhs}|{rhs}} (f64) -> {target}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed branch op"),
         /// Left operand register (proven `Float`).
@@ -790,7 +906,7 @@ pub enum Instr {
         target: u32 = target(Branch),
     },
     /// Typed [`Instr::CmpBranchImm`] with an inlined float immediate.
-    FCmpBranchImm = "f_cmp_branch_imm" TagFree {
+    FCmpBranchImm = "f_cmp_branch_imm" TagFree "if_false {op:{lhs}|{imm}} (f64) -> {target}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed branch op"),
         /// Left operand register (proven `Float`).
@@ -803,7 +919,7 @@ pub enum Instr {
     /// Typed [`Instr::WhileCmp`] on two integer registers: when the
     /// comparison holds, count one loop iteration and fall through;
     /// otherwise jump to `end`.
-    IWhileCmp = "i_while_cmp" TagFree {
+    IWhileCmp = "i_while_cmp" TagFree "while {op:{lhs}|{rhs}} (i64) else -> {end}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed while op"),
         /// Left operand register (proven `Int`).
@@ -814,7 +930,7 @@ pub enum Instr {
         end: u32 = target(LoopExit),
     },
     /// Typed [`Instr::WhileCmpImm`] with an inlined integer immediate.
-    IWhileCmpImm = "i_while_cmp_imm" TagFree {
+    IWhileCmpImm = "i_while_cmp_imm" TagFree "while {op:{lhs}|{imm}} (i64) else -> {end}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed while op"),
         /// Left operand register (proven `Int`).
@@ -826,7 +942,7 @@ pub enum Instr {
     },
     /// Typed [`Instr::ForTest`]: the loop variable is statically `Int`,
     /// so publishing the counter writes only the int lane (no tag).
-    IForTest = "i_for_test" TagFree {
+    IForTest = "i_for_test" TagFree "for {var} = {counter} while <= {hi} (i64) else -> {end}" {
         /// Register holding the hidden loop counter (proven `Int`).
         counter: Reg = reg(Read),
         /// Register holding the inclusive upper bound (proven `Int`).
@@ -839,7 +955,7 @@ pub enum Instr {
     /// Typed [`Instr::Seek`] over an I64 coordinate buffer, writing the
     /// found position to the int lane only.  Counts one search plus one
     /// load per probe, exactly like the generic form.
-    ISeek = "i_seek" TagFree {
+    ISeek = "i_seek" TagFree "{dst} = seek{on_abs?_abs}.i({buf}, {lo}, {hi}, {key})" {
         /// Destination register (statically `Int`).
         dst: Reg = reg(Write),
         /// The sorted I64 coordinate buffer searched.
@@ -862,7 +978,7 @@ pub enum Instr {
     /// comparison holds, before the register is written, so a step budget
     /// or an injected fault trips on the statement it would have tripped
     /// on in the unfused pair.
-    IAdvance = "i_advance" TagFree {
+    IAdvance = "i_advance" TagFree "if {op:{lhs}|{rhs}} (i64) {{ {reg} += {by} ; +{stmts} stmt }}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison advance op"),
         /// Left operand register (proven `Int`).
@@ -883,7 +999,7 @@ pub enum Instr {
     /// iteration and jumps to `body`, the instruction after the head;
     /// otherwise falls through to the loop's exit.  The head stays as the
     /// loop's entry test.
-    IWhileNext = "i_while_next" TagFree {
+    IWhileNext = "i_while_next" TagFree "next while {op:{lhs}|{rhs}} (i64) -> {body}" {
         /// The comparison operator (`Eq`/`Ne`/`Lt`/`Le`/`Gt`/`Ge`).
         op: BinOp = op(is_cmp_op, "non-comparison typed while op"),
         /// Left operand register (proven `Int`).
@@ -901,7 +1017,7 @@ pub enum Instr {
     /// the head; otherwise falls through to the loop's exit, leaving the
     /// counter and the variable exactly as the step and the failing head
     /// test would.  The one opcode that writes two registers.
-    IForNext = "i_for_next" TagFree {
+    IForNext = "i_for_next" TagFree "next {var} = {counter} + 1 while <= {hi} (i64) -> {body}" {
         /// Register holding the hidden loop counter (proven `Int`).
         counter: Reg = reg(ReadWrite),
         /// Register holding the inclusive upper bound (proven `Int`).
@@ -932,7 +1048,8 @@ pub enum Instr {
     /// Fill: `f64buf[base + v] = val` for each bulk iteration `v` (the
     /// dense-output initialisation loop, and a run-length region's
     /// broadcast of its run value).
-    VFillStoreF64 = "v_fill_store_f64" Kernel {
+    VFillStoreF64 = "v_fill_store_f64" Kernel
+        "vfill.f64 {buf}[{base}] = {val} for v in [{counter}, {hi}) (x{lanes})" {
         /// The F64 destination buffer.
         buf: BufId = buf(F64),
         /// Per-iteration element index shape.
@@ -953,7 +1070,9 @@ pub enum Instr {
     /// each bulk iteration (the axpy / elementwise-multiply / alpha-blend
     /// hot paths).  Evaluation order and operand orientation reproduce
     /// the scalar body bit-for-bit.
-    VMapF64 = "v_map_f64" Kernel {
+    VMapF64 = "v_map_f64" Kernel
+        "vmap.f64 {dst}[{dst_base}] {reduce} {round?round_u8(}{rhs:{a_pre:{a}[{a_base}]}}{round?)} \
+         for v in [{counter}, {hi}) (x{lanes})" {
         /// The F64 destination buffer (must not alias the sources).
         dst: BufId = buf(F64),
         /// Destination index shape.
@@ -984,7 +1103,9 @@ pub enum Instr {
     /// bit-exactness with the scalar loop).  `a` and `b` may be the same
     /// buffer; neither may alias `acc`.  (Fig. 9's window dot, a dense
     /// row norm, a dense dot.)
-    VMulAddF64 = "v_mul_add_f64" Kernel {
+    VMulAddF64 = "v_mul_add_f64" Kernel
+        "vmuladd.f64 {acc}[{acc_idx}] {op}= {a}[{a_base}] * {b}[{b_base}] \
+         for v in [{counter}, {hi}) (x{lanes})" {
         /// The F64 accumulator buffer.
         acc: BufId = buf(F64),
         /// The accumulator's element, fixed for the whole loop.
@@ -1010,7 +1131,9 @@ pub enum Instr {
     },
     /// Reduction: `f64acc[acc_idx] op= pre(src[..])` for each bulk
     /// iteration, folded strictly in order.
-    VReduceF64 = "v_reduce_f64" Kernel {
+    VReduceF64 = "v_reduce_f64" Kernel
+        "vreduce.f64 {acc}[{acc_idx}] {op}= {pre:{src}[{base}]} \
+         for v in [{counter}, {hi}) (x{lanes})" {
         /// The F64 accumulator buffer.
         acc: BufId = buf(F64),
         /// The accumulator's element, fixed for the whole loop.
@@ -1035,7 +1158,9 @@ pub enum Instr {
     /// Sparse-output assembly stream: `i64idx_out.push(v)` and
     /// `f64val_out.push(src[..v])` for each bulk iteration, optionally
     /// only where `src[..v] cmp guard_imm` holds (the threshold sieve).
-    VAppendRangeF64 = "v_append_range_f64" Kernel {
+    VAppendRangeF64 = "v_append_range_f64" Kernel
+        "vappend.f64 {idx_out}.push(v), {val_out}.push({src}[{base}]){guard:{src}[{base}]} \
+         for v in [{counter}, {hi}) (x{lanes})" {
         /// The I64 coordinate output buffer.
         idx_out: BufId = buf(I64),
         /// The F64 value output buffer.
@@ -1098,7 +1223,7 @@ pub enum Instr {
     /// it, which is left as it was, still runs every iteration that
     /// matches, ends the loop, faults or trips, and rewrites every
     /// temporary that a later iteration or the loop's exit reads.
-    IStepLoop = "i_step_loop" TagFree {
+    IStepLoop = "i_step_loop" TagFree "step_loop {step}" {
         /// The first finger's sorted I64 coordinates.
         a: BufId = buf(I64),
         /// The first finger: a position in `a` (proven `Int`).
