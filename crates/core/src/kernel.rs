@@ -134,7 +134,7 @@ impl Kernel {
     /// Bind a dense output tensor of the given shape, initialised to `init`
     /// by the generated code at the start of every run.
     pub fn bind_output(&mut self, name: &str, shape: &[usize], init: f64) -> &mut Self {
-        let len = shape.iter().product::<usize>().max(1);
+        let len = shape.iter().product::<usize>();
         let buf = self.bufs.add(&format!("{name}_val"), Buffer::F64(vec![init; len].into()));
         let specs = shape.iter().map(|&size| LevelSpec::Dense { size }).collect();
         self.bindings.insert(

@@ -164,6 +164,62 @@ fn apply_index_expr(
     }
 }
 
+/// Refuse a loop over the constant extent `lo..=hi` that reads `state`'s
+/// tensor through `ix` outside the mode it unfurled — the dense meaning
+/// rejects such a read, a dense input faults on it at run time, and a sparse
+/// one would read past its slice.  The loop coordinates `ix` reads inside the
+/// mode are the mode's own, shifted by each `offset` and cut to `0..=hi -
+/// lo` by each `window`; under a `permit`, which reads `Missing` outside,
+/// and where a bound is not a constant, nothing is refused.
+pub(crate) fn check_inside(
+    ix: &IndexExpr,
+    state: &AccessState,
+    (lo, hi): (i64, i64),
+    ctx: &LowerCtx,
+) -> Result<(), CompileError> {
+    let dim = ctx.input(state.tensor.name())?.dim(state.level) as i64;
+    let Some((shift, min, max)) = reach(ix, ctx)? else { return Ok(()) };
+    // The mode's coordinates `0..dim` are `k + shift`.
+    let (min, max) = (min.max(shift.saturating_neg()), max.min((dim - 1).saturating_sub(shift)));
+    if min <= lo && hi <= max {
+        return Ok(());
+    }
+    let name = state.tensor.name();
+    Err(CompileError::Unsupported {
+        detail: format!(
+            "a loop over {lo}..={hi} reads `{name}` at coordinates it has only in {min}..={max}"
+        ),
+    })
+}
+
+/// `(shift, min, max)`: `ix` reads coordinate `k + shift` of its tensor's
+/// mode at each loop coordinate `k` in `min..=max`, and outside it reads
+/// past a `window`.  `None` under a `permit` or a bound that is not an
+/// integer literal.
+fn reach(ix: &IndexExpr, ctx: &LowerCtx) -> Result<Option<(i64, i64, i64)>, CompileError> {
+    let int = |e| match ctx.resolve_expr(e)?.as_lit() {
+        Some(Value::Int(n)) => Ok::<_, CompileError>(Some(n)),
+        _ => Ok(None),
+    };
+    Ok(match ix {
+        IndexExpr::Var { .. } => Some((0, i64::MIN, i64::MAX)),
+        IndexExpr::Offset { delta, base } => match (reach(base, ctx)?, int(delta)?) {
+            (Some((shift, min, max)), Some(delta)) => Some((shift.saturating_sub(delta), min, max)),
+            _ => None,
+        },
+        IndexExpr::Window { lo, hi, base } => match (reach(base, ctx)?, int(lo)?, int(hi)?) {
+            // The window's `0..=hi - lo` are `k + shift` of its base.
+            (Some((shift, min, max)), Some(lo), Some(hi)) => Some((
+                shift.saturating_add(lo),
+                min.max(shift.saturating_neg()),
+                max.min(hi.saturating_sub(lo).saturating_sub(shift)),
+            )),
+            _ => None,
+        },
+        IndexExpr::Permit { .. } => None,
+    })
+}
+
 /// Replace each matched access in the loop body with its placeholder.
 pub(crate) fn substitute_placeholders(
     body: &mut finch_cin::CinStmt,

@@ -10,8 +10,8 @@ use finch_looplets::{Looplet, Stepped, Style};
 
 use crate::error::CompileError;
 use crate::lower::access::{
-    driven_by, mentions_key, substitute_placeholders, substitute_resolved, unfurl_access,
-    AccessState,
+    check_inside, driven_by, mentions_key, substitute_placeholders, substitute_resolved,
+    unfurl_access, AccessState,
 };
 use crate::lower::statements::lower_stmt;
 use crate::lower::{Binding, FiberHandle, LowerCtx, OutputSink};
@@ -55,17 +55,21 @@ pub(crate) fn lower_forall(
         Some((lo, hi)) => Extent::new(ctx.resolve_expr(lo)?, ctx.resolve_expr(hi)?),
         None => infer_extent(index, &driven, body, ctx)?,
     };
-    if let (Some(Value::Int(lo)), Some(Value::Int(hi))) = (ext.lo.as_lit(), ext.hi.as_lit()) {
-        if lo > hi {
-            return Ok(fiber_ends);
-        }
-    }
+    let literal = match (ext.lo.as_lit(), ext.hi.as_lit()) {
+        (Some(Value::Int(lo)), Some(Value::Int(hi))) if lo > hi => return Ok(fiber_ends),
+        (Some(Value::Int(lo)), Some(Value::Int(hi))) => Some((lo, hi)),
+        _ => None,
+    };
 
-    // 3. Unfurl each driven access and substitute placeholders for them.
+    // 3. Unfurl each driven access, refuse a constant extent it does not
+    // cover, and substitute placeholders for the accesses.
     let mut accesses = Vec::new();
     let mut table = Vec::new();
     for a in &driven {
         let state = unfurl_access(a, ctx)?;
+        if let (Some(extent), Some(ix)) = (literal, a.indices.first()) {
+            check_inside(ix, &state, extent, ctx)?;
+        }
         table.push((a.clone(), state.key.clone()));
         accesses.push(state);
     }

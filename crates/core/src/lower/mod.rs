@@ -81,7 +81,7 @@ impl OutputBinding {
 
     /// Total number of elements of the dense materialisation.
     pub fn len(&self) -> usize {
-        self.specs().iter().map(|s| s.size()).product::<usize>().max(1)
+        self.specs().iter().map(|s| s.size()).product::<usize>()
     }
 }
 

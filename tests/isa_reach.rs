@@ -20,14 +20,16 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The mnemonic of every row of the `isa!` table, in table order, read off
-/// the rows themselves (`Name = "mnemonic" Lane`): `finch-ir` exports no
-/// list of its opcodes, and needs none.
+/// the rows themselves (`Name = "mnemonic" Lane "template"`, the template
+/// perhaps on the next line): `finch-ir` exports no list of its opcodes, and
+/// needs none.
 fn table_rows() -> Vec<&'static str> {
     let rows: Vec<&str> = include_str!("../crates/ir/src/isa.rs")
         .lines()
         .filter_map(|line| {
             let (_, row) = line.trim_end_matches([' ', ',', '{']).split_once(" = \"")?;
-            let (mnemonic, lane) = row.split_once("\" ")?;
+            let (mnemonic, rest) = row.split_once("\" ")?;
+            let lane = rest.split(' ').next()?;
             matches!(lane, "Generic" | "TagFree" | "Kernel").then_some(mnemonic)
         })
         .collect();

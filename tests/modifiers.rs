@@ -9,7 +9,7 @@ mod common;
 use common::{assert_close, eval};
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::build::*;
-use looplets_repro::finch::{CinExpr, Kernel, Tensor};
+use looplets_repro::finch::{CinExpr, CinStmt, Kernel, Tensor};
 
 #[test]
 fn window_sums_a_slice() {
@@ -29,14 +29,55 @@ fn window_sums_a_slice() {
     compiled.run().expect("window kernel runs");
     assert_eq!(compiled.output_scalar("S").unwrap(), 3.0 + 4.0 + 5.0);
     assert_eq!(eval(&program, &[&a], &[("S", &[], 0.0)]).unwrap(), [[3.0 + 4.0 + 5.0]]);
-    // `k = 3` reads past the slice: no meaning, as past the end of `A`.
-    let past = forall_in(
-        k.clone(),
-        lit_int(0),
-        lit_int(3),
-        add_assign(scalar("S"), access("A", [k.walk().window(lit_int(2), lit_int(4))])),
-    );
-    assert!(eval(&past, &[&a], &[("S", &[], 0.0)]).is_err());
+    // `k = 3` reads past the slice: no meaning, as past the end of `A`, and
+    // no kernel, in either format, however far the loop runs past it.
+    for hi in [3, 4] {
+        let past = forall_in(
+            k.clone(),
+            lit_int(0),
+            lit_int(hi),
+            add_assign(scalar("S"), access("A", [k.walk().window(lit_int(2), lit_int(4))])),
+        );
+        assert!(eval(&past, &[&a], &[("S", &[], 0.0)]).is_err());
+        for a in [a.clone(), Tensor::dense_vector("A", &data)] {
+            let mut kernel = Kernel::new();
+            kernel.bind_input(&a).bind_output_scalar("S");
+            let err = kernel.compile(&past).expect_err("a read past the window");
+            assert!(err.to_string().contains("reads `A` at coordinates it has only in 0..=2"));
+        }
+    }
+}
+
+#[test]
+fn a_read_past_an_inputs_extent_is_a_compile_error_in_every_format() {
+    let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+    let k = idx("k");
+    let sum = |lo, hi, ix| {
+        forall_in(k.clone(), lit_int(lo), lit_int(hi), add_assign(scalar("S"), access("A", [ix])))
+    };
+    let formats = [
+        ("sparse-list", Tensor::sparse_list_vector("A", &data)),
+        ("dense", Tensor::dense_vector("A", &data)),
+    ];
+    for (format, a) in formats {
+        let compile = |program: CinStmt| {
+            let mut kernel = Kernel::new();
+            kernel.bind_input(&a).bind_output_scalar("S");
+            kernel.compile(&program).map(|mut compiled| {
+                compiled.run().expect("a read inside the extent runs");
+                compiled.output_scalar("S").unwrap()
+            })
+        };
+        // `A[k]` for `k` in `0..=8` reads `A[7]` and `A[8]`, which `A` does
+        // not have; `A[offset(2)[k]]` reads `A[k - 2]`, from `A[-2]` on.
+        for past in [sum(0, 8, k.walk()), sum(0, 6, k.walk().offset(lit_int(2)))] {
+            assert!(eval(&past, &[&a], &[("S", &[], 0.0)]).is_err());
+            assert!(compile(past).is_err(), "{format}");
+        }
+        // Inside the extent the kernel runs.
+        assert_eq!(compile(sum(0, 6, k.walk())), Ok(28.0), "{format}");
+        assert_eq!(compile(sum(2, 8, k.walk().offset(lit_int(2)))), Ok(28.0), "{format}");
+    }
 }
 
 #[test]
