@@ -91,6 +91,15 @@ pub enum StmtSpec {
         /// Iteration protocol for `B`.
         pb: Protocol,
     },
+    /// `y{k}[i] = A[i] * B[i]` — an elementwise multiply assigned into a
+    /// dense output: every element is written, a sparse operand's runs with
+    /// its fill.
+    EwiseAssign {
+        /// Iteration protocol for `A`.
+        pa: Protocol,
+        /// Iteration protocol for `B`.
+        pb: Protocol,
+    },
     /// `S{k}[i] = A[i] * B[i]` — an elementwise multiply appending into a
     /// sparse-list output.
     EwiseSparse {
@@ -135,6 +144,9 @@ impl StmtSpec {
             }
             StmtSpec::EwiseMul { pa, pb } => {
                 format!("StmtSpec::EwiseMul {{ pa: {}, pb: {} }}", p(pa), p(pb))
+            }
+            StmtSpec::EwiseAssign { pa, pb } => {
+                format!("StmtSpec::EwiseAssign {{ pa: {}, pb: {} }}", p(pa), p(pb))
             }
             StmtSpec::EwiseSparse { pa, pb } => {
                 format!("StmtSpec::EwiseSparse {{ pa: {}, pb: {} }}", p(pa), p(pb))
@@ -225,6 +237,13 @@ fn build_stmt(spec: StmtSpec, k: usize) -> CinStmt {
         StmtSpec::EwiseMul { pa, pb } => forall(
             i.clone(),
             add_assign(
+                access(format!("y{k}").as_str(), [i.clone()]),
+                mul(access("A", [protocol_index(pa, &i)]), access("B", [protocol_index(pb, &i)])),
+            ),
+        ),
+        StmtSpec::EwiseAssign { pa, pb } => forall(
+            i.clone(),
+            assign(
                 access(format!("y{k}").as_str(), [i.clone()]),
                 mul(access("A", [protocol_index(pa, &i)]), access("B", [protocol_index(pb, &i)])),
             ),
@@ -595,11 +614,16 @@ pub fn gen_case(rng: &mut TestRng, smoke: bool) -> FuzzCase {
     if rng.below_in(0, 3) == 0 {
         stmts.push(StmtSpec::Window { width: rng.below_in(1, 10) as u8 });
     }
-    // One case in four also multiplies into a sparse list, from a stream of
-    // its own as well.
+    // One case in four also multiplies into a sparse list, and one in two
+    // assigns the product to a dense output, each from a stream of its own as
+    // well.
     let rng = &mut TestRng::from_seed(seed ^ 0x4557_5350);
     if rng.below_in(0, 4) == 0 {
         stmts.push(StmtSpec::EwiseSparse { pa: proto(rng, a_format), pb: proto(rng, b_format) });
+    }
+    let rng = &mut TestRng::from_seed(seed ^ 0x4557_4153);
+    if rng.below_in(0, 2) == 0 {
+        stmts.push(StmtSpec::EwiseAssign { pa: proto(rng, a_format), pb: proto(rng, b_format) });
     }
     FuzzCase { seed, n, a_format, b_format, a_fill, b_fill, same_support, stmts }
 }
@@ -731,8 +755,11 @@ mod tests {
     /// matched steps, reducing, and every `EwiseMul` (into a dense output)
     /// the op's stepper skip; both run divergence-free too.  So does a
     /// `Dot` of a walked sparse list against a dense or banded vector, the
-    /// lone stepper whose body the gather reduction performs: under every
-    /// pairing of fills, and wherever the smoke draw makes one.
+    /// lone stepper whose body the gather reduction performs, and an
+    /// `EwiseAssign` of a walked sparse list times a dense vector, whose
+    /// lone stepper the op performs storing into the dense output, its runs
+    /// filled: under every pairing of fills, and wherever the smoke draw
+    /// makes one.
     #[test]
     fn degenerate_sparse_list_merges_run_divergence_free_and_are_drawn() {
         let walk = Protocol::Walk;
@@ -827,6 +854,42 @@ mod tests {
         let lone: Vec<&FuzzCase> = drawn.iter().filter(located).collect();
         assert!(!lone.is_empty(), "the smoke draw dotted no walked list with a located vector");
         lone.into_iter().for_each(gathers);
+        let assigns = |case: &FuzzCase| {
+            let (found, disasm) = carries(case, |step, _| {
+                matches!(step, Step::Perform { out: Out::Store { op: None, gap: Some(_), .. }, .. })
+            });
+            assert!(found, "{case:?}: the store\n{disasm}");
+            assert_eq!(check_case(case, ValidationLevel::Full), None, "{case:?}");
+        };
+        for (k, a_fill) in fills.into_iter().enumerate() {
+            for b_fill in fills {
+                assigns(&FuzzCase {
+                    seed: 71 + k as u64,
+                    n: 24,
+                    a_format: VecFormat::SparseList,
+                    b_format: VecFormat::Dense,
+                    a_fill,
+                    b_fill,
+                    same_support: false,
+                    stmts: vec![StmtSpec::EwiseAssign { pa: walk, pb: Protocol::Default }],
+                });
+            }
+        }
+        let stored = |c: &&FuzzCase| {
+            (c.a_format, c.b_format) == (VecFormat::SparseList, VecFormat::Dense)
+                && c.stmts.iter().any(|stmt| {
+                    matches!(
+                        stmt,
+                        StmtSpec::EwiseAssign {
+                            pa: Protocol::Default | Protocol::Walk,
+                            pb: Protocol::Default
+                        }
+                    )
+                })
+        };
+        let stores: Vec<&FuzzCase> = drawn.iter().filter(stored).collect();
+        assert!(!stores.is_empty(), "the smoke draw assigned no walked list times a dense vector");
+        stores.into_iter().for_each(assigns);
     }
 
     /// A `Dot` of two run-length vectors is Fig. 11's run × run product, the

@@ -3,7 +3,7 @@
 
 use finch_cin::{Access, IndexExpr, IndexVar, TensorRef};
 use finch_formats::UnfurlLeaf;
-use finch_ir::{Expr, Value};
+use finch_ir::{BinOp, Expr, Value};
 use finch_looplets::{Looplet, Phase};
 
 use crate::error::CompileError;
@@ -170,7 +170,8 @@ fn apply_index_expr(
 /// one would read past its slice.  The loop coordinates `ix` reads inside the
 /// mode are the mode's own, shifted by each `offset` and cut to `0..=hi -
 /// lo` by each `window`; under a `permit`, which reads `Missing` outside,
-/// and where a bound is not a constant, nothing is refused.
+/// and where a window's width is not a constant, nothing is refused, and
+/// where a shift is not a constant, only what a window cuts.
 pub(crate) fn check_inside(
     ix: &IndexExpr,
     state: &AccessState,
@@ -180,7 +181,10 @@ pub(crate) fn check_inside(
     let dim = ctx.input(state.tensor.name())?.dim(state.level) as i64;
     let Some((shift, min, max)) = reach(ix, ctx)? else { return Ok(()) };
     // The mode's coordinates `0..dim` are `k + shift`.
-    let (min, max) = (min.max(shift.saturating_neg()), max.min((dim - 1).saturating_sub(shift)));
+    let (min, max) = match shift {
+        Some(shift) => (min.max(shift.saturating_neg()), max.min((dim - 1).saturating_sub(shift))),
+        None => (min, max),
+    };
     if min <= lo && hi <= max {
         return Ok(());
     }
@@ -192,32 +196,63 @@ pub(crate) fn check_inside(
     })
 }
 
-/// `(shift, min, max)`: `ix` reads coordinate `k + shift` of its tensor's
-/// mode at each loop coordinate `k` in `min..=max`, and outside it reads
-/// past a `window`.  `None` under a `permit` or a bound that is not an
-/// integer literal.
-fn reach(ix: &IndexExpr, ctx: &LowerCtx) -> Result<Option<(i64, i64, i64)>, CompileError> {
-    let int = |e| match ctx.resolve_expr(e)?.as_lit() {
-        Some(Value::Int(n)) => Ok::<_, CompileError>(Some(n)),
-        _ => Ok(None),
-    };
+/// `(shift, min, max)`: an index expression reads coordinate `k + shift` of
+/// its tensor's mode at each loop coordinate `k` in `min..=max` — the shift
+/// `None` where it is not an integer literal — and outside it reads past a
+/// `window`.
+type Reach = (Option<i64>, i64, i64);
+
+/// What `ix` reads, or `None` under a `permit` or a window whose width is
+/// not an integer literal.
+fn reach(ix: &IndexExpr, ctx: &LowerCtx) -> Result<Option<Reach>, CompileError> {
     Ok(match ix {
-        IndexExpr::Var { .. } => Some((0, i64::MIN, i64::MAX)),
-        IndexExpr::Offset { delta, base } => match (reach(base, ctx)?, int(delta)?) {
-            (Some((shift, min, max)), Some(delta)) => Some((shift.saturating_sub(delta), min, max)),
-            _ => None,
-        },
-        IndexExpr::Window { lo, hi, base } => match (reach(base, ctx)?, int(lo)?, int(hi)?) {
-            // The window's `0..=hi - lo` are `k + shift` of its base.
-            (Some((shift, min, max)), Some(lo), Some(hi)) => Some((
-                shift.saturating_add(lo),
-                min.max(shift.saturating_neg()),
-                max.min(hi.saturating_sub(lo).saturating_sub(shift)),
-            )),
-            _ => None,
-        },
+        IndexExpr::Var { .. } => Some((Some(0), i64::MIN, i64::MAX)),
+        IndexExpr::Offset { delta, base } => {
+            let delta = int(&ctx.resolve_expr(delta)?);
+            let shifted = |(shift, min, max): Reach| {
+                (shift.zip(delta).map(|(s, d)| s.saturating_sub(d)), min, max)
+            };
+            reach(base, ctx)?.map(shifted)
+        }
+        IndexExpr::Window { lo, hi, base } => {
+            let (lo, hi) = (ctx.resolve_expr(lo)?, ctx.resolve_expr(hi)?);
+            match (reach(base, ctx)?, width(&lo, &hi)) {
+                // The window's `0..=width` are `k + shift` of its base.
+                (Some((Some(shift), min, max)), Some(width)) => Some((
+                    int(&lo).map(|lo| shift.saturating_add(lo)),
+                    min.max(shift.saturating_neg()),
+                    max.min(width.saturating_sub(shift)),
+                )),
+                (Some((None, min, max)), Some(_)) => Some((None, min, max)),
+                _ => None,
+            }
+        }
         IndexExpr::Permit { .. } => None,
     })
+}
+
+/// `hi - lo`, where it is an integer literal: both bounds literals, or `hi`
+/// the same expression as `lo`, or that plus or minus a literal.  Compared
+/// as written, not simplified.
+fn width(lo: &Expr, hi: &Expr) -> Option<i64> {
+    if let (Some(lo), Some(hi)) = (int(lo), int(hi)) {
+        return Some(hi.saturating_sub(lo));
+    }
+    match hi {
+        _ if hi == lo => Some(0),
+        Expr::Binary { op: BinOp::Add, lhs, rhs } if **lhs == *lo => int(rhs),
+        Expr::Binary { op: BinOp::Add, lhs, rhs } if **rhs == *lo => int(lhs),
+        Expr::Binary { op: BinOp::Sub, lhs, rhs } if **lhs == *lo => int(rhs).map(|n| -n),
+        _ => None,
+    }
+}
+
+/// `e`, if it is an integer literal.
+fn int(e: &Expr) -> Option<i64> {
+    match e.as_lit() {
+        Some(Value::Int(n)) => Some(n),
+        _ => None,
+    }
 }
 
 /// Replace each matched access in the loop body with its placeholder.

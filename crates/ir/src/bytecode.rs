@@ -50,7 +50,7 @@ pub(crate) use crate::isa::{for_each_reg_role, for_each_reg_role_mut, operand_id
 pub(crate) use crate::isa::{is_arith_reduce, is_cmp_op, is_float_arith, is_int_arith};
 pub(crate) use crate::isa::{Edge, Elem, Operand, Piece, Role, Shared, Walk};
 pub use crate::isa::{
-    Gather, Guard, Instr, MergeForm, Out, Product, Step, StepCounts, Term, VAcc, VBase, VCost,
+    Gap, Gather, Guard, Instr, MergeForm, Out, Product, Step, StepCounts, Term, VAcc, VBase, VCost,
     VFill, VRhs, VScale,
 };
 
@@ -668,6 +668,7 @@ impl Program {
         let r = |reg: Reg| self.reg_name(reg);
         let at = |list: BufId, finger: Reg| format!("b{}[{}]", list.index(), r(finger));
         let (mut a_form, mut b_form, mut pass) = (String::new(), String::new(), None);
+        let mut filled = None;
         let does = match self.steps.get(step as usize) {
             None => format!("step #{step}"),
             Some(&Step::Skip(form)) => {
@@ -714,6 +715,18 @@ impl Program {
                             vals.index()
                         )
                     }
+                    Out::Store { dst, op, gap } => {
+                        let op = op.map_or("", |op| op.symbol());
+                        let stored = format!("b{}[{}] {op}= {value}", dst.index(), at(a, p));
+                        match gap {
+                            None => stored,
+                            Some(Gap { fill, stmts: [run, each] }) => {
+                                filled = Some([run, each]);
+                                let gap = format!("b{}[{}..{})", dst.index(), r(start), at(a, p));
+                                format!("{gap} = {}, {stored}", r(fill))
+                            }
+                        }
+                    }
                 };
                 match guard {
                     Guard::Every => body,
@@ -746,6 +759,9 @@ impl Program {
         }
         if let Some((what, counted)) = pass {
             steps.push(format!("{what} ; {}", cost(counted)));
+        }
+        if let Some([run, each]) = filled {
+            steps.push(format!("gap ; {} | each ; {}", cost([run, 0]), cost([each, 0])));
         }
         format!("{fingers} in {}..={} (i64) {does} {{ {} }}", r(start), r(stop), steps.join(" | "))
     }
@@ -1548,6 +1564,9 @@ mod tests {
         let second = Some((b(1), r(6)));
         let fold = |op| Out::Fold { acc: b(4), k: r(1), op };
         let push = Out::Push { crd: b(5), vals: b(6) };
+        let gap = Some(Gap { fill: r(5), stmts: [1, 2] });
+        let filled = Out::Store { dst: b(4), op: None, gap };
+        let added = Out::Store { dst: b(4), op: Some(Add), gap: None };
         let product = |lead, second, extent| Product { lead, val: b(2), second, extent };
         let perform = |guard, product, out| Step::Perform { guard, product, out, pass: [5, 2] };
         let at = Gather::At { x: b(3), at: r(6) };
@@ -1582,6 +1601,11 @@ mod tests {
             ),
             (None, perform(Guard::Every, product(None, gathered([minus, plus]), false), push)),
             (None, perform(Guard::Both, product(None, Gather::None, false), fold(Add))),
+            (None, perform(Guard::Every, product(None, gathered([Term::Zero; 2]), false), filled)),
+            (
+                None,
+                perform(Guard::Every, product(None, gathered([plus, Term::Zero]), false), added),
+            ),
         ];
         for (k, (q, step)) in forms.into_iter().enumerate() {
             code.push(step_loop(q, steps.len() as u32, k as u32 % 2, k as u32 % 3));
@@ -1697,28 +1721,30 @@ mod tests {
   64: step_loop b0[i] in k..=t0 (i64) b4[j] += b2[i] * b3[b0[i] - b6[t2]] * extent { +1 stmt +1 load | i += 1 ; +3 stmt +1 load }
   65: step_loop b0[i] in k..=t0 (i64) b5.push(b0[i]), b6.push(b2[i] * b3[b0[i] - b6[t2] + b5[t1]]) { i += 1 ; +3 stmt +2 load }
   66: step_loop b0[i] in k..=t0 (i64) b4[j] += b2[i] where b0[i] == b0[i] { +1 stmt +1 load | i += 1 ; +3 stmt | match ; +5 stmt +2 load }
-  67: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) step #99 { i += 1 ; +3 stmt | t3 += 1 ; +4 stmt }
-  68: b2[i] = j
-  69: b2[i] = j (f64)  ; +1 stmt
-  70: i = max(j, k)
-  71: i = min(j, const 2.0)
-  72: if_false i -> 3 (strict)
-  73: if_false i >= j -> 3 (strict)
-  74: if_false i != const 2.0 -> 3
-  75: i = seek_abs(b0, j, k, t0)
-  76: i = seek.i(b0, j, k, t0)  ; +1 stmt
-  77: i = max(j, -2.0) (f64)
-  78: vfill.f64 b2[v] = 0.0 for v in [i, j) (x8)
-  79: vfill.f64 b2[k-t0+v] = 0.25 for v in [i, j) (x8)
-  80: vfill.f64 b2[v-t0] = t0 for v in [i, j) (x8)
-  81: vmap.f64 b2[v] = b3[v-t0] for v in [i, j) (x4)
-  82: vmap.f64 b2[v] *= max(b3[v-t0], 1.0) - 2.5 for v in [i, j) (x4)
-  83: vmap.f64 b2[v] max= round_u8(min(b3[v-t0], b4[k*4+v])) for v in [i, j) (x4)  ; +1 stmt
-  84: vmuladd.f64 b2[3] max= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
-  85: vmuladd.f64 b2[t1] *= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
-  86: vreduce.f64 b2[0] += b3[v] for v in [i, j) (x4)
-  87: vreduce.f64 b2[0] += 1.5 - b3[v] for v in [i, j) (x4)
-  88: vappend.f64 b0.push(v), b2.push(b3[v]) for v in [i, j) (x8)
+  67: step_loop b0[i] in k..=t0 (i64) b4[k..b0[i]) = t2, b4[b0[i]] = b2[i] * b3[b0[i]] { i += 1 ; +3 stmt +1 load | gap ; +1 stmt | each ; +2 stmt }
+  68: step_loop b0[i] in k..=t0 (i64) b4[b0[i]] += b2[i] * b3[b0[i] + b5[t1]] { +1 stmt +1 load | i += 1 ; +3 stmt +2 load }
+  69: step_loop b0[i] ~ b1[t3] in k..=t0 (i64) step #99 { i += 1 ; +3 stmt | t3 += 1 ; +4 stmt }  ; +1 stmt
+  70: b2[i] = j
+  71: b2[i] = j (f64)
+  72: i = max(j, k)
+  73: i = min(j, const 2.0)
+  74: if_false i -> 3 (strict)
+  75: if_false i >= j -> 3 (strict)
+  76: if_false i != const 2.0 -> 3  ; +1 stmt
+  77: i = seek_abs(b0, j, k, t0)
+  78: i = seek.i(b0, j, k, t0)
+  79: i = max(j, -2.0) (f64)
+  80: vfill.f64 b2[v] = 0.0 for v in [i, j) (x8)
+  81: vfill.f64 b2[k-t0+v] = 0.25 for v in [i, j) (x8)
+  82: vfill.f64 b2[v-t0] = t0 for v in [i, j) (x8)
+  83: vmap.f64 b2[v] = b3[v-t0] for v in [i, j) (x4)  ; +1 stmt
+  84: vmap.f64 b2[v] *= max(b3[v-t0], 1.0) - 2.5 for v in [i, j) (x4)
+  85: vmap.f64 b2[v] max= round_u8(min(b3[v-t0], b4[k*4+v])) for v in [i, j) (x4)
+  86: vmuladd.f64 b2[3] max= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
+  87: vmuladd.f64 b2[t1] *= b3[k-t0+v] * b4[v] for v in [i, j) (x8)
+  88: vreduce.f64 b2[0] += b3[v] for v in [i, j) (x4)
+  89: vreduce.f64 b2[0] += 1.5 - b3[v] for v in [i, j) (x4)
+  90: vappend.f64 b0.push(v), b2.push(b3[v]) for v in [i, j) (x8)  ; +1 stmt
 ";
         assert_eq!(program.disasm(), expected, "\n{}", program.disasm());
     }

@@ -1364,8 +1364,9 @@ pub enum Step {
     /// fault.  Which guard × product × output combinations exist is
     /// `opt::merge_skip::supported`'s to say: a reduction on every step (any
     /// second factor, the extent or not), a lone stepper's append on every
-    /// step or under a comparison, and a match's reduction or append of a
-    /// value at each finger, led or not.
+    /// step or under a comparison, a lone stepper's gathered product stored
+    /// into a dense output on every step, and a match's reduction or append
+    /// of a value at each finger, led or not.
     Perform {
         /// Which steps run the body.
         guard: Guard,
@@ -1473,6 +1474,34 @@ pub enum Out {
         /// The F64 output the product is pushed onto.
         vals: BufId,
     },
+    /// `dst[ss] op= product` (`=` without an `op`): a dense output's store at
+    /// the step's end, counting one store per step — with a [`Gap`], after
+    /// the step has set the run in front of its end to the gap's fill (the
+    /// paper's `Run` in front of a `Spike`).  The op checks once per dispatch
+    /// that `[start, stop]` lies inside `dst`; if not, it does nothing.
+    Store {
+        /// The F64 output, distinct from every source.
+        dst: BufId,
+        /// The reduction operator combining into `dst[ss]`, or none: `=`.
+        op: Option<BinOp>,
+        /// The run the step fills in front of its end, if it fills one.
+        gap: Option<Gap>,
+    },
+}
+
+/// The run an [`Out::Store`] fills in front of a step's end:
+/// `if start <= ss - 1 { for v in start..=ss - 1 { dst[v] = fill } }`.  A
+/// step whose run is empty counts nothing for it; one whose run is not
+/// counts the run's statements, and each element of the run its own, a loop
+/// iteration and a store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gap {
+    /// The F64 register every element is set to (the loop does not write
+    /// it, and stores it through a typed [`Instr::StoreF64`] — which is what
+    /// proves the lane holds it).
+    pub fill: Reg,
+    /// The statements of a run that is not empty, and of each element of it.
+    pub stmts: [u32; 2],
 }
 
 walks!(Out, |out, f| match out {
@@ -1484,6 +1513,15 @@ walks!(Out, |out, f| match out {
     Out::Push { crd, vals } => {
         f(Operand::Buf(crd, Elem::I64));
         f(Operand::Buf(vals, Elem::F64));
+    }
+    Out::Store { dst, op, gap } => {
+        f(Operand::Buf(dst, Elem::F64));
+        if let Some(op) = op {
+            f(Operand::Op(*op, is_float_arith, "unsupported step loop store op"));
+        }
+        if let Some(Gap { fill, .. }) = gap {
+            f(Operand::Reg(fill, Role::Read));
+        }
     }
 });
 

@@ -77,21 +77,27 @@
 //!   `max(ss - start + 1, 0)` or none, and a match's lead `A[i, j]`, with
 //!   the lead, the terms of `ofs` and an accumulator's `k` loads and
 //!   registers the loop does not write;
-//! - the output ([`Out`]) — a reduction `acc[k] op= product`, or a sparse
-//!   output's append `crd.push(ss) ; vals.push(product)`.
+//! - the output ([`Out`]) — a reduction `acc[k] op= product`, a sparse
+//!   output's append `crd.push(ss) ; vals.push(product)`, or a dense
+//!   output's store `dst[ss] op= product`, in front of which the step may
+//!   fill the run `dst[start..ss)` (`filled_run`: the paper's `Run` in front
+//!   of a sparse list's `Spike`, which an assignment writes).
 //!
 //! Which combinations exist is one predicate's to say (`supported`): a
 //! reduction on every step, any product but a lead; a lone stepper's value
-//! pushed on every step or under its comparison; a match's
-//! `[lead *] val[p] * x[q]`, reduced or pushed.  The walked step's statements and loads are
+//! pushed on every step or under its comparison; a lone stepper's gathered
+//! product stored on every step; a match's `[lead *] val[p] * x[q]`,
+//! reduced or pushed.  The walked step's statements and loads are
 //! the op's counts for every step, the statements of each finger's advance
 //! its counts for the steps the finger's stride ends, and the code between a
 //! comparison and its join the `pass` of a step that passes it; a matched
-//! step's whole counts are its `pass`, and the skip walks' counts the op's.
-//! Any other matched body — a store at the step's end (a dense output), a
-//! factor of another shape — keeps the skip, as do the block and jumper
-//! forms.  A lone stepper with a store at a varying index, a guarded
-//! reduction or any other factor is declined as
+//! step's whole counts are its `pass`, and the skip walks' counts the op's;
+//! a run's counts are its [`Gap`]'s, those of the code in front of its
+//! inner loop and those of the inner loop's body.  Any other matched body —
+//! a store at the step's end (a dense output), a factor of another shape —
+//! keeps the skip, as do the block and jumper forms.  A lone stepper with a
+//! store at a varying index of anything but a gathered product, a guarded
+//! reduction or store, or any other factor is declined as
 //! [`MergeDecline::SingleFinger`]; two fingers whose body is no such step as
 //! the walks' reason, [`MergeDecline::NotGuardedByBoth`] for a body that is
 //! not guarded.
@@ -108,8 +114,8 @@ use std::cell::OnceCell;
 
 use crate::buffer::BufId;
 use crate::bytecode::{
-    edge_table, for_each_reg_role, holds_literal, operand_ids, splice_before, Gather, Guard, Instr,
-    MergeForm, Out, Product, Program, Reg, Role, Step, StepCounts, Term, NO_EDGE,
+    edge_table, for_each_reg_role, holds_literal, operand_ids, splice_before, Gap, Gather, Guard,
+    Instr, MergeForm, Out, Product, Program, Reg, Role, Step, StepCounts, Term, VBase, NO_EDGE,
 };
 use crate::expr::BinOp;
 
@@ -123,8 +129,9 @@ pub enum MergeDecline {
     /// way, or its condition takes more than the head to evaluate.
     NotAStepLoop,
     /// The body does not begin by loading two strides: one stepper alone
-    /// (nothing to coiterate) whose body is no reduction and no append, or a
-    /// stride that is not a plain coordinate load.
+    /// (nothing to coiterate) whose body is no reduction, no append and no
+    /// store of a gathered product, or a stride that is not a plain
+    /// coordinate load.
     SingleFinger,
     /// The step is not the minimum of the two strides clipped to the bound,
     /// nor the maximum with lowering's jumper fall-back behind it (the
@@ -388,13 +395,14 @@ fn step_loop_op(
 /// loop's bound and its start at the top; a finger at the top, and one on;
 /// one of two fingers' strides, and the earlier of the two; the step's end
 /// `ss` — a lone finger's stride, which is below the bound; `ss + 1`;
-/// `ss - start`, one more, and that at least zero: the extent; a loop
-/// invariant, the sum of its terms; `ss` plus such a sum; a product formed
-/// from a value at a finger (and that finger): the value, times the second
-/// factor, and either times the extent.  A register an append's guarded
-/// code wrote holds a value only the steps that pass know.  On a matched
-/// step: an F64 load at a register the loop does not write, the lead, and
-/// the product the lead begins.
+/// `ss - 1`; `ss - start`, one more, and that at least zero: the extent; a
+/// loop invariant, the sum of its terms; `ss` plus such a sum; a product
+/// formed from a value at a finger (and that finger): the value, times the
+/// second factor, and either times the extent.  A register that guarded
+/// code wrote — an append's, or the fill of a run that is not empty — holds
+/// a value only the steps that run it know.  On a matched step: an F64 load
+/// at a register the loop does not write, the lead, and the product the
+/// lead begins.
 #[derive(Clone, Copy, PartialEq)]
 enum Gv {
     Stop,
@@ -405,6 +413,7 @@ enum Gv {
     Lead,
     Step,
     After,
+    Before,
     Span,
     SpanOn,
     Extent,
@@ -443,14 +452,17 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
 /// factor none, a value at a finger or `x[ss + ofs]`, the extent `max(ss -
 /// start + 1, 0)` or none, the lead, `k` and the terms of `ofs` loads and
 /// registers the loop does not write) where an [`Out`] says, `acc[k] op=
-/// product` or `crd.push(ss) ; vals.push(product)`, on a lone finger
-/// optionally under a guard `val[p] op imm` whose false edge lands on the
-/// join behind the pushes; advance each finger by one where its stride ends
-/// the step (a lone finger's always does); set `start` to `ss + 1`; and do
-/// nothing else.  The loop may write the fingers and `start` nowhere else.
-/// Its statements and loads, the statements of two fingers' advances, and
-/// what the guarded code counts are the op's counts.  The guard × product ×
-/// output must be one that [`supported`] says exists.
+/// product`, `crd.push(ss) ; vals.push(product)` or `dst[ss] op= product`
+/// — the last after filling the run in front of it, `if start <= ss - 1 {
+/// .. }` ([`filled_run`]), or not — on a lone finger optionally under a
+/// guard `val[p] op imm` whose false edge lands on the join behind the
+/// pushes; advance each finger by one where its stride ends the step (a
+/// lone finger's always does); set `start` to `ss + 1`; and do nothing
+/// else.  The loop may write the fingers and `start` nowhere else.  Its
+/// statements and loads, the statements of two fingers' advances, and what
+/// the guarded code counts are the op's counts; the run's are its
+/// [`Gap`]'s.  The guard × product × output must be one that [`supported`]
+/// says exists.
 ///
 /// With `skipping` (two steppers whose skip walks found [`MergeForm::Steps`])
 /// the iteration walked is a matched one, on which both strides are the
@@ -494,8 +506,9 @@ fn performed(
         ([0; 2], [0; 2], [None; 2], None, head + 1);
     // An append's guard, and while its code is walked, the join its false
     // edge lands on and where in `vals` that code's values begin; the pushes;
-    // a matched step's lead.
+    // a matched step's lead; a store's run.
     let (mut guard, mut open, mut crd, mut pushed, mut lead) = (None, None, None, None, None);
+    let mut run = None;
     // Every pc at most once: the iteration has no inner loop.
     for _ in head..bottom {
         // At the join, a register the guarded code wrote holds what only the
@@ -530,6 +543,21 @@ fn performed(
                 } =>
             {
                 continue
+            }
+            // A store's run, filled where it is not empty: its code is walked
+            // to the join, where a register it wrote holds what only such a
+            // step knows.
+            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target }
+                if !two
+                    && run.is_none()
+                    && [val(&vals, lhs), val(&vals, rhs)] == [Some(Start), Some(Before)] =>
+            {
+                let (dst, gap, wrote) =
+                    filled_run(code, pc, target as usize, |r| val(&vals, r), invariant)?;
+                run = Some((dst, gap));
+                vals.extend(wrote.into_iter().map(|r| (r, Passed)));
+                pc = target as usize;
+                continue;
             }
             // An append's guard: a value at the lone finger against a literal.
             Instr::FCmpBranchImm { op, lhs, imm, target }
@@ -623,6 +651,7 @@ fn performed(
             Instr::IArithImm { op, dst, lhs, imm } => {
                 let computed = match (op, val(&vals, lhs)?, imm) {
                     (BinOp::Add, Step, 1) => After,
+                    (BinOp::Sub, Step, 1) | (BinOp::Add, Step, -1) => Before,
                     (BinOp::Add, Span, 1) => SpanOn,
                     (BinOp::Max, SpanOn, 0) => Extent,
                     (BinOp::Min, Step, _) if !two && lp.is_bound(imm) => Step,
@@ -664,7 +693,14 @@ fn performed(
             Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
                 if stored.is_none() && guard.is_none() && invariant(idx) =>
             {
-                stored = Some((buf, idx, op, val(&vals, v)?));
+                stored = Some((Out::Fold { acc: buf, k: idx, op }, val(&vals, v)?));
+                continue;
+            }
+            // A dense output's store at the step's end.
+            Instr::StoreF64 { buf, idx, val: v, reduce }
+                if stored.is_none() && guard.is_none() && val(&vals, idx) == Some(Step) =>
+            {
+                stored = Some((Out::Store { dst: buf, op: reduce, gap: None }, val(&vals, v)?));
                 continue;
             }
             _ => return None,
@@ -678,8 +714,16 @@ fn performed(
     let mut written: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
     let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
     let (out, formed) = match (stored, crd, pushed) {
-        (Some((acc, k, op, formed)), None, None) => (Out::Fold { acc, k, op }, formed),
+        (Some(stored), None, None) => stored,
         (None, Some(crd), Some((vals, formed))) => (Out::Push { crd, vals }, formed),
+        _ => return None,
+    };
+    // A run is filled in the output its step stores into.
+    let out = match (out, run) {
+        (out, None) => out,
+        (Out::Store { dst, op, gap: None }, Some((filled, gap))) if filled == dst => {
+            Out::Store { dst, op, gap: Some(gap) }
+        }
         _ => return None,
     };
     // `[lead *] val[first] * second [* extent]`, the lead loaded its own.
@@ -735,9 +779,11 @@ fn performed(
 /// one of: a reduction on every step, of one finger or two, the second
 /// factor any, the extent or not (Fig. 1's list × band, Fig. 11's runs); a
 /// lone stepper's value pushed on every step or under a comparison (Fig.
-/// S's threshold filter); a match's `[lead *] val[p] * x[q]`, folded or
-/// pushed (Figs. 7 and 8, the sparse-output product).  The rest are
-/// declined, not written.
+/// S's threshold filter); a lone stepper's gathered `val[p] * x[ss + ofs]`
+/// stored at the step's end, its run filled or not (a sparse list times a
+/// dense vector into a dense output); a match's `[lead *] val[p] * x[q]`,
+/// folded or pushed (Figs. 7 and 8, the sparse-output product).  The rest
+/// are declined, not written.
 pub(crate) fn supported(guard: Guard, product: &Product, out: Out, q: Option<Reg>) -> bool {
     let Product { lead, second, extent, .. } = *product;
     match (guard, out) {
@@ -745,11 +791,110 @@ pub(crate) fn supported(guard: Guard, product: &Product, out: Out, q: Option<Reg
         (Guard::Every | Guard::Cmp(..), Out::Push { .. }) => {
             q.is_none() && lead.is_none() && second == Gather::None && !extent
         }
-        (Guard::Cmp(..), Out::Fold { .. }) => false,
-        (Guard::Both, _) => {
+        (Guard::Every, Out::Store { .. }) => {
+            q.is_none() && lead.is_none() && matches!(second, Gather::Load { .. }) && !extent
+        }
+        (Guard::Cmp(..) | Guard::Both, Out::Store { .. }) | (Guard::Cmp(..), Out::Fold { .. }) => {
+            false
+        }
+        (Guard::Both, Out::Fold { .. } | Out::Push { .. }) => {
             !extent && q.is_some_and(|q| matches!(second, Gather::At { at, .. } if at == q))
         }
     }
+}
+
+/// The run in front of a lone stepper's step end, filled where it is not
+/// empty: the code from `pc`, just past the branch `if start <= ss - 1`, to
+/// `join`, where the branch's false edge lands —
+///
+/// ```text
+/// lo = start ; hi = ss - 1            IMov, IArithImm (or IMov of ss - 1)
+/// vfill dst[v] = .. for v in [lo, hi)  VFillStoreF64, where vectorize put one
+/// for v = lo while <= hi              IForTest, whose exit is the join
+///     dst[v] = fill                   StoreF64
+/// next v                              IForNext, in front of the join
+/// ```
+///
+/// — with `fill` a register the loop does not write (`invariant`).  `held`
+/// is what the step's walk knows a register holds at the branch.  The
+/// output, the [`Gap`] — the statements in front of the inner loop and
+/// those of its body — and every register the code writes.
+fn filled_run(
+    code: &[Instr],
+    mut pc: usize,
+    join: usize,
+    held: impl Fn(Reg) -> Option<Gv>,
+    invariant: impl Fn(Reg) -> bool,
+) -> Option<(BufId, Gap, Vec<Reg>)> {
+    let (mut stmts, mut lo, mut hi, mut vfill, mut wrote) = ([0; 2], None, None, None, Vec::new());
+    let mut inner: Option<(Reg, usize)> = None;
+    let mut filled = None;
+    while pc < join {
+        let instr = code[pc];
+        pc += 1;
+        // What the code has not written holds what it held at the branch.
+        let is = |r: Reg, gv: Gv| !wrote.contains(&r) && held(r) == Some(gv);
+        let written = match instr {
+            Instr::Nop => continue,
+            Instr::BumpStmt => {
+                stmts[usize::from(inner.is_some())] += 1;
+                continue;
+            }
+            Instr::IMov { dst, src } if inner.is_none() && lo.is_none() && is(src, Gv::Start) => {
+                lo = Some(dst);
+                dst
+            }
+            Instr::IMov { dst, src } if inner.is_none() && hi.is_none() && is(src, Gv::Before) => {
+                hi = Some(dst);
+                dst
+            }
+            Instr::IArithImm { op, dst, lhs, imm }
+                if inner.is_none()
+                    && hi.is_none()
+                    && matches!((op, imm), (BinOp::Sub, 1) | (BinOp::Add, -1))
+                    && is(lhs, Gv::Step) =>
+            {
+                hi = Some(dst);
+                dst
+            }
+            Instr::VFillStoreF64 { buf, base: VBase::Var, counter, hi: to, .. }
+                if inner.is_none() && vfill.is_none() && (Some(counter), Some(to)) == (lo, hi) =>
+            {
+                vfill = Some(buf);
+                continue;
+            }
+            Instr::IForTest { counter, hi: to, var, end }
+                if inner.is_none()
+                    && (Some(counter), Some(to)) == (lo, hi)
+                    && end as usize == join =>
+            {
+                inner = Some((var, pc));
+                var
+            }
+            Instr::StoreF64 { buf, idx, val, reduce: None }
+                if filled.is_none()
+                    && inner.is_some_and(|(var, _)| var == idx)
+                    && invariant(val) =>
+            {
+                filled = Some((buf, val));
+                continue;
+            }
+            Instr::IForNext { counter, hi: to, var, body }
+                if pc == join
+                    && (Some(counter), Some(to)) == (lo, hi)
+                    && inner == Some((var, body as usize)) =>
+            {
+                let (dst, fill) = filled?;
+                if vfill.is_some_and(|buf| buf != dst) {
+                    return None;
+                }
+                return Some((dst, Gap { fill, stmts }, wrote));
+            }
+            _ => return None,
+        };
+        wrote.push(written);
+    }
+    None
 }
 
 /// What a register holds on an iteration the op skips: the loop's bound; a
@@ -1467,11 +1612,16 @@ pub(super) mod tests {
         }
     }
 
-    /// Without the ops at `placed`, the program is the one compiled without
-    /// the tier.
+    /// Without the ops at `placed` and the tier's vectorized fills (a dense
+    /// output's runs are filled by one), the program is the one compiled
+    /// without the tier.
     fn only_adds(c: &Compiled, placed: &[usize]) {
         let mut without = c.skipping.code().to_vec();
         let mut folded = c.skipping.stmt_bump().to_vec();
+        let fill = |pc: &usize| matches!(without[*pc], Instr::VFillStoreF64 { .. });
+        let mut placed: Vec<usize> =
+            (0..without.len()).filter(fill).chain(placed.to_vec()).collect();
+        placed.sort_unstable();
         for &at in placed.iter().rev() {
             assert_eq!(folded[at], 0);
             without.remove(at);
@@ -2380,6 +2530,139 @@ pub(super) mod tests {
         }
     }
 
+    /// The dense output of [`store_kernel`].
+    pub(in crate::opt) const DENSE: BufId = BufId(4);
+
+    /// What [`store_kernel`]'s step does with its dense output.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(in crate::opt) enum Dense {
+        /// `C[i] = A[i] * x[i]`: the run in front of the step's end set to
+        /// zero, then `out[ss] = vals[p] * x[ss]`.
+        Assign,
+        /// `C[i] += A[i] * x[i]`: `out[ss] += vals[p] * x[ss]`, the run left
+        /// as it is.
+        Add,
+    }
+
+    /// The loop `lower_stepped` emits for one walked list times a dense
+    /// vector into a dense output, over the step range `0..=stop` (the bound
+    /// loaded, so nothing folds it): `if ss == s { [if start <= ss - 1 { for
+    /// i in start..=ss - 1 { out[i] = 0.0 } }] out[ss] op= vals[p] * x[ss] }
+    /// [else { for i in start..=ss { out[i] = 0.0 } }]`, the bracketed code
+    /// [`Dense::Assign`]'s.  `x` and `out` are `stop + 1` long, `out` all
+    /// `9.5` at first, so that what a run sets shows.
+    pub(in crate::opt) fn store_kernel(
+        crd: &[i64],
+        vals: (&[f64], &[f64]),
+        stop: i64,
+        how: Dense,
+    ) -> Kernel {
+        let mut names = Names::new();
+        let mut bufs = BufferSet::new();
+        let (values, x_values) = vals;
+        let span = (stop + 1).max(0) as usize;
+        let crd_buf = bufs.add("crd", Buffer::I64(crd.to_vec().into()));
+        let vals = bufs.add("vals", Buffer::F64(values.to_vec().into()));
+        let x = bufs.add("x", Buffer::F64(x_values[..span].to_vec().into()));
+        let bound = bufs.add("bound", Buffer::I64(vec![stop].into()));
+        let out = bufs.add("out", Buffer::F64(vec![9.5; span].into()));
+        assert_eq!((crd_buf, vals, x, out), (CRD, VALS, X, DENSE));
+        let [p, hi, start, s, ss, i, j] =
+            ["p", "phase_stop", "step_start", "stride", "step_stop", "i", "i_2"]
+                .map(|n| names.fresh(n));
+        let v = Expr::Var;
+        let zero = |var, hi| Stmt::For {
+            var,
+            lo: v(start),
+            hi,
+            body: vec![Stmt::Store {
+                buf: out,
+                index: v(var),
+                value: Expr::float(0.0),
+                reduce: None,
+            }],
+        };
+        let product = Expr::mul(Expr::load(vals, v(p)), Expr::load(x, v(ss)));
+        let (reduce, assign) = match how {
+            Dense::Assign => (None, true),
+            Dense::Add => (Some(BinOp::Add), false),
+        };
+        let mut spike = vec![Stmt::Store { buf: out, index: v(ss), value: product, reduce }];
+        let mut body = vec![
+            Stmt::Let { var: s, init: Expr::load(crd_buf, v(p)) },
+            Stmt::Let { var: ss, init: Expr::min(v(s), v(hi)) },
+        ];
+        if assign {
+            let before = Expr::sub(v(ss), Expr::int(1));
+            let run = Stmt::if_then(Expr::le(v(start), before.clone()), vec![zero(i, before)]);
+            spike.insert(0, run);
+            body.push(Stmt::If {
+                cond: Expr::eq(v(ss), v(s)),
+                then_branch: spike,
+                else_branch: vec![zero(j, v(ss))],
+            });
+        } else {
+            body.push(Stmt::if_then(Expr::eq(v(ss), v(s)), spike));
+        }
+        body.extend([
+            Stmt::if_then(
+                Expr::eq(v(s), v(ss)),
+                vec![Stmt::Assign { var: p, value: Expr::add(v(p), Expr::int(1)) }],
+            ),
+            Stmt::Assign { var: start, value: Expr::add(v(ss), Expr::int(1)) },
+        ]);
+        let stmts = vec![
+            Stmt::Let { var: p, init: Expr::int(0) },
+            Stmt::Let { var: hi, init: Expr::load(bound, Expr::int(0)) },
+            Stmt::Let { var: start, init: Expr::int(0) },
+            Stmt::While { cond: Expr::le(v(start), v(hi)), body },
+        ];
+        (stmts, names, bufs)
+    }
+
+    /// The two bodies of [`store_kernel`].
+    const DENSES: [Dense; 2] = [Dense::Assign, Dense::Add];
+
+    /// Values at a dense vector's coordinates: finite, or (`special`) both
+    /// zeros, NaN and the infinities among them.
+    fn dense_values(n: usize, special: bool) -> Vec<f64> {
+        let cycle = [0.25, -0.0, f64::NAN, 3.0, 0.0, f64::INFINITY, -1.5, f64::NEG_INFINITY];
+        (0..n)
+            .map(|k| if special { cycle[k % cycle.len()] } else { 0.25 * (k + 1) as f64 })
+            .collect()
+    }
+
+    fn stores(p: &Program) -> Vec<usize> {
+        let is_op = |pc: &usize| {
+            let step = p.step_of(&p.code()[*pc]);
+            matches!(step, Some(Step::Perform { out: Out::Store { .. }, .. }))
+        };
+        (0..p.code().len()).filter(is_op).collect()
+    }
+
+    #[test]
+    fn the_lone_stepper_gets_the_store_and_is_otherwise_untouched() {
+        let wants = [
+            "step_loop b0[p] in step_start..=phase_stop (i64) b4[step_start..b0[p]) = t7, \
+             b4[b0[p]] = b1[p] * b2[b0[p]] { +7 stmt +3 load | p += 1 ; +1 stmt | gap ; +1 stmt \
+             | each ; +1 stmt }",
+            "step_loop b0[p] in step_start..=phase_stop (i64) b4[b0[p]] += b1[p] * b2[b0[p]] \
+             { +6 stmt +3 load | p += 1 ; +1 stmt }",
+        ];
+        let values = dense_values(40, false);
+        for (how, want) in DENSES.into_iter().zip(wants) {
+            let c = compile(&store_kernel(&[3, 17, 30, 1000], (&values, &values), 39, how));
+            let placed = stores(&c.skipping);
+            assert_eq!((c.stats.merge_skips, placed.len()), (1, 1), "{}", c.skipping.disasm());
+            assert_eq!(c.stats.merge_declined, [0; 6]);
+            let at = placed[0];
+            assert!(matches!(c.skipping.code()[at - 1], Instr::IWhileCmp { .. }));
+            let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
+            assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
+            only_adds(&c, &placed);
+        }
+    }
+
     // -----------------------------------------------------------------
     // One sweep for every performed step — the lone reductions, the
     // appends, the matches and the two-finger reductions: a table of
@@ -2581,6 +2864,65 @@ pub(super) mod tests {
         }
         let cancelled = run_kernel(&(0..=40).collect::<Vec<_>>(), &[9, 19, 40], 40, Runs::Product);
         cases.push(Case::new("Product".into(), cancelled, CANCEL, &[OUT]));
+        // The stores into a dense output on every list, under finite values
+        // and under both zeros, NaN and the infinities in both operands; the
+        // first list also runs under allocation budgets and is rebound.  A run of two elements or fewer is
+        // left to the scalar loop by its vectorized fill, which counts its
+        // bulk unchecked (so that a fault or a passed deadline inside a
+        // longer run trips later than the tree-walker's, op or no op): the
+        // faults and the deadline are swept over such runs.
+        let short = |draw: &mut dyn FnMut(u64) -> u64, stop: i64| {
+            let mut crd = vec![draw(3) as i64];
+            while crd[crd.len() - 1] <= stop {
+                crd.push(crd[crd.len() - 1] + 1 + draw(3) as i64);
+            }
+            crd
+        };
+        let mut draw = xorshift(0x2545_F491_4F6C_DD1D);
+        for how in DENSES {
+            let (crd, special) = (short(&mut draw, 20), how == Dense::Add);
+            let vals = (dense_values(crd.len(), special), dense_values(21, !special));
+            let kernel = store_kernel(&crd, (&vals.0, &vals.1), 20, how);
+            let what = format!("{crd:?} to 20, {how:?}");
+            cases.push(Case::new(what, kernel, FAULTS | CANCEL, &[DENSE]));
+            for round in 0..20u64 {
+                let stop = 300 + draw(300) as i64;
+                let (crd, special) = (short(&mut draw, stop), round % 2 == 1);
+                let vals =
+                    (dense_values(crd.len(), special), dense_values(stop as usize + 1, special));
+                let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
+                let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
+                cases.push(Case::new(what, kernel, DEADLINE, &[DENSE]));
+            }
+        }
+        for how in DENSES {
+            for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
+                for special in [false, true] {
+                    let vals = (append_values(crd.len()), dense_values(41, special));
+                    let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
+                    let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
+                    let case = Case::new(what, kernel, BUDGETS, &[DENSE]);
+                    if k > 0 || special {
+                        cases.push(case);
+                        continue;
+                    }
+                    let rebound = vec![
+                        ("crd cut short", CRD, cut(&[3, 17])),
+                        ("crd as f64", CRD, floats(4, 2.5)),
+                        ("vals cut short", VALS, floats(2, 2.5)),
+                        ("vals as i64", VALS, ints(4)),
+                        ("x cut short", X, floats(18, 2.5)),
+                        ("x as i64", X, ints(40)),
+                        ("out cut short", DENSE, floats(20, 9.5)),
+                        ("out empty", DENSE, floats(0, 0.0)),
+                        ("out as i64", DENSE, ints(40)),
+                        ("out as bool", DENSE, Buffer::Bool(vec![false; 40])),
+                    ];
+                    // A store allocates nothing, under any allocation budget.
+                    cases.push(Case { legs: BUDGETS | ALLOCS, ..case }.rebinding(rebound));
+                }
+            }
+        }
         // Sorted lists drawn at random under every body, and run-length
         // pairs — runs of every length from one, ends that coincide, a last
         // run on the bound or past it — under every reduction.

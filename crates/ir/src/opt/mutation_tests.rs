@@ -1331,9 +1331,21 @@ fn forwarded_run_kernel() -> (Program, Names, BufferSet) {
 /// [`forwarded_run_kernel`] with the instruction `misread` picks replaced by
 /// the one it returns, given the op the real pass places on the original.
 fn run_misread_reduction(misread: fn(&[Instr]) -> (usize, Instr)) -> Result<Repr, PassError> {
+    run_misread(forwarded_run_kernel(), reduces, misread)
+}
+
+/// `kernel` with the instruction `misread` picks replaced by the one it
+/// returns, given the op (which `is_op` finds) that the real pass places on
+/// the original: what a recogniser that misread that instruction would emit.
+fn run_misread(
+    (mut program, names, bufs): (Program, Names, BufferSet),
+    is_op: fn(&Program, &Instr) -> bool,
+    misread: fn(&[Instr]) -> (usize, Instr),
+) -> Result<Repr, PassError> {
     struct Misread {
         at: usize,
         read: Instr,
+        is_op: fn(&Program, &Instr) -> bool,
     }
     impl Pass for Misread {
         fn name(&self) -> &'static str {
@@ -1343,16 +1355,15 @@ fn run_misread_reduction(misread: fn(&[Instr]) -> (usize, Instr)) -> Result<Repr
             let mut read = repr.bytecode().clone();
             let loop_has = std::mem::replace(&mut read.code[self.at], self.read);
             let mut program = merge_skip(&read, ctx.stats);
-            let op = program.code.iter().position(|i| reduces(&program, i));
-            assert!(op.is_some_and(|op| op <= self.at), "the run loop gets its op in front");
+            let op = program.code.iter().position(|i| (self.is_op)(&program, i));
+            assert!(op.is_some_and(|op| op <= self.at), "the loop gets its op in front");
             program.code[self.at + 1] = loop_has;
             Repr::Bytecode(program)
         }
     }
-    let (mut program, names, bufs) = forwarded_run_kernel();
     let (at, loop_has) = misread(&program.code);
     let read = std::mem::replace(&mut program.code[at], loop_has);
-    run_typed_bytecode_pass((program, names, bufs), &Misread { at, read })
+    run_typed_bytecode_pass((program, names, bufs), &Misread { at, read, is_op })
 }
 
 #[test]
@@ -1501,4 +1512,76 @@ fn a_match_multiplying_the_lead_first_where_the_loop_multiplies_it_last_is_caugh
         "merge_skip",
         "diverge",
     );
+}
+
+// ---------------------------------------------------------------------
+// Seeded miscompiles of the store into a dense output: the real pass's op
+// placed on a loop one instruction off the loop it performs — the run one
+// element short, the store one element early — and the gate that notices.
+// ---------------------------------------------------------------------
+
+/// A sparse list times a dense vector into a dense output, `C[i] = A[i] *
+/// x[i]`, typed and through `forward`: runs of none, one and several
+/// elements in front of the stored entries, none of them at 0 (a store one
+/// element early stays inside the output), and the last on the bound.
+fn forwarded_store_kernel() -> (Program, Names, BufferSet) {
+    use merge_skip::tests::{store_kernel, Dense};
+    let (vals, x): (Vec<f64>, Vec<f64>) = ((1..=6).map(f64::from).collect(), vec![0.5; 16]);
+    forwarded(store_kernel(&[2, 3, 5, 7, 8, 15], (&vals, &x), 15, Dense::Assign))
+}
+
+/// Whether `instr` is a step loop op that stores into a dense output.
+fn stores(p: &Program, instr: &Instr) -> bool {
+    matches!(p.step_of(instr), Some(Step::Perform { out: Out::Store { .. }, .. }))
+}
+
+#[test]
+fn the_store_validates_and_its_witness_performs_all_but_the_last_step() {
+    let out = run_lone_mutation(forwarded_store_kernel(), stores, |_, _| {})
+        .expect("the real pass is exact")
+        .into_bytecode();
+    let (_, _, bufs) = forwarded_store_kernel();
+    let mut vm = crate::vm::Vm::new(&out);
+    let per_pc = vm.run_profiled(&out, &mut bufs.clone()).expect("runs");
+    let at = out.code.iter().position(|i| stores(&out, i)).unwrap();
+    // The op once, at the loop's entry, and the last of six steps; the runs'
+    // ten elements are loop iterations too.
+    assert_eq!((per_pc[at], per_pc[at + 1], vm.stats().loop_iters), (1, 1, 16), "{}", out.disasm());
+}
+
+#[test]
+fn a_store_whose_run_is_one_element_short_is_caught_by_output_parity() {
+    // The loop's run ends two in front of the step, `for i in start..=ss -
+    // 2`: the op fills the element the loop leaves as it was.
+    let verdict = run_misread(forwarded_store_kernel(), stores, |code| {
+        let at = code
+            .iter()
+            .position(|i| matches!(i, Instr::IForTest { .. }))
+            .and_then(|head| {
+                (0..head).rev().find(|&pc| matches!(code[pc], Instr::IArithImm { imm: 1, .. }))
+            })
+            .expect("the run's last element, `ss - 1`");
+        let Instr::IArithImm { op, dst, lhs, .. } = code[at] else { unreachable!() };
+        (at, Instr::IArithImm { op, dst, lhs, imm: 2 })
+    });
+    assert_caught(verdict, "merge_skip", "diverge");
+}
+
+#[test]
+fn a_store_one_element_early_is_caught_by_output_parity() {
+    // The loop stores at `ss - 1`, the register its run test reads; the op
+    // at `ss`.
+    let verdict = run_misread(forwarded_store_kernel(), stores, |code| {
+        let before = code.iter().find_map(|i| match *i {
+            Instr::ICmpBranch { op: BinOp::Le, rhs, .. } => Some(rhs),
+            _ => None,
+        });
+        let run = code.iter().position(|i| matches!(i, Instr::IForNext { .. }));
+        let at = (run.expect("the run's loop")..code.len())
+            .find(|&pc| matches!(code[pc], Instr::StoreF64 { .. }))
+            .expect("the store at the step's end");
+        let Instr::StoreF64 { buf, val, reduce, .. } = code[at] else { unreachable!() };
+        (at, Instr::StoreF64 { buf, idx: before.expect("the run test"), val, reduce })
+    });
+    assert_caught(verdict, "merge_skip", "diverge");
 }

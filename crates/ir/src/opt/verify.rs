@@ -397,8 +397,8 @@ pub fn verify_bytecode(program: &Program, bufs: &BufferSet) -> Result<(), String
 /// bottom test on the same registers, which lands on it.  What the op reads
 /// once per dispatch, the loop may not change: it writes none of the op's
 /// other registers — the bound, a jumper's rows, the lead, an accumulator
-/// element and a gather's offset terms — and stores into none of the op's
-/// sources.  Two fingers walk two lists; a skip has two, and its block
+/// element, a gather's offset terms and a store's fill — and stores into
+/// none of the op's sources.  Two fingers walk two lists; a skip has two, and its block
 /// offsets or row ends are neither list (their `i64` kind is the operand
 /// walk's to check); a performed step's guard × product × output is one
 /// that `merge_skip::supported` says exists, its outputs are none of its
@@ -569,6 +569,7 @@ fn stores_into(program: &Program, instr: &Instr, buf: BufId) -> bool {
         Instr::IStepLoop { .. } => match program.step_of(instr) {
             Some(&Step::Perform { out: Out::Fold { acc, .. }, .. }) => acc == buf,
             Some(&Step::Perform { out: Out::Push { crd, vals }, .. }) => crd == buf || vals == buf,
+            Some(&Step::Perform { out: Out::Store { dst, .. }, .. }) => dst == buf,
             _ => false,
         },
         _ => false,

@@ -1688,15 +1688,21 @@ impl Vm {
         // ended by both fingers, and counts its `pass` and its store or two
         // pushes on the steps its guard selects — every step, for
         // `Guard::Every` — where a match counts them in place of the
-        // fingers' counts.
+        // fingers' counts.  A store's step also counts its run's statements
+        // where the run is not empty, and each element's (`Run::fill`).
         let [each, by_p, by_q] = counts.stmts;
-        let (worst, pass, replaces) = match step {
-            Step::Skip(_) => (each + by_p.max(by_q), [0; 3], 0),
+        let (worst, pass, replaces, fill) = match step {
+            Step::Skip(_) => (each + by_p.max(by_q), [0; 3], 0, None),
             Step::Perform { guard, out, pass: [stmts, loads], .. } => {
                 let both = guard == Guard::Both;
                 let ends = if both { by_p.max(by_q).max(stmts) } else { by_p + by_q + stmts };
-                let puts = if matches!(out, Out::Push { .. }) { 2 } else { 1 };
-                (each + ends, [stmts, loads, puts].map(u64::from), u64::from(both))
+                let (puts, fill) = match out {
+                    Out::Push { .. } => (2, None),
+                    Out::Store { gap, .. } => (1, gap.map(|gap| gap.stmts)),
+                    Out::Fold { .. } => (1, None),
+                };
+                let run = fill.map_or(0, |[run, _]| run);
+                (each + ends + run, [stmts, loads, puts].map(u64::from), u64::from(both), fill)
             }
         };
         let run = Run {
@@ -1707,6 +1713,7 @@ impl Vm {
             worst: u64::from(worst).max(1),
             pass,
             replaces,
+            fill: fill.map(|fill| fill.map(u64::from)),
         };
         match step {
             Step::Skip(MergeForm::Gallop { a_end, a_row, b_end, b_row }) => {
@@ -1747,11 +1754,12 @@ impl Vm {
     }
 
     /// Whether a step loop op takes another batch after one that took `done`
-    /// of its `room` steps: when it took them all and only the poll of a
-    /// cancellation flag came due, the op polls (early) and carries on.
+    /// steps, and was `full`: when it took some and had no room for the next,
+    /// and only the poll of a cancellation flag came due, the op polls
+    /// (early) and carries on.
     #[inline(always)]
-    fn again(&mut self, done: u64, room: u64) -> bool {
-        done == room && done > 0 && self.still_quiet()
+    fn again(&mut self, done: u64, full: bool) -> bool {
+        full && done > 0 && self.still_quiet()
     }
 
     /// Commit `done` steps of a step loop op's loop: the fingers and the
@@ -1797,6 +1805,12 @@ impl Vm {
     /// exactly when it is not past the other); the temporaries are not
     /// written, as the loop does not read them before it rewrites them.  The
     /// accumulator, if a step was taken.
+    ///
+    /// Where a step fills the run in front of it ([`Carry::FILLS`], and
+    /// [`Run::fill`]), the run is `start..ss` where `start <= ss - 1` (the
+    /// scalar test), and a batch takes a step only where its run's
+    /// statements fit too; the run's elements count a loop iteration, a
+    /// store and [`Run::fill`]'s statements each.
     #[inline(always)]
     fn steps<const TWO: bool, A: Carry>(
         &mut self,
@@ -1809,8 +1823,10 @@ impl Vm {
         let mut taken = false;
         loop {
             let room = self.room(run);
+            let mut spare = self.stmt_limit.saturating_sub(self.stats.stmts);
             let [p0, q0, mut from] = self.fingers(run);
             let (mut pv, mut qv, mut done, passed) = (p0, q0, 0, acc.passed());
+            let (mut filled, mut runs, mut full) = (0u64, 0u64, false);
             while done < room {
                 // A finger outside its list: the scalar load's fault.
                 let Some(&s1) = position(a, pv) else { break };
@@ -1830,10 +1846,27 @@ impl Vm {
                 if last {
                     break;
                 }
-                let Some(next) = body(acc, &At { s: [s1, s2], ss, at: [pv, qv], from }) else {
+                let gap = match run.fill {
+                    Some(_) if A::FILLS && Self::cmp_int(BinOp::Le, from, ss.wrapping_sub(1)) => {
+                        ss.wrapping_sub(from) as u64
+                    }
+                    _ => 0,
+                };
+                if A::FILLS {
+                    let each = run.fill.map_or(0, |[_, each]| each);
+                    let need = run.worst.saturating_add(gap.saturating_mul(each));
+                    if need > spare {
+                        full = true;
+                        break;
+                    }
+                    spare -= need;
+                }
+                let Some(next) = body(acc, &At { s: [s1, s2], ss, at: [pv, qv], from, gap }) else {
                     break;
                 };
                 acc = next;
+                filled += gap;
+                runs += u64::from(gap > 0);
                 if TWO {
                     // `s1 == ss`, and `s2 == ss`: off the step's `min`s, so
                     // that the next loads wait on the strides alone.
@@ -1850,8 +1883,15 @@ impl Vm {
             taken |= done > 0;
             let ended = [(pv - p0) as u64, (qv - q0) as u64];
             let passed = acc.passed() - passed;
-            self.commit(run, [pv, qv, from], done, ended, passed, ExecStats::default());
-            if !self.again(done, room) {
+            let [run_stmts, each] = run.fill.unwrap_or_default();
+            let extra = ExecStats {
+                loop_iters: filled,
+                stmts: runs * run_stmts + filled * each,
+                stores: filled,
+                ..ExecStats::default()
+            };
+            self.commit(run, [pv, qv, from], done, ended, passed, extra);
+            if !self.again(done, full || done == room) {
                 return taken.then_some(acc);
             }
         }
@@ -1894,8 +1934,9 @@ impl Vm {
     /// second) * extent` in the scalar code's order, where the output says:
     /// folded into a local strictly in order and stored into `acc[k]` once,
     /// if a step was selected (nothing else in those steps reads `acc`,
-    /// which is no source), or pushed ([`Vm::pushing`], for as many steps as
-    /// there are entries left in the shorter list).
+    /// which is no source), pushed ([`Vm::pushing`], for as many steps as
+    /// there are entries left in the shorter list), or stored at the step's
+    /// end after its run is filled.
     ///
     /// The lead, the accumulator's element and a gather's offset terms are
     /// read once; the op does nothing where one is out of bounds, a buffer
@@ -1919,9 +1960,10 @@ impl Vm {
             Gather::At { x, at } => (x, if at == run.regs[0] { AT_P } else { AT_Q }),
             Gather::Load { x, .. } => (x, LOAD),
         };
-        let outs = match out {
-            Out::Fold { acc, .. } => [acc, acc],
-            Out::Push { crd, vals } => [crd, vals],
+        let (outs, o) = match out {
+            Out::Fold { acc, .. } => ([acc, acc], FOLD),
+            Out::Push { crd, vals } => ([crd, vals], PUSH),
+            Out::Store { dst, .. } => ([dst, dst], STORE),
         };
         let sources = [a, b, val, x, lead.map_or(a, |(buf, _)| buf)];
         let (g, cmp) = match guard {
@@ -1949,18 +1991,19 @@ impl Vm {
             shift = if minus { shift.wrapping_sub(v) } else { shift.wrapping_add(v) };
         }
         let how = How { ids: [a, b, val, x], lead, shift, cmp, extent, out };
-        match (g, s, run.two, matches!(out, Out::Push { .. })) {
-            (EVERY, NONE, false, false) => self.put::<EVERY, NONE, false, false>(bufs, &how, run),
-            (EVERY, NONE, true, false) => self.put::<EVERY, NONE, true, false>(bufs, &how, run),
-            (EVERY, AT_P, false, false) => self.put::<EVERY, AT_P, false, false>(bufs, &how, run),
-            (EVERY, AT_P, true, false) => self.put::<EVERY, AT_P, true, false>(bufs, &how, run),
-            (EVERY, AT_Q, true, false) => self.put::<EVERY, AT_Q, true, false>(bufs, &how, run),
-            (EVERY, LOAD, false, false) => self.put::<EVERY, LOAD, false, false>(bufs, &how, run),
-            (EVERY, LOAD, true, false) => self.put::<EVERY, LOAD, true, false>(bufs, &how, run),
-            (EVERY, NONE, false, true) => self.put::<EVERY, NONE, false, true>(bufs, &how, run),
-            (CMP, NONE, false, true) => self.put::<CMP, NONE, false, true>(bufs, &how, run),
-            (BOTH, AT_Q, true, false) => self.put::<BOTH, AT_Q, true, false>(bufs, &how, run),
-            (BOTH, AT_Q, true, true) => self.put::<BOTH, AT_Q, true, true>(bufs, &how, run),
+        match (g, s, run.two, o) {
+            (EVERY, NONE, false, FOLD) => self.put::<EVERY, NONE, false, FOLD>(bufs, &how, run),
+            (EVERY, NONE, true, FOLD) => self.put::<EVERY, NONE, true, FOLD>(bufs, &how, run),
+            (EVERY, AT_P, false, FOLD) => self.put::<EVERY, AT_P, false, FOLD>(bufs, &how, run),
+            (EVERY, AT_P, true, FOLD) => self.put::<EVERY, AT_P, true, FOLD>(bufs, &how, run),
+            (EVERY, AT_Q, true, FOLD) => self.put::<EVERY, AT_Q, true, FOLD>(bufs, &how, run),
+            (EVERY, LOAD, false, FOLD) => self.put::<EVERY, LOAD, false, FOLD>(bufs, &how, run),
+            (EVERY, LOAD, true, FOLD) => self.put::<EVERY, LOAD, true, FOLD>(bufs, &how, run),
+            (EVERY, NONE, false, PUSH) => self.put::<EVERY, NONE, false, PUSH>(bufs, &how, run),
+            (CMP, NONE, false, PUSH) => self.put::<CMP, NONE, false, PUSH>(bufs, &how, run),
+            (BOTH, AT_Q, true, FOLD) => self.put::<BOTH, AT_Q, true, FOLD>(bufs, &how, run),
+            (BOTH, AT_Q, true, PUSH) => self.put::<BOTH, AT_Q, true, PUSH>(bufs, &how, run),
+            (EVERY, LOAD, false, STORE) => self.put::<EVERY, LOAD, false, STORE>(bufs, &how, run),
             _ => {}
         }
         Some(())
@@ -1968,7 +2011,8 @@ impl Vm {
 
     /// [`Vm::perform`]'s loop for one guard `G` ([`EVERY`], [`CMP`],
     /// [`BOTH`]), one second factor `S` ([`NONE`], [`AT_P`], [`AT_Q`],
-    /// [`LOAD`]), one finger or `TWO`, folding or (`PUSH`) pushing.  The
+    /// [`LOAD`]), one finger or `TWO`, and one output `O` ([`FOLD`],
+    /// [`PUSH`], [`STORE`]).  The
     /// product is formed on every step and kept on a selected one, so that no
     /// branch depends on the data; a step stops the op where a load the
     /// scalar step makes would fault — every step's, but for [`BOTH`], whose
@@ -1976,7 +2020,7 @@ impl Vm {
     /// so that its loop is optimised apart: inlined into [`Vm::perform`], the
     /// lone reduction's loop read `dot_list_band` +103 %.
     #[inline(never)]
-    fn put<const G: u8, const S: u8, const TWO: bool, const PUSH: bool>(
+    fn put<const G: u8, const S: u8, const TWO: bool, const O: u8>(
         &mut self,
         bufs: &mut BufferSet,
         how: &How,
@@ -2012,7 +2056,7 @@ impl Vm {
             Some((keep, y))
         };
         match out {
-            Out::Fold { acc, k, op } if !PUSH => {
+            Out::Fold { acc, k, op } if O == FOLD => {
                 let slot = self.ints[k.index()];
                 let sum = match bufs.get(acc) {
                     Buffer::F64(data) if slot >= 0 && (slot as usize) < data.len() => {
@@ -2031,7 +2075,7 @@ impl Vm {
                     data[slot as usize] = sum;
                 }
             }
-            Out::Push { crd, vals } if PUSH => {
+            Out::Push { crd, vals } if O == PUSH => {
                 // A push takes a step a finger ends: there are no more of them
                 // than entries left in the shorter list.
                 let Some(([a, b], _)) = sources(bufs, ids) else { return };
@@ -2051,6 +2095,29 @@ impl Vm {
                         Some(passed + u64::from(keep))
                     })
                 });
+            }
+            Out::Store { dst, op, gap } if O == STORE => {
+                // The output is lifted out of `bufs` so that the sources are
+                // read beside it; every step the op takes stores inside `[start,
+                // stop]`, which is checked once.
+                let fill = gap.map_or(0.0, |gap| self.floats[gap.fill.index()]);
+                let [_, _, start] = self.fingers(run);
+                let mut out = lift(bufs, dst);
+                if let (Buffer::F64(data), Some((lists, values))) = (&mut out, sources(bufs, ids)) {
+                    let inside = usize::try_from(run.stop).is_ok_and(|stop| stop < data.len());
+                    if inside && start >= 0 {
+                        self.steps::<TWO, Stored>(lists, run, Stored(0), |Stored(n), step| {
+                            let (_, y) = product(values, step)?;
+                            let at = usize::try_from(step.ss).ok()?;
+                            if step.gap > 0 {
+                                vfill_f64(&mut data[step.from as usize..at], fill, 8);
+                            }
+                            data[at] = vcombine(op, data[at], y);
+                            Some(Stored(n + 1))
+                        });
+                    }
+                }
+                *bufs.get_mut(dst) = out;
             }
             _ => {}
         }
@@ -2192,7 +2259,7 @@ impl Vm {
             if left {
                 return exit;
             }
-            if !self.again(skipped, room) {
+            if !self.again(skipped, skipped == room) {
                 return None;
             }
         }
@@ -2219,6 +2286,9 @@ struct Run {
     /// its `pass` in place of the fingers' counts: a match's one, as both
     /// fingers end it.
     replaces: u64,
+    /// The statements of a store's run that is not empty, and of each of its
+    /// elements ([`Gap::stmts`]), if its step fills one.
+    fill: Option<[u64; 2]>,
 }
 
 /// What a [`Step::Perform`]'s loop reads, resolved once per dispatch: the
@@ -2247,6 +2317,11 @@ const AT_P: u8 = 1;
 const AT_Q: u8 = 2;
 const LOAD: u8 = 3;
 
+/// [`Vm::put`]'s outputs: [`Out::Fold`], [`Out::Push`], [`Out::Store`].
+const FOLD: u8 = 0;
+const PUSH: u8 = 1;
+const STORE: u8 = 2;
+
 /// The lists, and the values and the second factor's buffer, of a performed
 /// step.
 type Sources<'a> = ([&'a [i64]; 2], (&'a [f64], &'a [f64]));
@@ -2265,6 +2340,11 @@ fn sources(bufs: &BufferSet, [a, b, val, x]: [BufId; 4]) -> Option<Sources<'_>> 
 /// What a step loop op carries from step to step: the accumulator of
 /// [`Vm::steps`].
 trait Carry: Copy {
+    /// Whether a step fills the run in front of it, where [`Run::fill`]
+    /// says it counts: a constant, so that the other carries' loops keep
+    /// none of the run's accounting.
+    const FILLS: bool = false;
+
     /// How many of the steps taken so far its guard selected.
     fn passed(self) -> u64 {
         0
@@ -2285,6 +2365,18 @@ impl Carry for (f64, u64) {
 impl Carry for u64 {
     fn passed(self) -> u64 {
         self
+    }
+}
+
+/// A store's: the steps taken, each of which stores and fills its run.
+#[derive(Clone, Copy)]
+struct Stored(u64);
+
+impl Carry for Stored {
+    const FILLS: bool = true;
+
+    fn passed(self) -> u64 {
+        self.0
     }
 }
 
@@ -2335,6 +2427,9 @@ struct At {
     at: [i64; 2],
     /// The step's start.
     from: i64,
+    /// The length of the run in front of the step's end, `ss - from` where
+    /// `from <= ss - 1`, if the step fills it ([`Carry::FILLS`]); else 0.
+    gap: u64,
 }
 
 /// `data[at]`, if `at` is a position in it.

@@ -18,7 +18,9 @@
 //! and checks that no innermost loop dispatches what computes nothing: a
 //! copy of a variable or a literal into an operand temporary, or an
 //! unconditional jump.  For the dense kernels of Figs. 9 and 11 it pins the
-//! dispatches per entry of the loop a vectorized kernel op runs.  A bound
+//! dispatches per entry of the loop a vectorized kernel op runs, and for a
+//! walked sparse list times a dense vector assigned into a dense output the
+//! whole run's dispatches per stored entry.  A bound
 //! that moves is a change to the bytecode back end (`peephole` / `typing` /
 //! `vectorize` / `forward` / `merge_skip` / `finalize`, or the VM's
 //! `VMIN_TRIP`): lower it when the change pays, and say why when it does
@@ -44,6 +46,7 @@
 use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
 use finch_ir::bytecode::{Guard, Out, Step};
 use finch_ir::{Instr, MergeForm, Program};
+use looplets_repro::baseline::datagen;
 use looplets_repro::finch::{ExecConfig, OptLevel};
 
 /// One innermost loop of a program: the pcs of its body and bottom test,
@@ -448,4 +451,52 @@ fn vectorized_loops_dispatch_one_scalar_trip_per_entry() {
         println!("---- measured ----\n{measured}---- end ----");
         panic!("{}", failures.join("\n"));
     }
+}
+
+/// A walked sparse list times a dense vector assigned into a dense output,
+/// `C[i] = A[i] * B[i]` (the benchmark's `ewise_dense`), one entry stored in
+/// eight: the vector's length, and the whole run's dispatches per stored
+/// entry in hundredths.  The lone stepper's op stores every entry but the
+/// last and fills the run in front of each, so the whole run dispatches 53
+/// to 55 instructions whatever the length — the set-up, the op, the loop's
+/// last step and the tail.  Without the op the loop dispatches every step
+/// and a vectorized fill per run: about 17.5 instructions per stored entry.
+const ASSIGNED: &[(usize, u64)] = &[(64, 688), (256, 166), (1024, 42), (4096, 11)];
+
+#[test]
+fn a_dense_assign_of_a_walked_list_dispatches_a_constant_run() {
+    use looplets_repro::finch::build::*;
+    use looplets_repro::finch::{Kernel, Tensor, ValidationLevel};
+    let (mut measured, mut over) = (String::new(), false);
+    for &(n, budget) in ASSIGNED {
+        let a = Tensor::sparse_list_vector("A", &datagen::counted_sparse_vector(n, n / 8, 7));
+        let b_data: Vec<f64> = (0..n).map(|k| 0.25 * k as f64 - 3.0).collect();
+        let b = Tensor::dense_vector("B", &b_data);
+        let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
+        let mut kernel = Kernel::with_config(config);
+        kernel.bind_input(&a).bind_input(&b).bind_output("C", &[n], 0.0);
+        let i = idx("i");
+        let product = mul(access("A", [i.clone()]), access("B", [i.clone()]));
+        let program = forall(i.clone(), assign(access("C", [i]), product));
+        let mut kernel = kernel.compile(&program).expect("compiles, validated");
+        let (stats, per_pc) = kernel.profile().expect("the kernel runs");
+        let program = kernel.bytecode();
+        let stores = program.code().iter().filter(|i| {
+            matches!(program.step_of(i), Some(Step::Perform { out: Out::Store { .. }, .. }))
+        });
+        assert_eq!(stores.count(), 1, "n = {n}: one store\n{}", program.disasm());
+        let mut scalar = kernel
+            .reconfigured(&ExecConfig { simd: false, ..kernel.config() })
+            .expect("the kernel compiles without kernel ops");
+        let (scalar_stats, _) = scalar.profile().expect("the scalar kernel runs");
+        assert_eq!(stats, scalar_stats, "n = {n}: kernel ops change no counter");
+        let bits = |c: &looplets_repro::finch::CompiledKernel| {
+            c.output("C").unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&kernel), bits(&scalar), "n = {n}: the outputs, bit for bit");
+        let per_entry = (per_pc.iter().sum::<u64>() * 100).div_ceil(a.stored() as u64);
+        measured.push_str(&format!("    ({n}, {per_entry}),\n"));
+        over |= per_entry > budget;
+    }
+    assert!(!over, "---- measured ----\n{measured}---- end ----");
 }

@@ -9,7 +9,7 @@ mod common;
 use common::{assert_close, eval};
 use looplets_repro::baseline::datagen;
 use looplets_repro::finch::build::*;
-use looplets_repro::finch::{CinExpr, CinStmt, Kernel, Tensor};
+use looplets_repro::finch::{CinExpr, CinStmt, CompileError, Kernel, Tensor};
 
 #[test]
 fn window_sums_a_slice() {
@@ -45,6 +45,41 @@ fn window_sums_a_slice() {
             let err = kernel.compile(&past).expect_err("a read past the window");
             assert!(err.to_string().contains("reads `A` at coordinates it has only in 0..=2"));
         }
+    }
+}
+
+#[test]
+fn a_read_past_a_window_whose_bounds_move_is_a_compile_error_in_every_format() {
+    let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+    let (i, k) = (idx("i"), idx("k"));
+    // S += A[window(i, i + 2)[k]] for `i` in `0..=1`: the window is three
+    // coordinates wide wherever it starts, so `k` in `0..=3` reads past it.
+    let sum = |last| {
+        let window =
+            k.walk().window(CinExpr::Index(i.clone()), add(CinExpr::Index(i.clone()), lit_int(2)));
+        let body = add_assign(scalar("S"), access("A", [window]));
+        forall_in(
+            i.clone(),
+            lit_int(0),
+            lit_int(1),
+            forall_in(k.clone(), lit_int(0), lit_int(last), body),
+        )
+    };
+    for a in [Tensor::sparse_list_vector("A", &data), Tensor::dense_vector("A", &data)] {
+        let compile = |program: &CinStmt| {
+            let mut kernel = Kernel::new();
+            kernel.bind_input(&a).bind_output_scalar("S");
+            kernel.compile(program)
+        };
+        let past = sum(3);
+        assert!(eval(&past, &[&a], &[("S", &[], 0.0)]).is_err());
+        let err = compile(&past).expect_err("a read past the window");
+        assert!(matches!(err, CompileError::Unsupported { .. }), "{err}");
+        // Inside the window the kernel runs: A[0..=2] + A[1..=3].
+        let mut inside = compile(&sum(2)).expect("a read inside the window compiles");
+        inside.run().expect("runs");
+        assert_eq!(inside.output_scalar("S").unwrap(), 6.0 + 9.0);
+        assert_eq!(eval(&sum(2), &[&a], &[("S", &[], 0.0)]).unwrap(), [[6.0 + 9.0]]);
     }
 }
 
