@@ -2553,13 +2553,12 @@ pub(super) mod tests {
     /// `9.5` at first, so that what a run sets shows.
     pub(in crate::opt) fn store_kernel(
         crd: &[i64],
-        vals: (&[f64], &[f64]),
+        (values, x_values): (&[f64], &[f64]),
         stop: i64,
         how: Dense,
     ) -> Kernel {
         let mut names = Names::new();
         let mut bufs = BufferSet::new();
-        let (values, x_values) = vals;
         let span = (stop + 1).max(0) as usize;
         let crd_buf = bufs.add("crd", Buffer::I64(crd.to_vec().into()));
         let vals = bufs.add("vals", Buffer::F64(values.to_vec().into()));
@@ -2583,16 +2582,16 @@ pub(super) mod tests {
             }],
         };
         let product = Expr::mul(Expr::load(vals, v(p)), Expr::load(x, v(ss)));
-        let (reduce, assign) = match how {
-            Dense::Assign => (None, true),
-            Dense::Add => (Some(BinOp::Add), false),
+        let reduce = match how {
+            Dense::Assign => None,
+            Dense::Add => Some(BinOp::Add),
         };
         let mut spike = vec![Stmt::Store { buf: out, index: v(ss), value: product, reduce }];
         let mut body = vec![
             Stmt::Let { var: s, init: Expr::load(crd_buf, v(p)) },
             Stmt::Let { var: ss, init: Expr::min(v(s), v(hi)) },
         ];
-        if assign {
+        if how == Dense::Assign {
             let before = Expr::sub(v(ss), Expr::int(1));
             let run = Stmt::if_then(Expr::le(v(start), before.clone()), vec![zero(i, before)]);
             spike.insert(0, run);
