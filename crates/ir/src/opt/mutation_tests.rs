@@ -1550,6 +1550,26 @@ fn the_store_validates_and_its_witness_performs_all_but_the_last_step() {
 }
 
 #[test]
+fn a_store_into_a_source_or_an_integer_buffer_is_caught_by_the_verifier() {
+    let into_a_source = run_lone_mutation(forwarded_store_kernel(), stores, |program, at| {
+        let Step::Perform { product, out: Out::Store { dst, .. }, .. } = step_at(program, at)
+        else {
+            unreachable!()
+        };
+        *dst = product.val;
+    });
+    assert_caught(into_a_source, "merge_skip", "puts its product into one of its sources");
+    // The bound, an I64 buffer the loop does not read through the op.
+    let into_the_bound = run_lone_mutation(forwarded_store_kernel(), stores, |program, at| {
+        let Step::Perform { out: Out::Store { dst, .. }, .. } = step_at(program, at) else {
+            unreachable!()
+        };
+        *dst = crate::buffer::BufId(3);
+    });
+    assert_caught(into_the_bound, "merge_skip", "to be f64");
+}
+
+#[test]
 fn a_store_whose_run_is_one_element_short_is_caught_by_output_parity() {
     // The loop's run ends two in front of the step, `for i in start..=ss -
     // 2`: the op fills the element the loop leaves as it was.
