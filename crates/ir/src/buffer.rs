@@ -84,8 +84,7 @@ impl AllocMeter {
     }
 
     /// Whether a worst-case bulk of `n` elements provably fits under the
-    /// budget (the vectorized tier's decline check, mirroring the step
-    /// budget's `vbudget_ok`).
+    /// budget (the vectorized tier's decline check).
     #[inline]
     pub fn fits(&self, n: u64) -> bool {
         match self.budget {

@@ -1178,27 +1178,22 @@ fn read_before_written(code: &[Instr], edges: &[u32], from: &[usize], regs: &[Re
 
 #[cfg(test)]
 pub(super) mod tests {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
     use super::*;
     use crate::buffer::{BufId, Buffer, BufferSet};
     use crate::config::ExecConfig;
-    use crate::error::RuntimeError;
     use crate::expr::Expr;
-    use crate::interp::{ExecStats, Interpreter};
     use crate::opt::{optimize_and_lower, ValidationLevel};
     use crate::stmt::Stmt;
     use crate::var::{Names, Var};
-    use crate::vm::{Vm, Watch};
 
     pub(in crate::opt) type Kernel = (Vec<Stmt>, Names, BufferSet);
 
     /// The buffers of [`merge_kernel`], in the order it adds them.
-    const A_IDX: BufId = BufId(0);
-    const B_IDX: BufId = BufId(2);
+    pub(in crate::opt) const A_IDX: BufId = BufId(0);
+    pub(in crate::opt) const B_IDX: BufId = BufId(2);
     pub(in crate::opt) const OUT: BufId = BufId(5);
-    const A_OFS: BufId = BufId(6);
-    const B_POS: BufId = BufId(8);
+    pub(in crate::opt) const A_OFS: BufId = BufId(6);
+    pub(in crate::opt) const B_POS: BufId = BufId(8);
 
     /// What [`merge_kernel_with`] varies: the loop the recogniser takes, or
     /// one of the shapes it must decline.
@@ -1476,7 +1471,7 @@ pub(super) mod tests {
     /// Sorted coordinate lists with a sentinel past `stop`, so that no finger
     /// leaves its list: sparse against dense-ish, interleaved, equal, disjoint
     /// halves, one a prefix of the other, one entry each.
-    fn operand_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+    pub(in crate::opt) fn operand_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
         let end = |mut list: Vec<i64>| {
             list.push(1000);
             list
@@ -1493,17 +1488,17 @@ pub(super) mod tests {
         ]
     }
 
-    struct Compiled {
+    pub(in crate::opt) struct Compiled {
         /// What the tree-walker runs.
-        code: Vec<Stmt>,
-        names: Names,
+        pub(in crate::opt) code: Vec<Stmt>,
+        pub(in crate::opt) names: Names,
         /// With the kernel-op tier, and without it.
-        skipping: Program,
-        scalar: Program,
-        stats: OptStats,
+        pub(in crate::opt) skipping: Program,
+        pub(in crate::opt) scalar: Program,
+        pub(in crate::opt) stats: OptStats,
     }
 
-    fn compile(kernel: &Kernel) -> Compiled {
+    pub(in crate::opt) fn compile(kernel: &Kernel) -> Compiled {
         let (stmts, names, bufs) = kernel;
         let lower = |simd: bool| {
             let mut names = names.clone();
@@ -1528,19 +1523,11 @@ pub(super) mod tests {
         (0..p.code().len()).filter(is_op).collect()
     }
 
-    fn run(p: &Program, bufs: &BufferSet, budget: Option<u64>) -> (String, ExecStats, BufferSet) {
-        let mut bufs = bufs.clone();
-        let mut vm = Vm::new(p);
-        vm.set_step_budget(budget);
-        let outcome = format!("{:?}", vm.run(p, &mut bufs));
-        (outcome, vm.stats(), bufs)
-    }
-
     /// The shapes that get the op: §6.1's intersection, matched or
     /// scattered, VBL's block test, the block's last coordinate reloaded (as
     /// lowering emits it) or read off the stride, and the galloped
     /// intersection.
-    const TAKEN: [Shape; 5] =
+    pub(in crate::opt) const TAKEN: [Shape; 5] =
         [Shape::Intersection, Shape::Scatter, Shape::Block, Shape::BlockOnStride, Shape::Gallop];
 
     /// The ops `shape`'s kernel carries: the galloped loop's neither-finger-
@@ -1551,17 +1538,6 @@ pub(super) mod tests {
         } else {
             1
         }
-    }
-
-    /// How many iterations of `shape`'s loop run its guarded body.
-    fn matches(a: &[i64], b: &[i64], stop: i64, shape: Shape) -> u64 {
-        let lens = match shape {
-            Shape::Intersection | Shape::Scatter | Shape::Gallop => vec![1; a.len()],
-            _ => block_lens(a),
-        };
-        let inside =
-            |x: &i64| a.iter().zip(&lens).any(|(last, len)| (last - len + 1..=*last).contains(x));
-        b.iter().filter(|x| inside(x) && **x <= stop).count() as u64
     }
 
     #[test]
@@ -1632,192 +1608,6 @@ pub(super) mod tests {
         }
         assert_eq!(without, c.scalar.code(), "{}\nvs\n{}", c.skipping.disasm(), c.scalar.disasm());
         assert_eq!(folded, c.scalar.stmt_bump());
-    }
-
-    /// Every step budget from 0 to the full run, on every operand pair: the
-    /// VM with the op, the VM without it and the tree-walker stop at the same
-    /// statement with the same counters and the same output — and the op
-    /// did skip.
-    #[test]
-    fn every_step_budget_trips_where_the_scalar_loop_and_the_tree_walker_trip() {
-        let cases = TAKEN
-            .into_iter()
-            .flat_map(|shape| operand_pairs().into_iter().map(move |pair| (shape, pair)));
-        for (shape, (a, b, stop)) in cases {
-            let kernel = merge_kernel_with(&a, &b, stop, shape);
-            let c = compile(&kernel);
-            assert_eq!(ops(&c.skipping).len(), op_count(shape), "{}", c.skipping.disasm());
-            let context = format!("{a:?} x {b:?} to {stop}, {shape:?}");
-            let (outcome, full, _) = run(&c.scalar, &kernel.2, None);
-            assert_eq!(outcome, "Ok(())", "{context}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let mut tree_bufs = kernel.2.clone();
-                let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-                assert_eq!(tree == "Ok(())", budget == full.stmts, "{context} at {budget}");
-                for p in [&c.skipping, &c.scalar] {
-                    let (outcome, stats, bufs) = run(p, &kernel.2, Some(budget));
-                    assert_eq!(outcome, tree, "{context} at {budget}");
-                    assert_eq!(stats, interp.stats(), "{context} at {budget}");
-                    assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{context} at {budget}");
-                }
-            }
-            // The scalar loop runs the iterations that match or end the loop.
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut kernel.2.clone()).expect("runs");
-            let at = ops(&c.skipping)[0];
-            let matches = matches(&a, &b, stop, shape);
-            assert!(per_pc[at + 1] <= matches + 1, "{context}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{context}");
-        }
-    }
-
-    /// An injected fault at every statement of the run: both engines panic
-    /// with the same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_on_the_tree_walkers_statement() {
-        for shape in [Shape::Intersection, Shape::Block, Shape::Gallop] {
-            let kernel =
-                merge_kernel_with(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39, shape);
-            faults_alike(&kernel);
-        }
-    }
-
-    fn faults_alike(kernel: &Kernel) {
-        let c = compile(kernel);
-        let (_, full, _) = run(&c.skipping, &kernel.2, None);
-        for at in 1..=full.stmts {
-            let watch = Watch::default().with_fault_at_stmt(at);
-            let mut interp = Interpreter::new(&c.names);
-            interp.set_watch(Some(watch.clone()));
-            let panic = catch_unwind(AssertUnwindSafe(|| {
-                let _ = interp.run(&c.code, &mut kernel.2.clone());
-            }))
-            .expect_err("the tree-walker reaches the injected fault");
-            let message = panic.downcast_ref::<String>().expect("a formatted panic").clone();
-            let mut vm = Vm::new(&c.skipping);
-            vm.set_watch(Some(watch));
-            let panic = catch_unwind(AssertUnwindSafe(|| {
-                let _ = vm.run(&c.skipping, &mut kernel.2.clone());
-            }))
-            .expect_err("the VM reaches the injected fault");
-            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
-            assert_eq!(vm.stats(), interp.stats(), "fault at statement {at}");
-        }
-    }
-
-    /// A coordinate buffer rebound to another kind, to a shorter list, or
-    /// with a finger started outside it: the op declines or stops in front
-    /// of the iteration, and the scalar loop reports what it reports without
-    /// the op, having counted the same work.
-    #[test]
-    fn a_rebound_coordinate_buffer_faults_as_the_scalar_loop_faults() {
-        let a: Vec<i64> = vec![3, 17, 30, 99];
-        let b: Vec<i64> = (0..41).collect();
-        for shape in [Shape::Intersection, Shape::Block, Shape::Gallop] {
-            let kernel = merge_kernel_with(&a, &b, 39, shape);
-            let c = compile(&kernel);
-            let rebound = |buf: BufId, with: Buffer| {
-                let mut bufs = kernel.2.clone();
-                *bufs.get_mut(buf) = with;
-                bufs
-            };
-            let mut cases = vec![
-                ("a as f64", rebound(A_IDX, Buffer::F64(vec![3.0, 17.0, 30.0, 99.0].into()))),
-                ("a cut short", rebound(A_IDX, Buffer::I64(vec![3, 17].into()))),
-                ("b cut short", rebound(B_IDX, Buffer::I64((0..12).collect::<Vec<_>>().into()))),
-                ("a empty", rebound(A_IDX, Buffer::I64(Vec::new().into()))),
-                (
-                    "b as f64",
-                    rebound(B_IDX, Buffer::F64((0..41).map(f64::from).collect::<Vec<_>>().into())),
-                ),
-            ];
-            if shape == Shape::Block {
-                // The block offsets run out at the third block, or are no
-                // longer `i64`.
-                let cut = Buffer::I64(vec![0, 4, 6].into());
-                let floats = Buffer::F64(vec![0.0, 4.0, 6.0, 9.0, 13.0].into());
-                cases.push(("offsets cut short", rebound(A_OFS, cut)));
-                cases.push(("offsets as f64", rebound(A_OFS, floats)));
-            }
-            if shape == Shape::Gallop {
-                // `b`'s row ends early (its seeks run past the row, onto
-                // coordinates the loop still reads), past the list (a seek's
-                // window leaves it), or is no longer `i64`.
-                cases.push(("b's row short", rebound(B_POS, Buffer::I64(vec![0, 9].into()))));
-                cases.push(("b's row long", rebound(B_POS, Buffer::I64(vec![0, 60].into()))));
-                cases.push(("b's row as f64", rebound(B_POS, Buffer::F64(vec![0.0, 41.0].into()))));
-            }
-            for (what, bufs) in cases {
-                let what = format!("{what}, {shape:?}");
-                same_verdict(&c, &bufs, &what, OUT);
-            }
-        }
-    }
-
-    fn same_verdict(c: &Compiled, bufs: &BufferSet, what: &str, out: BufId) {
-        let (with_op, with_stats, with_bufs) = run(&c.skipping, bufs, None);
-        let (without, stats, without_bufs) = run(&c.scalar, bufs, None);
-        assert_eq!(with_op, without, "{what}");
-        assert_eq!(with_stats, stats, "{what}");
-        let (with, without) = (with_bufs.get(out), without_bufs.get(out));
-        assert!(with.same_as(without), "{what}: {with:?} vs {without:?}");
-        if what.contains("cut") || what.contains("empty") {
-            assert!(with_op.contains("OutOfBounds"), "{what}: {with_op}");
-        }
-    }
-
-    /// Sorted lists drawn at random, at every density, under every shape that
-    /// takes the op: all three agree.
-    #[test]
-    fn random_sorted_lists_merge_alike_with_and_without_the_op() {
-        let mut rng = 0x2545_F491_4F6C_DD1Du64;
-        let mut draw = move |below: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % below
-        };
-        for round in 0..200 {
-            let mut list = |one_in: u64| {
-                let mut out: Vec<i64> = (0..60).filter(|_| draw(one_in) == 0).collect();
-                out.push(500);
-                out
-            };
-            let (a, b) = (list(1 + round % 7), list(1 + round % 5));
-            let kernel = merge_kernel_with(&a, &b, 59, TAKEN[round as usize % TAKEN.len()]);
-            let c = compile(&kernel);
-            let mut interp = Interpreter::new(&c.names);
-            let mut tree_bufs = kernel.2.clone();
-            interp.run(&c.code, &mut tree_bufs).expect("the merge runs");
-            for p in [&c.skipping, &c.scalar] {
-                let (outcome, stats, bufs) = run(p, &kernel.2, None);
-                assert_eq!(outcome, "Ok(())", "{a:?} x {b:?}");
-                assert_eq!(stats, interp.stats(), "{a:?} x {b:?}");
-                assert_eq!(bufs.get(OUT), tree_bufs.get(OUT), "{a:?} x {b:?}");
-            }
-        }
-    }
-
-    /// A raised cancellation flag stops a run-ahead as it stops the scalar
-    /// loop: with the typed error, before the run completes.
-    #[test]
-    fn a_raised_cancellation_flag_stops_the_run() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let kernel = merge_kernel(&[3, 17, 30, 99], &(0..41).collect::<Vec<_>>(), 39);
-        let c = compile(&kernel);
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut vm = Vm::new(&c.skipping);
-        vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
-        // Armed and down: the run completes, counters as without a watch.
-        vm.run(&c.skipping, &mut kernel.2.clone()).expect("nothing cancels the run");
-        assert_eq!(vm.stats(), run(&c.scalar, &kernel.2, None).1);
-        flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        vm.reset();
-        let err = vm.run(&c.skipping, &mut kernel.2.clone()).expect_err("the flag is up");
-        assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{err:?}");
-        assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
     }
 
     #[test]
@@ -1915,12 +1705,12 @@ pub(super) mod tests {
     }
 
     /// The buffers of [`gather_kernel`], in the order it adds them.
-    const CRD: BufId = BufId(0);
-    const VALS: BufId = BufId(1);
-    const X: BufId = BufId(2);
-    const X_POS: BufId = BufId(3);
-    const X_START: BufId = BufId(4);
-    const SUM: BufId = BufId(6);
+    pub(in crate::opt) const CRD: BufId = BufId(0);
+    pub(in crate::opt) const VALS: BufId = BufId(1);
+    pub(in crate::opt) const X: BufId = BufId(2);
+    pub(in crate::opt) const X_POS: BufId = BufId(3);
+    pub(in crate::opt) const X_START: BufId = BufId(4);
+    pub(in crate::opt) const SUM: BufId = BufId(6);
 
     /// What [`gather_kernel`] varies: the lone stepper's body.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -2012,7 +1802,8 @@ pub(super) mod tests {
     }
 
     /// The lone stepper's shapes that get the gather reduction.
-    const GATHERED: [Lone; 4] = [Lone::Band, Lone::Dense, Lone::Max, Lone::AtFinger];
+    pub(in crate::opt) const GATHERED: [Lone; 4] =
+        [Lone::Band, Lone::Dense, Lone::Max, Lone::AtFinger];
 
     fn gathers(p: &Program) -> Vec<usize> {
         let is_op = |pc: &usize| {
@@ -2025,7 +1816,7 @@ pub(super) mod tests {
     /// Coordinate lists and bounds for the lone stepper: a sentinel past the
     /// bound, the bound on the last coordinate, a dense run, the first step
     /// the last, a list the loop never enters, two neighbours at the end.
-    fn lone_lists() -> Vec<(Vec<i64>, i64)> {
+    pub(in crate::opt) fn lone_lists() -> Vec<(Vec<i64>, i64)> {
         vec![
             (vec![3, 17, 30, 1000], 39),
             ((0..40).collect(), 39),
@@ -2076,8 +1867,8 @@ pub(super) mod tests {
     }
 
     /// The output buffers of [`append_kernel`].
-    const KEPT_CRD: BufId = BufId(3);
-    const KEPT_VALS: BufId = BufId(4);
+    pub(in crate::opt) const KEPT_CRD: BufId = BufId(3);
+    pub(in crate::opt) const KEPT_VALS: BufId = BufId(4);
 
     /// The loop `lower_stepped` emits for one walked list filtered into a
     /// sparse output, over the step range `0..=stop` (the bound loaded, so
@@ -2144,27 +1935,14 @@ pub(super) mod tests {
     /// The guards the append kernels filter by: none, `> 2`, and against
     /// the two zeros.  (A NaN literal is `tests/merge_skip.rs`': programs
     /// holding one compare unequal to themselves.)
-    const GUARDS: [Option<(BinOp, f64)>; 4] =
+    pub(in crate::opt) const GUARDS: [Option<(BinOp, f64)>; 4] =
         [None, Some((BinOp::Gt, 2.0)), Some((BinOp::Le, -0.0)), Some((BinOp::Ge, 0.0))];
 
     /// Values at [`lone_lists`]' coordinates: above and below the guards,
     /// both zeros, NaN and the infinities.
-    fn append_values(n: usize) -> Vec<f64> {
+    pub(in crate::opt) fn append_values(n: usize) -> Vec<f64> {
         let cycle = [1.5, 2.5, -0.0, f64::NAN, 0.0, -3.0, f64::INFINITY, 2.0, f64::NEG_INFINITY];
         (0..n).map(|k| cycle[k % cycle.len()]).collect()
-    }
-
-    /// The VM's run of `p` under the allocation budget `budget`.
-    fn run_allocating(
-        p: &Program,
-        bufs: &BufferSet,
-        budget: u64,
-    ) -> (String, ExecStats, BufferSet) {
-        let mut bufs = bufs.clone();
-        let mut vm = Vm::new(p);
-        vm.set_alloc_budget(Some(budget));
-        let outcome = format!("{:?}", vm.run(p, &mut bufs));
-        (outcome, vm.stats(), bufs)
     }
 
     #[test]
@@ -2206,12 +1984,13 @@ pub(super) mod tests {
     pub(in crate::opt) const M_A_VAL: BufId = BufId(1);
     pub(in crate::opt) const M_B_VAL: BufId = BufId(3);
     pub(in crate::opt) const M_LEAD: BufId = BufId(5);
-    const M_OUT: BufId = BufId(6);
-    const M_CRD: BufId = BufId(7);
-    const M_VALS: BufId = BufId(8);
+    pub(in crate::opt) const M_OUT: BufId = BufId(6);
+    pub(in crate::opt) const M_CRD: BufId = BufId(7);
+    pub(in crate::opt) const M_VALS: BufId = BufId(8);
 
     /// The bodies the op performs.
-    const MATCHED: [Matched; 3] = [Matched::Reduce, Matched::Led, Matched::Append];
+    pub(in crate::opt) const MATCHED: [Matched; 3] =
+        [Matched::Reduce, Matched::Led, Matched::Append];
 
     /// The loop `lower_stepped` emits for two coiterating steppers under a
     /// conjunctive `body`, over the step range `0..=stop` (the bound loaded,
@@ -2290,7 +2069,7 @@ pub(super) mod tests {
 
     /// `n` values, from `from` on in a cycle: finite ones, or (`special`)
     /// among them both zeros, NaN and both infinities.
-    fn match_values(n: usize, from: usize, special: bool) -> Vec<f64> {
+    pub(in crate::opt) fn match_values(n: usize, from: usize, special: bool) -> Vec<f64> {
         let cycle: &[f64] = if special {
             &[1.5, -0.0, 0.1, f64::NAN, 2.5, f64::INFINITY, 0.0, -0.7, f64::NEG_INFINITY, 3.0]
         } else {
@@ -2302,7 +2081,7 @@ pub(super) mod tests {
     /// Sorted pairs, each list ending past `stop` so no finger leaves it:
     /// disjoint, identical, one or both empty, one entry each (meeting or
     /// not), a prefix of the other, and overlapping in part.
-    fn match_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+    pub(in crate::opt) fn match_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
         let end = |mut list: Vec<i64>| {
             list.push(1000);
             list
@@ -2321,7 +2100,11 @@ pub(super) mod tests {
     }
 
     /// `kernel`'s buffers with these values at the two fingers.
-    fn with_values(kernel: &Kernel, a_vals: Vec<f64>, b_vals: Vec<f64>) -> BufferSet {
+    pub(in crate::opt) fn with_values(
+        kernel: &Kernel,
+        a_vals: Vec<f64>,
+        b_vals: Vec<f64>,
+    ) -> BufferSet {
         let mut bufs = kernel.2.clone();
         *bufs.get_mut(M_A_VAL) = Buffer::F64(a_vals.into());
         *bufs.get_mut(M_B_VAL) = Buffer::F64(b_vals.into());
@@ -2380,7 +2163,8 @@ pub(super) mod tests {
     }
 
     /// The run-length shapes that get the reduction op.
-    const REDUCED: [Runs; 4] = [Runs::Product, Runs::Literal, Runs::Swapped, Runs::Norm];
+    pub(in crate::opt) const REDUCED: [Runs; 4] =
+        [Runs::Product, Runs::Literal, Runs::Swapped, Runs::Norm];
 
     /// The step loop lowering emits for a reduction over two run-length
     /// lists (`a`'s and `b`'s run ends; `Norm` reads `a` alone), over the
@@ -2455,7 +2239,7 @@ pub(super) mod tests {
     /// Run ends covering `0..=stop` from the stream `draw`: runs of one to
     /// `longest` coordinates, the last ending on `stop` when `exact`, else
     /// past it.
-    fn run_ends(
+    pub(in crate::opt) fn run_ends(
         draw: &mut impl FnMut(u64) -> u64,
         stop: i64,
         longest: u64,
@@ -2474,7 +2258,7 @@ pub(super) mod tests {
     /// long against one run, the same runs on both sides (every end a tie),
     /// runs ending together every other time, and a list whose last run ends
     /// exactly on the bound against one that runs past it.
-    fn run_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
+    pub(in crate::opt) fn run_pairs() -> Vec<(Vec<i64>, Vec<i64>, i64)> {
         vec![
             ((0..=12).collect(), vec![40], 12),
             (vec![3, 7, 8, 20], vec![3, 7, 8, 20], 20),
@@ -2620,11 +2404,11 @@ pub(super) mod tests {
     }
 
     /// The two bodies of [`store_kernel`].
-    const DENSES: [Dense; 2] = [Dense::Assign, Dense::Add];
+    pub(in crate::opt) const DENSES: [Dense; 2] = [Dense::Assign, Dense::Add];
 
     /// Values at a dense vector's coordinates: finite, or (`special`) both
     /// zeros, NaN and the infinities among them.
-    fn dense_values(n: usize, special: bool) -> Vec<f64> {
+    pub(in crate::opt) fn dense_values(n: usize, special: bool) -> Vec<f64> {
         let cycle = [0.25, -0.0, f64::NAN, 3.0, 0.0, f64::INFINITY, -1.5, f64::NEG_INFINITY];
         (0..n)
             .map(|k| if special { cycle[k % cycle.len()] } else { 0.25 * (k + 1) as f64 })
@@ -2659,462 +2443,6 @@ pub(super) mod tests {
             let line = c.skipping.disasm().lines().nth(at).unwrap().to_string();
             assert!(line.ends_with(want), "{line}\n{}", c.skipping.disasm());
             only_adds(&c, &placed);
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // One sweep for every performed step — the lone reductions, the
-    // appends, the matches and the two-finger reductions: a table of
-    // kernels and inputs, each marked with the legs that run it.
-    // -----------------------------------------------------------------
-
-    /// The legs of the sweep: every step budget, every allocation budget, a
-    /// fault at every statement, a raised cancellation flag, a passed
-    /// deadline.  (A [`Case`] with rebound inputs also runs the rebinding
-    /// leg.)
-    const BUDGETS: u8 = 1;
-    const ALLOCS: u8 = 2;
-    const FAULTS: u8 = 4;
-    const CANCEL: u8 = 8;
-    const DEADLINE: u8 = 16;
-
-    /// The values buffers of [`merge_kernel`] and [`run_kernel`].
-    const A_VAL: BufId = BufId(1);
-    const B_VAL: BufId = BufId(3);
-
-    /// The outputs of [`match_kernel`].
-    const M_OUTS: &[BufId] = &[M_OUT, M_CRD, M_VALS];
-
-    /// One kernel whose step loop op performs its steps, the input its legs
-    /// run it on, the legs, the outputs they compare, and the inputs of the
-    /// rebinding leg: the kernel's own with a buffer rebound to another kind
-    /// or length.
-    struct Case {
-        what: String,
-        kernel: Kernel,
-        bufs: BufferSet,
-        legs: u8,
-        outs: &'static [BufId],
-        rebound: Vec<(&'static str, BufferSet)>,
-    }
-
-    impl Case {
-        fn new(what: String, kernel: Kernel, legs: u8, outs: &'static [BufId]) -> Case {
-            let bufs = kernel.2.clone();
-            Case { what, kernel, bufs, legs, outs, rebound: Vec::new() }
-        }
-
-        /// This case with `rebound`'s buffers rebound, one at a time, in
-        /// its input.
-        fn rebinding(mut self, rebound: Vec<(&'static str, BufId, Buffer)>) -> Case {
-            for (what, buf, with) in rebound {
-                let mut bufs = self.bufs.clone();
-                *bufs.get_mut(buf) = with;
-                self.rebound.push((what, bufs));
-            }
-            self
-        }
-    }
-
-    /// A xorshift stream from `seed`: `draw(below)` is in `0..below`.
-    fn xorshift(mut rng: u64) -> impl FnMut(u64) -> u64 {
-        move |below| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % below
-        }
-    }
-
-    /// Every kernel whose op performs its steps, with its inputs and legs:
-    /// each family's kernels on every input of its sweep, and on the inputs
-    /// its faults, cancellation, rebinding and random lists (long enough
-    /// for the wall clock to be read) run on.
-    fn performed() -> Vec<Case> {
-        let floats = |n: usize, x: f64| Buffer::F64(vec![x; n].into());
-        let ints = |n: usize| Buffer::I64(vec![1; n].into());
-        let cut = |list: &[i64]| Buffer::I64(list.to_vec().into());
-        let mut cases = Vec::new();
-        // The lone reductions on every list; the first also faults and is
-        // rebound, the gathered vector short of the coordinate it reads.
-        for shape in GATHERED {
-            for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
-                let kernel = gather_kernel(&crd, stop, shape);
-                let case =
-                    Case::new(format!("{crd:?} to {stop}, {shape:?}"), kernel, BUDGETS, &[SUM]);
-                if k > 0 {
-                    cases.push(case);
-                    continue;
-                }
-                let mut rebound = vec![
-                    ("crd as f64", CRD, floats(4, 1.5)),
-                    ("crd cut short", CRD, cut(&[3, 17])),
-                    ("vals cut short", VALS, floats(2, 1.5)),
-                    ("vals as i64", VALS, ints(4)),
-                    ("sum as i64", SUM, ints(41)),
-                    ("sum empty", SUM, floats(0, 0.0)),
-                ];
-                if shape != Lone::Max {
-                    let short = if shape == Lone::AtFinger { 2 } else { 18 };
-                    rebound.push(("x cut short", X, floats(short, 1.5)));
-                    rebound.push(("x as i64", X, ints(41)));
-                }
-                if shape == Lone::Band {
-                    rebound.push(("x_pos cut short", X_POS, cut(&[])));
-                    rebound.push(("x_start as f64", X_START, floats(1, 1.5)));
-                }
-                cases.push(Case { legs: BUDGETS | FAULTS, ..case }.rebinding(rebound));
-            }
-        }
-        // The appends under every guard on every list; the first list also
-        // faults and is rebound.
-        for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
-            for guard in GUARDS {
-                let kernel = append_kernel(&crd, &append_values(crd.len()), stop, guard);
-                let what = format!("{crd:?} to {stop}, guard {guard:?}");
-                let case = Case::new(what, kernel, BUDGETS | ALLOCS, &[KEPT_CRD, KEPT_VALS]);
-                if k > 0 {
-                    cases.push(case);
-                    continue;
-                }
-                let rebound = vec![
-                    ("crd cut short", CRD, cut(&[3, 17])),
-                    ("crd as f64", CRD, floats(4, 2.5)),
-                    ("vals cut short", VALS, floats(2, 2.5)),
-                    ("vals as i64", VALS, ints(4)),
-                    ("kept crd as f64", KEPT_CRD, floats(0, 2.5)),
-                    ("kept vals as i64", KEPT_VALS, ints(0)),
-                    ("kept crd as bool", KEPT_CRD, Buffer::Bool(Vec::new())),
-                ];
-                cases.push(Case { legs: BUDGETS | ALLOCS | FAULTS, ..case }.rebinding(rebound));
-            }
-        }
-        // The matches on every pair, under finite values and under both
-        // zeros, NaN and the infinities.  The kernel itself holds finite
-        // values: they are the witnesses its compilation is validated on.
-        let values = |list: &[i64], from, special| match_values(list.len(), from, special);
-        for (a, b, stop) in match_pairs() {
-            for body in MATCHED {
-                let finite = (values(&a, 0, false), values(&b, 3, false));
-                let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), stop, body);
-                let legs = if body == Matched::Append { BUDGETS | ALLOCS } else { BUDGETS };
-                for special in [false, true] {
-                    let what = format!("{a:?} x {b:?} to {stop}, {body:?}, special {special}");
-                    let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
-                    cases.push(Case { bufs, ..Case::new(what, kernel.clone(), legs, M_OUTS) });
-                }
-            }
-        }
-        let (a, b) = (vec![2, 5, 9, 14, 20, 1000], vec![1, 2, 9, 11, 14, 18, 20, 1000]);
-        let (all, thirds): (Vec<i64>, Vec<i64>) = ((0..40).collect(), (0..40).step_by(3).collect());
-        for body in MATCHED {
-            let kernel = |(a, b): (&[i64], &[i64]), from, stop| {
-                match_kernel((a, &values(a, from, false)), (b, &values(b, from, false)), stop, body)
-            };
-            cases.push(Case::new(format!("{body:?}"), kernel((&a, &b), 1, 25), FAULTS, M_OUTS));
-            let cancelled = kernel((&all, &thirds), 0, 30);
-            cases.push(Case::new(format!("{body:?}"), cancelled, CANCEL, M_OUTS));
-            let mut rebound = vec![
-                ("a_val cut short", M_A_VAL, floats(2, 0.5)),
-                ("a_val as i64", M_A_VAL, ints(6)),
-                ("x cut short", M_B_VAL, floats(3, 0.5)),
-                ("x as i64", M_B_VAL, ints(8)),
-            ];
-            if body == Matched::Append {
-                rebound.push(("crd as f64", M_CRD, floats(0, 0.5)));
-                rebound.push(("vals as i64", M_VALS, ints(0)));
-                rebound.push(("crd as bool", M_CRD, Buffer::Bool(Vec::new())));
-            } else {
-                rebound.push(("acc as i64", M_OUT, ints(1)));
-                rebound.push(("acc empty", M_OUT, floats(0, 0.0)));
-            }
-            if body == Matched::Led {
-                rebound.push(("lead cut short", M_LEAD, floats(1, 0.5)));
-                rebound.push(("lead as i64", M_LEAD, ints(2)));
-            }
-            let kernel = kernel((&a, &b), 2, 25);
-            let bufs = with_values(&kernel, values(&a, 2, true), values(&b, 2, true));
-            let case = Case { bufs, ..Case::new(format!("{body:?}"), kernel, 0, M_OUTS) };
-            cases.push(case.rebinding(rebound));
-        }
-        // The two-finger reductions on every pair of runs; one pair also
-        // faults and is rebound.
-        for shape in REDUCED {
-            for (a, b, stop) in run_pairs() {
-                let what = format!("{a:?} x {b:?} to {stop}, {shape:?}");
-                cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), BUDGETS, &[OUT]));
-            }
-            let kernel = run_kernel(&[3, 7, 8, 20], &[1, 7, 9, 20, 30], 20, shape);
-            let mut rebound = vec![
-                ("a_val cut short", A_VAL, floats(2, 1.5)),
-                ("a_val as i64", A_VAL, ints(4)),
-                ("a_idx cut short", A_IDX, cut(&[3, 7])),
-                ("a_idx as f64", A_IDX, floats(4, 1.5)),
-                ("out as i64", OUT, ints(1)),
-                ("out empty", OUT, floats(0, 0.0)),
-            ];
-            if shape != Runs::Norm {
-                rebound.push(("b_val cut short", B_VAL, floats(3, 1.5)));
-                rebound.push(("b_val as i64", B_VAL, ints(5)));
-                rebound.push(("b_idx cut short", B_IDX, cut(&[1, 7])));
-            }
-            let case = Case::new(format!("{shape:?}"), kernel, FAULTS, &[OUT]);
-            cases.push(case.rebinding(rebound));
-        }
-        let cancelled = run_kernel(&(0..=40).collect::<Vec<_>>(), &[9, 19, 40], 40, Runs::Product);
-        cases.push(Case::new("Product".into(), cancelled, CANCEL, &[OUT]));
-        // The stores into a dense output on every list, under finite values
-        // and under both zeros, NaN and the infinities in both operands; the
-        // first list also runs under allocation budgets and is rebound.  A run of two elements or fewer is
-        // left to the scalar loop by its vectorized fill, which counts its
-        // bulk unchecked (so that a fault or a passed deadline inside a
-        // longer run trips later than the tree-walker's, op or no op): the
-        // faults and the deadline are swept over such runs.
-        let short = |draw: &mut dyn FnMut(u64) -> u64, stop: i64| {
-            let mut crd = vec![draw(3) as i64];
-            while crd[crd.len() - 1] <= stop {
-                crd.push(crd[crd.len() - 1] + 1 + draw(3) as i64);
-            }
-            crd
-        };
-        let mut draw = xorshift(0x2545_F491_4F6C_DD1D);
-        for how in DENSES {
-            let (crd, special) = (short(&mut draw, 20), how == Dense::Add);
-            let vals = (dense_values(crd.len(), special), dense_values(21, !special));
-            let kernel = store_kernel(&crd, (&vals.0, &vals.1), 20, how);
-            let what = format!("{crd:?} to 20, {how:?}");
-            cases.push(Case::new(what, kernel, FAULTS | CANCEL, &[DENSE]));
-            for round in 0..20u64 {
-                let stop = 300 + draw(300) as i64;
-                let (crd, special) = (short(&mut draw, stop), round % 2 == 1);
-                let vals =
-                    (dense_values(crd.len(), special), dense_values(stop as usize + 1, special));
-                let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
-                let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
-                cases.push(Case::new(what, kernel, DEADLINE, &[DENSE]));
-            }
-        }
-        for how in DENSES {
-            for (k, (crd, stop)) in lone_lists().into_iter().enumerate() {
-                for special in [false, true] {
-                    let vals = (append_values(crd.len()), dense_values(41, special));
-                    let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
-                    let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
-                    let case = Case::new(what, kernel, BUDGETS, &[DENSE]);
-                    if k > 0 || special {
-                        cases.push(case);
-                        continue;
-                    }
-                    let rebound = vec![
-                        ("crd cut short", CRD, cut(&[3, 17])),
-                        ("crd as f64", CRD, floats(4, 2.5)),
-                        ("vals cut short", VALS, floats(2, 2.5)),
-                        ("vals as i64", VALS, ints(4)),
-                        ("x cut short", X, floats(18, 2.5)),
-                        ("x as i64", X, ints(40)),
-                        ("out cut short", DENSE, floats(20, 9.5)),
-                        ("out empty", DENSE, floats(0, 0.0)),
-                        ("out as i64", DENSE, ints(40)),
-                        ("out as bool", DENSE, Buffer::Bool(vec![false; 40])),
-                    ];
-                    // A store allocates nothing, under any allocation budget.
-                    cases.push(Case { legs: BUDGETS | ALLOCS, ..case }.rebinding(rebound));
-                }
-            }
-        }
-        // Sorted lists drawn at random under every body, and run-length
-        // pairs — runs of every length from one, ends that coincide, a last
-        // run on the bound or past it — under every reduction.
-        let mut draw = xorshift(0x51_7CC1_B727_220A);
-        for round in 0..90u64 {
-            let mut list = |one_in: u64| {
-                let mut out: Vec<i64> = (0..400).filter(|_| draw(one_in) == 0).collect();
-                out.push(5000);
-                out
-            };
-            let (a, b) = (list(1 + round % 4), list(1 + round % 3));
-            let (body, special) = (MATCHED[round as usize % MATCHED.len()], round % 2 == 1);
-            let finite = (values(&a, 0, false), values(&b, 3, false));
-            let kernel = match_kernel((&a, &finite.0), (&b, &finite.1), 399, body);
-            let bufs = with_values(&kernel, values(&a, 0, special), values(&b, 3, special));
-            let what = format!("{a:?} x {b:?}, {body:?}, special {special}");
-            cases.push(Case { bufs, ..Case::new(what, kernel, DEADLINE, M_OUTS) });
-        }
-        let mut draw = xorshift(0x9E37_79B9_7F4A_7C15);
-        for round in 0..120u64 {
-            let stop = 10 + draw(300) as i64;
-            let a = run_ends(&mut draw, stop, 1 + round % 9, round % 2 == 0);
-            let b = run_ends(&mut draw, stop, 1 + round % 4, round % 3 == 0);
-            let shape = REDUCED[round as usize % REDUCED.len()];
-            let what = format!("{a:?} x {b:?} to {stop}, {shape:?}");
-            cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), DEADLINE, &[OUT]));
-        }
-        cases
-    }
-
-    /// The cases of [`performed`] that run `leg`.
-    fn running(leg: u8) -> impl Iterator<Item = Case> {
-        performed().into_iter().filter(move |case| case.legs & leg != 0)
-    }
-
-    /// The step loop ops of `p` that perform their steps.
-    fn performs(p: &Program) -> Vec<usize> {
-        let is_op = |pc: &usize| matches!(p.step_of(&p.code()[*pc]), Some(Step::Perform { .. }));
-        (0..p.code().len()).filter(is_op).collect()
-    }
-
-    /// A buffer's floats bit for bit, NaNs' payloads included.
-    fn bits(buf: &Buffer) -> String {
-        match buf {
-            Buffer::F64(v) => format!("{:x?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-            other => format!("{other:?}"),
-        }
-    }
-
-    /// The tree-walker `interp`'s run of `case` and the runs `run` makes of
-    /// the program with the op and without it: the same verdict, the same
-    /// counters and the same outputs — a NaN's bits aside, which no engine
-    /// fixes — and the op's outputs the scalar loop's bit for bit.  The
-    /// tree-walker's verdict.
-    fn agree(
-        c: &Compiled,
-        case: &Case,
-        interp: &mut Interpreter,
-        run: impl Fn(&Program) -> (String, ExecStats, BufferSet),
-        what: &str,
-    ) -> String {
-        let mut tree_bufs = case.bufs.clone();
-        let tree = format!("{:?}", interp.run(&c.code, &mut tree_bufs));
-        let runs = [&c.skipping, &c.scalar].map(run);
-        for (outcome, stats, left) in &runs {
-            assert_eq!(*outcome, tree, "{what}");
-            assert_eq!(*stats, interp.stats(), "{what}");
-            for &out in case.outs {
-                let (got, want) = (left.get(out), tree_bufs.get(out));
-                assert!(got.same_as(want), "{what}: {got:?} vs {want:?}");
-            }
-        }
-        for &out in case.outs {
-            assert_eq!(bits(runs[0].2.get(out)), bits(runs[1].2.get(out)), "{what}");
-        }
-        tree
-    }
-
-    /// Every step budget from 0 to the full run: the VM with the op, the VM
-    /// without it and the tree-walker stop at the same statement with the
-    /// same counters and the same outputs — and the scalar loop dispatches
-    /// only the loop's entry and its last iteration.
-    #[test]
-    fn every_step_budget_trips_the_performed_step_where_the_scalar_loop_trips() {
-        for case in running(BUDGETS) {
-            let (c, what) = (compile(&case.kernel), &case.what);
-            assert_eq!(performs(&c.skipping).len(), 1, "{what}\n{}", c.skipping.disasm());
-            let (outcome, full, _) = run(&c.scalar, &case.bufs, None);
-            assert_eq!(outcome, "Ok(())", "{what}");
-            for budget in 0..=full.stmts {
-                let mut interp = Interpreter::new(&c.names).with_step_budget(budget);
-                let at = format!("{what} at {budget}");
-                agree(&c, &case, &mut interp, |p| run(p, &case.bufs, Some(budget)), &at);
-            }
-            let mut vm = Vm::new(&c.skipping);
-            let per_pc = vm.run_profiled(&c.skipping, &mut case.bufs.clone()).expect("runs");
-            let at = performs(&c.skipping)[0];
-            assert!(per_pc[at + 1] <= 1, "{what}: {} iterations", per_pc[at + 1]);
-            assert_eq!(vm.stats(), full, "{what}");
-        }
-    }
-
-    /// Every allocation budget from none at all to one past twice what the
-    /// run pushes: the op stops in front of the step whose pushes would not
-    /// fit, and the scalar step raises the error where it raises it without
-    /// the op.
-    #[test]
-    fn every_allocation_budget_trips_the_performed_push_where_the_scalar_loop_trips() {
-        for case in running(ALLOCS) {
-            let c = compile(&case.kernel);
-            let (_, _, full) = run(&c.scalar, &case.bufs, None);
-            let grown = |&out: &BufId| (full.get(out).len() - case.bufs.get(out).len()) as u64;
-            let pushed: u64 = case.outs.iter().map(grown).sum();
-            for budget in 0..=2 * pushed + 1 {
-                let mut interp = Interpreter::new(&c.names);
-                interp.set_alloc_budget(Some(budget));
-                let what = format!("{} at {budget}", case.what);
-                let tree =
-                    agree(&c, &case, &mut interp, |p| run_allocating(p, &case.bufs, budget), &what);
-                assert_eq!(tree == "Ok(())", budget >= pushed, "{what}: {tree}");
-            }
-        }
-    }
-
-    /// An injected fault at every statement: both engines panic with the
-    /// same message having counted the same work.
-    #[test]
-    fn an_injected_fault_trips_the_performed_step_on_the_tree_walkers_statement() {
-        running(FAULTS).for_each(|case| faults_alike(&case.kernel));
-    }
-
-    /// A raised cancellation flag stops the op as it stops the scalar loop:
-    /// with the typed error, at the run's first statement.
-    #[test]
-    fn a_raised_cancellation_flag_stops_the_performed_step() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        for case in running(CANCEL) {
-            let c = compile(&case.kernel);
-            let flag = Arc::new(AtomicBool::new(false));
-            let mut vm = Vm::new(&c.skipping);
-            vm.set_watch(Some(Watch::cancelled_by(flag.clone(), 5)));
-            vm.run(&c.skipping, &mut case.bufs.clone()).expect("nothing cancels the run");
-            assert_eq!(vm.stats(), run(&c.scalar, &case.bufs, None).1, "{}", case.what);
-            flag.store(true, Ordering::Relaxed);
-            vm.reset();
-            let err = vm.run(&c.skipping, &mut case.bufs.clone()).expect_err("the flag is up");
-            assert!(matches!(err, RuntimeError::Deadline { ms: 5 }), "{}: {err:?}", case.what);
-            assert_eq!(vm.stats().stmts, 1, "a run's first statement polls");
-        }
-    }
-
-    /// Long random inputs: the VM with the op and without it agree with the
-    /// tree-walker, and with each other under a deadline that has passed.
-    #[test]
-    fn random_inputs_perform_alike_and_stop_alike_past_a_deadline() {
-        for case in running(DEADLINE) {
-            let (c, what) = (compile(&case.kernel), &case.what);
-            assert_eq!(performs(&c.skipping).len(), 1, "{what}\n{}", c.skipping.disasm());
-            let mut interp = Interpreter::new(&c.names);
-            let tree = agree(&c, &case, &mut interp, |p| run(p, &case.bufs, None), what);
-            assert_eq!(tree, "Ok(())", "{what}");
-            let passed = [&c.skipping, &c.scalar].map(|p| {
-                let mut vm = Vm::new(p);
-                vm.set_watch(Some(Watch::until(std::time::Instant::now(), 3)));
-                let mut left = case.bufs.clone();
-                let verdict = vm.run(p, &mut left);
-                (
-                    verdict,
-                    vm.stats(),
-                    case.outs.iter().map(|&out| bits(left.get(out))).collect::<Vec<_>>(),
-                )
-            });
-            assert_eq!(passed[0], passed[1], "{what}: a passed deadline");
-            if interp.stats().stmts > Watch::TIME_CHECK_PERIOD {
-                assert_eq!(passed[0].0, Err(RuntimeError::Deadline { ms: 3 }), "{what}");
-            }
-        }
-    }
-
-    /// A buffer rebound to another kind or length: the op declines or stops
-    /// in front of the step, and the scalar loop reports what it reports
-    /// without the op, having counted the same work and left the same
-    /// outputs.
-    #[test]
-    fn a_rebound_buffer_faults_the_performed_step_as_the_scalar_loop_faults() {
-        for case in performed().into_iter().filter(|case| !case.rebound.is_empty()) {
-            let c = compile(&case.kernel);
-            for (what, bufs) in &case.rebound {
-                for &out in case.outs {
-                    same_verdict(&c, bufs, &format!("{what}, {}", case.what), out);
-                }
-            }
         }
     }
 }

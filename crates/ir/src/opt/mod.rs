@@ -74,6 +74,8 @@ mod licm;
 pub mod merge_skip;
 #[cfg(test)]
 mod mutation_tests;
+#[cfg(test)]
+mod op_contract;
 mod pass;
 mod peephole;
 pub mod typing;

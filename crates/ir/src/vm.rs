@@ -101,33 +101,25 @@ impl Watch {
     /// deadline expiry (every [`Watch::TIME_CHECK_PERIOD`] statements).
     #[inline]
     pub(crate) fn check(&self, stmts: u64) -> Result<(), RuntimeError> {
-        self.check_since(stmts.saturating_sub(1), stmts)
+        if let Some(at) = self.fault_stmt.filter(|&at| stmts >= at) {
+            panic!("injected fault: panic at statement {at}");
+        }
+        if self.trips(stmts) {
+            Err(RuntimeError::Deadline { ms: self.ms })
+        } else {
+            Ok(())
+        }
     }
 
-    /// [`Watch::check`] at statement `stmts` when the last statement checked
-    /// was `since`: the clock is read if a multiple of
-    /// [`Watch::TIME_CHECK_PERIOD`] lies in `since + 1..=stmts`, so a
-    /// kernel op that counts many statements at once does not step over a
-    /// deadline check.
+    /// Whether [`Watch::check`] at statement `stmts` panics or trips, without
+    /// doing either: what a kernel op asks of a statement it would count.
     #[inline]
-    fn check_since(&self, since: u64, stmts: u64) -> Result<(), RuntimeError> {
-        if let Some(at) = self.fault_stmt {
-            if stmts >= at {
-                panic!("injected fault: panic at statement {at}");
-            }
-        }
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(RuntimeError::Deadline { ms: self.ms });
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            let due = stmts / Self::TIME_CHECK_PERIOD > since / Self::TIME_CHECK_PERIOD;
-            if due && Instant::now() >= deadline {
-                return Err(RuntimeError::Deadline { ms: self.ms });
-            }
-        }
-        Ok(())
+    fn trips(&self, stmts: u64) -> bool {
+        self.fault_stmt.is_some_and(|at| stmts >= at)
+            || self.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|deadline| {
+                stmts.is_multiple_of(Self::TIME_CHECK_PERIOD) && Instant::now() >= deadline
+            })
     }
 }
 
@@ -890,8 +882,9 @@ impl Vm {
                 }
 
                 // ---- Vectorized kernel ops: each sits immediately before
-                // ---- an `IForTest` head and executes all but the last of
-                // ---- that loop's iterations over whole slices, then
+                // ---- an `IForTest` head and executes that loop's
+                // ---- iterations over whole slices, all but the last and
+                // ---- none whose statements would trip a check, then
                 // ---- advances the counter.  On any failed precondition
                 // ---- the op does *nothing* and the scalar loop runs every
                 // ---- iteration, so none of these can fault.
@@ -976,45 +969,47 @@ impl Vm {
     /// step budget, then the [`Watch`] (injected fault, cancellation,
     /// deadline) — the order and the per-statement counts of the
     /// tree-walker, so a trip leaves `stats.stmts` at exactly the
-    /// statement that tripped.
+    /// statement that tripped — and re-arm the limits.
     ///
-    /// A vectorized kernel op counts its bulk without a check, bounded by
-    /// the step budget only.  What it counted past [`Vm::check_limit`] is
-    /// checked at the next statement accounted here — so a deadline check
-    /// it stepped over is made there — and until then the limits stay.
+    /// Every kernel op counts only statements it has checked ([`Vm::steps`],
+    /// [`Vm::vbulk`]), so the statements replayed here are the ones the
+    /// dispatch loop counted last.
     #[cold]
     #[inline(never)]
     fn account(&mut self, n: u64) -> Result<(), RuntimeError> {
-        if n == 0 {
-            return Ok(());
-        }
         let counted = self.stats.stmts;
-        let mut since = (counted - n).min(self.check_limit);
         for stmts in counted - n + 1..=counted {
             self.stats.stmts = stmts;
-            if let Some(budget) = self.step_budget {
-                if stmts > budget {
-                    return Err(RuntimeError::StepBudgetExceeded { budget });
-                }
+            if let Some(budget) = self.step_budget.filter(|&budget| stmts > budget) {
+                return Err(RuntimeError::StepBudgetExceeded { budget });
             }
             if let Some(watch) = &self.watch {
-                watch.check_since(since, stmts)?;
+                watch.check(stmts)?;
             }
-            since = stmts;
         }
         self.rearm_limits();
         Ok(())
     }
 
+    /// The largest statement count, at or past `stmts`, that needs no
+    /// step-budget, injected-fault or deadline check.
+    fn limit_at(&self, stmts: u64) -> u64 {
+        let quiet = self.watch.as_ref().map_or(u64::MAX, |watch| watch.quiet_until(stmts));
+        self.step_budget.unwrap_or(u64::MAX).min(quiet)
+    }
+
+    /// Whether statement `stmts` trips the step budget or the watch
+    /// ([`Watch::trips`]).
+    fn trips(&self, stmts: u64) -> bool {
+        self.step_budget.is_some_and(|budget| stmts > budget)
+            || self.watch.as_ref().is_some_and(|watch| watch.trips(stmts))
+    }
+
     /// Derive [`Vm::check_limit`] and [`Vm::stmt_limit`] from the step
     /// budget, the watch and the current statement count.
     fn rearm_limits(&mut self) {
-        let budget = self.step_budget.unwrap_or(u64::MAX);
-        let (quiet, polled) = match &self.watch {
-            Some(watch) => (watch.quiet_until(self.stats.stmts), watch.cancel.is_some()),
-            None => (u64::MAX, false),
-        };
-        self.check_limit = budget.min(quiet);
+        self.check_limit = self.limit_at(self.stats.stmts);
+        let polled = self.watch.as_ref().is_some_and(|watch| watch.cancel.is_some());
         self.stmt_limit =
             if polled { self.check_limit.min(self.stats.stmts) } else { self.check_limit };
     }
@@ -1297,14 +1292,21 @@ impl Vm {
     }
 
     // -----------------------------------------------------------------
-    // Vectorized kernel-op execution.  Shared contract: read the loop
-    // bounds, check every precondition (trip count, step budget, buffer
-    // kinds, full-slice bounds, aliasing) *before* touching any state;
-    // on failure return without doing anything — the scalar loop that
-    // follows is the fallback.  On success execute iterations
-    // `[lo, hi)` over slices, bump `ExecStats` by the scalar-equivalent
-    // per-iteration cost, and advance the counter to `hi` so the scalar
-    // loop runs exactly the final iteration (which restores every
+    // Vectorized kernel-op execution.  The contract every kernel op keeps,
+    // `IStepLoop` included: it runs iterations of the scalar loop it sits
+    // on and leaves registers, buffers and `ExecStats` as they leave them.
+    // It checks every precondition (trip count, buffer kinds, full-slice
+    // bounds, aliasing) *before* touching any state; on failure it does
+    // nothing, and the scalar loop that follows is the fallback.  It stops
+    // where the scalar loop stops: it takes an iteration only where every
+    // statement it counts passes the check the scalar loop makes there
+    // (step budget, injected fault, cancellation, deadline), and stops in
+    // front of the first that would not, so that the scalar loop raises
+    // the trip at its statement (`Vm::vbulk`; `Vm::steps` for the step
+    // loop op).  On success it executes iterations `[lo, end)` over slices,
+    // bumps `ExecStats` by the scalar-equivalent per-iteration cost and
+    // advances the counter to `end` (`Vm::vcommit`); the scalar loop runs
+    // the rest, at least the final iteration (which restores every
     // temporary register and doubles as the remainder handler).
     // -----------------------------------------------------------------
 
@@ -1327,29 +1329,55 @@ impl Vm {
     /// pixels run as one op.
     pub(crate) const VMIN_TRIP: i64 = 2;
 
-    /// Bulk trip count `hi - lo` when enough bulk iterations remain to
-    /// amortize the setup (plus the scalar-loop final iteration).
-    #[inline]
-    fn vbulk_iters(lo: i64, hiv: i64) -> Option<u64> {
-        if hiv.checked_sub(lo).is_some_and(|n| n >= Self::VMIN_TRIP) {
-            Some(hiv.wrapping_sub(lo) as u64)
-        } else {
-            None
+    /// The bulk `lo..end` a kernel op takes of its loop's iterations `lo..hi`
+    /// (`counter`'s and `hi`'s values), at `per` statements each: `None`
+    /// below [`Vm::VMIN_TRIP`], or where it can take none.  It takes every
+    /// iteration that ends under [`Vm::check_limit`]; at the limit, the one
+    /// that crosses it if none of that iteration's statements trips
+    /// ([`Vm::trips`]: a deadline's clock read that finds time left), and
+    /// goes on from there.  It stops in front of an iteration that would
+    /// trip, which the scalar loop then runs and raises the trip at its
+    /// statement.  A bulk that ends under the limit — always, with no budget
+    /// and no watch armed — costs one comparison.
+    #[inline(always)]
+    fn vbulk(&self, counter: Reg, hi: Reg, per: u64) -> Option<(i64, i64)> {
+        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
+        let n = hiv.checked_sub(lo).filter(|&n| n >= Self::VMIN_TRIP)? as u64;
+        let room = self.check_limit.saturating_sub(self.stats.stmts);
+        let taken = if n.saturating_mul(per) <= room { n } else { self.vtake(n, per) };
+        (taken > 0).then_some((lo, lo + taken as i64))
+    }
+
+    /// How many of a bulk's `n` iterations of `per` statements
+    /// [`Vm::vbulk`] takes where they cross [`Vm::check_limit`].
+    #[cold]
+    #[inline(never)]
+    fn vtake(&self, n: u64, per: u64) -> u64 {
+        let (mut at, mut limit, mut taken) = (self.stats.stmts, self.check_limit, 0);
+        loop {
+            let room = limit.saturating_sub(at);
+            if (n - taken).saturating_mul(per) <= room {
+                return n;
+            }
+            let fit = room / per;
+            (taken, at) = (taken + fit, at + fit * per);
+            if (at + 1..=at + per).any(|stmts| self.trips(stmts)) {
+                return taken;
+            }
+            (taken, at) = (taken + 1, at + per);
+            limit = self.limit_at(at);
         }
     }
 
-    /// Whether the bulk's statement count provably fits under the step
-    /// budget.  When it might not, the op backs off so the scalar loop
-    /// faults (or not) at exactly the scalar point.
-    #[inline]
-    fn vbudget_ok(&self, n: u64, stmts_per_iter: u64) -> bool {
-        match self.step_budget {
-            None => true,
-            Some(budget) => n
-                .checked_mul(stmts_per_iter)
-                .and_then(|s| self.stats.stmts.checked_add(s))
-                .is_some_and(|total| total <= budget),
-        }
+    /// Commit a kernel op's bulk `lo..end` of its loop's iterations at
+    /// `cost` each (the scalar-equivalent accounting), and advance the
+    /// loop's `counter` to `end`.
+    #[inline(always)]
+    fn vcommit(&mut self, counter: Reg, (lo, end): (i64, i64), cost: VCost) {
+        let n = end.wrapping_sub(lo) as u64;
+        self.stats.loop_iters += n;
+        self.vbump(n, cost);
+        self.ints[counter.index()] = end;
     }
 
     /// The loop-invariant element offset of an index shape, computed in
@@ -1429,11 +1457,7 @@ impl Vm {
         let Instr::VFillStoreF64 { buf, base, val, counter, hi, cost, lanes } = *instr else {
             unreachable!("dispatched on a VFillStoreF64")
         };
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) {
-            return;
-        }
+        let Some(bulk @ (lo, hiv)) = self.vbulk(counter, hi, cost.stmts.into()) else { return };
         let off = self.vbase_off(base);
         let val = match val {
             VFill::Imm(imm) => imm,
@@ -1442,9 +1466,7 @@ impl Vm {
         let Buffer::F64(data) = bufs.get_mut(buf) else { return };
         let Some(span) = vspan(off, lo, hiv, data.len()) else { return };
         vfill_f64(&mut data[span], val, lanes);
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
-        self.ints[counter.index()] = hiv;
+        self.vcommit(counter, bulk, cost);
     }
 
     /// [`Instr::VMapF64`]: `dst[..] reduce= post(pre(a[..]) rhs)` for the
@@ -1470,9 +1492,8 @@ impl Vm {
         else {
             unreachable!("dispatched on a VMapF64")
         };
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) || dst == a {
+        let Some(bulk @ (lo, hiv)) = self.vbulk(counter, hi, cost.stmts.into()) else { return };
+        if dst == a {
             return;
         }
         let Some(dspan) = Self::vf64_span(bufs, dst, self.vbase_off(dst_base), lo, hiv) else {
@@ -1524,9 +1545,7 @@ impl Vm {
             }
         }
         *bufs.get_mut(dst) = lifted;
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
-        self.ints[counter.index()] = hiv;
+        self.vcommit(counter, bulk, cost);
     }
 
     /// [`Instr::VMulAddF64`]: `acc[acc_idx] op= a[..] * b[..]` folded
@@ -1540,9 +1559,8 @@ impl Vm {
         else {
             unreachable!("dispatched on a VMulAddF64")
         };
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) || acc == a || acc == b {
+        let Some(bulk @ (lo, hiv)) = self.vbulk(counter, hi, cost.stmts.into()) else { return };
+        if acc == a || acc == b {
             return;
         }
         let Buffer::F64(accd) = bufs.get(acc) else { return };
@@ -1564,9 +1582,7 @@ impl Vm {
             Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
         }
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
-        self.ints[counter.index()] = hiv;
+        self.vcommit(counter, bulk, cost);
     }
 
     /// [`Instr::VReduceF64`]: `acc[acc_idx] op= pre(src[..])` folded
@@ -1577,9 +1593,8 @@ impl Vm {
         else {
             unreachable!("dispatched on a VReduceF64")
         };
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        if !self.vbudget_ok(n, cost.stmts as u64) || acc == src {
+        let Some(bulk @ (lo, hiv)) = self.vbulk(counter, hi, cost.stmts.into()) else { return };
+        if acc == src {
             return;
         }
         let Buffer::F64(accd) = bufs.get(acc) else { return };
@@ -1596,9 +1611,7 @@ impl Vm {
             Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
         }
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
-        self.ints[counter.index()] = hiv;
+        self.vcommit(counter, bulk, cost);
     }
 
     /// [`Instr::VAppendRangeF64`]: `idx_out.push(v)` / `val_out.push(
@@ -1620,16 +1633,14 @@ impl Vm {
         else {
             unreachable!("dispatched on a VAppendRangeF64")
         };
-        let (lo, hiv) = (self.ints[counter.index()], self.ints[hi.index()]);
-        let Some(n) = Self::vbulk_iters(lo, hiv) else { return };
-        // Worst case every iteration passes the guard.
-        if !self.vbudget_ok(n, cost.stmts as u64 + pass_cost.stmts as u64) {
-            return;
-        }
+        // Worst case every iteration passes the guard: the bulk stops no
+        // later than the scalar loop's trip.
+        let per = u64::from(cost.stmts) + u64::from(pass_cost.stmts);
+        let Some(bulk @ (lo, hiv)) = self.vbulk(counter, hi, per) else { return };
         // Worst case every iteration appends a coordinate and a value; when
         // that might not fit the allocation budget, back off so the scalar
         // loop faults (or not) at exactly the scalar element.
-        if !self.alloc.fits(n.saturating_mul(2)) {
+        if !self.alloc.fits(((hiv - lo) as u64).saturating_mul(2)) {
             return;
         }
         if src == idx_out || src == val_out || idx_out == val_out {
@@ -1656,10 +1667,8 @@ impl Vm {
         *bufs.get_mut(val_out) = vlifted;
         // Pre-checked against the worst case above, so this cannot overrun.
         self.alloc.add_used(passes.saturating_mul(2));
-        self.stats.loop_iters += n;
-        self.vbump(n, cost);
+        self.vcommit(counter, bulk, cost);
         self.vbump(passes, pass_cost);
-        self.ints[counter.index()] = hiv;
     }
 
     /// [`Instr::IStepLoop`] at `pc`, out of the dispatch loop: take the steps

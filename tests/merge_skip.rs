@@ -33,8 +33,8 @@
 //! `ExecStats` of a run that completes, and on every output as the run left
 //! it — at a trip, the stores and appends made so far.  (The counters *at*
 //! a trip are not in reach from outside a kernel; `finch-ir`'s
-//! `opt::merge_skip` tests compare them on all three, budget by budget, on
-//! the same loop.)  The threshold filter is also run under an injected fault
+//! `opt::op_contract` harness compares them on all three for every kernel
+//! op, on every axis, on the same loops.)  The threshold filter is also run under an injected fault
 //! at every statement, a passed deadline and every allocation budget.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
