@@ -1532,7 +1532,7 @@ pub(super) mod tests {
 
     /// The ops `shape`'s kernel carries: the galloped loop's neither-finger-
     /// leads fall-back is a stepper merge with its own.
-    fn op_count(shape: Shape) -> usize {
+    pub(in crate::opt) fn op_count(shape: Shape) -> usize {
         if shape == Shape::Gallop {
             2
         } else {

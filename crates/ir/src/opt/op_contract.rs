@@ -10,7 +10,8 @@
 //! at the same statement with the op, without it and in the tree-walker.
 //!
 //! [`rows`] is one table of kernels and inputs, each marked with the axes
-//! that run it.  On every axis a row runs on the tree-walker and on the VM
+//! that run it and with how many kernel ops its program carries, which its
+//! plain run asserts.  On every axis a row runs on the tree-walker and on the VM
 //! with `simd` on and off, and the three leave the same verdict (the result,
 //! or an injected fault's panic), the same counters and the same outputs;
 //! the op's outputs are the scalar loop's bit for bit.  The last test
@@ -52,8 +53,9 @@ const M_OUTS: &[BufId] = &[M_OUT, M_CRD, M_VALS];
 
 /// One kernel, the input its axes run it on, the axes, the outputs they
 /// compare, the inputs of the rebinding axis (the kernel's own with a
-/// buffer rebound to another kind or length), and the most iterations the
-/// scalar loop of a skipping op may run on the plain run.
+/// buffer rebound to another kind or length), how many kernel ops its
+/// compiled program carries, and the most iterations the scalar loop of a
+/// skipping op may run on the plain run.
 struct Case {
     what: String,
     kernel: Kernel,
@@ -61,13 +63,14 @@ struct Case {
     legs: u8,
     outs: &'static [BufId],
     rebound: Vec<(&'static str, BufferSet)>,
+    ops: usize,
     most: Option<u64>,
 }
 
 impl Case {
     fn new(what: String, kernel: Kernel, legs: u8, outs: &'static [BufId]) -> Case {
         let bufs = kernel.2.clone();
-        Case { what, kernel, bufs, legs, outs, rebound: Vec::new(), most: None }
+        Case { what, kernel, bufs, legs, outs, rebound: Vec::new(), ops: 1, most: None }
     }
 
     /// This case with `rebound`'s buffers rebound, one at a time, in its
@@ -163,7 +166,8 @@ fn rows() -> Vec<Case> {
         for (a, b, stop) in operand_pairs() {
             let what = format!("{a:?} x {b:?} to {stop}, {shape:?}");
             let case = Case::new(what, merge_kernel_with(&a, &b, stop, shape), BUDGETS, &[OUT]);
-            cases.push(Case { most: Some(matches(&a, &b, stop, shape) + 1), ..case });
+            let most = Some(matches(&a, &b, stop, shape) + 1);
+            cases.push(Case { ops: op_count(shape), most, ..case });
         }
     }
     let (a, b): (Vec<i64>, Vec<i64>) = (vec![3, 17, 30, 99], (0..41).collect());
@@ -190,9 +194,8 @@ fn rows() -> Vec<Case> {
             rebound.push(("b's row as f64", B_POS, Buffer::F64(vec![0.0, 41.0].into())));
         }
         let kernel = merge_kernel_with(&a, &b, 39, shape);
-        cases.push(
-            Case::new(format!("{shape:?}"), kernel, FAULTS | CANCEL, &[OUT]).rebinding(rebound),
-        );
+        let case = Case::new(format!("{shape:?}"), kernel, FAULTS | CANCEL, &[OUT]);
+        cases.push(Case { ops: op_count(shape), ..case }.rebinding(rebound));
     }
     // The lone reductions on every list; the first also faults and is
     // rebound, the gathered vector short of the coordinate it reads.
@@ -347,7 +350,8 @@ fn rows() -> Vec<Case> {
         let vals = (dense_values(crd.len(), special), dense_values(41, !special));
         let kernel = store_kernel(&crd, (&vals.0, &vals.1), 40, how);
         let what = format!("{crd:?} to 40, {how:?}");
-        cases.push(Case::new(what, kernel, FAULTS | CANCEL, &[DENSE]));
+        let ops = store_ops(how);
+        cases.push(Case { ops, ..Case::new(what, kernel, FAULTS | CANCEL, &[DENSE]) });
         for round in 0..20u64 {
             let stop = 1100 + draw(900) as i64;
             let crd = run_ends(&mut draw, stop, 1 + round * 2, false);
@@ -355,7 +359,7 @@ fn rows() -> Vec<Case> {
             let vals = (dense_values(crd.len(), special), dense_values(stop as usize + 1, special));
             let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
             let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
-            cases.push(Case::new(what, kernel, DEADLINE, &[DENSE]));
+            cases.push(Case { ops, ..Case::new(what, kernel, DEADLINE, &[DENSE]) });
         }
     }
     for how in DENSES {
@@ -364,7 +368,8 @@ fn rows() -> Vec<Case> {
                 let vals = (append_values(crd.len()), dense_values(41, special));
                 let kernel = store_kernel(&crd, (&vals.0, &vals.1), stop, how);
                 let what = format!("{crd:?} to {stop}, {how:?}, special {special}");
-                let case = Case::new(what, kernel, BUDGETS, &[DENSE]);
+                let case =
+                    Case { ops: store_ops(how), ..Case::new(what, kernel, BUDGETS, &[DENSE]) };
                 if k > 0 || special {
                     cases.push(case);
                     continue;
@@ -399,7 +404,8 @@ fn rows() -> Vec<Case> {
         let (a, b) = (list(1 + round % 7), list(1 + round % 5));
         let shape = TAKEN[round as usize % TAKEN.len()];
         let kernel = merge_kernel_with(&a, &b, 59, shape);
-        cases.push(Case::new(format!("{a:?} x {b:?}, {shape:?}"), kernel, DEADLINE, &[OUT]));
+        let case = Case::new(format!("{a:?} x {b:?}, {shape:?}"), kernel, DEADLINE, &[OUT]);
+        cases.push(Case { ops: op_count(shape), ..case });
     }
     let mut draw = xorshift(0x51_7CC1_B727_220A);
     for round in 0..90u64 {
@@ -426,6 +432,12 @@ fn rows() -> Vec<Case> {
         cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), DEADLINE, &[OUT]));
     }
     cases
+}
+
+/// The kernel ops of `how`'s store: the step loop op, and for an
+/// assignment a fill of zeros in each branch of its step.
+fn store_ops(how: Dense) -> usize {
+    1 + 2 * usize::from(how == Dense::Assign)
 }
 
 /// A row of the table: a case, and its kernel compiled with the kernel ops
@@ -561,11 +573,15 @@ fn agree(row: &Row, axis: Axis) -> Left {
     tree
 }
 
-/// `row`'s plain run, which completes; its counters.
-fn full(row: &Row) -> ExecStats {
-    let (verdict, stats, _) = agree(row, Axis::Free);
+/// `row`'s plain run, which completes; its counters and buffers.  Its
+/// program carries the row's kernel ops: where it lost one, every axis would
+/// compare the scalar loop with itself.
+fn full(row: &Row) -> (ExecStats, BufferSet) {
+    let (verdict, stats, left) = agree(row, Axis::Free);
     assert_eq!(verdict, "Ok(())", "{}", row.case.what);
-    stats
+    let p = &row.c.skipping;
+    assert_eq!(after_ops(row).len(), row.case.ops, "{}\n{}", row.case.what, p.disasm());
+    (stats, left)
 }
 
 /// The kernel ops: the five V-ops and the step loop op.
@@ -604,7 +620,7 @@ fn after_ops(row: &Row) -> Vec<(usize, [u64; 2])> {
 #[test]
 fn every_step_budget_trips_where_the_scalar_loop_trips() {
     for row in on(BUDGETS) {
-        let full = full(row);
+        let (full, _) = full(row);
         for budget in 0..=full.stmts {
             let (verdict, ..) = agree(row, Axis::Budget(budget));
             assert_eq!(verdict == "Ok(())", budget == full.stmts, "{} at {budget}", row.case.what);
@@ -624,7 +640,7 @@ fn every_step_budget_trips_where_the_scalar_loop_trips() {
 #[test]
 fn every_allocation_budget_trips_where_the_scalar_loop_trips() {
     for row in on(ALLOCS) {
-        let (_, _, left) = agree(row, Axis::Free);
+        let (_, left) = full(row);
         let grown = |&out: &BufId| (left.get(out).len() - row.case.bufs.get(out).len()) as u64;
         let pushed: u64 = row.case.outs.iter().map(grown).sum();
         for budget in 0..=2 * pushed + 1 {
@@ -639,7 +655,7 @@ fn every_allocation_budget_trips_where_the_scalar_loop_trips() {
 #[test]
 fn a_fault_at_every_statement_trips_where_the_scalar_loop_trips() {
     for row in on(FAULTS) {
-        for at in 1..=full(row).stmts {
+        for at in 1..=full(row).0.stmts {
             let (verdict, stats, _) = agree(row, Axis::Fault(at));
             assert_eq!(verdict, format!("injected fault: panic at statement {at}"));
             assert_eq!(stats.stmts, at, "{}", row.case.what);
@@ -652,7 +668,7 @@ fn a_fault_at_every_statement_trips_where_the_scalar_loop_trips() {
 #[test]
 fn a_passed_deadline_trips_where_the_scalar_loop_trips() {
     for row in on(DEADLINE) {
-        let full = full(row);
+        let (full, _) = full(row);
         let (verdict, stats, _) = agree(row, Axis::Deadline);
         if full.stmts >= Watch::TIME_CHECK_PERIOD {
             assert_eq!(verdict, "Err(Deadline { ms: 3 })", "{}", row.case.what);
@@ -669,7 +685,7 @@ fn a_passed_deadline_trips_where_the_scalar_loop_trips() {
 #[test]
 fn a_raised_cancellation_flag_trips_at_the_first_statement() {
     for row in on(CANCEL) {
-        let full = full(row);
+        let (full, _) = full(row);
         assert_eq!(agree(row, Axis::Cancel(false)).1, full, "{}", row.case.what);
         let (verdict, stats, _) = agree(row, Axis::Cancel(true));
         assert_eq!(verdict, "Err(Deadline { ms: 5 })", "{}", row.case.what);
@@ -684,7 +700,8 @@ fn a_raised_cancellation_flag_trips_at_the_first_statement() {
 /// tree-walker is not: it has no say here.)
 #[test]
 fn a_rebound_buffer_faults_as_the_scalar_loop_faults() {
-    for row in table() {
+    for row in table().iter().filter(|row| !row.case.rebound.is_empty()) {
+        full(row);
         for (what, bufs) in &row.case.rebound {
             let what = format!("{what}, {}", row.case.what);
             let [with, without] = [&row.c.skipping, &row.c.scalar].map(|p| Axis::Free.vm(p, bufs));

@@ -104,7 +104,7 @@ impl Watch {
         if let Some(at) = self.fault_stmt.filter(|&at| stmts >= at) {
             panic!("injected fault: panic at statement {at}");
         }
-        if self.trips(stmts) {
+        if self.trips(stmts, &mut None) {
             Err(RuntimeError::Deadline { ms: self.ms })
         } else {
             Ok(())
@@ -113,12 +113,15 @@ impl Watch {
 
     /// Whether [`Watch::check`] at statement `stmts` panics or trips, without
     /// doing either: what a kernel op asks of a statement it would count.
+    /// `passed` keeps the clock's answer once read, so that one kernel op
+    /// reads it at most once for a whole bulk, all of which runs after.
     #[inline]
-    fn trips(&self, stmts: u64) -> bool {
+    fn trips(&self, stmts: u64, passed: &mut Option<bool>) -> bool {
         self.fault_stmt.is_some_and(|at| stmts >= at)
             || self.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::Relaxed))
             || self.deadline.is_some_and(|deadline| {
-                stmts.is_multiple_of(Self::TIME_CHECK_PERIOD) && Instant::now() >= deadline
+                stmts.is_multiple_of(Self::TIME_CHECK_PERIOD)
+                    && *passed.get_or_insert_with(|| Instant::now() >= deadline)
             })
     }
 }
@@ -999,10 +1002,10 @@ impl Vm {
     }
 
     /// Whether statement `stmts` trips the step budget or the watch
-    /// ([`Watch::trips`]).
-    fn trips(&self, stmts: u64) -> bool {
+    /// ([`Watch::trips`], which keeps the clock's answer in `passed`).
+    fn trips(&self, stmts: u64, passed: &mut Option<bool>) -> bool {
         self.step_budget.is_some_and(|budget| stmts > budget)
-            || self.watch.as_ref().is_some_and(|watch| watch.trips(stmts))
+            || self.watch.as_ref().is_some_and(|watch| watch.trips(stmts, passed))
     }
 
     /// Derive [`Vm::check_limit`] and [`Vm::stmt_limit`] from the step
@@ -1349,11 +1352,14 @@ impl Vm {
     }
 
     /// How many of a bulk's `n` iterations of `per` statements
-    /// [`Vm::vbulk`] takes where they cross [`Vm::check_limit`].
+    /// [`Vm::vbulk`] takes where they cross [`Vm::check_limit`].  It reads
+    /// the clock once at most: every later check period the bulk crosses
+    /// takes that read's answer.
     #[cold]
     #[inline(never)]
     fn vtake(&self, n: u64, per: u64) -> u64 {
         let (mut at, mut limit, mut taken) = (self.stats.stmts, self.check_limit, 0);
+        let mut passed = None;
         loop {
             let room = limit.saturating_sub(at);
             if (n - taken).saturating_mul(per) <= room {
@@ -1361,7 +1367,7 @@ impl Vm {
             }
             let fit = room / per;
             (taken, at) = (taken + fit, at + fit * per);
-            if (at + 1..=at + per).any(|stmts| self.trips(stmts)) {
+            if (at + 1..=at + per).any(|stmts| self.trips(stmts, &mut passed)) {
                 return taken;
             }
             (taken, at) = (taken + 1, at + per);
