@@ -37,11 +37,18 @@
 //! the loop, faults or trips a budget, and is all there is when the op
 //! declines at run time.
 //!
-//! One walk recognises the loop (`walk`): an iteration that matches
-//! nothing is followed from the top of the body to the bottom test, once
-//! with `a` leading and once with `b`, every register holding a value the
-//! iteration knows (`Jv`) and every branch decided on a fact the op checks
-//! at run time.  What the walk passes on the way is the form:
+//! One walk recognises the loop (`walk`): an iteration is followed from the
+//! top of the body to the bottom test, every register holding a value the
+//! iteration knows (`Held`) and every branch decided on a fact the op checks
+//! at run time, first of all the one the walk is told — which strides end
+//! the step (`Ends`):
+//! - the leader's alone: a step the op skips ([`Step::Skip`]), walked once
+//!   with `a` leading and once with `b`;
+//! - both: a match, walked once both of those have found two steppers;
+//! - the lone finger's, or either of two: a step the op performs on every
+//!   step.
+//!
+//! What a skipped step passes on the way is the form:
 //! - the fingers' lists alone: two steppers ([`MergeForm::Steps`]);
 //! - the trailer's block offsets: VBL (Fig. 3b; Fig. 7's VBL SpMSpV), whose
 //!   trailing stride ends a block, and whose gap test finds the leader's
@@ -51,24 +58,22 @@
 //!   galloped triangle count), whose seek lands past the step
 //!   ([`MergeForm::Gallop`]).
 //!
-//! A skipped iteration advances exactly one finger, its leader, so what it
-//! costs is a count per leading finger: the statements and loads the walk
-//! led by that finger counted.  [`crate::interp::ExecStats`] cannot tell
-//! the op from the iterations it performs, and the pass runs under
-//! [`super::StatsContract::Exact`].
+//! A skipped step runs no body and advances exactly one finger, its leader,
+//! so what it costs is a count per leading finger: the statements and loads
+//! the walk led by that finger counted.  [`crate::interp::ExecStats`]
+//! cannot tell the op from the iterations it performs, and the pass runs
+//! under [`super::StatsContract::Exact`].
 //!
 //! A loop whose body runs on steps the op can tell apart need not stop it
 //! at all: the op performs them too ([`Step::Perform`]), and the scalar
-//! loop runs only the loop's last step.  One such step is walked from the
-//! top of the body to the bottom test (`performed`, below), and what it
-//! does is three choices:
+//! loop runs only the loop's last step.  What the walked step's body does is
+//! three choices:
 //! - the guard ([`Guard`]) — which steps run the body: every step (on
 //!   Fig. 1's list × band, a lone stepper, every step but the last runs
 //!   it; on Fig. 11's run-length images, two steppers whose runs' product
 //!   is a run, every step does); a lone stepper's `val[p] op imm`, whose
 //!   false edge lands on the join in front of the finger's advance (Fig.
-//!   S's threshold filter); or, once both skip walks have found
-//!   [`MergeForm::Steps`], a matched step, both strides the step's end
+//!   S's threshold filter); or a match, both strides the step's end
 //!   (Fig. 7's two-finger SpMSpV, Fig. 8's triangle count, the
 //!   sparse-output product);
 //! - the product ([`Product`]) — `[lead *] val[p] * second [* extent]`:
@@ -99,10 +104,10 @@
 //! store at a varying index of anything but a gathered product, a guarded
 //! reduction or store, or any other factor is declined as
 //! [`MergeDecline::SingleFinger`]; two fingers whose body is no such step as
-//! the walks' reason, [`MergeDecline::NotGuardedByBoth`] for a body that is
-//! not guarded.
+//! the skip walks' reason, [`MergeDecline::NotGuardedByBoth`] for a body
+//! that is not guarded.
 //!
-//! Both walks end in one constructor (`step_loop_op`), which checks what
+//! Every op is made by one constructor (`step_loop_op`), which checks what
 //! the scalar loop could otherwise tell apart: that only the bottom test
 //! lands on the op, and that nothing the op leaves unwritten is read before
 //! it is rewritten.
@@ -224,6 +229,9 @@ struct StepLoop {
     start: Reg,
     stop: Reg,
     bound: Option<i64>,
+    /// Whether its leader is the later of two strides (two jumpers), not
+    /// the earlier.
+    jumper: bool,
     /// The step-table entry the loop's op names.
     entry: u32,
 }
@@ -240,7 +248,8 @@ impl StepLoop {
         let Instr::IWhileNext { op: BinOp::Le, lhs, rhs, body } = code[bottom] else { return None };
         let closes = lhs == start && body as usize == head + 1 && stop.is_none_or(|s| s == rhs);
         let pinned = bound.is_none_or(|imm| holds_literal(code, rhs, imm));
-        (closes && pinned).then_some(StepLoop { head, bottom, start, stop: rhs, bound, entry: 0 })
+        let lp = StepLoop { head, bottom, start, stop: rhs, bound, jumper: false, entry: 0 };
+        (closes && pinned).then_some(lp)
     }
 
     /// Whether `imm` is the bound, as the step's clip `min(t, imm)` inlines it.
@@ -250,12 +259,13 @@ impl StepLoop {
 }
 
 /// The op for the loop headed at `head`, naming `entry` of the step table,
-/// and what goes there, or why it gets none: the head and
-/// the two stride loads read off the code, the leader off the first
-/// [`Instr::IArith`], and the rest off the two walks ([`walk`]) — or, where
-/// there is one stride load or the body runs on every step, off the walk of
-/// one step the op performs ([`performed`]).  `edges` is
-/// [`edge_table`] of `code`, or empty until it is first needed.
+/// and what goes there, or why it gets none: the head and the stride loads
+/// read off the code, the leader off the first [`Instr::IArith`], and the
+/// rest off walks of one iteration ([`walk`]) — two of a skipped step, one
+/// led by each finger, and of a match where they find two steppers; or,
+/// where there is one stride load or the body runs on every step, of one
+/// step the op performs.  `edges` is [`edge_table`] of `code`, or empty
+/// until it is first needed.
 fn recognise(
     code: &[Instr],
     edges: &OnceCell<Vec<u32>>,
@@ -272,7 +282,7 @@ fn recognise(
         _ => return Err(SingleFinger),
     };
     let Some(&Instr::LoadI64 { buf: b, idx: q, .. }) = top.next() else {
-        return performed(code, edges, lp, &[(a, p)], None).ok_or(SingleFinger);
+        return perform(code, edges, lp, &[(a, p)], Ends::Every, None).ok_or(SingleFinger);
     };
     let jumper = match top.find_map(|i| match *i {
         Instr::IArith { op, .. } => Some(op),
@@ -286,16 +296,18 @@ fn recognise(
     if a == b || (1..regs.len()).any(|k| regs[..k].contains(&regs[k])) {
         return Err(SharedOperand);
     }
+    let lp = StepLoop { jumper, ..lp };
     // A jumper loop that is not lowering's, in whatever way, is a leader
     // election the op does not know.
     let why = |why| if jumper { NotTheMinimum } else { why };
-    let walked = |lead| walk(code, lp, [(a, p), (b, q)], jumper, lead);
+    let fingers = [(a, p), (b, q)];
+    let walked = |lead| walk(code, lp, &fingers, Ends::Lead(lead));
     let (by_a, by_b) = match walked(0).and_then(|by_a| Ok((by_a, walked(1)?))) {
         Ok(walks) => walks,
         // A stepper body that runs where one finger ends the step may run on
         // every step: a reduction's.
         Err(e) if jumper => return Err(why(e)),
-        Err(e) => return performed(code, edges, lp, &[(a, p), (b, q)], None).ok_or(e),
+        Err(e) => return perform(code, edges, lp, &fingers, Ends::Every, None).ok_or(e),
     };
     // Where `a` leads, `b` trails: `by_a` holds what `b` reads besides its
     // list, and the other way round.
@@ -309,7 +321,7 @@ fn recognise(
         }
         _ => return Err(why(NotGuardedByBoth)),
     };
-    let reads_a_list = |s: &Skipped| match s.aux {
+    let reads_a_list = |w: &Walked| match w.aux {
         Aux::Blocks(buf) | Aux::Row(buf, _) => buf == a || buf == b,
         Aux::Nothing => false,
     };
@@ -323,31 +335,24 @@ fn recognise(
         }
     }
     // The block form's first finger is the one whose stride ends a block.
-    let mut fingers = [((a, p), by_a), ((b, q), by_b)];
-    if matches!(fingers[0].1.aux, Aux::Blocks(_)) {
-        fingers.swap(0, 1);
+    let mut walks = [((a, p), by_a), ((b, q), by_b)];
+    if matches!(walks[0].1.aux, Aux::Blocks(_)) {
+        walks.swap(0, 1);
     }
-    let [(first, by_a), (second, by_b)] = fingers;
+    let [(first, by_a), (second, by_b)] = walks;
+    let [a_costs, b_costs] = [&by_a, &by_b].map(|w| total(w.counts));
     let counts =
-        StepCounts { stmts: [0, by_a.stmts, by_b.stmts], loads: [0, by_a.loads, by_b.loads] };
+        StepCounts { stmts: [0, a_costs[0], b_costs[0]], loads: [0, a_costs[1], b_costs[1]] };
     let written: Vec<Reg> = by_a.written.into_iter().chain(by_b.written).collect();
     // Two steppers' matched step: performed too, where its body is a product.
     if form == MergeForm::Steps {
-        let skipping = Some(Skipping { counts, written: &written });
-        if let Some(op) = performed(code, edges, lp, &[first, second], skipping) {
+        let skipped = Some((counts, &written[..]));
+        if let Some(op) = perform(code, edges, lp, &[first, second], Ends::Both, skipped) {
             return Ok(op);
         }
     }
     step_loop_op(code, edges, lp, &[first, second], Step::Skip(form), counts, written)
         .ok_or(why(NotGuardedByBoth))
-}
-
-/// What two steppers' skip walks found, for the op that also performs their
-/// matched steps: the counts of a step one finger ends alone, and every
-/// register those steps write.
-struct Skipping<'a> {
-    counts: StepCounts,
-    written: &'a [Reg],
 }
 
 /// The op over `fingers` (a list and a position each) that takes the steps
@@ -391,37 +396,64 @@ fn step_loop_op(
     Some((Instr::IStepLoop { a, p, q, step: entry, start, stop, counts }, step))
 }
 
-/// What a register holds on an iteration the op performs: the
-/// loop's bound and its start at the top; a finger at the top, and one on;
-/// one of two fingers' strides, and the earlier of the two; the step's end
-/// `ss` — a lone finger's stride, which is below the bound; `ss + 1`;
-/// `ss - 1`; `ss - start`, one more, and that at least zero: the extent; a
-/// loop invariant, the sum of its terms; `ss` plus such a sum; a product
-/// formed from a value at a finger (and that finger): the value, times the
-/// second factor, and either times the extent.  A register that guarded
-/// code wrote — an append's, or the fill of a run that is not empty — holds
-/// a value only the steps that run it know.  On a matched step: an F64 load
-/// at a register the loop does not write, the lead, and the product the
-/// lead begins.
+/// Which strides end a walked step: what the op checks at run time before
+/// it takes the step as the walk took it.
 #[derive(Clone, Copy, PartialEq)]
-enum Gv {
+enum Ends {
+    /// Finger `k`'s alone, the other's — the trailer's — ahead of the step's
+    /// end under `min` and behind it under `max`: a step the op skips.
+    Lead(usize),
+    /// Both: a match, which the op performs.
+    Both,
+    /// The lone finger's, or either of two fingers': a step the op performs
+    /// whichever it is, a finger's advance counted on the steps it ends.
+    Every,
+}
+
+/// What a register holds on a walked step: the loop's bound and its start
+/// at the top; a finger at the top, and one on; a stride that ends the
+/// step, which is the step's end `ss`, one that does not (a trailer's), and
+/// either of two; `ss + 1`; `ss - 1`; `ss -
+/// start`, one more, and that at least zero: the extent.  A jumper's
+/// trailer adds its row's end `end[row]` and last position `end[row] - 1`,
+/// where its seek lands and the coordinate there, past `ss`.  VBL's adds its
+/// block's end offset `ofs[p + 1]` and length `ofs[p + 1] - ofs[p]`, the
+/// zero gap's last coordinate (the block's last, less the length), that
+/// clipped to the step — `ss` is at or past it — and one past that, which
+/// is past `ss`.  Where the body runs: a loop invariant, the sum of its
+/// terms; `ss` plus such a sum; a product formed from a value at a finger
+/// (and that finger): the value, times the second factor, and either times
+/// the extent; an F64 load at a register the loop does not write, a match's
+/// lead.  A register that guarded code wrote — an append's, or the fill of
+/// a run that is not empty — holds a value only the steps that run it know.
+#[derive(Clone, Copy, PartialEq)]
+enum Held {
     Stop,
     Start,
     Pos(usize),
     OneOn(usize),
-    Stride(usize),
-    Lead,
     Step,
+    Other,
+    Stride(usize),
     After,
     Before,
     Span,
     SpanOn,
     Extent,
+    End,
+    Last,
+    Landed,
+    Past,
+    Hi,
+    Len,
+    Gap,
+    GapStop,
+    PastGap,
     Inv([Term; 2]),
     Idx([Term; 2]),
     Formed(Product, usize),
-    Passed,
     Fixed,
+    Passed,
 }
 
 /// The product that is a value at a finger, alone.
@@ -433,7 +465,7 @@ fn value(val: BufId) -> Product {
 const NO_TERMS: [Term; 2] = [Term::Zero; 2];
 
 /// The terms of `a` and of `b` (`minus`: of `-b`), if there are two at most.
-fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
+fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Result<[Term; 2], MergeDecline> {
     let flip = |term| match term {
         Term::Plus { buf, at } if minus => Term::Minus { buf, at },
         Term::Minus { buf, at } if minus => Term::Plus { buf, at },
@@ -441,84 +473,149 @@ fn sum(a: [Term; 2], b: [Term; 2], minus: bool) -> Option<[Term; 2]> {
     };
     let mut terms = a.into_iter().chain(b.map(flip)).filter(|&term| term != Term::Zero);
     let out = [terms.next().unwrap_or(Term::Zero), terms.next().unwrap_or(Term::Zero)];
-    terms.next().is_none().then_some(out)
+    terms.next().is_none().then_some(out).ok_or(MergeDecline::NotGuardedByBoth)
 }
 
-/// The op that performs the steps of the step loop `lp` of one or two
-/// `fingers` (a list and a position each), whose body begins by loading
-/// their strides, or `None`.  One iteration that is not the loop's last is
-/// walked from the top of the body to the bottom test: it must run the body
-/// — put a [`Product`] `[lead *] val[p] * second [* extent]` (the second
-/// factor none, a value at a finger or `x[ss + ofs]`, the extent `max(ss -
-/// start + 1, 0)` or none, the lead, `k` and the terms of `ofs` loads and
-/// registers the loop does not write) where an [`Out`] says, `acc[k] op=
-/// product`, `crd.push(ss) ; vals.push(product)` or `dst[ss] op= product`
-/// — the last after filling the run in front of it, `if start <= ss - 1 {
-/// .. }` ([`filled_run`]), or not — on a lone finger optionally under a
-/// guard `val[p] op imm` whose false edge lands on the join behind the
-/// pushes; advance each finger by one where its stride ends the step (a
-/// lone finger's always does); set `start` to `ss + 1`; and do nothing
-/// else.  The loop may write the fingers and `start` nowhere else.  Its
-/// statements and loads, the statements of two fingers' advances, and what
-/// the guarded code counts are the op's counts; the run's are its
-/// [`Gap`]'s.  The guard × product × output must be one that [`supported`]
-/// says exists.
+/// What the trailer of a skipped step reads besides its list.
+#[derive(Clone, Copy, PartialEq)]
+enum Aux {
+    /// Nothing: a stepper.
+    Nothing,
+    /// Its block offsets: its stride ends a block.
+    Blocks(BufId),
+    /// Its row's ends, and its row (a register the loop must not write),
+    /// to seek in: a jumper.
+    Row(BufId, Reg),
+}
+
+/// One step, walked ([`walk`]).
+struct Walked {
+    /// Its statements and loads as the op counts them: those of every such
+    /// step, then each finger's advance, on the steps its stride ends.
+    counts: StepCounts,
+    /// What the code behind its guard counts, `[stmts, loads]`.
+    pass: [u32; 2],
+    /// What its trailer reads besides its list.
+    aux: Aux,
+    /// Where the body ran: its guard × product × output (a store's run
+    /// filled or not), and the finger of the product's first factor.
+    body: Option<(Guard, Product, Out, usize)>,
+    /// Every register it writes.
+    written: Vec<Reg>,
+}
+
+/// A step's statements and loads in all.
+fn total(counts: StepCounts) -> [u32; 2] {
+    [counts.stmts.iter().sum(), counts.loads.iter().sum()]
+}
+
+/// The step of the loop `lp` over `fingers` (a list and a position each,
+/// whose strides the body begins by loading) whose end `ends` says, walked
+/// from the top of the body to the bottom test with every branch decided on
+/// what such a step knows ([`Held`]): which strides are the step's end; the
+/// step is not the loop's last (a jumper's op performs that one too, and
+/// leaves the loop); VBL's gap test, `ss <= min(a[p] - (ofs[p + 1] -
+/// ofs[p]), ss)`; a jumper's trailer lands past `ss`.  The op checks each at
+/// run time.
 ///
-/// With `skipping` (two steppers whose skip walks found [`MergeForm::Steps`])
-/// the iteration walked is a matched one, on which both strides are the
-/// step's end ([`Guard::Both`]): its product is a value at each finger,
-/// `lead` (if any) an F64 load at a register the loop does not write.  Its
-/// statements and loads are the match's `pass`; the skip walks' counts are
-/// the op's.
-fn performed(
+/// The step ends with `start` at `ss + 1` and each finger whose stride may
+/// end it one on, by its advance on `s == ss`; a stepper's trailer where it
+/// was, a jumper's where its one seek — to `ss`, in its own list, up to its
+/// row's last position — landed, after one iteration of an inner loop.  A
+/// skipped step does nothing else.  A performed one may run the body: put
+/// a [`Product`] `[lead *] val[p] * second [* extent]` (the second factor
+/// none, a value at a finger or `x[ss + ofs]`, the extent `max(ss - start +
+/// 1, 0)` or none, the lead, `k` and the terms of `ofs` loads and registers
+/// the loop does not write) where an [`Out`] says, `acc[k] op= product`,
+/// `crd.push(ss) ; vals.push(product)` or `dst[ss] op= product` — the last
+/// after filling the run in front of it, `if start <= ss - 1 { .. }`
+/// ([`filled_run`]), or not — optionally under a guard `val[p] op imm`
+/// whose false edge lands on the join behind the pushes; and the loop may
+/// write the fingers and `start` nowhere else.  An instruction the walk
+/// cannot decide or does not know is no such step.
+fn walk(
     code: &[Instr],
-    edges: &OnceCell<Vec<u32>>,
     lp: StepLoop,
     fingers: &[(BufId, Reg)],
-    skipping: Option<Skipping<'_>>,
-) -> Option<(Instr, Step)> {
-    use Gv::*;
-    let StepLoop { head, bottom, start, stop, .. } = lp;
-    let two = fingers.len() == 2;
-    let matched = skipping.is_some();
+    ends: Ends,
+) -> Result<Walked, MergeDecline> {
+    use Held::*;
+    use MergeDecline::{NonUnitAdvance, NotGuardedByBoth};
+    let StepLoop { head, bottom, start, stop, jumper, .. } = lp;
+    let leader = if jumper { BinOp::Max } else { BinOp::Min };
+    let (trail, performs) = match ends {
+        Ends::Lead(k) => (Some(1 - k), false),
+        _ => (None, true),
+    };
     let mut loop_writes = Vec::new();
-    for instr in &code[head..=bottom] {
-        for_each_reg_role(instr, |r, role| {
-            if role != Role::Read {
-                loop_writes.push(r);
-            }
-        });
+    for instr in code[head..=bottom].iter().filter(|_| performs) {
+        for_each_reg_role(instr, |r, role| loop_writes.extend((role != Role::Read).then_some(r)));
     }
-    let invariant = |r: Reg| !loop_writes.contains(&r);
+    // What a performed step reads besides its fingers: registers the loop
+    // does not write (a skipped step reads nothing else).
+    let invariant = |r: Reg| performs && !loop_writes.contains(&r);
     // The fingers and the start are written in one place each: the step the
     // walk must find.
     let once = |r: Reg| loop_writes.iter().filter(|&&w| w == r).count() == 1;
-    if !invariant(stop) || !fingers.iter().map(|&(_, r)| r).chain([start]).all(once) {
-        return None;
+    if performs && (!invariant(stop) || !fingers.iter().map(|f| f.1).chain([start]).all(once)) {
+        return Err(NotGuardedByBoth);
     }
-    let mut vals = vec![(stop, Stop), (start, Start)];
+    let stride = |k| match ends {
+        _ if trail == Some(k) => Other,
+        Ends::Every if fingers.len() == 2 => Stride(k),
+        _ => Step,
+    };
+    let mut vals = Vec::with_capacity(2 * (bottom - head));
+    vals.extend([(stop, Stop), (start, Start)]);
     vals.extend(fingers.iter().enumerate().map(|(k, &(_, r))| (r, Pos(k))));
     let entry = vals.len();
-    let val = |vals: &[(Reg, Gv)], r: Reg| vals.iter().rev().find(|v| v.0 == r).map(|v| v.1);
-    // What every step counts, and what a step that passes the guard does
-    // besides: `[each, pass]`.
-    let (mut stmts, mut loads, mut adv, mut stored, mut pc) =
-        ([0; 2], [0; 2], [None; 2], None, head + 1);
-    // An append's guard, and while its code is walked, the join its false
-    // edge lands on and where in `vals` that code's values begin; the pushes;
-    // a matched step's lead; a store's run.
-    let (mut guard, mut open, mut crd, mut pushed, mut lead) = (None, None, None, None, None);
-    let mut run = None;
-    // Every pc at most once: the iteration has no inner loop.
-    for _ in head..bottom {
+    let val = |vals: &[(Reg, Held)], r: Reg| {
+        vals.iter().rev().find(|v| v.0 == r).map(|v| v.1).ok_or(NotGuardedByBoth)
+    };
+    let decide = |vals: &[(Reg, Held)], op: BinOp, lhs: Reg, rhs: Reg| {
+        let holds = match (op, val(vals, lhs)?, val(vals, rhs)?) {
+            // Not two loads, or two registers guarded code wrote.
+            (BinOp::Eq | BinOp::Le, x, y) if x == y && !matches!(x, Inv(_) | Idx(_) | Passed) => {
+                true
+            }
+            (BinOp::Eq, Step, Other | Past) | (BinOp::Eq, Other | Past, Step) => false,
+            (BinOp::Le, Step, GapStop) => true,
+            (BinOp::Le, PastGap, Step) => false,
+            // Where `ss + 1` is exact, which a jumper's op checks.
+            (BinOp::Le, After, Step) if jumper => false,
+            _ => return Err(NotGuardedByBoth),
+        };
+        Ok(holds)
+    };
+    // The one buffer the trailer reads besides its list.
+    let claim = |aux: &mut Aux, want: Aux| {
+        if *aux == Aux::Nothing {
+            *aux = want;
+        }
+        *aux == want
+    };
+    // What every step counts and what a step that passes the guard counts
+    // besides, `[stmts, loads]` each; each finger's advance.
+    let (mut counted, mut adv) = ([[0; 2]; 2], [0; 2]);
+    let (mut iters, mut sought, mut aux, mut pc) = (0, false, Aux::Nothing, head + 1);
+    // The guard, and while its code is walked, the join its false edge lands
+    // on and where in `vals` that code's values begin; the pushes; the lead;
+    // the reduction or store; the store's run.
+    let (mut cmp, mut open, mut crd, mut pushed) = (None, None, None, None);
+    let (mut lead, mut stored, mut run) = (None, None, None);
+    // Every pc at most twice: an inner loop runs once.
+    for _ in 0..2 * (bottom - head) {
         // At the join, a register the guarded code wrote holds what only the
         // steps that passed know.
         if let Some((_, from)) = open.filter(|&(join, _)| join == pc) {
             vals[from..].iter_mut().for_each(|held| held.1 = Passed);
             open = None;
         }
-        if pc == bottom || pc <= head || pc > bottom {
+        if pc == bottom {
             break;
+        }
+        if pc <= head || pc > bottom {
+            return Err(NotGuardedByBoth);
         }
         let instr = code[pc];
         pc += 1;
@@ -526,160 +623,199 @@ fn performed(
         let written = match instr {
             Instr::Nop => continue,
             Instr::BumpStmt => {
-                stmts[at] += 1;
+                counted[at][0] += 1;
                 continue;
             }
             Instr::Jump { target } => {
                 pc = target as usize;
                 continue;
             }
-            // A lone finger's body runs: its stride ends the step; so does a
-            // matched step's, where both strides end it.
-            Instr::ICmpBranch { op: BinOp::Eq, lhs, rhs, .. }
-                if match [lhs, rhs].map(|r| val(&vals, r)) {
-                    [Some(Step), Some(Step)] => !two,
-                    [Some(Step), Some(Stride(_))] | [Some(Stride(_)), Some(Step)] => matched,
-                    _ => false,
-                } =>
-            {
-                continue
-            }
-            // A store's run, filled where it is not empty: its code is walked
-            // to the join, where a register it wrote holds what only such a
-            // step knows.
-            Instr::ICmpBranch { op: BinOp::Le, lhs, rhs, target }
-                if !two
-                    && run.is_none()
-                    && [val(&vals, lhs), val(&vals, rhs)] == [Some(Start), Some(Before)] =>
-            {
-                let (dst, gap, wrote) =
-                    filled_run(code, pc, target as usize, |r| val(&vals, r), invariant)?;
-                run = Some((dst, gap));
-                vals.extend(wrote.into_iter().map(|r| (r, Passed)));
-                pc = target as usize;
-                continue;
-            }
-            // An append's guard: a value at the lone finger against a literal.
-            Instr::FCmpBranchImm { op, lhs, imm, target }
-                if !two && guard.is_none() && crd.is_none() && target as usize >= pc =>
-            {
-                let Formed(read, 0) = val(&vals, lhs)? else { return None };
-                guard = Some((read, op, imm));
-                open = Some((target as usize, vals.len()));
-                continue;
-            }
-            // The pushes, where the guard (if any) passed.
-            Instr::IAppend { buf, val: v }
-                if (!two || matched) && crd.is_none() && open.is_some() == guard.is_some() =>
-            {
-                if val(&vals, v)? != Step {
-                    return None;
+            Instr::ICmpBranch { op, lhs, rhs, target } => {
+                match decide(&vals, op, lhs, rhs) {
+                    Ok(taken) => pc = if taken { pc } else { target as usize },
+                    // A store's run, filled where it is not empty: its code
+                    // is walked to the join, where a register it wrote holds
+                    // what only such a step knows.
+                    Err(_)
+                        if op == BinOp::Le
+                            && run.is_none()
+                            && [val(&vals, lhs), val(&vals, rhs)] == [Ok(Start), Ok(Before)] =>
+                    {
+                        let held = |r| val(&vals, r).ok();
+                        let filled = filled_run(code, pc, target as usize, held, invariant);
+                        let (dst, gap, wrote) = filled.ok_or(NotGuardedByBoth)?;
+                        run = Some((dst, gap));
+                        vals.extend(wrote.into_iter().map(|r| (r, Passed)));
+                        pc = target as usize;
+                    }
+                    Err(e) => return Err(e),
                 }
-                crd = Some(buf);
                 continue;
             }
-            Instr::FAppend { buf, val: v }
-                if crd.is_some() && pushed.is_none() && open.is_some() == guard.is_some() =>
-            {
-                pushed = Some((buf, val(&vals, v)?));
+            Instr::IWhileCmp { op, lhs, rhs, end } => {
+                match decide(&vals, op, lhs, rhs)? {
+                    true => iters += 1,
+                    false => pc = end as usize,
+                }
                 continue;
             }
-            Instr::IAdvance { op: BinOp::Eq, lhs, rhs, reg, by: 1, stmts: n } => {
-                let Pos(k) = val(&vals, reg)? else { return None };
-                let ends = match [val(&vals, lhs)?, val(&vals, rhs)?] {
-                    [Step, Step] => !two,
-                    [Stride(j), Step] | [Step, Stride(j)] => j == k,
-                    _ => false,
+            Instr::IWhileNext { op, lhs, rhs, body } => {
+                if decide(&vals, op, lhs, rhs)? {
+                    (iters, pc) = (iters + 1, body as usize);
+                }
+                continue;
+            }
+            Instr::IAdvance { op, lhs, rhs, reg, by, stmts: n } => {
+                // Where either stride may end the step, the one tested.
+                let either = match [val(&vals, lhs)?, val(&vals, rhs)?] {
+                    [Stride(j), Step] | [Step, Stride(j)] if op == BinOp::Eq => Some(j),
+                    _ => None,
                 };
-                if !ends || adv[k].is_some() {
-                    return None;
+                if either.is_none() && !decide(&vals, op, lhs, rhs)? {
+                    continue;
                 }
-                adv[k] = Some(n);
+                let k = match (by, val(&vals, reg)) {
+                    (1, Ok(Pos(k))) if either.is_none_or(|j| j == k) => k,
+                    _ => return Err(NonUnitAdvance),
+                };
+                adv[k] += n;
                 (reg, OneOn(k))
             }
             Instr::LoadI64 { dst, buf, idx } => {
-                loads[at] += 1;
-                match val(&vals, idx) {
-                    Some(Pos(k)) if buf == fingers[k].0 => {
-                        (dst, if two { Stride(k) } else { Step })
-                    }
-                    None if invariant(idx) => (dst, Inv([Term::Plus { buf, at: idx }, Term::Zero])),
-                    _ => return None,
-                }
+                counted[at][1] += 1;
+                let loaded = match val(&vals, idx) {
+                    Ok(Pos(k)) if buf == fingers[k].0 => stride(k),
+                    Ok(Landed) if trail.is_some_and(|k| buf == fingers[k].0) => Past,
+                    Ok(OneOn(k)) if trail == Some(k) && claim(&mut aux, Aux::Blocks(buf)) => Hi,
+                    Err(_) if jumper && claim(&mut aux, Aux::Row(buf, idx)) => End,
+                    Err(_) if invariant(idx) => Inv([Term::Plus { buf, at: idx }, Term::Zero]),
+                    _ => return Err(NotGuardedByBoth),
+                };
+                (dst, loaded)
             }
-            Instr::LoadF64 { dst, buf, idx } => {
-                loads[at] += 1;
+            Instr::LoadBinary { op, dst, lhs, buf, idx } => {
+                counted[at][1] += 1;
+                let (term, minus) = ([Term::Plus { buf, at: idx }, Term::Zero], op == BinOp::Sub);
+                let loaded = match (val(&vals, lhs)?, val(&vals, idx)) {
+                    (Hi, Ok(Pos(k)))
+                        if minus && trail == Some(k) && claim(&mut aux, Aux::Blocks(buf)) =>
+                    {
+                        Len
+                    }
+                    _ if !matches!(op, BinOp::Add | BinOp::Sub) || !invariant(idx) => {
+                        return Err(NotGuardedByBoth)
+                    }
+                    (Step, _) => Idx(sum(NO_TERMS, term, minus)?),
+                    (Idx(terms), _) => Idx(sum(terms, term, minus)?),
+                    (Inv(terms), _) => Inv(sum(terms, term, minus)?),
+                    _ => return Err(NotGuardedByBoth),
+                };
+                (dst, loaded)
+            }
+            Instr::LoadF64 { dst, buf, idx } if performs => {
+                counted[at][1] += 1;
                 match val(&vals, idx) {
-                    Some(Pos(k)) => (dst, Formed(value(buf), k)),
-                    None if matched && lead.is_none() && invariant(idx) => {
+                    Ok(Pos(k)) => (dst, Formed(value(buf), k)),
+                    Err(_) if lead.is_none() && invariant(idx) => {
                         lead = Some((buf, idx));
                         (dst, Fixed)
                     }
-                    _ => return None,
-                }
-            }
-            Instr::LoadBinary { op: op @ (BinOp::Add | BinOp::Sub), dst, lhs, buf, idx }
-                if invariant(idx) =>
-            {
-                loads[at] += 1;
-                let term = [Term::Plus { buf, at: idx }, Term::Zero];
-                let minus = op == BinOp::Sub;
-                match val(&vals, lhs)? {
-                    Step => (dst, Idx(sum(NO_TERMS, term, minus)?)),
-                    Idx(terms) => (dst, Idx(sum(terms, term, minus)?)),
-                    Inv(terms) => (dst, Inv(sum(terms, term, minus)?)),
-                    _ => return None,
+                    _ => return Err(NotGuardedByBoth),
                 }
             }
             Instr::IArith { op, dst, lhs, rhs } => {
-                let computed = match (op, val(&vals, lhs)?, val(&vals, rhs)?) {
-                    (BinOp::Min, Step, Stop) | (BinOp::Min, Stop, Step) if !two => Step,
-                    (BinOp::Min, Stride(0), Stride(1)) | (BinOp::Min, Stride(1), Stride(0)) => Lead,
-                    (BinOp::Min, Lead, Stop) | (BinOp::Min, Stop, Lead) => Step,
+                let (x, y) = (val(&vals, lhs)?, val(&vals, rhs)?);
+                let is = |u, v| (x, y) == (u, v) || (x, y) == (v, u);
+                let minus = op == BinOp::Sub;
+                let computed = match (op, x, y) {
+                    // The leader's stride: two steppers' earlier, two
+                    // jumpers' later.
+                    _ if op == leader && is(Step, Other) => Step,
+                    (BinOp::Min, ..) if is(Stride(0), Stride(1)) || is(Step, Step) => Step,
+                    (BinOp::Min, ..) if is(Step, Stop) || is(Step, Past) => Step,
+                    (BinOp::Min, ..) if is(Gap, Step) => GapStop,
+                    (BinOp::Sub, Other, Len) => Gap,
                     (BinOp::Sub, Step, Start) => Span,
-                    (BinOp::Add, Step, Inv(b)) | (BinOp::Add, Inv(b), Step) => Idx(b),
-                    (BinOp::Sub, Step, Inv(b)) => Idx(sum(NO_TERMS, b, true)?),
-                    (BinOp::Add, Idx(a), Inv(b)) => Idx(sum(a, b, false)?),
-                    (BinOp::Add, Inv(a), Idx(b)) => Idx(sum(a, b, false)?),
-                    (BinOp::Sub, Idx(a), Inv(b)) => Idx(sum(a, b, true)?),
-                    (BinOp::Add, Inv(a), Inv(b)) => Inv(sum(a, b, false)?),
-                    (BinOp::Sub, Inv(a), Inv(b)) => Inv(sum(a, b, true)?),
-                    _ => return None,
+                    (BinOp::Add | BinOp::Sub, Step, Inv(b)) | (BinOp::Add, Inv(b), Step) => {
+                        Idx(sum(NO_TERMS, b, minus)?)
+                    }
+                    (BinOp::Add | BinOp::Sub, Idx(a), Inv(b)) | (BinOp::Add, Inv(a), Idx(b)) => {
+                        Idx(sum(a, b, minus)?)
+                    }
+                    (BinOp::Add | BinOp::Sub, Inv(a), Inv(b)) => Inv(sum(a, b, minus)?),
+                    _ => return Err(NotGuardedByBoth),
                 };
                 (dst, computed)
             }
             Instr::IArithImm { op, dst, lhs, imm } => {
                 let computed = match (op, val(&vals, lhs)?, imm) {
+                    (BinOp::Add, Pos(k), 1) if trail == Some(k) => OneOn(k),
                     (BinOp::Add, Step, 1) => After,
                     (BinOp::Sub, Step, 1) | (BinOp::Add, Step, -1) => Before,
                     (BinOp::Add, Span, 1) => SpanOn,
                     (BinOp::Max, SpanOn, 0) => Extent,
-                    (BinOp::Min, Step, _) if !two && lp.is_bound(imm) => Step,
-                    (BinOp::Min, Lead, _) if lp.is_bound(imm) => Step,
-                    _ => return None,
+                    (BinOp::Min, Step, _) if lp.is_bound(imm) => Step,
+                    (BinOp::Add, GapStop, 1) => PastGap,
+                    (BinOp::Sub, End, 1) | (BinOp::Add, End, -1) => Last,
+                    _ => return Err(NotGuardedByBoth),
                 };
                 (dst, computed)
             }
             // A typed move moves integers.
             Instr::IMov { dst, src } => match val(&vals, src)? {
-                Formed(..) | Passed | Fixed => return None,
+                Formed(..) | Passed | Fixed => return Err(NotGuardedByBoth),
                 held => (dst, held),
             },
+            Instr::ISeek { dst, buf, lo, hi, key, on_abs: false } if !sought => {
+                let at = (val(&vals, lo)?, val(&vals, hi)?, val(&vals, key)?);
+                if trail.is_none_or(|k| buf != fingers[k].0 || at != (Pos(k), Last, Step)) {
+                    return Err(NotGuardedByBoth);
+                }
+                sought = true;
+                (dst, Landed)
+            }
+            // An append's guard: a value at the first finger against a
+            // literal.
+            Instr::FCmpBranchImm { op, lhs, imm, target }
+                if cmp.is_none() && crd.is_none() && target as usize >= pc =>
+            {
+                let Formed(read, 0) = val(&vals, lhs)? else { return Err(NotGuardedByBoth) };
+                cmp = Some((read, op, imm));
+                open = Some((target as usize, vals.len()));
+                continue;
+            }
+            // The pushes, where the guard (if any) passed.
+            Instr::IAppend { buf, val: v }
+                if performs && crd.is_none() && open.is_some() == cmp.is_some() =>
+            {
+                if val(&vals, v)? != Step {
+                    return Err(NotGuardedByBoth);
+                }
+                crd = Some(buf);
+                continue;
+            }
+            Instr::FAppend { buf, val: v }
+                if crd.is_some() && pushed.is_none() && open.is_some() == cmp.is_some() =>
+            {
+                pushed = Some((buf, val(&vals, v)?));
+                continue;
+            }
             Instr::FMulLoad { dst, lhs, buf, idx } => {
-                loads[at] += 1;
-                let second = |gv| match gv {
+                counted[at][1] += 1;
+                let second = |held| match held {
                     Pos(j) => Some(Gather::At { x: buf, at: fingers[j].1 }),
                     Step => Some(Gather::Load { x: buf, ofs: NO_TERMS }),
                     Idx(ofs) => Some(Gather::Load { x: buf, ofs }),
                     _ => None,
                 };
-                match (val(&vals, lhs)?, val(&vals, idx)?) {
-                    (Fixed, Pos(k)) => (dst, Formed(Product { lead, ..value(buf) }, k)),
+                let formed = match (val(&vals, lhs)?, val(&vals, idx)?) {
+                    (Fixed, Pos(k)) => Some(Formed(Product { lead, ..value(buf) }, k)),
                     (Formed(formed, k), at) if formed.second == Gather::None && !formed.extent => {
-                        (dst, Formed(Product { second: second(at)?, ..formed }, k))
+                        second(at).map(|second| Formed(Product { second, ..formed }, k))
                     }
-                    _ => return None,
-                }
+                    _ => None,
+                };
+                (dst, formed.ok_or(NotGuardedByBoth)?)
             }
             // `Value::binop`'s `f64 * i64`, which the op reproduces.
             Instr::Binary { op: BinOp::Mul, dst, lhs, rhs } => {
@@ -687,62 +823,100 @@ fn performed(
                     (Formed(formed, k), Extent) if formed.lead.is_none() && !formed.extent => {
                         (dst, Formed(Product { extent: true, ..formed }, k))
                     }
-                    _ => return None,
+                    _ => return Err(NotGuardedByBoth),
                 }
             }
             Instr::StoreF64 { buf, idx, val: v, reduce: Some(op) }
-                if stored.is_none() && guard.is_none() && invariant(idx) =>
+                if stored.is_none() && cmp.is_none() && invariant(idx) =>
             {
                 stored = Some((Out::Fold { acc: buf, k: idx, op }, val(&vals, v)?));
                 continue;
             }
             // A dense output's store at the step's end.
             Instr::StoreF64 { buf, idx, val: v, reduce }
-                if stored.is_none() && guard.is_none() && val(&vals, idx) == Some(Step) =>
+                if performs && stored.is_none() && cmp.is_none() && val(&vals, idx) == Ok(Step) =>
             {
                 stored = Some((Out::Store { dst: buf, op: reduce, gap: None }, val(&vals, v)?));
                 continue;
             }
-            _ => return None,
+            _ => return Err(NotGuardedByBoth),
         };
         vals.push(written);
     }
-    let ends = fingers.iter().enumerate().all(|(k, &(_, r))| val(&vals, r) == Some(OneOn(k)));
-    if pc != bottom || open.is_some() || !ends || val(&vals, start) != Some(After) {
-        return None;
+    let moved = fingers.iter().enumerate().all(|(k, &(_, r))| {
+        let trailer = if jumper { Landed } else { Pos(k) };
+        val(&vals, r) == Ok(if trail == Some(k) { trailer } else { OneOn(k) })
+    });
+    if pc == bottom && (!moved || val(&vals, start) != Ok(After)) {
+        return Err(NonUnitAdvance);
     }
-    let mut written: Vec<Reg> = vals[entry..].iter().map(|&(r, _)| r).collect();
-    let mut advances = [adv[0]?, adv[1].unwrap_or(0)];
-    let (out, formed) = match (stored, crd, pushed) {
-        (Some(stored), None, None) => stored,
-        (None, Some(crd), Some((vals, formed))) => (Out::Push { crd, vals }, formed),
-        _ => return None,
+    if pc != bottom || open.is_some() || (iters, sought) != (u32::from(jumper), jumper) {
+        return Err(NotGuardedByBoth);
+    }
+    // `[lead *] val[first] * second [* extent]`, the lead loaded its own,
+    // put where the output says, a run filled in the output its step stores
+    // into.
+    let ran = |(out, formed): (Out, Held)| {
+        let out = match (out, run) {
+            (out, None) => out,
+            (Out::Store { dst, op, gap: None }, Some((filled, gap))) if filled == dst => {
+                Out::Store { dst, op, gap: Some(gap) }
+            }
+            _ => return None,
+        };
+        let Formed(product, first) = formed else { return None };
+        let guard = match (cmp, ends) {
+            (None, Ends::Both) => Guard::Both,
+            (None, _) => Guard::Every,
+            (Some((read, op, imm)), Ends::Every) if read == value(product.val) => {
+                Guard::Cmp(op, imm)
+            }
+            _ => return None,
+        };
+        (product.lead == lead).then_some((guard, product, out, first))
     };
-    // A run is filled in the output its step stores into.
-    let out = match (out, run) {
-        (out, None) => out,
-        (Out::Store { dst, op, gap: None }, Some((filled, gap))) if filled == dst => {
-            Out::Store { dst, op, gap: Some(gap) }
+    let body = match (stored, crd, pushed) {
+        (None, None, None) => None,
+        (Some(stored), None, None) => Some(ran(stored).ok_or(NotGuardedByBoth)?),
+        (None, Some(crd), Some((vals, formed))) => {
+            Some(ran((Out::Push { crd, vals }, formed)).ok_or(NotGuardedByBoth)?)
         }
-        _ => return None,
+        _ => return Err(NotGuardedByBoth),
     };
-    // `[lead *] val[first] * second [* extent]`, the lead loaded its own.
-    let Formed(product, first) = formed else { return None };
-    if product.lead != lead {
-        return None;
-    }
-    let guard = match (guard, &skipping) {
-        (None, None) => Guard::Every,
-        (Some((read, op, imm)), None) if read == value(product.val) => Guard::Cmp(op, imm),
-        (None, Some(_)) => Guard::Both,
-        _ => return None,
-    };
+    let counts =
+        StepCounts { stmts: [counted[0][0], adv[0], adv[1]], loads: [counted[0][1], 0, 0] };
+    let written = vals[entry..].iter().map(|&(r, _)| r).collect();
+    Ok(Walked { counts, pass: counted[1], aux, body, written })
+}
+
+/// The op that performs the steps of the loop `lp` over `fingers` whose end
+/// `ends` says — matches, or every step — or `None`: the walked step
+/// ([`walk`]) must run a body whose guard × product × output [`supported`]
+/// says exists, reading no buffer it writes.  Its counts are the op's: those
+/// of every step, each finger's advance, and the guarded code's `pass`.
+/// With `skipped` (two steppers' skip walks, which found
+/// [`MergeForm::Steps`]: their counts and the registers they write) the
+/// walked step is a match, whose whole counts are its `pass`, and the skip
+/// walks' counts the op's.
+fn perform(
+    code: &[Instr],
+    edges: &OnceCell<Vec<u32>>,
+    lp: StepLoop,
+    fingers: &[(BufId, Reg)],
+    ends: Ends,
+    skipped: Option<(StepCounts, &[Reg])>,
+) -> Option<(Instr, Step)> {
+    let Walked { counts, pass, body, mut written, .. } = walk(code, lp, fingers, ends).ok()?;
+    let (guard, product, out, first) = body?;
+    written.extend_from_slice(skipped.map_or(&[], |(_, by_skips)| by_skips));
+    let (mut counts, pass) = skipped.map_or((counts, pass), |(skips, _)| (skips, total(counts)));
     // The op's `p` is the finger of the first factor; a `min` leader does not
     // tell two fingers apart.
     let mut fingers = fingers.to_vec();
     if first == 1 {
         fingers.swap(0, 1);
-        advances.swap(0, 1);
+        counts.stmts.swap(1, 2);
+        counts.loads.swap(1, 2);
     }
     if !supported(guard, &product, out, fingers.get(1).map(|&(_, q)| q)) {
         return None;
@@ -754,22 +928,7 @@ fn performed(
     if outs.iter().any(|buf| sources.contains(buf)) || outs.first() == outs.get(1) {
         return None;
     }
-    let (counts, pass) = match skipping {
-        Some(Skipping { mut counts, written: skipped }) => {
-            if first == 1 {
-                counts.stmts.swap(1, 2);
-                counts.loads.swap(1, 2);
-            }
-            written.extend_from_slice(skipped);
-            (counts, [stmts[0] + advances[0] + advances[1], loads[0]])
-        }
-        None => {
-            let [by_p, by_q] = advances;
-            let counts = StepCounts { stmts: [stmts[0], by_p, by_q], loads: [loads[0], 0, 0] };
-            (counts, [stmts[1], loads[1]])
-        }
-    };
-    let step = crate::bytecode::Step::Perform { guard, product, out, pass };
+    let step = Step::Perform { guard, product, out, pass };
     step_loop_op(code, edges, lp, &fingers, step, counts, written)
 }
 
@@ -823,7 +982,7 @@ fn filled_run(
     code: &[Instr],
     mut pc: usize,
     join: usize,
-    held: impl Fn(Reg) -> Option<Gv>,
+    held: impl Fn(Reg) -> Option<Held>,
     invariant: impl Fn(Reg) -> bool,
 ) -> Option<(BufId, Gap, Vec<Reg>)> {
     let (mut stmts, mut lo, mut hi, mut vfill, mut wrote) = ([0; 2], None, None, None, Vec::new());
@@ -833,18 +992,20 @@ fn filled_run(
         let instr = code[pc];
         pc += 1;
         // What the code has not written holds what it held at the branch.
-        let is = |r: Reg, gv: Gv| !wrote.contains(&r) && held(r) == Some(gv);
+        let is = |r: Reg, want: Held| !wrote.contains(&r) && held(r) == Some(want);
         let written = match instr {
             Instr::Nop => continue,
             Instr::BumpStmt => {
                 stmts[usize::from(inner.is_some())] += 1;
                 continue;
             }
-            Instr::IMov { dst, src } if inner.is_none() && lo.is_none() && is(src, Gv::Start) => {
+            Instr::IMov { dst, src } if inner.is_none() && lo.is_none() && is(src, Held::Start) => {
                 lo = Some(dst);
                 dst
             }
-            Instr::IMov { dst, src } if inner.is_none() && hi.is_none() && is(src, Gv::Before) => {
+            Instr::IMov { dst, src }
+                if inner.is_none() && hi.is_none() && is(src, Held::Before) =>
+            {
                 hi = Some(dst);
                 dst
             }
@@ -852,7 +1013,7 @@ fn filled_run(
                 if inner.is_none()
                     && hi.is_none()
                     && matches!((op, imm), (BinOp::Sub, 1) | (BinOp::Add, -1))
-                    && is(lhs, Gv::Step) =>
+                    && is(lhs, Held::Step) =>
             {
                 hi = Some(dst);
                 dst
@@ -895,236 +1056,6 @@ fn filled_run(
         wrote.push(written);
     }
     None
-}
-
-/// What a register holds on an iteration the op skips: the loop's bound; a
-/// finger's position at the top, and one on; the leader's stride, which is
-/// the step's end `ss`, and the trailer's, which is not (ahead of it under
-/// `min`, behind it under `max`); `max(s1, s2)`, which clipped to the bound
-/// is `ss`; `ss + 1`.  A jumper's trailer adds its row's end `end[row]` and
-/// last position `end[row] - 1`, where its seek lands and the coordinate
-/// there, past `ss`.  VBL's adds its block's end offset `ofs[p + 1]` and
-/// length `ofs[p + 1] - ofs[p]`, the zero gap's last coordinate (the block's
-/// last, less the length), that clipped to the step — `ss` is at or past it
-/// — and one past that, which is past `ss`.
-#[derive(Clone, Copy, PartialEq)]
-enum Jv {
-    Stop,
-    Pos(usize),
-    OneOn(usize),
-    Step,
-    Other,
-    Later,
-    After,
-    End,
-    Last,
-    Landed,
-    Past,
-    Hi,
-    Len,
-    Gap,
-    GapStop,
-    PastGap,
-}
-
-/// What the trailer of a skipped iteration reads besides its list.
-#[derive(Clone, Copy, PartialEq)]
-enum Aux {
-    /// Nothing: a stepper.
-    Nothing,
-    /// Its block offsets: its stride ends a block.
-    Blocks(BufId),
-    /// Its row's ends, and its row (a register the loop must not write),
-    /// to seek in: a jumper.
-    Row(BufId, Reg),
-}
-
-/// One iteration the op skips, read off the loop.
-struct Skipped {
-    /// Its statements, and its loads but a seek's probes.
-    stmts: u32,
-    loads: u32,
-    /// What its trailer reads besides its list.
-    aux: Aux,
-    /// Every register it writes.
-    written: Vec<Reg>,
-}
-
-/// The iteration of the loop `head..=bottom` that finger `lead` leads and
-/// that matches nothing, walked from the top of the body to the bottom test
-/// with every branch decided on what such an iteration knows ([`Jv`]): the
-/// strides differ; the step is not the loop's last (a jumper's op performs
-/// that one too, and leaves the loop); VBL's gap test,
-/// `ss <= min(a[p] - (ofs[p + 1] - ofs[p]), ss)`; a jumper's trailer lands
-/// past `ss`.  The op checks each at run time.
-///
-/// The iteration ends with the leader one on and `start` at `ss + 1`; a
-/// stepper's trailer where it was, a jumper's where its one seek — to `ss`,
-/// in its own list, up to its row's last position — landed, after one
-/// iteration of an inner loop.  An instruction the walk cannot decide or
-/// does not know (a store above all: the body) is no such iteration.
-fn walk(
-    code: &[Instr],
-    lp: StepLoop,
-    fingers: [(BufId, Reg); 2],
-    jumper: bool,
-    lead: usize,
-) -> Result<Skipped, MergeDecline> {
-    use Jv::*;
-    use MergeDecline::{NonUnitAdvance, NotGuardedByBoth};
-    let StepLoop { head, bottom, start, stop, .. } = lp;
-    let trail = 1 - lead;
-    let lists = fingers.map(|(list, _)| list);
-    let mut vals = Vec::with_capacity(2 * (bottom - head));
-    vals.extend([(stop, Stop), (fingers[0].1, Pos(0)), (fingers[1].1, Pos(1))]);
-    let val = |vals: &[(Reg, Jv)], r: Reg| {
-        vals.iter().rev().find(|v| v.0 == r).map(|v| v.1).ok_or(NotGuardedByBoth)
-    };
-    let decide = |vals: &[(Reg, Jv)], op: BinOp, lhs: Reg, rhs: Reg| {
-        let holds = match (op, val(vals, lhs)?, val(vals, rhs)?) {
-            (BinOp::Eq | BinOp::Le, x, y) if x == y => true,
-            (BinOp::Eq, Step, Other | Past) | (BinOp::Eq, Other | Past, Step) => false,
-            (BinOp::Le, Step, GapStop) => true,
-            (BinOp::Le, PastGap, Step) => false,
-            // Where `ss + 1` is exact, which a jumper's op checks.
-            (BinOp::Le, After, Step) if jumper => false,
-            _ => return Err(NotGuardedByBoth),
-        };
-        Ok(holds)
-    };
-    // The one buffer the trailer reads besides its list.
-    let claim = |aux: &mut Aux, want: Aux| {
-        if *aux == Aux::Nothing {
-            *aux = want;
-        }
-        *aux == want
-    };
-    let (mut stmts, mut loads, mut iters, mut sought) = (0, 0, 0, false);
-    let (mut aux, mut pc) = (Aux::Nothing, head + 1);
-    // Every pc at most twice: an inner loop runs once.
-    for _ in 0..2 * (bottom - head) {
-        if pc == bottom {
-            let trailer = if jumper { Landed } else { Pos(trail) };
-            let ends =
-                [(fingers[lead].1, OneOn(lead)), (fingers[trail].1, trailer), (start, After)];
-            if ends.iter().any(|&(r, v)| val(&vals, r) != Ok(v)) {
-                return Err(NonUnitAdvance);
-            }
-            if (iters, sought) != (jumper as u32, jumper) {
-                return Err(NotGuardedByBoth);
-            }
-            let written = vals[3..].iter().map(|&(r, _)| r).collect();
-            return Ok(Skipped { stmts, loads, aux, written });
-        }
-        if pc <= head || pc > bottom {
-            return Err(NotGuardedByBoth);
-        }
-        let instr = &code[pc];
-        pc += 1;
-        let written = match *instr {
-            Instr::Nop => continue,
-            Instr::BumpStmt => {
-                stmts += 1;
-                continue;
-            }
-            Instr::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Instr::ICmpBranch { op, lhs, rhs, target } => {
-                if !decide(&vals, op, lhs, rhs)? {
-                    pc = target as usize;
-                }
-                continue;
-            }
-            Instr::IWhileCmp { op, lhs, rhs, end } => {
-                match decide(&vals, op, lhs, rhs)? {
-                    true => iters += 1,
-                    false => pc = end as usize,
-                }
-                continue;
-            }
-            Instr::IWhileNext { op, lhs, rhs, body } => {
-                if decide(&vals, op, lhs, rhs)? {
-                    (iters, pc) = (iters + 1, body as usize);
-                }
-                continue;
-            }
-            Instr::IAdvance { op, lhs, rhs, reg, by, stmts: n } => {
-                if !decide(&vals, op, lhs, rhs)? {
-                    continue;
-                }
-                stmts += n;
-                match (by, val(&vals, reg)) {
-                    (1, Ok(Pos(k))) => (reg, OneOn(k)),
-                    _ => return Err(NonUnitAdvance),
-                }
-            }
-            Instr::LoadI64 { dst, buf, idx } => {
-                loads += 1;
-                let loaded = match val(&vals, idx) {
-                    Ok(Pos(k)) if buf == lists[k] => {
-                        if k == lead {
-                            Step
-                        } else {
-                            Other
-                        }
-                    }
-                    Ok(Landed) if buf == lists[trail] => Past,
-                    Ok(OneOn(k)) if k == trail && !jumper && claim(&mut aux, Aux::Blocks(buf)) => {
-                        Hi
-                    }
-                    Err(_) if jumper && claim(&mut aux, Aux::Row(buf, idx)) => End,
-                    _ => return Err(NotGuardedByBoth),
-                };
-                (dst, loaded)
-            }
-            Instr::LoadBinary { op: BinOp::Sub, dst, lhs, buf, idx } => {
-                loads += 1;
-                let at = (val(&vals, lhs)?, val(&vals, idx)?);
-                if at != (Hi, Pos(trail)) || !claim(&mut aux, Aux::Blocks(buf)) {
-                    return Err(NotGuardedByBoth);
-                }
-                (dst, Len)
-            }
-            Instr::IArith { op, dst, lhs, rhs } => {
-                let (x, y) = (val(&vals, lhs)?, val(&vals, rhs)?);
-                let is = |u, v| (x, y) == (u, v) || (x, y) == (v, u);
-                let computed = match op {
-                    BinOp::Min if !jumper && is(Step, Other) => Step,
-                    BinOp::Max if jumper && is(Step, Other) => Later,
-                    BinOp::Min if is(Later, Stop) || is(Step, Stop) || is(Step, Past) => Step,
-                    BinOp::Min if is(Gap, Step) => GapStop,
-                    BinOp::Sub if (x, y) == (Other, Len) => Gap,
-                    _ => return Err(NotGuardedByBoth),
-                };
-                (dst, computed)
-            }
-            Instr::IArithImm { op, dst, lhs, imm } => {
-                let computed = match (op, val(&vals, lhs)?, imm) {
-                    (BinOp::Add, Pos(k), 1) => OneOn(k),
-                    (BinOp::Add, Step, 1) => After,
-                    (BinOp::Min, Later | Step, _) if lp.is_bound(imm) => Step,
-                    (BinOp::Add, GapStop, 1) => PastGap,
-                    (BinOp::Sub, End, 1) | (BinOp::Add, End, -1) => Last,
-                    _ => return Err(NotGuardedByBoth),
-                };
-                (dst, computed)
-            }
-            Instr::IMov { dst, src } => (dst, val(&vals, src)?),
-            Instr::ISeek { dst, buf, lo, hi, key, on_abs: false } => {
-                let at = (val(&vals, lo)?, val(&vals, hi)?, val(&vals, key)?);
-                if sought || buf != lists[trail] || at != (Pos(trail), Last, Step) {
-                    return Err(NotGuardedByBoth);
-                }
-                sought = true;
-                (dst, Landed)
-            }
-            _ => return Err(NotGuardedByBoth),
-        };
-        vals.push(written);
-    }
-    Err(NotGuardedByBoth)
 }
 
 /// Whether `instr` writes one of `regs`.
