@@ -744,13 +744,6 @@ impl CompiledKernel {
         Ok(())
     }
 
-    /// The names of the bound input tensors (rebind targets), sorted.
-    pub fn input_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.image.inputs.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// The kernel's buffer set (crate-internal: the service's tests probe
     /// pointer stability of cache-hit reruns through this).
     #[cfg(test)]

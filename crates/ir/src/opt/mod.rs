@@ -467,7 +467,7 @@ mod tests {
     /// them without a kernel's buffer set, so there are no witness runs.
     fn optimize(stmts: &[Stmt], names: &mut Names, level: OptLevel) -> (Vec<Stmt>, OptStats) {
         let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
-        let mut manager = PassManager::new(ValidationLevel::Static);
+        let mut manager = PassManager::new(ValidationLevel::Full);
         let mut ctx = PassCtx { names, bufs: None, stats: &mut stats };
         let code = match level {
             OptLevel::None => stmts.to_vec(),

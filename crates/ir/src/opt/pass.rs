@@ -2,17 +2,17 @@
 //!
 //! Every transform of the optimisation pipeline — the three IR passes,
 //! the IR-to-bytecode lowering, and the two bytecode passes — runs as a
-//! named [`Pass`] under a [`PassManager`].  After each pass the manager
-//! applies two independent safety layers, gated by a [`ValidationLevel`]:
+//! named [`Pass`] under a [`PassManager`].  At [`ValidationLevel::Full`]
+//! the manager applies two independent safety layers after each pass:
 //!
-//! 1. **Static verification** ([`ValidationLevel::Static`] and up): the
-//!    representation-appropriate verifier from [`super::verify`] re-checks
-//!    structural invariants (def-before-use, effect ordering, jump
-//!    alignment, buffer schemas) that a buggy transform could silently
-//!    break.
-//! 2. **Translation validation** ([`ValidationLevel::Full`]): the manager
-//!    executes the pre- and post-pass programs on synthesized witness
-//!    inputs — the kernel's own compile-time buffers plus a
+//! 1. **Static verification**: the representation-appropriate verifier
+//!    from [`super::verify`] re-checks structural invariants
+//!    (def-before-use, effect ordering, jump alignment, buffer schemas)
+//!    that a buggy transform could silently break.
+//! 2. **Translation validation**, where the pass context carries the
+//!    kernel's buffer set: the manager executes the pre- and post-pass
+//!    programs on synthesized witness inputs — the kernel's own
+//!    compile-time buffers plus a
 //!    deterministically value-perturbed variant — and asserts bit-identical
 //!    buffer contents together with a semantics-preserving per-pass
 //!    [`ExecStats`] contract (see [`StatsContract`]: work-removing IR
@@ -51,11 +51,10 @@ pub enum ValidationLevel {
     /// No post-pass checking (the release-mode default; the kernel fuzzer
     /// opts back in with `fuzz-kernels --validate`).
     Off,
-    /// Run the static IR/bytecode verifier after every pass.
-    Static,
-    /// [`ValidationLevel::Static`] plus per-pass translation validation:
-    /// execute the pre- and post-pass programs on synthesized witness
-    /// inputs and compare outputs bit-for-bit (the debug/test default).
+    /// Run the static IR/bytecode verifier after every pass, and, given
+    /// the kernel's buffer set, per-pass translation validation: execute
+    /// the pre- and post-pass programs on synthesized witness inputs and
+    /// compare outputs bit-for-bit (the debug/test default).
     Full,
 }
 
@@ -72,12 +71,11 @@ impl Default for ValidationLevel {
 }
 
 impl ValidationLevel {
-    /// A short stable label (`off` / `static` / `full`), used by CLI flags
+    /// A short stable label (`off` / `full`), used by CLI flags
     /// and the benchmark JSON report.
     pub fn label(self) -> &'static str {
         match self {
             ValidationLevel::Off => "off",
-            ValidationLevel::Static => "static",
             ValidationLevel::Full => "full",
         }
     }
