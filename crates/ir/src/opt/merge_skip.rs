@@ -413,8 +413,8 @@ enum Ends {
 /// What a register holds on a walked step: the loop's bound and its start
 /// at the top; a finger at the top, and one on; a stride that ends the
 /// step, which is the step's end `ss`, one that does not (a trailer's), and
-/// either of two; `ss + 1`; `ss - 1`; `ss -
-/// start`, one more, and that at least zero: the extent.  A jumper's
+/// either of two; `ss + 1`; `ss - 1`; `ss - start`, one more, and that at
+/// least zero: the extent.  A jumper's
 /// trailer adds its row's end `end[row]` and last position `end[row] - 1`,
 /// where its seek lands and the coordinate there, past `ss`.  VBL's adds its
 /// block's end offset `ofs[p + 1]` and length `ofs[p + 1] - ofs[p]`, the
@@ -574,7 +574,8 @@ fn walk(
     };
     let decide = |vals: &[(Reg, Held)], op: BinOp, lhs: Reg, rhs: Reg| {
         let holds = match (op, val(vals, lhs)?, val(vals, rhs)?) {
-            // Not two loads, or two registers guarded code wrote.
+            // One value in two registers: not two loads, nor what guarded
+            // code wrote.
             (BinOp::Eq | BinOp::Le, x, y) if x == y && !matches!(x, Inv(_) | Idx(_) | Passed) => {
                 true
             }

@@ -12,8 +12,8 @@
 //! 2. **Translation validation**, where the pass context carries the
 //!    kernel's buffer set: the manager executes the pre- and post-pass
 //!    programs on synthesized witness inputs — the kernel's own
-//!    compile-time buffers plus a
-//!    deterministically value-perturbed variant — and asserts bit-identical
+//!    compile-time buffers plus a deterministically value-perturbed
+//!    variant — and asserts bit-identical
 //!    buffer contents together with a semantics-preserving per-pass
 //!    [`ExecStats`] contract (see [`StatsContract`]: work-removing IR
 //!    passes keep the effectful `stores` counter exactly and may only
