@@ -386,8 +386,7 @@ fn step_loop_op(
     written.retain(|r| !regs.contains(r));
     let edges = edges.get_or_init(|| edge_table(code));
     let entered = edges.iter().enumerate().any(|(pc, &to)| pc != bottom && to == head as u32 + 1);
-    let leaves = matches!(step, Step::Skip(MergeForm::Gallop { .. }));
-    let from = &[head + 1, bottom + 1][..1 + leaves as usize];
+    let from = &[head + 1, bottom + 1][..1 + lp.jumper as usize];
     if entered || written.contains(&stop) || read_before_written(code, edges, from, &written) {
         return None;
     }
