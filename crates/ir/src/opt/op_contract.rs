@@ -28,10 +28,14 @@ use super::merge_skip::supported;
 use super::merge_skip::tests::*;
 use super::vectorize::tests::*;
 use crate::buffer::{BufId, Buffer, BufferSet};
-use crate::bytecode::{Gather, Guard, Instr, MergeForm, Out, Product, Program, Reg, Step, Term};
+use crate::bytecode::{
+    Gather, Guard, Instr, MergeForm, Out, Product, Program, Reg, Step, Term, VRhs, VScale,
+};
 use crate::error::RuntimeError;
-use crate::expr::BinOp;
+use crate::expr::{BinOp, Expr, UnOp};
 use crate::interp::{ExecStats, Interpreter};
+use crate::stmt::Stmt;
+use crate::var::Names;
 use crate::vm::{Vm, Watch};
 
 /// The axes a [`Case`] runs on: every step budget, every allocation budget,
@@ -146,6 +150,31 @@ fn rows() -> Vec<Case> {
         cases.push(case.rebinding(rebound));
         cases.push(Case::new(format!("{what}, finite"), kernel(40, false), legs | BUDGETS, outs));
         cases.push(Case::new(format!("{what}, long"), kernel(1500, true), DEADLINE, outs));
+    }
+    // Every path of a vector map, and a pre-scaled reduction: over every
+    // pair of specials, over finite values, and past a passed deadline.
+    for body in MAPS {
+        let (n, what) =
+            (if body == Map::Round { halves().len() } else { 121 }, format!("{body:?}"));
+        let mut rebound =
+            vec![("xs cut short", V_XS, floats(20, 1.5)), ("xs as i64", V_XS, ints(n))];
+        if matches!(body, Map::Ratio | Map::Diff | Map::Min | Map::Max) {
+            rebound.extend([("ys cut short", V_YS, floats(20, 1.5)), ("ys as i64", V_YS, ints(n))]);
+        }
+        rebound.extend(match body {
+            Map::Reduce => {
+                vec![("out empty", V_OUT, floats(0, 0.0)), ("out as i64", V_OUT, ints(1))]
+            }
+            _ => vec![("out cut short", V_OUT, floats(20, 9.5)), ("out as i64", V_OUT, ints(n))],
+        });
+        let kernel = |(xs, ys): (Vec<f64>, Vec<f64>)| map_kernel(body, &xs, &ys);
+        let legs = BUDGETS | FAULTS | CANCEL;
+        let case = Case::new(what.clone(), kernel(map_operands(body, n)), legs, &[V_OUT]);
+        cases.push(case.rebinding(rebound));
+        let finite = (dense_values(40, false), (0..40).map(|k| f64::from(k) / 3.0 - 3.0).collect());
+        cases.push(Case::new(format!("{what}, finite"), kernel(finite), BUDGETS, &[V_OUT]));
+        let long = kernel(map_operands(body, 1500));
+        cases.push(Case::new(format!("{what}, long"), long, DEADLINE, &[V_OUT]));
     }
     // Fig. 9's window dot (an offset base, a register accumulator), and a
     // fill of a run's value at a row base.
@@ -432,6 +461,118 @@ fn rows() -> Vec<Case> {
         cases.push(Case::new(what, run_kernel(&a, &b, stop, shape), DEADLINE, &[OUT]));
     }
     cases
+}
+
+/// A vector map's body in [`map_kernel`], or a pre-scaled reduction's:
+/// between them, every path `Vm::v_map` tells apart ([`map_paths`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Map {
+    /// `out[i] = round(xs[i])`: nothing but the round.
+    Round,
+    /// `out[i] = xs[i] / 3`: a right pre-scale on `Div`.
+    Third,
+    /// `out[i] += 2.5 - xs[i]`: a left pre-scale on `Sub`, reduced.
+    SubFrom,
+    /// `out[i] = 1.5 / xs[i] - 0.25`: a left pre-scale on `Div`, then an
+    /// immediate.
+    Recip,
+    /// `out[i] += (xs[i] - 1) / (2 - ys[i])`: a right and a left pre-scale on
+    /// `Sub`, combined by `Div`, reduced.
+    Ratio,
+    /// `out[i] = xs[i] - ys[i] / 4`: the second source's right pre-scale on
+    /// `Div`.
+    Diff,
+    /// `out[i] = min(xs[i], ys[i])`.
+    Min,
+    /// `out[i] = max(xs[i], ys[i])`.
+    Max,
+    /// `out[i] = min(max(0, xs[i]), -0)`: a pre-scale and an immediate over
+    /// both zeros.
+    Clamp,
+    /// `out[0] += 2 - xs[i]`: a reduction's left pre-scale.
+    Reduce,
+}
+
+const MAPS: [Map; 10] = [
+    Map::Round,
+    Map::Third,
+    Map::SubFrom,
+    Map::Recip,
+    Map::Ratio,
+    Map::Diff,
+    Map::Min,
+    Map::Max,
+    Map::Clamp,
+    Map::Reduce,
+];
+
+/// `for i in 0..=n - 1 { body }` over `xs` and `ys` (`n` of each), `out`
+/// all `9.5`: a loop `vectorize` gives one V-op, its buffers those of
+/// `vop_kernel`.
+fn map_kernel(body: Map, xs: &[f64], ys: &[f64]) -> Kernel {
+    let (mut names, mut bufs) = (Names::new(), BufferSet::new());
+    let x = bufs.add("xs", Buffer::F64(xs.to_vec().into()));
+    let y = bufs.add("ys", Buffer::F64(ys.to_vec().into()));
+    let out = bufs.add("out", Buffer::F64(vec![9.5; xs.len()].into()));
+    assert_eq!((x, y, out), (V_XS, V_YS, V_OUT));
+    let [i, u] = ["i", "u"].map(|name| names.fresh(name));
+    let (at, c, op) = (|buf| Expr::load(buf, Expr::Var(i)), Expr::float, Expr::binary);
+    // Lowering fuses `c op xs[i]` into one load-op instruction, which no
+    // kernel op takes unless `op` is `*`; a load bound by a `let` stays a
+    // load of its own.
+    let (bound, value, reduce) = match body {
+        Map::Round => (None, Expr::unary(UnOp::Round, at(x)), None),
+        Map::Third => (None, op(BinOp::Div, at(x), c(3.0)), None),
+        Map::SubFrom => (Some(x), op(BinOp::Sub, c(2.5), Expr::Var(u)), Some(BinOp::Add)),
+        Map::Recip => {
+            (Some(x), op(BinOp::Sub, op(BinOp::Div, c(1.5), Expr::Var(u)), c(0.25)), None)
+        }
+        Map::Ratio => {
+            let (num, den) = (op(BinOp::Sub, at(x), c(1.0)), op(BinOp::Sub, c(2.0), Expr::Var(u)));
+            (Some(y), op(BinOp::Div, num, den), Some(BinOp::Add))
+        }
+        Map::Diff => (None, op(BinOp::Sub, at(x), op(BinOp::Div, at(y), c(4.0))), None),
+        Map::Min => (Some(y), op(BinOp::Min, at(x), Expr::Var(u)), None),
+        Map::Max => (Some(y), op(BinOp::Max, at(x), Expr::Var(u)), None),
+        Map::Clamp => {
+            (Some(x), op(BinOp::Min, op(BinOp::Max, c(0.0), Expr::Var(u)), c(-0.0)), None)
+        }
+        Map::Reduce => (Some(x), op(BinOp::Sub, c(2.0), Expr::Var(u)), Some(BinOp::Add)),
+    };
+    let index = if body == Map::Reduce { Expr::int(0) } else { Expr::Var(i) };
+    let bound = bound.map(|buf| Stmt::Let { var: u, init: at(buf) });
+    let body = bound.into_iter().chain([Stmt::Store { buf: out, index, value, reduce }]).collect();
+    let hi = Expr::int(xs.len() as i64 - 1);
+    (vec![Stmt::For { var: i, lo: Expr::int(0), hi, body }], names, bufs)
+}
+
+/// `n` operands of each source for `body`: a round's halves `±(k + 0.5)`
+/// and values out of its range, or else every pair of both zeros, NaNs of
+/// both signs, the infinities and a few finite values, so that `min` and
+/// `max` meet `-0` beside `+0` either way round.  A reduction's fold meets
+/// every NaN before it in one `+`, where a NaN of each sign would leave the
+/// sign of the result to the machine code (Rust does not fix it, and the
+/// numeric contract in README.md leaves it out), so its `-NaN` is `NaN`.
+fn map_operands(body: Map, n: usize) -> (Vec<f64>, Vec<f64>) {
+    let nan = if body == Map::Reduce { f64::NAN } else { -f64::NAN };
+    let specials =
+        [0.0, -0.0, f64::NAN, nan, f64::INFINITY, f64::NEG_INFINITY, 2.5, -1.5, 1.0, 2.0, 0.5];
+    let xs: Vec<f64> = match body {
+        Map::Round => halves().into_iter().cycle().take(n).collect(),
+        _ => (0..n).map(|k| specials[k / specials.len() % specials.len()]).collect(),
+    };
+    (xs, (0..n).map(|k| specials[k % specials.len()]).collect())
+}
+
+/// Ties `±(k + 0.5)` from 0.5 to 39.5 and from 250.5 to 257.5, their
+/// neighbours at 0.5 and 254.5, and values a round clamps or passes on.
+fn halves() -> Vec<f64> {
+    let ties = (0..40).chain(250..258).map(|k| f64::from(k) + 0.5);
+    let mut xs: Vec<f64> = ties.collect();
+    xs.extend([0.49999999999999994, 254.49999999999997, 300.0, 1e300, 4503599627370495.5]);
+    xs.extend([f64::INFINITY, f64::NAN, 0.0]);
+    xs.extend(xs.clone().into_iter().map(|x| -x));
+    xs
 }
 
 /// The kernel ops of `how`'s store: the step loop op, and for an
@@ -732,8 +873,52 @@ fn classes_of(p: &Program, instr: &Instr) -> Vec<String> {
         }
         None => None,
     };
-    std::iter::once(instr.opcode().to_string()).chain(step).collect()
+    std::iter::once(instr.opcode().to_string()).chain(step).chain(map_paths(instr)).collect()
 }
+
+/// The paths `Vm::v_map` tells apart that a vector map takes: its second
+/// operand, its store, each pre-scale's orientation on `Sub` and `Div`, a
+/// `min` or `max` anywhere in it, and its round.
+fn map_paths(instr: &Instr) -> Vec<String> {
+    let Instr::VMapF64 { reduce, round, a_pre, rhs, .. } = *instr else { return Vec::new() };
+    let store = reduce.map_or("=".to_string(), |op| format!("{op}="));
+    let mut paths = vec![format!("map rhs {}", variant(rhs)), format!("map {store}")];
+    let (b_pre, op) = match rhs {
+        VRhs::None => (VScale::None, None),
+        VRhs::Imm { op, .. } => (VScale::None, Some(op)),
+        VRhs::Buf { op, pre, .. } => (pre, Some(op)),
+    };
+    let mut ops = vec![op];
+    for pre in [a_pre, b_pre] {
+        if let VScale::Left { op, .. } | VScale::Right { op, .. } = pre {
+            ops.push(Some(op));
+            if matches!(op, BinOp::Sub | BinOp::Div) {
+                paths.push(format!("map pre {} {op}", variant(pre)));
+            }
+        }
+    }
+    for op in [BinOp::Min, BinOp::Max].into_iter().filter(|op| ops.contains(&Some(*op))) {
+        paths.push(format!("map {op}"));
+    }
+    paths.extend(round.then(|| "map round".to_string()));
+    paths
+}
+
+/// Every path of [`map_paths`].
+const MAP_PATHS: [&str; 12] = [
+    "map rhs None",
+    "map rhs Imm",
+    "map rhs Buf",
+    "map =",
+    "map +=",
+    "map pre Left -",
+    "map pre Left /",
+    "map pre Right -",
+    "map pre Right /",
+    "map min",
+    "map max",
+    "map round",
+];
 
 /// Every class a row can be of: each kernel op's `isa!` row, each skip form,
 /// and each guard × output that `supported` accepts of some product and
@@ -743,8 +928,10 @@ fn classes() -> Vec<String> {
     let ops = crate::isa::samples().into_iter().filter(kernel_op).map(|i| i.opcode().to_string());
     let gallop = MergeForm::Gallop { a_end: b, a_row: p, b_end: b, b_row: p };
     let forms = [MergeForm::Steps, MergeForm::Blocks { ofs: b }, gallop];
-    let mut classes: Vec<String> =
-        ops.chain(forms.map(|form| format!("skip {}", variant(form)))).collect();
+    let mut classes: Vec<String> = ops
+        .chain(MAP_PATHS.map(String::from))
+        .chain(forms.map(|form| format!("skip {}", variant(form))))
+        .collect();
     let seconds = [
         Gather::None,
         Gather::At { x: b, at: p },

@@ -26,6 +26,24 @@ use crate::interp::ExecStats;
 use crate::value::{Value, ValueKind};
 use crate::var::Var;
 
+/// `$body` with `$f` bound to `op`'s float arithmetic ([`Vm::float_arith`])
+/// as a closure of a constant op: the `match` on `op` sits outside whatever
+/// loop `$body` runs, and each arm's loop is native.
+macro_rules! per_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        per_op!($op, $f => $body; Add Sub Mul Div Min Max)
+    };
+    ($op:expr, $f:ident => $body:expr; $($name:ident)*) => {
+        match $op {
+            $(BinOp::$name => {
+                let $f = |x: f64, y: f64| Vm::float_arith(BinOp::$name, x, y);
+                $body
+            })*
+            other => unreachable!("{other:?} is not a typed float arithmetic op"),
+        }
+    };
+}
+
 /// Cooperative interruption, checked on the same statement path as the
 /// step budget: an externally-armed cancellation flag, an absolute
 /// wall-clock deadline, or both.  Tripping either aborts the run with the
@@ -788,8 +806,7 @@ impl Vm {
                     pc += 1;
                 }
                 Instr::FRound { dst, src } => {
-                    // Exactly `Value::unop(UnOp::Round, _)` on a float.
-                    self.floats[dst.index()] = self.floats[src.index()].round().clamp(0.0, 255.0);
+                    self.floats[dst.index()] = round_u8(self.floats[src.index()]);
                     pc += 1;
                 }
                 Instr::ICmpBranch { op, lhs, rhs, target } => {
@@ -1310,7 +1327,13 @@ impl Vm {
     // bumps `ExecStats` by the scalar-equivalent per-iteration cost and
     // advances the counter to `end` (`Vm::vcommit`); the scalar loop runs
     // the rest, at least the final iteration (which restores every
-    // temporary register and doubles as the remainder handler).
+    // temporary register and doubles as the remainder handler).  The
+    // element work is native: no `match` on a `VScale` or `BinOp` sits
+    // inside an element loop (`per_op!` hoists each), a map runs a stage at
+    // a time over a block on the stack (`vmap_f64`), and it rounds with the
+    // `round_u8` that `FRound` calls.  Each element still sees the scalar
+    // body's operations in its order, and every fold stays in order.  The
+    // `lanes` operand is the fill's unroll width; the other ops ignore it.
     // -----------------------------------------------------------------
 
     /// Minimum bulk trip count worth taking, one for every kernel op: below
@@ -1433,28 +1456,6 @@ impl Vm {
         self.stats.stores += n * cost.stores as u64;
     }
 
-    /// A loaded operand's pre-scale, preserving the scalar body's
-    /// operand orientation bit-for-bit.
-    #[inline]
-    fn vscale(pre: VScale, x: f64) -> f64 {
-        match pre {
-            VScale::None => x,
-            VScale::Left { op, imm } => Self::float_arith(op, imm, x),
-            VScale::Right { op, imm } => Self::float_arith(op, x, imm),
-        }
-    }
-
-    /// The optional rounding tail of a vector map — round then clamp,
-    /// exactly [`Instr::FRound`].
-    #[inline]
-    fn vpost(round: bool, x: f64) -> f64 {
-        if round {
-            x.round().clamp(0.0, 255.0)
-        } else {
-            x
-        }
-    }
-
     /// [`Instr::VFillStoreF64`]: `buf[base + v] = val` for the bulk.  A
     /// register value is read from the float lane, like the typed
     /// `StoreF64` of the scalar body that proves the lane holds it.
@@ -1476,9 +1477,10 @@ impl Vm {
     }
 
     /// [`Instr::VMapF64`]: `dst[..] reduce= post(pre(a[..]) rhs)` for the
-    /// bulk.  The destination is lifted out of the set for the duration
-    /// so the sources can be read while it is written (it aliases
-    /// neither source — checked; the two sources may alias each other).
+    /// bulk, a stage at a time ([`vmap_f64`]).  The destination is lifted
+    /// out of the set for the duration so the sources can be read while it
+    /// is written (it aliases neither source — checked; the two sources may
+    /// alias each other).
     #[inline(never)]
     fn v_map(&mut self, bufs: &mut BufferSet, instr: &Instr) {
         let Instr::VMapF64 {
@@ -1493,7 +1495,7 @@ impl Vm {
             counter,
             hi,
             cost,
-            lanes,
+            ..
         } = *instr
         else {
             unreachable!("dispatched on a VMapF64")
@@ -1514,41 +1516,25 @@ impl Vm {
                     return;
                 }
                 match Self::vf64_span(bufs, buf, self.vbase_off(base), lo, hiv) {
-                    Some(s) => Some(s),
+                    Some(s) => s,
                     None => return,
                 }
             }
-            _ => None,
+            _ => 0..0,
         };
         let mut lifted = lift(bufs, dst);
         {
             let Buffer::F64(ddata) = &mut lifted else { unreachable!() };
             let Buffer::F64(adata) = bufs.get(a) else { unreachable!() };
-            let dslice = &mut ddata[dspan];
-            let aslice = &adata[aspan];
-            match (rhs, bspan) {
-                (VRhs::None, _) => {
-                    vmap2_f64(dslice, aslice, reduce, lanes, |x| {
-                        Self::vpost(round, Self::vscale(a_pre, x))
-                    });
-                }
-                (VRhs::Imm { op, imm }, _) => {
-                    vmap2_f64(dslice, aslice, reduce, lanes, |x| {
-                        Self::vpost(round, Self::float_arith(op, Self::vscale(a_pre, x), imm))
-                    });
-                }
-                (VRhs::Buf { op, buf, pre, .. }, Some(bspan)) => {
+            let b = match rhs {
+                VRhs::Buf { buf, .. } => {
                     let Buffer::F64(bdata) = bufs.get(buf) else { unreachable!() };
-                    let bslice = &bdata[bspan];
-                    vmap3_f64(dslice, aslice, bslice, reduce, lanes, |x, y| {
-                        Self::vpost(
-                            round,
-                            Self::float_arith(op, Self::vscale(a_pre, x), Self::vscale(pre, y)),
-                        )
-                    });
+                    &bdata[bspan]
                 }
-                (VRhs::Buf { .. }, None) => unreachable!(),
-            }
+                _ => &[],
+            };
+            let map = VMap { a_pre, rhs, round, reduce };
+            vmap_f64(&mut ddata[dspan], &adata[aspan], b, map);
         }
         *bufs.get_mut(dst) = lifted;
         self.vcommit(counter, bulk, cost);
@@ -1581,9 +1567,8 @@ impl Vm {
         let (Buffer::F64(adata), Buffer::F64(bdata)) = (bufs.get(a), bufs.get(b)) else {
             unreachable!()
         };
-        for (&x, &y) in adata[aspan].iter().zip(&bdata[bspan]) {
-            t = Self::float_arith(op, t, x * y);
-        }
+        let (xs, ys) = (&adata[aspan], &bdata[bspan]);
+        per_op!(op, f => t = xs.iter().zip(ys).fold(t, |t, (&x, &y)| f(t, x * y)));
         match bufs.get_mut(acc) {
             Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
@@ -1610,9 +1595,7 @@ impl Vm {
             return;
         };
         let Buffer::F64(sdata) = bufs.get(src) else { unreachable!() };
-        for &x in &sdata[span] {
-            t = Self::float_arith(op, t, Self::vscale(pre, x));
-        }
+        t = vreduce_f64(t, &sdata[span], pre, op);
         match bufs.get_mut(acc) {
             Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
@@ -2466,6 +2449,125 @@ fn vspan(off: i128, lo: i64, hiv: i64, len: usize) -> Option<std::ops::Range<usi
     Some(start as usize..end as usize)
 }
 
+/// `x.round().clamp(0.0, 255.0)`, inline and branch-free: [`Instr::FRound`]
+/// and a rounding [`Instr::VMapF64`] both round with it, so that the op
+/// and its scalar loop agree bit for bit.  Adding and taking away 2^52
+/// rounds a magnitude below 2^52 to an integer, ties to even; a tie that
+/// went down is lifted, so that ties go away from zero as `f64::round`
+/// takes them.  A larger magnitude, and ±∞, clamp to an end whatever the
+/// sum does to them, and a NaN comes out quieted with its sign and
+/// payload, as libm's `round` returns it.  (`Value::unop(UnOp::Round)`
+/// keeps `f64::round`: the tree-walker and the dense meaning check this
+/// function against libm on every rounding kernel.)
+#[inline(always)]
+pub(crate) fn round_u8(x: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let ax = x.abs();
+    let even = (ax + TWO_52) - TWO_52;
+    let away = if even - ax == -0.5 { even + 1.0 } else { even };
+    away.copysign(x).clamp(0.0, 255.0)
+}
+
+/// The elements a vector map, or a pre-scaled reduction, evaluates one
+/// stage at a time: a block of them sits on the stack, so that a warm run
+/// allocates nothing and a stage's output is still in L1 for the next.
+const VBLOCK: usize = 64;
+
+/// What a [`Instr::VMapF64`] does with each element: its operands but the
+/// buffers and index shapes.
+#[derive(Clone, Copy)]
+struct VMap {
+    a_pre: VScale,
+    rhs: VRhs,
+    round: bool,
+    reduce: Option<BinOp>,
+}
+
+/// A vector map over pre-checked, equal-length slices (`b` is empty unless
+/// the map reads a second buffer), a block of [`VBLOCK`] elements at a time
+/// and, within a block, one stage at a time: pre-scale `a`; pre-scale `b`,
+/// or take the immediate; combine; round and clamp; store, or reduce, into
+/// `dst`.  Each stage is one native loop with its `match` hoisted out of
+/// it, and each element sees the scalar body's operations in its order, so
+/// the result is the scalar loop's bit for bit.  A plain store evaluates in
+/// `dst` itself.
+fn vmap_f64(dst: &mut [f64], a: &[f64], b: &[f64], map: VMap) {
+    let (mut ys, mut xs) = ([0.0; VBLOCK], [0.0; VBLOCK]);
+    for (k, d) in dst.chunks_mut(VBLOCK).enumerate() {
+        let at = k * VBLOCK..k * VBLOCK + d.len();
+        let b = b.get(at.clone()).unwrap_or_default();
+        match map.reduce {
+            None => vmap_block(d, &a[at], b, &mut ys, map),
+            Some(op) => {
+                let xs = &mut xs[..d.len()];
+                vmap_block(xs, &a[at], b, &mut ys, map);
+                per_op!(op, f => d.iter_mut().zip(&*xs).for_each(|(d, &x)| *d = f(*d, x)));
+            }
+        }
+    }
+}
+
+/// The stages of [`vmap_f64`] in front of the store, over one block:
+/// `xs = post(pre(a) rhs)`, `ys` holding `b`'s pre-scaled block.
+#[inline]
+fn vmap_block(xs: &mut [f64], a: &[f64], b: &[f64], ys: &mut [f64; VBLOCK], map: VMap) {
+    vscale_into(xs, a, map.a_pre);
+    match map.rhs {
+        VRhs::None => {}
+        VRhs::Imm { op, imm } => per_op!(op, f => xs.iter_mut().for_each(|x| *x = f(*x, imm))),
+        VRhs::Buf { op, pre, .. } => {
+            let ys = match pre {
+                VScale::None => b,
+                _ => {
+                    let ys = &mut ys[..b.len()];
+                    vscale_into(ys, b, pre);
+                    &*ys
+                }
+            };
+            per_op!(op, f => xs.iter_mut().zip(ys).for_each(|(x, &y)| *x = f(*x, y)));
+        }
+    }
+    if map.round {
+        xs.iter_mut().for_each(|x| *x = round_u8(*x));
+    }
+}
+
+/// `out = pre(src)` element by element, preserving the scalar body's
+/// operand orientation bit for bit: a pre-scale stage of [`vmap_f64`] or
+/// [`vreduce_f64`].
+#[inline]
+fn vscale_into(out: &mut [f64], src: &[f64], pre: VScale) {
+    match pre {
+        VScale::None => out.copy_from_slice(src),
+        VScale::Left { op, imm } => {
+            per_op!(op, f => out.iter_mut().zip(src).for_each(|(o, &x)| *o = f(imm, x)))
+        }
+        VScale::Right { op, imm } => {
+            per_op!(op, f => out.iter_mut().zip(src).for_each(|(o, &x)| *o = f(x, imm)))
+        }
+    }
+}
+
+/// [`Instr::VReduceF64`]'s fold, `t op= pre(x)` over `src` strictly in
+/// order: a block at a time, pre-scaled ([`vscale_into`]) and then folded.
+fn vreduce_f64(t: f64, src: &[f64], pre: VScale, op: BinOp) -> f64 {
+    if pre == VScale::None {
+        return vfold(t, src, op);
+    }
+    let mut block = [0.0; VBLOCK];
+    src.chunks(VBLOCK).fold(t, |t, xs| {
+        let block = &mut block[..xs.len()];
+        vscale_into(block, xs, pre);
+        vfold(t, block, op)
+    })
+}
+
+/// `t op= x` over `xs`, strictly in order.
+#[inline]
+fn vfold(t: f64, xs: &[f64], op: BinOp) -> f64 {
+    per_op!(op, f => xs.iter().fold(t, |t, &x| f(t, x)))
+}
+
 /// Unrolled fill over a pre-checked slice.
 fn vfill_f64(dst: &mut [f64], imm: f64, lanes: u8) {
     if lanes == 8 {
@@ -2485,75 +2587,12 @@ fn vfill_lanes<const L: usize>(dst: &mut [f64], imm: f64) {
     }
 }
 
-/// Unrolled one-source map over pre-checked, equal-length slices.
-fn vmap2_f64(dst: &mut [f64], a: &[f64], reduce: Option<BinOp>, lanes: u8, f: impl Fn(f64) -> f64) {
-    if lanes == 8 {
-        vmap2_lanes::<8>(dst, a, reduce, &f);
-    } else {
-        vmap2_lanes::<4>(dst, a, reduce, &f);
-    }
-}
-
-fn vmap2_lanes<const L: usize>(
-    dst: &mut [f64],
-    a: &[f64],
-    reduce: Option<BinOp>,
-    f: &impl Fn(f64) -> f64,
-) {
-    let (dc, dr) = dst.as_chunks_mut::<L>();
-    let (ac, ar) = a.as_chunks::<L>();
-    for (d, s) in dc.iter_mut().zip(ac) {
-        for k in 0..L {
-            d[k] = vcombine(reduce, d[k], f(s[k]));
-        }
-    }
-    for (d, &x) in dr.iter_mut().zip(ar) {
-        *d = vcombine(reduce, *d, f(x));
-    }
-}
-
 /// Take a kernel op's destination out of the set, so that its sources can
 /// be read while it is written; the caller puts it back.  An empty `Bool`
 /// holds its place because it allocates nothing (an empty aligned lane
 /// reserves its padding): lifting is on every short bulk's path.
 fn lift(bufs: &mut BufferSet, id: BufId) -> Buffer {
     std::mem::replace(bufs.get_mut(id), Buffer::Bool(Vec::new()))
-}
-
-/// Unrolled two-source map over pre-checked, equal-length slices.
-fn vmap3_f64(
-    dst: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    reduce: Option<BinOp>,
-    lanes: u8,
-    f: impl Fn(f64, f64) -> f64,
-) {
-    if lanes == 8 {
-        vmap3_lanes::<8>(dst, a, b, reduce, &f);
-    } else {
-        vmap3_lanes::<4>(dst, a, b, reduce, &f);
-    }
-}
-
-fn vmap3_lanes<const L: usize>(
-    dst: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    reduce: Option<BinOp>,
-    f: &impl Fn(f64, f64) -> f64,
-) {
-    let (dc, dr) = dst.as_chunks_mut::<L>();
-    let (ac, ar) = a.as_chunks::<L>();
-    let (bc, br) = b.as_chunks::<L>();
-    for ((d, s), t) in dc.iter_mut().zip(ac).zip(bc) {
-        for k in 0..L {
-            d[k] = vcombine(reduce, d[k], f(s[k], t[k]));
-        }
-    }
-    for ((d, &x), &y) in dr.iter_mut().zip(ar).zip(br) {
-        *d = vcombine(reduce, *d, f(x, y));
-    }
 }
 
 /// A map's store step: plain write or reduce-combine, exactly
@@ -2640,6 +2679,75 @@ mod tests {
             for (id, name, buf) in bi.iter() {
                 assert_eq!(buf, bv.get(id), "buffer {name} diverges");
             }
+        }
+    }
+
+    /// `round_u8` is `f64::round` followed by the clamp, bit for bit (a
+    /// NaN by `same_f64`): on an edge table, on a million random bit
+    /// patterns, and on a million dyadic halves `±(k + 0.5)` of every
+    /// magnitude up to 2^52 and their neighbours.
+    #[test]
+    fn round_u8_is_libm_round_then_clamp() {
+        let libm = |x: f64| x.round().clamp(0.0, 255.0);
+        let check = |x: f64| {
+            let (got, want) = (round_u8(x), libm(x));
+            assert!(
+                crate::value::same_f64(got, want),
+                "round_u8({x:e}) = {got:e} ({:#x}), libm {want:e} ({:#x}), input {:#x}",
+                got.to_bits(),
+                want.to_bits(),
+                x.to_bits()
+            );
+        };
+        let two_52 = 2f64.powi(52);
+        let mut edges = vec![
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            1.5,
+            2.5,
+            3.5,
+            127.5,
+            128.5,
+            254.5,
+            254.49999999999997,
+            255.5,
+            255.49999999999997,
+            256.5,
+            1e300,
+            two_52 - 0.5,
+            two_52,
+            two_52 + 1.0,
+            two_52 / 2.0 + 0.5,
+            two_52 / 2.0 - 0.5,
+            2.0 * two_52 + 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+        ];
+        edges.extend((0..300).map(|k| f64::from(k) + 0.5));
+        edges.extend(edges.clone().into_iter().map(|x| -x));
+        edges.into_iter().for_each(check);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(draw()));
+            let bits = draw();
+            let k = (bits >> 12) >> (bits % 53);
+            let half = (k as f64 + 0.5).copysign(f64::from_bits(bits << 63));
+            [half, half.next_up(), half.next_down()].into_iter().for_each(check);
         }
     }
 
