@@ -549,12 +549,15 @@ fn map_kernel(body: Map, xs: &[f64], ys: &[f64]) -> Kernel {
 /// `n` operands of each source for `body`: a round's halves `±(k + 0.5)`
 /// and values out of its range, or else every pair of both zeros, NaNs of
 /// both signs, the infinities and a few finite values, so that `min` and
-/// `max` meet `-0` beside `+0` either way round.  A reduction's fold meets
-/// every NaN before it in one `+`, where a NaN of each sign would leave the
-/// sign of the result to the machine code (Rust does not fix it, and the
-/// numeric contract in README.md leaves it out), so its `-NaN` is `NaN`.
+/// `max` meet `-0` beside `+0` either way round.  Where a commutative op
+/// meets two NaNs — `min` and `max` of the two sources, and a reduction's
+/// fold, which meets every NaN before it in one `+` — a NaN of each sign
+/// would leave the sign of the result to the machine code, which may swap
+/// the operands (Rust does not fix it, and the numeric contract in
+/// README.md leaves it out), so those rows' `-NaN` is `NaN`.
 fn map_operands(body: Map, n: usize) -> (Vec<f64>, Vec<f64>) {
-    let nan = if body == Map::Reduce { f64::NAN } else { -f64::NAN };
+    let one_sign = matches!(body, Map::Min | Map::Max | Map::Reduce);
+    let nan = if one_sign { f64::NAN } else { -f64::NAN };
     let specials =
         [0.0, -0.0, f64::NAN, nan, f64::INFINITY, f64::NEG_INFINITY, 2.5, -1.5, 1.0, 2.0, 0.5];
     let xs: Vec<f64> = match body {

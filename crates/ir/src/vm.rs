@@ -1327,13 +1327,15 @@ impl Vm {
     // bumps `ExecStats` by the scalar-equivalent per-iteration cost and
     // advances the counter to `end` (`Vm::vcommit`); the scalar loop runs
     // the rest, at least the final iteration (which restores every
-    // temporary register and doubles as the remainder handler).  The
-    // element work is native: no `match` on a `VScale` or `BinOp` sits
-    // inside an element loop (`per_op!` hoists each), a map runs a stage at
-    // a time over a block on the stack (`vmap_f64`), and it rounds with the
-    // `round_u8` that `FRound` calls.  Each element still sees the scalar
-    // body's operations in its order, and every fold stays in order.  The
-    // `lanes` operand is the fill's unroll width; the other ops ignore it.
+    // temporary register and doubles as the remainder handler).  A map's
+    // and an inner product's element work is native: `per_op!` hoists
+    // each `match` on a `VScale` or `BinOp` out of their element loops, a
+    // map runs a stage at a time over a block on the stack (`vmap_f64`),
+    // and it rounds with the `round_u8` that `FRound` calls.  A reduction
+    // still matches on its pre-scale and op per element.  Each element
+    // sees the scalar body's operations in its order, and every fold stays
+    // in order.  The `lanes` operand is the fill's unroll width; the other
+    // ops ignore it.
     // -----------------------------------------------------------------
 
     /// Minimum bulk trip count worth taking, one for every kernel op: below
@@ -1454,6 +1456,17 @@ impl Vm {
         self.stats.stmts += n * cost.stmts as u64;
         self.stats.loads += n * cost.loads as u64;
         self.stats.stores += n * cost.stores as u64;
+    }
+
+    /// A loaded operand's pre-scale, preserving the scalar body's
+    /// operand orientation bit-for-bit.
+    #[inline]
+    fn vscale(pre: VScale, x: f64) -> f64 {
+        match pre {
+            VScale::None => x,
+            VScale::Left { op, imm } => Self::float_arith(op, imm, x),
+            VScale::Right { op, imm } => Self::float_arith(op, x, imm),
+        }
     }
 
     /// [`Instr::VFillStoreF64`]: `buf[base + v] = val` for the bulk.  A
@@ -1595,7 +1608,9 @@ impl Vm {
             return;
         };
         let Buffer::F64(sdata) = bufs.get(src) else { unreachable!() };
-        t = vreduce_f64(t, &sdata[span], pre, op);
+        for &x in &sdata[span] {
+            t = Self::float_arith(op, t, Self::vscale(pre, x));
+        }
         match bufs.get_mut(acc) {
             Buffer::F64(d) => d[k] = t,
             _ => unreachable!(),
@@ -2468,9 +2483,9 @@ pub(crate) fn round_u8(x: f64) -> f64 {
     away.copysign(x).clamp(0.0, 255.0)
 }
 
-/// The elements a vector map, or a pre-scaled reduction, evaluates one
-/// stage at a time: a block of them sits on the stack, so that a warm run
-/// allocates nothing and a stage's output is still in L1 for the next.
+/// The elements a vector map evaluates one stage at a time: a block of
+/// them sits on the stack, so that a warm run allocates nothing and a
+/// stage's output is still in L1 for the next.
 const VBLOCK: usize = 64;
 
 /// What a [`Instr::VMapF64`] does with each element: its operands but the
@@ -2533,8 +2548,8 @@ fn vmap_block(xs: &mut [f64], a: &[f64], b: &[f64], ys: &mut [f64; VBLOCK], map:
 }
 
 /// `out = pre(src)` element by element, preserving the scalar body's
-/// operand orientation bit for bit: a pre-scale stage of [`vmap_f64`] or
-/// [`vreduce_f64`].
+/// operand orientation bit for bit ([`Vm::vscale`], its `match` hoisted): a
+/// pre-scale stage of [`vmap_f64`].
 #[inline]
 fn vscale_into(out: &mut [f64], src: &[f64], pre: VScale) {
     match pre {
@@ -2546,26 +2561,6 @@ fn vscale_into(out: &mut [f64], src: &[f64], pre: VScale) {
             per_op!(op, f => out.iter_mut().zip(src).for_each(|(o, &x)| *o = f(x, imm)))
         }
     }
-}
-
-/// [`Instr::VReduceF64`]'s fold, `t op= pre(x)` over `src` strictly in
-/// order: a block at a time, pre-scaled ([`vscale_into`]) and then folded.
-fn vreduce_f64(t: f64, src: &[f64], pre: VScale, op: BinOp) -> f64 {
-    if pre == VScale::None {
-        return vfold(t, src, op);
-    }
-    let mut block = [0.0; VBLOCK];
-    src.chunks(VBLOCK).fold(t, |t, xs| {
-        let block = &mut block[..xs.len()];
-        vscale_into(block, xs, pre);
-        vfold(t, block, op)
-    })
-}
-
-/// `t op= x` over `xs`, strictly in order.
-#[inline]
-fn vfold(t: f64, xs: &[f64], op: BinOp) -> f64 {
-    per_op!(op, f => xs.iter().fold(t, |t, &x| f(t, x)))
 }
 
 /// Unrolled fill over a pre-checked slice.
