@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use finch_cin::CinStmt;
-use finch_formats::{BoundLevel, BoundTensor, Level, LevelSpec, OutputBuilder, Tensor};
+use finch_formats::{Array, BoundTensor, LevelSpec, OutputBuilder, Tensor};
 use finch_ir::opt::{Lowered, PassReport};
 use finch_ir::pretty::Printer;
 use finch_ir::{
@@ -18,16 +18,20 @@ use crate::error::CompileError;
 use crate::lower::statements::{init_output, lower_stmt};
 use crate::lower::{Binding, LowerCtx, OutputBinding, OutputSink};
 
-/// Copy an `i64` array into an existing buffer in place, reusing its
-/// capacity (the rebind fast path; replaces the buffer only if a kind
-/// mismatch somehow slipped past binding).
-fn copy_i64(bufs: &mut BufferSet, id: finch_ir::BufId, src: &[i64]) {
-    match bufs.get_mut(id) {
-        Buffer::I64(d) => {
+/// Copy one of a tensor's arrays into its bound buffer in place, reusing the
+/// buffer's capacity (the rebind fast path; replaces the buffer only if a
+/// kind mismatch somehow slipped past binding).
+fn refill(buf: &mut Buffer, src: Array<&Vec<i64>, &Vec<bool>>) {
+    match (buf, src) {
+        (Buffer::I64(d), Array::I64(s)) => {
             d.clear();
-            d.extend_from_slice(src);
+            d.extend_from_slice(s);
         }
-        other => *other = Buffer::I64(src.to_vec().into()),
+        (Buffer::Bool(d), Array::Bool(s)) => {
+            d.clear();
+            d.extend_from_slice(s);
+        }
+        (buf, src) => *buf = src.to_buffer(),
     }
 }
 
@@ -654,84 +658,25 @@ impl CompiledKernel {
                 bound.ndim()
             )));
         }
-        // Validate every level before touching any buffer, so a failed
-        // rebind is atomic.
-        for (k, (level, blevel)) in tensor.levels().iter().zip(bound.levels()).enumerate() {
-            let ok = matches!(
-                (level, blevel),
-                (Level::Dense { .. }, BoundLevel::Dense { .. })
-                    | (Level::SparseList { .. }, BoundLevel::SparseList { .. })
-                    | (Level::SparseBand { .. }, BoundLevel::SparseBand { .. })
-                    | (Level::SparseVbl { .. }, BoundLevel::SparseVbl { .. })
-                    | (Level::RunLength { .. }, BoundLevel::RunLength { .. })
-                    | (Level::PackBits { .. }, BoundLevel::PackBits { .. })
-                    | (Level::Bitmap { .. }, BoundLevel::Bitmap { .. })
-                    | (Level::Triangular { .. }, BoundLevel::Triangular { .. })
-                    | (Level::Symmetric { .. }, BoundLevel::Symmetric { .. })
-                    | (Level::Ragged { .. }, BoundLevel::Ragged { .. })
-            );
-            if !ok {
-                return Err(mismatch(format!(
-                    "level {k} is {}, but the kernel was compiled for a different level kind",
-                    level.format_name()
-                )));
-            }
-            if level.size() != blevel.size() {
-                return Err(mismatch(format!(
-                    "level {k} has size {}, but the kernel was compiled for size {}",
-                    level.size(),
-                    blevel.size()
-                )));
-            }
+        // Check every level before touching any buffer, so a failed rebind
+        // is atomic.
+        let levels = || tensor.levels().iter().zip(bound.levels());
+        if let Some((k, (level, blevel))) =
+            levels().enumerate().find(|(_, (l, b))| !l.same_shape(b))
+        {
+            return Err(mismatch(format!(
+                "level {k} is {} of size {}, but the kernel was compiled for {} of size {}",
+                level.format_name(),
+                level.size(),
+                blevel.format_name(),
+                blevel.size()
+            )));
         }
         // Copy the arrays into the existing buffers in place, so the
         // cache-hit rebind path performs no allocation of its own.
-        for (level, blevel) in tensor.levels().iter().zip(bound.levels()) {
-            match (level, blevel) {
-                (
-                    Level::SparseList { pos, idx, .. },
-                    BoundLevel::SparseList { pos: bp, idx: bi, .. },
-                )
-                | (
-                    Level::RunLength { pos, idx, .. },
-                    BoundLevel::RunLength { pos: bp, idx: bi, .. },
-                ) => {
-                    copy_i64(&mut self.bufs, *bp, pos);
-                    copy_i64(&mut self.bufs, *bi, idx);
-                }
-                (
-                    Level::SparseBand { pos, start, .. },
-                    BoundLevel::SparseBand { pos: bp, start: bs, .. },
-                ) => {
-                    copy_i64(&mut self.bufs, *bp, pos);
-                    copy_i64(&mut self.bufs, *bs, start);
-                }
-                (
-                    Level::SparseVbl { pos, idx, ofs, .. },
-                    BoundLevel::SparseVbl { pos: bp, idx: bi, ofs: bo, .. },
-                )
-                | (
-                    Level::PackBits { pos, idx, ofs, .. },
-                    BoundLevel::PackBits { pos: bp, idx: bi, ofs: bo, .. },
-                ) => {
-                    copy_i64(&mut self.bufs, *bp, pos);
-                    copy_i64(&mut self.bufs, *bi, idx);
-                    copy_i64(&mut self.bufs, *bo, ofs);
-                }
-                (Level::Bitmap { tbl, .. }, BoundLevel::Bitmap { tbl: bt, .. }) => {
-                    match self.bufs.get_mut(*bt) {
-                        Buffer::Bool(d) => {
-                            d.clear();
-                            d.extend_from_slice(tbl);
-                        }
-                        other => *other = Buffer::Bool(tbl.clone()),
-                    }
-                }
-                (Level::Ragged { pos, .. }, BoundLevel::Ragged { pos: bp, .. }) => {
-                    copy_i64(&mut self.bufs, *bp, pos);
-                }
-                // Dense / Triangular / Symmetric levels carry no arrays.
-                _ => {}
+        for (level, blevel) in levels() {
+            for (src, id) in level.arrays().zip(blevel.arrays()) {
+                refill(self.bufs.get_mut(*id.into_inner()), src);
             }
         }
         match self.bufs.get_mut(bound.values()) {

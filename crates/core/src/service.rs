@@ -98,7 +98,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use finch_cin::CinStmt;
-use finch_formats::{LevelSpec, Tensor};
+use finch_formats::{LevelOf, LevelSpec, Tensor};
 use finch_ir::opt::ValidationLevel;
 use finch_ir::{Engine, ExecConfig, ExecStats, RuntimeError, Watch};
 
@@ -622,10 +622,11 @@ impl KeyHasher {
     }
 }
 
-/// The structural identity of an input, kept for hit verification.
+/// The structural identity of an input, kept for hit verification: its
+/// levels' formats and sizes, with no arrays.
 struct InputSig {
     name: String,
-    levels: Vec<(&'static str, usize)>,
+    levels: Vec<LevelOf<(), ()>>,
     fill_bits: u64,
 }
 
@@ -648,7 +649,7 @@ impl KeyCheck {
                 .iter()
                 .map(|t| InputSig {
                     name: t.name().to_string(),
-                    levels: t.levels().iter().map(|l| (l.format_name(), l.size())).collect(),
+                    levels: t.levels().iter().map(|l| l.map(|_, _| ())).collect(),
                     fill_bits: t.fill().to_bits(),
                 })
                 .collect(),
@@ -671,13 +672,9 @@ impl KeyCheck {
             if sig.name != t.name()
                 || sig.fill_bits != t.fill().to_bits()
                 || sig.levels.len() != t.levels().len()
+                || !sig.levels.iter().zip(t.levels()).all(|(s, l)| s.same_shape(l))
             {
                 return false;
-            }
-            for (&(fmt_name, size), level) in sig.levels.iter().zip(t.levels()) {
-                if fmt_name != level.format_name() || size != level.size() {
-                    return false;
-                }
             }
         }
         self.outputs.iter().zip(&req.outputs).all(|((n, s), (rn, rs))| n == rn && s == rs)
@@ -1858,11 +1855,14 @@ mod tests {
         let dense = dot_request(&a, &b);
         let expected: f64 = a.values().iter().zip(b.values()).map(|(x, y)| x * y).sum();
 
-        // Two intruders that verification tells from `dense` in different
-        // places: the same program text over other input formats, and the
-        // same inputs under another program text.
+        // Three intruders that verification tells from `dense` in different
+        // places: the same program text over other input formats, or over
+        // inputs of another size, and the same inputs under another program
+        // text.
         let (sa, sb) = sparse_pair(16);
         let other_formats = dot_request(&sa, &sb);
+        let (la, lb) = dense_pair(20, 1.0);
+        let other_sizes = dot_request(&la, &lb);
         let i = idx("i");
         let other_program = Request::new(forall(
             i.clone(),
@@ -1872,7 +1872,7 @@ mod tests {
         .input(&b)
         .output_scalar("C");
 
-        for intruder in [other_formats, other_program] {
+        for intruder in [other_formats, other_sizes, other_program] {
             let svc = KernelService::default();
             // Plant the intruder's entry under `dense`'s key.
             let key = dense.key();

@@ -8,7 +8,7 @@
 use finch_ir::{BufId, Buffer, BufferSet, Expr, Var};
 use finch_looplets::Leaf;
 
-use crate::level::Level;
+use crate::level::LevelOf;
 use crate::tensor::Tensor;
 
 /// The leaf payload produced by unfurling: either the value of the element
@@ -39,107 +39,9 @@ impl Leaf for UnfurlLeaf {
     }
 }
 
-/// One level of a bound tensor: the level sizes plus the buffer ids of its
-/// arrays.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BoundLevel {
-    /// See [`Level::Dense`].
-    Dense {
-        /// Dimension size.
-        size: usize,
-    },
-    /// See [`Level::SparseList`].
-    SparseList {
-        /// Dimension size.
-        size: usize,
-        /// Fiber boundaries buffer.
-        pos: BufId,
-        /// Coordinates buffer.
-        idx: BufId,
-    },
-    /// See [`Level::SparseBand`].
-    SparseBand {
-        /// Dimension size.
-        size: usize,
-        /// Value boundaries buffer.
-        pos: BufId,
-        /// Band start buffer.
-        start: BufId,
-    },
-    /// See [`Level::SparseVbl`].
-    SparseVbl {
-        /// Dimension size.
-        size: usize,
-        /// Block boundaries buffer.
-        pos: BufId,
-        /// Block end coordinates buffer.
-        idx: BufId,
-        /// Value offsets buffer.
-        ofs: BufId,
-    },
-    /// See [`Level::RunLength`].
-    RunLength {
-        /// Dimension size.
-        size: usize,
-        /// Run boundaries buffer.
-        pos: BufId,
-        /// Run end coordinates buffer.
-        idx: BufId,
-    },
-    /// See [`Level::PackBits`].
-    PackBits {
-        /// Dimension size.
-        size: usize,
-        /// Segment boundaries buffer.
-        pos: BufId,
-        /// Signed segment end markers buffer.
-        idx: BufId,
-        /// Value offsets buffer.
-        ofs: BufId,
-    },
-    /// See [`Level::Bitmap`].
-    Bitmap {
-        /// Dimension size.
-        size: usize,
-        /// Bytemap buffer.
-        tbl: BufId,
-    },
-    /// See [`Level::Triangular`].
-    Triangular {
-        /// Dimension size.
-        size: usize,
-    },
-    /// See [`Level::Symmetric`].
-    Symmetric {
-        /// Dimension size.
-        size: usize,
-    },
-    /// See [`Level::Ragged`].
-    Ragged {
-        /// Dimension size.
-        size: usize,
-        /// Row boundaries buffer.
-        pos: BufId,
-    },
-}
-
-impl BoundLevel {
-    /// The dimension size of the level.
-    pub fn size(&self) -> usize {
-        match self {
-            BoundLevel::Dense { size }
-            | BoundLevel::SparseList { size, .. }
-            | BoundLevel::SparseBand { size, .. }
-            | BoundLevel::SparseVbl { size, .. }
-            | BoundLevel::RunLength { size, .. }
-            | BoundLevel::PackBits { size, .. }
-            | BoundLevel::Bitmap { size, .. }
-            | BoundLevel::Triangular { size }
-            | BoundLevel::Symmetric { size }
-            | BoundLevel::Ragged { size, .. } => *size,
-        }
-    }
-}
+/// One level of a bound tensor: the level's format and size, and the ids of
+/// the buffers its arrays are bound to.
+pub type BoundLevel = LevelOf<BufId, BufId>;
 
 /// A tensor whose arrays have been registered as interpreter buffers, ready
 /// to be unfurled into looplet nests.
@@ -157,50 +59,10 @@ impl BoundTensor {
     /// code stays readable (`A_pos1`, `A_idx1`, `A_val`, ...).
     pub fn bind(tensor: &Tensor, bufs: &mut BufferSet) -> Self {
         let name = tensor.name().to_string();
-        let mut levels = Vec::with_capacity(tensor.ndim());
-        for (k, level) in tensor.levels().iter().enumerate() {
-            let bl = match level {
-                Level::Dense { size } => BoundLevel::Dense { size: *size },
-                Level::Triangular { size } => BoundLevel::Triangular { size: *size },
-                Level::Symmetric { size } => BoundLevel::Symmetric { size: *size },
-                Level::SparseList { size, pos, idx } => BoundLevel::SparseList {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                    idx: bufs.add(&format!("{name}_idx{k}"), Buffer::I64(idx.clone().into())),
-                },
-                Level::SparseBand { size, pos, start } => BoundLevel::SparseBand {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                    start: bufs.add(&format!("{name}_start{k}"), Buffer::I64(start.clone().into())),
-                },
-                Level::SparseVbl { size, pos, idx, ofs } => BoundLevel::SparseVbl {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                    idx: bufs.add(&format!("{name}_idx{k}"), Buffer::I64(idx.clone().into())),
-                    ofs: bufs.add(&format!("{name}_ofs{k}"), Buffer::I64(ofs.clone().into())),
-                },
-                Level::RunLength { size, pos, idx } => BoundLevel::RunLength {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                    idx: bufs.add(&format!("{name}_idx{k}"), Buffer::I64(idx.clone().into())),
-                },
-                Level::PackBits { size, pos, idx, ofs } => BoundLevel::PackBits {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                    idx: bufs.add(&format!("{name}_idx{k}"), Buffer::I64(idx.clone().into())),
-                    ofs: bufs.add(&format!("{name}_ofs{k}"), Buffer::I64(ofs.clone().into())),
-                },
-                Level::Bitmap { size, tbl } => BoundLevel::Bitmap {
-                    size: *size,
-                    tbl: bufs.add(&format!("{name}_tbl{k}"), Buffer::Bool(tbl.clone())),
-                },
-                Level::Ragged { size, pos } => BoundLevel::Ragged {
-                    size: *size,
-                    pos: bufs.add(&format!("{name}_pos{k}"), Buffer::I64(pos.clone().into())),
-                },
-            };
-            levels.push(bl);
-        }
+        let levels = tensor.levels().iter().enumerate().map(|(k, level)| {
+            level.map(|array, data| bufs.add(&format!("{name}_{array}{k}"), data.to_buffer()))
+        });
+        let levels = levels.collect();
         let values = bufs.add(&format!("{name}_val"), Buffer::F64(tensor.values().to_vec().into()));
         BoundTensor { name, fill: tensor.fill(), levels, values }
     }

@@ -6,16 +6,20 @@
 //! the next level, or in the values array for the innermost level), or to
 //! the fill value when the coordinate is not stored.
 
-use finch_ir::Value;
+use finch_ir::Buffer;
 
-/// The storage scheme of one dimension of a [`Tensor`](crate::Tensor).
+/// The storage scheme of one dimension, generic over its arrays: `I` is an
+/// `i64` array and `B` a bitmap's table.  [`Level`] holds the arrays
+/// themselves; [`BoundLevel`](crate::BoundLevel) the ids of the buffers they
+/// are bound to.  The variants, and [`LevelOf::map`]'s arms, are the one
+/// statement of each format's arrays.
 ///
 /// Array fields follow the paper's naming: `pos` delimits the entries of
 /// each fiber, `idx` stores coordinates (or block/run end coordinates),
 /// `ofs` stores value offsets, `start` stores band starts, `tbl` is a
 /// bytemap.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Level {
+pub enum LevelOf<I, B> {
     /// Every coordinate `0..size` is stored: child position `p * size + i`.
     Dense {
         /// The dimension size.
@@ -28,9 +32,9 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// Fiber boundaries, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
         /// Sorted coordinates of stored entries.
-        idx: Vec<i64>,
+        idx: I,
     },
     /// A single variably-wide dense block per fiber: fiber `p` stores
     /// coordinates `start[p] .. start[p] + (pos[p+1]-pos[p]) - 1`, child
@@ -39,9 +43,9 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// Value boundaries per fiber, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
         /// First stored coordinate per fiber, length `nfibers`.
-        start: Vec<i64>,
+        start: I,
     },
     /// Variable block list: fiber `p` owns blocks `pos[p]..pos[p+1]`; block
     /// `q` ends at coordinate `idx[q]` and stores `ofs[q+1]-ofs[q]`
@@ -50,11 +54,11 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// Block boundaries per fiber, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
         /// Inclusive end coordinate of each block.
-        idx: Vec<i64>,
+        idx: I,
         /// Value offsets, length `nblocks + 1`.
-        ofs: Vec<i64>,
+        ofs: I,
     },
     /// Run-length encoding: fiber `p` owns runs `pos[p]..pos[p+1]`; run `q`
     /// ends at coordinate `idx[q]` (inclusive) and repeats the value at
@@ -63,9 +67,9 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// Run boundaries per fiber, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
         /// Inclusive end coordinate of each run.
-        idx: Vec<i64>,
+        idx: I,
     },
     /// PackBits-style mix of runs and literal (dense) segments: fiber `p`
     /// owns segments `pos[p]..pos[p+1]`.  Segment `q` ends at coordinate
@@ -81,11 +85,11 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// Segment boundaries per fiber, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
         /// Signed segment end markers (`±(end + 1)`).
-        idx: Vec<i64>,
+        idx: I,
         /// Value offset of each segment, length `nsegments + 1`.
-        ofs: Vec<i64>,
+        ofs: I,
     },
     /// A dense bytemap alongside dense values: coordinate `i` of fiber `p`
     /// is stored iff `tbl[p * size + i]`, at child position `p * size + i`.
@@ -93,7 +97,7 @@ pub enum Level {
         /// The dimension size.
         size: usize,
         /// The bytemap, length `nfibers * size`.
-        tbl: Vec<bool>,
+        tbl: B,
     },
     /// Packed lower-triangular storage: fiber `p` stores coordinates
     /// `0..=p` at child positions `p * (p + 1) / 2 + i`; coordinates above
@@ -102,7 +106,7 @@ pub enum Level {
         /// The dimension size (the matrix is `size × size`).
         size: usize,
     },
-    /// Packed symmetric storage: like [`Level::Triangular`] below the
+    /// Packed symmetric storage: like [`LevelOf::Triangular`] below the
     /// diagonal, and mirrored (`A[i, j] = A[j, i]`) above it.
     Symmetric {
         /// The dimension size.
@@ -114,43 +118,142 @@ pub enum Level {
         /// The dimension size (maximum row length).
         size: usize,
         /// Row boundaries, length `nfibers + 1`.
-        pos: Vec<i64>,
+        pos: I,
     },
 }
 
-impl Level {
+/// The storage scheme of one dimension of a [`Tensor`](crate::Tensor),
+/// holding its arrays.
+pub type Level = LevelOf<Vec<i64>, Vec<bool>>;
+
+/// One array of a level, as [`LevelOf::map`] hands it over: an `i64` array
+/// (`pos`, `idx`, `start`, `ofs`) or a bitmap's table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Array<I, B> {
+    /// An `i64` array.
+    I64(I),
+    /// A bitmap's table.
+    Bool(B),
+}
+
+impl<T> Array<T, T> {
+    /// The array, whichever kind it is.
+    pub fn into_inner(self) -> T {
+        match self {
+            Array::I64(a) | Array::Bool(a) => a,
+        }
+    }
+}
+
+impl Array<&Vec<i64>, &Vec<bool>> {
+    /// A copy of the array as an interpreter buffer of its element kind.
+    pub fn to_buffer(self) -> Buffer {
+        match self {
+            Array::I64(a) => Buffer::I64(a.clone().into()),
+            Array::Bool(t) => Buffer::Bool(t.clone()),
+        }
+    }
+}
+
+impl<I, B> LevelOf<I, B> {
     /// The dimension size this level represents.
     pub fn size(&self) -> usize {
         match self {
-            Level::Dense { size }
-            | Level::SparseList { size, .. }
-            | Level::SparseBand { size, .. }
-            | Level::SparseVbl { size, .. }
-            | Level::RunLength { size, .. }
-            | Level::PackBits { size, .. }
-            | Level::Bitmap { size, .. }
-            | Level::Triangular { size }
-            | Level::Symmetric { size }
-            | Level::Ragged { size, .. } => *size,
+            LevelOf::Dense { size }
+            | LevelOf::SparseList { size, .. }
+            | LevelOf::SparseBand { size, .. }
+            | LevelOf::SparseVbl { size, .. }
+            | LevelOf::RunLength { size, .. }
+            | LevelOf::PackBits { size, .. }
+            | LevelOf::Bitmap { size, .. }
+            | LevelOf::Triangular { size }
+            | LevelOf::Symmetric { size }
+            | LevelOf::Ragged { size, .. } => *size,
         }
     }
 
     /// A short name for the format (used in reports and benchmark labels).
     pub fn format_name(&self) -> &'static str {
         match self {
-            Level::Dense { .. } => "dense",
-            Level::SparseList { .. } => "sparse-list",
-            Level::SparseBand { .. } => "sparse-band",
-            Level::SparseVbl { .. } => "sparse-vbl",
-            Level::RunLength { .. } => "rle",
-            Level::PackBits { .. } => "packbits",
-            Level::Bitmap { .. } => "bitmap",
-            Level::Triangular { .. } => "triangular",
-            Level::Symmetric { .. } => "symmetric",
-            Level::Ragged { .. } => "ragged",
+            LevelOf::Dense { .. } => "dense",
+            LevelOf::SparseList { .. } => "sparse-list",
+            LevelOf::SparseBand { .. } => "sparse-band",
+            LevelOf::SparseVbl { .. } => "sparse-vbl",
+            LevelOf::RunLength { .. } => "rle",
+            LevelOf::PackBits { .. } => "packbits",
+            LevelOf::Bitmap { .. } => "bitmap",
+            LevelOf::Triangular { .. } => "triangular",
+            LevelOf::Symmetric { .. } => "symmetric",
+            LevelOf::Ragged { .. } => "ragged",
         }
     }
 
+    /// Whether `other` has this level's format and size: all a compiled
+    /// kernel knows of a level, so data of the same shape can be rebound
+    /// into it.
+    pub fn same_shape<J, C>(&self, other: &LevelOf<J, C>) -> bool {
+        self.format_name() == other.format_name() && self.size() == other.size()
+    }
+
+    /// This level with each array replaced by `f(name, array)`, called in
+    /// the order the arrays are bound (`pos`, then `idx` or `start`, then
+    /// `ofs`; or `tbl`).  The one list of each format's arrays.
+    pub fn map<'a, T>(
+        &'a self,
+        mut f: impl FnMut(&'static str, Array<&'a I, &'a B>) -> T,
+    ) -> LevelOf<T, T> {
+        use Array::{Bool, I64};
+        match self {
+            LevelOf::Dense { size } => LevelOf::Dense { size: *size },
+            LevelOf::SparseList { size, pos, idx } => LevelOf::SparseList {
+                size: *size,
+                pos: f("pos", I64(pos)),
+                idx: f("idx", I64(idx)),
+            },
+            LevelOf::SparseBand { size, pos, start } => LevelOf::SparseBand {
+                size: *size,
+                pos: f("pos", I64(pos)),
+                start: f("start", I64(start)),
+            },
+            LevelOf::SparseVbl { size, pos, idx, ofs } => LevelOf::SparseVbl {
+                size: *size,
+                pos: f("pos", I64(pos)),
+                idx: f("idx", I64(idx)),
+                ofs: f("ofs", I64(ofs)),
+            },
+            LevelOf::RunLength { size, pos, idx } => {
+                LevelOf::RunLength { size: *size, pos: f("pos", I64(pos)), idx: f("idx", I64(idx)) }
+            }
+            LevelOf::PackBits { size, pos, idx, ofs } => LevelOf::PackBits {
+                size: *size,
+                pos: f("pos", I64(pos)),
+                idx: f("idx", I64(idx)),
+                ofs: f("ofs", I64(ofs)),
+            },
+            LevelOf::Bitmap { size, tbl } => {
+                LevelOf::Bitmap { size: *size, tbl: f("tbl", Bool(tbl)) }
+            }
+            LevelOf::Triangular { size } => LevelOf::Triangular { size: *size },
+            LevelOf::Symmetric { size } => LevelOf::Symmetric { size: *size },
+            LevelOf::Ragged { size, pos } => {
+                LevelOf::Ragged { size: *size, pos: f("pos", I64(pos)) }
+            }
+        }
+    }
+
+    /// This level's arrays, in [`LevelOf::map`]'s order (a level has at
+    /// most three).
+    pub fn arrays(&self) -> impl Iterator<Item = Array<&I, &B>> {
+        let (mut arrays, mut n) = ([None, None, None], 0);
+        self.map(|_, array| {
+            arrays[n] = Some(array);
+            n += 1;
+        });
+        arrays.into_iter().flatten()
+    }
+}
+
+impl Level {
     /// The number of child positions (entries in the next level / values
     /// array) used by the first `nfibers` fibers of this level.
     pub fn child_span(&self, nfibers: usize) -> usize {
@@ -277,11 +380,6 @@ impl Level {
             Level::Triangular { .. } | Level::Symmetric { .. } => p + 1,
         }
     }
-
-    /// The natural fill value of a level (all the paper's formats use zero).
-    pub fn default_fill() -> Value {
-        Value::Float(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -384,10 +482,9 @@ mod tests {
         assert_eq!(l.stored_in_fiber(1), 1);
     }
 
-    #[test]
-    fn format_names_are_distinct() {
-        use std::collections::HashSet;
-        let levels = vec![
+    /// One level of each format.
+    fn every_format() -> Vec<Level> {
+        vec![
             Level::Dense { size: 1 },
             Level::SparseList { size: 1, pos: vec![0, 0], idx: vec![] },
             Level::SparseBand { size: 1, pos: vec![0, 0], start: vec![0] },
@@ -398,8 +495,56 @@ mod tests {
             Level::Triangular { size: 1 },
             Level::Symmetric { size: 1 },
             Level::Ragged { size: 1, pos: vec![0, 0] },
-        ];
+        ]
+    }
+
+    #[test]
+    fn format_names_are_distinct() {
+        use std::collections::HashSet;
+        let levels = every_format();
         let names: HashSet<_> = levels.iter().map(|l| l.format_name()).collect();
         assert_eq!(names.len(), levels.len());
+    }
+
+    #[test]
+    fn map_names_the_arrays_in_binding_order() {
+        let want: [&[&str]; 10] = [
+            &[],
+            &["pos", "idx"],
+            &["pos", "start"],
+            &["pos", "idx", "ofs"],
+            &["pos", "idx"],
+            &["pos", "idx", "ofs"],
+            &["tbl"],
+            &[],
+            &[],
+            &["pos"],
+        ];
+        for (level, want) in every_format().iter().zip(want) {
+            let mut names = Vec::new();
+            let ids = level.map(|name, _| {
+                names.push(name);
+                names.len()
+            });
+            assert_eq!(names, want, "{}", level.format_name());
+            assert!(ids.same_shape(level), "{}", level.format_name());
+            let ids: Vec<usize> = ids.arrays().map(|id| *id.into_inner()).collect();
+            assert_eq!(ids, (1..=want.len()).collect::<Vec<_>>(), "{}", level.format_name());
+            let kinds: Vec<bool> = level.arrays().map(|a| matches!(a, Array::Bool(_))).collect();
+            assert_eq!(kinds, want.iter().map(|&n| n == "tbl").collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn same_shape_is_format_and_size() {
+        let list =
+            |size, idx: Vec<i64>| Level::SparseList { size, pos: vec![0, idx.len() as i64], idx };
+        assert!(list(5, vec![1]).same_shape(&list(5, vec![0, 2, 4])));
+        assert!(!list(5, vec![1]).same_shape(&list(6, vec![1])));
+        assert!(!list(5, vec![1]).same_shape(&Level::Dense { size: 5 }));
+        assert!(
+            Level::Triangular { size: 3 }.same_shape(&LevelOf::<(), ()>::Triangular { size: 3 })
+        );
+        assert!(!Level::Triangular { size: 3 }.same_shape(&Level::Symmetric { size: 3 }));
     }
 }

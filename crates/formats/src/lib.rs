@@ -10,9 +10,13 @@
 //!
 //! This crate provides:
 //!
-//! * the [`Level`] formats of the paper's Figure 3 — dense, sparse list
+//! * the level formats of the paper's Figure 3 — dense, sparse list
 //!   (compressed), sparse band, sparse VBL (variable block list), run-length,
-//!   PackBits, bitmap, lower-triangular, symmetric and ragged;
+//!   PackBits, bitmap, lower-triangular, symmetric and ragged — stated once,
+//!   as [`LevelOf`], generic over its arrays: a tensor's [`Level`] holds
+//!   them, a bound tensor's [`BoundLevel`] the ids of their buffers, and
+//!   [`LevelOf::map`] is the one list of each format's arrays, which
+//!   binding, rebinding and the service's hit check all go through;
 //! * the [`Tensor`] container (levels + values + fill value), with
 //!   conversions to and from dense data that serve as correctness oracles;
 //! * [`BoundTensor`], which registers a tensor's arrays as interpreter
@@ -41,6 +45,6 @@ mod tensor;
 mod unfurl;
 
 pub use bound::{BoundLevel, BoundTensor, UnfurlLeaf};
-pub use level::Level;
+pub use level::{Array, Level, LevelOf};
 pub use output::{LevelSpec, OutputBuilder};
 pub use tensor::{Tensor, TensorError};

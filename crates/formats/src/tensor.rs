@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use finch_ir::Value;
-
 use crate::level::Level;
 
 /// Errors reported when constructing a malformed tensor.
@@ -179,11 +177,6 @@ impl Tensor {
     /// The fill (background) value.
     pub fn fill(&self) -> f64 {
         self.fill
-    }
-
-    /// The fill value as an IR [`Value`].
-    pub fn fill_value(&self) -> Value {
-        Value::Float(self.fill)
     }
 
     /// The element at the given coordinates, using the slow reference

@@ -13,8 +13,13 @@
 //! that run it and with how many kernel ops its program carries, which its
 //! plain run asserts.  On every axis a row runs on the tree-walker and on the VM
 //! with `simd` on and off, and the three leave the same verdict (the result,
-//! or an injected fault's panic), the same counters and the same outputs;
-//! the op's outputs are the scalar loop's bit for bit.  The last test
+//! or an injected fault's panic), the same counters and the same outputs
+//! (the tree-walker's by [`Buffer::same_as`], every NaN one value); the op's
+//! outputs are the scalar loop's bit for bit, NaN bits included, except
+//! where a commutative op (`+`, `*`, `min`, `max`) can meet NaNs of both
+//! signs: the machine code may swap its operands, and Rust does not fix
+//! which NaN comes out, so those rows (`min` and `max` of two sources, a
+//! reduction's fold) draw their NaNs of one sign.  The last test
 //! tallies the rows by kernel op, skip form and performed guard × output,
 //! prints the table and fails on a zero: a new op, form or combination
 //! brings its rows with it.
