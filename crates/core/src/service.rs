@@ -98,7 +98,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use finch_cin::CinStmt;
-use finch_formats::{LevelOf, LevelSpec, Tensor};
+use finch_formats::{Level, LevelOf, LevelSpec, Tensor};
 use finch_ir::opt::ValidationLevel;
 use finch_ir::{Engine, ExecConfig, ExecStats, RuntimeError, Watch};
 
@@ -649,7 +649,7 @@ impl KeyCheck {
                 .iter()
                 .map(|t| InputSig {
                     name: t.name().to_string(),
-                    levels: t.levels().iter().map(|l| l.map(|_, _| ())).collect(),
+                    levels: t.levels().iter().map(Level::shape).collect(),
                     fill_bits: t.fill().to_bits(),
                 })
                 .collect(),

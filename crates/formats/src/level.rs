@@ -188,11 +188,16 @@ impl<I, B> LevelOf<I, B> {
         }
     }
 
-    /// Whether `other` has this level's format and size: all a compiled
-    /// kernel knows of a level, so data of the same shape can be rebound
-    /// into it.
+    /// The level's format and size, without its arrays: all a compiled
+    /// kernel knows of a level.
+    pub fn shape(&self) -> LevelOf<(), ()> {
+        self.map(|_, _| ())
+    }
+
+    /// Whether `other` has this level's format and size, so that its data
+    /// can be rebound into a kernel compiled for this level.
     pub fn same_shape<J, C>(&self, other: &LevelOf<J, C>) -> bool {
-        self.format_name() == other.format_name() && self.size() == other.size()
+        self.shape() == other.shape()
     }
 
     /// This level with each array replaced by `f(name, array)`, called in
