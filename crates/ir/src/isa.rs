@@ -1217,12 +1217,13 @@ pub enum Instr {
     /// The op stops, with the fingers and `start` as the scalar loop has
     /// them at that iteration's top, in front of the loop's last iteration
     /// (but for the jumper form's empty last step), a read past a buffer or
-    /// of a buffer of another kind, and an iteration that might cross
-    /// [`crate::vm::Vm`]'s statement limit (the step budget, a deadline
-    /// check, a poll of the cancellation flag) — so the scalar loop under
-    /// it, which is left as it was, still runs every iteration that
-    /// matches, ends the loop, faults or trips, and rewrites every
-    /// temporary that a later iteration or the loop's exit reads.
+    /// of a buffer of another kind, and an iteration one of whose
+    /// statements would trip a check (the step budget, an injected fault,
+    /// the watch's cancellation flag or clock; it goes on past a check that
+    /// passes, as a V-op's bulk does) — so the scalar loop under it, which
+    /// is left as it was, still runs every iteration that matches, ends the
+    /// loop, faults or trips, and rewrites every temporary that a later
+    /// iteration or the loop's exit reads.
     IStepLoop = "i_step_loop" TagFree "step_loop {step}" {
         /// The first finger's sorted I64 coordinates.
         a: BufId = buf(I64),

@@ -829,13 +829,22 @@ fn a_passed_deadline_trips_where_the_scalar_loop_trips() {
 }
 
 /// A cancellation flag: armed and down, the run completes with the counters
-/// of a run without it; raised, all three trip at the run's first
-/// statement, which polls it.
+/// of a run without it, and its kernel ops take what they take without it:
+/// every instruction is dispatched as often.  Raised, all three trip at the
+/// run's first statement, which looks at it.
 #[test]
 fn a_raised_cancellation_flag_trips_at_the_first_statement() {
     for row in on(CANCEL) {
         let (full, _) = full(row);
         assert_eq!(agree(row, Axis::Cancel(false)).1, full, "{}", row.case.what);
+        let p = &row.c.skipping;
+        let dispatches = |watch| {
+            let mut vm = Vm::new(p);
+            vm.set_watch(watch);
+            vm.run_profiled(p, &mut row.case.bufs.clone()).expect("the run completes")
+        };
+        let watched = dispatches(Axis::Cancel(false).watch());
+        assert_eq!(watched, dispatches(None), "{}: dispatches per pc", row.case.what);
         let (verdict, stats, _) = agree(row, Axis::Cancel(true));
         assert_eq!(verdict, "Err(Deadline { ms: 5 })", "{}", row.case.what);
         assert_eq!(stats.stmts, 1, "{}", row.case.what);

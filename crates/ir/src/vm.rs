@@ -51,9 +51,13 @@ macro_rules! per_op {
 /// after a step-budget abort (the next run truncates them in place).
 ///
 /// The flag is shared (`Arc`), so a service can arm one flag to stop a
-/// request wherever it is executing.  The wall clock is only consulted
-/// every [`Watch::TIME_CHECK_PERIOD`] statements to keep the hot path at
-/// one relaxed atomic load.
+/// request wherever it is executing.  Both engines look at the watch at
+/// the same statements: the flag on a run's first statement and at every
+/// [`Watch::TIME_CHECK_PERIOD`] multiple, the clock at every multiple.  A
+/// flag raised before the run trips its first statement; one raised
+/// mid-run trips within a period, a few microseconds of VM work.  In
+/// between nothing is looked at, so a run under a watch that never trips
+/// takes the same paths, kernel ops and all, as a run without one.
 #[derive(Debug, Clone, Default)]
 pub struct Watch {
     cancel: Option<Arc<AtomicBool>>,
@@ -66,8 +70,8 @@ pub struct Watch {
 }
 
 impl Watch {
-    /// Statements between wall-clock deadline checks (a power of two so
-    /// the check compiles to a mask).
+    /// Statements between two looks at the flag and the clock (a power of
+    /// two, so that the test is a shift).
     pub const TIME_CHECK_PERIOD: u64 = 1024;
 
     /// A watch that trips when `cancel` is set; `ms` is reported in the
@@ -96,16 +100,20 @@ impl Watch {
     }
 
     /// The largest statement count, at or past `stmts`, through which
-    /// [`Watch::check`] is known to do nothing *unless the cancellation
-    /// flag is raised* — the flag can flip at any moment, so the VM polls
-    /// it every [`Vm::POLL_PERIOD`] statements and skips `check` until the
-    /// count passes this.
+    /// [`Watch::check`] is known to do nothing: short of an injected fault
+    /// and of the next statement that looks at the flag or the clock.  At
+    /// a run's start it looks at the flag itself, for the run's first
+    /// statement: raised, that statement trips; down, it has nothing to
+    /// check, and every watched run is spared a call to [`Vm::account`].
     fn quiet_until(&self, stmts: u64) -> u64 {
         let mut quiet = u64::MAX;
         if let Some(at) = self.fault_stmt {
             quiet = quiet.min(at.saturating_sub(1).max(stmts));
         }
-        if self.deadline.is_some() {
+        let raised = || self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed));
+        if stmts == 0 && raised() {
+            quiet = 0;
+        } else if self.cancel.is_some() || self.deadline.is_some() {
             let next_check =
                 (stmts / Self::TIME_CHECK_PERIOD + 1).saturating_mul(Self::TIME_CHECK_PERIOD);
             quiet = quiet.min(next_check - 1);
@@ -115,32 +123,36 @@ impl Watch {
 
     /// The statement-path check the tree-walker calls on every statement:
     /// panics at an armed injection point, otherwise trips
-    /// [`RuntimeError::Deadline`] on cancellation (every statement) or
-    /// deadline expiry (every [`Watch::TIME_CHECK_PERIOD`] statements).
+    /// [`RuntimeError::Deadline`] on cancellation (the first statement and
+    /// every [`Watch::TIME_CHECK_PERIOD`] multiple) or deadline expiry
+    /// (every multiple).
     #[inline]
     pub(crate) fn check(&self, stmts: u64) -> Result<(), RuntimeError> {
         if let Some(at) = self.fault_stmt.filter(|&at| stmts >= at) {
             panic!("injected fault: panic at statement {at}");
         }
-        if self.trips(stmts, &mut None) {
+        if self.trips([stmts, stmts], &mut None) {
             Err(RuntimeError::Deadline { ms: self.ms })
         } else {
             Ok(())
         }
     }
 
-    /// Whether [`Watch::check`] at statement `stmts` panics or trips, without
-    /// doing either: what a kernel op asks of a statement it would count.
-    /// `passed` keeps the clock's answer once read, so that one kernel op
-    /// reads it at most once for a whole bulk, all of which runs after.
+    /// Whether [`Watch::check`] panics or trips at any of the statements
+    /// `first..=last` (`first` at least 1), without doing either: what a
+    /// kernel op asks of the statements it would count.  `passed` keeps the
+    /// clock's answer once read, so that one kernel op reads it at most
+    /// once, all of its work running after.
     #[inline]
-    fn trips(&self, stmts: u64, passed: &mut Option<bool>) -> bool {
-        self.fault_stmt.is_some_and(|at| stmts >= at)
-            || self.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::Relaxed))
-            || self.deadline.is_some_and(|deadline| {
-                stmts.is_multiple_of(Self::TIME_CHECK_PERIOD)
-                    && *passed.get_or_insert_with(|| Instant::now() >= deadline)
-            })
+    fn trips(&self, [first, last]: [u64; 2], passed: &mut Option<bool>) -> bool {
+        let period = last / Self::TIME_CHECK_PERIOD > (first - 1) / Self::TIME_CHECK_PERIOD;
+        self.fault_stmt.is_some_and(|at| last >= at)
+            || (period || first == 1)
+                && self.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::Relaxed))
+            || period
+                && self.deadline.is_some_and(|deadline| {
+                    *passed.get_or_insert_with(|| Instant::now() >= deadline)
+                })
     }
 }
 
@@ -186,17 +198,12 @@ pub struct Vm {
     pub(crate) step_budget: Option<u64>,
     pub(crate) watch: Option<Watch>,
     pub(crate) alloc: AllocMeter,
-    /// The largest `stats.stmts` at which nothing needs looking at: the
-    /// dispatch loop compares against this one number and leaves
-    /// everything else to [`Vm::poll`].  It is [`Vm::check_limit`], or,
-    /// while a cancellation flag is armed, no further than
-    /// [`Vm::POLL_PERIOD`] statements past the flag's last poll.  Derived
-    /// state, like `check_limit`: recomputed on every dispatch entry and
-    /// after every check (to the current count, so a run's first statement
-    /// polls) and after every poll.
-    stmt_limit: u64,
-    /// The largest `stats.stmts` that needs no step-budget, injected-fault
-    /// or deadline check.
+    /// The largest `stats.stmts` at which nothing needs looking at: short
+    /// of the step budget, an injected fault and the watch's next look at
+    /// its flag or its clock ([`Watch::quiet_until`]).  The dispatch loop
+    /// compares against this one number and leaves everything else to
+    /// [`Vm::account`]; the kernel ops take what ends under it.  Derived
+    /// state: recomputed on every dispatch entry and after every check.
     check_limit: u64,
 }
 
@@ -213,7 +220,6 @@ impl Vm {
             step_budget: None,
             watch: None,
             alloc: AllocMeter::default(),
-            stmt_limit: u64::MAX,
             check_limit: u64::MAX,
         }
     }
@@ -934,55 +940,19 @@ impl Vm {
         Ok(())
     }
 
-    /// Statements between two polls of an armed cancellation flag: well
-    /// under a microsecond of work, against the milliseconds a drain waits
-    /// between looks at its stragglers.
-    pub(crate) const POLL_PERIOD: u64 = 64;
-
     /// Count `n` executed statements.  The one accounting routine behind
     /// both encodings of a statement — an explicit [`Instr::BumpStmt`]
     /// and a count folded into [`Program::stmt_bump`]: one add and one
-    /// compare here, everything a statement can trip behind [`Vm::poll`].
+    /// compare here, everything a statement can trip behind
+    /// [`Vm::account`].
     #[inline(always)]
     fn bump_stmts(&mut self, n: u64) -> Result<(), RuntimeError> {
         self.stats.stmts += n;
-        if self.stats.stmts > self.stmt_limit {
-            self.poll(n)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Past [`Vm::stmt_limit`].  While a cancellation flag is armed (every
-    /// service request arms one) that is once every [`Vm::POLL_PERIOD`]
-    /// statements, and a look at the flag; anything else is
-    /// [`Vm::account`]'s.  `#[cold]` is for the run *without* a watch: it
-    /// keeps the call off the dispatch loop's straight line (measured:
-    /// inlining this costs the unwatched merge kernels 3 %).
-    #[cold]
-    #[inline(never)]
-    fn poll(&mut self, n: u64) -> Result<(), RuntimeError> {
-        if self.still_quiet() {
-            Ok(())
-        } else {
-            self.account(n)
-        }
-    }
-
-    /// Whether nothing but a poll of the cancellation flag is due and the
-    /// flag is down; if so, the next poll is [`Vm::POLL_PERIOD`] statements
-    /// on.
-    #[inline]
-    fn still_quiet(&mut self) -> bool {
         if self.stats.stmts > self.check_limit {
-            return false;
+            self.account(n)
+        } else {
+            Ok(())
         }
-        let cancel = self.watch.as_ref().and_then(|watch| watch.cancel.as_ref());
-        if cancel.is_none_or(|cancel| cancel.load(Ordering::Relaxed)) {
-            return false;
-        }
-        self.stmt_limit = self.check_limit.min(self.stats.stmts.saturating_add(Self::POLL_PERIOD));
-        true
     }
 
     /// Re-run the `n` statements just counted one at a time against the
@@ -993,7 +963,10 @@ impl Vm {
     ///
     /// Every kernel op counts only statements it has checked ([`Vm::steps`],
     /// [`Vm::vbulk`]), so the statements replayed here are the ones the
-    /// dispatch loop counted last.
+    /// dispatch loop counted last.  `#[cold]` is for the run *without* a
+    /// watch: it keeps the call off the dispatch loop's straight line
+    /// (inlining the cold path measured 3 % on the unwatched merge
+    /// kernels).
     #[cold]
     #[inline(never)]
     fn account(&mut self, n: u64) -> Result<(), RuntimeError> {
@@ -1018,20 +991,18 @@ impl Vm {
         self.step_budget.unwrap_or(u64::MAX).min(quiet)
     }
 
-    /// Whether statement `stmts` trips the step budget or the watch
-    /// ([`Watch::trips`], which keeps the clock's answer in `passed`).
-    fn trips(&self, stmts: u64, passed: &mut Option<bool>) -> bool {
-        self.step_budget.is_some_and(|budget| stmts > budget)
-            || self.watch.as_ref().is_some_and(|watch| watch.trips(stmts, passed))
+    /// Whether any of the statements `first..=last` trips the step budget
+    /// or the watch ([`Watch::trips`], which keeps the clock's answer in
+    /// `passed`).
+    fn trips(&self, [first, last]: [u64; 2], passed: &mut Option<bool>) -> bool {
+        self.step_budget.is_some_and(|budget| last > budget)
+            || self.watch.as_ref().is_some_and(|watch| watch.trips([first, last], passed))
     }
 
-    /// Derive [`Vm::check_limit`] and [`Vm::stmt_limit`] from the step
-    /// budget, the watch and the current statement count.
+    /// Derive [`Vm::check_limit`] from the step budget, the watch and the
+    /// current statement count.
     fn rearm_limits(&mut self) {
         self.check_limit = self.limit_at(self.stats.stmts);
-        let polled = self.watch.as_ref().is_some_and(|watch| watch.cancel.is_some());
-        self.stmt_limit =
-            if polled { self.check_limit.min(self.stats.stmts) } else { self.check_limit };
     }
 
     /// The infallible integer arithmetic subset the typed [`Instr::IArith`]
@@ -1392,7 +1363,7 @@ impl Vm {
             }
             let fit = room / per;
             (taken, at) = (taken + fit, at + fit * per);
-            if (at + 1..=at + per).any(|stmts| self.trips(stmts, &mut passed)) {
+            if self.trips([at + 1, at + per], &mut passed) {
                 return taken;
             }
             (taken, at) = (taken + 1, at + per);
@@ -1751,11 +1722,31 @@ impl Vm {
     }
 
     /// How many steps of a step loop op's loop its next batch may take: as
-    /// many as fit under [`Vm::stmt_limit`] at the costliest step's
-    /// statements, so nothing a statement can trip is due inside a batch.
+    /// many as fit under `limit` ([`Vm::check_limit`], or past a crossing
+    /// [`Vm::cross`] cleared) at the costliest step's statements, so that
+    /// nothing a statement can trip is due inside a batch.
     #[inline(always)]
-    fn room(&self, run: &Run) -> u64 {
-        self.stmt_limit.saturating_sub(self.stats.stmts) / run.worst
+    fn room(&self, limit: u64, run: &Run) -> u64 {
+        limit.saturating_sub(self.stats.stmts) / run.worst
+    }
+
+    /// Where a step loop op's next batch may end, once the last one stopped
+    /// in front of a step of at most `want` statements that did not fit
+    /// under its limit: [`Vm::check_limit`] as it stands after the steps
+    /// taken, or, where the step crosses that, just past the step if none
+    /// of its statements trips ([`Vm::trips`], which keeps the clock's
+    /// answer in `passed`) — the rule [`Vm::vtake`] applies to a bulk.
+    /// `None` where one trips: the op stops in front of the step, which the
+    /// scalar loop runs and trips at its statement.
+    #[cold]
+    #[inline(never)]
+    fn cross(&self, want: u64, passed: &mut Option<bool>) -> Option<u64> {
+        let at = self.stats.stmts;
+        let limit = self.limit_at(at);
+        if at.saturating_add(want) <= limit {
+            return Some(limit);
+        }
+        (!self.trips([at + 1, at + want], passed)).then_some(at + want)
     }
 
     /// The fingers and the start, as a batch of a step loop op's steps
@@ -1764,15 +1755,6 @@ impl Vm {
     fn fingers(&self, run: &Run) -> [i64; 3] {
         let [p, q, start] = run.regs;
         [self.ints[p.index()], self.ints[q.index()], self.ints[start.index()]]
-    }
-
-    /// Whether a step loop op takes another batch after one that took `done`
-    /// steps, and was `full`: when it took some and had no room for the next,
-    /// and only the poll of a cancellation flag came due, the op polls
-    /// (early) and carries on.
-    #[inline(always)]
-    fn again(&mut self, done: u64, full: bool) -> bool {
-        full && done > 0 && self.still_quiet()
     }
 
     /// Commit `done` steps of a step loop op's loop: the fingers and the
@@ -1810,8 +1792,9 @@ impl Vm {
     /// The steps of a step loop op's stepper loop over one finger (not
     /// `TWO`) or two, from the registers `[p, q, start]` on: every step that
     /// is not the loop's last — for a lone finger, that ends at its stride —
-    /// and that `body` takes, in batches ([`Vm::room`]), each step advancing
-    /// the fingers whose stride ends it.  `body(acc, step)` is the
+    /// and that `body` takes, in batches ([`Vm::room`]) that go on past each
+    /// check that passes ([`Vm::cross`]), each step advancing the fingers
+    /// whose stride ends it.  `body(acc, step)` is the
     /// accumulator after the step, or `None` to stop in front of it.  Every
     /// comparison decides as the scalar instruction's own does (two fingers'
     /// steps are taken only below the bound, where a stride ends the step
@@ -1833,13 +1816,15 @@ impl Vm {
         mut body: impl FnMut(A, &At) -> Option<A>,
     ) -> Option<A> {
         let stop = run.stop;
-        let mut taken = false;
+        let (mut taken, mut limit, mut clock) = (false, self.check_limit, None);
         loop {
-            let room = self.room(run);
-            let mut spare = self.stmt_limit.saturating_sub(self.stats.stmts);
+            // A step that fills counts its run too: it fits where its
+            // statements do.
+            let room = if A::FILLS { u64::MAX } else { self.room(limit, run) };
+            let mut spare = limit.saturating_sub(self.stats.stmts);
             let [p0, q0, mut from] = self.fingers(run);
             let (mut pv, mut qv, mut done, passed) = (p0, q0, 0, acc.passed());
-            let (mut filled, mut runs, mut full) = (0u64, 0u64, false);
+            let (mut filled, mut runs, mut want) = (0u64, 0u64, None);
             while done < room {
                 // A finger outside its list: the scalar load's fault.
                 let Some(&s1) = position(a, pv) else { break };
@@ -1869,7 +1854,7 @@ impl Vm {
                     let each = run.fill.map_or(0, |[_, each]| each);
                     let need = run.worst.saturating_add(gap.saturating_mul(each));
                     if need > spare {
-                        full = true;
+                        want = Some(need);
                         break;
                     }
                     spare -= need;
@@ -1904,9 +1889,12 @@ impl Vm {
                 ..ExecStats::default()
             };
             self.commit(run, [pv, qv, from], done, ended, passed, extra);
-            if !self.again(done, full || done == room) {
+            // Stopped by the limit alone: cross it, or stop.
+            let Some(want) = want.or((done == room).then_some(run.worst)) else {
                 return taken.then_some(acc);
-            }
+            };
+            let Some(past) = self.cross(want, &mut clock) else { return taken.then_some(acc) };
+            limit = past;
         }
     }
 
@@ -2155,7 +2143,7 @@ impl Vm {
     ) {
         let (Buffer::I64(_), Buffer::F64(_)) = (bufs.get(crd), bufs.get(vals)) else { return };
         let fit = self.alloc.budget().map_or(u64::MAX, |b| b.saturating_sub(self.alloc.used())) / 2;
-        let reserve = most.min(self.room(run)).min(fit) as usize;
+        let reserve = most.min(self.room(self.check_limit, run)).min(fit) as usize;
         let (mut crd_out, mut vals_out) = (lift(bufs, crd), lift(bufs, vals));
         let passed = {
             let (Buffer::I64(crd_out), Buffer::F64(vals_out)) = (&mut crd_out, &mut vals_out)
@@ -2223,8 +2211,9 @@ impl Vm {
         if stop >= EXACT {
             return None;
         }
+        let (mut limit, mut clock) = (self.check_limit, None);
         loop {
-            let room = self.room(run);
+            let room = self.room(limit, run);
             let [mut pv, mut qv, _] = self.fingers(run);
             let (mut skipped, mut led_by_a, mut probed) = (0, 0, 0);
             let (mut next, mut left) = (None, false);
@@ -2261,20 +2250,23 @@ impl Vm {
                     break;
                 }
             }
-            let next = next?;
-            let extra = ExecStats {
-                loop_iters: skipped - u64::from(left),
-                searches: skipped,
-                loads: probed,
-                ..ExecStats::default()
-            };
-            self.commit(run, [pv, qv, next], skipped, [led_by_a, skipped - led_by_a], 0, extra);
-            if left {
-                return exit;
+            if let Some(next) = next {
+                let extra = ExecStats {
+                    loop_iters: skipped - u64::from(left),
+                    searches: skipped,
+                    loads: probed,
+                    ..ExecStats::default()
+                };
+                self.commit(run, [pv, qv, next], skipped, [led_by_a, skipped - led_by_a], 0, extra);
+                if left {
+                    return exit;
+                }
             }
-            if !self.again(skipped, skipped == room) {
+            // Stopped by the limit alone: cross it, or stop.
+            if skipped < room {
                 return None;
             }
+            limit = self.cross(run.worst, &mut clock)?;
         }
     }
 }
@@ -2879,12 +2871,15 @@ mod tests {
         assert!(matches!(err, RuntimeError::StepBudgetExceeded { .. }));
     }
 
-    /// An armed cancellation flag is polled on a run's first statement and
-    /// then once a period: raised mid-run, it stops the run within
-    /// `POLL_PERIOD` statements, and a step budget inside the period still
-    /// trips on its own statement.
+    /// An armed cancellation flag is looked at on a run's first statement
+    /// and then at every [`Watch::TIME_CHECK_PERIOD`] multiple: raised
+    /// mid-run, it trips at the first multiple after the raise — also where
+    /// a count of several statements covers it, as a folded one does — and
+    /// so does the tree-walker's per-statement check; a step budget inside
+    /// the period still trips on its own statement.
     #[test]
-    fn a_flag_raised_mid_run_trips_within_the_poll_period() {
+    fn a_flag_raised_mid_run_trips_at_the_next_period_multiple() {
+        const PERIOD: u64 = Watch::TIME_CHECK_PERIOD;
         let program = Program::compile(&[], &Names::new());
         let armed = |budget: Option<u64>| {
             let flag = Arc::new(AtomicBool::new(false));
@@ -2895,28 +2890,85 @@ mod tests {
             (vm, flag)
         };
         let (mut vm, flag) = armed(None);
-        assert_eq!(vm.stmt_limit, 0, "the first statement polls");
+        assert_eq!(vm.check_limit, PERIOD - 1, "down at the start: nothing is due");
+        flag.store(true, Ordering::Relaxed);
+        vm.rearm_limits();
+        assert_eq!(vm.check_limit, 0, "raised at the start: the first statement trips");
+        flag.store(false, Ordering::Relaxed);
+        vm.rearm_limits();
         vm.bump_stmts(1).expect("the flag is down");
-        assert_eq!(vm.stmt_limit, 1 + Vm::POLL_PERIOD);
         for _ in 0..10 {
             vm.bump_stmts(1).expect("nothing is due");
         }
         flag.store(true, Ordering::Relaxed);
-        let mut unnoticed = 0;
-        let err = loop {
-            match vm.bump_stmts(1) {
-                Ok(()) => unnoticed += 1,
-                Err(err) => break err,
-            }
-        };
+        // Counts of three from statement 11: 1 023..=1 025 holds the multiple.
+        let err = (0..).find_map(|_| vm.bump_stmts(3).err()).expect("the flag trips");
         assert!(matches!(err, RuntimeError::Deadline { ms: 7 }), "{err:?}");
-        assert!(unnoticed < Vm::POLL_PERIOD, "{unnoticed} statements ran under a raised flag");
-        assert_eq!(vm.stats.stmts, 2 + Vm::POLL_PERIOD, "it trips on the statement that polls");
+        assert_eq!(vm.stats.stmts, PERIOD, "it trips on the period's multiple");
+        let watch = Watch::cancelled_by(flag, 7);
+        assert!((12..PERIOD).all(|stmts| watch.check(stmts).is_ok()), "the tree-walker's too");
+        assert!(watch.check(PERIOD).is_err() && watch.check(1).is_err());
 
         let (mut vm, _flag) = armed(Some(20));
         let err = (0..).find_map(|_| vm.bump_stmts(3).err()).expect("the budget trips");
         assert!(matches!(err, RuntimeError::StepBudgetExceeded { budget: 20 }), "{err:?}");
         assert_eq!(vm.stats.stmts, 21, "on the budget's own statement");
+    }
+
+    /// A kernel op's work that crosses a [`Watch::TIME_CHECK_PERIOD`]
+    /// multiple from statement 1 000, five statements an iteration: under a
+    /// raised flag a V-op's bulk and a step loop op's batch each take the
+    /// four iterations that end under the multiple and stop in front of the
+    /// fifth, whose statements the scalar loop then counts and trips at the
+    /// multiple.  Under a flag that is down, the check passes and both run
+    /// through to their loop's last iteration.
+    #[test]
+    fn kernel_ops_stop_in_front_of_a_raised_flags_period_multiple() {
+        const PERIOD: u64 = Watch::TIME_CHECK_PERIOD;
+        let program = Program::compile(&[], &Names::new());
+        // Registers 0, 1, 2: a V-op's counter and bound, or a finger, its
+        // second (itself) and the step loop's start.
+        let armed = |raised: bool| {
+            let mut vm = Vm::new(&program);
+            (vm.tags, vm.ints) = (vec![Tag::Int; 3], vec![0, 100, 0]);
+            vm.stats.stmts = 1000;
+            vm.set_watch(Some(Watch::cancelled_by(Arc::new(AtomicBool::new(raised)), 7)));
+            vm.rearm_limits();
+            vm
+        };
+        let trips_at_the_multiple = |mut vm: Vm| {
+            let err = (0..5).find_map(|_| vm.bump_stmts(1).err()).expect("the scalar loop trips");
+            assert!(matches!(err, RuntimeError::Deadline { ms: 7 }), "{err:?}");
+            assert_eq!(vm.stats.stmts, PERIOD);
+        };
+
+        let (counter, hi) = (Reg(0), Reg(1));
+        let mut vm = armed(true);
+        assert_eq!(vm.vbulk(counter, hi, 5), Some((0, 4)), "the bulk stops in front");
+        vm.stats.stmts += 4 * 5;
+        trips_at_the_multiple(vm);
+        assert_eq!(armed(false).vbulk(counter, hi, 5), Some((0, 100)), "and runs through");
+
+        // A lone finger over 0..100 to the bound 99: every step but the last
+        // (0..=98) is the op's, counting 4 statements and 1 for the finger.
+        let list: Vec<i64> = (0..100).collect();
+        let run = Run {
+            regs: [Reg(0), Reg(0), Reg(2)],
+            stop: 99,
+            two: false,
+            counts: StepCounts { stmts: [4, 1, 0], loads: [0; 3] },
+            worst: 5,
+            pass: [0; 3],
+            replaces: 0,
+            fill: None,
+        };
+        let mut vm = armed(true);
+        assert!(vm.steps::<false, ()>([&list, &list], &run, (), |(), _| Some(())).is_some());
+        assert_eq!((vm.ints[0], vm.stats.stmts), (4, 1020), "the batch stops in front");
+        trips_at_the_multiple(vm);
+        let mut vm = armed(false);
+        assert!(vm.steps::<false, ()>([&list, &list], &run, (), |(), _| Some(())).is_some());
+        assert_eq!((vm.ints[0], vm.stats.stmts), (99, 1000 + 99 * 5), "and runs through");
     }
 
     #[test]

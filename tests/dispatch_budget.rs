@@ -20,7 +20,10 @@
 //! unconditional jump.  For the dense kernels of Figs. 9 and 11 it pins the
 //! dispatches per entry of the loop a vectorized kernel op runs, and for a
 //! walked sparse list times a dense vector assigned into a dense output the
-//! whole run's dispatches per stored entry.  A bound
+//! whole run's dispatches per stored entry.  And for every one of these
+//! kernels, and for a CSR × dense SpMV and a sparse output's push, it checks
+//! that a watch that never trips (a service request's cancellation flag, a
+//! distant deadline) changes no dispatch.  A bound
 //! that moves is a change to the bytecode back end (`peephole` / `typing` /
 //! `vectorize` / `forward` / `merge_skip` / `finalize`, or the VM's
 //! `VMIN_TRIP`): lower it when the change pays, and say why when it does
@@ -43,11 +46,17 @@
 //! pair of kernels pins what the op is for: identical `ExecStats`, and no
 //! more scalar iterations dispatched than there are matches and loop entries.
 
-use finch_bench::{fig09_variants, fig11_variants, figure_tables, Variant};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use finch_bench::{
+    ewise_mul_kernel, fig09_variants, fig11_variants, figure_tables, spmspv_kernel, Variant,
+};
 use finch_ir::bytecode::{Guard, Out, Step};
 use finch_ir::{Instr, MergeForm, Program};
 use looplets_repro::baseline::datagen;
-use looplets_repro::finch::{ExecConfig, OptLevel};
+use looplets_repro::finch::{CompiledKernel, ExecConfig, OptLevel, Protocol, Tensor, Watch};
 
 /// One innermost loop of a program: the pcs of its body and bottom test,
 /// `first..=bottom`, entered once per iteration at `first`.
@@ -463,22 +472,28 @@ fn vectorized_loops_dispatch_one_scalar_trip_per_entry() {
 /// and a vectorized fill per run: about 17.5 instructions per stored entry.
 const ASSIGNED: &[(usize, u64)] = &[(64, 688), (256, 166), (1024, 42), (4096, 11)];
 
+/// `C[i] = A[i] * B[i]` over a length-`n` walked sparse list `A` with one
+/// entry in eight and a dense `B`, compiled under full validation; `A`.
+fn assign_kernel(n: usize) -> (CompiledKernel, Tensor) {
+    use looplets_repro::finch::build::*;
+    use looplets_repro::finch::{Kernel, ValidationLevel};
+    let a = Tensor::sparse_list_vector("A", &datagen::counted_sparse_vector(n, n / 8, 7));
+    let b_data: Vec<f64> = (0..n).map(|k| 0.25 * k as f64 - 3.0).collect();
+    let b = Tensor::dense_vector("B", &b_data);
+    let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
+    let mut kernel = Kernel::with_config(config);
+    kernel.bind_input(&a).bind_input(&b).bind_output("C", &[n], 0.0);
+    let i = idx("i");
+    let product = mul(access("A", [i.clone()]), access("B", [i.clone()]));
+    let program = forall(i.clone(), assign(access("C", [i]), product));
+    (kernel.compile(&program).expect("compiles, validated"), a)
+}
+
 #[test]
 fn a_dense_assign_of_a_walked_list_dispatches_a_constant_run() {
-    use looplets_repro::finch::build::*;
-    use looplets_repro::finch::{Kernel, Tensor, ValidationLevel};
     let (mut measured, mut over) = (String::new(), false);
     for &(n, budget) in ASSIGNED {
-        let a = Tensor::sparse_list_vector("A", &datagen::counted_sparse_vector(n, n / 8, 7));
-        let b_data: Vec<f64> = (0..n).map(|k| 0.25 * k as f64 - 3.0).collect();
-        let b = Tensor::dense_vector("B", &b_data);
-        let config = ExecConfig { validation: ValidationLevel::Full, ..ExecConfig::default() };
-        let mut kernel = Kernel::with_config(config);
-        kernel.bind_input(&a).bind_input(&b).bind_output("C", &[n], 0.0);
-        let i = idx("i");
-        let product = mul(access("A", [i.clone()]), access("B", [i.clone()]));
-        let program = forall(i.clone(), assign(access("C", [i]), product));
-        let mut kernel = kernel.compile(&program).expect("compiles, validated");
+        let (mut kernel, a) = assign_kernel(n);
         let (stats, per_pc) = kernel.profile().expect("the kernel runs");
         let program = kernel.bytecode();
         let stores = program.code().iter().filter(|i| {
@@ -490,13 +505,87 @@ fn a_dense_assign_of_a_walked_list_dispatches_a_constant_run() {
             .expect("the kernel compiles without kernel ops");
         let (scalar_stats, _) = scalar.profile().expect("the scalar kernel runs");
         assert_eq!(stats, scalar_stats, "n = {n}: kernel ops change no counter");
-        let bits = |c: &looplets_repro::finch::CompiledKernel| {
-            c.output("C").unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        };
         assert_eq!(bits(&kernel), bits(&scalar), "n = {n}: the outputs, bit for bit");
         let per_entry = (per_pc.iter().sum::<u64>() * 100).div_ceil(a.stored() as u64);
         measured.push_str(&format!("    ({n}, {per_entry}),\n"));
         over |= per_entry > budget;
     }
     assert!(!over, "---- measured ----\n{measured}---- end ----");
+}
+
+/// Every output of `kernel` as its last run left it, bit for bit.
+fn bits(kernel: &CompiledKernel) -> Vec<(String, Vec<u64>)> {
+    let read = |name: String| {
+        let values = kernel.output(&name).expect("the output reads");
+        (name, values.iter().map(|x| x.to_bits()).collect())
+    };
+    kernel.output_names().into_iter().map(read).collect()
+}
+
+/// A watch that never trips costs a kernel no dispatch.  Every kernel this
+/// file pins (the merge and all-pairs kernels, the vectorized loops', the
+/// dense assign's at every length), a CSR × dense SpMV, whose lone steppers
+/// fold, and a walked product of two sparse lists into a sparse output,
+/// whose matches push, run under an armed cancellation flag that stays
+/// down, a deadline an hour away and both (what a service request runs
+/// under): each dispatches every instruction as often as it does without a
+/// watch, with the same counters and outputs.  The flag and the clock are
+/// read at fixed statements, and a kernel op goes on past a check that
+/// passes, so nothing on the statement path is due more often under a
+/// watch.
+#[test]
+fn a_watch_that_never_trips_dispatches_as_no_watch_does() {
+    let n = 4096;
+    let x: Vec<f64> = (0..n).map(|k| 1.0 + (k % 7) as f64).collect();
+    let csr = Tensor::csr_matrix("A", n / 8, n, &datagen::sparse_grid(n / 8, n, 0.001, 7));
+    let x = Tensor::dense_vector("x", &x);
+    let a = Tensor::sparse_list_vector("A", &datagen::counted_sparse_vector(n, n / 4, 11));
+    let b = Tensor::sparse_list_vector("B", &datagen::counted_sparse_vector(n, n / 4, 12));
+    let mut kernels: Vec<(String, CompiledKernel)> = figure_kernels()
+        .into_iter()
+        .map(|(figure, v)| (format!("{figure}/{}", v.label), v.kernel))
+        .chain(
+            fig09_variants(12, 5, &[0.1])
+                .into_iter()
+                .flat_map(|(_, v)| v)
+                .map(|v| (format!("fig09/{}", v.label), v.kernel)),
+        )
+        .chain(
+            fig11_variants(3, 8, "mnist")
+                .into_iter()
+                .map(|v| (format!("fig11/{}", v.label), v.kernel)),
+        )
+        .chain(ASSIGNED.iter().map(|&(n, _)| (format!("assign, n = {n}"), assign_kernel(n).0)))
+        .collect();
+    let spmv = spmspv_kernel(&csr, &x, Protocol::Walk, Protocol::Default);
+    kernels.push(("csr x dense spmv".into(), spmv));
+    kernels.push(("sparse x sparse into a sparse list".into(), ewise_mul_kernel(&a, &b, true)));
+    let flag = || Watch::cancelled_by(Arc::new(AtomicBool::new(false)), 0);
+    let hour = || Watch::until(Instant::now() + Duration::from_secs(3600), 3_600_000);
+    let watches = [
+        ("a flag", flag()),
+        ("a deadline", hour()),
+        ("both", hour().with_cancel(Arc::new(AtomicBool::new(false)))),
+    ];
+    let mut failures = Vec::new();
+    for (what, mut kernel) in kernels {
+        let (stats, per_pc) = kernel.profile().expect("the kernel runs");
+        let outputs = bits(&kernel);
+        for (under, watch) in &watches {
+            kernel.set_watch(Some(watch.clone()));
+            let (watched, watched_per_pc) = kernel.profile().expect("the watch never trips");
+            kernel.set_watch(None);
+            assert_eq!(watched, stats, "{what} under {under}: the counters");
+            assert_eq!(bits(&kernel), outputs, "{what} under {under}: the outputs");
+            if watched_per_pc != per_pc {
+                let total = |counts: &[u64]| counts.iter().sum::<u64>();
+                failures.push(format!(
+                    "{what} under {under}: {} dispatches, {} without a watch",
+                    total(&watched_per_pc),
+                    total(&per_pc)
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
